@@ -270,6 +270,36 @@ impl EmbeddingTable {
         }
     }
 
+    /// Adds the rows of the bag `ids` into `acc`, first id first — one
+    /// sample's pooled lookup. Bit-identical to one
+    /// [`EmbeddingTable::sum_row`] per id; a store-backed table reads
+    /// the whole bag as one residency transaction
+    /// ([`PinnedTable::sum_rows`]).
+    pub(crate) fn sum_rows(&self, ids: &[u32], acc: &mut [f32]) {
+        match &self.backing {
+            Backing::Dense(_) => ids.iter().for_each(|&id| self.sum_row(id, acc)),
+            Backing::Store(pin) => {
+                pin.sum_rows(ids.iter().map(|&id| self.physical_row(id)), acc);
+            }
+        }
+    }
+
+    /// Copies the rows of `ids` into `dst`, id `t` to
+    /// `dst[t * dim..(t + 1) * dim]` — one sample's full-sequence
+    /// gather, one residency transaction on a store-backed table.
+    fn copy_rows(&self, ids: &[u32], dst: &mut [f32]) {
+        match &self.backing {
+            Backing::Dense(_) => {
+                for (&id, cell) in ids.iter().zip(dst.chunks_mut(self.dim)) {
+                    self.copy_row(id, cell);
+                }
+            }
+            Backing::Store(pin) => {
+                pin.read_rows(ids.iter().map(|&id| self.physical_row(id)), dst);
+            }
+        }
+    }
+
     /// Copies row `id`'s contents into `dst` (length `dim`).
     fn copy_row(&self, id: u32, dst: &mut [f32]) {
         let phys = (id as usize) % self.physical_rows;
@@ -498,9 +528,8 @@ impl Operator for SparseLengthsSum {
                     let sample = first + s;
                     let len = ids.lengths[sample];
                     let start = starts[sample];
-                    for &id in &ids.ids[start..start + len as usize] {
-                        self.table.sum_row(id, acc);
-                    }
+                    self.table
+                        .sum_rows(&ids.ids[start..start + len as usize], acc);
                     pool_segment(acc, self.mode, len);
                 }
             });
@@ -688,9 +717,7 @@ impl Operator for EmbeddingGather {
                         let first = offset / sample_elems;
                         for (s, dst) in block.chunks_mut(sample_elems).enumerate() {
                             let pos = (first + s) * seq_len;
-                            for (t, cell) in dst.chunks_mut(dim).enumerate() {
-                                self.table.copy_row(ids.ids[pos + t], cell);
-                            }
+                            self.table.copy_rows(&ids.ids[pos..pos + seq_len], dst);
                         }
                     });
                 }

@@ -345,19 +345,11 @@ impl Operator for MultiTableSls {
                                 // per-accumulator add order is unchanged
                                 // (first id first), so bits are identical.
                                 sa.table().sum_row_pair(a0, da, sb.table(), b0, db);
-                                for &id in &ids_a[1..] {
-                                    sa.table().sum_row(id, da);
-                                }
-                                for &id in &ids_b[1..] {
-                                    sb.table().sum_row(id, db);
-                                }
+                                sa.table().sum_rows(&ids_a[1..], da);
+                                sb.table().sum_rows(&ids_b[1..], db);
                             } else {
-                                for &id in ids_a {
-                                    sa.table().sum_row(id, da);
-                                }
-                                for &id in ids_b {
-                                    sb.table().sum_row(id, db);
-                                }
+                                sa.table().sum_rows(ids_a, da);
+                                sb.table().sum_rows(ids_b, db);
                             }
                             pool_segment(da, sa.mode(), la);
                             pool_segment(db, sb.mode(), lb);
@@ -370,9 +362,8 @@ impl Operator for MultiTableSls {
                             Segment::Pooled { sls, ids, starts } => {
                                 let len = ids.lengths[sample];
                                 let start = starts[sample];
-                                for &id in &ids.ids[start..start + len as usize] {
-                                    sls.table().sum_row(id, dst);
-                                }
+                                sls.table()
+                                    .sum_rows(&ids.ids[start..start + len as usize], dst);
                                 pool_segment(dst, sls.mode(), len);
                             }
                             Segment::Pass { data } => {

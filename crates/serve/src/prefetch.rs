@@ -22,8 +22,10 @@ use drec_ops::Value;
 
 use crate::error::{Result, ServeError};
 
-/// Rows one admitted query will touch: `(binding index, physical row)`.
-type Job = Vec<(usize, u32)>;
+/// Rows one admitted query will touch: per store binding it has ids
+/// for, `(binding index, physical rows in id order)` — one list per
+/// table, so the tier lock is taken once per list rather than per row.
+type Job = Vec<(usize, Vec<u32>)>;
 
 #[derive(Debug, Default)]
 struct JobQueue {
@@ -64,7 +66,7 @@ impl Prefetcher {
     /// Pure extraction of the rows `inputs` will touch, in binding order.
     /// Called before the request is moved into the queue.
     pub(crate) fn collect_rows(&self, inputs: &[Value]) -> Job {
-        let mut rows = Job::new();
+        let mut job = Job::with_capacity(self.bindings.len());
         for (bi, binding) in self.bindings.iter().enumerate() {
             let Some(value) = inputs.get(binding.input_index) else {
                 continue;
@@ -72,20 +74,24 @@ impl Prefetcher {
             let Ok(ids) = value.ids_ref("prefetch") else {
                 continue;
             };
-            for &id in &ids.ids {
-                rows.push((bi, id % binding.physical_rows));
+            if !ids.ids.is_empty() {
+                let rows = ids.ids.iter().map(|id| id % binding.physical_rows);
+                job.push((bi, rows.collect()));
             }
         }
-        rows
+        job
     }
 
     /// Registers intent for `rows` with the tier and queues the ones that
     /// actually need a fill (not resident, not already pending). Called
     /// only after the request was admitted — shed requests never reach
     /// the tier's pending set, so they can't show up as `prefetch_late`.
-    pub(crate) fn enqueue(&self, mut rows: Job) {
-        rows.retain(|&(bi, row)| self.bindings[bi].pin.note_prefetch_intent(row));
-        if rows.is_empty() {
+    pub(crate) fn enqueue(&self, mut job: Job) {
+        job.retain_mut(|(bi, rows)| {
+            self.bindings[*bi].pin.note_prefetch_intents(rows);
+            !rows.is_empty()
+        });
+        if job.is_empty() {
             return;
         }
         let (queue, cv) = &*self.shared;
@@ -93,7 +99,7 @@ impl Prefetcher {
         if q.closed {
             return;
         }
-        q.jobs.push_back(rows);
+        q.jobs.push_back(job);
         drop(q);
         cv.notify_one();
     }
@@ -139,8 +145,8 @@ fn prefetch_loop(shared: &(Mutex<JobQueue>, Condvar), bindings: &[StoreBinding])
         };
         // Fills run outside the queue lock: a cold-read model with real
         // sleeps must never block admission.
-        for (bi, row) in job {
-            bindings[bi].pin.prefetch_row(row);
+        for (bi, rows) in job {
+            bindings[bi].pin.prefetch_rows(&rows);
         }
     }
 }
@@ -171,14 +177,15 @@ mod tests {
         assert!(!bindings.is_empty(), "RM1 must expose store bindings");
         let prefetcher = Prefetcher::start(bindings).unwrap();
         let inputs = drec_workload::QueryGen::uniform(5).batch(model.spec(), 1);
-        let rows = prefetcher.collect_rows(&inputs);
-        assert!(!rows.is_empty(), "a query must touch embedding rows");
-        prefetcher.enqueue(rows.clone());
+        let job = prefetcher.collect_rows(&inputs);
+        assert!(!job.is_empty(), "a query must touch embedding rows");
+        prefetcher.enqueue(job.clone());
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
-            let filled = rows
-                .iter()
-                .all(|&(bi, row)| prefetcher.bindings[bi].pin.is_resident(row));
+            let filled = job.iter().all(|(bi, rows)| {
+                let pin = &prefetcher.bindings[*bi].pin;
+                rows.iter().all(|&row| pin.is_resident(row))
+            });
             if filled {
                 break;
             }

@@ -36,7 +36,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use drec_faultsim::{FaultHook, UpdateFault};
-use drec_store::{EmbeddingStore, RowDelta, StoreError, UpdateBatch};
+use drec_store::{
+    EmbeddingStore, EncodedRow, RestoreBatch, RowDelta, RowRestore, StoreError, UpdateBatch,
+    UpdateReport,
+};
 use drec_sync::atomic::{AtomicU64, Ordering};
 use drec_sync::Mutex;
 use drec_tensor::Tensor;
@@ -355,8 +358,11 @@ impl Updater {
             return Ok(stats);
         }
         let mut rng = self.plan.seed ^ self.channel.namespace();
-        // (ordinal, row) -> original values, captured before first touch.
-        let mut originals: std::collections::BTreeMap<(u32, u32), Vec<f32>> =
+        // (ordinal, row) -> the row's original resident bytes, captured
+        // before first touch. Kept encoded: writing the decoded values
+        // back would re-quantize them, and an int8 row does not always
+        // come back with the scale and bytes it started with.
+        let mut originals: std::collections::BTreeMap<(u32, u32), EncodedRow> =
             std::collections::BTreeMap::new();
         let tables: Vec<(u32, usize, usize)> = self
             .channel
@@ -367,30 +373,43 @@ impl Updater {
         for k in 1..=self.plan.versions {
             self.wait_for_green_light(&mut stats);
             let restore = k == self.plan.versions;
-            let deltas = if restore {
-                originals
-                    .iter()
-                    .map(|(&(ordinal, row), values)| RowDelta {
-                        ordinal,
-                        row,
-                        values: values.clone(),
-                    })
-                    .collect()
-            } else {
-                self.perturb_deltas(&tables, &mut originals, &mut rng)?
-            };
 
-            // Embedding deltas first, then the weight set, then the
+            // Embedding rows first, then the weight set, then the
             // version publish: an engine that sees version N posted can
             // already read N's rows.
             if let Some(store) = self.channel.store() {
-                let target = store.namespace_version(self.channel.namespace()) + 1;
-                let batch = UpdateBatch {
-                    namespace: self.channel.namespace(),
-                    target_version: target,
-                    deltas,
+                let namespace = self.channel.namespace();
+                let target_version = store.namespace_version(namespace) + 1;
+                let report = if restore {
+                    let batch = RestoreBatch {
+                        namespace,
+                        target_version,
+                        rows: std::mem::take(&mut originals)
+                            .into_iter()
+                            .map(|((ordinal, row), encoded)| RowRestore {
+                                ordinal,
+                                row,
+                                encoded,
+                            })
+                            .collect(),
+                    };
+                    self.apply_with_faults(
+                        target_version,
+                        |fault| store.apply_restore(&batch, fault),
+                        &mut stats,
+                    )?
+                } else {
+                    let batch = UpdateBatch {
+                        namespace,
+                        target_version,
+                        deltas: self.perturb_deltas(&tables, &mut originals, &mut rng)?,
+                    };
+                    self.apply_with_faults(
+                        target_version,
+                        |fault| store.apply_update(&batch, fault),
+                        &mut stats,
+                    )?
                 };
-                let report = self.apply_with_faults(store, &batch, &mut stats)?;
                 stats.batches_applied += 1;
                 stats.rows_applied += report.rows_applied as u64;
             }
@@ -420,11 +439,11 @@ impl Updater {
 
     /// Builds version `k`'s deltas: `rows_per_version` seeded rows per
     /// table, each rewritten with a deterministic perturbation of its
-    /// original values (captured on first touch).
+    /// original values (captured, encoded, on first touch).
     fn perturb_deltas(
         &self,
         tables: &[(u32, usize, usize)],
-        originals: &mut std::collections::BTreeMap<(u32, u32), Vec<f32>>,
+        originals: &mut std::collections::BTreeMap<(u32, u32), EncodedRow>,
         rng: &mut u64,
     ) -> Result<Vec<RowDelta>> {
         let store = match self.channel.store() {
@@ -432,7 +451,7 @@ impl Updater {
             None => return Ok(Vec::new()),
         };
         let mut deltas = Vec::new();
-        for &(ordinal, rows, dim) in tables {
+        for &(ordinal, rows, _dim) in tables {
             let handle = store
                 .lookup(self.channel.namespace(), ordinal)
                 .map_err(|e| self.update_failed(0, &e))?;
@@ -442,13 +461,12 @@ impl Updater {
             for _ in 0..self.plan.rows_per_version.min(rows) {
                 let row = (splitmix64(rng) % rows as u64) as u32;
                 let original = match originals.entry((ordinal, row)) {
-                    std::collections::btree_map::Entry::Occupied(e) => e.get().clone(),
+                    std::collections::btree_map::Entry::Occupied(e) => e.get().decode(),
                     std::collections::btree_map::Entry::Vacant(slot) => {
-                        let mut buf = vec![0.0f32; dim];
-                        pin.read_row_raw(row, &mut buf)
+                        let encoded = pin
+                            .read_row_encoded(row)
                             .map_err(|e| self.update_failed(0, &e))?;
-                        slot.insert(buf.clone());
-                        buf
+                        slot.insert(encoded).decode()
                     }
                 };
                 let scale = 1.0 + (splitmix64(rng) % 9 + 1) as f32 * 0.125;
@@ -462,50 +480,39 @@ impl Updater {
         Ok(deltas)
     }
 
-    /// Applies one batch, honouring the fault schedule: a crash rolls
-    /// back and retries once (typed, counted); a duplicate resubmits the
-    /// same batch and expects the store's version check to reject it; a
+    /// Applies one batch (`apply` is the store call, given the fault to
+    /// inject), honouring the fault schedule: a crash rolls back and
+    /// retries once (typed, counted); a duplicate resubmits the same
+    /// batch and expects the store's version check to reject it; a
     /// publish delay just rides along.
     fn apply_with_faults(
         &self,
-        store: &Arc<EmbeddingStore>,
-        batch: &UpdateBatch,
+        target_version: u64,
+        apply: impl Fn(UpdateFault) -> std::result::Result<UpdateReport, StoreError>,
         stats: &mut UpdaterStats,
-    ) -> Result<drec_store::UpdateReport> {
+    ) -> Result<UpdateReport> {
+        let failed = |e: StoreError| self.update_failed(target_version, &e);
         let fault = self.hook.on_update();
-        let first = match fault {
-            UpdateFault::CrashMidBatch { .. } => {
-                match store.apply_update(batch, fault) {
-                    Err(StoreError::UpdateAborted { .. }) => {
-                        stats.rolled_back += 1;
-                        // Atomic rollback verified by the store; retry
-                        // clean.
-                        let report = store
-                            .apply_update(batch, UpdateFault::None)
-                            .map_err(|e| self.update_failed(batch.target_version, &e))?;
-                        stats.recovered += 1;
-                        return Ok(report);
-                    }
-                    Ok(report) => Ok(report),
-                    Err(e) => Err(self.update_failed(batch.target_version, &e)),
-                }
+        let first = match (fault, apply(fault)) {
+            (UpdateFault::CrashMidBatch { .. }, Err(StoreError::UpdateAborted { .. })) => {
+                stats.rolled_back += 1;
+                // Atomic rollback verified by the store; retry clean.
+                let report = apply(UpdateFault::None).map_err(failed)?;
+                stats.recovered += 1;
+                return Ok(report);
             }
-            other => store
-                .apply_update(batch, other)
-                .map_err(|e| self.update_failed(batch.target_version, &e)),
-        }?;
+            (_, result) => result.map_err(failed)?,
+        };
         if matches!(fault, UpdateFault::DuplicateDelta { .. }) {
             // The duplicate must bounce off the version check without
             // touching rows.
-            match store.apply_update(batch, UpdateFault::None) {
+            match apply(UpdateFault::None) {
                 Err(StoreError::VersionConflict { .. }) => stats.duplicates_rejected += 1,
                 Ok(_) => {
-                    return Err(self.update_failed(
-                        batch.target_version,
-                        &"duplicate delta batch was applied twice",
-                    ))
+                    return Err(self
+                        .update_failed(target_version, &"duplicate delta batch was applied twice"))
                 }
-                Err(e) => return Err(self.update_failed(batch.target_version, &e)),
+                Err(e) => return Err(failed(e)),
             }
         }
         Ok(first)
@@ -568,27 +575,64 @@ mod tests {
 
     #[test]
     fn updater_perturbs_then_restores_bit_identically() {
-        let ns = 0xAB;
-        let store = store_with_table(ns);
-        let before = snapshot_rows(&store, ns);
-        let channel = Arc::new(ModelUpdateChannel::new("m", ns, Some(Arc::clone(&store))));
-        let mut up = Updater::new(
-            Arc::clone(&channel),
-            UpdatePlan {
-                versions: 5,
-                rows_per_version: 6,
-                pace: Duration::ZERO,
-                seed: 42,
-            },
-        );
-        let stats = up.run().unwrap();
-        assert_eq!(stats.batches_applied, 5);
-        assert_eq!(channel.current_version(), 5);
-        assert_eq!(store.namespace_version(ns), 5);
-        let after = snapshot_rows(&store, ns);
-        assert_eq!(before, after, "final version must restore the oracle");
-        // The middle versions really did change rows.
-        assert!(stats.rows_applied > 0);
+        use drec_store::RowEncoding;
+        // Irregular values: re-quantizing a decoded int8 row of these
+        // does not always give back its scale, which is how restores
+        // used to drift.
+        let (rows, dim) = (64usize, 16usize);
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let data: Vec<f32> = (0..rows * dim)
+            .map(|_| splitmix64(&mut x) as u32 as f32 / u32::MAX as f32 * 2.3 - 1.1)
+            .collect();
+        for encoding in [RowEncoding::F32, RowEncoding::F16, RowEncoding::Int8] {
+            let ns = 0xAB;
+            let build = || {
+                let store = Arc::new(EmbeddingStore::new(StoreConfig {
+                    encoding,
+                    cache_capacity_rows: 32,
+                    ..StoreConfig::default()
+                }));
+                store.register(ns, 0, rows, dim, &data).unwrap();
+                store
+            };
+            let snapshot = |store: &Arc<EmbeddingStore>| -> Vec<u32> {
+                let pin = store.try_pin(store.lookup(ns, 0).unwrap()).unwrap();
+                let mut buf = vec![0.0f32; dim];
+                let mut bits = Vec::with_capacity(rows * dim);
+                for r in 0..rows as u32 {
+                    pin.read_row_raw(r, &mut buf).unwrap();
+                    bits.extend(buf.iter().map(|v| v.to_bits()));
+                }
+                bits
+            };
+            let store = build();
+            let fresh = snapshot(&build());
+            assert_eq!(snapshot(&store), fresh);
+            let channel = Arc::new(ModelUpdateChannel::new("m", ns, Some(Arc::clone(&store))));
+            let mut rows_applied = 0;
+            for plan in 0..50u64 {
+                let mut up = Updater::new(
+                    Arc::clone(&channel),
+                    UpdatePlan {
+                        versions: 3,
+                        rows_per_version: 6,
+                        pace: Duration::ZERO,
+                        seed: 42 + plan,
+                    },
+                );
+                let stats = up.run().unwrap();
+                assert_eq!(stats.batches_applied, 3);
+                rows_applied += stats.rows_applied;
+                assert_eq!(
+                    snapshot(&store),
+                    fresh,
+                    "{encoding}: plan {plan} left the store different from a fresh build"
+                );
+            }
+            assert_eq!(store.namespace_version(ns), 150);
+            // The middle versions really did change rows.
+            assert!(rows_applied > 0);
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Model-checked interleaving tests for the serving hot path: batcher
 //! admission/eviction/drain on both queue legs, the overload ladder's
-//! stepwise transitions, the dispatch-signal parking protocol, and the
-//! prefetcher-style job handoff.
+//! stepwise transitions, the dispatch-signal parking protocol, the
+//! prefetcher-style job handoff, and the sparse read path's locks (tier
+//! session vs. row update vs. prefetch fill, in-place cache refill).
 //!
 //! Compiled out of plain builds (`#![cfg(loom)]`): without `--cfg loom`
 //! the drec-sync primitives carry no schedule points, so the explorer
@@ -219,16 +220,16 @@ fn dispatch_signal_parking_never_strands_the_dispatcher() {
     }
 }
 
-/// The prefetch-fill/row-update race from `drec-store`/`drec-tier`,
-/// modelled on loom-aware primitives (the tier's own clock lock is a
-/// std mutex, which loom cannot preempt inside): a filler captures the
-/// table's write stamp, reads the row, and inserts residency only if
-/// the stamp is unchanged *under the residency lock*; the updater
-/// rewrites the row, bumps the stamp, and then invalidates under the
-/// same lock. In every interleaving the end state must be either
-/// not-resident or resident-with-post-update bytes — a stale
-/// pre-update fill can never survive, which is exactly the
-/// `prefetch_fill_if` verify contract.
+/// The prefetch-fill/row-update race from `drec-store`/`drec-tier`, on
+/// the real [`TierEngine`] (its one lock is a `drec_sync::Mutex`, so the
+/// explorer schedules around it): a filler captures the table's write
+/// stamp, reads the row, and the engine inserts residency only if the
+/// stamp is unchanged *under the tier lock*; the updater rewrites the
+/// row, bumps the stamp, and then invalidates under the same lock; a
+/// bag reader holds a session on other keys meanwhile. In every
+/// interleaving the end state must be either not-resident or
+/// resident-with-post-update bytes — a stale pre-update fill can never
+/// survive, which is exactly the `prefetch_fill_if` verify contract.
 ///
 /// The write-then-bump order in the updater is load-bearing, and this
 /// model is what caught it: bumping *before* the rewrite (the obvious
@@ -240,48 +241,164 @@ fn dispatch_signal_parking_never_strands_the_dispatcher() {
 #[test]
 fn prefetch_fill_verify_never_parks_stale_bytes() {
     use drec_sync::atomic::{AtomicU64, Ordering};
-    use drec_sync::Mutex;
+    use drec_tier::{TierConfig, TierEngine};
+    const KEY: u64 = 7;
     model(|| {
         let stamp = Arc::new(AtomicU64::new(0)); // table.write_stamp
         let row = Arc::new(AtomicU64::new(1)); // the row's bytes (v0)
-        let resident: Arc<Mutex<Option<u64>>> = Arc::new(Mutex::new(None));
+        let parked = Arc::new(AtomicU64::new(0)); // bytes the fill parked
+        let tier = Arc::new(TierEngine::new(&TierConfig::new(4)));
 
         let filler = {
-            let (stamp, row, resident) =
-                (Arc::clone(&stamp), Arc::clone(&row), Arc::clone(&resident));
+            let (stamp, row, parked, tier) = (
+                Arc::clone(&stamp),
+                Arc::clone(&row),
+                Arc::clone(&parked),
+                Arc::clone(&tier),
+            );
             spawn(move || {
-                // store::prefetch_row: capture the stamp, then fill.
+                // store::prefetch_rows: capture the stamp, then fill.
                 let captured = stamp.load(Ordering::Acquire);
                 let bytes = row.load(Ordering::Acquire);
-                // tier::prefetch_fill_if: verify runs under the
-                // residency lock, immediately before the insert.
-                let mut slot = resident.lock();
-                if stamp.load(Ordering::Acquire) == captured {
-                    *slot = Some(bytes);
-                }
+                // The verify runs under the tier lock, immediately
+                // before the insert.
+                tier.session().prefetch_fill_if(KEY, || {
+                    let fresh = stamp.load(Ordering::Acquire) == captured;
+                    if fresh {
+                        parked.store(bytes, Ordering::Release);
+                    }
+                    fresh
+                });
             })
         };
         let updater = {
-            let (stamp, row, resident) =
-                (Arc::clone(&stamp), Arc::clone(&row), Arc::clone(&resident));
+            let (stamp, row, tier) = (Arc::clone(&stamp), Arc::clone(&row), Arc::clone(&tier));
             spawn(move || {
                 // store::write_row: rewrite, THEN bump the stamp...
                 row.store(2, Ordering::Release);
                 stamp.fetch_add(1, Ordering::Release);
-                // ...then invalidate under the same residency lock.
-                *resident.lock() = None;
+                // ...then invalidate under the same tier lock.
+                tier.invalidate(KEY);
+            })
+        };
+        let reader = {
+            let tier = Arc::clone(&tier);
+            spawn(move || {
+                // A bag's session: one lock hold across several rows.
+                let mut session = tier.session();
+                session.demand_access(KEY + 1);
+                session.demand_access(KEY + 2);
             })
         };
         filler.join().unwrap();
         updater.join().unwrap();
-        let end_state = *resident.lock();
-        if let Some(bytes) = end_state {
+        reader.join().unwrap();
+        if tier.is_resident(KEY) {
             assert_eq!(
-                bytes, 2,
+                parked.load(Ordering::Acquire),
+                2,
                 "a resident row must carry post-update bytes — the stale \
                  pre-update fill survived the verify"
             );
         }
+        assert!(tier.is_resident(KEY + 1) && tier.is_resident(KEY + 2));
+    });
+}
+
+/// The lock order of the sparse read path on the real store (DESIGN.md
+/// §12): a bag reader takes the tier lock and, inside it, a table shard
+/// lock; `update_row` takes the shard lock, releases it, and only then
+/// the tier lock; `prefetch_rows` takes the tier lock alone. The three
+/// together must never deadlock, the bag must read each row whole
+/// (before or after the update, never torn), and once all three are
+/// done a read sees the update.
+#[test]
+fn bag_reader_update_row_and_prefetch_rows_never_deadlock() {
+    use drec_store::{EmbeddingStore, StoreConfig, TierConfig};
+    model(|| {
+        let store = Arc::new(EmbeddingStore::new(StoreConfig {
+            shards_per_table: 1,
+            tier: Some(TierConfig::new(4)),
+            ..StoreConfig::default()
+        }));
+        let handle = store.register(1, 0, 3, 1, &[1.0, 2.0, 4.0]).unwrap();
+        let pin = store.pin(handle);
+
+        let reader = {
+            let pin = pin.clone();
+            spawn(move || {
+                let mut acc = [0.0f32];
+                pin.sum_rows([0, 1], &mut acc);
+                acc[0]
+            })
+        };
+        let updater = {
+            let pin = pin.clone();
+            spawn(move || pin.update_row(1, &[16.0]).unwrap())
+        };
+        let filler = {
+            let pin = pin.clone();
+            spawn(move || {
+                let mut rows = vec![1, 2];
+                pin.note_prefetch_intents(&mut rows);
+                pin.prefetch_rows(&rows);
+            })
+        };
+        let sum = reader.join().unwrap();
+        updater.join().unwrap();
+        filler.join().unwrap();
+        assert!(sum == 3.0 || sum == 17.0, "bag read a torn row: {sum}");
+        let mut acc = [0.0f32];
+        pin.sum_rows([1], &mut acc);
+        assert_eq!(acc[0], 16.0, "a read after the update saw the old row");
+        let stats = store.stats();
+        assert_eq!(stats.lookups, 3);
+        assert!(stats.prefetch_fills + stats.prefetch_aborted_stale <= 2);
+    });
+}
+
+/// In-place refill of a hot-row cache slot against a reader of the same
+/// slot: `insert_with` writes the new row into the victim's own buffer
+/// (no fresh allocation to swap in), so the buffer a reader looks at
+/// *is* the one being overwritten. The key protocol has to keep them
+/// apart: a reader that matched the old key either holds the slot's
+/// read lock — the refill waits — or re-verifies under it and misses.
+/// Both sides yield mid-copy so the explorer can try to interleave them.
+#[test]
+fn cache_reader_never_sees_an_in_place_refill_under_its_old_key() {
+    use drec_store::{CachePolicy, HotRowCache};
+    model(|| {
+        // One slot: key 2 can only go where key 1 is.
+        let cache = Arc::new(HotRowCache::new(1, 1, CachePolicy::Lru));
+        assert!(cache.insert_with(1, 2, |slot| slot.fill(1.0)));
+
+        let reader = {
+            let cache = Arc::clone(&cache);
+            spawn(move || {
+                let seen = cache.with_row(1, |row| {
+                    let first = row[0];
+                    yield_now();
+                    [first, row[1]]
+                });
+                if let Some(row) = seen {
+                    assert_eq!(row, [1.0, 1.0], "key 1 matched, key 2's bytes read");
+                }
+            })
+        };
+        let refill = {
+            let cache = Arc::clone(&cache);
+            spawn(move || {
+                cache.insert_with(2, 2, |slot| {
+                    slot[0] = 2.0;
+                    yield_now();
+                    slot[1] = 2.0;
+                })
+            })
+        };
+        reader.join().unwrap();
+        assert!(refill.join().unwrap(), "the refill ran");
+        assert_eq!(cache.with_row(2, |row| [row[0], row[1]]), Some([2.0, 2.0]));
+        assert_eq!(cache.with_row(1, |_| ()), None);
     });
 }
 

@@ -62,34 +62,21 @@ const EMPTY: u64 = u64::MAX;
 /// while staying close to full-LRU hit rates on Zipf traffic.
 const MAX_WAYS: usize = 8;
 
-/// One cache slot. `key` is the atomic presence marker: readers match it
-/// before and after taking the row lock, and writers blank it while the
-/// payload is inconsistent, so a reader can never observe another key's
-/// row bytes.
-#[derive(Debug)]
-struct Slot {
-    key: AtomicU64,
-    /// Logical time of the last access (from the global clock).
-    stamp: AtomicU64,
-    /// Access count since insertion.
-    uses: AtomicU64,
-    row: RwLock<Box<[f32]>>,
-}
-
-impl Slot {
-    fn vacant() -> Slot {
-        Slot {
-            key: AtomicU64::new(EMPTY),
-            stamp: AtomicU64::new(0),
-            uses: AtomicU64::new(0),
-            row: RwLock::new(Box::new([])),
-        }
-    }
-}
-
+/// One shard's slots, held as parallel arrays indexed `set * ways + way`
+/// so that probing a set reads its (at most 8) keys from one or two
+/// cache lines rather than one line per slot, and picking a victim
+/// reads only the stamps. `keys[i]` is slot `i`'s atomic presence
+/// marker: readers match it before and after taking `rows[i]`'s lock,
+/// and writers blank it while the payload is inconsistent, so a reader
+/// can never observe another key's row bytes.
 #[derive(Debug)]
 struct Shard {
-    slots: Box<[Slot]>,
+    keys: Box<[AtomicU64]>,
+    /// Logical time of each slot's last access (from the global clock).
+    stamps: Box<[AtomicU64]>,
+    /// Each slot's access count since insertion.
+    uses: Box<[AtomicU64]>,
+    rows: Box<[RwLock<Box<[f32]>>]>,
     /// Serializes inserts and invalidations within the shard; the hit
     /// path never takes it.
     write: Mutex<()>,
@@ -125,10 +112,16 @@ impl HotRowCache {
         } else {
             per_shard_capacity.div_ceil(ways)
         };
+        let atomics = |init: u64| (0..sets * ways).map(|_| AtomicU64::new(init)).collect();
         HotRowCache {
             shards: (0..shard_count)
                 .map(|_| Shard {
-                    slots: (0..sets * ways).map(|_| Slot::vacant()).collect(),
+                    keys: atomics(EMPTY),
+                    stamps: atomics(0),
+                    uses: atomics(0),
+                    rows: (0..sets * ways)
+                        .map(|_| RwLock::new(Box::default()))
+                        .collect(),
                     write: Mutex::new(()),
                     hits: CachePadded::new(AtomicU64::new(0)),
                     misses: CachePadded::new(AtomicU64::new(0)),
@@ -148,14 +141,15 @@ impl HotRowCache {
         self.sets > 0
     }
 
-    /// The shard and set a key lives in. The shard comes from the high
-    /// bits of the Fibonacci-mixed key and the set from the low bits, so
-    /// sequential row ids spread across both dimensions independently.
-    fn place(&self, key: u64) -> (&Shard, usize) {
+    /// The shard a key lives in and the slot range of its set. The shard
+    /// comes from the high bits of the Fibonacci-mixed key and the set
+    /// from the low bits, so sequential row ids spread across both
+    /// dimensions independently.
+    fn place(&self, key: u64) -> (&Shard, std::ops::Range<usize>) {
         let mixed = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let shard = &self.shards[((mixed >> 32) as usize) % self.shards.len()];
-        let set = (mixed as u32 as usize) % self.sets;
-        (shard, set * self.ways)
+        let base = (mixed as u32 as usize) % self.sets * self.ways;
+        (shard, base..base + self.ways)
     }
 
     /// Runs `f` on the cached row for `key` if present (bumping its
@@ -165,22 +159,22 @@ impl HotRowCache {
         if !self.enabled() {
             return None;
         }
-        let (shard, base) = self.place(key);
-        for slot in &shard.slots[base..base + self.ways] {
-            if slot.key.load(Ordering::Acquire) != key {
+        let (shard, set) = self.place(key);
+        for slot in set {
+            if shard.keys[slot].load(Ordering::Acquire) != key {
                 continue;
             }
-            let row = slot.row.read();
+            let row = shard.rows[slot].read();
             // Re-verify under the slot lock: an eviction may have blanked
             // or repurposed the slot between the match and the lock.
-            if slot.key.load(Ordering::Acquire) != key {
+            if shard.keys[slot].load(Ordering::Acquire) != key {
                 continue;
             }
-            slot.stamp.store(
+            shard.stamps[slot].store(
                 self.clock.fetch_add(1, Ordering::Relaxed),
                 Ordering::Relaxed,
             );
-            slot.uses.fetch_add(1, Ordering::Relaxed);
+            shard.uses[slot].fetch_add(1, Ordering::Relaxed);
             shard.hits.fetch_add(1, Ordering::Relaxed);
             return Some(f(&row));
         }
@@ -188,67 +182,80 @@ impl HotRowCache {
         None
     }
 
-    /// Inserts a freshly decoded row, evicting the set's policy victim if
-    /// every way is occupied. A concurrent insert of the same key wins
-    /// silently.
-    pub fn insert(&self, key: u64, row: Box<[f32]>) {
+    /// Inserts `key`, evicting the set's policy victim if every way is
+    /// occupied, and has `fill` write the decoded row into the slot's own
+    /// `dim`-wide buffer — the victim's buffer is refilled in place, so a
+    /// miss costs no allocation once a slot has held a row of this
+    /// width. Returns whether `fill` ran: a concurrent insert of the
+    /// same key wins silently and the caller keeps its own copy.
+    ///
+    /// Readers stay safe exactly as they did when the buffer was swapped
+    /// for a fresh one: the key is blanked before the slot's write lock
+    /// is taken, the buffer is only written under that lock, and the new
+    /// key is published after — a reader that matched the old key either
+    /// holds the read lock (the refill waits for it) or re-verifies
+    /// under it and misses.
+    pub fn insert_with(&self, key: u64, dim: usize, fill: impl FnOnce(&mut [f32])) -> bool {
         if !self.enabled() {
-            return;
+            return false;
         }
-        let (shard, base) = self.place(key);
+        let (shard, set) = self.place(key);
         let _writer = shard.write.lock();
-        let set = &shard.slots[base..base + self.ways];
-        if set
-            .iter()
-            .any(|slot| slot.key.load(Ordering::Acquire) == key)
-        {
-            return; // raced with another worker decoding the same row
-        }
-        let victim = match set
-            .iter()
-            .find(|slot| slot.key.load(Ordering::Acquire) == EMPTY)
-        {
-            Some(vacant) => vacant,
-            None => {
-                let occupied = set
-                    .iter()
-                    .min_by_key(|slot| match self.policy {
-                        CachePolicy::Lru => (slot.stamp.load(Ordering::Relaxed), 0),
-                        CachePolicy::Lfu => (
-                            slot.uses.load(Ordering::Relaxed),
-                            slot.stamp.load(Ordering::Relaxed),
-                        ),
-                    })
-                    .expect("ways >= 1");
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                self.resident.fetch_sub(1, Ordering::Relaxed);
-                occupied
+        let mut vacant = None;
+        for slot in set.clone() {
+            match shard.keys[slot].load(Ordering::Acquire) {
+                k if k == key => return false, // raced with another worker decoding the same row
+                EMPTY if vacant.is_none() => vacant = Some(slot),
+                _ => {}
             }
-        };
+        }
+        let victim = vacant.unwrap_or_else(|| {
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+            let stamp = |slot: &usize| shard.stamps[*slot].load(Ordering::Relaxed);
+            match self.policy {
+                CachePolicy::Lru => set.min_by_key(stamp),
+                CachePolicy::Lfu => {
+                    set.min_by_key(|slot| (shard.uses[*slot].load(Ordering::Relaxed), stamp(slot)))
+                }
+            }
+            .expect("ways >= 1")
+        });
         // Blank the key before touching the payload so a racing reader
         // that matched the old key re-verifies and misses.
-        victim.key.store(EMPTY, Ordering::Release);
-        *victim.row.write() = row;
-        victim.stamp.store(
+        shard.keys[victim].store(EMPTY, Ordering::Release);
+        {
+            let mut row = shard.rows[victim].write();
+            if row.len() != dim {
+                *row = vec![0.0; dim].into_boxed_slice();
+            }
+            fill(&mut row);
+        }
+        shard.stamps[victim].store(
             self.clock.fetch_add(1, Ordering::Relaxed),
             Ordering::Relaxed,
         );
-        victim.uses.store(1, Ordering::Relaxed);
-        victim.key.store(key, Ordering::Release);
-        self.resident.fetch_add(1, Ordering::Relaxed);
+        shard.uses[victim].store(1, Ordering::Relaxed);
+        shard.keys[victim].store(key, Ordering::Release);
+        if vacant.is_some() {
+            // An eviction replaces a resident row: the gauge stands.
+            self.resident.fetch_add(1, Ordering::Relaxed);
+        }
+        true
     }
 
     /// Drops `key` if cached (used when a row is rewritten in the store).
+    /// The slot keeps its buffer for the next refill; taking the write
+    /// lock waits out a reader still copying the superseded row.
     pub fn invalidate(&self, key: u64) {
         if !self.enabled() {
             return;
         }
-        let (shard, base) = self.place(key);
+        let (shard, set) = self.place(key);
         let _writer = shard.write.lock();
-        for slot in &shard.slots[base..base + self.ways] {
-            if slot.key.load(Ordering::Acquire) == key {
-                slot.key.store(EMPTY, Ordering::Release);
-                *slot.row.write() = Box::new([]);
+        for slot in set {
+            if shard.keys[slot].load(Ordering::Acquire) == key {
+                shard.keys[slot].store(EMPTY, Ordering::Release);
+                drop(shard.rows[slot].write());
                 self.resident.fetch_sub(1, Ordering::Relaxed);
                 return;
             }
@@ -292,15 +299,16 @@ impl HotRowCache {
 mod tests {
     use super::*;
 
-    fn row(v: f32) -> Box<[f32]> {
-        vec![v; 4].into_boxed_slice()
+    /// Inserts a 4-wide row of `v`s.
+    fn insert(cache: &HotRowCache, key: u64, v: f32) -> bool {
+        cache.insert_with(key, 4, |buf| buf.fill(v))
     }
 
     #[test]
     fn disabled_cache_is_a_no_op() {
         let cache = HotRowCache::new(0, 8, CachePolicy::Lru);
         assert!(!cache.enabled());
-        cache.insert(1, row(1.0));
+        insert(&cache, 1, 1.0);
         assert_eq!(cache.with_row(1, |_| ()), None);
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.misses(), 0);
@@ -312,7 +320,7 @@ mod tests {
     fn hit_miss_counters_track_accesses() {
         let cache = HotRowCache::new(8, 1, CachePolicy::Lru);
         assert_eq!(cache.with_row(5, |_| ()), None);
-        cache.insert(5, row(5.0));
+        insert(&cache, 5, 5.0);
         assert_eq!(cache.with_row(5, |r| r[0]), Some(5.0));
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
@@ -322,11 +330,11 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used() {
         let cache = HotRowCache::new(2, 1, CachePolicy::Lru);
-        cache.insert(1, row(1.0));
-        cache.insert(2, row(2.0));
+        insert(&cache, 1, 1.0);
+        insert(&cache, 2, 2.0);
         // Touch 1 so 2 is the LRU victim.
         assert!(cache.with_row(1, |_| ()).is_some());
-        cache.insert(3, row(3.0));
+        insert(&cache, 3, 3.0);
         assert_eq!(cache.evictions(), 1);
         assert!(cache.with_row(2, |_| ()).is_none(), "2 should be evicted");
         assert!(cache.with_row(1, |_| ()).is_some());
@@ -337,20 +345,34 @@ mod tests {
     #[test]
     fn lfu_evicts_least_frequently_used() {
         let cache = HotRowCache::new(2, 1, CachePolicy::Lfu);
-        cache.insert(1, row(1.0));
-        cache.insert(2, row(2.0));
+        insert(&cache, 1, 1.0);
+        insert(&cache, 2, 2.0);
         // 1 gets 3 uses total, 2 stays at its insertion count.
         assert!(cache.with_row(1, |_| ()).is_some());
         assert!(cache.with_row(1, |_| ()).is_some());
-        cache.insert(3, row(3.0));
+        insert(&cache, 3, 3.0);
         assert!(cache.with_row(2, |_| ()).is_none(), "2 should be evicted");
         assert!(cache.with_row(1, |_| ()).is_some());
     }
 
     #[test]
+    fn insert_with_skips_fill_when_present_and_resizes_on_width_change() {
+        let cache = HotRowCache::new(1, 1, CachePolicy::Lru);
+        assert!(insert(&cache, 1, 1.0));
+        assert!(
+            !cache.insert_with(1, 4, |_| panic!("fill ran for a resident key")),
+            "a resident key must report that the caller's fill did not run"
+        );
+        // The single slot is refilled for a row of another width.
+        assert!(cache.insert_with(2, 2, |buf| buf.copy_from_slice(&[8.0, 9.0])));
+        assert_eq!(cache.with_row(2, |r| r.to_vec()), Some(vec![8.0, 9.0]));
+        assert_eq!(cache.evictions(), 1);
+    }
+
+    #[test]
     fn invalidate_removes_entry() {
         let cache = HotRowCache::new(4, 2, CachePolicy::Lru);
-        cache.insert(7, row(7.0));
+        insert(&cache, 7, 7.0);
         assert!(cache.with_row(7, |_| ()).is_some());
         cache.invalidate(7);
         assert!(cache.with_row(7, |_| ()).is_none());
@@ -361,7 +383,7 @@ mod tests {
     fn capacity_is_bounded_across_shards() {
         let cache = HotRowCache::new(16, 4, CachePolicy::Lru);
         for k in 0..200u64 {
-            cache.insert(k, row(k as f32));
+            insert(&cache, k, k as f32);
         }
         assert!(
             cache.resident_rows() <= cache.capacity_rows() as u64,
@@ -384,7 +406,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for i in 0..2_000u64 {
                         let key = (w * 1000 + i) % 200;
-                        cache.insert(key, vec![key as f32; 4].into_boxed_slice());
+                        insert(&cache, key, key as f32);
                     }
                 })
             })

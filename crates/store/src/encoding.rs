@@ -207,6 +207,48 @@ impl RowData {
         }
     }
 
+    /// Captures row `r`'s resident bytes.
+    pub(crate) fn copy_row(&self, r: usize, dim: usize) -> EncodedRow {
+        EncodedRow(match self {
+            RowData::F32(data) => Captured::F32(data[r * dim..(r + 1) * dim].into()),
+            RowData::F16(data) => Captured::F16(data[r * dim..(r + 1) * dim].into()),
+            RowData::Int8 { q, scale, bias } => Captured::Int8 {
+                q: q[r * dim..(r + 1) * dim].into(),
+                scale: scale[r],
+                bias: bias[r],
+            },
+        })
+    }
+
+    /// Overwrites row `r` with a captured row, byte for byte — no
+    /// re-encode, so the row is exactly what it was when captured.
+    /// Returns `false`, touching nothing, when `src` has another encoding
+    /// or row width.
+    pub(crate) fn restore_row(&mut self, r: usize, dim: usize, src: &EncodedRow) -> bool {
+        match (self, &src.0) {
+            (RowData::F32(data), Captured::F32(row)) if row.len() == dim => {
+                data[r * dim..(r + 1) * dim].copy_from_slice(row);
+            }
+            (RowData::F16(data), Captured::F16(row)) if row.len() == dim => {
+                data[r * dim..(r + 1) * dim].copy_from_slice(row);
+            }
+            (
+                RowData::Int8 { q, scale, bias },
+                Captured::Int8 {
+                    q: row,
+                    scale: s,
+                    bias: b,
+                },
+            ) if row.len() == dim => {
+                q[r * dim..(r + 1) * dim].copy_from_slice(row);
+                scale[r] = *s;
+                bias[r] = *b;
+            }
+            _ => return false,
+        }
+        true
+    }
+
     /// Bytes this shard's rows occupy resident (payload only; allocator
     /// overhead excluded).
     pub(crate) fn resident_bytes(&self) -> u64 {
@@ -217,6 +259,57 @@ impl RowData {
                 q.len() as u64 + scale.len() as u64 * 4 + bias.len() as u64 * 4
             }
         }
+    }
+}
+
+/// One row's resident bytes in a store's encoding, captured by
+/// `PinnedTable::read_row_encoded`. Writing decoded values back
+/// re-quantizes them, which for `Int8` does not always reproduce the
+/// original scale and bytes (the decoded maximum is itself rounded, and
+/// `scale = (max - min) / 255` inherits the rounding); restoring an
+/// `EncodedRow` (`EmbeddingStore::apply_restore`) copies the bytes back
+/// unchanged.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EncodedRow(Captured);
+
+#[derive(Debug, Clone, PartialEq)]
+enum Captured {
+    F32(Box<[f32]>),
+    F16(Box<[u16]>),
+    Int8 { q: Box<[u8]>, scale: f32, bias: f32 },
+}
+
+impl EncodedRow {
+    /// The encoding the row was captured in.
+    pub(crate) fn encoding(&self) -> RowEncoding {
+        match &self.0 {
+            Captured::F32(_) => RowEncoding::F32,
+            Captured::F16(_) => RowEncoding::F16,
+            Captured::Int8 { .. } => RowEncoding::Int8,
+        }
+    }
+
+    /// Elements in the row.
+    pub(crate) fn dim(&self) -> usize {
+        match &self.0 {
+            Captured::F32(row) => row.len(),
+            Captured::F16(row) => row.len(),
+            Captured::Int8 { q, .. } => q.len(),
+        }
+    }
+
+    /// The row's decoded values — exactly what a lookup of the captured
+    /// row returned.
+    pub fn decode(&self) -> Vec<f32> {
+        let mut values = vec![0.0f32; self.dim()];
+        match &self.0 {
+            Captured::F32(row) => simd::copy_f32_into(row, &mut values),
+            Captured::F16(row) => simd::decode_f16_into(row, &mut values),
+            Captured::Int8 { q, scale, bias } => {
+                simd::decode_i8_into(q, *scale, *bias, &mut values)
+            }
+        };
+        values
     }
 }
 

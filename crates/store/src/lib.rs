@@ -17,14 +17,20 @@
 //!   to a dense tensor), `f16`, and `int8` with per-row scale/bias. Every
 //!   lossy encoding documents an exact maximum absolute dequantization
 //!   error ([`RowEncoding::error_bound`]), enforced by tests.
+//! * **Bag-granular reads** ([`PinnedTable::sum_rows`] /
+//!   [`PinnedTable::read_rows`]) — a pooled bag of rows is read as one
+//!   residency transaction: same per-row cache and tier operations as
+//!   one-row reads, in the same order, with the counters, the tier lock
+//!   and the refill buffer handled once per bag.
 //! * **Hot-row cache** ([`HotRowCache`]) — a capacity-bounded LRU/LFU
-//!   cache of *decoded* rows in front of the cold shards, with atomic
-//!   hit/miss/evict counters surfaced through [`EmbeddingStore::stats`].
+//!   cache of *decoded* rows in front of the cold shards, refilled in
+//!   place on a miss, with atomic hit/miss/evict counters surfaced
+//!   through [`EmbeddingStore::stats`].
 //! * **DRAM/SSD tiering** ([`StoreConfig::tier`], via [`drec_tier`]) —
 //!   a budget-bounded CLOCK resident set models which rows are in DRAM;
 //!   cold rows charge a seeded, queue-depth-aware read latency and get
-//!   promoted. [`PinnedTable::note_prefetch_intent`] /
-//!   [`PinnedTable::prefetch_row`] let the serving runtime stream rows
+//!   promoted. [`PinnedTable::note_prefetch_intents`] /
+//!   [`PinnedTable::prefetch_rows`] let the serving runtime stream rows
 //!   into DRAM ahead of batch drain, and
 //!   [`PinnedTable::sum_row_pair`] serves frequently co-occurring row
 //!   pairs from a table-combining cache with one lookup instead of two.
@@ -51,8 +57,8 @@ mod store;
 pub use cache::{CachePolicy, HotRowCache};
 pub use drec_faultsim::UpdateFault;
 pub use drec_tier::{ColdReadModel, CombineConfig, Pacing, TierConfig, TierStats};
-pub use encoding::{f16_bits_to_f32, f32_to_f16_bits, quantize_row, RowEncoding};
+pub use encoding::{f16_bits_to_f32, f32_to_f16_bits, quantize_row, EncodedRow, RowEncoding};
 pub use store::{
-    EmbeddingStore, PinnedTable, RowDelta, StoreConfig, StoreError, StoreStats, TableHandle,
-    UpdateBatch, UpdateReport,
+    EmbeddingStore, PinnedTable, RestoreBatch, RowDelta, RowRestore, StoreConfig, StoreError,
+    StoreStats, TableHandle, UpdateBatch, UpdateReport,
 };

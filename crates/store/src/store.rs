@@ -8,10 +8,10 @@ use drec_faultsim::{FaultHook, ReadFault, UpdateFault};
 use drec_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use drec_sync::{CachePadded, EpochGc, EpochGuard, Mutex, RwLock};
 use drec_tensor::simd::KernelPath;
-use drec_tier::{CombineCache, TierConfig, TierEngine};
+use drec_tier::{CombineCache, TierConfig, TierEngine, TierSession};
 
 use crate::cache::{CachePolicy, HotRowCache};
-use crate::encoding::{RowData, RowEncoding};
+use crate::encoding::{EncodedRow, RowData, RowEncoding};
 
 /// Configuration for an [`EmbeddingStore`].
 #[derive(Debug, Clone)]
@@ -204,6 +204,40 @@ pub struct UpdateBatch {
     pub deltas: Vec<RowDelta>,
 }
 
+/// One captured row inside a [`RestoreBatch`].
+#[derive(Debug)]
+pub struct RowRestore {
+    /// Table ordinal within the batch's namespace.
+    pub ordinal: u32,
+    /// Row to put back.
+    pub row: u32,
+    /// The bytes to put back.
+    pub encoded: EncodedRow,
+}
+
+/// An [`UpdateBatch`] whose rows are captured [`EncodedRow`]s instead of
+/// values: same validation, atomicity, versioning and fault handling,
+/// but every row lands byte for byte as it was captured.
+#[derive(Debug)]
+pub struct RestoreBatch {
+    /// Namespace whose tables the rows target.
+    pub namespace: u64,
+    /// Version this batch publishes; must be exactly one past the
+    /// namespace's current version.
+    pub target_version: u64,
+    /// The rows to put back.
+    pub rows: Vec<RowRestore>,
+}
+
+/// What one row of an update batch writes.
+#[derive(Debug, Clone, Copy)]
+enum RowWrite<'a> {
+    /// Values, re-encoded into the store's encoding.
+    Values(&'a [f32]),
+    /// Captured bytes, copied back as they are.
+    Encoded(&'a EncodedRow),
+}
+
 /// What [`EmbeddingStore::apply_update`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UpdateReport {
@@ -284,7 +318,9 @@ impl StoredTable {
         self.shards[s].read().decode_into(r, self.dim, dst)
     }
 
-    fn write_row(&self, row: u32, values: &[f32]) {
+    /// Rewrites `row` per `write` under the shard's write lock, then
+    /// bumps the write stamp.
+    fn write_row(&self, row: u32, write: RowWrite<'_>) {
         // Write first, stamp after. The order matters: a prefetch fill
         // captures the stamp, reads the row, and re-verifies the stamp
         // under the residency lock. Bumping *before* the write would let
@@ -298,8 +334,22 @@ impl StoredTable {
         // the bump — in which case the caller's invalidation (ordered
         // after this bump, under the same residency lock) removes it.
         let (s, r) = self.locate(row);
-        self.shards[s].write().write_row(r, self.dim, values);
+        {
+            let mut shard = self.shards[s].write();
+            match write {
+                RowWrite::Values(values) => shard.write_row(r, self.dim, values),
+                RowWrite::Encoded(encoded) => {
+                    let restored = shard.restore_row(r, self.dim, encoded);
+                    debug_assert!(restored, "encoding and width are validated by the caller");
+                }
+            }
+        }
         self.write_stamp.fetch_add(1, Ordering::Release);
+    }
+
+    fn read_encoded(&self, row: u32) -> EncodedRow {
+        let (s, r) = self.locate(row);
+        self.shards[s].read().copy_row(r, self.dim)
     }
 
     fn resident_bytes(&self) -> u64 {
@@ -638,43 +688,90 @@ impl EmbeddingStore {
         batch: &UpdateBatch,
         fault: UpdateFault,
     ) -> Result<UpdateReport, StoreError> {
-        // Step 1: resolve and validate every delta before touching rows.
+        let writes = batch
+            .deltas
+            .iter()
+            .map(|d| (d.ordinal, d.row, RowWrite::Values(&d.values)))
+            .collect();
+        self.apply_rows(batch.namespace, batch.target_version, writes, fault)
+    }
+
+    /// [`EmbeddingStore::apply_update`] for rows captured with
+    /// [`PinnedTable::read_row_encoded`]: the same four steps and the
+    /// same errors, but each row is copied back byte for byte instead of
+    /// being re-encoded — a restore leaves the store bit-identical to
+    /// what it was when the rows were captured, in every encoding. A
+    /// captured row whose encoding or width differs from its target
+    /// table's is rejected up front with
+    /// [`StoreError::DataSizeMismatch`] (bytes per row).
+    pub fn apply_restore(
+        &self,
+        batch: &RestoreBatch,
+        fault: UpdateFault,
+    ) -> Result<UpdateReport, StoreError> {
+        let writes = batch
+            .rows
+            .iter()
+            .map(|r| (r.ordinal, r.row, RowWrite::Encoded(&r.encoded)))
+            .collect();
+        self.apply_rows(batch.namespace, batch.target_version, writes, fault)
+    }
+
+    /// The update protocol behind [`EmbeddingStore::apply_update`] and
+    /// [`EmbeddingStore::apply_restore`]; `writes` is `(ordinal, row,
+    /// what to write)`.
+    fn apply_rows(
+        &self,
+        namespace: u64,
+        target_version: u64,
+        writes: Vec<(u32, u32, RowWrite<'_>)>,
+        fault: UpdateFault,
+    ) -> Result<UpdateReport, StoreError> {
+        // Step 1: resolve and validate every row before touching any.
         let (resolved, ns_tables) = {
             let index = self.index.lock();
             let tables = self.tables.read();
-            let mut resolved = Vec::with_capacity(batch.deltas.len());
-            for delta in &batch.deltas {
-                let &slot = index.get(&(batch.namespace, delta.ordinal)).ok_or(
-                    StoreError::TableNotRegistered {
-                        namespace: batch.namespace,
-                        ordinal: delta.ordinal,
-                    },
-                )?;
+            let mut resolved = Vec::with_capacity(writes.len());
+            for (ordinal, row, write) in writes {
+                let &slot = index
+                    .get(&(namespace, ordinal))
+                    .ok_or(StoreError::TableNotRegistered { namespace, ordinal })?;
                 let table = &tables[slot];
-                if (delta.row as usize) >= table.rows {
+                if (row as usize) >= table.rows {
                     return Err(StoreError::RowOutOfRange {
-                        row: delta.row,
+                        row,
                         rows: table.rows,
                     });
                 }
-                if delta.values.len() != table.dim {
-                    return Err(StoreError::DataSizeMismatch {
-                        expected: table.dim,
-                        actual: delta.values.len(),
-                    });
+                let mismatch = match write {
+                    RowWrite::Values(values) => {
+                        (values.len() != table.dim).then_some((table.dim, values.len()))
+                    }
+                    RowWrite::Encoded(e) => {
+                        let encoding = e.encoding();
+                        (e.dim() != table.dim || encoding != self.cfg.encoding).then(|| {
+                            (
+                                self.cfg.encoding.bytes_per_row(table.dim),
+                                encoding.bytes_per_row(e.dim()),
+                            )
+                        })
+                    }
+                };
+                if let Some((expected, actual)) = mismatch {
+                    return Err(StoreError::DataSizeMismatch { expected, actual });
                 }
-                resolved.push((slot, Arc::clone(table), delta));
+                resolved.push((slot, Arc::clone(table), row, write));
             }
             let ns_tables: Vec<Arc<StoredTable>> = index
                 .iter()
-                .filter(|((ns, _), _)| *ns == batch.namespace)
+                .filter(|((ns, _), _)| *ns == namespace)
                 .map(|(_, &slot)| Arc::clone(&tables[slot]))
                 .collect();
             (resolved, ns_tables)
         };
         if ns_tables.is_empty() {
             return Err(StoreError::TableNotRegistered {
-                namespace: batch.namespace,
+                namespace,
                 ordinal: 0,
             });
         }
@@ -683,44 +780,45 @@ impl EmbeddingStore {
             .map(|t| t.version.load(Ordering::Acquire))
             .min()
             .unwrap_or(0);
-        if batch.target_version != current + 1 {
-            if batch.target_version <= current {
+        if target_version != current + 1 {
+            if target_version <= current {
                 self.update_duplicates_rejected
                     .fetch_add(1, Ordering::Relaxed);
             }
             return Err(StoreError::VersionConflict {
-                namespace: batch.namespace,
+                namespace,
                 current,
-                target: batch.target_version,
+                target: target_version,
             });
         }
 
         // Step 2: apply under an undo log, crashing halfway if injected.
+        // The log keeps each pre-update row *encoded*, so a rollback puts
+        // back the exact bytes rather than a re-quantization of them.
         let crash_at = match fault {
             UpdateFault::CrashMidBatch { .. } => Some(resolved.len() / 2),
             _ => None,
         };
-        let mut undo: Vec<(Arc<StoredTable>, u32, Vec<f32>, u64)> =
+        let mut undo: Vec<(Arc<StoredTable>, u32, EncodedRow, u64)> =
             Vec::with_capacity(resolved.len());
-        for (i, (slot, table, delta)) in resolved.iter().enumerate() {
+        for (i, (slot, table, row, write)) in resolved.iter().enumerate() {
             if crash_at == Some(i) {
                 for (table, row, old, key) in undo.drain(..).rev() {
-                    table.write_row(row, &old);
+                    table.write_row(row, RowWrite::Encoded(&old));
                     self.invalidate_row(key);
                 }
                 self.update_rollbacks.fetch_add(1, Ordering::Relaxed);
                 return Err(StoreError::UpdateAborted {
-                    namespace: batch.namespace,
-                    target: batch.target_version,
+                    namespace,
+                    target: target_version,
                     rows_rolled_back: i,
                 });
             }
-            let mut old = vec![0.0f32; table.dim];
-            table.read_into(delta.row, &mut old);
-            let key = ((*slot as u64) << 32) | u64::from(delta.row);
-            table.write_row(delta.row, &delta.values);
+            let old = table.read_encoded(*row);
+            let key = ((*slot as u64) << 32) | u64::from(*row);
+            table.write_row(*row, *write);
             self.invalidate_row(key);
-            undo.push((Arc::clone(table), delta.row, old, key));
+            undo.push((Arc::clone(table), *row, old, key));
         }
 
         // Step 3: publish (optionally after an injected delay, during
@@ -730,7 +828,7 @@ impl EmbeddingStore {
             std::thread::sleep(delay);
         }
         for table in &ns_tables {
-            table.version.store(batch.target_version, Ordering::Release);
+            table.version.store(target_version, Ordering::Release);
         }
 
         // Step 4: retire — wait out pre-publish readers, then clear any
@@ -746,7 +844,7 @@ impl EmbeddingStore {
             .fetch_add(undo.len() as u64, Ordering::Relaxed);
         Ok(UpdateReport {
             rows_applied: undo.len(),
-            published_version: batch.target_version,
+            published_version: target_version,
         })
     }
 
@@ -852,15 +950,6 @@ impl EmbeddingStore {
             None => (total, total),
         }
     }
-
-    /// Tallies one cold-shard decode into the vector/scalar counter pair.
-    #[inline]
-    fn tally_decode(&self, path: KernelPath) {
-        match path {
-            KernelPath::Vector => self.decode_vector.fetch_add(1, Ordering::Relaxed),
-            KernelPath::Scalar => self.decode_scalar.fetch_add(1, Ordering::Relaxed),
-        };
-    }
 }
 
 /// A pinned reference to one table in a store — the hot-path lookup API.
@@ -923,162 +1012,227 @@ impl PinnedTable {
         Ok(())
     }
 
+    /// Captures row `row`'s resident bytes, as quietly as
+    /// [`PinnedTable::read_row_raw`] — what the updater keeps so its
+    /// final version can put every perturbed row back byte for byte
+    /// ([`EmbeddingStore::apply_restore`]).
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::RowOutOfRange`].
+    pub fn read_row_encoded(&self, row: u32) -> Result<EncodedRow, StoreError> {
+        if (row as usize) >= self.table.rows {
+            return Err(StoreError::RowOutOfRange {
+                row,
+                rows: self.table.rows,
+            });
+        }
+        Ok(self.table.read_encoded(row))
+    }
+
     /// Cache key for a row of this table.
     fn key(&self, row: u32) -> u64 {
         ((self.handle.0 as u64) << 32) | u64::from(row)
     }
 
-    /// Adds row `row` element-wise into `acc` (`acc[i] += row[i]`, left
-    /// to right — the identical reduction a dense-tensor lookup performs,
-    /// so the `F32` encoding is bit-identical to the direct path whether
-    /// the row comes from the cache or a cold shard).
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts `row < rows` and `acc.len() == dim`; callers
-    /// validate indices before reaching the hot path.
     /// Applies any injected read fault and reports whether a cold-shard
-    /// read should be skipped (cache-only degraded mode).
+    /// read should be skipped (cache-only degraded mode). An injected
+    /// delay closes the bag's tier session first, so the tier lock is
+    /// never held across a sleep.
     #[inline]
-    fn before_cold_read(&self, row: u32) -> bool {
+    fn skip_cold_read(
+        &self,
+        row: u32,
+        tier: &mut Option<TierSession<'_>>,
+        tally: &mut BagTally<'_>,
+    ) -> bool {
         match self.store.faults.on_read() {
             ReadFault::None => {}
             ReadFault::Poison { read } => panic!(
                 "faultsim: poisoned read {read} (table {}, row {row})",
                 self.handle.0
             ),
-            ReadFault::Delay(d) => std::thread::sleep(d),
+            ReadFault::Delay(d) => {
+                *tier = None;
+                std::thread::sleep(d);
+            }
         }
         if self.store.cache_only.load(Ordering::Relaxed) {
-            self.store.cache_only_skips.fetch_add(1, Ordering::Relaxed);
+            tally.cache_only_skips += 1;
             return true;
         }
         false
     }
 
-    /// Charges the DRAM/SSD tier for one demand access: a resident row
-    /// is free, a cold row pays the configured cold-read latency (slept
-    /// or virtually charged) and gets promoted. Called on every
-    /// cold-shard read; values are unaffected either way.
-    #[inline]
-    fn tier_demand(&self, key: u64) {
-        if let Some(tier) = &self.store.tier {
-            tier.demand_access(key);
-        }
-    }
-
-    pub fn sum_row(&self, row: u32, acc: &mut [f32]) {
-        debug_assert!((row as usize) < self.table.rows);
-        debug_assert_eq!(acc.len(), self.table.dim);
-        self.store.lookups.fetch_add(1, Ordering::Relaxed);
-        let cache = &self.store.cache;
-        if !cache.enabled() {
-            if !self.before_cold_read(row) {
-                self.tier_demand(self.key(row));
-                let path = self.table.sum_into(row, acc);
-                self.store.tally_decode(path);
-            }
-            return;
-        }
-        let key = self.key(row);
-        let hit = cache.with_row(key, |cached| {
+    /// The one row-read routine: visits `rows` in order as a single
+    /// **bag transaction**. Per row it does what a one-row read always
+    /// did, in the same order — hot-row cache probe; on a miss the fault
+    /// hook and cache-only check, the tier demand access (a resident row
+    /// is free, a cold row pays the configured cold-read latency and
+    /// gets promoted), the cold-shard decode, the cache refill — so
+    /// values and every `StoreStats` counter come out as from that many
+    /// one-row calls. What is per *bag* is the bookkeeping: `lookups`
+    /// and the decode tallies are bumped once, the tier lock is taken
+    /// once (at the first cache miss, and held to the end of the bag;
+    /// DESIGN.md §12 has the lock order), and a cache miss decodes
+    /// straight into the victim slot's buffer instead of allocating one.
+    ///
+    /// `op` says where a row goes: summed into the whole of `out`, or
+    /// copied to the row's own `dim`-wide cell of `out`.
+    fn read_bag(&self, rows: impl Iterator<Item = u32>, out: &mut [f32], op: BagOp) {
+        let store = &*self.store;
+        let table = &*self.table;
+        let dim = table.dim;
+        let cache = store.cache.enabled().then_some(&store.cache);
+        let mut tally = BagTally::new(store);
+        let mut tier: Option<TierSession<'_>> = None;
+        for (i, row) in rows.enumerate() {
+            debug_assert!((row as usize) < table.rows);
+            tally.lookups += 1;
+            let dst = match op {
+                BagOp::Sum => &mut *out,
+                BagOp::Copy => &mut out[i * dim..(i + 1) * dim],
+            };
+            let key = self.key(row);
             // Cache hit: rows are cached *decoded*, so no kernel runs and
             // neither decode counter moves. The hot-row cache is DRAM, so
             // the tier is not consulted either.
-            for (a, &v) in acc.iter_mut().zip(cached) {
-                *a += v;
+            if cache.is_some_and(|c| c.with_row(key, |cached| op.emit(cached, dst)).is_some()) {
+                continue;
             }
-        });
-        if hit.is_none() {
             // Cache miss: in cache-only degraded mode the row's
-            // contribution is dropped (counted as a quality-loss skip);
-            // otherwise charge the tier, decode from the cold shard, and
-            // promote.
-            if self.before_cold_read(row) {
-                return;
+            // contribution is dropped (a copy reads zeros; counted as a
+            // quality-loss skip); otherwise charge the tier, decode from
+            // the cold shard, and refill the cache.
+            if self.skip_cold_read(row, &mut tier, &mut tally) {
+                if op == BagOp::Copy {
+                    dst.fill(0.0);
+                }
+                continue;
             }
-            self.tier_demand(key);
-            let mut decoded = vec![0.0f32; self.table.dim].into_boxed_slice();
-            let path = self.table.read_into(row, &mut decoded);
-            self.store.tally_decode(path);
-            for (a, &v) in acc.iter_mut().zip(decoded.iter()) {
-                *a += v;
+            if let Some(engine) = &store.tier {
+                tier.get_or_insert_with(|| engine.session())
+                    .demand_access(key);
             }
-            cache.insert(key, decoded);
+            let mut refilled = None;
+            if let Some(cache) = cache {
+                cache.insert_with(key, dim, |slot| {
+                    refilled = Some(table.read_into(row, slot));
+                    op.emit(slot, dst);
+                });
+            }
+            // No cache, or another worker cached the row meanwhile: read
+            // the shard straight into the output.
+            tally.decoded(refilled.unwrap_or_else(|| match op {
+                BagOp::Sum => table.sum_into(row, dst),
+                BagOp::Copy => table.read_into(row, dst),
+            }));
         }
     }
 
-    /// Copies row `row` into `dst` (length `dim`). In cache-only
-    /// degraded mode a miss fills `dst` with zeros instead of touching
-    /// the cold shard.
+    /// Adds every row of the bag `rows` element-wise into `acc`, in
+    /// order (`acc[i] += row[i]`, left to right — the identical
+    /// reduction a dense-tensor lookup performs, so the `F32` encoding
+    /// is bit-identical to the direct path whether a row comes from the
+    /// cache or a cold shard). One residency transaction for the whole
+    /// bag; values and counters equal those of one [`PinnedTable::sum_row`]
+    /// call per row. In cache-only degraded mode a missed row's
+    /// contribution is dropped.
+    ///
+    /// # Panics
+    ///
+    /// Debug-asserts every `row < rows` and `acc.len() == dim`; callers
+    /// validate indices before reaching the hot path.
+    pub fn sum_rows(&self, rows: impl IntoIterator<Item = u32>, acc: &mut [f32]) {
+        debug_assert_eq!(acc.len(), self.table.dim);
+        self.read_bag(rows.into_iter(), acc, BagOp::Sum);
+    }
+
+    /// [`PinnedTable::sum_rows`] for a bag of one row.
+    pub fn sum_row(&self, row: u32, acc: &mut [f32]) {
+        self.sum_rows([row], acc);
+    }
+
+    /// Copies the bag `rows` into `dst`, row `i` to
+    /// `dst[i * dim..(i + 1) * dim]`, as one residency transaction. In
+    /// cache-only degraded mode a missed row reads as zeros instead of
+    /// touching the cold shard.
+    ///
+    /// # Panics
+    ///
+    /// If `rows` yields more rows than `dst` has `dim`-wide cells;
+    /// debug-asserts every `row < rows`.
+    pub fn read_rows(&self, rows: impl IntoIterator<Item = u32>, dst: &mut [f32]) {
+        debug_assert!(dst.len().is_multiple_of(self.table.dim));
+        self.read_bag(rows.into_iter(), dst, BagOp::Copy);
+    }
+
+    /// [`PinnedTable::read_rows`] for a bag of one row (`dst` of length
+    /// `dim`).
     pub fn read_row(&self, row: u32, dst: &mut [f32]) {
-        debug_assert!((row as usize) < self.table.rows);
         debug_assert_eq!(dst.len(), self.table.dim);
-        self.store.lookups.fetch_add(1, Ordering::Relaxed);
-        let cache = &self.store.cache;
-        if !cache.enabled() {
-            if self.before_cold_read(row) {
-                dst.fill(0.0);
-            } else {
-                self.tier_demand(self.key(row));
-                let path = self.table.read_into(row, dst);
-                self.store.tally_decode(path);
-            }
-            return;
-        }
-        let key = self.key(row);
-        let hit = cache.with_row(key, |cached| dst.copy_from_slice(cached));
-        if hit.is_none() {
-            if self.before_cold_read(row) {
-                dst.fill(0.0);
-                return;
-            }
-            self.tier_demand(key);
-            let path = self.table.read_into(row, dst);
-            self.store.tally_decode(path);
-            cache.insert(key, dst.to_vec().into_boxed_slice());
-        }
+        self.read_rows([row], dst);
     }
 
-    /// Registers a prefetch intent for `row` — the admission-time half
-    /// of the stream prefetcher. Returns `true` when a
-    /// [`PinnedTable::prefetch_row`] fill should be issued (tiering is
-    /// on and the row is neither DRAM-resident nor already pending).
-    pub fn note_prefetch_intent(&self, row: u32) -> bool {
-        if (row as usize) >= self.table.rows {
-            return false;
-        }
+    /// Registers prefetch intents for `rows` — the admission-time half
+    /// of the stream prefetcher — under one tier lock, and keeps in
+    /// `rows` only those a [`PinnedTable::prefetch_rows`] fill should be
+    /// issued for (in range, neither DRAM-resident nor already pending).
+    /// Clears `rows` without tiering.
+    pub fn note_prefetch_intents(&self, rows: &mut Vec<u32>) {
         match &self.store.tier {
-            Some(tier) => tier.note_intent(self.key(row)),
-            None => false,
+            Some(tier) => {
+                let mut session = tier.session();
+                rows.retain(|&row| {
+                    (row as usize) < self.table.rows && session.note_intent(self.key(row))
+                });
+            }
+            None => rows.clear(),
         }
     }
 
-    /// Completes a prefetch for `row`: pays the cold-read latency *off*
-    /// the request critical path and promotes the row into the DRAM
-    /// tier. A fill moves only the prefetch counters — it is not a
-    /// demand decode (`decode_vector`/`decode_scalar` stay put, the
-    /// hot-row cache is untouched) because a tier promotion moves
-    /// encoded bytes, not decoded rows. No-op without tiering or when
-    /// the row is already resident.
-    pub fn prefetch_row(&self, row: u32) {
-        if (row as usize) >= self.table.rows {
+    /// [`PinnedTable::note_prefetch_intents`] for one row: whether a
+    /// fill should be issued for it.
+    pub fn note_prefetch_intent(&self, row: u32) -> bool {
+        let mut rows = vec![row];
+        self.note_prefetch_intents(&mut rows);
+        !rows.is_empty()
+    }
+
+    /// Completes the prefetches for `rows` under one tier lock: each
+    /// pays the cold-read latency *off* the request critical path and
+    /// promotes its row into the DRAM tier. A fill moves only the
+    /// prefetch counters — it is not a demand decode
+    /// (`decode_vector`/`decode_scalar` stay put, the hot-row cache is
+    /// untouched) because a tier promotion moves encoded bytes, not
+    /// decoded rows. Rows out of range or already resident are skipped;
+    /// no-op without tiering.
+    pub fn prefetch_rows(&self, rows: &[u32]) {
+        let Some(tier) = &self.store.tier else {
             return;
-        }
-        if let Some(tier) = &self.store.tier {
+        };
+        let table = &self.table;
+        let mut session = tier.session();
+        for &row in rows.iter().filter(|&&row| (row as usize) < table.rows) {
             // Capture the table's write stamp before the fill and
-            // re-verify it under the residency lock: a row update that
-            // lands between capture and fill bumps the stamp first, so
-            // the fill aborts instead of parking the row's pre-update
-            // state as resident (and the update's own invalidation
-            // cannot race past an already-parked stale fill, because the
-            // verify and the invalidation serialize on the same lock).
-            let stamp = self.table.write_stamp.load(Ordering::Acquire);
-            let table = &self.table;
-            tier.prefetch_fill_if(self.key(row), || {
+            // re-verify it under the tier lock: a row update that lands
+            // between capture and fill bumps the stamp first, so the
+            // fill aborts instead of parking the row's pre-update state
+            // as resident (and the update's own invalidation cannot race
+            // past an already-parked stale fill, because the verify and
+            // the invalidation serialize on the same lock). The session
+            // holds that lock from the capture on, except while a
+            // `Pacing::Sleep` fill sleeps — the window the verify covers.
+            let stamp = table.write_stamp.load(Ordering::Acquire);
+            session.prefetch_fill_if(self.key(row), || {
                 table.write_stamp.load(Ordering::Acquire) == stamp
             });
         }
+    }
+
+    /// [`PinnedTable::prefetch_rows`] for one row.
+    pub fn prefetch_row(&self, row: u32) {
+        self.prefetch_rows(&[row]);
     }
 
     /// Whether `row` is currently DRAM-resident (always `true` without
@@ -1163,9 +1317,78 @@ impl PinnedTable {
                 actual: values.len(),
             });
         }
-        self.table.write_row(row, values);
+        self.table.write_row(row, RowWrite::Values(values));
         self.store.invalidate_row(self.key(row));
         Ok(())
+    }
+}
+
+/// Where [`PinnedTable::read_bag`] puts each row it reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum BagOp {
+    /// `out[i] += row[i]` for every row: a pooled lookup.
+    Sum,
+    /// Row `k` of the bag is copied to `out[k * dim..(k + 1) * dim]`.
+    Copy,
+}
+
+impl BagOp {
+    /// Delivers one decoded row to its destination.
+    #[inline]
+    fn emit(self, row: &[f32], dst: &mut [f32]) {
+        match self {
+            BagOp::Sum => {
+                drec_tensor::simd::sum_f32_into(row, dst);
+            }
+            BagOp::Copy => dst.copy_from_slice(row),
+        }
+    }
+}
+
+/// A bag's counter deltas, added to the store's shared (cache-line
+/// padded, contended) atomics once when the bag ends — also when it
+/// ends by unwinding out of an injected poisoned read.
+struct BagTally<'a> {
+    store: &'a EmbeddingStore,
+    lookups: u64,
+    decode_vector: u64,
+    decode_scalar: u64,
+    cache_only_skips: u64,
+}
+
+impl<'a> BagTally<'a> {
+    fn new(store: &'a EmbeddingStore) -> Self {
+        BagTally {
+            store,
+            lookups: 0,
+            decode_vector: 0,
+            decode_scalar: 0,
+            cache_only_skips: 0,
+        }
+    }
+
+    /// Tallies one cold-shard decode into the vector/scalar pair.
+    #[inline]
+    fn decoded(&mut self, path: KernelPath) {
+        match path {
+            KernelPath::Vector => self.decode_vector += 1,
+            KernelPath::Scalar => self.decode_scalar += 1,
+        }
+    }
+}
+
+impl Drop for BagTally<'_> {
+    fn drop(&mut self) {
+        for (counter, delta) in [
+            (&*self.store.lookups, self.lookups),
+            (&*self.store.decode_vector, self.decode_vector),
+            (&*self.store.decode_scalar, self.decode_scalar),
+            (&self.store.cache_only_skips, self.cache_only_skips),
+        ] {
+            if delta > 0 {
+                counter.fetch_add(delta, Ordering::Relaxed);
+            }
+        }
     }
 }
 
@@ -1958,6 +2181,124 @@ mod tests {
         assert_eq!(s.namespace_version(7), 1);
         pin.read_row(0, &mut out);
         assert_eq!(out, [5.0, 5.0]);
+    }
+
+    /// Irregular rows: re-quantizing their decoded int8 form does not
+    /// always reproduce the stored scale and bytes.
+    fn irregular(rows: usize, dim: usize) -> Vec<f32> {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        (0..rows * dim)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 40) as f32 / (1u64 << 24) as f32 * 2.3 - 1.1
+            })
+            .collect()
+    }
+
+    fn decoded_bits(pin: &PinnedTable) -> Vec<u32> {
+        let mut buf = vec![0.0f32; pin.dim()];
+        let mut bits = Vec::new();
+        for row in 0..pin.rows() as u32 {
+            pin.read_row_raw(row, &mut buf).unwrap();
+            bits.extend(buf.iter().map(|v| v.to_bits()));
+        }
+        bits
+    }
+
+    #[test]
+    fn crash_rollback_and_restore_are_byte_exact_in_every_encoding() {
+        for encoding in [RowEncoding::F32, RowEncoding::F16, RowEncoding::Int8] {
+            let s = store(StoreConfig {
+                encoding,
+                ..StoreConfig::default()
+            });
+            let (rows, dim) = (64, 16);
+            let h = s.register(7, 0, rows, dim, &irregular(rows, dim)).unwrap();
+            let pin = s.pin(h);
+            let fresh = decoded_bits(&pin);
+            let captured: Vec<RowRestore> = (0..rows as u32)
+                .map(|row| RowRestore {
+                    ordinal: 0,
+                    row,
+                    encoded: pin.read_row_encoded(row).unwrap(),
+                })
+                .collect();
+            let perturb = UpdateBatch {
+                namespace: 7,
+                target_version: 1,
+                deltas: captured
+                    .iter()
+                    .map(|r| {
+                        let values: Vec<f32> =
+                            r.encoded.decode().iter().map(|v| v * 1.375 + 0.5).collect();
+                        delta(0, r.row, &values)
+                    })
+                    .collect(),
+            };
+            // A crash halfway rolls 32 perturbed rows back from the
+            // encoded undo log: nothing may have moved by a bit.
+            assert!(matches!(
+                s.apply_update(&perturb, UpdateFault::CrashMidBatch { batch: 0 }),
+                Err(StoreError::UpdateAborted {
+                    rows_rolled_back: 32,
+                    ..
+                })
+            ));
+            assert_eq!(decoded_bits(&pin), fresh, "{encoding}: rollback drifted");
+            // Perturb for real, then put the captured bytes back.
+            s.apply_update(&perturb, UpdateFault::None).unwrap();
+            assert_ne!(decoded_bits(&pin), fresh);
+            let report = s
+                .apply_restore(
+                    &RestoreBatch {
+                        namespace: 7,
+                        target_version: 2,
+                        rows: captured,
+                    },
+                    UpdateFault::None,
+                )
+                .unwrap();
+            assert_eq!(report.rows_applied, rows);
+            assert_eq!(decoded_bits(&pin), fresh, "{encoding}: restore drifted");
+            assert_eq!(s.namespace_version(7), 2);
+        }
+    }
+
+    #[test]
+    fn restore_of_another_layout_is_rejected_before_any_row_moves() {
+        let int8 = store(StoreConfig {
+            encoding: RowEncoding::Int8,
+            ..StoreConfig::default()
+        });
+        let f32s = store(StoreConfig::default());
+        let data = irregular(4, 8);
+        let from = int8.pin(int8.register(7, 0, 4, 8, &data).unwrap());
+        let into = f32s.pin(f32s.register(7, 0, 4, 8, &data).unwrap());
+        let before = decoded_bits(&into);
+        let batch = RestoreBatch {
+            namespace: 7,
+            target_version: 1,
+            rows: vec![RowRestore {
+                ordinal: 0,
+                row: 1,
+                encoded: from.read_row_encoded(1).unwrap(),
+            }],
+        };
+        assert_eq!(
+            f32s.apply_restore(&batch, UpdateFault::None),
+            Err(StoreError::DataSizeMismatch {
+                expected: 32, // 8 f32s
+                actual: 16,   // 8 int8s + scale + bias
+            })
+        );
+        assert_eq!(decoded_bits(&into), before);
+        assert_eq!(f32s.namespace_version(7), 0);
+        assert_eq!(
+            from.read_row_encoded(4).err(),
+            Some(StoreError::RowOutOfRange { row: 4, rows: 4 })
+        );
     }
 
     #[test]

@@ -2,6 +2,8 @@
 
 use std::collections::HashMap;
 
+use crate::hash::RowKeyBuild;
+
 /// One resident slot.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
@@ -44,7 +46,7 @@ pub(crate) struct Inserted {
 pub struct ResidencyClock {
     budget: usize,
     slots: Vec<Slot>,
-    map: HashMap<u64, usize>,
+    map: HashMap<u64, usize, RowKeyBuild>,
     hand: usize,
     evictions: u64,
 }
@@ -56,7 +58,7 @@ impl ResidencyClock {
         ResidencyClock {
             budget,
             slots: Vec::with_capacity(budget.min(1 << 20)),
-            map: HashMap::new(),
+            map: HashMap::default(),
             hand: 0,
             evictions: 0,
         }

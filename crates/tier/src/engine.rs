@@ -2,12 +2,13 @@
 //! fills, and the counter set behind `StoreStats`' tier fields.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
+
+use drec_sync::{Mutex, MutexGuard};
 
 use crate::clock::{ResidencyClock, Touch};
 use crate::combine::CombineConfig;
+use crate::hash::RowKeyBuild;
 use crate::latency::{ColdReadModel, Pacing};
 
 /// Configuration for a [`TierEngine`] (carried by the store's config as
@@ -166,12 +167,38 @@ impl TierStats {
     }
 }
 
+/// Everything the tier mutates, behind the engine's one lock.
+#[derive(Debug)]
+struct TierState {
+    clock: ResidencyClock,
+    /// Prefetch intents announced at admission but not yet filled.
+    pending: HashSet<u64, RowKeyBuild>,
+    /// Demand-touch frequency sketch driving the
+    /// [`TierConfig::admit_after`] comparative admission. Bounded: at
+    /// `admission_capacity` the whole map resets (TinyLFU-style aging),
+    /// which keeps it deterministic and lets the filter re-learn a
+    /// shifted head.
+    admission: HashMap<u64, u32, RowKeyBuild>,
+    /// Global cold-read index driving the jitter sequence.
+    reads: u64,
+    /// Cold reads currently in service (queue depth for the model).
+    inflight: u64,
+    /// The cumulative counters; the residency gauges and `evictions`
+    /// are filled in from `clock` by [`TierEngine::stats`].
+    stats: TierStats,
+}
+
 /// The tier engine one [`EmbeddingStore`](../drec_store) owns when
 /// tiering is configured.
 ///
-/// Thread-safe: the resident set and pending-intent set sit behind one
-/// mutex each (only touched on hot-row-cache misses), counters are
-/// atomics. Residency decides latency charging only — never values — so
+/// Thread-safe: the resident set, the pending-intent set, the admission
+/// sketch and the counters sit behind **one** mutex, taken once per
+/// [`TierSession`] — the store opens one session per pooled bag, the
+/// prefetcher one per row list — instead of several times per row.
+/// Lock order: the tier lock is the outermost lock of the read path
+/// (cache slot and table shard locks nest inside a session); writers
+/// take it only after releasing the shard lock (DESIGN.md §12).
+/// Residency decides latency charging only — never values — so
 /// concurrent interleavings may shift counters but can never change
 /// model output bits.
 #[derive(Debug)]
@@ -179,32 +206,19 @@ pub struct TierEngine {
     model: ColdReadModel,
     prefetch_enabled: bool,
     admit_after: u32,
-    clock: Mutex<ResidencyClock>,
-    /// Prefetch intents announced at admission but not yet filled.
-    pending: Mutex<HashSet<u64>>,
-    /// Demand-touch frequency sketch driving the
-    /// [`TierConfig::admit_after`] comparative admission. Bounded: at
-    /// `admission_capacity` the whole map resets (TinyLFU-style aging),
-    /// which keeps it deterministic and lets the filter re-learn a
-    /// shifted head.
-    admission: Mutex<HashMap<u64, u32>>,
     admission_capacity: usize,
-    /// Global cold-read index driving the jitter sequence.
-    reads: AtomicU64,
-    /// Cold reads currently in service (queue depth for the model).
-    inflight: AtomicU64,
-    dram_hits: AtomicU64,
-    cold_demand_reads: AtomicU64,
-    promotions: AtomicU64,
-    demand_wait_nanos: AtomicU64,
-    prefetch_wait_nanos: AtomicU64,
-    prefetch_issued: AtomicU64,
-    prefetch_fills: AtomicU64,
-    prefetch_hits: AtomicU64,
-    prefetch_late: AtomicU64,
-    prefetch_wasted: AtomicU64,
-    prefetch_aborted_stale: AtomicU64,
-    invalidations: AtomicU64,
+    state: Mutex<TierState>,
+}
+
+/// One residency transaction: the tier lock, held across as many
+/// accesses as the caller has (a bag's cache misses, a prefetch list).
+/// A [`Pacing::Sleep`] cold read drops the lock for the duration of its
+/// sleep and retakes it, so a session never sleeps holding it.
+#[derive(Debug)]
+pub struct TierSession<'a> {
+    engine: &'a TierEngine,
+    /// `None` only while a cold read sleeps.
+    state: Option<MutexGuard<'a, TierState>>,
 }
 
 impl TierEngine {
@@ -215,24 +229,15 @@ impl TierEngine {
             model: cfg.cold_read,
             prefetch_enabled: cfg.prefetch,
             admit_after: cfg.admit_after.max(1),
-            clock: Mutex::new(ResidencyClock::new(cfg.dram_budget_rows)),
-            pending: Mutex::new(HashSet::new()),
-            admission: Mutex::new(HashMap::new()),
             admission_capacity: (cfg.dram_budget_rows * 8).max(1024),
-            reads: AtomicU64::new(0),
-            inflight: AtomicU64::new(0),
-            dram_hits: AtomicU64::new(0),
-            cold_demand_reads: AtomicU64::new(0),
-            promotions: AtomicU64::new(0),
-            demand_wait_nanos: AtomicU64::new(0),
-            prefetch_wait_nanos: AtomicU64::new(0),
-            prefetch_issued: AtomicU64::new(0),
-            prefetch_fills: AtomicU64::new(0),
-            prefetch_hits: AtomicU64::new(0),
-            prefetch_late: AtomicU64::new(0),
-            prefetch_wasted: AtomicU64::new(0),
-            prefetch_aborted_stale: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
+            state: Mutex::new(TierState {
+                clock: ResidencyClock::new(cfg.dram_budget_rows),
+                pending: HashSet::default(),
+                admission: HashMap::default(),
+                reads: 0,
+                inflight: 0,
+                stats: TierStats::default(),
+            }),
         }
     }
 
@@ -241,101 +246,141 @@ impl TierEngine {
         self.prefetch_enabled
     }
 
-    fn lock_clock(&self) -> std::sync::MutexGuard<'_, ResidencyClock> {
-        drec_sync::lock_recover(&self.clock)
-    }
-
-    fn lock_pending(&self) -> std::sync::MutexGuard<'_, HashSet<u64>> {
-        drec_sync::lock_recover(&self.pending)
-    }
-
-    fn lock_admission(&self) -> std::sync::MutexGuard<'_, HashMap<u64, u32>> {
-        drec_sync::lock_recover(&self.admission)
-    }
-
-    /// Bumps `key`'s demand-touch frequency (no-op at `admit_after <=
-    /// 1`). The sketch resets wholesale at `admission_capacity`, so the
-    /// filter ages instead of growing without bound.
-    fn note_touch(&self, key: u64) {
-        if self.admit_after <= 1 {
-            return;
+    /// Takes the tier lock for a run of accesses.
+    pub fn session(&self) -> TierSession<'_> {
+        TierSession {
+            engine: self,
+            state: Some(self.state.lock()),
         }
-        let mut counts = self.lock_admission();
-        let count = counts.entry(key).or_insert(0);
-        *count = count.saturating_add(1);
-        if counts.len() >= self.admission_capacity {
-            counts.clear();
+    }
+
+    /// One demand access in a session of its own (see
+    /// [`TierSession::demand_access`]).
+    pub fn demand_access(&self, key: u64) -> TierAccess {
+        self.session().demand_access(key)
+    }
+
+    /// Drops `key` from the tier on a row update: the DRAM-resident copy
+    /// (if any) is superseded, and a pending prefetch intent would fill
+    /// from a retired view. Returns whether anything was dropped.
+    pub fn invalidate(&self, key: u64) -> bool {
+        let mut st = self.state.lock();
+        let pending = st.pending.remove(&key);
+        let resident = st.clock.remove(key);
+        if pending || resident {
+            st.stats.invalidations += 1;
         }
+        pending || resident
+    }
+
+    /// Whether `key` is currently DRAM-resident (no side effects).
+    pub fn is_resident(&self, key: u64) -> bool {
+        self.state.lock().clock.contains(key)
+    }
+
+    /// Counts resident rows whose key satisfies `pred` — the reporting
+    /// path for per-table/per-model residency. O(resident).
+    pub fn count_resident(&self, pred: impl FnMut(u64) -> bool) -> usize {
+        self.state.lock().clock.count_resident(pred)
+    }
+
+    /// Counter snapshot.
+    pub fn stats(&self) -> TierStats {
+        let st = self.state.lock();
+        TierStats {
+            dram_budget_rows: st.clock.budget() as u64,
+            dram_resident_rows: st.clock.resident() as u64,
+            evictions: st.clock.evictions(),
+            ..st.stats
+        }
+    }
+}
+
+impl TierSession<'_> {
+    fn st(&mut self) -> &mut TierState {
+        self.state
+            .as_mut()
+            .expect("the tier lock is held outside a cold-read sleep")
+    }
+
+    /// Computes, charges, and (under [`Pacing::Sleep`]) serves one cold
+    /// read's latency, returning the charged duration. The sleep runs
+    /// with the tier lock released.
+    fn charge_cold_read(&mut self, demand: bool) -> Duration {
+        let model = self.engine.model;
+        let st = self.st();
+        let wait = model.delay_for(st.reads, st.inflight);
+        st.reads += 1;
+        st.inflight += 1;
+        let nanos = wait.as_nanos() as u64;
+        if demand {
+            st.stats.demand_wait_nanos += nanos;
+        } else {
+            st.stats.prefetch_wait_nanos += nanos;
+        }
+        if model.pacing == Pacing::Sleep && !wait.is_zero() {
+            self.state = None;
+            std::thread::sleep(wait);
+            self.state = Some(self.engine.state.lock());
+        }
+        self.st().inflight -= 1;
+        wait
     }
 
     /// Promotes `key` after a cold demand read, subject to the
     /// frequency-admission filter: below the `admit_after` touch
     /// threshold nothing happens, and at capacity the challenger must
-    /// match the CLOCK victim's touch count to displace it.
-    fn promote_demand(&self, key: u64) {
-        let mut clock = self.lock_clock();
-        if self.admit_after > 1 {
-            let counts = self.lock_admission();
-            let challenger = counts.get(&key).copied().unwrap_or(0);
-            if challenger < self.admit_after {
+    /// beat the CLOCK victim's touch count to displace it.
+    fn promote_demand(&mut self, key: u64) {
+        let admit_after = self.engine.admit_after;
+        let st = self.st();
+        if admit_after > 1 {
+            let challenger = st.admission.get(&key).copied().unwrap_or(0);
+            if challenger < admit_after {
                 return;
             }
-            if let Some(victim) = clock.victim_key() {
+            if let Some(victim) = st.clock.victim_key() {
                 // Strictly greater: a tie keeps the resident row, so
                 // equal-count boundary rows don't thrash each other.
-                if challenger <= counts.get(&victim).copied().unwrap_or(0) {
+                if challenger <= st.admission.get(&victim).copied().unwrap_or(0) {
                     return;
                 }
             }
         }
-        let inserted = clock.insert(key, false);
-        drop(clock);
-        self.promotions.fetch_add(1, Ordering::Relaxed);
-        if inserted.evicted_prefetched_unused {
-            self.prefetch_wasted.fetch_add(1, Ordering::Relaxed);
-        }
+        let inserted = st.clock.insert(key, false);
+        st.stats.promotions += 1;
+        st.stats.prefetch_wasted += u64::from(inserted.evicted_prefetched_unused);
     }
 
-    /// Computes, charges, and (under [`Pacing::Sleep`]) serves one cold
-    /// read's latency, returning the charged duration.
-    fn charge_cold_read(&self, wait_counter: &AtomicU64) -> Duration {
-        let index = self.reads.fetch_add(1, Ordering::Relaxed);
-        let depth = self.inflight.fetch_add(1, Ordering::Relaxed);
-        let wait = self.model.delay_for(index, depth);
-        wait_counter.fetch_add(wait.as_nanos() as u64, Ordering::Relaxed);
-        if self.model.pacing == Pacing::Sleep && !wait.is_zero() {
-            std::thread::sleep(wait);
-        }
-        self.inflight.fetch_sub(1, Ordering::Relaxed);
-        wait
-    }
-
-    /// One demand access to `key` (called by the store on every
-    /// hot-row-cache miss). Resident rows are free; cold rows charge the
-    /// latency model and get promoted.
-    pub fn demand_access(&self, key: u64) -> TierAccess {
-        self.note_touch(key);
-        {
-            let mut clock = self.lock_clock();
-            if let Touch::Resident {
-                was_prefetched_unused,
-            } = clock.touch(key)
-            {
-                drop(clock);
-                self.dram_hits.fetch_add(1, Ordering::Relaxed);
-                if was_prefetched_unused {
-                    self.prefetch_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                return TierAccess::DramHit;
+    /// One demand access to `key` (the store calls this for every row
+    /// that missed the hot-row cache). Resident rows are free; cold rows
+    /// charge the latency model and get promoted.
+    pub fn demand_access(&mut self, key: u64) -> TierAccess {
+        let (admit_after, admission_capacity) =
+            (self.engine.admit_after, self.engine.admission_capacity);
+        let st = self.st();
+        if admit_after > 1 {
+            // The sketch resets wholesale at capacity, so the filter
+            // ages instead of growing without bound.
+            let count = st.admission.entry(key).or_insert(0);
+            *count = count.saturating_add(1);
+            if st.admission.len() >= admission_capacity {
+                st.admission.clear();
             }
         }
-        self.cold_demand_reads.fetch_add(1, Ordering::Relaxed);
-        if self.lock_pending().remove(&key) {
-            // A prefetch was issued but hasn't landed: the demand read
-            // overtakes it and pays the cold latency itself.
-            self.prefetch_late.fetch_add(1, Ordering::Relaxed);
+        if let Touch::Resident {
+            was_prefetched_unused,
+        } = st.clock.touch(key)
+        {
+            st.stats.dram_hits += 1;
+            st.stats.prefetch_hits += u64::from(was_prefetched_unused);
+            return TierAccess::DramHit;
         }
-        let wait = self.charge_cold_read(&self.demand_wait_nanos);
+        st.stats.cold_demand_reads += 1;
+        // A prefetch that was issued but hasn't landed: the demand read
+        // overtakes it and pays the cold latency itself.
+        st.stats.prefetch_late += u64::from(st.pending.remove(&key));
+        let wait = self.charge_cold_read(true);
         self.promote_demand(key);
         TierAccess::ColdMiss { wait }
     }
@@ -343,29 +388,22 @@ impl TierEngine {
     /// Registers a prefetch intent for `key` at admission time. Returns
     /// `true` when a fill should be issued (the key is neither resident
     /// nor already pending).
-    pub fn note_intent(&self, key: u64) -> bool {
-        if self.lock_clock().contains(key) {
+    pub fn note_intent(&mut self, key: u64) -> bool {
+        let st = self.st();
+        if st.clock.contains(key) || !st.pending.insert(key) {
             return false;
         }
-        if !self.lock_pending().insert(key) {
-            return false;
-        }
-        self.prefetch_issued.fetch_add(1, Ordering::Relaxed);
+        st.stats.prefetch_issued += 1;
         true
     }
 
     /// Completes a prefetch: pays the cold latency off the critical path
     /// and promotes the row flagged prefetched-unused. No-op when the
     /// row went resident in the meantime (a demand read won the race).
-    pub fn prefetch_fill(&self, key: u64) {
-        self.prefetch_fill_if(key, || true);
-    }
-
-    /// [`TierEngine::prefetch_fill`] with a staleness re-verify: `verify`
-    /// runs *under the residency lock* immediately before the insert,
-    /// and a `false` abandons the fill (counted `prefetch_aborted_stale`)
-    /// instead of parking the row.
     ///
+    /// `verify` is the staleness re-check: it runs *under the tier lock*
+    /// immediately before the insert, and a `false` abandons the fill
+    /// (counted `prefetch_aborted_stale`) instead of parking the row.
     /// The store passes a closure comparing the owning table's write
     /// stamp against the value captured when the fill began. Because the
     /// update path bumps the stamp before calling
@@ -373,88 +411,32 @@ impl TierEngine {
     /// linearize: either the fill sees the bumped stamp and aborts, or
     /// it inserts first and the update's invalidate removes it. A stale
     /// pre-update fill can never survive as resident.
-    pub fn prefetch_fill_if(&self, key: u64, verify: impl FnOnce() -> bool) {
-        let was_pending = self.lock_pending().remove(&key);
-        if self.lock_clock().contains(key) {
+    pub fn prefetch_fill_if(&mut self, key: u64, verify: impl FnOnce() -> bool) {
+        let st = self.st();
+        let was_pending = st.pending.remove(&key);
+        if st.clock.contains(key) {
             return;
         }
-        if !was_pending {
-            // Demand already consumed the intent (counted late) and the
-            // row was since evicted again; refetch it anyway.
-            self.prefetch_issued.fetch_add(1, Ordering::Relaxed);
-        }
-        self.charge_cold_read(&self.prefetch_wait_nanos);
-        let mut clock = self.lock_clock();
+        // Not pending: demand already consumed the intent (counted
+        // late) and the row was since evicted again; refetch it anyway.
+        st.stats.prefetch_issued += u64::from(!was_pending);
+        self.charge_cold_read(false);
+        let st = self.st();
         if !verify() {
-            drop(clock);
-            self.prefetch_aborted_stale.fetch_add(1, Ordering::Relaxed);
+            st.stats.prefetch_aborted_stale += 1;
             return;
         }
-        let inserted = clock.insert(key, true);
-        drop(clock);
-        self.promotions.fetch_add(1, Ordering::Relaxed);
-        self.prefetch_fills.fetch_add(1, Ordering::Relaxed);
-        if inserted.evicted_prefetched_unused {
-            self.prefetch_wasted.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Drops `key` from the tier on a row update: the DRAM-resident copy
-    /// (if any) is superseded, and a pending prefetch intent would fill
-    /// from a retired view. Returns whether anything was dropped.
-    pub fn invalidate(&self, key: u64) -> bool {
-        let pending = self.lock_pending().remove(&key);
-        let resident = self.lock_clock().remove(key);
-        if pending || resident {
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
-        }
-        pending || resident
-    }
-
-    /// Whether `key` is currently DRAM-resident (no side effects).
-    pub fn is_resident(&self, key: u64) -> bool {
-        self.lock_clock().contains(key)
-    }
-
-    /// Counts resident rows whose key satisfies `pred` — the reporting
-    /// path for per-table/per-model residency. O(resident).
-    pub fn count_resident(&self, pred: impl FnMut(u64) -> bool) -> usize {
-        self.lock_clock().count_resident(pred)
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> TierStats {
-        let (budget, resident, evictions) = {
-            let clock = self.lock_clock();
-            (
-                clock.budget() as u64,
-                clock.resident() as u64,
-                clock.evictions(),
-            )
-        };
-        TierStats {
-            dram_budget_rows: budget,
-            dram_resident_rows: resident,
-            dram_hits: self.dram_hits.load(Ordering::Relaxed),
-            cold_demand_reads: self.cold_demand_reads.load(Ordering::Relaxed),
-            promotions: self.promotions.load(Ordering::Relaxed),
-            evictions,
-            demand_wait_nanos: self.demand_wait_nanos.load(Ordering::Relaxed),
-            prefetch_wait_nanos: self.prefetch_wait_nanos.load(Ordering::Relaxed),
-            prefetch_issued: self.prefetch_issued.load(Ordering::Relaxed),
-            prefetch_fills: self.prefetch_fills.load(Ordering::Relaxed),
-            prefetch_hits: self.prefetch_hits.load(Ordering::Relaxed),
-            prefetch_late: self.prefetch_late.load(Ordering::Relaxed),
-            prefetch_wasted: self.prefetch_wasted.load(Ordering::Relaxed),
-            prefetch_aborted_stale: self.prefetch_aborted_stale.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-        }
+        let inserted = st.clock.insert(key, true);
+        st.stats.promotions += 1;
+        st.stats.prefetch_fills += 1;
+        st.stats.prefetch_wasted += u64::from(inserted.evicted_prefetched_unused);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn charge_only(budget: usize) -> TierEngine {
         TierEngine::new(&TierConfig {
@@ -491,9 +473,9 @@ mod tests {
     #[test]
     fn prefetch_fill_makes_demand_free_and_counts_a_hit() {
         let t = charge_only(4);
-        assert!(t.note_intent(9));
-        assert!(!t.note_intent(9), "duplicate intent rejected");
-        t.prefetch_fill(9);
+        assert!(t.session().note_intent(9));
+        assert!(!t.session().note_intent(9), "duplicate intent rejected");
+        t.session().prefetch_fill_if(9, || true);
         assert_eq!(t.demand_access(9), TierAccess::DramHit);
         let s = t.stats();
         assert_eq!(s.prefetch_issued, 1);
@@ -508,10 +490,10 @@ mod tests {
     #[test]
     fn late_prefetch_is_counted_and_demand_pays() {
         let t = charge_only(4);
-        assert!(t.note_intent(5));
+        assert!(t.session().note_intent(5));
         // Demand arrives before the fill.
         assert!(matches!(t.demand_access(5), TierAccess::ColdMiss { .. }));
-        t.prefetch_fill(5); // resident now; the fill is a no-op
+        t.session().prefetch_fill_if(5, || true); // resident now; the fill is a no-op
         let s = t.stats();
         assert_eq!(s.prefetch_late, 1);
         assert_eq!(s.cold_demand_reads, 1);
@@ -521,8 +503,8 @@ mod tests {
     #[test]
     fn wasted_prefetch_is_counted_on_eviction() {
         let t = charge_only(1);
-        assert!(t.note_intent(1));
-        t.prefetch_fill(1);
+        assert!(t.session().note_intent(1));
+        t.session().prefetch_fill_if(1, || true);
         // Budget 1: promoting key 2 evicts the never-used prefetched 1.
         assert!(matches!(t.demand_access(2), TierAccess::ColdMiss { .. }));
         // One sweep clears 1's bit, the next insert takes it.
@@ -547,8 +529,8 @@ mod tests {
         assert!(t.is_resident(7));
         assert_eq!(t.demand_access(7), TierAccess::DramHit);
         // A prefetch fill skips the filter entirely.
-        assert!(t.note_intent(9));
-        t.prefetch_fill(9);
+        assert!(t.session().note_intent(9));
+        t.session().prefetch_fill_if(9, || true);
         assert!(t.is_resident(9), "prefetch fill bypasses admission");
         let s = t.stats();
         assert_eq!(s.cold_demand_reads, 2);
@@ -559,13 +541,13 @@ mod tests {
     fn invalidate_drops_residency_and_pending_intent() {
         let t = charge_only(4);
         t.demand_access(7); // resident
-        assert!(t.note_intent(8)); // pending
+        assert!(t.session().note_intent(8)); // pending
         assert!(t.invalidate(7));
         assert!(t.invalidate(8));
         assert!(!t.invalidate(9), "unknown key is a no-op");
         assert!(!t.is_resident(7));
         // A filled intent for 8 was dropped: a new intent is accepted.
-        assert!(t.note_intent(8));
+        assert!(t.session().note_intent(8));
         assert_eq!(t.stats().invalidations, 2);
     }
 
@@ -576,11 +558,12 @@ mod tests {
         // bump + invalidate) mid-fill, and the fill's verify must abort.
         let t = charge_only(4);
         let stamp = AtomicU64::new(0);
-        assert!(t.note_intent(5));
+        assert!(t.session().note_intent(5));
         let observed = stamp.load(Ordering::Acquire); // fill begins
         stamp.fetch_add(1, Ordering::AcqRel); // update lands mid-fill
         t.invalidate(5);
-        t.prefetch_fill_if(5, || stamp.load(Ordering::Acquire) == observed);
+        t.session()
+            .prefetch_fill_if(5, || stamp.load(Ordering::Acquire) == observed);
         assert!(
             !t.is_resident(5),
             "a fill that raced a row update parked stale bytes as resident"
@@ -589,9 +572,10 @@ mod tests {
         assert_eq!(s.prefetch_aborted_stale, 1);
         assert_eq!(s.prefetch_fills, 0);
         // The same fill with an unchanged stamp parks normally.
-        assert!(t.note_intent(5));
+        assert!(t.session().note_intent(5));
         let observed = stamp.load(Ordering::Acquire);
-        t.prefetch_fill_if(5, || stamp.load(Ordering::Acquire) == observed);
+        t.session()
+            .prefetch_fill_if(5, || stamp.load(Ordering::Acquire) == observed);
         assert!(t.is_resident(5));
         assert_eq!(t.stats().prefetch_fills, 1);
     }

@@ -37,7 +37,9 @@
 //!   accounting free of OS sleep granularity).
 //! * [`ResidencyClock`] — the deterministic CLOCK resident set.
 //! * [`TierEngine`] — the store-facing engine: demand access, prefetch
-//!   intents and fills, hit/late/wasted tracking, [`TierStats`].
+//!   intents and fills, hit/late/wasted tracking, [`TierStats`]; all of
+//!   it under one lock that a [`TierSession`] holds across a whole bag
+//!   of accesses.
 //! * [`CombineCache`] — a MicroRec-style table-combining cache: detects
 //!   frequently co-occurring `(table, id)` pairs and caches their
 //!   concatenated rows so two lookups become one.
@@ -47,9 +49,10 @@
 mod clock;
 mod combine;
 mod engine;
+mod hash;
 mod latency;
 
 pub use clock::ResidencyClock;
 pub use combine::{CombineCache, CombineConfig, CombineStats};
-pub use engine::{TierAccess, TierConfig, TierEngine, TierStats};
+pub use engine::{TierAccess, TierConfig, TierEngine, TierSession, TierStats};
 pub use latency::{ColdReadModel, Pacing};
