@@ -24,6 +24,7 @@
 //! * a disabled fault hook costs < 25 ns per call (it is one
 //!   branch-on-None; the bound is generous for CI noise).
 
+use drec_bench::json_f64;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -444,14 +445,6 @@ fn measure_pin_overhead(smoke: bool) -> (f64, f64) {
         pinned_ns = pinned_ns.min(start.elapsed().as_secs_f64() * 1e9 / reads_per_trial as f64);
     }
     (base_ns, pinned_ns)
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.9}")
-    } else {
-        "null".to_string()
-    }
 }
 
 #[allow(clippy::too_many_arguments)]

@@ -16,6 +16,7 @@
 //! * fused+waves beats the sequential reference by ≥ 1.3× on DIN or RM2
 //!   at Paper scale, batch 64 (skipped when the pool has < 2 threads).
 
+use drec_bench::json_f64;
 use std::time::Instant;
 
 use drec_graph::PlanOptions;
@@ -191,14 +192,6 @@ fn bench_model(id: ModelId, scale: ModelScale, batches: &[usize], repeats: usize
         );
     }
     rows
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.9}")
-    } else {
-        "null".to_string()
-    }
 }
 
 fn write_json(

@@ -23,6 +23,7 @@
 //! multiple cores (on a single-core host the multi-thread gate is
 //! reported but not enforced).
 
+use drec_bench::json_f64;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -475,14 +476,6 @@ fn bench_models(
         }
     }
     rows
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.9}")
-    } else {
-        "null".to_string()
-    }
 }
 
 #[allow(clippy::too_many_arguments)]

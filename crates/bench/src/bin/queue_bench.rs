@@ -25,6 +25,7 @@
 //! store — adjacent plain `AtomicU64`s hammered from several threads
 //! vs. one-per-cache-line counters.
 
+use drec_bench::json_f64;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -85,7 +86,7 @@ fn queue_of(kind: QueueKind) -> SharedQueue {
         cfg.queue_capacity,
         None,
     ));
-    SharedQueue::with_kind(cfg, ladder, None, kind)
+    SharedQueue::with_kind(cfg, ladder, Arc::default(), kind)
 }
 
 /// Pre-built requests so the timed region measures queue operations,
@@ -306,14 +307,6 @@ fn counter_experiment(threads: usize, increments: usize) -> (f64, f64) {
     (un, pa)
 }
 
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "null".to_string()
-    }
-}
-
 #[allow(clippy::too_many_arguments)]
 fn write_json(
     path: &str,
@@ -386,8 +379,10 @@ fn main() {
     // Contention sweep: both legs at each thread count.
     println!("\nEnqueue+dequeue throughput (one op = one request through the queue):");
     let mut sweep = Vec::new();
-    for kind in [QueueKind::Lock, QueueKind::LockFree] {
-        for threads in THREAD_POINTS {
+    // Both legs of a thread point are timed back to back: the ratios
+    // below compare them, and this host's speed wanders over a sweep.
+    for threads in THREAD_POINTS {
+        for kind in [QueueKind::Lock, QueueKind::LockFree] {
             let tput = contention_point(kind, threads, total_ops);
             println!("  {:<9} {threads} threads: {tput:>12.0} ops/s", kind.name());
             sweep.push((kind, threads, tput));

@@ -23,6 +23,7 @@
 //!   (CPU- or GPU-routed) replays bit-identically on a standalone
 //!   single-model engine.
 
+use drec_bench::json_f64;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -328,14 +329,6 @@ fn print_per_model_table(models: &[ModelChannelSnapshot], slo: Duration) {
             m.p99_seconds * 1e3,
             if ok { "ok" } else { "OVER" }
         );
-    }
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.9}")
-    } else {
-        "null".to_string()
     }
 }
 

@@ -37,6 +37,7 @@
 //!   skip instead). The table also records whether a decoded-row cache
 //!   hit still beats a cold SIMD decode.
 
+use drec_bench::json_f64;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -724,14 +725,6 @@ fn bench_read_path(tables: usize, rows: usize, dim: usize) -> Vec<ReadPathRow> {
     }
     std::hint::black_box(&acc);
     out
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.9}")
-    } else {
-        "null".to_string()
-    }
 }
 
 #[allow(clippy::too_many_arguments)]

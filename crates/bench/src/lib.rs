@@ -150,6 +150,17 @@ pub fn fmt_pct(f: f64) -> String {
     format!("{:.1}%", f * 100.0)
 }
 
+/// Renders a float for the `BENCH_*.json` files: nine decimals, and
+/// `null` for a value JSON has no number for (NaN, ±∞ — a skipped or
+/// failed measurement).
+pub fn json_f64(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v:.9}")
+    } else {
+        "null".to_string()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,13 +1,13 @@
 //! `drec-sched` — multi-model co-location scheduler with per-query
 //! batching and CPU/GPU query splitting.
 //!
-//! `drec-serve` runs *one* model behind *one* queue on *its own* worker
-//! pool. Production recommendation fleets don't get that luxury: the
+//! `drec-serve`'s `ServeRuntime` runs *one* model on a lane pool of its
+//! own. Production recommendation fleets don't get that luxury: the
 //! paper's eight model classes share machines, and DeepRecSys-style
 //! schedulers answer two questions per query — *how large a batch should
 //! it ride in*, and *should that batch run on the CPU or an
-//! accelerator?* This crate operationalizes both on top of the serving
-//! stack:
+//! accelerator?* This crate operationalizes both on the same lane pool,
+//! one lane per model, through its placement hook:
 //!
 //! * [`MultiServeRuntime`] co-locates any subset of the workspace's
 //!   models on one shared CPU worker pool plus an optional simulated
@@ -186,7 +186,7 @@ mod tests {
 
     #[test]
     fn dispatch_signal_pulse_after_generation_read_is_never_missed() {
-        // The CPU worker protocol in `runtime.rs` is: read `seen =
+        // The worker protocol of `drec_serve::LanePool` is: read `seen =
         // signal.generation()`, poll every lane, then `wait(seen, ..)`.
         // A pulse landing anywhere between the generation read and the
         // wait must make that wait return immediately — otherwise a

@@ -1,51 +1,47 @@
-//! The multi-model co-location runtime.
+//! The multi-model co-location runtime: what co-location adds to the
+//! serving core.
 //!
 //! ```text
-//!                      ┌─ SharedQueue[NCF]  ─┐    poll    ┌─ CPU worker 0..W ─ Engine per model
-//!  MultiServeHandle ──▶│  SharedQueue[RM1]   │◀───────────┤   (route + run CPU batches inline,
-//!   (admission per     │  …                  │            │    forward GPU batches)
-//!    model; typed      └─ SharedQueue[DIEN] ─┘            └──▶ GPU worker ──── Engine per model
-//!    NoBackendAvailable       ▲    all queues pulse one         (functional execution, roofline-
-//!    when saturated)          └─── DispatchSignal                modelled dispatch latency)
+//!                      ┌─ lane NCF  ─┐   poll    ┌─ CPU worker 0..W  (drec_serve::LanePool:
+//!  MultiServeHandle ──▶│  lane RM1   │◀──────────┤   admission, worker loop, retry, recovery,
+//!   (model → lane)     │  …          │           │   teardown)
+//!        │             └─ lane DIEN ─┘           └─ Placement::route ─┐ batch ≥ crossover
+//!        │ lane over budget                                          ▼
+//!        └── Placement::overflow ── spill ──────────────▶ accelerator worker (functional
+//!            (NoBackendAvailable when the backlog is full)  execution, roofline-modelled latency)
 //! ```
 //!
-//! Every model keeps its own [`SharedQueue`] — its own admission
-//! control, deadlines, priorities, and overload ladder, so degradation
-//! composes per model — while all queues share one worker pool. There is
-//! no dispatcher thread: each CPU worker *is* a dispatcher. Workers park
-//! on the shared [`DispatchSignal`], wake when any queue turns ready,
-//! poll every lane (non-blocking [`SharedQueue::try_next_batch`],
-//! starting at a per-worker offset so the hottest lane has no permanent
-//! priority), and route each released batch to the backend chosen by the
+//! Lanes, admission, the worker loop, retry, self-supervised recovery
+//! and teardown all belong to [`drec_serve::LanePool`] — the same core
+//! the single-model `ServeRuntime` runs with one lane. This module
+//! supplies the [`Placement`] hook and the two threads only co-location
+//! needs. Each released batch is routed to the backend chosen by the
 //! model's calibrated [`ModelProfile`]: batches at or past the CPU/GPU
 //! crossover are forwarded to the simulated accelerator, the rest
-//! execute inline on the worker that took them — no cross-thread
-//! hand-off on the CPU fast path.
+//! execute inline on the CPU worker that took them.
 //!
-//! The GPU backend executes batches *functionally* (same kernels, same
-//! arithmetic — results stay bit-identical to a single-model engine)
-//! while its latency is *modelled* by the roofline dispatch oracle, the
-//! same two-clock discipline `drec-serve` uses for CPU workers. When a
-//! model's CPU queue is over budget, admission spills the arrival
-//! directly to the accelerator backlog instead of shedding; only when
-//! that backlog is also full does the caller see the typed
+//! The accelerator worker executes batches *functionally* (same kernels,
+//! same arithmetic — results stay bit-identical to a single-model
+//! engine) while its latency is *modelled* by the roofline dispatch
+//! oracle, the same two-clock discipline `drec-serve` uses for CPU
+//! workers. When a model's CPU queue is over budget, admission spills
+//! the arrival directly to the accelerator backlog instead of shedding;
+//! only when that backlog is also full does the caller see the typed
 //! [`ServeError::NoBackendAvailable`] — shed, never hung.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use drec_hwsim::{GpuModel, Platform};
 use drec_models::{InputSpec, ModelId, ModelScale};
 use drec_ops::Value;
 use drec_par::ParPool;
 use drec_serve::{
-    validate_single, BatchPoll, BatcherConfig, DegradeConfig, DispatchSignal, EmbeddingStore,
-    Engine, MetricsRegistry, MetricsSnapshot, ModelChannelMetrics, ModelUpdateChannel,
-    OverloadLadder, PendingResponse, Request, Response, Result, ServeError, SharedQueue,
-    StoreConfig, TakenBatch,
+    BatchExecution, DegradeConfig, EmbeddingStore, Engine, FaultHook, Lane, LanePool, LaneSet,
+    MetricsRegistry, MetricsSnapshot, ModelUpdateChannel, PendingResponse, Placement, PoolConfig,
+    Request, Result, ServeError, StoreConfig, SubmitOptions, SupervisorConfig, Worker,
 };
 
 use crate::profile::{ModelProfile, ProfileConfig};
@@ -282,98 +278,174 @@ pub struct SchedReport {
     pub records: Vec<BatchRecord>,
 }
 
-/// Per-model serving lane: queue, ladder, metrics channel, calibrated
-/// profile, decision counters, and the tuner-controlled pool tier.
-struct Lane {
-    id: ModelId,
-    spec: InputSpec,
-    queue: Arc<SharedQueue>,
-    #[allow(dead_code)] // reachable via queue.ladder(); kept for clarity
-    ladder: Arc<OverloadLadder>,
-    channel: Arc<ModelChannelMetrics>,
+/// What co-location keeps per lane beside the pool's own lane state.
+#[derive(Debug)]
+struct ColoLane {
+    model: ModelId,
     profile: ModelProfile,
     decisions: DecisionStats,
     pool_tier: AtomicUsize,
-    /// Live-update mailbox for this model: rolling weight swaps post
-    /// here and every engine replica of the lane polls it between
-    /// batches. Update throttling rides the lane's own overload ladder.
-    update: Arc<ModelUpdateChannel>,
 }
 
-/// A routed unit of work: one coalesced batch bound for one backend.
+/// One coalesced batch bound for the accelerator.
+#[derive(Debug)]
 struct WorkItem {
     lane: usize,
-    backend: Backend,
     requests: Vec<Request>,
 }
 
-/// Shared state the worker loops need.
-struct WorkerShared {
-    lanes: Arc<Vec<Lane>>,
-    registry: Arc<MetricsRegistry>,
-    pools: Vec<Arc<ParPool>>,
-    records: Option<Arc<Mutex<Vec<BatchRecord>>>>,
-    scale: ModelScale,
-    seed: u64,
-    store: Option<Arc<EmbeddingStore>>,
+/// The accelerator path: its channel (`None` is the stop message) and
+/// the gauge its backlog cap is enforced on.
+#[derive(Debug)]
+struct Accelerator {
+    tx: mpsc::Sender<Option<WorkItem>>,
+    backlog: AtomicUsize,
+    backlog_capacity: usize,
+    /// Metrics slot of the accelerator worker (past the CPU workers).
+    worker: usize,
 }
 
-impl WorkerShared {
-    fn build_engine(&self, lane: &Lane) -> Result<Engine> {
-        let model = match &self.store {
-            Some(store) => lane
-                .id
-                .build_with_store(self.scale, self.seed, Arc::clone(store)),
-            None => lane.id.build(self.scale, self.seed),
+impl Accelerator {
+    /// Enqueues `item`, or hands it back when the backlog is full or
+    /// the accelerator worker is gone.
+    fn offer(&self, item: WorkItem) -> std::result::Result<(), WorkItem> {
+        if self.backlog.load(Ordering::Relaxed) >= self.backlog_capacity {
+            return Err(item);
         }
-        .map_err(|e| ServeError::WorkerFailed {
-            reason: format!("model build failed: {e}"),
-        })?;
-        let mut engine = Engine::with_store(
-            model,
-            lane.profile.cpu_curve.clone(),
-            Arc::clone(&self.pools[0]),
-            self.store.clone(),
-        );
-        engine.set_update_channel(Arc::clone(&lane.update));
-        Ok(engine)
+        self.backlog.fetch_add(1, Ordering::Relaxed);
+        self.tx.send(Some(item)).map_err(|mpsc::SendError(item)| {
+            self.backlog.fetch_sub(1, Ordering::Relaxed);
+            item.expect("only work items are offered")
+        })
+    }
+}
+
+/// The [`Placement`] hook: CPU/GPU routing and spill, the tuner's pool
+/// tier, modelled-latency pricing, decision counters and batch records.
+#[derive(Debug)]
+struct Colocation {
+    lanes: Vec<ColoLane>,
+    pools: Vec<Arc<ParPool>>,
+    accelerator: Option<Accelerator>,
+    records: Option<Mutex<Vec<BatchRecord>>>,
+    /// Set at teardown; the tuner watches it.
+    shutting_down: AtomicBool,
+}
+
+impl Colocation {
+    fn backend_of(&self, worker: usize) -> Backend {
+        match &self.accelerator {
+            Some(acc) if acc.worker == worker => Backend::Gpu,
+            _ => Backend::Cpu,
+        }
+    }
+}
+
+impl Placement for Colocation {
+    /// CPU queue over budget: spill to the accelerator backlog when one
+    /// exists and has room.
+    fn overflow(
+        &self,
+        lane_idx: usize,
+        request: Request,
+        err: ServeError,
+    ) -> std::result::Result<(), ServeError> {
+        let ServeError::Overloaded { depth, .. } = err else {
+            return Err(err);
+        };
+        let lane = &self.lanes[lane_idx];
+        let mut gpu_depth = 0;
+        if let Some(acc) = &self.accelerator {
+            gpu_depth = acc.backlog.load(Ordering::Relaxed);
+            let item = WorkItem {
+                lane: lane_idx,
+                requests: vec![request],
+            };
+            if acc.offer(item).is_ok() {
+                lane.decisions.record_spill();
+                return Ok(());
+            }
+        }
+        Err(ServeError::NoBackendAvailable {
+            model: lane.model.name().to_string(),
+            cpu_depth: depth,
+            gpu_depth,
+        })
     }
 
-    fn build_all_engines(&self) -> Result<Vec<Engine>> {
-        self.lanes
-            .iter()
-            .map(|lane| self.build_engine(lane))
-            .collect()
+    /// Batches past the crossover go to the accelerator; the rest — and
+    /// whatever it refuses — stay with the calling CPU worker.
+    fn route(&self, lane_idx: usize, requests: Vec<Request>) -> Option<Vec<Request>> {
+        let lane = &self.lanes[lane_idx];
+        let batch = requests.len();
+        let mut item = WorkItem {
+            lane: lane_idx,
+            requests,
+        };
+        if let (Backend::Gpu, Some(acc)) = (lane.profile.backend_for(batch), &self.accelerator) {
+            // A saturated (or dead) device pushes work back onto the CPU
+            // pool rather than queueing unboundedly.
+            match acc.offer(item) {
+                Ok(()) => {
+                    lane.decisions.record(Backend::Gpu, batch);
+                    return None;
+                }
+                Err(refused) => item = refused,
+            }
+        }
+        lane.decisions.record(Backend::Cpu, batch);
+        Some(item.requests)
+    }
+
+    /// Applies the tuner's intra-op width choice for this model.
+    fn prepare(&self, lane: usize, engine: &mut Engine) {
+        let tier = self.lanes[lane]
+            .pool_tier
+            .load(Ordering::Relaxed)
+            .min(self.pools.len() - 1);
+        if !Arc::ptr_eq(engine.pool(), &self.pools[tier]) {
+            engine.set_pool(Arc::clone(&self.pools[tier]));
+        }
+    }
+
+    /// Prices the batch on the backend it ran on and, when recording,
+    /// keeps its inputs and outputs.
+    fn executed(
+        &self,
+        worker: usize,
+        lane: usize,
+        requests: &[Request],
+        exec: &mut BatchExecution,
+    ) {
+        let lane = &self.lanes[lane];
+        let backend = self.backend_of(worker);
+        exec.modelled_seconds = lane.profile.modelled_seconds(backend, requests.len());
+        if let Some(records) = &self.records {
+            records
+                .lock()
+                .unwrap_or_else(|poisoned| poisoned.into_inner())
+                .push(BatchRecord {
+                    model: lane.model,
+                    backend,
+                    inputs: requests.iter().map(|r| r.inputs.clone()).collect(),
+                    outputs: exec.per_request_outputs.clone(),
+                });
+        }
     }
 }
 
 /// The running co-location scheduler.
+#[derive(Debug)]
 pub struct MultiServeRuntime {
-    lanes: Arc<Vec<Lane>>,
-    registry: Arc<MetricsRegistry>,
-    next_id: Arc<AtomicU64>,
-    gpu_tx: Option<mpsc::Sender<WorkItem>>,
-    gpu_backlog: Arc<AtomicUsize>,
-    backlog_capacity: usize,
-    shutting_down: Arc<AtomicBool>,
-    records: Option<Arc<Mutex<Vec<BatchRecord>>>>,
-    workers: Vec<JoinHandle<()>>,
-    tuner: Option<JoinHandle<()>>,
-    store: Option<Arc<EmbeddingStore>>,
-}
-
-impl std::fmt::Debug for MultiServeRuntime {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MultiServeRuntime")
-            .field("models", &self.lanes.len())
-            .field("workers", &self.workers.len())
-            .finish_non_exhaustive()
-    }
+    pool: LanePool,
+    colo: Arc<Colocation>,
+    /// The accelerator worker and the tuner.
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl MultiServeRuntime {
-    /// Calibrates every model's placement profile, builds the per-model
-    /// lanes, and starts the shared worker pool, dispatcher, and tuner.
+    /// Calibrates every model's placement profile and starts the lane
+    /// pool, the accelerator worker, and the tuner.
     ///
     /// # Errors
     ///
@@ -385,8 +457,6 @@ impl MultiServeRuntime {
     /// Panics on an empty or duplicate model list, or zero workers.
     pub fn start(cfg: SchedConfig) -> Result<MultiServeRuntime> {
         assert!(!cfg.models.is_empty(), "need at least one model");
-        assert!(cfg.cpu_workers >= 1, "need at least one CPU worker");
-        assert!(cfg.max_batch >= 1, "max_batch must be at least 1");
         for (i, m) in cfg.models.iter().enumerate() {
             assert!(
                 !cfg.models[..i].iter().any(|other| other.id == m.id),
@@ -406,9 +476,6 @@ impl MultiServeRuntime {
                 .collect()
         };
 
-        let signal = Arc::new(DispatchSignal::new());
-        let gpu_enabled = cfg.gpu.is_some();
-        let total_workers = cfg.cpu_workers + usize::from(gpu_enabled);
         // One parameter store shared by every lane and worker: all
         // engines of one model dedupe to a single copy, and co-located
         // models share the tier budget and its counters.
@@ -416,11 +483,6 @@ impl MultiServeRuntime {
             .store
             .clone()
             .map(|sc| Arc::new(EmbeddingStore::new(sc)));
-        let mut registry = MetricsRegistry::with_pool_and_store(
-            total_workers,
-            Arc::clone(&pools[0]),
-            store.clone(),
-        );
 
         let profile_cfg = ProfileConfig {
             calibration_batches: cfg.calibration_batches.clone(),
@@ -430,7 +492,6 @@ impl MultiServeRuntime {
             pcie_extra_s: cfg.gpu.as_ref().map_or(0.0, |g| g.pcie_extra_s),
             max_batch: cfg.max_batch,
         };
-
         let mut lanes = Vec::with_capacity(cfg.models.len());
         for slo in &cfg.models {
             let mut model = match &store {
@@ -440,131 +501,76 @@ impl MultiServeRuntime {
             .map_err(|e| ServeError::WorkerFailed {
                 reason: format!("model build failed: {e}"),
             })?;
-            let profile = ModelProfile::calibrate(&mut model, &profile_cfg);
-            let spec = model.spec().clone();
-            drop(model);
-            let ladder = Arc::new(OverloadLadder::new(cfg.degrade, cfg.queue_capacity, None));
-            let per_query = profile.cpu_curve.eval(cfg.max_batch) / cfg.max_batch as f64;
-            let queue = Arc::new(SharedQueue::with_signal(
-                BatcherConfig {
-                    max_batch: cfg.max_batch,
-                    max_wait: cfg.max_wait,
-                    queue_capacity: cfg.queue_capacity,
-                    delay_budget: cfg.delay_budget,
-                    per_query_service_estimate: per_query,
-                },
-                Arc::clone(&ladder),
-                Some(Arc::clone(&signal)),
-            ));
-            let channel = registry.register_model(
-                slo.id.name(),
-                Some(Arc::clone(&queue)),
-                Some(Arc::clone(&ladder)),
-            );
-            let update = Arc::new(ModelUpdateChannel::new(
-                slo.id.name(),
-                drec_models::store_namespace(slo.id, cfg.scale, cfg.seed),
-                store.clone(),
-            ));
-            update.set_ladder(Arc::clone(&ladder));
-            lanes.push(Lane {
-                id: slo.id,
-                spec,
-                queue,
-                ladder,
-                channel,
-                profile,
+            lanes.push(ColoLane {
+                model: slo.id,
+                profile: ModelProfile::calibrate(&mut model, &profile_cfg),
                 decisions: DecisionStats::default(),
                 pool_tier: AtomicUsize::new(0),
-                update,
             });
         }
-        let lanes = Arc::new(lanes);
-        let registry = Arc::new(registry);
-        let records = cfg.record_batches.then(|| Arc::new(Mutex::new(Vec::new())));
 
-        let shared = Arc::new(WorkerShared {
-            lanes: Arc::clone(&lanes),
-            registry: Arc::clone(&registry),
+        let (gpu_tx, gpu_rx) = mpsc::channel();
+        let colo = Arc::new(Colocation {
+            lanes,
             pools,
-            records: records.clone(),
-            scale: cfg.scale,
-            seed: cfg.seed,
-            store: store.clone(),
+            accelerator: cfg.gpu.as_ref().map(|gcfg| Accelerator {
+                tx: gpu_tx,
+                backlog: AtomicUsize::new(0),
+                backlog_capacity: gcfg.backlog_capacity,
+                worker: cfg.cpu_workers,
+            }),
+            records: cfg.record_batches.then(|| Mutex::new(Vec::new())),
+            shutting_down: AtomicBool::new(false),
         });
 
-        let shutting_down = Arc::new(AtomicBool::new(false));
-        let gpu_backlog = Arc::new(AtomicUsize::new(0));
-        let mut workers = Vec::with_capacity(total_workers);
-
-        // The accelerator: one dedicated worker draining its own channel.
-        let (gpu_tx, backlog_capacity) = match &cfg.gpu {
-            Some(gcfg) => {
-                let (tx, rx) = mpsc::channel::<WorkItem>();
-                let engines = shared.build_all_engines()?;
-                let shared_g = Arc::clone(&shared);
-                let backlog = Arc::clone(&gpu_backlog);
-                let flag = Arc::clone(&shutting_down);
-                let index = cfg.cpu_workers;
-                workers.push(spawn_thread("drec-sched-gpu".to_string(), move || {
-                    gpu_worker_loop(index, engines, rx, &shared_g, &backlog, &flag)
-                })?);
-                (Some(tx), gcfg.backlog_capacity)
-            }
-            None => (None, 0),
-        };
-
-        // CPU pool: every worker is its own dispatcher, parked on the
-        // shared signal and polling all lanes when it wakes.
-        for index in 0..cfg.cpu_workers {
-            let engines = shared.build_all_engines()?;
-            let shared = Arc::clone(&shared);
-            let signal = Arc::clone(&signal);
-            let gpu_tx = gpu_tx.clone();
-            let backlog = Arc::clone(&gpu_backlog);
-            workers.push(spawn_thread(
-                format!("drec-sched-cpu-{index}"),
-                move || {
-                    cpu_worker_loop(
-                        index,
-                        engines,
-                        &signal,
-                        &shared,
-                        gpu_tx,
-                        &backlog,
-                        backlog_capacity,
-                    )
-                },
-            )?);
-        }
-
-        let tuner = match &cfg.tuner {
-            Some(tcfg) => {
-                let tcfg = tcfg.clone();
-                let lanes = Arc::clone(&lanes);
-                let flag = Arc::clone(&shutting_down);
-                let slos: Vec<f64> = cfg.models.iter().map(|m| m.slo.as_secs_f64()).collect();
-                let max_batch = cfg.max_batch;
-                Some(spawn_thread("drec-sched-tuner".to_string(), move || {
-                    tuner_loop(&tcfg, &lanes, &slos, max_batch, &flag)
-                })?)
-            }
-            None => None,
-        };
-
-        Ok(MultiServeRuntime {
-            lanes,
-            registry,
-            next_id: Arc::new(AtomicU64::new(0)),
-            gpu_tx,
-            gpu_backlog,
-            backlog_capacity,
-            shutting_down,
-            records,
-            workers,
-            tuner,
+        // The CPU pool: the serving core, one lane per model, each
+        // priced by its calibrated CPU curve.
+        let pool = LanePool::start(PoolConfig {
+            lanes: colo
+                .lanes
+                .iter()
+                .map(|lane| (lane.model, lane.profile.cpu_curve.clone()))
+                .collect(),
+            scale: cfg.scale,
+            seed: cfg.seed,
+            workers: cfg.cpu_workers,
+            worker_name: "drec-sched-cpu",
+            extra_workers: usize::from(colo.accelerator.is_some()),
+            max_batch: cfg.max_batch,
+            max_wait: cfg.max_wait,
+            queue_capacity: cfg.queue_capacity,
+            delay_budget: cfg.delay_budget,
+            degrade: cfg.degrade,
             store,
-        })
+            par_pool: Arc::clone(&colo.pools[0]),
+            supervisor: SupervisorConfig::default(),
+            faults: FaultHook::disabled(),
+            placement: Arc::clone(&colo) as Arc<dyn Placement>,
+        })?;
+
+        // From here on an early return drops `runtime`, whose teardown
+        // stops and joins whatever is already running.
+        let mut runtime = MultiServeRuntime {
+            pool,
+            colo,
+            threads: Vec::new(),
+        };
+        // The accelerator: one dedicated worker draining its own channel.
+        if let Some(acc) = &runtime.colo.accelerator {
+            let worker = runtime.pool.worker(acc.worker)?;
+            let colo = Arc::clone(&runtime.colo);
+            let body = move || accelerator_loop(worker, &gpu_rx, &colo);
+            runtime.threads.push(spawn_thread("drec-sched-gpu", body)?);
+        }
+        if let Some(tcfg) = cfg.tuner {
+            let (pool, colo) = (runtime.pool.handle(), Arc::clone(&runtime.colo));
+            let slos: Vec<f64> = cfg.models.iter().map(|m| m.slo.as_secs_f64()).collect();
+            let body = move || tuner_loop(&tcfg, &pool, &colo, &slos, cfg.max_batch);
+            runtime
+                .threads
+                .push(spawn_thread("drec-sched-tuner", body)?);
+        }
+        Ok(runtime)
     }
 
     /// The shared embedding store all lanes resolve lookups through,
@@ -572,53 +578,48 @@ impl MultiServeRuntime {
     /// with [`drec_models::store_namespace`] for per-model tier
     /// residency.
     pub fn store(&self) -> Option<&Arc<EmbeddingStore>> {
-        self.store.as_ref()
+        self.pool.lanes[0].update.store()
     }
 
     /// The live-update mailbox of `model`, when co-located here. A
     /// rolling updater posts weight sets and embedding deltas through
     /// it; every engine replica of the lane polls it between batches.
     pub fn update_channel(&self, model: ModelId) -> Option<&Arc<ModelUpdateChannel>> {
-        self.lanes.iter().find(|l| l.id == model).map(|l| &l.update)
+        lane_of(&self.pool, model).map(|(_, lane)| &lane.update)
     }
 
     /// Every lane's live-update mailbox, in co-location order — the
     /// rolling-update chaos gate walks these one model at a time.
     pub fn update_channels(&self) -> Vec<Arc<ModelUpdateChannel>> {
-        self.lanes.iter().map(|l| Arc::clone(&l.update)).collect()
+        let lanes = self.pool.lanes.iter();
+        lanes.map(|l| Arc::clone(&l.update)).collect()
     }
 
     /// A cloneable submission handle.
     pub fn handle(&self) -> MultiServeHandle {
         MultiServeHandle {
-            lanes: Arc::clone(&self.lanes),
-            registry: Arc::clone(&self.registry),
-            next_id: Arc::clone(&self.next_id),
-            gpu_tx: self.gpu_tx.clone(),
-            gpu_backlog: Arc::clone(&self.gpu_backlog),
-            backlog_capacity: self.backlog_capacity,
-            shutting_down: Arc::clone(&self.shutting_down),
+            pool: self.pool.handle(),
         }
     }
 
     /// The live metrics registry (per-model channels included).
     pub fn metrics(&self) -> &MetricsRegistry {
-        &self.registry
+        &self.pool.metrics
     }
 
     /// Point-in-time metrics summary.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        self.registry.snapshot()
+        self.pool.metrics.snapshot()
     }
 
     /// Point-in-time routing-decision summary, one entry per model.
     pub fn decisions(&self) -> Vec<DecisionSnapshot> {
-        self.lanes.iter().map(snapshot_decisions).collect()
+        self.colo.lanes.iter().map(snapshot_decisions).collect()
     }
 
     /// The input contract of `model`, when co-located here.
     pub fn spec(&self, model: ModelId) -> Option<&InputSpec> {
-        self.lanes.iter().find(|l| l.id == model).map(|l| &l.spec)
+        lane_of(&self.pool, model).map(|(_, lane)| &lane.spec)
     }
 
     /// Graceful shutdown: stop admission on every lane, drain all queued
@@ -626,45 +627,31 @@ impl MultiServeRuntime {
     /// metrics, decisions, and (when recording) executed batches.
     pub fn shutdown(mut self) -> SchedReport {
         self.teardown();
+        let records = self.colo.records.as_ref().map(|r| {
+            std::mem::take(&mut *r.lock().unwrap_or_else(|poisoned| poisoned.into_inner()))
+        });
         SchedReport {
-            snapshot: self.registry.snapshot(),
-            decisions: self.lanes.iter().map(snapshot_decisions).collect(),
-            records: self
-                .records
-                .take()
-                .map(|r| {
-                    std::mem::take(&mut *r.lock().unwrap_or_else(|poisoned| poisoned.into_inner()))
-                })
-                .unwrap_or_default(),
+            snapshot: self.snapshot(),
+            decisions: self.decisions(),
+            records: records.unwrap_or_default(),
         }
     }
 
+    /// The pool's teardown with the accelerator in the middle: once the
+    /// CPU workers have left nothing routes to it any more, so the stop
+    /// message lands behind every real item; and only once it is gone
+    /// can nothing requeue, which is when the final sweep may run.
     fn teardown(&mut self) {
-        self.shutting_down.store(true, Ordering::SeqCst);
-        for lane in self.lanes.iter() {
-            lane.queue.close();
+        self.colo.shutting_down.store(true, Ordering::SeqCst);
+        self.pool.join_workers();
+        if let Some(acc) = &self.colo.accelerator {
+            // The accelerator may already be gone (restart budget spent).
+            let _ = acc.tx.send(None);
         }
-        // Drop the runtime's accelerator sender so the GPU worker's
-        // channel disconnects once the CPU workers' clones and any
-        // outstanding handles are gone too.
-        self.gpu_tx = None;
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
         }
-        if let Some(tuner) = self.tuner.take() {
-            let _ = tuner.join();
-        }
-        // Drain guarantee: a request requeued after the CPU pool exited
-        // (transient GPU batch failure during drain) would otherwise
-        // strand. Answer any leftovers with a typed error.
-        for lane in self.lanes.iter() {
-            for request in lane.queue.drain_all() {
-                self.registry.record_failed();
-                request.respond(Err(ServeError::WorkerFailed {
-                    reason: "runtime shut down before retry could run".to_string(),
-                }));
-            }
-        }
+        self.pool.drain_lanes();
     }
 }
 
@@ -675,10 +662,16 @@ impl Drop for MultiServeRuntime {
     }
 }
 
-fn snapshot_decisions(lane: &Lane) -> DecisionSnapshot {
+/// `model`'s lane index and lane, when co-located in `pool`.
+fn lane_of(pool: &LaneSet, model: ModelId) -> Option<(usize, &Lane)> {
+    let mut lanes = pool.lanes.iter().enumerate();
+    lanes.find(|(_, lane)| lane.model == model)
+}
+
+fn snapshot_decisions(lane: &ColoLane) -> DecisionSnapshot {
     let d = &lane.decisions;
     DecisionSnapshot {
-        model: lane.id.name().to_string(),
+        model: lane.model.name().to_string(),
         crossover: lane.profile.crossover,
         cpu_batches: d.cpu_batches.load(Ordering::Relaxed),
         cpu_queries: d.cpu_queries.load(Ordering::Relaxed),
@@ -698,9 +691,9 @@ fn snapshot_decisions(lane: &Lane) -> DecisionSnapshot {
     }
 }
 
-fn spawn_thread(name: String, body: impl FnOnce() + Send + 'static) -> Result<JoinHandle<()>> {
+fn spawn_thread(name: &str, body: impl FnOnce() + Send + 'static) -> Result<JoinHandle<()>> {
     std::thread::Builder::new()
-        .name(name)
+        .name(name.to_string())
         .spawn(body)
         .map_err(|e| ServeError::SpawnFailed {
             reason: e.to_string(),
@@ -708,23 +701,9 @@ fn spawn_thread(name: String, body: impl FnOnce() + Send + 'static) -> Result<Jo
 }
 
 /// Cloneable client handle: submit requests to any co-located model.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct MultiServeHandle {
-    lanes: Arc<Vec<Lane>>,
-    registry: Arc<MetricsRegistry>,
-    next_id: Arc<AtomicU64>,
-    gpu_tx: Option<mpsc::Sender<WorkItem>>,
-    gpu_backlog: Arc<AtomicUsize>,
-    backlog_capacity: usize,
-    shutting_down: Arc<AtomicBool>,
-}
-
-impl std::fmt::Debug for MultiServeHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MultiServeHandle")
-            .field("models", &self.lanes.len())
-            .finish_non_exhaustive()
-    }
+    pool: Arc<LaneSet>,
 }
 
 impl MultiServeHandle {
@@ -735,7 +714,7 @@ impl MultiServeHandle {
     ///
     /// See [`MultiServeHandle::submit_with`].
     pub fn submit(&self, model: ModelId, inputs: Vec<Value>) -> Result<PendingResponse> {
-        self.submit_with(model, inputs, drec_serve::SubmitOptions::default())
+        self.submit_with(model, inputs, SubmitOptions::default())
     }
 
     /// Validates and submits one sample for `model` with an explicit
@@ -752,354 +731,46 @@ impl MultiServeHandle {
         &self,
         model: ModelId,
         inputs: Vec<Value>,
-        opts: drec_serve::SubmitOptions,
+        opts: SubmitOptions,
     ) -> Result<PendingResponse> {
-        let Some(lane_idx) = self.lanes.iter().position(|l| l.id == model) else {
-            self.registry.record_invalid();
+        let Some((lane, _)) = lane_of(&self.pool, model) else {
+            self.pool.metrics.record_invalid();
             return Err(ServeError::InvalidInput {
                 slot: usize::MAX,
                 expected: "a co-located model".to_string(),
                 got: model.name().to_string(),
             });
         };
-        let lane = &self.lanes[lane_idx];
-        if let Err(e) = validate_single(&lane.spec, &inputs) {
-            self.registry.record_invalid();
-            return Err(e);
-        }
-        if self.shutting_down.load(Ordering::SeqCst) {
-            return Err(ServeError::ShuttingDown);
-        }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let (request, rx) = Request::new(id, inputs, opts);
-        match lane.queue.try_push(request) {
-            Ok(victim) => {
-                self.registry.record_accepted();
-                if let Some((victim, err)) = victim {
-                    self.registry.record_shed();
-                    lane.channel.record_shed();
-                    victim.respond(Err(err));
-                }
-                Ok(PendingResponse::from_parts(id, rx))
-            }
-            Err((request, ServeError::Overloaded { depth, .. })) => {
-                // CPU queue over budget: spill to the accelerator
-                // backlog when one exists and has room.
-                let gpu_depth = self.gpu_backlog.load(Ordering::Relaxed);
-                if let Some(gpu_tx) = &self.gpu_tx {
-                    if gpu_depth < self.backlog_capacity {
-                        self.gpu_backlog.fetch_add(1, Ordering::Relaxed);
-                        lane.decisions.record_spill();
-                        if gpu_tx
-                            .send(WorkItem {
-                                lane: lane_idx,
-                                backend: Backend::Gpu,
-                                requests: vec![request],
-                            })
-                            .is_ok()
-                        {
-                            self.registry.record_accepted();
-                            return Ok(PendingResponse::from_parts(id, rx));
-                        }
-                        self.gpu_backlog.fetch_sub(1, Ordering::Relaxed);
-                    }
-                }
-                self.registry.record_shed();
-                lane.channel.record_shed();
-                Err(ServeError::NoBackendAvailable {
-                    model: model.name().to_string(),
-                    cpu_depth: depth,
-                    gpu_depth,
-                })
-            }
-            Err((_request, err)) => {
-                self.registry.record_shed();
-                lane.channel.record_shed();
-                Err(err)
-            }
-        }
+        self.pool.submit(lane, inputs, opts)
     }
 
     /// The input contract of `model`, when co-located here.
     pub fn spec(&self, model: ModelId) -> Option<&InputSpec> {
-        self.lanes.iter().find(|l| l.id == model).map(|l| &l.spec)
+        lane_of(&self.pool, model).map(|(_, lane)| &lane.spec)
     }
 
     /// Live metrics snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        self.registry.snapshot()
+        self.pool.metrics.snapshot()
     }
 }
 
-/// Answers expired requests and routes the executable remainder: batches
-/// past the crossover go to the accelerator channel; the rest — and any
-/// overflow or teardown fallback — are returned for the calling CPU
-/// worker to execute inline.
-fn route_batch(
-    lane_idx: usize,
-    lane: &Lane,
-    batch: TakenBatch,
-    registry: &MetricsRegistry,
-    gpu_tx: Option<&mpsc::Sender<WorkItem>>,
-    gpu_backlog: &AtomicUsize,
-    backlog_capacity: usize,
-) -> Option<WorkItem> {
-    let now = Instant::now();
-    for request in batch.expired {
-        let late_seconds = request
-            .deadline
-            .map(|d| now.saturating_duration_since(d).as_secs_f64())
-            .unwrap_or(0.0);
-        registry.record_deadline_exceeded();
-        request.respond(Err(ServeError::DeadlineExceeded { late_seconds }));
-    }
-    let requests = batch.requests;
-    if requests.is_empty() {
-        return None;
-    }
-    let mut backend = lane.profile.backend_for(requests.len());
-    if backend == Backend::Gpu {
-        // Honour the accelerator backlog cap; a saturated device pushes
-        // work back onto the CPU pool rather than queueing unboundedly.
-        let has_room = gpu_tx.is_some() && gpu_backlog.load(Ordering::Relaxed) < backlog_capacity;
-        if !has_room {
-            backend = Backend::Cpu;
-        }
-    }
-    lane.decisions.record(backend, requests.len());
-    let item = WorkItem {
-        lane: lane_idx,
-        backend,
-        requests,
-    };
-    if item.backend == Backend::Gpu {
-        gpu_backlog.fetch_add(1, Ordering::Relaxed);
-        match gpu_tx.expect("has_room checked").send(item) {
-            Ok(()) => return None,
-            Err(mpsc::SendError(item)) => {
-                // The accelerator worker died; fall back to CPU.
-                gpu_backlog.fetch_sub(1, Ordering::Relaxed);
-                return Some(item);
-            }
-        }
-    }
-    Some(item)
-}
-
-/// Executes one routed batch on `engine`, delivering responses, metrics,
-/// retries, and (when enabled) batch records. Returns `false` when the
-/// engine panicked and needs a rebuild.
-fn execute_item(worker: usize, engine: &mut Engine, item: WorkItem, shared: &WorkerShared) -> bool {
-    let lane = &shared.lanes[item.lane];
-    // Apply the tuner's intra-op width choice for this model.
-    let tier = lane
-        .pool_tier
-        .load(Ordering::Relaxed)
-        .min(shared.pools.len() - 1);
-    if !Arc::ptr_eq(engine.pool(), &shared.pools[tier]) {
-        engine.set_pool(Arc::clone(&shared.pools[tier]));
-    }
-    let requests = item.requests;
-    let started = Instant::now();
-    match catch_unwind(AssertUnwindSafe(|| engine.run_batch(&requests))) {
-        Ok(Ok(exec)) => {
-            let busy = started.elapsed();
-            let done = Instant::now();
-            let batch = requests.len();
-            let modelled = lane.profile.modelled_seconds(item.backend, batch);
-            shared.registry.record_batch(worker, batch, busy);
-            shared.registry.modelled.record_seconds(modelled);
-            if let Some(records) = &shared.records {
-                records
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .push(BatchRecord {
-                        model: lane.id,
-                        backend: item.backend,
-                        inputs: requests.iter().map(|r| r.inputs.clone()).collect(),
-                        outputs: exec.per_request_outputs.clone(),
-                    });
-            }
-            for (request, outputs) in requests.into_iter().zip(exec.per_request_outputs) {
-                let wall = (done - request.submitted_at).as_secs_f64();
-                shared.registry.latency.record_seconds(wall);
-                lane.channel
-                    .record_completed(Duration::from_secs_f64(wall.max(0.0)));
-                request.respond(Ok(Response {
-                    id: request.id,
-                    outputs,
-                    batch,
-                    wall_seconds: wall,
-                    modelled_seconds: modelled,
-                    worker,
-                }));
-            }
-            true
-        }
-        Ok(Err(err)) => {
-            shared.registry.record_batch(worker, 0, started.elapsed());
-            retry_or_fail(requests, &err.to_string(), lane, shared);
-            true
-        }
-        Err(payload) => {
-            let reason = panic_message(payload.as_ref());
-            shared.registry.record_batch(worker, 0, started.elapsed());
-            shared.registry.record_worker_panic(&reason);
-            retry_or_fail(
-                requests,
-                &format!("worker panicked: {reason}"),
-                lane,
-                shared,
-            );
-            false
-        }
-    }
-}
-
-/// First failure re-enqueues for one more attempt; repeats surface
-/// [`ServeError::WorkerFailed`] — the same retry contract as
-/// `drec-serve`'s single-model pool.
-fn retry_or_fail(requests: Vec<Request>, reason: &str, lane: &Lane, shared: &WorkerShared) {
-    for mut request in requests {
-        if request.attempts() == 0 {
-            request.mark_retry();
-            shared.registry.record_retry();
-            lane.queue.requeue(request);
-        } else {
-            shared.registry.record_failed();
-            request.respond(Err(ServeError::WorkerFailed {
-                reason: reason.to_string(),
-            }));
-        }
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "worker panicked with a non-string payload".to_string()
-    }
-}
-
-/// CPU worker body: a worker *is* a dispatcher. Park on the shared
-/// signal; on wake, poll every lane (starting at a per-worker offset so
-/// hot lanes have no permanent priority over cold ones), route each
-/// released batch, and execute CPU-bound ones inline — the fast path has
-/// no cross-thread hand-off. Exits when every lane is closed and
-/// drained; a transient failure during its own drain pass is requeued
-/// and picked up by whichever worker is still looping (worst case, the
-/// teardown drain answers it).
-///
-/// A panicked engine is rebuilt inline (same model, same seed) so the
-/// worker keeps serving — co-located pools have no per-model supervisor
-/// to lean on.
-fn cpu_worker_loop(
-    index: usize,
-    mut engines: Vec<Engine>,
-    signal: &Arc<DispatchSignal>,
-    shared: &Arc<WorkerShared>,
-    gpu_tx: Option<mpsc::Sender<WorkItem>>,
-    gpu_backlog: &Arc<AtomicUsize>,
-    backlog_capacity: usize,
-) {
-    let lanes = &shared.lanes;
-    loop {
-        let seen = signal.generation();
-        let mut earliest: Option<Instant> = None;
-        let mut dispatched = false;
-        let mut all_closed = true;
-        for offset in 0..lanes.len() {
-            let idx = (index + offset) % lanes.len();
-            let lane = &lanes[idx];
-            loop {
-                match lane.queue.try_next_batch() {
-                    BatchPoll::Ready(batch) => {
-                        all_closed = false;
-                        dispatched = true;
-                        let cpu_item = route_batch(
-                            idx,
-                            lane,
-                            batch,
-                            &shared.registry,
-                            gpu_tx.as_ref(),
-                            gpu_backlog,
-                            backlog_capacity,
-                        );
-                        if let Some(item) = cpu_item {
-                            if !execute_item(index, &mut engines[idx], item, shared) {
-                                rebuild_engine(&mut engines[idx], idx, shared);
-                            }
-                        }
-                    }
-                    BatchPoll::Coalescing(deadline) => {
-                        all_closed = false;
-                        earliest = Some(match earliest {
-                            Some(e) => e.min(deadline),
-                            None => deadline,
-                        });
-                        break;
-                    }
-                    BatchPoll::Idle => {
-                        all_closed = false;
-                        break;
-                    }
-                    BatchPoll::Closed => break,
-                }
-            }
-        }
-        if all_closed {
-            return; // Drops this worker's accelerator sender clone.
-        }
-        if !dispatched {
-            signal.wait(seen, earliest);
-        }
-    }
-}
-
-/// Accelerator worker body: drains its own channel, decrementing the
-/// backlog gauge per completed item. Exits when the channel disconnects,
-/// or on the shutdown flag once the dispatcher has drained (covers
-/// handles that outlive the runtime and keep the channel open).
-fn gpu_worker_loop(
-    index: usize,
-    mut engines: Vec<Engine>,
-    rx: mpsc::Receiver<WorkItem>,
-    shared: &Arc<WorkerShared>,
-    backlog: &Arc<AtomicUsize>,
-    shutting_down: &Arc<AtomicBool>,
-) {
-    loop {
-        match rx.recv_timeout(Duration::from_millis(25)) {
-            Ok(item) => {
-                let lane_idx = item.lane;
-                let ok = execute_item(index, &mut engines[lane_idx], item, shared);
+/// Accelerator worker body: drains its channel on its own engines until
+/// the stop message. If a panic finds the restart budget spent it leaves
+/// early, handing what is still queued back to the lanes; later offers
+/// then fail and the CPU workers keep those batches.
+fn accelerator_loop(mut worker: Worker, rx: &mpsc::Receiver<Option<WorkItem>>, colo: &Colocation) {
+    let backlog = &colo.accelerator.as_ref().expect("accelerator path").backlog;
+    while let Ok(Some(item)) = rx.recv() {
+        let alive = worker.execute(item.lane, item.requests);
+        backlog.fetch_sub(1, Ordering::Relaxed);
+        if !alive {
+            for item in rx.try_iter().flatten() {
                 backlog.fetch_sub(1, Ordering::Relaxed);
-                if !ok {
-                    rebuild_engine(&mut engines[lane_idx], lane_idx, shared);
-                }
+                let pool = worker.pool();
+                pool.retry_or_fail(item.lane, item.requests, "accelerator worker is gone");
             }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if shutting_down.load(Ordering::SeqCst) && backlog.load(Ordering::Relaxed) == 0 {
-                    return;
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => return,
-        }
-    }
-}
-
-fn rebuild_engine(slot: &mut Engine, lane_idx: usize, shared: &Arc<WorkerShared>) {
-    match shared.build_engine(&shared.lanes[lane_idx]) {
-        Ok(engine) => *slot = engine,
-        Err(e) => {
-            // Keep the old engine; it may still serve other batches. The
-            // panic counter already recorded the incident.
-            shared
-                .registry
-                .record_worker_panic(&format!("engine rebuild failed: {e}"));
+            return;
         }
     }
 }
@@ -1109,11 +780,12 @@ fn rebuild_engine(slot: &mut Engine, lane_idx: usize, shared: &Arc<WorkerShared>
 /// and width changes to its pool tier.
 fn tuner_loop(
     cfg: &TunerConfig,
-    lanes: &Arc<Vec<Lane>>,
+    pool: &LaneSet,
+    colo: &Colocation,
     slos: &[f64],
     max_batch: usize,
-    shutting_down: &Arc<AtomicBool>,
 ) {
+    let lanes = &pool.lanes;
     let mut tuners: Vec<ModelTuner> = slos
         .iter()
         .map(|&slo| ModelTuner::new(slo, max_batch))
@@ -1123,21 +795,24 @@ fn tuner_loop(
         .map(|lane| lane.channel.latency.bucket_counts())
         .collect();
     let interval = Duration::from_secs_f64(cfg.interval_s.max(1e-3));
-    while !shutting_down.load(Ordering::SeqCst) {
+    while !colo.shutting_down.load(Ordering::SeqCst) {
         std::thread::sleep(interval);
-        for ((lane, tuner), baseline) in lanes.iter().zip(&mut tuners).zip(&mut baselines) {
-            let counts = lane.channel.latency.bucket_counts();
+        for (i, (tuner, baseline)) in tuners.iter_mut().zip(&mut baselines).enumerate() {
+            let latency = &lanes[i].channel.latency;
+            let counts = latency.bucket_counts();
             let samples: u64 = counts
                 .iter()
                 .zip(baseline.iter())
                 .map(|(now, prev)| now.saturating_sub(*prev))
                 .sum();
-            let p99 = lane.channel.latency.quantile_seconds_since(baseline, 0.99);
+            let p99 = latency.quantile_seconds_since(baseline, 0.99);
             *baseline = counts;
             match tuner.step(cfg, p99, samples) {
                 TunerStep::Hold => {}
-                TunerStep::BatchCap(cap) => lane.queue.set_batch_cap(cap),
-                TunerStep::PoolTier(tier) => lane.pool_tier.store(tier, Ordering::Relaxed),
+                TunerStep::BatchCap(cap) => lanes[i].queue.set_batch_cap(cap),
+                TunerStep::PoolTier(tier) => {
+                    colo.lanes[i].pool_tier.store(tier, Ordering::Relaxed);
+                }
             }
         }
     }
@@ -1176,14 +851,7 @@ pub fn replay_records(
             .inputs
             .iter()
             .enumerate()
-            .map(|(j, inputs)| {
-                Request::new(
-                    j as u64,
-                    inputs.clone(),
-                    drec_serve::SubmitOptions::default(),
-                )
-                .0
-            })
+            .map(|(j, inputs)| Request::new(j as u64, inputs.clone(), SubmitOptions::default()).0)
             .collect();
         let exec = engine
             .run_batch(&requests)

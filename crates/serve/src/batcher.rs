@@ -29,14 +29,12 @@
 //!
 //! * **Lock-free** (the default): a bounded MPMC ring with
 //!   sequence-numbered slots ([`drec_sync::EvictRing`] — Vyukov's queue
-//!   extended with in-place priority eviction) plus an eventcount
-//!   ([`drec_sync::EventCount`]) so consumers park instead of spinning.
-//!   Producers and consumers never take a lock on the hot path; only
-//!   [`SharedQueue::requeue`] (rare: transient batch failure) touches a
-//!   mutex-protected stash, which drains ahead of the ring.
+//!   extended with in-place priority eviction). Producers and consumers
+//!   never take a lock on the hot path; only [`SharedQueue::requeue`]
+//!   (rare: transient batch failure) touches a mutex-protected stash,
+//!   which drains ahead of the ring.
 //! * **Lock-based** (`DREC_LOCK_QUEUE=1`, or [`QueueKind::Lock`]): the
-//!   original `Mutex<VecDeque> + Condvar` queue, kept as the semantics
-//!   oracle — the same role `DREC_FORCE_SCALAR=1` plays for the SIMD
+//!   original `Mutex<VecDeque>` queue, kept as the semantics oracle — the same role `DREC_FORCE_SCALAR=1` plays for the SIMD
 //!   kernels. CI runs the test suite and the serving benchmarks on both
 //!   legs; `queue_bench` additionally checks the two legs produce
 //!   bit-identical model outputs.
@@ -51,37 +49,41 @@
 //!
 //! Both implementations are built exclusively from `drec-sync`
 //! primitives, so the whole batcher is model-checkable: compiled under
-//! `--cfg loom`, every lock, condvar and atomic becomes a schedule point
-//! for the in-tree model checker (see `drec_sync::model` and this
-//! crate's `tests/loom_serve.rs`).
+//! `--cfg loom`, every lock and atomic becomes a schedule point for the
+//! in-tree model checker (see `drec_sync::model` and this crate's
+//! `tests/loom_serve.rs`).
 //!
-//! # Multi-model dispatch seam
+//! # One wake mechanism
 //!
-//! A queue serves exactly one model, but the types here are public so a
-//! multi-model scheduler (`drec-sched`) can co-locate several queues on
-//! one shared worker pool: each model gets its own `SharedQueue` (its
-//! own admission control, deadlines, and overload ladder — degradation
-//! composes per model), all constructed over one [`DispatchSignal`].
-//! Pushes and closes pulse the signal; pool workers wake, poll every
-//! queue with the non-blocking [`SharedQueue::try_next_batch`], and park
-//! on the signal again when nothing is ready.
+//! Neither implementation parks anyone itself. Every queue owns or
+//! shares a [`DispatchSignal`]; pushes that change dispatch eligibility,
+//! requeues, released batches and closes pulse it. A worker reads the
+//! signal's generation, polls with the non-blocking
+//! [`SharedQueue::try_next_batch`], and parks on the signal when nothing
+//! is ready — [`SharedQueue::next_batch`] is exactly that loop over one
+//! queue. A queue serves one model; the lane pool (`crate::pool`)
+//! constructs one queue per model over a single shared signal, so one
+//! worker pool waits for work on all of them (each model keeps its own
+//! admission control, deadlines, and overload ladder — degradation
+//! composes per model).
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use drec_sync::atomic::{AtomicBool, AtomicUsize};
-use drec_sync::{Condvar, EventCount, EvictPush, EvictRing, Mutex, Ordering};
+use drec_sync::{EventCount, EvictPush, EvictRing, Mutex, Ordering};
 
 use crate::degrade::OverloadLadder;
 use crate::error::ServeError;
 use crate::request::{Priority, Request};
 
-/// An eventcount shared by several [`SharedQueue`]s so one worker pool
-/// can wait for work on *any* of them. Pushes increment a generation
-/// counter and wake all waiters; a worker that polled every queue and
-/// found nothing ready sleeps until the generation moves past what it
-/// last saw (or a coalescing deadline expires).
+/// The eventcount workers park on: owned by one [`SharedQueue`] or
+/// shared by several so one worker pool can wait for work on *any* of
+/// them. Pulses increment a generation counter and wake all waiters; a
+/// worker that polled every queue and found nothing ready sleeps until
+/// the generation moves past what it last saw (or a coalescing deadline
+/// expires).
 #[derive(Debug, Default)]
 pub struct DispatchSignal {
     events: EventCount,
@@ -155,7 +157,7 @@ impl BatcherConfig {
 /// One drained batch: the requests to execute plus any requests whose
 /// deadline passed while they queued. Expired requests must be answered
 /// with [`ServeError::DeadlineExceeded`], never executed.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct TakenBatch {
     /// Executable requests in arrival order, at most the effective cap.
     pub requests: Vec<Request>,
@@ -163,13 +165,24 @@ pub struct TakenBatch {
     pub expired: Vec<Request>,
 }
 
+impl TakenBatch {
+    /// Files one drained request under executable or expired.
+    fn take(&mut self, request: Request, now: Instant) {
+        if request.expired_at(now) {
+            self.expired.push(request);
+        } else {
+            self.requests.push(request);
+        }
+    }
+}
+
 /// Which queue implementation a [`SharedQueue`] runs on (see the module
 /// docs for the trade-off).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueKind {
-    /// `Mutex<VecDeque> + Condvar`: the semantics oracle.
+    /// `Mutex<VecDeque>`: the semantics oracle.
     Lock,
-    /// Sequence-numbered MPMC ring + eventcount: the default hot path.
+    /// Sequence-numbered MPMC ring: the default hot path.
     LockFree,
 }
 
@@ -204,24 +217,16 @@ fn prio_level(priority: Priority) -> u8 {
     }
 }
 
+/// The lock-based implementation's whole state, behind one mutex.
+/// Simple to reason about; every operation serializes on the lock.
 #[derive(Debug)]
 struct QueueInner {
     queue: VecDeque<Request>,
     accepting: bool,
 }
 
-/// The lock-based implementation: one mutex around the whole state, a
-/// condvar for blocked workers. Simple to reason about; every operation
-/// serializes on the lock.
-#[derive(Debug)]
-struct LockQueue {
-    inner: Mutex<QueueInner>,
-    not_empty: Condvar,
-}
-
 /// The lock-free implementation. Producers and consumers synchronize
-/// only through the ring's per-slot sequence numbers; the eventcount
-/// exists so an empty-handed consumer parks instead of spinning.
+/// only through the ring's per-slot sequence numbers.
 ///
 /// `stash` holds requeued requests (transient batch failures). Requeues
 /// are rare and must go to the *front* of the line — a ring cannot
@@ -234,7 +239,6 @@ struct FreeQueue {
     accepting: AtomicBool,
     stash: Mutex<VecDeque<Request>>,
     stash_len: AtomicUsize,
-    events: EventCount,
     /// Slot stamps are nanoseconds since this instant, so a consumer can
     /// reconstruct the front request's coalescing deadline without
     /// dereferencing (and so racing on) the payload.
@@ -261,7 +265,7 @@ impl FreeQueue {
 
 #[derive(Debug)]
 enum QueueImpl {
-    Lock(LockQueue),
+    Lock(Mutex<QueueInner>),
     Free(Box<FreeQueue>),
 }
 
@@ -275,53 +279,38 @@ pub struct SharedQueue {
     /// the effective cap is `min(configured, tuned)` further shrunk by
     /// the overload ladder.
     tuned_cap: AtomicUsize,
-    /// Pulsed on push/requeue/close when several queues share one worker
-    /// pool.
-    signal: Option<Arc<DispatchSignal>>,
+    /// Pulsed on push/requeue/release/close; the one thing workers park
+    /// on (this queue's own, or one shared by a pool's queues).
+    signal: Arc<DispatchSignal>,
 }
 
 impl SharedQueue {
-    /// A standalone queue with its own wake-up machinery (the
-    /// single-model [`crate::ServeRuntime`] configuration). The
+    /// A standalone queue with a [`DispatchSignal`] of its own. The
     /// implementation comes from [`QueueKind::from_env`].
     pub fn new(cfg: BatcherConfig, ladder: Arc<OverloadLadder>) -> Self {
-        Self::with_signal(cfg, ladder, None)
+        Self::with_kind(cfg, ladder, Arc::default(), QueueKind::from_env())
     }
 
-    /// A queue participating in a multi-queue worker pool: every push,
-    /// requeue, and close additionally pulses `signal` so shared workers
-    /// polling several queues wake up. The implementation comes from
-    /// [`QueueKind::from_env`].
-    pub fn with_signal(
-        cfg: BatcherConfig,
-        ladder: Arc<OverloadLadder>,
-        signal: Option<Arc<DispatchSignal>>,
-    ) -> Self {
-        Self::with_kind(cfg, ladder, signal, QueueKind::from_env())
-    }
-
-    /// A queue on an explicitly chosen implementation — how `queue_bench`
-    /// measures both legs in one process regardless of the environment.
+    /// A queue pulsing `signal` — shared by all the queues of one worker
+    /// pool, so its workers park on one thing — on an explicitly chosen
+    /// implementation (how `queue_bench` measures both legs in one
+    /// process regardless of the environment).
     pub fn with_kind(
         cfg: BatcherConfig,
         ladder: Arc<OverloadLadder>,
-        signal: Option<Arc<DispatchSignal>>,
+        signal: Arc<DispatchSignal>,
         kind: QueueKind,
     ) -> Self {
         let imp = match kind {
-            QueueKind::Lock => QueueImpl::Lock(LockQueue {
-                inner: Mutex::new(QueueInner {
-                    queue: VecDeque::new(),
-                    accepting: true,
-                }),
-                not_empty: Condvar::new(),
-            }),
+            QueueKind::Lock => QueueImpl::Lock(Mutex::new(QueueInner {
+                queue: VecDeque::new(),
+                accepting: true,
+            })),
             QueueKind::LockFree => QueueImpl::Free(Box::new(FreeQueue {
                 ring: EvictRing::with_capacity(cfg.queue_capacity),
                 accepting: AtomicBool::new(true),
                 stash: Mutex::new(VecDeque::new()),
                 stash_len: AtomicUsize::new(0),
-                events: EventCount::new(),
                 epoch: Instant::now(),
             })),
         };
@@ -340,16 +329,6 @@ impl SharedQueue {
             QueueImpl::Lock(_) => QueueKind::Lock,
             QueueImpl::Free(_) => QueueKind::LockFree,
         }
-    }
-
-    /// This queue's batching configuration.
-    pub fn config(&self) -> &BatcherConfig {
-        &self.cfg
-    }
-
-    /// This queue's overload ladder.
-    pub fn ladder(&self) -> &Arc<OverloadLadder> {
-        &self.ladder
     }
 
     /// Sets the tuned batch cap (clamped to at least 1). The effective
@@ -373,22 +352,25 @@ impl SharedQueue {
         self.ladder.max_batch(self.batch_cap())
     }
 
-    fn pulse_signal(&self) {
-        if let Some(signal) = &self.signal {
-            signal.pulse();
-        }
+    /// Whether an arrival behind `depth` queued requests, estimated to
+    /// wait `estimated` seconds, is past the queue's admission limits.
+    fn over_budget(&self, depth: usize, estimated: f64) -> bool {
+        depth >= self.cfg.queue_capacity || estimated > self.cfg.delay_budget.as_secs_f64()
     }
 
-    /// Only pushes that change dispatch eligibility pulse the shared
-    /// signal: the queue turning non-empty, or filling to the batch
-    /// cap (a coalescing wait can release early). A shared-pool
-    /// dispatcher drains every ready batch per wake and sleeps with
-    /// the coalescing deadline, so intermediate pushes need no wake —
-    /// and skipping their pulses keeps a fast producer from turning
-    /// the dispatcher into a per-query context-switch storm.
-    fn pulse_signal_on_push(&self, len: usize) {
-        if len == 1 || len == self.effective_cap() {
-            self.pulse_signal();
+    /// Only pushes that change dispatch eligibility pulse the signal:
+    /// the queue turning non-empty (`before` is the depth the producer
+    /// admitted against, `after` the depth once its request is in), or
+    /// filling to the batch cap (a coalescing wait can release early).
+    /// A worker drains every ready batch per wake and sleeps with the
+    /// coalescing deadline, so intermediate pushes need no wake — and
+    /// skipping their pulses keeps a fast producer from turning the
+    /// workers into a per-query context-switch storm. Both depths are
+    /// checked because racing lock-free producers that all admitted
+    /// against an empty ring may all read a depth past 1 afterwards.
+    fn pulse_signal_on_push(&self, before: usize, after: usize) {
+        if before == 0 || after == 1 || after == self.effective_cap() {
+            self.signal.pulse();
         }
     }
 
@@ -411,10 +393,10 @@ impl SharedQueue {
     #[allow(clippy::type_complexity, clippy::result_large_err)]
     fn try_push_lock(
         &self,
-        lq: &LockQueue,
+        lq: &Mutex<QueueInner>,
         request: Request,
     ) -> Result<Option<(Request, ServeError)>, (Request, ServeError)> {
-        let mut inner = lq.inner.lock();
+        let mut inner = lq.lock();
         if !inner.accepting {
             return Err((request, ServeError::ShuttingDown));
         }
@@ -422,7 +404,7 @@ impl SharedQueue {
         self.ladder.observe(depth);
         let estimated = self.cfg.estimated_delay_seconds(depth);
         let mut victim = None;
-        if depth >= self.cfg.queue_capacity || estimated > self.cfg.delay_budget.as_secs_f64() {
+        if self.over_budget(depth, estimated) {
             // Over budget: evict the newest strictly-lower-priority
             // occupant (newest, so higher-priority arrivals displace the
             // work that has accrued the least waiting) or shed the
@@ -431,34 +413,19 @@ impl SharedQueue {
                 .queue
                 .iter()
                 .rposition(|queued| queued.priority < request.priority);
-            match evict_idx {
-                Some(idx) => {
-                    victim = inner.queue.remove(idx).map(|evicted| {
-                        (
-                            evicted,
-                            ServeError::Overloaded {
-                                depth,
-                                estimated_delay_seconds: estimated,
-                            },
-                        )
-                    });
-                }
-                None => {
-                    return Err((
-                        request,
-                        ServeError::Overloaded {
-                            depth,
-                            estimated_delay_seconds: estimated,
-                        },
-                    ));
-                }
+            let overloaded = ServeError::Overloaded {
+                depth,
+                estimated_delay_seconds: estimated,
+            };
+            match evict_idx.and_then(|idx| inner.queue.remove(idx)) {
+                Some(evicted) => victim = Some((evicted, overloaded)),
+                None => return Err((request, overloaded)),
             }
         }
         inner.queue.push_back(request);
         let len = inner.queue.len();
         drop(inner);
-        lq.not_empty.notify_one();
-        self.pulse_signal_on_push(len);
+        self.pulse_signal_on_push(depth, len);
         Ok(victim)
     }
 
@@ -476,71 +443,34 @@ impl SharedQueue {
         let estimated = self.cfg.estimated_delay_seconds(depth);
         let prio = prio_level(request.priority);
         let stamp = fq.stamp_of(request.submitted_at);
-        let mut victim = None;
-        if depth >= self.cfg.queue_capacity || estimated > self.cfg.delay_budget.as_secs_f64() {
-            // Over budget: swap the arrival into the slot of the newest
-            // strictly-lower-priority occupant, or shed the arrival.
-            // Unlike the lock leg the arrival inherits the victim's queue
-            // position (see the module docs).
-            match fq.ring.push_or_evict(request, prio, stamp) {
-                EvictPush::Evicted(evicted) => {
-                    victim = Some((
-                        evicted,
-                        ServeError::Overloaded {
-                            depth,
-                            estimated_delay_seconds: estimated,
-                        },
-                    ));
-                }
-                EvictPush::NoVictim(request) => {
-                    return Err((
-                        request,
-                        ServeError::Overloaded {
-                            depth,
-                            estimated_delay_seconds: estimated,
-                        },
-                    ));
-                }
-            }
+        // Over budget — or racing producers outran that check and the
+        // ring is physically full: swap the arrival into the slot of the
+        // newest strictly-lower-priority occupant, or shed the arrival.
+        // Unlike the lock leg the arrival inherits the victim's queue
+        // position (see the module docs).
+        let refused = if self.over_budget(depth, estimated) {
+            Some(request)
         } else {
-            match fq.ring.push(request, prio, stamp) {
-                Ok(()) => {}
-                Err(request) => {
-                    // Racing producers outran the capacity check and the
-                    // ring is physically full: apply the same over-budget
-                    // policy.
-                    match fq.ring.push_or_evict(request, prio, stamp) {
-                        EvictPush::Evicted(evicted) => {
-                            victim = Some((
-                                evicted,
-                                ServeError::Overloaded {
-                                    depth,
-                                    estimated_delay_seconds: estimated,
-                                },
-                            ));
-                        }
-                        EvictPush::NoVictim(request) => {
-                            return Err((
-                                request,
-                                ServeError::Overloaded {
-                                    depth,
-                                    estimated_delay_seconds: estimated,
-                                },
-                            ));
-                        }
-                    }
-                }
+            fq.ring.push(request, prio, stamp).err()
+        };
+        let mut victim = None;
+        if let Some(request) = refused {
+            let overloaded = ServeError::Overloaded {
+                depth,
+                estimated_delay_seconds: estimated,
+            };
+            match fq.ring.push_or_evict(request, prio, stamp) {
+                EvictPush::Evicted(evicted) => victim = Some((evicted, overloaded)),
+                EvictPush::NoVictim(request) => return Err((request, overloaded)),
             }
         }
-        fq.events.advance();
-        self.pulse_signal_on_push(fq.depth());
+        self.pulse_signal_on_push(depth, fq.depth());
         if !fq.accepting.load(Ordering::SeqCst) {
             // The queue closed while we were publishing. The request is
             // in the ring and close() may have pulsed before our publish
             // was visible, so pulse again: either a draining worker picks
-            // it up, or the supervisor's final drain_all() answers it.
-            fq.events.advance();
-            self.pulse_signal();
+            // it up, or the pool's final drain_all() answers it.
+            self.signal.pulse();
         }
         Ok(victim)
     }
@@ -552,135 +482,57 @@ impl SharedQueue {
     pub fn requeue(&self, request: Request) {
         match &self.imp {
             QueueImpl::Lock(lq) => {
-                let mut inner = lq.inner.lock();
+                let mut inner = lq.lock();
                 // Front, not back: the request has already waited its turn.
                 inner.queue.push_front(request);
-                drop(inner);
-                lq.not_empty.notify_one();
             }
             QueueImpl::Free(fq) => {
                 let mut stash = fq.stash.lock();
                 // Front, not back: the request has already waited its turn.
                 stash.push_front(request);
                 fq.stash_len.store(stash.len(), Ordering::Release);
-                drop(stash);
-                fq.events.advance();
             }
         }
-        self.pulse_signal();
+        self.signal.pulse();
     }
 
     /// Blocks until a batch is ready (or shutdown + empty queue, which
-    /// returns `None`). The returned batch holds at most the effective
-    /// batch cap of executable requests, in arrival order, plus any
-    /// drained requests that expired while queued. Either list may be
-    /// empty, but not both.
+    /// returns `None`): the parking protocol every worker runs — read
+    /// the generation, poll, wait — over this one queue. The returned
+    /// batch holds at most the effective batch cap of executable
+    /// requests, in arrival order, plus any drained requests that
+    /// expired while queued. Either list may be empty, but not both.
     pub fn next_batch(&self) -> Option<TakenBatch> {
-        match &self.imp {
-            QueueImpl::Lock(lq) => self.next_batch_lock(lq),
-            QueueImpl::Free(fq) => self.next_batch_free(fq),
-        }
-    }
-
-    fn next_batch_lock(&self, lq: &LockQueue) -> Option<TakenBatch> {
-        let mut inner = lq.inner.lock();
-        loop {
-            // Phase 1: wait for the first request (or drain-complete).
-            loop {
-                if !inner.queue.is_empty() {
-                    break;
-                }
-                if !inner.accepting {
-                    return None;
-                }
-                inner = lq.not_empty.wait(inner);
-            }
-            // Phase 2: coalesce until the effective cap or the oldest
-            // request's wait deadline. The oldest request is still in the
-            // queue while we wait, so competing workers can steal it —
-            // both re-check state after every wake-up.
-            let wait_deadline =
-                inner.queue.front().expect("non-empty").submitted_at + self.cfg.max_wait;
-            loop {
-                if inner.queue.is_empty() {
-                    // Another worker stole the whole queue; start over.
-                    break;
-                }
-                let now = Instant::now();
-                let cap = self.effective_cap();
-                if inner.queue.len() >= cap || now >= wait_deadline || !inner.accepting {
-                    let batch = Self::drain_cap(&mut inner, cap, now);
-                    drop(inner);
-                    // More work may remain for the next free worker.
-                    lq.not_empty.notify_one();
-                    return Some(batch);
-                }
-                let (guard, _outcome) = lq.not_empty.wait_timeout(inner, wait_deadline - now);
-                inner = guard;
-            }
-        }
-    }
-
-    fn next_batch_free(&self, fq: &FreeQueue) -> Option<TakenBatch> {
         loop {
             // Read the generation before inspecting state: any push,
-            // requeue, or close after this read moves the generation and
-            // makes the wait below return immediately — the standard
-            // eventcount idiom against missed wake-ups.
-            let seen = fq.events.generation();
-            let stash_n = fq.stash_len.load(Ordering::Acquire);
-            let ring_n = fq.ring.len();
-            if stash_n == 0 && ring_n == 0 {
-                if !fq.accepting.load(Ordering::Acquire) {
-                    return None;
-                }
-                fq.events.wait_until(seen, None);
-                continue;
-            }
-            let now = Instant::now();
-            let cap = self.effective_cap();
-            // Releasable: closing, requeued work waiting (it already
-            // waited its turn once), a full batch, or the oldest request
-            // past its coalescing deadline.
-            let releasable =
-                !fq.accepting.load(Ordering::Acquire) || stash_n > 0 || stash_n + ring_n >= cap;
-            if !releasable {
-                match fq.front_deadline(self.cfg.max_wait) {
-                    // Raced with a competing drain; re-evaluate.
-                    None => continue,
-                    // Past deadline: fall through to the drain below.
-                    Some(deadline) if now >= deadline => {}
-                    Some(deadline) => {
-                        fq.events.wait_until(seen, Some(deadline));
-                        continue;
-                    }
-                }
-            }
-            let batch = self.drain_free(fq, cap, now);
-            if batch.requests.is_empty() && batch.expired.is_empty() {
-                // Competing workers emptied the queue first; start over.
-                continue;
-            }
-            // More work may remain for the next free worker.
-            fq.events.advance();
-            return Some(batch);
+            // requeue, or close after this read makes the wait below
+            // return immediately — the eventcount idiom against missed
+            // wake-ups.
+            let seen = self.signal.generation();
+            let deadline = match self.try_next_batch() {
+                BatchPoll::Ready(batch) => return Some(batch),
+                BatchPoll::Closed => return None,
+                BatchPoll::Coalescing(deadline) => Some(deadline),
+                BatchPoll::Idle => None,
+            };
+            self.signal.wait(seen, deadline);
         }
     }
 
-    /// Non-blocking batch poll for shared-pool workers serving several
-    /// queues: drains and returns a batch when one is releasable (cap
-    /// reached, oldest past its coalescing deadline, or the queue is
-    /// closing), otherwise reports why not so the caller can pick
-    /// another queue or park on the [`DispatchSignal`].
+    /// Non-blocking batch poll: drains and returns a batch when one is
+    /// releasable (cap reached, requeued work waiting, oldest past its
+    /// coalescing deadline, or the queue is closing), otherwise reports
+    /// why not so the caller can pick another queue or park on the
+    /// [`DispatchSignal`].
     pub fn try_next_batch(&self) -> BatchPoll {
         match &self.imp {
-            QueueImpl::Lock(lq) => self.try_next_batch_lock(lq),
-            QueueImpl::Free(fq) => self.try_next_batch_free(fq),
+            QueueImpl::Lock(lq) => self.poll_lock(lq),
+            QueueImpl::Free(fq) => self.poll_free(fq),
         }
     }
 
-    fn try_next_batch_lock(&self, lq: &LockQueue) -> BatchPoll {
-        let mut inner = lq.inner.lock();
+    fn poll_lock(&self, lq: &Mutex<QueueInner>) -> BatchPoll {
+        let mut inner = lq.lock();
         if inner.queue.is_empty() {
             return if inner.accepting {
                 BatchPoll::Idle
@@ -696,15 +548,14 @@ impl SharedQueue {
             let batch = Self::drain_cap(&mut inner, cap, now);
             drop(inner);
             // More work may remain for the next free worker.
-            lq.not_empty.notify_one();
-            self.pulse_signal();
+            self.signal.pulse();
             BatchPoll::Ready(batch)
         } else {
             BatchPoll::Coalescing(wait_deadline)
         }
     }
 
-    fn try_next_batch_free(&self, fq: &FreeQueue) -> BatchPoll {
+    fn poll_free(&self, fq: &FreeQueue) -> BatchPoll {
         loop {
             let stash_n = fq.stash_len.load(Ordering::Acquire);
             let ring_n = fq.ring.len();
@@ -735,8 +586,7 @@ impl SharedQueue {
                 continue;
             }
             // More work may remain for the next free worker.
-            fq.events.advance();
-            self.pulse_signal();
+            self.signal.pulse();
             return BatchPoll::Ready(batch);
         }
     }
@@ -744,17 +594,10 @@ impl SharedQueue {
     /// Drains up to `cap` requests, splitting out the expired ones.
     fn drain_cap(inner: &mut QueueInner, cap: usize, now: Instant) -> TakenBatch {
         let take = inner.queue.len().min(cap);
-        let drained = inner.queue.drain(..take);
-        let mut batch = TakenBatch {
-            requests: Vec::with_capacity(take),
-            expired: Vec::new(),
-        };
-        for request in drained {
-            if request.expired_at(now) {
-                batch.expired.push(request);
-            } else {
-                batch.requests.push(request);
-            }
+        let mut batch = TakenBatch::default();
+        batch.requests.reserve(take);
+        for request in inner.queue.drain(..take) {
+            batch.take(request, now);
         }
         batch
     }
@@ -762,40 +605,23 @@ impl SharedQueue {
     /// Drains up to `cap` requests from the lock-free leg: the requeue
     /// stash first (oldest work), then the ring.
     fn drain_free(&self, fq: &FreeQueue, cap: usize, now: Instant) -> TakenBatch {
-        let mut batch = TakenBatch {
-            requests: Vec::new(),
-            expired: Vec::new(),
-        };
-        let mut taken = 0usize;
+        let mut batch = TakenBatch::default();
+        let mut room = cap;
         if fq.stash_len.load(Ordering::Acquire) > 0 {
             let mut stash = fq.stash.lock();
-            while taken < cap {
-                match stash.pop_front() {
-                    Some(request) => {
-                        taken += 1;
-                        if request.expired_at(now) {
-                            batch.expired.push(request);
-                        } else {
-                            batch.requests.push(request);
-                        }
-                    }
-                    None => break,
-                }
+            while room > 0 {
+                let Some(request) = stash.pop_front() else {
+                    break;
+                };
+                batch.take(request, now);
+                room -= 1;
             }
             fq.stash_len.store(stash.len(), Ordering::Release);
         }
-        while taken < cap {
-            match fq.ring.pop() {
-                Some(request) => {
-                    taken += 1;
-                    if request.expired_at(now) {
-                        batch.expired.push(request);
-                    } else {
-                        batch.requests.push(request);
-                    }
-                }
-                None => break,
-            }
+        while room > 0 {
+            let Some(request) = fq.ring.pop() else { break };
+            batch.take(request, now);
+            room -= 1;
         }
         batch
     }
@@ -804,26 +630,22 @@ impl SharedQueue {
     pub fn close(&self) {
         match &self.imp {
             QueueImpl::Lock(lq) => {
-                let mut inner = lq.inner.lock();
-                inner.accepting = false;
-                drop(inner);
-                lq.not_empty.notify_all();
+                lq.lock().accepting = false;
             }
             QueueImpl::Free(fq) => {
                 fq.accepting.store(false, Ordering::SeqCst);
-                fq.events.advance();
             }
         }
-        self.pulse_signal();
+        self.signal.pulse();
     }
 
     /// Empties the queue, returning every queued request. Used by the
-    /// supervisor when no worker can be revived: the drain guarantee is
-    /// then satisfied by answering each request with a typed error
+    /// lane pool when no worker is left to run them: the drain guarantee
+    /// is then satisfied by answering each request with a typed error
     /// instead of leaving it to hang.
     pub fn drain_all(&self) -> Vec<Request> {
         match &self.imp {
-            QueueImpl::Lock(lq) => lq.inner.lock().queue.drain(..).collect(),
+            QueueImpl::Lock(lq) => lq.lock().queue.drain(..).collect(),
             QueueImpl::Free(fq) => {
                 let mut out = Vec::new();
                 {
@@ -842,7 +664,7 @@ impl SharedQueue {
     /// Current queue depth (racy; for observation only).
     pub fn depth(&self) -> usize {
         match &self.imp {
-            QueueImpl::Lock(lq) => lq.inner.lock().queue.len(),
+            QueueImpl::Lock(lq) => lq.lock().queue.len(),
             QueueImpl::Free(fq) => fq.depth(),
         }
     }
@@ -906,7 +728,7 @@ mod tests {
             c.queue_capacity,
             None,
         ));
-        SharedQueue::with_kind(c, ladder, None, kind)
+        SharedQueue::with_kind(c, ladder, Arc::default(), kind)
     }
 
     #[test]
@@ -1190,7 +1012,7 @@ mod tests {
         for kind in BOTH_KINDS {
             let signal = Arc::new(DispatchSignal::new());
             let ladder = Arc::new(OverloadLadder::new(DegradeConfig::default(), 100, None));
-            let q = SharedQueue::with_kind(cfg(8, 100), ladder, Some(Arc::clone(&signal)), kind);
+            let q = SharedQueue::with_kind(cfg(8, 100), ladder, Arc::clone(&signal), kind);
             let before = signal.generation();
             q.try_push(dummy_request(0).0).unwrap();
             assert_ne!(signal.generation(), before, "kind {kind:?}");

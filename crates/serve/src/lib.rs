@@ -44,6 +44,7 @@ mod degrade;
 mod engine;
 mod error;
 mod metrics;
+mod pool;
 mod prefetch;
 mod request;
 mod runtime;
@@ -57,11 +58,12 @@ pub use metrics::{
     LatencyHistogram, MetricsRegistry, MetricsSnapshot, ModelChannelMetrics, ModelChannelSnapshot,
     WorkerMetrics,
 };
+pub use pool::{Inline, Lane, LanePool, LaneSet, Placement, PoolConfig, SupervisorConfig, Worker};
 pub use request::{
     coalesce_inputs, split_outputs, validate_single, Priority, Request, RequestId, Response,
     SubmitOptions,
 };
-pub use runtime::{PendingResponse, ServeConfig, ServeHandle, ServeRuntime, SupervisorConfig};
+pub use runtime::{PendingResponse, ServeConfig, ServeHandle, ServeRuntime};
 pub use update::{ModelUpdateChannel, UpdatePlan, Updater, UpdaterStats, WeightSet};
 
 // Re-exported so serving callers can configure the shared parameter store

@@ -370,11 +370,6 @@ impl MetricsRegistry {
         channel
     }
 
-    /// The registered per-model channels, in registration order.
-    pub fn model_channels(&self) -> &[Arc<ModelChannelMetrics>] {
-        &self.models
-    }
-
     /// The channel registered under `name`, if any.
     pub fn model_channel(&self, name: &str) -> Option<&Arc<ModelChannelMetrics>> {
         self.models.iter().find(|c| c.name() == name)

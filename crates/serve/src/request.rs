@@ -75,10 +75,8 @@ pub struct Request {
 
 impl Request {
     /// Builds a request (stamped now, zero attempts) plus the receiver
-    /// its response will arrive on — the construction seam external
-    /// schedulers (`drec-sched`) use to feed a [`crate::SharedQueue`]
-    /// directly. The caller is responsible for validating `inputs`
-    /// against the target model's spec first.
+    /// its response will arrive on. The caller is responsible for
+    /// validating `inputs` against the target model's spec first.
     pub fn new(
         id: RequestId,
         inputs: Vec<Value>,
@@ -109,16 +107,6 @@ impl Request {
     /// means the client went away; that is not an error here.
     pub fn respond(&self, result: Result<Response>) {
         let _ = self.reply.send(result);
-    }
-
-    /// Execution attempts so far (0 until the first batch failure).
-    pub fn attempts(&self) -> u32 {
-        self.attempts
-    }
-
-    /// Marks one failed execution attempt before a requeue.
-    pub fn mark_retry(&mut self) {
-        self.attempts += 1;
     }
 }
 

@@ -1,76 +1,38 @@
-//! The serving runtime: worker pool, supervision, submission handles,
-//! and lifecycle.
+//! The single-model serving runtime: a [`LanePool`] with one lane.
 //!
 //! ```text
-//! ServeHandle::submit ──try_push──▶ SharedQueue ──next_batch──▶ worker 0..N
-//!        │ (shed: Overloaded)          │                        │ catch_unwind
-//!        ▼                             ▼                        ▼
+//! ServeHandle::submit ──try_push──▶ SharedQueue ──try_next_batch──▶ worker 0..N
+//!        │ (shed: Overloaded)          │  (the pool's one lane)     │ catch_unwind
+//!        ▼                             ▼                            ▼
 //!   PendingResponse ◀──per-request mpsc reply── Engine::run_batch
-//!                                                               │ panic
-//!                                                               ▼
-//!                                    supervisor ◀──WorkerExit── (worker dies)
-//!                                        │ restart w/ fresh Engine, backoff
-//!                                        ▼
-//!                                    new worker thread
+//!                                                                   │ panic
+//!                                                                   ▼
+//!                              same worker: backoff, fresh Engine, keep serving
 //! ```
 //!
-//! Every worker owns a full [`Engine`] (model built from the same seed,
-//! so all replicas share parameters); requests are delivered back on
-//! per-request channels, which keeps the runtime lock-free outside the
-//! single batcher queue.
-//!
-//! Fault tolerance: each batch executes under `catch_unwind`, so a
-//! panicking batch (injected or organic) fails *that batch* — its
-//! requests are re-enqueued once, then surfaced as
-//! [`ServeError::WorkerFailed`] — and kills only its worker thread. A
-//! supervisor thread observes worker exits and restarts panicked workers
-//! with a fresh engine under a bounded exponential backoff; when the
-//! restart budget is exhausted with no worker left alive, the supervisor
-//! closes the queue and answers every queued request with a typed error
-//! so nothing ever hangs.
+//! Every worker owns a full [`crate::Engine`] (model built from the same
+//! seed, so all replicas share parameters); requests are delivered back
+//! on per-request channels, which keeps the runtime lock-free outside
+//! the single batcher queue. Worker loop, admission, retry, supervision
+//! and teardown are the pool's (see [`LanePool`]); this module only
+//! maps [`ServeConfig`] onto a one-lane [`PoolConfig`] with the trivial
+//! [`Inline`] placement.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use drec_core::serving::LatencyCurve;
 use drec_faultsim::{FaultHook, FaultPlan};
 use drec_models::{InputSpec, ModelId, ModelScale};
 use drec_ops::Value;
-use drec_par::ParPool;
 use drec_store::{EmbeddingStore, StoreConfig};
 
-use crate::batcher::{BatcherConfig, SharedQueue};
-use crate::degrade::{DegradeConfig, OverloadLadder};
-use crate::engine::Engine;
+use crate::degrade::DegradeConfig;
 use crate::error::{Result, ServeError};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
-use crate::prefetch::Prefetcher;
-use crate::request::{validate_single, Request, RequestId, Response, SubmitOptions};
-
-/// Worker-supervision parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SupervisorConfig {
-    /// Total worker restarts the supervisor will perform over the
-    /// runtime's lifetime before declaring the pool unrecoverable.
-    pub max_restarts: u32,
-    /// Delay before the first restart; doubles per restart.
-    pub backoff: Duration,
-    /// Upper bound on the restart delay.
-    pub backoff_cap: Duration,
-}
-
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        SupervisorConfig {
-            max_restarts: 32,
-            backoff: Duration::from_millis(5),
-            backoff_cap: Duration::from_millis(200),
-        }
-    }
-}
+use crate::pool::{Inline, LanePool, LaneSet, PoolConfig, SupervisorConfig};
+use crate::request::{RequestId, Response, SubmitOptions};
+use crate::update::ModelUpdateChannel;
 
 /// Configuration for [`ServeRuntime::start`].
 #[derive(Debug, Clone)]
@@ -129,470 +91,104 @@ impl ServeConfig {
     }
 }
 
-/// Everything needed to build a fresh, identical [`Engine`] — used at
-/// startup and by the supervisor when replacing a panicked worker.
-struct EngineFactory {
-    model: ModelId,
-    scale: ModelScale,
-    seed: u64,
-    curve: LatencyCurve,
-    pool: Arc<ParPool>,
-    store: Option<Arc<EmbeddingStore>>,
-    faults: FaultHook,
-    update: Arc<crate::update::ModelUpdateChannel>,
-}
-
-impl EngineFactory {
-    fn build(&self) -> Result<Engine> {
-        let model = match &self.store {
-            Some(s) => self
-                .model
-                .build_with_store(self.scale, self.seed, Arc::clone(s)),
-            None => self.model.build(self.scale, self.seed),
-        }
-        .map_err(|e| ServeError::WorkerFailed {
-            reason: format!("model build failed: {e}"),
-        })?;
-        let mut engine = Engine::with_store(
-            model,
-            self.curve.clone(),
-            Arc::clone(&self.pool),
-            self.store.clone(),
-        );
-        engine.set_fault_hook(self.faults.clone());
-        engine.set_update_channel(Arc::clone(&self.update));
-        Ok(engine)
-    }
-}
-
-/// Sent by a worker thread as it exits: `panic` is `None` for a normal
-/// drain-complete exit, `Some(reason)` when the worker died to a panic.
-struct WorkerExit {
-    index: usize,
-    panic: Option<String>,
-}
-
-fn spawn_worker(
-    index: usize,
-    engine: Engine,
-    queue: &Arc<SharedQueue>,
-    metrics: &Arc<MetricsRegistry>,
-    exit_tx: &mpsc::Sender<WorkerExit>,
-) -> Result<JoinHandle<()>> {
-    let queue = Arc::clone(queue);
-    let metrics = Arc::clone(metrics);
-    let exit_tx = exit_tx.clone();
-    std::thread::Builder::new()
-        .name(format!("drec-serve-worker-{index}"))
-        .spawn(move || {
-            // The loop catches per-batch panics itself; this outer guard
-            // covers panics outside batch execution (queue or metrics
-            // code) so the supervisor always learns why a worker died.
-            let panic = match catch_unwind(AssertUnwindSafe(|| {
-                worker_loop(index, engine, &queue, &metrics)
-            })) {
-                Ok(reason) => reason,
-                Err(payload) => Some(panic_message(payload.as_ref())),
-            };
-            // The supervisor may already be gone during teardown.
-            let _ = exit_tx.send(WorkerExit { index, panic });
-        })
-        .map_err(|e| ServeError::SpawnFailed {
-            reason: e.to_string(),
-        })
-}
-
 /// A running serving runtime. Dropping it without calling
-/// [`ServeRuntime::shutdown`] aborts in-flight work (pending requests see
-/// [`ServeError::Disconnected`]).
+/// [`ServeRuntime::shutdown`] still drains accepted work and joins the
+/// workers.
 #[derive(Debug)]
 pub struct ServeRuntime {
-    queue: Arc<SharedQueue>,
-    metrics: Arc<MetricsRegistry>,
-    next_id: Arc<AtomicU64>,
-    spec: Arc<InputSpec>,
-    supervisor: Option<JoinHandle<()>>,
-    prefetcher: Option<Arc<Prefetcher>>,
-    update_channel: Arc<crate::update::ModelUpdateChannel>,
+    pool: LanePool,
 }
 
 impl ServeRuntime {
-    /// Builds `cfg.workers` engines and starts the worker pool plus its
-    /// supervisor.
+    /// Builds `cfg.workers` engines and starts the worker pool.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::WorkerFailed`] if model construction fails,
     /// or [`ServeError::SpawnFailed`] if a thread cannot be spawned.
     pub fn start(cfg: ServeConfig) -> Result<ServeRuntime> {
-        assert!(cfg.workers >= 1, "need at least one worker");
-        assert!(cfg.max_batch >= 1, "max_batch must be at least 1");
         let faults = match &cfg.faults {
             Some(plan) => FaultHook::from_plan(plan),
             None => FaultHook::disabled(),
         };
-        // One intra-op pool shared by every worker engine; snapshots report
-        // its task counts and utilization alongside the worker metrics.
-        let pool = drec_par::current();
         // One parameter store shared by every worker: replica builds
         // dedupe to a single copy of the embedding tables.
         let store = cfg
             .store
-            .clone()
             .map(|sc| Arc::new(EmbeddingStore::with_faults(sc, faults.clone())));
-        let ladder = Arc::new(OverloadLadder::new(
-            cfg.degrade,
-            cfg.queue_capacity,
-            store.clone(),
-        ));
-        let per_query = cfg.curve.eval(cfg.max_batch) / cfg.max_batch as f64;
-        let queue = Arc::new(SharedQueue::new(
-            BatcherConfig {
-                max_batch: cfg.max_batch,
-                max_wait: cfg.max_wait,
-                queue_capacity: cfg.queue_capacity,
-                delay_budget: cfg.delay_budget,
-                per_query_service_estimate: per_query,
-            },
-            Arc::clone(&ladder),
-        ));
-        let mut registry =
-            MetricsRegistry::with_pool_and_store(cfg.workers, Arc::clone(&pool), store.clone());
-        registry.set_ladder(Arc::clone(&ladder));
-        // Single-model runtimes still register one per-model channel so
-        // `MetricsSnapshot::models` is uniform across deployment shapes
-        // (the multi-model scheduler registers one channel per model).
-        registry.register_model(
-            cfg.model.name(),
-            Some(Arc::clone(&queue)),
-            Some(Arc::clone(&ladder)),
-        );
-        let metrics = Arc::new(registry);
-
-        // One live-update channel per served model: every worker engine
-        // registers as a weight reader; the updater (if the deployment
-        // runs one) respects this ladder's backpressure rung.
-        let update_channel = Arc::new(crate::update::ModelUpdateChannel::new(
-            cfg.model.name(),
-            drec_models::store_namespace(cfg.model, cfg.scale, cfg.seed),
-            store.clone(),
-        ));
-        update_channel.set_ladder(Arc::clone(&ladder));
-
-        let factory = EngineFactory {
-            model: cfg.model,
+        let pool = LanePool::start(PoolConfig {
+            lanes: vec![(cfg.model, cfg.curve)],
             scale: cfg.scale,
             seed: cfg.seed,
-            curve: cfg.curve.clone(),
-            pool,
+            workers: cfg.workers,
+            worker_name: "drec-serve-worker",
+            extra_workers: 0,
+            max_batch: cfg.max_batch,
+            max_wait: cfg.max_wait,
+            queue_capacity: cfg.queue_capacity,
+            delay_budget: cfg.delay_budget,
+            degrade: cfg.degrade,
             store,
+            // One intra-op pool shared by every worker engine; snapshots
+            // report its task counts and utilization alongside the
+            // worker metrics.
+            par_pool: drec_par::current(),
+            supervisor: cfg.supervisor,
             faults,
-            update: Arc::clone(&update_channel),
-        };
-
-        let (exit_tx, exit_rx) = mpsc::channel();
-        let mut handles: Vec<Option<JoinHandle<()>>> = Vec::with_capacity(cfg.workers);
-        let mut spec = None;
-        let mut prefetcher = None;
-        for index in 0..cfg.workers {
-            let engine = factory.build()?;
-            if spec.is_none() {
-                spec = Some(engine.spec().clone());
-                // Stream prefetch: only when the shared store is tiered
-                // with prefetch on and the model exposes store bindings.
-                if factory.store.as_ref().is_some_and(|s| s.prefetch_enabled()) {
-                    let bindings = engine.store_bindings();
-                    if !bindings.is_empty() {
-                        prefetcher = Some(Arc::new(Prefetcher::start(bindings)?));
-                    }
-                }
-            }
-            handles.push(Some(spawn_worker(
-                index, engine, &queue, &metrics, &exit_tx,
-            )?));
-        }
-        let spec = Arc::new(spec.expect("at least one worker"));
-
-        let supervisor = {
-            let queue = Arc::clone(&queue);
-            let metrics = Arc::clone(&metrics);
-            let scfg = cfg.supervisor;
-            std::thread::Builder::new()
-                .name("drec-serve-supervisor".to_string())
-                .spawn(move || {
-                    supervisor_loop(factory, scfg, handles, exit_rx, exit_tx, &queue, &metrics)
-                })
-                .map_err(|e| ServeError::SpawnFailed {
-                    reason: e.to_string(),
-                })?
-        };
-
-        Ok(ServeRuntime {
-            queue,
-            metrics,
-            next_id: Arc::new(AtomicU64::new(0)),
-            spec,
-            supervisor: Some(supervisor),
-            prefetcher,
-            update_channel,
-        })
+            placement: Arc::new(Inline),
+        })?;
+        Ok(ServeRuntime { pool })
     }
 
     /// The model's live-update channel — hand it to an
     /// [`crate::Updater`] (on its own thread) to stream versioned
     /// parameter updates through the running workers.
-    pub fn update_channel(&self) -> &Arc<crate::update::ModelUpdateChannel> {
-        &self.update_channel
+    pub fn update_channel(&self) -> &Arc<ModelUpdateChannel> {
+        &self.pool.lanes[0].update
     }
 
     /// A cloneable submission handle.
     pub fn handle(&self) -> ServeHandle {
         ServeHandle {
-            queue: Arc::clone(&self.queue),
-            metrics: Arc::clone(&self.metrics),
-            next_id: Arc::clone(&self.next_id),
-            spec: Arc::clone(&self.spec),
-            prefetcher: self.prefetcher.clone(),
+            pool: self.pool.handle(),
         }
     }
 
     /// The live metrics registry.
     pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
+        &self.pool.metrics
     }
 
     /// Point-in-time metrics summary.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
+        self.pool.metrics.snapshot()
     }
 
     /// The served model's input contract.
     pub fn spec(&self) -> &InputSpec {
-        &self.spec
+        &self.pool.lanes[0].spec
     }
 
     /// Current queue depth (racy; for observation only).
     pub fn queue_depth(&self) -> usize {
-        self.queue.depth()
+        self.pool.lanes[0].queue.depth()
     }
 
     /// Graceful shutdown: stop admission, let workers drain every
-    /// accepted request, join the pool via the supervisor, and return
-    /// the final metrics — including any worker panic reasons caught
-    /// along the way (see [`MetricsSnapshot::panic_reasons`]).
+    /// accepted request, join the pool, and return the final metrics —
+    /// including any worker panic reasons caught along the way (see
+    /// [`MetricsSnapshot::panic_reasons`]).
     pub fn shutdown(mut self) -> MetricsSnapshot {
-        self.queue.close();
-        if let Some(supervisor) = self.supervisor.take() {
-            let _ = supervisor.join();
-        }
-        if let Some(prefetcher) = self.prefetcher.take() {
-            prefetcher.shutdown();
-        }
-        self.metrics.snapshot()
-    }
-}
-
-impl Drop for ServeRuntime {
-    fn drop(&mut self) {
-        // If shutdown() already ran, the supervisor is gone and this is a
-        // no-op.
-        self.queue.close();
-        if let Some(supervisor) = self.supervisor.take() {
-            let _ = supervisor.join();
-        }
-        if let Some(prefetcher) = self.prefetcher.take() {
-            prefetcher.shutdown();
-        }
-    }
-}
-
-/// Renders a caught panic payload into a human-readable reason.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "worker panicked with a non-string payload".to_string()
-    }
-}
-
-/// Fans a failed batch out: first-failure requests are re-enqueued for
-/// one more attempt; repeat failures surface [`ServeError::WorkerFailed`].
-fn fail_batch(
-    requests: Vec<Request>,
-    reason: &str,
-    queue: &SharedQueue,
-    metrics: &MetricsRegistry,
-) {
-    for mut request in requests {
-        if request.attempts == 0 {
-            request.attempts = 1;
-            metrics.record_retry();
-            queue.requeue(request);
-        } else {
-            metrics.record_failed();
-            let _ = request.reply.send(Err(ServeError::WorkerFailed {
-                reason: reason.to_string(),
-            }));
-        }
-    }
-}
-
-/// Answers every expired request with [`ServeError::DeadlineExceeded`].
-fn expire_requests(expired: Vec<Request>, metrics: &MetricsRegistry) {
-    let now = Instant::now();
-    for request in expired {
-        let late_seconds = request
-            .deadline
-            .map(|d| now.saturating_duration_since(d).as_secs_f64())
-            .unwrap_or(0.0);
-        metrics.record_deadline_exceeded();
-        let _ = request
-            .reply
-            .send(Err(ServeError::DeadlineExceeded { late_seconds }));
-    }
-}
-
-/// The worker body. Returns `None` on a normal drain-complete exit, or
-/// `Some(panic reason)` when a batch panicked (the engine is considered
-/// corrupt and the worker exits for the supervisor to replace).
-fn worker_loop(
-    index: usize,
-    mut engine: Engine,
-    queue: &SharedQueue,
-    metrics: &MetricsRegistry,
-) -> Option<String> {
-    while let Some(batch) = queue.next_batch() {
-        expire_requests(batch.expired, metrics);
-        let requests = batch.requests;
-        if requests.is_empty() {
-            continue;
-        }
-        let started = Instant::now();
-        match catch_unwind(AssertUnwindSafe(|| engine.run_batch(&requests))) {
-            Ok(Ok(exec)) => {
-                let busy = started.elapsed();
-                let done = Instant::now();
-                let batch_size = requests.len();
-                metrics.record_batch(index, batch_size, busy);
-                metrics.modelled.record_seconds(exec.modelled_seconds);
-                let channel = metrics.model_channels().first();
-                for (request, outputs) in requests.into_iter().zip(exec.per_request_outputs) {
-                    let wall = (done - request.submitted_at).as_secs_f64();
-                    metrics.latency.record_seconds(wall);
-                    if let Some(c) = channel {
-                        c.record_completed(Duration::from_secs_f64(wall.max(0.0)));
-                    }
-                    // A dropped receiver just means the client went away.
-                    let _ = request.reply.send(Ok(Response {
-                        id: request.id,
-                        outputs,
-                        batch: batch_size,
-                        wall_seconds: wall,
-                        modelled_seconds: exec.modelled_seconds,
-                        worker: index,
-                    }));
-                }
-            }
-            Ok(Err(err)) => {
-                // Typed failure: the engine is still sound, keep serving.
-                metrics.record_batch(index, 0, started.elapsed());
-                fail_batch(requests, &err.to_string(), queue, metrics);
-            }
-            Err(payload) => {
-                // Panic: the engine (and any partial execution state) is
-                // suspect. Fail the batch and die; the supervisor will
-                // stand up a replacement with a fresh engine.
-                let reason = panic_message(payload.as_ref());
-                metrics.record_batch(index, 0, started.elapsed());
-                fail_batch(
-                    requests,
-                    &format!("worker panicked: {reason}"),
-                    queue,
-                    metrics,
-                );
-                return Some(reason);
-            }
-        }
-    }
-    None
-}
-
-/// The supervisor body: joins exiting workers, records panic reasons,
-/// restarts panicked workers with fresh engines under a bounded
-/// exponential backoff, and — if the pool ever dies entirely — closes
-/// the queue and answers all queued work with a typed error so no
-/// accepted request is left hanging.
-fn supervisor_loop(
-    factory: EngineFactory,
-    cfg: SupervisorConfig,
-    mut handles: Vec<Option<JoinHandle<()>>>,
-    exit_rx: mpsc::Receiver<WorkerExit>,
-    exit_tx: mpsc::Sender<WorkerExit>,
-    queue: &Arc<SharedQueue>,
-    metrics: &Arc<MetricsRegistry>,
-) {
-    let mut live = handles.len();
-    let mut restarts = 0u32;
-    let mut backoff = cfg.backoff;
-    while live > 0 {
-        let exit = match exit_rx.recv() {
-            Ok(exit) => exit,
-            Err(_) => break, // unreachable: we hold a sender
-        };
-        live -= 1;
-        if let Some(handle) = handles.get_mut(exit.index).and_then(Option::take) {
-            let _ = handle.join();
-        }
-        if let Some(reason) = exit.panic {
-            metrics.record_worker_panic(&reason);
-            // Restart with a fresh engine while budget remains.
-            while restarts < cfg.max_restarts {
-                std::thread::sleep(backoff);
-                backoff = std::cmp::min(backoff.saturating_mul(2), cfg.backoff_cap);
-                restarts += 1;
-                let respawned = factory
-                    .build()
-                    .and_then(|engine| spawn_worker(exit.index, engine, queue, metrics, &exit_tx));
-                match respawned {
-                    Ok(handle) => {
-                        if let Some(slot) = handles.get_mut(exit.index) {
-                            *slot = Some(handle);
-                        }
-                        live += 1;
-                        metrics.record_worker_restart();
-                        break;
-                    }
-                    Err(e) => {
-                        metrics.record_worker_panic(&format!("restart failed: {e}"));
-                    }
-                }
-            }
-        }
-        if live == 0 {
-            // Either a normal drain-complete shutdown (queue closed and
-            // empty — the drain below is a no-op) or an unrecoverable
-            // pool. Both ways, no request may be left hanging.
-            queue.close();
-            for request in queue.drain_all() {
-                metrics.record_failed();
-                let _ = request.reply.send(Err(ServeError::WorkerFailed {
-                    reason: "no live workers: restart budget exhausted".to_string(),
-                }));
-            }
-        }
+        self.pool.join_workers();
+        self.pool.drain_lanes();
+        self.pool.metrics.snapshot()
     }
 }
 
 /// Cloneable client handle for submitting requests.
 #[derive(Debug, Clone)]
 pub struct ServeHandle {
-    queue: Arc<SharedQueue>,
-    metrics: Arc<MetricsRegistry>,
-    next_id: Arc<AtomicU64>,
-    spec: Arc<InputSpec>,
-    prefetcher: Option<Arc<Prefetcher>>,
+    pool: Arc<LaneSet>,
 }
 
 impl ServeHandle {
@@ -616,64 +212,17 @@ impl ServeHandle {
     /// executing; under queue pressure higher-priority arrivals evict
     /// queued lower-priority requests before being shed themselves.
     pub fn submit_with(&self, inputs: Vec<Value>, opts: SubmitOptions) -> Result<PendingResponse> {
-        if let Err(e) = validate_single(&self.spec, &inputs) {
-            self.metrics.record_invalid();
-            return Err(e);
-        }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = mpsc::channel();
-        let submitted_at = Instant::now();
-        // Extracted before the request is moved into the queue; handed to
-        // the tier prefetcher only if admission succeeds.
-        let prefetch_rows = self
-            .prefetcher
-            .as_ref()
-            .map(|p| p.collect_rows(&inputs))
-            .filter(|rows| !rows.is_empty());
-        let request = Request {
-            id,
-            inputs,
-            submitted_at,
-            deadline: opts.deadline.map(|budget| submitted_at + budget),
-            priority: opts.priority,
-            attempts: 0,
-            reply: tx,
-        };
-        match self.queue.try_push(request) {
-            Ok(victim) => {
-                self.metrics.record_accepted();
-                if let (Some(p), Some(rows)) = (&self.prefetcher, prefetch_rows) {
-                    p.enqueue(rows);
-                }
-                if let Some((victim, err)) = victim {
-                    // The evicted lower-priority request is shed on its
-                    // own reply channel; its waiter sees Overloaded.
-                    self.metrics.record_shed();
-                    if let Some(c) = self.metrics.model_channels().first() {
-                        c.record_shed();
-                    }
-                    let _ = victim.reply.send(Err(err));
-                }
-                Ok(PendingResponse { id, rx })
-            }
-            Err((_request, err)) => {
-                self.metrics.record_shed();
-                if let Some(c) = self.metrics.model_channels().first() {
-                    c.record_shed();
-                }
-                Err(err)
-            }
-        }
+        self.pool.submit(0, inputs, opts)
     }
 
     /// The served model's input contract.
     pub fn spec(&self) -> &InputSpec {
-        &self.spec
+        &self.pool.lanes[0].spec
     }
 
     /// Live metrics snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
+        self.pool.metrics.snapshot()
     }
 }
 
@@ -685,10 +234,7 @@ pub struct PendingResponse {
 }
 
 impl PendingResponse {
-    /// Pairs an id with its reply receiver. Used by multi-model
-    /// schedulers that build requests through [`Request::new`] and hand
-    /// callers the same waitable as [`ServeHandle::submit`].
-    pub fn from_parts(id: RequestId, rx: mpsc::Receiver<Result<Response>>) -> Self {
+    pub(crate) fn new(id: RequestId, rx: mpsc::Receiver<Result<Response>>) -> Self {
         PendingResponse { id, rx }
     }
 

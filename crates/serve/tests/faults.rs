@@ -88,9 +88,13 @@ fn expired_requests_get_deadline_exceeded_without_executing() {
 fn high_priority_arrivals_evict_low_priority_queued_work() {
     let mut cfg = ServeConfig::tiny(ModelId::Ncf);
     cfg.workers = 1;
-    cfg.max_batch = 2;
+    // A batch cap above the queue capacity even once the overload ladder
+    // halves it: the queue can never fill a batch, so it only coalesces
+    // for the long `max_wait` — it stays full between the refused
+    // low-priority probe and the high-priority arrival instead of being
+    // released by the worker in that window.
+    cfg.max_batch = 8;
     cfg.queue_capacity = 2;
-    // Long coalesce wait keeps the queue full while we probe admission.
     cfg.max_wait = Duration::from_millis(500);
     let runtime = ServeRuntime::start(cfg).unwrap();
     let handle = runtime.handle();

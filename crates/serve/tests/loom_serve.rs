@@ -44,7 +44,7 @@ fn queue_of(c: BatcherConfig, kind: QueueKind, signal: Option<Arc<DispatchSignal
         c.queue_capacity,
         None,
     ));
-    SharedQueue::with_kind(c, ladder, signal, kind)
+    SharedQueue::with_kind(c, ladder, signal.unwrap_or_default(), kind)
 }
 
 fn request(id: u64, priority: Priority) -> Request {
@@ -94,8 +94,8 @@ fn concurrent_push_and_drain_deliver_every_request() {
 
 /// Close racing a straggler push: the request is either rejected at
 /// admission or survives into the teardown drain — never silently gone.
-/// This is the race the runtime's supervisor covers with its
-/// unconditional final `close(); drain_all()` sweep.
+/// This is the race the lane pool covers with its unconditional final
+/// `close(); drain_all()` sweep.
 #[test]
 fn close_racing_push_never_loses_a_request() {
     for kind in BOTH_KINDS {
@@ -187,7 +187,7 @@ fn overload_ladder_transitions_exactly_once_under_contention() {
     });
 }
 
-/// The CPU-worker parking protocol from `drec-sched`: read the signal
+/// The lane pool's worker parking protocol: read the signal
 /// generation, poll, and only then wait. A push landing anywhere in that
 /// window must not strand the dispatcher — on either queue leg.
 #[test]

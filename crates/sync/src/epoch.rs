@@ -233,18 +233,57 @@ mod tests {
 
     #[test]
     fn readers_pinning_after_flip_do_not_block_synchronize() {
+        use std::sync::mpsc;
+        use std::time::{Duration, Instant};
+        const BOUND: Duration = Duration::from_secs(10);
+
         let gc = Arc::new(EpochGc::new());
-        // A reader in the *new* epoch must not stall the writer.
-        gc.synchronize();
-        let _post = gc.pin();
-        gc.synchronize(); // waits only on the bank `_post` is NOT in? No:
-                          // `_post` pinned the current bank, the flip makes
-                          // it the old bank — so this does wait. Pin again
-                          // post-flip and verify an extra sync passes.
-        let _fresh = gc.pin();
-        // `_fresh` lives in the current bank; a hypothetical next flip
-        // would wait on it, but pinned_readers just reports it.
+        // A reader pinned before the flip, held until `release` fires.
+        let (pinned_tx, pinned_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let pre_flip = {
+            let gc = Arc::clone(&gc);
+            std::thread::spawn(move || {
+                let guard = gc.pin();
+                pinned_tx.send(()).unwrap();
+                let _ = release_rx.recv_timeout(BOUND);
+                drop(guard);
+            })
+        };
+        pinned_rx.recv_timeout(BOUND).expect("pre-flip reader pins");
+
+        // The writer flips and is held inside `synchronize()` by it.
+        let (synced_tx, synced_rx) = mpsc::channel();
+        let writer = {
+            let gc = Arc::clone(&gc);
+            std::thread::spawn(move || {
+                gc.synchronize();
+                synced_tx.send(()).unwrap();
+            })
+        };
+        let deadline = Instant::now() + BOUND;
+        while gc.epoch() == 0 {
+            assert!(Instant::now() < deadline, "writer never flipped the epoch");
+            std::thread::yield_now();
+        }
+        assert!(
+            synced_rx.try_recv().is_err(),
+            "synchronize returned while the pre-flip reader was still pinned"
+        );
+
+        // A reader that pins after the flip lands in the new bank and is
+        // kept; once the pre-flip reader lets go the writer must return
+        // while this guard is still alive.
+        let post_flip = gc.pin();
+        release_tx.send(()).unwrap();
+        synced_rx
+            .recv_timeout(BOUND)
+            .expect("a post-flip reader must not block synchronize");
         assert!(gc.pinned_readers() >= 1);
+        assert_eq!(gc.synchronizations(), 1);
+        drop(post_flip);
+        pre_flip.join().unwrap();
+        writer.join().unwrap();
     }
 
     #[test]
