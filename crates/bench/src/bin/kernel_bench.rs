@@ -22,6 +22,15 @@
 //! `DREC_THREADS=4` must add further speedup when the host actually has
 //! multiple cores (on a single-core host the multi-thread gate is
 //! reported but not enforced).
+//!
+//! Skinny sweep (smoke and full mode, both kernel backends): the two FC
+//! layers that dominate serving — RM3's 1700→1024 and RM1's 352→256 — at
+//! every batch size a coalescing batcher produces, m ∈ {1,2,3,4,5,7,8,16},
+//! on one and two threads. Gates: *no cliff*, `t(m) ≤ 1.25 × t(4·⌈m/4⌉)`
+//! on one thread (a batch of 3 may not cost more than a batch of 4 by more
+//! than noise), and *the pool never loses*, `t(2 threads) ≤ 1.05 × t(1)`
+//! at every shape (skipped, and said so at the top level of the JSON, on a
+//! single-core host).
 
 use drec_bench::json_f64;
 use std::sync::Arc;
@@ -43,6 +52,19 @@ const INT8_SLS_SPEEDUP_GATE: f64 = 2.0;
 /// Required FMA-over-scalar-blocked GEMM speedup on AVX2+FMA hosts
 /// (smoke and full mode).
 const GEMM_FMA_SPEEDUP_GATE: f64 = 1.5;
+/// Skinny-sweep gate: `t(m)` may exceed `t` at the next multiple of four
+/// by at most this factor (one thread).
+const SKINNY_CLIFF_GATE: f64 = 1.25;
+/// Skinny-sweep gate: two threads may cost at most this factor of one.
+const SKINNY_TWO_THREAD_GATE: f64 = 1.05;
+/// Two spinning threads must do at least this multiple of one thread's
+/// work for the host to count as having a second core.
+const SECOND_CORE_FLOOR: f64 = 1.5;
+/// Batch sizes of the skinny sweep.
+const SKINNY_M: [usize; 8] = [1, 2, 3, 4, 5, 7, 8, 16];
+/// `(label, k, n)` of the skinny sweep's FC layers at Paper scale.
+const SKINNY_LAYERS: [(&str, usize, usize); 2] =
+    [("rm3_1700x1024", 1700, 1024), ("rm1_352x256", 352, 256)];
 /// Row width for the quantized pooled-sum gate (the paper's common
 /// embedding dim is 32–64; 64 is where the vector path's advantage is
 /// representative).
@@ -336,6 +358,138 @@ fn bench_gemm_fma(size: usize, repeats: usize) -> GemmFmaRow {
     })
 }
 
+/// One `(layer, m)` point of the skinny sweep: seconds per product on a
+/// one-thread and a two-thread pool.
+struct SkinnyRow {
+    layer: &'static str,
+    k: usize,
+    n: usize,
+    m: usize,
+    seconds_1t: f64,
+    seconds_2t: f64,
+}
+
+/// Times `A[m, k] · W[n, k]ᵀ` through the dispatched GEMM for every
+/// `m` in [`SKINNY_M`]. A sample is a loop of about a millisecond (20 M
+/// multiply-adds; shorter ones read 10 % apart on identical code here),
+/// the one- and two-thread samples alternate so both see the same host,
+/// and the figure kept is the fastest sample.
+fn bench_gemm_skinny(repeats: usize) -> Vec<SkinnyRow> {
+    let one = ParPool::new(1);
+    let two = ParPool::new(2);
+    let mut rows = Vec::new();
+    for &(layer, k, n) in &SKINNY_LAYERS {
+        let mut init = ParamInit::new(0x5C1 + k as u64);
+        let w = init.uniform(&[n, k], -1.0, 1.0);
+        let a = init.uniform(&[16, k], -1.0, 1.0);
+        let mut out = vec![0.0f32; 16 * n];
+        for &m in &SKINNY_M {
+            let iters = (20_000_000 / (m * k * n)).max(1);
+            let mut sample = |pool: &Arc<ParPool>| {
+                drec_par::with_pool(pool, || {
+                    time_min(1, || {
+                        for _ in 0..iters {
+                            gemm_transposed(
+                                &a.as_slice()[..m * k],
+                                w.as_slice(),
+                                m,
+                                k,
+                                n,
+                                &mut out[..m * n],
+                            );
+                            std::hint::black_box(&mut out);
+                        }
+                    }) / iters as f64
+                })
+            };
+            let (mut seconds_1t, mut seconds_2t) = (f64::INFINITY, f64::INFINITY);
+            for _ in 0..repeats {
+                seconds_1t = seconds_1t.min(sample(&one));
+                seconds_2t = seconds_2t.min(sample(&two));
+            }
+            rows.push(SkinnyRow {
+                layer,
+                k,
+                n,
+                m,
+                seconds_1t,
+                seconds_2t,
+            });
+        }
+    }
+    rows
+}
+
+/// Combined throughput of two spinning threads over that of one, each
+/// counting loop iterations for 50 ms: ≈ 2 on two free cores, ≈ 1 when the
+/// second "core" is a time-share of the first (a throttled container, an
+/// oversubscribed hypervisor). `available_parallelism` cannot tell these
+/// apart, and a two-thread timing gate means nothing on the latter.
+fn second_core_throughput() -> f64 {
+    fn spin() -> u64 {
+        let start = Instant::now();
+        let mut n = 0u64;
+        while start.elapsed().as_millis() < 50 {
+            for _ in 0..1000 {
+                n = std::hint::black_box(n + 1);
+            }
+        }
+        n
+    }
+    let alone = spin();
+    let (a, b) = std::thread::scope(|s| {
+        let other = s.spawn(spin);
+        (spin(), other.join().expect("spin thread"))
+    });
+    (a + b) as f64 / alone as f64
+}
+
+/// Worst `t(m) / t(4·⌈m/4⌉)` on one thread and worst `t(2) / t(1)` over
+/// the sweep, each with the point it occurs at.
+fn skinny_worst(rows: &[SkinnyRow]) -> ((f64, String), (f64, String)) {
+    let mut cliff = (0.0f64, String::new());
+    let mut two = (0.0f64, String::new());
+    for r in rows {
+        let full = rows
+            .iter()
+            .find(|q| q.layer == r.layer && q.m == r.m.div_ceil(4) * 4)
+            .expect("the sweep holds every multiple of four it rounds up to");
+        let ratio = r.seconds_1t / full.seconds_1t;
+        if ratio > cliff.0 {
+            cliff = (ratio, format!("{} m={} vs m={}", r.layer, r.m, full.m));
+        }
+        let ratio = r.seconds_2t / r.seconds_1t;
+        if ratio > two.0 {
+            two = (ratio, format!("{} m={}", r.layer, r.m));
+        }
+    }
+    (cliff, two)
+}
+
+/// One gate over the skinny sweep: the worst ratio found, where, and the
+/// limit it must stay under — or the reason it cannot be judged here.
+struct SkinnyGate {
+    name: &'static str,
+    what: &'static str,
+    worst: (f64, String),
+    limit: f64,
+    skipped: Option<String>,
+}
+
+impl SkinnyGate {
+    /// `"ok"`, `"FAILED: …"` or `"skipped: <reason>"`.
+    fn verdict(&self) -> String {
+        match &self.skipped {
+            Some(reason) => format!("skipped: {reason}"),
+            None if self.worst.0 <= self.limit => "ok".to_string(),
+            None => format!(
+                "FAILED: {:.2}x > {}x at {}",
+                self.worst.0, self.limit, self.worst.1
+            ),
+        }
+    }
+}
+
 /// Checks the dispatched GEMM against the scalar blocked kernel on
 /// register-block edge shapes: bit-identical when FMA is disabled
 /// (strict mode / forced scalar / no AVX2), otherwise within the
@@ -482,11 +636,14 @@ fn bench_models(
 fn write_json(
     path: &str,
     host_parallelism: usize,
+    second_core: f64,
     smoke: bool,
     scale: ModelScale,
     gemm: &[GemmRow],
     quant_sls: &[QuantSlsRow],
     gemm_fma: &[GemmFmaRow],
+    skinny: &[SkinnyRow],
+    gates: &[SkinnyGate],
     threads_sweep: &[(usize, f64)],
     embedding: &[EmbedRow],
     models: &[ModelRow],
@@ -495,10 +652,23 @@ fn write_json(
 ) {
     let mut s = String::from("{\n");
     s.push_str(&format!(
-        "  \"host\": {{\"parallelism\": {host_parallelism}}},\n  \"mode\": \"{}\",\n  \"model_scale\": \"{scale:?}\",\n  \"kernel_backend\": \"{}\",\n",
+        "  \"host\": {{\"parallelism\": {host_parallelism}, \"second_core_throughput\": {}}},\n  \"mode\": \"{}\",\n  \"model_scale\": \"{scale:?}\",\n  \"kernel_backend\": \"{}\",\n",
+        json_f64(second_core),
         if smoke { "smoke" } else { "full" },
         simd::backend_label()
     ));
+    // Gate verdicts sit at the top level so a skipped gate cannot hide in
+    // a nested null: each is "ok", "FAILED: …" or "skipped: <reason>".
+    s.push_str("  \"gates\": {");
+    for (i, gate) in gates.iter().enumerate() {
+        s.push_str(&format!(
+            "{}\"{}\": \"{}\"",
+            if i == 0 { "" } else { ", " },
+            gate.name,
+            gate.verdict()
+        ));
+    }
+    s.push_str("},\n");
     s.push_str("  \"quantized_sls\": [\n");
     for (i, r) in quant_sls.iter().enumerate() {
         s.push_str(&format!(
@@ -520,6 +690,19 @@ fn write_json(
             json_f64(r.fma_gflops),
             json_f64(r.speedup),
             if i + 1 < gemm_fma.len() { "," } else { "" }
+        ));
+    }
+    s.push_str("  ],\n  \"gemm_skinny\": [\n");
+    for (i, r) in skinny.iter().enumerate() {
+        s.push_str(&format!(
+            "    {{\"layer\": \"{}\", \"k\": {}, \"n\": {}, \"m\": {}, \"us_1_thread\": {}, \"us_2_threads\": {}}}{}\n",
+            r.layer,
+            r.k,
+            r.n,
+            r.m,
+            json_f64(r.seconds_1t * 1e6),
+            json_f64(r.seconds_2t * 1e6),
+            if i + 1 < skinny.len() { "," } else { "" }
         ));
     }
     s.push_str("  ],\n  \"gemm_single_thread\": [\n");
@@ -687,6 +870,52 @@ fn main() {
         );
     }
 
+    // Calibrated on both sides of the sweep: on a shared host the second
+    // core can leave while it runs.
+    let second_core_before = second_core_throughput();
+    let skinny_repeats = if args.smoke || args.quick { 100 } else { 200 };
+    println!("GEMM skinny sweep (serving batch sizes at two FC layers, µs per product):");
+    let skinny = bench_gemm_skinny(skinny_repeats);
+    let second_core = second_core_before.min(second_core_throughput());
+    for &(layer, _, _) in &SKINNY_LAYERS {
+        for (label, pick) in [
+            ("1 thread ", (|r| r.seconds_1t) as fn(&SkinnyRow) -> f64),
+            ("2 threads", |r| r.seconds_2t),
+        ] {
+            let cells: Vec<String> = skinny
+                .iter()
+                .filter(|r| r.layer == layer)
+                .map(|r| format!("m={} {:.1}", r.m, pick(r) * 1e6))
+                .collect();
+            println!("  {layer:<14} {label}: {}", cells.join("  "));
+        }
+    }
+    let (cliff, two) = skinny_worst(&skinny);
+    let gates = [
+        SkinnyGate {
+            name: "gemm_skinny_no_cliff",
+            what: "t(m) / t(4*ceil(m/4)) on one thread",
+            worst: cliff,
+            limit: SKINNY_CLIFF_GATE,
+            skipped: None,
+        },
+        SkinnyGate {
+            name: "gemm_skinny_two_threads_never_lose",
+            what: "t(2 threads) / t(1 thread)",
+            worst: two,
+            limit: SKINNY_TWO_THREAD_GATE,
+            skipped: if host_parallelism == 1 {
+                Some("single core".to_string())
+            } else if second_core < SECOND_CORE_FLOOR {
+                Some(format!(
+                    "single core (two spinning threads did {second_core:.2}x the work of one)"
+                ))
+            } else {
+                None
+            },
+        },
+    ];
+
     let gemm_sizes: &[usize] = if args.smoke { &[48] } else { &[128, 512] };
     let gemm_repeats = if args.smoke || args.quick { 2 } else { 5 };
     println!("GEMM old-vs-new, single thread:");
@@ -754,11 +983,14 @@ fn main() {
     write_json(
         "BENCH_kernels.json",
         host_parallelism,
+        second_core,
         args.smoke,
         scale,
         &gemm,
         &quant_sls,
         &gemm_fma,
+        &skinny,
+        &gates,
         &threads_sweep,
         &embedding,
         &models,
@@ -766,6 +998,19 @@ fn main() {
         threads4_speedup,
     );
     println!("Wrote BENCH_kernels.json");
+
+    for gate in &gates {
+        let verdict = gate.verdict();
+        assert!(
+            !verdict.starts_with("FAILED"),
+            "Gate {}: {verdict}",
+            gate.name
+        );
+        println!(
+            "Gate: skinny GEMM worst {} {:.2}x <= {}x ({}) — {verdict}",
+            gate.what, gate.worst.0, gate.limit, gate.worst.1
+        );
+    }
 
     if !args.smoke {
         let speedup = gate_speedup.expect("512-size row present in full mode");

@@ -63,6 +63,29 @@ fn plans_are_bit_identical_to_reference_at_all_thread_counts() {
     }
 }
 
+/// RM3 at Paper scale is the model whose FC stacks are wide enough for
+/// every GEMM partition: batches 1–9 cross each row remainder of the
+/// register block and, on two threads, both the column-tile and the
+/// row-chunk split. None of it may move a bit.
+#[test]
+fn rm3_paper_is_bit_identical_to_reference_at_serving_batch_sizes() {
+    let id = ModelId::Rm3;
+    let mut model = id.build(ModelScale::Paper, 7).unwrap();
+    let wants: Vec<_> = (1..=9)
+        .map(|batch| model.run_reference(make_inputs(&model, batch, 11)).unwrap())
+        .collect();
+    model.compile_plan();
+    for threads in [1, 2] {
+        let pool = ParPool::new(threads);
+        for (batch, want) in (1..=9).zip(&wants) {
+            let got =
+                drec_par::with_pool(&pool, || model.run(make_inputs(&model, batch, 11)).unwrap());
+            let what = format!("batch {batch} @ {threads} threads");
+            assert_bits_eq(id, want, &got, &what);
+        }
+    }
+}
+
 #[test]
 fn fusion_only_plans_match_reference() {
     for id in ModelId::ALL {

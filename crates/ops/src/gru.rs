@@ -13,8 +13,10 @@ use crate::{kind_cost, ExecContext, OpError, OpKind, Operator, Result, Value};
 /// evolution; the paper notes that GRUs "translate to matrix
 /// multiplications that perform well on GPUs" and produce cache-friendly
 /// loops on CPUs (Fig 12 discussion) — both properties emerge here because
-/// the gate weights are re-read every timestep (high temporal locality)
-/// and the work is dense MACs.
+/// the hidden-to-gate weights are re-read every timestep (high temporal
+/// locality) and the work is dense MACs. The input-to-gate projection has
+/// no recurrence in it and is one product over all timesteps; the analytic
+/// trace still models Caffe2's per-step kernel.
 #[derive(Debug)]
 pub struct Gru {
     /// Input-to-gate weights `[3·hidden, input_dim]` (z, r, candidate).
@@ -97,11 +99,9 @@ impl Operator for Gru {
         let in_dim = self.input_dim;
         let h3 = 3 * hidden;
 
-        // All per-timestep scratch comes from the context arena and is
-        // reused across timesteps (and recycled for later ops), so the
-        // recurrence allocates nothing in steady state.
-        let mut xt = ctx.take_buffer(batch * in_dim);
-        let mut gx = ctx.take_buffer(batch * h3);
+        // All scratch comes from the context arena (and is recycled for
+        // later ops), so the recurrence allocates nothing in steady state.
+        let mut gx = ctx.take_buffer(batch * seq_len * h3);
         let mut gh = ctx.take_buffer(batch * h3);
         let mut h = ctx.take_buffer(batch * hidden);
         let mut new_h = ctx.take_buffer(batch * hidden);
@@ -111,18 +111,18 @@ impl Operator for Gru {
             None
         };
 
-        let xs = x.as_slice();
+        // The input projection does not depend on the recurrence, and `x`
+        // is already `[batch·seq_len, in_dim]` row-major: one product gives
+        // x_t·Wᵀ for every timestep (row `b·seq_len + t`), one pass over W
+        // instead of `seq_len`.
+        let steps = batch * seq_len;
+        gemm_transposed(x.as_slice(), self.w.as_slice(), steps, in_dim, h3, &mut gx);
+
         let bias = self.bias.as_slice();
         let pool = drec_par::current();
         let gate_chunk = sample_chunk_elems(batch, hidden, pool.threads());
         for t in 0..seq_len {
-            // Slice x_t out of the flattened sequence.
-            for b in 0..batch {
-                xt[b * in_dim..(b + 1) * in_dim]
-                    .copy_from_slice(&xs[b * cols + t * in_dim..b * cols + (t + 1) * in_dim]);
-            }
-            // Gate pre-activations: x_t·Wᵀ and h·Uᵀ, each [batch, 3·hidden].
-            gemm_transposed(&xt, self.w.as_slice(), batch, in_dim, h3, &mut gx);
+            // Hidden-state gate pre-activations h·Uᵀ, [batch, 3·hidden].
             gemm_transposed(&h, self.u.as_slice(), batch, hidden, h3, &mut gh);
             // Gate math is independent per sample: fan it out over the
             // pool in sample-aligned chunks (per-sample order unchanged,
@@ -132,7 +132,7 @@ impl Operator for Gru {
                 let first = offset / hidden;
                 for (s, row) in block.chunks_mut(hidden).enumerate() {
                     let b = first + s;
-                    let gxr = &gx_r[b * h3..(b + 1) * h3];
+                    let gxr = &gx_r[(b * seq_len + t) * h3..(b * seq_len + t + 1) * h3];
                     let ghr = &gh_r[b * h3..(b + 1) * h3];
                     let prev = &h_r[b * hidden..(b + 1) * hidden];
                     for j in 0..hidden {
@@ -155,7 +155,6 @@ impl Operator for Gru {
             }
         }
 
-        ctx.recycle_buffer(xt);
         ctx.recycle_buffer(gx);
         ctx.recycle_buffer(gh);
         ctx.recycle_buffer(new_h);

@@ -14,7 +14,10 @@
 //!   chunks, load-balanced through an atomic work counter,
 //! * [`ParPool::for_each_chunk_mut`] — the same over disjoint mutable
 //!   sub-slices of an output buffer (how the GEMM and embedding kernels
-//!   write rows in parallel without `unsafe` at the call site).
+//!   write rows in parallel without `unsafe` at the call site),
+//! * [`ParPool::for_each_column_tile_mut`] — the same over disjoint column
+//!   strips of a row-major matrix (how a GEMM with fewer row blocks than
+//!   threads still gives every thread its own slice of the weights).
 //!
 //! # Determinism
 //!
@@ -83,7 +86,8 @@ pub struct PoolStats {
     /// per grabber, not per chunk).
     pub tasks: u64,
     /// Parallel chunks processed by [`ParPool::for_each_chunk`] /
-    /// [`ParPool::for_each_chunk_mut`].
+    /// [`ParPool::for_each_chunk_mut`], and column tiles by
+    /// [`ParPool::for_each_column_tile_mut`].
     pub chunks: u64,
     /// Total nanoseconds spent executing tasks, summed across threads.
     pub busy_nanos: u64,
@@ -312,6 +316,60 @@ impl ParPool {
         self.scope(|s| {
             for (c, sub) in data.chunks_mut(chunk).enumerate() {
                 s.spawn(move || f(c * chunk, sub));
+            }
+        });
+    }
+
+    /// Splits a row-major matrix of `cols`-wide rows into column tiles of
+    /// `tile_cols` columns (the last may be narrower) and calls
+    /// `f(col0, rows)` for each, in parallel: `rows[i]` is row `i`'s
+    /// columns `col0..col0 + rows[i].len()`.
+    ///
+    /// The column counterpart of [`Self::for_each_chunk_mut`], for outputs
+    /// with too few rows to give every thread one: each task owns a
+    /// vertical strip of every row. The strips are carved with
+    /// `chunks_mut`, so the borrow checker proves them disjoint. Tile
+    /// boundaries depend only on `(cols, tile_cols)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cols` is zero or `data.len()` is not a multiple of it.
+    pub fn for_each_column_tile_mut<T, F>(
+        &self,
+        data: &mut [T],
+        cols: usize,
+        tile_cols: usize,
+        f: F,
+    ) where
+        T: Send,
+        F: Fn(usize, &mut [&mut [T]]) + Sync,
+    {
+        if data.is_empty() {
+            return;
+        }
+        assert_eq!(data.len() % cols, 0, "matrix is whole rows");
+        let tile_cols = tile_cols.max(1);
+        let ntiles = cols.div_ceil(tile_cols);
+        let rows = data.len() / cols;
+        let mut tiles: Vec<Vec<&mut [T]>> = (0..ntiles).map(|_| Vec::with_capacity(rows)).collect();
+        for row in data.chunks_mut(cols) {
+            for (tile, strip) in tiles.iter_mut().zip(row.chunks_mut(tile_cols)) {
+                tile.push(strip);
+            }
+        }
+        self.shared
+            .chunks
+            .fetch_add(ntiles as u64, Ordering::Relaxed);
+        if self.threads == 1 || ntiles == 1 {
+            for (t, tile) in tiles.iter_mut().enumerate() {
+                f(t * tile_cols, tile);
+            }
+            return;
+        }
+        let f = &f;
+        self.scope(|s| {
+            for (t, mut tile) in tiles.into_iter().enumerate() {
+                s.spawn(move || f(t * tile_cols, &mut tile));
             }
         });
     }

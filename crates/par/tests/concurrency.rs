@@ -1,9 +1,11 @@
-//! Concurrency invariants of the `drec-par` pool: exactly-once chunk
-//! coverage under contention, panic propagation without deadlock, and
-//! determinism of chunk boundaries across pool sizes.
+//! Concurrency invariants of the `drec-par` pool: exactly-once chunk and
+//! column-tile coverage under contention, panic propagation without
+//! deadlock, and determinism of chunk boundaries across pool sizes.
 
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::{Barrier, Mutex};
 
 use drec_par::ParPool;
 
@@ -124,4 +126,49 @@ fn concurrent_scopes_from_many_threads_share_one_pool() {
         }
     });
     assert_eq!(total.load(Ordering::Relaxed), 60_000);
+}
+
+#[test]
+fn column_tiles_written_by_different_threads_cover_the_matrix_exactly_once() {
+    // 3 rows × 10 columns in tiles of 4 → strips of 4, 4 and 2 columns.
+    // The barrier holds every tile until all three are running, so each
+    // is on a thread of its own while it writes.
+    const ROWS: usize = 3;
+    const COLS: usize = 10;
+    let pool = ParPool::new(3);
+    let all_running = Barrier::new(3);
+    let threads = Mutex::new(HashSet::new());
+    let mut data = vec![f32::NAN; ROWS * COLS];
+    pool.for_each_column_tile_mut(&mut data, COLS, 4, |col0, rows| {
+        all_running.wait();
+        threads.lock().unwrap().insert(std::thread::current().id());
+        assert_eq!(rows.len(), ROWS);
+        for (r, strip) in rows.iter_mut().enumerate() {
+            assert_eq!(strip.len(), (COLS - col0).min(4));
+            for (c, cell) in strip.iter_mut().enumerate() {
+                // A cell still NaN is written for the first time; a second
+                // write would leave something other than its index.
+                *cell = if cell.is_nan() {
+                    (r * COLS + col0 + c) as f32
+                } else {
+                    f32::INFINITY
+                };
+            }
+        }
+    });
+    assert_eq!(threads.lock().unwrap().len(), 3, "one thread per tile");
+    for (i, v) in data.iter().enumerate() {
+        assert_eq!(*v, i as f32, "cell {i} not written exactly once");
+    }
+}
+
+#[test]
+fn column_tiles_run_inline_in_order_on_one_thread() {
+    let pool = ParPool::new(1);
+    let order = Mutex::new(Vec::new());
+    let mut data = vec![0u8; 2 * 9];
+    pool.for_each_column_tile_mut(&mut data, 9, 4, |col0, rows| {
+        order.lock().unwrap().push((col0, rows[1].len()));
+    });
+    assert_eq!(*order.lock().unwrap(), vec![(0, 4), (4, 4), (8, 1)]);
 }

@@ -1,24 +1,56 @@
 //! Linear-algebra kernels on [`Tensor`]: matrix multiply and reductions.
 //!
-//! The matrix kernels are register-blocked and parallel. Both products
-//! funnel into one micro-kernel ([`dot_cell`]) that accumulates four
-//! partial sums along the reduction dimension (`chunks_exact(4)` so LLVM
-//! autovectorizes without reassociation licence) and combines them in a
-//! fixed order; a 4×4 register block ([`micro_4x4`]) amortises loads
-//! across output cells. Row blocks are distributed over the
-//! [`drec_par::current`] pool in chunks that are a multiple of the
-//! register block, so every output element is computed by exactly the
-//! same instruction sequence whatever the thread count — parallel results
-//! are bit-identical to sequential ones, and `DREC_THREADS=1` degrades to
-//! plain in-order execution.
+//! # Blocking
 //!
-//! On AVX2+FMA hosts the dot cells are replaced wholesale by the 8-lane
-//! FMA micro-kernel in [`crate::simd::x86`] (same fixed reduction order
-//! at wider lanes, so thread-count bit-identity is preserved); the scalar
-//! blocked kernel remains reachable via [`gemm_transposed_scalar`] and is
-//! what `DREC_GEMM_STRICT=1` pins.
+//! Every product is `A · Bᵀ` with both operands row-major along the
+//! reduction dimension (`matmul` packs `Bᵀ` first). The output is computed
+//! in register blocks of `R×4` cells, `R` in `1..=4` rows of A against four
+//! rows of B: each loaded chunk of a B row is shared by all `R` A rows, so
+//! a block of `R` output rows costs **one** pass over B whatever `R` is.
+//! `R = 4` is the steady state; the last `m % 4` rows are the same block at
+//! a smaller `R`, not a row-at-a-time loop — at serving batch sizes the
+//! weights are the traffic, and a batch of 3 must not stream them three
+//! times. The block exists twice, with the same shape: [`gemm_block`]
+//! (scalar, four partial sums per cell, `chunks_exact`-style so LLVM
+//! vectorizes without reassociation licence) and the 8-lane FMA
+//! `simd::x86::gemm_block_fma`, which replaces it wholesale on AVX2+FMA
+//! hosts. [`gemm_transposed_scalar`] and `DREC_GEMM_STRICT=1` pin the
+//! scalar one.
 //!
-//! The previous scalar kernels are kept as [`Tensor::matmul_reference`] /
+//! # Partition
+//!
+//! [`partition`] decides once per product, from `(m, k, n, threads)` alone:
+//!
+//! * **inline** when the pool has one thread or the product cannot give
+//!   two tasks [`MIN_TASK_MACS`] multiply-adds each (a partial row block
+//!   counted as a full one: it streams the same weights) — a fan-out costs
+//!   a queue push, a condvar wake and a join, and below that floor they
+//!   cost more than the second thread saves;
+//! * **row chunks**, whole row quads, when there are at least as many
+//!   quads as threads (`m ≥ 4 · threads`) — each task streams all of B
+//!   into its own rows;
+//! * **column tiles**, multiples of four columns, otherwise — each task
+//!   streams its own slice of B into its own columns of every row, which
+//!   is how a batch of 1–4 reaches the second core at all.
+//!
+//! Row chunks are disjoint `chunks_mut` sub-slices and column tiles are
+//! `drec_par`'s disjoint column strips, so no task can touch another's
+//! cells and there is no `unsafe` in the partition.
+//!
+//! # Why the bits cannot change
+//!
+//! Each output cell is reduced by one fixed instruction sequence over its
+//! own A row and B row: [`dot_cell`] for the scalar kernel (four lanes in
+//! `p` order, `(l0 + l1) + (l2 + l3)`, scalar k-tail), `dot_fma` for the
+//! FMA kernel (one 8-lane FMA chain, `hsum8`, scalar k-tail). The register
+//! block keeps one private accumulator per cell and feeds it in the same
+//! order; only the loads are shared. `R`, the column a tile starts at,
+//! chunk boundaries and the thread that runs a task select *which* cells a
+//! call computes, never *how* — so results are bit-identical for every
+//! batch size, partition and thread count, and `DREC_THREADS=1` is plain
+//! in-order execution of the same cells.
+//!
+//! The seed scalar kernels are kept as [`Tensor::matmul_reference`] /
 //! [`Tensor::matmul_transposed_reference`]: they are the oracle for
 //! property tests and the "old" side of `kernel_bench`'s old-vs-new
 //! timings. (The seed `matmul` additionally skipped `a == 0.0`
@@ -27,23 +59,28 @@
 
 use crate::{Result, Tensor, TensorError};
 
-/// Rows per register block (output rows computed together).
+/// Most rows per register block (output rows computed together).
 const MR: usize = 4;
 /// Columns per register block (output columns computed together).
 const NR: usize = 4;
 /// Partial-sum lanes along the reduction dimension.
 const KU: usize = 4;
-/// Minimum `m·k·n` before a product is worth fanning out to the pool.
-const PAR_MIN_WORK: usize = 1 << 15;
-/// Target parallel chunks per pool thread (slack for load balancing).
+/// Fewest multiply-adds a pool task must carry for a fan-out to pay,
+/// counting every register block as a full one (see [`partition`]).
+///
+/// Handing work to a parked worker costs a queue push, a futex wake and a
+/// join: about 20 µs on the benchmark host, most of it the wake. The FMA
+/// kernel retires about 25 multiply-adds per nanosecond at best, so a task
+/// of 2²⁰ is 40 µs or more of arithmetic, twice what it costs to call.
+const MIN_TASK_MACS: usize = 1 << 20;
+/// Target row chunks per pool thread (slack for load balancing).
 const CHUNKS_PER_THREAD: usize = 4;
 
 /// Four-lane dot product with a fixed combine order.
 ///
-/// Every output cell of both GEMM kernels — micro-kernel, edge rows, edge
-/// columns, and the sequential fallback — reduces through this exact
-/// sequence, which is what makes results independent of blocking and
-/// thread count.
+/// Every output cell of the scalar GEMM — inside a register block or in
+/// an edge column — reduces through this exact sequence, which is what
+/// makes results independent of blocking and thread count.
 #[inline]
 fn dot_cell(a: &[f32], b: &[f32]) -> f32 {
     let mut acc = [0.0f32; KU];
@@ -63,40 +100,18 @@ fn dot_cell(a: &[f32], b: &[f32]) -> f32 {
     sum
 }
 
-/// Computes the 4×4 output block `out[i][j] = aᵢ · bⱼ` for four A rows and
-/// four B rows, sharing each loaded reduction chunk across all 16 cells.
+/// Computes the `R×4` output block `out[i][j] = aᵢ · bⱼ` for `R` A rows and
+/// four B rows, sharing each loaded reduction chunk across all `4·R`
+/// cells.
 ///
 /// Cell-for-cell identical to [`dot_cell`] (same lane split, same combine
-/// order) — only the load scheduling differs.
+/// order, same tail) — only the load scheduling differs.
 #[inline]
-fn micro_4x4(ar: [&[f32]; MR], br: [&[f32]; NR], k: usize) -> [[f32; NR]; MR] {
-    let mut acc = [[[0.0f32; KU]; NR]; MR];
+fn micro_rx4<const R: usize>(ar: [&[f32]; R], br: [&[f32]; NR], k: usize) -> [[f32; NR]; R] {
     let kc = k - k % KU;
-    let mut p = 0;
-    while p < kc {
-        let a: [&[f32; KU]; MR] = [
-            ar[0][p..p + KU].try_into().expect("chunk"),
-            ar[1][p..p + KU].try_into().expect("chunk"),
-            ar[2][p..p + KU].try_into().expect("chunk"),
-            ar[3][p..p + KU].try_into().expect("chunk"),
-        ];
-        let b: [&[f32; KU]; NR] = [
-            br[0][p..p + KU].try_into().expect("chunk"),
-            br[1][p..p + KU].try_into().expect("chunk"),
-            br[2][p..p + KU].try_into().expect("chunk"),
-            br[3][p..p + KU].try_into().expect("chunk"),
-        ];
-        for i in 0..MR {
-            for j in 0..NR {
-                for l in 0..KU {
-                    acc[i][j][l] += a[i][l] * b[j][l];
-                }
-            }
-        }
-        p += KU;
-    }
-    let mut out = [[0.0f32; NR]; MR];
-    for i in 0..MR {
+    let acc = lanes_rx4(ar, br, kc);
+    let mut out = [[0.0f32; NR]; R];
+    for i in 0..R {
         for j in 0..NR {
             let lanes = acc[i][j];
             let mut sum = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
@@ -109,79 +124,151 @@ fn micro_4x4(ar: [&[f32]; MR], br: [&[f32]; NR], k: usize) -> [[f32; NR]; MR] {
     out
 }
 
-/// Computes rows `r0..r0 + out_rows.len()/n` of `A · Bᵀ` into `out_rows`.
+/// The lane accumulators of an `R×4` block over the first `kc` (a multiple
+/// of [`KU`]) reduction steps.
 ///
-/// `a` is `[m, k]` row-major, `b` is `[n, k]` row-major. `r0` must be a
-/// multiple of [`MR`] unless this is the final (partial) chunk, which the
-/// chunking in [`gemm_transposed`] guarantees.
-fn gemm_t_rows(a: &[f32], b: &[f32], k: usize, n: usize, r0: usize, out_rows: &mut [f32]) {
-    debug_assert_eq!(out_rows.len() % n.max(1), 0);
-    let rows = out_rows.len() / n;
-    let mut i = 0;
-    while i + MR <= rows {
-        let ar: [&[f32]; MR] = [
-            &a[(r0 + i) * k..(r0 + i + 1) * k],
-            &a[(r0 + i + 1) * k..(r0 + i + 2) * k],
-            &a[(r0 + i + 2) * k..(r0 + i + 3) * k],
-            &a[(r0 + i + 3) * k..(r0 + i + 4) * k],
+/// Out of line on purpose: compiled alone, the only stores the vectorizer
+/// sees are whole lane arrays, so it packs each cell's four lanes into one
+/// register. Inlined next to the combine, it packs *across* the four cells
+/// of a row instead and pays a transpose per load for every `R` but 4.
+#[inline(never)]
+fn lanes_rx4<const R: usize>(ar: [&[f32]; R], br: [&[f32]; NR], kc: usize) -> [[[f32; KU]; NR]; R] {
+    let mut acc = [[[0.0f32; KU]; NR]; R];
+    let mut p = 0;
+    while p < kc {
+        let b: [&[f32; KU]; NR] = [
+            br[0][p..p + KU].try_into().expect("chunk"),
+            br[1][p..p + KU].try_into().expect("chunk"),
+            br[2][p..p + KU].try_into().expect("chunk"),
+            br[3][p..p + KU].try_into().expect("chunk"),
         ];
-        let mut j = 0;
-        while j + NR <= n {
-            let br: [&[f32]; NR] = [
-                &b[j * k..(j + 1) * k],
-                &b[(j + 1) * k..(j + 2) * k],
-                &b[(j + 2) * k..(j + 3) * k],
-                &b[(j + 3) * k..(j + 4) * k],
-            ];
-            let block = micro_4x4(ar, br, k);
-            for (di, row) in block.iter().enumerate() {
-                out_rows[(i + di) * n + j..(i + di) * n + j + NR].copy_from_slice(row);
+        for (acc_row, arow) in acc.iter_mut().zip(&ar) {
+            let a: &[f32; KU] = arow[p..p + KU].try_into().expect("chunk");
+            for j in 0..NR {
+                for l in 0..KU {
+                    acc_row[j][l] += a[l] * b[j][l];
+                }
             }
-            j += NR;
         }
-        while j < n {
-            let brow = &b[j * k..(j + 1) * k];
-            for (di, arow) in ar.iter().enumerate() {
-                out_rows[(i + di) * n + j] = dot_cell(arow, brow);
-            }
-            j += 1;
-        }
-        i += MR;
+        p += KU;
     }
-    while i < rows {
-        let arow = &a[(r0 + i) * k..(r0 + i + 1) * k];
-        for j in 0..n {
-            out_rows[i * n + j] = dot_cell(arow, &b[j * k..(j + 1) * k]);
+    acc
+}
+
+/// One register block of the scalar GEMM: `out[i][j] = ar[i] · B[c0 + j]`
+/// for `R ≤ 4` rows of A against the `out[0].len()` rows of `b` (row-major
+/// `[n, k]`) that start at row `c0`.
+///
+/// Columns go four at a time through [`micro_rx4`]; the columns past the
+/// last full four call [`dot_cell`] itself.
+fn gemm_block<const R: usize>(ar: [&[f32]; R], b: &[f32], c0: usize, out: &mut [&mut [f32]; R]) {
+    let k = ar[0].len();
+    let cols = out[0].len();
+    let mut j = 0;
+    while j + NR <= cols {
+        let c = c0 + j;
+        let br: [&[f32]; NR] = [
+            &b[c * k..(c + 1) * k],
+            &b[(c + 1) * k..(c + 2) * k],
+            &b[(c + 2) * k..(c + 3) * k],
+            &b[(c + 3) * k..(c + 4) * k],
+        ];
+        let block = micro_rx4(ar, br, k);
+        for (out_row, cells) in out.iter_mut().zip(&block) {
+            out_row[j..j + NR].copy_from_slice(cells);
         }
-        i += 1;
+        j += NR;
+    }
+    while j < cols {
+        let brow = &b[(c0 + j) * k..(c0 + j + 1) * k];
+        for (arow, out_row) in ar.iter().zip(out.iter_mut()) {
+            out_row[j] = dot_cell(arow, brow);
+        }
+        j += 1;
     }
 }
 
-/// Runs one row-chunk through the selected dot-cell kernel: the FMA
-/// micro-kernel when the dispatch probe enabled it, the scalar blocked
-/// kernel otherwise. Selection happens once per product (the flag is
-/// resolved by [`crate::simd::gemm_fma_enabled`] at first use), so there
-/// is no per-cell branch.
-#[inline]
-fn gemm_t_rows_dispatch(
-    a: &[f32],
-    b: &[f32],
+/// The operands of one product and the kernel chosen for it — resolved
+/// once per product (see [`crate::simd::gemm_fma_enabled`]), so there is
+/// no per-cell branch.
+#[derive(Clone, Copy)]
+struct Product<'a> {
+    a: &'a [f32],
+    b: &'a [f32],
     k: usize,
-    n: usize,
-    r0: usize,
-    out_rows: &mut [f32],
     use_fma: bool,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if use_fma {
-        // SAFETY: `use_fma` is only true when the runtime probe confirmed
-        // AVX2+FMA, and the slice geometry matches `gemm_t_rows`'s.
-        unsafe { crate::simd::x86::gemm_t_rows_fma(a, b, k, n, r0, out_rows) };
-        return;
+}
+
+impl Product<'_> {
+    /// `out[i][j] = A[r0 + i] · B[c0 + j]` for any number of output rows:
+    /// register blocks of [`MR`] rows, then one block of the remainder.
+    fn rows(&self, r0: usize, c0: usize, out: &mut [&mut [f32]]) {
+        for (q, block) in out.chunks_mut(MR).enumerate() {
+            let r = r0 + q * MR;
+            match block.len() {
+                1 => self.block::<1>(r, c0, block),
+                2 => self.block::<2>(r, c0, block),
+                3 => self.block::<3>(r, c0, block),
+                _ => self.block::<MR>(r, c0, block),
+            }
+        }
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = use_fma;
-    gemm_t_rows(a, b, k, n, r0, out_rows);
+
+    fn block<const R: usize>(&self, r0: usize, c0: usize, out: &mut [&mut [f32]]) {
+        let k = self.k;
+        let ar: [&[f32]; R] = std::array::from_fn(|i| &self.a[(r0 + i) * k..(r0 + i + 1) * k]);
+        let out: &mut [&mut [f32]; R] = out.try_into().expect("a block of R rows");
+        #[cfg(target_arch = "x86_64")]
+        if self.use_fma {
+            // SAFETY: `use_fma` is only true when the runtime probe
+            // confirmed AVX2+FMA.
+            unsafe { crate::simd::x86::gemm_block_fma(ar, self.b, c0, out) };
+            return;
+        }
+        gemm_block(ar, self.b, c0, out);
+    }
+
+    /// Rows `r0..r0 + out_rows.len() / n` of the product, all `n` columns,
+    /// into a contiguous run of whole output rows.
+    fn row_chunk(&self, n: usize, r0: usize, out_rows: &mut [f32]) {
+        for (q, quad) in out_rows.chunks_mut(MR * n).enumerate() {
+            let mut rows: [&mut [f32]; MR] = Default::default();
+            let mut count = 0;
+            for (slot, row) in rows.iter_mut().zip(quad.chunks_mut(n)) {
+                *slot = row;
+                count += 1;
+            }
+            self.rows(r0 + q * MR, 0, &mut rows[..count]);
+        }
+    }
+}
+
+/// How one product is spread over the pool; see the module docs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Partition {
+    /// Run on the calling thread.
+    Inline,
+    /// Chunks of this many whole output rows (a multiple of [`MR`]).
+    Rows(usize),
+    /// Tiles of this many output columns (a multiple of [`NR`]).
+    Cols(usize),
+}
+
+fn partition(m: usize, k: usize, n: usize, threads: usize) -> Partition {
+    let quads = m.div_ceil(MR);
+    // A block of one to three rows streams B exactly as a block of four
+    // does and takes about as long, so work is counted in whole blocks.
+    let work = (quads * MR).saturating_mul(k).saturating_mul(n);
+    let fundable = work / MIN_TASK_MACS;
+    if threads.min(fundable) < 2 {
+        return Partition::Inline;
+    }
+    if quads >= threads {
+        let chunks = (threads * CHUNKS_PER_THREAD).min(fundable);
+        Partition::Rows(quads.div_ceil(chunks) * MR)
+    } else {
+        Partition::Cols(n.div_ceil(NR).div_ceil(threads.min(fundable)) * NR)
+    }
 }
 
 fn gemm_transposed_impl(
@@ -203,26 +290,25 @@ fn gemm_transposed_impl(
         out.fill(0.0);
         return;
     }
+    let product = Product { a, b, k, use_fma };
     let pool = drec_par::current();
-    if pool.threads() == 1 || m * k * n < PAR_MIN_WORK {
-        gemm_t_rows_dispatch(a, b, k, n, 0, out, use_fma);
-        return;
+    match partition(m, k, n, pool.threads()) {
+        Partition::Inline => product.row_chunk(n, 0, out),
+        Partition::Rows(rows) => pool.for_each_chunk_mut(out, rows * n, |offset, out_rows| {
+            product.row_chunk(n, offset / n, out_rows);
+        }),
+        Partition::Cols(cols) => pool.for_each_column_tile_mut(out, n, cols, |c0, tile| {
+            product.rows(0, c0, tile);
+        }),
     }
-    // Chunk rows in units of the register block so block membership (and
-    // hence the instruction sequence per cell) is chunking-invariant.
-    let quads = m.div_ceil(MR);
-    let quads_per_chunk = quads.div_ceil(pool.threads() * CHUNKS_PER_THREAD).max(1);
-    let rows_per_chunk = quads_per_chunk * MR;
-    pool.for_each_chunk_mut(out, rows_per_chunk * n, |offset, out_rows| {
-        gemm_t_rows_dispatch(a, b, k, n, offset / n, out_rows, use_fma);
-    });
 }
 
 /// `out = A · Bᵀ` on raw row-major buffers: `a` is `[m, k]`, `b` is
 /// `[n, k]`, `out` is `[m, n]`.
 ///
-/// Row blocks are distributed over the current [`drec_par`] pool; results
-/// are bit-identical for every thread count (see the module docs). On
+/// Row chunks or column tiles are distributed over the current
+/// [`drec_par`] pool; results are bit-identical for every batch size and
+/// thread count (see the module docs). On
 /// AVX2+FMA hosts the dot cells run the 8-lane FMA micro-kernel (see
 /// [`crate::simd`]) unless `DREC_FORCE_SCALAR=1` or `DREC_GEMM_STRICT=1`
 /// pins the scalar blocked kernel. This free-function form exists so
@@ -527,6 +613,25 @@ mod tests {
         assert_eq!(out, vec![1.0, 2.0, 3.0, 4.0]);
         let mut wrong = vec![0.0f32; 3];
         assert!(a.matmul_transposed_into(&w, &mut wrong).is_err());
+    }
+
+    #[test]
+    fn partition_follows_the_documented_rule() {
+        use Partition::{Cols, Inline, Rows};
+        // Below the floor, or nobody to share with: the caller runs it.
+        assert_eq!(partition(16, 64, 33, 4), Inline);
+        assert_eq!(partition(8, 352, 256, 2), Inline);
+        assert_eq!(partition(64, 1700, 1024, 1), Inline);
+        // Fewer row quads than threads: columns, in multiples of four.
+        assert_eq!(partition(1, 1700, 1024, 2), Cols(512));
+        assert_eq!(partition(4, 1700, 1024, 2), Cols(512));
+        assert_eq!(partition(9, 1700, 1024, 4), Cols(256));
+        assert_eq!(partition(2, 1700, 1022, 4), Cols(256));
+        // ...and no more tiles than the work can fund.
+        assert_eq!(partition(3, 512, 1024, 4), Cols(512));
+        // A quad for every thread: whole-quad row chunks.
+        assert_eq!(partition(5, 1700, 1024, 2), Rows(4));
+        assert_eq!(partition(64, 1700, 1024, 2), Rows(8));
     }
 
     #[test]

@@ -59,8 +59,9 @@
 //! blocked GEMM (different lane count, contracted multiplies); its
 //! accuracy contract is a documented ULP-style bound checked in tests:
 //! `|fma − scalar| ≤ 2·(k + 8)·ε · Σ|aₗ·bₗ|` per output cell. It *is*
-//! bit-identical across thread counts (same micro-kernel per cell,
-//! chunking in register-block multiples).
+//! bit-identical across batch sizes, partitions and thread counts: every
+//! cell reduces through `dot_fma`'s sequence whichever `R×4` register
+//! block, row chunk or column tile computes it (see `linalg`'s docs).
 
 pub mod scalar;
 #[cfg(target_arch = "x86_64")]

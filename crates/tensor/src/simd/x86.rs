@@ -4,9 +4,11 @@
 //! enable = "fma")]` and must only be reached through the dispatch
 //! wrappers in [`super`], which verify the features once per process.
 //! Row kernels are bit-identical to the [`super::scalar`] oracles; the
-//! GEMM kernels follow the fixed-reduction-order design of
+//! GEMM kernel follows the fixed-reduction-order design of
 //! `linalg::dot_cell` at 8-lane width (see the module docs in [`super`]
-//! for the exact contracts).
+//! for the exact contracts). It is one function, [`gemm_block_fma`]: an
+//! `R×4` register block for any `R` in `1..=4` rows, so the driver in
+//! `linalg` never meets a row count it has to serve one row at a time.
 
 #![allow(unsafe_op_in_unsafe_fn)]
 
@@ -212,94 +214,82 @@ pub unsafe fn dot_fma(a: &[f32], b: &[f32]) -> f32 {
     sum
 }
 
-/// Rows `r0..r0 + out_rows.len()/n` of `A · Bᵀ` with the FMA micro-kernel.
+/// One register block of the FMA GEMM: `out[i][j] = ar[i] · B[c0 + j]`
+/// for `R ≤ 4` rows of A against the `out[0].len()` rows of `b` (row-major
+/// `[n, k]`) that start at row `c0`.
 ///
-/// Mirrors `linalg::gemm_t_rows`: a 4×4 register block (16 ymm
-/// accumulators, each loaded A/B chunk shared across a row/column of
-/// cells) with [`dot_fma`]-identical per-cell reduction, plus edge
-/// row/column fallbacks that call [`dot_fma`] directly. Because every
-/// cell reduces through the same sequence regardless of which path
-/// computes it, output bits do not depend on blocking or chunk
-/// boundaries — the thread-count bit-identity argument of the scalar
-/// kernel carries over unchanged.
+/// Columns go four at a time through an `R×4` block of ymm accumulators:
+/// each 8-float chunk of a B row is loaded once and multiplied into all
+/// `R` A rows, so `R` rows cost one pass over B whatever `R` is. Every
+/// cell still reduces through [`dot_fma`]'s sequence — its own FMA chain
+/// over the 8-lane body in `p` order, [`hsum8`], scalar k-tail — and the
+/// columns past the last full four call [`dot_fma`] itself. A cell's bits
+/// therefore depend on its A row and B row alone, not on `R`, `c0`, or
+/// which block, chunk or thread computed it.
 ///
 /// # Safety
 ///
-/// Caller must ensure AVX2+FMA are available and the slice geometry
-/// matches `linalg::gemm_t_rows`'s contract (`a` row-major `[m, k]`, `b`
-/// row-major `[n, k]`, `out_rows.len()` a multiple of `n`).
+/// Caller must ensure AVX2+FMA are available.
+///
+/// # Panics
+///
+/// Panics if the A rows differ in length, an output row is shorter than
+/// the first, or `b` ends before row `c0 + out[0].len()`.
 #[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn gemm_t_rows_fma(
-    a: &[f32],
+pub unsafe fn gemm_block_fma<const R: usize>(
+    ar: [&[f32]; R],
     b: &[f32],
-    k: usize,
-    n: usize,
-    r0: usize,
-    out_rows: &mut [f32],
+    c0: usize,
+    out: &mut [&mut [f32]; R],
 ) {
-    const MR: usize = 4;
     const NR: usize = 4;
-    debug_assert_eq!(out_rows.len() % n.max(1), 0);
-    let rows = out_rows.len() / n;
+    let k = ar[0].len();
+    // The loads below read `k - k % 8` floats through raw pointers.
+    assert!(ar.iter().all(|row| row.len() == k), "A rows share one k");
+    let cols = out[0].len();
     let kc = k - k % LANES;
-    let mut i = 0;
-    while i + MR <= rows {
-        let ar: [&[f32]; MR] = [
-            &a[(r0 + i) * k..(r0 + i + 1) * k],
-            &a[(r0 + i + 1) * k..(r0 + i + 2) * k],
-            &a[(r0 + i + 2) * k..(r0 + i + 3) * k],
-            &a[(r0 + i + 3) * k..(r0 + i + 4) * k],
+    let mut j = 0;
+    while j + NR <= cols {
+        let c = c0 + j;
+        let br: [&[f32]; NR] = [
+            &b[c * k..(c + 1) * k],
+            &b[(c + 1) * k..(c + 2) * k],
+            &b[(c + 2) * k..(c + 3) * k],
+            &b[(c + 3) * k..(c + 4) * k],
         ];
-        let mut j = 0;
-        while j + NR <= n {
-            let br: [&[f32]; NR] = [
-                &b[j * k..(j + 1) * k],
-                &b[(j + 1) * k..(j + 2) * k],
-                &b[(j + 2) * k..(j + 3) * k],
-                &b[(j + 3) * k..(j + 4) * k],
+        let mut acc = [[_mm256_setzero_ps(); NR]; R];
+        let mut p = 0;
+        while p < kc {
+            let bv = [
+                _mm256_loadu_ps(br[0].as_ptr().add(p)),
+                _mm256_loadu_ps(br[1].as_ptr().add(p)),
+                _mm256_loadu_ps(br[2].as_ptr().add(p)),
+                _mm256_loadu_ps(br[3].as_ptr().add(p)),
             ];
-            let mut acc = [[_mm256_setzero_ps(); NR]; MR];
-            let mut p = 0;
-            while p < kc {
-                let bv = [
-                    _mm256_loadu_ps(br[0].as_ptr().add(p)),
-                    _mm256_loadu_ps(br[1].as_ptr().add(p)),
-                    _mm256_loadu_ps(br[2].as_ptr().add(p)),
-                    _mm256_loadu_ps(br[3].as_ptr().add(p)),
-                ];
-                for (di, arow) in ar.iter().enumerate() {
-                    let av = _mm256_loadu_ps(arow.as_ptr().add(p));
-                    for (dj, &bvj) in bv.iter().enumerate() {
-                        acc[di][dj] = _mm256_fmadd_ps(av, bvj, acc[di][dj]);
-                    }
-                }
-                p += LANES;
-            }
             for (di, arow) in ar.iter().enumerate() {
-                for (dj, brow) in br.iter().enumerate() {
-                    let mut sum = hsum8(acc[di][dj]);
-                    for q in kc..k {
-                        sum += arow[q] * brow[q];
-                    }
-                    out_rows[(i + di) * n + j + dj] = sum;
+                let av = _mm256_loadu_ps(arow.as_ptr().add(p));
+                for (dj, &bvj) in bv.iter().enumerate() {
+                    acc[di][dj] = _mm256_fmadd_ps(av, bvj, acc[di][dj]);
                 }
             }
-            j += NR;
+            p += LANES;
         }
-        while j < n {
-            let brow = &b[j * k..(j + 1) * k];
-            for (di, arow) in ar.iter().enumerate() {
-                out_rows[(i + di) * n + j] = dot_fma(arow, brow);
+        for (di, arow) in ar.iter().enumerate() {
+            for (dj, brow) in br.iter().enumerate() {
+                let mut sum = hsum8(acc[di][dj]);
+                for q in kc..k {
+                    sum += arow[q] * brow[q];
+                }
+                out[di][j + dj] = sum;
             }
-            j += 1;
         }
-        i += MR;
+        j += NR;
     }
-    while i < rows {
-        let arow = &a[(r0 + i) * k..(r0 + i + 1) * k];
-        for j in 0..n {
-            out_rows[i * n + j] = dot_fma(arow, &b[j * k..(j + 1) * k]);
+    while j < cols {
+        let brow = &b[(c0 + j) * k..(c0 + j + 1) * k];
+        for (arow, out_row) in ar.iter().zip(out.iter_mut()) {
+            out_row[j] = dot_fma(arow, brow);
         }
-        i += 1;
+        j += 1;
     }
 }
