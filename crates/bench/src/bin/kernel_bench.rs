@@ -16,7 +16,10 @@
 //!
 //! SIMD gates (smoke *and* full mode, AVX2+FMA hosts only — auto-skip
 //! with a logged notice elsewhere): int8 pooled-sum vector path ≥2×
-//! scalar at dim 64, FMA GEMM ≥1.5× the scalar blocked kernel. The
+//! scalar at dim 64, FMA GEMM ≥1.5× the scalar blocked kernel, and the
+//! int8 row encoder (`quantize_i8`, ns per element at dims 32 and 64) ≥3×
+//! its scalar oracle — that one with its verdict at the top level of the
+//! JSON, `skipped: <reason>` on the forced-scalar leg. The
 //! legacy full-mode gates stay: the blocked transposed GEMM must beat
 //! the seed scalar kernel by ≥3× at 512³ on one thread, and
 //! `DREC_THREADS=4` must add further speedup when the host actually has
@@ -32,7 +35,7 @@
 //! at every shape (skipped, and said so at the top level of the JSON, on a
 //! single-core host).
 
-use drec_bench::json_f64;
+use drec_bench::{json_f64, second_core_throughput};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -52,6 +55,11 @@ const INT8_SLS_SPEEDUP_GATE: f64 = 2.0;
 /// Required FMA-over-scalar-blocked GEMM speedup on AVX2+FMA hosts
 /// (smoke and full mode).
 const GEMM_FMA_SPEEDUP_GATE: f64 = 1.5;
+/// The dispatched int8 row encoder may take at most this share of the
+/// scalar oracle's time (a 3× speedup) at every benchmarked dim.
+const QUANTIZE_GATE: f64 = 1.0 / 3.0;
+/// Row widths of the encoder benchmark: the Paper-scale embedding dims.
+const QUANTIZE_DIMS: [usize; 2] = [32, 64];
 /// Skinny-sweep gate: `t(m)` may exceed `t` at the next multiple of four
 /// by at most this factor (one thread).
 const SKINNY_CLIFF_GATE: f64 = 1.25;
@@ -324,6 +332,48 @@ fn bench_quantized_sls(
     rows_out
 }
 
+/// The int8 row encoder at one row width: nanoseconds per element for
+/// the scalar oracle and the dispatched kernel.
+struct QuantizeRow {
+    dim: usize,
+    scalar_ns: f64,
+    dispatched_ns: f64,
+}
+
+/// Times encoding one Paper-scale table (4096 rows, the store's
+/// registration loop without the store) and asserts the two encoders
+/// agree on every byte, scale and bias first.
+fn bench_quantize_i8(dim: usize, repeats: usize) -> QuantizeRow {
+    const ROWS: usize = 4096;
+    let table = ParamInit::new(0x0_18 + dim as u64).uniform(&[ROWS, dim], -0.05, 0.05);
+    let data = table.as_slice();
+    let encode = |quantize: fn(&[f32], &mut [u8]) -> (f32, f32), q: &mut [u8]| -> Vec<(f32, f32)> {
+        let rows = data.chunks_exact(dim).zip(q.chunks_exact_mut(dim));
+        rows.map(|(row, q)| quantize(row, q)).collect()
+    };
+    let (mut q, mut q_oracle) = (vec![0u8; ROWS * dim], vec![0u8; ROWS * dim]);
+    let params = encode(simd::quantize_i8_row, &mut q);
+    let params_oracle = encode(simd::scalar::quantize_i8_row, &mut q_oracle);
+    assert!(
+        q == q_oracle && params == params_oracle,
+        "dispatched int8 encoder is not byte-identical to the scalar oracle at dim {dim}"
+    );
+    let elements = (ROWS * dim) as f64;
+    // Alternating samples, fastest kept: both sides see the same host.
+    let (mut scalar_ns, mut dispatched_ns) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..repeats {
+        let scalar = time_min(1, || encode(simd::scalar::quantize_i8_row, &mut q_oracle));
+        let dispatched = time_min(1, || encode(simd::quantize_i8_row, &mut q));
+        scalar_ns = scalar_ns.min(scalar * 1e9 / elements);
+        dispatched_ns = dispatched_ns.min(dispatched * 1e9 / elements);
+    }
+    QuantizeRow {
+        dim,
+        scalar_ns,
+        dispatched_ns,
+    }
+}
+
 /// One square-size comparison of the dispatched GEMM (FMA dot cells on
 /// AVX2 hosts) against the scalar blocked kernel.
 struct GemmFmaRow {
@@ -420,30 +470,6 @@ fn bench_gemm_skinny(repeats: usize) -> Vec<SkinnyRow> {
     rows
 }
 
-/// Combined throughput of two spinning threads over that of one, each
-/// counting loop iterations for 50 ms: ≈ 2 on two free cores, ≈ 1 when the
-/// second "core" is a time-share of the first (a throttled container, an
-/// oversubscribed hypervisor). `available_parallelism` cannot tell these
-/// apart, and a two-thread timing gate means nothing on the latter.
-fn second_core_throughput() -> f64 {
-    fn spin() -> u64 {
-        let start = Instant::now();
-        let mut n = 0u64;
-        while start.elapsed().as_millis() < 50 {
-            for _ in 0..1000 {
-                n = std::hint::black_box(n + 1);
-            }
-        }
-        n
-    }
-    let alone = spin();
-    let (a, b) = std::thread::scope(|s| {
-        let other = s.spawn(spin);
-        (spin(), other.join().expect("spin thread"))
-    });
-    (a + b) as f64 / alone as f64
-}
-
 /// Worst `t(m) / t(4·⌈m/4⌉)` on one thread and worst `t(2) / t(1)` over
 /// the sweep, each with the point it occurs at.
 fn skinny_worst(rows: &[SkinnyRow]) -> ((f64, String), (f64, String)) {
@@ -466,9 +492,9 @@ fn skinny_worst(rows: &[SkinnyRow]) -> ((f64, String), (f64, String)) {
     (cliff, two)
 }
 
-/// One gate over the skinny sweep: the worst ratio found, where, and the
-/// limit it must stay under — or the reason it cannot be judged here.
-struct SkinnyGate {
+/// One top-level gate: the worst ratio found, where, and the limit it
+/// must stay under — or the reason it cannot be judged here.
+struct Gate {
     name: &'static str,
     what: &'static str,
     worst: (f64, String),
@@ -476,14 +502,14 @@ struct SkinnyGate {
     skipped: Option<String>,
 }
 
-impl SkinnyGate {
+impl Gate {
     /// `"ok"`, `"FAILED: …"` or `"skipped: <reason>"`.
     fn verdict(&self) -> String {
         match &self.skipped {
             Some(reason) => format!("skipped: {reason}"),
             None if self.worst.0 <= self.limit => "ok".to_string(),
             None => format!(
-                "FAILED: {:.2}x > {}x at {}",
+                "FAILED: {:.2}x > {:.2}x at {}",
                 self.worst.0, self.limit, self.worst.1
             ),
         }
@@ -643,7 +669,8 @@ fn write_json(
     quant_sls: &[QuantSlsRow],
     gemm_fma: &[GemmFmaRow],
     skinny: &[SkinnyRow],
-    gates: &[SkinnyGate],
+    gates: &[Gate],
+    quantize: &[QuantizeRow],
     threads_sweep: &[(usize, f64)],
     embedding: &[EmbedRow],
     models: &[ModelRow],
@@ -679,6 +706,17 @@ fn write_json(
             json_f64(r.vector_gb_s),
             json_f64(r.speedup),
             if i + 1 < quant_sls.len() { "," } else { "" }
+        ));
+    }
+    s.push_str("  ],\n  \"quantize_i8\": [\n");
+    for (i, r) in quantize.iter().enumerate() {
+        s.push_str(&format!(
+            "    {{\"dim\": {}, \"scalar_ns_per_element\": {}, \"dispatched_ns_per_element\": {}, \"speedup\": {}}}{}\n",
+            r.dim,
+            json_f64(r.scalar_ns),
+            json_f64(r.dispatched_ns),
+            json_f64(r.scalar_ns / r.dispatched_ns),
+            if i + 1 < quantize.len() { "," } else { "" }
         ));
     }
     s.push_str("  ],\n  \"gemm_fma\": [\n");
@@ -825,6 +863,40 @@ fn main() {
         );
     }
 
+    println!("Int8 row encoder, one 4096-row table (dispatched vs scalar oracle, ns per element):");
+    let quantize: Vec<QuantizeRow> = QUANTIZE_DIMS
+        .iter()
+        .map(|&dim| bench_quantize_i8(dim, if args.smoke || args.quick { 20 } else { 50 }))
+        .collect();
+    for r in &quantize {
+        println!(
+            "  dim {:<3} scalar {:.2} -> dispatched {:.2} ({:.2}x)",
+            r.dim,
+            r.scalar_ns,
+            r.dispatched_ns,
+            r.scalar_ns / r.dispatched_ns
+        );
+    }
+    let slowest = quantize
+        .iter()
+        .max_by(|a, b| (a.dispatched_ns / a.scalar_ns).total_cmp(&(b.dispatched_ns / b.scalar_ns)))
+        .expect("two dims");
+    let quantize_gate = Gate {
+        name: "quantize_i8_dispatched_3x_scalar",
+        what: "int8 encoder t(dispatched) / t(scalar)",
+        worst: (
+            slowest.dispatched_ns / slowest.scalar_ns,
+            format!("dim {}", slowest.dim),
+        ),
+        limit: QUANTIZE_GATE,
+        skipped: (simd::active_backend() != KernelBackend::Avx2Fma).then(|| {
+            format!(
+                "kernel backend is {}: the dispatched encoder is the scalar oracle",
+                simd::backend_label()
+            )
+        }),
+    };
+
     let fma_sizes: &[usize] = if args.smoke { &[128] } else { &[128, 256, 512] };
     let fma_repeats = if args.smoke || args.quick { 3 } else { 5 };
     println!("GEMM dispatched (FMA) vs scalar blocked, single thread:");
@@ -892,16 +964,17 @@ fn main() {
     }
     let (cliff, two) = skinny_worst(&skinny);
     let gates = [
-        SkinnyGate {
+        quantize_gate,
+        Gate {
             name: "gemm_skinny_no_cliff",
-            what: "t(m) / t(4*ceil(m/4)) on one thread",
+            what: "skinny GEMM t(m) / t(4*ceil(m/4)) on one thread",
             worst: cliff,
             limit: SKINNY_CLIFF_GATE,
             skipped: None,
         },
-        SkinnyGate {
+        Gate {
             name: "gemm_skinny_two_threads_never_lose",
-            what: "t(2 threads) / t(1 thread)",
+            what: "skinny GEMM t(2 threads) / t(1 thread)",
             worst: two,
             limit: SKINNY_TWO_THREAD_GATE,
             skipped: if host_parallelism == 1 {
@@ -991,6 +1064,7 @@ fn main() {
         &gemm_fma,
         &skinny,
         &gates,
+        &quantize,
         &threads_sweep,
         &embedding,
         &models,
@@ -1007,7 +1081,7 @@ fn main() {
             gate.name
         );
         println!(
-            "Gate: skinny GEMM worst {} {:.2}x <= {}x ({}) — {verdict}",
+            "Gate: worst {} {:.2}x <= {:.2}x ({}) — {verdict}",
             gate.what, gate.worst.0, gate.limit, gate.worst.1
         );
     }

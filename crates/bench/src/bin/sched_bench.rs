@@ -22,9 +22,18 @@
 //! * **bit identity** — every batch the co-located runtime executed
 //!   (CPU- or GPU-routed) replays bit-identically on a standalone
 //!   single-model engine.
+//!
+//! Also recorded, not gated: **cold start** — `start_s`, the wall time of
+//! `MultiServeRuntime::start` for the eight Paper-scale models on a
+//! tiered int8 store (the shape `perf_bench`'s `colocated_mix` starts),
+//! beside what its three steps cost when run one after another on one
+//! thread: building the models, calibrating them, starting the lane pool
+//! on them. Start overlaps the first two, so on a host with a second core
+//! `start_s` is below their sum.
 
-use drec_bench::json_f64;
+use drec_bench::{json_f64, second_core_throughput};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use drec_models::{ModelId, ModelScale};
@@ -33,7 +42,10 @@ use drec_sched::{
     replay_records, DecisionSnapshot, GpuSchedConfig, ModelProfile, ModelSlo, MultiServeHandle,
     MultiServeRuntime, ProfileConfig, SchedConfig, SchedReport,
 };
-use drec_serve::{ModelChannelSnapshot, ServeConfig, ServeRuntime};
+use drec_serve::{
+    Inline, LanePool, LaneSpec, ModelChannelSnapshot, PoolConfig, ServeConfig, ServeRuntime,
+};
+use drec_store::{CombineConfig, EmbeddingStore, RowEncoding, StoreConfig, TierConfig};
 use drec_workload::QueryGen;
 
 /// Parameter seed shared by every engine in this harness.
@@ -284,6 +296,101 @@ fn check_determinism(
         .collect()
 }
 
+/// Median seconds of the cold start and of its three steps run serially.
+struct StartTimes {
+    /// What two spinning threads did over one, read before and after
+    /// (the lower): below ≈ 1.5 the overlap had no second core to use.
+    second_core: f64,
+    start_s: f64,
+    build_s: f64,
+    calibrate_s: f64,
+    pool_s: f64,
+}
+
+/// Times `MultiServeRuntime::start` on `perf_bench`'s `colocated_mix`
+/// shape — eight Paper-scale models, one CPU worker, no accelerator, a
+/// tiered int8 store — and then the same work step by step through the
+/// public pieces start is made of; median of `reps` each, alternating.
+fn time_start(models: &[ModelId], reps: usize) -> StartTimes {
+    const ROWS: usize = 116 * 4096;
+    let store_cfg = StoreConfig {
+        encoding: RowEncoding::Int8,
+        cache_capacity_rows: ROWS / 10,
+        tier: Some(TierConfig {
+            admit_after: 2,
+            prefetch: false,
+            combine: Some(CombineConfig::default()),
+            ..TierConfig::new(ROWS / 4)
+        }),
+        ..StoreConfig::default()
+    };
+    let mut cfg = colo_config(models, 1, None);
+    cfg.scale = ModelScale::Paper;
+    cfg.max_batch = 64;
+    cfg.tuner = None;
+    cfg.store = Some(store_cfg.clone());
+    let profile_cfg = cfg.profile_config();
+    let second_core_before = second_core_throughput();
+    let (mut start, mut build, mut calibrate, mut pool) = (vec![], vec![], vec![], vec![]);
+    for _ in 0..reps {
+        let clock = Instant::now();
+        let runtime = MultiServeRuntime::start(cfg.clone()).expect("runtime starts");
+        start.push(clock.elapsed().as_secs_f64());
+        drop(runtime);
+
+        let store = Arc::new(EmbeddingStore::new(store_cfg.clone()));
+        let clock = Instant::now();
+        let built: Vec<_> = models
+            .iter()
+            .map(|id| id.build_with_store(ModelScale::Paper, SEED, Arc::clone(&store)))
+            .collect();
+        build.push(clock.elapsed().as_secs_f64());
+        let clock = Instant::now();
+        let lanes = built.into_iter().map(|model| {
+            let mut model = model.expect("model builds");
+            LaneSpec {
+                model: model.id(),
+                curve: ModelProfile::calibrate(&mut model, &profile_cfg).cpu_curve,
+                built: Some(model),
+            }
+        });
+        let lanes: Vec<LaneSpec> = lanes.collect();
+        calibrate.push(clock.elapsed().as_secs_f64());
+        let clock = Instant::now();
+        let started = LanePool::start(PoolConfig {
+            lanes,
+            scale: ModelScale::Paper,
+            seed: SEED,
+            workers: 1,
+            worker_name: "sched-bench-start",
+            extra_workers: 0,
+            max_batch: cfg.max_batch,
+            max_wait: cfg.max_wait,
+            queue_capacity: cfg.queue_capacity,
+            delay_budget: cfg.delay_budget,
+            degrade: cfg.degrade,
+            store: Some(Arc::clone(&store)),
+            par_pool: drec_par::current(),
+            supervisor: Default::default(),
+            faults: drec_faultsim::FaultHook::disabled(),
+            placement: Arc::new(Inline),
+        });
+        pool.push(clock.elapsed().as_secs_f64());
+        drop(started.expect("pool starts"));
+    }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    StartTimes {
+        second_core: second_core_before.min(second_core_throughput()),
+        start_s: median(start),
+        build_s: median(build),
+        calibrate_s: median(calibrate),
+        pool_s: median(pool),
+    }
+}
+
 fn print_decision_histogram(decisions: &[DecisionSnapshot]) {
     println!("Scheduler decisions (batches per power-of-two size bucket):");
     for d in decisions {
@@ -336,6 +443,7 @@ fn print_per_model_table(models: &[ModelChannelSnapshot], slo: Duration) {
 fn write_json(
     path: &str,
     smoke: bool,
+    start: &StartTimes,
     crossovers: &[(ModelId, Option<usize>)],
     colo_qps: f64,
     iso_qps: f64,
@@ -348,6 +456,18 @@ fn write_json(
     s.push_str(&format!(
         "  \"mode\": \"{}\",\n",
         if smoke { "smoke" } else { "full" }
+    ));
+    s.push_str(&format!(
+        "  \"host\": {{\"parallelism\": {}, \"second_core_throughput\": {}}},\n",
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+        json_f64(start.second_core),
+    ));
+    s.push_str(&format!(
+        "  \"cold_start\": {{\"models\": 8, \"scale\": \"Paper\", \"start_s\": {}, \"serial_build_s\": {}, \"serial_calibrate_s\": {}, \"serial_pool_s\": {}}},\n",
+        json_f64(start.start_s),
+        json_f64(start.build_s),
+        json_f64(start.calibrate_s),
+        json_f64(start.pool_s),
     ));
     s.push_str("  \"crossovers\": [\n");
     for (i, (id, crossover)) in crossovers.iter().enumerate() {
@@ -412,6 +532,21 @@ fn main() {
         );
     }
     println!("Gate: split decisions identical across same-seed calibrations — ok");
+
+    let start = time_start(&models, if args.smoke { 3 } else { 7 });
+    println!(
+        "\nCold start, 8 Paper-scale models on a tiered int8 store (median; {} core(s), two threads do {:.2}x one): {:.0} ms",
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+        start.second_core,
+        start.start_s * 1e3
+    );
+    println!(
+        "  its steps run serially: build {:.0} ms + calibrate {:.0} ms + pool {:.0} ms = {:.0} ms",
+        start.build_s * 1e3,
+        start.calibrate_s * 1e3,
+        start.pool_s * 1e3,
+        (start.build_s + start.calibrate_s + start.pool_s) * 1e3
+    );
 
     // Gate 2: co-location beats isolation at equal worker count.
     // Both sides get 8 real worker threads and the identical seeded
@@ -508,6 +643,7 @@ fn main() {
     write_json(
         "BENCH_sched.json",
         args.smoke,
+        &start,
         &crossovers,
         colo_qps,
         iso_qps,

@@ -161,6 +161,30 @@ pub fn json_f64(v: f64) -> String {
     }
 }
 
+/// Combined throughput of two spinning threads over that of one, each
+/// counting loop iterations for 50 ms: ≈ 2 on two free cores, ≈ 1 when the
+/// second "core" is a time-share of the first (a throttled container, an
+/// oversubscribed hypervisor). `available_parallelism` cannot tell these
+/// apart, and a two-thread timing gate means nothing on the latter.
+pub fn second_core_throughput() -> f64 {
+    fn spin() -> u64 {
+        let start = std::time::Instant::now();
+        let mut n = 0u64;
+        while start.elapsed().as_millis() < 50 {
+            for _ in 0..1000 {
+                n = std::hint::black_box(n + 1);
+            }
+        }
+        n
+    }
+    let alone = spin();
+    let (a, b) = std::thread::scope(|s| {
+        let other = s.spawn(spin);
+        (spin(), other.join().expect("spin thread"))
+    });
+    (a + b) as f64 / alone as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -168,3 +168,45 @@ fn wrong_inputs_are_rejected() {
     // And the wrong input count.
     assert!(model.run(vec![]).is_err());
 }
+
+/// A build that finds its tables already in the store skips their draws
+/// instead of making them; everything drawn afterwards (the FC weights),
+/// and so every output, must be what a build into an empty store gets.
+#[test]
+fn a_build_onto_registered_tables_equals_a_fresh_store_build() {
+    use drec_store::{EmbeddingStore, RowEncoding, StoreConfig};
+    use std::sync::Arc;
+    let int8 = || {
+        Arc::new(EmbeddingStore::new(StoreConfig {
+            encoding: RowEncoding::Int8,
+            ..StoreConfig::default()
+        }))
+    };
+    let bits = |values: &[Value]| -> Vec<Vec<u32>> {
+        let dense = values.iter().map(|v| v.as_dense().unwrap().as_slice());
+        dense
+            .map(|t| t.iter().map(|f| f.to_bits()).collect())
+            .collect()
+    };
+    let shared = int8();
+    for id in ModelId::ALL {
+        let mut first = id
+            .build_with_store(ModelScale::Tiny, 7, Arc::clone(&shared))
+            .unwrap();
+        let tables = shared.stats().tables;
+        let mut replica = id
+            .build_with_store(ModelScale::Tiny, 7, Arc::clone(&shared))
+            .unwrap();
+        assert_eq!(shared.stats().tables, tables, "{id} registered twice");
+        let mut fresh = id.build_with_store(ModelScale::Tiny, 7, int8()).unwrap();
+        assert_eq!(
+            replica.capture_fc_weights(),
+            fresh.capture_fc_weights(),
+            "{id}: FC weights drawn after a skipped table differ"
+        );
+        let inputs = make_inputs(&fresh, 3, 23);
+        let want = bits(&fresh.run(inputs.clone()).unwrap());
+        assert_eq!(bits(&replica.run(inputs.clone()).unwrap()), want, "{id}");
+        assert_eq!(bits(&first.run(inputs).unwrap()), want, "{id}");
+    }
+}

@@ -133,10 +133,12 @@ impl EmbeddingTable {
     /// the pair is already registered (another worker built the same
     /// model from the same seed) the existing rows are shared.
     ///
-    /// The parameter RNG is always advanced by exactly one table draw —
-    /// including on the dedup path — so a store-backed build consumes the
-    /// same `init` stream as a dense build and every downstream parameter
-    /// (FC weights, further tables) stays bit-identical.
+    /// The parameter RNG always advances by exactly one table draw, so a
+    /// store-backed build consumes the same `init` stream as a dense
+    /// build and every downstream parameter (FC weights, further tables)
+    /// stays bit-identical. On the dedup path the draw is skipped over
+    /// ([`ParamInit::skip`]), not made: nothing is generated or allocated
+    /// for a table the store already holds.
     ///
     /// # Errors
     ///
@@ -155,17 +157,22 @@ impl EmbeddingTable {
     ) -> Result<Arc<Self>> {
         Self::validate(virtual_rows, dim, physical_cap)?;
         let physical_rows = virtual_rows.min(physical_cap);
-        // Drawn unconditionally (even when registration dedups to an
-        // existing table) to keep the RNG stream aligned with a dense
-        // build.
-        let data = init.uniform(&[physical_rows, dim], -0.05, 0.05);
+        let registered = store.registered(namespace, ordinal, physical_rows, dim);
+        let handle = registered.and_then(|hit| match hit {
+            Some(handle) => {
+                init.skip(physical_rows * dim);
+                Ok(handle)
+            }
+            None => {
+                let data = init.uniform(&[physical_rows, dim], -0.05, 0.05);
+                store.register(namespace, ordinal, physical_rows, dim, data.as_slice())
+            }
+        });
+        let handle = handle.map_err(|e| OpError::InvalidInput {
+            op: "EmbeddingTable",
+            message: e.to_string(),
+        })?;
         let base = ctx.alloc_param((virtual_rows * dim * 4) as u64);
-        let handle = store
-            .register(namespace, ordinal, physical_rows, dim, data.as_slice())
-            .map_err(|e| OpError::InvalidInput {
-                op: "EmbeddingTable",
-                message: e.to_string(),
-            })?;
         Ok(Arc::new(EmbeddingTable {
             backing: Backing::Store(store.pin(handle)),
             physical_rows,

@@ -28,6 +28,14 @@
 //! the arrival directly to the accelerator backlog instead of shedding;
 //! only when that backlog is also full does the caller see the typed
 //! [`ServeError::NoBackendAvailable`] — shed, never hung.
+//!
+//! Start builds each model once: on the calling thread, in lane order (so
+//! the shared store gives every table the slot it always had), handing
+//! each to [`drec_serve::crew`], which calibrates the [`ModelProfile`]s
+//! concurrently — a profile depends only on the model's parameters and
+//! the calibration seed, so this is the serial result. The calibrated
+//! model travels to the pool in its [`LaneSpec`] and is the one the lane's
+//! first engine serves.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -39,9 +47,10 @@ use drec_models::{InputSpec, ModelId, ModelScale};
 use drec_ops::Value;
 use drec_par::ParPool;
 use drec_serve::{
-    BatchExecution, DegradeConfig, EmbeddingStore, Engine, FaultHook, Lane, LanePool, LaneSet,
-    MetricsRegistry, MetricsSnapshot, ModelUpdateChannel, PendingResponse, Placement, PoolConfig,
-    Request, Result, ServeError, StoreConfig, SubmitOptions, SupervisorConfig, Worker,
+    crew, BatchExecution, DegradeConfig, EmbeddingStore, Engine, FaultHook, Lane, LanePool,
+    LaneSet, LaneSpec, MetricsRegistry, MetricsSnapshot, ModelUpdateChannel, PendingResponse,
+    Placement, PoolConfig, Request, Result, ServeError, StoreConfig, SubmitOptions,
+    SupervisorConfig, Worker,
 };
 
 use crate::profile::{ModelProfile, ProfileConfig};
@@ -231,6 +240,20 @@ pub struct SchedConfig {
 }
 
 impl SchedConfig {
+    /// The calibration inputs start derives from this configuration:
+    /// what [`ModelProfile::calibrate`] needs to reproduce a lane's
+    /// profile outside the runtime.
+    pub fn profile_config(&self) -> ProfileConfig {
+        ProfileConfig {
+            calibration_batches: self.calibration_batches.clone(),
+            seed: self.seed ^ 0x5EED_CA11,
+            cpu: self.cpu_platform.clone(),
+            gpu: self.gpu.as_ref().map(|g| g.gpu),
+            pcie_extra_s: self.gpu.as_ref().map_or(0.0, |g| g.pcie_extra_s),
+            max_batch: self.max_batch,
+        }
+    }
+
     /// A small, fast configuration for tests: tiny models, 2 CPU
     /// workers, accelerator enabled, tuner on.
     pub fn tiny(models: Vec<ModelSlo>) -> Self {
@@ -444,8 +467,9 @@ pub struct MultiServeRuntime {
 }
 
 impl MultiServeRuntime {
-    /// Calibrates every model's placement profile and starts the lane
-    /// pool, the accelerator worker, and the tuner.
+    /// Builds every model and calibrates its placement profile (see the
+    /// module docs for the order), then starts the lane pool on those
+    /// models, the accelerator worker, and the tuner.
     ///
     /// # Errors
     ///
@@ -484,26 +508,33 @@ impl MultiServeRuntime {
             .clone()
             .map(|sc| Arc::new(EmbeddingStore::new(sc)));
 
-        let profile_cfg = ProfileConfig {
-            calibration_batches: cfg.calibration_batches.clone(),
-            seed: cfg.seed ^ 0x5EED_CA11,
-            cpu: cfg.cpu_platform.clone(),
-            gpu: cfg.gpu.as_ref().map(|g| g.gpu),
-            pcie_extra_s: cfg.gpu.as_ref().map_or(0.0, |g| g.pcie_extra_s),
-            max_batch: cfg.max_batch,
+        let profile_cfg = cfg.profile_config();
+        // Built here in lane order, calibrated on the crew as they appear:
+        // each model is then the one its lane's first engine serves.
+        let build = |slo: &ModelSlo| match &store {
+            Some(s) => slo.id.build_with_store(cfg.scale, cfg.seed, Arc::clone(s)),
+            None => slo.id.build(cfg.scale, cfg.seed),
         };
+        let calibrated = crew(cfg.models.iter().map(build), |built| {
+            built.map(|mut model| {
+                let profile = ModelProfile::calibrate(&mut model, &profile_cfg);
+                (model, profile)
+            })
+        });
         let mut lanes = Vec::with_capacity(cfg.models.len());
-        for slo in &cfg.models {
-            let mut model = match &store {
-                Some(s) => slo.id.build_with_store(cfg.scale, cfg.seed, Arc::clone(s)),
-                None => slo.id.build(cfg.scale, cfg.seed),
-            }
-            .map_err(|e| ServeError::WorkerFailed {
+        let mut specs = Vec::with_capacity(cfg.models.len());
+        for (slo, calibrated) in cfg.models.iter().zip(calibrated) {
+            let (model, profile) = calibrated.map_err(|e| ServeError::WorkerFailed {
                 reason: format!("model build failed: {e}"),
             })?;
+            specs.push(LaneSpec {
+                model: slo.id,
+                curve: profile.cpu_curve.clone(),
+                built: Some(model),
+            });
             lanes.push(ColoLane {
                 model: slo.id,
-                profile: ModelProfile::calibrate(&mut model, &profile_cfg),
+                profile,
                 decisions: DecisionStats::default(),
                 pool_tier: AtomicUsize::new(0),
             });
@@ -526,11 +557,7 @@ impl MultiServeRuntime {
         // The CPU pool: the serving core, one lane per model, each
         // priced by its calibrated CPU curve.
         let pool = LanePool::start(PoolConfig {
-            lanes: colo
-                .lanes
-                .iter()
-                .map(|lane| (lane.model, lane.profile.cpu_curve.clone()))
-                .collect(),
+            lanes: specs,
             scale: cfg.scale,
             seed: cfg.seed,
             workers: cfg.cpu_workers,
@@ -620,6 +647,13 @@ impl MultiServeRuntime {
     /// The input contract of `model`, when co-located here.
     pub fn spec(&self, model: ModelId) -> Option<&InputSpec> {
         lane_of(&self.pool, model).map(|(_, lane)| &lane.spec)
+    }
+
+    /// The placement profile `model` was calibrated to at start, when
+    /// co-located here.
+    pub fn profile(&self, model: ModelId) -> Option<&ModelProfile> {
+        let lane = self.colo.lanes.iter().find(|lane| lane.model == model);
+        lane.map(|lane| &lane.profile)
     }
 
     /// Graceful shutdown: stop admission on every lane, drain all queued

@@ -58,7 +58,10 @@ pub use metrics::{
     LatencyHistogram, MetricsRegistry, MetricsSnapshot, ModelChannelMetrics, ModelChannelSnapshot,
     WorkerMetrics,
 };
-pub use pool::{Inline, Lane, LanePool, LaneSet, Placement, PoolConfig, SupervisorConfig, Worker};
+pub use pool::{
+    crew, Inline, Lane, LanePool, LaneSet, LaneSpec, Placement, PoolConfig, SupervisorConfig,
+    Worker,
+};
 pub use request::{
     coalesce_inputs, split_outputs, validate_single, Priority, Request, RequestId, Response,
     SubmitOptions,

@@ -31,17 +31,24 @@
 //! and keeps serving. A worker that finds the budget spent exits; the
 //! last one out closes every lane and answers all queued work with a
 //! typed error, so nothing ever hangs.
+//!
+//! Start builds each lane's model once, in lane order on the calling
+//! thread (registration order is a table's slot in a shared store) — or
+//! takes it built from its [`LaneSpec`] — and it becomes worker 0's
+//! engine. All engines are finished on a [`crew`]: worker 0's compile
+//! their plans while the other workers' replicas build, finding their
+//! tables registered and drawing only FC weights.
 
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use drec_core::serving::LatencyCurve;
 use drec_faultsim::FaultHook;
-use drec_models::{InputSpec, ModelId, ModelScale};
+use drec_models::{InputSpec, ModelId, ModelScale, RecModel};
 use drec_ops::Value;
 use drec_par::ParPool;
 use drec_store::EmbeddingStore;
@@ -121,12 +128,26 @@ pub struct Inline;
 
 impl Placement for Inline {}
 
+/// One lane of a [`PoolConfig`].
+#[derive(Debug)]
+pub struct LaneSpec {
+    /// The model the lane serves.
+    pub model: ModelId,
+    /// The latency curve that prices its modelled batch timings and
+    /// admission-delay estimate.
+    pub curve: LatencyCurve,
+    /// That model already built (at the pool's scale and seed, against its
+    /// store) by a caller that needed it first — the scheduler calibrates
+    /// `curve` on it. It becomes worker 0's engine; `None` has the pool
+    /// build it. All lanes of one pool agree.
+    pub built: Option<RecModel>,
+}
+
 /// Configuration for [`LanePool::start`].
 #[derive(Debug)]
 pub struct PoolConfig {
-    /// The lanes: one model each, with the latency curve that prices its
-    /// modelled batch timings and admission-delay estimate. Non-empty.
-    pub lanes: Vec<(ModelId, LatencyCurve)>,
+    /// The lanes, one model each. Non-empty.
+    pub lanes: Vec<LaneSpec>,
     /// Scale every model is built at.
     pub scale: ModelScale,
     /// Parameter seed shared by all engines (replicas agree).
@@ -157,6 +178,53 @@ pub struct PoolConfig {
     pub faults: FaultHook,
     /// Batch placement; [`Inline`] for a single backend.
     pub placement: Arc<dyn Placement>,
+}
+
+/// Runs `work` over the jobs `source` yields; results in source order.
+/// `source` is driven on the calling thread, so what it does to make a job
+/// (building a model against a shared store) happens serially and in
+/// order, while `min(available_parallelism, jobs) - 1` scoped helpers —
+/// and the caller, once the source is exhausted — take jobs as they
+/// appear. One job, or one core, spawns nothing. Helpers run under the
+/// caller's [`drec_par::current`] pool; a panic of `work` resumes on the
+/// caller.
+pub fn crew<T: Send, R: Send>(
+    source: impl ExactSizeIterator<Item = T>,
+    work: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let helpers = cores.min(source.len()).saturating_sub(1);
+    let (tx, rx) = mpsc::channel::<(usize, T)>();
+    let rx = Mutex::new(rx);
+    let drain = || {
+        let mut done = Vec::new();
+        loop {
+            // The guard drops at the end of this statement, before `work`.
+            let job = rx.lock().expect("nothing panics holding it").recv();
+            let Ok((index, job)) = job else { return done };
+            done.push((index, work(job)));
+        }
+    };
+    let par = drec_par::current();
+    let mut done = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (0..helpers)
+            .map(|_| scope.spawn(|| drec_par::with_pool(&par, drain)))
+            .collect();
+        // Owned by this closure, so that a panic of `source` still hangs
+        // up on the helpers the scope then waits for.
+        let tx = tx;
+        for job in source.enumerate() {
+            tx.send(job).expect("the receiver outlives the scope");
+        }
+        drop(tx);
+        let mut done = drain();
+        for helper in helpers {
+            done.extend(helper.join().unwrap_or_else(|p| resume_unwind(p)));
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(index, _)| index);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 /// One model's serving state inside a pool (shared, so read-only).
@@ -197,34 +265,37 @@ pub struct LaneSet {
 }
 
 impl LaneSet {
-    /// Builds a fresh engine for a lane — at startup, and when a worker
-    /// replaces one that panicked. Same model, same seed: replicas agree.
-    fn build_engine(
-        &self,
-        model: ModelId,
-        curve: &LatencyCurve,
-        update: &Arc<ModelUpdateChannel>,
-    ) -> Result<Engine> {
+    fn build_model(&self, model: ModelId) -> Result<RecModel> {
         let cfg = &self.cfg;
-        let model = match &cfg.store {
+        match &cfg.store {
             Some(s) => model.build_with_store(cfg.scale, cfg.seed, Arc::clone(s)),
             None => model.build(cfg.scale, cfg.seed),
         }
         .map_err(|e| ServeError::WorkerFailed {
             reason: format!("model build failed: {e}"),
-        })?;
+        })
+    }
+
+    /// The one engine builder — at start, and when a worker replaces an
+    /// engine that panicked — around `built`, or a fresh build of the
+    /// lane's model: same model, same seed, so replicas agree.
+    fn build_engine(&self, lane: &Lane, built: Option<RecModel>) -> Result<Engine> {
+        let cfg = &self.cfg;
+        let model = match built {
+            Some(model) => model,
+            None => self.build_model(lane.model)?,
+        };
         let pool = Arc::clone(&cfg.par_pool);
-        let mut engine = Engine::with_store(model, curve.clone(), pool, cfg.store.clone());
+        let mut engine = Engine::with_store(model, lane.curve.clone(), pool, cfg.store.clone());
         engine.set_fault_hook(cfg.faults.clone());
-        engine.set_update_channel(Arc::clone(update));
+        engine.set_update_channel(Arc::clone(&lane.update));
         Ok(engine)
     }
 
+    /// Fresh engines for `lanes`, built side by side when there are several.
     fn build_engines(&self, lanes: Range<usize>) -> Result<Vec<Engine>> {
-        let lanes = self.lanes[lanes].iter();
-        lanes
-            .map(|l| self.build_engine(l.model, &l.curve, &l.update))
-            .collect()
+        let engines = crew(self.lanes[lanes].iter(), |l| self.build_engine(l, None));
+        engines.into_iter().collect()
     }
 
     /// The one admission path: validates one sample (batch-dimension-1
@@ -551,8 +622,8 @@ impl std::ops::Deref for LanePool {
 }
 
 impl LanePool {
-    /// Builds the lanes and `cfg.workers` engines per lane, and starts
-    /// the workers.
+    /// Builds the lanes and one engine per lane and worker (see the
+    /// module docs for the order), and starts the workers.
     ///
     /// # Errors
     ///
@@ -585,10 +656,11 @@ impl LanePool {
         // overload level. Co-located lanes share the store, so none of
         // their ladders may flip it for the others.
         let sole_lane = lane_cfgs.len() == 1;
-        // Worker 0's engines, which double as the source of each lane's
-        // input contract and store bindings.
-        let mut engines = Vec::with_capacity(lane_cfgs.len());
-        for (model, curve) in lane_cfgs {
+        // Each lane's model: the source of its input contract and store
+        // bindings, then worker 0's engine.
+        let mut models = Vec::with_capacity(lane_cfgs.len());
+        for spec in lane_cfgs {
+            let (model, curve) = (spec.model, spec.curve);
             let cfg = &set.cfg;
             let store = cfg.store.clone();
             let ladder = Arc::new(OverloadLadder::new(
@@ -623,18 +695,21 @@ impl LanePool {
             let namespace = drec_models::store_namespace(model, cfg.scale, cfg.seed);
             let update = Arc::new(ModelUpdateChannel::new(model.name(), namespace, store));
             update.set_ladder(ladder);
-            let engine = set.build_engine(model, &curve, &update)?;
+            let built = match spec.built {
+                Some(built) => built,
+                None => set.build_model(model)?,
+            };
             // Stream prefetch: only when the shared store is tiered with
             // prefetch on and the model exposes store bindings.
             let bindings = match &set.cfg.store {
-                Some(s) if s.prefetch_enabled() => engine.store_bindings(),
+                Some(s) if s.prefetch_enabled() => built.store_bindings(),
                 _ => Vec::new(),
             };
             let prefetcher = (!bindings.is_empty())
                 .then(|| Prefetcher::start(bindings))
                 .transpose()?;
-            let spec = engine.spec().clone();
-            engines.push(engine);
+            let spec = built.spec().clone();
+            models.push(Some(built));
             set.lanes.push(Lane {
                 model,
                 spec,
@@ -651,14 +726,18 @@ impl LanePool {
             core: Arc::new(set),
             threads: Vec::new(),
         };
-        let mut first_engines = Some(engines);
+        // One engine per lane and worker, worker-major: worker 0's hold
+        // the models above, the rest are replica builds.
+        let lanes = &pool.core.lanes;
+        models.resize_with(lanes.len() * pool.cfg.workers, || None);
+        let engines = crew(models.into_iter().enumerate(), |(i, built)| {
+            pool.build_engine(&lanes[i % lanes.len()], built)
+        });
+        let mut engines = engines.into_iter();
         for index in 0..pool.cfg.workers {
             let mut worker = Worker {
                 index,
-                engines: match first_engines.take() {
-                    Some(engines) => engines,
-                    None => pool.build_engines(0..pool.lanes.len())?,
-                },
+                engines: engines.by_ref().take(lanes.len()).collect::<Result<_>>()?,
                 core: Arc::clone(&pool.core),
             };
             let thread = std::thread::Builder::new()

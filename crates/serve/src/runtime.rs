@@ -30,7 +30,7 @@ use drec_store::{EmbeddingStore, StoreConfig};
 use crate::degrade::DegradeConfig;
 use crate::error::{Result, ServeError};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
-use crate::pool::{Inline, LanePool, LaneSet, PoolConfig, SupervisorConfig};
+use crate::pool::{Inline, LanePool, LaneSet, LaneSpec, PoolConfig, SupervisorConfig};
 use crate::request::{RequestId, Response, SubmitOptions};
 use crate::update::ModelUpdateChannel;
 
@@ -117,7 +117,11 @@ impl ServeRuntime {
             .store
             .map(|sc| Arc::new(EmbeddingStore::with_faults(sc, faults.clone())));
         let pool = LanePool::start(PoolConfig {
-            lanes: vec![(cfg.model, cfg.curve)],
+            lanes: vec![LaneSpec {
+                model: cfg.model,
+                curve: cfg.curve,
+                built: None,
+            }],
             scale: cfg.scale,
             seed: cfg.seed,
             workers: cfg.workers,

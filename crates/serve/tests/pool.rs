@@ -10,8 +10,8 @@ use std::time::Duration;
 use drec_core::serving::LatencyCurve;
 use drec_models::{ModelId, ModelScale};
 use drec_serve::{
-    DegradeConfig, FaultHook, FaultPlan, Inline, LanePool, PendingResponse, PoolConfig, ServeError,
-    SubmitOptions, SupervisorConfig,
+    DegradeConfig, FaultHook, FaultPlan, Inline, LanePool, LaneSpec, PendingResponse, PoolConfig,
+    ServeError, SubmitOptions, SupervisorConfig,
 };
 use drec_workload::QueryGen;
 
@@ -24,14 +24,13 @@ fn two_lane_pool(
     max_batch: usize,
     max_wait: Duration,
 ) -> LanePool {
-    let lane = |model| {
-        (
-            model,
-            LatencyCurve::from_points(vec![(1, 1e-4), (1024, 1e-2)]),
-        )
+    let lane = |model| LaneSpec {
+        model,
+        curve: LatencyCurve::from_points(vec![(1, 1e-4), (1024, 1e-2)]),
+        built: None,
     };
     LanePool::start(PoolConfig {
-        lanes: MODELS.map(lane).to_vec(),
+        lanes: MODELS.map(lane).into(),
         scale: ModelScale::Tiny,
         seed: 7,
         workers: 2,

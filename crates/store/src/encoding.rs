@@ -13,8 +13,8 @@
 //! decode adversarial rows and assert the measured max absolute error
 //! never exceeds the documented bound.
 //!
-//! Decode and pooled-sum run through the runtime-dispatched kernels in
-//! [`drec_tensor::simd`] — AVX2/FMA on capable x86_64 hosts, the portable
+//! Decode, pooled-sum and int8 encode run through the runtime-dispatched
+//! kernels in [`drec_tensor::simd`] — AVX2/FMA on capable x86_64 hosts, the portable
 //! scalar oracles otherwise (or under `DREC_FORCE_SCALAR=1`). Both paths
 //! are bit-identical by contract (see that module's docs), and every call
 //! reports which path ran ([`drec_tensor::simd::KernelPath`]) so the
@@ -77,7 +77,7 @@ impl RowEncoding {
                 max_abs * (1.0 / 2048.0) + 5.97e-8
             }
             RowEncoding::Int8 => {
-                let (min, max) = min_max(row);
+                let (min, max) = simd::scalar::min_max_f32(row);
                 let scale = (max - min) / 255.0;
                 let max_abs = max.abs().max(min.abs());
                 0.5 * scale + max_abs * 1.2e-7 + f32::MIN_POSITIVE
@@ -92,26 +92,21 @@ impl std::fmt::Display for RowEncoding {
     }
 }
 
-/// (min, max) of a row; `(0, 0)` for an empty row.
-fn min_max(row: &[f32]) -> (f32, f32) {
-    let mut min = f32::INFINITY;
-    let mut max = f32::NEG_INFINITY;
-    for &v in row {
-        min = min.min(v);
-        max = max.max(v);
-    }
-    if min > max {
-        (0.0, 0.0)
-    } else {
-        (min, max)
-    }
-}
-
 // The software binary16 conversions moved next to their SIMD
 // counterparts in `drec_tensor::simd` (the vector decode must match them
 // bit-for-bit, so they live in one place); re-exported here because they
 // are part of this crate's public API since PR 3.
 pub use drec_tensor::simd::{f16_bits_to_f32, f32_to_f16_bits};
+
+/// Quantizes one row into `q`, returning `(scale, bias)`: the dispatched
+/// kernel (AVX2 on capable hosts, byte-identical to its scalar oracle)
+/// that every int8 row the store encodes — at registration and on a live
+/// update — goes through. The arithmetic runs in f64, so the only
+/// significant error sources are the half-step rounding and the
+/// decode-side fused multiply-add, both covered by
+/// [`RowEncoding::error_bound`]. Public so benchmarks can build raw
+/// quantized buffers without going through a store.
+pub use drec_tensor::simd::quantize_i8_row as quantize_row;
 
 /// The resident storage for one shard's rows in a chosen encoding.
 ///
@@ -311,27 +306,6 @@ impl EncodedRow {
         };
         values
     }
-}
-
-/// Quantizes one row into `q`, returning `(scale, bias)`. The arithmetic
-/// runs in f64 so the only significant error sources are the half-step
-/// rounding and the decode-side fused multiply-add — both covered by
-/// [`RowEncoding::error_bound`]. Public so benchmarks can build raw
-/// quantized buffers for oracle-vs-dispatched comparisons without going
-/// through a store.
-pub fn quantize_row(row: &[f32], q: &mut [u8]) -> (f32, f32) {
-    let (min, max) = min_max(row);
-    let scale = (max - min) / 255.0;
-    if scale <= 0.0 || !scale.is_finite() {
-        // Constant row: bias carries the value exactly.
-        q.fill(0);
-        return (0.0, min);
-    }
-    let (s, b) = (f64::from(scale), f64::from(min));
-    for (qv, &x) in q.iter_mut().zip(row) {
-        *qv = ((f64::from(x) - b) / s).round().clamp(0.0, 255.0) as u8;
-    }
-    (scale, min)
 }
 
 #[cfg(test)]

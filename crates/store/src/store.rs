@@ -510,18 +510,8 @@ impl EmbeddingStore {
         // are recovered (not propagated): registration must keep working
         // after a worker panic so the supervisor can rebuild engines.
         let mut index = self.index.lock();
-        if let Some(&slot) = index.get(&(namespace, ordinal)) {
-            let tables = self.tables.read();
-            let existing = &tables[slot];
-            if existing.rows != rows || existing.dim != dim {
-                return Err(StoreError::ShapeMismatch {
-                    namespace,
-                    ordinal,
-                    existing: (existing.rows, existing.dim),
-                    requested: (rows, dim),
-                });
-            }
-            return Ok(TableHandle(slot));
+        if let Some(handle) = self.existing(&index, namespace, ordinal, rows, dim)? {
+            return Ok(handle);
         }
         let table = Arc::new(StoredTable::new(
             self.cfg.encoding,
@@ -535,6 +525,52 @@ impl EmbeddingStore {
         tables.push(table);
         index.insert((namespace, ordinal), slot);
         Ok(TableHandle(slot))
+    }
+
+    /// The dedup check: the handle `(namespace, ordinal)` is registered
+    /// under, `None` when it is not, a [`StoreError::ShapeMismatch`] when
+    /// it is with another shape than `rows × dim`.
+    fn existing(
+        &self,
+        index: &HashMap<(u64, u32), usize>,
+        namespace: u64,
+        ordinal: u32,
+        rows: usize,
+        dim: usize,
+    ) -> Result<Option<TableHandle>, StoreError> {
+        let Some(&slot) = index.get(&(namespace, ordinal)) else {
+            return Ok(None);
+        };
+        let existing = &self.tables.read()[slot];
+        if existing.rows != rows || existing.dim != dim {
+            return Err(StoreError::ShapeMismatch {
+                namespace,
+                ordinal,
+                existing: (existing.rows, existing.dim),
+                requested: (rows, dim),
+            });
+        }
+        Ok(Some(TableHandle(slot)))
+    }
+
+    /// What [`EmbeddingStore::register`] would answer on a dedup hit,
+    /// without the data: the handle of the `rows × dim` table already
+    /// registered under `(namespace, ordinal)`, or `None` when the pair is
+    /// free. A builder asks this first so that a replica build neither
+    /// draws nor allocates a table only to have it ignored.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::ShapeMismatch`] when the pair is registered with a
+    /// different shape.
+    pub fn registered(
+        &self,
+        namespace: u64,
+        ordinal: u32,
+        rows: usize,
+        dim: usize,
+    ) -> Result<Option<TableHandle>, StoreError> {
+        self.existing(&self.index.lock(), namespace, ordinal, rows, dim)
     }
 
     /// A cheap, cloneable accessor pinning `handle`'s table so lookups

@@ -27,6 +27,15 @@ pub struct ParamInit {
     state: u64,
 }
 
+/// One xorshift64 state transition.
+#[inline]
+fn step(mut x: u64) -> u64 {
+    x ^= x >> 12;
+    x ^= x << 25;
+    x ^= x >> 27;
+    x
+}
+
 impl ParamInit {
     /// Creates an initialiser with the given seed.
     pub fn new(seed: u64) -> Self {
@@ -38,12 +47,19 @@ impl ParamInit {
 
     /// Next raw 64-bit value (xorshift64*).
     pub fn next_u64(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        self.state = step(self.state);
+        self.state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    /// Advances the stream past `n` draws without producing them: the
+    /// state `n` calls of [`ParamInit::next_u64`] (so `n` samples, or an
+    /// `n`-element tensor) would leave. How a build that finds its
+    /// embedding table already in a shared store keeps every later
+    /// parameter identical to a build that drew the table.
+    pub fn skip(&mut self, n: usize) {
+        for _ in 0..n {
+            self.state = step(self.state);
+        }
     }
 
     /// Uniform sample in `[0, 1)`.
@@ -90,6 +106,26 @@ mod tests {
         let c = ParamInit::new(8).uniform(&[8], 0.0, 1.0);
         assert_eq!(a, b);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn skip_leaves_the_state_of_as_many_draws() {
+        for n in [0usize, 1, 2, 131_072] {
+            let mut drawn = ParamInit::new(7);
+            for _ in 0..n {
+                drawn.next_f32();
+            }
+            let mut skipped = ParamInit::new(7);
+            skipped.skip(n);
+            assert_eq!(drawn.state, skipped.state, "after {n} draws");
+            assert_eq!(drawn.next_u64(), skipped.next_u64());
+        }
+        // A tensor draw is one sample per element.
+        let mut drawn = ParamInit::new(9);
+        drawn.uniform(&[5, 3], -0.05, 0.05);
+        let mut skipped = ParamInit::new(9);
+        skipped.skip(15);
+        assert_eq!(drawn.state, skipped.state);
     }
 
     #[test]

@@ -51,6 +51,18 @@
 //!   once per row — the seed kernel's per-element `f64` widen/multiply/
 //!   narrow round-trip is gone.
 //!
+//! * **int8 encode** — the quotient `(x − bias) / scale` is computed in
+//!   f64 by the same three correctly rounded operations on both paths
+//!   (widen, subtract, divide; `vdivpd` rounds as `divsd` does). The
+//!   oracle rounds with `f64::round`; the vector path with
+//!   `floor(t) + (t − floor(t) ≥ 0.5)`, exact because a double's
+//!   fractional part is, and equal to `f64::round` for every `t ≥ 0` — all
+//!   there are, since the bias is the row minimum. The clamp to
+//!   `[0, 255]` is a pair of saturating packs, which also send a NaN to
+//!   0 as `NaN as u8` does. Bias and scale come from the same scalar
+//!   expressions; a vector min/max only finds the extremes, and a zero
+//!   minimum is re-read by the scalar loop so its sign bit is that loop's.
+//!
 //! Row tails (`dim % 8 != 0`) fall back to the identical scalar
 //! per-element expression, so odd dims, `dim == 1`, and empty rows are
 //! covered by the same contract.
@@ -269,6 +281,26 @@ pub fn sum_i8_into(q: &[u8], scale: f32, bias: f32, acc: &mut [f32]) -> KernelPa
     }
     scalar::sum_i8_into(q, scale, bias, acc);
     KernelPath::Scalar
+}
+
+/// Quantizes one row to int8 — `q[i] = round((row[i] - bias) / scale)`
+/// clamped to `[0, 255]`, `bias` the row minimum, `scale = (max - min) /
+/// 255` — and returns `(scale, bias)`. Byte-identical on every backend to
+/// [`scalar::quantize_i8_row`], the oracle (see "int8 encode" in the
+/// module docs).
+///
+/// # Panics
+///
+/// Panics if the slice lengths differ.
+#[inline]
+pub fn quantize_i8_row(row: &[f32], q: &mut [u8]) -> (f32, f32) {
+    assert_eq!(row.len(), q.len(), "quantize_i8_row length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if active_backend() == KernelBackend::Avx2Fma {
+        // SAFETY: AVX2 presence was verified by the dispatch probe.
+        return unsafe { x86::quantize_i8_row(row, q) };
+    }
+    scalar::quantize_i8_row(row, q)
 }
 
 /// Converts an `f32` to IEEE 754 binary16 bits with round-to-nearest-even,

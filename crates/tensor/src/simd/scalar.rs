@@ -47,3 +47,51 @@ pub fn sum_i8_into(q: &[u8], scale: f32, bias: f32, acc: &mut [f32]) {
         *a += scale.mul_add(f32::from(qv), bias);
     }
 }
+
+/// `(min, max)` of a row, NaNs ignored; `(0, 0)` for an empty or all-NaN
+/// row.
+pub fn min_max_f32(row: &[f32]) -> (f32, f32) {
+    let mut min = f32::INFINITY;
+    let mut max = f32::NEG_INFINITY;
+    for &v in row {
+        min = min.min(v);
+        max = max.max(v);
+    }
+    if min > max {
+        (0.0, 0.0)
+    } else {
+        (min, max)
+    }
+}
+
+/// The int8 quantization step `(max - min) / 255` of a row spanning
+/// `[min, max]`, or `None` when the row has no finite positive range: it
+/// is constant (its bias carries the value exactly) or overflows, and
+/// quantizes to all-zero bytes with scale 0.
+pub(super) fn i8_step(min: f32, max: f32) -> Option<f32> {
+    let scale = (max - min) / 255.0;
+    (scale > 0.0 && scale.is_finite()).then_some(scale)
+}
+
+/// `q[i] = round((row[i] - bias) / scale)` clamped to `[0, 255]`: f64
+/// arithmetic, round-half-away-from-zero, a NaN element quantizes to 0.
+pub(super) fn quantize_i8_into(row: &[f32], scale: f32, bias: f32, q: &mut [u8]) {
+    let (s, b) = (f64::from(scale), f64::from(bias));
+    for (qv, &x) in q.iter_mut().zip(row) {
+        *qv = ((f64::from(x) - b) / s).round().clamp(0.0, 255.0) as u8;
+    }
+}
+
+/// Quantizes one row into `q`, returning `(scale, bias)` with `bias` the
+/// row minimum. The arithmetic runs in f64 so the only significant error
+/// sources are the half-step rounding and the decode-side fused
+/// multiply-add.
+pub fn quantize_i8_row(row: &[f32], q: &mut [u8]) -> (f32, f32) {
+    let (min, max) = min_max_f32(row);
+    let Some(scale) = i8_step(min, max) else {
+        q.fill(0);
+        return (0.0, min);
+    };
+    quantize_i8_into(row, scale, min, q);
+    (scale, min)
+}

@@ -172,6 +172,103 @@ pub unsafe fn sum_i8_into(q: &[u8], scale: f32, bias: f32, acc: &mut [f32]) {
     }
 }
 
+/// `(min, max)` over the row's non-NaN elements, numerically equal to
+/// [`super::scalar::min_max_f32`] (`(+inf, -inf)` when there are none).
+/// `vminps`/`vmaxps` return their second operand when either is NaN, so
+/// with the running extreme second a NaN element is skipped exactly as
+/// `f32::min` skips it. Only the sign of a zero result is unspecified —
+/// equal extremes compare equal, so the lane order cannot matter
+/// otherwise.
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn min_max_f32(row: &[f32]) -> (f32, f32) {
+    let n = row.len();
+    let vec_n = n - n % LANES;
+    let rp = row.as_ptr();
+    let mut vmin = _mm256_set1_ps(f32::INFINITY);
+    let mut vmax = _mm256_set1_ps(f32::NEG_INFINITY);
+    let mut i = 0;
+    while i < vec_n {
+        let v = _mm256_loadu_ps(rp.add(i));
+        vmin = _mm256_min_ps(v, vmin);
+        vmax = _mm256_max_ps(v, vmax);
+        i += LANES;
+    }
+    // No lane is NaN, so the halves fold with plain min/max.
+    let lo = _mm_min_ps(_mm256_castps256_ps128(vmin), _mm256_extractf128_ps(vmin, 1));
+    let hi = _mm_max_ps(_mm256_castps256_ps128(vmax), _mm256_extractf128_ps(vmax, 1));
+    let lo = _mm_min_ps(lo, _mm_movehl_ps(lo, lo));
+    let hi = _mm_max_ps(hi, _mm_movehl_ps(hi, hi));
+    let mut min = _mm_cvtss_f32(_mm_min_ss(lo, _mm_shuffle_ps(lo, lo, 1)));
+    let mut max = _mm_cvtss_f32(_mm_max_ss(hi, _mm_shuffle_ps(hi, hi, 1)));
+    for &v in &row[vec_n..] {
+        min = min.min(v);
+        max = max.max(v);
+    }
+    (min, max)
+}
+
+/// Rounds four non-negative (or NaN) quotients half away from zero and
+/// converts them to i32 lanes. `floor(x) + (x - floor(x) >= 0.5)`: the
+/// fractional part of a double is exact, so the compare sees the true
+/// fraction and the result is `f64::round`'s for every `x >= 0` —
+/// including `0.49999999999999994`, which `floor(x + 0.5)` gets wrong. A
+/// NaN stays NaN and converts to `i32::MIN`.
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn round4_to_i32(x: __m256d) -> __m128i {
+    let floor = _mm256_floor_pd(x);
+    let up = _mm256_cmp_pd::<_CMP_GE_OQ>(_mm256_sub_pd(x, floor), _mm256_set1_pd(0.5));
+    let rounded = _mm256_add_pd(floor, _mm256_and_pd(up, _mm256_set1_pd(1.0)));
+    _mm256_cvttpd_epi32(rounded)
+}
+
+/// The int8 row encoder, byte-identical to
+/// [`super::scalar::quantize_i8_row`] in `q`, scale and bias.
+///
+/// The extremes come from [`min_max_f32`]; when the minimum is a zero the
+/// scalar loop is re-run for its sign, which is the bias bits. The step
+/// and the constant-row rule are the scalar function's own. Elements then
+/// go eight at a time through the scalar expression's operations in the
+/// same order and precision — widen to f64 (exact), subtract, `vdivpd`
+/// (correctly rounded, as scalar division is), [`round4_to_i32`] — and
+/// the clamp is the two saturating packs: i32 → i16 keeps every possible
+/// quotient (at most 382, reached with a one-denormal step), i16 → u8
+/// clamps to `[0, 255]` and sends a NaN's `i32::MIN` to 0, the value of
+/// `NaN as u8`. Quotients are never negative: the bias is the minimum of
+/// the non-NaN elements.
+///
+/// # Safety
+///
+/// Caller must ensure AVX2 is available and `row.len() == q.len()`.
+#[target_feature(enable = "avx2", enable = "fma")]
+pub unsafe fn quantize_i8_row(row: &[f32], q: &mut [u8]) -> (f32, f32) {
+    let (mut min, mut max) = min_max_f32(row);
+    if min == 0.0 || min > max {
+        (min, max) = super::scalar::min_max_f32(row);
+    }
+    let Some(scale) = super::scalar::i8_step(min, max) else {
+        q.fill(0);
+        return (0.0, min);
+    };
+    let n = row.len();
+    let vec_n = n - n % LANES;
+    let rp = row.as_ptr();
+    let qp = q.as_mut_ptr();
+    let sv = _mm256_set1_pd(f64::from(scale));
+    let bv = _mm256_set1_pd(f64::from(min));
+    let mut i = 0;
+    while i < vec_n {
+        let lo = _mm256_cvtps_pd(_mm_loadu_ps(rp.add(i)));
+        let hi = _mm256_cvtps_pd(_mm_loadu_ps(rp.add(i + 4)));
+        let lo = round4_to_i32(_mm256_div_pd(_mm256_sub_pd(lo, bv), sv));
+        let hi = round4_to_i32(_mm256_div_pd(_mm256_sub_pd(hi, bv), sv));
+        let words = _mm_packs_epi32(lo, hi);
+        _mm_storel_epi64(qp.add(i).cast(), _mm_packus_epi16(words, words));
+        i += LANES;
+    }
+    super::scalar::quantize_i8_into(&row[vec_n..], scale, min, &mut q[vec_n..]);
+    (scale, min)
+}
+
 /// Fixed-order horizontal sum of 8 lanes: the 128-bit halves are added
 /// lane-wise (`l + l+4`), then `movehl`/`shuffle` fold pairs. Every GEMM
 /// output cell reduces through this exact sequence, which is what makes
