@@ -52,13 +52,18 @@
 
 mod cache;
 mod encoding;
-mod store;
+mod read;
+mod registry;
+mod stats;
+#[cfg(test)]
+mod test_support;
+mod update;
 
 pub use cache::{CachePolicy, HotRowCache};
 pub use drec_faultsim::UpdateFault;
 pub use drec_tier::{ColdReadModel, CombineConfig, Pacing, TierConfig, TierStats};
 pub use encoding::{f16_bits_to_f32, f32_to_f16_bits, quantize_row, EncodedRow, RowEncoding};
-pub use store::{
-    EmbeddingStore, PinnedTable, RestoreBatch, RowDelta, RowRestore, StoreConfig, StoreError,
-    StoreStats, TableHandle, UpdateBatch, UpdateReport,
-};
+pub use read::PinnedTable;
+pub use registry::{EmbeddingStore, StoreConfig, StoreError, TableHandle};
+pub use stats::StoreStats;
+pub use update::{RestoreBatch, RowDelta, RowRestore, UpdateBatch, UpdateReport};

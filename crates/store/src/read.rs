@@ -1,0 +1,682 @@
+//! The read path: [`PinnedTable`] and the one row-read routine,
+//! `read_bag`, with its per-bag counter tally, plus the prefetch
+//! intents / fills and the combined pair lookup.
+
+use std::sync::Arc;
+
+use drec_faultsim::ReadFault;
+use drec_sync::atomic::Ordering;
+use drec_tensor::simd::KernelPath;
+use drec_tier::TierSession;
+
+use crate::encoding::EncodedRow;
+use crate::registry::{EmbeddingStore, StoreError, StoredTable, TableHandle};
+
+/// A pinned reference to one table in a store — the hot-path lookup API.
+#[derive(Debug, Clone)]
+pub struct PinnedTable {
+    pub(crate) store: Arc<EmbeddingStore>,
+    pub(crate) table: Arc<StoredTable>,
+    pub(crate) handle: TableHandle,
+}
+
+impl PinnedTable {
+    /// Row count of the pinned table.
+    pub fn rows(&self) -> usize {
+        self.table.rows
+    }
+
+    /// Row width of the pinned table.
+    pub fn dim(&self) -> usize {
+        self.table.dim
+    }
+
+    /// The handle this pin was created from.
+    pub fn handle(&self) -> TableHandle {
+        self.handle
+    }
+
+    /// The store this table lives in.
+    pub fn store(&self) -> &Arc<EmbeddingStore> {
+        &self.store
+    }
+
+    /// The snapshot version currently published for this table (v0
+    /// until the first update batch lands).
+    pub fn version(&self) -> u64 {
+        self.table.version.load(Ordering::Acquire)
+    }
+
+    /// Copies row `row` straight from its shard into `dst`, bypassing
+    /// the hot-row cache, the tier model, fault injection, and every
+    /// counter — the quiet path the updater uses to capture pre-update
+    /// rows for its quiescence oracle.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::RowOutOfRange`] or [`StoreError::DataSizeMismatch`].
+    pub fn read_row_raw(&self, row: u32, dst: &mut [f32]) -> Result<(), StoreError> {
+        if (row as usize) >= self.table.rows {
+            return Err(StoreError::RowOutOfRange {
+                row,
+                rows: self.table.rows,
+            });
+        }
+        if dst.len() != self.table.dim {
+            return Err(StoreError::DataSizeMismatch {
+                expected: self.table.dim,
+                actual: dst.len(),
+            });
+        }
+        self.table.read_into(row, dst);
+        Ok(())
+    }
+
+    /// Captures row `row`'s resident bytes, as quietly as
+    /// [`PinnedTable::read_row_raw`] — what the updater keeps so its
+    /// final version can put every perturbed row back byte for byte
+    /// ([`EmbeddingStore::apply_restore`]).
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::RowOutOfRange`].
+    pub fn read_row_encoded(&self, row: u32) -> Result<EncodedRow, StoreError> {
+        if (row as usize) >= self.table.rows {
+            return Err(StoreError::RowOutOfRange {
+                row,
+                rows: self.table.rows,
+            });
+        }
+        Ok(self.table.read_encoded(row))
+    }
+
+    /// Cache key for a row of this table.
+    pub(crate) fn key(&self, row: u32) -> u64 {
+        ((self.handle.0 as u64) << 32) | u64::from(row)
+    }
+
+    /// Applies any injected read fault and reports whether a cold-shard
+    /// read should be skipped (cache-only degraded mode). An injected
+    /// delay closes the bag's tier session first, so the tier lock is
+    /// never held across a sleep.
+    #[inline]
+    fn skip_cold_read(
+        &self,
+        row: u32,
+        tier: &mut Option<TierSession<'_>>,
+        tally: &mut BagTally<'_>,
+    ) -> bool {
+        match self.store.faults.on_read() {
+            ReadFault::None => {}
+            ReadFault::Poison { read } => panic!(
+                "faultsim: poisoned read {read} (table {}, row {row})",
+                self.handle.0
+            ),
+            ReadFault::Delay(d) => {
+                *tier = None;
+                std::thread::sleep(d);
+            }
+        }
+        if self.store.cache_only.load(Ordering::Relaxed) {
+            tally.cache_only_skips += 1;
+            return true;
+        }
+        false
+    }
+
+    /// The one row-read routine: visits `rows` in order as a single
+    /// **bag transaction**. Per row it does what a one-row read always
+    /// did, in the same order — hot-row cache probe; on a miss the fault
+    /// hook and cache-only check, the tier demand access (a resident row
+    /// is free, a cold row pays the configured cold-read latency and
+    /// gets promoted), the cold-shard decode, the cache refill — so
+    /// values and every `StoreStats` counter come out as from that many
+    /// one-row calls. What is per *bag* is the bookkeeping: `lookups`
+    /// and the decode tallies are bumped once, the tier lock is taken
+    /// once (at the first cache miss, and held to the end of the bag;
+    /// DESIGN.md §12 has the lock order), and a cache miss decodes
+    /// straight into the victim slot's buffer instead of allocating one.
+    ///
+    /// `op` says where a row goes: summed into the whole of `out`, or
+    /// copied to the row's own `dim`-wide cell of `out`.
+    fn read_bag(&self, rows: impl Iterator<Item = u32>, out: &mut [f32], op: BagOp) {
+        let store = &*self.store;
+        let table = &*self.table;
+        let dim = table.dim;
+        let cache = store.cache.enabled().then_some(&store.cache);
+        let mut tally = BagTally::new(store);
+        let mut tier: Option<TierSession<'_>> = None;
+        for (i, row) in rows.enumerate() {
+            debug_assert!((row as usize) < table.rows);
+            tally.lookups += 1;
+            let dst = match op {
+                BagOp::Sum => &mut *out,
+                BagOp::Copy => &mut out[i * dim..(i + 1) * dim],
+            };
+            let key = self.key(row);
+            // Cache hit: rows are cached *decoded*, so no kernel runs and
+            // neither decode counter moves. The hot-row cache is DRAM, so
+            // the tier is not consulted either.
+            if cache.is_some_and(|c| c.with_row(key, |cached| op.emit(cached, dst)).is_some()) {
+                continue;
+            }
+            // Cache miss: in cache-only degraded mode the row's
+            // contribution is dropped (a copy reads zeros; counted as a
+            // quality-loss skip); otherwise charge the tier, decode from
+            // the cold shard, and refill the cache.
+            if self.skip_cold_read(row, &mut tier, &mut tally) {
+                if op == BagOp::Copy {
+                    dst.fill(0.0);
+                }
+                continue;
+            }
+            if let Some(engine) = &store.tier {
+                tier.get_or_insert_with(|| engine.session())
+                    .demand_access(key);
+            }
+            let mut refilled = None;
+            if let Some(cache) = cache {
+                cache.insert_with(key, dim, |slot| {
+                    refilled = Some(table.read_into(row, slot));
+                    op.emit(slot, dst);
+                });
+            }
+            // No cache, or another worker cached the row meanwhile: read
+            // the shard straight into the output.
+            tally.decoded(refilled.unwrap_or_else(|| match op {
+                BagOp::Sum => table.sum_into(row, dst),
+                BagOp::Copy => table.read_into(row, dst),
+            }));
+        }
+    }
+
+    /// Adds every row of the bag `rows` element-wise into `acc`, in
+    /// order (`acc[i] += row[i]`, left to right — the identical
+    /// reduction a dense-tensor lookup performs, so the `F32` encoding
+    /// is bit-identical to the direct path whether a row comes from the
+    /// cache or a cold shard). One residency transaction for the whole
+    /// bag; values and counters equal those of one [`PinnedTable::sum_row`]
+    /// call per row. In cache-only degraded mode a missed row's
+    /// contribution is dropped.
+    ///
+    /// # Panics
+    ///
+    /// Debug-asserts every `row < rows` and `acc.len() == dim`; callers
+    /// validate indices before reaching the hot path.
+    pub fn sum_rows(&self, rows: impl IntoIterator<Item = u32>, acc: &mut [f32]) {
+        debug_assert_eq!(acc.len(), self.table.dim);
+        self.read_bag(rows.into_iter(), acc, BagOp::Sum);
+    }
+
+    /// [`PinnedTable::sum_rows`] for a bag of one row.
+    pub fn sum_row(&self, row: u32, acc: &mut [f32]) {
+        self.sum_rows([row], acc);
+    }
+
+    /// Copies the bag `rows` into `dst`, row `i` to
+    /// `dst[i * dim..(i + 1) * dim]`, as one residency transaction. In
+    /// cache-only degraded mode a missed row reads as zeros instead of
+    /// touching the cold shard.
+    ///
+    /// # Panics
+    ///
+    /// If `rows` yields more rows than `dst` has `dim`-wide cells;
+    /// debug-asserts every `row < rows`.
+    pub fn read_rows(&self, rows: impl IntoIterator<Item = u32>, dst: &mut [f32]) {
+        debug_assert!(dst.len().is_multiple_of(self.table.dim));
+        self.read_bag(rows.into_iter(), dst, BagOp::Copy);
+    }
+
+    /// [`PinnedTable::read_rows`] for a bag of one row (`dst` of length
+    /// `dim`).
+    pub fn read_row(&self, row: u32, dst: &mut [f32]) {
+        debug_assert_eq!(dst.len(), self.table.dim);
+        self.read_rows([row], dst);
+    }
+
+    /// Registers prefetch intents for `rows` — the admission-time half
+    /// of the stream prefetcher — under one tier lock, and keeps in
+    /// `rows` only those a [`PinnedTable::prefetch_rows`] fill should be
+    /// issued for (in range, neither DRAM-resident nor already pending).
+    /// Clears `rows` without tiering.
+    pub fn note_prefetch_intents(&self, rows: &mut Vec<u32>) {
+        match &self.store.tier {
+            Some(tier) => {
+                let mut session = tier.session();
+                rows.retain(|&row| {
+                    (row as usize) < self.table.rows && session.note_intent(self.key(row))
+                });
+            }
+            None => rows.clear(),
+        }
+    }
+
+    /// [`PinnedTable::note_prefetch_intents`] for one row: whether a
+    /// fill should be issued for it.
+    pub fn note_prefetch_intent(&self, row: u32) -> bool {
+        let mut rows = vec![row];
+        self.note_prefetch_intents(&mut rows);
+        !rows.is_empty()
+    }
+
+    /// Completes the prefetches for `rows` under one tier lock: each
+    /// pays the cold-read latency *off* the request critical path and
+    /// promotes its row into the DRAM tier. A fill moves only the
+    /// prefetch counters — it is not a demand decode
+    /// (`decode_vector`/`decode_scalar` stay put, the hot-row cache is
+    /// untouched) because a tier promotion moves encoded bytes, not
+    /// decoded rows. Rows out of range or already resident are skipped;
+    /// no-op without tiering.
+    pub fn prefetch_rows(&self, rows: &[u32]) {
+        let Some(tier) = &self.store.tier else {
+            return;
+        };
+        let table = &self.table;
+        let mut session = tier.session();
+        for &row in rows.iter().filter(|&&row| (row as usize) < table.rows) {
+            // Capture the table's write stamp before the fill and
+            // re-verify it under the tier lock: a row update that lands
+            // between capture and fill bumps the stamp first, so the
+            // fill aborts instead of parking the row's pre-update state
+            // as resident (and the update's own invalidation cannot race
+            // past an already-parked stale fill, because the verify and
+            // the invalidation serialize on the same lock). The session
+            // holds that lock from the capture on, except while a
+            // `Pacing::Sleep` fill sleeps — the window the verify covers.
+            let stamp = table.write_stamp.load(Ordering::Acquire);
+            session.prefetch_fill_if(self.key(row), || {
+                table.write_stamp.load(Ordering::Acquire) == stamp
+            });
+        }
+    }
+
+    /// [`PinnedTable::prefetch_rows`] for one row.
+    pub fn prefetch_row(&self, row: u32) {
+        self.prefetch_rows(&[row]);
+    }
+
+    /// Whether `row` is currently DRAM-resident (always `true` without
+    /// tiering).
+    pub fn is_resident(&self, row: u32) -> bool {
+        match &self.store.tier {
+            Some(tier) => tier.is_resident(self.key(row)),
+            None => true,
+        }
+    }
+
+    /// Pooled lookup of a frequently co-travelling row pair: adds
+    /// `self[row]` into `acc` and `other[other_row]` into `other_acc`,
+    /// letting the table-combining cache serve both halves with **one**
+    /// lookup when the pair is hot (MicroRec-style). On a combined hit
+    /// the halves are the exact decoded rows added in the same order a
+    /// per-table lookup would use, so outputs are bit-identical; only
+    /// the lookup count changes. Falls back to two plain
+    /// [`PinnedTable::sum_row`] calls when combining is off or the pins
+    /// belong to different stores.
+    pub fn sum_row_pair(
+        &self,
+        row: u32,
+        acc: &mut [f32],
+        other: &PinnedTable,
+        other_row: u32,
+        other_acc: &mut [f32],
+    ) {
+        debug_assert!((row as usize) < self.table.rows);
+        debug_assert!((other_row as usize) < other.table.rows);
+        let combinable = self.store.combine.is_some() && Arc::ptr_eq(&self.store, &other.store);
+        if !combinable {
+            self.sum_row(row, acc);
+            other.sum_row(other_row, other_acc);
+            return;
+        }
+        let combine = self.store.combine.as_ref().expect("checked above");
+        let (ka, kb) = (self.key(row), other.key(other_row));
+        if combine.lookup_into(ka, kb, acc, other_acc) {
+            // One combined lookup served both rows from DRAM: no decode,
+            // no tier charge, one lookup instead of two.
+            self.store.lookups.fetch_add(1, Ordering::Relaxed);
+            self.store
+                .combined_lookups_saved
+                .fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        let promote = combine.observe(ka, kb);
+        self.sum_row(row, acc);
+        other.sum_row(other_row, other_acc);
+        if promote && !self.store.cache_only() {
+            // Build the concatenated row once, straight from the shards
+            // (quiet decode: tallied as a combine fill, not a demand
+            // decode).
+            let (da, db) = (self.table.dim, other.table.dim);
+            let mut concat = vec![0.0f32; da + db].into_boxed_slice();
+            self.table.read_into(row, &mut concat[..da]);
+            other.table.read_into(other_row, &mut concat[da..]);
+            combine.fill(ka, kb, da, concat);
+        }
+    }
+}
+
+/// Where [`PinnedTable::read_bag`] puts each row it reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum BagOp {
+    /// `out[i] += row[i]` for every row: a pooled lookup.
+    Sum,
+    /// Row `k` of the bag is copied to `out[k * dim..(k + 1) * dim]`.
+    Copy,
+}
+
+impl BagOp {
+    /// Delivers one decoded row to its destination.
+    #[inline]
+    fn emit(self, row: &[f32], dst: &mut [f32]) {
+        match self {
+            BagOp::Sum => {
+                drec_tensor::simd::sum_f32_into(row, dst);
+            }
+            BagOp::Copy => dst.copy_from_slice(row),
+        }
+    }
+}
+
+/// A bag's counter deltas, added to the store's shared (cache-line
+/// padded, contended) atomics once when the bag ends — also when it
+/// ends by unwinding out of an injected poisoned read.
+struct BagTally<'a> {
+    store: &'a EmbeddingStore,
+    lookups: u64,
+    decode_vector: u64,
+    decode_scalar: u64,
+    cache_only_skips: u64,
+}
+
+impl<'a> BagTally<'a> {
+    fn new(store: &'a EmbeddingStore) -> Self {
+        BagTally {
+            store,
+            lookups: 0,
+            decode_vector: 0,
+            decode_scalar: 0,
+            cache_only_skips: 0,
+        }
+    }
+
+    /// Tallies one cold-shard decode into the vector/scalar pair.
+    #[inline]
+    fn decoded(&mut self, path: KernelPath) {
+        match path {
+            KernelPath::Vector => self.decode_vector += 1,
+            KernelPath::Scalar => self.decode_scalar += 1,
+        }
+    }
+}
+
+impl Drop for BagTally<'_> {
+    fn drop(&mut self) {
+        for (counter, delta) in [
+            (&*self.store.lookups, self.lookups),
+            (&*self.store.decode_vector, self.decode_vector),
+            (&*self.store.decode_scalar, self.decode_scalar),
+            (&self.store.cache_only_skips, self.cache_only_skips),
+        ] {
+            if delta > 0 {
+                counter.fetch_add(delta, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::test_support::{filled, store, tiered_cfg};
+    use crate::{RowEncoding, StoreConfig};
+
+    #[test]
+    fn f32_sum_row_is_bit_identical_to_manual_add() {
+        let s = store(StoreConfig {
+            cache_capacity_rows: 16,
+            cache_shards: 1,
+            ..StoreConfig::default()
+        });
+        let data = filled(100, 8);
+        let h = s.register(1, 0, 100, 8, &data).unwrap();
+        let pin = s.pin(h);
+        for pass in 0..2 {
+            // Pass 0 populates the cache, pass 1 hits it — both must be
+            // bit-identical to the direct add.
+            for row in [0u32, 37, 99] {
+                let mut acc = vec![0.125f32; 8];
+                let mut expect = acc.clone();
+                pin.sum_row(row, &mut acc);
+                for (a, &v) in expect
+                    .iter_mut()
+                    .zip(&data[row as usize * 8..(row as usize + 1) * 8])
+                {
+                    *a += v;
+                }
+                assert_eq!(acc, expect, "pass {pass} row {row}");
+            }
+        }
+        assert!(s.stats().cache_hits >= 3);
+    }
+
+    #[test]
+    fn rows_span_shards_correctly() {
+        // 100 rows over 8 shards → 13 rows/shard; exercise boundaries.
+        let s = store(StoreConfig::default());
+        let data = filled(100, 4);
+        let h = s.register(1, 0, 100, 4, &data).unwrap();
+        let pin = s.pin(h);
+        let mut out = vec![0.0f32; 4];
+        for row in [0u32, 12, 13, 25, 26, 64, 65, 99] {
+            pin.read_row(row, &mut out);
+            assert_eq!(out, &data[row as usize * 4..(row as usize + 1) * 4]);
+        }
+    }
+
+    #[test]
+    fn int8_store_compresses_and_stays_within_bound() {
+        let s = store(StoreConfig {
+            encoding: RowEncoding::Int8,
+            ..StoreConfig::default()
+        });
+        let dim = 32;
+        let data = filled(64, dim);
+        let h = s.register(1, 0, 64, dim, &data).unwrap();
+        let stats = s.stats();
+        assert!(
+            stats.compression() >= 3.0,
+            "compression {} < 3.0",
+            stats.compression()
+        );
+        assert_eq!(stats.bytes_saved(), stats.f32_bytes - stats.resident_bytes);
+        let pin = s.pin(h);
+        let mut out = vec![0.0f32; dim];
+        for row in 0..64u32 {
+            let src = &data[row as usize * dim..(row as usize + 1) * dim];
+            let bound = RowEncoding::Int8.error_bound(src);
+            pin.read_row(row, &mut out);
+            for (o, x) in out.iter().zip(src) {
+                assert!((o - x).abs() <= bound);
+            }
+        }
+    }
+
+    #[test]
+    fn cache_only_mode_serves_hits_and_skips_cold_shards() {
+        let s = store(StoreConfig {
+            cache_capacity_rows: 8,
+            ..StoreConfig::default()
+        });
+        let data = filled(10, 4);
+        let h = s.register(1, 0, 10, 4, &data).unwrap();
+        let pin = s.pin(h);
+        let mut out = vec![0.0f32; 4];
+        pin.read_row(3, &mut out); // warm row 3
+        s.set_cache_only(true);
+        assert!(s.cache_only());
+
+        // Warm row: still served, bit-identical.
+        pin.read_row(3, &mut out);
+        assert_eq!(out, &data[12..16]);
+        // Cold copy: zero-filled, counted as a quality-loss skip.
+        pin.read_row(7, &mut out);
+        assert_eq!(out, [0.0; 4]);
+        // Cold pooled sum: contribution dropped, accumulator unchanged.
+        let mut acc = vec![1.0f32; 4];
+        pin.sum_row(8, &mut acc);
+        assert_eq!(acc, [1.0; 4]);
+        assert_eq!(s.stats().cache_only_skips, 2);
+
+        // Leaving degraded mode restores full service.
+        s.set_cache_only(false);
+        pin.read_row(7, &mut out);
+        assert_eq!(out, &data[28..32]);
+        assert_eq!(s.stats().cache_only_skips, 2);
+    }
+
+    #[test]
+    fn poisoned_read_panics_on_schedule_and_store_recovers() {
+        use drec_faultsim::{FaultHook, FaultPlan};
+        let plan = FaultPlan {
+            poison_every_n_reads: Some(1), // every read panics
+            ..FaultPlan::quiet(5)
+        };
+        let s = Arc::new(EmbeddingStore::with_faults(
+            StoreConfig::default(),
+            FaultHook::from_plan(&plan),
+        ));
+        let h = s.register(1, 0, 10, 4, &filled(10, 4)).unwrap();
+        let pin = s.pin(h);
+        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut out = vec![0.0f32; 4];
+            pin.read_row(0, &mut out);
+        }));
+        let msg = *res.unwrap_err().downcast::<String>().unwrap();
+        assert!(msg.contains("faultsim: poisoned read"), "{msg}");
+        // The panic fired before any lock was taken: stats still work.
+        assert_eq!(s.stats().tables, 1);
+    }
+
+    #[test]
+    fn tiered_lookups_are_bit_identical_and_charge_cold_waits() {
+        let data = filled(100, 8);
+        let plain = store(StoreConfig::default());
+        let tiered = store(tiered_cfg(10, false));
+        let hp = plain.register(1, 0, 100, 8, &data).unwrap();
+        let ht = tiered.register(1, 0, 100, 8, &data).unwrap();
+        let (pp, pt) = (plain.pin(hp), tiered.pin(ht));
+        let mut a = vec![0.5f32; 8];
+        let mut b = vec![0.5f32; 8];
+        for row in [0u32, 7, 7, 42, 99, 7] {
+            pp.sum_row(row, &mut a);
+            pt.sum_row(row, &mut b);
+        }
+        assert_eq!(a, b, "tier residency must never change values");
+        let s = tiered.stats();
+        // 4 distinct rows cold, 2 repeats resident.
+        assert_eq!(s.tier_cold_demand_reads, 4);
+        assert_eq!(s.tier_dram_hits, 2);
+        assert_eq!(s.tier_promotions, 4);
+        assert!(s.tier_demand_wait_nanos > 0);
+        assert!((s.combined_dram_hit_rate() - 2.0 / 6.0).abs() < 1e-12);
+        assert_eq!(plain.stats().tier_cold_demand_reads, 0);
+        assert!((plain.stats().combined_dram_hit_rate() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn prefetch_fills_convert_demand_misses_without_decoding() {
+        let s = store(tiered_cfg(50, false));
+        let h = s.register(1, 0, 100, 4, &filled(100, 4)).unwrap();
+        let pin = s.pin(h);
+        for row in [3u32, 4, 5] {
+            assert!(pin.note_prefetch_intent(row));
+            pin.prefetch_row(row);
+            assert!(pin.is_resident(row));
+        }
+        let after_fill = s.stats();
+        assert_eq!(after_fill.prefetch_fills, 3);
+        assert_eq!(
+            after_fill.decode_vector + after_fill.decode_scalar,
+            0,
+            "a prefetch fill moves encoded bytes, not a demand decode"
+        );
+        assert!(after_fill.tier_prefetch_wait_nanos > 0);
+        assert_eq!(after_fill.tier_demand_wait_nanos, 0);
+        let mut acc = vec![0.0f32; 4];
+        for row in [3u32, 4, 5] {
+            pin.sum_row(row, &mut acc);
+        }
+        let s2 = s.stats();
+        assert_eq!(s2.prefetch_hits, 3);
+        assert_eq!(s2.tier_cold_demand_reads, 0);
+        assert!((s2.prefetch_conversion() - 1.0).abs() < 1e-12);
+        // The demand decodes still happened (kernel work is real).
+        assert_eq!(s2.decode_vector + s2.decode_scalar, 3);
+    }
+
+    #[test]
+    fn combining_serves_hot_pairs_with_one_bit_identical_lookup() {
+        let data_a = filled(20, 4);
+        let data_b = filled(20, 6);
+        let s = store(tiered_cfg(1000, true));
+        let ha = s.register(1, 0, 20, 4, &data_a).unwrap();
+        let hb = s.register(1, 1, 20, 6, &data_b).unwrap();
+        let (pa, pb) = (s.pin(ha), s.pin(hb));
+        let reference = |row_a: usize, row_b: usize| {
+            let mut a = vec![0.25f32; 4];
+            let mut b = vec![0.25f32; 6];
+            for (x, &v) in a.iter_mut().zip(&data_a[row_a * 4..(row_a + 1) * 4]) {
+                *x += v;
+            }
+            for (x, &v) in b.iter_mut().zip(&data_b[row_b * 6..(row_b + 1) * 6]) {
+                *x += v;
+            }
+            (a, b)
+        };
+        // Default promote_after = 2: first two sightings go the plain
+        // route (the second also fills), the third is a combined hit.
+        for pass in 0..3 {
+            let mut a = vec![0.25f32; 4];
+            let mut b = vec![0.25f32; 6];
+            pa.sum_row_pair(7, &mut a, &pb, 9, &mut b);
+            let (ea, eb) = reference(7, 9);
+            assert_eq!((a, b), (ea, eb), "pass {pass}");
+        }
+        let stats = s.stats();
+        assert_eq!(stats.combined_fills, 1);
+        assert_eq!(stats.combined_hits, 1);
+        assert_eq!(stats.combined_lookups_saved, 1);
+        // 2 passes x 2 lookups + 1 combined = 5 (6 would-be).
+        assert_eq!(stats.lookups, 5);
+        assert!((stats.combined_lookup_cut() - 1.0 / 6.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn read_row_raw_bypasses_cache_and_counters() {
+        let s = store(StoreConfig {
+            cache_capacity_rows: 8,
+            ..StoreConfig::default()
+        });
+        let data = filled(4, 2);
+        let h = s.register(7, 0, 4, 2, &data).unwrap();
+        let pin = s.pin(h);
+        let mut out = vec![0.0f32; 2];
+        pin.read_row_raw(2, &mut out).unwrap();
+        assert_eq!(out, &data[4..6]);
+        let stats = s.stats();
+        assert_eq!((stats.lookups, stats.cache_misses), (0, 0));
+        assert_eq!(
+            pin.read_row_raw(9, &mut out),
+            Err(StoreError::RowOutOfRange { row: 9, rows: 4 })
+        );
+        let mut short = vec![0.0f32; 1];
+        assert_eq!(
+            pin.read_row_raw(0, &mut short),
+            Err(StoreError::DataSizeMismatch {
+                expected: 2,
+                actual: 1
+            })
+        );
+    }
+}
