@@ -34,8 +34,8 @@
 //!   miss, tier hit, tier cold} read with one-row calls and as bags of
 //!   120: the bag costs no more than the one-row calls on every leg (a
 //!   leg whose difference is inside its own run-to-run spread logs a
-//!   skip instead). The table also records whether a decoded-row cache
-//!   hit still beats a cold SIMD decode.
+//!   skip instead), and the hot-row key set costs at most 1.3× the
+//!   `no_cache` leg on a hit and 3× on a miss (same skip rule).
 
 use drec_bench::json_f64;
 use std::sync::Arc;
@@ -440,7 +440,7 @@ fn bench_tiered(
 ) -> Vec<TierRow> {
     let budget = rows / 4;
     // Hot-row cache off: DRAM is exactly the 25% tier budget, and the
-    // tier sees the full access stream (a decoded-row cache in front
+    // tier sees the full access stream (a hot-row key set in front
     // would starve the CLOCK of recency signal for the hottest rows).
     let cache_rows = 0;
     let dist = CategoricalDist::Zipf { s: 1.0 };
@@ -598,19 +598,41 @@ struct ReadPathRow {
     bag_ns: (f64, f64),
 }
 
+/// What the hot-row key set may cost per row of a bag, as a multiple of
+/// the `no_cache` leg: `(leg, ceiling)`. A hit adds a lock-free probe
+/// to the decode; a miss adds the probe, the shard's writer lock, a
+/// victim scan and an eviction, on two more cache lines (keys, stamps)
+/// — more than one decode's worth: 2.2–2.6x measured at smoke and at
+/// full size. The decoded-row cache this set replaced measured 1.36x
+/// and 4.4x.
+const HOT_SET_CEILINGS: [(&str, f64); 2] = [("cache_hit", 1.3), ("cache_miss", 3.0)];
+
+/// `Some(ns <= limit)` when that is resolved; `None` when `ns` is above
+/// the limit taken at the reference leg's fastest repeat but not at its
+/// median — a difference inside the reference's own run-to-run spread.
+fn within(ns: f64, (fastest, median): (f64, f64)) -> Option<bool> {
+    if ns <= fastest {
+        Some(true)
+    } else if ns <= median {
+        None
+    } else {
+        Some(false)
+    }
+}
+
 impl ReadPathRow {
-    /// `Some(holds)` when the bag-vs-one-row comparison is resolved,
-    /// `None` when the bag's fastest repeat is slower than the one-row
-    /// calls' fastest but not than their median — a difference inside
-    /// the one-row leg's own run-to-run spread.
+    /// Whether a bag costs no more per row than one-row calls.
     fn bag_no_slower(&self) -> Option<bool> {
-        if self.bag_ns.0 <= self.one_row_ns.0 {
-            Some(true)
-        } else if self.bag_ns.0 <= self.one_row_ns.1 {
-            None
-        } else {
-            Some(false)
-        }
+        within(self.bag_ns.0, self.one_row_ns)
+    }
+
+    /// Whether a bag on this leg costs at most `ceiling` times a bag on
+    /// `base`.
+    fn bag_within(&self, ceiling: f64, base: &ReadPathRow) -> Option<bool> {
+        within(
+            self.bag_ns.0,
+            (ceiling * base.bag_ns.0, ceiling * base.bag_ns.1),
+        )
     }
 }
 
@@ -622,12 +644,12 @@ impl ReadPathRow {
 /// every read takes the leg's path (asserted on the store's counters,
 /// to within 1 % for the set-associative cache):
 ///
-/// * `no_cache` — no cache, no tier: lock, decode, tally,
-/// * `cache_hit` — one eighth of each table read eight times over, in a
-///   warmed cache sixteen times that size (a fuller cache loses rows to
-///   set conflicts),
-/// * `cache_miss` — cache of 1/16 of the rows under a cyclic sweep, so
-///   every read evicts and refills a slot,
+/// * `no_cache` — no hot-row key set, no tier: lock, decode, tally,
+/// * `cache_hit` — one eighth of each table read eight times over, with
+///   a warmed key set sixteen times that size (a fuller one loses keys
+///   to set conflicts): the probe, then the same decode,
+/// * `cache_miss` — key set of 1/16 of the rows under a cyclic sweep, so
+///   every read probes, evicts a key and inserts one before the decode,
 /// * `tier_hit` — no cache, DRAM budget as large as the store, warmed,
 /// * `tier_cold` — no cache, budget of 1/16 of the rows under the same
 ///   sweep, promote on first touch: every read is a (virtually charged)
@@ -853,13 +875,19 @@ fn write_json(
         }
     ));
     let path_leg = |leg: &str| read_path.iter().find(|r| r.leg == leg);
-    s.push_str(&format!(
-        "    \"decoded_row_hit_beats_cold_decode\": {},\n",
-        match (path_leg("cache_hit"), path_leg("no_cache")) {
-            (Some(hit), Some(cold)) => (hit.bag_ns.0 < cold.bag_ns.0).to_string(),
-            _ => "null".to_string(),
-        }
-    ));
+    for (leg, ceiling) in HOT_SET_CEILINGS {
+        let (ratio, holds) = match (path_leg(leg), path_leg("no_cache")) {
+            (Some(hot), Some(base)) => (
+                json_f64(hot.bag_ns.0 / base.bag_ns.0),
+                hot.bag_within(ceiling, base),
+            ),
+            _ => ("null".to_string(), None),
+        };
+        s.push_str(&format!(
+            "    \"{leg}_over_no_cache\": {ratio},\n    \"{leg}_ceiling\": {ceiling},\n    \"{leg}_within_ceiling\": {},\n",
+            holds.map_or("null".to_string(), |ok| ok.to_string())
+        ));
+    }
     let tier_leg = |leg: &str| tiered.iter().find(|r| r.leg == leg);
     s.push_str(&format!(
         "    \"tier_dram_hit_rate\": {},\n    \"tier_hit_rate_gate\": {TIER_HIT_RATE_GATE},\n",
@@ -1166,13 +1194,28 @@ fn main() {
             .find(|r| r.leg == leg)
             .unwrap_or_else(|| panic!("read-path leg '{leg}' present"))
     };
-    let (hit, cold) = (
-        path_leg("cache_hit").bag_ns.0,
-        path_leg("no_cache").bag_ns.0,
-    );
-    println!(
-        "Gate: bag of {BAG} <= one-row calls on every resolved read-path leg — ok (recorded, not gated: a decoded-row cache hit costs {hit:.1} ns/row against {cold:.1} for a cold SIMD decode, so the hit {} it)",
-        if hit < cold { "beats" } else { "does not beat" }
-    );
+    println!("Gate: bag of {BAG} <= one-row calls on every resolved read-path leg — ok");
+    // Hot-set gate: the key set sits in front of every read, so a probe
+    // (and, on a miss, an insert) may cost only so much on top of the
+    // decode that follows either way.
+    let base = path_leg("no_cache");
+    for (leg, ceiling) in HOT_SET_CEILINGS {
+        let hot = path_leg(leg);
+        let ratio = hot.bag_ns.0 / base.bag_ns.0;
+        match hot.bag_within(ceiling, base) {
+            Some(true) => println!(
+                "Gate: {leg} {:.1} ns/row = {ratio:.2}x no_cache {:.1} <= {ceiling}x — ok",
+                hot.bag_ns.0, base.bag_ns.0
+            ),
+            Some(false) => panic!(
+                "read path, {leg}: {:.1} ns/row is {ratio:.2}x no_cache ({:.1}, median {:.1}), over the {ceiling}x ceiling",
+                hot.bag_ns.0, base.bag_ns.0, base.bag_ns.1
+            ),
+            None => println!(
+                "Gate: {leg} <= {ceiling}x no_cache — skipped: {:.1} ns/row is over {ceiling}x no_cache's fastest {:.1} but not its median {:.1}, inside that leg's run-to-run spread",
+                hot.bag_ns.0, base.bag_ns.0, base.bag_ns.1
+            ),
+        }
+    }
     println!("All checks passed.");
 }

@@ -1,10 +1,12 @@
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Per-operator-type time shares — the unit of comparison in the paper's
 /// Fig 6/7 operator breakdowns.
 ///
 /// Built from `(operator type, seconds)` pairs; stores both absolute
-/// seconds and normalised fractions, sorted descending.
+/// seconds and normalised fractions, sorted descending, operators with
+/// equal seconds by name — the same entries always give the same order
+/// and the same total, bit for bit.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Breakdown {
     entries: Vec<(String, f64)>,
@@ -17,12 +19,12 @@ impl Breakdown {
     where
         I: IntoIterator<Item = (String, f64)>,
     {
-        let mut by_type: HashMap<String, f64> = HashMap::new();
+        let mut by_type: BTreeMap<String, f64> = BTreeMap::new();
         for (name, secs) in entries {
             *by_type.entry(name).or_insert(0.0) += secs;
         }
         let mut entries: Vec<(String, f64)> = by_type.into_iter().collect();
-        entries.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        entries.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         let total = entries.iter().map(|e| e.1).sum();
         Breakdown { entries, total }
     }
@@ -81,6 +83,30 @@ mod tests {
         assert!((b.total_seconds() - 6.0).abs() < 1e-12);
         assert!((b.share("FC") - 5.0 / 6.0).abs() < 1e-12);
         assert_eq!(b.share("Missing"), 0.0);
+    }
+
+    #[test]
+    fn equal_shares_order_by_name_and_total_is_reproducible() {
+        // A hash map orders ties (and sums the total) differently in
+        // every construction.
+        let build = || {
+            Breakdown::from_entries(
+                ["Relu", "Concat", "FC", "Sigmoid", "Sum"]
+                    .into_iter()
+                    .map(|name| (name.to_string(), if name == "FC" { 0.7 } else { 0.1 })),
+            )
+        };
+        let first = build();
+        let names: Vec<&str> = first.entries().iter().map(|e| e.0.as_str()).collect();
+        assert_eq!(names, ["FC", "Concat", "Relu", "Sigmoid", "Sum"]);
+        for _ in 0..32 {
+            let again = build();
+            assert_eq!(again.entries(), first.entries());
+            assert_eq!(
+                again.total_seconds().to_bits(),
+                first.total_seconds().to_bits()
+            );
+        }
     }
 
     #[test]

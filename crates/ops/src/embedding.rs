@@ -351,8 +351,8 @@ pub(crate) fn check_ids_in_range(
 }
 
 /// Opens the gather-side trace record: reserves the sampler and records
-/// the id-list read. Row reads are recorded inline by the caller during the
-/// functional gather loop (avoiding a per-lookup address buffer).
+/// the id-list read. The caller records the row reads next
+/// ([`record_row_reads`]), then closes with [`finish_gather_trace`].
 #[allow(clippy::too_many_arguments)]
 fn begin_gather_trace(
     ctx: &mut ExecContext,
@@ -366,6 +366,20 @@ fn begin_gather_trace(
     let lines_per_row = row_bytes.div_ceil(64);
     ctx.reserve_mem_events(expected_lookups * lines_per_row + ids_bytes / 64 + out_bytes / 64 + 2);
     ctx.record_read(ids_addr, ids_bytes);
+}
+
+/// Records one row read per id, in id order. Values are gathered by the
+/// one (parallel, bag-at-a-time) path whether or not a trace is taken;
+/// the trace only needs the addresses, and those depend on the ids alone.
+fn record_row_reads(
+    ctx: &mut ExecContext,
+    table: &EmbeddingTable,
+    ids: impl IntoIterator<Item = u32>,
+) {
+    let row_bytes = (table.dim() * 4) as u64;
+    for id in ids {
+        ctx.record_read(table.row_addr(id), row_bytes);
+    }
 }
 
 /// Closes the gather-side trace record with the aggregate work evidence.
@@ -490,57 +504,38 @@ impl Operator for SparseLengthsSum {
         let dim = self.table.dim();
         let tracing = ctx.tracing_enabled();
         let out_bytes = (batch * dim * 4) as u64;
-        let row_bytes = (dim * 4) as u64;
+        let lookups = ids.total_lookups() as u64;
 
         if tracing {
             begin_gather_trace(
                 ctx,
                 &self.table,
-                ids.total_lookups() as u64,
+                lookups,
                 inputs[0].addr,
                 inputs[0].byte_size(),
                 out_bytes,
             );
+            record_row_reads(ctx, &self.table, ids.ids.iter().copied());
         }
         // Output drawn from the context arena (handed out zeroed).
         let mut out = Tensor::from_pooled(ctx.take_buffer(batch * dim), &[batch, dim]);
-        let mut lookups = 0u64;
-        if tracing {
-            // Sequential path: row reads are recorded inline, which needs
-            // `&mut ctx` per lookup. Segment bookkeeping is done manually
-            // so reads can be recorded without borrowing `ids` across the
-            // `ctx` calls.
-            let mut pos = 0usize;
-            for (sample, &len) in ids.lengths.iter().enumerate() {
-                let acc = &mut out.as_mut_slice()[sample * dim..(sample + 1) * dim];
-                for &id in &ids.ids[pos..pos + len as usize] {
-                    self.table.sum_row(id, acc);
-                    ctx.record_read(self.table.row_addr(id), row_bytes);
-                    lookups += 1;
-                }
+        // Samples are independent, so the bag loop fans out over the pool
+        // in sample-aligned chunks. Per-sample accumulation order is
+        // unchanged — bit-identical to serial.
+        let starts = segment_starts(&ids.lengths);
+        let pool = drec_par::current();
+        let chunk = sample_chunk_elems(batch, dim, pool.threads());
+        pool.for_each_chunk_mut(out.as_mut_slice(), chunk, |offset, block| {
+            let first = offset / dim;
+            for (s, acc) in block.chunks_mut(dim).enumerate() {
+                let sample = first + s;
+                let len = ids.lengths[sample];
+                let start = starts[sample];
+                self.table
+                    .sum_rows(&ids.ids[start..start + len as usize], acc);
                 pool_segment(acc, self.mode, len);
-                pos += len as usize;
             }
-        } else {
-            // Parallel path: samples are independent, so the bag loop
-            // fans out over the pool in sample-aligned chunks. Per-sample
-            // accumulation order is unchanged — bit-identical to serial.
-            lookups = ids.total_lookups() as u64;
-            let starts = segment_starts(&ids.lengths);
-            let pool = drec_par::current();
-            let chunk = sample_chunk_elems(batch, dim, pool.threads());
-            pool.for_each_chunk_mut(out.as_mut_slice(), chunk, |offset, block| {
-                let first = offset / dim;
-                for (s, acc) in block.chunks_mut(dim).enumerate() {
-                    let sample = first + s;
-                    let len = ids.lengths[sample];
-                    let start = starts[sample];
-                    self.table
-                        .sum_rows(&ids.ids[start..start + len as usize], acc);
-                    pool_segment(acc, self.mode, len);
-                }
-            });
-        }
+        });
         let out_addr = ctx.alloc_activation(out_bytes);
         if tracing {
             if self.mode == PoolMode::Mean {
@@ -633,27 +628,25 @@ impl Operator for EmbeddingGather {
         let tracing = ctx.tracing_enabled();
         let row_bytes = (dim * 4) as u64;
 
-        let expected_lookups = match self.mode {
+        let lookups = match self.mode {
             GatherMode::Position(_) => batch as u64,
             GatherMode::FullSequence => ids.total_lookups() as u64,
         };
-        let expected_out_bytes = expected_lookups * row_bytes;
         if tracing {
             begin_gather_trace(
                 ctx,
                 &self.table,
-                expected_lookups,
+                lookups,
                 inputs[0].addr,
                 inputs[0].byte_size(),
-                expected_out_bytes,
+                lookups * row_bytes,
             );
         }
 
-        let lookups: u64;
         let out = match self.mode {
             GatherMode::Position(p) => {
-                // Validate every segment up front so the copy loop (serial
-                // or parallel) is infallible.
+                // Validate every segment up front so the copy loop is
+                // infallible.
                 if let Some((_, &len)) = ids
                     .lengths
                     .iter()
@@ -666,28 +659,20 @@ impl Operator for EmbeddingGather {
                     });
                 }
                 let starts = segment_starts(&ids.lengths);
-                let mut out = Tensor::from_pooled(ctx.take_buffer(batch * dim), &[batch, dim]);
-                lookups = batch as u64;
                 if tracing {
-                    for (sample, &start) in starts.iter().enumerate().take(batch) {
-                        let id = ids.ids[start + p];
-                        self.table.copy_row(
-                            id,
-                            &mut out.as_mut_slice()[sample * dim..(sample + 1) * dim],
-                        );
-                        ctx.record_read(self.table.row_addr(id), row_bytes);
-                    }
-                } else {
-                    let pool = drec_par::current();
-                    let chunk = sample_chunk_elems(batch, dim, pool.threads());
-                    pool.for_each_chunk_mut(out.as_mut_slice(), chunk, |offset, block| {
-                        let first = offset / dim;
-                        for (s, dst) in block.chunks_mut(dim).enumerate() {
-                            let id = ids.ids[starts[first + s] + p];
-                            self.table.copy_row(id, dst);
-                        }
-                    });
+                    let picked = starts.iter().map(|&start| ids.ids[start + p]);
+                    record_row_reads(ctx, &self.table, picked);
                 }
+                let mut out = Tensor::from_pooled(ctx.take_buffer(batch * dim), &[batch, dim]);
+                let pool = drec_par::current();
+                let chunk = sample_chunk_elems(batch, dim, pool.threads());
+                pool.for_each_chunk_mut(out.as_mut_slice(), chunk, |offset, block| {
+                    let first = offset / dim;
+                    for (s, dst) in block.chunks_mut(dim).enumerate() {
+                        let id = ids.ids[starts[first + s] + p];
+                        self.table.copy_row(id, dst);
+                    }
+                });
                 out
             }
             GatherMode::FullSequence => {
@@ -699,25 +684,15 @@ impl Operator for EmbeddingGather {
                             .to_string(),
                     });
                 }
+                if tracing {
+                    record_row_reads(ctx, &self.table, ids.ids.iter().copied());
+                }
                 let sample_elems = seq_len * dim;
                 let mut out = Tensor::from_pooled(
                     ctx.take_buffer(batch * sample_elems),
                     &[batch, sample_elems],
                 );
-                lookups = (batch * seq_len) as u64;
-                if tracing {
-                    let mut pos = 0usize;
-                    for sample in 0..batch {
-                        for t in 0..seq_len {
-                            let id = ids.ids[pos + t];
-                            let off = sample * sample_elems + t * dim;
-                            self.table
-                                .copy_row(id, &mut out.as_mut_slice()[off..off + dim]);
-                            ctx.record_read(self.table.row_addr(id), row_bytes);
-                        }
-                        pos += seq_len;
-                    }
-                } else if sample_elems > 0 {
+                if sample_elems > 0 {
                     let pool = drec_par::current();
                     let chunk = sample_chunk_elems(batch, sample_elems, pool.threads());
                     pool.for_each_chunk_mut(out.as_mut_slice(), chunk, |offset, block| {

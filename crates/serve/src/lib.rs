@@ -72,8 +72,8 @@ pub use update::{ModelUpdateChannel, UpdatePlan, Updater, UpdaterStats, WeightSe
 // Re-exported so serving callers can configure the shared parameter store
 // without depending on `drec-store` directly.
 pub use drec_store::{
-    CachePolicy, EmbeddingStore, RowDelta, RowEncoding, StoreConfig, StoreError, StoreStats,
-    UpdateBatch, UpdateReport,
+    EmbeddingStore, RowDelta, RowEncoding, StoreConfig, StoreError, StoreStats, UpdateBatch,
+    UpdateReport,
 };
 
 // Re-exported so chaos harnesses can build fault plans without depending

@@ -1,5 +1,5 @@
-//! `drec-store`: sharded, quantized embedding parameter store with
-//! hot-row caching.
+//! `drec-store`: sharded, quantized embedding parameter store with a
+//! hot-row key set.
 //!
 //! Deep recommendation models (the paper's RM1/RM2/DIN class) are
 //! dominated by irregular `SparseLengthsSum` reads over huge embedding
@@ -19,13 +19,15 @@
 //!   error ([`RowEncoding::error_bound`]), enforced by tests.
 //! * **Bag-granular reads** ([`PinnedTable::sum_rows`] /
 //!   [`PinnedTable::read_rows`]) — a pooled bag of rows is read as one
-//!   residency transaction: same per-row cache and tier operations as
-//!   one-row reads, in the same order, with the counters, the tier lock
-//!   and the refill buffer handled once per bag.
-//! * **Hot-row cache** ([`HotRowCache`]) — a capacity-bounded LRU/LFU
-//!   cache of *decoded* rows in front of the cold shards, refilled in
-//!   place on a miss, with atomic hit/miss/evict counters surfaced
-//!   through [`EmbeddingStore::stats`].
+//!   residency transaction: same per-row hot-set and tier operations as
+//!   one-row reads, in the same order, with the counters and the tier
+//!   lock handled once per bag.
+//! * **Hot-row key set** ([`HotRowCache`]) — a capacity-bounded LRU set
+//!   of hot row *keys* in front of the shards: a hot row skips the tier
+//!   charge and survives cache-only degraded mode, but every read
+//!   decodes from the one encoded copy in its shard. Atomic
+//!   hit/miss/evict counters are surfaced through
+//!   [`EmbeddingStore::stats`].
 //! * **DRAM/SSD tiering** ([`StoreConfig::tier`], via [`drec_tier`]) —
 //!   a budget-bounded CLOCK resident set models which rows are in DRAM;
 //!   cold rows charge a seeded, queue-depth-aware read latency and get
@@ -44,7 +46,7 @@
 //!   §14).
 //!
 //! Determinism guarantees: decoding is a pure function of the stored
-//! bytes, and cached rows are exactly the decoded rows — so cache state
+//! bytes, and the shard holds the only copy of them — so the hot set
 //! (including evictions and cross-worker races), tier residency,
 //! prefetch timing, and combining can never change a model's output,
 //! and the `F32` encoding reproduces the direct dense-tensor path bit
@@ -59,7 +61,7 @@ mod stats;
 mod test_support;
 mod update;
 
-pub use cache::{CachePolicy, HotRowCache};
+pub use cache::HotRowCache;
 pub use drec_faultsim::UpdateFault;
 pub use drec_tier::{ColdReadModel, CombineConfig, Pacing, TierConfig, TierStats};
 pub use encoding::{f16_bits_to_f32, f32_to_f16_bits, quantize_row, EncodedRow, RowEncoding};

@@ -48,7 +48,7 @@ impl PinnedTable {
     }
 
     /// Copies row `row` straight from its shard into `dst`, bypassing
-    /// the hot-row cache, the tier model, fault injection, and every
+    /// the hot-row key set, the tier model, fault injection, and every
     /// counter — the quiet path the updater uses to capture pre-update
     /// rows for its quiescence oracle.
     ///
@@ -95,10 +95,10 @@ impl PinnedTable {
         ((self.handle.0 as u64) << 32) | u64::from(row)
     }
 
-    /// Applies any injected read fault and reports whether a cold-shard
-    /// read should be skipped (cache-only degraded mode). An injected
-    /// delay closes the bag's tier session first, so the tier lock is
-    /// never held across a sleep.
+    /// Applies any injected read fault and reports whether the read of
+    /// a row that is not hot should be skipped (cache-only degraded
+    /// mode). An injected delay closes the bag's tier session first, so
+    /// the tier lock is never held across a sleep.
     #[inline]
     fn skip_cold_read(
         &self,
@@ -126,16 +126,16 @@ impl PinnedTable {
 
     /// The one row-read routine: visits `rows` in order as a single
     /// **bag transaction**. Per row it does what a one-row read always
-    /// did, in the same order — hot-row cache probe; on a miss the fault
-    /// hook and cache-only check, the tier demand access (a resident row
-    /// is free, a cold row pays the configured cold-read latency and
-    /// gets promoted), the cold-shard decode, the cache refill — so
-    /// values and every `StoreStats` counter come out as from that many
-    /// one-row calls. What is per *bag* is the bookkeeping: `lookups`
-    /// and the decode tallies are bumped once, the tier lock is taken
-    /// once (at the first cache miss, and held to the end of the bag;
-    /// DESIGN.md §12 has the lock order), and a cache miss decodes
-    /// straight into the victim slot's buffer instead of allocating one.
+    /// did, in the same order — hot-row key probe; for a row that is not
+    /// hot the fault hook and cache-only check, the tier demand access
+    /// (a resident row is free, a cold row pays the configured cold-read
+    /// latency and gets promoted) and the key insert; then, hot or not,
+    /// the decode from the row's shard — so values and every
+    /// `StoreStats` counter come out as from that many one-row calls.
+    /// What is per *bag* is the bookkeeping: `lookups`, the hit / miss
+    /// and the decode tallies are bumped once and the tier lock is taken
+    /// once (at the first row that is not hot, and held to the end of
+    /// the bag; DESIGN.md §12 has the lock order).
     ///
     /// `op` says where a row goes: summed into the whole of `out`, or
     /// copied to the row's own `dim`-wide cell of `out`.
@@ -143,61 +143,45 @@ impl PinnedTable {
         let store = &*self.store;
         let table = &*self.table;
         let dim = table.dim;
-        let cache = store.cache.enabled().then_some(&store.cache);
         let mut tally = BagTally::new(store);
         let mut tier: Option<TierSession<'_>> = None;
         for (i, row) in rows.enumerate() {
             debug_assert!((row as usize) < table.rows);
             tally.lookups += 1;
-            let dst = match op {
-                BagOp::Sum => &mut *out,
-                BagOp::Copy => &mut out[i * dim..(i + 1) * dim],
-            };
             let key = self.key(row);
-            // Cache hit: rows are cached *decoded*, so no kernel runs and
-            // neither decode counter moves. The hot-row cache is DRAM, so
-            // the tier is not consulted either.
-            if cache.is_some_and(|c| c.with_row(key, |cached| op.emit(cached, dst)).is_some()) {
-                continue;
-            }
-            // Cache miss: in cache-only degraded mode the row's
-            // contribution is dropped (a copy reads zeros; counted as a
-            // quality-loss skip); otherwise charge the tier, decode from
-            // the cold shard, and refill the cache.
-            if self.skip_cold_read(row, &mut tier, &mut tally) {
-                if op == BagOp::Copy {
-                    dst.fill(0.0);
+            // A hot row is DRAM by definition: the tier is not consulted.
+            if store.cache.touch(key) {
+                tally.cache_hits += 1;
+            } else {
+                // In cache-only degraded mode the row's contribution is
+                // dropped (a copy reads zeros; counted as a quality-loss
+                // skip); otherwise charge the tier and make the row hot.
+                if self.skip_cold_read(row, &mut tier, &mut tally) {
+                    if op == BagOp::Copy {
+                        out[i * dim..(i + 1) * dim].fill(0.0);
+                    }
+                    continue;
                 }
-                continue;
+                if let Some(engine) = &store.tier {
+                    tier.get_or_insert_with(|| engine.session())
+                        .demand_access(key);
+                }
+                store.cache.insert(key);
             }
-            if let Some(engine) = &store.tier {
-                tier.get_or_insert_with(|| engine.session())
-                    .demand_access(key);
-            }
-            let mut refilled = None;
-            if let Some(cache) = cache {
-                cache.insert_with(key, dim, |slot| {
-                    refilled = Some(table.read_into(row, slot));
-                    op.emit(slot, dst);
-                });
-            }
-            // No cache, or another worker cached the row meanwhile: read
-            // the shard straight into the output.
-            tally.decoded(refilled.unwrap_or_else(|| match op {
-                BagOp::Sum => table.sum_into(row, dst),
-                BagOp::Copy => table.read_into(row, dst),
-            }));
+            tally.decoded(match op {
+                BagOp::Sum => table.sum_into(row, out),
+                BagOp::Copy => table.read_into(row, &mut out[i * dim..(i + 1) * dim]),
+            });
         }
     }
 
     /// Adds every row of the bag `rows` element-wise into `acc`, in
     /// order (`acc[i] += row[i]`, left to right — the identical
     /// reduction a dense-tensor lookup performs, so the `F32` encoding
-    /// is bit-identical to the direct path whether a row comes from the
-    /// cache or a cold shard). One residency transaction for the whole
-    /// bag; values and counters equal those of one [`PinnedTable::sum_row`]
-    /// call per row. In cache-only degraded mode a missed row's
-    /// contribution is dropped.
+    /// is bit-identical to the direct path). One residency transaction
+    /// for the whole bag; values and counters equal those of one
+    /// [`PinnedTable::sum_row`] call per row. In cache-only degraded mode
+    /// the contribution of a row that is not hot is dropped.
     ///
     /// # Panics
     ///
@@ -215,8 +199,7 @@ impl PinnedTable {
 
     /// Copies the bag `rows` into `dst`, row `i` to
     /// `dst[i * dim..(i + 1) * dim]`, as one residency transaction. In
-    /// cache-only degraded mode a missed row reads as zeros instead of
-    /// touching the cold shard.
+    /// cache-only degraded mode a row that is not hot reads as zeros.
     ///
     /// # Panics
     ///
@@ -263,9 +246,9 @@ impl PinnedTable {
     /// pays the cold-read latency *off* the request critical path and
     /// promotes its row into the DRAM tier. A fill moves only the
     /// prefetch counters — it is not a demand decode
-    /// (`decode_vector`/`decode_scalar` stay put, the hot-row cache is
-    /// untouched) because a tier promotion moves encoded bytes, not
-    /// decoded rows. Rows out of range or already resident are skipped;
+    /// (`decode_vector`/`decode_scalar` stay put, the hot-row key set is
+    /// untouched) because a tier promotion moves encoded bytes and
+    /// decodes nothing. Rows out of range or already resident are skipped;
     /// no-op without tiering.
     pub fn prefetch_rows(&self, rows: &[u32]) {
         let Some(tier) = &self.store.tier else {
@@ -365,25 +348,13 @@ enum BagOp {
     Copy,
 }
 
-impl BagOp {
-    /// Delivers one decoded row to its destination.
-    #[inline]
-    fn emit(self, row: &[f32], dst: &mut [f32]) {
-        match self {
-            BagOp::Sum => {
-                drec_tensor::simd::sum_f32_into(row, dst);
-            }
-            BagOp::Copy => dst.copy_from_slice(row),
-        }
-    }
-}
-
 /// A bag's counter deltas, added to the store's shared (cache-line
 /// padded, contended) atomics once when the bag ends — also when it
 /// ends by unwinding out of an injected poisoned read.
 struct BagTally<'a> {
     store: &'a EmbeddingStore,
     lookups: u64,
+    cache_hits: u64,
     decode_vector: u64,
     decode_scalar: u64,
     cache_only_skips: u64,
@@ -394,13 +365,14 @@ impl<'a> BagTally<'a> {
         BagTally {
             store,
             lookups: 0,
+            cache_hits: 0,
             decode_vector: 0,
             decode_scalar: 0,
             cache_only_skips: 0,
         }
     }
 
-    /// Tallies one cold-shard decode into the vector/scalar pair.
+    /// Tallies one shard decode into the vector/scalar pair.
     #[inline]
     fn decoded(&mut self, path: KernelPath) {
         match path {
@@ -412,8 +384,16 @@ impl<'a> BagTally<'a> {
 
 impl Drop for BagTally<'_> {
     fn drop(&mut self) {
+        // With a key set, every lookup that was not a hit was a miss.
+        let cache_misses = if self.store.cache.enabled() {
+            self.lookups - self.cache_hits
+        } else {
+            0
+        };
         for (counter, delta) in [
             (&*self.store.lookups, self.lookups),
+            (&*self.store.cache_hits, self.cache_hits),
+            (&*self.store.cache_misses, cache_misses),
             (&*self.store.decode_vector, self.decode_vector),
             (&*self.store.decode_scalar, self.decode_scalar),
             (&self.store.cache_only_skips, self.cache_only_skips),
@@ -434,15 +414,15 @@ mod tests {
     #[test]
     fn f32_sum_row_is_bit_identical_to_manual_add() {
         let s = store(StoreConfig {
-            cache_capacity_rows: 16,
-            cache_shards: 1,
+            // Eight ways a set: the three rows cannot evict one another.
+            cache_capacity_rows: 128,
             ..StoreConfig::default()
         });
         let data = filled(100, 8);
         let h = s.register(1, 0, 100, 8, &data).unwrap();
         let pin = s.pin(h);
         for pass in 0..2 {
-            // Pass 0 populates the cache, pass 1 hits it — both must be
+            // Pass 0 makes the rows hot, pass 1 hits them — both must be
             // bit-identical to the direct add.
             for row in [0u32, 37, 99] {
                 let mut acc = vec![0.125f32; 8];

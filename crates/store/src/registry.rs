@@ -11,7 +11,7 @@ use drec_sync::{CachePadded, EpochGc, EpochGuard, Mutex, RwLock};
 use drec_tensor::simd::KernelPath;
 use drec_tier::{CombineCache, TierConfig, TierEngine};
 
-use crate::cache::{CachePolicy, HotRowCache};
+use crate::cache::HotRowCache;
 use crate::encoding::{EncodedRow, RowData, RowEncoding};
 use crate::read::PinnedTable;
 use crate::update::RowWrite;
@@ -23,12 +23,8 @@ pub struct StoreConfig {
     pub encoding: RowEncoding,
     /// Row-range shards per table (each behind its own lock).
     pub shards_per_table: usize,
-    /// Hot-row cache capacity in rows (0 disables the cache).
+    /// Hot-row key set capacity in rows (0 disables it).
     pub cache_capacity_rows: usize,
-    /// Eviction policy for the hot-row cache.
-    pub cache_policy: CachePolicy,
-    /// Lock shards inside the hot-row cache.
-    pub cache_shards: usize,
     /// DRAM/SSD tiering (see [`drec_tier`]); `None` keeps the whole
     /// store DRAM-resident. Residency only decides latency charging and
     /// counters — values always decode from the same encoded shards, so
@@ -42,12 +38,13 @@ impl Default for StoreConfig {
             encoding: RowEncoding::F32,
             shards_per_table: 8,
             cache_capacity_rows: 0,
-            cache_policy: CachePolicy::Lru,
-            cache_shards: 16,
             tier: None,
         }
     }
 }
+
+/// Lock shards inside the hot-row key set.
+const CACHE_SHARDS: usize = 16;
 
 /// Errors from store registration and row access.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -305,16 +302,18 @@ pub struct EmbeddingStore {
     /// `lookups` on every embedding access, and unpadded neighbors would
     /// bounce a shared line between cores (see `drec_sync::CachePadded`).
     pub(crate) lookups: CachePadded<AtomicU64>,
-    /// Cold-shard decodes served by the vector (AVX2/FMA) kernels.
-    /// Hot-row-cache hits add *decoded* rows and bypass both counters —
-    /// a hit is not a decode, and counting it as one would make the
-    /// kernel-backend mix look busier than the kernels are.
+    /// Lookups that found their row in the hot-row key set, and those
+    /// that did not (none of either when the set is disabled).
+    pub(crate) cache_hits: CachePadded<AtomicU64>,
+    pub(crate) cache_misses: CachePadded<AtomicU64>,
+    /// Shard decodes served by the vector (AVX2/FMA) kernels. Every row
+    /// read is one decode, hot or not: the shard holds the only copy.
     pub(crate) decode_vector: CachePadded<AtomicU64>,
-    /// Cold-shard decodes served by the portable scalar kernels.
+    /// Shard decodes served by the portable scalar kernels.
     pub(crate) decode_scalar: CachePadded<AtomicU64>,
     pub(crate) faults: FaultHook,
-    /// Degraded mode: serve only from the hot-row cache, skipping cold
-    /// shards (see [`EmbeddingStore::set_cache_only`]).
+    /// Degraded mode: serve only hot rows, skipping every other read
+    /// (see [`EmbeddingStore::set_cache_only`]).
     pub(crate) cache_only: AtomicBool,
     pub(crate) cache_only_skips: AtomicU64,
     /// DRAM/SSD residency model (`StoreConfig::tier`).
@@ -356,7 +355,7 @@ impl EmbeddingStore {
     /// consistent. With [`FaultHook::disabled`] this is identical to
     /// [`EmbeddingStore::new`].
     pub fn with_faults(cfg: StoreConfig, faults: FaultHook) -> EmbeddingStore {
-        let cache = HotRowCache::new(cfg.cache_capacity_rows, cfg.cache_shards, cfg.cache_policy);
+        let cache = HotRowCache::new(cfg.cache_capacity_rows, CACHE_SHARDS);
         let tier = cfg.tier.as_ref().map(TierEngine::new);
         let combine = cfg
             .tier
@@ -369,6 +368,8 @@ impl EmbeddingStore {
             index: Mutex::new(HashMap::new()),
             cache,
             lookups: CachePadded::new(AtomicU64::new(0)),
+            cache_hits: CachePadded::new(AtomicU64::new(0)),
+            cache_misses: CachePadded::new(AtomicU64::new(0)),
             decode_vector: CachePadded::new(AtomicU64::new(0)),
             decode_scalar: CachePadded::new(AtomicU64::new(0)),
             faults,
@@ -392,14 +393,14 @@ impl EmbeddingStore {
         &self.cfg
     }
 
-    /// Enters or leaves cache-only degraded mode. While degraded, row
-    /// lookups that miss the hot-row cache *skip* the cold shard instead
-    /// of decoding it: pooled sums simply omit the row's contribution
-    /// and copies return zeros. Output quality degrades (every skip is
-    /// counted in [`crate::StoreStats::cache_only_skips`]) but lookup latency
-    /// collapses to the cache hit path — the overload ladder uses this
-    /// as the last step before shedding. No-op when the cache is
-    /// disabled (there would be nothing left to serve from).
+    /// Enters or leaves cache-only degraded mode. While degraded, lookups
+    /// of rows that are not in the hot-row key set are *skipped*: pooled
+    /// sums simply omit the row's contribution and copies return zeros.
+    /// Output quality degrades (every skip is counted in
+    /// [`crate::StoreStats::cache_only_skips`]) but a lookup costs at
+    /// most a probe and a DRAM decode — the overload ladder uses this as
+    /// the last step before shedding. No-op when the key set is disabled
+    /// (there would be nothing left to serve).
     pub fn set_cache_only(&self, degraded: bool) {
         if self.cache.enabled() {
             self.cache_only.store(degraded, Ordering::Relaxed);

@@ -25,8 +25,8 @@ impl EmbeddingStore {
             resident_bytes,
             f32_bytes,
             lookups: self.lookups.load(Ordering::Relaxed),
-            cache_hits: self.cache.hits(),
-            cache_misses: self.cache.misses(),
+            cache_hits: self.cache_hits.load(Ordering::Relaxed),
+            cache_misses: self.cache_misses.load(Ordering::Relaxed),
             cache_evictions: self.cache.evictions(),
             cache_resident_rows: self.cache.resident_rows(),
             cache_capacity_rows: self.cache.capacity_rows() as u64,
@@ -78,24 +78,25 @@ pub struct StoreStats {
     pub f32_bytes: u64,
     /// Row lookups served (sum + copy).
     pub lookups: u64,
-    /// Hot-row cache hits.
+    /// Lookups that found their row in the hot-row key set.
     pub cache_hits: u64,
-    /// Hot-row cache misses.
+    /// Lookups that did not.
     pub cache_misses: u64,
-    /// Hot-row cache evictions.
+    /// Keys evicted from the hot-row key set.
     pub cache_evictions: u64,
-    /// Rows currently resident in the hot-row cache.
+    /// Keys currently in the hot-row key set.
     pub cache_resident_rows: u64,
-    /// Configured hot-row cache capacity.
+    /// Capacity of the hot-row key set.
     pub cache_capacity_rows: u64,
-    /// Cold-shard reads skipped while in cache-only degraded mode — the
-    /// store's quality-loss counter: each skip dropped one row's
-    /// contribution from a pooled lookup (or zero-filled a copy).
+    /// Reads of rows that were not hot, skipped while in cache-only
+    /// degraded mode — the store's quality-loss counter: each skip
+    /// dropped one row's contribution from a pooled lookup (or
+    /// zero-filled a copy).
     pub cache_only_skips: u64,
-    /// Cold-shard row decodes served by the vector (AVX2/FMA) kernels.
-    /// Hot-row-cache hits are *not* decodes and move neither counter.
+    /// Row decodes served by the vector (AVX2/FMA) kernels. Every row
+    /// read that is not skipped is one decode, hot or not.
     pub decode_vector: u64,
-    /// Cold-shard row decodes served by the portable scalar kernels.
+    /// Row decodes served by the portable scalar kernels.
     pub decode_scalar: u64,
     /// Configured DRAM hot-tier budget, rows (0 without tiering).
     pub tier_dram_budget_rows: u64,
@@ -230,7 +231,7 @@ impl StoreStats {
         }
     }
 
-    /// Fraction of cold-shard decodes that ran on the vector kernels
+    /// Fraction of row decodes that ran on the vector kernels
     /// (0 when nothing was decoded) — the kernel-backend mix for a run.
     pub fn vector_decode_fraction(&self) -> f64 {
         let total = self.decode_vector + self.decode_scalar;
@@ -241,7 +242,7 @@ impl StoreStats {
         }
     }
 
-    /// Cache hit rate over the accesses in this snapshot (0 when idle).
+    /// Hot-row hit rate over the accesses in this snapshot (0 when idle).
     pub fn hit_rate(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;
         if total == 0 {
@@ -266,7 +267,7 @@ impl StoreStats {
     }
 
     /// Combined DRAM hit rate: the fraction of all row lookups served
-    /// without a cold-tier read — hot-row-cache hits, combined-row hits,
+    /// without a cold-tier read — hot-row hits, combined-row hits,
     /// and tier-resident decodes all count as DRAM. 1.0 without tiering
     /// (everything is DRAM) or when idle.
     pub fn combined_dram_hit_rate(&self) -> f64 {

@@ -81,9 +81,10 @@ pub struct UpdateReport {
 }
 
 impl EmbeddingStore {
-    /// Drops every cached or resident trace of `key`: the hot-row cache
-    /// entry, any combined pair touching the key, and the DRAM tier
-    /// residency (CLOCK slot + pending prefetch intent).
+    /// Drops every trace of `key` outside its shard: the hot-row key,
+    /// any combined pair touching the key, and the DRAM tier residency
+    /// (CLOCK slot + pending prefetch intent), so the rewritten row
+    /// re-earns all three.
     pub(crate) fn invalidate_row(&self, key: u64) {
         self.cache.invalidate(key);
         if let Some(combine) = &self.combine {
@@ -103,8 +104,9 @@ impl EmbeddingStore {
     ///    before any row is touched, so a malformed batch is rejected
     ///    with a typed error and zero visible effect.
     /// 2. **Apply with an undo log** — each delta re-encodes its row
-    ///    under the shard write lock and invalidates the row's cached
-    ///    copies; the pre-update row is kept for rollback. An injected
+    ///    under the shard write lock and invalidates the row's hot key,
+    ///    combined pairs and residency; the pre-update row is kept for
+    ///    rollback. An injected
     ///    [`UpdateFault::CrashMidBatch`] fires halfway through and rolls
     ///    every applied row back (restoring and re-invalidating), then
     ///    returns [`StoreError::UpdateAborted`] — the failed batch is
@@ -115,11 +117,13 @@ impl EmbeddingStore {
     ///    version meanwhile).
     /// 4. **Retire** — one epoch `synchronize` waits out every reader
     ///    pinned before the publish, then the batch's keys are
-    ///    invalidated a second time: a pre-publish reader may have
-    ///    re-inserted a row it decoded *before* step 2's invalidation,
-    ///    and that stale insert necessarily happened before its unpin,
-    ///    hence before this pass (the `loom_sync` epoch test checks
-    ///    exactly this ordering).
+    ///    invalidated a second time. The pass is there for the
+    ///    `CombineCache`, the one decoded copy outside the shards: a
+    ///    pre-publish reader may have filled a combined pair from rows
+    ///    it decoded *before* step 2's write, and that stale fill
+    ///    necessarily happened before its unpin, hence before this pass
+    ///    (the `loom_sync` epoch test checks exactly this ordering).
+    ///    The hot-row key set holds no values and cannot be stale.
     ///
     /// `fault` is the injected update fault to honor (the updater
     /// threads its [`drec_faultsim::FaultHook::on_update`] decision
@@ -280,7 +284,7 @@ impl EmbeddingStore {
         }
 
         // Step 4: retire — wait out pre-publish readers, then clear any
-        // stale state they re-cached while still pinned.
+        // combined pair they filled from pre-update rows while pinned.
         self.epoch.synchronize();
         for (_, _, _, key) in &undo {
             self.invalidate_row(*key);
@@ -299,8 +303,8 @@ impl EmbeddingStore {
 
 impl PinnedTable {
     /// Re-encodes one row from `values` under the owning shard's write
-    /// lock and invalidates every cached or resident trace of it
-    /// (hot-row cache, combined pairs, and tier residency), so
+    /// lock and invalidates every trace of it outside the shard
+    /// (hot-row key, combined pairs, and tier residency), so
     /// subsequent lookups see the new value and re-earn residency from
     /// it.
     ///
@@ -396,7 +400,7 @@ mod tests {
         .unwrap();
         assert_eq!(s.namespace_version(9), 1);
 
-        // The updated row's cached copy was invalidated; in cache-only
+        // The updated row's hot key was invalidated; in cache-only
         // mode that miss is a quality-loss skip (zeros) — never the
         // stale pre-update bytes.
         pin.read_row(2, &mut out);
@@ -404,13 +408,13 @@ mod tests {
             out, [0.0; 4],
             "stale pre-update bytes served from the cache after retirement"
         );
-        // The untouched warm row still serves its (valid) cached copy.
+        // The untouched hot row is still served.
         pin.read_row(4, &mut out);
         assert_eq!(out, &data[16..20]);
         assert!(s.stats().cache_only_skips >= 1);
 
         // Leaving degraded mode: the next demand read decodes the new
-        // version from the cold shard and re-fills the cache...
+        // version from the shard and makes the row hot again...
         s.set_cache_only(false);
         pin.read_row(2, &mut out);
         assert_eq!(out, [9.0; 4]);

@@ -3,8 +3,7 @@
 //! `PinnedTable::sum_rows` / `read_rows` promise that a bag is nothing
 //! but bookkeeping: the rows are visited in order and every cache and
 //! tier operation happens as it would for that many one-row calls, only
-//! the counters, the tier lock and the refill buffer are handled once
-//! per bag. So the same seeded stream of bags, driven through the bag
+//! the counters and the tier lock are handled once per bag. So the same seeded stream of bags, driven through the bag
 //! calls on one store and through one-row calls on an identically built
 //! second store, must leave bitwise-equal outputs **and** field-for-field
 //! equal `StoreStats` — same hits, misses, evictions, promotions, cold
@@ -39,16 +38,14 @@ fn config(encoding: RowEncoding, cached: bool, tier: TierLeg) -> StoreConfig {
     StoreConfig {
         encoding,
         shards_per_table: 3,
-        // Far smaller than the 96 rows read, so slots are evicted and
-        // refilled in place all the time.
+        // Far smaller than the 96 rows read, so keys are evicted all the
+        // time.
         cache_capacity_rows: if cached { 12 } else { 0 },
-        cache_shards: 2,
         tier: match tier {
             TierLeg::Off => None,
             TierLeg::AdmitAfter(n) => Some(tier_config(n)),
             TierLeg::Interleaved => Some(tier_config(2)),
         },
-        ..StoreConfig::default()
     }
 }
 

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use drec_models::{store_namespace, ModelId, ModelScale};
 use drec_store::{
-    f32_to_f16_bits, quantize_row, CachePolicy, EmbeddingStore, RowEncoding, StoreConfig,
+    f32_to_f16_bits, quantize_row, EmbeddingStore, RowEncoding, StoreConfig, StoreStats, TierConfig,
 };
 use drec_tensor::simd::{self, KernelBackend};
 
@@ -38,13 +38,11 @@ fn table_data(rows: usize, dim: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
-fn store_with(encoding: RowEncoding, cache_rows: usize) -> EmbeddingStore {
+fn store_with(encoding: RowEncoding) -> EmbeddingStore {
     EmbeddingStore::new(StoreConfig {
         encoding,
         shards_per_table: 4,
-        cache_capacity_rows: cache_rows,
-        cache_policy: CachePolicy::Lru,
-        cache_shards: 4,
+        cache_capacity_rows: 0,
         tier: None,
     })
 }
@@ -74,7 +72,7 @@ fn store_lookups_match_scalar_oracle_bitwise_for_every_encoding() {
         let rows = 64;
         let data = table_data(rows, dim, dim as u64 + 3);
         for encoding in [RowEncoding::F32, RowEncoding::F16, RowEncoding::Int8] {
-            let store = Arc::new(store_with(encoding, 0));
+            let store = Arc::new(store_with(encoding));
             let handle = store.register(1, 0, rows, dim, &data).unwrap();
             let table = store.pin(handle);
             for r in 0..rows {
@@ -97,7 +95,7 @@ fn store_lookups_match_scalar_oracle_bitwise_for_every_encoding() {
 #[test]
 fn decode_counters_land_on_the_active_backend_side() {
     for encoding in [RowEncoding::F32, RowEncoding::F16, RowEncoding::Int8] {
-        let store = Arc::new(store_with(encoding, 0));
+        let store = Arc::new(store_with(encoding));
         let handle = store
             .register(2, 0, 32, 16, &table_data(32, 16, 11))
             .unwrap();
@@ -122,21 +120,27 @@ fn decode_counters_land_on_the_active_backend_side() {
 }
 
 #[test]
-fn cache_hits_are_not_decodes() {
-    // Cache large enough to hold the whole table: after one cold pass every
-    // further lookup is a hit and must move neither decode counter.
-    let store = Arc::new(store_with(RowEncoding::Int8, 1024));
+fn a_hot_hit_is_one_decode_and_no_tier_access() {
+    // Key set large enough to hold the whole table: after one pass every
+    // row is hot, and a hot hit still decodes from its shard — on the
+    // active backend — while the tier is not consulted.
+    let store = Arc::new(EmbeddingStore::new(StoreConfig {
+        encoding: RowEncoding::Int8,
+        cache_capacity_rows: 1024,
+        tier: Some(TierConfig::new(4)),
+        ..StoreConfig::default()
+    }));
     let handle = store.register(3, 0, 16, 8, &table_data(16, 8, 7)).unwrap();
     let table = store.pin(handle);
     let mut acc = vec![0.0f32; 8];
     for r in 0..16u32 {
-        table.sum_row(r, &mut acc); // cold: 16 decodes, one per row
+        table.sum_row(r, &mut acc);
     }
     let warm_base = store.stats();
+    assert_eq!(warm_base.decode_vector + warm_base.decode_scalar, 16);
     assert_eq!(
-        warm_base.decode_vector + warm_base.decode_scalar,
-        16,
-        "cold pass decodes each row exactly once"
+        warm_base.tier_dram_hits + warm_base.tier_cold_demand_reads,
+        16
     );
     for _ in 0..4 {
         for r in 0..16u32 {
@@ -146,12 +150,23 @@ fn cache_hits_are_not_decodes() {
     let mut dst = vec![0.0f32; 8];
     table.read_row(5, &mut dst);
     let delta = store.stats().since(&warm_base);
-    assert_eq!(
-        delta.decode_vector + delta.decode_scalar,
-        0,
-        "warm hits decoded again: {delta:?}"
-    );
-    assert_eq!(delta.cache_hits, 4 * 16 + 1);
+    let hits = 4 * 16 + 1;
+    assert_eq!((delta.cache_hits, delta.cache_misses), (hits, 0));
+    let decodes = match simd::active_backend() {
+        KernelBackend::Avx2Fma => (hits, 0),
+        KernelBackend::Scalar => (0, hits),
+    };
+    assert_eq!((delta.decode_vector, delta.decode_scalar), decodes);
+    let tier = |s: &StoreStats| {
+        (
+            s.tier_dram_hits,
+            s.tier_cold_demand_reads,
+            s.tier_promotions,
+            s.tier_evictions,
+            s.tier_demand_wait_nanos,
+        )
+    };
+    assert_eq!(tier(&delta), (0, 0, 0, 0, 0), "a hot hit charged the tier");
 }
 
 #[test]
