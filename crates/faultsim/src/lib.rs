@@ -304,8 +304,10 @@ impl FaultHook {
         BatchFault::None
     }
 
-    /// Called by the store once per row read, before touching the shard.
-    /// Poisoning takes precedence over delays.
+    /// Called by the store once per read of a row that is not hot — a
+    /// hit in the hot-row key set is served without consulting the hook —
+    /// during the bag's residency phase, before any shard of the bag is
+    /// touched. Poisoning takes precedence over delays.
     #[inline]
     pub fn on_read(&self) -> ReadFault {
         let Some(state) = &self.state else {

@@ -306,12 +306,12 @@ fn prefetch_fill_verify_never_parks_stale_bytes() {
 }
 
 /// The lock order of the sparse read path on the real store (DESIGN.md
-/// §12): a bag reader takes the tier lock and, inside it, a table shard
-/// lock; `update_row` takes the shard lock, releases it, and only then
-/// the tier lock; `prefetch_rows` takes the tier lock alone. The three
-/// together must never deadlock, the bag must read each row whole
-/// (before or after the update, never torn), and once all three are
-/// done a read sees the update.
+/// §12): a bag reader takes the tier lock for its residency phase and
+/// the table shard locks after it; `update_row` takes the shard lock,
+/// releases it, and only then the tier lock; `prefetch_rows` takes the
+/// tier lock alone. The three together must never deadlock, the bag
+/// must read each row whole (before or after the update, never torn),
+/// and once all three are done a read sees the update.
 #[test]
 fn bag_reader_update_row_and_prefetch_rows_never_deadlock() {
     use drec_store::{EmbeddingStore, StoreConfig, TierConfig};
@@ -354,6 +354,66 @@ fn bag_reader_update_row_and_prefetch_rows_never_deadlock() {
         let stats = store.stats();
         assert_eq!(stats.lookups, 3);
         assert!(stats.prefetch_fills + stats.prefetch_aborted_stale <= 2);
+    });
+}
+
+/// The two-phase bag on the real store: a bag settles residency for all
+/// of its rows first and decodes them afterwards, so between the two a
+/// row it has already paid for can be rewritten and invalidated
+/// (`update_row` of row 0) and another can be parked by a prefetch fill
+/// (`prefetch_rows` of row 1). Rows are two elements wide and every
+/// version of a row repeats one value, so a torn decode shows as two
+/// different sums. In every interleaving — those where the bag's
+/// residency phase has ended before the others start among them — the
+/// bag reads each row whole, old or new, nothing deadlocks, the
+/// counters add up and a later read sees the update.
+#[test]
+fn two_phase_bag_reads_whole_rows_beside_update_row_and_prefetch_rows() {
+    use drec_store::{EmbeddingStore, StoreConfig, TierConfig};
+    model(|| {
+        let store = Arc::new(EmbeddingStore::new(StoreConfig {
+            shards_per_table: 1,
+            tier: Some(TierConfig::new(4)),
+            ..StoreConfig::default()
+        }));
+        let handle = store.register(1, 0, 2, 2, &[1.0, 1.0, 2.0, 2.0]).unwrap();
+        let pin = store.pin(handle);
+
+        let reader = {
+            let pin = pin.clone();
+            spawn(move || {
+                let mut acc = [0.0f32; 2];
+                pin.sum_rows([0, 1], &mut acc);
+                acc
+            })
+        };
+        let updater = {
+            let pin = pin.clone();
+            spawn(move || pin.update_row(0, &[16.0, 16.0]).unwrap())
+        };
+        let filler = {
+            let pin = pin.clone();
+            spawn(move || {
+                let mut rows = vec![1];
+                pin.note_prefetch_intents(&mut rows);
+                pin.prefetch_rows(&rows);
+            })
+        };
+        let sum = reader.join().unwrap();
+        updater.join().unwrap();
+        filler.join().unwrap();
+        assert!(
+            sum == [3.0, 3.0] || sum == [18.0, 18.0],
+            "bag read a torn row: {sum:?}"
+        );
+        let mut acc = [0.0f32; 2];
+        pin.sum_rows([0], &mut acc);
+        assert_eq!(acc, [16.0, 16.0], "a read after the update saw the old row");
+        let stats = store.stats();
+        assert_eq!(stats.lookups, 3);
+        assert_eq!(stats.decode_vector + stats.decode_scalar, 3);
+        assert_eq!(stats.tier_dram_hits + stats.tier_cold_demand_reads, 3);
+        assert!(stats.prefetch_fills + stats.prefetch_aborted_stale <= 1);
     });
 }
 

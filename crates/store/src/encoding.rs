@@ -112,8 +112,9 @@ pub use drec_tensor::simd::quantize_i8_row as quantize_row;
 ///
 /// Rows are dense within the shard: row `r` of a `dim`-wide shard lives at
 /// element offset `r * dim`. Decoding is deterministic — the same stored
-/// bytes always decode to the same `f32` values, which is what lets the
-/// hot-row cache hold decoded rows without affecting results.
+/// bytes always decode to the same `f32` values, so a row reads the same
+/// however often and through whichever kernel it is decoded: the shard
+/// holds the only copy, and the hot-row key set beside it holds keys.
 #[derive(Debug)]
 pub(crate) enum RowData {
     /// Identity storage.

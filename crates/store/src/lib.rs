@@ -21,7 +21,8 @@
 //!   [`PinnedTable::read_rows`]) — a pooled bag of rows is read as one
 //!   residency transaction: same per-row hot-set and tier operations as
 //!   one-row reads, in the same order, with the counters and the tier
-//!   lock handled once per bag.
+//!   lock handled once per bag — and the tier lock released before the
+//!   bag's rows are decoded.
 //! * **Hot-row key set** ([`HotRowCache`]) — a capacity-bounded LRU set
 //!   of hot row *keys* in front of the shards: a hot row skips the tier
 //!   charge and survives cache-only degraded mode, but every read

@@ -1,6 +1,8 @@
 //! The read path: [`PinnedTable`] and the one row-read routine,
-//! `read_bag`, with its per-bag counter tally, plus the prefetch
-//! intents / fills and the combined pair lookup.
+//! `read_bag` — a residency phase (on a tiered store under one tier
+//! session), then a decode phase with no tier lock held — with its
+//! per-bag counter tally, plus the prefetch intents / fills and the
+//! combined pair lookup.
 
 use std::sync::Arc;
 
@@ -95,71 +97,65 @@ impl PinnedTable {
         ((self.handle.0 as u64) << 32) | u64::from(row)
     }
 
-    /// Applies any injected read fault and reports whether the read of
-    /// a row that is not hot should be skipped (cache-only degraded
-    /// mode). An injected delay closes the bag's tier session first, so
-    /// the tier lock is never held across a sleep.
-    #[inline]
-    fn skip_cold_read(
-        &self,
-        row: u32,
-        tier: &mut Option<TierSession<'_>>,
-        tally: &mut BagTally<'_>,
-    ) -> bool {
-        match self.store.faults.on_read() {
-            ReadFault::None => {}
-            ReadFault::Poison { read } => panic!(
-                "faultsim: poisoned read {read} (table {}, row {row})",
-                self.handle.0
-            ),
-            ReadFault::Delay(d) => {
-                *tier = None;
-                std::thread::sleep(d);
-            }
-        }
-        if self.store.cache_only.load(Ordering::Relaxed) {
-            tally.cache_only_skips += 1;
-            return true;
-        }
-        false
-    }
-
-    /// The one row-read routine: visits `rows` in order as a single
-    /// **bag transaction**. Per row it does what a one-row read always
-    /// did, in the same order — hot-row key probe; for a row that is not
-    /// hot the fault hook and cache-only check, the tier demand access
-    /// (a resident row is free, a cold row pays the configured cold-read
-    /// latency and gets promoted) and the key insert; then, hot or not,
-    /// the decode from the row's shard — so values and every
-    /// `StoreStats` counter come out as from that many one-row calls.
-    /// What is per *bag* is the bookkeeping: `lookups`, the hit / miss
-    /// and the decode tallies are bumped once and the tier lock is taken
-    /// once (at the first row that is not hot, and held to the end of
-    /// the bag; DESIGN.md §12 has the lock order).
+    /// The one row-read routine: reads `rows` in order as a single
+    /// **bag transaction**, in two phases.
+    ///
+    /// *Residency* for every row first, what a one-row read always did
+    /// before its decode and in the same order: the hot-row key probe;
+    /// for a row that is not hot the fault hook and the cache-only
+    /// check (in that degraded mode the row is skipped — it adds
+    /// nothing to a sum, reads as zeros in a copy — and counted as a
+    /// quality-loss skip), the tier demand access (a resident row is
+    /// free, a cold row pays the configured cold-read latency and gets
+    /// promoted) and the key insert. A tiered store runs the phase
+    /// under one tier session, taken at the first row that is not hot
+    /// and released when the phase ends, or before an injected delay
+    /// sleeps.
+    ///
+    /// Then the *decodes*, hot or not, each from its shard, with no
+    /// tier lock held (DESIGN.md §12 has the lock order). The iterator
+    /// is walked once per phase, and the only thing the second walk
+    /// needs from the first is which positions cache-only mode skipped
+    /// — none outside that mode, so no bag allocates for it. Residency
+    /// never depends on a row's bytes and a decode never touches
+    /// residency, so values and every `StoreStats` counter come out as
+    /// from that many one-row calls; `lookups`, the hit / miss and the
+    /// decode tallies are bumped once per bag.
     ///
     /// `op` says where a row goes: summed into the whole of `out`, or
     /// copied to the row's own `dim`-wide cell of `out`.
-    fn read_bag(&self, rows: impl Iterator<Item = u32>, out: &mut [f32], op: BagOp) {
+    fn read_bag(&self, rows: impl Iterator<Item = u32> + Clone, out: &mut [f32], op: BagOp) {
         let store = &*self.store;
         let table = &*self.table;
         let dim = table.dim;
         let mut tally = BagTally::new(store);
-        let mut tier: Option<TierSession<'_>> = None;
-        for (i, row) in rows.enumerate() {
-            debug_assert!((row as usize) < table.rows);
-            tally.lookups += 1;
-            let key = self.key(row);
-            // A hot row is DRAM by definition: the tier is not consulted.
-            if store.cache.touch(key) {
-                tally.cache_hits += 1;
-            } else {
-                // In cache-only degraded mode the row's contribution is
-                // dropped (a copy reads zeros; counted as a quality-loss
-                // skip); otherwise charge the tier and make the row hot.
-                if self.skip_cold_read(row, &mut tier, &mut tally) {
-                    if op == BagOp::Copy {
-                        out[i * dim..(i + 1) * dim].fill(0.0);
+        let mut skipped: Vec<usize> = Vec::new();
+        {
+            let mut tier: Option<TierSession<'_>> = None;
+            for (i, row) in rows.clone().enumerate() {
+                debug_assert!((row as usize) < table.rows);
+                tally.lookups += 1;
+                let key = self.key(row);
+                // A hot row is DRAM by definition: the tier is not consulted.
+                if store.cache.touch(key) {
+                    tally.cache_hits += 1;
+                    continue;
+                }
+                match store.faults.on_read() {
+                    ReadFault::None => {}
+                    ReadFault::Poison { read } => panic!(
+                        "faultsim: poisoned read {read} (table {}, row {row})",
+                        self.handle.0
+                    ),
+                    // The tier lock is never held across a sleep.
+                    ReadFault::Delay(d) => {
+                        tier = None;
+                        std::thread::sleep(d);
                     }
+                }
+                if store.cache_only.load(Ordering::Relaxed) {
+                    tally.cache_only_skips += 1;
+                    skipped.push(i);
                     continue;
                 }
                 if let Some(engine) = &store.tier {
@@ -168,9 +164,21 @@ impl PinnedTable {
                 }
                 store.cache.insert(key);
             }
+        }
+        let mut skipped = skipped.into_iter();
+        let mut next_skip = skipped.next();
+        for (i, row) in rows.enumerate() {
+            let cell = i * dim..(i + 1) * dim;
+            if next_skip == Some(i) {
+                next_skip = skipped.next();
+                if op == BagOp::Copy {
+                    out[cell].fill(0.0);
+                }
+                continue;
+            }
             tally.decoded(match op {
                 BagOp::Sum => table.sum_into(row, out),
-                BagOp::Copy => table.read_into(row, &mut out[i * dim..(i + 1) * dim]),
+                BagOp::Copy => table.read_into(row, &mut out[cell]),
             });
         }
     }
@@ -187,7 +195,7 @@ impl PinnedTable {
     ///
     /// Debug-asserts every `row < rows` and `acc.len() == dim`; callers
     /// validate indices before reaching the hot path.
-    pub fn sum_rows(&self, rows: impl IntoIterator<Item = u32>, acc: &mut [f32]) {
+    pub fn sum_rows(&self, rows: impl IntoIterator<Item = u32, IntoIter: Clone>, acc: &mut [f32]) {
         debug_assert_eq!(acc.len(), self.table.dim);
         self.read_bag(rows.into_iter(), acc, BagOp::Sum);
     }
@@ -205,7 +213,7 @@ impl PinnedTable {
     ///
     /// If `rows` yields more rows than `dst` has `dim`-wide cells;
     /// debug-asserts every `row < rows`.
-    pub fn read_rows(&self, rows: impl IntoIterator<Item = u32>, dst: &mut [f32]) {
+    pub fn read_rows(&self, rows: impl IntoIterator<Item = u32, IntoIter: Clone>, dst: &mut [f32]) {
         debug_assert!(dst.len().is_multiple_of(self.table.dim));
         self.read_bag(rows.into_iter(), dst, BagOp::Copy);
     }
@@ -237,9 +245,12 @@ impl PinnedTable {
     /// [`PinnedTable::note_prefetch_intents`] for one row: whether a
     /// fill should be issued for it.
     pub fn note_prefetch_intent(&self, row: u32) -> bool {
-        let mut rows = vec![row];
-        self.note_prefetch_intents(&mut rows);
-        !rows.is_empty()
+        (row as usize) < self.table.rows
+            && self
+                .store
+                .tier
+                .as_ref()
+                .is_some_and(|tier| tier.session().note_intent(self.key(row)))
     }
 
     /// Completes the prefetches for `rows` under one tier lock: each

@@ -459,6 +459,13 @@ impl EmbeddingStore {
         let slot = tables.len();
         tables.push(table);
         index.insert((namespace, ordinal), slot);
+        // The tier keeps one record per row; size them with the registry
+        // locks released (the tier lock nests inside nothing).
+        drop(tables);
+        drop(index);
+        if let Some(tier) = &self.tier {
+            tier.register_table(slot, rows);
+        }
         Ok(TableHandle(slot))
     }
 
@@ -720,6 +727,28 @@ mod tests {
         let flat = store(StoreConfig::default());
         flat.register(10, 0, 8, 2, &filled(8, 2)).unwrap();
         assert_eq!(flat.namespace_residency(10), (8, 8));
+    }
+
+    #[test]
+    fn register_sizes_the_tier_records_and_only_for_a_tiered_store() {
+        let s = store(tiered_cfg(5, false));
+        let tier = s.tier.as_ref().expect("tiered");
+        assert_eq!(tier.index_bytes(), 0);
+        let h = s.register(10, 0, 100, 2, &filled(100, 2)).unwrap();
+        let sized = tier.index_bytes();
+        assert!((100 * 12..100 * 12 + 256).contains(&sized), "{sized} bytes");
+        // Reading every row finds its record in place.
+        let pin = s.pin(h);
+        let mut acc = vec![0.0f32; 2];
+        pin.sum_rows(0..100, &mut acc);
+        assert_eq!(tier.index_bytes(), sized);
+        // A dedup hit registers nothing new.
+        s.register(10, 0, 100, 2, &filled(100, 2)).unwrap();
+        assert_eq!(tier.index_bytes(), sized);
+        // No tier, no records.
+        let flat = store(StoreConfig::default());
+        flat.register(10, 0, 100, 2, &filled(100, 2)).unwrap();
+        assert!(flat.tier.is_none());
     }
 
     #[test]

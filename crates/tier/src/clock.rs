@@ -1,8 +1,139 @@
-//! Deterministic CLOCK (second-chance) resident set over row keys.
+//! Deterministic CLOCK (second-chance) resident set over row keys, and
+//! the direct-indexed per-row record that finds a key's slot.
+//!
+//! A row key is `(table << 32) | row`, and the rows of a store are a
+//! bounded, dense set: every table is registered with its row count. So
+//! nothing in the tier hashes. [`RowIndex`] is one array of
+//! [`RowRecord`]s per table, indexed by row, and a record holds
+//! *everything* the tier knows about its row — the CLOCK slot it
+//! occupies (this module's), its demand-touch count and its pending
+//! prefetch bit (the engine's) — so an access costs one record, not a
+//! probe into one map per fact.
 
-use std::collections::HashMap;
+/// `RowRecord::slot` of a row that is not resident.
+const NO_SLOT: u32 = u32::MAX;
 
-use crate::hash::RowKeyBuild;
+/// What the tier keeps for one row. Twelve bytes; [`RowRecord::EMPTY`]
+/// for a row never touched.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RowRecord {
+    /// The CLOCK slot holding the row, or [`NO_SLOT`]. Only
+    /// [`ResidencyClock`] writes it.
+    slot: u32,
+    /// Demand touches counted during admission epoch `epoch`; worth zero
+    /// in any other epoch (see `TierState::count_touch` in the engine).
+    pub(crate) touches: u32,
+    /// The admission epoch `touches` belongs to.
+    pub(crate) epoch: u16,
+    /// A prefetch intent was announced for the row and has neither been
+    /// filled nor overtaken by a demand read.
+    pub(crate) pending: bool,
+}
+
+impl RowRecord {
+    const EMPTY: RowRecord = RowRecord {
+        slot: NO_SLOT,
+        touches: 0,
+        epoch: 0,
+        pending: false,
+    };
+
+    fn slot(&self) -> Option<usize> {
+        (self.slot != NO_SLOT).then_some(self.slot as usize)
+    }
+}
+
+/// The records of one table's rows.
+#[derive(Debug, Default)]
+struct TableRecords {
+    rows: Vec<RowRecord>,
+    /// Sized by [`RowIndex::register`]: the table's row count is known,
+    /// and a row past it is a caller's bug, not a reason to grow.
+    registered: bool,
+}
+
+/// The records of every row, addressed by key: table id (the key's high
+/// half) → row (its low half). A table the store registers is sized
+/// once, by [`RowIndex::register`], and never grows again; a table
+/// nobody registered (callers that hand the engine raw keys) grows on
+/// [`RowIndex::entry`] to the largest row touched. Lookups that only
+/// ask never grow anything.
+#[derive(Debug, Default)]
+pub(crate) struct RowIndex {
+    tables: Vec<TableRecords>,
+}
+
+impl RowIndex {
+    fn split(key: u64) -> (usize, usize) {
+        ((key >> 32) as usize, key as u32 as usize)
+    }
+
+    /// Makes room for rows `0..rows` of `table`.
+    fn grow(&mut self, table: usize, rows: usize) {
+        if self.tables.len() <= table {
+            self.tables.resize_with(table + 1, TableRecords::default);
+        }
+        if self.tables[table].rows.len() < rows {
+            self.tables[table].rows.resize(rows, RowRecord::EMPTY);
+        }
+    }
+
+    /// Fixes `table` at `rows` rows (more, if it was touched past that
+    /// before it was registered).
+    pub(crate) fn register(&mut self, table: usize, rows: usize) {
+        self.grow(table, rows);
+        self.tables[table].registered = true;
+    }
+
+    /// The record of `key` if its row was ever registered or touched.
+    pub(crate) fn get(&self, key: u64) -> Option<&RowRecord> {
+        let (table, row) = Self::split(key);
+        self.tables.get(table)?.rows.get(row)
+    }
+
+    /// [`RowIndex::get`], mutably; never grows the index.
+    pub(crate) fn get_mut(&mut self, key: u64) -> Option<&mut RowRecord> {
+        let (table, row) = Self::split(key);
+        self.tables.get_mut(table)?.rows.get_mut(row)
+    }
+
+    /// The record of `key`, growing its table to hold it unless the
+    /// table was registered.
+    ///
+    /// # Panics
+    ///
+    /// If `key` names a row past the end of a registered table.
+    #[inline]
+    pub(crate) fn entry(&mut self, key: u64) -> &mut RowRecord {
+        let (table, row) = Self::split(key);
+        match self.tables.get(table) {
+            Some(t) if row < t.rows.len() => {}
+            Some(t) if t.registered => panic!(
+                "tier: row {row} is past the end of table {table}, registered with {} rows",
+                t.rows.len()
+            ),
+            _ => self.grow(table, row + 1),
+        }
+        &mut self.tables[table].rows[row]
+    }
+
+    /// Zeroes every touch count (the admission epoch counter wrapped).
+    pub(crate) fn clear_touches(&mut self) {
+        for record in self.tables.iter_mut().flat_map(|t| &mut t.rows) {
+            record.touches = 0;
+        }
+    }
+
+    /// Heap bytes the index holds.
+    pub(crate) fn bytes(&self) -> usize {
+        self.tables.capacity() * std::mem::size_of::<TableRecords>()
+            + self
+                .tables
+                .iter()
+                .map(|t| t.rows.capacity() * std::mem::size_of::<RowRecord>())
+                .sum::<usize>()
+    }
+}
 
 /// One resident slot.
 #[derive(Debug, Clone, Copy)]
@@ -41,12 +172,15 @@ pub(crate) struct Inserted {
 /// slots fill in arrival order until the budget is reached, then a hand
 /// sweeps the slot array, clearing referenced bits until it finds an
 /// unreferenced victim. No randomness, no clocks — two identical access
-/// sequences produce identical resident sets.
+/// sequences produce identical resident sets. A key finds its slot
+/// through its row's record (`RowRecord`), which the clock keeps in
+/// step with the slot array.
 #[derive(Debug)]
 pub struct ResidencyClock {
     budget: usize,
     slots: Vec<Slot>,
-    map: HashMap<u64, usize, RowKeyBuild>,
+    /// Key → record; a resident row's record names its slot.
+    pub(crate) rows: RowIndex,
     hand: usize,
     evictions: u64,
 }
@@ -58,7 +192,7 @@ impl ResidencyClock {
         ResidencyClock {
             budget,
             slots: Vec::with_capacity(budget.min(1 << 20)),
-            map: HashMap::default(),
+            rows: RowIndex::default(),
             hand: 0,
             evictions: 0,
         }
@@ -79,9 +213,19 @@ impl ResidencyClock {
         self.evictions
     }
 
+    /// The slot `key` occupies, if resident.
+    fn slot_of(&self, key: u64) -> Option<usize> {
+        self.rows.get(key)?.slot()
+    }
+
+    /// Points `key`'s record at `slot` (`NO_SLOT`: not resident).
+    fn set_slot(&mut self, key: u64, slot: u32) {
+        self.rows.entry(key).slot = slot;
+    }
+
     /// Whether `key` is resident, without touching referenced bits.
     pub fn contains(&self, key: u64) -> bool {
-        self.map.contains_key(&key)
+        self.slot_of(key).is_some()
     }
 
     /// Counts resident keys for which `pred` holds — the reporting path
@@ -93,8 +237,8 @@ impl ResidencyClock {
     /// Marks an access to `key` if resident (sets the referenced bit,
     /// clears and reports the prefetched-unused flag).
     pub(crate) fn touch(&mut self, key: u64) -> Touch {
-        match self.map.get(&key) {
-            Some(&i) => {
+        match self.slot_of(key) {
+            Some(i) => {
                 let slot = &mut self.slots[i];
                 slot.referenced = true;
                 let was = slot.prefetched_unused;
@@ -111,6 +255,9 @@ impl ResidencyClock {
     /// eviction would take, leaving the hand parked on that victim (so a
     /// following [`ResidencyClock::insert`] evicts exactly it). `None`
     /// while free slots remain — an insert would not evict anything.
+    /// The sweep clears referenced bits until an unreferenced victim
+    /// comes under the hand, and terminates within two passes (all bits
+    /// are cleared after one).
     pub(crate) fn victim_key(&mut self) -> Option<u64> {
         if self.slots.len() < self.budget {
             return None;
@@ -134,14 +281,13 @@ impl ResidencyClock {
     /// slot is backfilled by the last slot, so the clock stays dense;
     /// the hand is clamped back into range.
     pub(crate) fn remove(&mut self, key: u64) -> bool {
-        let Some(i) = self.map.remove(&key) else {
+        let Some(i) = self.slot_of(key) else {
             return false;
         };
-        let last = self.slots.len() - 1;
-        self.slots.swap(i, last);
-        self.slots.pop();
-        if i < self.slots.len() {
-            self.map.insert(self.slots[i].key, i);
+        self.set_slot(key, NO_SLOT);
+        self.slots.swap_remove(i);
+        if let Some(moved) = self.slots.get(i) {
+            self.set_slot(moved.key, i as u32);
         }
         if self.hand > self.slots.len() {
             self.hand = 0;
@@ -153,62 +299,61 @@ impl ResidencyClock {
     /// victim when the budget is full. `prefetched` seeds the
     /// prefetched-unused flag on a fresh insert.
     pub(crate) fn insert(&mut self, key: u64, prefetched: bool) -> Inserted {
-        if let Some(&i) = self.map.get(&key) {
+        let mut inserted = Inserted {
+            evicted: false,
+            evicted_prefetched_unused: false,
+        };
+        // The key's record is found — in a table nobody registered, made
+        // — before anything is evicted, so a key past a registered
+        // table's end panics with the clock intact.
+        if let Some(i) = self.rows.entry(key).slot() {
             // Already resident (a racing promote won): treat as a touch.
             self.slots[i].referenced = true;
             if !prefetched {
                 self.slots[i].prefetched_unused = false;
             }
-            return Inserted {
-                evicted: false,
-                evicted_prefetched_unused: false,
-            };
+            return inserted;
         }
-        if self.slots.len() < self.budget {
-            self.map.insert(key, self.slots.len());
-            self.slots.push(Slot {
-                key,
-                referenced: true,
-                prefetched_unused: prefetched,
-            });
-            return Inserted {
-                evicted: false,
-                evicted_prefetched_unused: false,
-            };
-        }
-        // Second-chance sweep: clear referenced bits until an
-        // unreferenced victim comes under the hand. Terminates within
-        // two sweeps (all bits are cleared after one).
-        loop {
-            if self.hand >= self.slots.len() {
-                self.hand = 0;
+        let fresh = Slot {
+            key,
+            referenced: true,
+            prefetched_unused: prefetched,
+        };
+        let slot = match self.victim_key() {
+            None => {
+                self.slots.push(fresh);
+                self.slots.len() - 1
             }
-            if self.slots[self.hand].referenced {
-                self.slots[self.hand].referenced = false;
-                self.hand += 1;
-                continue;
+            Some(victim) => {
+                let at = self.hand;
+                inserted = Inserted {
+                    evicted: true,
+                    evicted_prefetched_unused: self.slots[at].prefetched_unused,
+                };
+                self.set_slot(victim, NO_SLOT);
+                self.evictions += 1;
+                self.slots[at] = fresh;
+                self.hand = at + 1;
+                at
             }
-            let victim = self.slots[self.hand];
-            self.map.remove(&victim.key);
-            self.evictions += 1;
-            self.map.insert(key, self.hand);
-            self.slots[self.hand] = Slot {
-                key,
-                referenced: true,
-                prefetched_unused: prefetched,
-            };
-            self.hand += 1;
-            return Inserted {
-                evicted: true,
-                evicted_prefetched_unused: victim.prefetched_unused,
-            };
-        }
+        };
+        assert!(
+            slot < NO_SLOT as usize,
+            "the resident set outgrew a u32 slot index"
+        );
+        self.set_slot(key, slot as u32);
+        inserted
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_row_record_is_twelve_bytes() {
+        assert!(std::mem::size_of::<RowRecord>() <= 12);
+    }
 
     #[test]
     fn fills_then_evicts_deterministically() {

@@ -1,14 +1,18 @@
 //! The store-facing tier engine: demand accesses, prefetch intents and
 //! fills, and the counter set behind `StoreStats`' tier fields.
+//!
+//! All of it is one [`TierState`] behind one lock. What the state knows
+//! about a row — resident or not, how often demanded, whether a
+//! prefetch is pending — lives in that row's record in the clock's
+//! direct-indexed `RowIndex`, so an operation reads one record per row
+//! it names and the engine owns no map of its own.
 
-use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
 use drec_sync::{Mutex, MutexGuard};
 
 use crate::clock::{ResidencyClock, Touch};
 use crate::combine::CombineConfig;
-use crate::hash::RowKeyBuild;
 use crate::latency::{ColdReadModel, Pacing};
 
 /// Configuration for a [`TierEngine`] (carried by the store's config as
@@ -170,15 +174,21 @@ impl TierStats {
 /// Everything the tier mutates, behind the engine's one lock.
 #[derive(Debug)]
 struct TierState {
+    /// The resident set, and with it the per-row records
+    /// (`clock.rows`): a row's CLOCK slot, its touch count and its
+    /// pending-prefetch bit sit in one record, so each operation below
+    /// reads one place per row it names.
     clock: ResidencyClock,
-    /// Prefetch intents announced at admission but not yet filled.
-    pending: HashSet<u64, RowKeyBuild>,
-    /// Demand-touch frequency sketch driving the
-    /// [`TierConfig::admit_after`] comparative admission. Bounded: at
-    /// `admission_capacity` the whole map resets (TinyLFU-style aging),
-    /// which keeps it deterministic and lets the filter re-learn a
-    /// shifted head.
-    admission: HashMap<u64, u32, RowKeyBuild>,
+    /// The admission epoch. A record's touch count is worth its value
+    /// only while the record carries this number, so bumping it is the
+    /// frequency sketch's wholesale reset (TinyLFU-style aging, which
+    /// keeps the filter deterministic and lets it re-learn a shifted
+    /// head) without a walk over the records. When the `u16` wraps, the
+    /// counts of the epoch about to be reused are zeroed for real.
+    epoch: u16,
+    /// Rows with a non-zero touch count in this epoch. Bounded: at
+    /// `admission_capacity` the epoch ends.
+    tracked: usize,
     /// Global cold-read index driving the jitter sequence.
     reads: u64,
     /// Cold reads currently in service (queue depth for the model).
@@ -188,16 +198,65 @@ struct TierState {
     stats: TierStats,
 }
 
+impl TierState {
+    /// Counts one demand touch of `key` into the admission sketch that
+    /// drives [`TierConfig::admit_after`], ending the epoch once
+    /// `capacity` rows are tracked. The touch that fills the sketch is
+    /// reset with the rest: the row it counted starts the new epoch at
+    /// zero.
+    fn count_touch(&mut self, key: u64, capacity: usize) {
+        let row = self.clock.rows.entry(key);
+        if row.epoch != self.epoch {
+            (row.epoch, row.touches) = (self.epoch, 0);
+        }
+        self.tracked += usize::from(row.touches == 0);
+        row.touches = row.touches.saturating_add(1);
+        if self.tracked >= capacity {
+            self.tracked = 0;
+            self.epoch = self.epoch.wrapping_add(1);
+            if self.epoch == 0 {
+                self.clock.rows.clear_touches();
+            }
+        }
+    }
+
+    /// `key`'s demand touches in the current admission epoch.
+    fn touches(&self, key: u64) -> u32 {
+        match self.clock.rows.get(key) {
+            Some(row) if row.epoch == self.epoch => row.touches,
+            _ => 0,
+        }
+    }
+
+    /// Clears `key`'s pending-prefetch bit and reports whether it was
+    /// set. Never grows the index: an unseen row has no intent.
+    fn take_pending(&mut self, key: u64) -> bool {
+        self.clock
+            .rows
+            .get_mut(key)
+            .is_some_and(|row| std::mem::take(&mut row.pending))
+    }
+}
+
 /// The tier engine one [`EmbeddingStore`](../drec_store) owns when
 /// tiering is configured.
 ///
-/// Thread-safe: the resident set, the pending-intent set, the admission
-/// sketch and the counters sit behind **one** mutex, taken once per
-/// [`TierSession`] — the store opens one session per pooled bag, the
+/// Keys are `(table << 32) | row`, and the engine keeps one twelve-byte
+/// record per row of every table it has seen. The store fixes a table's
+/// records with [`TierEngine::register_table`]. For a table nobody
+/// registered (callers that make up their own keys) an access to a row
+/// past the table's end grows its records to reach it — there memory
+/// follows the largest table id and row accessed, so such keys must be
+/// dense.
+///
+/// Thread-safe: the resident set, the per-row records and the counters
+/// sit behind **one** mutex, taken once per [`TierSession`] — the store
+/// opens one session for the residency phase of a pooled bag, the
 /// prefetcher one per row list — instead of several times per row.
-/// Lock order: the tier lock is the outermost lock of the read path
-/// (cache slot and table shard locks nest inside a session); writers
-/// take it only after releasing the shard lock (DESIGN.md §12).
+/// Lock order: only a hot-key-set shard lock is ever taken inside a
+/// session; table shard locks are taken with no tier lock held, by
+/// readers (which decode after their session ends) and by writers
+/// (which invalidate after releasing the shard; DESIGN.md §12).
 /// Residency decides latency charging only — never values — so
 /// concurrent interleavings may shift counters but can never change
 /// model output bits.
@@ -211,7 +270,8 @@ pub struct TierEngine {
 }
 
 /// One residency transaction: the tier lock, held across as many
-/// accesses as the caller has (a bag's cache misses, a prefetch list).
+/// accesses as the caller has (the rows of a bag that are not hot, a
+/// prefetch list) and dropped before the caller reads any row.
 /// A [`Pacing::Sleep`] cold read drops the lock for the duration of its
 /// sleep and retakes it, so a session never sleeps holding it.
 #[derive(Debug)]
@@ -232,8 +292,8 @@ impl TierEngine {
             admission_capacity: (cfg.dram_budget_rows * 8).max(1024),
             state: Mutex::new(TierState {
                 clock: ResidencyClock::new(cfg.dram_budget_rows),
-                pending: HashSet::default(),
-                admission: HashMap::default(),
+                epoch: 0,
+                tracked: 0,
                 reads: 0,
                 inflight: 0,
                 stats: TierStats::default(),
@@ -244,6 +304,23 @@ impl TierEngine {
     /// Whether the serving runtime should prefetch for this store.
     pub fn prefetch_enabled(&self) -> bool {
         self.prefetch_enabled
+    }
+
+    /// Fixes the per-row records of table `table` (the high half of its
+    /// rows' keys) at rows `0..rows`: no access to them grows anything,
+    /// and an access, intent or fill that names a row past them panics
+    /// instead of allocating up to it (asking whether such a row is
+    /// resident, or invalidating it, answers `false`). The store calls
+    /// this as it registers a table.
+    pub fn register_table(&self, table: usize, rows: usize) {
+        self.state.lock().clock.rows.register(table, rows);
+    }
+
+    /// Heap bytes of the per-row records — a probe for tests, not part
+    /// of the supported API.
+    #[doc(hidden)]
+    pub fn index_bytes(&self) -> usize {
+        self.state.lock().clock.rows.bytes()
     }
 
     /// Takes the tier lock for a run of accesses.
@@ -265,7 +342,7 @@ impl TierEngine {
     /// from a retired view. Returns whether anything was dropped.
     pub fn invalidate(&self, key: u64) -> bool {
         let mut st = self.state.lock();
-        let pending = st.pending.remove(&key);
+        let pending = st.take_pending(key);
         let resident = st.clock.remove(key);
         if pending || resident {
             st.stats.invalidations += 1;
@@ -335,14 +412,14 @@ impl TierSession<'_> {
         let admit_after = self.engine.admit_after;
         let st = self.st();
         if admit_after > 1 {
-            let challenger = st.admission.get(&key).copied().unwrap_or(0);
+            let challenger = st.touches(key);
             if challenger < admit_after {
                 return;
             }
             if let Some(victim) = st.clock.victim_key() {
                 // Strictly greater: a tie keeps the resident row, so
                 // equal-count boundary rows don't thrash each other.
-                if challenger <= st.admission.get(&victim).copied().unwrap_or(0) {
+                if challenger <= st.touches(victim) {
                     return;
                 }
             }
@@ -360,13 +437,7 @@ impl TierSession<'_> {
             (self.engine.admit_after, self.engine.admission_capacity);
         let st = self.st();
         if admit_after > 1 {
-            // The sketch resets wholesale at capacity, so the filter
-            // ages instead of growing without bound.
-            let count = st.admission.entry(key).or_insert(0);
-            *count = count.saturating_add(1);
-            if st.admission.len() >= admission_capacity {
-                st.admission.clear();
-            }
+            st.count_touch(key, admission_capacity);
         }
         if let Touch::Resident {
             was_prefetched_unused,
@@ -379,7 +450,7 @@ impl TierSession<'_> {
         st.stats.cold_demand_reads += 1;
         // A prefetch that was issued but hasn't landed: the demand read
         // overtakes it and pays the cold latency itself.
-        st.stats.prefetch_late += u64::from(st.pending.remove(&key));
+        st.stats.prefetch_late += u64::from(st.take_pending(key));
         let wait = self.charge_cold_read(true);
         self.promote_demand(key);
         TierAccess::ColdMiss { wait }
@@ -390,7 +461,11 @@ impl TierSession<'_> {
     /// nor already pending).
     pub fn note_intent(&mut self, key: u64) -> bool {
         let st = self.st();
-        if st.clock.contains(key) || !st.pending.insert(key) {
+        if st.clock.contains(key) {
+            return false;
+        }
+        let row = st.clock.rows.entry(key);
+        if std::mem::replace(&mut row.pending, true) {
             return false;
         }
         st.stats.prefetch_issued += 1;
@@ -413,7 +488,7 @@ impl TierSession<'_> {
     /// pre-update fill can never survive as resident.
     pub fn prefetch_fill_if(&mut self, key: u64, verify: impl FnOnce() -> bool) {
         let st = self.st();
-        let was_pending = st.pending.remove(&key);
+        let was_pending = st.take_pending(key);
         if st.clock.contains(key) {
             return;
         }
@@ -592,6 +667,67 @@ mod tests {
         assert_eq!(t.count_resident(|k| (k >> 32) == 0), 2);
         assert_eq!(t.count_resident(|k| (k >> 32) == 1), 1);
         assert!(t.is_resident(2) && !t.is_resident(4));
+    }
+
+    #[test]
+    fn asking_about_unseen_rows_does_not_grow_the_index() {
+        let t = charge_only(4);
+        t.register_table(0, 16);
+        t.demand_access(3);
+        let bytes = t.index_bytes();
+        assert!(bytes >= 16 * 12);
+        for i in 0..10_000u64 {
+            // Rows past table 0's end, and tables never registered.
+            let key = ((i % 7) << 32) | (16 + i);
+            assert!(!t.invalidate(key));
+            assert!(!t.is_resident(key));
+        }
+        assert_eq!(t.count_resident(|key| key >= 16), 0);
+        assert_eq!(t.index_bytes(), bytes);
+        // A touch grows it, in a table nobody registered.
+        t.demand_access((1 << 32) | 16);
+        assert!(t.index_bytes() > bytes);
+    }
+
+    #[test]
+    fn a_registered_table_never_grows_past_its_rows() {
+        let t = charge_only(4);
+        t.register_table(0, 16);
+        let bytes = t.index_bytes();
+        assert!(!t.is_resident(16) && !t.invalidate(u64::from(u32::MAX)));
+        let touched = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            t.demand_access(u64::from(u32::MAX))
+        }));
+        let msg = *touched.unwrap_err().downcast::<String>().unwrap();
+        assert!(msg.contains("past the end of table 0"), "{msg}");
+        assert_eq!(t.index_bytes(), bytes, "the stray row allocated");
+        // The engine is intact: the table's last row goes cold, then hot.
+        assert!(matches!(t.demand_access(15), TierAccess::ColdMiss { .. }));
+        assert_eq!(t.demand_access(15), TierAccess::DramHit);
+        assert_eq!(t.stats().dram_resident_rows, 1);
+    }
+
+    #[test]
+    fn admission_survives_the_epoch_counter_wrapping() {
+        let mut cfg = TierConfig::new(1);
+        cfg.cold_read.pacing = Pacing::Charge;
+        cfg.admit_after = 2;
+        let t = TierEngine::new(&cfg);
+        // Row 5 is touched once in epoch 0, then the counter is put one
+        // reset short of coming back round to 0.
+        t.demand_access(5);
+        t.state.lock().epoch = u16::MAX;
+        // 1024 fresh rows fill the sketch: the epoch wraps to 0.
+        for key in 100..100 + 1024 {
+            t.demand_access(key);
+        }
+        assert_eq!(t.state.lock().epoch, 0);
+        // Row 5's touch from the first epoch 0 must not count in this
+        // one: one more touch is its first, not its admitting second.
+        t.demand_access(5);
+        assert!(!t.is_resident(5), "a touch from 65 536 resets ago counted");
+        t.demand_access(5);
+        assert!(t.is_resident(5));
     }
 
     #[test]

@@ -35,11 +35,16 @@
 //!   on the faultsim delay seam) or virtually charged
 //!   ([`Pacing::Charge`], for benches that need reproducible latency
 //!   accounting free of OS sleep granularity).
-//! * [`ResidencyClock`] — the deterministic CLOCK resident set.
+//! * [`ResidencyClock`] — the deterministic CLOCK resident set, and the
+//!   per-row records a key finds its slot through. Row keys are
+//!   `(table << 32) | row` over registered tables, so the tier keeps one
+//!   direct-indexed twelve-byte record per row — CLOCK slot,
+//!   demand-touch count, pending-prefetch bit — and hashes nothing.
 //! * [`TierEngine`] — the store-facing engine: demand access, prefetch
 //!   intents and fills, hit/late/wasted tracking, [`TierStats`]; all of
-//!   it under one lock that a [`TierSession`] holds across a whole bag
-//!   of accesses.
+//!   it under one lock that a [`TierSession`] holds across the
+//!   residency phase of a whole bag of accesses (the bag's rows are
+//!   decoded after the session ends).
 //! * [`CombineCache`] — a MicroRec-style table-combining cache: detects
 //!   frequently co-occurring `(table, id)` pairs and caches their
 //!   concatenated rows so two lookups become one.
@@ -49,7 +54,6 @@
 mod clock;
 mod combine;
 mod engine;
-mod hash;
 mod latency;
 
 pub use clock::ResidencyClock;
