@@ -4,27 +4,37 @@
 //! availability holds, nothing hangs, and the supervisor heals the pool.
 //! With faults disabled it also proves the hooks are free: all 8 models
 //! stay bit-identical to the uncompiled reference executor, and a
-//! disabled hook costs a single branch. Writes `BENCH_chaos.json`.
+//! disabled hook costs a single branch. Reports as `BENCH_chaos.json`
+//! (shape in the `drec_bench` crate docs).
 //!
 //! Flags:
 //!
 //! * `--smoke` — small request counts, CI mode,
 //! * `--quick` — fewer requests than full, more than smoke.
 //!
-//! Gates (asserted in both modes):
+//! Gates (both modes):
 //!
-//! * every admitted request is *answered* (response or typed error) —
-//!   zero requests hang past the wait timeout,
-//! * ≥ 99% of admitted requests receive a successful response under the
-//!   crash schedule,
-//! * at least one worker panic fires and at least one supervisor restart
-//!   heals it,
-//! * all 8 models produce bit-identical outputs to
+//! * `chaos_none_hung`, `chaos_all_answered` — every admitted request is
+//!   *answered* (response or typed error), zero hang past the wait
+//!   timeout,
+//! * `chaos_availability` — ≥ 99% of admitted requests receive a
+//!   successful response under the crash schedule,
+//! * `chaos_worker_panics`, `chaos_worker_restarts` — at least one worker
+//!   panic fires and at least one supervisor restart heals it,
+//! * `reference_identity` — all 8 models produce bit-identical outputs to
 //!   [`drec_models::RecModel::run_reference`] with faults disabled,
-//! * a disabled fault hook costs < 25 ns per call (it is one
-//!   branch-on-None; the bound is generous for CI noise).
+//! * `disabled_hook_ns_per_call` — a disabled fault hook costs ≤ 25 ns per
+//!   call (it is one branch-on-None; the bound is generous for CI noise),
+//! * `rolling_*`, `update_*` — the rolling update answers every request
+//!   with zero errors, reaches the final version on every model within
+//!   the staleness bound, ends bit-identical with the pre-update oracle,
+//!   and rolls back and recovers every injected update crash,
+//! * `epoch_pin_overhead` — per-batch epoch pinning costs ≤ 1.03× the
+//!   unpinned warm read.
 
-use drec_bench::json_f64;
+use drec_bench::report::Limit::{AtLeast, AtMost, Equal};
+use drec_bench::report::{Gate, Json, Report};
+use drec_bench::{output_bits, row};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -52,35 +62,10 @@ const PIN_OVERHEAD_GATE: f64 = 1.03;
 /// N is published for a model, every batch serves version >= N-1.
 const STALENESS_BOUND: u64 = 1;
 
-struct Args {
-    smoke: bool,
-    quick: bool,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        quick: false,
-    };
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--quick" => args.quick = true,
-            other => eprintln!("warning: unknown argument '{other}' (supported: --smoke --quick)"),
-        }
-    }
-    args
-}
-
-struct IdentityRow {
-    model: ModelId,
-    bit_identical: bool,
-}
-
 /// With faults disabled, the serving path must be semantically inert:
 /// every model's compiled-plan execution matches the uncompiled
 /// reference executor bit for bit on the same inputs.
-fn check_identity(batch: usize) -> Vec<IdentityRow> {
+fn check_identity(batch: usize) -> Vec<Json> {
     ModelId::ALL
         .into_iter()
         .map(|id| {
@@ -91,20 +76,9 @@ fn check_identity(batch: usize) -> Vec<IdentityRow> {
                 .expect("reference executes");
             model.compile_plan();
             let got = model.run(inputs).expect("plan executes");
-            let bit_identical = reference.len() == got.len()
-                && reference.iter().zip(&got).all(|(a, b)| {
-                    let a = a.as_dense().expect("dense output").as_slice();
-                    let b = b.as_dense().expect("dense output").as_slice();
-                    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-                });
-            assert!(
-                bit_identical,
-                "{id}: compiled plan output differs from run_reference with faults disabled"
-            );
-            IdentityRow {
-                model: id,
-                bit_identical,
-            }
+            let bit_identical = output_bits(&reference) == output_bits(&got);
+            println!("  {:<8} bit-identical: {bit_identical}", id.to_string());
+            row! {"model": id.to_string(), "bit_identical": bit_identical}
         })
         .collect()
 }
@@ -218,7 +192,11 @@ struct RollingOutcome {
 
 /// Same-seed generators produce the same query: submit one probe for
 /// `model` and return the response outputs as raw bits.
-fn probe_model_bits(handle: &MultiServeHandle, model: ModelId, seed: u64) -> Vec<Vec<u32>> {
+fn probe_model_bits(
+    handle: &MultiServeHandle,
+    model: ModelId,
+    seed: u64,
+) -> Vec<(Vec<usize>, Vec<u32>)> {
     let spec = handle.spec(model).expect("model co-located").clone();
     let inputs = QueryGen::zipf(seed, 1.0).batch(&spec, 1);
     let response = handle
@@ -226,18 +204,7 @@ fn probe_model_bits(handle: &MultiServeHandle, model: ModelId, seed: u64) -> Vec
         .expect("probe admits")
         .wait()
         .expect("probe answers");
-    response
-        .outputs
-        .iter()
-        .map(|v| {
-            v.as_dense()
-                .expect("dense output")
-                .as_slice()
-                .iter()
-                .map(|f| f.to_bits())
-                .collect()
-        })
-        .collect()
+    output_bits(&response.outputs)
 }
 
 /// Part 4: the zero-downtime gate. All 8 models co-located on a shared
@@ -276,7 +243,7 @@ fn run_rolling_update(smoke: bool) -> RollingOutcome {
     let handle = runtime.handle();
 
     // Pre-update oracle, captured before traffic starts.
-    let oracles: Vec<Vec<Vec<u32>>> = models
+    let oracles: Vec<_> = models
         .iter()
         .map(|&id| probe_model_bits(&handle, id, 0x0AC1E ^ id as u64))
         .collect();
@@ -447,144 +414,9 @@ fn measure_pin_overhead(smoke: bool) -> (f64, f64) {
     (base_ns, pinned_ns)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn write_json(
-    path: &str,
-    smoke: bool,
-    identity: &[IdentityRow],
-    disabled_ns: f64,
-    quiet_ns: f64,
-    tally: &ChaosTally,
-    stats: &drec_serve::MetricsSnapshot,
-    elapsed: f64,
-    availability: f64,
-    rolling: &RollingOutcome,
-    pin: (f64, f64),
-) {
-    let mut s = String::from("{\n");
-    s.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if smoke { "smoke" } else { "full" }
-    ));
-    s.push_str("  \"reference_identity\": [\n");
-    for (i, r) in identity.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"model\": \"{}\", \"bit_identical\": {}}}{}\n",
-            r.model,
-            r.bit_identical,
-            if i + 1 < identity.len() { "," } else { "" }
-        ));
-    }
-    s.push_str(&format!(
-        "  ],\n  \"disabled_hook_ns_per_call\": {},\n  \"quiet_enabled_hook_ns_per_call\": {},\n",
-        json_f64(disabled_ns),
-        json_f64(quiet_ns)
-    ));
-    s.push_str("  \"chaos\": {\n");
-    s.push_str(&format!(
-        "    \"admitted\": {},\n    \"shed\": {},\n    \"ok\": {},\n    \"worker_failed\": {},\n    \"deadline_exceeded\": {},\n    \"other_errors\": {},\n    \"hung\": {},\n",
-        tally.admitted,
-        tally.shed,
-        tally.ok,
-        tally.worker_failed,
-        tally.deadline_exceeded,
-        tally.other_errors,
-        tally.hung
-    ));
-    s.push_str(&format!(
-        "    \"availability\": {},\n    \"worker_panics\": {},\n    \"worker_restarts\": {},\n    \"retried\": {},\n    \"crashes_per_second\": {},\n    \"elapsed_seconds\": {},\n",
-        json_f64(availability),
-        stats.worker_panics,
-        stats.worker_restarts,
-        stats.retried,
-        json_f64(stats.worker_panics as f64 / elapsed.max(1e-9)),
-        json_f64(elapsed)
-    ));
-    s.push_str(&format!(
-        "    \"entered_update_backpressure\": {},\n    \"recovered_update_backpressure\": {},\n    \"entered_reduced_batch\": {},\n    \"entered_cache_only\": {},\n    \"cache_only_skips\": {}\n  }},\n",
-        stats.entered_update_backpressure,
-        stats.recovered_update_backpressure,
-        stats.entered_reduced_batch,
-        stats.entered_cache_only,
-        stats.store.as_ref().map_or(0, |st| st.cache_only_skips)
-    ));
-    let r_answered = rolling.ok + rolling.errored;
-    let r_avail = if rolling.admitted == 0 {
-        0.0
-    } else {
-        rolling.ok as f64 / rolling.admitted as f64
-    };
-    s.push_str("  \"rolling_update\": {\n");
-    s.push_str(&format!(
-        "    \"models\": {},\n    \"versions_per_model\": {},\n    \"admitted\": {},\n    \"ok\": {},\n    \"errored\": {},\n    \"hung\": {},\n    \"answered\": {},\n    \"availability\": {},\n    \"elapsed_seconds\": {},\n",
-        rolling.rows.len(),
-        rolling.versions_per_model,
-        rolling.admitted,
-        rolling.ok,
-        rolling.errored,
-        rolling.hung,
-        r_answered,
-        json_f64(r_avail),
-        json_f64(rolling.elapsed)
-    ));
-    s.push_str("    \"per_model\": [\n");
-    for (i, r) in rolling.rows.iter().enumerate() {
-        s.push_str(&format!(
-            "      {{\"model\": \"{}\", \"final_version\": {}, \"max_staleness\": {}, \"staleness_samples\": {}, \"bit_identical\": {}}}{}\n",
-            r.model,
-            r.final_version,
-            r.max_staleness,
-            r.staleness_samples,
-            r.bit_identical,
-            if i + 1 < rolling.rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("    ],\n");
-    s.push_str(&format!(
-        "    \"updater\": {{\"batches_applied\": {}, \"rows_applied\": {}, \"rolled_back\": {}, \"recovered\": {}, \"duplicates_rejected\": {}, \"throttle_waits\": {}, \"weight_sets_posted\": {}}},\n",
-        rolling.stats.batches_applied,
-        rolling.stats.rows_applied,
-        rolling.stats.rolled_back,
-        rolling.stats.recovered,
-        rolling.stats.duplicates_rejected,
-        rolling.stats.throttle_waits,
-        rolling.stats.weight_sets_posted
-    ));
-    s.push_str(&format!(
-        "    \"update_faults\": {{\"injected_batches\": {}, \"crashes\": {}, \"publish_delays\": {}, \"duplicates\": {}}},\n",
-        rolling.faults.update_batches,
-        rolling.faults.update_crashes,
-        rolling.faults.update_publish_delays,
-        rolling.faults.update_duplicates
-    ));
-    s.push_str(&format!(
-        "    \"pin_overhead\": {{\"baseline_ns_per_row\": {}, \"pinned_ns_per_row\": {}, \"ratio\": {}, \"gate\": {PIN_OVERHEAD_GATE}}}\n  }},\n",
-        json_f64(pin.0),
-        json_f64(pin.1),
-        json_f64(pin.1 / pin.0.max(1e-12))
-    ));
-    s.push_str("  \"checks\": {\n");
-    s.push_str(&format!(
-        "    \"availability_gate\": {AVAILABILITY_GATE},\n    \"all_answered\": {},\n    \"workers_restarted\": {},\n    \"reference_identity_all\": {},\n    \"disabled_hook_gate_ns\": {DISABLED_HOOK_GATE_NANOS},\n    \"rolling_all_answered\": {},\n    \"rolling_availability_one\": {},\n    \"rolling_staleness_bound\": {STALENESS_BOUND},\n    \"rolling_staleness_held\": {},\n    \"rolling_bit_identical_all\": {},\n    \"pin_overhead_gate\": {PIN_OVERHEAD_GATE},\n    \"pin_overhead_held\": {}\n",
-        tally.hung == 0,
-        stats.worker_restarts > 0,
-        identity.iter().all(|r| r.bit_identical),
-        rolling.hung == 0 && r_answered == rolling.admitted,
-        rolling.errored == 0,
-        rolling.rows.iter().all(|r| r.max_staleness <= STALENESS_BOUND),
-        rolling.rows.iter().all(|r| r.bit_identical),
-        pin.1 <= pin.0 * PIN_OVERHEAD_GATE
-    ));
-    s.push_str("  }\n}\n");
-    std::fs::write(path, s).expect("write BENCH_chaos.json");
-}
-
 fn main() {
-    let args = parse_args();
-    println!(
-        "chaos_bench: {} mode",
-        if args.smoke { "smoke" } else { "full" }
-    );
+    let mut report = Report::start("chaos", &["--smoke", "--quick"]);
+    let (smoke, quick) = (report.flags.smoke, report.flags.quick);
 
     // Injected worker panics are the *point* of this harness; the
     // default hook would print a backtrace for each one. Keep them to a
@@ -607,19 +439,12 @@ fn main() {
         "Reference identity (faults disabled), all {} models:",
         ModelId::ALL.len()
     );
-    let identity = check_identity(if args.smoke { 4 } else { 16 });
-    for r in &identity {
-        println!(
-            "  {:<8} bit-identical: {}",
-            r.model.to_string(),
-            r.bit_identical
-        );
-    }
+    let identity = check_identity(if smoke { 4 } else { 16 });
 
     // Part 2: hook overhead. A disabled hook is a branch on None; a
     // quiet enabled hook (a plan with no schedules) pays the atomic
     // event counter. Neither may cost anything visible at batch rates.
-    let calls: u64 = if args.smoke { 2_000_000 } else { 20_000_000 };
+    let calls: u64 = if smoke { 2_000_000 } else { 20_000_000 };
     let disabled_ns = time_hook_nanos(&FaultHook::disabled(), calls);
     let quiet_ns = time_hook_nanos(&FaultHook::from_plan(&FaultPlan::quiet(3)), calls);
     println!(
@@ -630,12 +455,12 @@ fn main() {
     // while the plan panics a worker roughly every `panic_period`
     // batches and poisons an occasional cold store read; with tiny
     // batches the resulting crash rate lands well above one per second.
-    let (producers, requests_per_producer) = match (args.smoke, args.quick) {
+    let (producers, requests_per_producer) = match (smoke, quick) {
         (true, _) => (4, 150),
         (false, true) => (4, 500),
         (false, false) => (8, 1_500),
     };
-    let panic_period = if args.smoke { 40 } else { 100 };
+    let panic_period = if smoke { 40 } else { 100 };
     let mut cfg = ServeConfig::tiny(ModelId::Rm1);
     cfg.workers = 2;
     cfg.max_batch = 8;
@@ -685,7 +510,7 @@ fn main() {
         "Rolling update: all {} models, sustained Zipf traffic, injected update faults...",
         ModelId::ALL.len()
     );
-    let rolling = run_rolling_update(args.smoke);
+    let rolling = run_rolling_update(smoke);
     let r_answered = rolling.ok + rolling.errored;
     println!(
         "  admitted {} (ok {}, errored {}, hung {}) over {:.2}s",
@@ -720,125 +545,201 @@ fn main() {
     );
 
     // Part 5: warm read-path cost of the per-batch epoch pin.
-    let pin = measure_pin_overhead(args.smoke);
+    let pin = measure_pin_overhead(smoke);
+    let pin_ratio = pin.1 / pin.0.max(1e-12);
     println!(
-        "Pin overhead: {:.2} ns/row unpinned, {:.2} ns/row pinned ({:.4}x)",
-        pin.0,
-        pin.1,
-        pin.1 / pin.0.max(1e-12)
+        "Pin overhead: {:.2} ns/row unpinned, {:.2} ns/row pinned ({pin_ratio:.4}x)",
+        pin.0, pin.1
     );
 
-    write_json(
-        "BENCH_chaos.json",
-        args.smoke,
+    report.gate(Gate::all(
+        "reference_identity",
         &identity,
-        disabled_ns,
-        quiet_ns,
-        &tally,
-        &stats,
-        elapsed,
-        availability,
-        &rolling,
-        pin,
+        |r| r.flag("bit_identical"),
+        |r| r.render(false),
+    ));
+    report.section("reference_identity", identity);
+    report.section("disabled_hook_ns_per_call", disabled_ns);
+    report.section("quiet_enabled_hook_ns_per_call", quiet_ns);
+    report.section(
+        "chaos",
+        row! {
+            "admitted": tally.admitted,
+            "shed": tally.shed,
+            "ok": tally.ok,
+            "worker_failed": tally.worker_failed,
+            "deadline_exceeded": tally.deadline_exceeded,
+            "other_errors": tally.other_errors,
+            "hung": tally.hung,
+            "availability": availability,
+            "worker_panics": stats.worker_panics,
+            "worker_restarts": stats.worker_restarts,
+            "retried": stats.retried,
+            "crashes_per_second": stats.worker_panics as f64 / elapsed.max(1e-9),
+            "elapsed_seconds": elapsed,
+            "entered_update_backpressure": stats.entered_update_backpressure,
+            "recovered_update_backpressure": stats.recovered_update_backpressure,
+            "entered_reduced_batch": stats.entered_reduced_batch,
+            "entered_cache_only": stats.entered_cache_only,
+            "cache_only_skips": stats.store.as_ref().map_or(0, |st| st.cache_only_skips),
+        },
     );
-    println!("Wrote BENCH_chaos.json");
+    let rolling_row = |r: &RollingRow| {
+        row! {
+            "model": r.model.to_string(),
+            "final_version": r.final_version,
+            "max_staleness": r.max_staleness,
+            "staleness_samples": r.staleness_samples,
+            "bit_identical": r.bit_identical,
+        }
+    };
+    report.section(
+        "rolling_update",
+        row! {
+            "models": rolling.rows.len(),
+            "versions_per_model": rolling.versions_per_model,
+            "admitted": rolling.admitted,
+            "ok": rolling.ok,
+            "errored": rolling.errored,
+            "hung": rolling.hung,
+            "answered": r_answered,
+            "availability": rolling.ok as f64 / (rolling.admitted as f64).max(1.0),
+            "elapsed_seconds": rolling.elapsed,
+            "per_model": rolling.rows.iter().map(rolling_row).collect::<Json>(),
+            "updater": row! {
+                "batches_applied": rolling.stats.batches_applied,
+                "rows_applied": rolling.stats.rows_applied,
+                "rolled_back": rolling.stats.rolled_back,
+                "recovered": rolling.stats.recovered,
+                "duplicates_rejected": rolling.stats.duplicates_rejected,
+                "throttle_waits": rolling.stats.throttle_waits,
+                "weight_sets_posted": rolling.stats.weight_sets_posted,
+            },
+            "update_faults": row! {
+                "injected_batches": rolling.faults.update_batches,
+                "crashes": rolling.faults.update_crashes,
+                "publish_delays": rolling.faults.update_publish_delays,
+                "duplicates": rolling.faults.update_duplicates,
+            },
+            "pin_overhead": row! {
+                "baseline_ns_per_row": pin.0,
+                "pinned_ns_per_row": pin.1,
+                "ratio": pin_ratio,
+            },
+        },
+    );
 
-    assert_eq!(
-        tally.hung, 0,
-        "requests hung past {HANG_TIMEOUT:?} under the crash schedule"
+    let model_of = |r: &RollingRow| r.model.to_string();
+    let crash_schedule = format!("under the crash schedule, wait timeout {HANG_TIMEOUT:?}");
+    report.gate(
+        Gate::new("chaos_none_hung", tally.hung as f64, Equal(0.0)).at(crash_schedule.as_str()),
     );
-    assert_eq!(
-        answered, tally.admitted,
-        "every admitted request must be answered"
+    report.gate(
+        Gate::new(
+            "chaos_all_answered",
+            answered as f64,
+            Equal(tally.admitted as f64),
+        )
+        .at(crash_schedule.as_str()),
     );
-    println!(
-        "Gate: all {} admitted requests answered, none hung — ok",
-        tally.admitted
+    report.gate(
+        Gate::new(
+            "chaos_availability",
+            availability,
+            AtLeast(AVAILABILITY_GATE),
+        )
+        .at(crash_schedule),
     );
-    assert!(
-        availability >= AVAILABILITY_GATE,
-        "availability {availability:.4} below the {AVAILABILITY_GATE} gate"
+    let schedule = format!("panic every {panic_period} batches");
+    report.gate(
+        Gate::new(
+            "chaos_worker_panics",
+            stats.worker_panics as f64,
+            AtLeast(1.0),
+        )
+        .at(schedule.as_str()),
     );
-    println!("Gate: availability {availability:.4} >= {AVAILABILITY_GATE} — ok");
-    assert!(
-        stats.worker_panics > 0 && stats.worker_restarts > 0,
-        "crash schedule must fire and the supervisor must restart: {} panics, {} restarts",
-        stats.worker_panics,
-        stats.worker_restarts
+    report.gate(
+        Gate::new(
+            "chaos_worker_restarts",
+            stats.worker_restarts as f64,
+            AtLeast(1.0),
+        )
+        .at(schedule),
     );
-    println!(
-        "Gate: {} injected panics all healed by {} supervisor restarts — ok",
-        stats.worker_panics, stats.worker_restarts
+    report.gate(
+        Gate::new(
+            "disabled_hook_ns_per_call",
+            disabled_ns,
+            AtMost(DISABLED_HOOK_GATE_NANOS),
+        )
+        .at(format!("{calls} calls")),
     );
-    assert!(
-        disabled_ns < DISABLED_HOOK_GATE_NANOS,
-        "disabled hook costs {disabled_ns:.2} ns/call, above the {DISABLED_HOOK_GATE_NANOS} ns gate"
-    );
-    println!("Gate: disabled hook {disabled_ns:.2} ns/call < {DISABLED_HOOK_GATE_NANOS} ns — ok");
-
     // Rolling-update gates: zero availability loss, zero hung, the
     // staleness bound, fault recovery, and quiescent bit-identity.
-    assert_eq!(rolling.hung, 0, "requests hung during the rolling update");
-    assert_eq!(
-        r_answered, rolling.admitted,
-        "every request admitted during the rolling update must be answered"
+    let during = "during the rolling update";
+    report.gate(Gate::new("rolling_none_hung", rolling.hung as f64, Equal(0.0)).at(during));
+    report.gate(
+        Gate::new(
+            "rolling_all_answered",
+            r_answered as f64,
+            Equal(rolling.admitted as f64),
+        )
+        .at(during),
     );
-    assert_eq!(
-        rolling.errored, 0,
-        "a rolling update must not error any request: {} errored",
-        rolling.errored
+    report.gate(Gate::new("rolling_zero_errors", rolling.errored as f64, Equal(0.0)).at(during));
+    report.gate(Gate::all(
+        "rolling_reached_final_version",
+        &rolling.rows,
+        |r| r.final_version == rolling.versions_per_model,
+        model_of,
+    ));
+    let stalest = rolling.rows.iter().max_by_key(|r| r.max_staleness);
+    let stalest = stalest.expect("eight models");
+    report.gate(
+        Gate::new(
+            "rolling_staleness",
+            stalest.max_staleness as f64,
+            AtMost(STALENESS_BOUND as f64),
+        )
+        .at(format!("{}, versions behind", stalest.model)),
     );
-    println!(
-        "Gate: rolling update answered all {} admitted requests, zero errors, none hung — ok",
-        rolling.admitted
+    report.gate(Gate::all(
+        "rolling_quiescence_bit_identical",
+        &rolling.rows,
+        |r| r.bit_identical,
+        model_of,
+    ));
+    let updater = &rolling.stats;
+    report.gate(
+        Gate::new(
+            "update_crashes_rolled_back",
+            updater.rolled_back as f64,
+            AtLeast(1.0),
+        )
+        .at("injected update crashes"),
     );
-    for r in &rolling.rows {
-        assert_eq!(
-            r.final_version, rolling.versions_per_model,
-            "{}: rolling update did not complete",
-            r.model
-        );
-        assert!(
-            r.max_staleness <= STALENESS_BOUND,
-            "{}: staleness {} exceeds the N-{STALENESS_BOUND} bound",
-            r.model,
-            r.max_staleness
-        );
-        assert!(
-            r.bit_identical,
-            "{}: post-update outputs differ from the pre-update oracle",
-            r.model
-        );
-    }
-    println!(
-        "Gate: all {} models at v{}, staleness <= {STALENESS_BOUND}, quiescence bit-identical — ok",
-        rolling.rows.len(),
-        rolling.versions_per_model
+    report.gate(
+        Gate::new(
+            "update_crashes_recovered",
+            updater.recovered as f64,
+            Equal(updater.rolled_back as f64),
+        )
+        .at("recovered vs rolled back"),
     );
-    assert!(
-        rolling.stats.rolled_back >= 1 && rolling.stats.recovered == rolling.stats.rolled_back,
-        "injected update crashes must roll back and recover: {} rolled back, {} recovered",
-        rolling.stats.rolled_back,
-        rolling.stats.recovered
+    report.gate(
+        Gate::new(
+            "update_duplicates_rejected",
+            updater.duplicates_rejected as f64,
+            AtLeast(1.0),
+        )
+        .at("injected duplicate deltas"),
     );
-    assert!(
-        rolling.stats.duplicates_rejected >= 1,
-        "injected duplicate deltas must be rejected by the version check"
+    report.gate(
+        Gate::new("epoch_pin_overhead", pin_ratio, AtMost(PIN_OVERHEAD_GATE)).at(format!(
+            "{:.2} ns/row pinned vs {:.2} unpinned",
+            pin.1, pin.0
+        )),
     );
-    println!(
-        "Gate: {} injected crashes rolled back and recovered, {} duplicates rejected — ok",
-        rolling.stats.rolled_back, rolling.stats.duplicates_rejected
-    );
-    assert!(
-        pin.1 <= pin.0 * PIN_OVERHEAD_GATE,
-        "epoch pinning costs {:.2} ns/row vs {:.2} unpinned ({:.4}x), above the {PIN_OVERHEAD_GATE}x gate",
-        pin.1,
-        pin.0,
-        pin.1 / pin.0.max(1e-12)
-    );
-    println!(
-        "Gate: epoch pin overhead {:.4}x <= {PIN_OVERHEAD_GATE}x — ok",
-        pin.1 / pin.0.max(1e-12)
-    );
-    println!("All checks passed.");
+    report.finish();
 }

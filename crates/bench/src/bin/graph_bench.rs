@@ -2,21 +2,26 @@
 //! plans: bit-identity of fused/wave-scheduled plans against the
 //! sequential reference executor, per-model latency across plan variants
 //! (sequential, fused, fused+waves), and the inter-op speedup gate on
-//! the wave-friendly models. Writes `BENCH_graph.json`.
+//! the wave-friendly models. Reports as `BENCH_graph.json` (shape in the
+//! `drec_bench` crate docs).
 //!
 //! Flags:
 //!
 //! * `--smoke` — tiny identity sweep plus the speedup gate only (CI mode),
 //! * `--quick` — fewer timing repeats per cell.
 //!
-//! Gates:
+//! Plan outputs must be bit-identical to the reference executor for all
+//! eight models at 1/2/8 pool threads (both modes; a mismatch panics).
 //!
-//! * plan outputs are bit-identical to the reference executor for all
-//!   eight models at 1/2/8 pool threads (both modes),
-//! * fused+waves beats the sequential reference by ≥ 1.3× on DIN or RM2
-//!   at Paper scale, batch 64 (skipped when the pool has < 2 threads).
+//! Gate:
+//!
+//! * `fused_waves_speedup` — fused+waves beats the sequential reference by
+//!   ≥ 1.3× on DIN or RM2 at Paper scale, batch 64 (skipped when the pool
+//!   has < 2 threads).
 
-use drec_bench::json_f64;
+use drec_bench::report::Limit::AtLeast;
+use drec_bench::report::{Gate, Json, Report};
+use drec_bench::{output_bits, row};
 use std::time::Instant;
 
 use drec_graph::PlanOptions;
@@ -34,65 +39,6 @@ const SPEEDUP_GATE: f64 = 1.3;
 const GATE_MODELS: [ModelId; 2] = [ModelId::Din, ModelId::Rm2];
 const GATE_BATCH: usize = 64;
 
-struct Args {
-    smoke: bool,
-    quick: bool,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        quick: false,
-    };
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--quick" => args.quick = true,
-            other => eprintln!("warning: unknown argument '{other}' (supported: --smoke --quick)"),
-        }
-    }
-    args
-}
-
-/// The three execution strategies compared per model × batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Variant {
-    /// Reference executor: per-node sequential, per-request liveness.
-    Sequential,
-    /// Compiled plan with fusion only (waves off).
-    Fused,
-    /// Compiled plan with fusion and inter-op wave scheduling.
-    FusedWaves,
-}
-
-impl Variant {
-    fn name(self) -> &'static str {
-        match self {
-            Variant::Sequential => "sequential",
-            Variant::Fused => "fused",
-            Variant::FusedWaves => "fused+waves",
-        }
-    }
-}
-
-fn assert_bits_eq(id: ModelId, a: &[Value], b: &[Value], what: &str) {
-    assert_eq!(a.len(), b.len(), "{id} {what}: output count");
-    for (x, y) in a.iter().zip(b) {
-        let (xt, yt) = (
-            x.as_dense().expect("dense output"),
-            y.as_dense().expect("dense output"),
-        );
-        assert_eq!(xt.dims(), yt.dims(), "{id} {what}: output shape");
-        assert!(
-            xt.as_slice()
-                .iter()
-                .zip(yt.as_slice())
-                .all(|(p, q)| p.to_bits() == q.to_bits()),
-            "{id} {what}: outputs differ bitwise"
-        );
-    }
-}
-
 /// Bit-identity of the compiled plan against the reference executor for
 /// every model at several pool sizes. Panics on any mismatch.
 fn check_identity(batch: usize) -> usize {
@@ -105,7 +51,10 @@ fn check_identity(batch: usize) -> usize {
         for threads in [1usize, 2, 8] {
             let pool = ParPool::new(threads);
             let got = drec_par::with_pool(&pool, || model.run(inputs.clone())).expect("plan run");
-            assert_bits_eq(id, &want, &got, &format!("plan @ {threads} threads"));
+            assert!(
+                output_bits(&want) == output_bits(&got),
+                "{id} plan @ {threads} threads: outputs differ bitwise from the reference"
+            );
             runs += 1;
         }
     }
@@ -130,22 +79,13 @@ fn measure(model: &mut RecModel, inputs: &[Value], reference: bool, repeats: usi
     best
 }
 
-struct Row {
-    model: &'static str,
-    batch: usize,
-    variant: Variant,
-    seconds: f64,
-    speedup: f64,
-    ops_before: usize,
-    ops_after: usize,
-    waves: usize,
-    max_wave_width: usize,
-}
-
-/// Times all three variants for one model across batch sizes. The same
-/// built model serves every variant (recompiling the plan in place), so
-/// parameters and inputs are held fixed.
-fn bench_model(id: ModelId, scale: ModelScale, batches: &[usize], repeats: usize) -> Vec<Row> {
+/// Times the three execution strategies for one model across batch sizes:
+/// the reference executor (per-node sequential, per-request liveness), the
+/// compiled plan with fusion only, and with fusion and inter-op wave
+/// scheduling — three rows per batch, in that order. The same built model
+/// serves every variant (recompiling the plan in place), so parameters
+/// and inputs are held fixed.
+fn bench_model(id: ModelId, scale: ModelScale, batches: &[usize], repeats: usize) -> Vec<Json> {
     let mut model = id.build(scale, 7).expect("build");
     let mut gen = QueryGen::uniform(33);
     let mut rows = Vec::new();
@@ -162,20 +102,20 @@ fn bench_model(id: ModelId, scale: ModelScale, batches: &[usize], repeats: usize
         let wave_stats = model.compile_plan().clone();
         let waves = measure(&mut model, &inputs, false, repeats);
         for (variant, seconds, stats) in [
-            (Variant::Sequential, seq, None),
-            (Variant::Fused, fused, Some(&fused_stats)),
-            (Variant::FusedWaves, waves, Some(&wave_stats)),
+            ("sequential", seq, None),
+            ("fused", fused, Some(&fused_stats)),
+            ("fused+waves", waves, Some(&wave_stats)),
         ] {
-            rows.push(Row {
-                model: id.name(),
-                batch,
-                variant,
-                seconds,
-                speedup: seq / seconds,
-                ops_before: stats.map_or(model.graph().len(), |s| s.ops_before),
-                ops_after: stats.map_or(model.graph().len(), |s| s.ops_after),
-                waves: stats.map_or(model.graph().len(), |s| s.waves),
-                max_wave_width: stats.map_or(1, |s| s.max_wave_width),
+            rows.push(row! {
+                "model": id.name(),
+                "batch": batch,
+                "variant": variant,
+                "seconds": seconds,
+                "speedup": seq / seconds,
+                "ops_before": stats.map_or(model.graph().len(), |s| s.ops_before),
+                "ops_after": stats.map_or(model.graph().len(), |s| s.ops_after),
+                "waves": stats.map_or(model.graph().len(), |s| s.waves),
+                "max_wave_width": stats.map_or(1, |s| s.max_wave_width),
             });
         }
         println!(
@@ -194,81 +134,25 @@ fn bench_model(id: ModelId, scale: ModelScale, batches: &[usize], repeats: usize
     rows
 }
 
-fn write_json(
-    path: &str,
-    smoke: bool,
-    scale: ModelScale,
-    threads: usize,
-    identity_runs: usize,
-    rows: &[Row],
-    gate: Option<(&'static str, f64)>,
-) {
-    let mut s = String::from("{\n");
-    s.push_str(&format!(
-        "  \"mode\": \"{}\",\n  \"model_scale\": \"{scale:?}\",\n  \"pool_threads\": {threads},\n",
-        if smoke { "smoke" } else { "full" }
-    ));
-    s.push_str(&format!(
-        "  \"identity_runs\": {identity_runs},\n  \"plan_bit_identical\": true,\n"
-    ));
-    s.push_str("  \"latency\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"model\": \"{}\", \"batch\": {}, \"variant\": \"{}\", \"seconds\": {}, \"speedup\": {}, \"ops_before\": {}, \"ops_after\": {}, \"waves\": {}, \"max_wave_width\": {}}}{}\n",
-            r.model,
-            r.batch,
-            r.variant.name(),
-            json_f64(r.seconds),
-            json_f64(r.speedup),
-            r.ops_before,
-            r.ops_after,
-            r.waves,
-            r.max_wave_width,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n  \"gate\": {\n");
-    match gate {
-        Some((model, speedup)) => {
-            s.push_str(&format!(
-                "    \"evaluated\": true,\n    \"model\": \"{model}\",\n    \"batch\": {GATE_BATCH},\n    \"speedup\": {},\n    \"required\": {SPEEDUP_GATE}\n",
-                json_f64(speedup)
-            ));
-        }
-        None => {
-            s.push_str(&format!(
-                "    \"evaluated\": false,\n    \"reason\": \"pool has {threads} thread(s); inter-op waves need >= 2\"\n"
-            ));
-        }
-    }
-    s.push_str("  }\n}\n");
-    std::fs::write(path, s).expect("write BENCH_graph.json");
-}
-
 fn main() {
-    let args = parse_args();
-    let scale = if args.smoke {
-        ModelScale::Tiny
-    } else {
-        ModelScale::Paper
-    };
-    let threads = drec_par::global().threads();
-    println!(
-        "graph_bench: {} mode, {scale:?} latency scale, {threads}-thread pool",
-        if args.smoke { "smoke" } else { "full" }
-    );
+    let mut report = Report::start("graph", &["--smoke", "--quick"]);
+    let (smoke, quick) = (report.flags.smoke, report.flags.quick);
+    let scale = report.flags.scale();
+    let threads = report.host.pool_threads;
 
     println!("Plan vs reference bit-identity (all models, Tiny, pools 1/2/8):");
     let identity_runs = check_identity(3);
     println!("  bit-identical in all {identity_runs} runs");
 
-    let repeats = if args.smoke || args.quick { 3 } else { 5 };
-    let batches: &[usize] = if args.smoke {
+    let repeats = if smoke || quick { 3 } else { 5 };
+    // Full mode sweeps the batch sizes the serving workloads form (1-17),
+    // and 64 as the point the speedup gate is taken at.
+    let batches: &[usize] = if smoke {
         &[4]
-    } else if args.quick {
+    } else if quick {
         &[1, 64]
     } else {
-        &[1, 16, 64, 128]
+        &[1, 4, 8, 16, 64]
     };
     println!("Latency sweep ({scale:?} scale, best of {repeats}):");
     let mut rows = Vec::new();
@@ -278,43 +162,30 @@ fn main() {
 
     // The speedup gate always runs at Paper scale, batch 64: inter-op
     // waves only pay off once per-node work and node count are realistic.
-    let gate = if threads >= 2 {
+    let mut best = (f64::NAN, "");
+    if threads >= 2 {
         println!("Speedup gate (Paper scale, batch {GATE_BATCH}, best of 3):");
-        let mut best: Option<(&'static str, f64)> = None;
         for id in GATE_MODELS {
             let rows = bench_model(id, ModelScale::Paper, &[GATE_BATCH], 3);
-            let speedup = rows
-                .iter()
-                .find(|r| r.variant == Variant::FusedWaves)
-                .expect("fused+waves row present")
-                .speedup;
-            if best.is_none_or(|(_, s)| speedup > s) {
-                best = Some((id.name(), speedup));
+            let waves = rows.last().expect("fused+waves is a batch's last row");
+            let speedup = waves.num("speedup");
+            if best.0.is_nan() || speedup > best.0 {
+                best = (speedup, id.name());
             }
         }
-        best
-    } else {
-        println!("Speedup gate skipped: pool has {threads} thread(s)");
-        None
-    };
-
-    write_json(
-        "BENCH_graph.json",
-        args.smoke,
-        scale,
-        threads,
-        identity_runs,
-        &rows,
-        gate,
-    );
-    println!("Wrote BENCH_graph.json");
-
-    if let Some((model, speedup)) = gate {
-        assert!(
-            speedup >= SPEEDUP_GATE,
-            "fused+waves speedup {speedup:.2}x on {model} (batch {GATE_BATCH}) below the {SPEEDUP_GATE}x gate"
-        );
-        println!("Gate: fused+waves {speedup:.2}x on {model} >= {SPEEDUP_GATE}x — ok");
     }
-    println!("All checks passed.");
+
+    report.section("model_scale", format!("{scale:?}"));
+    report.section("identity_runs", identity_runs);
+    report.section("plan_bit_identical", true);
+    report.section("latency", rows);
+    report.gate(
+        Gate::new("fused_waves_speedup", best.0, AtLeast(SPEEDUP_GATE))
+            .at(format!("{} batch {GATE_BATCH}", best.1))
+            .skip_if(
+                (threads < 2)
+                    .then(|| format!("pool has {threads} thread(s); inter-op waves need >= 2")),
+            ),
+    );
+    report.finish();
 }

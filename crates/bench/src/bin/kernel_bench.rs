@@ -4,8 +4,9 @@
 //! oracles, embedding pooling, and end-to-end RM2/DIEN forward passes
 //! across batch sizes, plus the determinism contracts (parallel output
 //! bit-identical to sequential; vector row kernels bit-identical to
-//! scalar; FMA GEMM within its documented ULP bound). Writes
-//! `BENCH_kernels.json`.
+//! scalar; FMA GEMM within its documented ULP bound — a violation of any
+//! of these panics). Reports as `BENCH_kernels.json` (shape in the
+//! `drec_bench` crate docs).
 //!
 //! Flags:
 //!
@@ -14,28 +15,30 @@
 //! * `--tiny` — tiny model scale for the end-to-end section,
 //! * `--quick` — fewer timing repeats.
 //!
-//! SIMD gates (smoke *and* full mode, AVX2+FMA hosts only — auto-skip
-//! with a logged notice elsewhere): int8 pooled-sum vector path ≥2×
-//! scalar at dim 64, FMA GEMM ≥1.5× the scalar blocked kernel, and the
-//! int8 row encoder (`quantize_i8`, ns per element at dims 32 and 64) ≥3×
-//! its scalar oracle — that one with its verdict at the top level of the
-//! JSON, `skipped: <reason>` on the forced-scalar leg. The
-//! legacy full-mode gates stay: the blocked transposed GEMM must beat
-//! the seed scalar kernel by ≥3× at 512³ on one thread, and
-//! `DREC_THREADS=4` must add further speedup when the host actually has
-//! multiple cores (on a single-core host the multi-thread gate is
-//! reported but not enforced).
+//! SIMD gates (smoke *and* full mode; `skipped: <reason>` off AVX2+FMA,
+//! e.g. on the forced-scalar leg): `int8_sls_vector_speedup`, the int8
+//! pooled-sum vector path ≥2× scalar at dim 64; `gemm_fma_speedup`, FMA
+//! GEMM ≥1.5× the scalar blocked kernel; and
+//! `quantize_i8_dispatched_3x_scalar`, the int8 row encoder
+//! (`quantize_i8`, ns per element at dims 32 and 64) ≥3× its scalar
+//! oracle. The legacy full-mode gates stay (skipped in smoke mode):
+//! `gemm_512_blocked_speedup`, the blocked transposed GEMM must beat the
+//! seed scalar kernel by ≥3× at 512³ on one thread, and
+//! `gemm_4_thread_speedup`, `DREC_THREADS=4` must add further speedup when
+//! the host actually has four cores (skipped below that).
 //!
 //! Skinny sweep (smoke and full mode, both kernel backends): the two FC
 //! layers that dominate serving — RM3's 1700→1024 and RM1's 352→256 — at
 //! every batch size a coalescing batcher produces, m ∈ {1,2,3,4,5,7,8,16},
-//! on one and two threads. Gates: *no cliff*, `t(m) ≤ 1.25 × t(4·⌈m/4⌉)`
-//! on one thread (a batch of 3 may not cost more than a batch of 4 by more
-//! than noise), and *the pool never loses*, `t(2 threads) ≤ 1.05 × t(1)`
-//! at every shape (skipped, and said so at the top level of the JSON, on a
-//! single-core host).
+//! on one and two threads. Gates: `gemm_skinny_no_cliff`, `t(m) ≤ 1.25 ×
+//! t(4·⌈m/4⌉)` on one thread (a batch of 3 may not cost more than a batch
+//! of 4 by more than noise), and `gemm_skinny_two_threads_never_lose`,
+//! `t(2 threads) ≤ 1.05 × t(1)` at every shape (skipped on a host whose
+//! second core is a time-share of the first).
 
-use drec_bench::{json_f64, second_core_throughput};
+use drec_bench::report::Limit::{AtLeast, AtMost};
+use drec_bench::report::{Gate, Json, Report};
+use drec_bench::row;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -65,6 +68,9 @@ const QUANTIZE_DIMS: [usize; 2] = [32, 64];
 const SKINNY_CLIFF_GATE: f64 = 1.25;
 /// Skinny-sweep gate: two threads may cost at most this factor of one.
 const SKINNY_TWO_THREAD_GATE: f64 = 1.05;
+/// Required speedup of a four-thread pool over one thread at 512³ on a
+/// host with four cores (full mode only).
+const THREADS4_SPEEDUP_GATE: f64 = 1.2;
 /// Two spinning threads must do at least this multiple of one thread's
 /// work for the host to count as having a second core.
 const SECOND_CORE_FLOOR: f64 = 1.5;
@@ -77,31 +83,6 @@ const SKINNY_LAYERS: [(&str, usize, usize); 2] =
 /// embedding dim is 32–64; 64 is where the vector path's advantage is
 /// representative).
 const SLS_GATE_DIM: usize = 64;
-
-struct Args {
-    smoke: bool,
-    tiny: bool,
-    quick: bool,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        tiny: false,
-        quick: false,
-    };
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--tiny" => args.tiny = true,
-            "--quick" => args.quick = true,
-            other => {
-                eprintln!("warning: unknown argument '{other}' (supported: --smoke --tiny --quick)")
-            }
-        }
-    }
-    args
-}
 
 /// Fastest of `repeats` runs, seconds.
 fn time_min<T>(repeats: usize, mut f: impl FnMut() -> T) -> f64 {
@@ -125,35 +106,34 @@ fn fmt_secs(s: f64) -> String {
 }
 
 /// One square GEMM size: times the seed scalar kernels against the blocked
-/// kernels on a single-thread pool and checks the results agree.
-struct GemmRow {
-    size: usize,
-    ref_t_seconds: f64,
-    blocked_t_seconds: f64,
-    t_speedup: f64,
-    ref_mm_seconds: f64,
-    blocked_mm_seconds: f64,
-    mm_speedup: f64,
-}
-
-fn bench_gemm(size: usize, repeats: usize) -> GemmRow {
+/// kernels on a single-thread pool.
+fn bench_gemm(size: usize, repeats: usize) -> Json {
     let mut init = ParamInit::new(0x6E_u64 + size as u64);
     let a = init.uniform(&[size, size], -1.0, 1.0);
     let b = init.uniform(&[size, size], -1.0, 1.0);
     let single = ParPool::new(1);
     drec_par::with_pool(&single, || {
-        let ref_t_seconds = time_min(repeats, || a.matmul_transposed_reference(&b).unwrap());
-        let blocked_t_seconds = time_min(repeats, || a.matmul_transposed(&b).unwrap());
-        let ref_mm_seconds = time_min(repeats, || a.matmul_reference(&b).unwrap());
-        let blocked_mm_seconds = time_min(repeats, || a.matmul(&b).unwrap());
-        GemmRow {
-            size,
-            ref_t_seconds,
-            blocked_t_seconds,
-            t_speedup: ref_t_seconds / blocked_t_seconds,
-            ref_mm_seconds,
-            blocked_mm_seconds,
-            mm_speedup: ref_mm_seconds / blocked_mm_seconds,
+        let ref_t = time_min(repeats, || a.matmul_transposed_reference(&b).unwrap());
+        let blocked_t = time_min(repeats, || a.matmul_transposed(&b).unwrap());
+        let ref_mm = time_min(repeats, || a.matmul_reference(&b).unwrap());
+        let blocked_mm = time_min(repeats, || a.matmul(&b).unwrap());
+        println!(
+            "  {size:>4}³ transposed: seed {} -> blocked {} ({:.2}x); matmul: seed {} -> blocked {} ({:.2}x)",
+            fmt_secs(ref_t),
+            fmt_secs(blocked_t),
+            ref_t / blocked_t,
+            fmt_secs(ref_mm),
+            fmt_secs(blocked_mm),
+            ref_mm / blocked_mm,
+        );
+        row! {
+            "size": size,
+            "transposed_ref_seconds": ref_t,
+            "transposed_blocked_seconds": blocked_t,
+            "transposed_speedup": ref_t / blocked_t,
+            "matmul_ref_seconds": ref_mm,
+            "matmul_blocked_seconds": blocked_mm,
+            "matmul_speedup": ref_mm / blocked_mm,
         }
     })
 }
@@ -205,26 +185,13 @@ fn check_gemm_determinism() {
     }
 }
 
-/// One encoding's pooled-sum timing: the dispatched kernel (vector on
-/// AVX2 hosts) against the scalar oracle over the same raw row buffers.
-struct QuantSlsRow {
-    encoding: &'static str,
-    dim: usize,
-    scalar_gb_s: f64,
-    vector_gb_s: f64,
-    speedup: f64,
-}
-
 /// Times pooled sums over raw encoded rows — the store's cold-decode hot
 /// loop with the shard locks and cache peeled away, so the measurement
-/// is the kernel itself. Asserts the dispatched accumulator is
-/// bit-identical to the scalar oracle's before timing.
-fn bench_quantized_sls(
-    dim: usize,
-    rows: usize,
-    pool_ids: usize,
-    repeats: usize,
-) -> Vec<QuantSlsRow> {
+/// is the kernel itself: per encoding, the dispatched kernel (vector on
+/// AVX2 hosts) against the scalar oracle over the same raw row buffers.
+/// Asserts the dispatched accumulator is bit-identical to the scalar
+/// oracle's before timing.
+fn bench_quantized_sls(dim: usize, rows: usize, pool_ids: usize, repeats: usize) -> Vec<Json> {
     let mut init = ParamInit::new(0x51D);
     let dense = init.uniform(&[rows, dim], -1.0, 1.0);
     let data = dense.as_slice();
@@ -321,29 +288,28 @@ fn bench_quantized_sls(
             acc[0]
         });
         let bytes = (ids.len() * bytes_per_row) as f64;
-        rows_out.push(QuantSlsRow {
-            encoding,
-            dim,
-            scalar_gb_s: bytes / scalar_seconds / 1e9,
-            vector_gb_s: bytes / vector_seconds / 1e9,
-            speedup: scalar_seconds / vector_seconds,
+        let (scalar_gb_s, vector_gb_s) =
+            (bytes / scalar_seconds / 1e9, bytes / vector_seconds / 1e9);
+        let speedup = scalar_seconds / vector_seconds;
+        println!(
+            "  {encoding:<4} scalar {scalar_gb_s:.2} GB/s -> dispatched {vector_gb_s:.2} GB/s ({speedup:.2}x)"
+        );
+        rows_out.push(row! {
+            "encoding": *encoding,
+            "dim": dim,
+            "scalar_gb_per_s": scalar_gb_s,
+            "vector_gb_per_s": vector_gb_s,
+            "speedup": speedup,
         });
     }
     rows_out
 }
 
-/// The int8 row encoder at one row width: nanoseconds per element for
-/// the scalar oracle and the dispatched kernel.
-struct QuantizeRow {
-    dim: usize,
-    scalar_ns: f64,
-    dispatched_ns: f64,
-}
-
-/// Times encoding one Paper-scale table (4096 rows, the store's
-/// registration loop without the store) and asserts the two encoders
-/// agree on every byte, scale and bias first.
-fn bench_quantize_i8(dim: usize, repeats: usize) -> QuantizeRow {
+/// The int8 row encoder at one row width, nanoseconds per element for the
+/// scalar oracle and the dispatched kernel: times encoding one Paper-scale
+/// table (4096 rows, the store's registration loop without the store) and
+/// asserts the two encoders agree on every byte, scale and bias first.
+fn bench_quantize_i8(dim: usize, repeats: usize) -> Json {
     const ROWS: usize = 4096;
     let table = ParamInit::new(0x0_18 + dim as u64).uniform(&[ROWS, dim], -0.05, 0.05);
     let data = table.as_slice();
@@ -367,23 +333,21 @@ fn bench_quantize_i8(dim: usize, repeats: usize) -> QuantizeRow {
         scalar_ns = scalar_ns.min(scalar * 1e9 / elements);
         dispatched_ns = dispatched_ns.min(dispatched * 1e9 / elements);
     }
-    QuantizeRow {
-        dim,
-        scalar_ns,
-        dispatched_ns,
+    let speedup = scalar_ns / dispatched_ns;
+    println!(
+        "  dim {dim:<3} scalar {scalar_ns:.2} -> dispatched {dispatched_ns:.2} ({speedup:.2}x)"
+    );
+    row! {
+        "dim": dim,
+        "scalar_ns_per_element": scalar_ns,
+        "dispatched_ns_per_element": dispatched_ns,
+        "speedup": speedup,
     }
 }
 
 /// One square-size comparison of the dispatched GEMM (FMA dot cells on
 /// AVX2 hosts) against the scalar blocked kernel.
-struct GemmFmaRow {
-    size: usize,
-    scalar_gflops: f64,
-    fma_gflops: f64,
-    speedup: f64,
-}
-
-fn bench_gemm_fma(size: usize, repeats: usize) -> GemmFmaRow {
+fn bench_gemm_fma(size: usize, repeats: usize) -> Json {
     let mut init = ParamInit::new(0xF3A_u64 + size as u64);
     let a = init.uniform(&[size, size], -1.0, 1.0);
     let b = init.uniform(&[size, size], -1.0, 1.0);
@@ -399,11 +363,16 @@ fn bench_gemm_fma(size: usize, repeats: usize) -> GemmFmaRow {
             gemm_transposed(a.as_slice(), b.as_slice(), size, size, size, &mut out);
             out[0]
         });
-        GemmFmaRow {
-            size,
-            scalar_gflops: flops / scalar_seconds / 1e9,
-            fma_gflops: flops / fma_seconds / 1e9,
-            speedup: scalar_seconds / fma_seconds,
+        let (scalar_gflops, fma_gflops) = (flops / scalar_seconds / 1e9, flops / fma_seconds / 1e9);
+        let speedup = scalar_seconds / fma_seconds;
+        println!(
+            "  {size:>4}³ scalar {scalar_gflops:.2} GFLOP/s -> dispatched {fma_gflops:.2} GFLOP/s ({speedup:.2}x)"
+        );
+        row! {
+            "size": size,
+            "scalar_gflop_per_s": scalar_gflops,
+            "fma_gflop_per_s": fma_gflops,
+            "speedup": speedup,
         }
     })
 }
@@ -417,6 +386,19 @@ struct SkinnyRow {
     m: usize,
     seconds_1t: f64,
     seconds_2t: f64,
+}
+
+impl SkinnyRow {
+    fn json(&self) -> Json {
+        row! {
+            "layer": self.layer,
+            "k": self.k,
+            "n": self.n,
+            "m": self.m,
+            "us_1_thread": self.seconds_1t * 1e6,
+            "us_2_threads": self.seconds_2t * 1e6,
+        }
+    }
 }
 
 /// Times `A[m, k] · W[n, k]ᵀ` through the dispatched GEMM for every
@@ -492,30 +474,6 @@ fn skinny_worst(rows: &[SkinnyRow]) -> ((f64, String), (f64, String)) {
     (cliff, two)
 }
 
-/// One top-level gate: the worst ratio found, where, and the limit it
-/// must stay under — or the reason it cannot be judged here.
-struct Gate {
-    name: &'static str,
-    what: &'static str,
-    worst: (f64, String),
-    limit: f64,
-    skipped: Option<String>,
-}
-
-impl Gate {
-    /// `"ok"`, `"FAILED: …"` or `"skipped: <reason>"`.
-    fn verdict(&self) -> String {
-        match &self.skipped {
-            Some(reason) => format!("skipped: {reason}"),
-            None if self.worst.0 <= self.limit => "ok".to_string(),
-            None => format!(
-                "FAILED: {:.2}x > {:.2}x at {}",
-                self.worst.0, self.limit, self.worst.1
-            ),
-        }
-    }
-}
-
 /// Checks the dispatched GEMM against the scalar blocked kernel on
 /// register-block edge shapes: bit-identical when FMA is disabled
 /// (strict mode / forced scalar / no AVX2), otherwise within the
@@ -575,15 +533,9 @@ fn pooled_ids(batch: usize, lookups_per_sample: usize, rows: u32, seed: u64) -> 
     IdList::new(ids, vec![lookups_per_sample as u32; batch])
 }
 
-struct EmbedRow {
-    batch: usize,
-    seconds_1t: f64,
-    seconds_4t: f64,
-}
-
 /// Times pooled embedding lookups (SparseLengthsSum, tracing off) at one
 /// and four pool threads, and asserts both produce identical output.
-fn bench_embedding(batches: &[usize], dim: usize, lookups: usize, repeats: usize) -> Vec<EmbedRow> {
+fn bench_embedding(batches: &[usize], dim: usize, lookups: usize, repeats: usize) -> Vec<Json> {
     let mut ctx = ExecContext::new();
     let mut init = ParamInit::new(0xE_5);
     let table = EmbeddingTable::new(1_000_000, dim, 65_536, &mut ctx, &mut init).unwrap();
@@ -605,19 +557,14 @@ fn bench_embedding(batches: &[usize], dim: usize, lookups: usize, repeats: usize
                 drec_par::with_pool(&one, || time_min(repeats, || sls.run(&mut ctx, &[&ids])));
             let seconds_4t =
                 drec_par::with_pool(&four, || time_min(repeats, || sls.run(&mut ctx, &[&ids])));
-            EmbedRow {
-                batch,
-                seconds_1t,
-                seconds_4t,
-            }
+            println!(
+                "  batch {batch:>5}: 1 thread {}, 4 threads {}",
+                fmt_secs(seconds_1t),
+                fmt_secs(seconds_4t)
+            );
+            row! {"batch": batch, "seconds_1_thread": seconds_1t, "seconds_4_threads": seconds_4t}
         })
         .collect()
-}
-
-struct ModelRow {
-    model: &'static str,
-    batch: usize,
-    seconds: f64,
 }
 
 /// Times end-to-end forward passes and asserts outputs are bit-identical
@@ -627,7 +574,7 @@ fn bench_models(
     scale: ModelScale,
     batches: &[usize],
     repeats: usize,
-) -> Vec<ModelRow> {
+) -> Vec<Json> {
     let one = ParPool::new(1);
     let four = ParPool::new(4);
     let mut rows = Vec::new();
@@ -648,196 +595,28 @@ fn bench_models(
             }
             let seconds = time_min(repeats, || model.run(inputs.clone()).unwrap());
             println!("  {:<5} batch {batch:>5}: {}", id.name(), fmt_secs(seconds));
-            rows.push(ModelRow {
-                model: id.name(),
-                batch,
-                seconds,
-            });
+            rows.push(row! {"model": id.name(), "batch": batch, "seconds": seconds});
         }
     }
     rows
 }
 
-#[allow(clippy::too_many_arguments)]
-fn write_json(
-    path: &str,
-    host_parallelism: usize,
-    second_core: f64,
-    smoke: bool,
-    scale: ModelScale,
-    gemm: &[GemmRow],
-    quant_sls: &[QuantSlsRow],
-    gemm_fma: &[GemmFmaRow],
-    skinny: &[SkinnyRow],
-    gates: &[Gate],
-    quantize: &[QuantizeRow],
-    threads_sweep: &[(usize, f64)],
-    embedding: &[EmbedRow],
-    models: &[ModelRow],
-    gate_speedup: Option<f64>,
-    threads4_speedup: Option<f64>,
-) {
-    let mut s = String::from("{\n");
-    s.push_str(&format!(
-        "  \"host\": {{\"parallelism\": {host_parallelism}, \"second_core_throughput\": {}}},\n  \"mode\": \"{}\",\n  \"model_scale\": \"{scale:?}\",\n  \"kernel_backend\": \"{}\",\n",
-        json_f64(second_core),
-        if smoke { "smoke" } else { "full" },
-        simd::backend_label()
-    ));
-    // Gate verdicts sit at the top level so a skipped gate cannot hide in
-    // a nested null: each is "ok", "FAILED: …" or "skipped: <reason>".
-    s.push_str("  \"gates\": {");
-    for (i, gate) in gates.iter().enumerate() {
-        s.push_str(&format!(
-            "{}\"{}\": \"{}\"",
-            if i == 0 { "" } else { ", " },
-            gate.name,
-            gate.verdict()
-        ));
-    }
-    s.push_str("},\n");
-    s.push_str("  \"quantized_sls\": [\n");
-    for (i, r) in quant_sls.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"encoding\": \"{}\", \"dim\": {}, \"scalar_gb_per_s\": {}, \"vector_gb_per_s\": {}, \"speedup\": {}}}{}\n",
-            r.encoding,
-            r.dim,
-            json_f64(r.scalar_gb_s),
-            json_f64(r.vector_gb_s),
-            json_f64(r.speedup),
-            if i + 1 < quant_sls.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n  \"quantize_i8\": [\n");
-    for (i, r) in quantize.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"dim\": {}, \"scalar_ns_per_element\": {}, \"dispatched_ns_per_element\": {}, \"speedup\": {}}}{}\n",
-            r.dim,
-            json_f64(r.scalar_ns),
-            json_f64(r.dispatched_ns),
-            json_f64(r.scalar_ns / r.dispatched_ns),
-            if i + 1 < quantize.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n  \"gemm_fma\": [\n");
-    for (i, r) in gemm_fma.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"size\": {}, \"scalar_gflop_per_s\": {}, \"fma_gflop_per_s\": {}, \"speedup\": {}}}{}\n",
-            r.size,
-            json_f64(r.scalar_gflops),
-            json_f64(r.fma_gflops),
-            json_f64(r.speedup),
-            if i + 1 < gemm_fma.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n  \"gemm_skinny\": [\n");
-    for (i, r) in skinny.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"layer\": \"{}\", \"k\": {}, \"n\": {}, \"m\": {}, \"us_1_thread\": {}, \"us_2_threads\": {}}}{}\n",
-            r.layer,
-            r.k,
-            r.n,
-            r.m,
-            json_f64(r.seconds_1t * 1e6),
-            json_f64(r.seconds_2t * 1e6),
-            if i + 1 < skinny.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n  \"gemm_single_thread\": [\n");
-    for (i, r) in gemm.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"size\": {}, \"transposed_ref_seconds\": {}, \"transposed_blocked_seconds\": {}, \"transposed_speedup\": {}, \"matmul_ref_seconds\": {}, \"matmul_blocked_seconds\": {}, \"matmul_speedup\": {}}}{}\n",
-            r.size,
-            json_f64(r.ref_t_seconds),
-            json_f64(r.blocked_t_seconds),
-            json_f64(r.t_speedup),
-            json_f64(r.ref_mm_seconds),
-            json_f64(r.blocked_mm_seconds),
-            json_f64(r.mm_speedup),
-            if i + 1 < gemm.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n  \"gemm_thread_sweep\": [\n");
-    for (i, (threads, seconds)) in threads_sweep.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"threads\": {threads}, \"seconds\": {}}}{}\n",
-            json_f64(*seconds),
-            if i + 1 < threads_sweep.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n  \"embedding_pooling\": [\n");
-    for (i, r) in embedding.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"batch\": {}, \"seconds_1_thread\": {}, \"seconds_4_threads\": {}}}{}\n",
-            r.batch,
-            json_f64(r.seconds_1t),
-            json_f64(r.seconds_4t),
-            if i + 1 < embedding.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n  \"end_to_end\": [\n");
-    for (i, r) in models.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"model\": \"{}\", \"batch\": {}, \"seconds\": {}}}{}\n",
-            r.model,
-            r.batch,
-            json_f64(r.seconds),
-            if i + 1 < models.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n  \"checks\": {\n");
-    s.push_str("    \"parallel_bit_identical\": true,\n");
-    s.push_str("    \"quantized_vector_bit_identical\": true,\n");
-    s.push_str("    \"gemm_fma_within_ulp_bound\": true,\n");
-    let vector_gates = simd::active_backend() == KernelBackend::Avx2Fma;
-    s.push_str(&format!(
-        "    \"int8_sls_dim64_speedup\": {},\n    \"int8_sls_speedup_gate\": {},\n",
-        quant_sls
-            .iter()
-            .find(|r| r.encoding == "int8" && r.dim == SLS_GATE_DIM)
-            .map_or("null".to_string(), |r| json_f64(r.speedup)),
-        if vector_gates {
-            INT8_SLS_SPEEDUP_GATE.to_string()
-        } else {
-            "null".to_string()
-        }
-    ));
-    s.push_str(&format!(
-        "    \"gemm_fma_speedup\": {},\n    \"gemm_fma_speedup_gate\": {},\n",
-        gemm_fma
-            .last()
-            .map_or("null".to_string(), |r| json_f64(r.speedup)),
-        if vector_gates {
-            GEMM_FMA_SPEEDUP_GATE.to_string()
-        } else {
-            "null".to_string()
-        }
-    ));
-    s.push_str(&format!(
-        "    \"gemm_512_single_thread_speedup\": {},\n",
-        gate_speedup.map_or("null".to_string(), json_f64)
-    ));
-    s.push_str(&format!(
-        "    \"gemm_512_speedup_gate\": {GEMM_SPEEDUP_GATE},\n    \"threads4_speedup\": {}\n",
-        threads4_speedup.map_or("null".to_string(), json_f64)
-    ));
-    s.push_str("  }\n}\n");
-    std::fs::write(path, s).expect("write BENCH_kernels.json");
-}
-
 fn main() {
-    let args = parse_args();
-    let host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let scale = if args.tiny || args.smoke {
-        ModelScale::Tiny
-    } else {
-        ModelScale::Paper
+    let mut report = Report::start("kernels", &["--smoke", "--tiny", "--quick"]);
+    let (smoke, fast) = (report.flags.smoke, report.flags.smoke || report.flags.quick);
+    let host_parallelism = report.host.parallelism;
+    let scale = report.flags.scale();
+    let no_vector_path = (simd::active_backend() != KernelBackend::Avx2Fma).then(|| {
+        format!(
+            "kernel backend is {}: the dispatched kernel is the scalar oracle",
+            simd::backend_label()
+        )
+    });
+    // The slowest row by `key`: the one a floor on `key` is judged at.
+    let lowest = |rows: &[Json], key: &str| {
+        let lowest = rows.iter().min_by(|a, b| a.num(key).total_cmp(&b.num(key)));
+        lowest.expect("at least one row").clone()
     };
-    println!(
-        "kernel_bench: host parallelism {host_parallelism}, {} mode, {scale:?} model scale, kernel backend {}",
-        if args.smoke { "smoke" } else { "full" },
-        simd::backend_label()
-    );
 
     println!("Checking parallel == sequential (bit-identical) on GEMM edge shapes...");
     check_gemm_determinism();
@@ -847,7 +626,7 @@ fn main() {
     check_gemm_fma_accuracy();
     println!("  ok");
 
-    let (sls_rows, sls_ids, sls_repeats) = if args.smoke || args.quick {
+    let (sls_rows, sls_ids, sls_repeats) = if fast {
         (1024usize, 16_384usize, 3usize)
     } else {
         (4096, 65_536, 7)
@@ -856,99 +635,64 @@ fn main() {
         "Quantized pooled sums at dim {SLS_GATE_DIM} ({sls_ids} lookups over {sls_rows} rows, dispatched vs scalar oracle):"
     );
     let quant_sls = bench_quantized_sls(SLS_GATE_DIM, sls_rows, sls_ids, sls_repeats);
-    for r in &quant_sls {
-        println!(
-            "  {:<4} scalar {:.2} GB/s -> dispatched {:.2} GB/s ({:.2}x)",
-            r.encoding, r.scalar_gb_s, r.vector_gb_s, r.speedup
-        );
-    }
+    let int8 = quant_sls
+        .iter()
+        .find(|r| r.get("encoding") == &Json::from("int8"));
+    let int8_speedup = int8.expect("int8 row present").num("speedup");
+    report.gate(
+        Gate::new(
+            "int8_sls_vector_speedup",
+            int8_speedup,
+            AtLeast(INT8_SLS_SPEEDUP_GATE),
+        )
+        .at(format!("dim {SLS_GATE_DIM}"))
+        .skip_if(no_vector_path.clone()),
+    );
 
     println!("Int8 row encoder, one 4096-row table (dispatched vs scalar oracle, ns per element):");
-    let quantize: Vec<QuantizeRow> = QUANTIZE_DIMS
+    let quantize: Vec<Json> = QUANTIZE_DIMS
         .iter()
-        .map(|&dim| bench_quantize_i8(dim, if args.smoke || args.quick { 20 } else { 50 }))
+        .map(|&dim| bench_quantize_i8(dim, if fast { 20 } else { 50 }))
         .collect();
-    for r in &quantize {
-        println!(
-            "  dim {:<3} scalar {:.2} -> dispatched {:.2} ({:.2}x)",
-            r.dim,
-            r.scalar_ns,
-            r.dispatched_ns,
-            r.scalar_ns / r.dispatched_ns
-        );
-    }
-    let slowest = quantize
-        .iter()
-        .max_by(|a, b| (a.dispatched_ns / a.scalar_ns).total_cmp(&(b.dispatched_ns / b.scalar_ns)))
-        .expect("two dims");
-    let quantize_gate = Gate {
-        name: "quantize_i8_dispatched_3x_scalar",
-        what: "int8 encoder t(dispatched) / t(scalar)",
-        worst: (
-            slowest.dispatched_ns / slowest.scalar_ns,
-            format!("dim {}", slowest.dim),
-        ),
-        limit: QUANTIZE_GATE,
-        skipped: (simd::active_backend() != KernelBackend::Avx2Fma).then(|| {
-            format!(
-                "kernel backend is {}: the dispatched encoder is the scalar oracle",
-                simd::backend_label()
-            )
-        }),
-    };
+    let slowest = lowest(&quantize, "speedup");
+    report.gate(
+        Gate::new(
+            "quantize_i8_dispatched_3x_scalar",
+            1.0 / slowest.num("speedup"),
+            AtMost(QUANTIZE_GATE),
+        )
+        .at(format!(
+            "t(dispatched) / t(scalar), dim {}",
+            slowest.num("dim")
+        ))
+        .skip_if(no_vector_path.clone()),
+    );
 
-    let fma_sizes: &[usize] = if args.smoke { &[128] } else { &[128, 256, 512] };
-    let fma_repeats = if args.smoke || args.quick { 3 } else { 5 };
+    let fma_sizes: &[usize] = if smoke { &[128] } else { &[128, 256, 512] };
+    let fma_repeats = if fast { 3 } else { 5 };
     println!("GEMM dispatched (FMA) vs scalar blocked, single thread:");
-    let gemm_fma: Vec<GemmFmaRow> = fma_sizes
+    let gemm_fma: Vec<Json> = fma_sizes
         .iter()
-        .map(|&size| {
-            let row = bench_gemm_fma(size, fma_repeats);
-            println!(
-                "  {size:>4}³ scalar {:.2} GFLOP/s -> dispatched {:.2} GFLOP/s ({:.2}x)",
-                row.scalar_gflops, row.fma_gflops, row.speedup
-            );
-            row
-        })
+        .map(|&size| bench_gemm_fma(size, fma_repeats))
         .collect();
-
-    if simd::active_backend() == KernelBackend::Avx2Fma {
-        let int8 = quant_sls
-            .iter()
-            .find(|r| r.encoding == "int8")
-            .expect("int8 row present");
-        assert!(
-            int8.speedup >= INT8_SLS_SPEEDUP_GATE,
-            "int8 pooled-sum vector speedup {:.2}x at dim {SLS_GATE_DIM} below the {INT8_SLS_SPEEDUP_GATE}x gate",
-            int8.speedup
-        );
-        println!(
-            "Gate: int8 pooled-sum vector {:.2}x >= {INT8_SLS_SPEEDUP_GATE}x at dim {SLS_GATE_DIM} — ok",
-            int8.speedup
-        );
-        let worst_fma = gemm_fma
-            .iter()
-            .map(|r| r.speedup)
-            .fold(f64::INFINITY, f64::min);
-        assert!(
-            worst_fma >= GEMM_FMA_SPEEDUP_GATE,
-            "FMA GEMM speedup {worst_fma:.2}x below the {GEMM_FMA_SPEEDUP_GATE}x gate"
-        );
-        println!("Gate: FMA GEMM {worst_fma:.2}x >= {GEMM_FMA_SPEEDUP_GATE}x — ok");
-    } else {
-        println!(
-            "Note: kernel backend is {} (no AVX2+FMA vector path active); SIMD speedup gates skipped",
-            simd::backend_label()
-        );
-    }
+    let slowest = lowest(&gemm_fma, "speedup");
+    report.gate(
+        Gate::new(
+            "gemm_fma_speedup",
+            slowest.num("speedup"),
+            AtLeast(GEMM_FMA_SPEEDUP_GATE),
+        )
+        .at(format!("{}³, one thread", slowest.num("size")))
+        .skip_if(no_vector_path),
+    );
 
     // Calibrated on both sides of the sweep: on a shared host the second
     // core can leave while it runs.
-    let second_core_before = second_core_throughput();
-    let skinny_repeats = if args.smoke || args.quick { 100 } else { 200 };
+    report.second_core();
+    let skinny_repeats = if fast { 100 } else { 200 };
     println!("GEMM skinny sweep (serving batch sizes at two FC layers, µs per product):");
     let skinny = bench_gemm_skinny(skinny_repeats);
-    let second_core = second_core_before.min(second_core_throughput());
+    let second_core = report.second_core();
     for &(layer, _, _) in &SKINNY_LAYERS {
         for (label, pick) in [
             ("1 thread ", (|r| r.seconds_1t) as fn(&SkinnyRow) -> f64),
@@ -963,87 +707,87 @@ fn main() {
         }
     }
     let (cliff, two) = skinny_worst(&skinny);
-    let gates = [
-        quantize_gate,
-        Gate {
-            name: "gemm_skinny_no_cliff",
-            what: "skinny GEMM t(m) / t(4*ceil(m/4)) on one thread",
-            worst: cliff,
-            limit: SKINNY_CLIFF_GATE,
-            skipped: None,
-        },
-        Gate {
-            name: "gemm_skinny_two_threads_never_lose",
-            what: "skinny GEMM t(2 threads) / t(1 thread)",
-            worst: two,
-            limit: SKINNY_TWO_THREAD_GATE,
-            skipped: if host_parallelism == 1 {
-                Some("single core".to_string())
-            } else if second_core < SECOND_CORE_FLOOR {
-                Some(format!(
-                    "single core (two spinning threads did {second_core:.2}x the work of one)"
-                ))
-            } else {
-                None
-            },
-        },
-    ];
+    report.gate(
+        Gate::new("gemm_skinny_no_cliff", cliff.0, AtMost(SKINNY_CLIFF_GATE))
+            .at(format!("t(m) / t(4*ceil(m/4)) on one thread, {}", cliff.1)),
+    );
+    let no_second_core = if host_parallelism == 1 {
+        Some("single core".to_string())
+    } else if second_core < SECOND_CORE_FLOOR {
+        Some(format!(
+            "single core (two spinning threads did {second_core:.2}x the work of one)"
+        ))
+    } else {
+        None
+    };
+    report.gate(
+        Gate::new(
+            "gemm_skinny_two_threads_never_lose",
+            two.0,
+            AtMost(SKINNY_TWO_THREAD_GATE),
+        )
+        .at(format!("t(2 threads) / t(1 thread), {}", two.1))
+        .skip_if(no_second_core),
+    );
 
-    let gemm_sizes: &[usize] = if args.smoke { &[48] } else { &[128, 512] };
-    let gemm_repeats = if args.smoke || args.quick { 2 } else { 5 };
+    let gemm_sizes: &[usize] = if smoke { &[48] } else { &[128, 512] };
+    let gemm_repeats = if fast { 2 } else { 5 };
     println!("GEMM old-vs-new, single thread:");
-    let gemm: Vec<GemmRow> = gemm_sizes
+    let gemm: Vec<Json> = gemm_sizes
         .iter()
-        .map(|&size| {
-            let row = bench_gemm(size, gemm_repeats);
-            println!(
-                "  {size:>4}³ transposed: seed {} -> blocked {} ({:.2}x); matmul: seed {} -> blocked {} ({:.2}x)",
-                fmt_secs(row.ref_t_seconds),
-                fmt_secs(row.blocked_t_seconds),
-                row.t_speedup,
-                fmt_secs(row.ref_mm_seconds),
-                fmt_secs(row.blocked_mm_seconds),
-                row.mm_speedup,
-            );
-            row
-        })
+        .map(|&size| bench_gemm(size, gemm_repeats))
         .collect();
+    let full_only = smoke.then(|| "smoke mode runs no 512³ product".to_string());
+    let gemm_512 = gemm.iter().find(|r| r.num("size") == 512.0);
+    let gemm_512 = gemm_512.map_or(f64::NAN, |r| r.num("transposed_speedup"));
+    report.gate(
+        Gate::new(
+            "gemm_512_blocked_speedup",
+            gemm_512,
+            AtLeast(GEMM_SPEEDUP_GATE),
+        )
+        .at("blocked transposed GEMM over the seed scalar kernel, 512³, one thread")
+        .skip_if(full_only.clone()),
+    );
 
-    let sweep_size = if args.smoke { 64 } else { 512 };
+    let sweep_size = if smoke { 64 } else { 512 };
     println!("GEMM thread sweep at {sweep_size}³ (blocked transposed kernel):");
-    let threads_sweep: Vec<(usize, f64)> = [1usize, 2, 4]
+    let threads_sweep: Vec<Json> = [1usize, 2, 4]
         .iter()
         .map(|&threads| {
             let seconds = bench_gemm_threads(sweep_size, threads, gemm_repeats);
             println!("  {threads} thread(s): {}", fmt_secs(seconds));
-            (threads, seconds)
+            row! {"threads": threads, "seconds": seconds}
         })
         .collect();
-    let threads4_speedup = Some(threads_sweep[0].1 / threads_sweep[2].1);
+    let threads4_speedup = threads_sweep[0].num("seconds") / threads_sweep[2].num("seconds");
+    let too_few_cores =
+        (host_parallelism < 4).then(|| format!("host has {host_parallelism} core(s) < 4"));
+    report.gate(
+        Gate::new(
+            "gemm_4_thread_speedup",
+            threads4_speedup,
+            AtLeast(THREADS4_SPEEDUP_GATE),
+        )
+        .at(format!("{sweep_size}³, 4 threads over 1"))
+        .skip_if(full_only.or(too_few_cores)),
+    );
 
-    let (dim, lookups, embed_batches): (usize, usize, Vec<usize>) = if args.smoke {
+    let (dim, lookups, embed_batches): (usize, usize, Vec<usize>) = if smoke {
         (16, 8, vec![1, 16])
     } else {
         (64, 40, vec![1, 64, 1024])
     };
-    let embed_repeats = if args.smoke || args.quick { 2 } else { 5 };
+    let embed_repeats = if fast { 2 } else { 5 };
     println!("Pooled embedding lookups (dim {dim}, {lookups} lookups/sample):");
     let embedding = bench_embedding(&embed_batches, dim, lookups, embed_repeats);
-    for r in &embedding {
-        println!(
-            "  batch {:>5}: 1 thread {}, 4 threads {}",
-            r.batch,
-            fmt_secs(r.seconds_1t),
-            fmt_secs(r.seconds_4t)
-        );
-    }
 
-    let model_batches: Vec<usize> = if args.smoke {
+    let model_batches: Vec<usize> = if smoke {
         vec![1, 16]
     } else {
         vec![1, 64, 1024]
     };
-    let model_repeats = if args.smoke || args.quick { 1 } else { 3 };
+    let model_repeats = if fast { 1 } else { 3 };
     println!("End-to-end forward passes ({scale:?} scale):");
     let models = bench_models(
         &[ModelId::Rm2, ModelId::Dien],
@@ -1052,62 +796,14 @@ fn main() {
         model_repeats,
     );
 
-    let gate_speedup = gemm.iter().find(|r| r.size == 512).map(|r| r.t_speedup);
-    write_json(
-        "BENCH_kernels.json",
-        host_parallelism,
-        second_core,
-        args.smoke,
-        scale,
-        &gemm,
-        &quant_sls,
-        &gemm_fma,
-        &skinny,
-        &gates,
-        &quantize,
-        &threads_sweep,
-        &embedding,
-        &models,
-        gate_speedup,
-        threads4_speedup,
-    );
-    println!("Wrote BENCH_kernels.json");
-
-    for gate in &gates {
-        let verdict = gate.verdict();
-        assert!(
-            !verdict.starts_with("FAILED"),
-            "Gate {}: {verdict}",
-            gate.name
-        );
-        println!(
-            "Gate: worst {} {:.2}x <= {:.2}x ({}) — {verdict}",
-            gate.what, gate.worst.0, gate.limit, gate.worst.1
-        );
-    }
-
-    if !args.smoke {
-        let speedup = gate_speedup.expect("512-size row present in full mode");
-        assert!(
-            speedup >= GEMM_SPEEDUP_GATE,
-            "blocked transposed GEMM speedup {speedup:.2}x at 512³ below the {GEMM_SPEEDUP_GATE}x gate"
-        );
-        println!(
-            "Gate: blocked transposed GEMM {speedup:.2}x >= {GEMM_SPEEDUP_GATE}x at 512³ — ok"
-        );
-        if let Some(t4) = threads4_speedup {
-            if host_parallelism >= 4 {
-                assert!(
-                    t4 > 1.2,
-                    "4-thread pool adds no speedup ({t4:.2}x) on a {host_parallelism}-way host"
-                );
-                println!("Gate: 4-thread speedup {t4:.2}x — ok");
-            } else {
-                println!(
-                    "Note: host has {host_parallelism} core(s); 4-thread speedup {t4:.2}x reported, gate not enforced"
-                );
-            }
-        }
-    }
-    println!("All checks passed.");
+    report.section("model_scale", format!("{scale:?}"));
+    report.section("quantized_sls", quant_sls);
+    report.section("quantize_i8", quantize);
+    report.section("gemm_fma", gemm_fma);
+    report.rows("gemm_skinny", &skinny, SkinnyRow::json);
+    report.section("gemm_single_thread", gemm);
+    report.section("gemm_thread_sweep", threads_sweep);
+    report.section("embedding_pooling", embedding);
+    report.section("end_to_end", models);
+    report.finish();
 }

@@ -1,7 +1,8 @@
 //! Acceptance gates for the `drec-sync` lock-free batcher queue: the
 //! bounded MPMC ring (`QueueKind::LockFree`) against the retained
 //! mutex+condvar leg (`QueueKind::Lock`, the `DREC_LOCK_QUEUE=1`
-//! semantics oracle). Writes `BENCH_queue.json`.
+//! semantics oracle). Reports as `BENCH_queue.json` (shape in the
+//! `drec_bench` crate docs).
 //!
 //! Flags:
 //!
@@ -9,23 +10,26 @@
 //!
 //! Gates:
 //!
-//! * **contention scaling** — at 8 threads (4 producers + 4 consumers)
+//! * `contention_8_threads` — at 8 threads (4 producers + 4 consumers)
 //!   the lock-free leg must move ≥ 1.5× the lock leg's
-//!   enqueue+dequeue throughput. Skipped with a log line on hosts with
-//!   fewer than 4 cores, where an 8-thread run measures the OS
-//!   scheduler, not the queue.
-//! * **single-thread regression** — with no contention the ring must
-//!   not lose to the uncontended mutex (tolerance for timer noise).
-//! * **bit identity** — all 8 paper models served through the
-//!   lock-free queue produce bit-identical outputs to the same models
-//!   served through the lock leg (same seeds, same submission order).
+//!   enqueue+dequeue throughput. Skipped on hosts with fewer than 4
+//!   cores, where an 8-thread run measures the OS scheduler, not the
+//!   queue.
+//! * `single_thread_floor` — with no contention the ring must not lose
+//!   to the uncontended mutex (tolerance for timer noise).
+//! * `bit_identical_across_queue_legs` — all 8 paper models served
+//!   through the lock-free queue produce bit-identical outputs to the
+//!   same models served through the lock leg (same seeds, same
+//!   submission order).
 //!
 //! Also reported (informational, no gate): the false-sharing experiment
 //! behind the `CachePadded` counters in `MetricsRegistry` and the
 //! store — adjacent plain `AtomicU64`s hammered from several threads
 //! vs. one-per-cache-line counters.
 
-use drec_bench::json_f64;
+use drec_bench::report::Limit::AtLeast;
+use drec_bench::report::{Gate, Json, Report};
+use drec_bench::{output_bits, row};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -53,21 +57,6 @@ const CONTENTION_GATE: f64 = 1.5;
 /// of the lock leg (absorbs timer noise on shared cores; a real
 /// regression shows up as a far larger gap).
 const SINGLE_THREAD_FLOOR: f64 = 0.85;
-
-struct Args {
-    smoke: bool,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args { smoke: false };
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            other => eprintln!("warning: unknown argument '{other}' (supported: --smoke)"),
-        }
-    }
-    args
-}
 
 fn bench_cfg() -> BatcherConfig {
     BatcherConfig {
@@ -188,16 +177,11 @@ fn contention_point(kind: QueueKind, threads: usize, total_ops: usize) -> f64 {
         .fold(0.0f64, f64::max)
 }
 
-struct IdentityRow {
-    model: ModelId,
-    bit_identical: bool,
-}
-
 /// Serves `queries` single-sample requests through a fresh runtime on
 /// the queue leg selected by `DREC_LOCK_QUEUE`, waiting for each
 /// response before submitting the next so both legs see identical
-/// batch compositions. Returns the flattened output bits per query.
-fn serve_outputs(id: ModelId, queries: usize) -> Vec<Vec<u32>> {
+/// batch compositions. Returns the output bits per query.
+fn serve_outputs(id: ModelId, queries: usize) -> Vec<Vec<(Vec<usize>, Vec<u32>)>> {
     let mut cfg = ServeConfig::tiny(id);
     cfg.seed = SEED;
     cfg.workers = 1;
@@ -212,27 +196,16 @@ fn serve_outputs(id: ModelId, queries: usize) -> Vec<Vec<u32>> {
             .expect("admission")
             .wait()
             .expect("response");
-        let bits: Vec<u32> = response
-            .outputs
-            .iter()
-            .flat_map(|v| {
-                v.as_dense()
-                    .expect("dense output")
-                    .as_slice()
-                    .iter()
-                    .map(|x| x.to_bits())
-            })
-            .collect();
-        out.push(bits);
+        out.push(output_bits(&response.outputs));
     }
     runtime.shutdown();
     out
 }
 
-/// Gate: all 8 models bit-identical through the lock-free queue vs the
+/// All 8 models through the lock-free queue and through the
 /// `DREC_LOCK_QUEUE=1` oracle leg. The env flips happen while no
 /// runtime (and no worker thread) is alive.
-fn check_identity(queries: usize) -> Vec<IdentityRow> {
+fn check_identity(queries: usize) -> Vec<Json> {
     ModelId::ALL
         .into_iter()
         .map(|id| {
@@ -241,14 +214,13 @@ fn check_identity(queries: usize) -> Vec<IdentityRow> {
             std::env::remove_var("DREC_LOCK_QUEUE");
             let lockfree = serve_outputs(id, queries);
             let bit_identical = oracle == lockfree;
-            assert!(
-                bit_identical,
-                "{id}: outputs through the lock-free queue differ from the lock-leg oracle"
-            );
-            IdentityRow {
-                model: id,
-                bit_identical,
-            }
+            let verdict = if bit_identical {
+                "bit-identical"
+            } else {
+                "DIFFER"
+            };
+            println!("  {:<8} lock vs lock-free outputs: {verdict}", id.name());
+            row! {"model": id.name(), "bit_identical": bit_identical}
         })
         .collect()
 }
@@ -307,74 +279,11 @@ fn counter_experiment(threads: usize, increments: usize) -> (f64, f64) {
     (un, pa)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn write_json(
-    path: &str,
-    smoke: bool,
-    sweep: &[(QueueKind, usize, f64)],
-    ratio_1t: f64,
-    ratio_8t: Option<f64>,
-    cores: usize,
-    identity: &[IdentityRow],
-    counters: (usize, f64, f64),
-) {
-    let mut s = String::from("{\n");
-    s.push_str(&format!(
-        "  \"mode\": \"{}\",\n  \"cores\": {cores},\n",
-        if smoke { "smoke" } else { "full" }
-    ));
-    s.push_str("  \"contention_sweep\": [\n");
-    for (i, (kind, threads, tput)) in sweep.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"kind\": \"{}\", \"threads\": {threads}, \"ops_per_sec\": {}}}{}\n",
-            kind.name(),
-            json_f64(*tput),
-            if i + 1 < sweep.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str(&format!(
-        "  \"single_thread_ratio\": {},\n  \"eight_thread_ratio\": {},\n",
-        json_f64(ratio_1t),
-        ratio_8t.map_or("null".to_string(), json_f64),
-    ));
-    s.push_str("  \"identity\": [\n");
-    for (i, r) in identity.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"model\": \"{}\", \"bit_identical\": {}}}{}\n",
-            r.model.name(),
-            r.bit_identical,
-            if i + 1 < identity.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    let (cthreads, un, pa) = counters;
-    s.push_str(&format!(
-        "  \"counter_false_sharing\": {{\"threads\": {cthreads}, \
-         \"unpadded_incs_per_sec\": {}, \"padded_incs_per_sec\": {}, \"speedup\": {}}},\n",
-        json_f64(un),
-        json_f64(pa),
-        json_f64(pa / un)
-    ));
-    s.push_str(&format!(
-        "  \"checks\": {{\n    \"single_thread_floor\": {SINGLE_THREAD_FLOOR},\n    \
-         \"contention_gate\": {CONTENTION_GATE},\n    \
-         \"contention_gate_skipped_low_cores\": {},\n    \
-         \"identity_ok\": {}\n  }}\n}}\n",
-        ratio_8t.is_none(),
-        identity.iter().all(|r| r.bit_identical)
-    ));
-    std::fs::write(path, s).expect("write BENCH_queue.json");
-}
-
 fn main() {
-    let args = parse_args();
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let total_ops = if args.smoke { 20_000 } else { 200_000 };
-    println!(
-        "queue_bench: {} mode — {total_ops} ops per rep, best of {TIMING_REPS}, {cores} cores",
-        if args.smoke { "smoke" } else { "full" }
-    );
+    let mut report = Report::start("queue", &["--smoke"]);
+    let cores = report.host.parallelism;
+    let total_ops = if report.flags.smoke { 20_000 } else { 200_000 };
+    println!("{total_ops} ops per rep, best of {TIMING_REPS}");
 
     // Contention sweep: both legs at each thread count.
     println!("\nEnqueue+dequeue throughput (one op = one request through the queue):");
@@ -388,26 +297,15 @@ fn main() {
             sweep.push((kind, threads, tput));
         }
     }
-    let tput_of = |kind: QueueKind, threads: usize| {
-        sweep
-            .iter()
-            .find(|(k, t, _)| *k == kind && *t == threads)
-            .map(|(_, _, v)| *v)
-            .unwrap()
+    let ratio_at = |threads: usize| {
+        let tput_of = |kind: QueueKind| {
+            let point = sweep.iter().find(|(k, t, _)| *k == kind && *t == threads);
+            point.expect("every thread point has both legs").2
+        };
+        tput_of(QueueKind::LockFree) / tput_of(QueueKind::Lock)
     };
-    let ratio_1t = tput_of(QueueKind::LockFree, 1) / tput_of(QueueKind::Lock, 1);
-    println!("  single-thread ratio (lock-free / lock): {ratio_1t:.2}x");
-    let ratio_8t = if cores >= 4 {
-        let r = tput_of(QueueKind::LockFree, 8) / tput_of(QueueKind::Lock, 8);
-        println!("  8-thread ratio (lock-free / lock): {r:.2}x");
-        Some(r)
-    } else {
-        println!(
-            "  8-thread contention gate SKIPPED: {cores} core(s) < 4 — an 8-thread \
-             run here measures the OS scheduler, not the queue"
-        );
-        None
-    };
+    let (ratio_1t, ratio_8t) = (ratio_at(1), ratio_at(8));
+    println!("  lock-free / lock: {ratio_1t:.2}x single-thread, {ratio_8t:.2}x at 8 threads");
 
     // False-sharing demo behind the CachePadded satellite: the counter
     // layout MetricsRegistry/StoreStats moved *from* vs the one they
@@ -423,51 +321,47 @@ fn main() {
     );
 
     // Bit-identity across legs for all 8 models.
-    let queries = if args.smoke { 4 } else { 16 };
+    let queries = if report.flags.smoke { 4 } else { 16 };
     println!("\nServing all 8 models through both queue legs ({queries} queries each):");
     let identity = check_identity(queries);
-    for r in &identity {
-        println!(
-            "  {:<8} lock vs lock-free outputs: {}",
-            r.model.name(),
-            if r.bit_identical {
-                "bit-identical"
-            } else {
-                "DIFFER"
-            }
-        );
-    }
-
-    write_json(
-        "BENCH_queue.json",
-        args.smoke,
-        &sweep,
-        ratio_1t,
-        ratio_8t,
-        cores,
+    let sweep_row = |(kind, threads, tput): &(QueueKind, usize, f64)| {
+        row! {"kind": kind.name(), "threads": *threads, "ops_per_sec": *tput}
+    };
+    report.rows("contention_sweep", &sweep, sweep_row);
+    report.section("single_thread_ratio", ratio_1t);
+    report.section("eight_thread_ratio", ratio_8t);
+    report.section(
+        "counter_false_sharing",
+        row! {
+            "threads": counter_threads,
+            "unpadded_incs_per_sec": un,
+            "padded_incs_per_sec": pa,
+            "speedup": pa / un,
+        },
+    );
+    report.gate(
+        Gate::new(
+            "single_thread_floor",
+            ratio_1t,
+            AtLeast(SINGLE_THREAD_FLOOR),
+        )
+        .at("1 thread"),
+    );
+    report.gate(
+        Gate::new("contention_8_threads", ratio_8t, AtLeast(CONTENTION_GATE))
+            .at("4 producers + 4 consumers")
+            .skip_if((cores < 4).then(|| {
+                format!(
+                    "{cores} core(s) < 4: an 8-thread run here measures the OS scheduler, not the queue"
+                )
+            })),
+    );
+    report.gate(Gate::all(
+        "bit_identical_across_queue_legs",
         &identity,
-        (counter_threads, un, pa),
-    );
-    println!("\nWrote BENCH_queue.json");
-
-    assert!(
-        ratio_1t >= SINGLE_THREAD_FLOOR,
-        "lock-free queue regressed single-thread throughput: {ratio_1t:.2}x < {SINGLE_THREAD_FLOOR}x"
-    );
-    println!(
-        "Gate: single-thread lock-free >= {SINGLE_THREAD_FLOOR}x lock leg ({ratio_1t:.2}x) — ok"
-    );
-    match ratio_8t {
-        Some(r) => {
-            assert!(
-                r >= CONTENTION_GATE,
-                "lock-free queue below the contention gate at 8 threads: \
-                 {r:.2}x < {CONTENTION_GATE}x"
-            );
-            println!("Gate: 8-thread lock-free >= {CONTENTION_GATE}x lock leg ({r:.2}x) — ok");
-        }
-        None => println!("Gate: 8-thread contention — skipped ({cores} core(s) < 4)"),
-    }
-    println!("Gate: all 8 models bit-identical across queue legs — ok");
-    println!("All checks passed.");
+        |r| r.flag("bit_identical"),
+        |r| r.render(false),
+    ));
+    report.section("identity", identity);
+    report.finish();
 }

@@ -1,27 +1,30 @@
 //! Acceptance gates for the `drec-sched` multi-model co-location
 //! scheduler: all eight paper models share one worker pool behind
 //! per-model admission queues, with per-query batching and calibrated
-//! CPU/GPU splitting. Writes `BENCH_sched.json`.
+//! CPU/GPU splitting. Reports as `BENCH_sched.json` (shape in the
+//! `drec_bench` crate docs).
 //!
 //! Flags:
 //!
 //! * `--smoke` — small request counts, CI mode,
 //! * `--quick` — fewer requests than full, more than smoke.
 //!
-//! Gates (asserted in both modes):
+//! Calibrating every model's placement profile twice with the same seed
+//! must yield identical CPU/GPU crossovers and identical backend decisions
+//! at every batch size (a difference panics).
 //!
-//! * **determinism** — calibrating every model's placement profile twice
-//!   with the same seed yields identical CPU/GPU crossovers and identical
-//!   backend decisions at every batch size,
-//! * **co-location throughput** — the eight co-located models achieve at
-//!   least the aggregate throughput of eight isolated single-worker
-//!   pools at equal total worker count, on the same seeded Zipf-skewed
-//!   workload,
-//! * **SLO** — under seeded Zipf load with the tuner active, every
-//!   model's measured p99 stays at or under its SLO target,
-//! * **bit identity** — every batch the co-located runtime executed
-//!   (CPU- or GPU-routed) replays bit-identically on a standalone
-//!   single-model engine.
+//! Gates (both modes):
+//!
+//! * `colocated_over_isolated_throughput` — the eight co-located models
+//!   achieve at least the aggregate throughput of eight isolated
+//!   single-worker pools at equal total worker count, on the same seeded
+//!   Zipf-skewed workload,
+//! * `p99_within_slo` — under seeded Zipf load with the tuner active,
+//!   every model's measured p99 stays at or under its SLO target,
+//! * `replayed_every_recorded_batch`, `recorded_batches` — every batch the
+//!   co-located runtime executed (CPU- or GPU-routed), and there is at
+//!   least one, replays bit-identically on a standalone single-model
+//!   engine.
 //!
 //! Also recorded, not gated: **cold start** — `start_s`, the wall time of
 //! `MultiServeRuntime::start` for the eight Paper-scale models on a
@@ -31,7 +34,9 @@
 //! on them. Start overlaps the first two, so on a host with a second core
 //! `start_s` is below their sum.
 
-use drec_bench::{json_f64, second_core_throughput};
+use drec_bench::report::Limit::{AtLeast, AtMost, Equal};
+use drec_bench::report::{Gate, Report};
+use drec_bench::row;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -62,26 +67,6 @@ const SLO: Duration = Duration::from_millis(400);
 /// Repetitions of each timed drain; the best (shortest) wall time is
 /// scored, rejecting OS scheduler stalls on timeshared CI cores.
 const TIMING_REPS: usize = 5;
-
-struct Args {
-    smoke: bool,
-    quick: bool,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        quick: false,
-    };
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--quick" => args.quick = true,
-            other => eprintln!("warning: unknown argument '{other}' (supported: --smoke --quick)"),
-        }
-    }
-    args
-}
 
 /// Xorshift64* — the workload's model-popularity sampler.
 struct Rng(u64);
@@ -258,7 +243,7 @@ fn run_isolated(workload: &[WorkUnit], producers: usize, models: &[ModelId]) -> 
     elapsed
 }
 
-/// Gate 1: identical-seed calibration must yield identical split tables.
+/// Identical-seed calibration must yield identical split tables.
 fn check_determinism(
     models: &[ModelId],
     gpu: &GpuSchedConfig,
@@ -298,9 +283,6 @@ fn check_determinism(
 
 /// Median seconds of the cold start and of its three steps run serially.
 struct StartTimes {
-    /// What two spinning threads did over one, read before and after
-    /// (the lower): below ≈ 1.5 the overlap had no second core to use.
-    second_core: f64,
     start_s: f64,
     build_s: f64,
     calibrate_s: f64,
@@ -330,7 +312,6 @@ fn time_start(models: &[ModelId], reps: usize) -> StartTimes {
     cfg.tuner = None;
     cfg.store = Some(store_cfg.clone());
     let profile_cfg = cfg.profile_config();
-    let second_core_before = second_core_throughput();
     let (mut start, mut build, mut calibrate, mut pool) = (vec![], vec![], vec![], vec![]);
     for _ in 0..reps {
         let clock = Instant::now();
@@ -383,7 +364,6 @@ fn time_start(models: &[ModelId], reps: usize) -> StartTimes {
         v[v.len() / 2]
     };
     StartTimes {
-        second_core: second_core_before.min(second_core_throughput()),
         start_s: median(start),
         build_s: median(build),
         calibrate_s: median(calibrate),
@@ -439,90 +419,15 @@ fn print_per_model_table(models: &[ModelChannelSnapshot], slo: Duration) {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn write_json(
-    path: &str,
-    smoke: bool,
-    start: &StartTimes,
-    crossovers: &[(ModelId, Option<usize>)],
-    colo_qps: f64,
-    iso_qps: f64,
-    ratio: f64,
-    report: &SchedReport,
-    slo_ok: bool,
-    replayed: usize,
-) {
-    let mut s = String::from("{\n");
-    s.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if smoke { "smoke" } else { "full" }
-    ));
-    s.push_str(&format!(
-        "  \"host\": {{\"parallelism\": {}, \"second_core_throughput\": {}}},\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get()),
-        json_f64(start.second_core),
-    ));
-    s.push_str(&format!(
-        "  \"cold_start\": {{\"models\": 8, \"scale\": \"Paper\", \"start_s\": {}, \"serial_build_s\": {}, \"serial_calibrate_s\": {}, \"serial_pool_s\": {}}},\n",
-        json_f64(start.start_s),
-        json_f64(start.build_s),
-        json_f64(start.calibrate_s),
-        json_f64(start.pool_s),
-    ));
-    s.push_str("  \"crossovers\": [\n");
-    for (i, (id, crossover)) in crossovers.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"model\": \"{}\", \"crossover_batch\": {}}}{}\n",
-            id.name(),
-            crossover.map_or("null".into(), |b| b.to_string()),
-            if i + 1 < crossovers.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str(&format!(
-        "  \"colocated_qps\": {},\n  \"isolated_qps\": {},\n  \"throughput_ratio\": {},\n",
-        json_f64(colo_qps),
-        json_f64(iso_qps),
-        json_f64(ratio)
-    ));
-    s.push_str("  \"models\": [\n");
-    let n = report.snapshot.models.len();
-    for (i, m) in report.snapshot.models.iter().enumerate() {
-        let d = report.decisions.iter().find(|d| d.model == m.name);
-        s.push_str(&format!(
-            "    {{\"model\": \"{}\", \"completed\": {}, \"shed\": {}, \"p99_seconds\": {}, \
-             \"slo_seconds\": {}, \"cpu_batches\": {}, \"gpu_batches\": {}, \"gpu_spills\": {}}}{}\n",
-            m.name,
-            m.completed,
-            m.shed,
-            json_f64(m.p99_seconds),
-            json_f64(SLO.as_secs_f64()),
-            d.map_or(0, |d| d.cpu_batches),
-            d.map_or(0, |d| d.gpu_batches),
-            d.map_or(0, |d| d.gpu_spills),
-            if i + 1 < n { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str(&format!(
-        "  \"checks\": {{\n    \"split_deterministic\": true,\n    \
-         \"throughput_ratio_gate\": 1.0,\n    \"slo_ok\": {slo_ok},\n    \
-         \"replayed_bit_identical_batches\": {replayed}\n  }}\n}}\n"
-    ));
-    std::fs::write(path, s).expect("write BENCH_sched.json");
-}
-
 fn main() {
-    let args = parse_args();
-    println!(
-        "sched_bench: {} mode — 8 co-located models, seed {SEED}, workload seed {WORKLOAD_SEED:#x}",
-        if args.smoke { "smoke" } else { "full" }
-    );
+    let mut report = Report::start("sched", &["--smoke", "--quick"]);
+    let (smoke, quick) = (report.flags.smoke, report.flags.quick);
+    println!("8 co-located models, seed {SEED}, workload seed {WORKLOAD_SEED:#x}");
     let models = ModelId::ALL;
     let accelerator = integrated_accelerator();
 
-    // Gate 1: deterministic CPU/GPU split tables.
-    println!("\nCalibrating placement profiles twice per model (determinism gate):");
+    // Deterministic CPU/GPU split tables.
+    println!("\nCalibrating placement profiles twice per model (must agree):");
     let crossovers = check_determinism(&models, &accelerator, 32);
     for (id, crossover) in &crossovers {
         println!(
@@ -531,13 +436,16 @@ fn main() {
             crossover.map_or("none (CPU always)".into(), |b| b.to_string())
         );
     }
-    println!("Gate: split decisions identical across same-seed calibrations — ok");
 
-    let start = time_start(&models, if args.smoke { 3 } else { 7 });
+    // Start overlaps build and calibration: below a second-core reading
+    // of about 1.5 it had no second core to do that on.
+    report.second_core();
+    let start = time_start(&models, if smoke { 3 } else { 7 });
+    let second_core = report.second_core();
     println!(
         "\nCold start, 8 Paper-scale models on a tiered int8 store (median; {} core(s), two threads do {:.2}x one): {:.0} ms",
-        std::thread::available_parallelism().map_or(1, |n| n.get()),
-        start.second_core,
+        report.host.parallelism,
+        second_core,
         start.start_s * 1e3
     );
     println!(
@@ -548,12 +456,12 @@ fn main() {
         (start.build_s + start.calibrate_s + start.pool_s) * 1e3
     );
 
-    // Gate 2: co-location beats isolation at equal worker count.
+    // Co-location against isolation at equal worker count.
     // Both sides get 8 real worker threads and the identical seeded
     // workload; the accelerator is disabled here so the comparison is
     // thread-for-thread fair (its worker is a real thread too). Each
     // side drains the backlog TIMING_REPS times; best run scores.
-    let (total, producers) = match (args.smoke, args.quick) {
+    let (total, producers) = match (smoke, quick) {
         (true, _) => (20_000, 4),
         (false, true) => (30_000, 6),
         (false, false) => (40_000, 8),
@@ -609,7 +517,7 @@ fn main() {
     println!("  co-located best: {colo_qps:.0} qps ({colo_elapsed:.3}s)");
     println!("  aggregate throughput ratio (co-located / isolated, best pair): {ratio:.2}x");
 
-    // Gates 3 + 4: SLO under load with the accelerator and tuner active,
+    // SLO under load with the accelerator and tuner active,
     // recording every batch for bit-identity replay.
     println!(
         "\nDriving the full scheduler (7 CPU workers + {} accelerator, tuner on, recording)...",
@@ -617,69 +525,84 @@ fn main() {
     );
     let mut cfg = colo_config(&models, 7, Some(accelerator));
     cfg.record_batches = true;
-    let (slo_elapsed, report) = run_colocated(&workload, producers, cfg, &models);
+    let (slo_elapsed, run) = run_colocated(&workload, producers, cfg, &models);
     println!(
         "  {} queries in {slo_elapsed:.2}s ({:.0} qps)",
         total,
         total as f64 / slo_elapsed
     );
-    print_per_model_table(&report.snapshot.models, SLO);
-    print_decision_histogram(&report.decisions);
-    let slo_ok = report
-        .snapshot
-        .models
-        .iter()
-        .all(|m| m.p99_seconds <= SLO.as_secs_f64());
+    print_per_model_table(&run.snapshot.models, SLO);
+    print_decision_histogram(&run.decisions);
 
     println!(
         "\nReplaying {} recorded batches on standalone engines...",
-        report.records.len()
+        run.records.len()
     );
-    let replayed = replay_records(ModelScale::Tiny, SEED, &report.records)
+    let replayed = replay_records(ModelScale::Tiny, SEED, &run.records)
         .expect("recorded batches must replay bit-identically");
-    let gpu_batches: u64 = report.decisions.iter().map(|d| d.gpu_batches).sum();
+    let gpu_batches: u64 = run.decisions.iter().map(|d| d.gpu_batches).sum();
     println!("  {replayed} batches bit-identical ({gpu_batches} of them accelerator-dispatched)");
 
-    write_json(
-        "BENCH_sched.json",
-        args.smoke,
-        &start,
-        &crossovers,
-        colo_qps,
-        iso_qps,
-        ratio,
-        &report,
-        slo_ok,
-        replayed,
+    report.section(
+        "cold_start",
+        row! {
+            "models": models.len(),
+            "scale": "Paper",
+            "start_s": start.start_s,
+            "serial_build_s": start.build_s,
+            "serial_calibrate_s": start.calibrate_s,
+            "serial_pool_s": start.pool_s,
+        },
     );
-    println!("Wrote BENCH_sched.json");
+    let crossover_row = |(id, crossover): &(ModelId, Option<usize>)| {
+        row! {"model": id.name(), "crossover_batch": *crossover}
+    };
+    report.rows("crossovers", &crossovers, crossover_row);
+    report.section("colocated_qps", colo_qps);
+    report.section("isolated_qps", iso_qps);
+    report.section("throughput_ratio", ratio);
+    let model_row = |m: &ModelChannelSnapshot| {
+        let d = run.decisions.iter().find(|d| d.model == m.name);
+        row! {
+            "model": m.name.as_str(),
+            "completed": m.completed,
+            "shed": m.shed,
+            "p99_seconds": m.p99_seconds,
+            "slo_seconds": SLO.as_secs_f64(),
+            "cpu_batches": d.map_or(0, |d| d.cpu_batches),
+            "gpu_batches": d.map_or(0, |d| d.gpu_batches),
+            "gpu_spills": d.map_or(0, |d| d.gpu_spills),
+        }
+    };
+    report.rows("models", &run.snapshot.models, model_row);
 
-    assert!(
-        ratio >= 1.0,
-        "co-located throughput {colo_qps:.0} qps below isolated {iso_qps:.0} qps \
-         (ratio {ratio:.2} < 1.0)"
+    report.gate(
+        Gate::new("colocated_over_isolated_throughput", ratio, AtLeast(1.0))
+            .at(format!("best pair; {colo_qps:.0} vs {iso_qps:.0} qps")),
     );
-    println!("Gate: co-located >= isolated aggregate throughput ({ratio:.2}x) — ok");
-    for m in &report.snapshot.models {
-        assert!(
-            m.p99_seconds <= SLO.as_secs_f64(),
-            "{}: p99 {:.2} ms exceeds the {:.0} ms SLO",
-            m.name,
-            m.p99_seconds * 1e3,
-            SLO.as_secs_f64() * 1e3
-        );
-    }
-    println!(
-        "Gate: every model's p99 <= {:.0} ms SLO under seeded Zipf load — ok",
-        SLO.as_secs_f64() * 1e3
+    let by_p99 = |a: &&ModelChannelSnapshot, b: &&ModelChannelSnapshot| {
+        a.p99_seconds.total_cmp(&b.p99_seconds)
+    };
+    let slowest = run.snapshot.models.iter().max_by(by_p99);
+    let slowest = slowest.expect("eight models");
+    report.gate(
+        Gate::new(
+            "p99_within_slo",
+            slowest.p99_seconds,
+            AtMost(SLO.as_secs_f64()),
+        )
+        .at(format!("{}, seconds", slowest.name)),
     );
-    assert_eq!(
-        replayed,
-        report.records.len(),
-        "replay verified fewer batches than were recorded"
+    report.gate(
+        Gate::new(
+            "replayed_every_recorded_batch",
+            replayed as f64,
+            Equal(run.records.len() as f64),
+        )
+        .at("bit-identical on single-model engines"),
     );
-    assert!(replayed > 0, "recording produced no batches to verify");
-    println!("Gate: all {replayed} executed batches bit-identical to single-model engines — ok");
-    println!("Gate: split decisions deterministic for seed {SEED} (checked above) — ok");
-    println!("All checks passed.");
+    report.gate(
+        Gate::new("recorded_batches", replayed as f64, AtLeast(1.0)).at("full scheduler run"),
+    );
+    report.finish();
 }

@@ -2,44 +2,51 @@
 //! parameter store: direct-tensor vs store-backed bit-identity across
 //! thread counts, hot-row cache hit rates across encoding × cache
 //! capacity × Zipf skew, and quantization error against the documented
-//! per-encoding bounds. Writes `BENCH_store.json`.
+//! per-encoding bounds. Reports as `BENCH_store.json` (shape in the
+//! `drec_bench` crate docs).
 //!
 //! Flags:
 //!
 //! * `--smoke` — tiny shapes, correctness gates only (CI mode),
 //! * `--quick` — fewer lookups per sweep cell.
 //!
-//! Gates (asserted in both modes unless noted):
+//! Every decoded row must stay within its encoding's documented error
+//! bound, and the vector/scalar decode counters must account for every
+//! cold decode on the active backend (a violation panics).
 //!
-//! * store-backed f32 RM1 outputs are bit-identical to the plain dense
-//!   build at every pool size and batch, cold and warm cache,
-//! * int8 cuts resident bytes ≥ 3× vs f32 at dim 32,
-//! * every decoded row stays within its encoding's documented error
-//!   bound,
-//! * hot-row cache hit rate ≥ 60% at Zipf s = 1.0 with the cache sized
-//!   to 10% of rows (full mode; smoke asserts a nonzero hit rate),
-//! * the store's cold-decode path (runtime-dispatched SIMD kernels,
-//!   cache off) beats a raw scalar-oracle loop over the same encoded
-//!   bytes by ≥1.3× for int8 on AVX2+FMA hosts (auto-skip with a logged
-//!   notice elsewhere), and the vector/scalar decode counters account
-//!   for every cold decode on the active backend,
-//! * tiered DRAM/SSD legs under Zipf s = 1.0 with the DRAM budget at
-//!   25% of rows (virtual cold-read charging, so deterministic in both
-//!   modes): combined DRAM hit rate ≥ 80%, tiering alone ≥ 5× the
-//!   DRAM-only mean lookup while stream prefetch pulls it back ≤ 2×
-//!   and converts ≥ 50% of would-be cold demand misses, and the
-//!   table-combining cache cuts lookups ≥ 15% on correlated two-table
-//!   traffic,
-//! * the read-path cost table — ns/row for {no cache, cache hit, cache
-//!   miss, tier hit, tier cold, tier with frequency admission} read
-//!   with one-row calls and as bags of 120: the bag costs no more than
-//!   the one-row calls on every leg (a leg whose difference is inside
-//!   its own run-to-run spread logs a skip instead), and residency
-//!   bookkeeping has a per-row budget as a multiple of the `no_cache`
-//!   leg — the hot-row key set 1.3× on a hit and 3× on a miss, the tier
-//!   1.6× on a DRAM hit and 2.6× on a cold read (same skip rule).
+//! Gates (both modes unless noted):
+//!
+//! * `f32_bit_identical_to_dense` — store-backed f32 RM1 outputs are
+//!   bit-identical to the plain dense build at every pool size and batch,
+//!   cold and warm cache,
+//! * `int8_compression` — int8 cuts resident bytes ≥ 3× vs f32 at dim 32,
+//! * `hot_cache_hit_rate` — hot-row cache hit rate ≥ 60% at Zipf s = 1.0
+//!   with the cache sized to 10% of rows (smoke: at least one hit),
+//! * `int8_decode_speedup` — the store's cold-decode path
+//!   (runtime-dispatched SIMD kernels, cache off) beats a raw
+//!   scalar-oracle loop over the same encoded bytes by ≥1.3× for int8
+//!   (skipped off AVX2+FMA),
+//! * `tier_dram_hit_rate`, `tiered_slowdown`, `prefetch_conversion`,
+//!   `prefetch_slowdown`, `combined_lookup_cut` — tiered DRAM/SSD legs
+//!   under Zipf s = 1.0 with the DRAM budget at 25% of rows (virtual
+//!   cold-read charging, so deterministic in both modes): combined DRAM
+//!   hit rate ≥ 80%, tiering alone ≥ 5× the DRAM-only mean lookup while
+//!   stream prefetch pulls it back ≤ 2× and converts ≥ 50% of would-be
+//!   cold demand misses, and the table-combining cache cuts lookups ≥ 15%
+//!   on correlated two-table traffic,
+//! * `<leg>_bag_over_one_row`, `<leg>_over_no_cache` — the read-path cost
+//!   table, ns/row for {no cache, cache hit, cache miss, tier hit, tier
+//!   cold, tier with frequency admission} read with one-row calls and as
+//!   bags of 120: the bag costs no more than the one-row calls on every
+//!   leg (a leg whose difference is inside its own run-to-run spread is
+//!   skipped instead), and residency bookkeeping has a per-row budget as
+//!   a multiple of the `no_cache` leg — the hot-row key set 1.3× on a hit
+//!   and 3× on a miss, the tier 1.6× on a DRAM hit and 2.6× on a cold
+//!   read (same skip rule).
 
-use drec_bench::json_f64;
+use drec_bench::report::Limit::{AtLeast, AtMost};
+use drec_bench::report::{Gate, Json, Report};
+use drec_bench::{output_bits, row};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -83,37 +90,10 @@ const PREFETCH_SLOWDOWN_CEILING: f64 = 2.0;
 /// (the virtual-time baseline every tiered mean adds demand waits to).
 const NOMINAL_DRAM_NS: f64 = 100.0;
 
-struct Args {
-    smoke: bool,
-    quick: bool,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        quick: false,
-    };
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--quick" => args.quick = true,
-            other => eprintln!("warning: unknown argument '{other}' (supported: --smoke --quick)"),
-        }
-    }
-    args
-}
-
-struct IdentityRow {
-    threads: usize,
-    batch: usize,
-    identical: bool,
-}
-
 /// Runs RM1 with plain dense tables and with a store-backed f32 build on
 /// the same Zipf input stream, across pool sizes, twice per
-/// configuration so the second pass hits a warm hot-row cache. Outputs
-/// must match bit for bit every time.
-fn check_bit_identity(scale: ModelScale, batches: &[usize]) -> (Vec<IdentityRow>, f64) {
+/// configuration so the second pass hits a warm hot-row cache.
+fn check_bit_identity(scale: ModelScale, batches: &[usize]) -> (Vec<Json>, f64) {
     let seed = 11;
     let mut dense = ModelId::Rm1.build(scale, seed).expect("dense build");
     let store = Arc::new(EmbeddingStore::new(StoreConfig {
@@ -139,37 +119,12 @@ fn check_bit_identity(scale: ModelScale, batches: &[usize]) -> (Vec<IdentityRow>
             for _pass in 0..2 {
                 let got = drec_par::with_pool(&pool, || stored.run(inputs.clone()))
                     .expect("store-backed run");
-                let identical = reference.len() == got.len()
-                    && reference.iter().zip(&got).all(|(a, b)| {
-                        let a = a.as_dense().expect("dense output").as_slice();
-                        let b = b.as_dense().expect("dense output").as_slice();
-                        a.len() == b.len()
-                            && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-                    });
-                assert!(
-                    identical,
-                    "store-backed f32 RM1 differs from dense at {threads} thread(s), batch {batch}"
-                );
-                rows.push(IdentityRow {
-                    threads,
-                    batch,
-                    identical,
-                });
+                let identical = output_bits(&reference) == output_bits(&got);
+                rows.push(row! {"threads": threads, "batch": batch, "identical": identical});
             }
         }
     }
     (rows, store.stats().hit_rate())
-}
-
-struct SweepRow {
-    encoding: RowEncoding,
-    cache_frac: f64,
-    zipf_s: f64,
-    hit_rate: f64,
-    compression: f64,
-    resident_bytes: u64,
-    f32_bytes: u64,
-    lookups_per_sec: f64,
 }
 
 /// Standalone store driven by Zipf row traffic: one cell per encoding ×
@@ -184,7 +139,7 @@ fn sweep_cell(
     zipf_s: f64,
     warm: usize,
     measure: usize,
-) -> SweepRow {
+) -> Json {
     let store = Arc::new(EmbeddingStore::new(StoreConfig {
         encoding,
         cache_capacity_rows: (rows as f64 * cache_frac) as usize,
@@ -207,25 +162,24 @@ fn sweep_cell(
     std::hint::black_box(&acc);
     let delta = store.stats().since(&baseline);
     let totals = store.stats();
-    SweepRow {
-        encoding,
-        cache_frac,
-        zipf_s,
-        hit_rate: delta.hit_rate(),
-        compression: totals.compression(),
-        resident_bytes: totals.resident_bytes,
-        f32_bytes: totals.f32_bytes,
-        lookups_per_sec: measure as f64 / elapsed,
+    println!(
+        "  {:<4} cache {:>4.0}% zipf {zipf_s:.1}: hit rate {:>5.1}%, {:.2}x compression, {:.1}M lookups/s",
+        encoding.name(),
+        cache_frac * 100.0,
+        delta.hit_rate() * 100.0,
+        totals.compression(),
+        measure as f64 / elapsed / 1e6
+    );
+    row! {
+        "encoding": encoding.name(),
+        "cache_frac": cache_frac,
+        "zipf_s": zipf_s,
+        "hit_rate": delta.hit_rate(),
+        "compression": totals.compression(),
+        "resident_bytes": totals.resident_bytes,
+        "f32_bytes": totals.f32_bytes,
+        "lookups_per_sec": measure as f64 / elapsed,
     }
-}
-
-struct DecodeRow {
-    encoding: RowEncoding,
-    store_gb_s: f64,
-    oracle_gb_s: f64,
-    speedup: f64,
-    decode_vector: u64,
-    decode_scalar: u64,
 }
 
 /// Cold-decode bandwidth: the store's dispatched pooled-sum path (cache
@@ -234,7 +188,7 @@ struct DecodeRow {
 /// cost without the SIMD kernels" baseline. Also checks the store's
 /// vector/scalar decode counters account for exactly the measured
 /// lookups on the side matching the active backend.
-fn bench_decode_bandwidth(rows: usize, dim: usize, data: &[f32], lookups: usize) -> Vec<DecodeRow> {
+fn bench_decode_bandwidth(rows: usize, dim: usize, data: &[f32], lookups: usize) -> Vec<Json> {
     let mut state = 0xDEC0_u64;
     let ids: Vec<u32> = (0..lookups)
         .map(|_| {
@@ -336,29 +290,31 @@ fn bench_decode_bandwidth(rows: usize, dim: usize, data: &[f32], lookups: usize)
             };
             std::hint::black_box(&acc);
             let bytes = (ids.len() * encoding.bytes_per_row(dim)) as f64;
-            DecodeRow {
-                encoding,
-                store_gb_s: bytes / store_seconds / 1e9,
-                oracle_gb_s: bytes / oracle_seconds / 1e9,
-                speedup: oracle_seconds / store_seconds,
-                decode_vector: delta.decode_vector,
-                decode_scalar: delta.decode_scalar,
+            let (store_gb_s, oracle_gb_s) = (bytes / store_seconds / 1e9, bytes / oracle_seconds / 1e9);
+            println!(
+                "  {:<4} store {store_gb_s:.2} GB/s vs oracle {oracle_gb_s:.2} GB/s ({:.2}x); decodes: {} vector / {} scalar",
+                encoding.name(),
+                oracle_seconds / store_seconds,
+                delta.decode_vector,
+                delta.decode_scalar
+            );
+            row! {
+                "encoding": encoding.name(),
+                "store_gb_per_s": store_gb_s,
+                "scalar_oracle_gb_per_s": oracle_gb_s,
+                "speedup": oracle_seconds / store_seconds,
+                "decode_vector": delta.decode_vector,
+                "decode_scalar": delta.decode_scalar,
             }
         })
         .collect()
-}
-
-struct ErrorRow {
-    encoding: RowEncoding,
-    max_abs_err: f32,
-    max_bound: f32,
 }
 
 /// Decodes every row of a quantized store back to f32 and checks the
 /// worst absolute error against the encoding's documented bound. The
 /// data mixes uniform rows with adversarial ones: a constant row (int8
 /// must be exact) and a wide-range row (stresses the scale).
-fn check_dequant_error(dim: usize) -> Vec<ErrorRow> {
+fn check_dequant_error(dim: usize) -> Vec<Json> {
     let rows = 256;
     let mut init = ParamInit::new(0xE44);
     let mut data = init.uniform(&[rows, dim], -0.05, 0.05).as_slice().to_vec();
@@ -397,24 +353,13 @@ fn check_dequant_error(dim: usize) -> Vec<ErrorRow> {
                 max_abs_err = max_abs_err.max(err);
                 max_bound = max_bound.max(bound);
             }
-            ErrorRow {
-                encoding,
-                max_abs_err,
-                max_bound,
-            }
+            println!(
+                "  {:<4}: max |err| {max_abs_err:.3e} <= max bound {max_bound:.3e}",
+                encoding.name()
+            );
+            row! {"encoding": encoding.name(), "max_abs_err": max_abs_err, "max_bound": max_bound}
         })
         .collect()
-}
-
-struct TierRow {
-    leg: &'static str,
-    dram_hit_rate: f64,
-    cold_demand_reads: u64,
-    prefetch_issued: u64,
-    prefetch_conversion: f64,
-    combined_cut: f64,
-    mean_lookup_ns: f64,
-    slowdown: f64,
 }
 
 /// Tiered DRAM/SSD legs over identical Zipf s = 1.0 traffic with the
@@ -433,13 +378,7 @@ struct TierRow {
 /// deterministic: mean lookup latency is `NOMINAL_DRAM_NS` plus the
 /// charged demand wait per lookup. Prefetch waits land on the separate
 /// overlapped counter — that asymmetry *is* the benefit being measured.
-fn bench_tiered(
-    rows: usize,
-    dim: usize,
-    data: &[f32],
-    warm: usize,
-    measure: usize,
-) -> Vec<TierRow> {
+fn bench_tiered(rows: usize, dim: usize, data: &[f32], warm: usize, measure: usize) -> Vec<Json> {
     let budget = rows / 4;
     // Hot-row cache off: DRAM is exactly the 25% tier budget, and the
     // tier sees the full access stream (a hot-row key set in front
@@ -464,15 +403,26 @@ fn bench_tiered(
             ..StoreConfig::default()
         }))
     };
-    let row_for = |leg: &'static str, delta: &drec_store::StoreStats, mean_ns: f64| TierRow {
-        leg,
-        dram_hit_rate: delta.combined_dram_hit_rate(),
-        cold_demand_reads: delta.tier_cold_demand_reads,
-        prefetch_issued: delta.prefetch_issued,
-        prefetch_conversion: delta.prefetch_conversion(),
-        combined_cut: delta.combined_lookup_cut(),
-        mean_lookup_ns: mean_ns,
-        slowdown: mean_ns / NOMINAL_DRAM_NS,
+    let row_for = |leg: &'static str, delta: &drec_store::StoreStats, mean_ns: f64| {
+        println!(
+            "  {leg:<16} DRAM hit {:>5.1}%, cold demand {:>6}, prefetch issued {:>6} (conv {:>5.1}%), combine cut {:>5.1}%, mean lookup {mean_ns:>8.0} ns ({:.2}x DRAM-only)",
+            delta.combined_dram_hit_rate() * 100.0,
+            delta.tier_cold_demand_reads,
+            delta.prefetch_issued,
+            delta.prefetch_conversion() * 100.0,
+            delta.combined_lookup_cut() * 100.0,
+            mean_ns / NOMINAL_DRAM_NS
+        );
+        row! {
+            "leg": leg,
+            "dram_hit_rate": delta.combined_dram_hit_rate(),
+            "cold_demand_reads": delta.tier_cold_demand_reads,
+            "prefetch_issued": delta.prefetch_issued,
+            "prefetch_conversion": delta.prefetch_conversion(),
+            "combined_lookup_cut": delta.combined_lookup_cut(),
+            "mean_lookup_ns": mean_ns,
+            "slowdown_vs_dram": mean_ns / NOMINAL_DRAM_NS,
+        }
     };
 
     // Leg 1: DRAM-only baseline — every lookup costs the nominal DRAM
@@ -630,6 +580,17 @@ fn within(ns: f64, (fastest, median): (f64, f64)) -> Option<bool> {
 }
 
 impl ReadPathRow {
+    fn json(&self) -> Json {
+        row! {
+            "leg": self.leg,
+            "one_row_calls": self.one_row_ns.0,
+            "one_row_calls_median": self.one_row_ns.1,
+            "bag_of_120": self.bag_ns.0,
+            "bag_of_120_median": self.bag_ns.1,
+            "bag_no_slower": self.bag_no_slower(),
+        }
+    }
+
     /// Whether a bag costs no more per row than one-row calls.
     fn bag_no_slower(&self) -> Option<bool> {
         within(self.bag_ns.0, self.one_row_ns)
@@ -786,212 +747,29 @@ fn bench_read_path(tables: usize, rows: usize, dim: usize) -> Vec<ReadPathRow> {
     out
 }
 
-#[allow(clippy::too_many_arguments)]
-fn write_json(
-    path: &str,
-    smoke: bool,
-    scale: ModelScale,
-    sweep_rows_count: usize,
-    identity: &[IdentityRow],
-    identity_hit_rate: f64,
-    sweep: &[SweepRow],
-    decode: &[DecodeRow],
-    errors: &[ErrorRow],
-    tiered: &[TierRow],
-    read_path: &[ReadPathRow],
-    gate_hit_rate: Option<f64>,
-    gate_compression: f64,
-) {
-    let mut s = String::from("{\n");
-    s.push_str(&format!(
-        "  \"mode\": \"{}\",\n  \"model_scale\": \"{scale:?}\",\n  \"sweep_table_rows\": {sweep_rows_count},\n  \"kernel_backend\": \"{}\",\n",
-        if smoke { "smoke" } else { "full" },
-        simd::backend_label()
-    ));
-    s.push_str("  \"f32_bit_identity\": [\n");
-    for (i, r) in identity.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"threads\": {}, \"batch\": {}, \"identical\": {}}}{}\n",
-            r.threads,
-            r.batch,
-            r.identical,
-            if i + 1 < identity.len() { "," } else { "" }
-        ));
-    }
-    s.push_str(&format!(
-        "  ],\n  \"identity_run_hit_rate\": {},\n  \"cache_sweep\": [\n",
-        json_f64(identity_hit_rate)
-    ));
-    for (i, r) in sweep.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"encoding\": \"{}\", \"cache_frac\": {}, \"zipf_s\": {}, \"hit_rate\": {}, \"compression\": {}, \"resident_bytes\": {}, \"f32_bytes\": {}, \"lookups_per_sec\": {}}}{}\n",
-            r.encoding.name(),
-            json_f64(r.cache_frac),
-            json_f64(r.zipf_s),
-            json_f64(r.hit_rate),
-            json_f64(r.compression),
-            r.resident_bytes,
-            r.f32_bytes,
-            json_f64(r.lookups_per_sec),
-            if i + 1 < sweep.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n  \"decode_bandwidth\": [\n");
-    for (i, r) in decode.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"encoding\": \"{}\", \"store_gb_per_s\": {}, \"scalar_oracle_gb_per_s\": {}, \"speedup\": {}, \"decode_vector\": {}, \"decode_scalar\": {}}}{}\n",
-            r.encoding.name(),
-            json_f64(r.store_gb_s),
-            json_f64(r.oracle_gb_s),
-            json_f64(r.speedup),
-            r.decode_vector,
-            r.decode_scalar,
-            if i + 1 < decode.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n  \"dequant_error\": [\n");
-    for (i, r) in errors.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"encoding\": \"{}\", \"max_abs_err\": {}, \"max_bound\": {}}}{}\n",
-            r.encoding.name(),
-            json_f64(f64::from(r.max_abs_err)),
-            json_f64(f64::from(r.max_bound)),
-            if i + 1 < errors.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n  \"tiered\": [\n");
-    for (i, r) in tiered.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"leg\": \"{}\", \"dram_hit_rate\": {}, \"cold_demand_reads\": {}, \"prefetch_issued\": {}, \"prefetch_conversion\": {}, \"combined_lookup_cut\": {}, \"mean_lookup_ns\": {}, \"slowdown_vs_dram\": {}}}{}\n",
-            r.leg,
-            json_f64(r.dram_hit_rate),
-            r.cold_demand_reads,
-            r.prefetch_issued,
-            json_f64(r.prefetch_conversion),
-            json_f64(r.combined_cut),
-            json_f64(r.mean_lookup_ns),
-            json_f64(r.slowdown),
-            if i + 1 < tiered.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n  \"read_path_ns_per_row\": [\n");
-    for (i, r) in read_path.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"leg\": \"{}\", \"one_row_calls\": {}, \"one_row_calls_median\": {}, \"bag_of_120\": {}, \"bag_of_120_median\": {}, \"bag_no_slower\": {}}}{}\n",
-            r.leg,
-            json_f64(r.one_row_ns.0),
-            json_f64(r.one_row_ns.1),
-            json_f64(r.bag_ns.0),
-            json_f64(r.bag_ns.1),
-            r.bag_no_slower()
-                .map_or("null".to_string(), |ok| ok.to_string()),
-            if i + 1 < read_path.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n  \"checks\": {\n");
-    s.push_str("    \"f32_bit_identical\": true,\n    \"dequant_within_bounds\": true,\n");
-    s.push_str(&format!(
-        "    \"hot_cache_hit_rate_at_10pct_s1\": {},\n    \"hit_rate_gate\": {HIT_RATE_GATE},\n",
-        gate_hit_rate.map_or("null".to_string(), json_f64)
-    ));
-    s.push_str(&format!(
-        "    \"int8_compression\": {},\n    \"compression_gate\": {COMPRESSION_GATE},\n",
-        json_f64(gate_compression)
-    ));
-    let vector_gates = simd::active_backend() == KernelBackend::Avx2Fma;
-    s.push_str(&format!(
-        "    \"int8_decode_speedup\": {},\n    \"decode_speedup_gate\": {},\n",
-        decode
-            .iter()
-            .find(|r| r.encoding == RowEncoding::Int8)
-            .map_or("null".to_string(), |r| json_f64(r.speedup)),
-        if vector_gates {
-            DECODE_SPEEDUP_GATE.to_string()
-        } else {
-            "null".to_string()
-        }
-    ));
-    let path_leg = |leg: &str| read_path.iter().find(|r| r.leg == leg);
-    for (leg, ceiling) in RESIDENCY_CEILINGS {
-        let (ratio, holds) = match (path_leg(leg), path_leg("no_cache")) {
-            (Some(hot), Some(base)) => (
-                json_f64(hot.bag_ns.0 / base.bag_ns.0),
-                hot.bag_within(ceiling, base),
-            ),
-            _ => ("null".to_string(), None),
-        };
-        s.push_str(&format!(
-            "    \"{leg}_over_no_cache\": {ratio},\n    \"{leg}_ceiling\": {ceiling},\n    \"{leg}_within_ceiling\": {},\n",
-            holds.map_or("null".to_string(), |ok| ok.to_string())
-        ));
-    }
-    let tier_leg = |leg: &str| tiered.iter().find(|r| r.leg == leg);
-    s.push_str(&format!(
-        "    \"tier_dram_hit_rate\": {},\n    \"tier_hit_rate_gate\": {TIER_HIT_RATE_GATE},\n",
-        tier_leg("tiered").map_or("null".to_string(), |r| json_f64(r.dram_hit_rate))
-    ));
-    s.push_str(&format!(
-        "    \"prefetch_conversion\": {},\n    \"prefetch_conversion_gate\": {PREFETCH_CONVERSION_GATE},\n",
-        tier_leg("tiered_prefetch").map_or("null".to_string(), |r| json_f64(r.prefetch_conversion))
-    ));
-    s.push_str(&format!(
-        "    \"combined_lookup_cut\": {},\n    \"combine_cut_gate\": {COMBINE_CUT_GATE},\n",
-        tier_leg("tiered_combined").map_or("null".to_string(), |r| json_f64(r.combined_cut))
-    ));
-    s.push_str(&format!(
-        "    \"tiered_slowdown\": {},\n    \"tiered_slowdown_floor\": {TIERED_SLOWDOWN_FLOOR},\n",
-        tier_leg("tiered").map_or("null".to_string(), |r| json_f64(r.slowdown))
-    ));
-    s.push_str(&format!(
-        "    \"prefetch_slowdown\": {},\n    \"prefetch_slowdown_ceiling\": {PREFETCH_SLOWDOWN_CEILING}\n",
-        tier_leg("tiered_prefetch").map_or("null".to_string(), |r| json_f64(r.slowdown))
-    ));
-    s.push_str("  }\n}\n");
-    std::fs::write(path, s).expect("write BENCH_store.json");
-}
-
 fn main() {
-    let args = parse_args();
-    let scale = if args.smoke {
-        ModelScale::Tiny
-    } else {
-        ModelScale::Paper
-    };
-    println!(
-        "store_bench: {} mode, {scale:?} model scale",
-        if args.smoke { "smoke" } else { "full" }
-    );
+    let mut report = Report::start("store", &["--smoke", "--quick"]);
+    let (smoke, quick) = (report.flags.smoke, report.flags.quick);
+    let scale = report.flags.scale();
 
-    let identity_batches: &[usize] = if args.smoke { &[1, 16] } else { &[1, 16, 64] };
+    let identity_batches: &[usize] = if smoke { &[1, 16] } else { &[1, 16, 64] };
     println!("Dense vs store-backed RM1 (f32), Zipf s=1.0 traffic, pools 1/2/4, cold+warm cache:");
     let (identity, identity_hit_rate) = check_bit_identity(scale, identity_batches);
     println!(
-        "  bit-identical in all {} runs (hot-row hit rate over the store-backed runs: {:.0}%)",
+        "  {} runs (hot-row hit rate over the store-backed runs: {:.0}%)",
         identity.len(),
         identity_hit_rate * 100.0
     );
 
-    let (rows, dim) = if args.smoke {
-        (4_096, 32)
-    } else {
-        (50_000, 32)
-    };
-    let (warm, measure) = match (args.smoke, args.quick) {
+    let (rows, dim) = if smoke { (4_096, 32) } else { (50_000, 32) };
+    let (warm, measure) = match (smoke, quick) {
         (true, _) => (5_000, 20_000),
         (false, true) => (30_000, 50_000),
         (false, false) => (150_000, 200_000),
     };
     let encodings = [RowEncoding::F32, RowEncoding::F16, RowEncoding::Int8];
-    let fracs: &[f64] = if args.smoke {
-        &[0.10]
-    } else {
-        &[0.01, 0.10, 0.25]
-    };
-    let exps: &[f64] = if args.smoke {
-        &[0.6, 1.0]
-    } else {
-        &[0.6, 1.0, 1.4]
-    };
+    let fracs: &[f64] = if smoke { &[0.10] } else { &[0.01, 0.10, 0.25] };
+    let exps: &[f64] = if smoke { &[0.6, 1.0] } else { &[0.6, 1.0, 1.4] };
     let data = ParamInit::new(0x5EED)
         .uniform(&[rows, dim], -0.05, 0.05)
         .as_slice()
@@ -1001,77 +779,30 @@ fn main() {
     for &encoding in &encodings {
         for &frac in fracs {
             for &s in exps {
-                let row = sweep_cell(rows, dim, &data, encoding, frac, s, warm, measure);
-                println!(
-                    "  {:<4} cache {:>4.0}% zipf {s:.1}: hit rate {:>5.1}%, {:.2}x compression, {:.1}M lookups/s",
-                    encoding.name(),
-                    frac * 100.0,
-                    row.hit_rate * 100.0,
-                    row.compression,
-                    row.lookups_per_sec / 1e6
-                );
-                sweep.push(row);
+                sweep.push(sweep_cell(
+                    rows, dim, &data, encoding, frac, s, warm, measure,
+                ));
             }
         }
     }
 
-    let decode_lookups = if args.smoke || args.quick {
-        50_000
-    } else {
-        200_000
-    };
+    let decode_lookups = if smoke || quick { 50_000 } else { 200_000 };
     println!(
         "Cold-decode bandwidth (cache off, {decode_lookups} lookups, store dispatched path vs scalar oracle, backend {}):",
         simd::backend_label()
     );
     let decode = bench_decode_bandwidth(rows, dim, &data, decode_lookups);
-    for r in &decode {
-        println!(
-            "  {:<4} store {:.2} GB/s vs oracle {:.2} GB/s ({:.2}x); decodes: {} vector / {} scalar",
-            r.encoding.name(),
-            r.store_gb_s,
-            r.oracle_gb_s,
-            r.speedup,
-            r.decode_vector,
-            r.decode_scalar
-        );
-    }
 
     println!("Dequantization error vs documented bounds (adversarial rows included):");
     let errors = check_dequant_error(dim);
-    for r in &errors {
-        println!(
-            "  {:<4}: max |err| {:.3e} <= max bound {:.3e}",
-            r.encoding.name(),
-            r.max_abs_err,
-            r.max_bound
-        );
-    }
 
     println!(
         "Tiered DRAM/SSD legs (Zipf s=1.0, DRAM budget {} rows = 25%, no hot-row cache, virtual cold-read charging):",
         rows / 4
     );
     let tiered = bench_tiered(rows, dim, &data, warm, measure);
-    for r in &tiered {
-        println!(
-            "  {:<16} DRAM hit {:>5.1}%, cold demand {:>6}, prefetch issued {:>6} (conv {:>5.1}%), combine cut {:>5.1}%, mean lookup {:>8.0} ns ({:.2}x DRAM-only)",
-            r.leg,
-            r.dram_hit_rate * 100.0,
-            r.cold_demand_reads,
-            r.prefetch_issued,
-            r.prefetch_conversion * 100.0,
-            r.combined_cut * 100.0,
-            r.mean_lookup_ns,
-            r.slowdown
-        );
-    }
 
-    let (path_tables, path_rows, path_dim) = if args.smoke {
-        (4, 1024, 64)
-    } else {
-        (32, 4096, 64)
-    };
+    let (path_tables, path_rows, path_dim) = if smoke { (4, 1024, 64) } else { (32, 4096, 64) };
     println!(
         "Read-path cost ({path_tables} int8 tables x {path_rows} rows x dim {path_dim}, fastest of {READ_PATH_REPEATS} passes, ns/row):"
     );
@@ -1088,171 +819,160 @@ fn main() {
         );
     }
 
-    let gate_hit_rate = sweep
-        .iter()
-        .find(|r| {
-            r.encoding == RowEncoding::Int8 && (r.cache_frac - 0.10).abs() < 1e-9 && r.zipf_s == 1.0
-        })
-        .map(|r| r.hit_rate);
-    let gate_compression = sweep
-        .iter()
-        .find(|r| r.encoding == RowEncoding::Int8)
-        .map(|r| r.compression)
-        .expect("int8 sweep rows present");
-
-    write_json(
-        "BENCH_store.json",
-        args.smoke,
-        scale,
-        rows,
+    report.gate(Gate::all(
+        "f32_bit_identical_to_dense",
         &identity,
-        identity_hit_rate,
-        &sweep,
-        &decode,
-        &errors,
-        &tiered,
-        &read_path,
-        gate_hit_rate,
-        gate_compression,
+        |r| r.flag("identical"),
+        |r| r.render(false),
+    ));
+    let int8 = |r: &&Json| r.get("encoding") == &Json::from("int8");
+    let compression = sweep.iter().find(int8).expect("int8 sweep rows present");
+    report.gate(
+        Gate::new(
+            "int8_compression",
+            compression.num("compression"),
+            AtLeast(COMPRESSION_GATE),
+        )
+        .at(format!("dim {dim}")),
     );
-    println!("Wrote BENCH_store.json");
-
-    if simd::active_backend() == KernelBackend::Avx2Fma {
-        let int8 = decode
-            .iter()
-            .find(|r| r.encoding == RowEncoding::Int8)
-            .expect("int8 decode row present");
-        assert!(
-            int8.speedup >= DECODE_SPEEDUP_GATE,
-            "int8 store cold-decode speedup {:.2}x over the scalar oracle below the {DECODE_SPEEDUP_GATE}x gate",
-            int8.speedup
-        );
-        println!(
-            "Gate: int8 store cold-decode {:.2}x >= {DECODE_SPEEDUP_GATE}x over the scalar oracle — ok",
-            int8.speedup
-        );
+    let hit = sweep
+        .iter()
+        .filter(int8)
+        .find(|r| (r.num("cache_frac") - 0.10).abs() < 1e-9 && r.num("zipf_s") == 1.0)
+        .expect("10%-cache s=1.0 cell present");
+    // Smoke only asks that the cache hits at all: one hit in the cell.
+    let hit_floor = if smoke {
+        1.0 / measure as f64
     } else {
-        println!(
-            "Note: kernel backend is {} (no AVX2+FMA vector path active); decode speedup gate skipped",
-            simd::backend_label()
-        );
-    }
-
-    assert!(
-        gate_compression >= COMPRESSION_GATE,
-        "int8 resident-bytes compression {gate_compression:.2}x below the {COMPRESSION_GATE}x gate"
+        HIT_RATE_GATE
+    };
+    report.gate(
+        Gate::new(
+            "hot_cache_hit_rate",
+            hit.num("hit_rate"),
+            AtLeast(hit_floor),
+        )
+        .at("int8, 10% cache, Zipf s=1.0"),
     );
-    println!("Gate: int8 compression {gate_compression:.2}x >= {COMPRESSION_GATE}x — ok");
-    let hit = gate_hit_rate.expect("10%-cache s=1.0 cell present");
-    if args.smoke {
-        assert!(
-            hit > 0.0,
-            "hot-row cache saw no hits under Zipf traffic (hit rate {hit:.3})"
-        );
-        println!(
-            "Gate: nonzero hot-cache hit rate under Zipf traffic ({:.1}%) — ok",
-            hit * 100.0
-        );
-    } else {
-        assert!(
-            hit >= HIT_RATE_GATE,
-            "hit rate {hit:.3} at 10% cache, Zipf s=1.0 below the {HIT_RATE_GATE} gate"
-        );
-        println!(
-            "Gate: hit rate {:.1}% >= {:.0}% at 10% cache, Zipf s=1.0 — ok",
-            hit * 100.0,
-            HIT_RATE_GATE * 100.0
-        );
-    }
+    let int8_decode = decode.iter().find(int8).expect("int8 decode row present");
+    report.gate(
+        Gate::new(
+            "int8_decode_speedup",
+            int8_decode.num("speedup"),
+            AtLeast(DECODE_SPEEDUP_GATE),
+        )
+        .at("store cold decode over the scalar oracle")
+        .skip_if((simd::active_backend() != KernelBackend::Avx2Fma).then(|| {
+            format!(
+                "kernel backend is {}: no vector path to gate",
+                simd::backend_label()
+            )
+        })),
+    );
     // Tiered gates: the cold-read model charges virtual nanoseconds, so
     // these are deterministic and hold in smoke mode too.
-    let tier_leg = |leg: &str| {
-        tiered
-            .iter()
-            .find(|r| r.leg == leg)
-            .unwrap_or_else(|| panic!("tiered leg '{leg}' present"))
+    let tier = |leg: &str, key: &str| {
+        let row = tiered.iter().find(|r| r.get("leg") == &Json::from(leg));
+        row.unwrap_or_else(|| panic!("tiered leg '{leg}' present"))
+            .num(key)
     };
-    let t = tier_leg("tiered");
-    assert!(
-        t.dram_hit_rate >= TIER_HIT_RATE_GATE,
-        "combined DRAM hit rate {:.3} at 25% budget, Zipf s=1.0 below the {TIER_HIT_RATE_GATE} gate",
-        t.dram_hit_rate
+    report.gate(
+        Gate::new(
+            "tier_dram_hit_rate",
+            tier("tiered", "dram_hit_rate"),
+            AtLeast(TIER_HIT_RATE_GATE),
+        )
+        .at("25% DRAM budget, Zipf s=1.0"),
     );
-    assert!(
-        t.slowdown >= TIERED_SLOWDOWN_FLOOR,
-        "tiering alone only {:.2}x slower than DRAM-only — cold tier not biting (floor {TIERED_SLOWDOWN_FLOOR}x)",
-        t.slowdown
+    report.gate(
+        Gate::new(
+            "tiered_slowdown",
+            tier("tiered", "slowdown_vs_dram"),
+            AtLeast(TIERED_SLOWDOWN_FLOOR),
+        )
+        .at("tiering alone over DRAM-only: the cold tier must bite"),
     );
-    let p = tier_leg("tiered_prefetch");
-    assert!(
-        p.prefetch_conversion >= PREFETCH_CONVERSION_GATE,
-        "prefetch converted only {:.3} of would-be cold demand misses (gate {PREFETCH_CONVERSION_GATE})",
-        p.prefetch_conversion
+    let conversion = tier("tiered_prefetch", "prefetch_conversion");
+    report.gate(
+        Gate::new(
+            "prefetch_conversion",
+            conversion,
+            AtLeast(PREFETCH_CONVERSION_GATE),
+        )
+        .at("would-be cold demand misses converted"),
     );
-    assert!(
-        p.slowdown <= PREFETCH_SLOWDOWN_CEILING,
-        "mean lookup with prefetch {:.2}x DRAM-only exceeds the {PREFETCH_SLOWDOWN_CEILING}x ceiling",
-        p.slowdown
+    let prefetch_slowdown = tier("tiered_prefetch", "slowdown_vs_dram");
+    report.gate(
+        Gate::new(
+            "prefetch_slowdown",
+            prefetch_slowdown,
+            AtMost(PREFETCH_SLOWDOWN_CEILING),
+        )
+        .at("mean lookup with prefetch over DRAM-only"),
     );
-    let c = tier_leg("tiered_combined");
-    assert!(
-        c.combined_cut >= COMBINE_CUT_GATE,
-        "table combining cut lookups by only {:.3} on correlated pair traffic (gate {COMBINE_CUT_GATE})",
-        c.combined_cut
+    let cut = tier("tiered_combined", "combined_lookup_cut");
+    report.gate(
+        Gate::new("combined_lookup_cut", cut, AtLeast(COMBINE_CUT_GATE))
+            .at("correlated pair traffic"),
     );
-    println!(
-        "Gate: tier DRAM hit {:.1}% >= {:.0}%, tiered-alone {:.1}x >= {TIERED_SLOWDOWN_FLOOR}x, prefetch conv {:.1}% >= {:.0}% at {:.2}x <= {PREFETCH_SLOWDOWN_CEILING}x, combine cut {:.1}% >= {:.0}% — ok",
-        t.dram_hit_rate * 100.0,
-        TIER_HIT_RATE_GATE * 100.0,
-        t.slowdown,
-        p.prefetch_conversion * 100.0,
-        PREFETCH_CONVERSION_GATE * 100.0,
-        p.slowdown,
-        c.combined_cut * 100.0,
-        COMBINE_CUT_GATE * 100.0
-    );
-    // Read-path gate: a bag may not cost more per row than one-row calls.
+    // Read-path gates: a bag may not cost more per row than one-row calls.
+    let in_spread = |resolved: Option<bool>, what: String| {
+        resolved.is_none().then(|| {
+            format!("over the limit at {what}'s fastest repeat but not at its median, inside its run-to-run spread")
+        })
+    };
     for r in &read_path {
-        match r.bag_no_slower() {
-            Some(true) => {}
-            Some(false) => panic!(
-                "read path, {}: a bag of {BAG} costs {:.1} ns/row, one-row calls {:.1} (median {:.1})",
-                r.leg, r.bag_ns.0, r.one_row_ns.0, r.one_row_ns.1
-            ),
-            None => println!(
-                "Note: read path, {}: bag {:.1} ns/row is between the one-row calls' fastest {:.1} and median {:.1} — inside their run-to-run spread; bag <= one-row gate skipped for this leg",
-                r.leg, r.bag_ns.0, r.one_row_ns.0, r.one_row_ns.1
-            ),
-        }
+        report.gate(
+            Gate::new(
+                format!("{}_bag_over_one_row", r.leg),
+                r.bag_ns.0 / r.one_row_ns.0,
+                AtMost(1.0),
+            )
+            .at(format!(
+                "bag of {BAG} {:.1} ns/row, one-row calls {:.1} (median {:.1})",
+                r.bag_ns.0, r.one_row_ns.0, r.one_row_ns.1
+            ))
+            .skip_if(in_spread(
+                r.bag_no_slower(),
+                "the one-row calls".to_string(),
+            )),
+        );
     }
-    let path_leg = |leg: &str| {
-        read_path
-            .iter()
-            .find(|r| r.leg == leg)
-            .unwrap_or_else(|| panic!("read-path leg '{leg}' present"))
-    };
-    println!("Gate: bag of {BAG} <= one-row calls on every resolved read-path leg — ok");
-    // Residency gate: the key set and the tier sit in front of every
+    // Residency gates: the key set and the tier sit in front of every
     // read, so a probe, an insert or a tier access may cost only so
     // much on top of the decode that follows either way.
+    let path_leg = |leg: &str| {
+        let row = read_path.iter().find(|r| r.leg == leg);
+        row.unwrap_or_else(|| panic!("read-path leg '{leg}' present"))
+    };
     let base = path_leg("no_cache");
     for (leg, ceiling) in RESIDENCY_CEILINGS {
         let hot = path_leg(leg);
-        let ratio = hot.bag_ns.0 / base.bag_ns.0;
-        match hot.bag_within(ceiling, base) {
-            Some(true) => println!(
-                "Gate: {leg} {:.1} ns/row = {ratio:.2}x no_cache {:.1} <= {ceiling}x — ok",
-                hot.bag_ns.0, base.bag_ns.0
-            ),
-            Some(false) => panic!(
-                "read path, {leg}: {:.1} ns/row is {ratio:.2}x no_cache ({:.1}, median {:.1}), over the {ceiling}x ceiling",
+        report.gate(
+            Gate::new(
+                format!("{leg}_over_no_cache"),
+                hot.bag_ns.0 / base.bag_ns.0,
+                AtMost(ceiling),
+            )
+            .at(format!(
+                "{:.1} ns/row vs no_cache {:.1} (median {:.1})",
                 hot.bag_ns.0, base.bag_ns.0, base.bag_ns.1
-            ),
-            None => println!(
-                "Gate: {leg} <= {ceiling}x no_cache — skipped: {:.1} ns/row is over {ceiling}x no_cache's fastest {:.1} but not its median {:.1}, inside that leg's run-to-run spread",
-                hot.bag_ns.0, base.bag_ns.0, base.bag_ns.1
-            ),
-        }
+            ))
+            .skip_if(in_spread(
+                hot.bag_within(ceiling, base),
+                "no_cache".to_string(),
+            )),
+        );
     }
-    println!("All checks passed.");
+
+    report.section("model_scale", format!("{scale:?}"));
+    report.section("sweep_table_rows", rows);
+    report.section("f32_bit_identity", identity);
+    report.section("identity_run_hit_rate", identity_hit_rate);
+    report.section("cache_sweep", sweep);
+    report.section("decode_bandwidth", decode);
+    report.section("dequant_error", errors);
+    report.section("tiered", tiered);
+    report.rows("read_path_ns_per_row", &read_path, ReadPathRow::json);
+    report.finish();
 }
