@@ -635,9 +635,7 @@ fn main() {
         "Quantized pooled sums at dim {SLS_GATE_DIM} ({sls_ids} lookups over {sls_rows} rows, dispatched vs scalar oracle):"
     );
     let quant_sls = bench_quantized_sls(SLS_GATE_DIM, sls_rows, sls_ids, sls_repeats);
-    let int8 = quant_sls
-        .iter()
-        .find(|r| r.get("encoding") == &Json::from("int8"));
+    let int8 = quant_sls.iter().find(|r| r.text("encoding") == "int8");
     let int8_speedup = int8.expect("int8 row present").num("speedup");
     report.gate(
         Gate::new(

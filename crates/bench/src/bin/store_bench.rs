@@ -825,7 +825,7 @@ fn main() {
         |r| r.flag("identical"),
         |r| r.render(false),
     ));
-    let int8 = |r: &&Json| r.get("encoding") == &Json::from("int8");
+    let int8 = |r: &&Json| r.text("encoding") == "int8";
     let compression = sweep.iter().find(int8).expect("int8 sweep rows present");
     report.gate(
         Gate::new(
@@ -872,7 +872,7 @@ fn main() {
     // Tiered gates: the cold-read model charges virtual nanoseconds, so
     // these are deterministic and hold in smoke mode too.
     let tier = |leg: &str, key: &str| {
-        let row = tiered.iter().find(|r| r.get("leg") == &Json::from(leg));
+        let row = tiered.iter().find(|r| r.text("leg") == leg);
         row.unwrap_or_else(|| panic!("tiered leg '{leg}' present"))
             .num(key)
     };
@@ -916,9 +916,9 @@ fn main() {
             .at("correlated pair traffic"),
     );
     // Read-path gates: a bag may not cost more per row than one-row calls.
-    let in_spread = |resolved: Option<bool>, what: String| {
+    let in_spread = |resolved: Option<bool>, whose: &str| {
         resolved.is_none().then(|| {
-            format!("over the limit at {what}'s fastest repeat but not at its median, inside its run-to-run spread")
+            format!("over the limit at {whose} fastest repeat but not at its median, inside its run-to-run spread")
         })
     };
     for r in &read_path {
@@ -932,10 +932,7 @@ fn main() {
                 "bag of {BAG} {:.1} ns/row, one-row calls {:.1} (median {:.1})",
                 r.bag_ns.0, r.one_row_ns.0, r.one_row_ns.1
             ))
-            .skip_if(in_spread(
-                r.bag_no_slower(),
-                "the one-row calls".to_string(),
-            )),
+            .skip_if(in_spread(r.bag_no_slower(), "the one-row calls'")),
         );
     }
     // Residency gates: the key set and the tier sit in front of every
@@ -958,10 +955,7 @@ fn main() {
                 "{:.1} ns/row vs no_cache {:.1} (median {:.1})",
                 hot.bag_ns.0, base.bag_ns.0, base.bag_ns.1
             ))
-            .skip_if(in_spread(
-                hot.bag_within(ceiling, base),
-                "no_cache".to_string(),
-            )),
+            .skip_if(in_spread(hot.bag_within(ceiling, base), "no_cache's")),
         );
     }
 

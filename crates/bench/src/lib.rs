@@ -299,9 +299,9 @@ pub mod report {
             out
         }
 
-        /// The value under `key` of a row: a bench reads the numbers its
-        /// gates judge back from the rows it reports.
-        pub fn get(&self, key: &str) -> &Json {
+        /// The value under `key` of a row: a bench reads what its gates
+        /// judge back from the rows it reports.
+        fn get(&self, key: &str) -> &Json {
             let Json::Object(fields) = self else {
                 panic!("{self:?} is not a row")
             };
@@ -311,7 +311,7 @@ pub mod report {
                 .1
         }
 
-        /// [`Json::get`] as a number.
+        /// The number under `key` of a row.
         pub fn num(&self, key: &str) -> f64 {
             match self.get(key) {
                 Json::Int(v) => *v as f64,
@@ -320,11 +320,19 @@ pub mod report {
             }
         }
 
-        /// [`Json::get`] as a bool.
+        /// The bool under `key` of a row.
         pub fn flag(&self, key: &str) -> bool {
             match self.get(key) {
                 Json::Bool(v) => *v,
                 other => panic!("'{key}' is {other:?}, not a bool"),
+            }
+        }
+
+        /// The string under `key` of a row.
+        pub fn text(&self, key: &str) -> &str {
+            match self.get(key) {
+                Json::Str(v) => v,
+                other => panic!("'{key}' is {other:?}, not a string"),
             }
         }
 
@@ -703,7 +711,8 @@ pub mod report {
                 ),
             ];
             top.extend(self.sections.iter().cloned());
-            let path = if mode == "full" {
+            let baseline = mode == "full";
+            let path = if baseline {
                 root.join(format!("BENCH_{}.json", self.bench))
             } else {
                 let dir = root.join("target/bench");
@@ -713,7 +722,7 @@ pub mod report {
             std::fs::write(&path, Json::Object(top).render(true) + "\n")
                 .expect("write the BENCH file");
             println!("Wrote {}", path.display());
-            if mode == "full" {
+            if baseline {
                 let record = row! {
                     "bench": self.bench,
                     "commit": git_head(root),
@@ -834,7 +843,7 @@ mod tests {
     #[test]
     fn json_rows_read_back() {
         let row = row! {"model": "DIN", "batch": 4usize, "speedup": 1.5, "ok": true};
-        assert_eq!(row.get("model"), &Json::from("DIN"));
+        assert_eq!(row.text("model"), "DIN");
         assert_eq!((row.num("batch"), row.num("speedup")), (4.0, 1.5));
         assert!(row.flag("ok"));
     }
