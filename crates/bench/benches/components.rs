@@ -38,6 +38,23 @@ fn main() {
         }
         black_box(sim.misses())
     });
+    // Broadwell's LLC: what a Paper-scale embedding gather does to the
+    // biggest tag array a `CpuSim` owns, constructed afresh as
+    // `Platform::evaluate` constructs it.
+    let llc = CacheConfig {
+        bytes: 40 * 1024 * 1024,
+        ways: 20,
+        line: 64,
+    };
+    bench("cache_sim_llc_200k_random_lines", || {
+        let mut sim = CacheSim::new(llc);
+        let mut state = 0xDEADu64;
+        for _ in 0..200_000 {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            sim.access((state >> 12) % (1 << 32), 1.0);
+        }
+        black_box(sim.misses())
+    });
 
     let profile = BranchProfile {
         loop_branches: 50_000.0,
@@ -75,6 +92,37 @@ fn main() {
     };
     bench("port_scheduler_16k_uops", || {
         black_box(sched.run_op(&mix).cycles)
+    });
+    // DIN's graph: over a thousand operators of a few hundred μops each.
+    bench("port_scheduler_1000_small_ops", || {
+        let mut cycles = 0.0;
+        for i in 0..1_000u32 {
+            let k = f64::from(i % 10);
+            cycles += sched
+                .run_op(&UopMix {
+                    scalar_int: 90.0 + 7.0 * k,
+                    vec_fp: 160.0 + 11.0 * k,
+                    loads: 120.0 + 5.0 * k,
+                    stores: 30.0 + k,
+                    branches: 25.0 + k,
+                    ..UopMix::default()
+                })
+                .cycles;
+        }
+        black_box(cycles)
+    });
+    // Gathers hold the load ports across cycles, so rotations seldom
+    // repeat and the scheduler steps nearly every cycle.
+    let gather_heavy = UopMix {
+        scalar_int: 3_000.0,
+        vec_fp: 2_000.0,
+        loads: 1_000.0,
+        gathers: 9_000.0,
+        branches: 1_000.0,
+        ..UopMix::default()
+    };
+    bench("port_scheduler_gather_heavy_16k_uops", || {
+        black_box(sched.run_op(&gather_heavy).cycles)
     });
 
     let model = ModelId::Rm2.build(ModelScale::Tiny, 7).expect("build");

@@ -24,7 +24,13 @@
 //! * `replayed_every_recorded_batch`, `recorded_batches` — every batch the
 //!   co-located runtime executed (CPU- or GPU-routed), and there is at
 //!   least one, replays bit-identically on a standalone single-model
-//!   engine.
+//!   engine,
+//! * `calibration_mem_events`, `calibration_ops` — what cold-start
+//!   calibration hands the simulator (sampled memory events and
+//!   operators in its sixteen traces) is the count on record. Both are
+//!   functions of models, seed and batch sizes alone; as gates they also
+//!   land in the `BENCH_history.jsonl` line, next to the seconds they
+//!   explain. A change that moves them on purpose updates the constants.
 //!
 //! Also recorded, not gated: **cold start** — `start_s`, the wall time of
 //! `MultiServeRuntime::start` for the eight Paper-scale models on a
@@ -32,7 +38,9 @@
 //! beside what its three steps cost when run one after another on one
 //! thread: building the models, calibrating them, starting the lane pool
 //! on them. Start overlaps the first two, so on a host with a second core
-//! `start_s` is below their sum.
+//! `start_s` is below their sum. `serial_simulate_s` is the part of
+//! calibration spent in `CpuSim::simulate` (the same traces taken again,
+//! only `Platform::evaluate` timed).
 
 use drec_bench::report::Limit::{AtLeast, AtMost, Equal};
 use drec_bench::report::{Gate, Report};
@@ -51,6 +59,7 @@ use drec_serve::{
     Inline, LanePool, LaneSpec, ModelChannelSnapshot, PoolConfig, ServeConfig, ServeRuntime,
 };
 use drec_store::{CombineConfig, EmbeddingStore, RowEncoding, StoreConfig, TierConfig};
+use drec_trace::RunTrace;
 use drec_workload::QueryGen;
 
 /// Parameter seed shared by every engine in this harness.
@@ -67,6 +76,12 @@ const SLO: Duration = Duration::from_millis(400);
 /// Repetitions of each timed drain; the best (shortest) wall time is
 /// scored, rejecting OS scheduler stalls on timeshared CI cores.
 const TIMING_REPS: usize = 5;
+
+/// Sampled memory events and operators in the sixteen traces (eight
+/// Paper-scale models × batch {1, 8}) that cold-start calibration
+/// simulates.
+const CALIBRATION_MEM_EVENTS: f64 = 1_985_927.0;
+const CALIBRATION_OPS: f64 = 3_230.0;
 
 /// Xorshift64* — the workload's model-popularity sampler.
 struct Rng(u64);
@@ -281,12 +296,19 @@ fn check_determinism(
         .collect()
 }
 
-/// Median seconds of the cold start and of its three steps run serially.
+/// Median seconds of the cold start and of its three steps run serially,
+/// and the size of what calibration simulates.
 struct StartTimes {
     start_s: f64,
     build_s: f64,
     calibrate_s: f64,
+    /// The `CpuSim` part of `calibrate_s`: the same traces, `evaluate` only.
+    simulate_s: f64,
     pool_s: f64,
+    /// Sampled memory events and operators in the calibration traces.
+    /// Functions of models, seed and batches alone: they repeat exactly.
+    mem_events: usize,
+    ops: usize,
 }
 
 /// Times `MultiServeRuntime::start` on `perf_bench`'s `colocated_mix`
@@ -313,6 +335,7 @@ fn time_start(models: &[ModelId], reps: usize) -> StartTimes {
     cfg.store = Some(store_cfg.clone());
     let profile_cfg = cfg.profile_config();
     let (mut start, mut build, mut calibrate, mut pool) = (vec![], vec![], vec![], vec![]);
+    let (mut simulate, mut mem_events, mut ops) = (vec![], 0, 0);
     for _ in 0..reps {
         let clock = Instant::now();
         let runtime = MultiServeRuntime::start(cfg.clone()).expect("runtime starts");
@@ -335,8 +358,29 @@ fn time_start(models: &[ModelId], reps: usize) -> StartTimes {
                 built: Some(model),
             }
         });
-        let lanes: Vec<LaneSpec> = lanes.collect();
+        let mut lanes: Vec<LaneSpec> = lanes.collect();
         calibrate.push(clock.elapsed().as_secs_f64());
+
+        // The traces `calibrate` just simulated, taken again the way it
+        // takes them, so that the simulator can be timed without them.
+        let mut traces: Vec<RunTrace> = Vec::new();
+        for lane in &mut lanes {
+            let model = lane.built.as_mut().expect("built above");
+            let spec = model.spec().clone();
+            let mut gen = QueryGen::uniform(profile_cfg.seed);
+            for &batch in &profile_cfg.calibration_batches {
+                let inputs = gen.batch(&spec, batch);
+                traces.push(model.run_traced(inputs, batch).expect("trace runs").1);
+            }
+        }
+        let clock = Instant::now();
+        for trace in &traces {
+            std::hint::black_box(profile_cfg.cpu.evaluate(trace).seconds);
+        }
+        simulate.push(clock.elapsed().as_secs_f64());
+        let trace_ops = traces.iter().flat_map(|trace| &trace.ops);
+        mem_events = trace_ops.clone().map(|op| op.mem.events().len()).sum();
+        ops = trace_ops.count();
         let clock = Instant::now();
         let started = LanePool::start(PoolConfig {
             lanes,
@@ -367,7 +411,10 @@ fn time_start(models: &[ModelId], reps: usize) -> StartTimes {
         start_s: median(start),
         build_s: median(build),
         calibrate_s: median(calibrate),
+        simulate_s: median(simulate),
         pool_s: median(pool),
+        mem_events,
+        ops,
     }
 }
 
@@ -454,6 +501,12 @@ fn main() {
         start.calibrate_s * 1e3,
         start.pool_s * 1e3,
         (start.build_s + start.calibrate_s + start.pool_s) * 1e3
+    );
+    println!(
+        "  of calibrate, CpuSim::simulate is {:.0} ms: {} memory events, {} operators in 16 traces",
+        start.simulate_s * 1e3,
+        start.mem_events,
+        start.ops
     );
 
     // Co-location against isolation at equal worker count.
@@ -551,7 +604,10 @@ fn main() {
             "start_s": start.start_s,
             "serial_build_s": start.build_s,
             "serial_calibrate_s": start.calibrate_s,
+            "serial_simulate_s": start.simulate_s,
             "serial_pool_s": start.pool_s,
+            "calibration_mem_events": start.mem_events,
+            "calibration_ops": start.ops,
         },
     );
     let crossover_row = |(id, crossover): &(ModelId, Option<usize>)| {
@@ -604,5 +660,15 @@ fn main() {
     report.gate(
         Gate::new("recorded_batches", replayed as f64, AtLeast(1.0)).at("full scheduler run"),
     );
+    let sixteen = "16 cold-start calibration traces";
+    report.gate(
+        Gate::new(
+            "calibration_mem_events",
+            start.mem_events as f64,
+            Equal(CALIBRATION_MEM_EVENTS),
+        )
+        .at(sixteen),
+    );
+    report.gate(Gate::new("calibration_ops", start.ops as f64, Equal(CALIBRATION_OPS)).at(sixteen));
     report.finish();
 }

@@ -251,7 +251,7 @@ impl CpuSim {
 
     /// Simulates one inference run and produces the full counter set.
     pub fn simulate(&mut self, run: &RunTrace) -> CpuCounters {
-        let m = self.model.clone();
+        let freq_hz = self.model.freq_hz;
         let mut total = InstCounts::default();
         let mut cycles_total = 0.0;
         let mut retire_cyc_total = 0.0;
@@ -266,7 +266,7 @@ impl CpuSim {
         let mut mite_limited = 0.0;
         let mut congested_cycles = 0.0;
         let mut mem_hits = [0.0f64; 4];
-        let mut fu = PortStats::empty(m.ports.total_units);
+        let mut fu = PortStats::empty(self.model.ports.total_units);
         let mut op_seconds = Vec::with_capacity(run.ops.len());
 
         for (idx, op) in run.ops.iter().enumerate() {
@@ -288,7 +288,7 @@ impl CpuSim {
             for (a, b) in mem_hits.iter_mut().zip(parts.mem_hits) {
                 *a += b;
             }
-            op_seconds.push((op.name.clone(), op.op_type.clone(), op_cycles / m.freq_hz));
+            op_seconds.push((op.name.clone(), op.op_type.clone(), op_cycles / freq_hz));
         }
 
         let cycles = cycles_total.max(1.0);
@@ -314,7 +314,7 @@ impl CpuSim {
 
         CpuCounters {
             cycles,
-            seconds: cycles / m.freq_hz,
+            seconds: cycles / freq_hz,
             retired_instructions: total.instructions,
             avx_instructions: total.vector_instructions,
             uops: total.total_uops(),

@@ -18,17 +18,62 @@ impl CacheConfig {
     }
 }
 
+/// A divisor fixed at construction: shift and mask when it is a power of
+/// two (every line size and set count of both platforms' caches), `/` and
+/// `%` otherwise (the 192-set STLB, odd sampling ratios).
+#[derive(Debug, Clone, Copy)]
+struct Divisor {
+    value: u64,
+    /// `log2(value)` when `value` is a power of two.
+    shift: Option<u32>,
+}
+
+impl Divisor {
+    fn new(value: u64) -> Self {
+        Divisor {
+            value,
+            shift: value.is_power_of_two().then(|| value.trailing_zeros()),
+        }
+    }
+
+    /// `(x / value, x % value)`.
+    #[inline]
+    fn div_rem(self, x: u64) -> (u64, u64) {
+        match self.shift {
+            Some(shift) => (x >> shift, x & (self.value - 1)),
+            None => (x / self.value, x % self.value),
+        }
+    }
+}
+
+/// Where an address lands: its simulated set, and what to store there.
+struct Slot {
+    /// Index of the simulated set (the set index over the sampling ratio).
+    index: usize,
+    /// Set index in the full, unsampled cache (victim addresses need it).
+    set: u64,
+    tag: u64,
+}
+
 /// A set-associative, true-LRU cache simulator with optional set-sampling.
 ///
 /// With `set_sample_ratio = k`, only addresses mapping to every `k`-th set
 /// are simulated and all counters are scaled by `k` — the standard
 /// unbiased-for-large-footprints technique that keeps full-model traces
 /// affordable.
+///
+/// All simulated sets share one tag array, `ways` tags per set in LRU
+/// order (front = MRU), of which the first `occupancy[set]` are valid. It
+/// is allocated zeroed in one piece, so the sets of a 40 MB LLC that a
+/// trace never reaches are never faulted in.
 #[derive(Debug, Clone)]
 pub struct CacheSim {
     config: CacheConfig,
-    sets: Vec<Vec<u64>>, // per set: line tags in LRU order (front = MRU)
-    set_sample_ratio: u64,
+    tags: Vec<u64>,
+    occupancy: Vec<u32>,
+    line: Divisor,
+    sets: Divisor,
+    sample: Divisor,
     accesses: f64,
     misses: f64,
 }
@@ -43,15 +88,20 @@ impl CacheSim {
     ///
     /// # Panics
     ///
-    /// Panics if `ratio == 0`.
+    /// Panics if `ratio`, `config.ways` or `config.line` is zero.
     pub fn with_set_sampling(config: CacheConfig, ratio: u64) -> Self {
         assert!(ratio > 0, "set sample ratio must be positive");
-        let n_sets = config.sets();
-        let simulated = (n_sets as u64).div_ceil(ratio) as usize;
+        assert!(config.ways >= 1, "a cache needs at least one way");
+        assert!(config.line >= 1, "a cache line is at least one byte");
+        let n_sets = config.sets() as u64;
+        let simulated = n_sets.div_ceil(ratio) as usize;
         CacheSim {
             config,
-            sets: vec![Vec::new(); simulated.max(1)],
-            set_sample_ratio: ratio,
+            tags: vec![0; simulated * config.ways],
+            occupancy: vec![0; simulated],
+            line: Divisor::new(config.line),
+            sets: Divisor::new(n_sets),
+            sample: Divisor::new(ratio),
             accesses: 0.0,
             misses: 0.0,
         }
@@ -60,6 +110,59 @@ impl CacheSim {
     /// The configured geometry.
     pub fn config(&self) -> CacheConfig {
         self.config
+    }
+
+    /// The slot `addr` maps to, or `None` when set sampling skips its set.
+    #[inline]
+    fn locate(&self, addr: u64) -> Option<Slot> {
+        let (line_addr, _) = self.line.div_rem(addr);
+        let (tag, set) = self.sets.div_rem(line_addr);
+        let (index, skipped) = self.sample.div_rem(set);
+        (skipped == 0).then_some(Slot {
+            index: index as usize,
+            set,
+            tag,
+        })
+    }
+
+    /// The tags of simulated set `index`, valid or not, MRU first.
+    #[inline]
+    fn set_mut(&mut self, index: usize) -> &mut [u64] {
+        let ways = self.config.ways;
+        &mut self.tags[index * ways..(index + 1) * ways]
+    }
+
+    /// Position of `tag` among the valid tags of simulated set `index`.
+    #[inline]
+    fn position(&self, index: usize, tag: u64) -> Option<usize> {
+        let first = index * self.config.ways;
+        let valid = &self.tags[first..first + self.occupancy[index] as usize];
+        valid.iter().position(|&t| t == tag)
+    }
+
+    /// Puts `tag` at the front of simulated set `index`, sliding the `len`
+    /// tags ahead of its old place (or of the end) one step towards LRU.
+    #[inline]
+    fn push_front(&mut self, index: usize, tag: u64, len: usize) {
+        let set = self.set_mut(index);
+        set.copy_within(0..len, 1);
+        set[0] = tag;
+    }
+
+    /// Puts a `tag` the set does not hold at its front; returns the LRU
+    /// tag this pushed out, if the set was full.
+    #[inline]
+    fn fill(&mut self, index: usize, tag: u64) -> Option<u64> {
+        let ways = self.config.ways;
+        let len = self.occupancy[index] as usize;
+        let evicted = if len == ways {
+            Some(self.tags[(index + 1) * ways - 1])
+        } else {
+            self.occupancy[index] += 1;
+            None
+        };
+        self.push_front(index, tag, len.min(ways - 1));
+        evicted
     }
 
     /// Simulates one access of weight `weight` (trace sampling scale).
@@ -72,84 +175,53 @@ impl CacheSim {
     /// Like [`CacheSim::access`], but also returns the line address of the
     /// LRU victim a miss evicted (for exclusive-hierarchy victim fills).
     pub fn access_with_victim(&mut self, addr: u64, weight: f64) -> (bool, Option<u64>) {
-        let line_addr = addr / self.config.line;
-        let n_sets = self.config.sets() as u64;
-        let set_idx = line_addr % n_sets;
-        if !set_idx.is_multiple_of(self.set_sample_ratio) {
+        let Some(slot) = self.locate(addr) else {
+            return (true, None);
+        };
+        let scaled = weight * self.sample.value as f64;
+        self.accesses += scaled;
+        if let Some(pos) = self.position(slot.index, slot.tag) {
+            self.push_front(slot.index, slot.tag, pos);
             return (true, None);
         }
-        let slot = (set_idx / self.set_sample_ratio) as usize;
-        let tag = line_addr / n_sets;
-        self.accesses += weight * self.set_sample_ratio as f64;
-        let ways = self.config.ways;
-        let line = self.config.line;
-        let set = &mut self.sets[slot];
-        if let Some(pos) = set.iter().position(|&t| t == tag) {
-            set.remove(pos);
-            set.insert(0, tag);
-            (true, None)
-        } else {
-            self.misses += weight * self.set_sample_ratio as f64;
-            set.insert(0, tag);
-            let victim = if set.len() > ways {
-                set.pop().map(|vt| (vt * n_sets + set_idx) * line)
-            } else {
-                None
-            };
-            (false, victim)
-        }
+        self.misses += scaled;
+        let evicted = self.fill(slot.index, slot.tag);
+        let victim = evicted.map(|lru| (lru * self.sets.value + slot.set) * self.config.line);
+        (false, victim)
     }
 
     /// Removes a line if present (exclusive-hierarchy promotion).
     /// Returns `true` if the line was resident.
     pub fn invalidate(&mut self, addr: u64) -> bool {
-        let line_addr = addr / self.config.line;
-        let n_sets = self.config.sets() as u64;
-        let set_idx = line_addr % n_sets;
-        if !set_idx.is_multiple_of(self.set_sample_ratio) {
+        let Some(slot) = self.locate(addr) else {
             return false;
-        }
-        let slot = (set_idx / self.set_sample_ratio) as usize;
-        let tag = line_addr / n_sets;
-        let set = &mut self.sets[slot];
-        if let Some(pos) = set.iter().position(|&t| t == tag) {
-            set.remove(pos);
-            true
-        } else {
-            false
-        }
+        };
+        let Some(pos) = self.position(slot.index, slot.tag) else {
+            return false;
+        };
+        let len = self.occupancy[slot.index] as usize;
+        self.set_mut(slot.index).copy_within(pos + 1..len, pos);
+        self.occupancy[slot.index] -= 1;
+        true
     }
 
     /// Inserts a line as MRU without counting an access (victim fill).
     pub fn insert(&mut self, addr: u64) {
-        let line_addr = addr / self.config.line;
-        let n_sets = self.config.sets() as u64;
-        let set_idx = line_addr % n_sets;
-        if !set_idx.is_multiple_of(self.set_sample_ratio) {
+        let Some(slot) = self.locate(addr) else {
             return;
+        };
+        match self.position(slot.index, slot.tag) {
+            Some(pos) => self.push_front(slot.index, slot.tag, pos),
+            None => {
+                self.fill(slot.index, slot.tag);
+            }
         }
-        let slot = (set_idx / self.set_sample_ratio) as usize;
-        let tag = line_addr / n_sets;
-        let ways = self.config.ways;
-        let set = &mut self.sets[slot];
-        if let Some(pos) = set.iter().position(|&t| t == tag) {
-            set.remove(pos);
-        }
-        set.insert(0, tag);
-        set.truncate(ways);
     }
 
     /// Whether a line is currently resident (no LRU update, no counting).
     pub fn probe(&self, addr: u64) -> bool {
-        let line_addr = addr / self.config.line;
-        let n_sets = self.config.sets() as u64;
-        let set_idx = line_addr % n_sets;
-        if !set_idx.is_multiple_of(self.set_sample_ratio) {
-            return false;
-        }
-        let slot = (set_idx / self.set_sample_ratio) as usize;
-        let tag = line_addr / n_sets;
-        self.sets[slot].contains(&tag)
+        self.locate(addr)
+            .is_some_and(|slot| self.position(slot.index, slot.tag).is_some())
     }
 
     /// Estimated total accesses (scaled).

@@ -112,6 +112,9 @@ impl PortStats {
 /// μops sampled per op before extrapolating.
 const MAX_SIM_UOPS: f64 = 16_384.0;
 
+/// μop classes in issue-rotation order; a rotation is this many cycles.
+const CLASSES: usize = 7;
+
 /// Greedy cycle-by-cycle execution-port scheduler.
 ///
 /// The op's μop mix is interleaved into a representative sequence and
@@ -120,9 +123,27 @@ const MAX_SIM_UOPS: f64 = 16_384.0;
 /// `gather_load_cycles`. The per-cycle busy-unit count feeds the Fig 10
 /// functional-unit-usage histogram; the cycle total is the op's core
 /// throughput bound.
+///
+/// A cycle's outcome depends on three things only: where the issue order's
+/// rotation stands, the gather occupancy carried in, and which classes
+/// still have μops. So the cycles run in blocks of one rotation, and a
+/// block that leaves the occupancy bit-equal to what it found, with no
+/// class run dry, is the block that follows it too: as many copies of it
+/// as keep one μop in every class it drew from are added in one step, in
+/// integers, and the stepping resumes for the tail.
 #[derive(Debug, Clone)]
 pub struct PortScheduler {
     config: PortConfig,
+}
+
+/// What carries from one simulated cycle to the next.
+struct IssueState {
+    remaining: [u64; CLASSES],
+    cycles: u64,
+    /// Cycles of the current block seen with each busy-unit count.
+    block_hist: Vec<u64>,
+    /// Gather occupancy carried across cycles (fractional).
+    gather_busy: f64,
 }
 
 impl PortScheduler {
@@ -163,68 +184,111 @@ impl PortScheduler {
             };
         }
 
-        let mut remaining = counts;
-        let mut hist = vec![0.0f64; units + 1];
-        let mut cycles = 0u64;
-        // Gather occupancy carried across cycles (fractional).
-        let mut gather_busy = 0.0f64;
-        while remaining.iter().sum::<u64>() > 0 {
-            cycles += 1;
-            let mut issued = 0usize;
-            let mut busy = 0usize;
-            // Load ports partially consumed by in-flight gathers.
-            let gather_ports_used = gather_busy.min(self.config.load_ports as f64);
-            let mut load_avail =
-                (self.config.load_ports as f64 - gather_ports_used).max(0.0) as usize;
-            busy += gather_ports_used.ceil() as usize;
-            gather_busy = (gather_busy - self.config.load_ports as f64).max(0.0);
+        let mut state = IssueState {
+            remaining: counts,
+            cycles: 0,
+            block_hist: vec![0; units + 1],
+            gather_busy: 0.0,
+        };
+        let mut hist = vec![0u64; units + 1];
+        while state.remaining.iter().any(|&r| r > 0) {
+            // One rotation of the issue order, cycle by cycle.
+            let before = state.remaining;
+            let gather_before = state.gather_busy.to_bits();
+            state.block_hist.fill(0);
+            for _ in 0..CLASSES {
+                if state.remaining.iter().all(|&r| r == 0) {
+                    break;
+                }
+                self.step(&mut state);
+            }
+            let drawn = || before.iter().zip(&state.remaining);
+            let periodic = state.gather_busy.to_bits() == gather_before
+                && drawn().all(|(&was, &is)| is > 0 || was == 0);
+            // Copies of this block that leave every class it drew from
+            // at least one μop, so no `remaining > 0` test inside them
+            // can come out differently.
+            let repeats = if periodic {
+                drawn()
+                    .filter(|(was, is)| was > is)
+                    .map(|(was, is)| (is - 1) / (was - is))
+                    .min()
+                    .unwrap_or(0)
+            } else {
+                0
+            };
+            for (left, was) in state.remaining.iter_mut().zip(before) {
+                *left -= repeats * (was - *left);
+            }
+            state.cycles += repeats * CLASSES as u64;
+            for (total, block) in hist.iter_mut().zip(&state.block_hist) {
+                *total += (1 + repeats) * block;
+            }
+        }
 
-            let mut alu_avail = self.config.alu_ports;
-            let mut vec_avail = self.config.vec_ports;
-            let mut store_avail = self.config.store_ports;
-            let mut branch_avail = self.config.branch_ports;
+        PortStats {
+            cycles: state.cycles as f64 * scale,
+            busy_hist: hist.iter().map(|&h| h as f64 * scale).collect(),
+        }
+    }
 
-            // Issue order rotates so no class starves.
-            for k in 0..7 {
-                let class = (cycles as usize + k) % 7;
-                while issued < self.config.issue_width && remaining[class] > 0 {
-                    let ok = match class {
-                        0 => take(&mut alu_avail),
-                        1 | 2 => {
-                            // Scalar fp shares the vector ports.
-                            take(&mut vec_avail)
-                        }
-                        3 => take(&mut load_avail),
-                        4 => take(&mut store_avail),
-                        5 => {
-                            // Gather: needs a load port now, keeps it busy.
-                            if take(&mut load_avail) {
-                                gather_busy += self.config.gather_load_cycles - 1.0;
-                                true
-                            } else {
-                                false
-                            }
-                        }
-                        6 => take(&mut branch_avail),
-                        _ => unreachable!(),
-                    };
-                    if ok {
-                        remaining[class] -= 1;
-                        issued += 1;
-                        busy += 1;
-                    } else {
-                        break;
+    /// Issues one cycle's μops.
+    fn step(&self, state: &mut IssueState) {
+        let IssueState {
+            remaining,
+            cycles,
+            block_hist,
+            gather_busy,
+        } = state;
+        *cycles += 1;
+        let mut issued = 0usize;
+        let mut busy = 0usize;
+        // Load ports partially consumed by in-flight gathers.
+        let gather_ports_used = gather_busy.min(self.config.load_ports as f64);
+        let mut load_avail = (self.config.load_ports as f64 - gather_ports_used).max(0.0) as usize;
+        busy += gather_ports_used.ceil() as usize;
+        *gather_busy = (*gather_busy - self.config.load_ports as f64).max(0.0);
+
+        let mut alu_avail = self.config.alu_ports;
+        let mut vec_avail = self.config.vec_ports;
+        let mut store_avail = self.config.store_ports;
+        let mut branch_avail = self.config.branch_ports;
+
+        // Issue order rotates so no class starves.
+        for k in 0..CLASSES {
+            let class = (*cycles as usize + k) % CLASSES;
+            while issued < self.config.issue_width && remaining[class] > 0 {
+                let ok = match class {
+                    0 => take(&mut alu_avail),
+                    1 | 2 => {
+                        // Scalar fp shares the vector ports.
+                        take(&mut vec_avail)
                     }
+                    3 => take(&mut load_avail),
+                    4 => take(&mut store_avail),
+                    5 => {
+                        // Gather: needs a load port now, keeps it busy.
+                        if take(&mut load_avail) {
+                            *gather_busy += self.config.gather_load_cycles - 1.0;
+                            true
+                        } else {
+                            false
+                        }
+                    }
+                    6 => take(&mut branch_avail),
+                    _ => unreachable!(),
+                };
+                if ok {
+                    remaining[class] -= 1;
+                    issued += 1;
+                    busy += 1;
+                } else {
+                    break;
                 }
             }
-            hist[busy.min(units)] += 1.0;
         }
-
-        let cycle_scale = scale;
-        PortStats {
-            cycles: cycles as f64 * cycle_scale,
-            busy_hist: hist.into_iter().map(|h| h * cycle_scale).collect(),
-        }
+        let most = block_hist.len() - 1;
+        block_hist[busy.min(most)] += 1;
     }
 }
 
