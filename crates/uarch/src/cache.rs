@@ -113,7 +113,7 @@ impl CacheSim {
     }
 
     /// The slot `addr` maps to, or `None` when set sampling skips its set.
-    #[inline]
+    #[inline(always)]
     fn locate(&self, addr: u64) -> Option<Slot> {
         let (line_addr, _) = self.line.div_rem(addr);
         let (tag, set) = self.sets.div_rem(line_addr);
@@ -126,14 +126,14 @@ impl CacheSim {
     }
 
     /// The tags of simulated set `index`, valid or not, MRU first.
-    #[inline]
+    #[inline(always)]
     fn set_mut(&mut self, index: usize) -> &mut [u64] {
         let ways = self.config.ways;
         &mut self.tags[index * ways..(index + 1) * ways]
     }
 
     /// Position of `tag` among the valid tags of simulated set `index`.
-    #[inline]
+    #[inline(always)]
     fn position(&self, index: usize, tag: u64) -> Option<usize> {
         let first = index * self.config.ways;
         let valid = &self.tags[first..first + self.occupancy[index] as usize];
@@ -142,7 +142,7 @@ impl CacheSim {
 
     /// Puts `tag` at the front of simulated set `index`, sliding the `len`
     /// tags ahead of its old place (or of the end) one step towards LRU.
-    #[inline]
+    #[inline(always)]
     fn push_front(&mut self, index: usize, tag: u64, len: usize) {
         let set = self.set_mut(index);
         set.copy_within(0..len, 1);
@@ -151,7 +151,7 @@ impl CacheSim {
 
     /// Puts a `tag` the set does not hold at its front; returns the LRU
     /// tag this pushed out, if the set was full.
-    #[inline]
+    #[inline(always)]
     fn fill(&mut self, index: usize, tag: u64) -> Option<u64> {
         let ways = self.config.ways;
         let len = self.occupancy[index] as usize;
