@@ -62,6 +62,9 @@ impl PrefetchStats {
 pub struct StridePrefetcher {
     config: PrefetcherConfig,
     streams: Vec<Stream>,
+    /// Index of the stream the last access matched: a stream is several
+    /// accesses to one page, so it is usually the next one's too.
+    last: usize,
     clock: u64,
 }
 
@@ -71,6 +74,7 @@ impl StridePrefetcher {
         StridePrefetcher {
             config,
             streams: Vec::with_capacity(config.streams),
+            last: 0,
             clock: 0,
         }
     }
@@ -80,7 +84,15 @@ impl StridePrefetcher {
         self.clock += 1;
         let line = (addr / 64) as i64;
         let page = addr >> 12;
-        if let Some(stream) = self.streams.iter_mut().find(|s| s.page == page) {
+        // Pages are unique among the trackers, so whichever order finds
+        // the match finds the same one.
+        let found = match self.streams.get(self.last) {
+            Some(s) if s.page == page => Some(self.last),
+            _ => self.streams.iter().position(|s| s.page == page),
+        };
+        if let Some(idx) = found {
+            self.last = idx;
+            let stream = &mut self.streams[idx];
             stream.lru = self.clock;
             let stride = line - stream.last_line;
             let covered;
@@ -104,6 +116,7 @@ impl StridePrefetcher {
                 self.streams.swap_remove(idx);
             }
         }
+        self.last = self.streams.len();
         self.streams.push(Stream {
             page,
             last_line: line,
