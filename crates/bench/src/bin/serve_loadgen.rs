@@ -412,13 +412,15 @@ fn main() {
                 );
                 println!(
                     "  prefetch: {} issued, {} fills; {} hits / {} late / {} wasted \
-                     ({:.0}% of would-be cold misses converted)",
+                     ({:.0}% of would-be cold misses converted); {} rows dropped \
+                     unfilled",
                     s.prefetch_issued,
                     s.prefetch_fills,
                     s.prefetch_hits,
                     s.prefetch_late,
                     s.prefetch_wasted,
-                    s.prefetch_conversion() * 100.0
+                    s.prefetch_conversion() * 100.0,
+                    m.prefetch_rows_dropped
                 );
             }
         }

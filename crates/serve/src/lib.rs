@@ -62,6 +62,7 @@ pub use pool::{
     crew, Inline, Lane, LanePool, LaneSet, LaneSpec, Placement, PoolConfig, SupervisorConfig,
     Worker,
 };
+pub use prefetch::PrefetchWindow;
 pub use request::{
     coalesce_inputs, split_outputs, validate_single, Priority, Request, RequestId, Response,
     SubmitOptions,

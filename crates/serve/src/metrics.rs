@@ -281,6 +281,7 @@ pub struct MetricsRegistry {
     failed: AtomicU64,
     worker_panics: AtomicU64,
     worker_restarts: AtomicU64,
+    prefetch_rows_dropped: AtomicU64,
     panic_reasons: Mutex<VecDeque<String>>,
     ladder: Option<Arc<OverloadLadder>>,
     models: Vec<Arc<ModelChannelMetrics>>,
@@ -335,6 +336,7 @@ impl MetricsRegistry {
             failed: AtomicU64::new(0),
             worker_panics: AtomicU64::new(0),
             worker_restarts: AtomicU64::new(0),
+            prefetch_rows_dropped: AtomicU64::new(0),
             panic_reasons: Mutex::new(VecDeque::new()),
             ladder: None,
             models: Vec::new(),
@@ -413,6 +415,15 @@ impl MetricsRegistry {
         self.worker_restarts.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Counts `rows` embedding rows the stream prefetcher dropped
+    /// unfilled because their request was already executing.
+    pub(crate) fn record_prefetch_rows_dropped(&self, rows: usize) {
+        if rows > 0 {
+            self.prefetch_rows_dropped
+                .fetch_add(rows as u64, Ordering::Relaxed);
+        }
+    }
+
     /// Counts one shed (overloaded or shutting-down) request.
     pub fn record_shed(&self) {
         self.shed.fetch_add(1, Ordering::Relaxed);
@@ -468,6 +479,7 @@ impl MetricsRegistry {
             failed: self.failed.load(Ordering::Relaxed),
             worker_panics: self.worker_panics.load(Ordering::Relaxed),
             worker_restarts: self.worker_restarts.load(Ordering::Relaxed),
+            prefetch_rows_dropped: self.prefetch_rows_dropped.load(Ordering::Relaxed),
             panic_reasons: self.panic_reasons.lock().iter().cloned().collect(),
             overload_level: self
                 .ladder
@@ -530,6 +542,10 @@ pub struct MetricsSnapshot {
     pub worker_panics: u64,
     /// Workers restarted by the supervisor.
     pub worker_restarts: u64,
+    /// Embedding rows the stream prefetcher queued at admission and
+    /// dropped unfilled because a worker took their request first — the
+    /// prefetcher running late.
+    pub prefetch_rows_dropped: u64,
     /// Rendered panic messages: the last `MAX_PANIC_REASONS` (64), in
     /// order of occurrence (older reasons roll off).
     pub panic_reasons: Vec<String>,

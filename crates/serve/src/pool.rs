@@ -301,7 +301,7 @@ impl LaneSet {
     /// The one admission path: validates one sample (batch-dimension-1
     /// inputs in graph input order), builds the request, pushes it on
     /// lane `lane_idx` (out of range panics), books accepted / shed /
-    /// evicted victim, and hands its rows to the prefetcher.
+    /// evicted victim, and queues its rows for the prefetcher.
     ///
     /// # Errors
     ///
@@ -327,12 +327,12 @@ impl LaneSet {
         let prefetch_rows = lane
             .prefetcher
             .as_ref()
-            .map(|p| p.collect_rows(&request.inputs))
-            .filter(|rows| !rows.is_empty());
+            .and_then(|p| p.collect_rows(&request.inputs));
         let admitted = match lane.queue.try_push(request) {
             Ok(victim) => {
                 if let (Some(p), Some(rows)) = (&lane.prefetcher, prefetch_rows) {
-                    p.enqueue(rows);
+                    self.metrics
+                        .record_prefetch_rows_dropped(p.enqueue(id, rows));
                 }
                 if let Some((victim, err)) = victim {
                     // The evicted lower-priority request is shed on its
@@ -448,6 +448,13 @@ impl Worker {
         let metrics = &core.metrics;
         let engine = &mut self.engines[lane_idx];
         core.cfg.placement.prepare(lane_idx, engine);
+        if let Some(prefetcher) = &lane.prefetcher {
+            // These requests read their rows now: what was filled for
+            // them leaves the prefetch window, the rest is too late.
+            if let Some(newest) = requests.iter().map(|r| r.id).max() {
+                metrics.record_prefetch_rows_dropped(prefetcher.retire_through(newest));
+            }
+        }
         let started = Instant::now();
         match catch_unwind(AssertUnwindSafe(|| engine.run_batch(&requests))) {
             Ok(Ok(mut exec)) => {
@@ -701,13 +708,16 @@ impl LanePool {
             };
             // Stream prefetch: only when the shared store is tiered with
             // prefetch on and the model exposes store bindings.
-            let bindings = match &set.cfg.store {
-                Some(s) if s.prefetch_enabled() => built.store_bindings(),
-                _ => Vec::new(),
+            let prefetcher = match &set.cfg.store {
+                Some(s) if s.prefetch_enabled() => {
+                    let bindings = built.store_bindings();
+                    let budget = s.stats().tier_dram_budget_rows;
+                    (!bindings.is_empty())
+                        .then(|| Prefetcher::start(bindings, budget))
+                        .transpose()?
+                }
+                _ => None,
             };
-            let prefetcher = (!bindings.is_empty())
-                .then(|| Prefetcher::start(bindings))
-                .transpose()?;
             let spec = built.spec().clone();
             models.push(Some(built));
             set.lanes.push(Lane {

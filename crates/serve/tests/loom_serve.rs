@@ -1,8 +1,9 @@
 //! Model-checked interleaving tests for the serving hot path: batcher
 //! admission/eviction/drain on both queue legs, the overload ladder's
 //! stepwise transitions, the dispatch-signal parking protocol, the
-//! prefetcher-style job handoff, and the sparse read path's locks (tier
-//! session vs. row update vs. prefetch fill, hot-key probe vs. insert).
+//! prefetch window's wake-up protocol, and the sparse read path's locks
+//! (tier session vs. row update vs. prefetch fill, hot-key probe vs.
+//! insert).
 //!
 //! Compiled out of plain builds (`#![cfg(loom)]`): without `--cfg loom`
 //! the drec-sync primitives carry no schedule points, so the explorer
@@ -21,7 +22,7 @@ use std::time::Duration;
 
 use drec_serve::{
     BatchPoll, BatcherConfig, DegradeConfig, DispatchSignal, OverloadLadder, OverloadLevel,
-    Priority, QueueKind, Request, SharedQueue, SubmitOptions,
+    PrefetchWindow, Priority, QueueKind, Request, SharedQueue, SubmitOptions,
 };
 use drec_sync::model::model;
 use drec_sync::thread::{spawn, yield_now};
@@ -218,6 +219,90 @@ fn dispatch_signal_parking_never_strands_the_dispatcher() {
             assert_eq!(batch.requests[0].id, 0);
         });
     }
+}
+
+/// The stream prefetcher's pacing protocol on the real
+/// [`PrefetchWindow`], with a window of one row and one-row jobs, so a
+/// single filled job fills it. Admission queues jobs 0 and 1, a worker
+/// takes request 0, and the fill thread runs the runtime's loop (`next`,
+/// fill, `filled`) until it has filled job 1. Job 0 may be filled,
+/// dropped by the worker or dropped at the door; job 1 is eligible once
+/// request 0 is retired, whichever side gets there last, and must be
+/// handed out. A fill thread left parked beside it is a deadlock here.
+/// Both notifies are load-bearing: without the one in `retire_through`
+/// the thread that parked on a full window with job 1 queued never wakes,
+/// without the one in `enqueue` the thread that parked on an empty queue
+/// never does — remove either and this model fails.
+#[test]
+fn prefetch_window_never_strands_an_eligible_job() {
+    model(|| {
+        let window = Arc::new(PrefetchWindow::<()>::new(1));
+        let admission = {
+            let window = Arc::clone(&window);
+            spawn(move || window.enqueue(0, 1, ()) + window.enqueue(1, 1, ()))
+        };
+        let worker = {
+            let window = Arc::clone(&window);
+            spawn(move || window.retire_through(0))
+        };
+        let filler = {
+            let window = Arc::clone(&window);
+            spawn(move || {
+                let mut filled = Vec::new();
+                while let Some((id, ())) = window.next() {
+                    window.filled(id, 1);
+                    filled.push(id);
+                    if id == 1 {
+                        break;
+                    }
+                }
+                filled
+            })
+        };
+        let dropped = admission.join().unwrap() + worker.join().unwrap();
+        let filled = filler.join().unwrap();
+        assert_eq!(filled.last(), Some(&1), "job 1 was never handed out");
+        assert_eq!(filled.len() + dropped, 2, "job 0 is filled or dropped");
+        assert_eq!(window.ahead_rows(), 1, "only job 1 is ahead of the workers");
+    });
+}
+
+/// The same three parties with `close` racing them: the fill thread
+/// always terminates — parked on an empty queue, parked on a full window
+/// with a job still queued, or between two fills — and what the window
+/// counts at the end is exactly the rows filled for requests no worker
+/// took: job 1's row if it was filled, never job 0's (request 0 was
+/// taken), never less than nothing.
+#[test]
+fn prefetch_window_close_always_ends_the_fill_loop() {
+    model(|| {
+        let window = Arc::new(PrefetchWindow::<()>::new(1));
+        let admission = {
+            let window = Arc::clone(&window);
+            spawn(move || window.enqueue(0, 1, ()) + window.enqueue(1, 1, ()))
+        };
+        let worker = {
+            let window = Arc::clone(&window);
+            spawn(move || window.retire_through(0))
+        };
+        let filler = {
+            let window = Arc::clone(&window);
+            spawn(move || {
+                let mut filled = Vec::new();
+                while let Some((id, ())) = window.next() {
+                    window.filled(id, 1);
+                    filled.push(id);
+                }
+                filled
+            })
+        };
+        window.close();
+        let dropped = admission.join().unwrap() + worker.join().unwrap();
+        let filled = filler.join().unwrap();
+        assert!(filled.len() + dropped <= 2, "a job was filled and dropped");
+        assert_eq!(window.ahead_rows(), usize::from(filled.contains(&1)));
+        assert_eq!(window.next(), None, "closed for good");
+    });
 }
 
 /// The prefetch-fill/row-update race from `drec-store`/`drec-tier`, on

@@ -260,13 +260,14 @@ impl PinnedTable {
     /// (`decode_vector`/`decode_scalar` stay put, the hot-row key set is
     /// untouched) because a tier promotion moves encoded bytes and
     /// decodes nothing. Rows out of range or already resident are skipped;
-    /// no-op without tiering.
-    pub fn prefetch_rows(&self, rows: &[u32]) {
+    /// no-op without tiering. Returns how many rows it made resident.
+    pub fn prefetch_rows(&self, rows: &[u32]) -> usize {
         let Some(tier) = &self.store.tier else {
-            return;
+            return 0;
         };
         let table = &self.table;
         let mut session = tier.session();
+        let mut filled = 0;
         for &row in rows.iter().filter(|&&row| (row as usize) < table.rows) {
             // Capture the table's write stamp before the fill and
             // re-verify it under the tier lock: a row update that lands
@@ -278,10 +279,11 @@ impl PinnedTable {
             // holds that lock from the capture on, except while a
             // `Pacing::Sleep` fill sleeps — the window the verify covers.
             let stamp = table.write_stamp.load(Ordering::Acquire);
-            session.prefetch_fill_if(self.key(row), || {
+            filled += usize::from(session.prefetch_fill_if(self.key(row), || {
                 table.write_stamp.load(Ordering::Acquire) == stamp
-            });
+            }));
         }
+        filled
     }
 
     /// [`PinnedTable::prefetch_rows`] for one row.

@@ -486,11 +486,13 @@ impl TierSession<'_> {
     /// linearize: either the fill sees the bumped stamp and aborts, or
     /// it inserts first and the update's invalidate removes it. A stale
     /// pre-update fill can never survive as resident.
-    pub fn prefetch_fill_if(&mut self, key: u64, verify: impl FnOnce() -> bool) {
+    ///
+    /// Returns whether this call made the row resident.
+    pub fn prefetch_fill_if(&mut self, key: u64, verify: impl FnOnce() -> bool) -> bool {
         let st = self.st();
         let was_pending = st.take_pending(key);
         if st.clock.contains(key) {
-            return;
+            return false;
         }
         // Not pending: demand already consumed the intent (counted
         // late) and the row was since evicted again; refetch it anyway.
@@ -499,12 +501,13 @@ impl TierSession<'_> {
         let st = self.st();
         if !verify() {
             st.stats.prefetch_aborted_stale += 1;
-            return;
+            return false;
         }
         let inserted = st.clock.insert(key, true);
         st.stats.promotions += 1;
         st.stats.prefetch_fills += 1;
         st.stats.prefetch_wasted += u64::from(inserted.evicted_prefetched_unused);
+        true
     }
 }
 
@@ -550,7 +553,7 @@ mod tests {
         let t = charge_only(4);
         assert!(t.session().note_intent(9));
         assert!(!t.session().note_intent(9), "duplicate intent rejected");
-        t.session().prefetch_fill_if(9, || true);
+        assert!(t.session().prefetch_fill_if(9, || true), "the fill parks 9");
         assert_eq!(t.demand_access(9), TierAccess::DramHit);
         let s = t.stats();
         assert_eq!(s.prefetch_issued, 1);
@@ -568,7 +571,8 @@ mod tests {
         assert!(t.session().note_intent(5));
         // Demand arrives before the fill.
         assert!(matches!(t.demand_access(5), TierAccess::ColdMiss { .. }));
-        t.session().prefetch_fill_if(5, || true); // resident now; the fill is a no-op
+        // Resident now; the fill is a no-op.
+        assert!(!t.session().prefetch_fill_if(5, || true));
         let s = t.stats();
         assert_eq!(s.prefetch_late, 1);
         assert_eq!(s.cold_demand_reads, 1);
@@ -637,10 +641,11 @@ mod tests {
         let observed = stamp.load(Ordering::Acquire); // fill begins
         stamp.fetch_add(1, Ordering::AcqRel); // update lands mid-fill
         t.invalidate(5);
-        t.session()
+        let parked = t
+            .session()
             .prefetch_fill_if(5, || stamp.load(Ordering::Acquire) == observed);
         assert!(
-            !t.is_resident(5),
+            !parked && !t.is_resident(5),
             "a fill that raced a row update parked stale bytes as resident"
         );
         let s = t.stats();
