@@ -31,6 +31,10 @@
 //!   functions of models, seed and batch sizes alone; as gates they also
 //!   land in the `BENCH_history.jsonl` line, next to the seconds they
 //!   explain. A change that moves them on purpose updates the constants.
+//! * `heap_live_after_start_mb` — the heap bytes a cold start leaves live
+//!   (this bin runs on [`CountingAlloc`]) stay at or under the figure on
+//!   record: embedding store, one FC weight set per model, plans, queues.
+//!   A second copy of the FC sets, 34 MB, would not fit under it.
 //!
 //! Also recorded, not gated: **cold start** — `start_s`, the wall time of
 //! `MultiServeRuntime::start` for the eight Paper-scale models on a
@@ -40,8 +44,11 @@
 //! on them. Start overlaps the first two, so on a host with a second core
 //! `start_s` is below their sum. `serial_simulate_s` is the part of
 //! calibration spent in `CpuSim::simulate` (the same traces taken again,
-//! only `Platform::evaluate` timed).
+//! only `Platform::evaluate` timed). `heap_peak_during_start_mb` is the
+//! most the start held on the way (calibration traces are transient), and
+//! `fc_param_mb` one FC weight set of each model, summed.
 
+use drec_bench::counters::CountingAlloc;
 use drec_bench::report::Limit::{AtLeast, AtMost, Equal};
 use drec_bench::report::{Gate, Report};
 use drec_bench::row;
@@ -61,6 +68,9 @@ use drec_serve::{
 use drec_store::{CombineConfig, EmbeddingStore, RowEncoding, StoreConfig, TierConfig};
 use drec_trace::RunTrace;
 use drec_workload::QueryGen;
+
+#[global_allocator]
+static HEAP: CountingAlloc = CountingAlloc::new();
 
 /// Parameter seed shared by every engine in this harness.
 const SEED: u64 = 7;
@@ -82,6 +92,10 @@ const TIMING_REPS: usize = 5;
 /// simulates.
 const CALIBRATION_MEM_EVENTS: f64 = 1_985_927.0;
 const CALIBRATION_OPS: f64 = 3_230.0;
+/// Ceiling on the heap a cold start of the same eight models leaves live,
+/// MiB. Reads 75.7 with one FC set per model; the parent, whose update
+/// channels kept a second copy of every set, read 109.6.
+const HEAP_LIVE_AFTER_START_MB: f64 = 80.0;
 
 /// Xorshift64* — the workload's model-popularity sampler.
 struct Rng(u64);
@@ -309,6 +323,11 @@ struct StartTimes {
     /// Functions of models, seed and batches alone: they repeat exactly.
     mem_events: usize,
     ops: usize,
+    /// Heap bytes `MultiServeRuntime::start` left live, the most it held
+    /// on the way, and one FC weight set of every model.
+    heap_live: usize,
+    heap_peak: usize,
+    fc_param_bytes: usize,
 }
 
 /// Times `MultiServeRuntime::start` on `perf_bench`'s `colocated_mix`
@@ -336,11 +355,18 @@ fn time_start(models: &[ModelId], reps: usize) -> StartTimes {
     let profile_cfg = cfg.profile_config();
     let (mut start, mut build, mut calibrate, mut pool) = (vec![], vec![], vec![], vec![]);
     let (mut simulate, mut mem_events, mut ops) = (vec![], 0, 0);
+    let (mut heap_live, mut heap_peak, mut fc_param_bytes) = (0, 0, 0);
     for _ in 0..reps {
+        let heap_before = HEAP.live_bytes();
+        HEAP.reset_peak();
         let clock = Instant::now();
         let runtime = MultiServeRuntime::start(cfg.clone()).expect("runtime starts");
         start.push(clock.elapsed().as_secs_f64());
-        drop(runtime);
+        heap_live = HEAP.live_bytes() - heap_before;
+        heap_peak = HEAP.peak_bytes() - heap_before;
+        let channels = runtime.update_channels();
+        fc_param_bytes = channels.iter().map(|c| c.fc_param_bytes()).sum();
+        drop((channels, runtime));
 
         let store = Arc::new(EmbeddingStore::new(store_cfg.clone()));
         let clock = Instant::now();
@@ -415,6 +441,9 @@ fn time_start(models: &[ModelId], reps: usize) -> StartTimes {
         pool_s: median(pool),
         mem_events,
         ops,
+        heap_live,
+        heap_peak,
+        fc_param_bytes,
     }
 }
 
@@ -507,6 +536,13 @@ fn main() {
         start.simulate_s * 1e3,
         start.mem_events,
         start.ops
+    );
+    let mb = |bytes: usize| bytes as f64 / (1u64 << 20) as f64;
+    println!(
+        "  heap: {:.1} MB live after start, {:.1} MB at its peak; one FC weight set per model is {:.1} MB of it",
+        mb(start.heap_live),
+        mb(start.heap_peak),
+        mb(start.fc_param_bytes)
     );
 
     // Co-location against isolation at equal worker count.
@@ -608,6 +644,9 @@ fn main() {
             "serial_pool_s": start.pool_s,
             "calibration_mem_events": start.mem_events,
             "calibration_ops": start.ops,
+            "heap_live_after_start_mb": mb(start.heap_live),
+            "heap_peak_during_start_mb": mb(start.heap_peak),
+            "fc_param_mb": mb(start.fc_param_bytes),
         },
     );
     let crossover_row = |(id, crossover): &(ModelId, Option<usize>)| {
@@ -670,5 +709,13 @@ fn main() {
         .at(sixteen),
     );
     report.gate(Gate::new("calibration_ops", start.ops as f64, Equal(CALIBRATION_OPS)).at(sixteen));
+    report.gate(
+        Gate::new(
+            "heap_live_after_start_mb",
+            mb(start.heap_live),
+            AtMost(HEAP_LIVE_AFTER_START_MB),
+        )
+        .at("MultiServeRuntime::start, 8 Paper-scale models, tiered int8 store"),
+    );
     report.finish();
 }

@@ -613,6 +613,7 @@ fn run_multi_model(quick: bool, workers: usize, workload_gen: &std::cell::RefCel
         "p50".into(),
         "p99".into(),
         "Degrade".into(),
+        "FC set".into(),
     ]);
     for m in &report.snapshot.models {
         table.row(vec![
@@ -622,6 +623,7 @@ fn run_multi_model(quick: bool, workers: usize, workload_gen: &std::cell::RefCel
             fmt_ms(m.p50_seconds),
             fmt_ms(m.p99_seconds),
             format!("{:?}", m.overload_level),
+            format!("{:.1} KB", m.fc_param_bytes as f64 / 1024.0),
         ]);
     }
     println!("{}", table.render());

@@ -163,6 +163,15 @@ pub mod timing {
     }
 }
 
+/// Costs that repeat exactly from run to run, where seconds on a shared
+/// host do not. So far one: [`CountingAlloc`](counters::CountingAlloc),
+/// the heap bytes live and at their high-water mark. A bench bin that
+/// wants them installs it as its `#[global_allocator]`; the library and
+/// the other bins run on the system allocator.
+pub mod counters {
+    pub use drec_check::CountingAlloc;
+}
+
 /// Formats a speedup for grid cells.
 pub fn fmt_speedup(s: f64) -> String {
     if s >= 100.0 {

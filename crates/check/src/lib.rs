@@ -1,4 +1,6 @@
-//! Dependency-free deterministic property-check harness.
+//! Dependency-free test support: a deterministic property-check harness,
+//! and [`CountingAlloc`], a heap-byte counter for residency tests and the
+//! bench bins.
 //!
 //! The build environment has no network access to crates.io, so the suite
 //! cannot depend on `proptest`. This crate supplies the small slice of it
@@ -18,8 +20,10 @@
 //! });
 //! ```
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 /// Splitmix-initialised xorshift generator driving one test case.
 ///
@@ -110,6 +114,101 @@ pub fn cases(n: usize, mut property: impl FnMut(&mut CaseRng)) {
             eprintln!("drec-check: property failed at case {case} of {n} (seed = {case})");
             resume_unwind(payload);
         }
+    }
+}
+
+/// The system allocator with two counters beside it: heap bytes live now
+/// and their high-water mark. Install it as a binary's
+/// `#[global_allocator]` to read what a step leaves on the heap and what
+/// it needed on the way — figures that, unlike resident-set size, do not
+/// depend on which freed pages the allocator has handed back to the OS.
+///
+/// ```
+/// use drec_check::CountingAlloc;
+///
+/// #[global_allocator]
+/// static HEAP: CountingAlloc = CountingAlloc::new();
+///
+/// let before = HEAP.live_bytes();
+/// let block = vec![0u8; 1 << 20];
+/// assert!(HEAP.live_bytes() - before >= 1 << 20);
+/// drop(block);
+/// assert!(HEAP.peak_bytes() >= before + (1 << 20));
+/// ```
+#[derive(Debug, Default)]
+pub struct CountingAlloc {
+    live: AtomicUsize,
+    peak: AtomicUsize,
+}
+
+impl CountingAlloc {
+    /// A counter at zero (`const`, for a `static`).
+    pub const fn new() -> Self {
+        CountingAlloc {
+            live: AtomicUsize::new(0),
+            peak: AtomicUsize::new(0),
+        }
+    }
+
+    /// Bytes allocated and not yet freed.
+    pub fn live_bytes(&self) -> usize {
+        self.live.load(Relaxed)
+    }
+
+    /// The most [`live_bytes`](Self::live_bytes) has been since the
+    /// process started or [`reset_peak`](Self::reset_peak) was called.
+    pub fn peak_bytes(&self) -> usize {
+        self.peak.load(Relaxed)
+    }
+
+    /// Restarts the high-water mark at the current live figure.
+    pub fn reset_peak(&self) {
+        self.peak.store(self.live_bytes(), Relaxed);
+    }
+
+    fn grew(&self, bytes: usize) {
+        let live = self.live.fetch_add(bytes, Relaxed) + bytes;
+        self.peak.fetch_max(live, Relaxed);
+    }
+}
+
+// SAFETY: every request goes to `System` unchanged and its answer comes
+// back unchanged, so `System`'s own guarantees are this allocator's; the
+// counters are statistics and publish no data.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's `layout` is passed through as given.
+        let block = unsafe { System.alloc(layout) };
+        if !block.is_null() {
+            self.grew(layout.size());
+        }
+        block
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: as in `alloc`.
+        let block = unsafe { System.alloc_zeroed(layout) };
+        if !block.is_null() {
+            self.grew(layout.size());
+        }
+        block
+    }
+
+    unsafe fn dealloc(&self, block: *mut u8, layout: Layout) {
+        // SAFETY: the caller got `block` from this allocator with
+        // `layout`, which means from `System` with `layout`.
+        unsafe { System.dealloc(block, layout) };
+        self.live.fetch_sub(layout.size(), Relaxed);
+    }
+
+    unsafe fn realloc(&self, block: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: as in `dealloc`; `new_size` is the caller's to get right.
+        let moved = unsafe { System.realloc(block, layout, new_size) };
+        if !moved.is_null() {
+            self.live.fetch_sub(layout.size(), Relaxed);
+            self.grew(new_size);
+        }
+        moved
     }
 }
 

@@ -52,21 +52,9 @@ impl DispatchOracle {
     ///
     /// Panics if `samples` is empty or contains a zero batch size.
     pub fn calibrate(gpu: &GpuModel, pcie_extra_s: f64, samples: &[(usize, RunTrace)]) -> Self {
-        assert!(!samples.is_empty(), "need at least one calibration sample");
-        let mut points: Vec<(f64, f64)> = samples
-            .iter()
-            .map(|(batch, trace)| {
-                assert!(*batch >= 1, "batch sizes start at 1");
-                let seconds = gpu.simulate(trace).seconds;
-                ((*batch as f64).ln(), seconds.max(1e-12).ln())
-            })
-            .collect();
-        points.sort_by(|a, b| a.0.total_cmp(&b.0));
-        points.dedup_by(|a, b| a.0 == b.0);
-        DispatchOracle {
-            points,
-            pcie_extra_s: pcie_extra_s.max(0.0),
-        }
+        let seconds = |(batch, trace): &(usize, RunTrace)| (*batch, gpu.simulate(trace).seconds);
+        let points: Vec<(usize, f64)> = samples.iter().map(seconds).collect();
+        Self::from_points(pcie_extra_s, &points)
     }
 
     /// An oracle from pre-measured `(batch, seconds)` pairs — used in

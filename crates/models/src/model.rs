@@ -1,8 +1,10 @@
 use drec_graph::{
     execute, execute_traced, ExecPlan, Graph, GraphError, PlanOptions, PlanScratch, PlanStats,
 };
-use drec_ops::{ExecContext, Value};
+use drec_ops::{ExecContext, FcParams, Value};
+use drec_tensor::Tensor;
 use drec_trace::RunTrace;
+use std::sync::Arc;
 
 use crate::builders;
 use crate::{InputSpec, ModelMeta};
@@ -81,7 +83,7 @@ impl ModelId {
         self,
         scale: ModelScale,
         seed: u64,
-        store: std::sync::Arc<drec_store::EmbeddingStore>,
+        store: Arc<drec_store::EmbeddingStore>,
     ) -> Result<RecModel, GraphError> {
         let namespace = store_namespace(self, scale, seed);
         builders::build(self, scale, seed, Some((store, namespace)))
@@ -192,7 +194,7 @@ impl RecModel {
             let Some(any) = node.op().as_any() else {
                 continue;
             };
-            let table: &std::sync::Arc<EmbeddingTable> =
+            let table: &Arc<EmbeddingTable> =
                 if let Some(sls) = any.downcast_ref::<SparseLengthsSum>() {
                     sls.table()
                 } else if let Some(gather) = any.downcast_ref::<EmbeddingGather>() {
@@ -209,7 +211,7 @@ impl RecModel {
             let Some(input_index) = input_ids.iter().position(|&v| v == ids_vid) else {
                 continue;
             };
-            let dedup_key = (input_index, std::sync::Arc::as_ptr(table));
+            let dedup_key = (input_index, Arc::as_ptr(table));
             if seen.contains(&dedup_key) {
                 continue;
             }
@@ -223,49 +225,42 @@ impl RecModel {
         bindings
     }
 
-    /// Clones every fully-connected layer's installed weight set, in
-    /// graph node order — the MLP half of a versioned model snapshot.
-    /// The order is stable for a given model build, so a set captured
-    /// here round-trips through [`RecModel::install_fc_weights`] on any
-    /// identically built model.
-    pub fn capture_fc_weights(&self) -> Vec<(drec_tensor::Tensor, drec_tensor::Tensor)> {
-        use drec_ops::FullyConnected;
-        let mut layers = Vec::new();
-        for node in self.graph.nodes() {
-            let Some(any) = node.op().as_any() else {
-                continue;
-            };
-            if let Some(fc) = any.downcast_ref::<FullyConnected>() {
-                let params = fc.params();
-                layers.push((params.weights.clone(), params.bias.clone()));
-            }
-        }
-        layers
+    /// The model's fully-connected nodes, in graph node order — the order
+    /// every FC weight set is in.
+    fn fc_nodes(&self) -> impl Iterator<Item = &drec_ops::FullyConnected> {
+        self.graph
+            .nodes()
+            .iter()
+            .filter_map(|node| node.op().as_any()?.downcast_ref())
     }
 
-    /// Atomically swaps every fully-connected layer's weight set — the
+    /// Every fully-connected layer's installed parameter set, in graph
+    /// node order — the MLP half of a versioned model snapshot, as shared
+    /// handles: no `f32` is copied, and the set stays alive for as long
+    /// as any holder keeps its handles. The order is stable for a given
+    /// model build, so a set taken here round-trips through
+    /// [`RecModel::install_fc_params`] on any identically built model.
+    pub fn fc_params(&self) -> Vec<Arc<FcParams>> {
+        self.fc_nodes().map(|fc| fc.params()).collect()
+    }
+
+    /// Atomically swaps every fully-connected layer's parameter set — the
     /// rolling-update path for the model's MLP half. `layers` must hold
-    /// one `(weights, bias)` pair per FC layer in the same graph node
-    /// order [`RecModel::capture_fc_weights`] uses. Compiled plans pick
-    /// the swap up too: fused FC ops share the graph node's parameter
-    /// handle. In-flight batches finish on the set they already pinned.
+    /// one handle per FC layer in the graph node order
+    /// [`RecModel::fc_params`] uses; the model then *shares* each
+    /// allocation with the caller (and with every other model the same
+    /// handles were installed in). Compiled plans pick the swap up too:
+    /// fused FC ops share the graph node's parameter handle. In-flight
+    /// batches finish on the set they already pinned.
     ///
     /// # Errors
     ///
     /// [`drec_ops::OpError::InvalidInput`] on a layer-count or shape
     /// mismatch. Shapes are validated for **all** layers before any swap
     /// lands, so a rejected set leaves the model untouched.
-    pub fn install_fc_weights(
-        &self,
-        layers: &[(drec_tensor::Tensor, drec_tensor::Tensor)],
-    ) -> Result<(), drec_ops::OpError> {
-        use drec_ops::{FcParams, FullyConnected, OpError};
-        let fcs: Vec<&FullyConnected> = self
-            .graph
-            .nodes()
-            .iter()
-            .filter_map(|node| node.op().as_any()?.downcast_ref::<FullyConnected>())
-            .collect();
+    pub fn install_fc_params(&self, layers: &[Arc<FcParams>]) -> Result<(), drec_ops::OpError> {
+        use drec_ops::OpError;
+        let fcs: Vec<_> = self.fc_nodes().collect();
         if fcs.len() != layers.len() {
             return Err(OpError::InvalidInput {
                 op: "FC",
@@ -276,30 +271,53 @@ impl RecModel {
                 ),
             });
         }
-        for (fc, (weights, bias)) in fcs.iter().zip(layers) {
-            if weights.dims() != [fc.out_features(), fc.in_features()]
-                || bias.dims() != [fc.out_features()]
+        for (fc, params) in fcs.iter().zip(layers) {
+            if params.weights.dims() != [fc.out_features(), fc.in_features()]
+                || params.bias.dims() != [fc.out_features()]
             {
                 return Err(OpError::InvalidInput {
                     op: "FC",
                     message: format!(
                         "weight-set shape {:?}/{:?} does not fit layer {}x{}",
-                        weights.dims(),
-                        bias.dims(),
+                        params.weights.dims(),
+                        params.bias.dims(),
                         fc.out_features(),
                         fc.in_features()
                     ),
                 });
             }
         }
-        for (fc, (weights, bias)) in fcs.iter().zip(layers) {
-            fc.swap_params(std::sync::Arc::new(FcParams {
-                weights: weights.clone(),
-                bias: bias.clone(),
-            }))
-            .expect("shapes validated above");
+        for (fc, params) in fcs.iter().zip(layers) {
+            fc.swap_params(Arc::clone(params))
+                .expect("shapes validated above");
         }
         Ok(())
+    }
+
+    /// An owned copy of [`RecModel::fc_params`]: `(weights, bias)` per FC
+    /// layer, every tensor cloned. A convenience for tests and offline
+    /// tools that want tensors to edit; serving passes handles and never
+    /// calls this.
+    pub fn capture_fc_weights(&self) -> Vec<(Tensor, Tensor)> {
+        let owned = |p: Arc<FcParams>| (p.weights.clone(), p.bias.clone());
+        self.fc_params().into_iter().map(owned).collect()
+    }
+
+    /// [`RecModel::install_fc_params`] for owned `(weights, bias)` pairs:
+    /// clones each pair into a fresh allocation, then installs those. Same
+    /// order, same all-or-nothing contract; serving never calls this.
+    ///
+    /// # Errors
+    ///
+    /// As [`RecModel::install_fc_params`].
+    pub fn install_fc_weights(&self, layers: &[(Tensor, Tensor)]) -> Result<(), drec_ops::OpError> {
+        let shared = |(weights, bias): &(Tensor, Tensor)| {
+            Arc::new(FcParams {
+                weights: weights.clone(),
+                bias: bias.clone(),
+            })
+        };
+        self.install_fc_params(&layers.iter().map(shared).collect::<Vec<_>>())
     }
 
     /// Sets the per-op retained-memory-event target for traced runs.

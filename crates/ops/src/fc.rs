@@ -14,7 +14,10 @@ const GEMM_BLOCK_ROWS: usize = 32;
 /// The swappable parameter set of one [`FullyConnected`] layer: weights
 /// `[out_features, in_features]` plus bias `[out_features]`. Published
 /// as one `Arc` so a rolling weight-set swap replaces both tensors
-/// atomically — a batch never sees new weights with the old bias.
+/// atomically — a batch never sees new weights with the old bias — and
+/// so that layers of identically built models can share one allocation:
+/// a set is immutable once published, and the serving runtime installs the
+/// same handle in every engine of a lane.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FcParams {
     /// Weight matrix, `[out_features, in_features]` (Caffe2 layout).

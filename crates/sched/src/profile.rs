@@ -6,7 +6,8 @@
 //! comparison come from the hardware models. At startup each co-located
 //! model is traced once per calibration batch size
 //! ([`drec_models::RecModel::run_traced`] with seeded generator inputs),
-//! and the same traces are priced on both platforms:
+//! and each trace is priced on both platforms before the next is taken
+//! (so calibration holds one trace, not one per batch size):
 //!
 //! * CPU: the microarchitectural simulation of the configured CPU
 //!   platform, folded into a log-log [`LatencyCurve`] over batch size.
@@ -23,7 +24,6 @@
 use drec_core::serving::LatencyCurve;
 use drec_hwsim::{DispatchOracle, GpuModel, Platform};
 use drec_models::RecModel;
-use drec_trace::RunTrace;
 use drec_workload::QueryGen;
 
 use crate::runtime::Backend;
@@ -93,27 +93,26 @@ impl ModelProfile {
         );
         let mut gen = QueryGen::uniform(cfg.seed);
         let spec = model.spec().clone();
-        let traces: Vec<(usize, RunTrace)> = cfg
-            .calibration_batches
-            .iter()
-            .map(|&batch| {
-                let batch = batch.max(1);
-                let inputs = gen.batch(&spec, batch);
-                let (_, trace) = model
-                    .run_traced(inputs, batch)
-                    .expect("calibration trace must execute");
-                (batch, trace)
-            })
-            .collect();
-        let cpu_points: Vec<(usize, f64)> = traces
-            .iter()
-            .map(|(batch, trace)| (*batch, cfg.cpu.evaluate(trace).seconds))
-            .collect();
+        // One trace alive at a time: each is priced on both platforms as
+        // soon as it is taken, then dropped.
+        let mut cpu_points = Vec::with_capacity(cfg.calibration_batches.len());
+        let mut gpu_points = Vec::with_capacity(cfg.calibration_batches.len());
+        for &batch in &cfg.calibration_batches {
+            let batch = batch.max(1);
+            let inputs = gen.batch(&spec, batch);
+            let (_, trace) = model
+                .run_traced(inputs, batch)
+                .expect("calibration trace must execute");
+            cpu_points.push((batch, cfg.cpu.evaluate(&trace).seconds));
+            if let Some(gpu) = &cfg.gpu {
+                gpu_points.push((batch, gpu.simulate(&trace).seconds));
+            }
+        }
         let cpu_curve = LatencyCurve::from_points(cpu_points);
         let oracle = cfg
             .gpu
             .as_ref()
-            .map(|gpu| DispatchOracle::calibrate(gpu, cfg.pcie_extra_s, &traces));
+            .map(|_| DispatchOracle::from_points(cfg.pcie_extra_s, &gpu_points));
         let crossover = oracle.as_ref().and_then(|oracle| {
             oracle.crossover_batch(cfg.max_batch, |b| cpu_curve.eval(b) / b as f64)
         });

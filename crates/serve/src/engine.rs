@@ -98,13 +98,27 @@ impl Engine {
     }
 
     /// Subscribes this engine to a live-update channel: it registers as
-    /// a weight reader, offers its current FC weights as the channel's
+    /// a weight reader, offers its FC parameter handles as the channel's
     /// restore baseline, and from the next batch on polls the mailbox at
     /// batch boundaries (so weight swaps land between batches, never
     /// mid-inference) and reports per-batch staleness.
+    ///
+    /// The engine then computes from the baseline the channel holds: a
+    /// replica (a lane's second worker, an extra backend's engine, a
+    /// rebuild after a panic) installs the first engine's handles and its
+    /// own identical draw drops, so the lane keeps one FC set at rest.
     pub fn set_update_channel(&mut self, channel: Arc<ModelUpdateChannel>) {
         let reader = channel.register_reader();
-        channel.offer_baseline(|| self.model.capture_fc_weights());
+        let baseline = channel.offer_baseline(|| self.model.fc_params());
+        debug_assert_eq!(
+            *baseline,
+            self.model.fc_params(),
+            "engines of one channel are built bit-identical"
+        );
+        // Only an engine of some other model could be refused here; it
+        // keeps the set it was built with.
+        let shared = self.model.install_fc_params(&baseline);
+        debug_assert!(shared.is_ok(), "{shared:?}");
         self.update = Some(UpdateState {
             channel,
             reader,
@@ -131,7 +145,7 @@ impl Engine {
         };
         if let Some(ws) = state.channel.poll_weights(state.weight_version) {
             self.model
-                .install_fc_weights(&ws.layers)
+                .install_fc_params(&ws.layers)
                 .map_err(|e| ServeError::WorkerFailed {
                     reason: format!("weight-set install for v{}: {e}", ws.version),
                 })?;
@@ -238,11 +252,8 @@ impl Engine {
         })?;
         let wall_seconds = start.elapsed().as_secs_f64();
         if let Some(state) = &self.update {
-            let served = match embed_version {
-                Some(v) if state.channel.baseline().is_some() => v.min(state.weight_version),
-                Some(v) => v,
-                None => state.weight_version,
-            };
+            let weights = state.weight_version;
+            let served = embed_version.map_or(weights, |rows| rows.min(weights));
             state.channel.record_staleness(served);
         }
         Ok(BatchExecution {
@@ -352,6 +363,59 @@ mod tests {
             let _ = e.run_batch(&reqs);
         }));
         assert!(caught.is_err(), "injected panic should unwind");
+    }
+
+    #[test]
+    fn engines_of_one_channel_share_every_installed_set() {
+        use crate::update::{FcLayers, WeightSet};
+        use drec_ops::FcParams;
+        use drec_tensor::Tensor;
+
+        fn holds(engine: &Engine, set: &FcLayers) -> bool {
+            let installed = engine.model.fc_params();
+            installed.len() == set.len()
+                && installed.iter().zip(set).all(|(a, b)| Arc::ptr_eq(a, b))
+        }
+        let channel = Arc::new(ModelUpdateChannel::new("ncf", 1, None));
+        let (mut first, mut replica) = (engine(), engine());
+        let built_with = first.model.fc_params();
+        first.set_update_channel(Arc::clone(&channel));
+        replica.set_update_channel(Arc::clone(&channel));
+        let baseline = channel.baseline().expect("the first engine offered one");
+        assert!(holds(&first, &built_with), "the baseline is what it had");
+        assert!(holds(&first, &baseline) && holds(&replica, &baseline));
+
+        let post = |version, layers| channel.post_weights(Arc::new(WeightSet { version, layers }));
+        let scaled = |p: &Arc<FcParams>| {
+            Arc::new(FcParams {
+                weights: p.weights.map(|v| v * 1.5),
+                bias: p.bias.clone(),
+            })
+        };
+        let perturbed: FcLayers = baseline.iter().map(scaled).collect();
+        post(1, perturbed.clone());
+        first.poll_updates().unwrap();
+        assert!(holds(&first, &perturbed) && holds(&replica, &baseline));
+        replica.poll_updates().unwrap();
+        assert!(holds(&replica, &perturbed));
+        assert_eq!(channel.min_installed(), 1);
+
+        // One layer of the wrong shape: refused whole, by both.
+        let mut misfit = FcLayers::clone(&baseline);
+        *misfit.last_mut().unwrap() = Arc::new(FcParams {
+            weights: Tensor::zeros(&[1, 1]),
+            bias: Tensor::zeros(&[1]),
+        });
+        post(2, misfit);
+        assert!(first.poll_updates().is_err() && replica.poll_updates().is_err());
+        assert!(holds(&first, &perturbed) && holds(&replica, &perturbed));
+        assert_eq!((first.weight_version(), channel.min_installed()), (1, 1));
+
+        post(3, FcLayers::clone(&baseline));
+        first.poll_updates().unwrap();
+        replica.poll_updates().unwrap();
+        assert!(holds(&first, &baseline) && holds(&replica, &baseline));
+        assert_eq!(channel.min_installed(), 3);
     }
 
     #[test]

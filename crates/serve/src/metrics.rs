@@ -18,6 +18,7 @@ use drec_sync::{CachePadded, Mutex};
 
 use crate::batcher::SharedQueue;
 use crate::degrade::{OverloadLadder, OverloadLevel};
+use crate::update::ModelUpdateChannel;
 
 /// Cap on retained worker panic reasons: a bounded ring keeping the
 /// *last* 64. A long-running deployment's early panics are in the logs
@@ -148,8 +149,9 @@ impl Default for LatencyHistogram {
 
 /// Live metrics for one model's serving channel in a multi-model
 /// runtime: its own latency histogram, completion/shed counters, and
-/// (optionally) the model's queue and overload ladder so snapshots can
-/// report queue depth and degradation level keyed by model name.
+/// (optionally) the model's queue, overload ladder and update channel so
+/// snapshots can report queue depth, degradation level and the size of
+/// one FC weight set keyed by model name.
 ///
 /// Channels are registered on a [`MetricsRegistry`] with
 /// [`MetricsRegistry::register_model`]; single-model runtimes register
@@ -164,16 +166,18 @@ pub struct ModelChannelMetrics {
     shed: AtomicU64,
     queue: Option<Arc<SharedQueue>>,
     ladder: Option<Arc<OverloadLadder>>,
+    update: Option<Arc<ModelUpdateChannel>>,
 }
 
 impl ModelChannelMetrics {
-    /// A fresh channel for `name`. `queue` and `ladder` are optional
-    /// observers: when present, snapshots report live queue depth and
-    /// degradation level for this model.
+    /// A fresh channel for `name`. `queue`, `ladder` and `update` are
+    /// optional observers: when present, snapshots report live queue
+    /// depth, degradation level and FC weight-set bytes for this model.
     pub fn new(
         name: impl Into<String>,
         queue: Option<Arc<SharedQueue>>,
         ladder: Option<Arc<OverloadLadder>>,
+        update: Option<Arc<ModelUpdateChannel>>,
     ) -> Self {
         ModelChannelMetrics {
             name: name.into(),
@@ -182,6 +186,7 @@ impl ModelChannelMetrics {
             shed: AtomicU64::new(0),
             queue,
             ladder,
+            update,
         }
     }
 
@@ -216,6 +221,7 @@ impl ModelChannelMetrics {
             p50_seconds: self.latency.quantile_seconds(0.50),
             p95_seconds: self.latency.quantile_seconds(0.95),
             p99_seconds: self.latency.quantile_seconds(0.99),
+            fc_param_bytes: self.update.as_ref().map_or(0, |u| u.fc_param_bytes()),
         }
     }
 }
@@ -242,6 +248,10 @@ pub struct ModelChannelSnapshot {
     pub p95_seconds: f64,
     /// 99th-percentile end-to-end latency, seconds.
     pub p99_seconds: f64,
+    /// Bytes of `f32` in one FC weight set of this model: what all of the
+    /// lane's engines share at rest (0 when no update channel is
+    /// attached).
+    pub fc_param_bytes: usize,
 }
 
 /// Per-worker execution accounting.
@@ -366,8 +376,9 @@ impl MetricsRegistry {
         name: impl Into<String>,
         queue: Option<Arc<SharedQueue>>,
         ladder: Option<Arc<OverloadLadder>>,
+        update: Option<Arc<ModelUpdateChannel>>,
     ) -> Arc<ModelChannelMetrics> {
-        let channel = Arc::new(ModelChannelMetrics::new(name, queue, ladder));
+        let channel = Arc::new(ModelChannelMetrics::new(name, queue, ladder, update));
         self.models.push(Arc::clone(&channel));
         channel
     }
@@ -671,8 +682,8 @@ mod tests {
     #[test]
     fn model_channels_key_metrics_by_name() {
         let mut m = MetricsRegistry::new(1);
-        let ncf = m.register_model("ncf", None, None);
-        let din = m.register_model("din", None, None);
+        let ncf = m.register_model("ncf", None, None, None);
+        let din = m.register_model("din", None, None, None);
         ncf.record_completed(Duration::from_micros(100));
         ncf.record_completed(Duration::from_micros(100));
         din.record_shed();

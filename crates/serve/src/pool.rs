@@ -37,7 +37,10 @@
 //! takes it built from its [`LaneSpec`] — and it becomes worker 0's
 //! engine. All engines are finished on a [`crew`]: worker 0's compile
 //! their plans while the other workers' replicas build, finding their
-//! tables registered and drawing only FC weights.
+//! tables registered and drawing only FC weights — which each replica
+//! drops again when it registers on the lane's update channel and installs
+//! the handles worker 0's engine was built with: a lane holds one FC set
+//! however many engines it has.
 
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -690,18 +693,19 @@ impl LanePool {
                 Arc::clone(&set.signal),
                 QueueKind::from_env(),
             ));
+            // One live-update channel per lane: every engine of the lane
+            // registers as a weight reader and computes from the FC set
+            // the channel holds; the updater (if the deployment runs one)
+            // respects the lane ladder's backpressure rung.
+            let namespace = drec_models::store_namespace(model, cfg.scale, cfg.seed);
+            let update = Arc::new(ModelUpdateChannel::new(model.name(), namespace, store));
+            update.set_ladder(Arc::clone(&ladder));
             let channel = set.metrics.register_model(
                 model.name(),
                 Some(Arc::clone(&queue)),
-                Some(Arc::clone(&ladder)),
+                Some(ladder),
+                Some(Arc::clone(&update)),
             );
-            // One live-update channel per lane: every engine of the lane
-            // registers as a weight reader; the updater (if the
-            // deployment runs one) respects the lane ladder's
-            // backpressure rung.
-            let namespace = drec_models::store_namespace(model, cfg.scale, cfg.seed);
-            let update = Arc::new(ModelUpdateChannel::new(model.name(), namespace, store));
-            update.set_ladder(ladder);
             let built = match spec.built {
                 Some(built) => built,
                 None => set.build_model(model)?,

@@ -27,6 +27,19 @@
 //! duplicate delta is rejected by the store's version check; a delayed
 //! publish only widens the staleness window, never the error surface.
 //!
+//! A weight set is a vector of shared [`FcParams`] handles wherever it
+//! travels (DESIGN.md §14 has the walk-through). The baseline is the
+//! handles the first engine of a lane was built with; every later engine
+//! of the lane installs those same handles and lets its own identical
+//! draw drop, so a lane of W workers holds one FC set at rest. A
+//! perturbed version is allocated once, by the updater, and the mailbox
+//! and all W engines point at that allocation; the restoring version
+//! posts the baseline's own handles, after which engines, mailbox and
+//! baseline are one allocation again. Nothing ever writes through a
+//! handle: an installed set is immutable, and a batch pins the set it
+//! computes from by cloning the handle, as
+//! [`drec_ops::FullyConnected`] does on every run.
+//!
 //! Deadlock rule: the updater must run on its own thread. Publishing a
 //! version calls `EpochGc::synchronize`, which waits for every pinned
 //! reader — a worker that applied updates inline while pinned would
@@ -36,32 +49,33 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use drec_faultsim::{FaultHook, UpdateFault};
+use drec_ops::FcParams;
 use drec_store::{
     EmbeddingStore, EncodedRow, RestoreBatch, RowDelta, RowRestore, StoreError, UpdateBatch,
     UpdateReport,
 };
 use drec_sync::atomic::{AtomicU64, Ordering};
 use drec_sync::Mutex;
-use drec_tensor::Tensor;
 
 use crate::degrade::OverloadLadder;
 use crate::error::{Result, ServeError};
 
-/// One full MLP weight set, versioned. `layers` holds `(weights, bias)`
-/// per fully-connected layer in the model's graph order — the shape
-/// [`drec_models::RecModel::capture_fc_weights`] produces and
-/// [`drec_models::RecModel::install_fc_weights`] consumes.
+/// One full MLP weight set, versioned. `layers` holds one shared
+/// parameter handle per fully-connected layer in the model's graph order
+/// — the shape [`drec_models::RecModel::fc_params`] produces and
+/// [`drec_models::RecModel::install_fc_params`] consumes. Cloning a set
+/// clones handles, never weights.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WeightSet {
     /// Snapshot version this weight set belongs to.
     pub version: u64,
-    /// `(weights, bias)` per FC layer, in graph order.
-    pub layers: Vec<(Tensor, Tensor)>,
+    /// One parameter handle per FC layer, in graph order.
+    pub layers: FcLayers,
 }
 
-/// `(weights, bias)` per FC layer, in graph order — the payload of a
-/// [`WeightSet`] without its version.
-pub type FcLayers = Vec<(Tensor, Tensor)>;
+/// One shared `(weights, bias)` handle per FC layer, in graph order — the
+/// payload of a [`WeightSet`] without its version.
+pub type FcLayers = Vec<Arc<FcParams>>;
 
 /// The update-side handle for one served model: weight mailbox, install
 /// tracking, and the staleness gauge. Shared between the worker engines
@@ -82,8 +96,9 @@ pub struct ModelUpdateChannel {
     /// Per-reader installed weight version, indexed by the id from
     /// [`register_reader`](ModelUpdateChannel::register_reader).
     installed: Mutex<Vec<u64>>,
-    /// Baseline weight set captured by the first registering engine —
-    /// what the final version of a plan restores.
+    /// Baseline weight set: the handles the first registering engine was
+    /// built with — what every later engine of the lane installs in place
+    /// of its own draw, and what the final version of a plan restores.
     baseline: Mutex<Option<Arc<FcLayers>>>,
     /// Worst `posted - served` gap any batch reported.
     max_staleness: AtomicU64,
@@ -143,19 +158,28 @@ impl ModelUpdateChannel {
         installed.len() - 1
     }
 
-    /// Records the baseline weight set if none is held yet. Engines call
-    /// this at registration; with identically-seeded replicas the first
-    /// capture is the oracle for all of them.
-    pub fn offer_baseline(&self, capture: impl FnOnce() -> FcLayers) {
+    /// Records the baseline weight set if none is held yet, and returns
+    /// the one held. Engines call this at registration with their own
+    /// handles; with identically-seeded replicas the first offer is the
+    /// oracle for all of them, and the later ones install what comes back.
+    pub fn offer_baseline(&self, capture: impl FnOnce() -> FcLayers) -> Arc<FcLayers> {
         let mut baseline = self.baseline.lock();
-        if baseline.is_none() {
-            *baseline = Some(Arc::new(capture()));
-        }
+        Arc::clone(baseline.get_or_insert_with(|| Arc::new(capture())))
     }
 
     /// The baseline weight set, once an engine has registered.
     pub fn baseline(&self) -> Option<Arc<FcLayers>> {
         self.baseline.lock().clone()
+    }
+
+    /// Bytes of `f32` in one FC weight set of this model (0 before an
+    /// engine has registered) — what the lane holds once at rest, and
+    /// once more per version in flight.
+    pub fn fc_param_bytes(&self) -> usize {
+        let floats = |p: &Arc<FcParams>| p.weights.numel() + p.bias.numel();
+        let baseline = self.baseline.lock();
+        let set = baseline.iter().flat_map(|layers| layers.iter());
+        set.map(floats).sum::<usize>() * std::mem::size_of::<f32>()
     }
 
     /// Posts a weight set to the mailbox (newest wins).
@@ -415,14 +439,19 @@ impl Updater {
             }
             if let Some(baseline) = self.channel.baseline() {
                 let layers = if restore {
-                    baseline.as_ref().clone()
+                    // The baseline's own handles: once installed, engines,
+                    // mailbox and baseline are one allocation again.
+                    FcLayers::clone(&baseline)
                 } else {
                     let scale = 1.0 + (splitmix64(&mut rng) % 7 + 1) as f32 * 0.05;
                     let shift = (splitmix64(&mut rng) % 5) as f32 * 0.01 - 0.02;
-                    baseline
-                        .iter()
-                        .map(|(w, b)| (w.map(|v| v * scale + shift), b.map(|v| v * scale)))
-                        .collect()
+                    let perturbed = |p: &Arc<FcParams>| {
+                        Arc::new(FcParams {
+                            weights: p.weights.map(|v| v * scale + shift),
+                            bias: p.bias.map(|v| v * scale),
+                        })
+                    };
+                    baseline.iter().map(perturbed).collect()
                 };
                 self.channel
                     .post_weights(Arc::new(WeightSet { version: k, layers }));
@@ -713,6 +742,39 @@ mod tests {
         channel.note_install(r1, 2);
         assert_eq!(channel.min_installed(), 2);
         assert!(channel.poll_weights(2).is_none(), "nothing newer");
+    }
+
+    #[test]
+    fn restore_posts_the_baselines_own_handles() {
+        use drec_tensor::Tensor;
+        let channel = Arc::new(ModelUpdateChannel::new("m", 1, None));
+        let layer = || {
+            Arc::new(FcParams {
+                weights: Tensor::filled(&[2, 3], 0.5),
+                bias: Tensor::filled(&[2], 0.25),
+            })
+        };
+        let baseline = channel.offer_baseline(|| vec![layer(), layer()]);
+        let again = channel.offer_baseline(|| unreachable!("a baseline is held"));
+        assert!(Arc::ptr_eq(&baseline, &again));
+        assert_eq!(channel.fc_param_bytes(), 2 * (6 + 2) * 4);
+
+        let posted = |versions| {
+            let plan = UpdatePlan {
+                versions,
+                ..UpdatePlan::default()
+            };
+            let stats = Updater::new(Arc::clone(&channel), plan).run().unwrap();
+            assert_eq!(stats.weight_sets_posted, versions);
+            channel.poll_weights(0).expect("a set was posted")
+        };
+        let shares = |a: &FcLayers, b: &FcLayers| a.iter().zip(b).all(|(a, b)| Arc::ptr_eq(a, b));
+        // A one-version plan is its own restore.
+        assert!(shares(&posted(1).layers, &baseline));
+        // So is the last of several, whatever the ones before it posted.
+        let restored = posted(3);
+        assert_eq!(restored.version, 3);
+        assert!(shares(&restored.layers, &baseline));
     }
 
     #[test]
