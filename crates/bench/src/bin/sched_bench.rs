@@ -65,7 +65,7 @@ use drec_sched::{
 use drec_serve::{
     Inline, LanePool, LaneSpec, ModelChannelSnapshot, PoolConfig, ServeConfig, ServeRuntime,
 };
-use drec_store::{CombineConfig, EmbeddingStore, RowEncoding, StoreConfig, TierConfig};
+use drec_store::{EmbeddingStore, RowEncoding, StoreConfig, TierConfig};
 use drec_trace::RunTrace;
 use drec_workload::QueryGen;
 
@@ -342,7 +342,6 @@ fn time_start(models: &[ModelId], reps: usize) -> StartTimes {
         tier: Some(TierConfig {
             admit_after: 2,
             prefetch: false,
-            combine: Some(CombineConfig::default()),
             ..TierConfig::new(ROWS / 4)
         }),
         ..StoreConfig::default()

@@ -21,7 +21,7 @@ use drec_sched::{DecisionSnapshot, GpuSchedConfig, ModelSlo, MultiServeRuntime, 
 use drec_serve::{
     EmbeddingStore, Engine, MetricsSnapshot, RowEncoding, ServeConfig, ServeRuntime, StoreConfig,
 };
-use drec_store::{CombineConfig, TierConfig};
+use drec_store::TierConfig;
 use drec_workload::QueryGen;
 
 const MAX_BATCH: usize = 64;
@@ -411,13 +411,12 @@ fn main() {
                     s.mean_demand_wait_nanos() / 1e3
                 );
                 println!(
-                    "  prefetch: {} issued, {} fills; {} hits / {} late / {} wasted \
+                    "  prefetch: {} issued, {} fills; {} hits / {} wasted \
                      ({:.0}% of would-be cold misses converted); {} rows dropped \
                      unfilled",
                     s.prefetch_issued,
                     s.prefetch_fills,
                     s.prefetch_hits,
-                    s.prefetch_late,
                     s.prefetch_wasted,
                     s.prefetch_conversion() * 100.0,
                     m.prefetch_rows_dropped
@@ -546,18 +545,13 @@ fn run_multi_model(quick: bool, workers: usize, workload_gen: &std::cell::RefCel
         backlog_capacity: 256,
     });
     // All eight models share one tiered, int8-quantized store: a DRAM
-    // budget of 25% of the co-located rows (the rest modelled as SSD)
-    // with the table-combining cache on, so hot co-occurring row pairs of
-    // the multi-table models collapse into single lookups. Residency is
-    // demand-driven here — the scheduler path has no stream prefetcher.
+    // budget of 25% of the co-located rows (the rest modelled as SSD).
+    // Residency is demand-driven here — the scheduler path has no stream
+    // prefetcher.
     cfg.store = Some(StoreConfig {
         encoding: RowEncoding::Int8,
         cache_capacity_rows: 1024,
-        tier: Some({
-            let mut tier = TierConfig::new(4096);
-            tier.combine = Some(CombineConfig::default());
-            tier
-        }),
+        tier: Some(TierConfig::new(4096)),
         ..StoreConfig::default()
     });
     let sched_seed = cfg.seed;
@@ -668,13 +662,6 @@ fn run_multi_model(quick: bool, workers: usize, workload_gen: &std::cell::RefCel
             s.tier_dram_budget_rows,
             s.combined_dram_hit_rate() * 100.0,
             s.tier_cold_demand_reads
-        );
-        println!(
-            "  combining: {} resident pairs, {} hits ({} lookups saved, {:.1}% cut)",
-            s.combined_resident_pairs,
-            s.combined_hits,
-            s.combined_lookups_saved,
-            s.combined_lookup_cut() * 100.0
         );
     }
     println!("Scheduler decisions (batches per power-of-two size bucket):");

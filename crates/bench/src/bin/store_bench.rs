@@ -27,13 +27,11 @@
 //!   scalar-oracle loop over the same encoded bytes by ≥1.3× for int8
 //!   (skipped off AVX2+FMA),
 //! * `tier_dram_hit_rate`, `tiered_slowdown`, `prefetch_conversion`,
-//!   `prefetch_slowdown`, `combined_lookup_cut` — tiered DRAM/SSD legs
-//!   under Zipf s = 1.0 with the DRAM budget at 25% of rows (virtual
-//!   cold-read charging, so deterministic in both modes): combined DRAM
-//!   hit rate ≥ 80%, tiering alone ≥ 5× the DRAM-only mean lookup while
-//!   stream prefetch pulls it back ≤ 2× and converts ≥ 50% of would-be
-//!   cold demand misses, and the table-combining cache cuts lookups ≥ 15%
-//!   on correlated two-table traffic,
+//!   `prefetch_slowdown` — tiered DRAM/SSD legs under Zipf s = 1.0 with
+//!   the DRAM budget at 25% of rows (virtual cold-read charging, so
+//!   deterministic in both modes): combined DRAM hit rate ≥ 80%, tiering
+//!   alone ≥ 5× the DRAM-only mean lookup while stream prefetch pulls it
+//!   back ≤ 2× and converts ≥ 50% of would-be cold demand misses,
 //! * `<leg>_bag_over_one_row`, `<leg>_over_no_cache` — the read-path cost
 //!   table, ns/row for {no cache, cache hit, cache miss, tier hit, tier
 //!   cold, tier with frequency admission} read with one-row calls and as
@@ -52,9 +50,7 @@ use std::time::Instant;
 
 use drec_models::{ModelId, ModelScale};
 use drec_par::ParPool;
-use drec_store::{
-    quantize_row, CombineConfig, EmbeddingStore, RowEncoding, StoreConfig, TierConfig,
-};
+use drec_store::{quantize_row, EmbeddingStore, RowEncoding, StoreConfig, TierConfig};
 use drec_tensor::simd::{self, KernelBackend};
 use drec_tensor::ParamInit;
 use drec_workload::{CategoricalDist, QueryGen};
@@ -77,9 +73,6 @@ const TIER_HIT_RATE_GATE: f64 = 0.80;
 /// Required fraction of would-be cold demand misses the stream
 /// prefetcher converts into DRAM hits.
 const PREFETCH_CONVERSION_GATE: f64 = 0.50;
-/// Required lookup-count reduction from the table-combining cache on
-/// correlated two-table traffic.
-const COMBINE_CUT_GATE: f64 = 0.15;
 /// Tiering without prefetch must be at least this many times slower than
 /// DRAM-only per mean lookup — i.e. the cold tier genuinely hurts.
 const TIERED_SLOWDOWN_FLOOR: f64 = 5.0;
@@ -367,11 +360,9 @@ fn check_dequant_error(dim: usize) -> Vec<Json> {
 ///
 /// * `dram_only` — no tier, the latency baseline (`NOMINAL_DRAM_NS`),
 /// * `tiered` — demand misses pay the simulated cold read,
-/// * `tiered_prefetch` — a 64-query stream window issues
-///   intent + fill before the demand lookups, modelling the serve-side
-///   prefetcher with perfect lookahead,
-/// * `tiered_combined` — two tables in one combining store driven by
-///   correlated pair traffic through `sum_row_pair`.
+/// * `tiered_prefetch` — a 64-query stream window is filled before its
+///   demand lookups, modelling the serve-side prefetcher with perfect
+///   lookahead.
 ///
 /// The cold-read model charges *virtual* nanoseconds
 /// ([`drec_store::Pacing::Charge`]), so every number here is
@@ -405,12 +396,11 @@ fn bench_tiered(rows: usize, dim: usize, data: &[f32], warm: usize, measure: usi
     };
     let row_for = |leg: &'static str, delta: &drec_store::StoreStats, mean_ns: f64| {
         println!(
-            "  {leg:<16} DRAM hit {:>5.1}%, cold demand {:>6}, prefetch issued {:>6} (conv {:>5.1}%), combine cut {:>5.1}%, mean lookup {mean_ns:>8.0} ns ({:.2}x DRAM-only)",
+            "  {leg:<16} DRAM hit {:>5.1}%, cold demand {:>6}, prefetch issued {:>6} (conv {:>5.1}%), mean lookup {mean_ns:>8.0} ns ({:.2}x DRAM-only)",
             delta.combined_dram_hit_rate() * 100.0,
             delta.tier_cold_demand_reads,
             delta.prefetch_issued,
             delta.prefetch_conversion() * 100.0,
-            delta.combined_lookup_cut() * 100.0,
             mean_ns / NOMINAL_DRAM_NS
         );
         row! {
@@ -419,7 +409,6 @@ fn bench_tiered(rows: usize, dim: usize, data: &[f32], warm: usize, measure: usi
             "cold_demand_reads": delta.tier_cold_demand_reads,
             "prefetch_issued": delta.prefetch_issued,
             "prefetch_conversion": delta.prefetch_conversion(),
-            "combined_lookup_cut": delta.combined_lookup_cut(),
             "mean_lookup_ns": mean_ns,
             "slowdown_vs_dram": mean_ns / NOMINAL_DRAM_NS,
         }
@@ -463,9 +452,9 @@ fn bench_tiered(rows: usize, dim: usize, data: &[f32], warm: usize, measure: usi
         out.push(row_for("tiered", &delta, mean));
     }
 
-    // Leg 3: tiered + stream prefetch — a 64-query window registers
-    // intent and fills ahead of the demand pass, the way the serve
-    // runtime's prefetch thread runs ahead of batch drain.
+    // Leg 3: tiered + stream prefetch — a 64-query window is filled
+    // ahead of its demand pass, the way the serve runtime's prefetch
+    // thread runs ahead of batch drain.
     {
         let mut tier = TierConfig::new(budget);
         tier.prefetch = true;
@@ -475,11 +464,7 @@ fn bench_tiered(rows: usize, dim: usize, data: &[f32], warm: usize, measure: usi
         let pinned = store.pin(handle);
         let run = |stream: &[u32], acc: &mut [f32]| {
             for window in stream.chunks(64) {
-                for &id in window {
-                    if pinned.note_prefetch_intent(id) {
-                        pinned.prefetch_row(id);
-                    }
-                }
+                pinned.prefetch_rows(window);
                 for &id in window {
                     pinned.sum_row(id, acc);
                 }
@@ -491,47 +476,6 @@ fn bench_tiered(rows: usize, dim: usize, data: &[f32], warm: usize, measure: usi
         let delta = store.stats().since(&base);
         let mean = NOMINAL_DRAM_NS + delta.mean_demand_wait_nanos();
         out.push(row_for("tiered_prefetch", &delta, mean));
-    }
-
-    // Leg 4: tiered + table combining — two tables in one store, 70% of
-    // queries hitting a correlated (a, perm(a)) pair, the co-occurrence
-    // structure MicroRec-style combining exploits.
-    {
-        let half = rows / 2;
-        let mut tier = TierConfig::new(budget);
-        tier.admit_after = 2;
-        tier.combine = Some(CombineConfig::default());
-        let store = make_store(Some(tier));
-        let ha = store
-            .register(1, 0, half, dim, &data[..half * dim])
-            .expect("register a");
-        let hb = store
-            .register(1, 1, half, dim, &data[half * dim..2 * half * dim])
-            .expect("register b");
-        let (pa, pb) = (store.pin(ha), store.pin(hb));
-        let mut rng = ParamInit::new(0xC0B1);
-        let mut coin = 0xC01Du64;
-        let mut acc_b = vec![0.0f32; dim];
-        let mut run = |n: usize, acc: &mut [f32], acc_b: &mut [f32]| {
-            for _ in 0..n {
-                let a = dist.sample(&mut rng, half);
-                coin ^= coin << 13;
-                coin ^= coin >> 7;
-                coin ^= coin << 17;
-                let b = if coin % 10 < 7 {
-                    ((u64::from(a) * 0x9E37_79B1 + 7) % half as u64) as u32
-                } else {
-                    dist.sample(&mut rng, half)
-                };
-                pa.sum_row_pair(a, acc, &pb, b, acc_b);
-            }
-        };
-        run(warm, &mut acc, &mut acc_b);
-        let base = store.stats();
-        run(measure, &mut acc, &mut acc_b);
-        let delta = store.stats().since(&base);
-        let mean = NOMINAL_DRAM_NS + delta.mean_demand_wait_nanos();
-        out.push(row_for("tiered_combined", &delta, mean));
     }
     std::hint::black_box(&acc);
     out
@@ -909,11 +853,6 @@ fn main() {
             AtMost(PREFETCH_SLOWDOWN_CEILING),
         )
         .at("mean lookup with prefetch over DRAM-only"),
-    );
-    let cut = tier("tiered_combined", "combined_lookup_cut");
-    report.gate(
-        Gate::new("combined_lookup_cut", cut, AtLeast(COMBINE_CUT_GATE))
-            .at("correlated pair traffic"),
     );
     // Read-path gates: a bag may not cost more per row than one-row calls.
     let in_spread = |resolved: Option<bool>, whose: &str| {

@@ -294,71 +294,14 @@ impl Operator for MultiTableSls {
             // unchanged — bit-identical to the serial unfused path.
             let pool = drec_par::current();
             let chunk = sample_chunk_elems(batch, total, pool.threads());
-            // Adjacent pooled segments whose tables live in the same
-            // combining store route each sample's leading id pair through
-            // the table-combining cache (one lookup for two rows when the
-            // pair is hot). Decided once per table pair, not per sample.
-            let mut pair_with_next = vec![false; segments.len()];
-            let mut i = 0usize;
-            while i + 1 < segments.len() {
-                if let (Segment::Pooled { sls: a, .. }, Segment::Pooled { sls: b, .. }) =
-                    (&segments[i], &segments[i + 1])
-                {
-                    if a.table().combinable_with(b.table()) {
-                        pair_with_next[i] = true;
-                        i += 2;
-                        continue;
-                    }
-                }
-                i += 1;
-            }
             pool.for_each_chunk_mut(out.as_mut_slice(), chunk, |offset, block| {
                 let first = offset / total;
                 for (s, row) in block.chunks_mut(total).enumerate() {
                     let sample = first + s;
-                    let mut i = 0usize;
-                    while i < segments.len() {
-                        if pair_with_next[i] {
-                            let (
-                                Segment::Pooled {
-                                    sls: sa,
-                                    ids: ia,
-                                    starts: sta,
-                                },
-                                Segment::Pooled {
-                                    sls: sb,
-                                    ids: ib,
-                                    starts: stb,
-                                },
-                            ) = (&segments[i], &segments[i + 1])
-                            else {
-                                unreachable!("pair flags only mark pooled segments");
-                            };
-                            let (wa, wb) = (widths[i], widths[i + 1]);
-                            let seg_off = offsets[i];
-                            let (da, db) = row[seg_off..seg_off + wa + wb].split_at_mut(wa);
-                            let (la, lb) = (ia.lengths[sample], ib.lengths[sample]);
-                            let ids_a = &ia.ids[sta[sample]..sta[sample] + la as usize];
-                            let ids_b = &ib.ids[stb[sample]..stb[sample] + lb as usize];
-                            if let (Some(&a0), Some(&b0)) = (ids_a.first(), ids_b.first()) {
-                                // Leading ids go through the pair lookup;
-                                // per-accumulator add order is unchanged
-                                // (first id first), so bits are identical.
-                                sa.table().sum_row_pair(a0, da, sb.table(), b0, db);
-                                sa.table().sum_rows(&ids_a[1..], da);
-                                sb.table().sum_rows(&ids_b[1..], db);
-                            } else {
-                                sa.table().sum_rows(ids_a, da);
-                                sb.table().sum_rows(ids_b, db);
-                            }
-                            pool_segment(da, sa.mode(), la);
-                            pool_segment(db, sb.mode(), lb);
-                            i += 2;
-                            continue;
-                        }
+                    for (i, segment) in segments.iter().enumerate() {
                         let (off, w) = (offsets[i], widths[i]);
                         let dst = &mut row[off..off + w];
-                        match &segments[i] {
+                        match segment {
                             Segment::Pooled { sls, ids, starts } => {
                                 let len = ids.lengths[sample];
                                 let start = starts[sample];
@@ -370,7 +313,6 @@ impl Operator for MultiTableSls {
                                 dst.copy_from_slice(&data[sample * w..(sample + 1) * w]);
                             }
                         }
-                        i += 1;
                     }
                 }
             });
@@ -654,78 +596,76 @@ mod tests {
     }
 
     #[test]
-    fn multi_table_combining_store_is_bitwise_and_saves_lookups() {
-        use drec_store::{CombineConfig, EmbeddingStore, StoreConfig, TierConfig};
+    fn multi_table_store_ignores_the_combine_field() {
+        use drec_store::{CombineConfig, EmbeddingStore, StoreConfig, StoreStats, TierConfig};
 
-        // Store-backed tables in a combining store: fused output must stay
-        // bit-identical to the dense unfused reference on every run, while
-        // repeated leading-id pairs promote into the combine cache and
-        // start saving lookups.
-        let (mut ctx, mut init) = setup();
-        ctx.set_tracing(false);
-        let mut tier = TierConfig::new(64);
-        tier.combine = Some(CombineConfig {
-            promote_after: 1,
-            ..CombineConfig::default()
-        });
-        let store = Arc::new(EmbeddingStore::new(StoreConfig {
-            tier: Some(tier),
-            ..StoreConfig::default()
-        }));
-        let t0 =
-            EmbeddingTable::new_in_store(20, 4, 20, &mut ctx, &mut init, &store, 7, 0).unwrap();
-        let t1 =
-            EmbeddingTable::new_in_store(20, 4, 20, &mut ctx, &mut init, &store, 7, 1).unwrap();
-        let s0 = arc(SparseLengthsSum::with_mode(t0, PoolMode::Sum, &mut ctx));
-        let s1 = arc(SparseLengthsSum::with_mode(t1, PoolMode::Mean, &mut ctx));
-
-        // Dense reference built from a fresh RNG at the same seed: the
-        // store-backed build consumes the identical parameter stream.
+        // Dense reference: the store-backed builds below consume the
+        // identical parameter stream from a fresh RNG at the same seed.
         let (mut rctx, mut rinit) = setup();
         rctx.set_tracing(false);
         let r = multi_table_setup(&[PoolMode::Sum, PoolMode::Mean], &mut rctx, &mut rinit);
         let rcat = arc(Concat::new(&mut rctx));
-
-        let cat = arc(Concat::new(&mut ctx));
-        let fused = MultiTableSls::fuse(
-            vec![
-                FusedConcatInput::Pooled {
-                    op: Arc::clone(&s0),
-                    name: "emb0".into(),
-                },
-                FusedConcatInput::Pooled {
-                    op: Arc::clone(&s1),
-                    name: "emb1".into(),
-                },
-            ],
-            cat,
-            "cat",
-        )
-        .unwrap();
-
-        // Every sample leads with the pair (1, 7): promoted on the first
-        // run's observations, served combined afterwards.
-        let ids0 = ctx.external_input(Value::ids(IdList::new(vec![1, 2, 1, 5, 1, 2], vec![2; 3])));
-        let ids1 = ctx.external_input(Value::ids(IdList::new(vec![7, 8, 7, 9, 7, 8], vec![2; 3])));
+        // Every sample leads with the pair (1, 7), the pattern a
+        // table-combining cache would have served with one lookup.
+        let ids0 = rctx.external_input(Value::ids(IdList::new(vec![1, 2, 1, 5, 1, 2], vec![2; 3])));
+        let ids1 = rctx.external_input(Value::ids(IdList::new(vec![7, 8, 7, 9, 7, 8], vec![2; 3])));
         let p0 = r[0].run(&mut rctx, &[&ids0]).unwrap();
         let p1 = r[1].run(&mut rctx, &[&ids1]).unwrap();
         let want = rcat.run(&mut rctx, &[&p0, &p1]).unwrap();
-        for _ in 0..3 {
-            let got = fused.run(&mut ctx, &[&ids0, &ids1]).unwrap();
-            for (a, b) in want
-                .as_dense()
-                .unwrap()
-                .as_slice()
-                .iter()
-                .zip(got.as_dense().unwrap().as_slice())
-            {
-                assert_eq!(a.to_bits(), b.to_bits());
+
+        // Two store-backed tables fused, three runs: bit-identical to the
+        // dense unfused reference every time.
+        let serve = |combine: Option<CombineConfig>| -> StoreStats {
+            let (mut ctx, mut init) = setup();
+            ctx.set_tracing(false);
+            let store = Arc::new(EmbeddingStore::new(StoreConfig {
+                tier: Some(TierConfig {
+                    combine,
+                    ..TierConfig::new(64)
+                }),
+                ..StoreConfig::default()
+            }));
+            let t0 =
+                EmbeddingTable::new_in_store(20, 4, 20, &mut ctx, &mut init, &store, 7, 0).unwrap();
+            let t1 =
+                EmbeddingTable::new_in_store(20, 4, 20, &mut ctx, &mut init, &store, 7, 1).unwrap();
+            let s0 = arc(SparseLengthsSum::with_mode(t0, PoolMode::Sum, &mut ctx));
+            let s1 = arc(SparseLengthsSum::with_mode(t1, PoolMode::Mean, &mut ctx));
+            let cat = arc(Concat::new(&mut ctx));
+            let fused = MultiTableSls::fuse(
+                vec![
+                    FusedConcatInput::Pooled {
+                        op: s0,
+                        name: "emb0".into(),
+                    },
+                    FusedConcatInput::Pooled {
+                        op: s1,
+                        name: "emb1".into(),
+                    },
+                ],
+                cat,
+                "cat",
+            )
+            .unwrap();
+            for _ in 0..3 {
+                let got = fused.run(&mut ctx, &[&ids0, &ids1]).unwrap();
+                for (a, b) in want
+                    .as_dense()
+                    .unwrap()
+                    .as_slice()
+                    .iter()
+                    .zip(got.as_dense().unwrap().as_slice())
+                {
+                    assert_eq!(a.to_bits(), b.to_bits());
+                }
             }
-        }
-        let stats = store.stats();
-        assert!(
-            stats.combined_hits > 0 && stats.combined_lookups_saved > 0,
-            "hot pair never served combined: {stats:?}"
-        );
+            store.stats()
+        };
+
+        // `TierConfig::combine` is ignored: every id read is one lookup,
+        // and no counter tells the two stores apart.
+        let stats = serve(Some(CombineConfig::default()));
+        assert_eq!(stats.lookups, 36, "3 runs x 2 tables x 6 ids");
+        assert_eq!(stats, serve(None));
     }
 }

@@ -409,7 +409,7 @@ mod tests {
         assert_eq!(prefetcher.retire_through(4), JOB_ROWS as usize);
         let stats = wait_for_fills(&store, 42);
         assert_eq!(resident(4), 0, "a dropped job must not be filled");
-        assert_eq!((stats.prefetch_issued, stats.prefetch_late), (42, 0));
+        assert_eq!(stats.prefetch_issued, 42);
         assert_eq!((prefetcher.window.ahead_rows(), queued()), (18, 0));
 
         // Quiescence: everything retired, nothing counted; a job that

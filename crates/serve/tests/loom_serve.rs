@@ -423,11 +423,7 @@ fn bag_reader_update_row_and_prefetch_rows_never_deadlock() {
         };
         let filler = {
             let pin = pin.clone();
-            spawn(move || {
-                let mut rows = vec![1, 2];
-                pin.note_prefetch_intents(&mut rows);
-                pin.prefetch_rows(&rows);
-            })
+            spawn(move || pin.prefetch_rows(&[1, 2]))
         };
         let sum = reader.join().unwrap();
         updater.join().unwrap();
@@ -478,11 +474,7 @@ fn two_phase_bag_reads_whole_rows_beside_update_row_and_prefetch_rows() {
         };
         let filler = {
             let pin = pin.clone();
-            spawn(move || {
-                let mut rows = vec![1];
-                pin.note_prefetch_intents(&mut rows);
-                pin.prefetch_rows(&rows);
-            })
+            spawn(move || pin.prefetch_rows(&[1]))
         };
         let sum = reader.join().unwrap();
         updater.join().unwrap();

@@ -83,7 +83,6 @@ fn paced_prefetch_wastes_little_and_changes_no_output_bit() {
         stats.prefetch_wasted <= stats.prefetch_fills / 4,
         "the prefetcher evicted its own fills: {stats:?}"
     );
-    assert_eq!(stats.prefetch_late, 0, "serving registers no intents");
 
     let (without, snapshot) = serve(false);
     let stats = store_stats(&snapshot);

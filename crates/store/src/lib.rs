@@ -32,12 +32,8 @@
 //! * **DRAM/SSD tiering** ([`StoreConfig::tier`], via [`drec_tier`]) —
 //!   a budget-bounded CLOCK resident set models which rows are in DRAM;
 //!   cold rows charge a seeded, queue-depth-aware read latency and get
-//!   promoted. [`PinnedTable::note_prefetch_intents`] /
-//!   [`PinnedTable::prefetch_rows`] let the serving runtime stream rows
-//!   into DRAM ahead of batch drain, and
-//!   [`PinnedTable::sum_row_pair`] serves frequently co-occurring row
-//!   pairs from a table-combining cache with one lookup instead of two.
-//!
+//!   promoted. [`PinnedTable::prefetch_rows`] lets the serving runtime
+//!   stream rows into DRAM ahead of batch drain.
 //! * **Versioned live updates** ([`EmbeddingStore::apply_update`]) —
 //!   batches of row deltas ([`UpdateBatch`]) apply atomically and
 //!   publish a per-table snapshot version; readers pin an epoch
@@ -48,10 +44,9 @@
 //!
 //! Determinism guarantees: decoding is a pure function of the stored
 //! bytes, and the shard holds the only copy of them — so the hot set
-//! (including evictions and cross-worker races), tier residency,
-//! prefetch timing, and combining can never change a model's output,
-//! and the `F32` encoding reproduces the direct dense-tensor path bit
-//! for bit.
+//! (including evictions and cross-worker races), tier residency and
+//! prefetch timing can never change a model's output, and the `F32`
+//! encoding reproduces the direct dense-tensor path bit for bit.
 
 mod cache;
 mod encoding;

@@ -1,8 +1,7 @@
 //! The read path: [`PinnedTable`] and the one row-read routine,
 //! `read_bag` — a residency phase (on a tiered store under one tier
 //! session), then a decode phase with no tier lock held — with its
-//! per-bag counter tally, plus the prefetch intents / fills and the
-//! combined pair lookup.
+//! per-bag counter tally, plus the prefetch fills.
 
 use std::sync::Arc;
 
@@ -225,41 +224,14 @@ impl PinnedTable {
         self.read_rows([row], dst);
     }
 
-    /// Registers prefetch intents for `rows` — the admission-time half
-    /// of the stream prefetcher — under one tier lock, and keeps in
-    /// `rows` only those a [`PinnedTable::prefetch_rows`] fill should be
-    /// issued for (in range, neither DRAM-resident nor already pending).
-    /// Clears `rows` without tiering.
-    pub fn note_prefetch_intents(&self, rows: &mut Vec<u32>) {
-        match &self.store.tier {
-            Some(tier) => {
-                let mut session = tier.session();
-                rows.retain(|&row| {
-                    (row as usize) < self.table.rows && session.note_intent(self.key(row))
-                });
-            }
-            None => rows.clear(),
-        }
-    }
-
-    /// [`PinnedTable::note_prefetch_intents`] for one row: whether a
-    /// fill should be issued for it.
-    pub fn note_prefetch_intent(&self, row: u32) -> bool {
-        (row as usize) < self.table.rows
-            && self
-                .store
-                .tier
-                .as_ref()
-                .is_some_and(|tier| tier.session().note_intent(self.key(row)))
-    }
-
-    /// Completes the prefetches for `rows` under one tier lock: each
-    /// pays the cold-read latency *off* the request critical path and
-    /// promotes its row into the DRAM tier. A fill moves only the
+    /// Prefetches `rows` under one tier lock: each fill pays the
+    /// cold-read latency *off* the request critical path and promotes
+    /// its row into the DRAM tier. A fill moves only the
     /// prefetch counters — it is not a demand decode
     /// (`decode_vector`/`decode_scalar` stay put, the hot-row key set is
     /// untouched) because a tier promotion moves encoded bytes and
-    /// decodes nothing. Rows out of range or already resident are skipped;
+    /// decodes nothing. Rows out of range or already resident are
+    /// skipped — so is a row named twice, by the first fill's insert;
     /// no-op without tiering. Returns how many rows it made resident.
     pub fn prefetch_rows(&self, rows: &[u32]) -> usize {
         let Some(tier) = &self.store.tier else {
@@ -297,57 +269,6 @@ impl PinnedTable {
         match &self.store.tier {
             Some(tier) => tier.is_resident(self.key(row)),
             None => true,
-        }
-    }
-
-    /// Pooled lookup of a frequently co-travelling row pair: adds
-    /// `self[row]` into `acc` and `other[other_row]` into `other_acc`,
-    /// letting the table-combining cache serve both halves with **one**
-    /// lookup when the pair is hot (MicroRec-style). On a combined hit
-    /// the halves are the exact decoded rows added in the same order a
-    /// per-table lookup would use, so outputs are bit-identical; only
-    /// the lookup count changes. Falls back to two plain
-    /// [`PinnedTable::sum_row`] calls when combining is off or the pins
-    /// belong to different stores.
-    pub fn sum_row_pair(
-        &self,
-        row: u32,
-        acc: &mut [f32],
-        other: &PinnedTable,
-        other_row: u32,
-        other_acc: &mut [f32],
-    ) {
-        debug_assert!((row as usize) < self.table.rows);
-        debug_assert!((other_row as usize) < other.table.rows);
-        let combinable = self.store.combine.is_some() && Arc::ptr_eq(&self.store, &other.store);
-        if !combinable {
-            self.sum_row(row, acc);
-            other.sum_row(other_row, other_acc);
-            return;
-        }
-        let combine = self.store.combine.as_ref().expect("checked above");
-        let (ka, kb) = (self.key(row), other.key(other_row));
-        if combine.lookup_into(ka, kb, acc, other_acc) {
-            // One combined lookup served both rows from DRAM: no decode,
-            // no tier charge, one lookup instead of two.
-            self.store.lookups.fetch_add(1, Ordering::Relaxed);
-            self.store
-                .combined_lookups_saved
-                .fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let promote = combine.observe(ka, kb);
-        self.sum_row(row, acc);
-        other.sum_row(other_row, other_acc);
-        if promote && !self.store.cache_only() {
-            // Build the concatenated row once, straight from the shards
-            // (quiet decode: tallied as a combine fill, not a demand
-            // decode).
-            let (da, db) = (self.table.dim, other.table.dim);
-            let mut concat = vec![0.0f32; da + db].into_boxed_slice();
-            self.table.read_into(row, &mut concat[..da]);
-            other.table.read_into(other_row, &mut concat[da..]);
-            combine.fill(ka, kb, da, concat);
         }
     }
 }
@@ -555,7 +476,7 @@ mod tests {
     fn tiered_lookups_are_bit_identical_and_charge_cold_waits() {
         let data = filled(100, 8);
         let plain = store(StoreConfig::default());
-        let tiered = store(tiered_cfg(10, false));
+        let tiered = store(tiered_cfg(10));
         let hp = plain.register(1, 0, 100, 8, &data).unwrap();
         let ht = tiered.register(1, 0, 100, 8, &data).unwrap();
         let (pp, pt) = (plain.pin(hp), tiered.pin(ht));
@@ -579,11 +500,10 @@ mod tests {
 
     #[test]
     fn prefetch_fills_convert_demand_misses_without_decoding() {
-        let s = store(tiered_cfg(50, false));
+        let s = store(tiered_cfg(50));
         let h = s.register(1, 0, 100, 4, &filled(100, 4)).unwrap();
         let pin = s.pin(h);
         for row in [3u32, 4, 5] {
-            assert!(pin.note_prefetch_intent(row));
             pin.prefetch_row(row);
             assert!(pin.is_resident(row));
         }
@@ -606,43 +526,6 @@ mod tests {
         assert!((s2.prefetch_conversion() - 1.0).abs() < 1e-12);
         // The demand decodes still happened (kernel work is real).
         assert_eq!(s2.decode_vector + s2.decode_scalar, 3);
-    }
-
-    #[test]
-    fn combining_serves_hot_pairs_with_one_bit_identical_lookup() {
-        let data_a = filled(20, 4);
-        let data_b = filled(20, 6);
-        let s = store(tiered_cfg(1000, true));
-        let ha = s.register(1, 0, 20, 4, &data_a).unwrap();
-        let hb = s.register(1, 1, 20, 6, &data_b).unwrap();
-        let (pa, pb) = (s.pin(ha), s.pin(hb));
-        let reference = |row_a: usize, row_b: usize| {
-            let mut a = vec![0.25f32; 4];
-            let mut b = vec![0.25f32; 6];
-            for (x, &v) in a.iter_mut().zip(&data_a[row_a * 4..(row_a + 1) * 4]) {
-                *x += v;
-            }
-            for (x, &v) in b.iter_mut().zip(&data_b[row_b * 6..(row_b + 1) * 6]) {
-                *x += v;
-            }
-            (a, b)
-        };
-        // Default promote_after = 2: first two sightings go the plain
-        // route (the second also fills), the third is a combined hit.
-        for pass in 0..3 {
-            let mut a = vec![0.25f32; 4];
-            let mut b = vec![0.25f32; 6];
-            pa.sum_row_pair(7, &mut a, &pb, 9, &mut b);
-            let (ea, eb) = reference(7, 9);
-            assert_eq!((a, b), (ea, eb), "pass {pass}");
-        }
-        let stats = s.stats();
-        assert_eq!(stats.combined_fills, 1);
-        assert_eq!(stats.combined_hits, 1);
-        assert_eq!(stats.combined_lookups_saved, 1);
-        // 2 passes x 2 lookups + 1 combined = 5 (6 would-be).
-        assert_eq!(stats.lookups, 5);
-        assert!((stats.combined_lookup_cut() - 1.0 / 6.0).abs() < 1e-12);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use drec_faultsim::FaultHook;
 use drec_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use drec_sync::{CachePadded, EpochGc, EpochGuard, Mutex, RwLock};
 use drec_tensor::simd::KernelPath;
-use drec_tier::{CombineCache, TierConfig, TierEngine};
+use drec_tier::{TierConfig, TierEngine};
 
 use crate::cache::HotRowCache;
 use crate::encoding::{EncodedRow, RowData, RowEncoding};
@@ -318,11 +318,6 @@ pub struct EmbeddingStore {
     pub(crate) cache_only_skips: AtomicU64,
     /// DRAM/SSD residency model (`StoreConfig::tier`).
     pub(crate) tier: Option<TierEngine>,
-    /// Table-combining row cache (`TierConfig::combine`).
-    pub(crate) combine: Option<CombineCache>,
-    /// Lookups the combining cache saved: each combined hit served a
-    /// pair of rows with one lookup instead of two.
-    pub(crate) combined_lookups_saved: AtomicU64,
     /// Epoch cell the live-update protocol pins readers with. Readers
     /// pin once per coalesced batch; `apply_update` synchronizes against
     /// it before retiring superseded rows (DESIGN.md §14).
@@ -331,8 +326,8 @@ pub struct EmbeddingStore {
     pub(crate) update_batches_applied: AtomicU64,
     /// Rows rewritten by applied update batches.
     pub(crate) update_rows_applied: AtomicU64,
-    /// Superseded rows retired (cache/tier/combine re-invalidated after
-    /// the post-publish synchronize).
+    /// Superseded rows retired: rewritten by a batch whose pre-publish
+    /// readers the post-publish synchronize has waited out.
     pub(crate) update_rows_retired: AtomicU64,
     /// Update batches rolled back whole after an injected crash.
     pub(crate) update_rollbacks: AtomicU64,
@@ -357,11 +352,6 @@ impl EmbeddingStore {
     pub fn with_faults(cfg: StoreConfig, faults: FaultHook) -> EmbeddingStore {
         let cache = HotRowCache::new(cfg.cache_capacity_rows, CACHE_SHARDS);
         let tier = cfg.tier.as_ref().map(TierEngine::new);
-        let combine = cfg
-            .tier
-            .as_ref()
-            .and_then(|t| t.combine)
-            .map(CombineCache::new);
         EmbeddingStore {
             cfg,
             tables: RwLock::new(Vec::new()),
@@ -376,8 +366,6 @@ impl EmbeddingStore {
             cache_only: AtomicBool::new(false),
             cache_only_skips: AtomicU64::new(0),
             tier,
-            combine,
-            combined_lookups_saved: AtomicU64::new(0),
             epoch: EpochGc::new(),
             update_batches_applied: AtomicU64::new(0),
             update_rows_applied: AtomicU64::new(0),
@@ -622,11 +610,6 @@ impl EmbeddingStore {
         self.tier.as_ref().is_some_and(|t| t.prefetch_enabled())
     }
 
-    /// Whether the table-combining cache is active.
-    pub fn combining_enabled(&self) -> bool {
-        self.combine.is_some()
-    }
-
     /// `(DRAM-resident rows, total rows)` across the tables registered
     /// under `namespace` — the per-model residency report (a model's
     /// tables all share its namespace). Without tiering everything is
@@ -713,7 +696,7 @@ mod tests {
 
     #[test]
     fn namespace_residency_tracks_tiered_tables() {
-        let s = store(tiered_cfg(5, false));
+        let s = store(tiered_cfg(5));
         let h1 = s.register(10, 0, 8, 2, &filled(8, 2)).unwrap();
         let _h2 = s.register(20, 0, 8, 2, &filled(8, 2)).unwrap();
         let pin = s.pin(h1);
@@ -731,7 +714,7 @@ mod tests {
 
     #[test]
     fn register_sizes_the_tier_records_and_only_for_a_tiered_store() {
-        let s = store(tiered_cfg(5, false));
+        let s = store(tiered_cfg(5));
         let tier = s.tier.as_ref().expect("tiered");
         assert_eq!(tier.index_bytes(), 0);
         let h = s.register(10, 0, 100, 2, &filled(100, 2)).unwrap();

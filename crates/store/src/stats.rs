@@ -18,7 +18,6 @@ impl EmbeddingStore {
             f32_bytes += (t.rows * t.dim * 4) as u64;
         }
         let tier = self.tier.as_ref().map(|t| t.stats()).unwrap_or_default();
-        let combine = self.combine.as_ref().map(|c| c.stats()).unwrap_or_default();
         StoreStats {
             tables: tables.len(),
             rows,
@@ -44,15 +43,9 @@ impl EmbeddingStore {
             prefetch_issued: tier.prefetch_issued,
             prefetch_fills: tier.prefetch_fills,
             prefetch_hits: tier.prefetch_hits,
-            prefetch_late: tier.prefetch_late,
             prefetch_wasted: tier.prefetch_wasted,
             prefetch_aborted_stale: tier.prefetch_aborted_stale,
             tier_invalidations: tier.invalidations,
-            combined_resident_pairs: combine.resident_pairs,
-            combined_hits: combine.hits,
-            combined_fills: combine.fills,
-            combined_evictions: combine.evictions,
-            combined_lookups_saved: self.combined_lookups_saved.load(Ordering::Relaxed),
             update_batches_applied: self.update_batches_applied.load(Ordering::Relaxed),
             update_rows_applied: self.update_rows_applied.load(Ordering::Relaxed),
             update_rows_retired: self.update_rows_retired.load(Ordering::Relaxed),
@@ -118,7 +111,7 @@ pub struct StoreStats {
     pub tier_demand_wait_nanos: u64,
     /// Cold-read nanoseconds charged to prefetch fills (overlapped).
     pub tier_prefetch_wait_nanos: u64,
-    /// Prefetch intents accepted at admission.
+    /// Prefetch fills started on a row that was not DRAM-resident.
     pub prefetch_issued: u64,
     /// Prefetch fills that promoted a row — never counted as demand
     /// decodes (a fill moves encoded bytes between tiers, no kernel
@@ -126,8 +119,6 @@ pub struct StoreStats {
     pub prefetch_fills: u64,
     /// Demand accesses served by a still-unused prefetched row.
     pub prefetch_hits: u64,
-    /// Demand accesses that overtook their still-pending prefetch.
-    pub prefetch_late: u64,
     /// Prefetched rows evicted before any demand use.
     pub prefetch_wasted: u64,
     /// Prefetch fills aborted because the row was rewritten between the
@@ -136,17 +127,6 @@ pub struct StoreStats {
     pub prefetch_aborted_stale: u64,
     /// Tier residency invalidations from row updates.
     pub tier_invalidations: u64,
-    /// Combined row pairs currently cached (gauge).
-    pub combined_resident_pairs: u64,
-    /// Pair lookups served whole from the combining cache.
-    pub combined_hits: u64,
-    /// Combined rows built and cached.
-    pub combined_fills: u64,
-    /// Combined rows evicted or invalidated.
-    pub combined_evictions: u64,
-    /// Lookups saved by combining (one per combined hit: two rows, one
-    /// lookup).
-    pub combined_lookups_saved: u64,
     /// Update batches applied and published ([`EmbeddingStore::apply_update`]).
     pub update_batches_applied: u64,
     /// Rows rewritten by applied update batches.
@@ -192,7 +172,6 @@ impl StoreStats {
             prefetch_issued: self.prefetch_issued.saturating_sub(base.prefetch_issued),
             prefetch_fills: self.prefetch_fills.saturating_sub(base.prefetch_fills),
             prefetch_hits: self.prefetch_hits.saturating_sub(base.prefetch_hits),
-            prefetch_late: self.prefetch_late.saturating_sub(base.prefetch_late),
             prefetch_wasted: self.prefetch_wasted.saturating_sub(base.prefetch_wasted),
             prefetch_aborted_stale: self
                 .prefetch_aborted_stale
@@ -200,14 +179,6 @@ impl StoreStats {
             tier_invalidations: self
                 .tier_invalidations
                 .saturating_sub(base.tier_invalidations),
-            combined_hits: self.combined_hits.saturating_sub(base.combined_hits),
-            combined_fills: self.combined_fills.saturating_sub(base.combined_fills),
-            combined_evictions: self
-                .combined_evictions
-                .saturating_sub(base.combined_evictions),
-            combined_lookups_saved: self
-                .combined_lookups_saved
-                .saturating_sub(base.combined_lookups_saved),
             update_batches_applied: self
                 .update_batches_applied
                 .saturating_sub(base.update_batches_applied),
@@ -267,9 +238,9 @@ impl StoreStats {
     }
 
     /// Combined DRAM hit rate: the fraction of all row lookups served
-    /// without a cold-tier read — hot-row hits, combined-row hits,
-    /// and tier-resident decodes all count as DRAM. 1.0 without tiering
-    /// (everything is DRAM) or when idle.
+    /// without a cold-tier read — hot-row hits and tier-resident decodes
+    /// both count as DRAM. 1.0 without tiering (everything is DRAM) or
+    /// when idle.
     pub fn combined_dram_hit_rate(&self) -> f64 {
         if self.lookups == 0 {
             1.0
@@ -290,16 +261,12 @@ impl StoreStats {
         }
     }
 
-    /// Fraction of lookups the combining cache saved: `saved /
-    /// (lookups + saved)` — the denominator is what the lookup count
-    /// would have been without combining. 0 when idle.
+    /// Always 0: the share of lookups the table-combining cache saved,
+    /// when the store had one. `perf_bench` reports it as
+    /// `tier.combined_lookup_cut`; it is here until the `benchmark` issue
+    /// of ROADMAP item 10(c) drops that row.
     pub fn combined_lookup_cut(&self) -> f64 {
-        let would_be = self.lookups + self.combined_lookups_saved;
-        if would_be == 0 {
-            0.0
-        } else {
-            self.combined_lookups_saved as f64 / would_be as f64
-        }
+        0.0
     }
 
     /// Mean cold-read wait charged per lookup on the demand path,

@@ -14,8 +14,8 @@ pub(crate) fn store(cfg: StoreConfig) -> Arc<EmbeddingStore> {
     Arc::new(EmbeddingStore::new(cfg))
 }
 
-pub(crate) fn tiered_cfg(budget: usize, combine: bool) -> StoreConfig {
-    use drec_tier::{ColdReadModel, CombineConfig, Pacing};
+pub(crate) fn tiered_cfg(budget: usize) -> StoreConfig {
+    use drec_tier::{ColdReadModel, Pacing};
     StoreConfig {
         tier: Some(TierConfig {
             dram_budget_rows: budget,
@@ -26,7 +26,7 @@ pub(crate) fn tiered_cfg(budget: usize, combine: bool) -> StoreConfig {
             },
             prefetch: true,
             admit_after: 1,
-            combine: combine.then(CombineConfig::default),
+            combine: None,
         }),
         ..StoreConfig::default()
     }

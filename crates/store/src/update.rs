@@ -81,15 +81,12 @@ pub struct UpdateReport {
 }
 
 impl EmbeddingStore {
-    /// Drops every trace of `key` outside its shard: the hot-row key,
-    /// any combined pair touching the key, and the DRAM tier residency
-    /// (CLOCK slot + pending prefetch intent), so the rewritten row
-    /// re-earns all three.
+    /// Drops every trace of `key` outside its shard — the hot-row key
+    /// and the DRAM tier residency — so the rewritten row re-earns both.
+    /// The one call every row write ends with: `update_row`, a batch's
+    /// apply, and its rollback.
     pub(crate) fn invalidate_row(&self, key: u64) {
         self.cache.invalidate(key);
-        if let Some(combine) = &self.combine {
-            combine.invalidate_key(key);
-        }
         if let Some(tier) = &self.tier {
             tier.invalidate(key);
         }
@@ -104,9 +101,9 @@ impl EmbeddingStore {
     ///    before any row is touched, so a malformed batch is rejected
     ///    with a typed error and zero visible effect.
     /// 2. **Apply with an undo log** — each delta re-encodes its row
-    ///    under the shard write lock and invalidates the row's hot key,
-    ///    combined pairs and residency; the pre-update row is kept for
-    ///    rollback. An injected
+    ///    under the shard write lock and invalidates the row's hot key
+    ///    and residency; the pre-update row is kept for rollback. An
+    ///    injected
     ///    [`UpdateFault::CrashMidBatch`] fires halfway through and rolls
     ///    every applied row back (restoring and re-invalidating), then
     ///    returns [`StoreError::UpdateAborted`] — the failed batch is
@@ -115,15 +112,13 @@ impl EmbeddingStore {
     ///    `target_version` (an injected [`UpdateFault::DelayPublish`]
     ///    stalls just before this step; readers keep serving the prior
     ///    version meanwhile).
-    /// 4. **Retire** — one epoch `synchronize` waits out every reader
-    ///    pinned before the publish, then the batch's keys are
-    ///    invalidated a second time. The pass is there for the
-    ///    `CombineCache`, the one decoded copy outside the shards: a
-    ///    pre-publish reader may have filled a combined pair from rows
-    ///    it decoded *before* step 2's write, and that stale fill
-    ///    necessarily happened before its unpin, hence before this pass
-    ///    (the `loom_sync` epoch test checks exactly this ordering).
-    ///    The hot-row key set holds no values and cannot be stale.
+    /// 4. **Wait out pre-publish readers** — one epoch `synchronize`
+    ///    returns once every reader pinned before the publish has
+    ///    unpinned, so when this call returns no running batch is more
+    ///    than one version behind (the N−1 staleness window). Nothing is
+    ///    invalidated again: no decoded row lives outside the shards —
+    ///    the hot-row key set and the tier hold keys, not values — so
+    ///    step 2's one invalidation per row is the only one.
     ///
     /// `fault` is the injected update fault to honor (the updater
     /// threads its [`drec_faultsim::FaultHook::on_update`] decision
@@ -283,12 +278,8 @@ impl EmbeddingStore {
             table.version.store(target_version, Ordering::Release);
         }
 
-        // Step 4: retire — wait out pre-publish readers, then clear any
-        // combined pair they filled from pre-update rows while pinned.
+        // Step 4: wait out pre-publish readers.
         self.epoch.synchronize();
-        for (_, _, _, key) in &undo {
-            self.invalidate_row(*key);
-        }
         self.update_rows_retired
             .fetch_add(undo.len() as u64, Ordering::Relaxed);
         self.update_batches_applied.fetch_add(1, Ordering::Relaxed);
@@ -304,9 +295,8 @@ impl EmbeddingStore {
 impl PinnedTable {
     /// Re-encodes one row from `values` under the owning shard's write
     /// lock and invalidates every trace of it outside the shard
-    /// (hot-row key, combined pairs, and tier residency), so
-    /// subsequent lookups see the new value and re-earn residency from
-    /// it.
+    /// (hot-row key and tier residency), so subsequent lookups see the
+    /// new value and re-earn residency from it.
     ///
     /// # Errors
     ///
@@ -422,25 +412,6 @@ mod tests {
         s.set_cache_only(true);
         pin.read_row(2, &mut out);
         assert_eq!(out, [9.0; 4], "refill must carry the published version");
-    }
-
-    #[test]
-    fn update_row_invalidates_combined_pairs() {
-        let s = store(tiered_cfg(1000, true));
-        let ha = s.register(1, 0, 10, 2, &filled(10, 2)).unwrap();
-        let hb = s.register(1, 1, 10, 2, &filled(10, 2)).unwrap();
-        let (pa, pb) = (s.pin(ha), s.pin(hb));
-        let mut a = vec![0.0f32; 2];
-        let mut b = vec![0.0f32; 2];
-        for _ in 0..3 {
-            pa.sum_row_pair(1, &mut a, &pb, 2, &mut b);
-        }
-        assert_eq!(s.stats().combined_hits, 1);
-        pb.update_row(2, &[5.0, 6.0]).unwrap();
-        a.fill(0.0);
-        b.fill(0.0);
-        pa.sum_row_pair(1, &mut a, &pb, 2, &mut b);
-        assert_eq!(b, [5.0, 6.0], "stale combined row served after update");
     }
 
     #[test]
@@ -801,7 +772,7 @@ mod tests {
 
     #[test]
     fn update_row_invalidates_tier_residency() {
-        let s = store(tiered_cfg(50, false));
+        let s = store(tiered_cfg(50));
         let h = s.register(1, 0, 10, 2, &filled(10, 2)).unwrap();
         let pin = s.pin(h);
         let mut acc = vec![0.0f32; 2];

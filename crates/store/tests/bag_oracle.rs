@@ -29,8 +29,8 @@ enum TierLeg {
     Off,
     /// Tiered, promoting after this many demand touches.
     AdmitAfter(u32),
-    /// Tiered (`admit_after` 2) with prefetch intents, fills and row
-    /// updates interleaved between the bags.
+    /// Tiered (`admit_after` 2) with prefetch fills and row updates
+    /// interleaved between the bags.
     Interleaved,
 }
 
@@ -120,18 +120,11 @@ fn run_stream(cfg: &StoreConfig, leg: TierLeg, faults: Option<&FaultPlan>, rng: 
         if leg == TierLeg::Interleaved {
             match rng.usize_in(0..4) {
                 0 => {
-                    // Admission: intents, then the fills they asked for.
-                    let mut wanted = bag(rng);
-                    let fills: Vec<u32> = wanted
-                        .iter()
-                        .copied()
-                        .filter(|&row| row_pin.note_prefetch_intent(row))
-                        .collect();
-                    bag_pin.note_prefetch_intents(&mut wanted);
-                    assert_eq!(wanted, fills, "step {step}: intents kept different rows");
-                    // Some fills land before the next demand read,
-                    // some after it (late) or never.
-                    let now = &fills[..rng.usize_in(0..fills.len() + 1)];
+                    // Look-ahead: some of an upcoming bag's rows are
+                    // filled before the next demand read, the rest
+                    // never.
+                    let wanted = bag(rng);
+                    let now = &wanted[..rng.usize_in(0..wanted.len() + 1)];
                     bag_pin.prefetch_rows(now);
                     now.iter().for_each(|&row| row_pin.prefetch_row(row));
                 }

@@ -115,10 +115,16 @@ impl<T> EvictRing<T> {
         self.capacity
     }
 
-    /// Current occupancy. Exact when quiescent, a snapshot otherwise.
+    /// Current occupancy. Exact when quiescent; otherwise it may
+    /// over-read, by at most the pushes that land between its two loads.
+    /// `dequeue` must be loaded first: it never passes `enqueue`, so an
+    /// `enqueue` read afterwards is at least the `dequeue` read before.
+    /// Loaded the other way round, a pop between the two puts the later
+    /// `dequeue` one past the earlier `enqueue` and the wrapped
+    /// difference reads as a full ring.
     pub fn len(&self) -> usize {
-        let enq = self.enqueue.load(Ordering::SeqCst);
         let deq = self.dequeue.load(Ordering::SeqCst);
+        let enq = self.enqueue.load(Ordering::SeqCst);
         enq.wrapping_sub(deq).min(self.capacity)
     }
 
@@ -482,5 +488,36 @@ mod tests {
         for (i, v) in seen.iter().enumerate() {
             assert_eq!(i, *v, "value {v} duplicated or lost");
         }
+    }
+
+    #[test]
+    fn len_of_a_ring_holding_at_most_one_value_never_reads_full() {
+        // Fewer pushes in total than the ring has slots, so `len` cannot
+        // reach `capacity` by over-reading either: only a wrapped
+        // difference (a `dequeue` read past the `enqueue` read) gets there.
+        const PUSHES: usize = 100_000;
+        let ring: Arc<EvictRing<usize>> = Arc::new(EvictRing::with_capacity(PUSHES));
+        assert!(PUSHES < ring.capacity());
+        let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let reader = {
+            let (ring, done) = (Arc::clone(&ring), Arc::clone(&done));
+            std::thread::spawn(move || {
+                let mut worst = 0;
+                while !done.load(std::sync::atomic::Ordering::Relaxed) {
+                    worst = worst.max(ring.len());
+                }
+                worst
+            })
+        };
+        for i in 0..PUSHES {
+            ring.push(i, 0, 0).unwrap();
+            assert_eq!(ring.pop(), Some(i));
+        }
+        done.store(true, std::sync::atomic::Ordering::Relaxed);
+        let worst = reader.join().unwrap();
+        assert!(
+            worst < ring.capacity(),
+            "len() of a ring that never held two values read {worst}"
+        );
     }
 }

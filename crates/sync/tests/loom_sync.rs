@@ -163,6 +163,27 @@ fn evict_ring_eviction_racing_pop_conserves_values() {
     });
 }
 
+/// `len()` beside a push and a pop of the only value: the ring never
+/// holds more than one, so no snapshot may read more. Reading `enqueue`
+/// before `dequeue` fails this with one preemption — the pop lands
+/// between the two loads, `dequeue` comes out one past `enqueue`, and
+/// the wrapped difference is clamped to `capacity`.
+#[test]
+fn evict_ring_len_never_exceeds_the_values_pushed() {
+    model(|| {
+        let ring = Arc::new(EvictRing::with_capacity(2));
+        let r2 = Arc::clone(&ring);
+        let mover = spawn(move || {
+            r2.push(7u64, 0, 0).unwrap();
+            assert_eq!(r2.pop(), Some(7));
+        });
+        let len = ring.len();
+        assert!(len <= 1, "one value pushed, len() read {len}");
+        mover.join().unwrap();
+        assert_eq!(ring.len(), 0);
+    });
+}
+
 /// Seed-style smoke that the explorer really explores: contention on one
 /// atomic yields more than one schedule (sanity for the suite above —
 /// if this fails the other tests are vacuously passing on one path).

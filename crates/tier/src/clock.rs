@@ -6,9 +6,8 @@
 //! nothing in the tier hashes. [`RowIndex`] is one array of
 //! [`RowRecord`]s per table, indexed by row, and a record holds
 //! *everything* the tier knows about its row — the CLOCK slot it
-//! occupies (this module's), its demand-touch count and its pending
-//! prefetch bit (the engine's) — so an access costs one record, not a
-//! probe into one map per fact.
+//! occupies (this module's) and its demand-touch count (the engine's) —
+//! so an access costs one record, not a probe into one map per fact.
 
 /// `RowRecord::slot` of a row that is not resident.
 const NO_SLOT: u32 = u32::MAX;
@@ -25,9 +24,6 @@ pub(crate) struct RowRecord {
     pub(crate) touches: u32,
     /// The admission epoch `touches` belongs to.
     pub(crate) epoch: u16,
-    /// A prefetch intent was announced for the row and has neither been
-    /// filled nor overtaken by a demand read.
-    pub(crate) pending: bool,
 }
 
 impl RowRecord {
@@ -35,7 +31,6 @@ impl RowRecord {
         slot: NO_SLOT,
         touches: 0,
         epoch: 0,
-        pending: false,
     };
 
     fn slot(&self) -> Option<usize> {
@@ -89,12 +84,6 @@ impl RowIndex {
     pub(crate) fn get(&self, key: u64) -> Option<&RowRecord> {
         let (table, row) = Self::split(key);
         self.tables.get(table)?.rows.get(row)
-    }
-
-    /// [`RowIndex::get`], mutably; never grows the index.
-    pub(crate) fn get_mut(&mut self, key: u64) -> Option<&mut RowRecord> {
-        let (table, row) = Self::split(key);
-        self.tables.get_mut(table)?.rows.get_mut(row)
     }
 
     /// The record of `key`, growing its table to hold it unless the

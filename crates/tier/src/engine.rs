@@ -1,19 +1,24 @@
-//! The store-facing tier engine: demand accesses, prefetch intents and
-//! fills, and the counter set behind `StoreStats`' tier fields.
+//! The store-facing tier engine: demand accesses, prefetch fills, and
+//! the counter set behind `StoreStats`' tier fields.
 //!
 //! All of it is one [`TierState`] behind one lock. What the state knows
-//! about a row — resident or not, how often demanded, whether a
-//! prefetch is pending — lives in that row's record in the clock's
-//! direct-indexed `RowIndex`, so an operation reads one record per row
-//! it names and the engine owns no map of its own.
+//! about a row — resident or not, how often demanded — lives in that
+//! row's record in the clock's direct-indexed `RowIndex`, so an
+//! operation reads one record per row it names and the engine owns no
+//! map of its own.
 
 use std::time::Duration;
 
 use drec_sync::{Mutex, MutexGuard};
 
 use crate::clock::{ResidencyClock, Touch};
-use crate::combine::CombineConfig;
 use crate::latency::{ColdReadModel, Pacing};
+
+/// Placeholder for the configuration of the table-combining cache this
+/// crate used to have. Nothing reads it; it is here until the `benchmark`
+/// issue of ROADMAP item 10(c) drops the literal `perf_bench` builds.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CombineConfig {}
 
 /// Configuration for a [`TierEngine`] (carried by the store's config as
 /// `StoreConfig::tier`).
@@ -42,13 +47,13 @@ pub struct TierConfig {
     /// churning. Prefetch fills always bypass this filter: an admitted
     /// query is explicit evidence the row is about to be used.
     pub admit_after: u32,
-    /// Table-combining cache; `None` disables combining.
+    /// Ignored; here until the `benchmark` issue of ROADMAP item 10(c)
+    /// drops the literal `perf_bench` builds.
     pub combine: Option<CombineConfig>,
 }
 
 impl TierConfig {
-    /// Tiering with the default cold-read model, prefetch enabled, and
-    /// combining off.
+    /// Tiering with the default cold-read model and prefetch enabled.
     pub fn new(dram_budget_rows: usize) -> TierConfig {
         TierConfig {
             dram_budget_rows,
@@ -95,24 +100,20 @@ pub struct TierStats {
     /// Nanoseconds of cold latency charged to prefetch fills (overlapped
     /// with other work, off the critical path).
     pub prefetch_wait_nanos: u64,
-    /// Prefetch intents accepted (not already resident or pending).
+    /// Prefetch fills started on a row that was not resident.
     pub prefetch_issued: u64,
     /// Prefetch fills that promoted a row.
     pub prefetch_fills: u64,
     /// Demand accesses served from a still-unused prefetched row — the
     /// prefetch did its job.
     pub prefetch_hits: u64,
-    /// Demand accesses that found their row still *pending* — the
-    /// prefetch was issued but lost the race.
-    pub prefetch_late: u64,
     /// Prefetched rows evicted before any demand access used them.
     pub prefetch_wasted: u64,
     /// Prefetch fills aborted because the row was rewritten between the
     /// fill's start and its residency insert — parking the pre-update
     /// bytes as resident would have served a retired row for free.
     pub prefetch_aborted_stale: u64,
-    /// Row-update invalidations applied to the tier (residency and/or
-    /// pending prefetch intent dropped).
+    /// Row-update invalidations that dropped a resident row.
     pub invalidations: u64,
 }
 
@@ -138,7 +139,6 @@ impl TierStats {
             prefetch_issued: self.prefetch_issued.saturating_sub(base.prefetch_issued),
             prefetch_fills: self.prefetch_fills.saturating_sub(base.prefetch_fills),
             prefetch_hits: self.prefetch_hits.saturating_sub(base.prefetch_hits),
-            prefetch_late: self.prefetch_late.saturating_sub(base.prefetch_late),
             prefetch_wasted: self.prefetch_wasted.saturating_sub(base.prefetch_wasted),
             prefetch_aborted_stale: self
                 .prefetch_aborted_stale
@@ -175,9 +175,8 @@ impl TierStats {
 #[derive(Debug)]
 struct TierState {
     /// The resident set, and with it the per-row records
-    /// (`clock.rows`): a row's CLOCK slot, its touch count and its
-    /// pending-prefetch bit sit in one record, so each operation below
-    /// reads one place per row it names.
+    /// (`clock.rows`): a row's CLOCK slot and its touch count sit in one
+    /// record, so each operation below reads one place per row it names.
     clock: ResidencyClock,
     /// The admission epoch. A record's touch count is worth its value
     /// only while the record carries this number, so bumping it is the
@@ -226,15 +225,6 @@ impl TierState {
             Some(row) if row.epoch == self.epoch => row.touches,
             _ => 0,
         }
-    }
-
-    /// Clears `key`'s pending-prefetch bit and reports whether it was
-    /// set. Never grows the index: an unseen row has no intent.
-    fn take_pending(&mut self, key: u64) -> bool {
-        self.clock
-            .rows
-            .get_mut(key)
-            .is_some_and(|row| std::mem::take(&mut row.pending))
     }
 }
 
@@ -308,7 +298,7 @@ impl TierEngine {
 
     /// Fixes the per-row records of table `table` (the high half of its
     /// rows' keys) at rows `0..rows`: no access to them grows anything,
-    /// and an access, intent or fill that names a row past them panics
+    /// and an access or fill that names a row past them panics
     /// instead of allocating up to it (asking whether such a row is
     /// resident, or invalidating it, answers `false`). The store calls
     /// this as it registers a table.
@@ -338,16 +328,12 @@ impl TierEngine {
     }
 
     /// Drops `key` from the tier on a row update: the DRAM-resident copy
-    /// (if any) is superseded, and a pending prefetch intent would fill
-    /// from a retired view. Returns whether anything was dropped.
+    /// (if any) is superseded. Returns whether the row was resident.
     pub fn invalidate(&self, key: u64) -> bool {
         let mut st = self.state.lock();
-        let pending = st.take_pending(key);
         let resident = st.clock.remove(key);
-        if pending || resident {
-            st.stats.invalidations += 1;
-        }
-        pending || resident
+        st.stats.invalidations += u64::from(resident);
+        resident
     }
 
     /// Whether `key` is currently DRAM-resident (no side effects).
@@ -448,33 +434,15 @@ impl TierSession<'_> {
             return TierAccess::DramHit;
         }
         st.stats.cold_demand_reads += 1;
-        // A prefetch that was issued but hasn't landed: the demand read
-        // overtakes it and pays the cold latency itself.
-        st.stats.prefetch_late += u64::from(st.take_pending(key));
         let wait = self.charge_cold_read(true);
         self.promote_demand(key);
         TierAccess::ColdMiss { wait }
     }
 
-    /// Registers a prefetch intent for `key` at admission time. Returns
-    /// `true` when a fill should be issued (the key is neither resident
-    /// nor already pending).
-    pub fn note_intent(&mut self, key: u64) -> bool {
-        let st = self.st();
-        if st.clock.contains(key) {
-            return false;
-        }
-        let row = st.clock.rows.entry(key);
-        if std::mem::replace(&mut row.pending, true) {
-            return false;
-        }
-        st.stats.prefetch_issued += 1;
-        true
-    }
-
-    /// Completes a prefetch: pays the cold latency off the critical path
-    /// and promotes the row flagged prefetched-unused. No-op when the
-    /// row went resident in the meantime (a demand read won the race).
+    /// One prefetch fill: pays the cold latency off the critical path and
+    /// promotes the row flagged prefetched-unused. No-op when the row is
+    /// already resident (a demand read, or an earlier fill, got there
+    /// first).
     ///
     /// `verify` is the staleness re-check: it runs *under the tier lock*
     /// immediately before the insert, and a `false` abandons the fill
@@ -490,13 +458,10 @@ impl TierSession<'_> {
     /// Returns whether this call made the row resident.
     pub fn prefetch_fill_if(&mut self, key: u64, verify: impl FnOnce() -> bool) -> bool {
         let st = self.st();
-        let was_pending = st.take_pending(key);
         if st.clock.contains(key) {
             return false;
         }
-        // Not pending: demand already consumed the intent (counted
-        // late) and the row was since evicted again; refetch it anyway.
-        st.stats.prefetch_issued += u64::from(!was_pending);
+        st.stats.prefetch_issued += 1;
         self.charge_cold_read(false);
         let st = self.st();
         if !verify() {
@@ -551,9 +516,8 @@ mod tests {
     #[test]
     fn prefetch_fill_makes_demand_free_and_counts_a_hit() {
         let t = charge_only(4);
-        assert!(t.session().note_intent(9));
-        assert!(!t.session().note_intent(9), "duplicate intent rejected");
         assert!(t.session().prefetch_fill_if(9, || true), "the fill parks 9");
+        assert!(!t.session().prefetch_fill_if(9, || true), "9 is resident");
         assert_eq!(t.demand_access(9), TierAccess::DramHit);
         let s = t.stats();
         assert_eq!(s.prefetch_issued, 1);
@@ -566,23 +530,21 @@ mod tests {
     }
 
     #[test]
-    fn late_prefetch_is_counted_and_demand_pays() {
+    fn a_fill_behind_its_demand_read_is_a_no_op() {
         let t = charge_only(4);
-        assert!(t.session().note_intent(5));
-        // Demand arrives before the fill.
+        // Demand arrives before the fill and pays the cold read itself.
         assert!(matches!(t.demand_access(5), TierAccess::ColdMiss { .. }));
-        // Resident now; the fill is a no-op.
+        // Resident now; the fill starts nothing.
         assert!(!t.session().prefetch_fill_if(5, || true));
         let s = t.stats();
-        assert_eq!(s.prefetch_late, 1);
         assert_eq!(s.cold_demand_reads, 1);
-        assert_eq!(s.prefetch_fills, 0);
+        assert_eq!((s.prefetch_issued, s.prefetch_fills), (0, 0));
+        assert_eq!(s.prefetch_wait_nanos, 0);
     }
 
     #[test]
     fn wasted_prefetch_is_counted_on_eviction() {
         let t = charge_only(1);
-        assert!(t.session().note_intent(1));
         t.session().prefetch_fill_if(1, || true);
         // Budget 1: promoting key 2 evicts the never-used prefetched 1.
         assert!(matches!(t.demand_access(2), TierAccess::ColdMiss { .. }));
@@ -608,7 +570,6 @@ mod tests {
         assert!(t.is_resident(7));
         assert_eq!(t.demand_access(7), TierAccess::DramHit);
         // A prefetch fill skips the filter entirely.
-        assert!(t.session().note_intent(9));
         t.session().prefetch_fill_if(9, || true);
         assert!(t.is_resident(9), "prefetch fill bypasses admission");
         let s = t.stats();
@@ -617,16 +578,15 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_drops_residency_and_pending_intent() {
+    fn invalidate_drops_residency() {
         let t = charge_only(4);
-        t.demand_access(7); // resident
-        assert!(t.session().note_intent(8)); // pending
+        t.demand_access(7); // resident by demand
+        t.session().prefetch_fill_if(8, || true); // resident by fill
         assert!(t.invalidate(7));
         assert!(t.invalidate(8));
         assert!(!t.invalidate(9), "unknown key is a no-op");
-        assert!(!t.is_resident(7));
-        // A filled intent for 8 was dropped: a new intent is accepted.
-        assert!(t.session().note_intent(8));
+        assert!(!t.invalidate(7), "nothing left to drop");
+        assert!(!t.is_resident(7) && !t.is_resident(8));
         assert_eq!(t.stats().invalidations, 2);
     }
 
@@ -637,7 +597,6 @@ mod tests {
         // bump + invalidate) mid-fill, and the fill's verify must abort.
         let t = charge_only(4);
         let stamp = AtomicU64::new(0);
-        assert!(t.session().note_intent(5));
         let observed = stamp.load(Ordering::Acquire); // fill begins
         stamp.fetch_add(1, Ordering::AcqRel); // update lands mid-fill
         t.invalidate(5);
@@ -652,7 +611,6 @@ mod tests {
         assert_eq!(s.prefetch_aborted_stale, 1);
         assert_eq!(s.prefetch_fills, 0);
         // The same fill with an unchanged stamp parks normally.
-        assert!(t.session().note_intent(5));
         let observed = stamp.load(Ordering::Acquire);
         t.session()
             .prefetch_fill_if(5, || stamp.load(Ordering::Acquire) == observed);

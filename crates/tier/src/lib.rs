@@ -17,15 +17,15 @@
 //! * **Values never change.** Residency only decides what latency a read
 //!   is charged and which counters move. Data always decodes from the
 //!   same encoded shards, so store-backed model outputs are bit-identical
-//!   with tiering on or off, with or without prefetch or combining, at
-//!   any thread count.
+//!   with tiering on or off, with or without prefetch, at any thread
+//!   count.
 //! * **Determinism.** Promotion/eviction is pure CLOCK over the access
 //!   sequence, and the cold-read latency is a pure function of the model
 //!   seed and the global read index — no wall clock, no OS randomness.
-//! * **Separate accounting.** Cold-tier reads, prefetch fills, and
-//!   combined-row hits each move their own counters; they never touch
-//!   the store's demand `decode_vector`/`decode_scalar` pair, keeping
-//!   the kernel-mix metric honest.
+//! * **Separate accounting.** Cold-tier reads and prefetch fills each
+//!   move their own counters; they never touch the store's demand
+//!   `decode_vector`/`decode_scalar` pair, keeping the kernel-mix metric
+//!   honest.
 //!
 //! The pieces:
 //!
@@ -38,25 +38,23 @@
 //! * [`ResidencyClock`] — the deterministic CLOCK resident set, and the
 //!   per-row records a key finds its slot through. Row keys are
 //!   `(table << 32) | row` over registered tables, so the tier keeps one
-//!   direct-indexed twelve-byte record per row — CLOCK slot,
-//!   demand-touch count, pending-prefetch bit — and hashes nothing.
+//!   direct-indexed twelve-byte record per row — CLOCK slot and
+//!   demand-touch count — and hashes nothing.
 //! * [`TierEngine`] — the store-facing engine: demand access, prefetch
-//!   intents and fills, hit/late/wasted tracking, [`TierStats`]; all of
-//!   it under one lock that a [`TierSession`] holds across the
-//!   residency phase of a whole bag of accesses (the bag's rows are
-//!   decoded after the session ends).
-//! * [`CombineCache`] — a MicroRec-style table-combining cache: detects
-//!   frequently co-occurring `(table, id)` pairs and caches their
-//!   concatenated rows so two lookups become one.
+//!   fills, hit/wasted tracking, [`TierStats`]; all of it under one lock
+//!   that a [`TierSession`] holds across the residency phase of a whole
+//!   bag of accesses (the bag's rows are decoded after the session
+//!   ends). A fill is one call, [`TierSession::prefetch_fill_if`]: the
+//!   caller captures its table's write stamp, the fill pays the cold
+//!   read, and the stamp is verified under the tier lock before the row
+//!   is parked.
 
 #![warn(missing_docs)]
 
 mod clock;
-mod combine;
 mod engine;
 mod latency;
 
 pub use clock::ResidencyClock;
-pub use combine::{CombineCache, CombineConfig, CombineStats};
-pub use engine::{TierAccess, TierConfig, TierEngine, TierSession, TierStats};
+pub use engine::{CombineConfig, TierAccess, TierConfig, TierEngine, TierSession, TierStats};
 pub use latency::{ColdReadModel, Pacing};

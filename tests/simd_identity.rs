@@ -14,7 +14,7 @@ use std::sync::Arc;
 use deeprec::models::{InputSlot, ModelId, ModelScale, RecModel};
 use deeprec::ops::{IdList, Value};
 use deeprec::par::{with_pool, ParPool};
-use deeprec::store::{CombineConfig, EmbeddingStore, RowEncoding, StoreConfig, TierConfig};
+use deeprec::store::{EmbeddingStore, RowEncoding, StoreConfig, TierConfig};
 use deeprec::tensor::ParamInit;
 
 const SEED: u64 = 17;
@@ -80,10 +80,10 @@ fn every_model_is_bit_identical_across_thread_counts_and_encodings() {
     }
 }
 
-/// The four tier configurations of the DRAM/SSD store. Residency,
-/// prefetch, and table combining may only change latency accounting and
-/// counters — never a single output bit.
-const TIER_MODES: [&str; 4] = ["dram_only", "tiered", "tiered_prefetch", "tiered_combined"];
+/// The three tier configurations of the DRAM/SSD store. Residency and
+/// prefetch may only change latency accounting and counters — never a
+/// single output bit.
+const TIER_MODES: [&str; 3] = ["dram_only", "tiered", "tiered_prefetch"];
 
 fn tier_config(mode: &str) -> Option<TierConfig> {
     if mode == "dram_only" {
@@ -92,16 +92,13 @@ fn tier_config(mode: &str) -> Option<TierConfig> {
     // A tiny DRAM budget forces heavy cold traffic and evictions.
     let mut tier = TierConfig::new(64);
     tier.prefetch = mode == "tiered_prefetch";
-    if mode == "tiered_combined" {
-        tier.combine = Some(CombineConfig::default());
-    }
     Some(tier)
 }
 
 /// Builds `id` over an int8 store in the given tier mode and runs it
 /// `runs` times on fixed inputs, returning each run's output bits. In
-/// prefetch mode every run is preceded by an intent + fill pass over the
-/// exact rows the query touches (what the serve runtime's stream
+/// prefetch mode every run is preceded by a fill pass over the exact
+/// rows the query touches (what the serve runtime's stream
 /// prefetcher does ahead of batch drain).
 fn tier_bits(id: ModelId, mode: &str, runs: usize) -> Vec<Vec<u32>> {
     let store = Arc::new(EmbeddingStore::new(StoreConfig {
@@ -120,12 +117,8 @@ fn tier_bits(id: ModelId, mode: &str, runs: usize) -> Vec<Vec<u32>> {
                     let Ok(ids) = inputs[b.input_index].ids_ref("prefetch") else {
                         continue;
                     };
-                    for &id in &ids.ids {
-                        let row = id % b.physical_rows;
-                        if b.pin.note_prefetch_intent(row) {
-                            b.pin.prefetch_row(row);
-                        }
-                    }
+                    let rows: Vec<u32> = ids.ids.iter().map(|&id| id % b.physical_rows).collect();
+                    b.pin.prefetch_rows(&rows);
                 }
             }
             let out = model.run(inputs.clone()).unwrap();
@@ -150,8 +143,8 @@ fn every_model_is_bit_identical_across_tier_modes_and_threads() {
         for mode in TIER_MODES {
             for threads in [1usize, 2, 8] {
                 let pool = ParPool::new(threads);
-                // Three runs per configuration: cold tier, warming tier,
-                // and (in combined mode) promoted pair-cache hits.
+                // Three runs per configuration: cold tier, then warming
+                // tier.
                 for (run, bits) in with_pool(&pool, || tier_bits(id, mode, 3))
                     .into_iter()
                     .enumerate()

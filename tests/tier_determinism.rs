@@ -74,9 +74,7 @@ fn chaos_bits() -> Vec<u32> {
                 let mut row = 0u32;
                 while !stop.load(Ordering::Relaxed) {
                     let target = row % binding.physical_rows;
-                    if binding.pin.note_prefetch_intent(target) {
-                        binding.pin.prefetch_row(target);
-                    }
+                    binding.pin.prefetch_row(target);
                     row = row.wrapping_add(13);
                 }
             })
