@@ -1,62 +1,41 @@
-//! Acceptance gates for the `drec-sync` lock-free batcher queue: the
-//! bounded MPMC ring (`QueueKind::LockFree`) against the retained
-//! mutex+condvar leg (`QueueKind::Lock`, the `DREC_LOCK_QUEUE=1`
-//! semantics oracle). Reports as `BENCH_queue.json` (shape in the
-//! `drec_bench` crate docs).
+//! The batcher queue's hand-off cost under contention, and the
+//! false-sharing experiment behind `CachePadded`. Reports as
+//! `BENCH_queue.json` (shape in the `drec_bench` crate docs).
 //!
 //! Flags:
 //!
 //! * `--smoke` — small op counts, CI mode.
 //!
-//! Gates:
+//! Gate:
 //!
-//! * `contention_8_threads` — at 8 threads (4 producers + 4 consumers)
-//!   the lock-free leg must move ≥ 1.5× the lock leg's
-//!   enqueue+dequeue throughput. Skipped on hosts with fewer than 4
-//!   cores, where an 8-thread run measures the OS scheduler, not the
-//!   queue.
-//! * `single_thread_floor` — with no contention the ring must not lose
-//!   to the uncontended mutex (tolerance for timer noise).
-//! * `bit_identical_across_queue_legs` — all 8 paper models served
-//!   through the lock-free queue produce bit-identical outputs to the
-//!   same models served through the lock leg (same seeds, same
-//!   submission order).
+//! * `every_request_delivered_once` — at each thread point of the
+//!   contention sweep, every rep drained exactly the requests it pushed.
 //!
-//! Also reported (informational, no gate): the false-sharing experiment
-//! behind the `CachePadded` counters in `MetricsRegistry` and the
-//! store — adjacent plain `AtomicU64`s hammered from several threads
-//! vs. one-per-cache-line counters.
+//! Also reported (informational, no gate): enqueue+dequeue throughput at
+//! 1 / 2 / 4 / 8 threads (there is one queue, so nothing to hold it
+//! against; EXPERIMENTS "PR 24" has the sweep of the lock-free ring it
+//! replaced), and the false-sharing experiment behind the `CachePadded`
+//! counters in `MetricsRegistry` and the store — adjacent plain
+//! `AtomicU64`s hammered from several threads vs. one-per-cache-line
+//! counters.
 
-use drec_bench::report::Limit::AtLeast;
-use drec_bench::report::{Gate, Json, Report};
-use drec_bench::{output_bits, row};
+use drec_bench::report::{Gate, Report};
+use drec_bench::row;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use drec_models::ModelId;
 use drec_serve::{
-    BatchPoll, BatcherConfig, DegradeConfig, OverloadLadder, Priority, QueueKind, Request,
-    ServeConfig, ServeRuntime, SharedQueue, SubmitOptions,
+    BatchPoll, BatcherConfig, DegradeConfig, OverloadLadder, Priority, Request, SharedQueue,
+    SubmitOptions,
 };
 use drec_sync::CachePadded;
-use drec_workload::QueryGen;
 
-/// Parameter seed for the bit-identity models.
-const SEED: u64 = 7;
-/// Workload seed for the bit-identity queries.
-const WORKLOAD_SEED: u64 = 0x0BEE5;
 /// Repetitions of each timed run; the best (highest throughput) is
 /// scored, rejecting OS scheduler stalls on timeshared CI cores.
 const TIMING_REPS: usize = 5;
 /// Thread counts in the contention sweep (total = producers + consumers).
 const THREAD_POINTS: [usize; 4] = [1, 2, 4, 8];
-/// Required lock-free / lock throughput ratio at 8 threads.
-const CONTENTION_GATE: f64 = 1.5;
-/// Single-thread tolerance: the ring may not fall below this fraction
-/// of the lock leg (absorbs timer noise on shared cores; a real
-/// regression shows up as a far larger gap).
-const SINGLE_THREAD_FLOOR: f64 = 0.85;
 
 fn bench_cfg() -> BatcherConfig {
     BatcherConfig {
@@ -68,19 +47,18 @@ fn bench_cfg() -> BatcherConfig {
     }
 }
 
-fn queue_of(kind: QueueKind) -> SharedQueue {
+fn bench_queue() -> SharedQueue {
     let cfg = bench_cfg();
     let ladder = Arc::new(OverloadLadder::new(
         DegradeConfig::default(),
         cfg.queue_capacity,
         None,
     ));
-    SharedQueue::with_kind(cfg, ladder, Arc::default(), kind)
+    SharedQueue::new(cfg, ladder)
 }
 
 /// Pre-built requests so the timed region measures queue operations,
-/// not channel/request construction (which is identical on both legs
-/// and would dilute the ratio).
+/// not channel/request construction.
 fn build_requests(n: usize) -> Vec<Request> {
     (0..n as u64)
         .map(|id| {
@@ -101,15 +79,18 @@ fn build_requests(n: usize) -> Vec<Request> {
 /// consumers (single-thread mode alternates push bursts with drains on
 /// one thread). Every request flows through the queue exactly once —
 /// all requests share one priority, so no evictions; a full queue backs
-/// the producer off with a yield. Returns ops/second, where one op is
-/// one request enqueued *and* dequeued.
-fn contention_run(kind: QueueKind, threads: usize, total_ops: usize) -> f64 {
-    let q = queue_of(kind);
+/// the producer off with a yield. A run ends when everything is pushed
+/// and the queue reads empty (single thread) or closed (consumers), not
+/// when a count is reached, so a lost request shows as a short count
+/// instead of a hang. Returns ops/second, where one op is one request
+/// enqueued *and* dequeued, and how many requests came out.
+fn contention_run(threads: usize, total_ops: usize) -> (f64, usize) {
+    let q = bench_queue();
     let mut requests = build_requests(total_ops);
     if threads == 1 {
         let start = Instant::now();
         let mut drained = 0usize;
-        while drained < total_ops {
+        while !requests.is_empty() {
             for _ in 0..16 {
                 let Some(r) = requests.pop() else { break };
                 q.try_push(r).expect("depth 16 < capacity");
@@ -118,7 +99,7 @@ fn contention_run(kind: QueueKind, threads: usize, total_ops: usize) -> f64 {
                 drained += batch.requests.len() + batch.expired.len();
             }
         }
-        return total_ops as f64 / start.elapsed().as_secs_f64();
+        return (total_ops as f64 / start.elapsed().as_secs_f64(), drained);
     }
     let producers = (threads / 2).max(1);
     let consumers = (threads - producers).max(1);
@@ -129,21 +110,24 @@ fn contention_run(kind: QueueKind, threads: usize, total_ops: usize) -> f64 {
     let drained = AtomicUsize::new(0);
     let start = Instant::now();
     std::thread::scope(|scope| {
-        for shard in shards.drain(..) {
-            scope.spawn(|| {
-                for mut request in shard {
-                    loop {
-                        match q.try_push(request) {
-                            Ok(_) => break,
-                            Err((back, _overloaded)) => {
-                                request = back;
-                                std::thread::yield_now();
+        let pushers: Vec<_> = shards
+            .drain(..)
+            .map(|shard| {
+                scope.spawn(|| {
+                    for mut request in shard {
+                        loop {
+                            match q.try_push(request) {
+                                Ok(_) => break,
+                                Err((back, _overloaded)) => {
+                                    request = back;
+                                    std::thread::yield_now();
+                                }
                             }
                         }
                     }
-                }
-            });
-        }
+                })
+            })
+            .collect();
         for _ in 0..consumers {
             scope.spawn(|| loop {
                 match q.try_next_batch() {
@@ -152,77 +136,27 @@ fn contention_run(kind: QueueKind, threads: usize, total_ops: usize) -> f64 {
                         drained.fetch_add(n, Ordering::Relaxed);
                     }
                     BatchPoll::Closed => break,
-                    BatchPoll::Idle | BatchPoll::Coalescing(_) => {
-                        if drained.load(Ordering::Relaxed) >= total_ops {
-                            break;
-                        }
-                        std::thread::yield_now();
-                    }
+                    BatchPoll::Idle | BatchPoll::Coalescing(_) => std::thread::yield_now(),
                 }
             });
         }
+        for pusher in pushers {
+            pusher.join().expect("producer thread");
+        }
+        q.close();
     });
-    assert_eq!(
-        drained.load(Ordering::Relaxed),
-        total_ops,
-        "{kind:?} at {threads} threads lost or duplicated requests"
-    );
-    total_ops as f64 / start.elapsed().as_secs_f64()
+    let tput = total_ops as f64 / start.elapsed().as_secs_f64();
+    (tput, drained.into_inner())
 }
 
-/// Best-of-reps throughput for one (kind, threads) point.
-fn contention_point(kind: QueueKind, threads: usize, total_ops: usize) -> f64 {
+/// One thread point: best-of-reps throughput, and whether every rep
+/// drained exactly what it pushed.
+fn contention_point(threads: usize, total_ops: usize) -> (f64, bool) {
     (0..TIMING_REPS)
-        .map(|_| contention_run(kind, threads, total_ops))
-        .fold(0.0f64, f64::max)
-}
-
-/// Serves `queries` single-sample requests through a fresh runtime on
-/// the queue leg selected by `DREC_LOCK_QUEUE`, waiting for each
-/// response before submitting the next so both legs see identical
-/// batch compositions. Returns the output bits per query.
-fn serve_outputs(id: ModelId, queries: usize) -> Vec<Vec<(Vec<usize>, Vec<u32>)>> {
-    let mut cfg = ServeConfig::tiny(id);
-    cfg.seed = SEED;
-    cfg.workers = 1;
-    let runtime = ServeRuntime::start(cfg).expect("runtime starts");
-    let handle = runtime.handle();
-    let mut gen = QueryGen::zipf(WORKLOAD_SEED, 1.0);
-    let mut out = Vec::with_capacity(queries);
-    for _ in 0..queries {
-        let inputs = gen.batch(runtime.spec(), 1);
-        let response = handle
-            .submit(inputs)
-            .expect("admission")
-            .wait()
-            .expect("response");
-        out.push(output_bits(&response.outputs));
-    }
-    runtime.shutdown();
-    out
-}
-
-/// All 8 models through the lock-free queue and through the
-/// `DREC_LOCK_QUEUE=1` oracle leg. The env flips happen while no
-/// runtime (and no worker thread) is alive.
-fn check_identity(queries: usize) -> Vec<Json> {
-    ModelId::ALL
-        .into_iter()
-        .map(|id| {
-            std::env::set_var("DREC_LOCK_QUEUE", "1");
-            let oracle = serve_outputs(id, queries);
-            std::env::remove_var("DREC_LOCK_QUEUE");
-            let lockfree = serve_outputs(id, queries);
-            let bit_identical = oracle == lockfree;
-            let verdict = if bit_identical {
-                "bit-identical"
-            } else {
-                "DIFFER"
-            };
-            println!("  {:<8} lock vs lock-free outputs: {verdict}", id.name());
-            row! {"model": id.name(), "bit_identical": bit_identical}
+        .map(|_| contention_run(threads, total_ops))
+        .fold((0.0f64, true), |(best, exact), (tput, drained)| {
+            (best.max(tput), exact && drained == total_ops)
         })
-        .collect()
 }
 
 /// The false-sharing experiment behind the repo's `CachePadded`
@@ -285,27 +219,15 @@ fn main() {
     let total_ops = if report.flags.smoke { 20_000 } else { 200_000 };
     println!("{total_ops} ops per rep, best of {TIMING_REPS}");
 
-    // Contention sweep: both legs at each thread count.
     println!("\nEnqueue+dequeue throughput (one op = one request through the queue):");
-    let mut sweep = Vec::new();
-    // Both legs of a thread point are timed back to back: the ratios
-    // below compare them, and this host's speed wanders over a sweep.
-    for threads in THREAD_POINTS {
-        for kind in [QueueKind::Lock, QueueKind::LockFree] {
-            let tput = contention_point(kind, threads, total_ops);
-            println!("  {:<9} {threads} threads: {tput:>12.0} ops/s", kind.name());
-            sweep.push((kind, threads, tput));
-        }
-    }
-    let ratio_at = |threads: usize| {
-        let tput_of = |kind: QueueKind| {
-            let point = sweep.iter().find(|(k, t, _)| *k == kind && *t == threads);
-            point.expect("every thread point has both legs").2
-        };
-        tput_of(QueueKind::LockFree) / tput_of(QueueKind::Lock)
-    };
-    let (ratio_1t, ratio_8t) = (ratio_at(1), ratio_at(8));
-    println!("  lock-free / lock: {ratio_1t:.2}x single-thread, {ratio_8t:.2}x at 8 threads");
+    let sweep: Vec<(usize, f64, bool)> = THREAD_POINTS
+        .into_iter()
+        .map(|threads| {
+            let (tput, exact) = contention_point(threads, total_ops);
+            println!("  {threads} threads: {tput:>12.0} ops/s");
+            (threads, tput, exact)
+        })
+        .collect();
 
     // False-sharing demo behind the CachePadded satellite: the counter
     // layout MetricsRegistry/StoreStats moved *from* vs the one they
@@ -320,16 +242,9 @@ fn main() {
         pa / un
     );
 
-    // Bit-identity across legs for all 8 models.
-    let queries = if report.flags.smoke { 4 } else { 16 };
-    println!("\nServing all 8 models through both queue legs ({queries} queries each):");
-    let identity = check_identity(queries);
-    let sweep_row = |(kind, threads, tput): &(QueueKind, usize, f64)| {
-        row! {"kind": kind.name(), "threads": *threads, "ops_per_sec": *tput}
-    };
-    report.rows("contention_sweep", &sweep, sweep_row);
-    report.section("single_thread_ratio", ratio_1t);
-    report.section("eight_thread_ratio", ratio_8t);
+    report.rows("contention_sweep", &sweep, |(threads, tput, exact)| {
+        row! {"threads": *threads, "ops_per_sec": *tput, "delivered_once": *exact}
+    });
     report.section(
         "counter_false_sharing",
         row! {
@@ -339,29 +254,11 @@ fn main() {
             "speedup": pa / un,
         },
     );
-    report.gate(
-        Gate::new(
-            "single_thread_floor",
-            ratio_1t,
-            AtLeast(SINGLE_THREAD_FLOOR),
-        )
-        .at("1 thread"),
-    );
-    report.gate(
-        Gate::new("contention_8_threads", ratio_8t, AtLeast(CONTENTION_GATE))
-            .at("4 producers + 4 consumers")
-            .skip_if((cores < 4).then(|| {
-                format!(
-                    "{cores} core(s) < 4: an 8-thread run here measures the OS scheduler, not the queue"
-                )
-            })),
-    );
     report.gate(Gate::all(
-        "bit_identical_across_queue_legs",
-        &identity,
-        |r| r.flag("bit_identical"),
-        |r| r.render(false),
+        "every_request_delivered_once",
+        &sweep,
+        |(_, _, exact)| *exact,
+        |(threads, _, _)| format!("{threads} threads"),
     ));
-    report.section("identity", identity);
     report.finish();
 }

@@ -18,8 +18,7 @@
 //!   "bench": "store",            // BENCH_store.json
 //!   "mode": "full",              // "full" (no flag), "smoke", or "quick"
 //!   "host": {"parallelism": 2, "second_core_throughput": 1.7,
-//!            "pool_threads": 4, "kernel_backend": "avx2-fma",
-//!            "queue_leg": "lockfree"},
+//!            "pool_threads": 4, "kernel_backend": "avx2-fma"},
 //!   "gates": {
 //!     "int8_compression": {"verdict": "ok", "measured": 3.2,
 //!                          "limit": 3.0, "where": "dim 32"},
@@ -30,7 +29,7 @@
 //! }
 //! ```
 //!
-//! * `host` is captured by the report, the same five fields for every
+//! * `host` is captured by the report, the same four fields for every
 //!   bench. `second_core_throughput` is what two spinning threads did over
 //!   one (see [`second_core_throughput`]), the lowest of the samples taken
 //!   at start, at finish and wherever the bench asked for one.
@@ -478,7 +477,7 @@ pub mod report {
         }
     }
 
-    /// What a result depends on besides the code: the same five fields in
+    /// What a result depends on besides the code: the same four fields in
     /// every `BENCH_*.json`.
     #[derive(Debug, Clone)]
     pub struct Host {
@@ -490,8 +489,6 @@ pub mod report {
         pub pool_threads: usize,
         /// `drec_tensor::simd::backend_label` (`DREC_FORCE_SCALAR`).
         pub kernel_backend: &'static str,
-        /// The batcher queue the runtimes were started on (`DREC_LOCK_QUEUE`).
-        pub queue_leg: &'static str,
     }
 
     impl Host {
@@ -501,7 +498,6 @@ pub mod report {
                 second_core_throughput: f64::INFINITY,
                 pool_threads: drec_par::global().threads(),
                 kernel_backend: drec_tensor::simd::backend_label(),
-                queue_leg: drec_serve::QueueKind::from_env().name(),
             }
         }
 
@@ -511,7 +507,6 @@ pub mod report {
                 "second_core_throughput": self.second_core_throughput,
                 "pool_threads": self.pool_threads,
                 "kernel_backend": self.kernel_backend,
-                "queue_leg": self.queue_leg,
             }
         }
     }
@@ -922,7 +917,6 @@ mod tests {
             second_core_throughput: 1.7,
             pool_threads: 2,
             kernel_backend: "scalar",
-            queue_leg: "lockfree",
         };
         (Report::new("unit", flags, host), root)
     }

@@ -82,14 +82,17 @@ type Task = Box<dyn FnOnce() + Send + 'static>;
 pub struct PoolStats {
     /// Logical thread count of the pool (workers + the helping caller).
     pub threads: usize,
-    /// Tasks executed to completion (for_each_chunk grabbers count once
-    /// per grabber, not per chunk).
+    /// Tasks taken for execution; every task of a scope that has
+    /// returned is counted (for_each_chunk grabbers count once per
+    /// grabber, not per chunk).
     pub tasks: u64,
     /// Parallel chunks processed by [`ParPool::for_each_chunk`] /
     /// [`ParPool::for_each_chunk_mut`], and column tiles by
     /// [`ParPool::for_each_column_tile_mut`].
     pub chunks: u64,
     /// Total nanoseconds spent executing tasks, summed across threads.
+    /// Added when a task ends, so the last task of a scope that has just
+    /// returned may not be in it yet.
     pub busy_nanos: u64,
 }
 
@@ -143,13 +146,20 @@ struct Shared {
 
 impl Shared {
     fn run_task(&self, task: Task) {
+        // Counted before it runs: a scoped task ends by releasing its
+        // scope's owner (`ScopeState::complete`), so an increment after
+        // `task()` could land after `scope` has returned. The `Release`
+        // there and the owner's `Acquire` load of `pending` order this one
+        // ahead of the return.
+        self.tasks.fetch_add(1, Ordering::Relaxed);
         let start = Instant::now();
         task();
+        // The time is not known until the task is over, so `busy_nanos`
+        // may still trail a scope that has returned.
         self.busy_nanos.fetch_add(
             start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
             Ordering::Relaxed,
         );
-        self.tasks.fetch_add(1, Ordering::Relaxed);
     }
 
     fn try_pop(&self) -> Option<Task> {
@@ -602,6 +612,25 @@ mod tests {
         assert_eq!(delta.chunks, 8);
         assert!(delta.tasks >= 1);
         assert_eq!(delta.threads, 2);
+    }
+
+    #[test]
+    fn a_returned_scope_has_counted_every_task() {
+        let pool = ParPool::new(4);
+        for round in 0..2_000 {
+            let before = pool.stats();
+            pool.scope(|s| {
+                for _ in 0..3 {
+                    // Long enough that a woken worker finishes one last:
+                    // a count taken after `task()` is short 1 round in 10.
+                    s.spawn(|| {
+                        std::hint::black_box((0..200u64).fold(0, |a, b| a ^ b));
+                    });
+                }
+            });
+            let delta = pool.stats().since(&before);
+            assert_eq!(delta.tasks, 3, "round {round}");
+        }
     }
 
     #[test]

@@ -22,42 +22,25 @@
 //! queued are split out of the batch at drain time so workers never
 //! spend cycles on answers nobody is waiting for.
 //!
-//! # Two interchangeable queue implementations
+//! # One queue
 //!
-//! The queue ships two implementations behind one API, selected at
-//! construction time (see [`QueueKind`]):
-//!
-//! * **Lock-free** (the default): a bounded MPMC ring with
-//!   sequence-numbered slots ([`drec_sync::EvictRing`] — Vyukov's queue
-//!   extended with in-place priority eviction). Producers and consumers
-//!   never take a lock on the hot path; only [`SharedQueue::requeue`]
-//!   (rare: transient batch failure) touches a mutex-protected stash,
-//!   which drains ahead of the ring.
-//! * **Lock-based** (`DREC_LOCK_QUEUE=1`, or [`QueueKind::Lock`]): the
-//!   original `Mutex<VecDeque>` queue, kept as the semantics oracle — the same role `DREC_FORCE_SCALAR=1` plays for the SIMD
-//!   kernels. CI runs the test suite and the serving benchmarks on both
-//!   legs; `queue_bench` additionally checks the two legs produce
-//!   bit-identical model outputs.
-//!
-//! One admission-order difference is documented rather than hidden: when
-//! a higher-priority arrival evicts a queued lower-priority victim, the
-//! lock-based queue removes the victim and appends the arrival at the
-//! back, while the lock-free queue swaps the arrival into the victim's
-//! slot (so it inherits the victim's queue position). Both orders respect
-//! arrival order *within* the surviving requests of equal fate, and every
-//! single-producer sequence is identical across legs.
-//!
-//! Both implementations are built exclusively from `drec-sync`
+//! The queue is a `VecDeque` and an `accepting` flag behind one
+//! [`drec_sync::Mutex`]: every operation is a short critical section, an
+//! arrival that evicts a lower-priority occupant joins the back like any
+//! other, and a requeued request goes to the front. `queue_capacity` is
+//! an admission bound, not an allocation — the buffer grows with what is
+//! actually queued. The mutex and the signal below are `drec-sync`
 //! primitives, so the whole batcher is model-checkable: compiled under
 //! `--cfg loom`, every lock and atomic becomes a schedule point for the
 //! in-tree model checker (see `drec_sync::model` and this crate's
-//! `tests/loom_serve.rs`).
+//! `tests/loom_serve.rs`). DESIGN.md §13 has the measurement that chose
+//! a mutex over a lock-free ring here.
 //!
 //! # One wake mechanism
 //!
-//! Neither implementation parks anyone itself. Every queue owns or
-//! shares a [`DispatchSignal`]; pushes that change dispatch eligibility,
-//! requeues, released batches and closes pulse it. A worker reads the
+//! The queue parks nobody itself. Every queue owns or shares a
+//! [`DispatchSignal`]; pushes that change dispatch eligibility, requeues,
+//! released batches and closes pulse it. A worker reads the
 //! signal's generation, polls with the non-blocking
 //! [`SharedQueue::try_next_batch`], and parks on the signal when nothing
 //! is ready — [`SharedQueue::next_batch`] is exactly that loop over one
@@ -71,12 +54,12 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use drec_sync::atomic::{AtomicBool, AtomicUsize};
-use drec_sync::{EventCount, EvictPush, EvictRing, Mutex, Ordering};
+use drec_sync::atomic::AtomicUsize;
+use drec_sync::{EventCount, Mutex, Ordering};
 
 use crate::degrade::OverloadLadder;
 use crate::error::ServeError;
-use crate::request::{Priority, Request};
+use crate::request::Request;
 
 /// The eventcount workers park on: owned by one [`SharedQueue`] or
 /// shared by several so one worker pool can wait for work on *any* of
@@ -176,103 +159,37 @@ impl TakenBatch {
     }
 }
 
-/// Which queue implementation a [`SharedQueue`] runs on (see the module
-/// docs for the trade-off).
+/// The name of the batcher queue. There is one queue; this is kept only
+/// for `perf_bench`'s run header until ROADMAP item 10(c).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueKind {
-    /// `Mutex<VecDeque>`: the semantics oracle.
+    /// The `Mutex<VecDeque>` queue.
     Lock,
-    /// Sequence-numbered MPMC ring: the default hot path.
-    LockFree,
 }
 
 impl QueueKind {
-    /// The kind selected by the environment: [`QueueKind::Lock`] when
-    /// `DREC_LOCK_QUEUE=1` (the oracle leg CI exercises), otherwise
-    /// [`QueueKind::LockFree`].
+    /// [`QueueKind::Lock`]; the environment is not read.
     pub fn from_env() -> QueueKind {
-        if std::env::var("DREC_LOCK_QUEUE").is_ok_and(|v| v == "1") {
-            QueueKind::Lock
-        } else {
-            QueueKind::LockFree
-        }
+        QueueKind::Lock
     }
 
-    /// Short name for logs and benchmark JSON.
+    /// `"lock"`.
     pub fn name(&self) -> &'static str {
-        match self {
-            QueueKind::Lock => "lock",
-            QueueKind::LockFree => "lockfree",
-        }
+        "lock"
     }
 }
 
-/// The ring stores priorities as `u8` so eviction scans read one atomic
-/// instead of chasing the payload pointer.
-fn prio_level(priority: Priority) -> u8 {
-    match priority {
-        Priority::Low => 0,
-        Priority::Normal => 1,
-        Priority::High => 2,
-    }
-}
-
-/// The lock-based implementation's whole state, behind one mutex.
-/// Simple to reason about; every operation serializes on the lock.
+/// The queue's whole state, behind one mutex.
 #[derive(Debug)]
 struct QueueInner {
     queue: VecDeque<Request>,
     accepting: bool,
 }
 
-/// The lock-free implementation. Producers and consumers synchronize
-/// only through the ring's per-slot sequence numbers.
-///
-/// `stash` holds requeued requests (transient batch failures). Requeues
-/// are rare and must go to the *front* of the line — a ring cannot
-/// express that — so they take a mutex, mirror their count into
-/// `stash_len` for lock-free emptiness checks, and drain ahead of the
-/// ring.
-#[derive(Debug)]
-struct FreeQueue {
-    ring: EvictRing<Request>,
-    accepting: AtomicBool,
-    stash: Mutex<VecDeque<Request>>,
-    stash_len: AtomicUsize,
-    /// Slot stamps are nanoseconds since this instant, so a consumer can
-    /// reconstruct the front request's coalescing deadline without
-    /// dereferencing (and so racing on) the payload.
-    epoch: Instant,
-}
-
-impl FreeQueue {
-    fn stamp_of(&self, submitted_at: Instant) -> u64 {
-        submitted_at
-            .saturating_duration_since(self.epoch)
-            .as_nanos() as u64
-    }
-
-    /// The front request's coalescing deadline, from its slot stamp.
-    fn front_deadline(&self, max_wait: Duration) -> Option<Instant> {
-        let stamp = self.ring.peek_front_stamp()?;
-        Some(self.epoch + Duration::from_nanos(stamp) + max_wait)
-    }
-
-    fn depth(&self) -> usize {
-        self.ring.len() + self.stash_len.load(Ordering::Acquire)
-    }
-}
-
-#[derive(Debug)]
-enum QueueImpl {
-    Lock(Mutex<QueueInner>),
-    Free(Box<FreeQueue>),
-}
-
 /// The shared queue between producer handles and worker threads.
 #[derive(Debug)]
 pub struct SharedQueue {
-    imp: QueueImpl,
+    inner: Mutex<QueueInner>,
     cfg: BatcherConfig,
     ladder: Arc<OverloadLadder>,
     /// Externally tuned batch cap (see [`SharedQueue::set_batch_cap`]);
@@ -285,49 +202,27 @@ pub struct SharedQueue {
 }
 
 impl SharedQueue {
-    /// A standalone queue with a [`DispatchSignal`] of its own. The
-    /// implementation comes from [`QueueKind::from_env`].
+    /// A standalone queue with a [`DispatchSignal`] of its own.
     pub fn new(cfg: BatcherConfig, ladder: Arc<OverloadLadder>) -> Self {
-        Self::with_kind(cfg, ladder, Arc::default(), QueueKind::from_env())
+        Self::with_signal(cfg, ladder, Arc::default())
     }
 
     /// A queue pulsing `signal` — shared by all the queues of one worker
-    /// pool, so its workers park on one thing — on an explicitly chosen
-    /// implementation (how `queue_bench` measures both legs in one
-    /// process regardless of the environment).
-    pub fn with_kind(
+    /// pool, so its workers park on one thing.
+    pub fn with_signal(
         cfg: BatcherConfig,
         ladder: Arc<OverloadLadder>,
         signal: Arc<DispatchSignal>,
-        kind: QueueKind,
     ) -> Self {
-        let imp = match kind {
-            QueueKind::Lock => QueueImpl::Lock(Mutex::new(QueueInner {
+        SharedQueue {
+            inner: Mutex::new(QueueInner {
                 queue: VecDeque::new(),
                 accepting: true,
-            })),
-            QueueKind::LockFree => QueueImpl::Free(Box::new(FreeQueue {
-                ring: EvictRing::with_capacity(cfg.queue_capacity),
-                accepting: AtomicBool::new(true),
-                stash: Mutex::new(VecDeque::new()),
-                stash_len: AtomicUsize::new(0),
-                epoch: Instant::now(),
-            })),
-        };
-        SharedQueue {
-            imp,
+            }),
             cfg,
             ladder,
             tuned_cap: AtomicUsize::new(usize::MAX),
             signal,
-        }
-    }
-
-    /// Which implementation this queue runs on.
-    pub fn kind(&self) -> QueueKind {
-        match &self.imp {
-            QueueImpl::Lock(_) => QueueKind::Lock,
-            QueueImpl::Free(_) => QueueKind::LockFree,
         }
     }
 
@@ -366,8 +261,9 @@ impl SharedQueue {
     /// coalescing deadline, so intermediate pushes need no wake — and
     /// skipping their pulses keeps a fast producer from turning the
     /// workers into a per-query context-switch storm. Both depths are
-    /// checked because racing lock-free producers that all admitted
-    /// against an empty ring may all read a depth past 1 afterwards.
+    /// read under the one lock hold, so `before == 0` implies
+    /// `after == 1`; `after == 1` alone is the arrival that evicted the
+    /// only occupant of a capacity-1 queue.
     fn pulse_signal_on_push(&self, before: usize, after: usize) {
         if before == 0 || after == 1 || after == self.effective_cap() {
             self.signal.pulse();
@@ -384,19 +280,7 @@ impl SharedQueue {
         &self,
         request: Request,
     ) -> Result<Option<(Request, ServeError)>, (Request, ServeError)> {
-        match &self.imp {
-            QueueImpl::Lock(lq) => self.try_push_lock(lq, request),
-            QueueImpl::Free(fq) => self.try_push_free(fq, request),
-        }
-    }
-
-    #[allow(clippy::type_complexity, clippy::result_large_err)]
-    fn try_push_lock(
-        &self,
-        lq: &Mutex<QueueInner>,
-        request: Request,
-    ) -> Result<Option<(Request, ServeError)>, (Request, ServeError)> {
-        let mut inner = lq.lock();
+        let mut inner = self.inner.lock();
         if !inner.accepting {
             return Err((request, ServeError::ShuttingDown));
         }
@@ -429,70 +313,13 @@ impl SharedQueue {
         Ok(victim)
     }
 
-    #[allow(clippy::type_complexity, clippy::result_large_err)]
-    fn try_push_free(
-        &self,
-        fq: &FreeQueue,
-        request: Request,
-    ) -> Result<Option<(Request, ServeError)>, (Request, ServeError)> {
-        if !fq.accepting.load(Ordering::Acquire) {
-            return Err((request, ServeError::ShuttingDown));
-        }
-        let depth = fq.depth();
-        self.ladder.observe(depth);
-        let estimated = self.cfg.estimated_delay_seconds(depth);
-        let prio = prio_level(request.priority);
-        let stamp = fq.stamp_of(request.submitted_at);
-        // Over budget — or racing producers outran that check and the
-        // ring is physically full: swap the arrival into the slot of the
-        // newest strictly-lower-priority occupant, or shed the arrival.
-        // Unlike the lock leg the arrival inherits the victim's queue
-        // position (see the module docs).
-        let refused = if self.over_budget(depth, estimated) {
-            Some(request)
-        } else {
-            fq.ring.push(request, prio, stamp).err()
-        };
-        let mut victim = None;
-        if let Some(request) = refused {
-            let overloaded = ServeError::Overloaded {
-                depth,
-                estimated_delay_seconds: estimated,
-            };
-            match fq.ring.push_or_evict(request, prio, stamp) {
-                EvictPush::Evicted(evicted) => victim = Some((evicted, overloaded)),
-                EvictPush::NoVictim(request) => return Err((request, overloaded)),
-            }
-        }
-        self.pulse_signal_on_push(depth, fq.depth());
-        if !fq.accepting.load(Ordering::SeqCst) {
-            // The queue closed while we were publishing. The request is
-            // in the ring and close() may have pulsed before our publish
-            // was visible, so pulse again: either a draining worker picks
-            // it up, or the pool's final drain_all() answers it.
-            self.signal.pulse();
-        }
-        Ok(victim)
-    }
-
     /// Re-admits a request whose batch failed transiently. Bypasses
     /// admission control and the `accepting` flag: the request was
     /// already admitted once, and the drain guarantee ("every accepted
     /// request gets an answer") must hold through shutdown.
     pub fn requeue(&self, request: Request) {
-        match &self.imp {
-            QueueImpl::Lock(lq) => {
-                let mut inner = lq.lock();
-                // Front, not back: the request has already waited its turn.
-                inner.queue.push_front(request);
-            }
-            QueueImpl::Free(fq) => {
-                let mut stash = fq.stash.lock();
-                // Front, not back: the request has already waited its turn.
-                stash.push_front(request);
-                fq.stash_len.store(stash.len(), Ordering::Release);
-            }
-        }
+        // Front, not back: the request has already waited its turn.
+        self.inner.lock().queue.push_front(request);
         self.signal.pulse();
     }
 
@@ -520,122 +347,40 @@ impl SharedQueue {
     }
 
     /// Non-blocking batch poll: drains and returns a batch when one is
-    /// releasable (cap reached, requeued work waiting, oldest past its
-    /// coalescing deadline, or the queue is closing), otherwise reports
-    /// why not so the caller can pick another queue or park on the
-    /// [`DispatchSignal`].
+    /// releasable (cap reached, oldest past its coalescing deadline, or
+    /// the queue is closing), otherwise reports why not so the caller
+    /// can pick another queue or park on the [`DispatchSignal`].
     pub fn try_next_batch(&self) -> BatchPoll {
-        match &self.imp {
-            QueueImpl::Lock(lq) => self.poll_lock(lq),
-            QueueImpl::Free(fq) => self.poll_free(fq),
-        }
-    }
-
-    fn poll_lock(&self, lq: &Mutex<QueueInner>) -> BatchPoll {
-        let mut inner = lq.lock();
-        if inner.queue.is_empty() {
+        let mut inner = self.inner.lock();
+        let Some(front) = inner.queue.front() else {
             return if inner.accepting {
                 BatchPoll::Idle
             } else {
                 BatchPoll::Closed
             };
-        }
+        };
         let now = Instant::now();
         let cap = self.effective_cap();
-        let wait_deadline =
-            inner.queue.front().expect("non-empty").submitted_at + self.cfg.max_wait;
-        if inner.queue.len() >= cap || now >= wait_deadline || !inner.accepting {
-            let batch = Self::drain_cap(&mut inner, cap, now);
-            drop(inner);
-            // More work may remain for the next free worker.
-            self.signal.pulse();
-            BatchPoll::Ready(batch)
-        } else {
-            BatchPoll::Coalescing(wait_deadline)
+        let wait_deadline = front.submitted_at + self.cfg.max_wait;
+        if inner.queue.len() < cap && now < wait_deadline && inner.accepting {
+            return BatchPoll::Coalescing(wait_deadline);
         }
-    }
-
-    fn poll_free(&self, fq: &FreeQueue) -> BatchPoll {
-        loop {
-            let stash_n = fq.stash_len.load(Ordering::Acquire);
-            let ring_n = fq.ring.len();
-            if stash_n == 0 && ring_n == 0 {
-                return if fq.accepting.load(Ordering::Acquire) {
-                    BatchPoll::Idle
-                } else {
-                    BatchPoll::Closed
-                };
-            }
-            let now = Instant::now();
-            let cap = self.effective_cap();
-            let releasable =
-                !fq.accepting.load(Ordering::Acquire) || stash_n > 0 || stash_n + ring_n >= cap;
-            if !releasable {
-                match fq.front_deadline(self.cfg.max_wait) {
-                    // Raced with a competing drain; re-evaluate.
-                    None => continue,
-                    // Past deadline: fall through to the drain below.
-                    Some(deadline) if now >= deadline => {}
-                    Some(deadline) => return BatchPoll::Coalescing(deadline),
-                }
-            }
-            let batch = self.drain_free(fq, cap, now);
-            if batch.requests.is_empty() && batch.expired.is_empty() {
-                // Competing workers emptied the queue first; re-evaluate
-                // (the next pass reports Idle/Closed or a fresh deadline).
-                continue;
-            }
-            // More work may remain for the next free worker.
-            self.signal.pulse();
-            return BatchPoll::Ready(batch);
-        }
-    }
-
-    /// Drains up to `cap` requests, splitting out the expired ones.
-    fn drain_cap(inner: &mut QueueInner, cap: usize, now: Instant) -> TakenBatch {
+        // Drain up to `cap` requests, splitting out the expired ones.
         let take = inner.queue.len().min(cap);
         let mut batch = TakenBatch::default();
         batch.requests.reserve(take);
         for request in inner.queue.drain(..take) {
             batch.take(request, now);
         }
-        batch
-    }
-
-    /// Drains up to `cap` requests from the lock-free leg: the requeue
-    /// stash first (oldest work), then the ring.
-    fn drain_free(&self, fq: &FreeQueue, cap: usize, now: Instant) -> TakenBatch {
-        let mut batch = TakenBatch::default();
-        let mut room = cap;
-        if fq.stash_len.load(Ordering::Acquire) > 0 {
-            let mut stash = fq.stash.lock();
-            while room > 0 {
-                let Some(request) = stash.pop_front() else {
-                    break;
-                };
-                batch.take(request, now);
-                room -= 1;
-            }
-            fq.stash_len.store(stash.len(), Ordering::Release);
-        }
-        while room > 0 {
-            let Some(request) = fq.ring.pop() else { break };
-            batch.take(request, now);
-            room -= 1;
-        }
-        batch
+        drop(inner);
+        // More work may remain for the next free worker.
+        self.signal.pulse();
+        BatchPoll::Ready(batch)
     }
 
     /// Stops admission; queued work remains for workers to drain.
     pub fn close(&self) {
-        match &self.imp {
-            QueueImpl::Lock(lq) => {
-                lq.lock().accepting = false;
-            }
-            QueueImpl::Free(fq) => {
-                fq.accepting.store(false, Ordering::SeqCst);
-            }
-        }
+        self.inner.lock().accepting = false;
         self.signal.pulse();
     }
 
@@ -644,29 +389,13 @@ impl SharedQueue {
     /// is then satisfied by answering each request with a typed error
     /// instead of leaving it to hang.
     pub fn drain_all(&self) -> Vec<Request> {
-        match &self.imp {
-            QueueImpl::Lock(lq) => lq.lock().queue.drain(..).collect(),
-            QueueImpl::Free(fq) => {
-                let mut out = Vec::new();
-                {
-                    let mut stash = fq.stash.lock();
-                    out.extend(stash.drain(..));
-                    fq.stash_len.store(0, Ordering::Release);
-                }
-                while let Some(request) = fq.ring.pop() {
-                    out.push(request);
-                }
-                out
-            }
-        }
+        self.inner.lock().queue.drain(..).collect()
     }
 
-    /// Current queue depth (racy; for observation only).
+    /// Current queue depth (stale as soon as it is read; for observation
+    /// only).
     pub fn depth(&self) -> usize {
-        match &self.imp {
-            QueueImpl::Lock(lq) => lq.lock().queue.len(),
-            QueueImpl::Free(fq) => fq.depth(),
-        }
+        self.inner.lock().queue.len()
     }
 }
 
@@ -678,8 +407,6 @@ mod tests {
     use drec_ops::Value;
     use drec_tensor::Tensor;
     use std::sync::mpsc;
-
-    const BOTH_KINDS: [QueueKind; 2] = [QueueKind::Lock, QueueKind::LockFree];
 
     fn dummy_request(
         id: u64,
@@ -722,375 +449,342 @@ mod tests {
         }
     }
 
-    fn queue_of(c: BatcherConfig, kind: QueueKind) -> SharedQueue {
+    fn queue_of(c: BatcherConfig) -> SharedQueue {
         let ladder = Arc::new(OverloadLadder::new(
             DegradeConfig::default(),
             c.queue_capacity,
             None,
         ));
-        SharedQueue::with_kind(c, ladder, Arc::default(), kind)
-    }
-
-    #[test]
-    fn env_default_is_lock_free() {
-        // The suite runs without DREC_LOCK_QUEUE set (the oracle leg is a
-        // separate CI job), so the default construction is lock-free.
-        if std::env::var("DREC_LOCK_QUEUE").is_err() {
-            let q = queue_of(cfg(8, 100), QueueKind::from_env());
-            assert_eq!(q.kind(), QueueKind::LockFree);
-        }
+        SharedQueue::new(c, ladder)
     }
 
     #[test]
     fn push_then_batch_preserves_arrival_order() {
-        for kind in BOTH_KINDS {
-            let q = queue_of(cfg(8, 100), kind);
-            for id in 0..5 {
-                q.try_push(dummy_request(id).0).unwrap();
-            }
-            let batch = q.next_batch().unwrap();
-            assert_eq!(
-                batch.requests.iter().map(|r| r.id).collect::<Vec<_>>(),
-                vec![0, 1, 2, 3, 4],
-                "kind {kind:?}"
-            );
-            assert!(batch.expired.is_empty());
+        let q = queue_of(cfg(8, 100));
+        for id in 0..5 {
+            q.try_push(dummy_request(id).0).unwrap();
         }
+        let batch = q.next_batch().unwrap();
+        assert_eq!(
+            batch.requests.iter().map(|r| r.id).collect::<Vec<_>>(),
+            vec![0, 1, 2, 3, 4]
+        );
+        assert!(batch.expired.is_empty());
     }
 
     #[test]
     fn batches_respect_max_batch() {
-        for kind in BOTH_KINDS {
-            let q = queue_of(cfg(3, 100), kind);
-            for id in 0..7 {
-                q.try_push(dummy_request(id).0).unwrap();
-            }
-            assert_eq!(q.next_batch().unwrap().requests.len(), 3);
-            assert_eq!(q.next_batch().unwrap().requests.len(), 3);
-            assert_eq!(q.next_batch().unwrap().requests.len(), 1);
+        let q = queue_of(cfg(3, 100));
+        for id in 0..7 {
+            q.try_push(dummy_request(id).0).unwrap();
         }
+        assert_eq!(q.next_batch().unwrap().requests.len(), 3);
+        assert_eq!(q.next_batch().unwrap().requests.len(), 3);
+        assert_eq!(q.next_batch().unwrap().requests.len(), 1);
     }
 
     #[test]
     fn depth_cap_sheds_with_overloaded() {
-        for kind in BOTH_KINDS {
-            let q = queue_of(cfg(8, 2), kind);
-            q.try_push(dummy_request(0).0).unwrap();
-            q.try_push(dummy_request(1).0).unwrap();
-            let (_, err) = q.try_push(dummy_request(2).0).unwrap_err();
-            assert!(
-                matches!(err, ServeError::Overloaded { depth: 2, .. }),
-                "kind {kind:?}"
-            );
-        }
+        let q = queue_of(cfg(8, 2));
+        q.try_push(dummy_request(0).0).unwrap();
+        q.try_push(dummy_request(1).0).unwrap();
+        let (_, err) = q.try_push(dummy_request(2).0).unwrap_err();
+        assert!(matches!(err, ServeError::Overloaded { depth: 2, .. }));
     }
 
     #[test]
     fn high_priority_arrival_evicts_newest_lower_priority_occupant() {
-        for kind in BOTH_KINDS {
-            let q = queue_of(cfg(8, 2), kind);
-            q.try_push(priority_request(0, Priority::Low).0).unwrap();
-            q.try_push(priority_request(1, Priority::Low).0).unwrap();
-            let (victim, err) = q
-                .try_push(priority_request(2, Priority::High).0)
-                .unwrap()
-                .expect("should evict a low-priority occupant");
-            assert_eq!(victim.id, 1, "newest lower-priority request is evicted");
-            assert!(matches!(err, ServeError::Overloaded { .. }));
-            let ids: Vec<u64> = q
-                .next_batch()
-                .unwrap()
-                .requests
-                .iter()
-                .map(|r| r.id)
-                .collect();
-            assert_eq!(ids, vec![0, 2], "kind {kind:?}");
-        }
+        let q = queue_of(cfg(8, 2));
+        q.try_push(priority_request(0, Priority::Low).0).unwrap();
+        q.try_push(priority_request(1, Priority::Low).0).unwrap();
+        let (victim, err) = q
+            .try_push(priority_request(2, Priority::High).0)
+            .unwrap()
+            .expect("should evict a low-priority occupant");
+        assert_eq!(victim.id, 1, "newest lower-priority request is evicted");
+        assert!(matches!(err, ServeError::Overloaded { .. }));
+        let ids: Vec<u64> = q
+            .next_batch()
+            .unwrap()
+            .requests
+            .iter()
+            .map(|r| r.id)
+            .collect();
+        assert_eq!(ids, vec![0, 2]);
+    }
+
+    #[test]
+    fn evicting_arrival_joins_the_back_of_the_queue() {
+        // The victim is in the middle, so the arrival taking the victim's
+        // place and the arrival joining the back drain differently.
+        let q = queue_of(cfg(8, 3));
+        q.try_push(priority_request(0, Priority::Normal).0).unwrap();
+        q.try_push(priority_request(1, Priority::Low).0).unwrap();
+        q.try_push(priority_request(2, Priority::High).0).unwrap();
+        let (victim, _) = q
+            .try_push(priority_request(3, Priority::Normal).0)
+            .unwrap()
+            .expect("should evict the low-priority occupant");
+        assert_eq!(victim.id, 1);
+        let ids: Vec<u64> = q
+            .next_batch()
+            .unwrap()
+            .requests
+            .iter()
+            .map(|r| r.id)
+            .collect();
+        assert_eq!(ids, vec![0, 2, 3]);
     }
 
     #[test]
     fn equal_priority_arrival_is_shed_not_evicting() {
-        for kind in BOTH_KINDS {
-            let q = queue_of(cfg(8, 1), kind);
-            q.try_push(priority_request(0, Priority::High).0).unwrap();
-            let (shed, err) = q
-                .try_push(priority_request(1, Priority::High).0)
-                .unwrap_err();
-            assert_eq!(shed.id, 1);
-            assert!(
-                matches!(err, ServeError::Overloaded { .. }),
-                "kind {kind:?}"
-            );
-        }
+        let q = queue_of(cfg(8, 1));
+        q.try_push(priority_request(0, Priority::High).0).unwrap();
+        let (shed, err) = q
+            .try_push(priority_request(1, Priority::High).0)
+            .unwrap_err();
+        assert_eq!(shed.id, 1);
+        assert!(matches!(err, ServeError::Overloaded { .. }));
     }
 
     #[test]
     fn expired_requests_are_split_out_of_the_batch() {
-        for kind in BOTH_KINDS {
-            let q = queue_of(cfg(8, 100), kind);
-            let (mut late, _rx_late) = dummy_request(0);
-            late.deadline = Some(Instant::now() - Duration::from_millis(5));
-            let (fresh, _rx_fresh) = dummy_request(1);
-            q.try_push(late).unwrap();
-            q.try_push(fresh).unwrap();
-            let batch = q.next_batch().unwrap();
-            assert_eq!(
-                batch.requests.iter().map(|r| r.id).collect::<Vec<_>>(),
-                vec![1]
-            );
-            assert_eq!(
-                batch.expired.iter().map(|r| r.id).collect::<Vec<_>>(),
-                vec![0],
-                "kind {kind:?}"
-            );
-        }
+        let q = queue_of(cfg(8, 100));
+        let (mut late, _rx_late) = dummy_request(0);
+        late.deadline = Some(Instant::now() - Duration::from_millis(5));
+        let (fresh, _rx_fresh) = dummy_request(1);
+        q.try_push(late).unwrap();
+        q.try_push(fresh).unwrap();
+        let batch = q.next_batch().unwrap();
+        assert_eq!(
+            batch.requests.iter().map(|r| r.id).collect::<Vec<_>>(),
+            vec![1]
+        );
+        assert_eq!(
+            batch.expired.iter().map(|r| r.id).collect::<Vec<_>>(),
+            vec![0]
+        );
     }
 
     #[test]
     fn requeue_bypasses_closed_admission() {
-        for kind in BOTH_KINDS {
-            let q = queue_of(cfg(8, 100), kind);
-            let (req, _rx) = dummy_request(7);
-            q.close();
-            q.requeue(req);
-            let batch = q.next_batch().unwrap();
-            assert_eq!(batch.requests[0].id, 7);
-            assert!(q.next_batch().is_none(), "kind {kind:?}");
-        }
+        let q = queue_of(cfg(8, 100));
+        let (req, _rx) = dummy_request(7);
+        q.close();
+        q.requeue(req);
+        let batch = q.next_batch().unwrap();
+        assert_eq!(batch.requests[0].id, 7);
+        assert!(q.next_batch().is_none());
     }
 
     #[test]
     fn requeued_request_drains_ahead_of_queued_work() {
-        for kind in BOTH_KINDS {
-            let q = queue_of(cfg(8, 100), kind);
-            q.try_push(dummy_request(0).0).unwrap();
-            q.try_push(dummy_request(1).0).unwrap();
-            let (retry, _rx) = dummy_request(9);
-            q.requeue(retry);
-            let ids: Vec<u64> = q
-                .next_batch()
-                .unwrap()
-                .requests
-                .iter()
-                .map(|r| r.id)
-                .collect();
-            assert_eq!(ids, vec![9, 0, 1], "kind {kind:?}");
-        }
+        let q = queue_of(cfg(8, 100));
+        q.try_push(dummy_request(0).0).unwrap();
+        q.try_push(dummy_request(1).0).unwrap();
+        let (retry, _rx) = dummy_request(9);
+        q.requeue(retry);
+        let ids: Vec<u64> = q
+            .next_batch()
+            .unwrap()
+            .requests
+            .iter()
+            .map(|r| r.id)
+            .collect();
+        assert_eq!(ids, vec![9, 0, 1]);
     }
 
     #[test]
     fn delay_budget_sheds_with_overloaded() {
-        for kind in BOTH_KINDS {
-            let mut c = cfg(8, 1_000);
-            c.per_query_service_estimate = 1.0; // 1 s per queued query
-            c.delay_budget = Duration::from_millis(1500);
-            let q = queue_of(c, kind);
-            q.try_push(dummy_request(0).0).unwrap(); // est 0s
-            q.try_push(dummy_request(1).0).unwrap(); // est 1s
-            let (_, err) = q.try_push(dummy_request(2).0).unwrap_err(); // est 2s > 1.5s
-            match err {
-                ServeError::Overloaded {
-                    depth,
-                    estimated_delay_seconds,
-                } => {
-                    assert_eq!(depth, 2);
-                    assert!((estimated_delay_seconds - 2.0).abs() < 1e-9);
-                }
-                other => panic!("expected Overloaded, got {other} (kind {kind:?})"),
+        let mut c = cfg(8, 1_000);
+        c.per_query_service_estimate = 1.0; // 1 s per queued query
+        c.delay_budget = Duration::from_millis(1500);
+        let q = queue_of(c);
+        q.try_push(dummy_request(0).0).unwrap(); // est 0s
+        q.try_push(dummy_request(1).0).unwrap(); // est 1s
+        let (_, err) = q.try_push(dummy_request(2).0).unwrap_err(); // est 2s > 1.5s
+        match err {
+            ServeError::Overloaded {
+                depth,
+                estimated_delay_seconds,
+            } => {
+                assert_eq!(depth, 2);
+                assert!((estimated_delay_seconds - 2.0).abs() < 1e-9);
             }
+            other => panic!("expected Overloaded, got {other}"),
         }
     }
 
     #[test]
     fn closed_queue_sheds_with_shutting_down() {
-        for kind in BOTH_KINDS {
-            let q = queue_of(cfg(8, 100), kind);
-            q.try_push(dummy_request(0).0).unwrap();
-            q.close();
-            let (_, err) = q.try_push(dummy_request(1).0).unwrap_err();
-            assert!(matches!(err, ServeError::ShuttingDown));
-            // Queued work is still drainable.
-            assert_eq!(q.next_batch().unwrap().requests.len(), 1);
-            assert!(q.next_batch().is_none(), "kind {kind:?}");
-        }
+        let q = queue_of(cfg(8, 100));
+        q.try_push(dummy_request(0).0).unwrap();
+        q.close();
+        let (_, err) = q.try_push(dummy_request(1).0).unwrap_err();
+        assert!(matches!(err, ServeError::ShuttingDown));
+        // Queued work is still drainable.
+        assert_eq!(q.next_batch().unwrap().requests.len(), 1);
+        assert!(q.next_batch().is_none());
     }
 
     #[test]
     fn max_wait_coalesces_late_arrivals() {
-        for kind in BOTH_KINDS {
-            let c = BatcherConfig {
-                max_batch: 4,
-                max_wait: Duration::from_millis(200),
-                queue_capacity: 100,
-                delay_budget: Duration::from_secs(3600),
-                per_query_service_estimate: 0.0,
-            };
-            let q = Arc::new(queue_of(c, kind));
-            q.try_push(dummy_request(0).0).unwrap();
-            let pusher = {
-                let q = Arc::clone(&q);
-                std::thread::spawn(move || {
-                    std::thread::sleep(Duration::from_millis(30));
-                    q.try_push(dummy_request(1).0).unwrap();
-                })
-            };
-            // The worker should wait past the 30 ms arrival and coalesce both.
-            let batch = q.next_batch().unwrap();
-            pusher.join().unwrap();
-            assert_eq!(
-                batch.requests.len(),
-                2,
-                "late arrival should join the batch (kind {kind:?})"
-            );
-        }
+        let c = BatcherConfig {
+            max_batch: 4,
+            max_wait: Duration::from_millis(200),
+            queue_capacity: 100,
+            delay_budget: Duration::from_secs(3600),
+            per_query_service_estimate: 0.0,
+        };
+        let q = Arc::new(queue_of(c));
+        q.try_push(dummy_request(0).0).unwrap();
+        let pusher = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(30));
+                q.try_push(dummy_request(1).0).unwrap();
+            })
+        };
+        // The worker should wait past the 30 ms arrival and coalesce both.
+        let batch = q.next_batch().unwrap();
+        pusher.join().unwrap();
+        assert_eq!(
+            batch.requests.len(),
+            2,
+            "late arrival should join the batch"
+        );
     }
 
     #[test]
     fn try_next_batch_polls_without_blocking() {
-        for kind in BOTH_KINDS {
-            let q = queue_of(cfg(8, 100), kind);
-            assert!(matches!(q.try_next_batch(), BatchPoll::Idle));
-            q.try_push(dummy_request(0).0).unwrap();
-            // max_wait is zero: the single request is immediately releasable.
-            match q.try_next_batch() {
-                BatchPoll::Ready(batch) => assert_eq!(batch.requests.len(), 1),
-                other => panic!("expected Ready, got {other:?} (kind {kind:?})"),
-            }
-            q.close();
-            assert!(matches!(q.try_next_batch(), BatchPoll::Closed));
+        let q = queue_of(cfg(8, 100));
+        assert!(matches!(q.try_next_batch(), BatchPoll::Idle));
+        q.try_push(dummy_request(0).0).unwrap();
+        // max_wait is zero: the single request is immediately releasable.
+        match q.try_next_batch() {
+            BatchPoll::Ready(batch) => assert_eq!(batch.requests.len(), 1),
+            other => panic!("expected Ready, got {other:?}"),
         }
+        q.close();
+        assert!(matches!(q.try_next_batch(), BatchPoll::Closed));
     }
 
     #[test]
     fn try_next_batch_reports_coalescing_deadline() {
-        for kind in BOTH_KINDS {
-            let c = BatcherConfig {
-                max_batch: 4,
-                max_wait: Duration::from_secs(60),
-                queue_capacity: 100,
-                delay_budget: Duration::from_secs(3600),
-                per_query_service_estimate: 0.0,
-            };
-            let q = queue_of(c, kind);
-            let (req, _rx) = dummy_request(0);
-            let submitted = req.submitted_at;
-            q.try_push(req).unwrap();
-            match q.try_next_batch() {
-                BatchPoll::Coalescing(deadline) => {
-                    assert_eq!(
-                        deadline,
-                        submitted + Duration::from_secs(60),
-                        "kind {kind:?}"
-                    );
-                }
-                other => panic!("expected Coalescing, got {other:?} (kind {kind:?})"),
+        let c = BatcherConfig {
+            max_batch: 4,
+            max_wait: Duration::from_secs(60),
+            queue_capacity: 100,
+            delay_budget: Duration::from_secs(3600),
+            per_query_service_estimate: 0.0,
+        };
+        let q = queue_of(c);
+        let (req, _rx) = dummy_request(0);
+        let submitted = req.submitted_at;
+        q.try_push(req).unwrap();
+        match q.try_next_batch() {
+            BatchPoll::Coalescing(deadline) => {
+                assert_eq!(deadline, submitted + Duration::from_secs(60));
             }
-            // A closing queue releases the partial batch immediately.
-            q.close();
-            assert!(matches!(q.try_next_batch(), BatchPoll::Ready(_)));
+            other => panic!("expected Coalescing, got {other:?}"),
         }
+        // A closing queue releases the partial batch immediately.
+        q.close();
+        assert!(matches!(q.try_next_batch(), BatchPoll::Ready(_)));
     }
 
     #[test]
     fn tuned_cap_shrinks_drained_batches() {
-        for kind in BOTH_KINDS {
-            let q = queue_of(cfg(8, 100), kind);
-            q.set_batch_cap(2);
-            for id in 0..5 {
-                q.try_push(dummy_request(id).0).unwrap();
-            }
-            assert_eq!(q.next_batch().unwrap().requests.len(), 2);
-            // Restoring a huge cap falls back to the configured max_batch.
-            q.set_batch_cap(usize::MAX);
-            assert_eq!(q.batch_cap(), 8);
-            assert_eq!(q.next_batch().unwrap().requests.len(), 3, "kind {kind:?}");
+        let q = queue_of(cfg(8, 100));
+        q.set_batch_cap(2);
+        for id in 0..5 {
+            q.try_push(dummy_request(id).0).unwrap();
         }
+        assert_eq!(q.next_batch().unwrap().requests.len(), 2);
+        // Restoring a huge cap falls back to the configured max_batch.
+        q.set_batch_cap(usize::MAX);
+        assert_eq!(q.batch_cap(), 8);
+        assert_eq!(q.next_batch().unwrap().requests.len(), 3);
     }
 
     #[test]
     fn shared_signal_pulses_on_push_and_close() {
-        for kind in BOTH_KINDS {
-            let signal = Arc::new(DispatchSignal::new());
-            let ladder = Arc::new(OverloadLadder::new(DegradeConfig::default(), 100, None));
-            let q = SharedQueue::with_kind(cfg(8, 100), ladder, Arc::clone(&signal), kind);
-            let before = signal.generation();
-            q.try_push(dummy_request(0).0).unwrap();
-            assert_ne!(signal.generation(), before, "kind {kind:?}");
-            let before = signal.generation();
-            q.close();
-            assert_ne!(signal.generation(), before);
-            // A wait on a stale generation returns immediately.
-            let woke = signal.wait(before, Some(Instant::now() + Duration::from_secs(5)));
-            assert_ne!(woke, before);
-        }
+        let signal = Arc::new(DispatchSignal::new());
+        let ladder = Arc::new(OverloadLadder::new(DegradeConfig::default(), 100, None));
+        let q = SharedQueue::with_signal(cfg(8, 100), ladder, Arc::clone(&signal));
+        let before = signal.generation();
+        q.try_push(dummy_request(0).0).unwrap();
+        assert_ne!(signal.generation(), before);
+        let before = signal.generation();
+        q.close();
+        assert_ne!(signal.generation(), before);
+        // A wait on a stale generation returns immediately.
+        let woke = signal.wait(before, Some(Instant::now() + Duration::from_secs(5)));
+        assert_ne!(woke, before);
     }
 
     #[test]
     fn full_batch_releases_before_deadline() {
-        for kind in BOTH_KINDS {
-            let c = BatcherConfig {
-                max_batch: 2,
-                max_wait: Duration::from_secs(60),
-                queue_capacity: 100,
-                delay_budget: Duration::from_secs(3600),
-                per_query_service_estimate: 0.0,
-            };
-            let q = queue_of(c, kind);
-            q.try_push(dummy_request(0).0).unwrap();
-            q.try_push(dummy_request(1).0).unwrap();
-            let start = Instant::now();
-            let batch = q.next_batch().unwrap();
-            assert_eq!(batch.requests.len(), 2);
-            assert!(
-                start.elapsed() < Duration::from_secs(5),
-                "must not wait out max_wait (kind {kind:?})"
-            );
-        }
+        let c = BatcherConfig {
+            max_batch: 2,
+            max_wait: Duration::from_secs(60),
+            queue_capacity: 100,
+            delay_budget: Duration::from_secs(3600),
+            per_query_service_estimate: 0.0,
+        };
+        let q = queue_of(c);
+        q.try_push(dummy_request(0).0).unwrap();
+        q.try_push(dummy_request(1).0).unwrap();
+        let start = Instant::now();
+        let batch = q.next_batch().unwrap();
+        assert_eq!(batch.requests.len(), 2);
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "must not wait out max_wait"
+        );
     }
 
     #[test]
     fn concurrent_producers_and_consumers_deliver_every_request() {
-        // MPMC smoke for the lock-free leg (and the oracle): 4 producers,
-        // 2 consumers, everything admitted must come out exactly once.
-        for kind in BOTH_KINDS {
-            const PRODUCERS: usize = 4;
-            const PER_PRODUCER: u64 = 250;
-            let q = Arc::new(queue_of(cfg(16, 10_000), kind));
-            let producers: Vec<_> = (0..PRODUCERS)
-                .map(|p| {
-                    let q = Arc::clone(&q);
-                    std::thread::spawn(move || {
-                        for i in 0..PER_PRODUCER {
-                            let id = p as u64 * PER_PRODUCER + i;
-                            q.try_push(dummy_request(id).0).unwrap();
-                        }
-                    })
+        // MPMC smoke: 4 producers, 2 consumers, everything admitted must
+        // come out exactly once.
+        const PRODUCERS: usize = 4;
+        const PER_PRODUCER: u64 = 250;
+        let q = Arc::new(queue_of(cfg(16, 10_000)));
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let q = Arc::clone(&q);
+                std::thread::spawn(move || {
+                    for i in 0..PER_PRODUCER {
+                        let id = p as u64 * PER_PRODUCER + i;
+                        q.try_push(dummy_request(id).0).unwrap();
+                    }
                 })
-                .collect();
-            let consumers: Vec<_> = (0..2)
-                .map(|_| {
-                    let q = Arc::clone(&q);
-                    std::thread::spawn(move || {
-                        let mut seen = Vec::new();
-                        while let Some(batch) = q.next_batch() {
-                            assert!(batch.expired.is_empty());
-                            seen.extend(batch.requests.into_iter().map(|r| r.id));
-                        }
-                        seen
-                    })
+            })
+            .collect();
+        let consumers: Vec<_> = (0..2)
+            .map(|_| {
+                let q = Arc::clone(&q);
+                std::thread::spawn(move || {
+                    let mut seen = Vec::new();
+                    while let Some(batch) = q.next_batch() {
+                        assert!(batch.expired.is_empty());
+                        seen.extend(batch.requests.into_iter().map(|r| r.id));
+                    }
+                    seen
                 })
-                .collect();
-            for p in producers {
-                p.join().unwrap();
-            }
-            q.close();
-            let mut all: Vec<u64> = consumers
-                .into_iter()
-                .flat_map(|c| c.join().unwrap())
-                .collect();
-            all.sort_unstable();
-            let expect: Vec<u64> = (0..PRODUCERS as u64 * PER_PRODUCER).collect();
-            assert_eq!(all, expect, "kind {kind:?}");
+            })
+            .collect();
+        for p in producers {
+            p.join().unwrap();
         }
+        q.close();
+        let mut all: Vec<u64> = consumers
+            .into_iter()
+            .flat_map(|c| c.join().unwrap())
+            .collect();
+        all.sort_unstable();
+        let expect: Vec<u64> = (0..PRODUCERS as u64 * PER_PRODUCER).collect();
+        assert_eq!(all, expect);
     }
 }

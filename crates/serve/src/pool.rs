@@ -56,7 +56,7 @@ use drec_ops::Value;
 use drec_par::ParPool;
 use drec_store::EmbeddingStore;
 
-use crate::batcher::{BatchPoll, BatcherConfig, DispatchSignal, QueueKind, SharedQueue};
+use crate::batcher::{BatchPoll, BatcherConfig, DispatchSignal, SharedQueue};
 use crate::degrade::{DegradeConfig, OverloadLadder};
 use crate::engine::{BatchExecution, Engine};
 use crate::error::{Result, ServeError};
@@ -681,7 +681,7 @@ impl LanePool {
             if sole_lane {
                 set.metrics.set_ladder(Arc::clone(&ladder));
             }
-            let queue = Arc::new(SharedQueue::with_kind(
+            let queue = Arc::new(SharedQueue::with_signal(
                 BatcherConfig {
                     max_batch: cfg.max_batch,
                     max_wait: cfg.max_wait,
@@ -691,7 +691,6 @@ impl LanePool {
                 },
                 Arc::clone(&ladder),
                 Arc::clone(&set.signal),
-                QueueKind::from_env(),
             ));
             // One live-update channel per lane: every engine of the lane
             // registers as a weight reader and computes from the FC set

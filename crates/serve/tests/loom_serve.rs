@@ -1,5 +1,5 @@
 //! Model-checked interleaving tests for the serving hot path: batcher
-//! admission/eviction/drain on both queue legs, the overload ladder's
+//! admission/eviction/drain, the overload ladder's
 //! stepwise transitions, the dispatch-signal parking protocol, the
 //! prefetch window's wake-up protocol, and the sparse read path's locks
 //! (tier session vs. row update vs. prefetch fill, hot-key probe vs.
@@ -22,12 +22,10 @@ use std::time::Duration;
 
 use drec_serve::{
     BatchPoll, BatcherConfig, DegradeConfig, DispatchSignal, OverloadLadder, OverloadLevel,
-    PrefetchWindow, Priority, QueueKind, Request, SharedQueue, SubmitOptions,
+    PrefetchWindow, Priority, Request, SharedQueue, SubmitOptions,
 };
 use drec_sync::model::model;
 use drec_sync::thread::{spawn, yield_now};
-
-const BOTH_KINDS: [QueueKind; 2] = [QueueKind::Lock, QueueKind::LockFree];
 
 fn cfg(max_batch: usize, capacity: usize) -> BatcherConfig {
     BatcherConfig {
@@ -39,13 +37,13 @@ fn cfg(max_batch: usize, capacity: usize) -> BatcherConfig {
     }
 }
 
-fn queue_of(c: BatcherConfig, kind: QueueKind, signal: Option<Arc<DispatchSignal>>) -> SharedQueue {
+fn queue_of(c: BatcherConfig, signal: Option<Arc<DispatchSignal>>) -> SharedQueue {
     let ladder = Arc::new(OverloadLadder::new(
         DegradeConfig::default(),
         c.queue_capacity,
         None,
     ));
-    SharedQueue::with_kind(c, ladder, signal.unwrap_or_default(), kind)
+    SharedQueue::with_signal(c, ladder, signal.unwrap_or_default())
 }
 
 fn request(id: u64, priority: Priority) -> Request {
@@ -61,36 +59,34 @@ fn request(id: u64, priority: Priority) -> Request {
 }
 
 /// A producer racing a drain loop: every admitted request comes out of
-/// the queue exactly once, in every interleaving, on both legs.
+/// the queue exactly once, in every interleaving.
 #[test]
 fn concurrent_push_and_drain_deliver_every_request() {
-    for kind in BOTH_KINDS {
-        model(move || {
-            let q = Arc::new(queue_of(cfg(8, 100), kind, None));
-            let producer = {
-                let q = Arc::clone(&q);
-                spawn(move || {
-                    for id in 0..2 {
-                        q.try_push(request(id, Priority::Normal)).unwrap();
-                    }
-                })
-            };
-            let mut got = Vec::new();
-            while got.len() < 2 {
-                match q.try_next_batch() {
-                    BatchPoll::Ready(batch) => {
-                        assert!(batch.expired.is_empty(), "no deadlines were set");
-                        got.extend(batch.requests.iter().map(|r| r.id));
-                    }
-                    BatchPoll::Idle | BatchPoll::Coalescing(_) => yield_now(),
-                    BatchPoll::Closed => panic!("queue closed while open"),
+    model(|| {
+        let q = Arc::new(queue_of(cfg(8, 100), None));
+        let producer = {
+            let q = Arc::clone(&q);
+            spawn(move || {
+                for id in 0..2 {
+                    q.try_push(request(id, Priority::Normal)).unwrap();
                 }
+            })
+        };
+        let mut got = Vec::new();
+        while got.len() < 2 {
+            match q.try_next_batch() {
+                BatchPoll::Ready(batch) => {
+                    assert!(batch.expired.is_empty(), "no deadlines were set");
+                    got.extend(batch.requests.iter().map(|r| r.id));
+                }
+                BatchPoll::Idle | BatchPoll::Coalescing(_) => yield_now(),
+                BatchPoll::Closed => panic!("queue closed while open"),
             }
-            producer.join().unwrap();
-            assert_eq!(got, vec![0, 1], "kind {kind:?}: lost or reordered");
-            assert_eq!(q.depth(), 0);
-        });
-    }
+        }
+        producer.join().unwrap();
+        assert_eq!(got, vec![0, 1], "lost or reordered");
+        assert_eq!(q.depth(), 0);
+    });
 }
 
 /// Close racing a straggler push: the request is either rejected at
@@ -99,23 +95,21 @@ fn concurrent_push_and_drain_deliver_every_request() {
 /// `close(); drain_all()` sweep.
 #[test]
 fn close_racing_push_never_loses_a_request() {
-    for kind in BOTH_KINDS {
-        model(move || {
-            let q = Arc::new(queue_of(cfg(8, 100), kind, None));
-            let producer = {
-                let q = Arc::clone(&q);
-                spawn(move || q.try_push(request(7, Priority::Normal)).is_ok())
-            };
-            q.close();
-            let admitted = producer.join().unwrap();
-            let drained: Vec<u64> = q.drain_all().iter().map(|r| r.id).collect();
-            if admitted {
-                assert_eq!(drained, vec![7], "kind {kind:?}: admitted then lost");
-            } else {
-                assert!(drained.is_empty(), "kind {kind:?}: shed yet queued");
-            }
-        });
-    }
+    model(|| {
+        let q = Arc::new(queue_of(cfg(8, 100), None));
+        let producer = {
+            let q = Arc::clone(&q);
+            spawn(move || q.try_push(request(7, Priority::Normal)).is_ok())
+        };
+        q.close();
+        let admitted = producer.join().unwrap();
+        let drained: Vec<u64> = q.drain_all().iter().map(|r| r.id).collect();
+        if admitted {
+            assert_eq!(drained, vec![7], "admitted then lost");
+        } else {
+            assert!(drained.is_empty(), "shed yet queued");
+        }
+    });
 }
 
 /// Two high-priority arrivals hammering a full queue of low-priority
@@ -124,41 +118,39 @@ fn close_racing_push_never_loses_a_request() {
 /// shed) and the queue never exceeds its capacity.
 #[test]
 fn concurrent_eviction_conserves_every_request() {
-    for kind in BOTH_KINDS {
-        model(move || {
-            let q = Arc::new(queue_of(cfg(8, 2), kind, None));
-            q.try_push(request(0, Priority::Low)).unwrap();
-            q.try_push(request(1, Priority::Low)).unwrap();
-            let pushers: Vec<_> = [2u64, 3u64]
-                .into_iter()
-                .map(|id| {
-                    let q = Arc::clone(&q);
-                    spawn(move || match q.try_push(request(id, Priority::High)) {
-                        Ok(None) => (None, None),
-                        Ok(Some((victim, _err))) => (Some(victim.id), None),
-                        Err((shed, _err)) => (None, Some(shed.id)),
-                    })
+    model(|| {
+        let q = Arc::new(queue_of(cfg(8, 2), None));
+        q.try_push(request(0, Priority::Low)).unwrap();
+        q.try_push(request(1, Priority::Low)).unwrap();
+        let pushers: Vec<_> = [2u64, 3u64]
+            .into_iter()
+            .map(|id| {
+                let q = Arc::clone(&q);
+                spawn(move || match q.try_push(request(id, Priority::High)) {
+                    Ok(None) => (None, None),
+                    Ok(Some((victim, _err))) => (Some(victim.id), None),
+                    Err((shed, _err)) => (None, Some(shed.id)),
                 })
-                .collect();
-            let mut seen = BTreeSet::new();
-            for t in pushers {
-                let (victim, shed) = t.join().unwrap();
-                for id in victim.into_iter().chain(shed) {
-                    assert!(seen.insert(id), "kind {kind:?}: {id} accounted twice");
-                }
+            })
+            .collect();
+        let mut seen = BTreeSet::new();
+        for t in pushers {
+            let (victim, shed) = t.join().unwrap();
+            for id in victim.into_iter().chain(shed) {
+                assert!(seen.insert(id), "{id} accounted twice");
             }
-            assert!(q.depth() <= 2, "kind {kind:?}: queue over capacity");
-            q.close();
-            for r in q.drain_all() {
-                assert!(seen.insert(r.id), "kind {kind:?}: {} accounted twice", r.id);
-            }
-            assert_eq!(
-                seen.into_iter().collect::<Vec<_>>(),
-                vec![0, 1, 2, 3],
-                "kind {kind:?}: a request vanished"
-            );
-        });
-    }
+        }
+        assert!(q.depth() <= 2, "queue over capacity");
+        q.close();
+        for r in q.drain_all() {
+            assert!(seen.insert(r.id), "{} accounted twice", r.id);
+        }
+        assert_eq!(
+            seen.into_iter().collect::<Vec<_>>(),
+            vec![0, 1, 2, 3],
+            "a request vanished"
+        );
+    });
 }
 
 /// Concurrent observers of a saturated queue walk the ladder one rung at
@@ -190,35 +182,33 @@ fn overload_ladder_transitions_exactly_once_under_contention() {
 
 /// The lane pool's worker parking protocol: read the signal
 /// generation, poll, and only then wait. A push landing anywhere in that
-/// window must not strand the dispatcher — on either queue leg.
+/// window must not strand the dispatcher.
 #[test]
 fn dispatch_signal_parking_never_strands_the_dispatcher() {
-    for kind in BOTH_KINDS {
-        model(move || {
-            let signal = Arc::new(DispatchSignal::new());
-            let q = Arc::new(queue_of(cfg(8, 100), kind, Some(Arc::clone(&signal))));
-            let producer = {
-                let q = Arc::clone(&q);
-                spawn(move || q.try_push(request(0, Priority::Normal)).unwrap())
-            };
-            let batch = loop {
-                let seen = signal.generation();
-                match q.try_next_batch() {
-                    BatchPoll::Ready(batch) => break batch,
-                    BatchPoll::Idle => {
-                        signal.wait(seen, None);
-                    }
-                    BatchPoll::Coalescing(deadline) => {
-                        signal.wait(seen, Some(deadline));
-                    }
-                    BatchPoll::Closed => panic!("queue closed while open"),
+    model(|| {
+        let signal = Arc::new(DispatchSignal::new());
+        let q = Arc::new(queue_of(cfg(8, 100), Some(Arc::clone(&signal))));
+        let producer = {
+            let q = Arc::clone(&q);
+            spawn(move || q.try_push(request(0, Priority::Normal)).unwrap())
+        };
+        let batch = loop {
+            let seen = signal.generation();
+            match q.try_next_batch() {
+                BatchPoll::Ready(batch) => break batch,
+                BatchPoll::Idle => {
+                    signal.wait(seen, None);
                 }
-            };
-            producer.join().unwrap();
-            assert_eq!(batch.requests.len(), 1, "kind {kind:?}");
-            assert_eq!(batch.requests[0].id, 0);
-        });
-    }
+                BatchPoll::Coalescing(deadline) => {
+                    signal.wait(seen, Some(deadline));
+                }
+                BatchPoll::Closed => panic!("queue closed while open"),
+            }
+        };
+        producer.join().unwrap();
+        assert_eq!(batch.requests.len(), 1);
+        assert_eq!(batch.requests[0].id, 0);
+    });
 }
 
 /// The stream prefetcher's pacing protocol on the real

@@ -6,20 +6,38 @@
 //! tables, which each replica owns, so the lane's floor is two tables and
 //! one FC set.
 //!
+//! Beside it, the batcher queue: its capacity bounds admission and
+//! allocates nothing.
+//!
 //! A test binary of its own: the counting `#[global_allocator]` must see
-//! this test's heap and no other's.
+//! one test's heap and no other's, so each test holds [`ALONE`] while it
+//! measures.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use drec_check::CountingAlloc;
 use drec_models::{ModelId, ModelScale};
 use drec_ops::Value;
-use drec_serve::{PendingResponse, ServeConfig, ServeHandle, ServeRuntime, UpdatePlan, Updater};
+use drec_serve::{
+    BatchPoll, BatcherConfig, DegradeConfig, OverloadLadder, PendingResponse, Request, ServeConfig,
+    ServeHandle, ServeRuntime, SharedQueue, SubmitOptions, UpdatePlan, Updater,
+};
 use drec_workload::QueryGen;
 
 #[global_allocator]
 static HEAP: CountingAlloc = CountingAlloc::new();
+
+/// The harness runs tests on parallel threads and the heap count is one
+/// for the process.
+static ALONE: Mutex<()> = Mutex::new(());
+
+/// Held for a whole test (a failed neighbour's poison is not this one's).
+fn alone() -> MutexGuard<'static, ()> {
+    ALONE
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 const SEED: u64 = 7;
 const WORKERS: usize = 2;
@@ -47,6 +65,7 @@ fn round(handle: &ServeHandle, queries: &[Vec<Value>]) -> Vec<Bits> {
 
 #[test]
 fn a_lane_holds_one_fc_set_at_rest_and_again_after_a_restore() {
+    let _alone = alone();
     // The oracle, and what one dense replica weighs: a fresh build, run
     // directly, then dropped before anything is measured.
     let heap_empty = HEAP.live_bytes();
@@ -129,4 +148,56 @@ fn a_lane_holds_one_fc_set_at_rest_and_again_after_a_restore() {
     // ... and the bits are a fresh build's.
     assert_eq!(round(&handle, &queries), expected, "after the restore");
     runtime.shutdown();
+}
+
+#[test]
+fn queue_capacity_is_an_admission_bound_not_an_allocation() {
+    let _alone = alone();
+    // The other test's thread may still be handing its result to the
+    // harness: a few strings, not a queue's worth of slots.
+    const HARNESS_SLACK: usize = 4096;
+    const BURST: usize = 64;
+    let queue_of = |queue_capacity: usize| {
+        let ladder = OverloadLadder::new(DegradeConfig::default(), queue_capacity, None);
+        SharedQueue::new(
+            BatcherConfig {
+                max_batch: BURST,
+                max_wait: Duration::ZERO,
+                queue_capacity,
+                delay_budget: Duration::from_secs(3600),
+                per_query_service_estimate: 0.0,
+            },
+            Arc::new(ladder),
+        )
+    };
+    let heap_before = HEAP.live_bytes();
+    let small = queue_of(4096);
+    let small_bytes = HEAP.live_bytes() - heap_before;
+    drop(small);
+    let heap_before = HEAP.live_bytes();
+    let queue = queue_of(1 << 20);
+    let large_bytes = HEAP.live_bytes() - heap_before;
+    assert!(
+        large_bytes.abs_diff(small_bytes) <= HARNESS_SLACK,
+        "a queue of capacity 4096 is {small_bytes} bytes, one of 1048576 is {large_bytes}"
+    );
+
+    // A burst costs the buffer it grew and nothing per slot of capacity.
+    let requests: Vec<Request> = (0..BURST as u64)
+        .map(|id| Request::new(id, Vec::new(), SubmitOptions::default()).0)
+        .collect();
+    for request in requests {
+        assert!(queue.try_push(request).is_ok(), "under capacity");
+    }
+    match queue.try_next_batch() {
+        BatchPoll::Ready(batch) => assert_eq!(batch.requests.len(), BURST),
+        other => panic!("expected the burst as one batch, got {other:?}"),
+    }
+    let after_burst = HEAP.live_bytes() - heap_before;
+    // Twice, so that the buffer's growth steps are not pinned here.
+    let buffer = 2 * BURST * std::mem::size_of::<Request>();
+    assert!(
+        after_burst <= large_bytes + buffer + HARNESS_SLACK,
+        "{after_burst} bytes live after a burst of {BURST} drained, {large_bytes} before it"
+    );
 }

@@ -14,11 +14,14 @@
 //!    that serializes real threads and enumerates interleavings
 //!    depth-first under a preemption bound.
 //! 2. **Lock-free building blocks.** [`EventCount`] (pulse-gated parking
-//!    that replaces condvar broadcast) and [`EvictRing`] (a bounded MPMC
-//!    ring with priority swap-eviction) are the two structures the
-//!    batcher's lock-free queue is assembled from; [`EpochGc`] is the
-//!    epoch-based-reclamation cell the parameter store's live-update
-//!    protocol pins readers with (no locks on the read hot path).
+//!    that replaces condvar broadcast) is what the batcher's workers
+//!    park on; [`EpochGc`] is the epoch-based-reclamation cell the
+//!    parameter store's live-update protocol pins readers with (no locks
+//!    on the read hot path). [`EvictRing`] (a bounded MPMC ring with
+//!    priority swap-eviction) was the batcher's lock-free queue until
+//!    PR 24 made the mutex queue the only one; it has no caller left in
+//!    the workspace, is kept only because `perf_bench` times it as
+//!    `sync.ring_push_pop_ns`, and leaves with ROADMAP item 10(c).
 //! 3. **Shared policy helpers.** [`CachePadded`] kills false sharing
 //!    between hot counters, and [`lock_recover`]/[`read_recover`]/
 //!    [`write_recover`] centralize the repo's poison-recovery policy for
