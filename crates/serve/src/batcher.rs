@@ -262,8 +262,8 @@ impl SharedQueue {
     /// skipping their pulses keeps a fast producer from turning the
     /// workers into a per-query context-switch storm. Both depths are
     /// read under the one lock hold, so `before == 0` implies
-    /// `after == 1`; `after == 1` alone is the arrival that evicted the
-    /// only occupant of a capacity-1 queue.
+    /// `after == 1`; `after == 1` alone is an arrival that evicted the
+    /// only occupant.
     fn pulse_signal_on_push(&self, before: usize, after: usize) {
         if before == 0 || after == 1 || after == self.effective_cap() {
             self.signal.pulse();
