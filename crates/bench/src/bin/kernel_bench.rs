@@ -476,7 +476,7 @@ fn skinny_worst(rows: &[SkinnyRow]) -> ((f64, String), (f64, String)) {
 
 /// Checks the dispatched GEMM against the scalar blocked kernel on
 /// register-block edge shapes: bit-identical when FMA is disabled
-/// (strict mode / forced scalar / no AVX2), otherwise within the
+/// (forced scalar / no AVX2), otherwise within the
 /// documented per-cell bound `2·(k+8)·ε·Σ|aᵢₗ·bⱼₗ| + f32::MIN_POSITIVE`
 /// (see DESIGN.md §11).
 fn check_gemm_fma_accuracy() {
@@ -497,7 +497,7 @@ fn check_gemm_fma_accuracy() {
         if !fma {
             assert_eq!(
                 scalar_out, dispatched,
-                "GEMM {m}x{k}x{n}: strict/scalar mode must be bit-identical"
+                "GEMM {m}x{k}x{n}: the scalar backend must be bit-identical"
             );
             continue;
         }
@@ -622,7 +622,7 @@ fn main() {
     check_gemm_determinism();
     println!("  ok");
 
-    println!("Checking dispatched GEMM vs scalar blocked kernel (ULP bound / strict identity)...");
+    println!("Checking dispatched GEMM vs scalar blocked kernel (ULP bound / scalar identity)...");
     check_gemm_fma_accuracy();
     println!("  ok");
 

@@ -19,7 +19,7 @@ use drec_models::{ModelId, ModelScale};
 use drec_ops::Value;
 use drec_sched::{DecisionSnapshot, GpuSchedConfig, ModelSlo, MultiServeRuntime, SchedConfig};
 use drec_serve::{
-    EmbeddingStore, Engine, MetricsSnapshot, RowEncoding, ServeConfig, ServeRuntime, StoreConfig,
+    EmbeddingStore, MetricsSnapshot, RowEncoding, ServeConfig, ServeRuntime, StoreConfig,
 };
 use drec_store::TierConfig;
 use drec_workload::QueryGen;
@@ -131,24 +131,27 @@ fn calibrate(
                 let barrier = std::sync::Arc::clone(&barrier);
                 let store = store.clone();
                 scope.spawn(move || {
-                    let built = match &store {
+                    let mut built = match &store {
                         Some(s) => model.build_with_store(scale, seed, std::sync::Arc::clone(s)),
                         None => model.build(scale, seed),
                     }
                     .expect("model builds");
-                    let mut engine = Engine::new(built, LatencyCurve::from_points(vec![(1, 1.0)]));
+                    // The plan every serving engine compiles at construction.
+                    built.compile_plan();
                     let mut gen = QueryGen::zipf(0xCAFE + t as u64, ZIPF_S);
+                    // One timed run; the inputs are drawn before the clock starts.
+                    let mut time_batch = |batch: usize| {
+                        let inputs = gen.batch(built.spec(), batch);
+                        let start = Instant::now();
+                        built.run(inputs).expect("calibration run");
+                        start.elapsed().as_secs_f64()
+                    };
                     // Warm-up so lazily-faulted pages and caches settle.
-                    let _ = engine.measure_batch_seconds(&mut gen, grid[0], 1);
+                    time_batch(grid[0]);
                     grid.iter()
                         .map(|&batch| {
                             barrier.wait();
-                            let mut sum = 0.0;
-                            for _ in 0..repeats {
-                                sum += engine
-                                    .measure_batch_seconds(&mut gen, batch, 1)
-                                    .expect("calibration run");
-                            }
+                            let sum: f64 = (0..repeats).map(|_| time_batch(batch)).sum();
                             sum / repeats as f64
                         })
                         .collect::<Vec<f64>>()

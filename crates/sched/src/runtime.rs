@@ -48,9 +48,8 @@ use drec_ops::Value;
 use drec_par::ParPool;
 use drec_serve::{
     crew, BatchExecution, DegradeConfig, EmbeddingStore, Engine, FaultHook, Lane, LanePool,
-    LaneSet, LaneSpec, MetricsRegistry, MetricsSnapshot, ModelUpdateChannel, PendingResponse,
-    Placement, PoolConfig, Request, Result, ServeError, StoreConfig, SubmitOptions,
-    SupervisorConfig, Worker,
+    LaneSet, LaneSpec, MetricsSnapshot, ModelUpdateChannel, PendingResponse, Placement, PoolConfig,
+    Request, Result, ServeError, StoreConfig, SubmitOptions, SupervisorConfig, Worker,
 };
 
 use crate::profile::{ModelProfile, ProfileConfig};
@@ -330,12 +329,20 @@ struct Accelerator {
 
 impl Accelerator {
     /// Enqueues `item`, or hands it back when the backlog is full or
-    /// the accelerator worker is gone.
+    /// the accelerator worker is gone. Producers (overflow) and CPU
+    /// workers (route) offer concurrently, so the slot is claimed in one
+    /// read-modify-write: a check then an increment lets two offers both
+    /// pass at `capacity - 1`.
     fn offer(&self, item: WorkItem) -> std::result::Result<(), WorkItem> {
-        if self.backlog.load(Ordering::Relaxed) >= self.backlog_capacity {
+        let cap = self.backlog_capacity;
+        let claimed = self
+            .backlog
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (n < cap).then_some(n + 1)
+            });
+        if claimed.is_err() {
             return Err(item);
         }
-        self.backlog.fetch_add(1, Ordering::Relaxed);
         self.tx.send(Some(item)).map_err(|mpsc::SendError(item)| {
             self.backlog.fetch_sub(1, Ordering::Relaxed);
             item.expect("only work items are offered")
@@ -629,11 +636,6 @@ impl MultiServeRuntime {
         }
     }
 
-    /// The live metrics registry (per-model channels included).
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.pool.metrics
-    }
-
     /// Point-in-time metrics summary.
     pub fn snapshot(&self) -> MetricsSnapshot {
         self.pool.metrics.snapshot()
@@ -900,4 +902,44 @@ pub fn replay_records(
         }
     }
     Ok(records.len())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Barrier;
+
+    #[test]
+    fn concurrent_offers_never_overfill_the_backlog() {
+        const THREADS: usize = 4;
+        for round in 0..1_000 {
+            // Nothing drains the channel: every accepted offer stays in
+            // the backlog, so a capacity of 1 admits exactly one.
+            let (tx, _rx) = mpsc::channel();
+            let acc = Accelerator {
+                tx,
+                backlog: AtomicUsize::new(0),
+                backlog_capacity: 1,
+                worker: 0,
+            };
+            let barrier = Barrier::new(THREADS);
+            let accepted: usize = std::thread::scope(|scope| {
+                let offers: Vec<_> = (0..THREADS)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            barrier.wait();
+                            let item = WorkItem {
+                                lane: 0,
+                                requests: Vec::new(),
+                            };
+                            usize::from(acc.offer(item).is_ok())
+                        })
+                    })
+                    .collect();
+                offers.into_iter().map(|t| t.join().unwrap()).sum()
+            });
+            assert_eq!(accepted, 1, "round {round}");
+            assert_eq!(acc.backlog.load(Ordering::Relaxed), 1, "round {round}");
+        }
+    }
 }

@@ -1,9 +1,9 @@
 //! The per-worker inference engine: owns a compiled model plus the
-//! platform latency curve, executes coalesced batches, and reports both
-//! real and modelled timings.
+//! platform latency curve, executes coalesced batches, and prices each
+//! one on the curve. It reads no clock: the worker that calls it times
+//! the batch.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use drec_core::serving::LatencyCurve;
 use drec_faultsim::{BatchFault, FaultHook};
@@ -33,13 +33,11 @@ impl Drop for UpdateState {
     }
 }
 
-/// Timings and outputs from one executed batch.
+/// Outputs and modelled time of one executed batch.
 #[derive(Debug)]
 pub struct BatchExecution {
     /// Per-request output rows, in the batch's request order.
     pub per_request_outputs: Vec<Vec<Value>>,
-    /// Real wall-clock execution time of the batch, seconds.
-    pub wall_seconds: f64,
     /// Modelled per-platform execution time from the latency curve,
     /// seconds.
     pub modelled_seconds: f64,
@@ -244,13 +242,11 @@ impl Engine {
                 inputs.pop();
             }
         }
-        let start = Instant::now();
         let outputs = drec_par::with_pool(&self.pool, || self.model.run(inputs)).map_err(|e| {
             ServeError::WorkerFailed {
                 reason: e.to_string(),
             }
         })?;
-        let wall_seconds = start.elapsed().as_secs_f64();
         if let Some(state) = &self.update {
             let weights = state.weight_version;
             let served = embed_version.map_or(weights, |rows| rows.min(weights));
@@ -258,39 +254,8 @@ impl Engine {
         }
         Ok(BatchExecution {
             per_request_outputs: split_outputs(&outputs, batch),
-            wall_seconds,
             modelled_seconds: self.curve.eval(batch),
         })
-    }
-
-    /// Measures the real wall-clock time of running one `batch`-sized
-    /// inference with generator inputs — used by the load generator to
-    /// calibrate a wall-clock [`LatencyCurve`] for this engine.
-    ///
-    /// Returns the fastest of `repeats` runs to suppress scheduling
-    /// noise.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::WorkerFailed`] when graph execution fails.
-    pub fn measure_batch_seconds(
-        &mut self,
-        gen: &mut drec_workload::QueryGen,
-        batch: usize,
-        repeats: usize,
-    ) -> Result<f64> {
-        let mut best = f64::INFINITY;
-        for _ in 0..repeats.max(1) {
-            let inputs = gen.batch(self.model.spec(), batch);
-            let start = Instant::now();
-            drec_par::with_pool(&self.pool, || self.model.run(inputs)).map_err(|e| {
-                ServeError::WorkerFailed {
-                    reason: e.to_string(),
-                }
-            })?;
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        Ok(best)
     }
 }
 
@@ -326,12 +291,11 @@ mod tests {
     }
 
     #[test]
-    fn run_batch_reports_both_clocks() {
+    fn run_batch_reports_modelled_time() {
         let mut e = engine();
         let reqs = requests(4, &e.spec().clone());
         let exec = e.run_batch(&reqs).unwrap();
         assert_eq!(exec.per_request_outputs.len(), 4);
-        assert!(exec.wall_seconds > 0.0);
         // Modelled time comes from the curve: batch 4 interpolates
         // between the knots at 1 and 64.
         assert!(exec.modelled_seconds > 1e-3 && exec.modelled_seconds < 8e-3);
@@ -416,13 +380,5 @@ mod tests {
         replica.poll_updates().unwrap();
         assert!(holds(&first, &baseline) && holds(&replica, &baseline));
         assert_eq!(channel.min_installed(), 3);
-    }
-
-    #[test]
-    fn measure_batch_returns_positive_time() {
-        let mut e = engine();
-        let mut gen = QueryGen::uniform(9);
-        let t = e.measure_batch_seconds(&mut gen, 8, 2).unwrap();
-        assert!(t > 0.0 && t.is_finite());
     }
 }

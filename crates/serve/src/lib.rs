@@ -13,8 +13,9 @@
 //! lock-light metrics registry exposes p50/p95/p99, shed rate, mean
 //! coalesced batch, and per-worker utilization while traffic flows.
 //!
-//! Both clocks are recorded per batch: *real* wall-clock time of the
-//! functional execution, and *modelled* per-platform time from the same
+//! Both clocks are recorded: the worker times each batch and each
+//! request's *real* end-to-end wall time, and the engine prices the batch
+//! at its *modelled* per-platform time from the same
 //! [`drec_core::serving::LatencyCurve`] the analytical queue simulation
 //! uses — which is what lets `serve_loadgen` cross-validate
 //! [`drec_core::serving::simulate_queue`] against measured tails.
@@ -56,7 +57,6 @@ pub use engine::{BatchExecution, Engine};
 pub use error::{Result, ServeError};
 pub use metrics::{
     LatencyHistogram, MetricsRegistry, MetricsSnapshot, ModelChannelMetrics, ModelChannelSnapshot,
-    WorkerMetrics,
 };
 pub use pool::{
     crew, Inline, Lane, LanePool, LaneSet, LaneSpec, Placement, PoolConfig, SupervisorConfig,

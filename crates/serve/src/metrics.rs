@@ -6,6 +6,10 @@
 //! on a lock to record an observation. Reads are snapshots with relaxed
 //! ordering — monotonic but not mutually consistent, which is fine for
 //! monitoring.
+//!
+//! A per-request observation (a completion with its latency, a shed) has
+//! one home, the lane's [`ModelChannelMetrics`]; a [`MetricsSnapshot`]'s
+//! pool-wide figures are derived from the channels, never stored twice.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -30,6 +34,39 @@ const MAX_PANIC_REASONS: usize = 64;
 const BUCKETS: usize = 104;
 const BUCKETS_PER_OCTAVE: f64 = 4.0;
 const BASE_NANOS: f64 = 1_000.0; // 1 µs
+
+/// Mean of `count` observations summing to `sum_nanos`, in seconds (0
+/// when empty).
+fn mean_of(count: u64, sum_nanos: u64) -> f64 {
+    if count == 0 {
+        return 0.0;
+    }
+    sum_nanos as f64 / count as f64 / 1e9
+}
+
+/// The `q`-quantile of histogram bucket counts, in seconds: the geometric
+/// midpoint of the bucket holding rank `⌈total · q⌉` (0 when empty). One
+/// histogram's counts, a window's deltas and several channels' summed
+/// counts all walk here, so a merged quantile is bit-identical to that of
+/// one histogram fed every observation.
+fn quantile_of(counts: &[u64], q: f64) -> f64 {
+    let total: u64 = counts.iter().sum();
+    if total == 0 {
+        return 0.0;
+    }
+    let rank = ((total as f64 * q.clamp(0.0, 1.0)).ceil() as u64).max(1);
+    let mut seen = 0u64;
+    for (i, count) in counts.iter().enumerate() {
+        seen += count;
+        if seen >= rank {
+            let lo = BASE_NANOS * 2f64.powf(i as f64 / BUCKETS_PER_OCTAVE);
+            let hi = BASE_NANOS * 2f64.powf((i + 1) as f64 / BUCKETS_PER_OCTAVE);
+            return (lo * hi).sqrt() / 1e9;
+        }
+    }
+    // Unreachable with a consistent count, but stay total.
+    BASE_NANOS * 2f64.powf(BUCKETS as f64 / BUCKETS_PER_OCTAVE) / 1e9
+}
 
 /// A log-bucketed latency histogram with atomic buckets.
 ///
@@ -82,11 +119,7 @@ impl LatencyHistogram {
 
     /// Mean latency in seconds (0 when empty).
     pub fn mean_seconds(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            return 0.0;
-        }
-        self.sum_nanos.load(Ordering::Relaxed) as f64 / n as f64 / 1e9
+        mean_of(self.count(), self.sum_nanos.load(Ordering::Relaxed))
     }
 
     /// The `q`-quantile (`0.0..=1.0`) in seconds, from bucket midpoints.
@@ -121,23 +154,7 @@ impl LatencyHistogram {
                 b.load(Ordering::Relaxed).saturating_sub(prev)
             })
             .collect();
-        let total: u64 = deltas.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let rank = ((total as f64 * q.clamp(0.0, 1.0)).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, delta) in deltas.iter().enumerate() {
-            seen += delta;
-            if seen >= rank {
-                // Geometric midpoint of bucket i.
-                let lo = BASE_NANOS * 2f64.powf(i as f64 / BUCKETS_PER_OCTAVE);
-                let hi = BASE_NANOS * 2f64.powf((i + 1) as f64 / BUCKETS_PER_OCTAVE);
-                return (lo * hi).sqrt() / 1e9;
-            }
-        }
-        // Unreachable with a consistent count, but stay total.
-        BASE_NANOS * 2f64.powf(BUCKETS as f64 / BUCKETS_PER_OCTAVE) / 1e9
+        quantile_of(&deltas, q)
     }
 }
 
@@ -147,11 +164,12 @@ impl Default for LatencyHistogram {
     }
 }
 
-/// Live metrics for one model's serving channel in a multi-model
-/// runtime: its own latency histogram, completion/shed counters, and
-/// (optionally) the model's queue, overload ladder and update channel so
-/// snapshots can report queue depth, degradation level and the size of
-/// one FC weight set keyed by model name.
+/// Live metrics for one lane (one model's serving channel): its latency
+/// histogram, completion/shed counters, and (optionally) the model's
+/// queue, overload ladder and update channel so snapshots can report
+/// queue depth, degradation level and the size of one FC weight set
+/// keyed by model name. The only place a per-request observation is
+/// stored; pool-wide figures are derived from the channels.
 ///
 /// Channels are registered on a [`MetricsRegistry`] with
 /// [`MetricsRegistry::register_model`]; single-model runtimes register
@@ -162,8 +180,11 @@ pub struct ModelChannelMetrics {
     name: String,
     /// End-to-end wall latency for this model's requests.
     pub latency: LatencyHistogram,
-    completed: AtomicU64,
-    shed: AtomicU64,
+    // Workers bump `completed`, producers bump `shed`: a cache line each,
+    // so the two sides never write one line (`queue_bench`'s
+    // `counter_false_sharing` measures what sharing costs).
+    completed: CachePadded<AtomicU64>,
+    shed: CachePadded<AtomicU64>,
     queue: Option<Arc<SharedQueue>>,
     ladder: Option<Arc<OverloadLadder>>,
     update: Option<Arc<ModelUpdateChannel>>,
@@ -182,8 +203,8 @@ impl ModelChannelMetrics {
         ModelChannelMetrics {
             name: name.into(),
             latency: LatencyHistogram::new(),
-            completed: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
+            completed: CachePadded::new(AtomicU64::new(0)),
+            shed: CachePadded::new(AtomicU64::new(0)),
             queue,
             ladder,
             update,
@@ -256,35 +277,18 @@ pub struct ModelChannelSnapshot {
 
 /// Per-worker execution accounting.
 #[derive(Debug, Default)]
-pub struct WorkerMetrics {
+struct WorkerMetrics {
     busy_nanos: AtomicU64,
     batches: AtomicU64,
-    samples: AtomicU64,
-}
-
-impl WorkerMetrics {
-    /// Records one executed batch of `batch` samples taking `busy`.
-    pub fn record_batch(&self, batch: usize, busy: Duration) {
-        self.busy_nanos.fetch_add(
-            busy.as_nanos().min(u128::from(u64::MAX)) as u64,
-            Ordering::Relaxed,
-        );
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.samples.fetch_add(batch as u64, Ordering::Relaxed);
-    }
 }
 
 /// The runtime's metrics registry, shared by producers, workers, and
 /// observers.
 #[derive(Debug)]
 pub struct MetricsRegistry {
-    // The three per-request hot counters live on their own cache lines:
-    // producers bump `accepted`/`shed` while workers bump `completed`,
-    // and padding keeps those writes from ping-ponging one shared line
-    // (measured in `queue_bench`'s counter experiment).
+    // Producers bump `accepted` on every admission; its own cache line
+    // keeps those writes off the lines workers write.
     accepted: CachePadded<AtomicU64>,
-    shed: CachePadded<AtomicU64>,
-    completed: CachePadded<AtomicU64>,
     rejected_invalid: AtomicU64,
     deadline_exceeded: AtomicU64,
     retried: AtomicU64,
@@ -293,10 +297,7 @@ pub struct MetricsRegistry {
     worker_restarts: AtomicU64,
     prefetch_rows_dropped: AtomicU64,
     panic_reasons: Mutex<VecDeque<String>>,
-    ladder: Option<Arc<OverloadLadder>>,
     models: Vec<Arc<ModelChannelMetrics>>,
-    /// End-to-end wall latency (admission → response).
-    pub latency: LatencyHistogram,
     /// Modelled per-platform batch execution time from the latency curve.
     pub modelled: LatencyHistogram,
     workers: Vec<WorkerMetrics>,
@@ -309,28 +310,11 @@ pub struct MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// A fresh registry for `workers` worker threads, observing the
-    /// [`drec_par::current`] intra-op pool.
-    pub fn new(workers: usize) -> Self {
-        Self::with_pool(workers, drec_par::current())
-    }
-
-    /// Like [`MetricsRegistry::new`] but observing an explicit intra-op
-    /// pool (the one the runtime's engines execute on). Pool counters in
-    /// snapshots are deltas from this construction point.
-    pub fn with_pool(workers: usize, pool: Arc<ParPool>) -> Self {
-        Self::with_pool_and_store(workers, pool, None)
-    }
-
-    /// Like [`MetricsRegistry::with_pool`], additionally observing a
-    /// shared [`EmbeddingStore`]. Store counters in snapshots (lookups,
-    /// cache hits/misses/evictions) are deltas from this construction
-    /// point; byte and occupancy gauges are absolute.
-    pub fn with_pool_and_store(
-        workers: usize,
-        pool: Arc<ParPool>,
-        store: Option<Arc<EmbeddingStore>>,
-    ) -> Self {
+    /// A fresh registry for `workers` workers, observing the engines'
+    /// intra-op `pool` and the shared `store`, if any. Their counters in
+    /// snapshots are deltas from here; byte and occupancy gauges are
+    /// absolute.
+    pub fn new(workers: usize, pool: Arc<ParPool>, store: Option<Arc<EmbeddingStore>>) -> Self {
         let pool_baseline = pool.stats();
         let store = store.map(|s| {
             let baseline = s.stats();
@@ -338,8 +322,6 @@ impl MetricsRegistry {
         });
         MetricsRegistry {
             accepted: CachePadded::new(AtomicU64::new(0)),
-            shed: CachePadded::new(AtomicU64::new(0)),
-            completed: CachePadded::new(AtomicU64::new(0)),
             rejected_invalid: AtomicU64::new(0),
             deadline_exceeded: AtomicU64::new(0),
             retried: AtomicU64::new(0),
@@ -348,9 +330,7 @@ impl MetricsRegistry {
             worker_restarts: AtomicU64::new(0),
             prefetch_rows_dropped: AtomicU64::new(0),
             panic_reasons: Mutex::new(VecDeque::new()),
-            ladder: None,
             models: Vec::new(),
-            latency: LatencyHistogram::new(),
             modelled: LatencyHistogram::new(),
             workers: (0..workers).map(|_| WorkerMetrics::default()).collect(),
             started_at: Instant::now(),
@@ -358,13 +338,6 @@ impl MetricsRegistry {
             pool_baseline,
             store,
         }
-    }
-
-    /// Attaches the runtime's overload ladder so snapshots report the
-    /// current degradation level and transition counts. Called once at
-    /// runtime construction, before the registry is shared.
-    pub(crate) fn set_ladder(&mut self, ladder: Arc<OverloadLadder>) {
-        self.ladder = Some(ladder);
     }
 
     /// Registers a per-model serving channel and returns its handle.
@@ -381,11 +354,6 @@ impl MetricsRegistry {
         let channel = Arc::new(ModelChannelMetrics::new(name, queue, ladder, update));
         self.models.push(Arc::clone(&channel));
         channel
-    }
-
-    /// The channel registered under `name`, if any.
-    pub fn model_channel(&self, name: &str) -> Option<&Arc<ModelChannelMetrics>> {
-        self.models.iter().find(|c| c.name() == name)
     }
 
     /// Counts one admitted request.
@@ -435,22 +403,18 @@ impl MetricsRegistry {
         }
     }
 
-    /// Counts one shed (overloaded or shutting-down) request.
-    pub fn record_shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Counts one request rejected for a malformed payload.
     pub fn record_invalid(&self) {
         self.rejected_invalid.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a completed batch: per-worker busy time plus per-request
-    /// end-to-end latencies.
-    pub fn record_batch(&self, worker: usize, batch: usize, busy: Duration) {
-        self.completed.fetch_add(batch as u64, Ordering::Relaxed);
+    /// Records one batch `worker` executed, busy for `busy`. Its requests
+    /// are counted on their lane's channel.
+    pub fn record_batch(&self, worker: usize, busy: Duration) {
         if let Some(w) = self.workers.get(worker) {
-            w.record_batch(batch, busy);
+            let nanos = busy.as_nanos().min(u128::from(u64::MAX)) as u64;
+            w.busy_nanos.fetch_add(nanos, Ordering::Relaxed);
+            w.batches.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -462,12 +426,25 @@ impl MetricsRegistry {
             .iter()
             .map(|w| w.batches.load(Ordering::Relaxed))
             .sum();
-        let samples: u64 = self
-            .workers
-            .iter()
-            .map(|w| w.samples.load(Ordering::Relaxed))
-            .sum();
-        let pool_delta = self.pool.stats().since(&self.pool_baseline);
+        // The per-request figures are the lanes': counters summed,
+        // histogram buckets merged.
+        let (mut completed, mut shed, mut count, mut sum_nanos) = (0, 0, 0, 0);
+        let mut buckets = [0u64; BUCKETS];
+        for lane in &self.models {
+            completed += lane.completed.load(Ordering::Relaxed);
+            shed += lane.shed.load(Ordering::Relaxed);
+            count += lane.latency.count();
+            sum_nanos += lane.latency.sum_nanos.load(Ordering::Relaxed);
+            for (sum, bucket) in buckets.iter_mut().zip(&lane.latency.buckets) {
+                *sum += bucket.load(Ordering::Relaxed);
+            }
+        }
+        // A sole lane's ladder is the pool's; co-located lanes share no
+        // pool-wide level.
+        let ladder = match self.models.as_slice() {
+            [sole] => sole.ladder.as_ref(),
+            _ => None,
+        };
         let (
             entered_update_backpressure,
             entered_reduced_batch,
@@ -475,16 +452,13 @@ impl MetricsRegistry {
             recovered_update_backpressure,
             recovered_reduced_batch,
             recovered_cache_only,
-        ) = self
-            .ladder
-            .as_ref()
-            .map(|l| l.transition_counts())
-            .unwrap_or((0, 0, 0, 0, 0, 0));
+        ) = ladder.map_or((0, 0, 0, 0, 0, 0), |l| l.transition_counts());
+        let pool_delta = self.pool.stats().since(&self.pool_baseline);
         MetricsSnapshot {
             accepted: self.accepted.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
+            shed,
             rejected_invalid: self.rejected_invalid.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
+            completed,
             deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
             retried: self.retried.load(Ordering::Relaxed),
             failed: self.failed.load(Ordering::Relaxed),
@@ -492,10 +466,7 @@ impl MetricsRegistry {
             worker_restarts: self.worker_restarts.load(Ordering::Relaxed),
             prefetch_rows_dropped: self.prefetch_rows_dropped.load(Ordering::Relaxed),
             panic_reasons: self.panic_reasons.lock().iter().cloned().collect(),
-            overload_level: self
-                .ladder
-                .as_ref()
-                .map_or(OverloadLevel::Normal, |l| l.level()),
+            overload_level: ladder.map_or(OverloadLevel::Normal, |l| l.level()),
             entered_update_backpressure,
             entered_reduced_batch,
             entered_cache_only,
@@ -506,12 +477,12 @@ impl MetricsRegistry {
             mean_batch: if batches == 0 {
                 0.0
             } else {
-                samples as f64 / batches as f64
+                completed as f64 / batches as f64
             },
-            mean_latency_seconds: self.latency.mean_seconds(),
-            p50_seconds: self.latency.quantile_seconds(0.50),
-            p95_seconds: self.latency.quantile_seconds(0.95),
-            p99_seconds: self.latency.quantile_seconds(0.99),
+            mean_latency_seconds: mean_of(count, sum_nanos),
+            p50_seconds: quantile_of(&buckets, 0.50),
+            p95_seconds: quantile_of(&buckets, 0.95),
+            p99_seconds: quantile_of(&buckets, 0.99),
             modelled_p99_seconds: self.modelled.quantile_seconds(0.99),
             worker_utilization: self
                 .workers
@@ -605,8 +576,8 @@ pub struct MetricsSnapshot {
     /// runtime registered no channels.
     pub models: Vec<ModelChannelSnapshot>,
     /// The process-wide kernel backend the engines dispatch to
-    /// ([`drec_tensor::simd::backend_label`]): `"avx2-fma"`,
-    /// `"avx2-fma+strict-gemm"`, or `"scalar"`.
+    /// ([`drec_tensor::simd::backend_label`]): `"avx2-fma"` or
+    /// `"scalar"`.
     pub kernel_backend: &'static str,
     /// Seconds since the registry was created.
     pub uptime_seconds: f64,
@@ -627,6 +598,10 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn registry(workers: usize) -> MetricsRegistry {
+        MetricsRegistry::new(workers, drec_par::current(), None)
+    }
 
     #[test]
     fn histogram_quantiles_bracket_observations() {
@@ -680,8 +655,40 @@ mod tests {
     }
 
     #[test]
+    fn merged_counts_quantile_like_one_histogram_fed_both_streams() {
+        let (fast, slow, both) = (
+            LatencyHistogram::new(),
+            LatencyHistogram::new(),
+            LatencyHistogram::new(),
+        );
+        for i in 1..=700u64 {
+            let d = Duration::from_micros(3 * i);
+            fast.record(d);
+            both.record(d);
+        }
+        for i in 1..=300u64 {
+            let d = Duration::from_micros(40 * i + 7);
+            slow.record(d);
+            both.record(d);
+        }
+        let merged: Vec<u64> = fast
+            .bucket_counts()
+            .iter()
+            .zip(slow.bucket_counts())
+            .map(|(a, b)| a + b)
+            .collect();
+        for q in [0.0, 0.25, 0.5, 0.7, 0.95, 0.99, 1.0] {
+            let got = quantile_of(&merged, q);
+            assert_eq!(got.to_bits(), both.quantile_seconds(q).to_bits(), "q {q}");
+        }
+        let sum = |h: &LatencyHistogram| h.sum_nanos.load(Ordering::Relaxed);
+        let mean = mean_of(fast.count() + slow.count(), sum(&fast) + sum(&slow));
+        assert_eq!(mean.to_bits(), both.mean_seconds().to_bits());
+    }
+
+    #[test]
     fn model_channels_key_metrics_by_name() {
-        let mut m = MetricsRegistry::new(1);
+        let mut m = registry(1);
         let ncf = m.register_model("ncf", None, None, None);
         let din = m.register_model("din", None, None, None);
         ncf.record_completed(Duration::from_micros(100));
@@ -696,13 +703,15 @@ mod tests {
         assert_eq!(s.models[1].name, "din");
         assert_eq!(s.models[1].shed, 1);
         assert_eq!(s.models[1].completed, 0);
-        assert_eq!(m.model_channel("din").unwrap().name(), "din");
-        assert!(m.model_channel("rm1").is_none());
+        // The pool-wide figures are the channels'.
+        assert_eq!((s.completed, s.shed), (2, 1));
+        assert_eq!(s.p99_seconds, s.models[0].p99_seconds);
+        assert_eq!(s.mean_latency_seconds, s.models[0].mean_latency_seconds);
     }
 
     #[test]
     fn panic_reasons_keep_the_most_recent_64() {
-        let m = MetricsRegistry::new(1);
+        let m = registry(1);
         for i in 0..100 {
             m.record_worker_panic(&format!("panic {i}"));
         }
@@ -716,13 +725,14 @@ mod tests {
 
     #[test]
     fn snapshot_aggregates_counters() {
-        let m = MetricsRegistry::new(2);
+        let mut m = registry(2);
+        let lane = m.register_model("rm1", None, None, None);
         m.record_accepted();
         m.record_accepted();
-        m.record_shed();
-        m.record_batch(0, 2, Duration::from_millis(1));
-        m.latency.record(Duration::from_millis(2));
-        m.latency.record(Duration::from_millis(2));
+        lane.record_shed();
+        m.record_batch(0, Duration::from_millis(1));
+        lane.record_completed(Duration::from_millis(2));
+        lane.record_completed(Duration::from_millis(2));
         let s = m.snapshot();
         assert_eq!(s.accepted, 2);
         assert_eq!(s.shed, 1);
@@ -730,7 +740,10 @@ mod tests {
         assert_eq!(s.batches, 1);
         assert!((s.mean_batch - 2.0).abs() < 1e-9);
         assert!((s.shed_rate() - 1.0 / 3.0).abs() < 1e-9);
+        assert!((s.mean_latency_seconds - 2e-3).abs() < 1e-9);
         assert_eq!(s.worker_utilization.len(), 2);
         assert!(s.worker_utilization[1] == 0.0);
+        // No ladder on the sole channel: the pool reports Normal.
+        assert_eq!(s.overload_level, OverloadLevel::Normal);
     }
 }

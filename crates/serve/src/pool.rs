@@ -340,7 +340,7 @@ impl LaneSet {
                 if let Some((victim, err)) = victim {
                     // The evicted lower-priority request is shed on its
                     // own reply channel; its waiter sees Overloaded.
-                    self.record_shed(lane);
+                    lane.channel.record_shed();
                     victim.respond(Err(err));
                 }
                 Ok(())
@@ -351,7 +351,7 @@ impl LaneSet {
             Err((_request, err)) => Err(err),
         };
         if let Err(err) = admitted {
-            self.record_shed(lane);
+            lane.channel.record_shed();
             return Err(err);
         }
         self.metrics.record_accepted();
@@ -361,11 +361,6 @@ impl LaneSet {
             self.drain_lanes();
         }
         Ok(PendingResponse::new(id, rx))
-    }
-
-    fn record_shed(&self, lane: &Lane) {
-        self.metrics.record_shed();
-        lane.channel.record_shed();
     }
 
     /// Answers every expired request with [`ServeError::DeadlineExceeded`].
@@ -466,11 +461,12 @@ impl Worker {
                 let batch = requests.len();
                 let placement = &core.cfg.placement;
                 placement.executed(self.index, lane_idx, &requests, &mut exec);
-                metrics.record_batch(self.index, batch, busy);
+                metrics.record_batch(self.index, busy);
                 metrics.modelled.record_seconds(exec.modelled_seconds);
                 for (request, outputs) in requests.into_iter().zip(exec.per_request_outputs) {
                     let wall = (done - request.submitted_at).as_secs_f64();
-                    metrics.latency.record_seconds(wall);
+                    // The request's one record: the snapshot's pool-wide
+                    // count and quantiles are derived from the lanes'.
                     lane.channel
                         .record_completed(Duration::from_secs_f64(wall.max(0.0)));
                     request.respond(Ok(Response {
@@ -486,7 +482,7 @@ impl Worker {
             }
             Ok(Err(err)) => {
                 // Typed failure: the engine is still sound, keep serving.
-                metrics.record_batch(self.index, 0, started.elapsed());
+                metrics.record_batch(self.index, started.elapsed());
                 core.retry_or_fail(lane_idx, requests, &err.to_string());
                 true
             }
@@ -494,7 +490,7 @@ impl Worker {
                 // Panic: the engine (and any partial execution state) is
                 // suspect. Fail the batch, then replace the engine.
                 let reason = panic_message(payload.as_ref());
-                metrics.record_batch(self.index, 0, started.elapsed());
+                metrics.record_batch(self.index, started.elapsed());
                 metrics.record_worker_panic(&reason);
                 core.retry_or_fail(lane_idx, requests, &format!("worker panicked: {reason}"));
                 self.recover(lane_idx..lane_idx + 1)
@@ -651,7 +647,7 @@ impl LanePool {
         let mut set = LaneSet {
             lanes: Vec::with_capacity(lane_cfgs.len()),
             signal: Arc::default(),
-            metrics: MetricsRegistry::with_pool_and_store(
+            metrics: MetricsRegistry::new(
                 cfg.workers + cfg.extra_workers,
                 Arc::clone(&cfg.par_pool),
                 cfg.store.clone(),
@@ -662,9 +658,9 @@ impl LanePool {
             cfg,
         };
         // A pool serving one model owns its store: that lane's ladder
-        // drives the store's cache-only rung and is the pool-wide
-        // overload level. Co-located lanes share the store, so none of
-        // their ladders may flip it for the others.
+        // drives the store's cache-only rung (and the snapshot reports
+        // it as the pool-wide overload level). Co-located lanes share
+        // the store, so none of their ladders may flip it for the others.
         let sole_lane = lane_cfgs.len() == 1;
         // Each lane's model: the source of its input contract and store
         // bindings, then worker 0's engine.
@@ -678,9 +674,6 @@ impl LanePool {
                 cfg.queue_capacity,
                 store.clone().filter(|_| sole_lane),
             ));
-            if sole_lane {
-                set.metrics.set_ladder(Arc::clone(&ladder));
-            }
             let queue = Arc::new(SharedQueue::with_signal(
                 BatcherConfig {
                     max_batch: cfg.max_batch,

@@ -29,7 +29,7 @@ use drec_store::{EmbeddingStore, StoreConfig};
 
 use crate::degrade::DegradeConfig;
 use crate::error::{Result, ServeError};
-use crate::metrics::{MetricsRegistry, MetricsSnapshot};
+use crate::metrics::MetricsSnapshot;
 use crate::pool::{Inline, LanePool, LaneSet, LaneSpec, PoolConfig, SupervisorConfig};
 use crate::request::{RequestId, Response, SubmitOptions};
 use crate::update::ModelUpdateChannel;
@@ -156,11 +156,6 @@ impl ServeRuntime {
         ServeHandle {
             pool: self.pool.handle(),
         }
-    }
-
-    /// The live metrics registry.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.pool.metrics
     }
 
     /// Point-in-time metrics summary.

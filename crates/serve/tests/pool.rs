@@ -1,8 +1,9 @@
-//! The lane pool with more than one lane under injected panics: the
+//! The lane pool with more than one lane: under injected panics the
 //! recovery design `faults.rs`/`drain.rs` exercise through the one-lane
 //! `ServeRuntime` — self-supervising workers on a shared restart budget
 //! — holds across lanes, and a spent budget closes every lane with typed
-//! errors instead of hanging anyone.
+//! errors instead of hanging anyone; and the pool-wide snapshot is the
+//! merge of its lanes' channels.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -10,13 +11,40 @@ use std::time::Duration;
 use drec_core::serving::LatencyCurve;
 use drec_models::{ModelId, ModelScale};
 use drec_serve::{
-    DegradeConfig, FaultHook, FaultPlan, Inline, LanePool, LaneSpec, PendingResponse, PoolConfig,
-    ServeError, SubmitOptions, SupervisorConfig,
+    DegradeConfig, FaultHook, FaultPlan, Inline, LanePool, LaneSpec, LatencyHistogram,
+    PendingResponse, PoolConfig, ServeError, SubmitOptions, SupervisorConfig,
 };
 use drec_workload::QueryGen;
 
 const MODELS: [ModelId; 2] = [ModelId::Ncf, ModelId::Wnd];
 const ANSWER_BOUND: Duration = Duration::from_secs(30);
+
+/// Two lanes, two workers, no faults; tests override what they need.
+fn two_lanes() -> PoolConfig {
+    let lane = |model| LaneSpec {
+        model,
+        curve: LatencyCurve::from_points(vec![(1, 1e-4), (1024, 1e-2)]),
+        built: None,
+    };
+    PoolConfig {
+        lanes: MODELS.map(lane).into(),
+        scale: ModelScale::Tiny,
+        seed: 7,
+        workers: 2,
+        worker_name: "pool-test-worker",
+        extra_workers: 0,
+        max_batch: 16,
+        max_wait: Duration::ZERO,
+        queue_capacity: 1024,
+        delay_budget: Duration::from_secs(60),
+        degrade: DegradeConfig::default(),
+        store: None,
+        par_pool: drec_par::current(),
+        supervisor: SupervisorConfig::default(),
+        faults: FaultHook::disabled(),
+        placement: Arc::new(Inline),
+    }
+}
 
 fn two_lane_pool(
     panic_every: u64,
@@ -24,31 +52,15 @@ fn two_lane_pool(
     max_batch: usize,
     max_wait: Duration,
 ) -> LanePool {
-    let lane = |model| LaneSpec {
-        model,
-        curve: LatencyCurve::from_points(vec![(1, 1e-4), (1024, 1e-2)]),
-        built: None,
-    };
     LanePool::start(PoolConfig {
-        lanes: MODELS.map(lane).into(),
-        scale: ModelScale::Tiny,
-        seed: 7,
-        workers: 2,
-        worker_name: "pool-test-worker",
-        extra_workers: 0,
         max_batch,
         max_wait,
-        queue_capacity: 1024,
-        delay_budget: Duration::from_secs(60),
-        degrade: DegradeConfig::default(),
-        store: None,
-        par_pool: drec_par::current(),
         supervisor,
         faults: FaultHook::from_plan(&FaultPlan {
             panic_every_n_batches: Some(panic_every),
             ..FaultPlan::quiet(0x2_1A4E5)
         }),
-        placement: Arc::new(Inline),
+        ..two_lanes()
     })
     .expect("pool starts")
 }
@@ -136,4 +148,55 @@ fn spent_restart_budget_closes_every_lane_with_typed_errors() {
     assert_eq!(stats.completed, 0);
     assert_eq!(stats.failed, 31, "every admitted request failed: {stats:?}");
     drop(pool); // joins the (already exited) workers; must not hang
+}
+
+#[test]
+fn pool_wide_figures_are_the_merge_of_the_lanes() {
+    // Four queue slots per lane and a coalescing wait far longer than a
+    // burst of submits: each burst of eight per lane fills both queues
+    // and the rest of it is shed.
+    let mut pool = LanePool::start(PoolConfig {
+        queue_capacity: 4,
+        max_wait: Duration::from_millis(200),
+        ..two_lanes()
+    })
+    .expect("pool starts");
+    let handle = pool.handle();
+    let mut gens = [QueryGen::uniform(11), QueryGen::uniform(12)];
+    let latency = LatencyHistogram::new();
+    let (mut answered, mut shed) = (0, 0);
+    for _ in 0..3 {
+        let mut burst = Vec::new();
+        for i in 0..16 {
+            let lane = i % 2;
+            let inputs = gens[lane].batch(&handle.lanes[lane].spec, 1);
+            match handle.submit(lane, inputs, SubmitOptions::default()) {
+                Ok(pending) => burst.push(pending),
+                Err(ServeError::Overloaded { .. }) => shed += 1,
+                Err(other) => panic!("unexpected admission error {other}"),
+            }
+        }
+        for pending in burst {
+            let response = pending.wait_timeout(ANSWER_BOUND).expect("answered");
+            latency.record_seconds(response.expect("served").wall_seconds);
+            answered += 1;
+        }
+    }
+    pool.join_workers();
+    pool.drain_lanes();
+    let s = pool.metrics.snapshot();
+    assert!(shed > 0, "the bursts must overflow four slots: {s:?}");
+    assert_eq!(s.shed, shed);
+    assert_eq!(s.completed, answered);
+    assert_eq!(s.shed, s.models.iter().map(|m| m.shed).sum::<u64>());
+    assert_eq!(
+        s.completed,
+        s.models.iter().map(|m| m.completed).sum::<u64>()
+    );
+    assert!(s.models.iter().all(|m| m.completed > 0), "{s:?}");
+    let bits = |x: f64| x.to_bits();
+    assert_eq!(bits(s.mean_latency_seconds), bits(latency.mean_seconds()));
+    assert_eq!(bits(s.p50_seconds), bits(latency.quantile_seconds(0.50)));
+    assert_eq!(bits(s.p95_seconds), bits(latency.quantile_seconds(0.95)));
+    assert_eq!(bits(s.p99_seconds), bits(latency.quantile_seconds(0.99)));
 }

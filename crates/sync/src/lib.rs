@@ -22,10 +22,10 @@
 //!    PR 24 made the mutex queue the only one; it has no caller left in
 //!    the workspace, is kept only because `perf_bench` times it as
 //!    `sync.ring_push_pop_ns`, and leaves with ROADMAP item 10(c).
-//! 3. **Shared policy helpers.** [`CachePadded`] kills false sharing
-//!    between hot counters, and [`lock_recover`]/[`read_recover`]/
-//!    [`write_recover`] centralize the repo's poison-recovery policy for
-//!    call sites that still hold plain `std` locks.
+//! 3. **Cache-line padding.** [`CachePadded`] keeps hot counters that
+//!    different threads bump (a lane's `completed` and `shed`, the
+//!    registry's `accepted`) on lines of their own, so their writes do
+//!    not ping-pong one shared line between cores.
 
 #![warn(missing_docs)]
 
@@ -90,27 +90,6 @@ impl<T> std::ops::DerefMut for CachePadded<T> {
     }
 }
 
-/// Acquires a plain `std` mutex, recovering the guard if a panicking
-/// thread poisoned it. The repo-wide policy: no structure guarded this
-/// way holds an invariant a panic can break mid-update, and refusing to
-/// serve after one poisoned lock would turn an isolated worker failure
-/// into a full outage.
-pub fn lock_recover<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Acquires a plain `std` rwlock for reading, recovering from
-/// poisoning (see [`lock_recover`] for the policy).
-pub fn read_recover<T>(l: &std::sync::RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
-    l.read().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Acquires a plain `std` rwlock for writing, recovering from
-/// poisoning (see [`lock_recover`] for the policy).
-pub fn write_recover<T>(l: &std::sync::RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
-    l.write().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,29 +106,5 @@ mod tests {
             7,
             "into_inner returns the wrapped value"
         );
-    }
-
-    #[test]
-    fn recover_helpers_survive_poison() {
-        let m = std::sync::Arc::new(std::sync::Mutex::new(1u32));
-        let m2 = std::sync::Arc::clone(&m);
-        let _ = std::thread::spawn(move || {
-            let _guard = m2.lock().unwrap();
-            panic!("poison it");
-        })
-        .join();
-        assert!(m.is_poisoned());
-        assert_eq!(*lock_recover(&m), 1);
-
-        let l = std::sync::Arc::new(std::sync::RwLock::new(2u32));
-        let l2 = std::sync::Arc::clone(&l);
-        let _ = std::thread::spawn(move || {
-            let _guard = l2.write().unwrap();
-            panic!("poison it");
-        })
-        .join();
-        assert_eq!(*read_recover(&l), 2);
-        *write_recover(&l) = 3;
-        assert_eq!(*read_recover(&l), 3);
     }
 }

@@ -3,8 +3,11 @@
 //! In a normal build (`--cfg loom` absent) every type here is a
 //! zero-cost, `#[inline]` newtype over its `std::sync` counterpart with
 //! one behavioral difference: lock poisoning is recovered instead of
-//! propagated (the repo-wide policy — see [`crate::lock_recover`]), so
-//! call sites get guards back directly instead of `LockResult`s.
+//! propagated, so call sites get guards back directly instead of
+//! `LockResult`s. The repo-wide policy: no structure guarded this way
+//! holds an invariant a panic can break mid-update, and refusing to
+//! serve after one poisoned lock would turn an isolated worker failure
+//! into a full outage.
 //!
 //! Under `--cfg loom` the same API is instrumented: every operation is a
 //! schedule point for the in-tree model checker ([`crate::model`]), and

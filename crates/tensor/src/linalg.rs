@@ -14,7 +14,7 @@
 //! (scalar, four partial sums per cell, `chunks_exact`-style so LLVM
 //! vectorizes without reassociation licence) and the 8-lane FMA
 //! `simd::x86::gemm_block_fma`, which replaces it wholesale on AVX2+FMA
-//! hosts. [`gemm_transposed_scalar`] and `DREC_GEMM_STRICT=1` pin the
+//! hosts. [`gemm_transposed_scalar`] and `DREC_FORCE_SCALAR=1` pin the
 //! scalar one.
 //!
 //! # Partition
@@ -310,8 +310,8 @@ fn gemm_transposed_impl(
 /// [`drec_par`] pool; results are bit-identical for every batch size and
 /// thread count (see the module docs). On
 /// AVX2+FMA hosts the dot cells run the 8-lane FMA micro-kernel (see
-/// [`crate::simd`]) unless `DREC_FORCE_SCALAR=1` or `DREC_GEMM_STRICT=1`
-/// pins the scalar blocked kernel. This free-function form exists so
+/// [`crate::simd`]) unless `DREC_FORCE_SCALAR=1` pins the scalar blocked
+/// kernel. This free-function form exists so
 /// operators can run repeated products into arena-recycled buffers
 /// without constructing intermediate tensors.
 ///
@@ -325,7 +325,7 @@ pub fn gemm_transposed(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: 
 /// [`gemm_transposed`] pinned to the scalar blocked kernel regardless of
 /// the dispatch probe — the accuracy oracle for the FMA GEMM's ULP gate
 /// and the "scalar" side of `kernel_bench`'s speedup measurement. Output
-/// is bit-identical to [`gemm_transposed`] under `DREC_GEMM_STRICT=1`
+/// is bit-identical to [`gemm_transposed`] under `DREC_FORCE_SCALAR=1`
 /// (or on non-AVX2 hosts).
 ///
 /// # Panics

@@ -19,12 +19,11 @@
 //! | x86_64 with AVX2 **and** FMA                | `Avx2Fma`      |
 //! | anything else                               | `Scalar`       |
 //!
-//! `DREC_GEMM_STRICT=1` additionally pins *only* the GEMM to the scalar
-//! blocked kernel (see [`gemm_fma_enabled`]): the quantized row kernels
-//! are bit-identical to their scalar oracles by construction, but the
-//! FMA GEMM contracts multiplies into fused multiply-adds and widens the
-//! reduction to 8 lanes, so strict mode exists for workflows that need
-//! bit-level reproducibility against the scalar GEMM.
+//! The quantized row kernels are bit-identical to their scalar oracles
+//! by construction; the FMA GEMM (see [`gemm_fma_enabled`]) contracts
+//! multiplies into fused multiply-adds and widens the reduction to 8
+//! lanes, so bit-level agreement with the scalar GEMM
+//! ([`crate::gemm_transposed_scalar`]) takes `DREC_FORCE_SCALAR=1`.
 //!
 //! # The reduction-order contract
 //!
@@ -149,25 +148,17 @@ pub fn active_backend() -> KernelBackend {
     *BACKEND.get_or_init(|| resolve_backend(env_flag("DREC_FORCE_SCALAR"), have_avx2_fma()))
 }
 
-/// Whether GEMM dot cells use the FMA micro-kernel: requires the
-/// `Avx2Fma` backend and no `DREC_GEMM_STRICT=1` override. Strict mode
-/// disables FMA contraction (the GEMM runs the scalar blocked kernel,
-/// bit-identical to pre-SIMD builds) while the quantized row kernels —
-/// bit-identical to their oracles anyway — stay vectorized.
+/// Whether GEMM dot cells use the FMA micro-kernel: exactly when the
+/// backend is `Avx2Fma`.
 pub fn gemm_fma_enabled() -> bool {
-    static FMA: OnceLock<bool> = OnceLock::new();
-    *FMA.get_or_init(|| active_backend() == KernelBackend::Avx2Fma && !env_flag("DREC_GEMM_STRICT"))
+    active_backend() == KernelBackend::Avx2Fma
 }
 
-/// Human-readable label of the full kernel configuration, for metrics
-/// snapshots and bench reports (e.g. `"avx2-fma"`,
-/// `"avx2-fma+strict-gemm"`, `"scalar"`).
+/// Label of the kernel configuration for metrics snapshots and bench
+/// reports: [`KernelBackend::name`] of the [`active_backend`]
+/// (`"avx2-fma"` or `"scalar"`).
 pub fn backend_label() -> &'static str {
-    match (active_backend(), gemm_fma_enabled()) {
-        (KernelBackend::Scalar, _) => "scalar",
-        (KernelBackend::Avx2Fma, true) => "avx2-fma",
-        (KernelBackend::Avx2Fma, false) => "avx2-fma+strict-gemm",
-    }
+    active_backend().name()
 }
 
 /// `dst.copy_from_slice(row)`, reporting the path that matches the
