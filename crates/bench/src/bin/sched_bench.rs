@@ -380,9 +380,8 @@ fn time_start(models: &[ModelId], reps: usize) -> StartTimes {
         let lanes = built.into_iter().map(|model| {
             let mut model = model.expect("model builds");
             LaneSpec {
-                model: model.id(),
                 curve: ModelProfile::calibrate(&mut model, &profile_cfg).cpu_curve,
-                built: Some(model),
+                built: model,
             }
         });
         let mut lanes: Vec<LaneSpec> = lanes.collect();
@@ -392,7 +391,7 @@ fn time_start(models: &[ModelId], reps: usize) -> StartTimes {
         // takes them, so that the simulator can be timed without them.
         let mut traces: Vec<RunTrace> = Vec::new();
         for lane in &mut lanes {
-            let model = lane.built.as_mut().expect("built above");
+            let model = &mut lane.built;
             let spec = model.spec().clone();
             let mut gen = QueryGen::uniform(profile_cfg.seed);
             for &batch in &profile_cfg.calibration_batches {

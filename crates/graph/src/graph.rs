@@ -20,8 +20,9 @@ pub struct NodeId(pub(crate) usize);
 /// One operator node: a named operator with input and output edges.
 ///
 /// Operators are held behind `Arc` so a compiled [`crate::ExecPlan`] can
-/// share them (fused plan ops wrap the constituent graph operators).
-#[derive(Debug)]
+/// share them (fused plan ops wrap the constituent graph operators), and
+/// so can a clone of the graph.
+#[derive(Debug, Clone)]
 pub struct Node {
     pub(crate) name: String,
     pub(crate) op: Arc<dyn Operator>,
@@ -53,10 +54,11 @@ impl Node {
 
 /// A static, topologically ordered operator DAG.
 ///
-/// Nodes own their operators (and therefore the model parameters). Build
-/// with [`crate::GraphBuilder`]; the builder's add-order *is* the execution
-/// order, and it enforces that every consumed value already exists.
-#[derive(Debug)]
+/// Nodes hold their operators (and therefore the model parameters) behind
+/// `Arc`s, which a clone shares. Build with [`crate::GraphBuilder`]; the
+/// builder's add-order *is* the execution order, and it enforces that
+/// every consumed value already exists.
+#[derive(Debug, Clone)]
 pub struct Graph {
     pub(crate) nodes: Vec<Node>,
     pub(crate) input_names: Vec<String>,
@@ -95,6 +97,17 @@ impl Graph {
     /// [`Graph::input_names`].
     pub fn input_ids(&self) -> &[ValueId] {
         &self.input_ids
+    }
+
+    /// Puts `op` in node `index`'s place, with the node's inputs and
+    /// output. The operator it held is not touched, so a clone of this
+    /// graph that shares it keeps computing from it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `index` is not a node of this graph.
+    pub fn replace_op(&mut self, index: usize, op: Arc<dyn Operator>) {
+        self.nodes[index].op = op;
     }
 
     /// Total parameter bytes held by operators of the given kind.

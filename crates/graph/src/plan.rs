@@ -148,7 +148,7 @@ pub struct ExecPlan {
     input_ids: Vec<usize>,
     outputs: Vec<usize>,
     n_values: usize,
-    parallel: bool,
+    opts: PlanOptions,
     stats: PlanStats,
 }
 
@@ -361,7 +361,7 @@ impl ExecPlan {
             input_ids: graph.input_ids.iter().map(|v| v.0).collect(),
             outputs: graph.outputs.iter().map(|v| v.0).collect(),
             n_values: graph.n_values,
-            parallel: opts.waves,
+            opts,
             stats,
         }
     }
@@ -369,6 +369,11 @@ impl ExecPlan {
     /// What the compiler did (fusion counts, wave shape, compile time).
     pub fn stats(&self) -> &PlanStats {
         &self.stats
+    }
+
+    /// The passes this plan was compiled with.
+    pub fn options(&self) -> PlanOptions {
+        self.opts
     }
 
     /// Scheduled node count.
@@ -421,7 +426,7 @@ impl ExecPlan {
         }
         let tracing = ctx.tracing_enabled();
         let pool = drec_par::current();
-        let groups = if self.parallel && !tracing {
+        let groups = if self.opts.waves && !tracing {
             pool.threads()
         } else {
             0

@@ -225,44 +225,61 @@ impl RecModel {
         bindings
     }
 
-    /// The model's fully-connected nodes, in graph node order — the order
-    /// every FC weight set is in.
-    fn fc_nodes(&self) -> impl Iterator<Item = &drec_ops::FullyConnected> {
-        self.graph
-            .nodes()
-            .iter()
-            .filter_map(|node| node.op().as_any()?.downcast_ref())
+    /// The model's fully-connected nodes with their node indices, in
+    /// graph node order — the order every FC weight set is in.
+    fn fc_nodes(&self) -> impl Iterator<Item = (usize, &drec_ops::FullyConnected)> {
+        let nodes = self.graph.nodes().iter().enumerate();
+        nodes.filter_map(|(i, node)| Some((i, node.op().as_any()?.downcast_ref()?)))
     }
 
-    /// Every fully-connected layer's installed parameter set, in graph
-    /// node order — the MLP half of a versioned model snapshot, as shared
-    /// handles: no `f32` is copied, and the set stays alive for as long
-    /// as any holder keeps its handles. The order is stable for a given
-    /// model build, so a set taken here round-trips through
-    /// [`RecModel::install_fc_params`] on any identically built model.
+    /// Every fully-connected layer's parameter set, in graph node order —
+    /// the MLP half of a versioned model snapshot, as shared handles: no
+    /// `f32` is copied, and the set stays alive for as long as any holder
+    /// keeps its handles. The order is stable for a given model build, so
+    /// a set taken here round-trips through [`RecModel::install_fc_params`]
+    /// on any identically built model.
     pub fn fc_params(&self) -> Vec<Arc<FcParams>> {
-        self.fc_nodes().map(|fc| fc.params()).collect()
+        self.fc_nodes()
+            .map(|(_, fc)| Arc::clone(fc.params()))
+            .collect()
     }
 
-    /// Atomically swaps every fully-connected layer's parameter set — the
-    /// rolling-update path for the model's MLP half. `layers` must hold
-    /// one handle per FC layer in the graph node order
-    /// [`RecModel::fc_params`] uses; the model then *shares* each
-    /// allocation with the caller (and with every other model the same
-    /// handles were installed in). Compiled plans pick the swap up too:
-    /// fused FC ops share the graph node's parameter handle. In-flight
-    /// batches finish on the set they already pinned.
+    /// A second model over this one's parameters: the graph's node list
+    /// cloned, so every operator — embedding tables, GRU weights, FC
+    /// handles — is shared, in an [`ExecContext::fork`] of this model's
+    /// process, with no plan compiled and an empty scratch. Nothing a view
+    /// does reaches its source: operators never change once built, and
+    /// [`RecModel::install_fc_params`] swaps graph nodes, not weights.
+    pub fn view(&self) -> RecModel {
+        RecModel {
+            id: self.id,
+            graph: self.graph.clone(),
+            ctx: self.ctx.fork(),
+            spec: self.spec.clone(),
+            meta: self.meta.clone(),
+            plan: None,
+            scratch: PlanScratch::new(),
+        }
+    }
+
+    /// Installs a weight set — the rolling-update path for the model's
+    /// MLP half. `layers` must hold one handle per FC layer in the graph
+    /// node order [`RecModel::fc_params`] uses; each FC node is replaced by
+    /// a layer computing from that handle, which the model then *shares*
+    /// with the caller (and with every other model the same handles were
+    /// installed in). The layers replaced are not touched, so views of
+    /// this model keep theirs. A cached plan is recompiled with the options
+    /// it was compiled with.
     ///
     /// # Errors
     ///
     /// [`drec_ops::OpError::InvalidInput`] on a layer-count or shape
-    /// mismatch. Shapes are validated for **all** layers before any swap
-    /// lands, so a rejected set leaves the model untouched.
-    pub fn install_fc_params(&self, layers: &[Arc<FcParams>]) -> Result<(), drec_ops::OpError> {
-        use drec_ops::OpError;
+    /// mismatch. Every layer is made before any node is replaced, so a
+    /// rejected set leaves the model untouched.
+    pub fn install_fc_params(&mut self, layers: &[Arc<FcParams>]) -> Result<(), drec_ops::OpError> {
         let fcs: Vec<_> = self.fc_nodes().collect();
         if fcs.len() != layers.len() {
-            return Err(OpError::InvalidInput {
+            return Err(drec_ops::OpError::InvalidInput {
                 op: "FC",
                 message: format!(
                     "weight-set has {} layers, model has {} FC nodes",
@@ -271,25 +288,16 @@ impl RecModel {
                 ),
             });
         }
-        for (fc, params) in fcs.iter().zip(layers) {
-            if params.weights.dims() != [fc.out_features(), fc.in_features()]
-                || params.bias.dims() != [fc.out_features()]
-            {
-                return Err(OpError::InvalidInput {
-                    op: "FC",
-                    message: format!(
-                        "weight-set shape {:?}/{:?} does not fit layer {}x{}",
-                        params.weights.dims(),
-                        params.bias.dims(),
-                        fc.out_features(),
-                        fc.in_features()
-                    ),
-                });
-            }
+        let swapped = fcs.into_iter().zip(layers).map(|((node, fc), params)| {
+            let op: Arc<dyn drec_ops::Operator> = Arc::new(fc.with_params(Arc::clone(params))?);
+            Ok((node, op))
+        });
+        let swapped: Vec<_> = swapped.collect::<Result<_, drec_ops::OpError>>()?;
+        for (node, op) in swapped {
+            self.graph.replace_op(node, op);
         }
-        for (fc, params) in fcs.iter().zip(layers) {
-            fc.swap_params(Arc::clone(params))
-                .expect("shapes validated above");
+        if let Some(opts) = self.plan.as_ref().map(ExecPlan::options) {
+            self.compile_plan_with(opts);
         }
         Ok(())
     }
@@ -310,7 +318,10 @@ impl RecModel {
     /// # Errors
     ///
     /// As [`RecModel::install_fc_params`].
-    pub fn install_fc_weights(&self, layers: &[(Tensor, Tensor)]) -> Result<(), drec_ops::OpError> {
+    pub fn install_fc_weights(
+        &mut self,
+        layers: &[(Tensor, Tensor)],
+    ) -> Result<(), drec_ops::OpError> {
         let shared = |(weights, bias): &(Tensor, Tensor)| {
             Arc::new(FcParams {
                 weights: weights.clone(),

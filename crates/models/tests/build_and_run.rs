@@ -1,7 +1,12 @@
-//! End-to-end build-and-run tests for all eight models at `Tiny` scale.
+//! End-to-end build-and-run tests for all eight models at `Tiny` scale,
+//! and views of them.
+
+use std::sync::Arc;
 
 use drec_models::{ArchFeatures, InputSlot, ModelId, ModelScale, RecModel};
-use drec_ops::{IdList, Value};
+use drec_ops::{FcParams, IdList, Value};
+use drec_par::ParPool;
+use drec_store::{EmbeddingStore, RowEncoding, StoreConfig};
 use drec_tensor::{ParamInit, Tensor};
 use drec_trace::KernelClass;
 
@@ -22,6 +27,31 @@ fn make_inputs(model: &RecModel, batch: usize, seed: u64) -> Vec<Value> {
             }
         })
         .collect()
+}
+
+/// The bits of every output.
+fn bits(values: &[Value]) -> Vec<Vec<u32>> {
+    let dense = values.iter().map(|v| v.as_dense().unwrap().as_slice());
+    dense
+        .map(|t| t.iter().map(|f| f.to_bits()).collect())
+        .collect()
+}
+
+fn int8() -> Arc<EmbeddingStore> {
+    Arc::new(EmbeddingStore::new(StoreConfig {
+        encoding: RowEncoding::Int8,
+        ..StoreConfig::default()
+    }))
+}
+
+/// A Tiny build of `id` with dense tables, or into an int8 store of its
+/// own.
+fn build(id: ModelId, stored: bool) -> RecModel {
+    match stored {
+        true => id.build_with_store(ModelScale::Tiny, 7, int8()),
+        false => id.build(ModelScale::Tiny, 7),
+    }
+    .unwrap()
 }
 
 #[test]
@@ -174,20 +204,6 @@ fn wrong_inputs_are_rejected() {
 /// and so every output, must be what a build into an empty store gets.
 #[test]
 fn a_build_onto_registered_tables_equals_a_fresh_store_build() {
-    use drec_store::{EmbeddingStore, RowEncoding, StoreConfig};
-    use std::sync::Arc;
-    let int8 = || {
-        Arc::new(EmbeddingStore::new(StoreConfig {
-            encoding: RowEncoding::Int8,
-            ..StoreConfig::default()
-        }))
-    };
-    let bits = |values: &[Value]| -> Vec<Vec<u32>> {
-        let dense = values.iter().map(|v| v.as_dense().unwrap().as_slice());
-        dense
-            .map(|t| t.iter().map(|f| f.to_bits()).collect())
-            .collect()
-    };
     let shared = int8();
     for id in ModelId::ALL {
         let mut first = id
@@ -198,7 +214,7 @@ fn a_build_onto_registered_tables_equals_a_fresh_store_build() {
             .build_with_store(ModelScale::Tiny, 7, Arc::clone(&shared))
             .unwrap();
         assert_eq!(shared.stats().tables, tables, "{id} registered twice");
-        let mut fresh = id.build_with_store(ModelScale::Tiny, 7, int8()).unwrap();
+        let mut fresh = build(id, true);
         assert_eq!(
             replica.capture_fc_weights(),
             fresh.capture_fc_weights(),
@@ -208,5 +224,116 @@ fn a_build_onto_registered_tables_equals_a_fresh_store_build() {
         let want = bits(&fresh.run(inputs.clone()).unwrap());
         assert_eq!(bits(&replica.run(inputs.clone()).unwrap()), want, "{id}");
         assert_eq!(bits(&first.run(inputs).unwrap()), want, "{id}");
+    }
+}
+
+#[test]
+fn views_are_bit_identical_to_their_source_and_a_fresh_build() {
+    for id in ModelId::ALL {
+        for stored in [false, true] {
+            let inputs = make_inputs(&build(id, stored), 3, 31);
+            let want = bits(&build(id, stored).run_reference(inputs.clone()).unwrap());
+            let mut source = build(id, stored);
+            let mut view = source.view();
+            source.compile_plan();
+            view.compile_plan();
+            for threads in [1, 2] {
+                let pool = ParPool::new(threads);
+                let run = |m: &mut RecModel| {
+                    let outputs = drec_par::with_pool(&pool, || m.run(inputs.clone()));
+                    bits(&outputs.unwrap())
+                };
+                let what = format!("{id} stored={stored} @ {threads} threads");
+                assert_eq!(run(&mut view), want, "{what}: view");
+                assert_eq!(run(&mut source), want, "{what}: source");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_view_shares_every_fc_handle() {
+    for id in ModelId::ALL {
+        for stored in [false, true] {
+            let source = build(id, stored);
+            let view = source.view();
+            let of_view = view.view();
+            let held = source.fc_params();
+            assert!(!held.is_empty(), "{id}: no FC layers");
+            for other in [view.fc_params(), of_view.fc_params()] {
+                assert_eq!(other.len(), held.len(), "{id}");
+                let shared = held.iter().zip(&other).all(|(a, b)| Arc::ptr_eq(a, b));
+                assert!(shared, "{id} stored={stored}: a view copied an FC set");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_view_of_a_fresh_build_records_its_trace() {
+    for id in ModelId::ALL {
+        for stored in [false, true] {
+            let mut source = build(id, stored);
+            let mut view = source.view();
+            let batch = 2;
+            let inputs = make_inputs(&source, batch, 5);
+            let (_, want) = source.run_traced(inputs.clone(), batch).unwrap();
+            let (_, got) = view.run_traced(inputs, batch).unwrap();
+            assert_eq!(got.summary(), want.summary(), "{id} stored={stored}");
+            // Address for address: the view's process is the source's.
+            assert_eq!(got.ops.len(), want.ops.len(), "{id} stored={stored}");
+            for (g, w) in got.ops.iter().zip(&want.ops) {
+                let what = format!("{id} stored={stored} {}", w.name);
+                assert_eq!((&g.name, &g.code), (&w.name, &w.code), "{what}");
+                assert_eq!(g.mem, w.mem, "{what}: memory stream");
+            }
+        }
+    }
+}
+
+#[test]
+fn an_install_on_a_view_or_its_source_reaches_only_that_model() {
+    let perturbed = |m: &RecModel| -> Vec<Arc<FcParams>> {
+        let scaled = |p: &Arc<FcParams>| {
+            Arc::new(FcParams {
+                weights: p.weights.map(|v| v * 1.5 + 0.125),
+                bias: p.bias.map(|v| v - 0.25),
+            })
+        };
+        m.fc_params().iter().map(scaled).collect()
+    };
+    for id in ModelId::ALL {
+        for stored in [false, true] {
+            let what = format!("{id} stored={stored}");
+            let mut source = build(id, stored);
+            source.compile_plan();
+            let inputs = make_inputs(&source, 2, 13);
+            let before = bits(&source.run(inputs.clone()).unwrap());
+            for install_on_view in [true, false] {
+                let mut view = source.view();
+                view.compile_plan();
+                let (target, other) = match install_on_view {
+                    true => (&mut view, &mut source),
+                    false => (&mut source, &mut view),
+                };
+                let set = perturbed(target);
+                target.install_fc_params(&set).unwrap();
+                let installed = target.fc_params();
+                assert!(installed.iter().zip(&set).all(|(a, b)| Arc::ptr_eq(a, b)));
+                let changed = bits(&target.run(inputs.clone()).unwrap());
+                assert_ne!(changed, before, "{what}: the set did not reach the plan");
+                assert_eq!(
+                    bits(&other.run(inputs.clone()).unwrap()),
+                    before,
+                    "{what}: an install on one model reached the other"
+                );
+                if !install_on_view {
+                    // Back to where the next case starts.
+                    let original = view.fc_params();
+                    source.install_fc_params(&original).unwrap();
+                    assert_eq!(bits(&source.run(inputs.clone()).unwrap()), before);
+                }
+            }
+        }
     }
 }

@@ -184,6 +184,19 @@ impl ExecContext {
         ctx
     }
 
+    /// A second process image of the same model: the same address space
+    /// (so activations allocated from here on never alias a parameter)
+    /// and kernel code regions, an empty buffer arena and no trace.
+    pub fn fork(&self) -> Self {
+        ExecContext {
+            space: self.space.clone(),
+            kernel_regions: self.kernel_regions.clone(),
+            trace: None,
+            opts: self.opts,
+            arena: BufferArena::default(),
+        }
+    }
+
     /// Enables or disables trace recording without resetting the address
     /// space (useful for warm-up runs).
     pub fn set_tracing(&mut self, enabled: bool) {

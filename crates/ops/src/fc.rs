@@ -11,13 +11,12 @@ use crate::{kind_cost, ExecContext, OpError, OpKind, Operator, Result, Value};
 /// is what makes large FC stacks L2/L3/DRAM-sensitive at large batch.
 const GEMM_BLOCK_ROWS: usize = 32;
 
-/// The swappable parameter set of one [`FullyConnected`] layer: weights
-/// `[out_features, in_features]` plus bias `[out_features]`. Published
-/// as one `Arc` so a rolling weight-set swap replaces both tensors
-/// atomically — a batch never sees new weights with the old bias — and
-/// so that layers of identically built models can share one allocation:
-/// a set is immutable once published, and the serving runtime installs the
-/// same handle in every engine of a lane.
+/// The parameter set of one [`FullyConnected`] layer: weights
+/// `[out_features, in_features]` plus bias `[out_features]`. Held as one
+/// `Arc` so a weight-set install replaces both tensors together — a batch
+/// never sees new weights with the old bias — and so that layers of views
+/// of one model share one allocation: a set is immutable once published,
+/// and every engine of a serving lane holds the same handle.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FcParams {
     /// Weight matrix, `[out_features, in_features]` (Caffe2 layout).
@@ -29,12 +28,12 @@ pub struct FcParams {
 /// Fully-connected layer: `Y = X·Wᵀ + b` (Caffe2 `FC`).
 ///
 /// Weights are stored `[out_features, in_features]`, matching Caffe2's
-/// layout, behind an [`FcParams`] handle so live model updates can swap
-/// a whole weight set without rebuilding the graph (each `run` clones
-/// the `Arc` once and computes from a consistent set).
+/// layout, behind an [`FcParams`] handle. The layer never changes once
+/// built: a live weight update makes a new layer with
+/// [`FullyConnected::with_params`] and swaps the graph node.
 #[derive(Debug)]
 pub struct FullyConnected {
-    params: std::sync::RwLock<Arc<FcParams>>,
+    params: Arc<FcParams>,
     in_features: usize,
     out_features: usize,
     w_addr: u64,
@@ -56,7 +55,7 @@ impl FullyConnected {
         let w_addr = ctx.alloc_param((out_features * in_features * 4) as u64);
         let b_addr = ctx.alloc_param((out_features * 4) as u64);
         FullyConnected {
-            params: std::sync::RwLock::new(Arc::new(FcParams { weights, bias })),
+            params: Arc::new(FcParams { weights, bias }),
             in_features,
             out_features,
             w_addr,
@@ -76,46 +75,35 @@ impl FullyConnected {
         self.out_features
     }
 
-    /// The currently installed parameter set. A poisoned lock is
-    /// recovered, not propagated (repo-wide policy: an isolated panic
-    /// must not turn into a full outage).
-    pub fn params(&self) -> Arc<FcParams> {
-        Arc::clone(
-            &self
-                .params
-                .read()
-                .unwrap_or_else(|poisoned| poisoned.into_inner()),
-        )
+    /// The layer's parameter set.
+    pub fn params(&self) -> &Arc<FcParams> {
+        &self.params
     }
 
-    /// Atomically installs a new parameter set (a live MLP weight swap).
-    /// In-flight `run` calls finish on the set they already cloned; the
-    /// next call picks up `new`.
+    /// This layer computing from `params` instead: same shape, same
+    /// simulated addresses and code regions, so its trace is this layer's.
+    /// `self` is left as it was.
     ///
     /// # Errors
     ///
     /// [`OpError::InvalidInput`] when the shapes do not match this
     /// layer's `[out_features, in_features]` / `[out_features]`.
-    pub fn swap_params(&self, new: Arc<FcParams>) -> Result<()> {
-        if new.weights.dims() != [self.out_features, self.in_features]
-            || new.bias.dims() != [self.out_features]
+    pub fn with_params(&self, params: Arc<FcParams>) -> Result<Self> {
+        if params.weights.dims() != [self.out_features, self.in_features]
+            || params.bias.dims() != [self.out_features]
         {
             return Err(OpError::InvalidInput {
                 op: "FC",
                 message: format!(
                     "weight-set shape {:?}/{:?} does not fit layer {}x{}",
-                    new.weights.dims(),
-                    new.bias.dims(),
+                    params.weights.dims(),
+                    params.bias.dims(),
                     self.out_features,
                     self.in_features
                 ),
             });
         }
-        *self
-            .params
-            .write()
-            .unwrap_or_else(|poisoned| poisoned.into_inner()) = new;
-        Ok(())
+        Ok(FullyConnected { params, ..*self })
     }
 }
 
@@ -147,9 +135,7 @@ impl Operator for FullyConnected {
         }
         let out_f = self.out_features();
 
-        // One Arc clone pins a consistent weight/bias set for the whole
-        // pass, however a concurrent swap lands.
-        let params = self.params();
+        let params = &self.params;
 
         // Functional compute, into an arena buffer so repeated FC layers
         // reuse activation storage instead of allocating.
@@ -245,9 +231,10 @@ mod tests {
     }
 
     #[test]
-    fn swap_params_changes_output_and_validates_shape() {
+    fn with_params_changes_output_and_validates_shape() {
         let (mut ctx, mut init) = setup();
         let fc = FullyConnected::new(2, 2, &mut ctx, &mut init);
+        let original = Arc::clone(fc.params());
         ctx.set_tracing(false);
         let x = ctx.external_input(Value::dense(
             Tensor::from_vec(vec![1.0, 1.0], &[1, 2]).unwrap(),
@@ -257,28 +244,31 @@ mod tests {
             weights: Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2]).unwrap(),
             bias: Tensor::from_vec(vec![0.5, -0.5], &[2]).unwrap(),
         });
-        fc.swap_params(Arc::clone(&swapped)).unwrap();
-        let after = fc.run(&mut ctx, &[&x]).unwrap();
+        let other = fc.with_params(Arc::clone(&swapped)).unwrap();
+        let after = other.run(&mut ctx, &[&x]).unwrap();
         assert_eq!(after.as_dense().unwrap().as_slice(), &[1.5, 0.5]);
-        assert_ne!(
+        assert!(Arc::ptr_eq(other.params(), &swapped));
+        assert_eq!((other.w_addr, other.b_addr), (fc.w_addr, fc.b_addr));
+        // The original layer still computes from its own set.
+        assert!(Arc::ptr_eq(fc.params(), &original));
+        let again = fc.run(&mut ctx, &[&x]).unwrap();
+        assert_eq!(
             before.as_dense().unwrap().as_slice(),
-            after.as_dense().unwrap().as_slice()
+            again.as_dense().unwrap().as_slice()
         );
-        assert_eq!(fc.params(), swapped);
-        // Wrong shapes are rejected and leave the installed set alone.
-        assert!(fc
-            .swap_params(Arc::new(FcParams {
-                weights: Tensor::zeros(&[3, 2]),
-                bias: Tensor::zeros(&[2]),
-            }))
-            .is_err());
-        assert!(fc
-            .swap_params(Arc::new(FcParams {
-                weights: Tensor::zeros(&[2, 2]),
-                bias: Tensor::zeros(&[3]),
-            }))
-            .is_err());
-        assert_eq!(fc.params(), swapped);
+        // Wrong shapes are typed errors, and make no layer.
+        for (w, b) in [([3, 2], [2]), ([2, 2], [3])] {
+            let misfit = Arc::new(FcParams {
+                weights: Tensor::zeros(&w),
+                bias: Tensor::zeros(&b),
+            });
+            let err = fc.with_params(misfit).unwrap_err();
+            assert!(
+                matches!(err, OpError::InvalidInput { op: "FC", .. }),
+                "{err}"
+            );
+        }
+        assert!(Arc::ptr_eq(fc.params(), &original));
     }
 
     #[test]

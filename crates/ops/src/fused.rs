@@ -99,8 +99,6 @@ impl Operator for FusedFc {
         }
         let out_f = fc.out_features();
         let mut buf = ctx.take_buffer(batch * out_f);
-        // Shares the constituent FC's swappable parameter handle, so a
-        // live weight swap reaches the fused op too.
         let params = fc.params();
         x.matmul_transposed_into(&params.weights, &mut buf)?;
         let bias = params.bias.as_slice();

@@ -35,7 +35,8 @@
 //! concurrently — a profile depends only on the model's parameters and
 //! the calibration seed, so this is the serial result. The calibrated
 //! model travels to the pool in its [`LaneSpec`] and is the one the lane's
-//! first engine serves.
+//! first engine serves; every other engine of the lane, the accelerator's
+//! included, is a view of it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -204,7 +205,7 @@ pub struct SchedConfig {
     pub models: Vec<ModelSlo>,
     /// Scale every model is built at.
     pub scale: ModelScale,
-    /// Parameter seed shared by all engines (replicas agree).
+    /// Parameter seed every model is built with.
     pub seed: u64,
     /// CPU worker threads shared by all models.
     pub cpu_workers: usize,
@@ -535,9 +536,8 @@ impl MultiServeRuntime {
                 reason: format!("model build failed: {e}"),
             })?;
             specs.push(LaneSpec {
-                model: slo.id,
+                built: model,
                 curve: profile.cpu_curve.clone(),
-                built: Some(model),
             });
             lanes.push(ColoLane {
                 model: slo.id,
@@ -591,7 +591,7 @@ impl MultiServeRuntime {
         };
         // The accelerator: one dedicated worker draining its own channel.
         if let Some(acc) = &runtime.colo.accelerator {
-            let worker = runtime.pool.worker(acc.worker)?;
+            let worker = runtime.pool.worker(acc.worker);
             let colo = Arc::clone(&runtime.colo);
             let body = move || accelerator_loop(worker, &gpu_rx, &colo);
             runtime.threads.push(spawn_thread("drec-sched-gpu", body)?);

@@ -132,9 +132,10 @@ fn twenty_starts_equal_the_serial_path() {
     }
 }
 
-/// A pool started on models it was handed still replaces a panicked
-/// engine by building one: handed models are worker 0's first engines,
-/// not the only way a lane gets an engine.
+/// A pool started on models it was handed replaces a panicked engine
+/// with a view of the lane's model: handed models are worker 0's first
+/// engines, not the only engines a lane has, and no replacement registers
+/// a table.
 #[test]
 fn a_pool_started_on_handed_models_rebuilds_engines_after_panics() {
     let cfg = eight_models();
@@ -142,9 +143,8 @@ fn a_pool_started_on_handed_models_rebuilds_engines_after_panics() {
     let lanes: Vec<LaneSpec> = serial(&cfg, &store)
         .into_iter()
         .map(|(model, profile)| LaneSpec {
-            model: model.id(),
+            built: model,
             curve: profile.cpu_curve,
-            built: Some(model),
         })
         .collect();
     let supervisor = SupervisorConfig {
@@ -195,7 +195,7 @@ fn a_pool_started_on_handed_models_rebuilds_engines_after_panics() {
     assert_eq!(
         stats.worker_restarts,
         u64::from(supervisor.max_restarts),
-        "every restart the budget allows rebuilt an engine: {stats:?}"
+        "every restart the budget allows replaced an engine: {stats:?}"
     );
     assert!(stats.completed > 0, "{stats:?}");
     assert_eq!(

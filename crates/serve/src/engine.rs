@@ -2,6 +2,13 @@
 //! platform latency curve, executes coalesced batches, and prices each
 //! one on the curve. It reads no clock: the worker that calls it times
 //! the batch.
+//!
+//! In a serving lane the model is the lane's built model (worker 0) or a
+//! view of it ([`RecModel::view`]: every other worker, an extra backend,
+//! a replacement after a panic), so all of a lane's engines compute from
+//! one set of parameters. A weight install swaps FC nodes in this
+//! engine's model only and recompiles its plan; the other engines install
+//! the same handles when they next poll.
 
 use std::sync::Arc;
 
@@ -60,19 +67,14 @@ impl Engine {
     /// the [`drec_par::current`] pool at construction time (the process
     /// pool unless the caller has an override installed).
     pub fn new(model: RecModel, curve: LatencyCurve) -> Self {
-        Self::with_pool(model, curve, drec_par::current())
+        Self::with_store(model, curve, drec_par::current(), None)
     }
 
     /// Like [`Engine::new`] but pinning batch execution to an explicit
     /// pool — how the serving runtime shares one intra-op pool across all
-    /// worker engines.
-    pub fn with_pool(model: RecModel, curve: LatencyCurve, pool: Arc<ParPool>) -> Self {
-        Self::with_store(model, curve, pool, None)
-    }
-
-    /// Like [`Engine::with_pool`], additionally holding a reference to
-    /// the shared [`EmbeddingStore`] the model was built against (if
-    /// any), so callers can reach its stats from the engine.
+    /// worker engines — and holding the shared [`EmbeddingStore`] the
+    /// model was built against (if any), whose reclamation epoch every
+    /// batch pins.
     ///
     /// Construction compiles the model's execution plan (operator
     /// fusion and wave scheduling) once; every batch then reuses the
@@ -96,42 +98,18 @@ impl Engine {
     }
 
     /// Subscribes this engine to a live-update channel: it registers as
-    /// a weight reader, offers its FC parameter handles as the channel's
-    /// restore baseline, and from the next batch on polls the mailbox at
+    /// a weight reader and from the next batch on polls the mailbox at
     /// batch boundaries (so weight swaps land between batches, never
-    /// mid-inference) and reports per-batch staleness.
-    ///
-    /// The engine then computes from the baseline the channel holds: a
-    /// replica (a lane's second worker, an extra backend's engine, a
-    /// rebuild after a panic) installs the first engine's handles and its
-    /// own identical draw drops, so the lane keeps one FC set at rest.
+    /// mid-inference) and reports per-batch staleness. The engine's model
+    /// must hold the channel's baseline, as the lane's model and its views
+    /// do.
     pub fn set_update_channel(&mut self, channel: Arc<ModelUpdateChannel>) {
         let reader = channel.register_reader();
-        let baseline = channel.offer_baseline(|| self.model.fc_params());
-        debug_assert_eq!(
-            *baseline,
-            self.model.fc_params(),
-            "engines of one channel are built bit-identical"
-        );
-        // Only an engine of some other model could be refused here; it
-        // keeps the set it was built with.
-        let shared = self.model.install_fc_params(&baseline);
-        debug_assert!(shared.is_ok(), "{shared:?}");
         self.update = Some(UpdateState {
             channel,
             reader,
             weight_version: 0,
         });
-    }
-
-    /// The live-update channel this engine polls, if subscribed.
-    pub fn update_channel(&self) -> Option<&Arc<ModelUpdateChannel>> {
-        self.update.as_ref().map(|u| &u.channel)
-    }
-
-    /// The weight version currently installed in this engine's model.
-    pub fn weight_version(&self) -> u64 {
-        self.update.as_ref().map_or(0, |u| u.weight_version)
     }
 
     /// Polls the update mailbox and installs a newer weight set if one
@@ -159,26 +137,9 @@ impl Engine {
         self.faults = faults;
     }
 
-    /// The shared embedding store this engine's model resolves lookups
-    /// through, when store-backed.
-    pub fn store(&self) -> Option<&Arc<EmbeddingStore>> {
-        self.store.as_ref()
-    }
-
     /// The model's input contract.
     pub fn spec(&self) -> &InputSpec {
         self.model.spec()
-    }
-
-    /// Store-backed sparse-lookup bindings of the served model (empty
-    /// for dense builds) — what the stream prefetcher needs.
-    pub fn store_bindings(&self) -> Vec<drec_models::StoreBinding> {
-        self.model.store_bindings()
-    }
-
-    /// The latency curve used for modelled timings.
-    pub fn curve(&self) -> &LatencyCurve {
-        &self.curve
     }
 
     /// The intra-op pool batches execute on.
@@ -191,12 +152,6 @@ impl Engine {
     /// parallelism while traffic flows. Takes effect on the next batch.
     pub fn set_pool(&mut self, pool: Arc<ParPool>) {
         self.pool = pool;
-    }
-
-    /// Compile stats of the model's cached execution plan (always present
-    /// — construction compiles it).
-    pub fn plan_stats(&self) -> Option<&drec_graph::PlanStats> {
-        self.model.plan_stats()
     }
 
     /// Coalesces `requests` into one batch, runs it through the model,
@@ -330,7 +285,7 @@ mod tests {
     }
 
     #[test]
-    fn engines_of_one_channel_share_every_installed_set() {
+    fn views_on_one_channel_share_every_installed_set() {
         use crate::update::{FcLayers, WeightSet};
         use drec_ops::FcParams;
         use drec_tensor::Tensor;
@@ -340,14 +295,32 @@ mod tests {
             installed.len() == set.len()
                 && installed.iter().zip(set).all(|(a, b)| Arc::ptr_eq(a, b))
         }
-        let channel = Arc::new(ModelUpdateChannel::new("ncf", 1, None));
-        let (mut first, mut replica) = (engine(), engine());
-        let built_with = first.model.fc_params();
+        let mut first = engine();
+        let baseline = first.model.fc_params();
+        let channel = ModelUpdateChannel::new("ncf", 1, None, baseline.clone(), None);
+        let channel = Arc::new(channel);
+        let mut replica = Engine::new(first.model.view(), first.curve.clone());
         first.set_update_channel(Arc::clone(&channel));
         replica.set_update_channel(Arc::clone(&channel));
-        let baseline = channel.baseline().expect("the first engine offered one");
-        assert!(holds(&first, &built_with), "the baseline is what it had");
         assert!(holds(&first, &baseline) && holds(&replica, &baseline));
+        // Output bits straight from the model: `run_batch` would poll
+        // first.
+        let reqs = requests(3, &first.spec().clone());
+        let outputs = |e: &mut Engine| -> Vec<Vec<u32>> {
+            let inputs = coalesce_inputs(e.model.spec(), &reqs);
+            let outputs = e.model.run(inputs).unwrap();
+            let bits = |v: &Value| {
+                v.as_dense()
+                    .unwrap()
+                    .as_slice()
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect()
+            };
+            outputs.iter().map(bits).collect()
+        };
+        let served = outputs(&mut first);
+        assert_eq!(outputs(&mut replica), served);
 
         let post = |version, layers| channel.post_weights(Arc::new(WeightSet { version, layers }));
         let scaled = |p: &Arc<FcParams>| {
@@ -360,12 +333,17 @@ mod tests {
         post(1, perturbed.clone());
         first.poll_updates().unwrap();
         assert!(holds(&first, &perturbed) && holds(&replica, &baseline));
+        // An install in one engine is not seen by the engine it shares
+        // the rest of its model with.
+        assert_ne!(outputs(&mut first), served);
+        assert_eq!(outputs(&mut replica), served);
         replica.poll_updates().unwrap();
         assert!(holds(&replica, &perturbed));
+        assert_eq!(outputs(&mut replica), outputs(&mut first));
         assert_eq!(channel.min_installed(), 1);
 
         // One layer of the wrong shape: refused whole, by both.
-        let mut misfit = FcLayers::clone(&baseline);
+        let mut misfit = baseline.clone();
         *misfit.last_mut().unwrap() = Arc::new(FcParams {
             weights: Tensor::zeros(&[1, 1]),
             bias: Tensor::zeros(&[1]),
@@ -373,12 +351,13 @@ mod tests {
         post(2, misfit);
         assert!(first.poll_updates().is_err() && replica.poll_updates().is_err());
         assert!(holds(&first, &perturbed) && holds(&replica, &perturbed));
-        assert_eq!((first.weight_version(), channel.min_installed()), (1, 1));
+        assert_eq!(channel.min_installed(), 1);
 
-        post(3, FcLayers::clone(&baseline));
+        post(3, baseline.clone());
         first.poll_updates().unwrap();
         replica.poll_updates().unwrap();
         assert!(holds(&first, &baseline) && holds(&replica, &baseline));
+        assert_eq!(outputs(&mut first), served);
         assert_eq!(channel.min_installed(), 3);
     }
 }

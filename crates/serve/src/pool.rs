@@ -32,15 +32,16 @@
 //! last one out closes every lane and answers all queued work with a
 //! typed error, so nothing ever hangs.
 //!
-//! Start builds each lane's model once, in lane order on the calling
-//! thread (registration order is a table's slot in a shared store) — or
-//! takes it built from its [`LaneSpec`] — and it becomes worker 0's
-//! engine. All engines are finished on a [`crew`]: worker 0's compile
-//! their plans while the other workers' replicas build, finding their
-//! tables registered and drawing only FC weights — which each replica
-//! drops again when it registers on the lane's update channel and installs
-//! the handles worker 0's engine was built with: a lane holds one FC set
-//! however many engines it has.
+//! Each lane's model arrives built in its [`LaneSpec`] (the caller built
+//! it in lane order, so a table's slot in a shared store is fixed) and
+//! becomes worker 0's engine. The lane keeps a view of it
+//! ([`RecModel::view`]): every other engine — the other workers', a
+//! [`LanePool::worker`] backend's, a replacement after a panic — is a
+//! view of that, made without building anything, so it shares every
+//! parameter of the lane (tables, GRU and FC weights) and owns only its
+//! plan, scratch and arena. The lane's update channel holds the built model's FC
+//! handles as its baseline. A lane holds one parameter set however many
+//! engines it has.
 
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -134,16 +135,13 @@ impl Placement for Inline {}
 /// One lane of a [`PoolConfig`].
 #[derive(Debug)]
 pub struct LaneSpec {
-    /// The model the lane serves.
-    pub model: ModelId,
+    /// The model the lane serves, built at the pool's scale and seed
+    /// against its store. It becomes worker 0's engine, and every other
+    /// engine of the lane is a view of it.
+    pub built: RecModel,
     /// The latency curve that prices its modelled batch timings and
     /// admission-delay estimate.
     pub curve: LatencyCurve,
-    /// That model already built (at the pool's scale and seed, against its
-    /// store) by a caller that needed it first — the scheduler calibrates
-    /// `curve` on it. It becomes worker 0's engine; `None` has the pool
-    /// build it. All lanes of one pool agree.
-    pub built: Option<RecModel>,
 }
 
 /// Configuration for [`LanePool::start`].
@@ -151,9 +149,9 @@ pub struct LaneSpec {
 pub struct PoolConfig {
     /// The lanes, one model each. Non-empty.
     pub lanes: Vec<LaneSpec>,
-    /// Scale every model is built at.
+    /// Scale every model was built at.
     pub scale: ModelScale,
-    /// Parameter seed shared by all engines (replicas agree).
+    /// Parameter seed every model was built with.
     pub seed: u64,
     /// Worker threads polling the lanes.
     pub workers: usize,
@@ -245,6 +243,9 @@ pub struct Lane {
     /// every engine of the lane polls it between batches, and update
     /// throttling rides the lane's own overload ladder.
     pub update: Arc<ModelUpdateChannel>,
+    /// A view of the model worker 0 serves: what every other engine of
+    /// the lane is a view of.
+    source: RecModel,
     curve: LatencyCurve,
     prefetcher: Option<Prefetcher>,
 }
@@ -268,37 +269,21 @@ pub struct LaneSet {
 }
 
 impl LaneSet {
-    fn build_model(&self, model: ModelId) -> Result<RecModel> {
+    /// The one engine maker: `model` is the lane's built model (worker 0
+    /// at start) or a view of it.
+    fn engine(&self, lane: &Lane, model: RecModel) -> Engine {
         let cfg = &self.cfg;
-        match &cfg.store {
-            Some(s) => model.build_with_store(cfg.scale, cfg.seed, Arc::clone(s)),
-            None => model.build(cfg.scale, cfg.seed),
-        }
-        .map_err(|e| ServeError::WorkerFailed {
-            reason: format!("model build failed: {e}"),
-        })
-    }
-
-    /// The one engine builder — at start, and when a worker replaces an
-    /// engine that panicked — around `built`, or a fresh build of the
-    /// lane's model: same model, same seed, so replicas agree.
-    fn build_engine(&self, lane: &Lane, built: Option<RecModel>) -> Result<Engine> {
-        let cfg = &self.cfg;
-        let model = match built {
-            Some(model) => model,
-            None => self.build_model(lane.model)?,
-        };
         let pool = Arc::clone(&cfg.par_pool);
         let mut engine = Engine::with_store(model, lane.curve.clone(), pool, cfg.store.clone());
         engine.set_fault_hook(cfg.faults.clone());
         engine.set_update_channel(Arc::clone(&lane.update));
-        Ok(engine)
+        engine
     }
 
-    /// Fresh engines for `lanes`, built side by side when there are several.
-    fn build_engines(&self, lanes: Range<usize>) -> Result<Vec<Engine>> {
-        let engines = crew(self.lanes[lanes].iter(), |l| self.build_engine(l, None));
-        engines.into_iter().collect()
+    /// New engines for `lanes`, each a view of its lane's model.
+    fn views(&self, lanes: Range<usize>) -> Vec<Engine> {
+        let lanes = self.lanes[lanes].iter();
+        lanes.map(|l| self.engine(l, l.source.view())).collect()
     }
 
     /// The one admission path: validates one sample (batch-dimension-1
@@ -504,33 +489,25 @@ impl Worker {
     }
 
     /// Self-supervision: claims one restart from the pool-wide budget,
-    /// sleeps its backoff (doubling per restart, capped), and rebuilds
-    /// the engines of `lanes`. Returns `false` once the budget is spent.
+    /// sleeps its backoff (doubling per restart, capped), and replaces
+    /// the engines of `lanes` with fresh views of their lanes' models.
+    /// Returns `false` once the budget is spent.
     fn recover(&mut self, lanes: Range<usize>) -> bool {
         let core = Arc::clone(&self.core);
         let cfg = core.cfg.supervisor;
-        loop {
-            let claimed = core
-                .restarts
-                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
-                    (n < cfg.max_restarts).then_some(n + 1)
-                });
-            let Ok(n) = claimed else { return false };
-            let doubling = 1u32.checked_shl(n).unwrap_or(u32::MAX);
-            std::thread::sleep(cfg.backoff.saturating_mul(doubling).min(cfg.backoff_cap));
-            match core.build_engines(lanes.clone()) {
-                Ok(engines) => {
-                    for (lane, engine) in lanes.zip(engines) {
-                        self.engines[lane] = engine;
-                    }
-                    core.metrics.record_worker_restart();
-                    return true;
-                }
-                Err(e) => core
-                    .metrics
-                    .record_worker_panic(&format!("restart failed: {e}")),
-            }
+        let claimed = core
+            .restarts
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                (n < cfg.max_restarts).then_some(n + 1)
+            });
+        let Ok(n) = claimed else { return false };
+        let doubling = 1u32.checked_shl(n).unwrap_or(u32::MAX);
+        std::thread::sleep(cfg.backoff.saturating_mul(doubling).min(cfg.backoff_cap));
+        for (lane, engine) in lanes.clone().zip(core.views(lanes)) {
+            self.engines[lane] = engine;
         }
+        core.metrics.record_worker_restart();
+        true
     }
 
     /// Lane-worker thread body.
@@ -628,12 +605,11 @@ impl std::ops::Deref for LanePool {
 }
 
 impl LanePool {
-    /// Builds the lanes and one engine per lane and worker (see the
-    /// module docs for the order), and starts the workers.
+    /// Makes the lanes and one engine per lane and worker (see the
+    /// module docs), and starts the workers.
     ///
     /// # Errors
     ///
-    /// [`ServeError::WorkerFailed`] when a model fails to build,
     /// [`ServeError::SpawnFailed`] when a thread cannot be spawned.
     ///
     /// # Panics
@@ -662,11 +638,10 @@ impl LanePool {
         // it as the pool-wide overload level). Co-located lanes share
         // the store, so none of their ladders may flip it for the others.
         let sole_lane = lane_cfgs.len() == 1;
-        // Each lane's model: the source of its input contract and store
-        // bindings, then worker 0's engine.
-        let mut models = Vec::with_capacity(lane_cfgs.len());
-        for spec in lane_cfgs {
-            let (model, curve) = (spec.model, spec.curve);
+        // Each lane's built model: worker 0's engine.
+        let mut built_models = Vec::with_capacity(lane_cfgs.len());
+        for LaneSpec { built, curve } in lane_cfgs {
+            let model = built.id();
             let cfg = &set.cfg;
             let store = cfg.store.clone();
             let ladder = Arc::new(OverloadLadder::new(
@@ -686,25 +661,26 @@ impl LanePool {
                 Arc::clone(&set.signal),
             ));
             // One live-update channel per lane: every engine of the lane
-            // registers as a weight reader and computes from the FC set
-            // the channel holds; the updater (if the deployment runs one)
+            // registers as a weight reader and starts from the built
+            // model's FC set; the updater (if the deployment runs one)
             // respects the lane ladder's backpressure rung.
             let namespace = drec_models::store_namespace(model, cfg.scale, cfg.seed);
-            let update = Arc::new(ModelUpdateChannel::new(model.name(), namespace, store));
-            update.set_ladder(Arc::clone(&ladder));
+            let update = Arc::new(ModelUpdateChannel::new(
+                model.name(),
+                namespace,
+                store,
+                built.fc_params(),
+                Some(Arc::clone(&ladder)),
+            ));
             let channel = set.metrics.register_model(
                 model.name(),
                 Some(Arc::clone(&queue)),
                 Some(ladder),
                 Some(Arc::clone(&update)),
             );
-            let built = match spec.built {
-                Some(built) => built,
-                None => set.build_model(model)?,
-            };
             // Stream prefetch: only when the shared store is tiered with
             // prefetch on and the model exposes store bindings.
-            let prefetcher = match &set.cfg.store {
+            let prefetcher = match &cfg.store {
                 Some(s) if s.prefetch_enabled() => {
                     let bindings = built.store_bindings();
                     let budget = s.stats().tier_dram_budget_rows;
@@ -714,17 +690,17 @@ impl LanePool {
                 }
                 _ => None,
             };
-            let spec = built.spec().clone();
-            models.push(Some(built));
             set.lanes.push(Lane {
                 model,
-                spec,
+                spec: built.spec().clone(),
                 queue,
                 channel,
                 update,
+                source: built.view(),
                 curve,
                 prefetcher,
             });
+            built_models.push(built);
         }
         // From here on an early return drops `pool`, which closes the
         // lanes and joins the workers already running.
@@ -732,18 +708,21 @@ impl LanePool {
             core: Arc::new(set),
             threads: Vec::new(),
         };
-        // One engine per lane and worker, worker-major: worker 0's hold
-        // the models above, the rest are replica builds.
         let lanes = &pool.core.lanes;
-        models.resize_with(lanes.len() * pool.cfg.workers, || None);
-        let engines = crew(models.into_iter().enumerate(), |(i, built)| {
-            pool.build_engine(&lanes[i % lanes.len()], built)
-        });
-        let mut engines = engines.into_iter();
         for index in 0..pool.cfg.workers {
+            let engines = if index == 0 {
+                let built = std::mem::take(&mut built_models).into_iter();
+                lanes
+                    .iter()
+                    .zip(built)
+                    .map(|(l, m)| pool.engine(l, m))
+                    .collect()
+            } else {
+                pool.views(0..lanes.len())
+            };
             let mut worker = Worker {
                 index,
-                engines: engines.by_ref().take(lanes.len()).collect::<Result<_>>()?,
+                engines,
                 core: Arc::clone(&pool.core),
             };
             let thread = std::thread::Builder::new()
@@ -757,19 +736,15 @@ impl LanePool {
         Ok(pool)
     }
 
-    /// Builds a [`Worker`] (one fresh engine per lane) reporting under
+    /// A [`Worker`] (one view of each lane's model) reporting under
     /// metrics slot `index`, for a backend the [`Placement`] drives on
     /// its own thread: it shares the restart budget but polls no lanes.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::WorkerFailed`] when a model fails to build.
-    pub fn worker(&self, index: usize) -> Result<Worker> {
-        Ok(Worker {
+    pub fn worker(&self, index: usize) -> Worker {
+        Worker {
             index,
-            engines: self.build_engines(0..self.lanes.len())?,
+            engines: self.views(0..self.lanes.len()),
             core: Arc::clone(&self.core),
-        })
+        }
     }
 
     /// A cloneable submission handle.

@@ -10,10 +10,10 @@
 //!                              same worker: backoff, fresh Engine, keep serving
 //! ```
 //!
-//! Every worker owns a full [`crate::Engine`] (model built from the same
-//! seed, so all replicas share parameters); requests are delivered back
-//! on per-request channels, which keeps the runtime lock-free outside
-//! the single batcher queue. Worker loop, admission, retry, supervision
+//! Every worker owns a full [`crate::Engine`]: worker 0 the model built
+//! here, the others views of it, so all of them share one parameter set;
+//! requests are delivered back on per-request channels, which keeps the
+//! runtime lock-free outside the single batcher queue. Worker loop, admission, retry, supervision
 //! and teardown are the pool's (see [`LanePool`]); this module only
 //! maps [`ServeConfig`] onto a one-lane [`PoolConfig`] with the trivial
 //! [`Inline`] placement.
@@ -41,7 +41,7 @@ pub struct ServeConfig {
     pub model: ModelId,
     /// Scale to build the model at.
     pub scale: ModelScale,
-    /// Parameter seed (all workers share it, so replicas agree).
+    /// Parameter seed.
     pub seed: u64,
     /// Number of worker threads.
     pub workers: usize,
@@ -57,9 +57,9 @@ pub struct ServeConfig {
     /// admission-delay estimate.
     pub curve: LatencyCurve,
     /// When set, all workers resolve embedding lookups through one shared
-    /// [`EmbeddingStore`] with this configuration (deduplicated
-    /// parameters, optional quantization and hot-row caching); `None`
-    /// keeps the original per-worker dense tables.
+    /// [`EmbeddingStore`] with this configuration (optional quantization,
+    /// hot-row caching and tiering); `None` keeps dense tables, which the
+    /// workers share as they share every other parameter.
     pub store: Option<StoreConfig>,
     /// Overload-ladder thresholds (see [`crate::OverloadLadder`]).
     pub degrade: DegradeConfig,
@@ -100,7 +100,8 @@ pub struct ServeRuntime {
 }
 
 impl ServeRuntime {
-    /// Builds `cfg.workers` engines and starts the worker pool.
+    /// Builds the model, makes `cfg.workers` engines over it and starts
+    /// the worker pool.
     ///
     /// # Errors
     ///
@@ -111,16 +112,22 @@ impl ServeRuntime {
             Some(plan) => FaultHook::from_plan(plan),
             None => FaultHook::disabled(),
         };
-        // One parameter store shared by every worker: replica builds
-        // dedupe to a single copy of the embedding tables.
         let store = cfg
             .store
             .map(|sc| Arc::new(EmbeddingStore::with_faults(sc, faults.clone())));
+        let built = match &store {
+            Some(s) => cfg
+                .model
+                .build_with_store(cfg.scale, cfg.seed, Arc::clone(s)),
+            None => cfg.model.build(cfg.scale, cfg.seed),
+        }
+        .map_err(|e| ServeError::WorkerFailed {
+            reason: format!("model build failed: {e}"),
+        })?;
         let pool = LanePool::start(PoolConfig {
             lanes: vec![LaneSpec {
-                model: cfg.model,
+                built,
                 curve: cfg.curve,
-                built: None,
             }],
             scale: cfg.scale,
             seed: cfg.seed,

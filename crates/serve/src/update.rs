@@ -29,16 +29,16 @@
 //!
 //! A weight set is a vector of shared [`FcParams`] handles wherever it
 //! travels (DESIGN.md §14 has the walk-through). The baseline is the
-//! handles the first engine of a lane was built with; every later engine
-//! of the lane installs those same handles and lets its own identical
-//! draw drop, so a lane of W workers holds one FC set at rest. A
-//! perturbed version is allocated once, by the updater, and the mailbox
-//! and all W engines point at that allocation; the restoring version
-//! posts the baseline's own handles, after which engines, mailbox and
-//! baseline are one allocation again. Nothing ever writes through a
-//! handle: an installed set is immutable, and a batch pins the set it
-//! computes from by cloning the handle, as
-//! [`drec_ops::FullyConnected`] does on every run.
+//! handles the lane's model was built with, given to the channel when the
+//! lane is made; every engine of the lane is that model or a view of it
+//! and computes from those same handles, so a lane of W workers holds one
+//! FC set at rest. A perturbed version is allocated once, by the updater,
+//! and the mailbox and all W engines point at that allocation; the
+//! restoring version posts the baseline's own handles, after which
+//! engines, mailbox and baseline are one allocation again. Nothing ever
+//! writes through a handle: a set is immutable, and an engine installs
+//! one between batches by swapping its model's FC nodes for layers over
+//! the new handles ([`drec_models::RecModel::install_fc_params`]).
 //!
 //! Deadlock rule: the updater must run on its own thread. Publishing a
 //! version calls `EpochGc::synchronize`, which waits for every pinned
@@ -85,7 +85,7 @@ pub struct ModelUpdateChannel {
     name: String,
     namespace: u64,
     store: Option<Arc<EmbeddingStore>>,
-    ladder: Mutex<Option<Arc<OverloadLadder>>>,
+    ladder: Option<Arc<OverloadLadder>>,
     /// Single-slot mailbox: the newest posted weight set wins. Engines
     /// poll it at batch boundaries, so a mid-rolling-update worker is at
     /// most one version behind — exactly the staleness bound.
@@ -96,10 +96,10 @@ pub struct ModelUpdateChannel {
     /// Per-reader installed weight version, indexed by the id from
     /// [`register_reader`](ModelUpdateChannel::register_reader).
     installed: Mutex<Vec<u64>>,
-    /// Baseline weight set: the handles the first registering engine was
-    /// built with — what every later engine of the lane installs in place
-    /// of its own draw, and what the final version of a plan restores.
-    baseline: Mutex<Option<Arc<FcLayers>>>,
+    /// Baseline weight set: the handles the lane's model was built with,
+    /// which every engine of the lane starts from and the final version of
+    /// a plan restores.
+    baseline: FcLayers,
     /// Worst `posted - served` gap any batch reported.
     max_staleness: AtomicU64,
     /// Batches that reported a served version.
@@ -108,30 +108,29 @@ pub struct ModelUpdateChannel {
 
 impl ModelUpdateChannel {
     /// A channel for the model registered under `namespace` in `store`
-    /// (pass `None` for dense builds — weight rotation still works).
+    /// (pass `None` for dense builds — weight rotation still works), whose
+    /// engines start from the weight set `baseline` (the model's
+    /// [`drec_models::RecModel::fc_params`]). While `ladder` reports
+    /// [`OverloadLadder::updates_throttled`], the updater pauses.
     pub fn new(
         name: impl Into<String>,
         namespace: u64,
         store: Option<Arc<EmbeddingStore>>,
+        baseline: FcLayers,
+        ladder: Option<Arc<OverloadLadder>>,
     ) -> Self {
         ModelUpdateChannel {
             name: name.into(),
             namespace,
             store,
-            ladder: Mutex::new(None),
+            ladder,
             mailbox: Mutex::new(None),
             posted_version: AtomicU64::new(0),
             installed: Mutex::new(Vec::new()),
-            baseline: Mutex::new(None),
+            baseline,
             max_staleness: AtomicU64::new(0),
             staleness_samples: AtomicU64::new(0),
         }
-    }
-
-    /// Points the updater at an overload ladder; while it reports
-    /// [`OverloadLadder::updates_throttled`], delta application pauses.
-    pub fn set_ladder(&self, ladder: Arc<OverloadLadder>) {
-        *self.ladder.lock() = Some(ladder);
     }
 
     /// Channel (model) name, for diagnostics.
@@ -158,28 +157,17 @@ impl ModelUpdateChannel {
         installed.len() - 1
     }
 
-    /// Records the baseline weight set if none is held yet, and returns
-    /// the one held. Engines call this at registration with their own
-    /// handles; with identically-seeded replicas the first offer is the
-    /// oracle for all of them, and the later ones install what comes back.
-    pub fn offer_baseline(&self, capture: impl FnOnce() -> FcLayers) -> Arc<FcLayers> {
-        let mut baseline = self.baseline.lock();
-        Arc::clone(baseline.get_or_insert_with(|| Arc::new(capture())))
+    /// The baseline weight set: the handles the lane's model was built
+    /// with.
+    pub fn baseline(&self) -> &FcLayers {
+        &self.baseline
     }
 
-    /// The baseline weight set, once an engine has registered.
-    pub fn baseline(&self) -> Option<Arc<FcLayers>> {
-        self.baseline.lock().clone()
-    }
-
-    /// Bytes of `f32` in one FC weight set of this model (0 before an
-    /// engine has registered) — what the lane holds once at rest, and
-    /// once more per version in flight.
+    /// Bytes of `f32` in one FC weight set of this model — what the lane
+    /// holds once at rest, and once more per version in flight.
     pub fn fc_param_bytes(&self) -> usize {
         let floats = |p: &Arc<FcParams>| p.weights.numel() + p.bias.numel();
-        let baseline = self.baseline.lock();
-        let set = baseline.iter().flat_map(|layers| layers.iter());
-        set.map(floats).sum::<usize>() * std::mem::size_of::<f32>()
+        self.baseline.iter().map(floats).sum::<usize>() * std::mem::size_of::<f32>()
     }
 
     /// Posts a weight set to the mailbox (newest wins).
@@ -255,10 +243,7 @@ impl ModelUpdateChannel {
     }
 
     fn updates_throttled(&self) -> bool {
-        self.ladder
-            .lock()
-            .as_ref()
-            .is_some_and(|l| l.updates_throttled())
+        self.ladder.as_ref().is_some_and(|l| l.updates_throttled())
     }
 }
 
@@ -437,26 +422,25 @@ impl Updater {
                 stats.batches_applied += 1;
                 stats.rows_applied += report.rows_applied as u64;
             }
-            if let Some(baseline) = self.channel.baseline() {
-                let layers = if restore {
-                    // The baseline's own handles: once installed, engines,
-                    // mailbox and baseline are one allocation again.
-                    FcLayers::clone(&baseline)
-                } else {
-                    let scale = 1.0 + (splitmix64(&mut rng) % 7 + 1) as f32 * 0.05;
-                    let shift = (splitmix64(&mut rng) % 5) as f32 * 0.01 - 0.02;
-                    let perturbed = |p: &Arc<FcParams>| {
-                        Arc::new(FcParams {
-                            weights: p.weights.map(|v| v * scale + shift),
-                            bias: p.bias.map(|v| v * scale),
-                        })
-                    };
-                    baseline.iter().map(perturbed).collect()
+            let baseline = self.channel.baseline();
+            let layers = if restore {
+                // The baseline's own handles: once installed, engines,
+                // mailbox and baseline are one allocation again.
+                FcLayers::clone(baseline)
+            } else {
+                let scale = 1.0 + (splitmix64(&mut rng) % 7 + 1) as f32 * 0.05;
+                let shift = (splitmix64(&mut rng) % 5) as f32 * 0.01 - 0.02;
+                let perturbed = |p: &Arc<FcParams>| {
+                    Arc::new(FcParams {
+                        weights: p.weights.map(|v| v * scale + shift),
+                        bias: p.bias.map(|v| v * scale),
+                    })
                 };
-                self.channel
-                    .post_weights(Arc::new(WeightSet { version: k, layers }));
-                stats.weight_sets_posted += 1;
-            }
+                baseline.iter().map(perturbed).collect()
+            };
+            self.channel
+                .post_weights(Arc::new(WeightSet { version: k, layers }));
+            stats.weight_sets_posted += 1;
             self.channel.publish_version(k);
             self.wait_for_installs(k);
             if !self.plan.pace.is_zero() {
@@ -637,7 +621,13 @@ mod tests {
             let store = build();
             let fresh = snapshot(&build());
             assert_eq!(snapshot(&store), fresh);
-            let channel = Arc::new(ModelUpdateChannel::new("m", ns, Some(Arc::clone(&store))));
+            let channel = Arc::new(ModelUpdateChannel::new(
+                "m",
+                ns,
+                Some(Arc::clone(&store)),
+                Vec::new(),
+                None,
+            ));
             let mut rows_applied = 0;
             for plan in 0..50u64 {
                 let mut up = Updater::new(
@@ -669,7 +659,13 @@ mod tests {
         let ns = 0xCD;
         let store = store_with_table(ns);
         let before = snapshot_rows(&store, ns);
-        let channel = Arc::new(ModelUpdateChannel::new("m", ns, Some(Arc::clone(&store))));
+        let channel = Arc::new(ModelUpdateChannel::new(
+            "m",
+            ns,
+            Some(Arc::clone(&store)),
+            Vec::new(),
+            None,
+        ));
         let mut up = Updater::new(
             Arc::clone(&channel),
             UpdatePlan {
@@ -697,7 +693,13 @@ mod tests {
     fn duplicate_deltas_bounce_off_the_version_check() {
         let ns = 0xEF;
         let store = store_with_table(ns);
-        let channel = Arc::new(ModelUpdateChannel::new("m", ns, Some(Arc::clone(&store))));
+        let channel = Arc::new(ModelUpdateChannel::new(
+            "m",
+            ns,
+            Some(Arc::clone(&store)),
+            Vec::new(),
+            None,
+        ));
         let mut up = Updater::new(
             Arc::clone(&channel),
             UpdatePlan {
@@ -723,7 +725,7 @@ mod tests {
 
     #[test]
     fn mailbox_keeps_newest_and_tracks_min_install() {
-        let channel = ModelUpdateChannel::new("m", 1, None);
+        let channel = ModelUpdateChannel::new("m", 1, None, Vec::new(), None);
         let r0 = channel.register_reader();
         let r1 = channel.register_reader();
         assert_eq!(channel.min_installed(), 0);
@@ -747,16 +749,15 @@ mod tests {
     #[test]
     fn restore_posts_the_baselines_own_handles() {
         use drec_tensor::Tensor;
-        let channel = Arc::new(ModelUpdateChannel::new("m", 1, None));
         let layer = || {
             Arc::new(FcParams {
                 weights: Tensor::filled(&[2, 3], 0.5),
                 bias: Tensor::filled(&[2], 0.25),
             })
         };
-        let baseline = channel.offer_baseline(|| vec![layer(), layer()]);
-        let again = channel.offer_baseline(|| unreachable!("a baseline is held"));
-        assert!(Arc::ptr_eq(&baseline, &again));
+        let baseline = vec![layer(), layer()];
+        let channel = ModelUpdateChannel::new("m", 1, None, baseline.clone(), None);
+        let channel = Arc::new(channel);
         assert_eq!(channel.fc_param_bytes(), 2 * (6 + 2) * 4);
 
         let posted = |versions| {
@@ -779,7 +780,7 @@ mod tests {
 
     #[test]
     fn staleness_gauge_records_worst_gap() {
-        let channel = ModelUpdateChannel::new("m", 1, None);
+        let channel = ModelUpdateChannel::new("m", 1, None, Vec::new(), None);
         channel.publish_version(3);
         channel.record_staleness(3);
         assert_eq!(channel.max_staleness(), 0);
@@ -794,7 +795,6 @@ mod tests {
     fn throttled_ladder_pauses_but_does_not_wedge_the_updater() {
         let ns = 0x11;
         let store = store_with_table(ns);
-        let channel = Arc::new(ModelUpdateChannel::new("m", ns, Some(Arc::clone(&store))));
         let ladder = Arc::new(OverloadLadder::new(
             crate::degrade::DegradeConfig::default(),
             10,
@@ -802,7 +802,9 @@ mod tests {
         ));
         ladder.observe(9); // CacheOnly: updates throttled.
         assert!(ladder.updates_throttled());
-        channel.set_ladder(Arc::clone(&ladder));
+        let store = Some(Arc::clone(&store));
+        let channel = ModelUpdateChannel::new("m", ns, store, Vec::new(), Some(ladder));
+        let channel = Arc::new(channel);
         let mut up = Updater::new(
             Arc::clone(&channel),
             UpdatePlan {

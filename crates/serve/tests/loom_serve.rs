@@ -517,7 +517,7 @@ fn hot_key_probe_never_reports_a_key_that_was_never_inserted() {
 fn update_mailbox_is_newest_wins_under_contention() {
     use drec_serve::{ModelUpdateChannel, WeightSet};
     model(|| {
-        let channel = Arc::new(ModelUpdateChannel::new("m", 1, None));
+        let channel = Arc::new(ModelUpdateChannel::new("m", 1, None, Vec::new(), None));
         let readers: Vec<usize> = (0..2).map(|_| channel.register_reader()).collect();
         let poster = {
             let channel = Arc::clone(&channel);

@@ -21,10 +21,9 @@ const ANSWER_BOUND: Duration = Duration::from_secs(30);
 
 /// Two lanes, two workers, no faults; tests override what they need.
 fn two_lanes() -> PoolConfig {
-    let lane = |model| LaneSpec {
-        model,
+    let lane = |model: ModelId| LaneSpec {
+        built: model.build(ModelScale::Tiny, 7).expect("model builds"),
         curve: LatencyCurve::from_points(vec![(1, 1e-4), (1024, 1e-2)]),
-        built: None,
     };
     PoolConfig {
         lanes: MODELS.map(lane).into(),
