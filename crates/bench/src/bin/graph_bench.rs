@@ -93,10 +93,7 @@ fn bench_model(id: ModelId, scale: ModelScale, batches: &[usize], repeats: usize
         let inputs = gen.batch(model.spec(), batch);
         let seq = measure(&mut model, &inputs, true, repeats);
         let fused_stats = model
-            .compile_plan_with(PlanOptions {
-                fuse: true,
-                waves: false,
-            })
+            .compile_plan_with(PlanOptions { waves: false })
             .clone();
         let fused = measure(&mut model, &inputs, false, repeats);
         let wave_stats = model.compile_plan().clone();

@@ -123,34 +123,6 @@ impl Characterizer {
         Ok(self.report_from_trace(&name, &trace, platform))
     }
 
-    /// Characterizes the same point under `runs` different workload seeds
-    /// and returns every report, exposing workload-induced variance (the
-    /// simulators themselves are deterministic).
-    ///
-    /// # Errors
-    ///
-    /// Propagates graph-execution errors.
-    pub fn characterize_repeated(
-        &self,
-        model: &mut RecModel,
-        batch: usize,
-        platform: &Platform,
-        runs: usize,
-    ) -> Result<Vec<CharacterizationReport>, GraphError> {
-        model.set_trace_target(self.opts.trace_events_per_op);
-        let name = model.id().name().to_string();
-        let mut reports = Vec::with_capacity(runs);
-        for run in 0..runs {
-            let seed =
-                self.opts.seed.wrapping_add(run as u64) ^ (batch as u64).wrapping_mul(0x9E37);
-            let mut gen = QueryGen::uniform(seed);
-            let inputs = gen.batch(model.spec(), batch);
-            let (_, trace) = model.run_traced(inputs, batch)?;
-            reports.push(self.report_from_trace(&name, &trace, platform));
-        }
-        Ok(reports)
-    }
-
     fn apply_options(&self, platform: Platform) -> Platform {
         match platform {
             Platform::Cpu(model) => {
@@ -210,21 +182,6 @@ mod tests {
         assert!(reports.iter().all(|r| r.latency_seconds > 0.0));
         // Cascade Lake should beat Broadwell.
         assert!(reports[1].latency_seconds < reports[0].latency_seconds);
-    }
-
-    #[test]
-    fn repeated_runs_vary_with_workload_but_stay_close() {
-        let mut model = ModelId::Rm1.build(ModelScale::Tiny, 7).unwrap();
-        let reports = harness()
-            .characterize_repeated(&mut model, 8, &Platform::broadwell(), 4)
-            .unwrap();
-        assert_eq!(reports.len(), 4);
-        let times: Vec<f64> = reports.iter().map(|r| r.latency_seconds).collect();
-        let mean = drec_analysis::stats::mean(&times);
-        let sd = drec_analysis::stats::std_dev(&times);
-        assert!(mean > 0.0);
-        // Workload randomness should not swing tiny-model latency wildly.
-        assert!(sd / mean < 0.5, "cv = {}", sd / mean);
     }
 
     #[test]

@@ -4,10 +4,12 @@
 //! * [`Graph`] / [`GraphBuilder`] — a static, topologically ordered operator
 //!   DAG whose nodes own their operators (and parameters),
 //! * [`execute`] / [`execute_traced`] — reference execution with value
-//!   lifetime management, optionally capturing a [`drec_trace::RunTrace`],
+//!   lifetime management, optionally capturing a [`drec_trace::RunTrace`]:
+//!   each node runs through [`drec_ops::Operator::execute`], the traced
+//!   bracket no operator overrides, so this is the only traced path,
 //! * [`ExecPlan`] — compiled execution plans: operator fusion, inter-op
 //!   wave scheduling, and precomputed value lifetimes, bit-identical to
-//!   the reference executor,
+//!   the reference executor; a plan only serves and never traces,
 //! * [`Breakdown`] — per-operator-type time shares (paper Fig 6),
 //! * [`Framework`] / [`dialect_entries`] — Caffe2 ↔ TensorFlow operator
 //!   naming so the Fig 7 comparison can be regenerated,

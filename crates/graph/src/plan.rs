@@ -21,6 +21,12 @@
 //!   whose last consumer it contains, and the reusable
 //!   [`PlanScratch`] value table replaces the per-request `values`
 //!   allocation.
+//!
+//! A plan only serves: it calls [`Operator::run`] on each node and never
+//! opens a trace record. Traced runs walk the graph through
+//! [`crate::execute_traced`], whose per-node [`Operator::execute`] bracket
+//! no operator overrides, so a trace is always that of the unfused graph
+//! in node order.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -30,16 +36,12 @@ use drec_ops::{
     ExecContext, FusedConcatInput, FusedFc, MultiTableSls, Operator, SparseLengthsSum, Value,
 };
 use drec_par::ParPool;
-use drec_trace::RunTrace;
 
 use crate::{Graph, GraphError, Result};
 
-/// Which plan-compiler passes to enable.
+/// Which optional plan-compiler passes to enable. Fusion always runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanOptions {
-    /// Rewrite `FC → activation` chains and `SLS → concat` fans into
-    /// fused operators.
-    pub fuse: bool,
     /// Execute data-independent waves concurrently on the
     /// [`drec_par::current`] pool (sequential per-node waves otherwise).
     pub waves: bool,
@@ -47,10 +49,7 @@ pub struct PlanOptions {
 
 impl Default for PlanOptions {
     fn default() -> Self {
-        PlanOptions {
-            fuse: true,
-            waves: true,
-        }
+        PlanOptions { waves: true }
     }
 }
 
@@ -178,88 +177,80 @@ impl ExecPlan {
         let mut replacement: Vec<Option<PlanNode>> = (0..n).map(|_| None).collect();
         let mut fused_fc = 0usize;
         let mut fused_tables = 0usize;
-        if opts.fuse {
-            // FC → activation: the FC's output has exactly one consumer,
-            // is not a graph output, and that consumer is an activation.
-            for i in 0..n {
-                let fc_node = &graph.nodes[i];
-                let out = fc_node.output.0;
-                if is_output[out] || consumers[out].len() != 1 {
-                    continue;
-                }
-                let j = consumers[out][0];
-                let act_node = &graph.nodes[j];
-                if absorbed[i] || absorbed[j] || replacement[j].is_some() {
-                    continue;
-                }
-                if let Some(op) = FusedFc::fuse(
-                    Arc::clone(&fc_node.op),
-                    Arc::clone(&act_node.op),
-                    &fc_node.name,
-                    &act_node.name,
-                ) {
-                    absorbed[i] = true;
-                    replacement[j] = Some(PlanNode {
-                        name: format!("{}+{}", fc_node.name, act_node.name),
-                        op: Arc::new(op),
-                        inputs: fc_node.inputs.iter().map(|v| v.0).collect(),
-                        output: act_node.output.0,
-                    });
-                    fused_fc += 1;
+        // FC → activation: the FC's output has exactly one consumer,
+        // is not a graph output, and that consumer is an activation.
+        for i in 0..n {
+            let fc_node = &graph.nodes[i];
+            let out = fc_node.output.0;
+            if is_output[out] || consumers[out].len() != 1 {
+                continue;
+            }
+            let j = consumers[out][0];
+            let act_node = &graph.nodes[j];
+            if absorbed[i] || absorbed[j] || replacement[j].is_some() {
+                continue;
+            }
+            if let Some(op) = FusedFc::fuse(Arc::clone(&fc_node.op), &act_node.op) {
+                absorbed[i] = true;
+                replacement[j] = Some(PlanNode {
+                    name: format!("{}+{}", fc_node.name, act_node.name),
+                    op: Arc::new(op),
+                    inputs: fc_node.inputs.iter().map(|v| v.0).collect(),
+                    output: act_node.output.0,
+                });
+                fused_fc += 1;
+            }
+        }
+        // SLS fan-in → concat: every concat input produced by an SLS
+        // with no other consumer is absorbed; other inputs pass
+        // through. At least two tables must merge.
+        for c in 0..n {
+            if absorbed[c] || replacement[c].is_some() {
+                continue;
+            }
+            let cat = &graph.nodes[c];
+            let mut sources = Vec::with_capacity(cat.inputs.len());
+            let mut plan_inputs = Vec::with_capacity(cat.inputs.len());
+            let mut pooled_nodes = Vec::new();
+            for v in &cat.inputs {
+                let fusable_producer = producer[v.0].filter(|&p| {
+                    let pn = &graph.nodes[p];
+                    !absorbed[p]
+                        && replacement[p].is_none()
+                        && consumers[v.0].len() == 1
+                        && !is_output[v.0]
+                        && pn.op.as_any().is_some_and(|a| a.is::<SparseLengthsSum>())
+                });
+                match fusable_producer {
+                    Some(p) => {
+                        let pn = &graph.nodes[p];
+                        sources.push(FusedConcatInput::Pooled {
+                            op: Arc::clone(&pn.op),
+                        });
+                        plan_inputs.push(pn.inputs[0].0);
+                        pooled_nodes.push(p);
+                    }
+                    None => {
+                        sources.push(FusedConcatInput::Pass);
+                        plan_inputs.push(v.0);
+                    }
                 }
             }
-            // SLS fan-in → concat: every concat input produced by an SLS
-            // with no other consumer is absorbed; other inputs pass
-            // through. At least two tables must merge.
-            for c in 0..n {
-                if absorbed[c] || replacement[c].is_some() {
-                    continue;
+            if pooled_nodes.len() < 2 {
+                continue;
+            }
+            let name = format!("{}+{}xSLS", cat.name, pooled_nodes.len());
+            if let Some(op) = MultiTableSls::fuse(sources, &cat.op) {
+                for &p in &pooled_nodes {
+                    absorbed[p] = true;
                 }
-                let cat = &graph.nodes[c];
-                let mut sources = Vec::with_capacity(cat.inputs.len());
-                let mut plan_inputs = Vec::with_capacity(cat.inputs.len());
-                let mut pooled_nodes = Vec::new();
-                for v in &cat.inputs {
-                    let fusable_producer = producer[v.0].filter(|&p| {
-                        let pn = &graph.nodes[p];
-                        !absorbed[p]
-                            && replacement[p].is_none()
-                            && consumers[v.0].len() == 1
-                            && !is_output[v.0]
-                            && pn.op.as_any().is_some_and(|a| a.is::<SparseLengthsSum>())
-                    });
-                    match fusable_producer {
-                        Some(p) => {
-                            let pn = &graph.nodes[p];
-                            sources.push(FusedConcatInput::Pooled {
-                                op: Arc::clone(&pn.op),
-                                name: pn.name.clone(),
-                            });
-                            plan_inputs.push(pn.inputs[0].0);
-                            pooled_nodes.push(p);
-                        }
-                        None => {
-                            sources.push(FusedConcatInput::Pass);
-                            plan_inputs.push(v.0);
-                        }
-                    }
-                }
-                if pooled_nodes.len() < 2 {
-                    continue;
-                }
-                let name = format!("{}+{}xSLS", cat.name, pooled_nodes.len());
-                if let Some(op) = MultiTableSls::fuse(sources, Arc::clone(&cat.op), &cat.name) {
-                    for &p in &pooled_nodes {
-                        absorbed[p] = true;
-                    }
-                    fused_tables += pooled_nodes.len();
-                    replacement[c] = Some(PlanNode {
-                        name,
-                        op: Arc::new(op),
-                        inputs: plan_inputs,
-                        output: cat.output.0,
-                    });
-                }
+                fused_tables += pooled_nodes.len();
+                replacement[c] = Some(PlanNode {
+                    name,
+                    op: Arc::new(op),
+                    inputs: plan_inputs,
+                    output: cat.output.0,
+                });
             }
         }
 
@@ -400,13 +391,14 @@ impl ExecPlan {
             .collect()
     }
 
-    /// Executes the plan, reusing `scratch` across requests.
+    /// Executes the plan, reusing `scratch` across requests. Waves with
+    /// two or more nodes fan out over the [`drec_par::current`] pool (if
+    /// the plan was compiled with `waves` and the pool has threads to
+    /// spare).
     ///
-    /// When tracing is enabled on `ctx`, every wave runs sequentially and
-    /// fused ops delegate to their constituents, so the captured trace
-    /// matches the unfused reference graph. Otherwise waves with two or
-    /// more nodes fan out over the [`drec_par::current`] pool (if the
-    /// plan was compiled with `waves` and the pool has threads to spare).
+    /// Plans do not trace: nodes run through [`Operator::run`], so `ctx`
+    /// records nothing even when its tracing is on. A trace comes from
+    /// [`crate::execute_traced`] over the graph.
     ///
     /// # Errors
     ///
@@ -424,13 +416,8 @@ impl ExecPlan {
                 actual: inputs.len(),
             });
         }
-        let tracing = ctx.tracing_enabled();
         let pool = drec_par::current();
-        let groups = if self.opts.waves && !tracing {
-            pool.threads()
-        } else {
-            0
-        };
+        let groups = if self.opts.waves { pool.threads() } else { 0 };
         scratch.ensure(self.n_values, groups);
         // Defensive sweep: a prior errored run may have left values behind.
         for v in 0..scratch.values.len() {
@@ -489,25 +476,6 @@ impl ExecPlan {
         Ok(outputs)
     }
 
-    /// Executes the plan with tracing enabled on `ctx`, returning outputs
-    /// and the captured [`RunTrace`] (fused ops report their constituent
-    /// kernels).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ExecPlan::execute`] errors.
-    pub fn execute_traced(
-        &self,
-        ctx: &mut ExecContext,
-        scratch: &mut PlanScratch,
-        inputs: Vec<Value>,
-        batch: usize,
-    ) -> Result<(Vec<Value>, RunTrace)> {
-        let input_bytes: u64 = inputs.iter().map(|v| v.byte_size()).sum();
-        let outputs = self.execute(ctx, scratch, inputs)?;
-        Ok((outputs, ctx.take_run_trace(batch, input_bytes)))
-    }
-
     fn run_node(node: &PlanNode, ctx: &mut ExecContext, values: &[Option<Value>]) -> Result<Value> {
         let mut refs = Vec::with_capacity(node.inputs.len());
         for &v in &node.inputs {
@@ -521,12 +489,10 @@ impl ExecPlan {
                 }
             }
         }
-        node.op
-            .execute(ctx, &node.name, &refs)
-            .map_err(|source| GraphError::Op {
-                node: node.name.clone(),
-                source,
-            })
+        node.op.run(ctx, &refs).map_err(|source| GraphError::Op {
+            node: node.name.clone(),
+            source,
+        })
     }
 
     /// Runs one wave's nodes concurrently: the wave splits into
@@ -709,48 +675,6 @@ mod tests {
         sa.compile_seconds = 0.0;
         sb.compile_seconds = 0.0;
         assert_eq!(sa, sb);
-    }
-
-    #[test]
-    fn fusion_can_be_disabled() {
-        let mut ctx = ExecContext::new();
-        let g = mlp_graph(&mut ctx);
-        let plan = ExecPlan::compile(
-            &g,
-            PlanOptions {
-                fuse: false,
-                waves: false,
-            },
-        );
-        assert_eq!(plan.stats().ops_after, plan.stats().ops_before);
-        assert_eq!(plan.stats().fused_fc, 0);
-        assert_eq!(plan.stats().waves, plan.stats().ops_after);
-
-        let input = || vec![Value::dense(Tensor::filled(&[2, 6], -0.5))];
-        let want = execute(&g, &mut ctx, input()).unwrap();
-        let mut scratch = PlanScratch::new();
-        let got = plan.execute(&mut ctx, &mut scratch, input()).unwrap();
-        assert_bits_eq(&want, &got);
-    }
-
-    #[test]
-    fn traced_plan_reports_constituent_ops() {
-        let mut ctx = ExecContext::with_tracing(1 << 14);
-        let g = mlp_graph(&mut ctx);
-        let plan = ExecPlan::compile(&g, PlanOptions::default());
-        let mut scratch = PlanScratch::new();
-        let (_, trace) = plan
-            .execute_traced(
-                &mut ctx,
-                &mut scratch,
-                vec![Value::dense(Tensor::zeros(&[2, 6]))],
-                2,
-            )
-            .unwrap();
-        // All six original kernels appear under their original names.
-        assert_eq!(trace.ops.len(), 6);
-        let names: Vec<_> = trace.ops.iter().map(|o| o.name.as_str()).collect();
-        assert!(names.contains(&"bot_fc0") && names.contains(&"prob"));
     }
 
     #[test]

@@ -80,11 +80,6 @@ impl DispatchOracle {
         }
     }
 
-    /// The configured extra per-dispatch PCIe cost, seconds.
-    pub fn pcie_extra_seconds(&self) -> f64 {
-        self.pcie_extra_s
-    }
-
     /// Modelled end-to-end seconds to dispatch one batch of `batch`
     /// queries to the GPU: roofline execution (log-log interpolated
     /// between calibration points, slope-extrapolated beyond them) plus

@@ -337,9 +337,9 @@ impl RecModel {
     }
 
     /// Compiles an execution plan with default options (fusion + wave
-    /// scheduling) and caches it; subsequent [`RecModel::run`] /
-    /// [`RecModel::run_traced`] calls use the plan. Returns the compile
-    /// stats. Recompiling replaces the cached plan.
+    /// scheduling) and caches it; subsequent [`RecModel::run`] calls use
+    /// the plan. [`RecModel::run_traced`] never does: a plan only serves.
+    /// Returns the compile stats. Recompiling replaces the cached plan.
     pub fn compile_plan(&mut self) -> &PlanStats {
         self.compile_plan_with(PlanOptions::default())
     }
@@ -383,10 +383,9 @@ impl RecModel {
         execute(&self.graph, &mut self.ctx, inputs)
     }
 
-    /// Runs one inference with tracing, returning outputs and the captured
-    /// [`RunTrace`]. Uses the compiled plan when cached: fused operators
-    /// delegate to their constituent kernels under tracing, so the trace
-    /// matches the unfused graph record for record.
+    /// Runs one inference with tracing through the reference executor,
+    /// returning outputs and the captured [`RunTrace`]: one record per
+    /// graph node, in node order, whether or not a plan is compiled.
     ///
     /// # Errors
     ///
@@ -397,10 +396,7 @@ impl RecModel {
         batch: usize,
     ) -> Result<(Vec<Value>, RunTrace), GraphError> {
         self.ctx.set_tracing(true);
-        let result = match &self.plan {
-            Some(plan) => plan.execute_traced(&mut self.ctx, &mut self.scratch, inputs, batch),
-            None => execute_traced(&self.graph, &mut self.ctx, inputs, batch),
-        };
+        let result = execute_traced(&self.graph, &mut self.ctx, inputs, batch);
         self.ctx.set_tracing(false);
         result
     }

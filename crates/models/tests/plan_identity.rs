@@ -4,8 +4,8 @@
 //!   reference executor at every thread count,
 //! * compilation is deterministic — repeated compiles produce the same
 //!   fusion decisions and wave schedule,
-//! * traced plan runs report the same per-kernel totals as unfused runs
-//!   (fused ops delegate to their constituents under tracing).
+//! * a plan only serves: a compiled model's traced run walks the graph,
+//!   so its trace is the uncompiled model's record for record.
 
 use drec_graph::{ExecPlan, PlanOptions};
 use drec_models::{InputSlot, ModelId, ModelScale, RecModel};
@@ -92,10 +92,7 @@ fn fusion_only_plans_match_reference() {
         let mut model = id.build(ModelScale::Tiny, 5).unwrap();
         let batch = 2;
         let want = model.run_reference(make_inputs(&model, batch, 3)).unwrap();
-        model.compile_plan_with(PlanOptions {
-            fuse: true,
-            waves: false,
-        });
+        model.compile_plan_with(PlanOptions { waves: false });
         let got = model.run(make_inputs(&model, batch, 3)).unwrap();
         assert_bits_eq(id, &want, &got, "fusion-only plan");
     }
@@ -142,35 +139,26 @@ fn repeated_compiles_produce_identical_schedules() {
 }
 
 #[test]
-fn traced_plan_runs_match_unfused_kernel_totals() {
+fn a_compiled_model_traces_its_graph() {
     for id in ModelId::ALL {
         let batch = 2;
-        let mut unfused = id.build(ModelScale::Tiny, 7).unwrap();
-        let (_, reference) = unfused
-            .run_traced(make_inputs(&unfused, batch, 5), batch)
+        let mut uncompiled = id.build(ModelScale::Tiny, 7).unwrap();
+        let (_, want) = uncompiled
+            .run_traced(make_inputs(&uncompiled, batch, 5), batch)
             .unwrap();
 
-        let mut planned = id.build(ModelScale::Tiny, 7).unwrap();
-        planned.compile_plan();
-        let (_, traced) = planned
-            .run_traced(make_inputs(&planned, batch, 5), batch)
+        let mut compiled = id.build(ModelScale::Tiny, 7).unwrap();
+        compiled.compile_plan();
+        let (_, got) = compiled
+            .run_traced(make_inputs(&compiled, batch, 5), batch)
             .unwrap();
 
-        // Record-for-record: same kernels under the same names (waves
-        // reorder same-level nodes, so compare as a name-sorted set).
-        assert_eq!(traced.ops.len(), reference.ops.len(), "{id} op count");
-        let sorted = |t: &drec_trace::RunTrace| {
-            let mut v: Vec<(String, String)> = t
-                .ops
-                .iter()
-                .map(|o| (o.name.clone(), o.op_type.clone()))
-                .collect();
-            v.sort();
-            v
-        };
-        assert_eq!(sorted(&reference), sorted(&traced), "{id} kernel set");
-        // And the Fig 6/7 aggregates are equal per kernel class.
-        assert_eq!(reference.summary(), traced.summary(), "{id} summary");
+        assert_eq!(got.ops.len(), want.ops.len(), "{id} record count");
+        for (i, (g, w)) in got.ops.iter().zip(&want.ops).enumerate() {
+            assert_eq!(g.name, w.name, "{id} record {i}: name");
+            assert_eq!(g.code, w.code, "{id} record {i} ({}): code", w.name);
+            assert_eq!(g.mem, w.mem, "{id} record {i} ({}): mem", w.name);
+        }
     }
 }
 

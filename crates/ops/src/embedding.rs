@@ -197,11 +197,6 @@ impl EmbeddingTable {
         self.physical_rows
     }
 
-    /// Whether rows resolve through a shared [`EmbeddingStore`].
-    pub fn store_backed(&self) -> bool {
-        matches!(self.backing, Backing::Store(_))
-    }
-
     /// The store pin backing this table, when store-backed.
     pub fn store_pin(&self) -> Option<&PinnedTable> {
         match &self.backing {
@@ -874,7 +869,7 @@ mod tests {
         let store = store_with(drec_store::RowEncoding::F32, 16);
         let stored =
             EmbeddingTable::new_in_store(50, 8, 50, &mut sctx, &mut sinit, &store, 1, 0).unwrap();
-        assert!(stored.store_backed() && !dense.store_backed());
+        assert!(stored.store_pin().is_some() && dense.store_pin().is_none());
 
         let sls_d = SparseLengthsSum::new(dense, &mut ctx);
         let sls_s = SparseLengthsSum::new(stored, &mut sctx);

@@ -3,10 +3,10 @@
 //! Fusion here is *strictly* a scheduling rewrite: each fused op performs
 //! the exact floating-point operations of its constituents in the exact
 //! order the unfused graph would, so outputs are bit-identical to the
-//! reference executor. Under tracing the fused ops delegate to the
-//! constituent operators they wrap (with the original node names), so
-//! per-kernel trace totals — the paper's Fig 6/7 breakdowns — are
-//! unchanged by fusion.
+//! reference executor. Fused ops exist only in compiled plans, and plans
+//! do not trace: every trace (the paper's Fig 6/7 breakdowns) comes from
+//! the graph executor running the unfused operators through
+//! [`Operator::execute`], the traced bracket no operator overrides.
 
 use std::sync::Arc;
 
@@ -31,9 +31,6 @@ use crate::{
 #[derive(Debug)]
 pub struct FusedFc {
     fc: Arc<dyn Operator>,
-    act: Arc<dyn Operator>,
-    fc_name: String,
-    act_name: String,
     act_kind: ActivationKind,
 }
 
@@ -41,29 +38,13 @@ impl FusedFc {
     /// Fuses an [`FullyConnected`] op with the [`Activation`] consuming
     /// it. Returns `None` when either op is not of the required concrete
     /// type (the plan compiler probes arbitrary node pairs).
-    pub fn fuse(
-        fc: Arc<dyn Operator>,
-        act: Arc<dyn Operator>,
-        fc_name: impl Into<String>,
-        act_name: impl Into<String>,
-    ) -> Option<Self> {
+    pub fn fuse(fc: Arc<dyn Operator>, act: &Arc<dyn Operator>) -> Option<Self> {
         fc.as_any()?.downcast_ref::<FullyConnected>()?;
         let act_kind = act
             .as_any()?
             .downcast_ref::<Activation>()?
             .activation_kind();
-        Some(FusedFc {
-            fc,
-            act,
-            fc_name: fc_name.into(),
-            act_name: act_name.into(),
-            act_kind,
-        })
-    }
-
-    /// Names of the constituent graph nodes `(fc, activation)`.
-    pub fn constituent_names(&self) -> (&str, &str) {
-        (&self.fc_name, &self.act_name)
+        Some(FusedFc { fc, act_kind })
     }
 
     fn fc_ref(&self) -> &FullyConnected {
@@ -111,20 +92,6 @@ impl Operator for FusedFc {
         out.addr = ctx.alloc_activation((batch * out_f * 4) as u64);
         Ok(out)
     }
-
-    fn execute(&self, ctx: &mut ExecContext, _name: &str, inputs: &[&Value]) -> Result<Value> {
-        if ctx.tracing_enabled() {
-            // Constituent attribution: run the original ops under their
-            // original node names so the trace is that of the unfused
-            // graph.
-            let mid = self.fc.execute(ctx, &self.fc_name, inputs)?;
-            let out = self.act.execute(ctx, &self.act_name, &[&mid])?;
-            ctx.recycle_value(mid);
-            Ok(out)
-        } else {
-            self.run(ctx, inputs)
-        }
-    }
 }
 
 /// One position of a [`MultiTableSls`]'s output layout.
@@ -135,8 +102,6 @@ pub enum FusedConcatInput {
     Pooled {
         /// The absorbed pooled-lookup operator.
         op: Arc<dyn Operator>,
-        /// Its original graph node name (trace attribution).
-        name: String,
     },
     /// A dense value forwarded to the concat output unchanged; the fused
     /// node's input at this position is that value.
@@ -154,23 +119,17 @@ pub enum FusedConcatInput {
 #[derive(Debug)]
 pub struct MultiTableSls {
     sources: Vec<FusedConcatInput>,
-    concat: Arc<dyn Operator>,
-    concat_name: String,
 }
 
 impl MultiTableSls {
     /// Fuses `sources` (at least two of them pooled lookups) with the
     /// `concat` consuming them. Returns `None` when the ops are not of
     /// the required concrete types.
-    pub fn fuse(
-        sources: Vec<FusedConcatInput>,
-        concat: Arc<dyn Operator>,
-        concat_name: impl Into<String>,
-    ) -> Option<Self> {
+    pub fn fuse(sources: Vec<FusedConcatInput>, concat: &Arc<dyn Operator>) -> Option<Self> {
         concat.as_any()?.downcast_ref::<Concat>()?;
         let mut pooled = 0usize;
         for s in &sources {
-            if let FusedConcatInput::Pooled { op, .. } = s {
+            if let FusedConcatInput::Pooled { op } = s {
                 op.as_any()?.downcast_ref::<SparseLengthsSum>()?;
                 pooled += 1;
             }
@@ -178,36 +137,13 @@ impl MultiTableSls {
         if pooled < 2 || sources.len() < 2 {
             return None;
         }
-        Some(MultiTableSls {
-            sources,
-            concat,
-            concat_name: concat_name.into(),
-        })
-    }
-
-    /// Number of embedding tables merged into this lookup.
-    pub fn table_count(&self) -> usize {
-        self.sources
-            .iter()
-            .filter(|s| matches!(s, FusedConcatInput::Pooled { .. }))
-            .count()
+        Some(MultiTableSls { sources })
     }
 
     fn sls_ref(op: &Arc<dyn Operator>) -> &SparseLengthsSum {
         op.as_any()
             .and_then(|a| a.downcast_ref::<SparseLengthsSum>())
             .expect("concrete type verified in MultiTableSls::fuse")
-    }
-
-    fn check_input_count(&self, inputs: &[&Value]) -> Result<()> {
-        if inputs.len() != self.sources.len() {
-            return Err(OpError::ArityMismatch {
-                op: "MultiTableSLS",
-                expected: self.sources.len(),
-                actual: inputs.len(),
-            });
-        }
-        Ok(())
     }
 }
 
@@ -233,20 +169,20 @@ impl Operator for MultiTableSls {
         self.sources
             .iter()
             .map(|s| match s {
-                FusedConcatInput::Pooled { op, .. } => op.param_bytes(),
+                FusedConcatInput::Pooled { op } => op.param_bytes(),
                 FusedConcatInput::Pass => 0,
             })
             .sum()
     }
 
     fn run(&self, ctx: &mut ExecContext, inputs: &[&Value]) -> Result<Value> {
-        self.check_input_count(inputs)?;
+        check_arity("MultiTableSLS", inputs, self.sources.len())?;
         let mut batch: Option<usize> = None;
         let mut widths = Vec::with_capacity(self.sources.len());
         let mut segments = Vec::with_capacity(self.sources.len());
         for (src, input) in self.sources.iter().zip(inputs) {
             let (rows, width, seg) = match src {
-                FusedConcatInput::Pooled { op, .. } => {
+                FusedConcatInput::Pooled { op } => {
                     let sls = Self::sls_ref(op);
                     let ids = input.ids_ref("SparseLengthsSum")?;
                     check_ids_in_range("SparseLengthsSum", &ids.ids, sls.table())?;
@@ -319,35 +255,6 @@ impl Operator for MultiTableSls {
         v.addr = ctx.alloc_activation((batch * total * 4) as u64);
         Ok(v)
     }
-
-    fn execute(&self, ctx: &mut ExecContext, _name: &str, inputs: &[&Value]) -> Result<Value> {
-        if !ctx.tracing_enabled() {
-            return self.run(ctx, inputs);
-        }
-        // Constituent attribution: run each absorbed SLS and the original
-        // concat under their original node names.
-        self.check_input_count(inputs)?;
-        let mut pooled_vals: Vec<Option<Value>> = Vec::with_capacity(self.sources.len());
-        for (src, input) in self.sources.iter().zip(inputs) {
-            match src {
-                FusedConcatInput::Pooled { op, name } => {
-                    pooled_vals.push(Some(op.execute(ctx, name, &[input])?));
-                }
-                FusedConcatInput::Pass => pooled_vals.push(None),
-            }
-        }
-        let refs: Vec<&Value> = pooled_vals
-            .iter()
-            .zip(inputs)
-            .map(|(pooled, &input)| pooled.as_ref().unwrap_or(input))
-            .collect();
-        let out = self.concat.execute(ctx, &self.concat_name, &refs)?;
-        drop(refs);
-        for v in pooled_vals.into_iter().flatten() {
-            ctx.recycle_value(v);
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -357,7 +264,7 @@ mod tests {
     use drec_tensor::ParamInit;
 
     fn setup() -> (ExecContext, ParamInit) {
-        (ExecContext::with_tracing(1 << 16), ParamInit::new(11))
+        (ExecContext::new(), ParamInit::new(11))
     }
 
     fn arc(op: impl Operator + 'static) -> Arc<dyn Operator> {
@@ -372,7 +279,6 @@ mod tests {
             ActivationKind::Tanh,
         ] {
             let (mut ctx, mut init) = setup();
-            ctx.set_tracing(false);
             let fc = arc(FullyConnected::new(6, 5, &mut ctx, &mut init));
             let act = arc(Activation::new(kind, &mut ctx));
             let x = ctx.external_input(Value::dense(init.uniform(&[4, 6], -2.0, 2.0)));
@@ -380,7 +286,7 @@ mod tests {
             let mid = fc.run(&mut ctx, &[&x]).unwrap();
             let want = act.run(&mut ctx, &[&mid]).unwrap();
 
-            let fused = FusedFc::fuse(fc, act, "fc", "act").unwrap();
+            let fused = FusedFc::fuse(fc, &act).unwrap();
             let got = fused.run(&mut ctx, &[&x]).unwrap();
             for (a, b) in want
                 .as_dense()
@@ -395,28 +301,13 @@ mod tests {
     }
 
     #[test]
-    fn fused_fc_traced_emits_constituent_records() {
-        let (mut ctx, mut init) = setup();
-        let fc = arc(FullyConnected::new(4, 3, &mut ctx, &mut init));
-        let act = arc(Activation::new(ActivationKind::Relu, &mut ctx));
-        let fused = FusedFc::fuse(fc, act, "mlp_fc0", "mlp_relu0").unwrap();
-        let x = ctx.external_input(Value::dense(Tensor::zeros(&[2, 4])));
-        fused.execute(&mut ctx, "mlp_fc0+mlp_relu0", &[&x]).unwrap();
-        let run = ctx.take_run_trace(2, 0);
-        let names: Vec<_> = run.ops.iter().map(|o| o.name.as_str()).collect();
-        assert_eq!(names, vec!["mlp_fc0", "mlp_relu0"]);
-        assert_eq!(run.ops[0].op_type, "FC");
-        assert_eq!(run.ops[1].op_type, "Relu");
-    }
-
-    #[test]
     fn fuse_rejects_wrong_concrete_types() {
         let (mut ctx, mut init) = setup();
         let fc = arc(FullyConnected::new(4, 3, &mut ctx, &mut init));
         let act = arc(Activation::new(ActivationKind::Relu, &mut ctx));
         let cat = arc(Concat::new(&mut ctx));
-        assert!(FusedFc::fuse(Arc::clone(&cat), act, "a", "b").is_none());
-        assert!(FusedFc::fuse(fc, cat, "a", "b").is_none());
+        assert!(FusedFc::fuse(Arc::clone(&cat), &act).is_none());
+        assert!(FusedFc::fuse(fc, &cat).is_none());
     }
 
     #[test]
@@ -424,7 +315,7 @@ mod tests {
         let (mut ctx, mut init) = setup();
         let fc = arc(FullyConnected::new(4, 3, &mut ctx, &mut init));
         let act = arc(Activation::new(ActivationKind::Relu, &mut ctx));
-        let fused = FusedFc::fuse(fc, act, "fc", "act").unwrap();
+        let fused = FusedFc::fuse(fc, &act).unwrap();
         let x = ctx.external_input(Value::dense(Tensor::zeros(&[2, 5])));
         assert!(fused.run(&mut ctx, &[&x]).is_err());
     }
@@ -446,7 +337,6 @@ mod tests {
     #[test]
     fn multi_table_matches_sls_plus_concat_bitwise() {
         let (mut ctx, mut init) = setup();
-        ctx.set_tracing(false);
         let sls = multi_table_setup(&[PoolMode::Sum, PoolMode::Mean], &mut ctx, &mut init);
         let cat = arc(Concat::new(&mut ctx));
         let dense = ctx.external_input(Value::dense(init.uniform(&[3, 2], -1.0, 1.0)));
@@ -461,19 +351,15 @@ mod tests {
             vec![
                 FusedConcatInput::Pooled {
                     op: Arc::clone(&sls[0]),
-                    name: "emb0".into(),
                 },
                 FusedConcatInput::Pooled {
                     op: Arc::clone(&sls[1]),
-                    name: "emb1".into(),
                 },
                 FusedConcatInput::Pass,
             ],
-            cat,
-            "cat",
+            &cat,
         )
         .unwrap();
-        assert_eq!(fused.table_count(), 2);
         let got = fused.run(&mut ctx, &[&ids0, &ids1, &dense]).unwrap();
         assert_eq!(
             want.as_dense().unwrap().dims(),
@@ -491,35 +377,6 @@ mod tests {
     }
 
     #[test]
-    fn multi_table_traced_emits_constituent_records() {
-        let (mut ctx, mut init) = setup();
-        let sls = multi_table_setup(&[PoolMode::Sum, PoolMode::Sum], &mut ctx, &mut init);
-        let cat = arc(Concat::new(&mut ctx));
-        let fused = MultiTableSls::fuse(
-            vec![
-                FusedConcatInput::Pooled {
-                    op: Arc::clone(&sls[0]),
-                    name: "emb_t0".into(),
-                },
-                FusedConcatInput::Pooled {
-                    op: Arc::clone(&sls[1]),
-                    name: "emb_t1".into(),
-                },
-            ],
-            cat,
-            "deep_cat",
-        )
-        .unwrap();
-        let ids0 = ctx.external_input(Value::ids(IdList::new(vec![1, 2], vec![1, 1])));
-        let ids1 = ctx.external_input(Value::ids(IdList::new(vec![3, 4], vec![1, 1])));
-        fused.execute(&mut ctx, "fused", &[&ids0, &ids1]).unwrap();
-        let run = ctx.take_run_trace(2, 0);
-        let names: Vec<_> = run.ops.iter().map(|o| o.name.as_str()).collect();
-        assert_eq!(names, vec!["emb_t0", "emb_t1", "deep_cat"]);
-        assert_eq!(run.ops[2].op_type, "Concat");
-    }
-
-    #[test]
     fn multi_table_requires_two_pooled_inputs() {
         let (mut ctx, mut init) = setup();
         let sls = multi_table_setup(&[PoolMode::Sum], &mut ctx, &mut init);
@@ -527,13 +384,11 @@ mod tests {
         assert!(MultiTableSls::fuse(
             vec![
                 FusedConcatInput::Pooled {
-                    op: Arc::clone(&sls[0]),
-                    name: "emb".into(),
+                    op: Arc::clone(&sls[0])
                 },
                 FusedConcatInput::Pass,
             ],
-            cat,
-            "cat",
+            &cat,
         )
         .is_none());
     }
@@ -541,22 +396,18 @@ mod tests {
     #[test]
     fn multi_table_out_of_range_id_is_typed_error() {
         let (mut ctx, mut init) = setup();
-        ctx.set_tracing(false);
         let sls = multi_table_setup(&[PoolMode::Sum, PoolMode::Sum], &mut ctx, &mut init);
         let cat = arc(Concat::new(&mut ctx));
         let fused = MultiTableSls::fuse(
             vec![
                 FusedConcatInput::Pooled {
                     op: Arc::clone(&sls[0]),
-                    name: "a".into(),
                 },
                 FusedConcatInput::Pooled {
                     op: Arc::clone(&sls[1]),
-                    name: "b".into(),
                 },
             ],
-            cat,
-            "cat",
+            &cat,
         )
         .unwrap();
         let ids0 = ctx.external_input(Value::ids(IdList::new(vec![99], vec![1])));
@@ -570,22 +421,18 @@ mod tests {
     #[test]
     fn multi_table_row_mismatch_is_typed_error() {
         let (mut ctx, mut init) = setup();
-        ctx.set_tracing(false);
         let sls = multi_table_setup(&[PoolMode::Sum, PoolMode::Sum], &mut ctx, &mut init);
         let cat = arc(Concat::new(&mut ctx));
         let fused = MultiTableSls::fuse(
             vec![
                 FusedConcatInput::Pooled {
                     op: Arc::clone(&sls[0]),
-                    name: "a".into(),
                 },
                 FusedConcatInput::Pooled {
                     op: Arc::clone(&sls[1]),
-                    name: "b".into(),
                 },
             ],
-            cat,
-            "cat",
+            &cat,
         )
         .unwrap();
         let ids0 = ctx.external_input(Value::ids(IdList::new(vec![1, 2], vec![1, 1])));
@@ -600,7 +447,6 @@ mod tests {
         // Dense reference: the store-backed builds below consume the
         // identical parameter stream from a fresh RNG at the same seed.
         let (mut rctx, mut rinit) = setup();
-        rctx.set_tracing(false);
         let r = multi_table_setup(&[PoolMode::Sum, PoolMode::Mean], &mut rctx, &mut rinit);
         let rcat = arc(Concat::new(&mut rctx));
         // Every sample leads with the pair (1, 7), the pattern a
@@ -615,7 +461,6 @@ mod tests {
         // dense unfused reference every time.
         let serve = |combine: Option<CombineConfig>| -> StoreStats {
             let (mut ctx, mut init) = setup();
-            ctx.set_tracing(false);
             let store = Arc::new(EmbeddingStore::new(StoreConfig {
                 tier: Some(TierConfig {
                     combine,
@@ -632,17 +477,10 @@ mod tests {
             let cat = arc(Concat::new(&mut ctx));
             let fused = MultiTableSls::fuse(
                 vec![
-                    FusedConcatInput::Pooled {
-                        op: s0,
-                        name: "emb0".into(),
-                    },
-                    FusedConcatInput::Pooled {
-                        op: s1,
-                        name: "emb1".into(),
-                    },
+                    FusedConcatInput::Pooled { op: s0 },
+                    FusedConcatInput::Pooled { op: s1 },
                 ],
-                cat,
-                "cat",
+                &cat,
             )
             .unwrap();
             for _ in 0..3 {

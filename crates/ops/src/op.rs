@@ -6,9 +6,11 @@ use crate::{ExecContext, OpKind, Result, Value};
 /// context records traces, describe the work they performed through the
 /// context's `add_work` / `record_read` / … methods.
 ///
-/// Use [`Operator::execute`] to run an operator as a named graph node — it
-/// brackets `run` with the per-op trace record so the emitted evidence
-/// lands in a [`drec_trace::OpTrace`].
+/// [`Operator::execute`] is the traced bracket the graph executor
+/// (`drec_graph::execute`) runs each node through: it wraps `run` in the
+/// per-op trace record so the emitted evidence lands in a
+/// [`drec_trace::OpTrace`]. No operator overrides it. Compiled plans,
+/// which do not trace, call `run` directly.
 ///
 /// Operators are `Send + Sync` so whole models can move across threads
 /// (the parallel sweep in `drec-core` runs one model per worker).

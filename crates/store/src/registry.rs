@@ -599,11 +599,6 @@ impl EmbeddingStore {
         out
     }
 
-    /// Whether this store simulates a DRAM/SSD tier.
-    pub fn tier_enabled(&self) -> bool {
-        self.tier.is_some()
-    }
-
     /// Whether the serving runtime should stream-prefetch for this store
     /// (tiering on and its prefetch flag set).
     pub fn prefetch_enabled(&self) -> bool {
