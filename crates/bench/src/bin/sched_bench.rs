@@ -35,6 +35,13 @@
 //!   (this bin runs on [`CountingAlloc`]) stay at or under the figure on
 //!   record: embedding store, one FC weight set per model, plans, queues.
 //!   A second copy of the FC sets, 34 MB, would not fit under it.
+//! * `heap_peak_during_start_mb` — the most the same start holds on the
+//!   way stays at or under the figure on record for a crew of one
+//!   calibrating thread, plus one simulator (`simulator_mb`, measured) for
+//!   each further thread the host's crew has, plus 5 %: calibration prices
+//!   each operator as it is traced, on one simulator per calibrating
+//!   thread, so with two or more threads a held trace (DIEN's is 4.6 MB
+//!   of memory events) and a simulator per run would not fit under it.
 //!
 //! Also recorded, not gated: **cold start** — `start_s`, the wall time of
 //! `MultiServeRuntime::start` for the eight Paper-scale models on a
@@ -43,10 +50,9 @@
 //! thread: building the models, calibrating them, starting the lane pool
 //! on them. Start overlaps the first two, so on a host with a second core
 //! `start_s` is below their sum. `serial_simulate_s` is the part of
-//! calibration spent in `CpuSim::simulate` (the same traces taken again,
-//! only `Platform::evaluate` timed). `heap_peak_during_start_mb` is the
-//! most the start held on the way (calibration traces are transient), and
-//! `fc_param_mb` one FC weight set of each model, summed.
+//! calibration spent in `CpuSim` (the same runs traced again and held,
+//! then priced on one simulator reset before each, as calibration prices
+//! them), and `fc_param_mb` one FC weight set of each model, summed.
 
 use drec_bench::counters::CountingAlloc;
 use drec_bench::report::Limit::{AtLeast, AtMost, Equal};
@@ -98,6 +104,13 @@ const CALIBRATION_OPS: f64 = 3_230.0;
 /// for its capacity of 4 096, and 109.6 while the update channels kept a
 /// second copy of every FC set (33.9).
 const HEAP_LIVE_AFTER_START_MB: f64 = 72.1;
+/// The heap the same cold start holds at its peak when one thread
+/// calibrates, MiB: 77.7 on one core (it repeats to 0.1). Each further
+/// calibrating thread holds one simulator more, so the ceiling is this
+/// plus one simulator per further thread, plus 5 %. Two threads read
+/// 82.5–83.3 here (ceiling 87.0); 87.8–88.7, and 79.9 on one core, while
+/// each calibration run held its whole trace and a fresh `CpuSim`.
+const HEAP_PEAK_ONE_CALIBRATING_THREAD_MB: f64 = 77.7;
 
 /// Xorshift64* — the workload's model-popularity sampler.
 struct Rng(u64);
@@ -318,7 +331,8 @@ struct StartTimes {
     start_s: f64,
     build_s: f64,
     calibrate_s: f64,
-    /// The `CpuSim` part of `calibrate_s`: the same traces, `evaluate` only.
+    /// The `CpuSim` part of `calibrate_s`: the same traces, on one
+    /// simulator reset before each, as calibration prices them.
     simulate_s: f64,
     pool_s: f64,
     /// Sampled memory events and operators in the calibration traces.
@@ -330,6 +344,8 @@ struct StartTimes {
     heap_live: usize,
     heap_peak: usize,
     fc_param_bytes: usize,
+    /// Heap bytes one calibration simulator allocates.
+    simulator_bytes: usize,
 }
 
 /// Times `MultiServeRuntime::start` on `perf_bench`'s `colocated_mix`
@@ -357,6 +373,13 @@ fn time_start(models: &[ModelId], reps: usize) -> StartTimes {
     let (mut start, mut build, mut calibrate, mut pool) = (vec![], vec![], vec![], vec![]);
     let (mut simulate, mut mem_events, mut ops) = (vec![], 0, 0);
     let (mut heap_live, mut heap_peak, mut fc_param_bytes) = (0, 0, 0);
+    let simulator_bytes = {
+        let before = HEAP.live_bytes();
+        let sim = profile_cfg.cpu_sim();
+        let bytes = HEAP.live_bytes() - before;
+        drop(sim);
+        bytes
+    };
     for _ in 0..reps {
         let heap_before = HEAP.live_bytes();
         HEAP.reset_peak();
@@ -377,18 +400,19 @@ fn time_start(models: &[ModelId], reps: usize) -> StartTimes {
             .collect();
         build.push(clock.elapsed().as_secs_f64());
         let clock = Instant::now();
+        let mut sim = profile_cfg.cpu_sim();
         let lanes = built.into_iter().map(|model| {
             let mut model = model.expect("model builds");
             LaneSpec {
-                curve: ModelProfile::calibrate(&mut model, &profile_cfg).cpu_curve,
+                curve: ModelProfile::calibrate_on(&mut model, &profile_cfg, &mut sim).cpu_curve,
                 built: model,
             }
         });
         let mut lanes: Vec<LaneSpec> = lanes.collect();
         calibrate.push(clock.elapsed().as_secs_f64());
 
-        // The traces `calibrate` just simulated, taken again the way it
-        // takes them, so that the simulator can be timed without them.
+        // The runs `calibrate` just priced as they were traced, taken again
+        // and held, so that the simulator can be timed without the tracing.
         let mut traces: Vec<RunTrace> = Vec::new();
         for lane in &mut lanes {
             let model = &mut lane.built;
@@ -401,12 +425,14 @@ fn time_start(models: &[ModelId], reps: usize) -> StartTimes {
         }
         let clock = Instant::now();
         for trace in &traces {
-            std::hint::black_box(profile_cfg.cpu.evaluate(trace).seconds);
+            sim.reset();
+            std::hint::black_box(sim.simulate(trace).seconds);
         }
         simulate.push(clock.elapsed().as_secs_f64());
         let trace_ops = traces.iter().flat_map(|trace| &trace.ops);
         mem_events = trace_ops.clone().map(|op| op.mem.events().len()).sum();
         ops = trace_ops.count();
+        drop((traces, sim));
         let clock = Instant::now();
         let started = LanePool::start(PoolConfig {
             lanes,
@@ -444,6 +470,7 @@ fn time_start(models: &[ModelId], reps: usize) -> StartTimes {
         heap_live,
         heap_peak,
         fc_param_bytes,
+        simulator_bytes,
     }
 }
 
@@ -544,6 +571,10 @@ fn main() {
         mb(start.heap_peak),
         mb(start.fc_param_bytes)
     );
+    // What calibrates at once: the start crew's threads, one simulator each.
+    let crew = report.host.parallelism.min(models.len());
+    let simulators = (crew - 1) as f64 * mb(start.simulator_bytes);
+    let peak_limit = (HEAP_PEAK_ONE_CALIBRATING_THREAD_MB + simulators) * 1.05;
 
     // Co-location against isolation at equal worker count.
     // Both sides get 8 real worker threads and the identical seeded
@@ -647,6 +678,8 @@ fn main() {
             "heap_live_after_start_mb": mb(start.heap_live),
             "heap_peak_during_start_mb": mb(start.heap_peak),
             "fc_param_mb": mb(start.fc_param_bytes),
+            "calibrating_threads": crew,
+            "simulator_mb": mb(start.simulator_bytes),
         },
     );
     let crossover_row = |(id, crossover): &(ModelId, Option<usize>)| {
@@ -716,6 +749,19 @@ fn main() {
             AtMost(HEAP_LIVE_AFTER_START_MB),
         )
         .at("MultiServeRuntime::start, 8 Paper-scale models, tiered int8 store"),
+    );
+    report.gate(
+        Gate::new(
+            "heap_peak_during_start_mb",
+            mb(start.heap_peak),
+            AtMost(peak_limit),
+        )
+        .at(format!(
+            "MultiServeRuntime::start, {crew} calibrating thread(s): \
+             ({HEAP_PEAK_ONE_CALIBRATING_THREAD_MB} + {} x {:.1} MB simulator) + 5 %",
+            crew - 1,
+            mb(start.simulator_bytes)
+        )),
     );
     report.finish();
 }

@@ -1,5 +1,5 @@
 use drec_ops::{ExecContext, Value};
-use drec_trace::RunTrace;
+use drec_trace::{OpTrace, RunTrace};
 
 use crate::{Graph, GraphError, Result};
 
@@ -7,13 +7,31 @@ use crate::{Graph, GraphError, Result};
 ///
 /// Inputs are assigned fresh buffer addresses (modelling the data loader
 /// copying a batch in) and intermediate values are dropped after their last
-/// consumer to bound peak memory.
+/// consumer to bound peak memory. Keeps no trace: a tracing `ctx`'s op
+/// records are dropped (see [`execute_streamed`]).
 ///
 /// # Errors
 ///
 /// Returns [`GraphError::InputCount`] if the input count differs from the
 /// graph's declared inputs, or [`GraphError::Op`] when a node fails.
 pub fn execute(graph: &Graph, ctx: &mut ExecContext, inputs: Vec<Value>) -> Result<Vec<Value>> {
+    execute_streamed(graph, ctx, inputs, |_| {})
+}
+
+/// [`execute`], handing each node's closed [`OpTrace`] to `sink` as soon
+/// as the node finishes, in node order: a traced run never holds more
+/// than one record. `ctx` must record traces for there to be any.
+///
+/// # Errors
+///
+/// As [`execute`]; the records of the nodes before a failing one have
+/// reached `sink`.
+pub fn execute_streamed(
+    graph: &Graph,
+    ctx: &mut ExecContext,
+    inputs: Vec<Value>,
+    mut sink: impl FnMut(OpTrace),
+) -> Result<Vec<Value>> {
     if inputs.len() != graph.input_names.len() {
         return Err(GraphError::InputCount {
             expected: graph.input_names.len(),
@@ -63,6 +81,7 @@ pub fn execute(graph: &Graph, ctx: &mut ExecContext, inputs: Vec<Value>) -> Resu
                 })?
         };
         values[node.output.0] = Some(out);
+        ctx.drain_ops().for_each(&mut sink);
         // Recycle values whose last consumer was this node: their storage
         // returns to the context arena for later activations.
         for v in &node.inputs {
@@ -84,12 +103,10 @@ pub fn execute(graph: &Graph, ctx: &mut ExecContext, inputs: Vec<Value>) -> Resu
     Ok(outputs)
 }
 
-/// Executes `graph` with tracing enabled and returns both the outputs and
-/// the captured [`RunTrace`].
+/// [`execute_streamed`] with the stream collected: returns the outputs
+/// and the captured [`RunTrace`], which `batch` annotates.
 ///
-/// `ctx` must have been created with tracing (or had it enabled); the run
-/// trace is drained from the context afterwards. `batch` annotates the
-/// trace.
+/// `ctx` must have been created with tracing (or had it enabled).
 ///
 /// # Errors
 ///
@@ -100,9 +117,14 @@ pub fn execute_traced(
     inputs: Vec<Value>,
     batch: usize,
 ) -> Result<(Vec<Value>, RunTrace)> {
-    let input_bytes: u64 = inputs.iter().map(|v| v.byte_size()).sum();
-    let outputs = execute(graph, ctx, inputs)?;
-    let trace = ctx.take_run_trace(batch, input_bytes);
+    let input_bytes: u64 = inputs.iter().map(Value::byte_size).sum();
+    let mut ops = Vec::new();
+    let outputs = execute_streamed(graph, ctx, inputs, |op| ops.push(op))?;
+    let trace = RunTrace {
+        ops,
+        batch,
+        input_bytes,
+    };
     Ok((outputs, trace))
 }
 
@@ -160,6 +182,17 @@ mod tests {
         assert_eq!(trace.input_bytes, 2 * 4 * 4);
         let names: Vec<_> = trace.ops.iter().map(|o| o.name.as_str()).collect();
         assert_eq!(names, vec!["fc1", "relu1", "fc2", "prob"]);
+    }
+
+    #[test]
+    fn a_streamed_run_hands_over_one_record_per_node_in_order() {
+        let mut ctx = ExecContext::with_tracing(1 << 14);
+        let g = simple_graph(&mut ctx);
+        let mut names = Vec::new();
+        let inputs = vec![Value::dense(Tensor::zeros(&[2, 4]))];
+        execute_streamed(&g, &mut ctx, inputs, |op| names.push(op.name)).unwrap();
+        assert_eq!(names, vec!["fc1", "relu1", "fc2", "prob"]);
+        assert_eq!(ctx.drain_ops().count(), 0, "nothing is left behind");
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //!
 //! * [`Graph`] / [`GraphBuilder`] — a static, topologically ordered operator
 //!   DAG whose nodes own their operators (and parameters),
-//! * [`execute`] / [`execute_traced`] — reference execution with value
-//!   lifetime management, optionally capturing a [`drec_trace::RunTrace`]:
+//! * [`execute`] / [`execute_streamed`] / [`execute_traced`] — reference
+//!   execution with value lifetime management, optionally handing each
+//!   node's [`drec_trace::OpTrace`] to a sink as the node finishes
+//!   (`execute_traced` collects them into a [`drec_trace::RunTrace`]):
 //!   each node runs through [`drec_ops::Operator::execute`], the traced
 //!   bracket no operator overrides, so this is the only traced path,
 //! * [`ExecPlan`] — compiled execution plans: operator fusion, inter-op
@@ -55,7 +57,7 @@ pub use breakdown::Breakdown;
 pub use build::GraphBuilder;
 pub use dialect::{dialect_entries, Framework};
 pub use error::GraphError;
-pub use exec::{execute, execute_traced};
+pub use exec::{execute, execute_streamed, execute_traced};
 pub use graph::{Graph, Node, NodeId, ValueId};
 pub use plan::{ExecPlan, PlanOptions, PlanScratch, PlanStats};
 

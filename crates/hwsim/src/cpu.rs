@@ -215,8 +215,9 @@ impl CpuModel {
 /// Stateful CPU simulation over one run trace.
 ///
 /// Owns the uarch component simulators; cache, DSB, and predictor contents
-/// persist across the ops of a run (and across runs if reused), capturing
-/// inter-operator locality.
+/// persist across the ops of a run (and across runs if reused, unless
+/// [`CpuSim::reset`] is called in between), capturing inter-operator
+/// locality.
 #[derive(Debug)]
 pub struct CpuSim {
     model: CpuModel,
@@ -227,6 +228,30 @@ pub struct CpuSim {
     dram: DramModel,
     prefetcher: StridePrefetcher,
     tlb: TlbSim,
+}
+
+/// What [`CpuSim::step`] accumulates over one run's operators and
+/// [`CpuSim::finish`] turns into [`CpuCounters`].
+#[derive(Debug, Default)]
+pub struct CpuTally {
+    /// Operators stepped so far (the next one's index).
+    ops: u64,
+    total: InstCounts,
+    cycles_total: f64,
+    retire_cyc_total: f64,
+    core_cyc_total: f64,
+    mem_cyc_total: f64,
+    fe_cyc_total: f64,
+    bs_cyc_total: f64,
+    icache_misses: f64,
+    tlb_walks: f64,
+    mispredicts: f64,
+    dsb_limited: f64,
+    mite_limited: f64,
+    congested_cycles: f64,
+    mem_hits: [f64; 4],
+    fu: PortStats,
+    op_seconds: Vec<(String, String, f64)>,
 }
 
 impl CpuSim {
@@ -244,58 +269,74 @@ impl CpuSim {
         }
     }
 
+    /// Returns the simulation to [`CpuSim::new`]'s state — cold caches,
+    /// DSB, TLB, prefetcher and predictor — without reallocating any of
+    /// them.
+    pub fn reset(&mut self) {
+        self.hierarchy.clear();
+        self.fetch.clear();
+        self.branches.clear();
+        self.prefetcher.clear();
+        self.tlb.clear();
+    }
+
     /// The model configuration.
     pub fn model(&self) -> &CpuModel {
         &self.model
     }
 
-    /// Simulates one inference run and produces the full counter set.
+    /// Simulates one inference run and produces the full counter set:
+    /// [`CpuSim::step`] over its operators, then [`CpuSim::finish`].
     pub fn simulate(&mut self, run: &RunTrace) -> CpuCounters {
-        let freq_hz = self.model.freq_hz;
-        let mut total = InstCounts::default();
-        let mut cycles_total = 0.0;
-        let mut retire_cyc_total = 0.0;
-        let mut core_cyc_total = 0.0;
-        let mut mem_cyc_total = 0.0;
-        let mut fe_cyc_total = 0.0;
-        let mut bs_cyc_total = 0.0;
-        let mut icache_misses = 0.0;
-        let mut tlb_walks = 0.0;
-        let mut mispredicts = 0.0;
-        let mut dsb_limited = 0.0;
-        let mut mite_limited = 0.0;
-        let mut congested_cycles = 0.0;
-        let mut mem_hits = [0.0f64; 4];
-        let mut fu = PortStats::empty(self.model.ports.total_units);
-        let mut op_seconds = Vec::with_capacity(run.ops.len());
-
-        for (idx, op) in run.ops.iter().enumerate() {
-            let (op_cycles, parts) = self.simulate_op(op, idx as u64, &mut total, &mut fu);
-            cycles_total += op_cycles;
-            retire_cyc_total += parts.retire;
-            core_cyc_total += parts.core;
-            mem_cyc_total += parts.mem;
-            fe_cyc_total += parts.frontend;
-            bs_cyc_total += parts.bad_spec;
-            icache_misses += parts.icache_misses;
-            tlb_walks += parts.tlb_walks;
-            mispredicts += parts.mispredicts;
-            dsb_limited += parts.dsb_limited;
-            mite_limited += parts.mite_limited;
-            if parts.congested {
-                congested_cycles += op_cycles;
-            }
-            for (a, b) in mem_hits.iter_mut().zip(parts.mem_hits) {
-                *a += b;
-            }
-            op_seconds.push((op.name.clone(), op.op_type.clone(), op_cycles / freq_hz));
+        let mut tally = self.tally();
+        for op in &run.ops {
+            self.step(&mut tally, op);
         }
+        self.finish(tally)
+    }
 
-        let cycles = cycles_total.max(1.0);
+    /// An empty tally for a run on this simulation.
+    pub fn tally(&self) -> CpuTally {
+        CpuTally {
+            fu: PortStats::empty(self.model.ports.total_units),
+            ..CpuTally::default()
+        }
+    }
+
+    /// Simulates the run's next operator into `tally`.
+    pub fn step(&mut self, tally: &mut CpuTally, op: &OpTrace) {
+        let (op_cycles, parts) = self.simulate_op(op, tally.ops, &mut tally.total, &mut tally.fu);
+        tally.ops += 1;
+        tally.cycles_total += op_cycles;
+        tally.retire_cyc_total += parts.retire;
+        tally.core_cyc_total += parts.core;
+        tally.mem_cyc_total += parts.mem;
+        tally.fe_cyc_total += parts.frontend;
+        tally.bs_cyc_total += parts.bad_spec;
+        tally.icache_misses += parts.icache_misses;
+        tally.tlb_walks += parts.tlb_walks;
+        tally.mispredicts += parts.mispredicts;
+        tally.dsb_limited += parts.dsb_limited;
+        tally.mite_limited += parts.mite_limited;
+        if parts.congested {
+            tally.congested_cycles += op_cycles;
+        }
+        for (a, b) in tally.mem_hits.iter_mut().zip(parts.mem_hits) {
+            *a += b;
+        }
+        let seconds = op_cycles / self.model.freq_hz;
+        let op_seconds = (op.name.clone(), op.op_type.clone(), seconds);
+        tally.op_seconds.push(op_seconds);
+    }
+
+    /// The counters of the run the tally `t` stepped through.
+    pub fn finish(&self, t: CpuTally) -> CpuCounters {
+        let freq_hz = self.model.freq_hz;
+        let cycles = t.cycles_total.max(1.0);
         // Stall cycles appear in the FU histogram as idle cycles.
-        let sim_port_cycles: f64 = fu.busy_hist.iter().sum();
+        let sim_port_cycles: f64 = t.fu.busy_hist.iter().sum();
         let stall_cycles = (cycles - sim_port_cycles).max(0.0);
-        let mut fu_hist = fu.busy_hist.clone();
+        let mut fu_hist = t.fu.busy_hist;
         if !fu_hist.is_empty() {
             fu_hist[0] += stall_cycles * 0.6;
             fu_hist[1] += stall_cycles * 0.4;
@@ -312,28 +353,29 @@ impl CpuSim {
             })
             .collect();
 
+        let kilo_instructions = (t.total.instructions / 1_000.0).max(1e-9);
         CpuCounters {
             cycles,
             seconds: cycles / freq_hz,
-            retired_instructions: total.instructions,
-            avx_instructions: total.vector_instructions,
-            uops: total.total_uops(),
+            retired_instructions: t.total.instructions,
+            avx_instructions: t.total.vector_instructions,
+            uops: t.total.total_uops(),
             topdown: TopDown {
-                retiring: retire_cyc_total / cycles,
-                frontend: fe_cyc_total / cycles,
-                bad_speculation: bs_cyc_total / cycles,
-                backend_core: core_cyc_total / cycles,
-                backend_memory: mem_cyc_total / cycles,
+                retiring: t.retire_cyc_total / cycles,
+                frontend: t.fe_cyc_total / cycles,
+                bad_speculation: t.bs_cyc_total / cycles,
+                backend_core: t.core_cyc_total / cycles,
+                backend_memory: t.mem_cyc_total / cycles,
             },
-            icache_mpki: icache_misses / (total.instructions / 1_000.0).max(1e-9),
-            tlb_walk_mpki: tlb_walks / (total.instructions / 1_000.0).max(1e-9),
-            branch_mpki: mispredicts / (total.instructions / 1_000.0).max(1e-9),
-            dsb_limited_frac: dsb_limited / cycles,
-            mite_limited_frac: mite_limited / cycles,
+            icache_mpki: t.icache_misses / kilo_instructions,
+            tlb_walk_mpki: t.tlb_walks / kilo_instructions,
+            branch_mpki: t.mispredicts / kilo_instructions,
+            dsb_limited_frac: t.dsb_limited / cycles,
+            mite_limited_frac: t.mite_limited / cycles,
             fu_hist,
-            dram_congested_frac: congested_cycles / cycles,
-            mem_level_hits: mem_hits,
-            op_seconds,
+            dram_congested_frac: t.congested_cycles / cycles,
+            mem_level_hits: t.mem_hits,
+            op_seconds: t.op_seconds,
         }
     }
 

@@ -5,29 +5,29 @@
 //! model's batch of size `b` cost on the accelerator, end to end?" —
 //! without re-tracing the model at every queue drain. [`DispatchOracle`]
 //! closes that gap: it is calibrated once per model from a handful of
-//! traced batch sizes run through [`GpuModel::simulate`] (so the full
-//! roofline — kernel efficiency curves, launch overheads, PCIe input
-//! transfer — is baked into the samples), then answers arbitrary batch
-//! sizes by log-log interpolation between calibration points, the same
-//! technique `drec-core`'s `LatencyCurve` uses for measured CPU
-//! latencies.
+//! traced batch sizes priced by the roofline ([`GpuModel::step`] per
+//! operator, so kernel efficiency curves, launch overheads and the PCIe
+//! input transfer are all baked into the samples), then answers
+//! arbitrary batch sizes by log-log interpolation between calibration
+//! points, the same technique `drec-core`'s `LatencyCurve` uses for
+//! measured CPU latencies.
 //!
 //! On top of the roofline the oracle charges `pcie_extra_s` per
 //! dispatch: the host-side cost of shipping a coalesced batch across the
 //! bus and getting results back that the per-inference
 //! [`GpuModel::pcie_latency_s`] does not cover (staging copies, doorbell
-//! write, completion interrupt). Making it explicit and configurable
+//! write, completion interrupt).
+//!
+//! [`GpuModel::step`]: crate::GpuModel::step
+//! [`GpuModel::pcie_latency_s`]: crate::GpuModel::pcie_latency_s Making it explicit and configurable
 //! keeps CPU/GPU crossover decisions principled rather than hardcoded:
 //! raising it pushes the crossover batch up, zeroing it recovers the raw
 //! roofline.
 
-use drec_trace::RunTrace;
-
-use crate::GpuModel;
-
 /// A per-model GPU dispatch-cost curve calibrated from roofline runs.
 ///
-/// Build one per (model, GPU) pair with [`DispatchOracle::calibrate`];
+/// Build one per (model, GPU) pair with [`DispatchOracle::from_points`]
+/// over the GPU's modelled seconds at a few batch sizes;
 /// query it with [`DispatchOracle::dispatch_seconds`] (whole batch) or
 /// [`DispatchOracle::per_query_seconds`] (amortized). Both are pure
 /// functions of the calibration inputs, so two oracles calibrated from
@@ -41,24 +41,8 @@ pub struct DispatchOracle {
 }
 
 impl DispatchOracle {
-    /// Calibrates an oracle from traced batches: each sample pairs a
-    /// batch size with the [`RunTrace`] of the model executing that
-    /// batch, and is priced through `gpu.simulate` (roofline + launch
-    /// overheads + input PCIe). `pcie_extra_s` is an additional fixed
-    /// per-dispatch transfer cost charged on every query (see module
-    /// docs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples` is empty or contains a zero batch size.
-    pub fn calibrate(gpu: &GpuModel, pcie_extra_s: f64, samples: &[(usize, RunTrace)]) -> Self {
-        let seconds = |(batch, trace): &(usize, RunTrace)| (*batch, gpu.simulate(trace).seconds);
-        let points: Vec<(usize, f64)> = samples.iter().map(seconds).collect();
-        Self::from_points(pcie_extra_s, &points)
-    }
-
-    /// An oracle from pre-measured `(batch, seconds)` pairs — used in
-    /// tests and by callers that already hold modelled timings.
+    /// An oracle from modelled `(batch, seconds)` pairs: the roofline's
+    /// end-to-end seconds for one batch of each size.
     ///
     /// # Panics
     ///
@@ -134,8 +118,9 @@ impl DispatchOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GpuModel;
     use drec_trace::{
-        BranchProfile, CodeFootprint, KernelClass, OpTrace, SampledMemTrace, WorkVector,
+        BranchProfile, CodeFootprint, KernelClass, OpTrace, RunTrace, SampledMemTrace, WorkVector,
     };
 
     fn traced_batch(batch: usize) -> RunTrace {
@@ -164,12 +149,18 @@ mod tests {
         }
     }
 
+    /// An oracle over the roofline's seconds for `batches`, the way
+    /// calibration builds one.
+    fn calibrated(gpu: &GpuModel, pcie_extra_s: f64, batches: &[usize]) -> DispatchOracle {
+        let priced = |&b: &usize| (b, gpu.simulate(&traced_batch(b)).seconds);
+        let points: Vec<(usize, f64)> = batches.iter().map(priced).collect();
+        DispatchOracle::from_points(pcie_extra_s, &points)
+    }
+
     #[test]
     fn interpolates_between_calibration_points() {
         let gpu = GpuModel::t4();
-        let samples: Vec<(usize, RunTrace)> =
-            [1, 16, 256].iter().map(|&b| (b, traced_batch(b))).collect();
-        let oracle = DispatchOracle::calibrate(&gpu, 0.0, &samples);
+        let oracle = calibrated(&gpu, 0.0, &[1, 16, 256]);
         let at_16 = oracle.dispatch_seconds(16);
         let direct = gpu.simulate(&traced_batch(16)).seconds;
         assert!(
@@ -183,12 +174,7 @@ mod tests {
 
     #[test]
     fn per_query_cost_amortizes_with_batch() {
-        let gpu = GpuModel::t4();
-        let samples: Vec<(usize, RunTrace)> = [1, 8, 64, 512]
-            .iter()
-            .map(|&b| (b, traced_batch(b)))
-            .collect();
-        let oracle = DispatchOracle::calibrate(&gpu, 20e-6, &samples);
+        let oracle = calibrated(&GpuModel::t4(), 20e-6, &[1, 8, 64, 512]);
         // Launch overheads + PCIe dominate tiny batches; per-query cost
         // must fall as the batch grows.
         assert!(oracle.per_query_seconds(1) > oracle.per_query_seconds(64));
@@ -219,10 +205,8 @@ mod tests {
     #[test]
     fn identical_calibration_is_deterministic() {
         let gpu = GpuModel::gtx_1080_ti();
-        let samples: Vec<(usize, RunTrace)> =
-            [1, 32, 128].iter().map(|&b| (b, traced_batch(b))).collect();
-        let a = DispatchOracle::calibrate(&gpu, 15e-6, &samples);
-        let b = DispatchOracle::calibrate(&gpu, 15e-6, &samples);
+        let a = calibrated(&gpu, 15e-6, &[1, 32, 128]);
+        let b = calibrated(&gpu, 15e-6, &[1, 32, 128]);
         for batch in [1usize, 2, 7, 32, 100, 128, 500] {
             assert_eq!(a.dispatch_seconds(batch), b.dispatch_seconds(batch));
         }

@@ -159,30 +159,50 @@ impl GpuModel {
         compute.max(memory).max(launches_n * self.min_kernel_s) + launch
     }
 
-    /// Evaluates a full inference run, including the input PCIe transfer.
+    /// Evaluates a full inference run, including the input PCIe transfer:
+    /// [`GpuModel::step`] over its operators, then [`GpuModel::finish`].
     pub fn simulate(&self, run: &RunTrace) -> GpuCounters {
-        let data_comm = run.input_bytes as f64 / self.pcie_bw + self.pcie_latency_s;
-        let mut compute = 0.0;
-        let mut launch = 0.0;
-        let mut launches = 0.0;
-        let mut op_seconds = Vec::with_capacity(run.ops.len());
+        let mut tally = GpuTally::default();
         for op in &run.ops {
-            let secs = self.op_seconds(op);
-            let l = Self::launches(op);
-            launches += l;
-            launch += l * self.launch_overhead_s;
-            compute += secs - l * self.launch_overhead_s;
-            op_seconds.push((op.name.clone(), op.op_type.clone(), secs));
+            self.step(&mut tally, op);
         }
+        self.finish(tally, run.input_bytes)
+    }
+
+    /// Prices the run's next operator into `tally`.
+    pub fn step(&self, tally: &mut GpuTally, op: &OpTrace) {
+        let secs = self.op_seconds(op);
+        let l = Self::launches(op);
+        tally.launches += l;
+        tally.launch += l * self.launch_overhead_s;
+        tally.compute += secs - l * self.launch_overhead_s;
+        let op_seconds = (op.name.clone(), op.op_type.clone(), secs);
+        tally.op_seconds.push(op_seconds);
+    }
+
+    /// The counters of the run `tally` stepped through, whose inputs were
+    /// `input_bytes` (the PCIe transfer).
+    pub fn finish(&self, tally: GpuTally, input_bytes: u64) -> GpuCounters {
+        let data_comm = input_bytes as f64 / self.pcie_bw + self.pcie_latency_s;
         GpuCounters {
-            seconds: data_comm + compute + launch,
+            seconds: data_comm + tally.compute + tally.launch,
             data_comm_seconds: data_comm,
-            compute_seconds: compute,
-            launch_seconds: launch,
-            kernel_launches: launches,
-            op_seconds,
+            compute_seconds: tally.compute,
+            launch_seconds: tally.launch,
+            kernel_launches: tally.launches,
+            op_seconds: tally.op_seconds,
         }
     }
+}
+
+/// What [`GpuModel::step`] accumulates over one run's operators and
+/// [`GpuModel::finish`] turns into [`GpuCounters`].
+#[derive(Debug, Default)]
+pub struct GpuTally {
+    compute: f64,
+    launch: f64,
+    launches: f64,
+    op_seconds: Vec<(String, String, f64)>,
 }
 
 #[cfg(test)]

@@ -16,6 +16,12 @@
 //!   produces end-to-end times (Fig 3/5) and data-communication fractions
 //!   (Fig 4).
 //!
+//! Both also price a run as it is traced, one operator at a time
+//! ([`CpuSim::step`] / [`GpuModel::step`], then `finish`), by the same
+//! code and in the same order as a collected trace, so a streamed run
+//! (`drec_models::RecModel::run_streamed`) is priced to the bit without
+//! ever being held whole.
+//!
 //! The four studied platforms are available as constructors:
 //! [`Platform::broadwell`], [`Platform::cascade_lake`],
 //! [`Platform::gtx_1080_ti`], and [`Platform::t4`].
@@ -28,10 +34,10 @@ mod isa;
 mod platform;
 mod report;
 
-pub use cpu::{CpuModel, CpuSim};
+pub use cpu::{CpuModel, CpuSim, CpuTally};
 pub use dispatch::DispatchOracle;
 pub use energy::{energy, EnergyReport};
-pub use gpu::GpuModel;
+pub use gpu::{GpuModel, GpuTally};
 pub use isa::{synthesize_instructions, InstCounts};
 pub use platform::{Platform, PlatformKind};
 pub use report::{CpuCounters, GpuCounters, PlatformReport, TopDown};

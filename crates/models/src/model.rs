@@ -1,9 +1,10 @@
 use drec_graph::{
-    execute, execute_traced, ExecPlan, Graph, GraphError, PlanOptions, PlanScratch, PlanStats,
+    execute, execute_streamed, execute_traced, ExecPlan, Graph, GraphError, PlanOptions,
+    PlanScratch, PlanStats,
 };
 use drec_ops::{ExecContext, FcParams, Value};
 use drec_tensor::Tensor;
-use drec_trace::RunTrace;
+use drec_trace::{OpTrace, RunTrace};
 use std::sync::Arc;
 
 use crate::builders;
@@ -384,8 +385,25 @@ impl RecModel {
     }
 
     /// Runs one inference with tracing through the reference executor,
-    /// returning outputs and the captured [`RunTrace`]: one record per
-    /// graph node, in node order, whether or not a plan is compiled.
+    /// handing `sink` one record per graph node, in node order, as each
+    /// node finishes, whether or not a plan is compiled.
+    ///
+    /// # Errors
+    ///
+    /// Propagates graph-execution errors.
+    pub fn run_streamed(
+        &mut self,
+        inputs: Vec<Value>,
+        sink: impl FnMut(OpTrace),
+    ) -> Result<Vec<Value>, GraphError> {
+        self.ctx.set_tracing(true);
+        let result = execute_streamed(&self.graph, &mut self.ctx, inputs, sink);
+        self.ctx.set_tracing(false);
+        result
+    }
+
+    /// [`RecModel::run_streamed`] with the stream collected: returns the
+    /// outputs and the captured [`RunTrace`].
     ///
     /// # Errors
     ///

@@ -2,7 +2,7 @@ use std::collections::HashMap;
 
 use drec_trace::{
     AccessKind, AddressSpace, BranchProfile, CodeFootprint, CodeRegion, KernelClass, OpTrace,
-    RunTrace, SampledMemTrace, WorkVector,
+    SampledMemTrace, WorkVector,
 };
 
 use crate::{kind_cost, OpKind, Value, ValuePayload};
@@ -120,7 +120,8 @@ impl Default for TraceOptions {
 ///
 /// An `ExecContext` lives as long as the model: operator constructors
 /// allocate parameter buffers and dispatch code regions from it, and every
-/// inference run records its trace into it. Execute operators through
+/// traced inference records its op records into it until they are
+/// drained ([`ExecContext::drain_ops`]). Execute operators through
 /// [`crate::Operator::execute`] to capture per-op traces; calling
 /// [`crate::Operator::run`] directly performs the functional computation
 /// only.
@@ -135,6 +136,7 @@ pub struct ExecContext {
 
 #[derive(Debug)]
 struct TraceState {
+    /// Closed records not yet drained.
     ops: Vec<OpTrace>,
     current: Option<CurrentOp>,
 }
@@ -374,20 +376,12 @@ impl ExecContext {
         }
     }
 
-    /// Extracts the recorded run trace, resetting the recording buffer.
-    ///
-    /// `batch` and `input_bytes` describe the inference that produced the
-    /// trace. Returns an empty trace if tracing is disabled.
-    pub fn take_run_trace(&mut self, batch: usize, input_bytes: u64) -> RunTrace {
-        let ops = match &mut self.trace {
-            Some(t) => std::mem::take(&mut t.ops),
-            None => Vec::new(),
-        };
-        RunTrace {
-            ops,
-            batch,
-            input_bytes,
-        }
+    /// Hands over the op records closed since the last drain, oldest
+    /// first. The graph executor drains after every node, so a traced run
+    /// holds at most one closed record at a time (none when tracing is
+    /// off).
+    pub fn drain_ops(&mut self) -> impl Iterator<Item = OpTrace> + '_ {
+        self.trace.iter_mut().flat_map(|t| t.ops.drain(..))
     }
 
     fn current_mut(&mut self) -> Option<&mut CurrentOp> {
@@ -405,8 +399,8 @@ mod tests {
         ctx.begin_op("x", "FC", KernelClass::DenseMatmul);
         ctx.record_read(0, 64);
         ctx.end_op(0, 0, 0);
-        let run = ctx.take_run_trace(1, 0);
-        assert!(run.ops.is_empty());
+        let ops: Vec<_> = ctx.drain_ops().collect();
+        assert!(ops.is_empty());
     }
 
     #[test]
@@ -420,13 +414,12 @@ mod tests {
         });
         ctx.record_read(4096, 256);
         ctx.end_op(16, 32, 8);
-        let run = ctx.take_run_trace(4, 128);
-        assert_eq!(run.ops.len(), 1);
-        assert_eq!(run.ops[0].name, "fc1");
-        assert_eq!(run.ops[0].work.fma_flops, 100.0);
-        assert_eq!(run.ops[0].mem.events().len(), 4);
-        assert_eq!(run.ops[0].bytes_in, 16);
-        assert_eq!(run.batch, 4);
+        let ops: Vec<_> = ctx.drain_ops().collect();
+        assert_eq!(ops.len(), 1);
+        assert_eq!(ops[0].name, "fc1");
+        assert_eq!(ops[0].work.fma_flops, 100.0);
+        assert_eq!(ops[0].mem.events().len(), 4);
+        assert_eq!(ops[0].bytes_in, 16);
     }
 
     #[test]
@@ -438,8 +431,8 @@ mod tests {
             ctx.record_read(i * 64, 64);
         }
         ctx.end_op(0, 0, 0);
-        let run = ctx.take_run_trace(1, 0);
-        let mem = &run.ops[0].mem;
+        let ops: Vec<_> = ctx.drain_ops().collect();
+        let mem = &ops[0].mem;
         assert!(mem.events().len() <= 16);
         assert_eq!(mem.total_events(), 1_000);
     }

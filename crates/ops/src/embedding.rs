@@ -721,8 +721,8 @@ mod tests {
             vec![10, 10, 10, 10],
         )));
         sls.execute(&mut ctx, "sls", &[&ids]).unwrap();
-        let run = ctx.take_run_trace(4, 0);
-        let t = &run.ops[0];
+        let ops: Vec<_> = ctx.drain_ops().collect();
+        let t = &ops[0];
         assert_eq!(t.work.gather_rows, 40.0);
         assert_eq!(t.work.gather_row_bytes, 64.0);
         assert_eq!(t.branches.data_branches, 40.0);

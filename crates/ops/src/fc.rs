@@ -293,9 +293,9 @@ mod tests {
         let fc = FullyConnected::new(8, 4, &mut ctx, &mut init);
         let x = ctx.external_input(Value::dense(Tensor::zeros(&[2, 8])));
         fc.execute(&mut ctx, "fc", &[&x]).unwrap();
-        let run = ctx.take_run_trace(2, 0);
-        assert_eq!(run.ops.len(), 1);
-        let t = &run.ops[0];
+        let ops: Vec<_> = ctx.drain_ops().collect();
+        assert_eq!(ops.len(), 1);
+        let t = &ops[0];
         assert_eq!(t.op_type, "FC");
         assert_eq!(t.work.fma_flops, 2.0 * 2.0 * 8.0 * 4.0);
         assert!(t.mem.total_events() > 0);
@@ -318,9 +318,9 @@ mod tests {
         fc.execute(&mut ctx, "s", &[&small]).unwrap();
         let big = ctx.external_input(Value::dense(Tensor::zeros(&[128, 4])));
         fc.execute(&mut ctx, "b", &[&big]).unwrap();
-        let run = ctx.take_run_trace(1, 0);
-        let small_loads = run.ops[0].work.contig_load_elems;
-        let big_loads = run.ops[1].work.contig_load_elems;
+        let ops: Vec<_> = ctx.drain_ops().collect();
+        let small_loads = ops[0].work.contig_load_elems;
+        let big_loads = ops[1].work.contig_load_elems;
         assert!(big_loads > small_loads * 4.0);
     }
 }

@@ -296,8 +296,8 @@ mod tests {
         let gru = Gru::new(8, 16, false, &mut ctx, &mut init);
         let x = ctx.external_input(Value::dense(Tensor::zeros(&[4, 40]))); // seq 5
         gru.execute(&mut ctx, "gru", &[&x]).unwrap();
-        let run = ctx.take_run_trace(4, 0);
-        let t = &run.ops[0];
+        let ops: Vec<_> = ctx.drain_ops().collect();
+        let t = &ops[0];
         assert!(t.work.fma_flops > t.work.other_flops);
         assert_eq!(t.work.gather_rows, 0.0);
         assert_eq!(t.class, drec_trace::KernelClass::Recurrent);

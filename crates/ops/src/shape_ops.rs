@@ -150,8 +150,8 @@ mod tests {
         let a = ctx.external_input(Value::dense(Tensor::zeros(&[4, 8])));
         let b = ctx.external_input(Value::dense(Tensor::zeros(&[4, 8])));
         cat.execute(&mut ctx, "cat", &[&a, &b]).unwrap();
-        let run = ctx.take_run_trace(4, 0);
-        let t = &run.ops[0];
+        let ops: Vec<_> = ctx.drain_ops().collect();
+        let t = &ops[0];
         assert_eq!(t.work.total_flops(), 0.0);
         assert!(t.work.contig_store_elems > 0.0);
         assert_eq!(t.class, drec_trace::KernelClass::DataMovement);

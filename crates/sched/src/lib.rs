@@ -26,6 +26,7 @@
 //! model. That keeps every scheduling decision reproducible for a fixed
 //! seed, which `sched_bench` turns into acceptance gates.
 
+mod crew;
 mod profile;
 mod runtime;
 mod tuner;

@@ -5,15 +5,16 @@
 //! Wall-clock measurements cannot give that, so both sides of the
 //! comparison come from the hardware models. At startup each co-located
 //! model is traced once per calibration batch size
-//! ([`drec_models::RecModel::run_traced`] with seeded generator inputs),
-//! and each trace is priced on both platforms before the next is taken
-//! (so calibration holds one trace, not one per batch size):
+//! ([`drec_models::RecModel::run_streamed`] with seeded generator
+//! inputs), and each operator is priced on both platforms as it is traced
+//! (so calibration never holds a whole trace):
 //!
 //! * CPU: the microarchitectural simulation of the configured CPU
-//!   platform, folded into a log-log [`LatencyCurve`] over batch size.
-//! * GPU: the roofline via [`drec_hwsim::DispatchOracle`], which adds
-//!   launch overheads, the input PCIe transfer, and the configured extra
-//!   per-dispatch PCIe cost.
+//!   platform ([`CpuSim::step`], on a simulator reset before each run),
+//!   folded into a log-log [`LatencyCurve`] over batch size.
+//! * GPU: the roofline ([`GpuModel::step`]) via
+//!   [`drec_hwsim::DispatchOracle`], which adds launch overheads, the
+//!   input PCIe transfer, and the configured extra per-dispatch PCIe cost.
 //!
 //! The *crossover batch* `b*` is the smallest batch where the GPU's
 //! amortized per-query cost undercuts the CPU's. Batches of `b*` or more
@@ -22,8 +23,9 @@
 //! derived per model from the cost models instead of hardcoded.
 
 use drec_core::serving::LatencyCurve;
-use drec_hwsim::{DispatchOracle, GpuModel, Platform};
+use drec_hwsim::{CpuSim, DispatchOracle, GpuModel, GpuTally, Platform};
 use drec_models::RecModel;
+use drec_ops::Value;
 use drec_workload::QueryGen;
 
 use crate::runtime::Backend;
@@ -37,7 +39,8 @@ pub struct ProfileConfig {
     /// Seed for the calibration input generator (independent of the
     /// model's parameter seed so calibration never perturbs traffic).
     pub seed: u64,
-    /// CPU platform the CPU-side cost is modelled on.
+    /// CPU platform the CPU-side cost is modelled on (a
+    /// [`Platform::Cpu`]).
     pub cpu: Platform,
     /// GPU the oracle prices dispatches on; `None` disables offload for
     /// this model (the split table answers [`Backend::Cpu`] always).
@@ -63,6 +66,21 @@ impl Default for ProfileConfig {
     }
 }
 
+impl ProfileConfig {
+    /// A fresh simulator of [`ProfileConfig::cpu`], for
+    /// [`ModelProfile::calibrate_on`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cpu` is not a CPU platform.
+    pub fn cpu_sim(&self) -> CpuSim {
+        match &self.cpu {
+            Platform::Cpu(model) => CpuSim::new(model.clone()),
+            Platform::Gpu(gpu) => panic!("{} is not a CPU platform", gpu.name),
+        }
+    }
+}
+
 /// One model's calibrated dispatch-cost profile.
 #[derive(Debug, Clone)]
 pub struct ModelProfile {
@@ -78,34 +96,66 @@ pub struct ModelProfile {
 
 impl ModelProfile {
     /// Traces `model` at each calibration batch size and prices the
-    /// traces on both platforms (see module docs). Deterministic for
-    /// fixed `(model parameters, cfg)`.
+    /// traces on both platforms (see module docs), on a simulator of its
+    /// own: [`ModelProfile::calibrate_on`] a fresh
+    /// [`ProfileConfig::cpu_sim`]. Deterministic for fixed `(model
+    /// parameters, cfg)`.
+    ///
+    /// # Panics
+    ///
+    /// As [`ModelProfile::calibrate_on`], and if `cfg.cpu` is not a CPU
+    /// platform.
+    pub fn calibrate(model: &mut RecModel, cfg: &ProfileConfig) -> ModelProfile {
+        Self::calibrate_on(model, cfg, &mut cfg.cpu_sim())
+    }
+
+    /// [`ModelProfile::calibrate`] on `sim`, a simulator of `cfg.cpu`,
+    /// reset before each run: the profile is bit-identical to a fresh
+    /// simulator's, whatever `sim` simulated before, and a caller
+    /// calibrating many models allocates one simulator, not one per run.
     ///
     /// # Panics
     ///
     /// Panics if `cfg.calibration_batches` is empty or tracing fails
     /// (calibration runs the same executor the runtime serves with, so a
     /// failure here would fail every batch anyway).
-    pub fn calibrate(model: &mut RecModel, cfg: &ProfileConfig) -> ModelProfile {
+    pub fn calibrate_on(
+        model: &mut RecModel,
+        cfg: &ProfileConfig,
+        sim: &mut CpuSim,
+    ) -> ModelProfile {
         assert!(
             !cfg.calibration_batches.is_empty(),
             "need at least one calibration batch size"
         );
+        debug_assert!(
+            matches!(&cfg.cpu, Platform::Cpu(cpu) if cpu == sim.model()),
+            "the simulator must simulate cfg.cpu"
+        );
         let mut gen = QueryGen::uniform(cfg.seed);
         let spec = model.spec().clone();
-        // One trace alive at a time: each is priced on both platforms as
-        // soon as it is taken, then dropped.
+        // No trace is held: each operator is priced on both platforms as
+        // soon as it is traced, then dropped.
         let mut cpu_points = Vec::with_capacity(cfg.calibration_batches.len());
         let mut gpu_points = Vec::with_capacity(cfg.calibration_batches.len());
         for &batch in &cfg.calibration_batches {
             let batch = batch.max(1);
             let inputs = gen.batch(&spec, batch);
-            let (_, trace) = model
-                .run_traced(inputs, batch)
+            let input_bytes = inputs.iter().map(Value::byte_size).sum();
+            sim.reset();
+            let mut cpu_tally = sim.tally();
+            let mut gpu_tally = GpuTally::default();
+            model
+                .run_streamed(inputs, |op| {
+                    sim.step(&mut cpu_tally, &op);
+                    if let Some(gpu) = &cfg.gpu {
+                        gpu.step(&mut gpu_tally, &op);
+                    }
+                })
                 .expect("calibration trace must execute");
-            cpu_points.push((batch, cfg.cpu.evaluate(&trace).seconds));
+            cpu_points.push((batch, sim.finish(cpu_tally).seconds));
             if let Some(gpu) = &cfg.gpu {
-                gpu_points.push((batch, gpu.simulate(&trace).seconds));
+                gpu_points.push((batch, gpu.finish(gpu_tally, input_bytes).seconds));
             }
         }
         let cpu_curve = LatencyCurve::from_points(cpu_points);
@@ -169,6 +219,27 @@ mod tests {
                 a.modelled_seconds(a.backend_for(batch), batch),
                 b.modelled_seconds(b.backend_for(batch), batch),
             );
+        }
+    }
+
+    #[test]
+    fn a_simulator_that_calibrated_other_models_calibrates_as_a_fresh_one() {
+        let cfg = ProfileConfig {
+            calibration_batches: vec![1, 8],
+            max_batch: 64,
+            ..ProfileConfig::default()
+        };
+        let mut sim = cfg.cpu_sim();
+        for id in [ModelId::Din, ModelId::Rm2, ModelId::Ncf] {
+            let mut model = id.build(ModelScale::Tiny, 7).unwrap();
+            let reused = ModelProfile::calibrate_on(&mut model, &cfg, &mut sim);
+            let fresh = profile(id, &cfg);
+            assert_eq!(reused.cpu_curve, fresh.cpu_curve, "{id}");
+            assert_eq!(reused.crossover, fresh.crossover, "{id}");
+            for batch in 1..=64 {
+                let gpu = |p: &ModelProfile| p.modelled_seconds(Backend::Gpu, batch).to_bits();
+                assert_eq!(gpu(&reused), gpu(&fresh), "{id}, batch {batch}");
+            }
         }
     }
 

@@ -31,9 +31,10 @@
 //!
 //! Start builds each model once: on the calling thread, in lane order (so
 //! the shared store gives every table the slot it always had), handing
-//! each to [`drec_serve::crew`], which calibrates the [`ModelProfile`]s
-//! concurrently — a profile depends only on the model's parameters and
-//! the calibration seed, so this is the serial result. The calibrated
+//! each to the start crew, which calibrates the [`ModelProfile`]s
+//! concurrently on one simulator per calibrating thread — a profile
+//! depends only on the model's parameters and the calibration seed, so
+//! this is the serial result. The calibrated
 //! model travels to the pool in its [`LaneSpec`] and is the one the lane's
 //! first engine serves; every other engine of the lane, the accelerator's
 //! included, is a view of it.
@@ -48,11 +49,12 @@ use drec_models::{InputSpec, ModelId, ModelScale};
 use drec_ops::Value;
 use drec_par::ParPool;
 use drec_serve::{
-    crew, BatchExecution, DegradeConfig, EmbeddingStore, Engine, FaultHook, Lane, LanePool,
-    LaneSet, LaneSpec, MetricsSnapshot, ModelUpdateChannel, PendingResponse, Placement, PoolConfig,
-    Request, Result, ServeError, StoreConfig, SubmitOptions, SupervisorConfig, Worker,
+    BatchExecution, DegradeConfig, EmbeddingStore, Engine, FaultHook, Lane, LanePool, LaneSet,
+    LaneSpec, MetricsSnapshot, ModelUpdateChannel, PendingResponse, Placement, PoolConfig, Request,
+    Result, ServeError, StoreConfig, SubmitOptions, SupervisorConfig, Worker,
 };
 
+use crate::crew::crew;
 use crate::profile::{ModelProfile, ProfileConfig};
 use crate::tuner::{ModelTuner, TunerConfig, TunerStep};
 
@@ -221,7 +223,8 @@ pub struct SchedConfig {
     pub degrade: DegradeConfig,
     /// Accelerator path; `None` pins everything to the CPU pool.
     pub gpu: Option<GpuSchedConfig>,
-    /// CPU platform model the placement calibration prices CPU costs on.
+    /// CPU platform model the placement calibration prices CPU costs on
+    /// (a [`Platform::Cpu`]).
     pub cpu_platform: Platform,
     /// Batch sizes traced per model at calibration.
     pub calibration_batches: Vec<usize>,
@@ -486,7 +489,8 @@ impl MultiServeRuntime {
     ///
     /// # Panics
     ///
-    /// Panics on an empty or duplicate model list, or zero workers.
+    /// Panics on an empty or duplicate model list, zero workers, or a
+    /// `cpu_platform` that is not a CPU.
     pub fn start(cfg: SchedConfig) -> Result<MultiServeRuntime> {
         assert!(!cfg.models.is_empty(), "need at least one model");
         for (i, m) in cfg.models.iter().enumerate() {
@@ -517,15 +521,17 @@ impl MultiServeRuntime {
             .map(|sc| Arc::new(EmbeddingStore::new(sc)));
 
         let profile_cfg = cfg.profile_config();
-        // Built here in lane order, calibrated on the crew as they appear:
-        // each model is then the one its lane's first engine serves.
+        // Built here in lane order, calibrated on the crew as they appear,
+        // each on its thread's one simulator: each model is then the one
+        // its lane's first engine serves.
         let build = |slo: &ModelSlo| match &store {
             Some(s) => slo.id.build_with_store(cfg.scale, cfg.seed, Arc::clone(s)),
             None => slo.id.build(cfg.scale, cfg.seed),
         };
-        let calibrated = crew(cfg.models.iter().map(build), |built| {
+        let sim = || profile_cfg.cpu_sim();
+        let calibrated = crew(cfg.models.iter().map(build), sim, |sim, built| {
             built.map(|mut model| {
-                let profile = ModelProfile::calibrate(&mut model, &profile_cfg);
+                let profile = ModelProfile::calibrate_on(&mut model, &profile_cfg, sim);
                 (model, profile)
             })
         });

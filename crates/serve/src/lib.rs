@@ -59,8 +59,7 @@ pub use metrics::{
     LatencyHistogram, MetricsRegistry, MetricsSnapshot, ModelChannelMetrics, ModelChannelSnapshot,
 };
 pub use pool::{
-    crew, Inline, Lane, LanePool, LaneSet, LaneSpec, Placement, PoolConfig, SupervisorConfig,
-    Worker,
+    Inline, Lane, LanePool, LaneSet, LaneSpec, Placement, PoolConfig, SupervisorConfig, Worker,
 };
 pub use prefetch::PrefetchWindow;
 pub use request::{

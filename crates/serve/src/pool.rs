@@ -44,9 +44,9 @@
 //! engines it has.
 
 use std::ops::Range;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -179,53 +179,6 @@ pub struct PoolConfig {
     pub faults: FaultHook,
     /// Batch placement; [`Inline`] for a single backend.
     pub placement: Arc<dyn Placement>,
-}
-
-/// Runs `work` over the jobs `source` yields; results in source order.
-/// `source` is driven on the calling thread, so what it does to make a job
-/// (building a model against a shared store) happens serially and in
-/// order, while `min(available_parallelism, jobs) - 1` scoped helpers —
-/// and the caller, once the source is exhausted — take jobs as they
-/// appear. One job, or one core, spawns nothing. Helpers run under the
-/// caller's [`drec_par::current`] pool; a panic of `work` resumes on the
-/// caller.
-pub fn crew<T: Send, R: Send>(
-    source: impl ExactSizeIterator<Item = T>,
-    work: impl Fn(T) -> R + Sync,
-) -> Vec<R> {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let helpers = cores.min(source.len()).saturating_sub(1);
-    let (tx, rx) = mpsc::channel::<(usize, T)>();
-    let rx = Mutex::new(rx);
-    let drain = || {
-        let mut done = Vec::new();
-        loop {
-            // The guard drops at the end of this statement, before `work`.
-            let job = rx.lock().expect("nothing panics holding it").recv();
-            let Ok((index, job)) = job else { return done };
-            done.push((index, work(job)));
-        }
-    };
-    let par = drec_par::current();
-    let mut done = std::thread::scope(|scope| {
-        let helpers: Vec<_> = (0..helpers)
-            .map(|_| scope.spawn(|| drec_par::with_pool(&par, drain)))
-            .collect();
-        // Owned by this closure, so that a panic of `source` still hangs
-        // up on the helpers the scope then waits for.
-        let tx = tx;
-        for job in source.enumerate() {
-            tx.send(job).expect("the receiver outlives the scope");
-        }
-        drop(tx);
-        let mut done = drain();
-        for helper in helpers {
-            done.extend(helper.join().unwrap_or_else(|p| resume_unwind(p)));
-        }
-        done
-    });
-    done.sort_unstable_by_key(|&(index, _)| index);
-    done.into_iter().map(|(_, result)| result).collect()
 }
 
 /// One model's serving state inside a pool (shared, so read-only).

@@ -45,6 +45,14 @@ impl GsharePredictor {
         }
     }
 
+    /// Returns every counter to weakly-not-taken and clears the history:
+    /// [`GsharePredictor::new`]'s state.
+    pub fn clear(&mut self) {
+        self.table.fill(1);
+        self.bimodal.fill(1);
+        self.history = 0;
+    }
+
     /// Predicts and updates for one branch; returns `true` on mispredict.
     pub fn execute(&mut self, pc: u64, taken: bool) -> bool {
         let mask = (1u64 << self.config.table_bits) - 1;
@@ -117,6 +125,9 @@ const MAX_SIM_BRANCHES: u64 = 8_192;
 /// loop branch outcomes (taken `TRIP-1` times, then not-taken once).
 const LOOP_TRIP: u64 = 96;
 
+/// Where every synthesiser's outcome stream starts.
+const RNG_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// Synthesises per-op branch outcome streams from a [`BranchProfile`] and
 /// drives them through a [`GsharePredictor`].
 ///
@@ -137,8 +148,15 @@ impl BranchSynth {
     pub fn new(config: GshareConfig) -> Self {
         BranchSynth {
             predictor: GsharePredictor::new(config),
-            rng_state: 0x9E37_79B9_7F4A_7C15,
+            rng_state: RNG_SEED,
         }
+    }
+
+    /// [`BranchSynth::new`]'s state: a fresh predictor and the outcome
+    /// stream from its start.
+    pub fn clear(&mut self) {
+        self.predictor.clear();
+        self.rng_state = RNG_SEED;
     }
 
     fn next_u64(&mut self) -> u64 {

@@ -248,6 +248,16 @@ impl CacheSim {
         self.accesses = 0.0;
         self.misses = 0.0;
     }
+
+    /// Empties the cache and clears its counters: [`CacheSim::new`]'s
+    /// state without touching the tag array. Only a set's first
+    /// `occupancy` tags are ever read, so stale tags past it are never
+    /// seen, and the sets of a large LLC that no trace reached stay
+    /// unfaulted.
+    pub fn clear(&mut self) {
+        self.occupancy.fill(0);
+        self.reset_counters();
+    }
 }
 
 /// Last-level-cache inclusion policy (Table II lists Broadwell as
@@ -347,6 +357,13 @@ impl CacheHierarchy {
     /// The configured inclusion policy.
     pub fn policy(&self) -> InclusionPolicy {
         self.policy
+    }
+
+    /// Empties all three levels ([`CacheSim::clear`]).
+    pub fn clear(&mut self) {
+        self.l1.clear();
+        self.l2.clear();
+        self.l3.clear();
     }
 
     /// Runs one op's sampled memory trace through the hierarchy and returns

@@ -79,6 +79,14 @@ impl DsbSim {
         self.switches = 0.0;
         self.cache.reset_counters();
     }
+
+    /// Empties the DSB and forgets the last fetch source: [`DsbSim::new`]'s
+    /// state.
+    pub fn clear(&mut self) {
+        self.cache.clear();
+        self.last_was_dsb = None;
+        self.switches = 0.0;
+    }
 }
 
 #[cfg(test)]

@@ -67,6 +67,12 @@ impl FetchSim {
         }
     }
 
+    /// Empties the L1-I and the DSB: [`FetchSim::new`]'s state.
+    pub fn clear(&mut self) {
+        self.icache.clear();
+        self.dsb.clear();
+    }
+
     /// Simulates one op's instruction fetch; returns its frontend stats.
     pub fn run_op(&mut self, code: &CodeFootprint) -> FrontendStats {
         let mut stats = FrontendStats::default();

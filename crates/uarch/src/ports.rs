@@ -70,7 +70,7 @@ pub struct PortConfig {
 }
 
 /// Results of scheduling one op's μops.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PortStats {
     /// Cycles needed to issue/execute the μops (throughput bound).
     pub cycles: f64,

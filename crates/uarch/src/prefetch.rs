@@ -79,6 +79,13 @@ impl StridePrefetcher {
         }
     }
 
+    /// Drops every tracker: [`StridePrefetcher::new`]'s state.
+    pub fn clear(&mut self) {
+        self.streams.clear();
+        self.last = 0;
+        self.clock = 0;
+    }
+
     /// Observes one demand access; returns `true` if it was covered.
     pub fn observe(&mut self, addr: u64) -> bool {
         self.clock += 1;

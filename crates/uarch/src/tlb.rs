@@ -114,6 +114,12 @@ impl TlbSim {
         self.config
     }
 
+    /// Empties both levels: [`TlbSim::new`]'s state.
+    pub fn clear(&mut self) {
+        self.l1.clear();
+        self.l2.clear();
+    }
+
     /// Translates one address (weight-scaled).
     pub fn translate(&mut self, addr: u64, weight: f64) -> TlbStats {
         let page = addr / self.config.page_bytes;
