@@ -33,7 +33,8 @@
 //!   unpinned warm read.
 
 use drec_bench::report::Limit::{AtLeast, AtMost, Equal};
-use drec_bench::report::{Gate, Json, Report};
+use drec_bench::report::{Gate, Json, Report, Timed};
+use drec_bench::timing::{paired, sample, time, Spread};
 use drec_bench::{output_bits, row};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -53,6 +54,8 @@ const AVAILABILITY_GATE: f64 = 0.99;
 /// Upper bound on the per-call cost of a disabled fault hook, generous
 /// enough for noisy CI machines (a real regression is orders above it).
 const DISABLED_HOOK_GATE_NANOS: f64 = 25.0;
+/// Timed passes of each hook and of each side of the pin comparison.
+const TIMING_REPS: usize = 7;
 /// A pending request unanswered after this long counts as hung.
 const HANG_TIMEOUT: Duration = Duration::from_secs(30);
 /// Upper bound on the warm read-path cost of per-batch epoch pinning
@@ -83,17 +86,15 @@ fn check_identity(batch: usize) -> Vec<Json> {
         .collect()
 }
 
-/// Per-call cost of `FaultHook::on_batch` for a hook in the given state.
-fn time_hook_nanos(hook: &FaultHook, calls: u64) -> f64 {
-    let start = Instant::now();
-    let mut panics = 0u64;
-    for _ in 0..calls {
-        if !matches!(hook.on_batch(), drec_faultsim::BatchFault::None) {
-            panics += 1;
-        }
-    }
-    std::hint::black_box(panics);
-    start.elapsed().as_secs_f64() * 1e9 / calls as f64
+/// Nanoseconds per call of `FaultHook::on_batch` for a hook in the given
+/// state.
+fn time_hook_nanos(hook: &FaultHook, calls: u64) -> Spread {
+    let pass = || {
+        let faults =
+            (0..calls).filter(|_| !matches!(hook.on_batch(), drec_faultsim::BatchFault::None));
+        faults.count()
+    };
+    sample(TIMING_REPS, || time(pass) * 1e9 / calls as f64)
 }
 
 #[derive(Default)]
@@ -368,8 +369,8 @@ fn run_rolling_update(smoke: bool) -> RollingOutcome {
 /// Part 5: the read-path cost of version pinning. Engines pin the
 /// reclamation epoch once per batch; on the warm cached-row floor that
 /// must stay within [`PIN_OVERHEAD_GATE`] of the unpinned read loop.
-/// Interleaved min-of-trials keeps the comparison noise-immune.
-fn measure_pin_overhead(smoke: bool) -> (f64, f64) {
+/// Seconds per row, unpinned and pinned, in alternating passes.
+fn measure_pin_overhead(smoke: bool) -> (Spread, Spread) {
     const ROWS: u32 = 1024;
     const DIM: usize = 16;
     const BATCH: usize = 64;
@@ -384,34 +385,29 @@ fn measure_pin_overhead(smoke: bool) -> (f64, f64) {
     let pin = store
         .try_pin(store.lookup(1, 0).expect("table exists"))
         .expect("pin");
-    let mut buf = vec![0.0f32; DIM];
+    let (mut buf, mut pinned_buf) = (vec![0.0f32; DIM], vec![0.0f32; DIM]);
     for row in 0..ROWS {
         pin.read_row_raw(row, &mut buf).expect("warm read");
     }
     let reads_per_trial: u32 = if smoke { 50_000 } else { 200_000 };
-    let trials = 7;
-    let mut base_ns = f64::INFINITY;
-    let mut pinned_ns = f64::INFINITY;
-    for _ in 0..trials {
-        let start = Instant::now();
-        for i in 0..reads_per_trial {
-            pin.read_row_raw(i % ROWS, &mut buf).expect("read");
-            std::hint::black_box(&buf);
-        }
-        base_ns = base_ns.min(start.elapsed().as_secs_f64() * 1e9 / reads_per_trial as f64);
-        let start = Instant::now();
-        let mut i = 0u32;
-        while i < reads_per_trial {
-            let _epoch = store.pin_epoch();
-            for _ in 0..BATCH {
-                pin.read_row_raw(i % ROWS, &mut buf).expect("read");
-                std::hint::black_box(&buf);
-                i += 1;
-            }
-        }
-        pinned_ns = pinned_ns.min(start.elapsed().as_secs_f64() * 1e9 / reads_per_trial as f64);
-    }
-    (base_ns, pinned_ns)
+    let read = |i: u32, buf: &mut [f32]| {
+        pin.read_row_raw(i % ROWS, buf).expect("read");
+        std::hint::black_box(&*buf);
+    };
+    let reads = f64::from(reads_per_trial);
+    paired(
+        TIMING_REPS,
+        || time(|| (0..reads_per_trial).for_each(|i| read(i, &mut buf))) / reads,
+        || {
+            let pinned = || {
+                for batch in (0..reads_per_trial).step_by(BATCH) {
+                    let _epoch = store.pin_epoch();
+                    (batch..batch + BATCH as u32).for_each(|i| read(i, &mut pinned_buf));
+                }
+            };
+            time(pinned) / reads
+        },
+    )
 }
 
 fn main() {
@@ -445,8 +441,9 @@ fn main() {
     // quiet enabled hook (a plan with no schedules) pays the atomic
     // event counter. Neither may cost anything visible at batch rates.
     let calls: u64 = if smoke { 2_000_000 } else { 20_000_000 };
-    let disabled_ns = time_hook_nanos(&FaultHook::disabled(), calls);
-    let quiet_ns = time_hook_nanos(&FaultHook::from_plan(&FaultPlan::quiet(3)), calls);
+    let disabled = time_hook_nanos(&FaultHook::disabled(), calls);
+    let quiet = time_hook_nanos(&FaultHook::from_plan(&FaultPlan::quiet(3)), calls);
+    let (disabled_ns, quiet_ns) = (disabled.fastest, quiet.fastest);
     println!(
         "Hook cost: disabled {disabled_ns:.2} ns/call, quiet-enabled {quiet_ns:.2} ns/call ({calls} calls)"
     );
@@ -545,8 +542,9 @@ fn main() {
     );
 
     // Part 5: warm read-path cost of the per-batch epoch pin.
-    let pin = measure_pin_overhead(smoke);
-    let pin_ratio = pin.1 / pin.0.max(1e-12);
+    let (unpinned, pinned) = measure_pin_overhead(smoke);
+    let pin = (unpinned.fastest * 1e9, pinned.fastest * 1e9);
+    let pin_ratio = pin.1 / pin.0;
     println!(
         "Pin overhead: {:.2} ns/row unpinned, {:.2} ns/row pinned ({pin_ratio:.4}x)",
         pin.0, pin.1
@@ -667,14 +665,11 @@ fn main() {
         )
         .at(schedule),
     );
-    report.gate(
-        Gate::new(
-            "disabled_hook_ns_per_call",
-            disabled_ns,
-            AtMost(DISABLED_HOOK_GATE_NANOS),
-        )
-        .at(format!("{calls} calls")),
-    );
+    report.gate(Gate::timed(
+        "disabled_hook_ns_per_call",
+        AtMost(DISABLED_HOOK_GATE_NANOS),
+        [Timed::alone(disabled, format!("{calls} calls"))],
+    ));
     // Rolling-update gates: zero availability loss, zero hung, the
     // staleness bound, fault recovery, and quiescent bit-identity.
     let during = "during the rolling update";
@@ -735,11 +730,11 @@ fn main() {
         )
         .at("injected duplicate deltas"),
     );
-    report.gate(
-        Gate::new("epoch_pin_overhead", pin_ratio, AtMost(PIN_OVERHEAD_GATE)).at(format!(
-            "{:.2} ns/row pinned vs {:.2} unpinned",
-            pin.1, pin.0
-        )),
-    );
+    let at = format!("{:.2} ns/row pinned vs {:.2} unpinned", pin.1, pin.0);
+    report.gate(Gate::timed(
+        "epoch_pin_overhead",
+        AtMost(PIN_OVERHEAD_GATE),
+        [Timed::new(pinned, ("the unpinned read", unpinned), at)],
+    ));
     report.finish();
 }

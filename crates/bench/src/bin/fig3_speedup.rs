@@ -3,13 +3,13 @@
 
 use drec_analysis::Table;
 use drec_bench::{fmt_speedup, BenchArgs};
-use drec_core::sweep::sweep_parallel;
+use drec_core::sweep::sweep;
 use drec_hwsim::Platform;
 
 fn main() {
     let args = BenchArgs::parse();
     let batches = args.batch_grid();
-    let result = sweep_parallel(
+    let result = sweep(
         &args.models(),
         &batches,
         &Platform::all(),

@@ -6,7 +6,7 @@ use drec_analysis::Table;
 use drec_bench::BenchArgs;
 use drec_core::fleet::{simulate_fleet, DispatchPolicy, Engine, FleetSimConfig};
 use drec_core::serving::LatencyCurve;
-use drec_core::sweep::sweep_parallel;
+use drec_core::sweep::sweep;
 use drec_hwsim::Platform;
 use drec_models::ModelId;
 
@@ -14,7 +14,7 @@ fn main() {
     let args = BenchArgs::parse();
     let model = ModelId::Rm1;
     let batches = args.batch_grid();
-    let result = sweep_parallel(
+    let result = sweep(
         &[model],
         &batches,
         &Platform::all(),

@@ -37,10 +37,10 @@
 //! second core is a time-share of the first).
 
 use drec_bench::report::Limit::{AtLeast, AtMost};
-use drec_bench::report::{Gate, Json, Report};
+use drec_bench::report::{Gate, Json, Report, Timed};
 use drec_bench::row;
+use drec_bench::timing::{fmt_secs, paired, sample, time, Spread};
 use std::sync::Arc;
-use std::time::Instant;
 
 use drec_models::{ModelId, ModelScale};
 use drec_ops::{EmbeddingTable, ExecContext, IdList, Operator, SparseLengthsSum, Value};
@@ -84,39 +84,26 @@ const SKINNY_LAYERS: [(&str, usize, usize); 2] =
 /// representative).
 const SLS_GATE_DIM: usize = 64;
 
-/// Fastest of `repeats` runs, seconds.
-fn time_min<T>(repeats: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..repeats.max(1) {
-        let start = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
-}
-
-fn fmt_secs(s: f64) -> String {
-    if s >= 1.0 {
-        format!("{s:.2} s")
-    } else if s >= 1e-3 {
-        format!("{:.2} ms", s * 1e3)
-    } else {
-        format!("{:.1} µs", s * 1e6)
-    }
-}
-
 /// One square GEMM size: times the seed scalar kernels against the blocked
-/// kernels on a single-thread pool.
-fn bench_gemm(size: usize, repeats: usize) -> Json {
+/// kernels on a single-thread pool; the comparison is the transposed pair.
+fn bench_gemm(size: usize, repeats: usize) -> (Json, Timed) {
     let mut init = ParamInit::new(0x6E_u64 + size as u64);
     let a = init.uniform(&[size, size], -1.0, 1.0);
     let b = init.uniform(&[size, size], -1.0, 1.0);
     let single = ParPool::new(1);
     drec_par::with_pool(&single, || {
-        let ref_t = time_min(repeats, || a.matmul_transposed_reference(&b).unwrap());
-        let blocked_t = time_min(repeats, || a.matmul_transposed(&b).unwrap());
-        let ref_mm = time_min(repeats, || a.matmul_reference(&b).unwrap());
-        let blocked_mm = time_min(repeats, || a.matmul(&b).unwrap());
+        let (seed, blocked) = paired(
+            repeats,
+            || time(|| a.matmul_transposed_reference(&b).unwrap()),
+            || time(|| a.matmul_transposed(&b).unwrap()),
+        );
+        let (ref_mm, blocked_mm) = paired(
+            repeats,
+            || time(|| a.matmul_reference(&b).unwrap()),
+            || time(|| a.matmul(&b).unwrap()),
+        );
+        let (ref_t, blocked_t) = (seed.fastest, blocked.fastest);
+        let (ref_mm, blocked_mm) = (ref_mm.fastest, blocked_mm.fastest);
         println!(
             "  {size:>4}³ transposed: seed {} -> blocked {} ({:.2}x); matmul: seed {} -> blocked {} ({:.2}x)",
             fmt_secs(ref_t),
@@ -126,7 +113,7 @@ fn bench_gemm(size: usize, repeats: usize) -> Json {
             fmt_secs(blocked_mm),
             ref_mm / blocked_mm,
         );
-        row! {
+        let row = row! {
             "size": size,
             "transposed_ref_seconds": ref_t,
             "transposed_blocked_seconds": blocked_t,
@@ -134,18 +121,22 @@ fn bench_gemm(size: usize, repeats: usize) -> Json {
             "matmul_ref_seconds": ref_mm,
             "matmul_blocked_seconds": blocked_mm,
             "matmul_speedup": ref_mm / blocked_mm,
-        }
+        };
+        let at =
+            format!("blocked transposed GEMM over the seed scalar kernel, {size}³, one thread");
+        let timed = Timed::new(blocked, ("the seed scalar kernel", seed), at);
+        (row, timed)
     })
 }
 
 /// Blocked transposed GEMM wall time at `size`³ on a pool of `threads`.
-fn bench_gemm_threads(size: usize, threads: usize, repeats: usize) -> f64 {
+fn bench_gemm_threads(size: usize, threads: usize, repeats: usize) -> Spread {
     let mut init = ParamInit::new(0x7E);
     let a = init.uniform(&[size, size], -1.0, 1.0);
     let b = init.uniform(&[size, size], -1.0, 1.0);
     let pool = ParPool::new(threads);
     drec_par::with_pool(&pool, || {
-        time_min(repeats, || a.matmul_transposed(&b).unwrap())
+        sample(repeats, || time(|| a.matmul_transposed(&b).unwrap()))
     })
 }
 
@@ -191,7 +182,12 @@ fn check_gemm_determinism() {
 /// AVX2 hosts) against the scalar oracle over the same raw row buffers.
 /// Asserts the dispatched accumulator is bit-identical to the scalar
 /// oracle's before timing.
-fn bench_quantized_sls(dim: usize, rows: usize, pool_ids: usize, repeats: usize) -> Vec<Json> {
+fn bench_quantized_sls(
+    dim: usize,
+    rows: usize,
+    pool_ids: usize,
+    repeats: usize,
+) -> Vec<(Json, Timed)> {
     let mut init = ParamInit::new(0x51D);
     let dense = init.uniform(&[rows, dim], -1.0, 1.0);
     let data = dense.as_slice();
@@ -220,10 +216,17 @@ fn bench_quantized_sls(dim: usize, rows: usize, pool_ids: usize, repeats: usize)
         })
         .collect();
 
-    let mut acc = vec![0.0f32; dim];
+    let (mut acc, mut acc_oracle) = (vec![0.0f32; dim], vec![0.0f32; dim]);
     let mut rows_out = Vec::new();
     // (encoding, bytes per row, dispatched pass, scalar-oracle pass)
     type Pass<'a> = Box<dyn Fn(usize, &mut [f32]) + 'a>;
+    let pool = |row_sum: &Pass, acc: &mut [f32]| {
+        acc.fill(0.0);
+        for &r in &ids {
+            row_sum(r, acc);
+        }
+        acc[0]
+    };
     let passes: Vec<(&'static str, usize, Pass, Pass)> = vec![
         (
             "f32",
@@ -259,34 +262,19 @@ fn bench_quantized_sls(dim: usize, rows: usize, pool_ids: usize, repeats: usize)
     for (encoding, bytes_per_row, dispatched, oracle) in &passes {
         // Bit-identity first: one full pooled pass per path must agree
         // exactly (this is the kernel contract the store relies on).
-        acc.fill(0.0);
-        for &r in &ids {
-            dispatched(r, &mut acc);
-        }
-        let got = acc.clone();
-        acc.fill(0.0);
-        for &r in &ids {
-            oracle(r, &mut acc);
-        }
+        pool(dispatched, &mut acc);
+        pool(oracle, &mut acc_oracle);
         assert_eq!(
-            got, acc,
+            acc, acc_oracle,
             "{encoding} dispatched pooled sum is not bit-identical to the scalar oracle"
         );
 
-        let vector_seconds = time_min(repeats, || {
-            acc.fill(0.0);
-            for &r in &ids {
-                dispatched(r, &mut acc);
-            }
-            acc[0]
-        });
-        let scalar_seconds = time_min(repeats, || {
-            acc.fill(0.0);
-            for &r in &ids {
-                oracle(r, &mut acc);
-            }
-            acc[0]
-        });
+        let (vector, scalar) = paired(
+            repeats,
+            || time(|| pool(dispatched, &mut acc)),
+            || time(|| pool(oracle, &mut acc_oracle)),
+        );
+        let (vector_seconds, scalar_seconds) = (vector.fastest, scalar.fastest);
         let bytes = (ids.len() * bytes_per_row) as f64;
         let (scalar_gb_s, vector_gb_s) =
             (bytes / scalar_seconds / 1e9, bytes / vector_seconds / 1e9);
@@ -294,13 +282,15 @@ fn bench_quantized_sls(dim: usize, rows: usize, pool_ids: usize, repeats: usize)
         println!(
             "  {encoding:<4} scalar {scalar_gb_s:.2} GB/s -> dispatched {vector_gb_s:.2} GB/s ({speedup:.2}x)"
         );
-        rows_out.push(row! {
+        let row = row! {
             "encoding": *encoding,
             "dim": dim,
             "scalar_gb_per_s": scalar_gb_s,
             "vector_gb_per_s": vector_gb_s,
             "speedup": speedup,
-        });
+        };
+        let at = format!("dim {dim}");
+        rows_out.push((row, Timed::new(vector, ("the scalar oracle", scalar), at)));
     }
     rows_out
 }
@@ -309,7 +299,7 @@ fn bench_quantized_sls(dim: usize, rows: usize, pool_ids: usize, repeats: usize)
 /// scalar oracle and the dispatched kernel: times encoding one Paper-scale
 /// table (4096 rows, the store's registration loop without the store) and
 /// asserts the two encoders agree on every byte, scale and bias first.
-fn bench_quantize_i8(dim: usize, repeats: usize) -> Json {
+fn bench_quantize_i8(dim: usize, repeats: usize) -> (Json, Timed) {
     const ROWS: usize = 4096;
     let table = ParamInit::new(0x0_18 + dim as u64).uniform(&[ROWS, dim], -0.05, 0.05);
     let data = table.as_slice();
@@ -325,55 +315,61 @@ fn bench_quantize_i8(dim: usize, repeats: usize) -> Json {
         "dispatched int8 encoder is not byte-identical to the scalar oracle at dim {dim}"
     );
     let elements = (ROWS * dim) as f64;
-    // Alternating samples, fastest kept: both sides see the same host.
-    let (mut scalar_ns, mut dispatched_ns) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..repeats {
-        let scalar = time_min(1, || encode(simd::scalar::quantize_i8_row, &mut q_oracle));
-        let dispatched = time_min(1, || encode(simd::quantize_i8_row, &mut q));
-        scalar_ns = scalar_ns.min(scalar * 1e9 / elements);
-        dispatched_ns = dispatched_ns.min(dispatched * 1e9 / elements);
-    }
+    let (scalar, dispatched) = paired(
+        repeats,
+        || time(|| encode(simd::scalar::quantize_i8_row, &mut q_oracle)) / elements,
+        || time(|| encode(simd::quantize_i8_row, &mut q)) / elements,
+    );
+    let (scalar_ns, dispatched_ns) = (scalar.fastest * 1e9, dispatched.fastest * 1e9);
     let speedup = scalar_ns / dispatched_ns;
     println!(
         "  dim {dim:<3} scalar {scalar_ns:.2} -> dispatched {dispatched_ns:.2} ({speedup:.2}x)"
     );
-    row! {
+    let row = row! {
         "dim": dim,
         "scalar_ns_per_element": scalar_ns,
         "dispatched_ns_per_element": dispatched_ns,
         "speedup": speedup,
-    }
+    };
+    let at = format!("t(dispatched) / t(scalar), dim {dim}");
+    let timed = Timed::new(dispatched, ("the scalar oracle", scalar), at);
+    (row, timed)
 }
 
 /// One square-size comparison of the dispatched GEMM (FMA dot cells on
 /// AVX2 hosts) against the scalar blocked kernel.
-fn bench_gemm_fma(size: usize, repeats: usize) -> Json {
+fn bench_gemm_fma(size: usize, repeats: usize) -> (Json, Timed) {
     let mut init = ParamInit::new(0xF3A_u64 + size as u64);
     let a = init.uniform(&[size, size], -1.0, 1.0);
     let b = init.uniform(&[size, size], -1.0, 1.0);
-    let mut out = vec![0.0f32; size * size];
+    let (mut out, mut out_scalar) = (vec![0.0f32; size * size], vec![0.0f32; size * size]);
     let single = ParPool::new(1);
     let flops = 2.0 * (size as f64).powi(3);
     drec_par::with_pool(&single, || {
-        let scalar_seconds = time_min(repeats, || {
-            gemm_transposed_scalar(a.as_slice(), b.as_slice(), size, size, size, &mut out);
+        type Gemm = fn(&[f32], &[f32], usize, usize, usize, &mut [f32]);
+        let product = |gemm: Gemm, out: &mut [f32]| {
+            gemm(a.as_slice(), b.as_slice(), size, size, size, out);
             out[0]
-        });
-        let fma_seconds = time_min(repeats, || {
-            gemm_transposed(a.as_slice(), b.as_slice(), size, size, size, &mut out);
-            out[0]
-        });
-        let (scalar_gflops, fma_gflops) = (flops / scalar_seconds / 1e9, flops / fma_seconds / 1e9);
-        let speedup = scalar_seconds / fma_seconds;
+        };
+        let (scalar, fma) = paired(
+            repeats,
+            || time(|| product(gemm_transposed_scalar, &mut out_scalar)),
+            || time(|| product(gemm_transposed, &mut out)),
+        );
+        let (scalar_gflops, fma_gflops) = (flops / scalar.fastest / 1e9, flops / fma.fastest / 1e9);
+        let speedup = scalar.fastest / fma.fastest;
         println!(
             "  {size:>4}³ scalar {scalar_gflops:.2} GFLOP/s -> dispatched {fma_gflops:.2} GFLOP/s ({speedup:.2}x)"
         );
-        row! {
+        let row = row! {
             "size": size,
             "scalar_gflop_per_s": scalar_gflops,
             "fma_gflop_per_s": fma_gflops,
             "speedup": speedup,
-        }
+        };
+        let at = format!("{size}³, one thread");
+        let timed = Timed::new(fma, ("the scalar blocked kernel", scalar), at);
+        (row, timed)
     })
 }
 
@@ -384,8 +380,8 @@ struct SkinnyRow {
     k: usize,
     n: usize,
     m: usize,
-    seconds_1t: f64,
-    seconds_2t: f64,
+    one_thread: Spread,
+    two_threads: Spread,
 }
 
 impl SkinnyRow {
@@ -395,8 +391,8 @@ impl SkinnyRow {
             "k": self.k,
             "n": self.n,
             "m": self.m,
-            "us_1_thread": self.seconds_1t * 1e6,
-            "us_2_threads": self.seconds_2t * 1e6,
+            "us_1_thread": self.one_thread.fastest * 1e6,
+            "us_2_threads": self.two_threads.fastest * 1e6,
         }
     }
 }
@@ -404,8 +400,7 @@ impl SkinnyRow {
 /// Times `A[m, k] · W[n, k]ᵀ` through the dispatched GEMM for every
 /// `m` in [`SKINNY_M`]. A sample is a loop of about a millisecond (20 M
 /// multiply-adds; shorter ones read 10 % apart on identical code here),
-/// the one- and two-thread samples alternate so both see the same host,
-/// and the figure kept is the fastest sample.
+/// and the one- and two-thread samples alternate.
 fn bench_gemm_skinny(repeats: usize) -> Vec<SkinnyRow> {
     let one = ParPool::new(1);
     let two = ParPool::new(2);
@@ -414,64 +409,34 @@ fn bench_gemm_skinny(repeats: usize) -> Vec<SkinnyRow> {
         let mut init = ParamInit::new(0x5C1 + k as u64);
         let w = init.uniform(&[n, k], -1.0, 1.0);
         let a = init.uniform(&[16, k], -1.0, 1.0);
-        let mut out = vec![0.0f32; 16 * n];
+        let (mut out_one, mut out_two) = (vec![0.0f32; 16 * n], vec![0.0f32; 16 * n]);
         for &m in &SKINNY_M {
             let iters = (20_000_000 / (m * k * n)).max(1);
-            let mut sample = |pool: &Arc<ParPool>| {
-                drec_par::with_pool(pool, || {
-                    time_min(1, || {
-                        for _ in 0..iters {
-                            gemm_transposed(
-                                &a.as_slice()[..m * k],
-                                w.as_slice(),
-                                m,
-                                k,
-                                n,
-                                &mut out[..m * n],
-                            );
-                            std::hint::black_box(&mut out);
-                        }
-                    }) / iters as f64
-                })
+            let lap = |pool: &Arc<ParPool>, out: &mut [f32]| {
+                let products = || {
+                    for _ in 0..iters {
+                        gemm_transposed(&a.as_slice()[..m * k], w.as_slice(), m, k, n, out);
+                        std::hint::black_box(&mut *out);
+                    }
+                };
+                drec_par::with_pool(pool, || time(products)) / iters as f64
             };
-            let (mut seconds_1t, mut seconds_2t) = (f64::INFINITY, f64::INFINITY);
-            for _ in 0..repeats {
-                seconds_1t = seconds_1t.min(sample(&one));
-                seconds_2t = seconds_2t.min(sample(&two));
-            }
+            let (one_thread, two_threads) = paired(
+                repeats,
+                || lap(&one, &mut out_one[..m * n]),
+                || lap(&two, &mut out_two[..m * n]),
+            );
             rows.push(SkinnyRow {
                 layer,
                 k,
                 n,
                 m,
-                seconds_1t,
-                seconds_2t,
+                one_thread,
+                two_threads,
             });
         }
     }
     rows
-}
-
-/// Worst `t(m) / t(4·⌈m/4⌉)` on one thread and worst `t(2) / t(1)` over
-/// the sweep, each with the point it occurs at.
-fn skinny_worst(rows: &[SkinnyRow]) -> ((f64, String), (f64, String)) {
-    let mut cliff = (0.0f64, String::new());
-    let mut two = (0.0f64, String::new());
-    for r in rows {
-        let full = rows
-            .iter()
-            .find(|q| q.layer == r.layer && q.m == r.m.div_ceil(4) * 4)
-            .expect("the sweep holds every multiple of four it rounds up to");
-        let ratio = r.seconds_1t / full.seconds_1t;
-        if ratio > cliff.0 {
-            cliff = (ratio, format!("{} m={} vs m={}", r.layer, r.m, full.m));
-        }
-        let ratio = r.seconds_2t / r.seconds_1t;
-        if ratio > two.0 {
-            two = (ratio, format!("{} m={}", r.layer, r.m));
-        }
-    }
-    (cliff, two)
 }
 
 /// Checks the dispatched GEMM against the scalar blocked kernel on
@@ -553,10 +518,9 @@ fn bench_embedding(batches: &[usize], dim: usize, lookups: usize, repeats: usize
                 out_4t.as_dense().unwrap().as_slice(),
                 "pooled embedding batch {batch} differs across pool sizes"
             );
-            let seconds_1t =
-                drec_par::with_pool(&one, || time_min(repeats, || sls.run(&mut ctx, &[&ids])));
-            let seconds_4t =
-                drec_par::with_pool(&four, || time_min(repeats, || sls.run(&mut ctx, &[&ids])));
+            let mut lap = || time(|| sls.run(&mut ctx, &[&ids]));
+            let seconds_1t = drec_par::with_pool(&one, || sample(repeats, &mut lap)).fastest;
+            let seconds_4t = drec_par::with_pool(&four, || sample(repeats, &mut lap)).fastest;
             println!(
                 "  batch {batch:>5}: 1 thread {}, 4 threads {}",
                 fmt_secs(seconds_1t),
@@ -593,7 +557,7 @@ fn bench_models(
                     id.name()
                 );
             }
-            let seconds = time_min(repeats, || model.run(inputs.clone()).unwrap());
+            let seconds = sample(repeats, || time(|| model.run(inputs.clone()).unwrap())).fastest;
             println!("  {:<5} batch {batch:>5}: {}", id.name(), fmt_secs(seconds));
             rows.push(row! {"model": id.name(), "batch": batch, "seconds": seconds});
         }
@@ -612,11 +576,6 @@ fn main() {
             simd::backend_label()
         )
     });
-    // The slowest row by `key`: the one a floor on `key` is judged at.
-    let lowest = |rows: &[Json], key: &str| {
-        let lowest = rows.iter().min_by(|a, b| a.num(key).total_cmp(&b.num(key)));
-        lowest.expect("at least one row").clone()
-    };
 
     println!("Checking parallel == sequential (bit-identical) on GEMM edge shapes...");
     check_gemm_determinism();
@@ -634,53 +593,48 @@ fn main() {
     println!(
         "Quantized pooled sums at dim {SLS_GATE_DIM} ({sls_ids} lookups over {sls_rows} rows, dispatched vs scalar oracle):"
     );
-    let quant_sls = bench_quantized_sls(SLS_GATE_DIM, sls_rows, sls_ids, sls_repeats);
-    let int8 = quant_sls.iter().find(|r| r.text("encoding") == "int8");
-    let int8_speedup = int8.expect("int8 row present").num("speedup");
+    let (quant_sls, sls_timed): (Vec<Json>, Vec<Timed>) =
+        bench_quantized_sls(SLS_GATE_DIM, sls_rows, sls_ids, sls_repeats)
+            .into_iter()
+            .unzip();
+    let int8 = quant_sls.iter().position(|r| r.text("encoding") == "int8");
+    let int8 = sls_timed[int8.expect("int8 row present")].clone();
     report.gate(
-        Gate::new(
+        Gate::timed(
             "int8_sls_vector_speedup",
-            int8_speedup,
             AtLeast(INT8_SLS_SPEEDUP_GATE),
+            [int8],
         )
-        .at(format!("dim {SLS_GATE_DIM}"))
         .skip_if(no_vector_path.clone()),
     );
 
     println!("Int8 row encoder, one 4096-row table (dispatched vs scalar oracle, ns per element):");
-    let quantize: Vec<Json> = QUANTIZE_DIMS
+    let (quantize, quantize_timed): (Vec<Json>, Vec<Timed>) = QUANTIZE_DIMS
         .iter()
         .map(|&dim| bench_quantize_i8(dim, if fast { 20 } else { 50 }))
-        .collect();
-    let slowest = lowest(&quantize, "speedup");
+        .unzip();
     report.gate(
-        Gate::new(
+        Gate::timed(
             "quantize_i8_dispatched_3x_scalar",
-            1.0 / slowest.num("speedup"),
             AtMost(QUANTIZE_GATE),
+            quantize_timed,
         )
-        .at(format!(
-            "t(dispatched) / t(scalar), dim {}",
-            slowest.num("dim")
-        ))
         .skip_if(no_vector_path.clone()),
     );
 
     let fma_sizes: &[usize] = if smoke { &[128] } else { &[128, 256, 512] };
     let fma_repeats = if fast { 3 } else { 5 };
     println!("GEMM dispatched (FMA) vs scalar blocked, single thread:");
-    let gemm_fma: Vec<Json> = fma_sizes
+    let (gemm_fma, gemm_fma_timed): (Vec<Json>, Vec<Timed>) = fma_sizes
         .iter()
         .map(|&size| bench_gemm_fma(size, fma_repeats))
-        .collect();
-    let slowest = lowest(&gemm_fma, "speedup");
+        .unzip();
     report.gate(
-        Gate::new(
+        Gate::timed(
             "gemm_fma_speedup",
-            slowest.num("speedup"),
             AtLeast(GEMM_FMA_SPEEDUP_GATE),
+            gemm_fma_timed,
         )
-        .at(format!("{}³, one thread", slowest.num("size")))
         .skip_if(no_vector_path),
     );
 
@@ -693,22 +647,37 @@ fn main() {
     let second_core = report.second_core();
     for &(layer, _, _) in &SKINNY_LAYERS {
         for (label, pick) in [
-            ("1 thread ", (|r| r.seconds_1t) as fn(&SkinnyRow) -> f64),
-            ("2 threads", |r| r.seconds_2t),
+            ("1 thread ", (|r| r.one_thread) as fn(&SkinnyRow) -> Spread),
+            ("2 threads", |r| r.two_threads),
         ] {
             let cells: Vec<String> = skinny
                 .iter()
                 .filter(|r| r.layer == layer)
-                .map(|r| format!("m={} {:.1}", r.m, pick(r) * 1e6))
+                .map(|r| format!("m={} {:.1}", r.m, pick(r).fastest * 1e6))
                 .collect();
             println!("  {layer:<14} {label}: {}", cells.join("  "));
         }
     }
-    let (cliff, two) = skinny_worst(&skinny);
-    report.gate(
-        Gate::new("gemm_skinny_no_cliff", cliff.0, AtMost(SKINNY_CLIFF_GATE))
-            .at(format!("t(m) / t(4*ceil(m/4)) on one thread, {}", cliff.1)),
-    );
+    let cliffs = skinny.iter().map(|r| {
+        let full = skinny
+            .iter()
+            .find(|q| q.layer == r.layer && q.m == r.m.div_ceil(4) * 4);
+        let full = full.expect("the sweep holds every multiple of four it rounds up to");
+        let at = format!(
+            "t(m) / t(4*ceil(m/4)) on one thread, {} m={} vs m={}",
+            r.layer, r.m, full.m
+        );
+        Timed::new(
+            r.one_thread,
+            (format!("t(m={})", full.m), full.one_thread),
+            at,
+        )
+    });
+    report.gate(Gate::timed(
+        "gemm_skinny_no_cliff",
+        AtMost(SKINNY_CLIFF_GATE),
+        cliffs,
+    ));
     let no_second_core = if host_parallelism == 1 {
         Some("single core".to_string())
     } else if second_core < SECOND_CORE_FLOOR {
@@ -718,56 +687,60 @@ fn main() {
     } else {
         None
     };
+    let two_threads = skinny.iter().map(|r| {
+        let at = format!("t(2 threads) / t(1 thread), {} m={}", r.layer, r.m);
+        Timed::new(r.two_threads, ("one thread", r.one_thread), at)
+    });
     report.gate(
-        Gate::new(
+        Gate::timed(
             "gemm_skinny_two_threads_never_lose",
-            two.0,
             AtMost(SKINNY_TWO_THREAD_GATE),
+            two_threads,
         )
-        .at(format!("t(2 threads) / t(1 thread), {}", two.1))
         .skip_if(no_second_core),
     );
 
     let gemm_sizes: &[usize] = if smoke { &[48] } else { &[128, 512] };
     let gemm_repeats = if fast { 2 } else { 5 };
     println!("GEMM old-vs-new, single thread:");
-    let gemm: Vec<Json> = gemm_sizes
+    let (gemm, gemm_timed): (Vec<Json>, Vec<Timed>) = gemm_sizes
         .iter()
         .map(|&size| bench_gemm(size, gemm_repeats))
-        .collect();
+        .unzip();
     let full_only = smoke.then(|| "smoke mode runs no 512³ product".to_string());
-    let gemm_512 = gemm.iter().find(|r| r.num("size") == 512.0);
-    let gemm_512 = gemm_512.map_or(f64::NAN, |r| r.num("transposed_speedup"));
+    let gemm_512 = gemm_sizes
+        .iter()
+        .zip(gemm_timed)
+        .filter(|(&size, _)| size == 512);
     report.gate(
-        Gate::new(
+        Gate::timed(
             "gemm_512_blocked_speedup",
-            gemm_512,
             AtLeast(GEMM_SPEEDUP_GATE),
+            gemm_512.map(|(_, timed)| timed),
         )
-        .at("blocked transposed GEMM over the seed scalar kernel, 512³, one thread")
         .skip_if(full_only.clone()),
     );
 
     let sweep_size = if smoke { 64 } else { 512 };
     println!("GEMM thread sweep at {sweep_size}³ (blocked transposed kernel):");
-    let threads_sweep: Vec<Json> = [1usize, 2, 4]
+    let threads_sweep: Vec<(usize, Spread)> = [1usize, 2, 4]
         .iter()
         .map(|&threads| {
             let seconds = bench_gemm_threads(sweep_size, threads, gemm_repeats);
-            println!("  {threads} thread(s): {}", fmt_secs(seconds));
-            row! {"threads": threads, "seconds": seconds}
+            println!("  {threads} thread(s): {}", fmt_secs(seconds.fastest));
+            (threads, seconds)
         })
         .collect();
-    let threads4_speedup = threads_sweep[0].num("seconds") / threads_sweep[2].num("seconds");
     let too_few_cores =
         (host_parallelism < 4).then(|| format!("host has {host_parallelism} core(s) < 4"));
+    let (one, four) = (threads_sweep[0].1, threads_sweep[2].1);
+    let at = format!("{sweep_size}³, 4 threads over 1");
     report.gate(
-        Gate::new(
+        Gate::timed(
             "gemm_4_thread_speedup",
-            threads4_speedup,
             AtLeast(THREADS4_SPEEDUP_GATE),
+            [Timed::new(four, ("one thread", one), at)],
         )
-        .at(format!("{sweep_size}³, 4 threads over 1"))
         .skip_if(full_only.or(too_few_cores)),
     );
 
@@ -800,7 +773,9 @@ fn main() {
     report.section("gemm_fma", gemm_fma);
     report.rows("gemm_skinny", &skinny, SkinnyRow::json);
     report.section("gemm_single_thread", gemm);
-    report.section("gemm_thread_sweep", threads_sweep);
+    report.rows("gemm_thread_sweep", &threads_sweep, |(threads, seconds)| {
+        row! {"threads": *threads, "seconds": seconds.fastest}
+    });
     report.section("embedding_pooling", embedding);
     report.section("end_to_end", models);
     report.finish();

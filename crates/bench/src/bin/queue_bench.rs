@@ -21,9 +21,10 @@
 
 use drec_bench::report::{Gate, Report};
 use drec_bench::row;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use drec_bench::timing::{paired, sample, time};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use drec_serve::{
     BatchPoll, BatcherConfig, DegradeConfig, OverloadLadder, Priority, Request, SharedQueue,
@@ -31,7 +32,7 @@ use drec_serve::{
 };
 use drec_sync::CachePadded;
 
-/// Repetitions of each timed run; the best (highest throughput) is
+/// Timed runs of each point; the fastest (highest throughput) is
 /// scored, rejecting OS scheduler stalls on timeshared CI cores.
 const TIMING_REPS: usize = 5;
 /// Thread counts in the contention sweep (total = producers + consumers).
@@ -82,24 +83,26 @@ fn build_requests(n: usize) -> Vec<Request> {
 /// the producer off with a yield. A run ends when everything is pushed
 /// and the queue reads empty (single thread) or closed (consumers), not
 /// when a count is reached, so a lost request shows as a short count
-/// instead of a hang. Returns ops/second, where one op is one request
-/// enqueued *and* dequeued, and how many requests came out.
+/// instead of a hang. Returns the seconds the requests took to go
+/// through (building them is off the clock), and how many came out; one
+/// op is one request enqueued *and* dequeued.
 fn contention_run(threads: usize, total_ops: usize) -> (f64, usize) {
     let q = bench_queue();
     let mut requests = build_requests(total_ops);
     if threads == 1 {
-        let start = Instant::now();
         let mut drained = 0usize;
-        while !requests.is_empty() {
-            for _ in 0..16 {
-                let Some(r) = requests.pop() else { break };
-                q.try_push(r).expect("depth 16 < capacity");
+        let seconds = time(|| {
+            while !requests.is_empty() {
+                for _ in 0..16 {
+                    let Some(r) = requests.pop() else { break };
+                    q.try_push(r).expect("depth 16 < capacity");
+                }
+                while let BatchPoll::Ready(batch) = q.try_next_batch() {
+                    drained += batch.requests.len() + batch.expired.len();
+                }
             }
-            while let BatchPoll::Ready(batch) = q.try_next_batch() {
-                drained += batch.requests.len() + batch.expired.len();
-            }
-        }
-        return (total_ops as f64 / start.elapsed().as_secs_f64(), drained);
+        });
+        return (seconds, drained);
     }
     let producers = (threads / 2).max(1);
     let consumers = (threads - producers).max(1);
@@ -108,116 +111,102 @@ fn contention_run(threads: usize, total_ops: usize) -> (f64, usize) {
         shards[i % producers].push(r);
     }
     let drained = AtomicUsize::new(0);
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        let pushers: Vec<_> = shards
-            .drain(..)
-            .map(|shard| {
-                scope.spawn(|| {
-                    for mut request in shard {
-                        loop {
-                            match q.try_push(request) {
-                                Ok(_) => break,
-                                Err((back, _overloaded)) => {
-                                    request = back;
-                                    std::thread::yield_now();
+    let seconds = time(|| {
+        std::thread::scope(|scope| {
+            let pushers: Vec<_> = shards
+                .drain(..)
+                .map(|shard| {
+                    scope.spawn(|| {
+                        for mut request in shard {
+                            loop {
+                                match q.try_push(request) {
+                                    Ok(_) => break,
+                                    Err((back, _overloaded)) => {
+                                        request = back;
+                                        std::thread::yield_now();
+                                    }
                                 }
                             }
                         }
-                    }
+                    })
                 })
-            })
-            .collect();
-        for _ in 0..consumers {
-            scope.spawn(|| loop {
-                match q.try_next_batch() {
-                    BatchPoll::Ready(batch) => {
-                        let n = batch.requests.len() + batch.expired.len();
-                        drained.fetch_add(n, Ordering::Relaxed);
+                .collect();
+            for _ in 0..consumers {
+                scope.spawn(|| loop {
+                    match q.try_next_batch() {
+                        BatchPoll::Ready(batch) => {
+                            let n = batch.requests.len() + batch.expired.len();
+                            drained.fetch_add(n, Ordering::Relaxed);
+                        }
+                        BatchPoll::Closed => break,
+                        BatchPoll::Idle | BatchPoll::Coalescing(_) => std::thread::yield_now(),
                     }
-                    BatchPoll::Closed => break,
-                    BatchPoll::Idle | BatchPoll::Coalescing(_) => std::thread::yield_now(),
-                }
-            });
-        }
-        for pusher in pushers {
-            pusher.join().expect("producer thread");
-        }
-        q.close();
+                });
+            }
+            for pusher in pushers {
+                pusher.join().expect("producer thread");
+            }
+            q.close();
+        })
     });
-    let tput = total_ops as f64 / start.elapsed().as_secs_f64();
-    (tput, drained.into_inner())
+    (seconds, drained.into_inner())
 }
 
-/// One thread point: best-of-reps throughput, and whether every rep
+/// One thread point: ops/second at the fastest run, and whether every run
 /// drained exactly what it pushed.
 fn contention_point(threads: usize, total_ops: usize) -> (f64, bool) {
-    (0..TIMING_REPS)
-        .map(|_| contention_run(threads, total_ops))
-        .fold((0.0f64, true), |(best, exact), (tput, drained)| {
-            (best.max(tput), exact && drained == total_ops)
-        })
+    let mut exact = true;
+    let seconds = sample(TIMING_REPS, || {
+        let (seconds, drained) = contention_run(threads, total_ops);
+        exact &= drained == total_ops;
+        seconds
+    });
+    (total_ops as f64 / seconds.fastest, exact)
 }
 
 /// The false-sharing experiment behind the repo's `CachePadded`
 /// counters: `threads` threads each hammer their own `AtomicU64`,
 /// first packed adjacently (all in one or two cache lines), then one
-/// per 64-byte line. Returns (unpadded, padded) increments/second.
+/// per 64-byte line, in alternating runs. Returns (unpadded, padded)
+/// increments/second at the fastest run of each.
 fn counter_experiment(threads: usize, increments: usize) -> (f64, f64) {
-    fn run<T>(counters: &[T], increments: usize) -> f64
-    where
-        T: std::ops::Deref<Target = std::sync::atomic::AtomicU64> + Sync,
-    {
-        let start = Instant::now();
-        std::thread::scope(|scope| {
-            for c in counters {
-                scope.spawn(move || {
-                    for _ in 0..increments {
-                        c.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-            }
+    fn run(counters: &[&AtomicU64], increments: usize) -> f64 {
+        counters.iter().for_each(|c| c.store(0, Ordering::Relaxed));
+        let seconds = time(|| {
+            std::thread::scope(|scope| {
+                for c in counters {
+                    scope.spawn(move || {
+                        for _ in 0..increments {
+                            c.fetch_add(1, Ordering::Relaxed);
+                        }
+                    });
+                }
+            })
         });
         let total: u64 = counters.iter().map(|c| c.load(Ordering::Relaxed)).sum();
         assert_eq!(total as usize, counters.len() * increments);
-        total as f64 / start.elapsed().as_secs_f64()
+        seconds
     }
-    // Box<AtomicU64> derefs to the atomic and packs allocations tightly
-    // enough to share lines on the Vec-of-boxes layout below; use a
-    // plain reference wrapper instead: slices of owned values.
-    struct Plain(std::sync::atomic::AtomicU64);
-    impl std::ops::Deref for Plain {
-        type Target = std::sync::atomic::AtomicU64;
-        fn deref(&self) -> &Self::Target {
-            &self.0
-        }
-    }
-    let unpadded: Vec<Plain> = (0..threads)
-        .map(|_| Plain(std::sync::atomic::AtomicU64::new(0)))
+    let unpadded: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
+    let padded: Vec<CachePadded<AtomicU64>> = (0..threads)
+        .map(|_| CachePadded::new(AtomicU64::new(0)))
         .collect();
-    let padded: Vec<CachePadded<std::sync::atomic::AtomicU64>> = (0..threads)
-        .map(|_| CachePadded::new(std::sync::atomic::AtomicU64::new(0)))
-        .collect();
-    let mut un = 0.0f64;
-    let mut pa = 0.0f64;
-    for _ in 0..TIMING_REPS {
-        for c in &unpadded {
-            c.store(0, Ordering::Relaxed);
-        }
-        un = un.max(run(&unpadded, increments));
-        for c in &padded {
-            c.store(0, Ordering::Relaxed);
-        }
-        pa = pa.max(run(&padded, increments));
-    }
-    (un, pa)
+    let unpadded: Vec<&AtomicU64> = unpadded.iter().collect();
+    let padded: Vec<&AtomicU64> = padded.iter().map(|c| &**c).collect();
+    let (un, pa) = paired(
+        TIMING_REPS,
+        || run(&unpadded, increments),
+        || run(&padded, increments),
+    );
+    let incs = (threads * increments) as f64;
+    (incs / un.fastest, incs / pa.fastest)
 }
 
 fn main() {
     let mut report = Report::start("queue", &["--smoke"]);
     let cores = report.host.parallelism;
     let total_ops = if report.flags.smoke { 20_000 } else { 200_000 };
-    println!("{total_ops} ops per rep, best of {TIMING_REPS}");
+    println!("{total_ops} ops per run, fastest of {TIMING_REPS}");
 
     println!("\nEnqueue+dequeue throughput (one op = one request through the queue):");
     let sweep: Vec<(usize, f64, bool)> = THREAD_POINTS

@@ -4,7 +4,7 @@
 use drec_analysis::Table;
 use drec_bench::BenchArgs;
 use drec_core::serving::{simulate_queue, LatencyCurve, QueueSimConfig};
-use drec_core::sweep::sweep_parallel;
+use drec_core::sweep::sweep;
 use drec_hwsim::Platform;
 use drec_models::ModelId;
 
@@ -12,7 +12,7 @@ fn main() {
     let args = BenchArgs::parse();
     let batches = args.batch_grid();
     let model = ModelId::Rm1;
-    let result = sweep_parallel(
+    let result = sweep(
         &[model],
         &batches,
         &Platform::all(),

@@ -56,11 +56,12 @@
 
 use drec_bench::counters::CountingAlloc;
 use drec_bench::report::Limit::{AtLeast, AtMost, Equal};
-use drec_bench::report::{Gate, Report};
+use drec_bench::report::{Gate, Report, Timed};
 use drec_bench::row;
+use drec_bench::timing::{paired, sample, time};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use drec_models::{ModelId, ModelScale};
 use drec_ops::Value;
@@ -89,8 +90,8 @@ const ZIPF_S: f64 = 1.0;
 /// admitted up front), so the p99 is dominated by drain time; the budget
 /// absorbs OS scheduler noise on shared CI cores.
 const SLO: Duration = Duration::from_millis(400);
-/// Repetitions of each timed drain; the best (shortest) wall time is
-/// scored, rejecting OS scheduler stalls on timeshared CI cores.
+/// Timed drains of each side; the fastest is scored, rejecting OS
+/// scheduler stalls on timeshared CI cores.
 const TIMING_REPS: usize = 5;
 
 /// Sampled memory events and operators in the sixteen traces (eight
@@ -179,25 +180,25 @@ where
     S: Fn(usize, Vec<Value>) -> Option<W> + Sync,
 {
     let cursor = AtomicUsize::new(0);
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..producers {
-            scope.spawn(|| {
-                let mut in_flight: Vec<W> = Vec::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(unit) = workload.get(i) else { break };
-                    if let Some(waiter) = submit(unit.model_idx, unit.inputs.clone()) {
-                        in_flight.push(waiter);
+    time(|| {
+        std::thread::scope(|scope| {
+            for _ in 0..producers {
+                scope.spawn(|| {
+                    let mut in_flight: Vec<W> = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(unit) = workload.get(i) else { break };
+                        if let Some(waiter) = submit(unit.model_idx, unit.inputs.clone()) {
+                            in_flight.push(waiter);
+                        }
                     }
-                }
-                for waiter in in_flight.drain(..) {
-                    waiter();
-                }
-            });
-        }
-    });
-    start.elapsed().as_secs_f64()
+                    for waiter in in_flight.drain(..) {
+                        waiter();
+                    }
+                });
+            }
+        })
+    })
 }
 
 /// A hypothetical *integrated* accelerator: T4-class silicon moved
@@ -351,7 +352,7 @@ struct StartTimes {
 /// Times `MultiServeRuntime::start` on `perf_bench`'s `colocated_mix`
 /// shape — eight Paper-scale models, one CPU worker, no accelerator, a
 /// tiered int8 store — and then the same work step by step through the
-/// public pieces start is made of; median of `reps` each, alternating.
+/// public pieces start is made of; median of `reps` each.
 fn time_start(models: &[ModelId], reps: usize) -> StartTimes {
     const ROWS: usize = 116 * 4096;
     let store_cfg = StoreConfig {
@@ -370,9 +371,6 @@ fn time_start(models: &[ModelId], reps: usize) -> StartTimes {
     cfg.tuner = None;
     cfg.store = Some(store_cfg.clone());
     let profile_cfg = cfg.profile_config();
-    let (mut start, mut build, mut calibrate, mut pool) = (vec![], vec![], vec![], vec![]);
-    let (mut simulate, mut mem_events, mut ops) = (vec![], 0, 0);
-    let (mut heap_live, mut heap_peak, mut fc_param_bytes) = (0, 0, 0);
     let simulator_bytes = {
         let before = HEAP.live_bytes();
         let sim = profile_cfg.cpu_sim();
@@ -380,91 +378,107 @@ fn time_start(models: &[ModelId], reps: usize) -> StartTimes {
         drop(sim);
         bytes
     };
-    for _ in 0..reps {
+    let (mut heap_live, mut heap_peak, mut fc_param_bytes) = (0, 0, 0);
+    let start = sample(reps, || {
         let heap_before = HEAP.live_bytes();
         HEAP.reset_peak();
-        let clock = Instant::now();
-        let runtime = MultiServeRuntime::start(cfg.clone()).expect("runtime starts");
-        start.push(clock.elapsed().as_secs_f64());
+        let mut runtime = None;
+        let seconds = time(|| runtime = Some(MultiServeRuntime::start(cfg.clone())));
         heap_live = HEAP.live_bytes() - heap_before;
         heap_peak = HEAP.peak_bytes() - heap_before;
+        let runtime = runtime.expect("timed").expect("runtime starts");
         let channels = runtime.update_channels();
         fc_param_bytes = channels.iter().map(|c| c.fc_param_bytes()).sum();
-        drop((channels, runtime));
+        seconds
+    });
 
-        let store = Arc::new(EmbeddingStore::new(store_cfg.clone()));
-        let clock = Instant::now();
-        let built: Vec<_> = models
-            .iter()
-            .map(|id| id.build_with_store(ModelScale::Paper, SEED, Arc::clone(&store)))
-            .collect();
-        build.push(clock.elapsed().as_secs_f64());
-        let clock = Instant::now();
-        let mut sim = profile_cfg.cpu_sim();
-        let lanes = built.into_iter().map(|model| {
-            let mut model = model.expect("model builds");
-            LaneSpec {
-                curve: ModelProfile::calibrate_on(&mut model, &profile_cfg, &mut sim).cpu_curve,
-                built: model,
-            }
-        });
-        let mut lanes: Vec<LaneSpec> = lanes.collect();
-        calibrate.push(clock.elapsed().as_secs_f64());
+    // Each step's previous results are dropped off the clock.
+    let mut store = Arc::new(EmbeddingStore::new(store_cfg.clone()));
+    let mut built = Vec::new();
+    let build = sample(reps, || {
+        built.clear();
+        store = Arc::new(EmbeddingStore::new(store_cfg.clone()));
+        time(|| {
+            built = models
+                .iter()
+                .map(|id| id.build_with_store(ModelScale::Paper, SEED, Arc::clone(&store)))
+                .collect::<Result<_, _>>()
+                .expect("models build");
+        })
+    });
+    let mut curves = Vec::new();
+    let calibrate = sample(reps, || {
+        time(|| {
+            let mut sim = profile_cfg.cpu_sim();
+            let calibrate = |model| ModelProfile::calibrate_on(model, &profile_cfg, &mut sim);
+            curves = built
+                .iter_mut()
+                .map(calibrate)
+                .map(|p| p.cpu_curve)
+                .collect();
+            sim
+        })
+    });
 
-        // The runs `calibrate` just priced as they were traced, taken again
-        // and held, so that the simulator can be timed without the tracing.
-        let mut traces: Vec<RunTrace> = Vec::new();
-        for lane in &mut lanes {
-            let model = &mut lane.built;
-            let spec = model.spec().clone();
-            let mut gen = QueryGen::uniform(profile_cfg.seed);
-            for &batch in &profile_cfg.calibration_batches {
-                let inputs = gen.batch(&spec, batch);
-                traces.push(model.run_traced(inputs, batch).expect("trace runs").1);
-            }
+    // The runs `calibrate` just priced as they were traced, taken again
+    // and held, so that the simulator can be timed without the tracing.
+    let mut traces: Vec<RunTrace> = Vec::new();
+    for model in &mut built {
+        let spec = model.spec().clone();
+        let mut gen = QueryGen::uniform(profile_cfg.seed);
+        for &batch in &profile_cfg.calibration_batches {
+            let inputs = gen.batch(&spec, batch);
+            traces.push(model.run_traced(inputs, batch).expect("trace runs").1);
         }
-        let clock = Instant::now();
-        for trace in &traces {
-            sim.reset();
-            std::hint::black_box(sim.simulate(trace).seconds);
-        }
-        simulate.push(clock.elapsed().as_secs_f64());
-        let trace_ops = traces.iter().flat_map(|trace| &trace.ops);
-        mem_events = trace_ops.clone().map(|op| op.mem.events().len()).sum();
-        ops = trace_ops.count();
-        drop((traces, sim));
-        let clock = Instant::now();
-        let started = LanePool::start(PoolConfig {
-            lanes,
-            scale: ModelScale::Paper,
-            seed: SEED,
-            workers: 1,
-            worker_name: "sched-bench-start",
-            extra_workers: 0,
-            max_batch: cfg.max_batch,
-            max_wait: cfg.max_wait,
-            queue_capacity: cfg.queue_capacity,
-            delay_budget: cfg.delay_budget,
-            degrade: cfg.degrade,
-            store: Some(Arc::clone(&store)),
-            par_pool: drec_par::current(),
-            supervisor: Default::default(),
-            faults: drec_faultsim::FaultHook::disabled(),
-            placement: Arc::new(Inline),
-        });
-        pool.push(clock.elapsed().as_secs_f64());
-        drop(started.expect("pool starts"));
     }
-    let median = |mut v: Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
+    let mut sim = profile_cfg.cpu_sim();
+    let simulate = sample(reps, || {
+        time(|| {
+            for trace in &traces {
+                sim.reset();
+                std::hint::black_box(sim.simulate(trace).seconds);
+            }
+        })
+    });
+    let trace_ops = traces.iter().flat_map(|trace| &trace.ops);
+    let mem_events = trace_ops.clone().map(|op| op.mem.events().len()).sum();
+    let ops = trace_ops.count();
+    drop((traces, sim));
+
+    let pool = sample(reps, || {
+        let lanes = built.iter().zip(&curves).map(|(model, curve)| LaneSpec {
+            built: model.view(),
+            curve: curve.clone(),
+        });
+        let lanes = lanes.collect();
+        time(|| {
+            LanePool::start(PoolConfig {
+                lanes,
+                scale: ModelScale::Paper,
+                seed: SEED,
+                workers: 1,
+                worker_name: "sched-bench-start",
+                extra_workers: 0,
+                max_batch: cfg.max_batch,
+                max_wait: cfg.max_wait,
+                queue_capacity: cfg.queue_capacity,
+                delay_budget: cfg.delay_budget,
+                degrade: cfg.degrade,
+                store: Some(Arc::clone(&store)),
+                par_pool: drec_par::current(),
+                supervisor: Default::default(),
+                faults: drec_faultsim::FaultHook::disabled(),
+                placement: Arc::new(Inline),
+            })
+            .expect("pool starts")
+        })
+    });
     StartTimes {
-        start_s: median(start),
-        build_s: median(build),
-        calibrate_s: median(calibrate),
-        simulate_s: median(simulate),
-        pool_s: median(pool),
+        start_s: start.median,
+        build_s: build.median,
+        calibrate_s: calibrate.median,
+        simulate_s: simulate.median,
+        pool_s: pool.median,
         mem_events,
         ops,
         heap_live,
@@ -579,8 +593,10 @@ fn main() {
     // Co-location against isolation at equal worker count.
     // Both sides get 8 real worker threads and the identical seeded
     // workload; the accelerator is disabled here so the comparison is
-    // thread-for-thread fair (its worker is a real thread too). Each
-    // side drains the backlog TIMING_REPS times; best run scores.
+    // thread-for-thread fair (its worker is a real thread too). The two
+    // sides drain the backlog in alternation, so that ambient drift
+    // (cache state, other tenants of the core) hits both alike, each
+    // from a runtime started off the clock; the fastest drains score.
     let (total, producers) = match (smoke, quick) {
         (true, _) => (20_000, 4),
         (false, true) => (30_000, 6),
@@ -596,46 +612,26 @@ fn main() {
     );
     println!(
         "Driving 8 isolated single-worker pools vs the co-located scheduler \
-         (8 workers each, interleaved, best of {TIMING_REPS})..."
+         (8 workers each, alternating, fastest of {TIMING_REPS})..."
     );
-    // Interleave the reps so ambient machine drift (cache state, other
-    // tenants of the core) hits both sides symmetrically, and score the
-    // best matched pair: each rep runs isolated and co-located
-    // back-to-back, so their ratio cancels drift that a cross-rep
-    // comparison would misattribute to the scheduler.
-    let mut iso_elapsed = f64::INFINITY;
-    let mut colo_elapsed = f64::INFINITY;
-    let mut ratio = 0.0f64;
-    // An ambient-load burst (another tenant of a timeshared core) can
-    // depress one whole round of reps together; one retry round decouples
-    // the gate from a single bad measurement window.
-    for round in 0..2 {
-        for rep in 0..TIMING_REPS {
-            let iso = run_isolated(&workload, producers, &models);
-            let colo =
-                run_colocated(&workload, producers, colo_config(&models, 8, None), &models).0;
-            println!(
-                "  rep {rep}: isolated {:.0} qps, co-located {:.0} qps (ratio {:.2}x)",
-                total as f64 / iso,
-                total as f64 / colo,
-                iso / colo,
-            );
-            iso_elapsed = iso_elapsed.min(iso);
-            colo_elapsed = colo_elapsed.min(colo);
-            ratio = ratio.max(iso / colo);
-        }
-        if ratio >= 1.0 {
-            break;
-        }
-        if round == 0 {
-            println!("  best pair below 1.0x; rerunning one round (timeshared-host noise)...");
-        }
-    }
+    let (isolated, colocated) = paired(
+        TIMING_REPS,
+        || run_isolated(&workload, producers, &models),
+        || run_colocated(&workload, producers, colo_config(&models, 8, None), &models).0,
+    );
+    let (iso_elapsed, colo_elapsed) = (isolated.fastest, colocated.fastest);
+    let ratio = iso_elapsed / colo_elapsed;
     let iso_qps = total as f64 / iso_elapsed;
-    println!("  isolated best: {iso_qps:.0} qps ({iso_elapsed:.3}s)");
+    println!(
+        "  isolated fastest: {iso_qps:.0} qps ({iso_elapsed:.3}s; median {:.3}s)",
+        isolated.median
+    );
     let colo_qps = total as f64 / colo_elapsed;
-    println!("  co-located best: {colo_qps:.0} qps ({colo_elapsed:.3}s)");
-    println!("  aggregate throughput ratio (co-located / isolated, best pair): {ratio:.2}x");
+    println!(
+        "  co-located fastest: {colo_qps:.0} qps ({colo_elapsed:.3}s; median {:.3}s)",
+        colocated.median
+    );
+    println!("  aggregate throughput ratio (co-located / isolated, fastest runs): {ratio:.2}x");
 
     // SLO under load with the accelerator and tuner active,
     // recording every batch for bit-identity replay.
@@ -704,10 +700,12 @@ fn main() {
     };
     report.rows("models", &run.snapshot.models, model_row);
 
-    report.gate(
-        Gate::new("colocated_over_isolated_throughput", ratio, AtLeast(1.0))
-            .at(format!("best pair; {colo_qps:.0} vs {iso_qps:.0} qps")),
-    );
+    let at = format!("fastest runs; {colo_qps:.0} vs {iso_qps:.0} qps");
+    report.gate(Gate::timed(
+        "colocated_over_isolated_throughput",
+        AtLeast(1.0),
+        [Timed::new(colocated, ("the isolated pools", isolated), at)],
+    ));
     let by_p99 = |a: &&ModelChannelSnapshot, b: &&ModelChannelSnapshot| {
         a.p99_seconds.total_cmp(&b.p99_seconds)
     };

@@ -4,7 +4,7 @@
 use drec_analysis::Table;
 use drec_bench::BenchArgs;
 use drec_core::serving::serving_points;
-use drec_core::sweep::sweep_parallel;
+use drec_core::sweep::sweep;
 use drec_hwsim::Platform;
 use drec_models::ModelId;
 
@@ -12,7 +12,7 @@ fn main() {
     let args = BenchArgs::parse();
     let batches = args.batch_grid();
     let models = [ModelId::Rm1, ModelId::Rm3, ModelId::Din];
-    let result = sweep_parallel(
+    let result = sweep(
         &models,
         &batches,
         &Platform::all(),

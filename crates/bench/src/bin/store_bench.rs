@@ -43,10 +43,10 @@
 //!   read (same skip rule).
 
 use drec_bench::report::Limit::{AtLeast, AtMost};
-use drec_bench::report::{Gate, Json, Report};
+use drec_bench::report::{Gate, Json, Report, Timed};
+use drec_bench::timing::{paired, sample, time, Spread};
 use drec_bench::{output_bits, row};
 use std::sync::Arc;
-use std::time::Instant;
 
 use drec_models::{ModelId, ModelScale};
 use drec_par::ParPool;
@@ -79,6 +79,8 @@ const TIERED_SLOWDOWN_FLOOR: f64 = 5.0;
 /// With stream prefetch the mean lookup must stay within this factor of
 /// DRAM-only — i.e. prefetch genuinely hides the cold-read latency.
 const PREFETCH_SLOWDOWN_CEILING: f64 = 2.0;
+/// Timed passes of each side of the cold-decode comparison.
+const DECODE_REPEATS: usize = 5;
 /// Nominal DRAM lookup cost the tiered latency model charges against
 /// (the virtual-time baseline every tiered mean adds demand waits to).
 const NOMINAL_DRAM_NS: f64 = 100.0;
@@ -147,12 +149,12 @@ fn sweep_cell(
         pinned.sum_row(dist.sample(&mut rng, rows), &mut acc);
     }
     let baseline = store.stats();
-    let start = Instant::now();
-    for _ in 0..measure {
-        pinned.sum_row(dist.sample(&mut rng, rows), &mut acc);
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    std::hint::black_box(&acc);
+    let elapsed = time(|| {
+        for _ in 0..measure {
+            pinned.sum_row(dist.sample(&mut rng, rows), &mut acc);
+        }
+        acc[0]
+    });
     let delta = store.stats().since(&baseline);
     let totals = store.stats();
     println!(
@@ -178,10 +180,15 @@ fn sweep_cell(
 /// Cold-decode bandwidth: the store's dispatched pooled-sum path (cache
 /// disabled, so every lookup decodes from a shard) against a raw
 /// scalar-oracle loop over the same encoded bytes — the "what would this
-/// cost without the SIMD kernels" baseline. Also checks the store's
-/// vector/scalar decode counters account for exactly the measured
-/// lookups on the side matching the active backend.
-fn bench_decode_bandwidth(rows: usize, dim: usize, data: &[f32], lookups: usize) -> Vec<Json> {
+/// cost without the SIMD kernels" baseline — in alternating passes. Also
+/// checks the store's vector/scalar decode counters account for exactly
+/// the lookups of every pass on the side matching the active backend.
+fn bench_decode_bandwidth(
+    rows: usize,
+    dim: usize,
+    data: &[f32],
+    lookups: usize,
+) -> Vec<(Json, Timed)> {
     let mut state = 0xDEC0_u64;
     let ids: Vec<u32> = (0..lookups)
         .map(|_| {
@@ -191,10 +198,37 @@ fn bench_decode_bandwidth(rows: usize, dim: usize, data: &[f32], lookups: usize)
             (state % rows as u64) as u32
         })
         .collect();
-    let mut acc = vec![0.0f32; dim];
-    [RowEncoding::F32, RowEncoding::F16, RowEncoding::Int8]
+    let f16: Vec<u16> = data
+        .iter()
+        .map(|&v| drec_store::f32_to_f16_bits(v))
+        .collect();
+    let mut q = vec![0u8; rows * dim];
+    let (mut scale, mut bias) = (vec![0f32; rows], vec![0f32; rows]);
+    for r in 0..rows {
+        let span = r * dim..(r + 1) * dim;
+        (scale[r], bias[r]) = quantize_row(&data[span.clone()], &mut q[span]);
+    }
+    // The raw scalar-oracle row sum over each encoding's bytes.
+    type RowSum<'a> = Box<dyn Fn(usize, &mut [f32]) + 'a>;
+    let oracles: [(RowEncoding, RowSum); 3] = [
+        (
+            RowEncoding::F32,
+            Box::new(|r, acc| simd::scalar::sum_f32_into(&data[r * dim..(r + 1) * dim], acc)),
+        ),
+        (
+            RowEncoding::F16,
+            Box::new(|r, acc| simd::scalar::sum_f16_into(&f16[r * dim..(r + 1) * dim], acc)),
+        ),
+        (
+            RowEncoding::Int8,
+            Box::new(|r, acc| {
+                simd::scalar::sum_i8_into(&q[r * dim..(r + 1) * dim], scale[r], bias[r], acc)
+            }),
+        ),
+    ];
+    oracles
         .into_iter()
-        .map(|encoding| {
+        .map(|(encoding, oracle)| {
             let store = Arc::new(EmbeddingStore::new(StoreConfig {
                 encoding,
                 cache_capacity_rows: 0,
@@ -202,24 +236,30 @@ fn bench_decode_bandwidth(rows: usize, dim: usize, data: &[f32], lookups: usize)
             }));
             let handle = store.register(1, 0, rows, dim, data).expect("register");
             let pinned = store.pin(handle);
-            // Warm pass (page in the shards), then measure.
-            acc.fill(0.0);
-            for &id in &ids {
-                pinned.sum_row(id, &mut acc);
-            }
+            let (mut acc, mut acc_oracle) = (vec![0.0f32; dim], vec![0.0f32; dim]);
             let base = store.stats();
-            acc.fill(0.0);
-            let start = Instant::now();
-            for &id in &ids {
-                pinned.sum_row(id, &mut acc);
-            }
-            let store_seconds = start.elapsed().as_secs_f64();
-            std::hint::black_box(&acc);
+            let (stored, raw) = paired(
+                DECODE_REPEATS,
+                || {
+                    time(|| {
+                        acc.fill(0.0);
+                        ids.iter().for_each(|&id| pinned.sum_row(id, &mut acc));
+                        acc[0]
+                    })
+                },
+                || {
+                    time(|| {
+                        acc_oracle.fill(0.0);
+                        ids.iter().for_each(|&id| oracle(id as usize, &mut acc_oracle));
+                        acc_oracle[0]
+                    })
+                },
+            );
             let delta = store.stats().since(&base);
             let decoded = delta.decode_vector + delta.decode_scalar;
             assert_eq!(
                 decoded as usize,
-                ids.len(),
+                (DECODE_REPEATS + 1) * ids.len(),
                 "{encoding}: every cache-off lookup must tally exactly one decode"
             );
             let wrong_side = match simd::active_backend() {
@@ -230,75 +270,25 @@ fn bench_decode_bandwidth(rows: usize, dim: usize, data: &[f32], lookups: usize)
                 wrong_side, 0,
                 "{encoding}: decode counters disagree with the active backend ({delta:?})"
             );
-
-            // Raw scalar-oracle loop over the same encoded bytes.
-            let oracle_seconds = match encoding {
-                RowEncoding::F32 => {
-                    acc.fill(0.0);
-                    let start = Instant::now();
-                    for &id in &ids {
-                        let r = id as usize;
-                        simd::scalar::sum_f32_into(&data[r * dim..(r + 1) * dim], &mut acc);
-                    }
-                    start.elapsed().as_secs_f64()
-                }
-                RowEncoding::F16 => {
-                    let bits: Vec<u16> = data
-                        .iter()
-                        .map(|&v| drec_store::f32_to_f16_bits(v))
-                        .collect();
-                    acc.fill(0.0);
-                    let start = Instant::now();
-                    for &id in &ids {
-                        let r = id as usize;
-                        simd::scalar::sum_f16_into(&bits[r * dim..(r + 1) * dim], &mut acc);
-                    }
-                    start.elapsed().as_secs_f64()
-                }
-                RowEncoding::Int8 => {
-                    let mut q = vec![0u8; rows * dim];
-                    let mut scale = vec![0f32; rows];
-                    let mut bias = vec![0f32; rows];
-                    for r in 0..rows {
-                        let (s, b) = quantize_row(
-                            &data[r * dim..(r + 1) * dim],
-                            &mut q[r * dim..(r + 1) * dim],
-                        );
-                        scale[r] = s;
-                        bias[r] = b;
-                    }
-                    acc.fill(0.0);
-                    let start = Instant::now();
-                    for &id in &ids {
-                        let r = id as usize;
-                        simd::scalar::sum_i8_into(
-                            &q[r * dim..(r + 1) * dim],
-                            scale[r],
-                            bias[r],
-                            &mut acc,
-                        );
-                    }
-                    start.elapsed().as_secs_f64()
-                }
-            };
-            std::hint::black_box(&acc);
             let bytes = (ids.len() * encoding.bytes_per_row(dim)) as f64;
-            let (store_gb_s, oracle_gb_s) = (bytes / store_seconds / 1e9, bytes / oracle_seconds / 1e9);
+            let (store_gb_s, oracle_gb_s) = (bytes / stored.fastest / 1e9, bytes / raw.fastest / 1e9);
             println!(
                 "  {:<4} store {store_gb_s:.2} GB/s vs oracle {oracle_gb_s:.2} GB/s ({:.2}x); decodes: {} vector / {} scalar",
                 encoding.name(),
-                oracle_seconds / store_seconds,
+                raw.fastest / stored.fastest,
                 delta.decode_vector,
                 delta.decode_scalar
             );
-            row! {
+            let row = row! {
                 "encoding": encoding.name(),
                 "store_gb_per_s": store_gb_s,
                 "scalar_oracle_gb_per_s": oracle_gb_s,
-                "speedup": oracle_seconds / store_seconds,
+                "speedup": raw.fastest / stored.fastest,
                 "decode_vector": delta.decode_vector,
                 "decode_scalar": delta.decode_scalar,
-            }
+            };
+            let at = "store cold decode over the scalar oracle";
+            (row, Timed::new(stored, ("the scalar oracle", raw), at))
         })
         .collect()
 }
@@ -488,10 +478,10 @@ const READ_PATH_REPEATS: usize = 7;
 
 struct ReadPathRow {
     leg: &'static str,
-    /// Fastest and median repeat, ns per row, through one-row calls.
-    one_row_ns: (f64, f64),
+    /// Seconds per row through one-row calls.
+    one_row: Spread,
     /// The same through bags of [`BAG`].
-    bag_ns: (f64, f64),
+    bag: Spread,
 }
 
 /// What residency bookkeeping may cost per row of a bag, as a multiple
@@ -510,43 +500,15 @@ const RESIDENCY_CEILINGS: [(&str, f64); 4] = [
     ("tier_cold", 2.6),
 ];
 
-/// `Some(ns <= limit)` when that is resolved; `None` when `ns` is above
-/// the limit taken at the reference leg's fastest repeat but not at its
-/// median — a difference inside the reference's own run-to-run spread.
-fn within(ns: f64, (fastest, median): (f64, f64)) -> Option<bool> {
-    if ns <= fastest {
-        Some(true)
-    } else if ns <= median {
-        None
-    } else {
-        Some(false)
-    }
-}
-
 impl ReadPathRow {
     fn json(&self) -> Json {
         row! {
             "leg": self.leg,
-            "one_row_calls": self.one_row_ns.0,
-            "one_row_calls_median": self.one_row_ns.1,
-            "bag_of_120": self.bag_ns.0,
-            "bag_of_120_median": self.bag_ns.1,
-            "bag_no_slower": self.bag_no_slower(),
+            "one_row_calls": self.one_row.fastest * 1e9,
+            "one_row_calls_median": self.one_row.median * 1e9,
+            "bag_of_120": self.bag.fastest * 1e9,
+            "bag_of_120_median": self.bag.median * 1e9,
         }
-    }
-
-    /// Whether a bag costs no more per row than one-row calls.
-    fn bag_no_slower(&self) -> Option<bool> {
-        within(self.bag_ns.0, self.one_row_ns)
-    }
-
-    /// Whether a bag on this leg costs at most `ceiling` times a bag on
-    /// `base`.
-    fn bag_within(&self, ceiling: f64, base: &ReadPathRow) -> Option<bool> {
-        within(
-            self.bag_ns.0,
-            (ceiling * base.bag_ns.0, ceiling * base.bag_ns.1),
-        )
     }
 }
 
@@ -649,18 +611,15 @@ fn bench_read_path(tables: usize, rows: usize, dim: usize) -> Vec<ReadPathRow> {
                         }
                     }
                 }
+                acc[0]
             };
             pass(&mut acc); // warm: fills the cache / the tier
             let base = store.stats();
-            let mut ns: Vec<f64> = (0..READ_PATH_REPEATS)
-                .map(|_| {
-                    let start = Instant::now();
-                    pass(&mut acc);
-                    start.elapsed().as_secs_f64() * 1e9 / total as f64
-                })
-                .collect();
+            let per_row = sample(READ_PATH_REPEATS, || time(|| pass(&mut acc)) / total as f64);
             let delta = store.stats().since(&base);
-            assert_eq!(delta.lookups as usize, READ_PATH_REPEATS * total);
+            // The sample's own warm-up pass reads too.
+            let reads = (READ_PATH_REPEATS + 1) * total;
+            assert_eq!(delta.lookups as usize, reads);
             if cache_rows > 0 {
                 assert!(
                     (delta.hit_rate() - cache_hits).abs() <= 0.01,
@@ -669,7 +628,7 @@ fn bench_read_path(tables: usize, rows: usize, dim: usize) -> Vec<ReadPathRow> {
             }
             if tier.is_some() {
                 let accesses = delta.tier_dram_hits + delta.tier_cold_demand_reads;
-                assert_eq!(accesses as usize, READ_PATH_REPEATS * total);
+                assert_eq!(accesses as usize, reads);
                 let share = delta.tier_dram_hits as f64 / accesses as f64;
                 match dram_hits {
                     Some(expected) => assert_eq!(share, expected, "{leg}: {delta:?}"),
@@ -678,16 +637,14 @@ fn bench_read_path(tables: usize, rows: usize, dim: usize) -> Vec<ReadPathRow> {
                     None => assert!((0.5..0.95).contains(&share), "{leg}: {delta:?}"),
                 }
             }
-            ns.sort_by(f64::total_cmp);
-            (ns[0], ns[READ_PATH_REPEATS / 2])
+            per_row
         };
         out.push(ReadPathRow {
             leg,
-            one_row_ns: cell(false),
-            bag_ns: cell(true),
+            one_row: cell(false),
+            bag: cell(true),
         });
     }
-    std::hint::black_box(&acc);
     out
 }
 
@@ -751,15 +708,16 @@ fn main() {
         "Read-path cost ({path_tables} int8 tables x {path_rows} rows x dim {path_dim}, fastest of {READ_PATH_REPEATS} passes, ns/row):"
     );
     let read_path = bench_read_path(path_tables, path_rows, path_dim);
+    let ns = |s: f64| s * 1e9;
     for r in &read_path {
         println!(
             "  {:<10} one-row calls {:>6.1} (median {:>6.1})   bag of {BAG} {:>6.1} (median {:>6.1})   bag/one-row {:.2}",
             r.leg,
-            r.one_row_ns.0,
-            r.one_row_ns.1,
-            r.bag_ns.0,
-            r.bag_ns.1,
-            r.bag_ns.0 / r.one_row_ns.0
+            ns(r.one_row.fastest),
+            ns(r.one_row.median),
+            ns(r.bag.fastest),
+            ns(r.bag.median),
+            r.bag.fastest / r.one_row.fastest
         );
     }
 
@@ -798,14 +756,16 @@ fn main() {
         )
         .at("int8, 10% cache, Zipf s=1.0"),
     );
-    let int8_decode = decode.iter().find(int8).expect("int8 decode row present");
+    let int8_decode = decode
+        .iter()
+        .filter(|(r, _)| int8(&r))
+        .map(|(_, t)| t.clone());
     report.gate(
-        Gate::new(
+        Gate::timed(
             "int8_decode_speedup",
-            int8_decode.num("speedup"),
             AtLeast(DECODE_SPEEDUP_GATE),
+            int8_decode,
         )
-        .at("store cold decode over the scalar oracle")
         .skip_if((simd::active_backend() != KernelBackend::Avx2Fma).then(|| {
             format!(
                 "kernel backend is {}: no vector path to gate",
@@ -855,24 +815,18 @@ fn main() {
         .at("mean lookup with prefetch over DRAM-only"),
     );
     // Read-path gates: a bag may not cost more per row than one-row calls.
-    let in_spread = |resolved: Option<bool>, whose: &str| {
-        resolved.is_none().then(|| {
-            format!("over the limit at {whose} fastest repeat but not at its median, inside its run-to-run spread")
-        })
-    };
     for r in &read_path {
-        report.gate(
-            Gate::new(
-                format!("{}_bag_over_one_row", r.leg),
-                r.bag_ns.0 / r.one_row_ns.0,
-                AtMost(1.0),
-            )
-            .at(format!(
-                "bag of {BAG} {:.1} ns/row, one-row calls {:.1} (median {:.1})",
-                r.bag_ns.0, r.one_row_ns.0, r.one_row_ns.1
-            ))
-            .skip_if(in_spread(r.bag_no_slower(), "the one-row calls'")),
+        let at = format!(
+            "bag of {BAG} {:.1} ns/row, one-row calls {:.1} (median {:.1})",
+            ns(r.bag.fastest),
+            ns(r.one_row.fastest),
+            ns(r.one_row.median)
         );
+        report.gate(Gate::timed(
+            format!("{}_bag_over_one_row", r.leg),
+            AtMost(1.0),
+            [Timed::new(r.bag, ("the one-row call", r.one_row), at)],
+        ));
     }
     // Residency gates: the key set and the tier sit in front of every
     // read, so a probe, an insert or a tier access may cost only so
@@ -884,18 +838,17 @@ fn main() {
     let base = path_leg("no_cache");
     for (leg, ceiling) in RESIDENCY_CEILINGS {
         let hot = path_leg(leg);
-        report.gate(
-            Gate::new(
-                format!("{leg}_over_no_cache"),
-                hot.bag_ns.0 / base.bag_ns.0,
-                AtMost(ceiling),
-            )
-            .at(format!(
-                "{:.1} ns/row vs no_cache {:.1} (median {:.1})",
-                hot.bag_ns.0, base.bag_ns.0, base.bag_ns.1
-            ))
-            .skip_if(in_spread(hot.bag_within(ceiling, base), "no_cache's")),
+        let at = format!(
+            "{:.1} ns/row vs no_cache {:.1} (median {:.1})",
+            ns(hot.bag.fastest),
+            ns(base.bag.fastest),
+            ns(base.bag.median)
         );
+        report.gate(Gate::timed(
+            format!("{leg}_over_no_cache"),
+            AtMost(ceiling),
+            [Timed::new(hot.bag, ("no_cache", base.bag), at)],
+        ));
     }
 
     report.section("model_scale", format!("{scale:?}"));
@@ -903,6 +856,7 @@ fn main() {
     report.section("f32_bit_identity", identity);
     report.section("identity_run_hit_rate", identity_hit_rate);
     report.section("cache_sweep", sweep);
+    let decode: Vec<Json> = decode.into_iter().map(|(row, _)| row).collect();
     report.section("decode_bandwidth", decode);
     report.section("dequant_error", errors);
     report.section("tiered", tiered);

@@ -107,58 +107,77 @@ impl Default for BenchArgs {
     }
 }
 
-/// Minimal wall-clock benchmark runner used by the `benches/` targets.
-///
-/// Criterion is unavailable in the offline build environment, so the bench
-/// targets (`harness = false`) time closures directly: warm up briefly,
-/// then run until a time budget or iteration cap is hit and report
-/// min/median/mean per iteration.
+/// The one way a bench takes wall-clock time: [`time`](timing::time)
+/// reads the clock around one call, and [`paired`](timing::paired) repeats
+/// two calls alternately, so that both sides of a ratio see the same host
+/// ([`sample`](timing::sample): one), into a [`Spread`](timing::Spread)
+/// each, which [`Gate::timed`](report::Gate::timed) judges. Each repeated
+/// call returns what it measured with `time`, so it can prepare what it
+/// times off the clock. Criterion is unavailable offline; the `benches/`
+/// targets use [`bench`](timing::bench).
 pub mod timing {
-    use std::time::{Duration, Instant};
+    use std::time::Instant;
 
-    /// Runs and reports one named benchmark.
-    pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) {
-        // Warm-up: a few iterations so lazily-initialised state settles.
-        let warm_start = Instant::now();
-        let mut warm_iters = 0u32;
-        while warm_iters < 3
-            || (warm_start.elapsed() < Duration::from_millis(50) && warm_iters < 50)
-        {
-            std::hint::black_box(f());
-            warm_iters += 1;
-        }
+    /// The fastest and the median of a set of timed calls, in the unit
+    /// the calls returned: seconds, or seconds per row, per product.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct Spread {
+        pub fastest: f64,
+        pub median: f64,
+    }
 
-        let budget = Duration::from_millis(500);
+    /// Seconds one call of `f` takes. What it returns is dropped after
+    /// the clock stops.
+    pub fn time<T>(f: impl FnOnce() -> T) -> f64 {
         let start = Instant::now();
-        let mut samples_ns: Vec<u128> = Vec::new();
-        while start.elapsed() < budget && samples_ns.len() < 1_000 {
-            let t0 = Instant::now();
-            std::hint::black_box(f());
-            samples_ns.push(t0.elapsed().as_nanos());
-        }
-        samples_ns.sort_unstable();
-        let min = samples_ns[0];
-        let median = samples_ns[samples_ns.len() / 2];
-        let mean = samples_ns.iter().sum::<u128>() / samples_ns.len() as u128;
+        let out = std::hint::black_box(f());
+        let seconds = start.elapsed().as_secs_f64();
+        drop(out);
+        seconds
+    }
+
+    /// One untimed warm-up call of `lap`, then `n` (at least one) whose
+    /// readings are kept: the seconds it measured with [`time`], or those
+    /// divided by the rows or products it timed.
+    pub fn sample(n: usize, lap: impl FnMut() -> f64) -> Spread {
+        paired(n, lap, || 0.0).0
+    }
+
+    /// [`sample`] of `a` and `b` at once, their calls alternating.
+    pub fn paired(
+        n: usize,
+        mut a: impl FnMut() -> f64,
+        mut b: impl FnMut() -> f64,
+    ) -> (Spread, Spread) {
+        a(); // the warm-up
+        b();
+        let (a, b): (Vec<_>, Vec<_>) = (0..n.max(1)).map(|_| (a(), b())).unzip();
+        let spread = |mut laps: Vec<f64>| {
+            laps.sort_by(f64::total_cmp);
+            let (fastest, median) = (laps[0], laps[laps.len() / 2]);
+            Spread { fastest, median }
+        };
+        (spread(a), spread(b))
+    }
+
+    /// Runs and reports one named benchmark: about half a second of calls
+    /// (at most 1 000), sized by the first.
+    pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) {
+        let once = time(&mut f);
+        let n = (0.5 / once).clamp(1.0, 1_000.0) as usize;
+        let spread = sample(n, || time(&mut f));
         println!(
-            "{name:<40} {:>5} iters  min {}  median {}  mean {}",
-            samples_ns.len(),
-            fmt_ns(min),
-            fmt_ns(median),
-            fmt_ns(mean)
+            "{name:<40} {n:>5} iters  fastest {}  median {}",
+            fmt_secs(spread.fastest),
+            fmt_secs(spread.median)
         );
     }
 
-    fn fmt_ns(ns: u128) -> String {
-        if ns >= 1_000_000_000 {
-            format!("{:.2} s", ns as f64 / 1e9)
-        } else if ns >= 1_000_000 {
-            format!("{:.2} ms", ns as f64 / 1e6)
-        } else if ns >= 1_000 {
-            format!("{:.2} µs", ns as f64 / 1e3)
-        } else {
-            format!("{ns} ns")
-        }
+    /// Seconds in the unit that suits them.
+    pub fn fmt_secs(s: f64) -> String {
+        let mut units = [(1.0, "s"), (1e-3, "ms"), (1e-6, "µs")].into_iter();
+        let (scale, unit) = units.find(|&(scale, _)| s >= scale).unwrap_or((1e-9, "ns"));
+        format!("{:.2} {unit}", s / scale)
     }
 }
 
@@ -237,7 +256,9 @@ pub fn second_core_throughput() -> f64 {
 /// sections, named gates and the `BENCH_*.json` file (shape in the crate
 /// docs).
 pub mod report {
+    use super::timing::{fmt_secs, Spread};
     use super::{json_f64, second_core_throughput, ModelScale};
+    use std::cmp::Ordering;
     use std::io::Write;
     use std::path::Path;
 
@@ -520,6 +541,82 @@ pub mod report {
         Equal(f64),
     }
 
+    impl Limit {
+        /// The limit, the sign it is held with, and whether `measured`
+        /// holds. A NaN measurement never does.
+        fn judge(self, measured: f64) -> (f64, &'static str, bool) {
+            match self {
+                Limit::AtLeast(limit) => (limit, ">=", measured >= limit),
+                Limit::AtMost(limit) => (limit, "<=", measured <= limit),
+                Limit::Equal(limit) => (limit, "==", measured == limit),
+            }
+        }
+    }
+
+    /// One comparison a wall-clock gate can be judged at: the side under
+    /// test against the side it is held to, each a [`Spread`].
+    #[derive(Debug, Clone)]
+    pub struct Timed {
+        measured: Spread,
+        /// Whose time the reference is.
+        whose: String,
+        reference: Spread,
+        /// The gate's `where` at this comparison.
+        at: String,
+    }
+
+    impl Timed {
+        /// `measured` held against `reference`, the time of `whose`. The
+        /// gate's value is `measured / reference` under an `AtMost` limit
+        /// and the speedup `reference / measured` under `AtLeast`.
+        pub fn new(
+            measured: Spread,
+            (whose, reference): (impl Into<String>, Spread),
+            at: impl Into<String>,
+        ) -> Timed {
+            let (whose, at) = (whose.into(), at.into());
+            Timed {
+                measured,
+                whose,
+                reference,
+                at,
+            }
+        }
+
+        /// `measured` held against an `AtMost` limit in its own unit: a
+        /// reference of one unit that does not vary, so it never skips.
+        pub fn alone(measured: Spread, at: impl Into<String>) -> Timed {
+            let one = Spread {
+                fastest: 1.0,
+                median: 1.0,
+            };
+            Timed::new(measured, ("", one), at)
+        }
+
+        /// The gate's value at both sides' fastest runs, whether it holds
+        /// there, and whether it holds there or with the reference at its
+        /// median (never under `Equal`).
+        fn judge(&self, limit: Limit) -> (f64, bool, bool) {
+            let value = |reference: f64| match limit {
+                Limit::AtLeast(_) => reference / self.measured.fastest,
+                _ => self.measured.fastest / reference,
+            };
+            let fastest = value(self.reference.fastest);
+            let holds = limit.judge(fastest).2;
+            let equal = matches!(limit, Limit::Equal(_));
+            let lenient = !equal && limit.judge(value(self.reference.median)).2;
+            (fastest, holds, holds || lenient)
+        }
+
+        /// Worst read last: a miss even at the reference's median, then
+        /// by how much slower the measured side is (which puts a miss at
+        /// the fastest runs after every comparison that holds there).
+        fn rank(&self, limit: Limit) -> (bool, f64) {
+            let lenient = self.judge(limit).2;
+            (!lenient, self.measured.fastest / self.reference.fastest)
+        }
+    }
+
     /// One named acceptance check: a measured value, the limit it is held
     /// to, and where the value was read — or why it cannot be judged here.
     #[derive(Debug, Clone)]
@@ -565,26 +662,44 @@ pub mod report {
             self
         }
 
-        /// Marks the gate as not judged when there is a reason.
-        pub fn skip_if(mut self, reason: Option<String>) -> Self {
-            self.skipped = reason;
-            self
+        /// The one rule for a wall-clock gate: every comparison in `pairs`
+        /// must hold, and the gate is judged at the one that reads worst.
+        /// It is measured at the two sides' fastest runs; one that misses
+        /// there but holds with the reference at its median reads
+        /// `skipped: inside <reference>'s run-to-run spread (<fastest>–<median>)`,
+        /// anything else that misses `FAILED`. No comparisons: NaN.
+        pub fn timed(
+            name: impl Into<String>,
+            limit: Limit,
+            pairs: impl IntoIterator<Item = Timed>,
+        ) -> Self {
+            let order = |a: &Timed, b: &Timed| a.rank(limit).partial_cmp(&b.rank(limit));
+            let worst = pairs
+                .into_iter()
+                .max_by(|a, b| order(a, b).unwrap_or(Ordering::Equal));
+            let Some(pair) = worst else {
+                return Gate::new(name, f64::NAN, limit);
+            };
+            let (value, holds, lenient) = pair.judge(limit);
+            let (whose, spread) = (pair.whose, pair.reference);
+            let skipped = (lenient && !holds).then(|| {
+                let (fastest, median) = (fmt_secs(spread.fastest), fmt_secs(spread.median));
+                format!("inside {whose}'s run-to-run spread ({fastest}–{median})")
+            });
+            Gate::new(name, value, limit).at(pair.at).skip_if(skipped)
         }
 
-        /// The limit, the sign it is held with, and whether it holds. A NaN
-        /// measurement never does.
-        fn judge(&self) -> (f64, &'static str, bool) {
-            match self.limit {
-                Limit::AtLeast(limit) => (limit, ">=", self.measured >= limit),
-                Limit::AtMost(limit) => (limit, "<=", self.measured <= limit),
-                Limit::Equal(limit) => (limit, "==", self.measured == limit),
-            }
+        /// Marks the gate as not judged when there is a reason; a host or
+        /// mode reason replaces a run-to-run one.
+        pub fn skip_if(mut self, reason: Option<String>) -> Self {
+            self.skipped = reason.or(self.skipped);
+            self
         }
 
         /// `"ok"`, `"FAILED: <measured> vs <limit> at <where>"` or
         /// `"skipped: <reason>"`.
         pub fn verdict(&self) -> String {
-            let (limit, _, holds) = self.judge();
+            let (limit, _, holds) = self.limit.judge(self.measured);
             match &self.skipped {
                 Some(reason) => format!("skipped: {reason}"),
                 None if holds => "ok".to_string(),
@@ -599,7 +714,7 @@ pub mod report {
 
         /// The line `finish` prints for this gate.
         fn line(&self) -> String {
-            let (limit, sign, _) = self.judge();
+            let (limit, sign, _) = self.limit.judge(self.measured);
             let at = match self.at.as_str() {
                 "" => String::new(),
                 at => format!(" ({at})"),
@@ -710,7 +825,7 @@ pub mod report {
                 (
                     "gates".to_string(),
                     gate_json(|g| {
-                        row! {"verdict": g.verdict(), "measured": g.measured, "limit": g.judge().0, "where": g.at.as_str()}
+                        row! {"verdict": g.verdict(), "measured": g.measured, "limit": g.limit.judge(g.measured).0, "where": g.at.as_str()}
                     }),
                 ),
             ];
@@ -780,8 +895,9 @@ pub mod report {
 
 #[cfg(test)]
 mod tests {
-    use super::report::Limit::{AtLeast, AtMost, Equal};
-    use super::report::{Flags, Gate, Host, Json, Report};
+    use super::report::Limit::{self, AtLeast, AtMost, Equal};
+    use super::report::{Flags, Gate, Host, Json, Report, Timed};
+    use super::timing::Spread;
     use super::*;
     use std::path::PathBuf;
 
@@ -881,6 +997,99 @@ mod tests {
             Gate::all("g", &rows[..1], |r| r.1, |r| r.0.to_string()).verdict(),
             "ok"
         );
+    }
+
+    fn spread(fastest: f64, median: f64) -> Spread {
+        Spread { fastest, median }
+    }
+
+    /// The verdict of a one-comparison wall-clock gate, against a
+    /// reference that ran in 10–12 ns.
+    fn timed_verdict(limit: Limit, measured: Spread) -> String {
+        let reference = ("ref", spread(10e-9, 12e-9));
+        Gate::timed("g", limit, [Timed::new(measured, reference, "here")]).verdict()
+    }
+
+    #[test]
+    fn a_miss_inside_the_references_spread_is_skipped() {
+        let skipped = "skipped: inside ref's run-to-run spread (10.00 ns–12.00 ns)";
+        // measured / reference <= 1.1: 1.05; 1.2 at the fastest reference
+        // but 1.0 at its median; 1.4 and 1.17.
+        assert_eq!(timed_verdict(AtMost(1.1), spread(10.5e-9, 11e-9)), "ok");
+        assert_eq!(timed_verdict(AtMost(1.1), spread(12e-9, 13e-9)), skipped);
+        let missed = timed_verdict(AtMost(1.1), spread(14e-9, 14e-9));
+        assert_eq!(missed, "FAILED: 1.4000 vs 1.1000 at here");
+        // reference / measured >= 2: 2.5; 1.82 but 2.18; 1.43 and 1.71.
+        assert_eq!(timed_verdict(AtLeast(2.0), spread(4e-9, 9e-9)), "ok");
+        assert_eq!(timed_verdict(AtLeast(2.0), spread(5.5e-9, 6e-9)), skipped);
+        let missed = timed_verdict(AtLeast(2.0), spread(7e-9, 7e-9));
+        assert!(
+            missed.starts_with("FAILED: 1.4286 vs 2 at here"),
+            "{missed}"
+        );
+    }
+
+    #[test]
+    fn what_the_spread_rule_never_skips() {
+        for limit in [AtMost(1.1), AtLeast(2.0)] {
+            let nan = timed_verdict(limit, spread(f64::NAN, f64::NAN));
+            assert!(nan.starts_with("FAILED: NaN"), "{nan}");
+        }
+        // 1.2 at the fastest reference, exactly 1 at its median.
+        assert!(timed_verdict(Equal(1.0), spread(12e-9, 12e-9)).starts_with("FAILED"));
+        let one_sample = ("ref", spread(10e-9, 10e-9));
+        let gate = Gate::timed(
+            "g",
+            AtMost(1.1),
+            [Timed::new(spread(12e-9, 13e-9), one_sample, "")],
+        );
+        assert!(gate.verdict().starts_with("FAILED"));
+        let alone = Gate::timed("g", AtMost(25.0), [Timed::alone(spread(26.0, 30.0), "")]);
+        assert!(alone.verdict().starts_with("FAILED"));
+    }
+
+    #[test]
+    fn a_timed_gate_reads_its_worst_comparison() {
+        let pair = |ns: f64, reference: Spread, at: &str| {
+            Timed::new(spread(ns * 1e-9, ns * 1e-9), ("ref", reference), at)
+        };
+        // Under AtMost(1.1): holds; 1.3 but inside the spread; 1.2 and a
+        // miss, which outranks the larger ratio inside the spread.
+        let ok = pair(10.0, spread(10e-9, 12e-9), "ok");
+        let inside = pair(13.0, spread(10e-9, 14e-9), "inside");
+        let miss = pair(12.0, spread(10e-9, 10e-9), "miss");
+        let gate = |pairs: &[&Timed]| {
+            let gate = Gate::timed("g", AtMost(1.1), pairs.iter().map(|&p| p.clone()));
+            (gate.at.clone(), gate.verdict())
+        };
+        let (at, verdict) = gate(&[&ok, &inside]);
+        assert_eq!((at.as_str(), &verdict[..8]), ("inside", "skipped:"));
+        let (at, verdict) = gate(&[&inside, &miss, &ok]);
+        assert_eq!((at.as_str(), &verdict[..7]), ("miss", "FAILED:"));
+        assert_eq!(gate(&[&ok]).1, "ok");
+        assert!(gate(&[]).1.starts_with("FAILED: NaN"));
+        // A host reason replaces the spread's; no reason keeps it.
+        let inside = || Gate::timed("g", AtMost(1.1), [inside.clone()]);
+        assert_eq!(
+            inside().skip_if(Some("one core".into())).verdict(),
+            "skipped: one core"
+        );
+        assert!(inside().skip_if(None).verdict().contains("spread"));
+    }
+
+    #[test]
+    fn sample_and_paired_keep_the_fastest_and_the_median() {
+        let mut laps = [5.0, 1.0, 4.0, 2.0, 3.0, 9.0].into_iter();
+        // The first lap is the warm-up.
+        let s = timing::sample(5, || laps.next().expect("six laps"));
+        assert_eq!(s, spread(1.0, 3.0));
+        let (mut a, mut b) = (
+            [9.0, 3.0, 1.0, 2.0].into_iter(),
+            [0.0, 6.0, 4.0, 5.0].into_iter(),
+        );
+        let (a, b) = timing::paired(3, || a.next().expect("a"), || b.next().expect("b"));
+        assert_eq!((a, b), (spread(1.0, 2.0), spread(4.0, 5.0)));
+        assert_eq!(timing::fmt_secs(12e-9), "12.00 ns");
     }
 
     #[test]

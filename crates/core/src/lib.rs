@@ -45,4 +45,4 @@ pub mod sweep;
 
 pub use characterize::{CharacterizationReport, Characterizer};
 pub use options::CharacterizeOptions;
-pub use sweep::{sweep_parallel, OptimalCell, SweepCell, SweepResult, PAPER_BATCH_GRID};
+pub use sweep::{OptimalCell, SweepCell, SweepResult, PAPER_BATCH_GRID};

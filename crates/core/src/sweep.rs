@@ -5,7 +5,7 @@ use drec_graph::GraphError;
 use drec_hwsim::Platform;
 use drec_models::{ModelId, ModelScale};
 
-use crate::{CharacterizationReport, CharacterizeOptions, Characterizer};
+use crate::{CharacterizeOptions, Characterizer};
 
 /// The batch sizes the paper sweeps (1 to 16384).
 pub const PAPER_BATCH_GRID: [usize; 8] = [1, 4, 16, 64, 256, 1024, 4096, 16384];
@@ -102,11 +102,13 @@ impl SweepResult {
 }
 
 /// Sweeps `models` × `batches` × `platforms`, sharing one functional trace
-/// per (model, batch) across all platforms.
+/// per (model, batch) across all platforms. Each model runs on its own OS
+/// thread; generation seeds depend only on `(model, batch)`, so the cells
+/// come out in `models` order and do not depend on the threads.
 ///
 /// # Errors
 ///
-/// Propagates model build/execution errors.
+/// Propagates the first model's build/execution error, in `models` order.
 pub fn sweep(
     models: &[ModelId],
     batches: &[usize],
@@ -114,83 +116,36 @@ pub fn sweep(
     scale: ModelScale,
     opts: CharacterizeOptions,
 ) -> Result<SweepResult, GraphError> {
-    let mut result = SweepResult::default();
-    let characterizer = Characterizer::new(opts);
-    for &model_id in models {
+    let model_cells = |model_id: ModelId| -> Result<Vec<SweepCell>, GraphError> {
+        let characterizer = Characterizer::new(opts);
         let mut model = model_id.build(scale, opts.seed)?;
+        let mut cells = Vec::new();
         for &batch in batches {
             let trace = characterizer.trace(&mut model, batch)?;
             for platform in platforms {
-                let report: CharacterizationReport =
-                    characterizer.report_from_trace(model_id.name(), &trace, platform);
-                result.cells.push(SweepCell {
+                let report = characterizer.report_from_trace(model_id.name(), &trace, platform);
+                cells.push(SweepCell {
                     model: model_id,
                     batch,
                     platform: report.platform.clone(),
                     seconds: report.latency_seconds,
-                    data_comm_fraction: report.gpu.as_ref().map(GpuDataComm::fraction),
+                    data_comm_fraction: report.gpu.as_ref().map(|gpu| gpu.data_comm_fraction()),
                 });
             }
         }
-    }
-    Ok(result)
-}
-
-/// Small helper trait-object-free accessor (keeps the closure above tidy).
-struct GpuDataComm;
-
-impl GpuDataComm {
-    fn fraction(gpu: &drec_hwsim::GpuCounters) -> f64 {
-        gpu.data_comm_fraction()
-    }
-}
-
-/// Like [`sweep`], but runs each model on its own OS thread. Results are
-/// identical to the sequential sweep (generation seeds depend only on
-/// `(model, batch)`), just faster on multi-core hosts.
-///
-/// # Errors
-///
-/// Propagates the first model's build/execution error encountered.
-pub fn sweep_parallel(
-    models: &[ModelId],
-    batches: &[usize],
-    platforms: &[Platform],
-    scale: ModelScale,
-    opts: CharacterizeOptions,
-) -> Result<SweepResult, GraphError> {
-    let mut result = SweepResult::default();
-    let outcomes: Vec<Result<Vec<SweepCell>, GraphError>> = std::thread::scope(|scope| {
+        Ok(cells)
+    };
+    let outcomes: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = models
             .iter()
-            .map(|&model_id| {
-                scope.spawn(move || {
-                    let characterizer = Characterizer::new(opts);
-                    let mut model = model_id.build(scale, opts.seed)?;
-                    let mut cells = Vec::new();
-                    for &batch in batches {
-                        let trace = characterizer.trace(&mut model, batch)?;
-                        for platform in platforms {
-                            let report =
-                                characterizer.report_from_trace(model_id.name(), &trace, platform);
-                            cells.push(SweepCell {
-                                model: model_id,
-                                batch,
-                                platform: report.platform.clone(),
-                                seconds: report.latency_seconds,
-                                data_comm_fraction: report.gpu.as_ref().map(GpuDataComm::fraction),
-                            });
-                        }
-                    }
-                    Ok(cells)
-                })
-            })
+            .map(|&model_id| scope.spawn(move || model_cells(model_id)))
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("sweep worker panicked"))
             .collect()
     });
+    let mut result = SweepResult::default();
     for outcome in outcomes {
         result.cells.extend(outcome?);
     }
@@ -222,28 +177,6 @@ mod tests {
             .unwrap()
             .data_comm_fraction
             .is_some());
-    }
-
-    #[test]
-    fn parallel_sweep_matches_sequential() {
-        let models = [ModelId::Ncf, ModelId::Rm1, ModelId::Dien];
-        let batches = [1usize, 8];
-        let platforms = Platform::all();
-        let opts = CharacterizeOptions::fast();
-        let seq = sweep(&models, &batches, &platforms, ModelScale::Tiny, opts).unwrap();
-        let par = sweep_parallel(&models, &batches, &platforms, ModelScale::Tiny, opts).unwrap();
-        assert_eq!(seq.cells.len(), par.cells.len());
-        for cell in &seq.cells {
-            let twin = par
-                .get(cell.model, cell.batch, &cell.platform)
-                .expect("cell present in parallel result");
-            assert!(
-                (twin.seconds - cell.seconds).abs() < 1e-12,
-                "{:?} vs {:?}",
-                twin,
-                cell
-            );
-        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use deeprec::core::fleet::{simulate_fleet, DispatchPolicy, Engine, FleetSimConfig};
 use deeprec::core::serving::{best_server, serving_points, LatencyCurve};
-use deeprec::core::sweep::sweep_parallel;
+use deeprec::core::sweep::sweep;
 use deeprec::core::{CharacterizeOptions, Characterizer};
 use deeprec::hwsim::{energy, Platform, PlatformReport};
 use deeprec::models::{ModelId, ModelScale};
@@ -13,7 +13,7 @@ use deeprec::workload::QueryGen;
 
 #[test]
 fn serving_analysis_over_a_real_sweep() {
-    let result = sweep_parallel(
+    let result = sweep(
         &[ModelId::Rm1],
         &[1, 16, 256],
         &Platform::all(),
@@ -36,7 +36,7 @@ fn serving_analysis_over_a_real_sweep() {
 fn serving_runtime_executes_sweep_backed_traffic() {
     // The modelled curve from a real sweep prices the runtime's admission
     // control, closing the loop between analytics and execution.
-    let result = sweep_parallel(
+    let result = sweep(
         &[ModelId::Rm1],
         &[1, 16, 256],
         &Platform::all(),
@@ -69,7 +69,7 @@ fn serving_runtime_executes_sweep_backed_traffic() {
 
 #[test]
 fn fleet_scheduler_runs_on_real_latency_curves() {
-    let result = sweep_parallel(
+    let result = sweep(
         &[ModelId::Ncf],
         &[1, 16, 256],
         &Platform::all(),
