@@ -100,18 +100,22 @@ const TIMING_REPS: usize = 5;
 const CALIBRATION_MEM_EVENTS: f64 = 1_985_927.0;
 const CALIBRATION_OPS: f64 = 3_230.0;
 /// Ceiling on the heap a cold start of the same eight models leaves live,
-/// MiB: the reading, 68.7 (it repeats to 0.1), plus 5 %. It read 75.7
-/// while each of the eight lanes' queues allocated a ring of 8 192 slots
-/// for its capacity of 4 096, and 109.6 while the update channels kept a
-/// second copy of every FC set (33.9).
-const HEAP_LIVE_AFTER_START_MB: f64 = 72.1;
+/// MiB: the reading, 64.2 (it repeats to 0.1), plus 5 %. It read 68.8
+/// while the tier kept 12 bytes per row and 16 per budget slot, and each
+/// served engine's arena kept the activation buffers of its calibration
+/// runs; 75.7 while each of the eight lanes' queues allocated a ring of
+/// 8 192 slots for its capacity of 4 096, and 109.6 while the update
+/// channels kept a second copy of every FC set (33.9).
+const HEAP_LIVE_AFTER_START_MB: f64 = 67.4;
 /// The heap the same cold start holds at its peak when one thread
-/// calibrates, MiB: 77.7 on one core (it repeats to 0.1). Each further
+/// calibrates, MiB: 73.9 on one core (it repeats to 0.1). Each further
 /// calibrating thread holds one simulator more, so the ceiling is this
 /// plus one simulator per further thread, plus 5 %. Two threads read
-/// 82.5–83.3 here (ceiling 87.0); 87.8–88.7, and 79.9 on one core, while
-/// each calibration run held its whole trace and a fresh `CpuSim`.
-const HEAP_PEAK_ONE_CALIBRATING_THREAD_MB: f64 = 77.7;
+/// 77.1–79.8 here (ceiling 83.1); 77.7 on one core and 82.5–83.3 on two
+/// before the tier's records and slots were packed and calibration ran
+/// on a view; 87.8–88.7, and 79.9 on one core, while each calibration run
+/// held its whole trace and a fresh `CpuSim`.
+const HEAP_PEAK_ONE_CALIBRATING_THREAD_MB: f64 = 73.9;
 
 /// Xorshift64* — the workload's model-popularity sampler.
 struct Rng(u64);
@@ -306,8 +310,8 @@ fn check_determinism(
         .iter()
         .map(|&id| {
             let calibrate = || {
-                let mut model = id.build(ModelScale::Tiny, SEED).expect("model builds");
-                ModelProfile::calibrate(&mut model, &cfg)
+                let model = id.build(ModelScale::Tiny, SEED).expect("model builds");
+                ModelProfile::calibrate(&model, &cfg)
             };
             let (a, b) = (calibrate(), calibrate());
             assert_eq!(
@@ -411,11 +415,7 @@ fn time_start(models: &[ModelId], reps: usize) -> StartTimes {
         time(|| {
             let mut sim = profile_cfg.cpu_sim();
             let calibrate = |model| ModelProfile::calibrate_on(model, &profile_cfg, &mut sim);
-            curves = built
-                .iter_mut()
-                .map(calibrate)
-                .map(|p| p.cpu_curve)
-                .collect();
+            curves = built.iter().map(calibrate).map(|p| p.cpu_curve).collect();
             sim
         })
     });

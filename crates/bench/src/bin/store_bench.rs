@@ -32,6 +32,9 @@
 //!   deterministic in both modes): combined DRAM hit rate ≥ 80%, tiering
 //!   alone ≥ 5× the DRAM-only mean lookup while stream prefetch pulls it
 //!   back ≤ 2× and converts ≥ 50% of would-be cold demand misses,
+//! * `tier_index_bytes_per_row` — on those tiered legs, the tier's
+//!   per-row records weigh exactly 8 bytes per registered row
+//!   (`EmbeddingStore::tier_index_bytes`, integer division),
 //! * `<leg>_bag_over_one_row`, `<leg>_over_no_cache` — the read-path cost
 //!   table, ns/row for {no cache, cache hit, cache miss, tier hit, tier
 //!   cold, tier with frequency admission} read with one-row calls and as
@@ -42,7 +45,7 @@
 //!   and 3× on a miss, the tier 1.6× on a DRAM hit and 2.6× on a cold
 //!   read (same skip rule).
 
-use drec_bench::report::Limit::{AtLeast, AtMost};
+use drec_bench::report::Limit::{AtLeast, AtMost, Equal};
 use drec_bench::report::{Gate, Json, Report, Timed};
 use drec_bench::timing::{paired, sample, time, Spread};
 use drec_bench::{output_bits, row};
@@ -50,7 +53,7 @@ use std::sync::Arc;
 
 use drec_models::{ModelId, ModelScale};
 use drec_par::ParPool;
-use drec_store::{quantize_row, EmbeddingStore, RowEncoding, StoreConfig, TierConfig};
+use drec_store::{quantize_row, EmbeddingStore, RowEncoding, StoreConfig, StoreStats, TierConfig};
 use drec_tensor::simd::{self, KernelBackend};
 use drec_tensor::ParamInit;
 use drec_workload::{CategoricalDist, QueryGen};
@@ -79,6 +82,9 @@ const TIERED_SLOWDOWN_FLOOR: f64 = 5.0;
 /// With stream prefetch the mean lookup must stay within this factor of
 /// DRAM-only — i.e. prefetch genuinely hides the cold-read latency.
 const PREFETCH_SLOWDOWN_CEILING: f64 = 2.0;
+/// Heap bytes of the tier's record of each registered row (slot, epoch,
+/// touch count); 12 before the record was packed.
+const TIER_INDEX_BYTES_PER_ROW: f64 = 8.0;
 /// Timed passes of each side of the cold-decode comparison.
 const DECODE_REPEATS: usize = 5;
 /// Nominal DRAM lookup cost the tiered latency model charges against
@@ -384,9 +390,10 @@ fn bench_tiered(rows: usize, dim: usize, data: &[f32], warm: usize, measure: usi
             ..StoreConfig::default()
         }))
     };
-    let row_for = |leg: &'static str, delta: &drec_store::StoreStats, mean_ns: f64| {
+    let row_for = |leg: &'static str, store: &EmbeddingStore, delta: &StoreStats, mean_ns: f64| {
+        let index_bytes_per_row = store.tier_index_bytes() / rows;
         println!(
-            "  {leg:<16} DRAM hit {:>5.1}%, cold demand {:>6}, prefetch issued {:>6} (conv {:>5.1}%), mean lookup {mean_ns:>8.0} ns ({:.2}x DRAM-only)",
+            "  {leg:<16} DRAM hit {:>5.1}%, cold demand {:>6}, prefetch issued {:>6} (conv {:>5.1}%), mean lookup {mean_ns:>8.0} ns ({:.2}x DRAM-only), {index_bytes_per_row} B/row of records",
             delta.combined_dram_hit_rate() * 100.0,
             delta.tier_cold_demand_reads,
             delta.prefetch_issued,
@@ -401,6 +408,7 @@ fn bench_tiered(rows: usize, dim: usize, data: &[f32], warm: usize, measure: usi
             "prefetch_conversion": delta.prefetch_conversion(),
             "mean_lookup_ns": mean_ns,
             "slowdown_vs_dram": mean_ns / NOMINAL_DRAM_NS,
+            "tier_index_bytes_per_row": index_bytes_per_row,
         }
     };
 
@@ -418,7 +426,7 @@ fn bench_tiered(rows: usize, dim: usize, data: &[f32], warm: usize, measure: usi
             pinned.sum_row(id, &mut acc);
         }
         let delta = store.stats().since(&base);
-        out.push(row_for("dram_only", &delta, NOMINAL_DRAM_NS));
+        out.push(row_for("dram_only", &store, &delta, NOMINAL_DRAM_NS));
     }
 
     // Leg 2: tiered, demand-only — cold misses stall the lookup. The
@@ -439,7 +447,7 @@ fn bench_tiered(rows: usize, dim: usize, data: &[f32], warm: usize, measure: usi
         }
         let delta = store.stats().since(&base);
         let mean = NOMINAL_DRAM_NS + delta.mean_demand_wait_nanos();
-        out.push(row_for("tiered", &delta, mean));
+        out.push(row_for("tiered", &store, &delta, mean));
     }
 
     // Leg 3: tiered + stream prefetch — a 64-query window is filled
@@ -465,7 +473,7 @@ fn bench_tiered(rows: usize, dim: usize, data: &[f32], warm: usize, measure: usi
         run(&ids[warm..], &mut acc);
         let delta = store.stats().since(&base);
         let mean = NOMINAL_DRAM_NS + delta.mean_demand_wait_nanos();
-        out.push(row_for("tiered_prefetch", &delta, mean));
+        out.push(row_for("tiered_prefetch", &store, &delta, mean));
     }
     std::hint::black_box(&acc);
     out
@@ -804,6 +812,17 @@ fn main() {
             AtLeast(PREFETCH_CONVERSION_GATE),
         )
         .at("would-be cold demand misses converted"),
+    );
+    // Exact: integer division drops the per-table header.
+    let index_bytes = tier("tiered", "tier_index_bytes_per_row");
+    let index_bytes = index_bytes.max(tier("tiered_prefetch", "tier_index_bytes_per_row"));
+    report.gate(
+        Gate::new(
+            "tier_index_bytes_per_row",
+            index_bytes,
+            Equal(TIER_INDEX_BYTES_PER_ROW),
+        )
+        .at("tier_index_bytes() / registered rows, worst tiered leg"),
     );
     let prefetch_slowdown = tier("tiered_prefetch", "slowdown_vs_dram");
     report.gate(

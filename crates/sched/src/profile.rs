@@ -105,7 +105,7 @@ impl ModelProfile {
     ///
     /// As [`ModelProfile::calibrate_on`], and if `cfg.cpu` is not a CPU
     /// platform.
-    pub fn calibrate(model: &mut RecModel, cfg: &ProfileConfig) -> ModelProfile {
+    pub fn calibrate(model: &RecModel, cfg: &ProfileConfig) -> ModelProfile {
         Self::calibrate_on(model, cfg, &mut cfg.cpu_sim())
     }
 
@@ -119,11 +119,7 @@ impl ModelProfile {
     /// Panics if `cfg.calibration_batches` is empty or tracing fails
     /// (calibration runs the same executor the runtime serves with, so a
     /// failure here would fail every batch anyway).
-    pub fn calibrate_on(
-        model: &mut RecModel,
-        cfg: &ProfileConfig,
-        sim: &mut CpuSim,
-    ) -> ModelProfile {
+    pub fn calibrate_on(model: &RecModel, cfg: &ProfileConfig, sim: &mut CpuSim) -> ModelProfile {
         assert!(
             !cfg.calibration_batches.is_empty(),
             "need at least one calibration batch size"
@@ -133,26 +129,28 @@ impl ModelProfile {
             "the simulator must simulate cfg.cpu"
         );
         let mut gen = QueryGen::uniform(cfg.seed);
-        let spec = model.spec().clone();
-        // No trace is held: each operator is priced on both platforms as
-        // soon as it is traced, then dropped.
+        // The traces run on a view, dropped on return with every activation
+        // buffer they left in its arena; `model` is not touched. No trace
+        // is held: each operator is priced on both platforms as soon as it
+        // is traced, then dropped.
+        let mut view = model.view();
+        let spec = model.spec();
         let mut cpu_points = Vec::with_capacity(cfg.calibration_batches.len());
         let mut gpu_points = Vec::with_capacity(cfg.calibration_batches.len());
         for &batch in &cfg.calibration_batches {
             let batch = batch.max(1);
-            let inputs = gen.batch(&spec, batch);
+            let inputs = gen.batch(spec, batch);
             let input_bytes = inputs.iter().map(Value::byte_size).sum();
             sim.reset();
             let mut cpu_tally = sim.tally();
             let mut gpu_tally = GpuTally::default();
-            model
-                .run_streamed(inputs, |op| {
-                    sim.step(&mut cpu_tally, &op);
-                    if let Some(gpu) = &cfg.gpu {
-                        gpu.step(&mut gpu_tally, &op);
-                    }
-                })
-                .expect("calibration trace must execute");
+            view.run_streamed(inputs, |op| {
+                sim.step(&mut cpu_tally, &op);
+                if let Some(gpu) = &cfg.gpu {
+                    gpu.step(&mut gpu_tally, &op);
+                }
+            })
+            .expect("calibration trace must execute");
             cpu_points.push((batch, sim.finish(cpu_tally).seconds));
             if let Some(gpu) = &cfg.gpu {
                 gpu_points.push((batch, gpu.finish(gpu_tally, input_bytes).seconds));
@@ -199,8 +197,8 @@ mod tests {
     use drec_models::{ModelId, ModelScale};
 
     fn profile(id: ModelId, cfg: &ProfileConfig) -> ModelProfile {
-        let mut model = id.build(ModelScale::Tiny, 7).unwrap();
-        ModelProfile::calibrate(&mut model, cfg)
+        let model = id.build(ModelScale::Tiny, 7).unwrap();
+        ModelProfile::calibrate(&model, cfg)
     }
 
     #[test]
@@ -231,14 +229,34 @@ mod tests {
         };
         let mut sim = cfg.cpu_sim();
         for id in [ModelId::Din, ModelId::Rm2, ModelId::Ncf] {
-            let mut model = id.build(ModelScale::Tiny, 7).unwrap();
-            let reused = ModelProfile::calibrate_on(&mut model, &cfg, &mut sim);
+            let model = id.build(ModelScale::Tiny, 7).unwrap();
+            let reused = ModelProfile::calibrate_on(&model, &cfg, &mut sim);
             let fresh = profile(id, &cfg);
             assert_eq!(reused.cpu_curve, fresh.cpu_curve, "{id}");
             assert_eq!(reused.crossover, fresh.crossover, "{id}");
             for batch in 1..=64 {
                 let gpu = |p: &ModelProfile| p.modelled_seconds(Backend::Gpu, batch).to_bits();
                 assert_eq!(gpu(&reused), gpu(&fresh), "{id}, batch {batch}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_calibrated_model_calibrates_as_it_did_before() {
+        let cfg = ProfileConfig {
+            calibration_batches: vec![1, 8],
+            max_batch: 64,
+            ..ProfileConfig::default()
+        };
+        for id in ModelId::ALL {
+            let model = id.build(ModelScale::Tiny, 7).unwrap();
+            let first = ModelProfile::calibrate(&model, &cfg);
+            let second = ModelProfile::calibrate(&model, &cfg);
+            assert_eq!(second.cpu_curve, first.cpu_curve, "{id}");
+            assert_eq!(second.crossover, first.crossover, "{id}");
+            for batch in 1..=64 {
+                let gpu = |p: &ModelProfile| p.modelled_seconds(Backend::Gpu, batch).to_bits();
+                assert_eq!(gpu(&second), gpu(&first), "{id}, batch {batch}");
             }
         }
     }

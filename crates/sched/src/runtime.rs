@@ -530,8 +530,8 @@ impl MultiServeRuntime {
         };
         let sim = || profile_cfg.cpu_sim();
         let calibrated = crew(cfg.models.iter().map(build), sim, |sim, built| {
-            built.map(|mut model| {
-                let profile = ModelProfile::calibrate_on(&mut model, &profile_cfg, sim);
+            built.map(|model| {
+                let profile = ModelProfile::calibrate_on(&model, &profile_cfg, sim);
                 (model, profile)
             })
         });

@@ -46,8 +46,8 @@ fn serial(cfg: &SchedConfig, store: &Arc<EmbeddingStore>) -> Vec<(RecModel, Mode
         let built = slo
             .id
             .build_with_store(cfg.scale, cfg.seed, Arc::clone(store));
-        let mut model = built.expect("model builds");
-        let profile = ModelProfile::calibrate(&mut model, &profile_cfg);
+        let model = built.expect("model builds");
+        let profile = ModelProfile::calibrate(&model, &profile_cfg);
         (model, profile)
     });
     models.collect()

@@ -605,6 +605,12 @@ impl EmbeddingStore {
         self.tier.as_ref().is_some_and(|t| t.prefetch_enabled())
     }
 
+    /// Heap bytes of the tier's per-row records (0 untiered): a probe.
+    #[doc(hidden)]
+    pub fn tier_index_bytes(&self) -> usize {
+        self.tier.as_ref().map_or(0, TierEngine::index_bytes)
+    }
+
     /// `(DRAM-resident rows, total rows)` across the tables registered
     /// under `namespace` — the per-model residency report (a model's
     /// tables all share its namespace). Without tiering everything is
@@ -710,23 +716,23 @@ mod tests {
     #[test]
     fn register_sizes_the_tier_records_and_only_for_a_tiered_store() {
         let s = store(tiered_cfg(5));
-        let tier = s.tier.as_ref().expect("tiered");
-        assert_eq!(tier.index_bytes(), 0);
+        assert_eq!(s.tier_index_bytes(), 0);
         let h = s.register(10, 0, 100, 2, &filled(100, 2)).unwrap();
-        let sized = tier.index_bytes();
-        assert!((100 * 12..100 * 12 + 256).contains(&sized), "{sized} bytes");
+        let sized = s.tier_index_bytes();
+        assert!((100 * 8..100 * 8 + 256).contains(&sized), "{sized} bytes");
         // Reading every row finds its record in place.
         let pin = s.pin(h);
         let mut acc = vec![0.0f32; 2];
         pin.sum_rows(0..100, &mut acc);
-        assert_eq!(tier.index_bytes(), sized);
+        assert_eq!(s.tier_index_bytes(), sized);
         // A dedup hit registers nothing new.
         s.register(10, 0, 100, 2, &filled(100, 2)).unwrap();
-        assert_eq!(tier.index_bytes(), sized);
+        assert_eq!(s.tier_index_bytes(), sized);
         // No tier, no records.
         let flat = store(StoreConfig::default());
         flat.register(10, 0, 100, 2, &filled(100, 2)).unwrap();
         assert!(flat.tier.is_none());
+        assert_eq!(flat.tier_index_bytes(), 0);
     }
 
     #[test]

@@ -9,32 +9,55 @@
 //! occupies (this module's) and its demand-touch count (the engine's) —
 //! so an access costs one record, not a probe into one map per fact.
 
-/// `RowRecord::slot` of a row that is not resident.
-const NO_SLOT: u32 = u32::MAX;
+/// A record and a slot are eight bytes each, and only this module knows
+/// their bits (DESIGN.md §12). A record's word holds the CLOCK slot in its
+/// low `SLOT_BITS` (all ones, [`NO_SLOT`], when the row is not resident)
+/// and the epoch of its touch count in the next seven; bit 31 is spare.
+const SLOT_BITS: u32 = 24;
+const NO_SLOT: u32 = (1 << SLOT_BITS) - 1;
+/// The first DRAM budget, in rows, whose slots the slot field cannot index.
+pub(crate) const BUDGET_LIMIT: usize = 1 << SLOT_BITS;
+/// Admission epochs a record tells apart; the engine's counter wraps here.
+pub(crate) const EPOCHS: u32 = 1 << 7;
+const EPOCH_FIELD: u32 = (EPOCHS - 1) << SLOT_BITS;
 
-/// What the tier keeps for one row. Twelve bytes; [`RowRecord::EMPTY`]
+/// What the tier keeps for one row. Eight bytes; [`RowRecord::EMPTY`]
 /// for a row never touched.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RowRecord {
-    /// The CLOCK slot holding the row, or [`NO_SLOT`]. Only
-    /// [`ResidencyClock`] writes it.
-    slot: u32,
-    /// Demand touches counted during admission epoch `epoch`; worth zero
-    /// in any other epoch (see `TierState::count_touch` in the engine).
-    pub(crate) touches: u32,
-    /// The admission epoch `touches` belongs to.
-    pub(crate) epoch: u16,
+    /// Demand touches counted during the record's admission epoch; worth
+    /// zero in any other (see `TierState::count_touch` in the engine).
+    touches: u32,
+    /// Slot (written only by [`ResidencyClock`]) and epoch.
+    word: u32,
 }
 
 impl RowRecord {
     const EMPTY: RowRecord = RowRecord {
-        slot: NO_SLOT,
         touches: 0,
-        epoch: 0,
+        word: NO_SLOT,
     };
 
     fn slot(&self) -> Option<usize> {
-        (self.slot != NO_SLOT).then_some(self.slot as usize)
+        let slot = self.word & NO_SLOT;
+        (slot != NO_SLOT).then_some(slot as usize)
+    }
+
+    /// The demand touches counted in admission epoch `epoch`.
+    pub(crate) fn touches_in(&self, epoch: u32) -> u32 {
+        if self.word & EPOCH_FIELD == epoch << SLOT_BITS {
+            self.touches
+        } else {
+            0
+        }
+    }
+
+    /// Counts one demand touch in `epoch` (below [`EPOCHS`]), dropping a
+    /// count from another epoch first; returns whether it is the first.
+    pub(crate) fn count_touch(&mut self, epoch: u32) -> bool {
+        self.touches = self.touches_in(epoch).saturating_add(1);
+        self.word = (self.word & !EPOCH_FIELD) | (epoch << SLOT_BITS);
+        self.touches == 1
     }
 }
 
@@ -63,8 +86,10 @@ impl RowIndex {
         ((key >> 32) as usize, key as u32 as usize)
     }
 
-    /// Makes room for rows `0..rows` of `table`.
+    /// Makes room for rows `0..rows` of `table`, which must be below 2^30
+    /// (a slot keeps the clock's flags above a key).
     fn grow(&mut self, table: usize, rows: usize) {
+        assert!(table < 1 << 30, "tier: table id {table} is not below 2^30");
         if self.tables.len() <= table {
             self.tables.resize_with(table + 1, TableRecords::default);
         }
@@ -124,15 +149,27 @@ impl RowIndex {
     }
 }
 
-/// One resident slot.
+/// One resident slot: the key, and above it the clock's two flags.
 #[derive(Debug, Clone, Copy)]
-struct Slot {
-    key: u64,
-    /// Second-chance bit: set on access, cleared as the hand sweeps by.
-    referenced: bool,
-    /// Set when the row was promoted by a prefetch and has not yet been
-    /// demanded — an eviction while still set is a *wasted* prefetch.
-    prefetched_unused: bool,
+struct Slot(u64);
+
+/// Second-chance bit: set on access, cleared as the hand sweeps by.
+const REFERENCED: u64 = 1 << 63;
+/// Set when the row was promoted by a prefetch and has not yet been
+/// demanded — an eviction while still set is a *wasted* prefetch.
+const PREFETCHED_UNUSED: u64 = 1 << 62;
+
+impl Slot {
+    fn key(self) -> u64 {
+        self.0 & (PREFETCHED_UNUSED - 1)
+    }
+
+    /// Clears `flag`, returning whether it was set.
+    fn take(&mut self, flag: u64) -> bool {
+        let was = self.0 & flag != 0;
+        self.0 &= !flag;
+        was
+    }
 }
 
 /// Outcome of touching a key already tracked (or not) by the clock.
@@ -175,8 +212,13 @@ pub struct ResidencyClock {
 }
 
 impl ResidencyClock {
-    /// An empty clock with room for `budget` keys (minimum 1).
+    /// An empty clock with room for `budget` keys (minimum 1). Panics at
+    /// 2^24 rows or more, which a record's slot field cannot index.
     pub fn new(budget: usize) -> ResidencyClock {
+        assert!(
+            budget < BUDGET_LIMIT,
+            "tier: budget {budget} is not below {BUDGET_LIMIT}"
+        );
         let budget = budget.max(1);
         ResidencyClock {
             budget,
@@ -209,7 +251,8 @@ impl ResidencyClock {
 
     /// Points `key`'s record at `slot` (`NO_SLOT`: not resident).
     fn set_slot(&mut self, key: u64, slot: u32) {
-        self.rows.entry(key).slot = slot;
+        let record = self.rows.entry(key);
+        record.word = (record.word & !NO_SLOT) | slot;
     }
 
     /// Whether `key` is resident, without touching referenced bits.
@@ -220,7 +263,7 @@ impl ResidencyClock {
     /// Counts resident keys for which `pred` holds — the reporting path
     /// behind per-table and per-model residency tables. O(resident).
     pub fn count_resident(&self, mut pred: impl FnMut(u64) -> bool) -> usize {
-        self.slots.iter().filter(|s| pred(s.key)).count()
+        self.slots.iter().filter(|s| pred(s.key())).count()
     }
 
     /// Marks an access to `key` if resident (sets the referenced bit,
@@ -229,11 +272,9 @@ impl ResidencyClock {
         match self.slot_of(key) {
             Some(i) => {
                 let slot = &mut self.slots[i];
-                slot.referenced = true;
-                let was = slot.prefetched_unused;
-                slot.prefetched_unused = false;
+                slot.0 |= REFERENCED;
                 Touch::Resident {
-                    was_prefetched_unused: was,
+                    was_prefetched_unused: slot.take(PREFETCHED_UNUSED),
                 }
             }
             None => Touch::Absent,
@@ -255,12 +296,11 @@ impl ResidencyClock {
             if self.hand >= self.slots.len() {
                 self.hand = 0;
             }
-            if self.slots[self.hand].referenced {
-                self.slots[self.hand].referenced = false;
+            if self.slots[self.hand].take(REFERENCED) {
                 self.hand += 1;
                 continue;
             }
-            return Some(self.slots[self.hand].key);
+            return Some(self.slots[self.hand].key());
         }
     }
 
@@ -276,7 +316,7 @@ impl ResidencyClock {
         self.set_slot(key, NO_SLOT);
         self.slots.swap_remove(i);
         if let Some(moved) = self.slots.get(i) {
-            self.set_slot(moved.key, i as u32);
+            self.set_slot(moved.key(), i as u32);
         }
         if self.hand > self.slots.len() {
             self.hand = 0;
@@ -297,17 +337,13 @@ impl ResidencyClock {
         // table's end panics with the clock intact.
         if let Some(i) = self.rows.entry(key).slot() {
             // Already resident (a racing promote won): treat as a touch.
-            self.slots[i].referenced = true;
+            self.slots[i].0 |= REFERENCED;
             if !prefetched {
-                self.slots[i].prefetched_unused = false;
+                self.slots[i].take(PREFETCHED_UNUSED);
             }
             return inserted;
         }
-        let fresh = Slot {
-            key,
-            referenced: true,
-            prefetched_unused: prefetched,
-        };
+        let fresh = Slot(key | REFERENCED | if prefetched { PREFETCHED_UNUSED } else { 0 });
         let slot = match self.victim_key() {
             None => {
                 self.slots.push(fresh);
@@ -317,7 +353,7 @@ impl ResidencyClock {
                 let at = self.hand;
                 inserted = Inserted {
                     evicted: true,
-                    evicted_prefetched_unused: self.slots[at].prefetched_unused,
+                    evicted_prefetched_unused: self.slots[at].0 & PREFETCHED_UNUSED != 0,
                 };
                 self.set_slot(victim, NO_SLOT);
                 self.evictions += 1;
@@ -326,10 +362,6 @@ impl ResidencyClock {
                 at
             }
         };
-        assert!(
-            slot < NO_SLOT as usize,
-            "the resident set outgrew a u32 slot index"
-        );
         self.set_slot(key, slot as u32);
         inserted
     }
@@ -340,8 +372,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn a_row_record_is_twelve_bytes() {
-        assert!(std::mem::size_of::<RowRecord>() <= 12);
+    fn a_row_record_and_a_slot_are_eight_bytes_each() {
+        assert_eq!(std::mem::size_of::<RowRecord>(), 8);
+        assert_eq!(std::mem::size_of::<Slot>(), 8);
     }
 
     #[test]
@@ -402,7 +435,7 @@ mod tests {
     impl ResidencyClock {
         fn slots_clear_referenced_for_test(&mut self) {
             for s in &mut self.slots {
-                s.referenced = false;
+                s.take(REFERENCED);
             }
         }
     }
@@ -423,6 +456,43 @@ mod tests {
         let ins = c.insert(5, false);
         assert!(!ins.evicted);
         assert_eq!(c.resident(), 4);
+    }
+
+    #[test]
+    fn both_flags_survive_removes_backfill() {
+        let mut c = ResidencyClock::new(4);
+        for k in [1u64, 2, 3] {
+            c.insert(k, false);
+        }
+        c.slots_clear_referenced_for_test();
+        let key = (5 << 32) | 9;
+        c.insert(key, true);
+        assert!(c.remove(2));
+        // The last slot moved into 2's place with its key and both flags.
+        let moved = c.slots[c.slot_of(key).unwrap()];
+        assert_eq!(c.slot_of(key), Some(1));
+        assert_eq!(moved.key(), key);
+        let flags = REFERENCED | PREFETCHED_UNUSED;
+        assert_eq!(moved.0 & flags, flags);
+        assert_eq!((c.slots[0].0 | c.slots[2].0) & REFERENCED, 0);
+        assert_eq!(
+            c.touch(key),
+            Touch::Resident {
+                was_prefetched_unused: true
+            }
+        );
+    }
+
+    #[test]
+    fn a_table_id_of_two_to_the_thirty_is_rejected() {
+        let mut c = ResidencyClock::new(4);
+        c.insert(7, true);
+        let past = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            c.insert(1 << 62, false);
+        }));
+        let msg = *past.unwrap_err().downcast::<String>().unwrap();
+        assert!(msg.contains("table id 1073741824"), "{msg}");
+        assert_eq!(c.resident(), 1);
     }
 
     #[test]

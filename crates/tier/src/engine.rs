@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use drec_sync::{Mutex, MutexGuard};
 
-use crate::clock::{ResidencyClock, Touch};
+use crate::clock::{ResidencyClock, Touch, EPOCHS};
 use crate::latency::{ColdReadModel, Pacing};
 
 /// Placeholder for the configuration of the table-combining cache this
@@ -178,13 +178,13 @@ struct TierState {
     /// (`clock.rows`): a row's CLOCK slot and its touch count sit in one
     /// record, so each operation below reads one place per row it names.
     clock: ResidencyClock,
-    /// The admission epoch. A record's touch count is worth its value
-    /// only while the record carries this number, so bumping it is the
-    /// frequency sketch's wholesale reset (TinyLFU-style aging, which
-    /// keeps the filter deterministic and lets it re-learn a shifted
-    /// head) without a walk over the records. When the `u16` wraps, the
+    /// The admission epoch, below [`EPOCHS`]. A record's touch count is
+    /// worth its value only while the record carries this number, so
+    /// bumping it is the frequency sketch's wholesale reset (TinyLFU-style
+    /// aging, which keeps the filter deterministic and lets it re-learn a
+    /// shifted head) without a walk over the records. When it wraps, the
     /// counts of the epoch about to be reused are zeroed for real.
-    epoch: u16,
+    epoch: u32,
     /// Rows with a non-zero touch count in this epoch. Bounded: at
     /// `admission_capacity` the epoch ends.
     tracked: usize,
@@ -204,15 +204,10 @@ impl TierState {
     /// reset with the rest: the row it counted starts the new epoch at
     /// zero.
     fn count_touch(&mut self, key: u64, capacity: usize) {
-        let row = self.clock.rows.entry(key);
-        if row.epoch != self.epoch {
-            (row.epoch, row.touches) = (self.epoch, 0);
-        }
-        self.tracked += usize::from(row.touches == 0);
-        row.touches = row.touches.saturating_add(1);
+        self.tracked += usize::from(self.clock.rows.entry(key).count_touch(self.epoch));
         if self.tracked >= capacity {
             self.tracked = 0;
-            self.epoch = self.epoch.wrapping_add(1);
+            self.epoch = (self.epoch + 1) % EPOCHS;
             if self.epoch == 0 {
                 self.clock.rows.clear_touches();
             }
@@ -221,19 +216,18 @@ impl TierState {
 
     /// `key`'s demand touches in the current admission epoch.
     fn touches(&self, key: u64) -> u32 {
-        match self.clock.rows.get(key) {
-            Some(row) if row.epoch == self.epoch => row.touches,
-            _ => 0,
-        }
+        let row = self.clock.rows.get(key);
+        row.map_or(0, |row| row.touches_in(self.epoch))
     }
 }
 
 /// The tier engine one [`EmbeddingStore`](../drec_store) owns when
 /// tiering is configured.
 ///
-/// Keys are `(table << 32) | row`, and the engine keeps one twelve-byte
-/// record per row of every table it has seen. The store fixes a table's
-/// records with [`TierEngine::register_table`]. For a table nobody
+/// Keys are `(table << 32) | row` with `table` below 2^30, and the engine
+/// keeps one eight-byte record per row of every table it has seen, beside
+/// one eight-byte CLOCK slot per row of its DRAM budget. The store fixes a
+/// table's records with [`TierEngine::register_table`]. For a table nobody
 /// registered (callers that make up their own keys) an access to a row
 /// past the table's end grows its records to reach it — there memory
 /// follows the largest table id and row accessed, so such keys must be
@@ -274,6 +268,11 @@ pub struct TierSession<'a> {
 impl TierEngine {
     /// A fresh engine for `cfg`. An empty DRAM tier: the first access to
     /// every row is a cold read (benches warm the tier explicitly).
+    ///
+    /// # Panics
+    ///
+    /// If `cfg.dram_budget_rows` is 2^24 (16 777 216) or more, which a
+    /// record's slot field cannot index.
     pub fn new(cfg: &TierConfig) -> TierEngine {
         TierEngine {
             model: cfg.cold_read,
@@ -638,7 +637,7 @@ mod tests {
         t.register_table(0, 16);
         t.demand_access(3);
         let bytes = t.index_bytes();
-        assert!(bytes >= 16 * 12);
+        assert!(bytes >= 16 * 8);
         for i in 0..10_000u64 {
             // Rows past table 0's end, and tables never registered.
             let key = ((i % 7) << 32) | (16 + i);
@@ -679,7 +678,7 @@ mod tests {
         // Row 5 is touched once in epoch 0, then the counter is put one
         // reset short of coming back round to 0.
         t.demand_access(5);
-        t.state.lock().epoch = u16::MAX;
+        t.state.lock().epoch = EPOCHS - 1;
         // 1024 fresh rows fill the sketch: the epoch wraps to 0.
         for key in 100..100 + 1024 {
             t.demand_access(key);
@@ -688,9 +687,24 @@ mod tests {
         // Row 5's touch from the first epoch 0 must not count in this
         // one: one more touch is its first, not its admitting second.
         t.demand_access(5);
-        assert!(!t.is_resident(5), "a touch from 65 536 resets ago counted");
+        assert!(
+            !t.is_resident(5),
+            "a touch from {EPOCHS} resets ago counted"
+        );
         t.demand_access(5);
         assert!(t.is_resident(5));
+    }
+
+    #[test]
+    fn the_budget_stops_one_row_short_of_what_a_slot_field_indexes() {
+        let limit = crate::clock::BUDGET_LIMIT;
+        assert_eq!(limit, 1 << 24);
+        let below = TierEngine::new(&TierConfig::new(limit - 1));
+        assert_eq!(below.stats().dram_budget_rows, limit as u64 - 1);
+        drop(below);
+        let at = std::panic::catch_unwind(|| TierEngine::new(&TierConfig::new(limit)));
+        let msg = *at.unwrap_err().downcast::<String>().unwrap();
+        assert!(msg.contains("not below 16777216"), "{msg}");
     }
 
     #[test]

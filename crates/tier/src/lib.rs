@@ -38,8 +38,10 @@
 //! * [`ResidencyClock`] — the deterministic CLOCK resident set, and the
 //!   per-row records a key finds its slot through. Row keys are
 //!   `(table << 32) | row` over registered tables, so the tier keeps one
-//!   direct-indexed twelve-byte record per row — CLOCK slot and
-//!   demand-touch count — and hashes nothing.
+//!   direct-indexed eight-byte record per row — CLOCK slot, admission
+//!   epoch and demand-touch count — and one eight-byte slot (key and
+//!   CLOCK flags) per row of the DRAM budget, and hashes nothing. A
+//!   budget of 2^24 rows or more is rejected at construction.
 //! * [`TierEngine`] — the store-facing engine: demand access, prefetch
 //!   fills, hit/wasted tracking, [`TierStats`]; all of it under one lock
 //!   that a [`TierSession`] holds across the residency phase of a whole
