@@ -40,11 +40,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use drec_faultsim::{FaultCounts, FaultHook, FaultPlan};
 use drec_models::{ModelId, ModelScale};
 use drec_sched::{ModelSlo, MultiServeHandle, MultiServeRuntime, SchedConfig};
 use drec_serve::{
-    EmbeddingStore, FaultCounts, FaultHook, FaultPlan, ServeConfig, ServeError, ServeRuntime,
-    StoreConfig, SupervisorConfig, UpdatePlan, Updater, UpdaterStats,
+    EmbeddingStore, ServeConfig, ServeError, ServeRuntime, StoreConfig, SupervisorConfig,
+    UpdatePlan, Updater, UpdaterStats,
 };
 use drec_workload::QueryGen;
 

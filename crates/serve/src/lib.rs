@@ -69,13 +69,9 @@ pub use request::{
 pub use runtime::{PendingResponse, ServeConfig, ServeHandle, ServeRuntime};
 pub use update::{ModelUpdateChannel, UpdatePlan, Updater, UpdaterStats, WeightSet};
 
-// Re-exported so serving callers can configure the shared parameter store
-// without depending on `drec-store` directly.
-pub use drec_store::{
-    EmbeddingStore, RowDelta, RowEncoding, StoreConfig, StoreError, StoreStats, UpdateBatch,
-    UpdateReport,
-};
-
-// Re-exported so chaos harnesses can build fault plans without depending
-// on `drec-faultsim` directly.
-pub use drec_faultsim::{FaultCounts, FaultHook, FaultPlan, UpdateFault};
+// Second import paths, kept only while a caller names them here: the
+// store types for `perf_bench`, `FaultHook` / `FaultPlan` for the root
+// package's `tier_determinism` test. Everything else imports them from
+// `drec_store` / `drec_faultsim`.
+pub use drec_faultsim::{FaultHook, FaultPlan, UpdateFault};
+pub use drec_store::{EmbeddingStore, RowDelta, RowEncoding, StoreConfig, StoreStats, UpdateBatch};

@@ -7,8 +7,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use drec_faultsim::FaultPlan;
 use drec_models::ModelId;
-use drec_serve::{FaultPlan, ServeConfig, ServeRuntime};
+use drec_serve::{ServeConfig, ServeRuntime};
 use drec_workload::QueryGen;
 
 /// Every pending must resolve within `timeout` — the drain guarantee is

@@ -5,10 +5,9 @@
 
 use std::time::Duration;
 
+use drec_faultsim::FaultPlan;
 use drec_models::ModelId;
-use drec_serve::{
-    FaultPlan, OverloadLevel, Priority, ServeConfig, ServeError, ServeRuntime, SubmitOptions,
-};
+use drec_serve::{OverloadLevel, Priority, ServeConfig, ServeError, ServeRuntime, SubmitOptions};
 use drec_workload::QueryGen;
 
 #[test]

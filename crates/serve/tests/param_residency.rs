@@ -19,12 +19,12 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use drec_check::CountingAlloc;
+use drec_faultsim::FaultPlan;
 use drec_models::{ModelId, ModelScale};
 use drec_ops::{OpKind, Value};
 use drec_serve::{
-    BatchPoll, BatcherConfig, DegradeConfig, FaultPlan, OverloadLadder, PendingResponse, Request,
-    ServeConfig, ServeHandle, ServeRuntime, SharedQueue, SubmitOptions, SupervisorConfig,
-    UpdatePlan, Updater,
+    BatchPoll, BatcherConfig, DegradeConfig, OverloadLadder, PendingResponse, Request, ServeConfig,
+    ServeHandle, ServeRuntime, SharedQueue, SubmitOptions, SupervisorConfig, UpdatePlan, Updater,
 };
 use drec_workload::QueryGen;
 

@@ -9,10 +9,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use drec_core::serving::LatencyCurve;
+use drec_faultsim::{FaultHook, FaultPlan};
 use drec_models::{ModelId, ModelScale};
 use drec_serve::{
-    DegradeConfig, FaultHook, FaultPlan, Inline, LanePool, LaneSpec, LatencyHistogram,
-    PendingResponse, PoolConfig, ServeError, SubmitOptions, SupervisorConfig,
+    DegradeConfig, Inline, LanePool, LaneSpec, LatencyHistogram, PendingResponse, PoolConfig,
+    ServeError, SubmitOptions, SupervisorConfig,
 };
 use drec_workload::QueryGen;
 

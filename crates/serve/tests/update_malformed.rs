@@ -6,7 +6,7 @@
 //! unregistered table, an out-of-range row, a wrong-width value vector,
 //! or a gapped version must bounce off
 //! [`drec_serve::EmbeddingStore::apply_update`] with a typed
-//! [`drec_serve::StoreError`] before any row is touched, while the
+//! [`drec_store::StoreError`] before any row is touched, while the
 //! serving runtime keeps answering. The clean-path test then streams a
 //! full rolling update through a live runtime and checks the chaos
 //! gate's core invariants in miniature: every response answered, the
@@ -17,9 +17,9 @@ use std::time::Duration;
 
 use drec_models::ModelId;
 use drec_serve::{
-    RowDelta, ServeConfig, ServeRuntime, StoreConfig, StoreError, UpdateBatch, UpdateFault,
-    UpdatePlan, Updater,
+    RowDelta, ServeConfig, ServeRuntime, StoreConfig, UpdateBatch, UpdateFault, UpdatePlan, Updater,
 };
+use drec_store::StoreError;
 use drec_workload::QueryGen;
 
 fn store_backed_cfg(model: ModelId) -> ServeConfig {
