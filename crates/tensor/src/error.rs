@@ -43,13 +43,6 @@ pub enum TensorError {
         /// Element count implied by the requested shape.
         to: usize,
     },
-    /// An axis argument exceeded the tensor rank.
-    InvalidAxis {
-        /// The offending axis.
-        axis: usize,
-        /// The tensor rank.
-        rank: usize,
-    },
 }
 
 impl fmt::Display for TensorError {
@@ -72,9 +65,6 @@ impl fmt::Display for TensorError {
             } => write!(f, "{op} requires rank {expected}, got rank {actual}"),
             TensorError::ReshapeMismatch { from, to } => {
                 write!(f, "cannot reshape {from} elements into {to} elements")
-            }
-            TensorError::InvalidAxis { axis, rank } => {
-                write!(f, "axis {axis} invalid for tensor of rank {rank}")
             }
         }
     }

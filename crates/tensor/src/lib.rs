@@ -40,8 +40,8 @@ mod tensor;
 pub use error::TensorError;
 pub use init::ParamInit;
 pub use linalg::{gemm_transposed, gemm_transposed_scalar};
-pub use shape::Shape;
+pub(crate) use shape::Shape;
 pub use tensor::Tensor;
 
 /// Convenience result alias used across this crate.
-pub type Result<T> = std::result::Result<T, TensorError>;
+pub(crate) type Result<T> = std::result::Result<T, TensorError>;

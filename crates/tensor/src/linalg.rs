@@ -515,11 +515,6 @@ impl Tensor {
     pub fn sum(&self) -> f32 {
         self.as_slice().iter().sum()
     }
-
-    /// Maximum absolute element (0.0 for an empty tensor).
-    pub fn max_abs(&self) -> f32 {
-        self.as_slice().iter().fold(0.0f32, |m, &v| m.max(v.abs()))
-    }
 }
 
 #[cfg(test)]
@@ -647,7 +642,6 @@ mod tests {
         let b = Tensor::from_vec(vec![4.0, 5.0, 6.0], &[3]).unwrap();
         assert_eq!(a.dot(&b).unwrap(), 32.0);
         assert_eq!(a.sum(), 6.0);
-        assert_eq!(a.max_abs(), 3.0);
     }
 
     #[test]

@@ -11,39 +11,27 @@ pub struct Shape(Vec<usize>);
 
 impl Shape {
     /// Creates a shape from a dimension list.
-    pub fn new(dims: &[usize]) -> Self {
+    pub(crate) fn new(dims: &[usize]) -> Self {
         Shape(dims.to_vec())
     }
 
     /// The dimensions as a slice.
-    pub fn dims(&self) -> &[usize] {
+    pub(crate) fn dims(&self) -> &[usize] {
         &self.0
     }
 
     /// Number of dimensions.
-    pub fn rank(&self) -> usize {
+    pub(crate) fn rank(&self) -> usize {
         self.0.len()
     }
 
     /// Total number of elements (product of dimensions; 1 for a scalar).
-    pub fn numel(&self) -> usize {
+    pub(crate) fn numel(&self) -> usize {
         self.0.iter().product()
     }
 
-    /// Size of dimension `axis`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidAxis`] if `axis >= rank`.
-    pub fn dim(&self, axis: usize) -> Result<usize> {
-        self.0.get(axis).copied().ok_or(TensorError::InvalidAxis {
-            axis,
-            rank: self.rank(),
-        })
-    }
-
     /// Row-major strides, in elements.
-    pub fn strides(&self) -> Vec<usize> {
+    pub(crate) fn strides(&self) -> Vec<usize> {
         let mut strides = vec![1; self.0.len()];
         for i in (0..self.0.len().saturating_sub(1)).rev() {
             strides[i] = strides[i + 1] * self.0[i + 1];
@@ -57,7 +45,7 @@ impl Shape {
     ///
     /// Returns [`TensorError::IndexOutOfBounds`] if the index rank differs
     /// from the shape rank or any coordinate is out of range.
-    pub fn offset(&self, index: &[usize]) -> Result<usize> {
+    pub(crate) fn offset(&self, index: &[usize]) -> Result<usize> {
         if index.len() != self.rank() || index.iter().zip(&self.0).any(|(i, d)| i >= d) {
             return Err(TensorError::IndexOutOfBounds {
                 index: index.to_vec(),
@@ -121,8 +109,6 @@ mod tests {
         let s = Shape::new(&[2, 3, 4]);
         assert_eq!(s.numel(), 24);
         assert_eq!(s.rank(), 3);
-        assert_eq!(s.dim(1).unwrap(), 3);
-        assert!(s.dim(3).is_err());
     }
 
     #[test]

@@ -91,7 +91,7 @@ pub enum KernelBackend {
 
 impl KernelBackend {
     /// Short lowercase name for reports (`"scalar"` / `"avx2-fma"`).
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             KernelBackend::Scalar => "scalar",
             KernelBackend::Avx2Fma => "avx2-fma",
@@ -118,7 +118,7 @@ pub enum KernelPath {
 
 /// Pure dispatch decision, separated from environment/CPU probing so the
 /// table in the module docs is unit-testable.
-pub fn resolve_backend(force_scalar: bool, have_avx2_fma: bool) -> KernelBackend {
+pub(crate) fn resolve_backend(force_scalar: bool, have_avx2_fma: bool) -> KernelBackend {
     if force_scalar || !have_avx2_fma {
         KernelBackend::Scalar
     } else {
@@ -155,7 +155,7 @@ pub fn gemm_fma_enabled() -> bool {
 }
 
 /// Label of the kernel configuration for metrics snapshots and bench
-/// reports: [`KernelBackend::name`] of the [`active_backend`]
+/// reports: `KernelBackend::name` of the [`active_backend`]
 /// (`"avx2-fma"` or `"scalar"`).
 pub fn backend_label() -> &'static str {
     active_backend().name()

@@ -23,7 +23,7 @@ const LANES: usize = 8;
 ///
 /// Caller must ensure AVX2 is available and `row.len() == acc.len()`.
 #[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn sum_f32_into(row: &[f32], acc: &mut [f32]) {
+pub(crate) unsafe fn sum_f32_into(row: &[f32], acc: &mut [f32]) {
     let n = row.len();
     let vec_n = n - n % LANES;
     let rp = row.as_ptr();
@@ -73,7 +73,7 @@ unsafe fn decode8_f16(h: __m128i) -> __m256 {
 ///
 /// Caller must ensure AVX2 is available and `bits.len() == dst.len()`.
 #[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn decode_f16_into(bits: &[u16], dst: &mut [f32]) {
+pub(crate) unsafe fn decode_f16_into(bits: &[u16], dst: &mut [f32]) {
     let n = bits.len();
     let vec_n = n - n % LANES;
     let bp = bits.as_ptr();
@@ -95,7 +95,7 @@ pub unsafe fn decode_f16_into(bits: &[u16], dst: &mut [f32]) {
 ///
 /// Caller must ensure AVX2 is available and `bits.len() == acc.len()`.
 #[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn sum_f16_into(bits: &[u16], acc: &mut [f32]) {
+pub(crate) unsafe fn sum_f16_into(bits: &[u16], acc: &mut [f32]) {
     let n = bits.len();
     let vec_n = n - n % LANES;
     let bp = bits.as_ptr();
@@ -128,7 +128,7 @@ unsafe fn widen8_u8(q: __m128i) -> __m256 {
 ///
 /// Caller must ensure AVX2+FMA are available and `q.len() == dst.len()`.
 #[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn decode_i8_into(q: &[u8], scale: f32, bias: f32, dst: &mut [f32]) {
+pub(crate) unsafe fn decode_i8_into(q: &[u8], scale: f32, bias: f32, dst: &mut [f32]) {
     let n = q.len();
     let vec_n = n - n % LANES;
     let qp = q.as_ptr();
@@ -152,7 +152,7 @@ pub unsafe fn decode_i8_into(q: &[u8], scale: f32, bias: f32, dst: &mut [f32]) {
 ///
 /// Caller must ensure AVX2+FMA are available and `q.len() == acc.len()`.
 #[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn sum_i8_into(q: &[u8], scale: f32, bias: f32, acc: &mut [f32]) {
+pub(crate) unsafe fn sum_i8_into(q: &[u8], scale: f32, bias: f32, acc: &mut [f32]) {
     let n = q.len();
     let vec_n = n - n % LANES;
     let qp = q.as_ptr();
@@ -240,7 +240,7 @@ unsafe fn round4_to_i32(x: __m256d) -> __m128i {
 ///
 /// Caller must ensure AVX2 is available and `row.len() == q.len()`.
 #[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn quantize_i8_row(row: &[f32], q: &mut [u8]) -> (f32, f32) {
+pub(crate) unsafe fn quantize_i8_row(row: &[f32], q: &mut [u8]) -> (f32, f32) {
     let (mut min, mut max) = min_max_f32(row);
     if min == 0.0 || min > max {
         (min, max) = super::scalar::min_max_f32(row);
@@ -291,7 +291,7 @@ unsafe fn hsum8(v: __m256) -> f32 {
 ///
 /// Caller must ensure AVX2+FMA are available and `a.len() == b.len()`.
 #[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn dot_fma(a: &[f32], b: &[f32]) -> f32 {
+pub(crate) unsafe fn dot_fma(a: &[f32], b: &[f32]) -> f32 {
     let k = a.len();
     let kc = k - k % LANES;
     let ap = a.as_ptr();
@@ -333,7 +333,7 @@ pub unsafe fn dot_fma(a: &[f32], b: &[f32]) -> f32 {
 /// Panics if the A rows differ in length, an output row is shorter than
 /// the first, or `b` ends before row `c0 + out[0].len()`.
 #[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn gemm_block_fma<const R: usize>(
+pub(crate) unsafe fn gemm_block_fma<const R: usize>(
     ar: [&[f32]; R],
     b: &[f32],
     c0: usize,
