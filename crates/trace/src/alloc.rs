@@ -1,9 +1,9 @@
 use crate::CodeRegion;
 
 /// First byte of the simulated data segment.
-pub const DATA_BASE: u64 = 0x0000_1000_0000;
+pub(crate) const DATA_BASE: u64 = 0x0000_1000_0000;
 /// First byte of the simulated code segment.
-pub const CODE_BASE: u64 = 0x7f00_0000_0000;
+pub(crate) const CODE_BASE: u64 = 0x7f00_0000_0000;
 
 /// Bump allocator over the simulated virtual address space.
 ///
@@ -47,16 +47,6 @@ impl AddressSpace {
         self.code_cursor += round_up(bytes.max(1), 64);
         CodeRegion { base, bytes }
     }
-
-    /// Bytes of data space allocated so far.
-    pub fn data_used(&self) -> u64 {
-        self.data_cursor - DATA_BASE
-    }
-
-    /// Bytes of code space allocated so far.
-    pub fn code_used(&self) -> u64 {
-        self.code_cursor - CODE_BASE
-    }
 }
 
 fn round_up(v: u64, align: u64) -> u64 {
@@ -92,14 +82,5 @@ mod tests {
         let a = s.alloc_data(0);
         let b = s.alloc_data(0);
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn usage_counters() {
-        let mut s = AddressSpace::new();
-        s.alloc_data(64);
-        s.alloc_code(128);
-        assert_eq!(s.data_used(), 64);
-        assert_eq!(s.code_used(), 128);
     }
 }

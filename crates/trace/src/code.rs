@@ -9,10 +9,10 @@ pub struct CodeRegion {
 
 impl CodeRegion {
     /// An empty region at address 0 (used for ops with no kernel code).
-    pub const EMPTY: CodeRegion = CodeRegion { base: 0, bytes: 0 };
+    pub(crate) const EMPTY: CodeRegion = CodeRegion { base: 0, bytes: 0 };
 
     /// True if the region covers no bytes.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.bytes == 0
     }
 }
@@ -63,17 +63,6 @@ impl CodeFootprint {
     pub fn is_empty(&self) -> bool {
         self.invocations == 0 || (self.kernel.is_empty() && self.dispatch.is_empty())
     }
-
-    /// Estimated bytes of instruction fetch this footprint generates.
-    pub fn fetch_bytes(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        self.invocations as f64
-            * (self.dispatch.bytes as f64
-                + self.kernel.bytes as f64
-                + self.hot_bytes as f64 * self.iterations)
-    }
 }
 
 #[cfg(test)]
@@ -84,25 +73,6 @@ mod tests {
     fn empty_footprint() {
         let f = CodeFootprint::empty();
         assert!(f.is_empty());
-        assert_eq!(f.fetch_bytes(), 0.0);
-    }
-
-    #[test]
-    fn fetch_bytes_counts_loops() {
-        let f = CodeFootprint {
-            dispatch: CodeRegion {
-                base: 0x2000,
-                bytes: 256,
-            },
-            kernel: CodeRegion {
-                base: 0x1000,
-                bytes: 512,
-            },
-            hot_bytes: 128,
-            invocations: 2,
-            iterations: 10.0,
-        };
-        assert_eq!(f.fetch_bytes(), 2.0 * (256.0 + 512.0 + 1280.0));
     }
 
     #[test]
@@ -118,6 +88,5 @@ mod tests {
             iterations: 0.0,
         };
         assert!(!f.is_empty());
-        assert_eq!(f.fetch_bytes(), 256.0);
     }
 }

@@ -6,7 +6,7 @@
 //! they perform, and the microarchitecture simulators (`drec-uarch`,
 //! `drec-hwsim`) consume that evidence. This crate defines the evidence:
 //!
-//! * [`MemEvent`] / [`SampledMemTrace`] — the (sampled) stream of data
+//! * `MemEvent` / [`SampledMemTrace`] — the (sampled) stream of data
 //!   addresses an operator actually touched during functional execution,
 //! * [`WorkVector`] — ISA-independent counts of arithmetic and memory work,
 //! * [`BranchProfile`] — branch counts split by predictability class,
@@ -36,9 +36,8 @@ mod optrace;
 mod summary;
 mod work;
 
-pub use alloc::{AddressSpace, CODE_BASE, DATA_BASE};
+pub use alloc::AddressSpace;
 pub use code::{CodeFootprint, CodeRegion};
-pub use mem::{AccessKind, MemEvent, SampledMemTrace};
+pub use mem::{AccessKind, SampledMemTrace};
 pub use optrace::{KernelClass, OpTrace, RunTrace};
-pub use summary::{ClassTotals, RunSummary};
 pub use work::{BranchProfile, WorkVector};

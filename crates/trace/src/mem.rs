@@ -13,12 +13,12 @@ pub struct MemEvent {
     /// Virtual byte address of the first byte touched.
     pub addr: u64,
     /// Number of bytes touched (a cache-line-granular emitter uses 64).
-    pub bytes: u32,
+    pub(crate) bytes: u32,
     /// Load or store.
-    pub kind: AccessKind,
+    pub(crate) kind: AccessKind,
 }
 
-/// A systematically sampled stream of [`MemEvent`]s.
+/// A systematically sampled stream of `MemEvent`s.
 ///
 /// Operators on large batches can touch hundreds of millions of cache lines;
 /// recording every access would dominate memory. `SampledMemTrace` keeps
@@ -84,11 +84,6 @@ impl SampledMemTrace {
         self.total
     }
 
-    /// The sampling period.
-    pub fn period(&self) -> u64 {
-        self.period
-    }
-
     /// Multiplier to convert sampled counts into estimated true counts.
     pub fn scale(&self) -> f64 {
         if self.events.is_empty() {
@@ -96,23 +91,6 @@ impl SampledMemTrace {
         } else {
             self.total as f64 / self.events.len() as f64
         }
-    }
-
-    /// Appends all events of `other` into `self`, preserving totals.
-    ///
-    /// Both traces should use the same period for the combined scale to stay
-    /// meaningful; merging traces with different periods is permitted and
-    /// yields a weighted-average scale.
-    pub fn merge(&mut self, other: &SampledMemTrace) {
-        self.events.extend_from_slice(&other.events);
-        self.total += other.total;
-    }
-
-    /// Total bytes represented by the *sampled* events, scaled to estimate
-    /// the true byte traffic.
-    pub fn estimated_bytes(&self) -> f64 {
-        let sampled: u64 = self.events.iter().map(|e| e.bytes as u64).sum();
-        sampled as f64 * self.scale()
     }
 }
 
@@ -158,22 +136,12 @@ mod tests {
     }
 
     #[test]
-    fn merge_accumulates_totals() {
-        let mut a = SampledMemTrace::with_period(1);
-        a.record(0, 64, AccessKind::Read);
-        let mut b = SampledMemTrace::with_period(1);
-        b.record(64, 64, AccessKind::Read);
-        a.merge(&b);
-        assert_eq!(a.events().len(), 2);
-        assert_eq!(a.total_events(), 2);
-    }
-
-    #[test]
     fn estimated_bytes_scales() {
         let mut t = SampledMemTrace::with_period(2);
         for i in 0..10 {
             t.record(i * 64, 64, AccessKind::Read);
         }
-        assert!((t.estimated_bytes() - 640.0).abs() < 1e-9);
+        let sampled: u64 = t.events().iter().map(|e| e.bytes as u64).sum();
+        assert!((sampled as f64 * t.scale() - 640.0).abs() < 1e-9);
     }
 }

@@ -24,7 +24,7 @@ pub enum KernelClass {
 
 impl KernelClass {
     /// All classes, for iteration in reports.
-    pub const ALL: [KernelClass; 6] = [
+    pub(crate) const ALL: [KernelClass; 6] = [
         KernelClass::DenseMatmul,
         KernelClass::Gather,
         KernelClass::Elementwise,
@@ -63,7 +63,7 @@ pub struct OpTrace {
 
 impl OpTrace {
     /// Total floating-point operations.
-    pub fn flops(&self) -> f64 {
+    pub(crate) fn flops(&self) -> f64 {
         self.work.total_flops()
     }
 }
@@ -89,20 +89,6 @@ impl RunTrace {
     /// Total gathered rows across all operators.
     pub fn total_gather_rows(&self) -> f64 {
         self.ops.iter().map(|o| o.work.gather_rows).sum()
-    }
-
-    /// Combined work vector across all operators.
-    pub fn total_work(&self) -> WorkVector {
-        self.ops
-            .iter()
-            .fold(WorkVector::default(), |acc, o| acc.combine(&o.work))
-    }
-
-    /// Combined branch profile across all operators.
-    pub fn total_branches(&self) -> BranchProfile {
-        self.ops
-            .iter()
-            .fold(BranchProfile::default(), |acc, o| acc.combine(&o.branches))
     }
 
     /// Number of operator executions of a given class.
@@ -146,6 +132,5 @@ mod tests {
         assert_eq!(run.total_flops(), 108.0);
         assert_eq!(run.count_class(KernelClass::Gather), 1);
         assert_eq!(run.count_class(KernelClass::Recurrent), 0);
-        assert_eq!(run.total_work().fma_flops, 108.0);
     }
 }

@@ -8,13 +8,13 @@ pub struct ClassTotals {
     /// Number of operator executions.
     pub ops: usize,
     /// Floating-point operations.
-    pub flops: f64,
+    pub(crate) flops: f64,
     /// Bytes moved by contiguous loads/stores.
-    pub stream_bytes: f64,
+    pub(crate) stream_bytes: f64,
     /// Bytes moved by irregular gathers.
     pub gather_bytes: f64,
     /// Branches executed.
-    pub branches: f64,
+    pub(crate) branches: f64,
 }
 
 /// A per-class digest of a [`RunTrace`] — the quick look a practitioner
@@ -22,10 +22,10 @@ pub struct ClassTotals {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSummary {
     /// Batch size of the summarised run.
-    pub batch: usize,
+    pub(crate) batch: usize,
     /// Totals per kernel class, in [`KernelClass::ALL`] order (classes
     /// with no ops are included with zeroed totals).
-    pub per_class: Vec<(KernelClass, ClassTotals)>,
+    pub(crate) per_class: Vec<(KernelClass, ClassTotals)>,
 }
 
 impl RunSummary {
@@ -36,11 +36,6 @@ impl RunSummary {
             .find(|(c, _)| *c == class)
             .map(|(_, t)| *t)
             .unwrap_or_default()
-    }
-
-    /// Total flops across classes.
-    pub fn total_flops(&self) -> f64 {
-        self.per_class.iter().map(|(_, t)| t.flops).sum()
     }
 
     /// The class doing the most floating-point work, if any work exists.
@@ -141,7 +136,6 @@ mod tests {
         assert_eq!(s.class(KernelClass::Gather).gather_bytes, 20.0 * 128.0);
         assert_eq!(s.class(KernelClass::Recurrent).ops, 0);
         assert_eq!(s.dominant_compute_class(), Some(KernelClass::DenseMatmul));
-        assert_eq!(s.total_flops(), 151.0);
     }
 
     #[test]
@@ -164,7 +158,6 @@ mod tests {
             input_bytes: 0,
         };
         let s = run.summary();
-        assert_eq!(s.total_flops(), 0.0);
         assert_eq!(s.dominant_compute_class(), None);
     }
 }
