@@ -89,11 +89,11 @@ pub struct PoolStats {
     /// Parallel chunks processed by [`ParPool::for_each_chunk`] /
     /// [`ParPool::for_each_chunk_mut`], and column tiles by
     /// [`ParPool::for_each_column_tile_mut`].
-    pub chunks: u64,
+    pub(crate) chunks: u64,
     /// Total nanoseconds spent executing tasks, summed across threads.
     /// Added when a task ends, so the last task of a scope that has just
     /// returned may not be in it yet.
-    pub busy_nanos: u64,
+    pub(crate) busy_nanos: u64,
 }
 
 impl PoolStats {
@@ -108,7 +108,7 @@ impl PoolStats {
     }
 
     /// Busy time as seconds.
-    pub fn busy_seconds(&self) -> f64 {
+    pub(crate) fn busy_seconds(&self) -> f64 {
         self.busy_nanos as f64 / 1e9
     }
 
