@@ -157,11 +157,6 @@ impl EpochGc {
     pub fn synchronizations(&self) -> u64 {
         self.syncs.load(Ordering::Relaxed)
     }
-
-    /// Current epoch value (monotonic; parity selects the reader bank).
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
 }
 
 /// RAII pin into one epoch bank; dropping unpins.
@@ -183,6 +178,13 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
+
+    impl EpochGc {
+        /// Current epoch value (monotonic; parity selects the reader bank).
+        fn epoch(&self) -> u64 {
+            self.epoch.load(Ordering::Acquire)
+        }
+    }
 
     #[test]
     fn pin_unpin_balances_counters() {

@@ -10,7 +10,7 @@
 //!    wrappers normally, and to instrumented versions under
 //!    `--cfg loom`, following the tokio-rs/loom idiom. Because the real
 //!    loom crate cannot be vendored into this offline build, the checker
-//!    itself is in-tree ([`model()`], `src/model.rs`): a schedule explorer
+//!    itself is in-tree ([`model::model`], `src/model.rs`): a schedule explorer
 //!    that serializes real threads and enumerates interleavings
 //!    depth-first under a preemption bound.
 //! 2. **Lock-free building blocks.** [`EventCount`] (pulse-gated parking
@@ -38,19 +38,15 @@ mod ring;
 
 pub use epoch::{EpochGc, EpochGuard};
 pub use event::EventCount;
-pub use primitives::{
-    atomic, spin_loop, Condvar, Mutex, MutexGuard, Ordering, RwLock, WaitOutcome,
-};
-pub use primitives::{RwLockReadGuard, RwLockWriteGuard};
+pub(crate) use primitives::spin_loop;
+pub use primitives::{atomic, Condvar, Mutex, MutexGuard, Ordering, RwLock};
 pub use ring::{EvictPush, EvictRing};
 
 /// Model-checking-aware thread spawn/join/yield (plain `std` threads
 /// outside a [`model::model`] execution).
 pub mod thread {
-    pub use crate::model::{spawn, yield_now, JoinHandle};
+    pub use crate::model::{spawn, yield_now};
 }
-
-pub use model::model;
 
 /// Pads and aligns a value to a 64-byte cache line so adjacent hot
 /// atomics (per-worker counters, ring cursors) never share a line —
@@ -67,11 +63,6 @@ impl<T> CachePadded<T> {
     /// Wraps `value` in its own cache line.
     pub const fn new(value: T) -> CachePadded<T> {
         CachePadded { value }
-    }
-
-    /// Consumes the wrapper, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.value
     }
 }
 
@@ -101,10 +92,5 @@ mod tests {
         let c = CachePadded::new(atomic::AtomicU64::new(1));
         c.fetch_add(1, Ordering::Relaxed);
         assert_eq!(c.load(Ordering::Relaxed), 2);
-        assert_eq!(
-            CachePadded::new(7u32).into_inner(),
-            7,
-            "into_inner returns the wrapped value"
-        );
     }
 }

@@ -768,12 +768,6 @@ mod imp {
 
 pub use imp::{Condvar, Mutex, MutexGuard, RwLock};
 
-#[cfg(loom)]
-pub use imp::{RwLockReadGuard, RwLockWriteGuard};
-
-#[cfg(not(loom))]
-pub use std::sync::{RwLockReadGuard, RwLockWriteGuard};
-
 /// The loom-switched atomic types.
 pub mod atomic {
     pub use super::imp::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize};
