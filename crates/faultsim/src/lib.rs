@@ -154,17 +154,17 @@ pub enum UpdateFault {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultCounts {
     /// Batches executed through the hook.
-    pub batches: u64,
+    pub(crate) batches: u64,
     /// Row reads observed by the hook.
-    pub reads: u64,
+    pub(crate) reads: u64,
     /// Injected worker panics.
-    pub panics: u64,
+    pub(crate) panics: u64,
     /// Injected input corruptions.
-    pub corruptions: u64,
+    pub(crate) corruptions: u64,
     /// Injected poisoned reads.
-    pub poisons: u64,
+    pub(crate) poisons: u64,
     /// Injected read delays.
-    pub delays: u64,
+    pub(crate) delays: u64,
     /// Update delta batches observed by the hook.
     pub update_batches: u64,
     /// Injected mid-batch update crashes (each rolls back atomically).
@@ -281,11 +281,6 @@ impl FaultHook {
         }
     }
 
-    /// Whether this hook can inject anything.
-    pub fn enabled(&self) -> bool {
-        self.state.is_some()
-    }
-
     /// Called by the engine once per batch, *before* execution. Panics
     /// take precedence over corruptions when both are scheduled for the
     /// same batch.
@@ -389,7 +384,7 @@ mod tests {
     #[test]
     fn disabled_hook_injects_nothing_and_counts_nothing() {
         let hook = FaultHook::disabled();
-        assert!(!hook.enabled());
+        assert!(hook.state.is_none());
         for _ in 0..100 {
             assert_eq!(hook.on_batch(), BatchFault::None);
             assert_eq!(hook.on_read(), ReadFault::None);
