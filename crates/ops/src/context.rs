@@ -11,15 +11,15 @@ use crate::{kind_cost, OpKind, Value, ValuePayload};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ArenaStats {
     /// `take_buffer` calls satisfied from the free list.
-    pub hits: u64,
+    pub(crate) hits: u64,
     /// `take_buffer` calls that had to allocate fresh storage.
     pub misses: u64,
     /// Buffers returned to the free list over the context's lifetime.
-    pub recycled: u64,
+    pub(crate) recycled: u64,
     /// Buffers currently parked on the free list.
-    pub free_buffers: usize,
+    pub(crate) free_buffers: usize,
     /// Total capacity (in `f32` elements) parked on the free list.
-    pub free_elems: usize,
+    pub(crate) free_elems: usize,
 }
 
 /// Free list of activation buffers, reused across operator invocations so
@@ -101,10 +101,10 @@ impl BufferArena {
 
 /// Tracing configuration for an execution context.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceOptions {
+pub(crate) struct TraceOptions {
     /// Upper bound on retained memory events per operator; operators whose
     /// access streams are larger are systematically sampled down to this.
-    pub target_events_per_op: usize,
+    pub(crate) target_events_per_op: usize,
 }
 
 impl Default for TraceOptions {
@@ -213,7 +213,7 @@ impl ExecContext {
     }
 
     /// True if a trace is being recorded.
-    pub fn tracing_enabled(&self) -> bool {
+    pub(crate) fn tracing_enabled(&self) -> bool {
         self.trace.is_some()
     }
 
@@ -223,23 +223,23 @@ impl ExecContext {
     }
 
     /// Allocates a parameter buffer (weights, embedding tables).
-    pub fn alloc_param(&mut self, bytes: u64) -> u64 {
+    pub(crate) fn alloc_param(&mut self, bytes: u64) -> u64 {
         self.space.alloc_data(bytes)
     }
 
     /// Allocates an activation buffer for an operator output.
-    pub fn alloc_activation(&mut self, bytes: u64) -> u64 {
+    pub(crate) fn alloc_activation(&mut self, bytes: u64) -> u64 {
         self.space.alloc_data(bytes)
     }
 
     /// Allocates the per-instance dispatch code region for a new operator
     /// node of `kind`.
-    pub fn alloc_dispatch(&mut self, kind: OpKind) -> CodeRegion {
+    pub(crate) fn alloc_dispatch(&mut self, kind: OpKind) -> CodeRegion {
         self.space.alloc_code(kind_cost(kind).dispatch_bytes)
     }
 
     /// The shared kernel code region for `kind`, allocated on first use.
-    pub fn kernel_region(&mut self, kind: OpKind) -> CodeRegion {
+    pub(crate) fn kernel_region(&mut self, kind: OpKind) -> CodeRegion {
         if let Some(&r) = self.kernel_regions.get(&kind) {
             return r;
         }
@@ -264,12 +264,12 @@ impl ExecContext {
     /// with [`drec_tensor::Tensor::from_pooled`] and recycle it later via
     /// [`ExecContext::recycle_value`]) so steady-state inference reuses
     /// activations instead of allocating.
-    pub fn take_buffer(&mut self, len: usize) -> Vec<f32> {
+    pub(crate) fn take_buffer(&mut self, len: usize) -> Vec<f32> {
         self.arena.take(len)
     }
 
     /// Returns a scratch or activation buffer to the arena free list.
-    pub fn recycle_buffer(&mut self, buf: Vec<f32>) {
+    pub(crate) fn recycle_buffer(&mut self, buf: Vec<f32>) {
         self.arena.recycle(buf);
     }
 
@@ -291,7 +291,7 @@ impl ExecContext {
 
     /// Opens a per-operator trace record. Called by
     /// [`crate::Operator::execute`].
-    pub fn begin_op(&mut self, name: &str, op_type: &str, class: KernelClass) {
+    pub(crate) fn begin_op(&mut self, name: &str, op_type: &str, class: KernelClass) {
         if let Some(t) = &mut self.trace {
             debug_assert!(t.current.is_none(), "begin_op while op in progress");
             t.current = Some(CurrentOp {
@@ -310,7 +310,7 @@ impl ExecContext {
 
     /// Declares the expected number of memory events for the current op so
     /// the sampler can pick a period. Must precede the first record call.
-    pub fn reserve_mem_events(&mut self, estimated: u64) {
+    pub(crate) fn reserve_mem_events(&mut self, estimated: u64) {
         let target = self.opts.target_events_per_op as u64;
         if let Some(cur) = self.current_mut() {
             let period = estimated.div_ceil(target).max(1);
@@ -319,35 +319,35 @@ impl ExecContext {
     }
 
     /// Adds arithmetic/memory work to the current op.
-    pub fn add_work(&mut self, work: WorkVector) {
+    pub(crate) fn add_work(&mut self, work: WorkVector) {
         if let Some(cur) = self.current_mut() {
             cur.work = cur.work.combine(&work);
         }
     }
 
     /// Adds branch behaviour to the current op.
-    pub fn add_branches(&mut self, branches: BranchProfile) {
+    pub(crate) fn add_branches(&mut self, branches: BranchProfile) {
         if let Some(cur) = self.current_mut() {
             cur.branches = cur.branches.combine(&branches);
         }
     }
 
     /// Sets the code footprint of the current op.
-    pub fn set_code(&mut self, code: CodeFootprint) {
+    pub(crate) fn set_code(&mut self, code: CodeFootprint) {
         if let Some(cur) = self.current_mut() {
             cur.code = code;
         }
     }
 
     /// Records a read of `bytes` starting at `addr` (line-granular).
-    pub fn record_read(&mut self, addr: u64, bytes: u64) {
+    pub(crate) fn record_read(&mut self, addr: u64, bytes: u64) {
         if let Some(cur) = self.current_mut() {
             cur.mem.record_range(addr, bytes, AccessKind::Read);
         }
     }
 
     /// Records a write of `bytes` starting at `addr` (line-granular).
-    pub fn record_write(&mut self, addr: u64, bytes: u64) {
+    pub(crate) fn record_write(&mut self, addr: u64, bytes: u64) {
         if let Some(cur) = self.current_mut() {
             cur.mem.record_range(addr, bytes, AccessKind::Write);
         }
@@ -355,7 +355,7 @@ impl ExecContext {
 
     /// Closes the current op record with its I/O and parameter byte
     /// counts.
-    pub fn end_op(&mut self, bytes_in: u64, bytes_out: u64, param_bytes: u64) {
+    pub(crate) fn end_op(&mut self, bytes_in: u64, bytes_out: u64, param_bytes: u64) {
         if let Some(t) = &mut self.trace {
             if let Some(mut cur) = t.current.take() {
                 cur.bytes_in = bytes_in;

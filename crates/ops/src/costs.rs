@@ -12,16 +12,16 @@ use crate::OpKind;
 
 /// Instruction-memory cost constants for one operator kind.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct KindCost {
+pub(crate) struct KindCost {
     /// Shared kernel code bytes (one region per kind per graph).
-    pub kernel_bytes: u64,
+    pub(crate) kernel_bytes: u64,
     /// Hot inner-loop bytes within the kernel.
-    pub hot_loop_bytes: u64,
+    pub(crate) hot_loop_bytes: u64,
     /// Per-instance dispatch/marshalling code bytes.
-    pub dispatch_bytes: u64,
+    pub(crate) dispatch_bytes: u64,
     /// Elements processed per hot-loop iteration (vector-unrolled kernels
     /// chew through more elements per trip).
-    pub elems_per_iter: f64,
+    pub(crate) elems_per_iter: f64,
 }
 
 /// Framework overhead executed per operator invocation, in instructions
@@ -30,7 +30,7 @@ pub struct KindCost {
 pub const FRAMEWORK_OVERHEAD_INSTRS: f64 = 2_500.0;
 
 /// Returns the cost constants for an operator kind.
-pub fn kind_cost(kind: OpKind) -> KindCost {
+pub(crate) fn kind_cost(kind: OpKind) -> KindCost {
     match kind {
         OpKind::Fc => KindCost {
             kernel_bytes: 14 * 1024,

@@ -6,14 +6,14 @@ use crate::{kind_cost, ExecContext, OpError, OpKind, Operator, Result, Value};
 /// Shared trace-emission helper for streaming (elementwise/data-movement)
 /// kernels: unit-stride reads and writes, loop-dominated branch behaviour.
 pub(crate) struct StreamEmit<'a> {
-    pub kind: OpKind,
-    pub dispatch: CodeRegion,
-    pub kernel: CodeRegion,
+    pub(crate) kind: OpKind,
+    pub(crate) dispatch: CodeRegion,
+    pub(crate) kernel: CodeRegion,
     /// `(addr, bytes)` regions read once.
-    pub reads: &'a [(u64, u64)],
+    pub(crate) reads: &'a [(u64, u64)],
     /// `(addr, bytes)` regions written once.
-    pub writes: &'a [(u64, u64)],
-    pub work: WorkVector,
+    pub(crate) writes: &'a [(u64, u64)],
+    pub(crate) work: WorkVector,
 }
 
 pub(crate) fn emit_stream(ctx: &mut ExecContext, e: StreamEmit<'_>) {

@@ -183,12 +183,12 @@ impl EmbeddingTable {
     }
 
     /// Embedding dimension.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.dim
     }
 
     /// Virtual (logical) row count — what ids are sampled against.
-    pub fn virtual_rows(&self) -> usize {
+    pub(crate) fn virtual_rows(&self) -> usize {
         self.virtual_rows
     }
 
@@ -206,7 +206,7 @@ impl EmbeddingTable {
     }
 
     /// The physical row a virtual `id` resolves to.
-    pub fn physical_row(&self, id: u32) -> u32 {
+    pub(crate) fn physical_row(&self, id: u32) -> u32 {
         ((id as usize) % self.physical_rows) as u32
     }
 
@@ -431,7 +431,7 @@ impl SparseLengthsSum {
     }
 
     /// The pooling mode.
-    pub fn mode(&self) -> PoolMode {
+    pub(crate) fn mode(&self) -> PoolMode {
         self.mode
     }
 }

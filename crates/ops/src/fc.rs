@@ -66,12 +66,12 @@ impl FullyConnected {
     }
 
     /// Input feature count.
-    pub fn in_features(&self) -> usize {
+    pub(crate) fn in_features(&self) -> usize {
         self.in_features
     }
 
     /// Output feature count.
-    pub fn out_features(&self) -> usize {
+    pub(crate) fn out_features(&self) -> usize {
         self.out_features
     }
 

@@ -61,11 +61,6 @@ impl Gru {
             kernel: ctx.kernel_region(OpKind::RecurrentNetwork),
         }
     }
-
-    /// Hidden state width.
-    pub fn hidden(&self) -> usize {
-        self.hidden
-    }
 }
 
 fn sigmoid(x: f32) -> f32 {

@@ -54,7 +54,7 @@ impl OpKind {
     }
 
     /// The hardware-behaviour class the platform models key on.
-    pub fn kernel_class(&self) -> KernelClass {
+    pub(crate) fn kernel_class(&self) -> KernelClass {
         match self {
             OpKind::Fc | OpKind::BatchMatMul => KernelClass::DenseMatmul,
             OpKind::SparseLengthsSum | OpKind::SparseLengthsMean | OpKind::Gather => {
@@ -67,8 +67,9 @@ impl OpKind {
         }
     }
 
-    /// All kinds, for building per-kind shared kernel regions and legends.
-    pub const ALL: [OpKind; 13] = [
+    /// All kinds, for the tests that cover every kind.
+    #[cfg(test)]
+    pub(crate) const ALL: [OpKind; 13] = [
         OpKind::Fc,
         OpKind::SparseLengthsSum,
         OpKind::SparseLengthsMean,

@@ -58,8 +58,9 @@ mod shape_ops;
 mod softmax;
 mod value;
 
-pub use context::{ArenaStats, ExecContext, TraceOptions};
-pub use costs::{kind_cost, KindCost, FRAMEWORK_OVERHEAD_INSTRS};
+pub use context::ExecContext;
+pub(crate) use costs::kind_cost;
+pub use costs::FRAMEWORK_OVERHEAD_INSTRS;
 pub use elementwise::{Activation, ActivationKind, Mul, Sum};
 pub use embedding::{EmbeddingGather, EmbeddingTable, GatherMode, PoolMode, SparseLengthsSum};
 pub use error::OpError;
@@ -75,4 +76,4 @@ pub use softmax::Softmax;
 pub use value::{IdList, Value, ValuePayload};
 
 /// Convenience result alias for operator execution.
-pub type Result<T> = std::result::Result<T, OpError>;
+pub(crate) type Result<T> = std::result::Result<T, OpError>;

@@ -38,41 +38,9 @@ impl IdList {
         self.ids.len()
     }
 
-    /// Iterates `(sample, ids-for-sample)` pairs.
-    pub fn segments(&self) -> impl Iterator<Item = &[u32]> {
-        SegmentIter {
-            ids: &self.ids,
-            lengths: &self.lengths,
-            pos: 0,
-            seg: 0,
-        }
-    }
-
     /// Bytes this id list occupies as model input (ids + lengths as u32).
-    pub fn input_bytes(&self) -> u64 {
+    pub(crate) fn input_bytes(&self) -> u64 {
         ((self.ids.len() + self.lengths.len()) * 4) as u64
-    }
-}
-
-struct SegmentIter<'a> {
-    ids: &'a [u32],
-    lengths: &'a [u32],
-    pos: usize,
-    seg: usize,
-}
-
-impl<'a> Iterator for SegmentIter<'a> {
-    type Item = &'a [u32];
-
-    fn next(&mut self) -> Option<&'a [u32]> {
-        if self.seg >= self.lengths.len() {
-            return None;
-        }
-        let len = self.lengths[self.seg] as usize;
-        let out = &self.ids[self.pos..self.pos + len];
-        self.pos += len;
-        self.seg += 1;
-        Some(out)
     }
 }
 
@@ -96,7 +64,7 @@ pub struct Value {
     pub payload: ValuePayload,
     /// Base address of the buffer in the simulated address space
     /// (0 until the executor assigns one).
-    pub addr: u64,
+    pub(crate) addr: u64,
 }
 
 impl Value {
@@ -121,7 +89,7 @@ impl Value {
     /// # Errors
     ///
     /// Returns [`OpError::WrongValueKind`] if the payload holds ids.
-    pub fn dense_ref(&self, op: &'static str) -> Result<&Tensor> {
+    pub(crate) fn dense_ref(&self, op: &'static str) -> Result<&Tensor> {
         match &self.payload {
             ValuePayload::Dense(t) => Ok(t),
             ValuePayload::Ids(_) => Err(OpError::WrongValueKind {
@@ -172,11 +140,6 @@ mod tests {
     #[test]
     fn id_list_segments() {
         let ids = IdList::new(vec![1, 2, 3, 4, 5], vec![2, 0, 3]);
-        let segs: Vec<_> = ids.segments().collect();
-        assert_eq!(segs.len(), 3);
-        assert_eq!(segs[0], &[1, 2]);
-        assert_eq!(segs[1], &[] as &[u32]);
-        assert_eq!(segs[2], &[3, 4, 5]);
         assert_eq!(ids.batch(), 3);
         assert_eq!(ids.total_lookups(), 5);
     }
