@@ -187,9 +187,9 @@ pub(crate) enum Touch {
 pub(crate) struct Inserted {
     /// An eviction happened and the victim's `prefetched_unused` flag
     /// was still set.
-    pub evicted_prefetched_unused: bool,
+    pub(crate) evicted_prefetched_unused: bool,
     /// A victim was evicted to make room.
-    pub evicted: bool,
+    pub(crate) evicted: bool,
 }
 
 /// A budget-bounded resident set with CLOCK replacement.
@@ -202,7 +202,7 @@ pub(crate) struct Inserted {
 /// through its row's record (`RowRecord`), which the clock keeps in
 /// step with the slot array.
 #[derive(Debug)]
-pub struct ResidencyClock {
+pub(crate) struct ResidencyClock {
     budget: usize,
     slots: Vec<Slot>,
     /// Key → record; a resident row's record names its slot.
@@ -214,7 +214,7 @@ pub struct ResidencyClock {
 impl ResidencyClock {
     /// An empty clock with room for `budget` keys (minimum 1). Panics at
     /// 2^24 rows or more, which a record's slot field cannot index.
-    pub fn new(budget: usize) -> ResidencyClock {
+    pub(crate) fn new(budget: usize) -> ResidencyClock {
         assert!(
             budget < BUDGET_LIMIT,
             "tier: budget {budget} is not below {BUDGET_LIMIT}"
@@ -230,17 +230,17 @@ impl ResidencyClock {
     }
 
     /// Configured capacity in rows.
-    pub fn budget(&self) -> usize {
+    pub(crate) fn budget(&self) -> usize {
         self.budget
     }
 
     /// Keys currently resident.
-    pub fn resident(&self) -> usize {
+    pub(crate) fn resident(&self) -> usize {
         self.slots.len()
     }
 
     /// Evictions performed so far.
-    pub fn evictions(&self) -> u64 {
+    pub(crate) fn evictions(&self) -> u64 {
         self.evictions
     }
 
@@ -256,13 +256,13 @@ impl ResidencyClock {
     }
 
     /// Whether `key` is resident, without touching referenced bits.
-    pub fn contains(&self, key: u64) -> bool {
+    pub(crate) fn contains(&self, key: u64) -> bool {
         self.slot_of(key).is_some()
     }
 
     /// Counts resident keys for which `pred` holds — the reporting path
     /// behind per-table and per-model residency tables. O(resident).
-    pub fn count_resident(&self, mut pred: impl FnMut(u64) -> bool) -> usize {
+    pub(crate) fn count_resident(&self, mut pred: impl FnMut(u64) -> bool) -> usize {
         self.slots.iter().filter(|s| pred(s.key())).count()
     }
 

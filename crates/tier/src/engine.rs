@@ -117,60 +117,6 @@ pub struct TierStats {
     pub invalidations: u64,
 }
 
-impl TierStats {
-    /// Counter deltas since `base`; the two residency gauges keep their
-    /// current values.
-    pub fn since(&self, base: &TierStats) -> TierStats {
-        TierStats {
-            dram_budget_rows: self.dram_budget_rows,
-            dram_resident_rows: self.dram_resident_rows,
-            dram_hits: self.dram_hits.saturating_sub(base.dram_hits),
-            cold_demand_reads: self
-                .cold_demand_reads
-                .saturating_sub(base.cold_demand_reads),
-            promotions: self.promotions.saturating_sub(base.promotions),
-            evictions: self.evictions.saturating_sub(base.evictions),
-            demand_wait_nanos: self
-                .demand_wait_nanos
-                .saturating_sub(base.demand_wait_nanos),
-            prefetch_wait_nanos: self
-                .prefetch_wait_nanos
-                .saturating_sub(base.prefetch_wait_nanos),
-            prefetch_issued: self.prefetch_issued.saturating_sub(base.prefetch_issued),
-            prefetch_fills: self.prefetch_fills.saturating_sub(base.prefetch_fills),
-            prefetch_hits: self.prefetch_hits.saturating_sub(base.prefetch_hits),
-            prefetch_wasted: self.prefetch_wasted.saturating_sub(base.prefetch_wasted),
-            prefetch_aborted_stale: self
-                .prefetch_aborted_stale
-                .saturating_sub(base.prefetch_aborted_stale),
-            invalidations: self.invalidations.saturating_sub(base.invalidations),
-        }
-    }
-
-    /// Fraction of demand accesses served from DRAM (1.0 when idle —
-    /// nothing went cold).
-    pub fn dram_hit_rate(&self) -> f64 {
-        let total = self.dram_hits + self.cold_demand_reads;
-        if total == 0 {
-            1.0
-        } else {
-            self.dram_hits as f64 / total as f64
-        }
-    }
-
-    /// Fraction of would-be cold demand misses the prefetcher converted
-    /// into DRAM hits: `hits / (hits + residual cold demand reads)`.
-    /// 0 when neither moved.
-    pub fn prefetch_conversion(&self) -> f64 {
-        let total = self.prefetch_hits + self.cold_demand_reads;
-        if total == 0 {
-            0.0
-        } else {
-            self.prefetch_hits as f64 / total as f64
-        }
-    }
-}
-
 /// Everything the tier mutates, behind the engine's one lock.
 #[derive(Debug)]
 struct TierState {
@@ -509,7 +455,6 @@ mod tests {
         assert_eq!(s.dram_hits, 1);
         assert_eq!(s.demand_wait_nanos, wait.as_nanos() as u64);
         assert_eq!(s.prefetch_wait_nanos, 0);
-        assert!((s.dram_hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -525,7 +470,6 @@ mod tests {
         assert_eq!(s.cold_demand_reads, 0);
         assert_eq!(s.demand_wait_nanos, 0);
         assert!(s.prefetch_wait_nanos > 0, "fill latency charged off-path");
-        assert!((s.prefetch_conversion() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -705,18 +649,5 @@ mod tests {
         let at = std::panic::catch_unwind(|| TierEngine::new(&TierConfig::new(limit)));
         let msg = *at.unwrap_err().downcast::<String>().unwrap();
         assert!(msg.contains("not below 16777216"), "{msg}");
-    }
-
-    #[test]
-    fn stats_since_subtracts_counters_keeps_gauges() {
-        let t = charge_only(8);
-        t.demand_access(1);
-        let base = t.stats();
-        t.demand_access(1);
-        t.demand_access(2);
-        let d = t.stats().since(&base);
-        assert_eq!(d.dram_hits, 1);
-        assert_eq!(d.cold_demand_reads, 1);
-        assert_eq!(d.dram_resident_rows, 2, "gauge keeps current value");
     }
 }

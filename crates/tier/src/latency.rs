@@ -61,7 +61,7 @@ impl ColdReadModel {
     /// The delay charged to cold read number `read_index` with
     /// `inflight` reads already in service. Deterministic for a fixed
     /// model.
-    pub fn delay_for(&self, read_index: u64, inflight: u64) -> Duration {
+    pub(crate) fn delay_for(&self, read_index: u64, inflight: u64) -> Duration {
         let jitter_nanos = self.jitter.as_nanos() as u64;
         let jitter = if jitter_nanos == 0 {
             0

@@ -35,7 +35,7 @@
 //!   on the faultsim delay seam) or virtually charged
 //!   ([`Pacing::Charge`], for benches that need reproducible latency
 //!   accounting free of OS sleep granularity).
-//! * [`ResidencyClock`] — the deterministic CLOCK resident set, and the
+//! * `ResidencyClock` — the deterministic CLOCK resident set, and the
 //!   per-row records a key finds its slot through. Row keys are
 //!   `(table << 32) | row` over registered tables, so the tier keeps one
 //!   direct-indexed eight-byte record per row — CLOCK slot, admission
@@ -57,6 +57,5 @@ mod clock;
 mod engine;
 mod latency;
 
-pub use clock::ResidencyClock;
 pub use engine::{CombineConfig, TierAccess, TierConfig, TierEngine, TierSession, TierStats};
 pub use latency::{ColdReadModel, Pacing};
