@@ -29,11 +29,6 @@ impl Breakdown {
         Breakdown { entries, total }
     }
 
-    /// `(op type, seconds)` entries, largest first.
-    pub fn entries(&self) -> &[(String, f64)] {
-        &self.entries
-    }
-
     /// Total seconds across all operator types.
     pub fn total_seconds(&self) -> f64 {
         self.total
@@ -97,11 +92,11 @@ mod tests {
             )
         };
         let first = build();
-        let names: Vec<&str> = first.entries().iter().map(|e| e.0.as_str()).collect();
+        let names: Vec<&str> = first.entries.iter().map(|e| e.0.as_str()).collect();
         assert_eq!(names, ["FC", "Concat", "Relu", "Sigmoid", "Sum"]);
         for _ in 0..32 {
             let again = build();
-            assert_eq!(again.entries(), first.entries());
+            assert_eq!(again.entries, first.entries);
             assert_eq!(
                 again.total_seconds().to_bits(),
                 first.total_seconds().to_bits()

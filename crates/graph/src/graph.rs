@@ -8,14 +8,10 @@ pub struct ValueId(pub(crate) usize);
 
 impl ValueId {
     /// The underlying dense index (stable within one graph).
-    pub fn index(&self) -> usize {
+    pub(crate) fn index(&self) -> usize {
         self.0
     }
 }
-
-/// Identifier of a node in a [`Graph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct NodeId(pub(crate) usize);
 
 /// One operator node: a named operator with input and output edges.
 ///
@@ -32,7 +28,7 @@ pub struct Node {
 
 impl Node {
     /// The node's unique name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
@@ -47,7 +43,7 @@ impl Node {
     }
 
     /// Output value id.
-    pub fn output(&self) -> ValueId {
+    pub(crate) fn output(&self) -> ValueId {
         self.output
     }
 }

@@ -58,8 +58,9 @@ pub use build::GraphBuilder;
 pub use dialect::{dialect_entries, Framework};
 pub use error::GraphError;
 pub use exec::{execute, execute_streamed, execute_traced};
-pub use graph::{Graph, Node, NodeId, ValueId};
+pub(crate) use graph::Node;
+pub use graph::{Graph, ValueId};
 pub use plan::{ExecPlan, PlanOptions, PlanScratch, PlanStats};
 
 /// Convenience result alias for graph operations.
-pub type Result<T> = std::result::Result<T, GraphError>;
+pub(crate) type Result<T> = std::result::Result<T, GraphError>;

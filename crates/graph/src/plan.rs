@@ -367,16 +367,6 @@ impl ExecPlan {
         self.opts
     }
 
-    /// Scheduled node count.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True when the plan has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     /// Node names per wave, in execution order — the full schedule, used
     /// by determinism tests.
     pub fn wave_layout(&self) -> Vec<Vec<&str>> {
