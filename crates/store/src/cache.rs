@@ -71,8 +71,8 @@ pub struct HotRowCache {
 impl HotRowCache {
     /// A set holding at least `capacity_rows` keys across `shard_count`
     /// shards (rounded up to whole sets — see
-    /// [`HotRowCache::capacity_rows`]). `capacity_rows == 0` disables it
-    /// entirely ([`HotRowCache::enabled`] returns false and no key is
+    /// `HotRowCache::capacity_rows`). `capacity_rows == 0` disables it
+    /// entirely (`HotRowCache::enabled` returns false and no key is
     /// ever hot).
     pub fn new(capacity_rows: usize, shard_count: usize) -> HotRowCache {
         let shard_count = shard_count.max(1).min(capacity_rows.max(1));
@@ -101,7 +101,7 @@ impl HotRowCache {
     }
 
     /// Whether this set holds anything at all.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.sets > 0
     }
 
@@ -188,18 +188,18 @@ impl HotRowCache {
     }
 
     /// Total evictions so far.
-    pub fn evictions(&self) -> u64 {
+    pub(crate) fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
     }
 
     /// Keys currently resident.
-    pub fn resident_rows(&self) -> u64 {
+    pub(crate) fn resident_rows(&self) -> u64 {
         self.resident.load(Ordering::Relaxed)
     }
 
     /// Physical capacity in rows (0 when disabled): the configured
     /// capacity rounded up to whole sets per shard.
-    pub fn capacity_rows(&self) -> usize {
+    pub(crate) fn capacity_rows(&self) -> usize {
         self.shards.len() * self.sets * self.ways
     }
 }

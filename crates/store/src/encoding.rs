@@ -92,11 +92,10 @@ impl std::fmt::Display for RowEncoding {
     }
 }
 
-// The software binary16 conversions moved next to their SIMD
-// counterparts in `drec_tensor::simd` (the vector decode must match them
-// bit-for-bit, so they live in one place); re-exported here because they
-// are part of this crate's public API since PR 3.
-pub use drec_tensor::simd::{f16_bits_to_f32, f32_to_f16_bits};
+// The software binary16 conversion lives next to its SIMD counterpart in
+// `drec_tensor::simd` (the vector decode must match it bit-for-bit, so it
+// lives in one place); re-exported here for this crate's callers.
+pub use drec_tensor::simd::f32_to_f16_bits;
 
 /// Quantizes one row into `q`, returning `(scale, bias)`: the dispatched
 /// kernel (AVX2 on capable hosts, byte-identical to its scalar oracle)
@@ -312,6 +311,7 @@ impl EncodedRow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drec_tensor::simd::f16_bits_to_f32;
 
     /// Tiny xorshift for adversarial test rows (the store crate is
     /// dependency-free, so no `ParamInit` here).

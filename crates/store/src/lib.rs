@@ -58,10 +58,9 @@ mod test_support;
 mod update;
 
 pub use cache::HotRowCache;
-pub use drec_faultsim::UpdateFault;
-pub use drec_tier::{ColdReadModel, CombineConfig, Pacing, TierConfig, TierStats};
-pub use encoding::{f16_bits_to_f32, f32_to_f16_bits, quantize_row, EncodedRow, RowEncoding};
+pub use drec_tier::{ColdReadModel, CombineConfig, Pacing, TierConfig};
+pub use encoding::{f32_to_f16_bits, quantize_row, EncodedRow, RowEncoding};
 pub use read::PinnedTable;
-pub use registry::{EmbeddingStore, StoreConfig, StoreError, TableHandle};
+pub use registry::{EmbeddingStore, StoreConfig, StoreError};
 pub use stats::StoreStats;
 pub use update::{RestoreBatch, RowDelta, RowRestore, UpdateBatch, UpdateReport};

@@ -22,30 +22,9 @@ pub struct PinnedTable {
 }
 
 impl PinnedTable {
-    /// Row count of the pinned table.
-    pub fn rows(&self) -> usize {
-        self.table.rows
-    }
-
     /// Row width of the pinned table.
     pub fn dim(&self) -> usize {
         self.table.dim
-    }
-
-    /// The handle this pin was created from.
-    pub fn handle(&self) -> TableHandle {
-        self.handle
-    }
-
-    /// The store this table lives in.
-    pub fn store(&self) -> &Arc<EmbeddingStore> {
-        &self.store
-    }
-
-    /// The snapshot version currently published for this table (v0
-    /// until the first update batch lands).
-    pub fn version(&self) -> u64 {
-        self.table.version.load(Ordering::Acquire)
     }
 
     /// Copies row `row` straight from its shard into `dst`, bypassing

@@ -82,7 +82,7 @@ pub enum StoreError {
         /// Table row count.
         rows: usize,
     },
-    /// A [`TableHandle`] that does not name a registered table (stale or
+    /// A `TableHandle` that does not name a registered table (stale or
     /// fabricated).
     UnknownTable {
         /// The offending handle's slot.
@@ -180,7 +180,7 @@ impl std::error::Error for StoreError {}
 
 /// Opaque handle to a registered table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TableHandle(pub(crate) usize);
+pub struct TableHandle(pub usize);
 
 /// One table: row-range shards, each independently lockable so a row
 /// update never stalls readers of other shards.
@@ -374,11 +374,6 @@ impl EmbeddingStore {
             update_duplicates_rejected: AtomicU64::new(0),
             update_publish_delays: AtomicU64::new(0),
         }
-    }
-
-    /// The configuration this store was built with.
-    pub fn config(&self) -> &StoreConfig {
-        &self.cfg
     }
 
     /// Enters or leaves cache-only degraded mode. While degraded, lookups

@@ -77,7 +77,7 @@ pub struct UpdateReport {
     /// Rows rewritten by the batch.
     pub rows_applied: usize,
     /// The version now published for the namespace.
-    pub published_version: u64,
+    pub(crate) published_version: u64,
 }
 
 impl EmbeddingStore {
@@ -426,7 +426,7 @@ mod tests {
         let mut out = vec![0.0f32; 2];
         p0.read_row(3, &mut out); // warm the cache with the pre-update row
         assert_eq!(s.namespace_version(7), 0);
-        assert_eq!(p0.version(), 0);
+        assert_eq!(table_version(&p0), 0);
 
         let report = s
             .apply_update(
@@ -446,7 +446,7 @@ mod tests {
             }
         );
         assert_eq!(s.namespace_version(7), 1);
-        assert_eq!((p0.version(), p1.version()), (1, 1));
+        assert_eq!((table_version(&p0), table_version(&p1)), (1, 1));
         p0.read_row(3, &mut out);
         assert_eq!(out, [1.0, 2.0], "cached pre-update row survived");
         p1.read_row(5, &mut out);
@@ -547,10 +547,15 @@ mod tests {
             .collect()
     }
 
+    /// The snapshot version currently published for the pinned table.
+    fn table_version(pin: &PinnedTable) -> u64 {
+        pin.table.version.load(Ordering::Acquire)
+    }
+
     fn decoded_bits(pin: &PinnedTable) -> Vec<u32> {
         let mut buf = vec![0.0f32; pin.dim()];
         let mut bits = Vec::new();
-        for row in 0..pin.rows() as u32 {
+        for row in 0..pin.table.rows as u32 {
             pin.read_row_raw(row, &mut buf).unwrap();
             bits.extend(buf.iter().map(|v| v.to_bits()));
         }
