@@ -8,17 +8,17 @@ pub struct ArchFeatures {
     /// `log10(FC parameter bytes / embedding parameter bytes)`.
     pub log_fc_to_emb_ratio: f64,
     /// Fraction of FC weights above the feature-interaction point.
-    pub top_fc_weight_fraction: f64,
+    pub(crate) top_fc_weight_fraction: f64,
     /// Average lookups per embedding table.
-    pub lookups_per_table: f64,
+    pub(crate) lookups_per_table: f64,
     /// Number of embedding tables.
-    pub num_tables: f64,
+    pub(crate) num_tables: f64,
     /// Embedding latent dimension.
-    pub latent_dim: f64,
+    pub(crate) latent_dim: f64,
     /// 1.0 if the model implements attention, else 0.0.
-    pub attention: f64,
+    pub(crate) attention: f64,
     /// Behaviour sequence length (0 for non-sequential models).
-    pub seq_len: f64,
+    pub(crate) seq_len: f64,
 }
 
 impl ArchFeatures {

@@ -38,6 +38,6 @@ mod spec;
 
 pub use custom::CustomDlrm;
 pub use features::ArchFeatures;
-pub use meta::ModelMeta;
+pub(crate) use meta::ModelMeta;
 pub use model::{store_namespace, ModelId, ModelScale, RecModel, StoreBinding};
 pub use spec::{InputSlot, InputSpec};

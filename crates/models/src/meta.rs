@@ -9,7 +9,7 @@ pub struct ModelMeta {
     /// Evaluation dataset/origin from Table I.
     pub dataset: &'static str,
     /// Unique requirement / use case from Table I.
-    pub use_case: &'static str,
+    pub(crate) use_case: &'static str,
     /// Model-architecture insight from Table I.
     pub insight: &'static str,
     /// Number of embedding tables.
@@ -27,7 +27,7 @@ pub struct ModelMeta {
     /// feature).
     pub top_fc_weight_fraction: f64,
     /// Whether the model implements an attention mechanism.
-    pub has_attention: bool,
+    pub(crate) has_attention: bool,
     /// Behaviour sequence length (0 for non-sequential models).
     pub seq_len: usize,
 }
@@ -40,11 +40,6 @@ impl ModelMeta {
             return f64::INFINITY;
         }
         self.fc_param_bytes as f64 / self.emb_param_bytes as f64
-    }
-
-    /// Total lookups per sample across all tables.
-    pub fn total_lookups(&self) -> f64 {
-        self.num_tables as f64 * self.lookups_per_table
     }
 }
 

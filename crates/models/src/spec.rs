@@ -24,12 +24,12 @@ pub struct InputSpec {
 
 impl InputSpec {
     /// Creates an empty spec.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Appends a slot.
-    pub fn push(&mut self, name: impl Into<String>, slot: InputSlot) {
+    pub(crate) fn push(&mut self, name: impl Into<String>, slot: InputSlot) {
         self.slots.push((name.into(), slot));
     }
 
@@ -60,17 +60,6 @@ impl InputSpec {
             })
             .sum()
     }
-
-    /// Total categorical lookups per sample across all id slots.
-    pub fn lookups_per_sample(&self) -> usize {
-        self.slots
-            .iter()
-            .map(|(_, s)| match s {
-                InputSlot::Dense { .. } => 0,
-                InputSlot::Ids { lookups, .. } => *lookups,
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -89,7 +78,6 @@ mod tests {
             },
         );
         assert_eq!(spec.bytes_per_sample(), 8 * 4 + 3 * 4 + 4);
-        assert_eq!(spec.lookups_per_sample(), 3);
         assert_eq!(spec.len(), 2);
     }
 }
