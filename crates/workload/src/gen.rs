@@ -36,11 +36,6 @@ impl QueryGen {
         }
     }
 
-    /// The categorical distribution in use.
-    pub fn dist(&self) -> CategoricalDist {
-        self.dist
-    }
-
     /// Produces one batch of `batch` samples matching `spec`, in graph
     /// input order.
     pub fn batch(&mut self, spec: &InputSpec, batch: usize) -> Vec<Value> {
@@ -58,12 +53,6 @@ impl QueryGen {
                 }
             })
             .collect()
-    }
-
-    /// Bytes a batch of this spec occupies as model input (the PCIe
-    /// transfer size for GPU deployment).
-    pub fn batch_bytes(spec: &InputSpec, batch: usize) -> u64 {
-        spec.bytes_per_sample() * batch as u64
     }
 }
 
@@ -111,14 +100,5 @@ mod tests {
             let inputs = gen.batch(model.spec(), 2);
             model.run(inputs).unwrap_or_else(|e| panic!("{id}: {e}"));
         }
-    }
-
-    #[test]
-    fn batch_bytes_scales_linearly() {
-        let model = ModelId::Wnd.build(ModelScale::Tiny, 1).unwrap();
-        let one = QueryGen::batch_bytes(model.spec(), 1);
-        let many = QueryGen::batch_bytes(model.spec(), 64);
-        assert_eq!(many, one * 64);
-        assert!(one > 0);
     }
 }
