@@ -22,7 +22,7 @@ pub struct GshareConfig {
 /// branch sites of operator-rich models — one of the mechanisms behind
 /// Cascade Lake's lower mispredict counts (Fig 15).
 #[derive(Debug, Clone)]
-pub struct GsharePredictor {
+pub(crate) struct GsharePredictor {
     config: GshareConfig,
     table: Vec<u8>,
     bimodal: Vec<u8>,
@@ -31,12 +31,12 @@ pub struct GsharePredictor {
 
 impl GsharePredictor {
     /// The predictor's configuration.
-    pub fn config(&self) -> GshareConfig {
+    pub(crate) fn config(&self) -> GshareConfig {
         self.config
     }
 
     /// Creates a predictor with weakly-not-taken counters.
-    pub fn new(config: GshareConfig) -> Self {
+    pub(crate) fn new(config: GshareConfig) -> Self {
         GsharePredictor {
             config,
             table: vec![1; 1 << config.table_bits],
@@ -47,14 +47,14 @@ impl GsharePredictor {
 
     /// Returns every counter to weakly-not-taken and clears the history:
     /// [`GsharePredictor::new`]'s state.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.table.fill(1);
         self.bimodal.fill(1);
         self.history = 0;
     }
 
     /// Predicts and updates for one branch; returns `true` on mispredict.
-    pub fn execute(&mut self, pc: u64, taken: bool) -> bool {
+    pub(crate) fn execute(&mut self, pc: u64, taken: bool) -> bool {
         let mask = (1u64 << self.config.table_bits) - 1;
         let hist = self.history & ((1u64 << self.config.history_bits.min(63)) - 1);
         let idx = ((pc >> 2) ^ hist) & mask;
@@ -101,23 +101,6 @@ pub struct BranchStats {
     pub mispredicts: f64,
 }
 
-impl BranchStats {
-    /// Mispredict ratio (0 for an empty window).
-    pub fn mispredict_ratio(&self) -> f64 {
-        if self.branches > 0.0 {
-            self.mispredicts / self.branches
-        } else {
-            0.0
-        }
-    }
-
-    /// Accumulates another window.
-    pub fn add(&mut self, other: &BranchStats) {
-        self.branches += other.branches;
-        self.mispredicts += other.mispredicts;
-    }
-}
-
 /// Cap on simulated branch events per op; the remainder is extrapolated.
 const MAX_SIM_BRANCHES: u64 = 8_192;
 
@@ -129,7 +112,7 @@ const LOOP_TRIP: u64 = 96;
 const RNG_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Synthesises per-op branch outcome streams from a [`BranchProfile`] and
-/// drives them through a [`GsharePredictor`].
+/// drives them through a `GsharePredictor`.
 ///
 /// Loop branches follow a taken/taken/…/not-taken trip pattern; data
 /// branches are Bernoulli with a per-site bias derived from the profile's
@@ -253,6 +236,23 @@ impl BranchSynth {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl BranchStats {
+        /// Mispredict ratio (0 for an empty window).
+        fn mispredict_ratio(&self) -> f64 {
+            if self.branches > 0.0 {
+                self.mispredicts / self.branches
+            } else {
+                0.0
+            }
+        }
+
+        /// Accumulates another window.
+        fn add(&mut self, other: &BranchStats) {
+            self.branches += other.branches;
+            self.mispredicts += other.mispredicts;
+        }
+    }
 
     const BIG: GshareConfig = GshareConfig {
         table_bits: 15,

@@ -107,11 +107,6 @@ impl CacheSim {
         }
     }
 
-    /// The configured geometry.
-    pub fn config(&self) -> CacheConfig {
-        self.config
-    }
-
     /// The slot `addr` maps to, or `None` when set sampling skips its set.
     #[inline(always)]
     fn locate(&self, addr: u64) -> Option<Slot> {
@@ -244,7 +239,7 @@ impl CacheSim {
     }
 
     /// Clears counters but keeps cache contents (for per-op windows).
-    pub fn reset_counters(&mut self) {
+    pub(crate) fn reset_counters(&mut self) {
         self.accesses = 0.0;
         self.misses = 0.0;
     }
@@ -254,7 +249,7 @@ impl CacheSim {
     /// `occupancy` tags are ever read, so stale tags past it are never
     /// seen, and the sets of a large LLC that no trace reached stay
     /// unfaulted.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.occupancy.fill(0);
         self.reset_counters();
     }
@@ -302,31 +297,6 @@ pub struct HierarchyStats {
     pub dram_accesses: f64,
 }
 
-impl HierarchyStats {
-    /// L1 miss ratio.
-    pub fn l1_miss_ratio(&self) -> f64 {
-        if self.accesses > 0.0 {
-            1.0 - self.l1_hits / self.accesses
-        } else {
-            0.0
-        }
-    }
-
-    /// Bytes fetched from DRAM (64-byte lines).
-    pub fn dram_bytes(&self) -> f64 {
-        self.dram_accesses * 64.0
-    }
-
-    /// Accumulates another window's stats.
-    pub fn add(&mut self, other: &HierarchyStats) {
-        self.accesses += other.accesses;
-        self.l1_hits += other.l1_hits;
-        self.l2_hits += other.l2_hits;
-        self.l3_hits += other.l3_hits;
-        self.dram_accesses += other.dram_accesses;
-    }
-}
-
 /// Three-level data-cache hierarchy with a configurable LLC inclusion
 /// policy.
 ///
@@ -354,12 +324,7 @@ impl CacheHierarchy {
         }
     }
 
-    /// The configured inclusion policy.
-    pub fn policy(&self) -> InclusionPolicy {
-        self.policy
-    }
-
-    /// Empties all three levels ([`CacheSim::clear`]).
+    /// Empties all three levels (`CacheSim::clear`).
     pub fn clear(&mut self) {
         self.l1.clear();
         self.l2.clear();
@@ -638,21 +603,5 @@ mod tests {
         assert!(c.probe(0));
         assert!(c.invalidate(0));
         assert!(!c.invalidate(0));
-    }
-
-    #[test]
-    fn hierarchy_stats_accumulate() {
-        let mut a = HierarchyStats {
-            accesses: 10.0,
-            l1_hits: 5.0,
-            ..HierarchyStats::default()
-        };
-        a.add(&HierarchyStats {
-            accesses: 10.0,
-            l1_hits: 10.0,
-            ..HierarchyStats::default()
-        });
-        assert_eq!(a.accesses, 20.0);
-        assert!((a.l1_miss_ratio() - 0.25).abs() < 1e-12);
     }
 }

@@ -13,7 +13,7 @@ pub struct DramConfig {
 
 impl DramConfig {
     /// Bandwidth in bytes per core cycle.
-    pub fn bytes_per_cycle(&self) -> f64 {
+    pub(crate) fn bytes_per_cycle(&self) -> f64 {
         self.bandwidth_bytes_per_sec / self.core_freq_hz
     }
 }
@@ -21,7 +21,7 @@ impl DramConfig {
 /// Occupancy threshold above which Intel classifies stalls as DRAM
 /// *bandwidth* congestion rather than latency (quoted in the paper's
 /// Fig 14 discussion).
-pub const CONGESTION_OCCUPANCY: f64 = 0.7;
+pub(crate) const CONGESTION_OCCUPANCY: f64 = 0.7;
 
 /// Per-op DRAM accounting results.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -29,9 +29,9 @@ pub struct DramStats {
     /// Cycles the op needs for its DRAM traffic at peak bandwidth.
     pub bandwidth_cycles: f64,
     /// Average offcore queue occupancy (entries) implied by Little's law.
-    pub avg_occupancy: f64,
+    pub(crate) avg_occupancy: f64,
     /// Occupancy as a fraction of the queue capacity.
-    pub occupancy_fraction: f64,
+    pub(crate) occupancy_fraction: f64,
     /// True if the op ran in the congested regime (>70% occupancy).
     pub congested: bool,
 }
@@ -52,11 +52,6 @@ impl DramModel {
     /// Creates a model.
     pub fn new(config: DramConfig) -> Self {
         DramModel { config }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> DramConfig {
-        self.config
     }
 
     /// Accounts one op's DRAM behaviour.

@@ -31,7 +31,7 @@ impl Default for DsbConfig {
 /// then inserted). Transitions between the two sources cost pipeline
 /// bubbles that the TopDown frontend-bandwidth category observes (Fig 13).
 #[derive(Debug, Clone)]
-pub struct DsbSim {
+pub(crate) struct DsbSim {
     cache: CacheSim,
     last_was_dsb: Option<bool>,
     switches: f64,
@@ -39,7 +39,7 @@ pub struct DsbSim {
 
 impl DsbSim {
     /// Creates a DSB simulator.
-    pub fn new(config: DsbConfig) -> Self {
+    pub(crate) fn new(config: DsbConfig) -> Self {
         let cache_cfg = CacheConfig {
             bytes: config.sets as u64 * config.ways as u64 * config.window,
             ways: config.ways,
@@ -53,7 +53,7 @@ impl DsbSim {
     }
 
     /// Fetches one code window; returns `true` if μops came from the DSB.
-    pub fn fetch_window(&mut self, addr: u64, weight: f64) -> bool {
+    pub(crate) fn fetch_window(&mut self, addr: u64, weight: f64) -> bool {
         let hit = self.cache.access(addr, weight);
         if let Some(last) = self.last_was_dsb {
             if last != hit {
@@ -65,24 +65,19 @@ impl DsbSim {
     }
 
     /// Total DSB↔MITE transitions observed (weighted).
-    pub fn switches(&self) -> f64 {
+    pub(crate) fn switches(&self) -> f64 {
         self.switches
     }
 
-    /// Fraction of windows served from the DSB.
-    pub fn dsb_hit_ratio(&self) -> f64 {
-        1.0 - self.cache.miss_ratio()
-    }
-
     /// Clears the switch counter (per-op windows) while keeping contents.
-    pub fn reset_counters(&mut self) {
+    pub(crate) fn reset_counters(&mut self) {
         self.switches = 0.0;
         self.cache.reset_counters();
     }
 
     /// Empties the DSB and forgets the last fetch source: [`DsbSim::new`]'s
     /// state.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.cache.clear();
         self.last_was_dsb = None;
         self.switches = 0.0;
@@ -92,6 +87,13 @@ impl DsbSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl DsbSim {
+        /// Fraction of windows served from the DSB.
+        fn dsb_hit_ratio(&self) -> f64 {
+            1.0 - self.cache.miss_ratio()
+        }
+    }
 
     #[test]
     fn small_loop_becomes_dsb_resident() {

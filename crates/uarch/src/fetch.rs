@@ -9,11 +9,11 @@ const MAX_SIM_PASSES: u64 = 3;
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FrontendStats {
     /// Instruction cache lines fetched (weighted).
-    pub fetch_lines: f64,
+    pub(crate) fetch_lines: f64,
     /// L1-I misses (weighted).
     pub icache_misses: f64,
     /// Code windows served from the DSB.
-    pub dsb_windows: f64,
+    pub(crate) dsb_windows: f64,
     /// Code windows decoded through MITE.
     pub mite_windows: f64,
     /// DSB↔MITE source switches.
@@ -21,19 +21,8 @@ pub struct FrontendStats {
 }
 
 impl FrontendStats {
-    /// Fraction of fetched windows served by the DSB (1.0 when nothing was
-    /// fetched).
-    pub fn dsb_fraction(&self) -> f64 {
-        let total = self.dsb_windows + self.mite_windows;
-        if total > 0.0 {
-            self.dsb_windows / total
-        } else {
-            1.0
-        }
-    }
-
     /// Accumulates another op's stats.
-    pub fn add(&mut self, other: &FrontendStats) {
+    pub(crate) fn add(&mut self, other: &FrontendStats) {
         self.fetch_lines += other.fetch_lines;
         self.icache_misses += other.icache_misses;
         self.dsb_windows += other.dsb_windows;
@@ -47,7 +36,7 @@ impl FrontendStats {
 /// Walks each operator's [`CodeFootprint`] — dispatch region once, kernel
 /// region once, then the hot loop body `iterations` times — feeding every
 /// 64-byte line to an L1-I cache simulator and every 32-byte window to the
-/// [`DsbSim`]. Loop passes are simulated until both structures reach
+/// `DsbSim`. Loop passes are simulated until both structures reach
 /// steady state (at most `MAX_SIM_PASSES`), after which the remaining
 /// passes are extrapolated analytically. Cache/DSB contents persist across
 /// ops, so a graph with hundreds of distinct small operators (DIN) keeps
@@ -164,6 +153,19 @@ impl FetchSim {
 mod tests {
     use super::*;
     use drec_trace::CodeRegion;
+
+    impl FrontendStats {
+        /// Fraction of fetched windows served by the DSB (1.0 when nothing was
+        /// fetched).
+        fn dsb_fraction(&self) -> f64 {
+            let total = self.dsb_windows + self.mite_windows;
+            if total > 0.0 {
+                self.dsb_windows / total
+            } else {
+                1.0
+            }
+        }
+    }
 
     fn icache_32k() -> CacheConfig {
         CacheConfig {

@@ -9,8 +9,8 @@
 //!   attribution, Fig 14 DRAM traffic),
 //! * [`FetchSim`] — instruction-fetch stream synthesis from code
 //!   footprints, driving an L1-I cache (Fig 12 i-MPKI) and the
-//!   [`DsbSim`] decoded-μop cache (Fig 13 DSB vs MITE),
-//! * [`GsharePredictor`] / [`BranchSynth`] — branch predictor simulation
+//!   `DsbSim` decoded-μop cache (Fig 13 DSB vs MITE),
+//! * `GsharePredictor` / [`BranchSynth`] — branch predictor simulation
 //!   over synthesized per-site outcome streams (Fig 15, bad speculation in
 //!   Fig 8),
 //! * [`PortScheduler`] — execution-port/functional-unit contention and the
@@ -33,13 +33,12 @@ mod ports;
 mod prefetch;
 mod tlb;
 
-pub use branch::{BranchStats, BranchSynth, GshareConfig, GsharePredictor};
-pub use cache::{
-    CacheConfig, CacheHierarchy, CacheSim, HierarchyConfig, HierarchyStats, InclusionPolicy,
-};
-pub use dram::{DramConfig, DramModel, DramStats};
-pub use dsb::{DsbConfig, DsbSim};
-pub use fetch::{FetchSim, FrontendStats};
+pub use branch::{BranchSynth, GshareConfig};
+pub use cache::{CacheConfig, CacheHierarchy, CacheSim, HierarchyConfig, InclusionPolicy};
+pub use dram::{DramConfig, DramModel};
+pub use dsb::DsbConfig;
+pub(crate) use dsb::DsbSim;
+pub use fetch::FetchSim;
 pub use ports::{PortConfig, PortScheduler, PortStats, UopMix};
-pub use prefetch::{PrefetchStats, PrefetcherConfig, StridePrefetcher};
-pub use tlb::{TlbConfig, TlbSim, TlbStats};
+pub use prefetch::{PrefetcherConfig, StridePrefetcher};
+pub use tlb::{TlbConfig, TlbSim};

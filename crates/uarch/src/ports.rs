@@ -80,15 +80,6 @@ pub struct PortStats {
 }
 
 impl PortStats {
-    /// Fraction of cycles with at least `k` busy units.
-    pub fn frac_at_least(&self, k: usize) -> f64 {
-        let total: f64 = self.busy_hist.iter().sum();
-        if total <= 0.0 {
-            return 0.0;
-        }
-        self.busy_hist.iter().skip(k).sum::<f64>() / total
-    }
-
     /// Accumulates another op's stats.
     pub fn add(&mut self, other: &PortStats) {
         self.cycles += other.cycles;
@@ -150,11 +141,6 @@ impl PortScheduler {
     /// Creates a scheduler for the given port file.
     pub fn new(config: PortConfig) -> Self {
         PortScheduler { config }
-    }
-
-    /// The configured port file.
-    pub fn config(&self) -> PortConfig {
-        self.config
     }
 
     /// Schedules one op's μops.
@@ -304,6 +290,17 @@ fn take(avail: &mut usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl PortStats {
+        /// Fraction of cycles with at least `k` busy units.
+        fn frac_at_least(&self, k: usize) -> f64 {
+            let total: f64 = self.busy_hist.iter().sum();
+            if total <= 0.0 {
+                return 0.0;
+            }
+            self.busy_hist.iter().skip(k).sum::<f64>() / total
+        }
+    }
 
     fn broadwell_ports() -> PortConfig {
         PortConfig {

@@ -31,9 +31,9 @@ struct Stream {
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PrefetchStats {
     /// Demand accesses observed.
-    pub observed: f64,
+    pub(crate) observed: f64,
     /// Accesses whose line a confident stream had already predicted.
-    pub covered: f64,
+    pub(crate) covered: f64,
 }
 
 impl PrefetchStats {

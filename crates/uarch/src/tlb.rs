@@ -7,11 +7,11 @@ use crate::{CacheConfig, CacheSim};
 pub struct TlbConfig {
     /// Page size in bytes (4 KiB default; 2 MiB models hugepage
     /// deployments).
-    pub page_bytes: u64,
+    pub(crate) page_bytes: u64,
     /// First-level DTLB entries.
-    pub l1_entries: usize,
+    pub(crate) l1_entries: usize,
     /// Second-level (shared) TLB entries.
-    pub l2_entries: usize,
+    pub(crate) l2_entries: usize,
     /// Page-walk latency in cycles on an STLB miss.
     pub walk_latency: f64,
 }
@@ -40,31 +40,16 @@ impl TlbConfig {
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TlbStats {
     /// Translations requested.
-    pub accesses: f64,
+    pub(crate) accesses: f64,
     /// First-level misses.
-    pub l1_misses: f64,
+    pub(crate) l1_misses: f64,
     /// Misses that also missed the STLB (page walks).
     pub walks: f64,
 }
 
 impl TlbStats {
-    /// Page walks per kilo-access.
-    pub fn walk_rate(&self) -> f64 {
-        if self.accesses > 0.0 {
-            self.walks / self.accesses
-        } else {
-            0.0
-        }
-    }
-
-    /// Stall cycles implied by the walks at the given walk latency,
-    /// assuming walks overlap with a modest parallelism of 2.
-    pub fn stall_cycles(&self, walk_latency: f64) -> f64 {
-        self.walks * walk_latency / 2.0
-    }
-
     /// Accumulates another window.
-    pub fn add(&mut self, other: &TlbStats) {
+    pub(crate) fn add(&mut self, other: &TlbStats) {
         self.accesses += other.accesses;
         self.l1_misses += other.l1_misses;
         self.walks += other.walks;
@@ -109,11 +94,6 @@ impl TlbSim {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> TlbConfig {
-        self.config
-    }
-
     /// Empties both levels: [`TlbSim::new`]'s state.
     pub fn clear(&mut self) {
         self.l1.clear();
@@ -121,7 +101,7 @@ impl TlbSim {
     }
 
     /// Translates one address (weight-scaled).
-    pub fn translate(&mut self, addr: u64, weight: f64) -> TlbStats {
+    pub(crate) fn translate(&mut self, addr: u64, weight: f64) -> TlbStats {
         let page = addr / self.config.page_bytes;
         let key = page * 8; // synthetic PTE address
         let mut stats = TlbStats {
@@ -152,6 +132,17 @@ impl TlbSim {
 mod tests {
     use super::*;
     use drec_trace::AccessKind;
+
+    impl TlbStats {
+        /// Page walks per kilo-access.
+        fn walk_rate(&self) -> f64 {
+            if self.accesses > 0.0 {
+                self.walks / self.accesses
+            } else {
+                0.0
+            }
+        }
+    }
 
     fn random_trace(n: usize, span: u64) -> SampledMemTrace {
         let mut t = SampledMemTrace::with_period(1);
@@ -196,16 +187,5 @@ mod tests {
         let s = small.run_trace(&trace);
         let h = huge.run_trace(&trace);
         assert!(h.walks < s.walks / 4.0, "{} vs {}", h.walks, s.walks);
-    }
-
-    #[test]
-    fn stall_cycles_scale_with_walk_latency() {
-        let stats = TlbStats {
-            accesses: 100.0,
-            l1_misses: 50.0,
-            walks: 10.0,
-        };
-        assert_eq!(stats.stall_cycles(40.0), 200.0);
-        assert!((stats.walk_rate() - 0.1).abs() < 1e-12);
     }
 }
