@@ -24,42 +24,42 @@ pub struct CpuModel {
     /// Decoded-μop cache geometry.
     pub dsb: DsbConfig,
     /// Branch predictor geometry.
-    pub gshare: GshareConfig,
+    pub(crate) gshare: GshareConfig,
     /// Execution-port file.
     pub ports: PortConfig,
     /// DRAM bandwidth/latency/queue.
     pub dram: DramConfig,
     /// L2 hit latency (cycles).
-    pub l2_latency: f64,
+    pub(crate) l2_latency: f64,
     /// L3 hit latency (cycles).
-    pub l3_latency: f64,
+    pub(crate) l3_latency: f64,
     /// L1-I miss penalty (cycles; code mostly hits L2).
-    pub icache_miss_penalty: f64,
+    pub(crate) icache_miss_penalty: f64,
     /// Pipeline flush penalty per branch mispredict (cycles).
-    pub flush_penalty: f64,
+    pub(crate) flush_penalty: f64,
     /// Extra frontend cycles per MITE-decoded 32-byte window relative to
     /// DSB delivery.
-    pub mite_extra_per_window: f64,
+    pub(crate) mite_extra_per_window: f64,
     /// Cycles lost per DSB↔MITE switch.
-    pub dsb_switch_penalty: f64,
+    pub(crate) dsb_switch_penalty: f64,
     /// Frontend refill cycles charged to the DSB per branch mispredict
     /// (the BPU→DSB interaction the paper describes in Fig 13).
-    pub dsb_refill_per_mispredict: f64,
+    pub(crate) dsb_refill_per_mispredict: f64,
     /// Fraction of a *covered* access's miss latency the prefetcher hides
     /// (coverage itself is measured per op by the [`StridePrefetcher`]).
-    pub prefetch_efficiency: f64,
+    pub(crate) prefetch_efficiency: f64,
     /// Stride-prefetcher geometry.
-    pub prefetcher: PrefetcherConfig,
+    pub(crate) prefetcher: PrefetcherConfig,
     /// Data-TLB geometry (page size is the hugepage ablation knob).
     pub tlb: TlbConfig,
     /// Memory-level parallelism for contiguous streams.
-    pub mlp_contig: f64,
+    pub(crate) mlp_contig: f64,
     /// Memory-level parallelism for gathers.
     pub mlp_gather: f64,
     /// Sustained L3 read bandwidth in bytes per core cycle; streams that
     /// outrun it stall the backend on memory even when every access hits
     /// L3 (the Cascade-Lake FC-model story in Fig 10).
-    pub l3_bw_bytes_per_cycle: f64,
+    pub(crate) l3_bw_bytes_per_cycle: f64,
 }
 
 impl CpuModel {

@@ -29,7 +29,7 @@
 /// Build one per (model, GPU) pair with [`DispatchOracle::from_points`]
 /// over the GPU's modelled seconds at a few batch sizes;
 /// query it with [`DispatchOracle::dispatch_seconds`] (whole batch) or
-/// [`DispatchOracle::per_query_seconds`] (amortized). Both are pure
+/// `DispatchOracle::per_query_seconds` (amortized). Both are pure
 /// functions of the calibration inputs, so two oracles calibrated from
 /// the same traces answer identically — which is what makes scheduler
 /// CPU/GPU split decisions deterministic for a fixed seed.
@@ -93,7 +93,7 @@ impl DispatchOracle {
     /// Amortized per-query dispatch cost at `batch`:
     /// `dispatch_seconds(batch) / batch`. The scheduler compares this
     /// against the CPU per-query cost to place a batch.
-    pub fn per_query_seconds(&self, batch: usize) -> f64 {
+    pub(crate) fn per_query_seconds(&self, batch: usize) -> f64 {
         let batch = batch.max(1);
         self.dispatch_seconds(batch) / batch as f64
     }

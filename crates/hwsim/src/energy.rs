@@ -10,7 +10,7 @@ use crate::{Platform, PlatformReport};
 
 impl Platform {
     /// Thermal design power in watts (Table II).
-    pub fn tdp_watts(&self) -> f64 {
+    pub(crate) fn tdp_watts(&self) -> f64 {
         match self.name() {
             "Broadwell" => 145.0,
             "Cascade Lake" => 150.0,

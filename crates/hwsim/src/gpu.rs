@@ -28,26 +28,26 @@ pub struct GpuModel {
     /// Fixed PCIe transfer latency per inference, seconds.
     pub pcie_latency_s: f64,
     /// Max fraction of peak FLOPS achievable by large dense kernels.
-    pub eff_max: f64,
+    pub(crate) eff_max: f64,
     /// Flops at which dense-kernel efficiency reaches half of `eff_max`.
-    pub eff_half_work: f64,
+    pub(crate) eff_half_work: f64,
     /// Fraction of peak bandwidth achieved by random-access gathers.
-    pub random_bw_frac: f64,
+    pub(crate) random_bw_frac: f64,
     /// Fraction of peak bandwidth achieved by streaming kernels.
-    pub stream_bw_frac: f64,
+    pub(crate) stream_bw_frac: f64,
     /// Minimum execution time of any kernel, seconds (occupancy ramp and
     /// tail effects keep even tiny kernels from finishing faster).
     pub min_kernel_s: f64,
     /// Efficiency multiplier for recurrent kernels (sequential timestep
     /// dependences prevent full-device occupancy).
-    pub recurrent_eff: f64,
+    pub(crate) recurrent_eff: f64,
     /// Bandwidth fraction (of `stream_bw_frac`) achieved by concatenation
     /// kernels: many short, unaligned row copies coalesce poorly — the
     /// reason the paper's DIN "performs poorly on GPUs" (Fig 3).
-    pub concat_bw_frac: f64,
+    pub(crate) concat_bw_frac: f64,
     /// On-board DRAM capacity in bytes (Table II). Models whose parameters
     /// exceed it cannot be deployed resident and fall back to host paging.
-    pub dram_capacity_bytes: u64,
+    pub(crate) dram_capacity_bytes: u64,
 }
 
 impl GpuModel {
@@ -94,14 +94,8 @@ impl GpuModel {
     }
 
     /// Dense-kernel efficiency for a kernel doing `flops` of work.
-    pub fn dense_efficiency(&self, flops: f64) -> f64 {
+    pub(crate) fn dense_efficiency(&self, flops: f64) -> f64 {
         self.eff_max * flops / (flops + self.eff_half_work)
-    }
-
-    /// Whether a model with `param_bytes` of parameters fits resident in
-    /// the GPU's DRAM (with ~20% headroom for activations and runtime).
-    pub fn fits_model(&self, param_bytes: u64) -> bool {
-        (param_bytes as f64) <= self.dram_capacity_bytes as f64 * 0.8
     }
 
     /// Kernel launches an op issues.
@@ -114,7 +108,7 @@ impl GpuModel {
     }
 
     /// Modelled execution seconds for one op (excluding PCIe).
-    pub fn op_seconds(&self, op: &OpTrace) -> f64 {
+    pub(crate) fn op_seconds(&self, op: &OpTrace) -> f64 {
         let flops = op.work.total_flops();
         let load_bytes = op.work.contig_load_elems * 4.0;
         let store_bytes = op.work.contig_store_elems * 4.0;
@@ -226,18 +220,6 @@ mod tests {
             bytes_out: 0,
             param_bytes: 0,
         }
-    }
-
-    #[test]
-    fn capacity_check_uses_table_two_sizes() {
-        let pascal = GpuModel::gtx_1080_ti();
-        let t4 = GpuModel::t4();
-        // RM2's virtual tables are ~8 GiB: fits both with headroom.
-        assert!(pascal.fits_model(8 << 30));
-        assert!(t4.fits_model(8 << 30));
-        // A 12 GiB model fits neither the 11 GB card nor 80% of 16 GB.
-        assert!(!pascal.fits_model(12 << 30));
-        assert!(!t4.fits_model(13 << 30));
     }
 
     #[test]

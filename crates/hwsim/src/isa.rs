@@ -10,32 +10,23 @@ use drec_uarch::UopMix;
 
 /// Instruction-level view of one op on one ISA.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct InstCounts {
+pub(crate) struct InstCounts {
     /// Retired instructions.
-    pub instructions: f64,
+    pub(crate) instructions: f64,
     /// Retired vector (AVX) instructions.
-    pub vector_instructions: f64,
+    pub(crate) vector_instructions: f64,
     /// Issued μops by port class.
-    pub uops: UopMix,
+    pub(crate) uops: UopMix,
 }
 
 impl InstCounts {
-    /// Fraction of retired instructions that are vector instructions.
-    pub fn avx_fraction(&self) -> f64 {
-        if self.instructions > 0.0 {
-            self.vector_instructions / self.instructions
-        } else {
-            0.0
-        }
-    }
-
     /// Total μops.
-    pub fn total_uops(&self) -> f64 {
+    pub(crate) fn total_uops(&self) -> f64 {
         self.uops.total()
     }
 
     /// Accumulates another op.
-    pub fn add(&mut self, other: &InstCounts) {
+    pub(crate) fn add(&mut self, other: &InstCounts) {
         self.instructions += other.instructions;
         self.vector_instructions += other.vector_instructions;
         self.uops.add(&other.uops);
@@ -55,7 +46,7 @@ fn mem_lanes(simd_lanes: f64) -> f64 {
 /// `vectorizable` fraction of fp work uses vector instructions, the rest
 /// scalar. Gathered rows become one microcoded gather group per
 /// `simd_lanes × 4` bytes of row data plus index arithmetic.
-pub fn synthesize_instructions(
+pub(crate) fn synthesize_instructions(
     work: &WorkVector,
     branches_total: f64,
     simd_lanes: f64,
@@ -145,7 +136,8 @@ mod tests {
     #[test]
     fn fc_is_avx_dominated() {
         let c = synthesize_instructions(&fc_work(), 30_000.0, 8.0);
-        assert!(c.avx_fraction() > 0.5, "{}", c.avx_fraction());
+        let avx_fraction = c.vector_instructions / c.instructions;
+        assert!(avx_fraction > 0.5, "{avx_fraction}");
     }
 
     #[test]
@@ -169,7 +161,7 @@ mod tests {
     fn framework_overhead_floors_instruction_count() {
         let c = synthesize_instructions(&WorkVector::default(), 0.0, 8.0);
         assert!(c.instructions >= FRAMEWORK_OVERHEAD_INSTRS);
-        assert_eq!(c.avx_fraction(), 0.0);
+        assert_eq!(c.vector_instructions, 0.0);
     }
 
     #[test]

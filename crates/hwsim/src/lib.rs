@@ -34,10 +34,11 @@ mod isa;
 mod platform;
 mod report;
 
-pub use cpu::{CpuModel, CpuSim, CpuTally};
+pub use cpu::{CpuModel, CpuSim};
 pub use dispatch::DispatchOracle;
-pub use energy::{energy, EnergyReport};
+pub use energy::energy;
 pub use gpu::{GpuModel, GpuTally};
-pub use isa::{synthesize_instructions, InstCounts};
-pub use platform::{Platform, PlatformKind};
-pub use report::{CpuCounters, GpuCounters, PlatformReport, TopDown};
+pub(crate) use isa::{synthesize_instructions, InstCounts};
+pub use platform::Platform;
+pub(crate) use report::TopDown;
+pub use report::{CpuCounters, GpuCounters, PlatformReport};

@@ -2,15 +2,6 @@ use drec_trace::RunTrace;
 
 use crate::{CpuModel, CpuSim, GpuModel, PlatformReport};
 
-/// Whether a platform is a CPU or a discrete accelerator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PlatformKind {
-    /// General-purpose CPU (no input transfer cost beyond DRAM).
-    Cpu,
-    /// PCIe-attached GPU (inputs must be transferred).
-    Gpu,
-}
-
 /// One of the studied hardware platforms (Table II).
 #[derive(Debug, Clone, PartialEq)]
 #[allow(clippy::large_enum_variant)] // CpuModel is big but Platform is cloned rarely
@@ -57,14 +48,6 @@ impl Platform {
         match self {
             Platform::Cpu(m) => m.name,
             Platform::Gpu(m) => m.name,
-        }
-    }
-
-    /// CPU or GPU.
-    pub fn kind(&self) -> PlatformKind {
-        match self {
-            Platform::Cpu(_) => PlatformKind::Cpu,
-            Platform::Gpu(_) => PlatformKind::Gpu,
         }
     }
 
@@ -116,8 +99,8 @@ mod tests {
             names,
             vec!["Broadwell", "Cascade Lake", "GTX 1080 Ti", "T4"]
         );
-        assert_eq!(all[0].kind(), PlatformKind::Cpu);
-        assert_eq!(all[3].kind(), PlatformKind::Gpu);
+        assert!(matches!(all[0], Platform::Cpu(_)));
+        assert!(matches!(all[3], Platform::Gpu(_)));
     }
 
     #[test]

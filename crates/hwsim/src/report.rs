@@ -16,7 +16,7 @@ pub struct TopDown {
 
 impl TopDown {
     /// Total backend-bound fraction.
-    pub fn backend(&self) -> f64 {
+    pub(crate) fn backend(&self) -> f64 {
         self.backend_core + self.backend_memory
     }
 
@@ -100,11 +100,11 @@ pub struct GpuCounters {
     /// Seconds spent on PCIe input transfer (Fig 4 numerator).
     pub data_comm_seconds: f64,
     /// Kernel compute seconds.
-    pub compute_seconds: f64,
+    pub(crate) compute_seconds: f64,
     /// Kernel launch overhead seconds.
-    pub launch_seconds: f64,
+    pub(crate) launch_seconds: f64,
     /// Total kernel launches.
-    pub kernel_launches: f64,
+    pub(crate) kernel_launches: f64,
     /// Per-op modelled seconds `(node name, op type, seconds)`.
     pub op_seconds: Vec<(String, String, f64)>,
 }
