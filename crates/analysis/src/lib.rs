@@ -35,6 +35,7 @@ mod regression;
 pub mod stats;
 mod table;
 
-pub use matrix::{Matrix, MatrixError};
+pub use matrix::Matrix;
+pub(crate) use matrix::MatrixError;
 pub use regression::{ols, zscore_columns, OlsFit};
 pub use table::{fmt_seconds, Table};

@@ -44,26 +44,6 @@ impl Matrix {
         }
     }
 
-    /// Builds from row-major data.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_rows(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "matrix data length");
-        Matrix { rows, cols, data }
-    }
-
-    /// Row count.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Column count.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Element access.
     pub fn get(&self, r: usize, c: usize) -> f64 {
         self.data[r * self.cols + c]
@@ -75,7 +55,7 @@ impl Matrix {
     }
 
     /// `selfᵀ · self` (Gram matrix).
-    pub fn gram(&self) -> Matrix {
+    pub(crate) fn gram(&self) -> Matrix {
         let mut g = Matrix::zeros(self.cols, self.cols);
         for i in 0..self.cols {
             for j in i..self.cols {
@@ -96,7 +76,7 @@ impl Matrix {
     ///
     /// Returns [`MatrixError::DimensionMismatch`] when lengths disagree.
     #[allow(clippy::needless_range_loop)]
-    pub fn t_mul_vec(&self, v: &[f64]) -> Result<Vec<f64>, MatrixError> {
+    pub(crate) fn t_mul_vec(&self, v: &[f64]) -> Result<Vec<f64>, MatrixError> {
         if v.len() != self.rows {
             return Err(MatrixError::DimensionMismatch { op: "t_mul_vec" });
         }
@@ -114,8 +94,8 @@ impl Matrix {
     ///
     /// # Errors
     ///
-    /// Returns [`MatrixError::DimensionMismatch`] for non-square systems
-    /// and [`MatrixError::Singular`] when no unique solution exists.
+    /// Returns `MatrixError::DimensionMismatch` for non-square systems
+    /// and `MatrixError::Singular` when no unique solution exists.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, MatrixError> {
         if self.rows != self.cols || b.len() != self.rows {
             return Err(MatrixError::DimensionMismatch { op: "solve" });
@@ -171,6 +151,12 @@ impl Matrix {
 mod tests {
     use super::*;
 
+    /// Builds from row-major data.
+    fn from_rows(rows: usize, cols: usize, data: Vec<f64>) -> Matrix {
+        assert_eq!(data.len(), rows * cols, "matrix data length");
+        Matrix { rows, cols, data }
+    }
+
     #[test]
     fn solve_identity() {
         let mut m = Matrix::zeros(3, 3);
@@ -184,7 +170,7 @@ mod tests {
     #[test]
     fn solve_known_system() {
         // 2x + y = 5; x + 3y = 10 → x = 1, y = 3.
-        let m = Matrix::from_rows(2, 2, vec![2.0, 1.0, 1.0, 3.0]);
+        let m = from_rows(2, 2, vec![2.0, 1.0, 1.0, 3.0]);
         let x = m.solve(&[5.0, 10.0]).unwrap();
         assert!((x[0] - 1.0).abs() < 1e-12);
         assert!((x[1] - 3.0).abs() < 1e-12);
@@ -193,20 +179,20 @@ mod tests {
     #[test]
     fn solve_needs_pivoting() {
         // Leading zero forces a row swap.
-        let m = Matrix::from_rows(2, 2, vec![0.0, 1.0, 1.0, 0.0]);
+        let m = from_rows(2, 2, vec![0.0, 1.0, 1.0, 0.0]);
         let x = m.solve(&[2.0, 3.0]).unwrap();
         assert_eq!(x, vec![3.0, 2.0]);
     }
 
     #[test]
     fn singular_detected() {
-        let m = Matrix::from_rows(2, 2, vec![1.0, 2.0, 2.0, 4.0]);
+        let m = from_rows(2, 2, vec![1.0, 2.0, 2.0, 4.0]);
         assert_eq!(m.solve(&[1.0, 2.0]), Err(MatrixError::Singular));
     }
 
     #[test]
     fn gram_is_symmetric_psd_diagonal() {
-        let m = Matrix::from_rows(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let m = from_rows(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let g = m.gram();
         assert_eq!(g.get(0, 1), g.get(1, 0));
         assert!(g.get(0, 0) > 0.0 && g.get(1, 1) > 0.0);

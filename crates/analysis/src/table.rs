@@ -32,16 +32,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True if no data rows were added.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table with aligned columns and a separator line.
     pub fn render(&self) -> String {
         let cols = self
@@ -120,7 +110,7 @@ mod tests {
         t.row(vec![]);
         let s = t.render();
         assert!(s.contains("extra"));
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]
