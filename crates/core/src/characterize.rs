@@ -11,11 +11,11 @@ use crate::CharacterizeOptions;
 #[derive(Debug, Clone, PartialEq)]
 pub struct CharacterizationReport {
     /// Model name.
-    pub model: String,
+    pub(crate) model: String,
     /// Platform name.
     pub platform: String,
     /// Inference batch size.
-    pub batch: usize,
+    pub(crate) batch: usize,
     /// End-to-end modelled latency (systems level).
     pub latency_seconds: f64,
     /// Per-operator-type time shares in the Caffe2 dialect (software
@@ -57,11 +57,6 @@ impl Characterizer {
     /// Creates a harness with the given fidelity options.
     pub fn new(opts: CharacterizeOptions) -> Self {
         Characterizer { opts }
-    }
-
-    /// The configured options.
-    pub fn options(&self) -> CharacterizeOptions {
-        self.opts
     }
 
     /// Runs one traced inference of `model` at `batch` with a generated

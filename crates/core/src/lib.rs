@@ -10,7 +10,7 @@
 //!
 //! * [`Characterizer`] — traces a model at a batch size and evaluates the
 //!   trace on any [`drec_hwsim::Platform`], producing a
-//!   [`CharacterizationReport`],
+//!   `CharacterizationReport`,
 //! * [`sweep`] — grids over models × batches × platforms (Fig 3/4/5),
 //! * [`fig16`] — the linear model tying architecture features to pipeline
 //!   bottlenecks (Fig 16),
@@ -43,6 +43,7 @@ mod options;
 pub mod serving;
 pub mod sweep;
 
-pub use characterize::{CharacterizationReport, Characterizer};
+pub use characterize::Characterizer;
 pub use options::CharacterizeOptions;
-pub use sweep::{OptimalCell, SweepCell, SweepResult, PAPER_BATCH_GRID};
+pub(crate) use sweep::SweepResult;
+pub use sweep::PAPER_BATCH_GRID;

@@ -19,7 +19,7 @@ pub struct ServingPoint {
     /// misses it).
     pub batch: Option<usize>,
     /// Achieved latency at that batch, seconds.
-    pub latency_seconds: f64,
+    pub(crate) latency_seconds: f64,
     /// Throughput in queries (samples) per second.
     pub qps: f64,
 }
@@ -164,7 +164,7 @@ pub struct QueueSimConfig {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueueStats {
     /// Mean end-to-end query latency, seconds.
-    pub mean_latency: f64,
+    pub(crate) mean_latency: f64,
     /// Median latency.
     pub p50: f64,
     /// 95th-percentile latency.
@@ -174,7 +174,7 @@ pub struct QueueStats {
     /// Average coalesced batch size.
     pub mean_batch: f64,
     /// Sustained throughput over the simulation, queries/second.
-    pub throughput_qps: f64,
+    pub(crate) throughput_qps: f64,
 }
 
 /// Simulates a single engine serving Poisson arrivals with greedy

@@ -14,13 +14,13 @@ pub const PAPER_BATCH_GRID: [usize; 8] = [1, 4, 16, 64, 256, 1024, 4096, 16384];
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepCell {
     /// Model identifier.
-    pub model: ModelId,
+    pub(crate) model: ModelId,
     /// Batch size.
-    pub batch: usize,
+    pub(crate) batch: usize,
     /// Platform name.
-    pub platform: String,
+    pub(crate) platform: String,
     /// End-to-end modelled seconds.
-    pub seconds: f64,
+    pub(crate) seconds: f64,
     /// Data-communication fraction (GPU platforms only).
     pub data_comm_fraction: Option<f64>,
 }
