@@ -43,8 +43,8 @@
 //! released batches and closes pulse it. A worker reads the
 //! signal's generation, polls with the non-blocking
 //! [`SharedQueue::try_next_batch`], and parks on the signal when nothing
-//! is ready — [`SharedQueue::next_batch`] is exactly that loop over one
-//! queue. A queue serves one model; the lane pool (`crate::pool`)
+//! is ready — the lane pool's worker loop is exactly that over all its
+//! queues. A queue serves one model; the lane pool (`crate::pool`)
 //! constructs one queue per model over a single shared signal, so one
 //! worker pool waits for work on all of them (each model keeps its own
 //! admission control, deadlines, and overload ladder — degradation
@@ -132,7 +132,7 @@ pub struct BatcherConfig {
 impl BatcherConfig {
     /// Estimated queueing delay a new arrival would see behind `depth`
     /// queued requests.
-    pub fn estimated_delay_seconds(&self, depth: usize) -> f64 {
+    pub(crate) fn estimated_delay_seconds(&self, depth: usize) -> f64 {
         depth as f64 * self.per_query_service_estimate
     }
 }
@@ -235,7 +235,7 @@ impl SharedQueue {
     }
 
     /// The current tuned batch cap (`min` with the configured max_batch).
-    pub fn batch_cap(&self) -> usize {
+    pub(crate) fn batch_cap(&self) -> usize {
         self.tuned_cap
             .load(Ordering::Relaxed)
             .min(self.cfg.max_batch)
@@ -317,33 +317,10 @@ impl SharedQueue {
     /// admission control and the `accepting` flag: the request was
     /// already admitted once, and the drain guarantee ("every accepted
     /// request gets an answer") must hold through shutdown.
-    pub fn requeue(&self, request: Request) {
+    pub(crate) fn requeue(&self, request: Request) {
         // Front, not back: the request has already waited its turn.
         self.inner.lock().queue.push_front(request);
         self.signal.pulse();
-    }
-
-    /// Blocks until a batch is ready (or shutdown + empty queue, which
-    /// returns `None`): the parking protocol every worker runs — read
-    /// the generation, poll, wait — over this one queue. The returned
-    /// batch holds at most the effective batch cap of executable
-    /// requests, in arrival order, plus any drained requests that
-    /// expired while queued. Either list may be empty, but not both.
-    pub fn next_batch(&self) -> Option<TakenBatch> {
-        loop {
-            // Read the generation before inspecting state: any push,
-            // requeue, or close after this read makes the wait below
-            // return immediately — the eventcount idiom against missed
-            // wake-ups.
-            let seen = self.signal.generation();
-            let deadline = match self.try_next_batch() {
-                BatchPoll::Ready(batch) => return Some(batch),
-                BatchPoll::Closed => return None,
-                BatchPoll::Coalescing(deadline) => Some(deadline),
-                BatchPoll::Idle => None,
-            };
-            self.signal.wait(seen, deadline);
-        }
     }
 
     /// Non-blocking batch poll: drains and returns a batch when one is
@@ -408,6 +385,29 @@ mod tests {
     use drec_tensor::Tensor;
     use std::sync::mpsc;
 
+    /// Blocks until a batch is ready (or shutdown + empty queue, which
+    /// returns `None`): the parking protocol every worker runs — read
+    /// the generation, poll, wait — over this one queue. The returned
+    /// batch holds at most the effective batch cap of executable
+    /// requests, in arrival order, plus any drained requests that
+    /// expired while queued. Either list may be empty, but not both.
+    fn next_batch(q: &SharedQueue) -> Option<TakenBatch> {
+        loop {
+            // Read the generation before inspecting state: any push,
+            // requeue, or close after this read makes the wait below
+            // return immediately — the eventcount idiom against missed
+            // wake-ups.
+            let seen = q.signal.generation();
+            let deadline = match q.try_next_batch() {
+                BatchPoll::Ready(batch) => return Some(batch),
+                BatchPoll::Closed => return None,
+                BatchPoll::Coalescing(deadline) => Some(deadline),
+                BatchPoll::Idle => None,
+            };
+            q.signal.wait(seen, deadline);
+        }
+    }
+
     fn dummy_request(
         id: u64,
     ) -> (
@@ -464,7 +464,7 @@ mod tests {
         for id in 0..5 {
             q.try_push(dummy_request(id).0).unwrap();
         }
-        let batch = q.next_batch().unwrap();
+        let batch = next_batch(&q).unwrap();
         assert_eq!(
             batch.requests.iter().map(|r| r.id).collect::<Vec<_>>(),
             vec![0, 1, 2, 3, 4]
@@ -478,9 +478,9 @@ mod tests {
         for id in 0..7 {
             q.try_push(dummy_request(id).0).unwrap();
         }
-        assert_eq!(q.next_batch().unwrap().requests.len(), 3);
-        assert_eq!(q.next_batch().unwrap().requests.len(), 3);
-        assert_eq!(q.next_batch().unwrap().requests.len(), 1);
+        assert_eq!(next_batch(&q).unwrap().requests.len(), 3);
+        assert_eq!(next_batch(&q).unwrap().requests.len(), 3);
+        assert_eq!(next_batch(&q).unwrap().requests.len(), 1);
     }
 
     #[test]
@@ -503,8 +503,7 @@ mod tests {
             .expect("should evict a low-priority occupant");
         assert_eq!(victim.id, 1, "newest lower-priority request is evicted");
         assert!(matches!(err, ServeError::Overloaded { .. }));
-        let ids: Vec<u64> = q
-            .next_batch()
+        let ids: Vec<u64> = next_batch(&q)
             .unwrap()
             .requests
             .iter()
@@ -526,8 +525,7 @@ mod tests {
             .unwrap()
             .expect("should evict the low-priority occupant");
         assert_eq!(victim.id, 1);
-        let ids: Vec<u64> = q
-            .next_batch()
+        let ids: Vec<u64> = next_batch(&q)
             .unwrap()
             .requests
             .iter()
@@ -555,7 +553,7 @@ mod tests {
         let (fresh, _rx_fresh) = dummy_request(1);
         q.try_push(late).unwrap();
         q.try_push(fresh).unwrap();
-        let batch = q.next_batch().unwrap();
+        let batch = next_batch(&q).unwrap();
         assert_eq!(
             batch.requests.iter().map(|r| r.id).collect::<Vec<_>>(),
             vec![1]
@@ -572,9 +570,9 @@ mod tests {
         let (req, _rx) = dummy_request(7);
         q.close();
         q.requeue(req);
-        let batch = q.next_batch().unwrap();
+        let batch = next_batch(&q).unwrap();
         assert_eq!(batch.requests[0].id, 7);
-        assert!(q.next_batch().is_none());
+        assert!(next_batch(&q).is_none());
     }
 
     #[test]
@@ -584,8 +582,7 @@ mod tests {
         q.try_push(dummy_request(1).0).unwrap();
         let (retry, _rx) = dummy_request(9);
         q.requeue(retry);
-        let ids: Vec<u64> = q
-            .next_batch()
+        let ids: Vec<u64> = next_batch(&q)
             .unwrap()
             .requests
             .iter()
@@ -623,8 +620,8 @@ mod tests {
         let (_, err) = q.try_push(dummy_request(1).0).unwrap_err();
         assert!(matches!(err, ServeError::ShuttingDown));
         // Queued work is still drainable.
-        assert_eq!(q.next_batch().unwrap().requests.len(), 1);
-        assert!(q.next_batch().is_none());
+        assert_eq!(next_batch(&q).unwrap().requests.len(), 1);
+        assert!(next_batch(&q).is_none());
     }
 
     #[test]
@@ -646,7 +643,7 @@ mod tests {
             })
         };
         // The worker should wait past the 30 ms arrival and coalesce both.
-        let batch = q.next_batch().unwrap();
+        let batch = next_batch(&q).unwrap();
         pusher.join().unwrap();
         assert_eq!(
             batch.requests.len(),
@@ -700,11 +697,11 @@ mod tests {
         for id in 0..5 {
             q.try_push(dummy_request(id).0).unwrap();
         }
-        assert_eq!(q.next_batch().unwrap().requests.len(), 2);
+        assert_eq!(next_batch(&q).unwrap().requests.len(), 2);
         // Restoring a huge cap falls back to the configured max_batch.
         q.set_batch_cap(usize::MAX);
         assert_eq!(q.batch_cap(), 8);
-        assert_eq!(q.next_batch().unwrap().requests.len(), 3);
+        assert_eq!(next_batch(&q).unwrap().requests.len(), 3);
     }
 
     #[test]
@@ -736,7 +733,7 @@ mod tests {
         q.try_push(dummy_request(0).0).unwrap();
         q.try_push(dummy_request(1).0).unwrap();
         let start = Instant::now();
-        let batch = q.next_batch().unwrap();
+        let batch = next_batch(&q).unwrap();
         assert_eq!(batch.requests.len(), 2);
         assert!(
             start.elapsed() < Duration::from_secs(5),
@@ -767,7 +764,7 @@ mod tests {
                 let q = Arc::clone(&q);
                 std::thread::spawn(move || {
                     let mut seen = Vec::new();
-                    while let Some(batch) = q.next_batch() {
+                    while let Some(batch) = next_batch(&q) {
                         assert!(batch.expired.is_empty());
                         seen.extend(batch.requests.into_iter().map(|r| r.id));
                     }

@@ -112,14 +112,11 @@ impl std::fmt::Display for OverloadLevel {
 }
 
 /// Shared overload-ladder state. Producers call [`observe`] on every
-/// admission attempt; workers consult [`max_batch`]; the live-update
-/// path consults [`updates_throttled`]; the store is toggled in and out
+/// admission attempt; workers consult `max_batch`; the live-update
+/// path consults `updates_throttled`; the store is toggled in and out
 /// of cache-only mode at the level-3 boundary.
 ///
-/// [`updates_throttled`]: OverloadLadder::updates_throttled
-///
 /// [`observe`]: OverloadLadder::observe
-/// [`max_batch`]: OverloadLadder::max_batch
 #[derive(Debug)]
 pub struct OverloadLadder {
     cfg: DegradeConfig,
@@ -238,7 +235,7 @@ impl OverloadLadder {
     /// The batch cap workers should honour right now: `configured` at
     /// levels 0–1 (update backpressure never touches the read path),
     /// halved (floored at `min_batch`) at levels 2 and 3.
-    pub fn max_batch(&self, configured: usize) -> usize {
+    pub(crate) fn max_batch(&self, configured: usize) -> usize {
         match self.level() {
             OverloadLevel::Normal | OverloadLevel::UpdateBackpressure => configured,
             OverloadLevel::ReducedBatch | OverloadLevel::CacheOnly => {
@@ -251,7 +248,7 @@ impl OverloadLadder {
     /// True at every rung from [`OverloadLevel::UpdateBackpressure`] up —
     /// once the queue is deep enough to shed *any* capacity, background
     /// delta application is the first thing to go and the last to return.
-    pub fn updates_throttled(&self) -> bool {
+    pub(crate) fn updates_throttled(&self) -> bool {
         self.level() >= OverloadLevel::UpdateBackpressure
     }
 

@@ -103,7 +103,7 @@ impl Engine {
     /// mid-inference) and reports per-batch staleness. The engine's model
     /// must hold the channel's baseline, as the lane's model and its views
     /// do.
-    pub fn set_update_channel(&mut self, channel: Arc<ModelUpdateChannel>) {
+    pub(crate) fn set_update_channel(&mut self, channel: Arc<ModelUpdateChannel>) {
         let reader = channel.register_reader();
         self.update = Some(UpdateState {
             channel,
@@ -133,7 +133,7 @@ impl Engine {
 
     /// Installs a fault-injection hook on this engine's batch path.
     /// Disabled hooks cost one branch per batch; see [`drec_faultsim`].
-    pub fn set_fault_hook(&mut self, faults: FaultHook) {
+    pub(crate) fn set_fault_hook(&mut self, faults: FaultHook) {
         self.faults = faults;
     }
 

@@ -51,21 +51,16 @@ mod request;
 mod runtime;
 mod update;
 
-pub use batcher::{BatchPoll, BatcherConfig, DispatchSignal, QueueKind, SharedQueue, TakenBatch};
+pub use batcher::{BatchPoll, BatcherConfig, DispatchSignal, QueueKind, SharedQueue};
 pub use degrade::{DegradeConfig, OverloadLadder, OverloadLevel};
 pub use engine::{BatchExecution, Engine};
 pub use error::{Result, ServeError};
-pub use metrics::{
-    LatencyHistogram, MetricsRegistry, MetricsSnapshot, ModelChannelMetrics, ModelChannelSnapshot,
-};
+pub use metrics::{LatencyHistogram, MetricsSnapshot, ModelChannelSnapshot};
 pub use pool::{
     Inline, Lane, LanePool, LaneSet, LaneSpec, Placement, PoolConfig, SupervisorConfig, Worker,
 };
 pub use prefetch::PrefetchWindow;
-pub use request::{
-    coalesce_inputs, split_outputs, validate_single, Priority, Request, RequestId, Response,
-    SubmitOptions,
-};
+pub use request::{coalesce_inputs, split_outputs, Priority, Request, Response, SubmitOptions};
 pub use runtime::{PendingResponse, ServeConfig, ServeHandle, ServeRuntime};
 pub use update::{ModelUpdateChannel, UpdatePlan, Updater, UpdaterStats, WeightSet};
 

@@ -100,7 +100,7 @@ impl LatencyHistogram {
     }
 
     /// Records one observation.
-    pub fn record(&self, latency: Duration) {
+    pub(crate) fn record(&self, latency: Duration) {
         let nanos = latency.as_nanos().min(u128::from(u64::MAX)) as u64;
         self.buckets[Self::index(nanos)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
@@ -113,7 +113,7 @@ impl LatencyHistogram {
     }
 
     /// Number of recorded observations.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
 
@@ -194,7 +194,7 @@ impl ModelChannelMetrics {
     /// A fresh channel for `name`. `queue`, `ladder` and `update` are
     /// optional observers: when present, snapshots report live queue
     /// depth, degradation level and FC weight-set bytes for this model.
-    pub fn new(
+    pub(crate) fn new(
         name: impl Into<String>,
         queue: Option<Arc<SharedQueue>>,
         ladder: Option<Arc<OverloadLadder>>,
@@ -211,24 +211,19 @@ impl ModelChannelMetrics {
         }
     }
 
-    /// The model name this channel is keyed by.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Records one completed request with its end-to-end latency.
-    pub fn record_completed(&self, latency: Duration) {
+    pub(crate) fn record_completed(&self, latency: Duration) {
         self.completed.fetch_add(1, Ordering::Relaxed);
         self.latency.record(latency);
     }
 
     /// Counts one request shed at admission for this model.
-    pub fn record_shed(&self) {
+    pub(crate) fn record_shed(&self) {
         self.shed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Point-in-time copy of this channel.
-    pub fn snapshot(&self) -> ModelChannelSnapshot {
+    pub(crate) fn snapshot(&self) -> ModelChannelSnapshot {
         ModelChannelSnapshot {
             name: self.name.clone(),
             completed: self.completed.load(Ordering::Relaxed),
@@ -262,7 +257,7 @@ pub struct ModelChannelSnapshot {
     /// attached).
     pub overload_level: OverloadLevel,
     /// Mean end-to-end latency, seconds.
-    pub mean_latency_seconds: f64,
+    pub(crate) mean_latency_seconds: f64,
     /// Median end-to-end latency, seconds.
     pub p50_seconds: f64,
     /// 95th-percentile end-to-end latency, seconds.
@@ -299,7 +294,7 @@ pub struct MetricsRegistry {
     panic_reasons: Mutex<VecDeque<String>>,
     models: Vec<Arc<ModelChannelMetrics>>,
     /// Modelled per-platform batch execution time from the latency curve.
-    pub modelled: LatencyHistogram,
+    pub(crate) modelled: LatencyHistogram,
     workers: Vec<WorkerMetrics>,
     started_at: Instant,
     pool: Arc<ParPool>,
@@ -314,7 +309,11 @@ impl MetricsRegistry {
     /// intra-op `pool` and the shared `store`, if any. Their counters in
     /// snapshots are deltas from here; byte and occupancy gauges are
     /// absolute.
-    pub fn new(workers: usize, pool: Arc<ParPool>, store: Option<Arc<EmbeddingStore>>) -> Self {
+    pub(crate) fn new(
+        workers: usize,
+        pool: Arc<ParPool>,
+        store: Option<Arc<EmbeddingStore>>,
+    ) -> Self {
         let pool_baseline = pool.stats();
         let store = store.map(|s| {
             let baseline = s.stats();
@@ -344,7 +343,7 @@ impl MetricsRegistry {
     /// Called at runtime construction, before the registry is shared;
     /// channels appear in [`MetricsSnapshot::models`] in registration
     /// order.
-    pub fn register_model(
+    pub(crate) fn register_model(
         &mut self,
         name: impl Into<String>,
         queue: Option<Arc<SharedQueue>>,
@@ -357,22 +356,22 @@ impl MetricsRegistry {
     }
 
     /// Counts one admitted request.
-    pub fn record_accepted(&self) {
+    pub(crate) fn record_accepted(&self) {
         self.accepted.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts one request dropped past its deadline without executing.
-    pub fn record_deadline_exceeded(&self) {
+    pub(crate) fn record_deadline_exceeded(&self) {
         self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts one request re-enqueued after its batch failed.
-    pub fn record_retry(&self) {
+    pub(crate) fn record_retry(&self) {
         self.retried.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts one request answered with [`crate::ServeError::WorkerFailed`].
-    pub fn record_failed(&self) {
+    pub(crate) fn record_failed(&self) {
         self.failed.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -380,7 +379,7 @@ impl MetricsRegistry {
     /// is a bounded ring of the *last* `MAX_PANIC_REASONS` (64) — older
     /// reasons roll off so a live snapshot shows what is failing now;
     /// the count is unbounded.
-    pub fn record_worker_panic(&self, reason: &str) {
+    pub(crate) fn record_worker_panic(&self, reason: &str) {
         self.worker_panics.fetch_add(1, Ordering::Relaxed);
         let mut reasons = self.panic_reasons.lock();
         if reasons.len() == MAX_PANIC_REASONS {
@@ -390,7 +389,7 @@ impl MetricsRegistry {
     }
 
     /// Counts one supervisor-driven worker restart.
-    pub fn record_worker_restart(&self) {
+    pub(crate) fn record_worker_restart(&self) {
         self.worker_restarts.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -410,7 +409,7 @@ impl MetricsRegistry {
 
     /// Records one batch `worker` executed, busy for `busy`. Its requests
     /// are counted on their lane's channel.
-    pub fn record_batch(&self, worker: usize, busy: Duration) {
+    pub(crate) fn record_batch(&self, worker: usize, busy: Duration) {
         if let Some(w) = self.workers.get(worker) {
             let nanos = busy.as_nanos().min(u128::from(u64::MAX)) as u64;
             w.busy_nanos.fetch_add(nanos, Ordering::Relaxed);
@@ -558,7 +557,7 @@ pub struct MetricsSnapshot {
     /// 99th-percentile end-to-end latency, seconds.
     pub p99_seconds: f64,
     /// 99th-percentile modelled batch execution time, seconds.
-    pub modelled_p99_seconds: f64,
+    pub(crate) modelled_p99_seconds: f64,
     /// Busy fraction per worker since the registry was created.
     pub worker_utilization: Vec<f64>,
     /// Threads in the intra-op parallel pool the engines execute on.

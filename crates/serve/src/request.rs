@@ -16,7 +16,7 @@ use drec_tensor::Tensor;
 use crate::error::{Result, ServeError};
 
 /// Monotonically increasing request identifier, unique per runtime.
-pub type RequestId = u64;
+pub(crate) type RequestId = u64;
 
 /// Priority class of a request. Under queue pressure the batcher sheds
 /// lowest-priority work first: an arriving request may evict a queued
@@ -61,12 +61,12 @@ pub struct Request {
     /// Per-sample inputs in graph input order (batch dimension 1).
     pub inputs: Vec<Value>,
     /// When the request was admitted.
-    pub submitted_at: Instant,
+    pub(crate) submitted_at: Instant,
     /// Absolute point after which execution is pointless; the batcher
     /// drops the request instead of running it.
-    pub deadline: Option<Instant>,
+    pub(crate) deadline: Option<Instant>,
     /// Priority class for shed-lowest-first admission.
-    pub priority: Priority,
+    pub(crate) priority: Priority,
     /// Execution attempts so far; a request whose batch failed is
     /// re-enqueued once (`attempts` 0 → 1) before the error surfaces.
     pub(crate) attempts: u32,
@@ -99,13 +99,13 @@ impl Request {
     }
 
     /// Whether the deadline has passed at `now`.
-    pub fn expired_at(&self, now: Instant) -> bool {
+    pub(crate) fn expired_at(&self, now: Instant) -> bool {
         self.deadline.is_some_and(|d| now >= d)
     }
 
     /// Delivers the response (or typed error). A dropped receiver just
     /// means the client went away; that is not an error here.
-    pub fn respond(&self, result: Result<Response>) {
+    pub(crate) fn respond(&self, result: Result<Response>) {
         let _ = self.reply.send(result);
     }
 }
@@ -131,7 +131,7 @@ pub struct Response {
 
 /// Checks `inputs` against `spec`: right slot count, right payload kind,
 /// right per-sample width/lookup count, batch dimension exactly 1.
-pub fn validate_single(spec: &InputSpec, inputs: &[Value]) -> Result<()> {
+pub(crate) fn validate_single(spec: &InputSpec, inputs: &[Value]) -> Result<()> {
     if inputs.len() != spec.len() {
         return Err(ServeError::InvalidInput {
             slot: usize::MAX,
@@ -180,7 +180,7 @@ pub fn validate_single(spec: &InputSpec, inputs: &[Value]) -> Result<()> {
 
 /// Stacks the per-sample inputs of `requests` into one batched input set.
 ///
-/// Every request must already satisfy [`validate_single`] (the handle
+/// Every request must already satisfy `validate_single` (the handle
 /// enforces this at admission), so slots line up by construction.
 ///
 /// # Panics

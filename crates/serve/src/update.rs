@@ -75,7 +75,7 @@ pub struct WeightSet {
 
 /// One shared `(weights, bias)` handle per FC layer, in graph order — the
 /// payload of a [`WeightSet`] without its version.
-pub type FcLayers = Vec<Arc<FcParams>>;
+pub(crate) type FcLayers = Vec<Arc<FcParams>>;
 
 /// The update-side handle for one served model: weight mailbox, install
 /// tracking, and the staleness gauge. Shared between the worker engines
@@ -111,7 +111,7 @@ impl ModelUpdateChannel {
     /// (pass `None` for dense builds — weight rotation still works), whose
     /// engines start from the weight set `baseline` (the model's
     /// [`drec_models::RecModel::fc_params`]). While `ladder` reports
-    /// [`OverloadLadder::updates_throttled`], the updater pauses.
+    /// `OverloadLadder::updates_throttled`, the updater pauses.
     pub fn new(
         name: impl Into<String>,
         namespace: u64,
@@ -134,7 +134,7 @@ impl ModelUpdateChannel {
     }
 
     /// Channel (model) name, for diagnostics.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
@@ -196,7 +196,7 @@ impl ModelUpdateChannel {
     /// parked at `u64::MAX` so a dead worker never drags
     /// [`min_installed`](ModelUpdateChannel::min_installed) — and with
     /// it the updater's pacing — behind forever.
-    pub fn retire_reader(&self, reader: usize) {
+    pub(crate) fn retire_reader(&self, reader: usize) {
         self.note_install(reader, u64::MAX);
     }
 
@@ -225,7 +225,7 @@ impl ModelUpdateChannel {
     /// Records the snapshot version one batch was served from; the gap
     /// to the published version feeds the max-staleness gauge the chaos
     /// gate asserts on (`served >= published - 1`).
-    pub fn record_staleness(&self, served_version: u64) {
+    pub(crate) fn record_staleness(&self, served_version: u64) {
         let published = self.current_version();
         let gap = published.saturating_sub(served_version);
         self.max_staleness.fetch_max(gap, Ordering::AcqRel);
