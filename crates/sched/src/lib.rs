@@ -17,7 +17,7 @@
 //!   (microarchitectural simulation) and a GPU dispatch oracle
 //!   (roofline + PCIe), yielding a deterministic crossover batch size:
 //!   batches at or past it offload, smaller ones stay on CPU.
-//! * [`ModelTuner`] hill-climbs each model's batch cap and intra-op
+//! * `ModelTuner` hill-climbs each model's batch cap and intra-op
 //!   pool width against its p99 SLO from live windowed histograms.
 //!
 //! Placement is *simulated*, execution is *real*: offloaded batches run
@@ -33,10 +33,9 @@ mod tuner;
 
 pub use profile::{ModelProfile, ProfileConfig};
 pub use runtime::{
-    replay_records, Backend, BatchRecord, DecisionSnapshot, GpuSchedConfig, ModelSlo,
-    MultiServeHandle, MultiServeRuntime, SchedConfig, SchedReport,
+    replay_records, DecisionSnapshot, GpuSchedConfig, ModelSlo, MultiServeHandle,
+    MultiServeRuntime, SchedConfig, SchedReport,
 };
-pub use tuner::{ModelTuner, TunerConfig, TunerStep};
 
 #[cfg(test)]
 mod tests {

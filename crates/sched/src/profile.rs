@@ -43,7 +43,7 @@ pub struct ProfileConfig {
     /// [`Platform::Cpu`]).
     pub cpu: Platform,
     /// GPU the oracle prices dispatches on; `None` disables offload for
-    /// this model (the split table answers [`Backend::Cpu`] always).
+    /// this model (the split table answers `Backend::Cpu` always).
     pub gpu: Option<GpuModel>,
     /// Extra fixed per-dispatch PCIe cost charged by the oracle,
     /// seconds.
@@ -87,7 +87,7 @@ pub struct ModelProfile {
     /// Modelled CPU batch latency over batch size.
     pub cpu_curve: LatencyCurve,
     /// Roofline dispatch oracle (absent when offload is disabled).
-    pub oracle: Option<DispatchOracle>,
+    pub(crate) oracle: Option<DispatchOracle>,
     /// Smallest batch at which GPU dispatch undercuts CPU per-query
     /// cost; `None` means the CPU wins at every batch size in range (or
     /// offload is disabled).

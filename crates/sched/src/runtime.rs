@@ -137,7 +137,7 @@ pub struct DecisionSnapshot {
     /// Batches dispatched to the accelerator (including spills).
     pub gpu_batches: u64,
     /// Queries inside those batches.
-    pub gpu_queries: u64,
+    pub(crate) gpu_queries: u64,
     /// Overflow queries spilled to the accelerator at admission because
     /// the CPU queue was over budget.
     pub gpu_spills: u64,
@@ -166,7 +166,7 @@ pub struct ModelSlo {
     /// The model.
     pub id: ModelId,
     /// p99 end-to-end latency budget the tuner defends.
-    pub slo: Duration,
+    pub(crate) slo: Duration,
 }
 
 impl ModelSlo {
@@ -285,13 +285,13 @@ impl SchedConfig {
 #[derive(Debug, Clone)]
 pub struct BatchRecord {
     /// The model the batch belonged to.
-    pub model: ModelId,
+    pub(crate) model: ModelId,
     /// Where it ran.
-    pub backend: Backend,
+    pub(crate) backend: Backend,
     /// Per-request inputs, in batch order.
-    pub inputs: Vec<Vec<Value>>,
+    pub(crate) inputs: Vec<Vec<Value>>,
     /// Per-request outputs the runtime returned, in batch order.
-    pub outputs: Vec<Vec<Value>>,
+    pub(crate) outputs: Vec<Vec<Value>>,
 }
 
 /// Everything [`MultiServeRuntime::shutdown`] returns.
@@ -755,7 +755,7 @@ impl MultiServeHandle {
     ///
     /// # Errors
     ///
-    /// See [`MultiServeHandle::submit_with`].
+    /// See `MultiServeHandle::submit_with`.
     pub fn submit(&self, model: ModelId, inputs: Vec<Value>) -> Result<PendingResponse> {
         self.submit_with(model, inputs, SubmitOptions::default())
     }
@@ -770,7 +770,7 @@ impl MultiServeHandle {
     /// * [`ServeError::NoBackendAvailable`] — the model's CPU queue is
     ///   over budget *and* the accelerator backlog (if any) is full,
     /// * [`ServeError::ShuttingDown`] — the runtime is draining.
-    pub fn submit_with(
+    pub(crate) fn submit_with(
         &self,
         model: ModelId,
         inputs: Vec<Value>,
@@ -790,11 +790,6 @@ impl MultiServeHandle {
     /// The input contract of `model`, when co-located here.
     pub fn spec(&self, model: ModelId) -> Option<&InputSpec> {
         lane_of(&self.pool, model).map(|(_, lane)| &lane.spec)
-    }
-
-    /// Live metrics snapshot.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        self.pool.metrics.snapshot()
     }
 }
 

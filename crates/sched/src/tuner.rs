@@ -24,19 +24,19 @@
 #[derive(Debug, Clone, PartialEq)]
 pub struct TunerConfig {
     /// Seconds between tuner ticks.
-    pub interval_s: f64,
+    pub(crate) interval_s: f64,
     /// Minimum observations in a window before the tuner acts on it.
-    pub min_samples: u64,
+    pub(crate) min_samples: u64,
     /// Growth steps are only taken when the windowed p99 is below
     /// `recover_ratio × SLO` (must be `< 1` for hysteresis).
-    pub recover_ratio: f64,
+    pub(crate) recover_ratio: f64,
     /// Ticks to wait after any change before growing again.
-    pub cooldown_ticks: u32,
+    pub(crate) cooldown_ticks: u32,
     /// Smallest tuned batch cap.
-    pub min_batch: usize,
+    pub(crate) min_batch: usize,
     /// Intra-op pool widths the tuner may choose between, narrowest
     /// first (tier 0 is the default).
-    pub pool_widths: Vec<usize>,
+    pub(crate) pool_widths: Vec<usize>,
 }
 
 impl Default for TunerConfig {
@@ -55,7 +55,7 @@ impl Default for TunerConfig {
 /// One step's outcome, applied by the caller to the model's queue
 /// ([`drec_serve::SharedQueue::set_batch_cap`]) and pool tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TunerStep {
+pub(crate) enum TunerStep {
     /// Nothing to do (within band, cooling down, or too few samples).
     Hold,
     /// Batch cap changed to the contained value.
@@ -67,7 +67,7 @@ pub enum TunerStep {
 
 /// Per-model hill-climbing state.
 #[derive(Debug, Clone)]
-pub struct ModelTuner {
+pub(crate) struct ModelTuner {
     /// The model's p99 SLO target, seconds.
     slo_s: f64,
     /// Configured (hard) max batch the cap can grow back to.
@@ -82,7 +82,7 @@ pub struct ModelTuner {
 
 impl ModelTuner {
     /// Fresh state: cap at the configured max, narrowest pool tier.
-    pub fn new(slo_s: f64, max_batch: usize) -> Self {
+    pub(crate) fn new(slo_s: f64, max_batch: usize) -> Self {
         ModelTuner {
             slo_s,
             max_batch: max_batch.max(1),
@@ -92,24 +92,14 @@ impl ModelTuner {
         }
     }
 
-    /// Current tuned batch cap.
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
-
-    /// Current pool tier.
-    pub fn tier(&self) -> usize {
-        self.tier
-    }
-
-    /// The model's SLO, seconds.
-    pub fn slo_seconds(&self) -> f64 {
-        self.slo_s
-    }
-
     /// Advances one tick with the window's p99 and sample count.
     /// Mutates internal state and returns the knob to apply.
-    pub fn step(&mut self, cfg: &TunerConfig, window_p99_s: f64, window_samples: u64) -> TunerStep {
+    pub(crate) fn step(
+        &mut self,
+        cfg: &TunerConfig,
+        window_p99_s: f64,
+        window_samples: u64,
+    ) -> TunerStep {
         if window_samples < cfg.min_samples.max(1) {
             return TunerStep::Hold;
         }
@@ -193,7 +183,7 @@ mod tests {
         for _ in 0..5 {
             t.step(&cfg, 20e-3, 100);
         }
-        assert_eq!((t.cap(), t.tier()), (1, 2));
+        assert_eq!((t.cap, t.tier), (1, 2));
         // Recover: pool tiers come back first, then the cap regrows.
         let mut steps = Vec::new();
         for _ in 0..20 {
@@ -222,7 +212,7 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(t.step(&cfg, 8e-3, 100), TunerStep::Hold);
         }
-        assert_eq!(t.cap(), 16);
+        assert_eq!(t.cap, 16);
     }
 
     #[test]
@@ -233,6 +223,6 @@ mod tests {
         };
         let mut t = ModelTuner::new(10e-3, 16);
         assert_eq!(t.step(&cfg, 1.0, 10), TunerStep::Hold);
-        assert_eq!(t.cap(), 16);
+        assert_eq!(t.cap, 16);
     }
 }
