@@ -31,7 +31,7 @@
 //!
 //! * `host` is captured by the report, the same four fields for every
 //!   bench. `second_core_throughput` is what two spinning threads did over
-//!   one (see [`second_core_throughput`]), the lowest of the samples taken
+//!   one (see `second_core_throughput`), the lowest of the samples taken
 //!   at start, at finish and wherever the bench asked for one.
 //! * A gate's `verdict` is `"ok"`, `"FAILED: <measured> vs <limit> at
 //!   <where>"` or `"skipped: <reason>"` (a gate this host or mode cannot
@@ -209,7 +209,7 @@ pub fn fmt_pct(f: f64) -> String {
 /// Renders a float for the `BENCH_*.json` files: nine decimals, and
 /// `null` for a value JSON has no number for (NaN, ±∞ — a skipped or
 /// failed measurement).
-pub fn json_f64(v: f64) -> String {
+pub(crate) fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v:.9}")
     } else {
@@ -233,7 +233,7 @@ pub fn output_bits(outputs: &[drec_ops::Value]) -> Vec<(Vec<usize>, Vec<u32>)> {
 /// second "core" is a time-share of the first (a throttled container, an
 /// oversubscribed hypervisor). `available_parallelism` cannot tell these
 /// apart, and a two-thread timing gate means nothing on the latter.
-pub fn second_core_throughput() -> f64 {
+pub(crate) fn second_core_throughput() -> f64 {
     fn spin() -> u64 {
         let start = std::time::Instant::now();
         let mut n = 0u64;
@@ -263,7 +263,7 @@ pub mod report {
     use std::path::Path;
 
     /// A JSON value. Objects keep their keys in insertion order; floats
-    /// render through [`json_f64`], so NaN and ±∞ become `null`.
+    /// render through `json_f64`, so NaN and ±∞ become `null`.
     #[derive(Debug, Clone, PartialEq)]
     pub enum Json {
         Null,
@@ -439,7 +439,7 @@ pub mod report {
     pub struct Flags {
         pub smoke: bool,
         pub quick: bool,
-        pub tiny: bool,
+        pub(crate) tiny: bool,
     }
 
     impl Flags {
@@ -447,7 +447,7 @@ pub mod report {
         /// `--smoke`, `--quick`, `--tiny`). Anything else is an error that
         /// names the supported ones: a mistyped `--smok` must not run
         /// another mode.
-        pub fn parse(
+        pub(crate) fn parse(
             supported: &[&str],
             args: impl Iterator<Item = String>,
         ) -> Result<Self, String> {
@@ -469,7 +469,7 @@ pub mod report {
 
         /// [`Flags::parse`] over the process arguments; an error is printed
         /// and ends the process with status 2.
-        pub fn from_env(supported: &[&str]) -> Self {
+        pub(crate) fn from_env(supported: &[&str]) -> Self {
             Flags::parse(supported, std::env::args().skip(1)).unwrap_or_else(|error| {
                 eprintln!("error: {error}");
                 std::process::exit(2)
@@ -478,7 +478,7 @@ pub mod report {
 
         /// `"full"` with no flag set — the only mode whose file is a
         /// baseline — else `"smoke"`, else `"quick"`.
-        pub fn mode(&self) -> &'static str {
+        pub(crate) fn mode(&self) -> &'static str {
             if self.smoke {
                 "smoke"
             } else if self.quick || self.tiny {
@@ -505,11 +505,11 @@ pub mod report {
         /// `std::thread::available_parallelism`.
         pub parallelism: usize,
         /// Lowest [`second_core_throughput`] sample of the run.
-        pub second_core_throughput: f64,
+        pub(crate) second_core_throughput: f64,
         /// Threads of the global `drec-par` pool (`DREC_THREADS`).
         pub pool_threads: usize,
         /// `drec_tensor::simd::backend_label` (`DREC_FORCE_SCALAR`).
-        pub kernel_backend: &'static str,
+        pub(crate) kernel_backend: &'static str,
     }
 
     impl Host {
@@ -621,13 +621,13 @@ pub mod report {
     /// to, and where the value was read — or why it cannot be judged here.
     #[derive(Debug, Clone)]
     pub struct Gate {
-        pub name: String,
-        pub measured: f64,
-        pub limit: Limit,
+        pub(crate) name: String,
+        pub(crate) measured: f64,
+        pub(crate) limit: Limit,
         /// The point the value was read at (JSON key `where`): the worst
         /// shape, the offending model.
-        pub at: String,
-        pub skipped: Option<String>,
+        pub(crate) at: String,
+        pub(crate) skipped: Option<String>,
     }
 
     impl Gate {
@@ -698,7 +698,7 @@ pub mod report {
 
         /// `"ok"`, `"FAILED: <measured> vs <limit> at <where>"` or
         /// `"skipped: <reason>"`.
-        pub fn verdict(&self) -> String {
+        pub(crate) fn verdict(&self) -> String {
             let (limit, _, holds) = self.limit.judge(self.measured);
             match &self.skipped {
                 Some(reason) => format!("skipped: {reason}"),
@@ -776,7 +776,7 @@ pub mod report {
             }
         }
 
-        /// Samples [`second_core_throughput`] now (100 ms) and returns the
+        /// Samples `second_core_throughput` now (100 ms) and returns the
         /// lowest sample so far. A bench whose gate depends on the second
         /// core calls this on both sides of the measurement: on a shared
         /// host the core can leave while it runs.
