@@ -44,15 +44,14 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use drec_faultsim::FaultHook;
 use drec_hwsim::{GpuModel, Platform};
 use drec_models::{InputSpec, ModelId, ModelScale};
 use drec_ops::Value;
 use drec_par::ParPool;
 use drec_serve::{
-    BatchExecution, DegradeConfig, EmbeddingStore, Engine, Lane, LanePool, LaneSet, LaneSpec,
-    MetricsSnapshot, ModelUpdateChannel, PendingResponse, Placement, PoolConfig, Request, Result,
-    ServeError, StoreConfig, SubmitOptions, SupervisorConfig, Worker,
+    BatchExecution, DegradeConfig, EmbeddingStore, Engine, FaultHook, Lane, LanePool, LaneSet,
+    LaneSpec, MetricsSnapshot, ModelUpdateChannel, PendingResponse, Placement, PoolConfig, Request,
+    Result, ServeError, StoreConfig, SubmitOptions, SupervisorConfig, Worker,
 };
 
 use crate::crew::crew;

@@ -7,12 +7,11 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use drec_faultsim::{FaultHook, FaultPlan};
 use drec_models::{store_namespace, ModelId, RecModel};
 use drec_sched::{ModelProfile, ModelSlo, MultiServeRuntime, SchedConfig};
 use drec_serve::{
-    DegradeConfig, EmbeddingStore, Inline, LanePool, LaneSpec, PoolConfig, RowEncoding,
-    ServeConfig, ServeRuntime, StoreConfig, SubmitOptions, SupervisorConfig,
+    DegradeConfig, EmbeddingStore, FaultHook, FaultPlan, Inline, LanePool, LaneSpec, PoolConfig,
+    RowEncoding, ServeConfig, ServeRuntime, StoreConfig, SubmitOptions, SupervisorConfig,
 };
 use drec_store::TierConfig;
 use drec_workload::QueryGen;

@@ -65,8 +65,8 @@ pub use runtime::{PendingResponse, ServeConfig, ServeHandle, ServeRuntime};
 pub use update::{ModelUpdateChannel, UpdatePlan, Updater, UpdaterStats, WeightSet};
 
 // Second import paths, kept only while a caller names them here: the
-// store types for `perf_bench`, `FaultHook` / `FaultPlan` for the root
-// package's `tier_determinism` test. Everything else imports them from
-// `drec_store` / `drec_faultsim`.
+// store types for `perf_bench`; `FaultHook` / `FaultPlan` for `drec-sched`,
+// which does not depend on `drec-faultsim`, and the root package's
+// `tier_determinism` test.
 pub use drec_faultsim::{FaultHook, FaultPlan, UpdateFault};
 pub use drec_store::{EmbeddingStore, RowDelta, RowEncoding, StoreConfig, StoreStats, UpdateBatch};
