@@ -38,8 +38,8 @@
 
 use drec_bench::report::Limit::{AtLeast, AtMost};
 use drec_bench::report::{Gate, Json, Report, Timed};
-use drec_bench::row;
 use drec_bench::timing::{fmt_secs, paired, sample, time, Spread};
+use drec_bench::{row, XorShift64};
 use std::sync::Arc;
 
 use drec_models::{ModelId, ModelScale};
@@ -206,14 +206,9 @@ fn bench_quantized_sls(
         scale[r] = s;
         bias[r] = b;
     }
-    let mut state = 0xBA7_u64;
+    let mut rng = XorShift64(0xBA7);
     let ids: Vec<usize> = (0..pool_ids)
-        .map(|_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state % rows as u64) as usize
-        })
+        .map(|_| (rng.next_u64() % rows as u64) as usize)
         .collect();
 
     let (mut acc, mut acc_oracle) = (vec![0.0f32; dim], vec![0.0f32; dim]);
@@ -486,14 +481,9 @@ fn check_gemm_fma_accuracy() {
 
 /// Deterministic id stream for the pooling benchmark.
 fn pooled_ids(batch: usize, lookups_per_sample: usize, rows: u32, seed: u64) -> IdList {
-    let mut state = seed | 1;
+    let mut rng = XorShift64(seed | 1);
     let ids = (0..batch * lookups_per_sample)
-        .map(|_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state % u64::from(rows)) as u32
-        })
+        .map(|_| (rng.next_u64() % u64::from(rows)) as u32)
         .collect();
     IdList::new(ids, vec![lookups_per_sample as u32; batch])
 }

@@ -3,7 +3,8 @@
 
 use drec_analysis::Table;
 use drec_bench::BenchArgs;
-use drec_core::serving::{simulate_queue, LatencyCurve, QueueSimConfig};
+use drec_core::fleet::{simulate_fleet, DispatchPolicy, Engine, FleetSimConfig};
+use drec_core::serving::LatencyCurve;
 use drec_core::sweep::sweep;
 use drec_hwsim::Platform;
 use drec_models::ModelId;
@@ -32,14 +33,19 @@ fn main() {
         let Some(curve) = LatencyCurve::from_sweep(&result, model, platform) else {
             continue;
         };
+        let engine = [Engine {
+            name: platform.to_string(),
+            curve,
+            max_batch: 4_096,
+        }];
         for qps in [1_000.0, 20_000.0, 200_000.0] {
-            let stats = simulate_queue(
-                &curve,
-                QueueSimConfig {
+            let stats = simulate_fleet(
+                &engine,
+                FleetSimConfig {
                     arrival_qps: qps,
-                    max_batch: 4_096,
                     queries: 50_000,
                     seed: 0xD5EC,
+                    policy: DispatchPolicy::RoundRobin,
                 },
             );
             table.row(vec![

@@ -57,8 +57,8 @@
 use drec_bench::counters::CountingAlloc;
 use drec_bench::report::Limit::{AtLeast, AtMost, Equal};
 use drec_bench::report::{Gate, Report, Timed};
-use drec_bench::row;
 use drec_bench::timing::{paired, sample, time};
+use drec_bench::{integrated_accelerator, row, XorShift64};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -117,18 +117,6 @@ const HEAP_LIVE_AFTER_START_MB: f64 = 67.4;
 /// held its whole trace and a fresh `CpuSim`.
 const HEAP_PEAK_ONE_CALIBRATING_THREAD_MB: f64 = 73.9;
 
-/// Xorshift64* — the workload's model-popularity sampler.
-struct Rng(u64);
-
-impl Rng {
-    fn next_f64(&mut self) -> f64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        (self.0 >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
 /// One pre-generated query: which model, and its inputs.
 struct WorkUnit {
     model_idx: usize,
@@ -159,7 +147,8 @@ fn build_workload(models: &[ModelId], total: usize) -> Vec<WorkUnit> {
     let mut gens: Vec<QueryGen> = (0..models.len())
         .map(|i| QueryGen::zipf(WORKLOAD_SEED ^ (i as u64).wrapping_mul(0x9E37), ZIPF_S))
         .collect();
-    let mut rng = Rng(WORKLOAD_SEED | 1);
+    // The model-popularity sampler.
+    let mut rng = XorShift64(WORKLOAD_SEED | 1);
     (0..total)
         .map(|_| {
             let u = rng.next_f64();
@@ -203,27 +192,6 @@ where
             }
         })
     })
-}
-
-/// A hypothetical *integrated* accelerator: T4-class silicon moved
-/// on-package, shedding most of the kernel-launch and host-interconnect
-/// overheads that make discrete PCIe offload a loss for small-footprint
-/// models (the paper's Fig 4 data-communication analysis). At this
-/// integration level the calibrated split genuinely divides the fleet:
-/// some models offload from batch 1, some only past a crossover batch,
-/// some never win on the accelerator at all.
-fn integrated_accelerator() -> GpuSchedConfig {
-    let mut gpu = drec_hwsim::GpuModel::t4();
-    gpu.name = "T4-integrated";
-    gpu.launch_overhead_s = 0.5e-6;
-    gpu.min_kernel_s = 0.3e-6;
-    gpu.pcie_latency_s = 0.5e-6;
-    gpu.pcie_bw = 200.0e9;
-    GpuSchedConfig {
-        gpu,
-        pcie_extra_s: 2.0e-6,
-        backlog_capacity: 256,
-    }
 }
 
 fn colo_config(models: &[ModelId], cpu_workers: usize, gpu: Option<GpuSchedConfig>) -> SchedConfig {

@@ -1,7 +1,7 @@
 //! Serving-runtime cross-validation: drives the real `drec-serve` runtime
 //! with Poisson open-loop traffic and prints its measured tail latencies
-//! next to the analytical [`simulate_queue`] prediction for the same
-//! wall-clock latency curve.
+//! next to the analytical prediction for the same wall-clock latency
+//! curve: [`simulate_fleet`] over one engine.
 //!
 //! The analytical queueing model and the runtime share the greedy
 //! batching policy (`max_wait = 0`), so at sub-saturation load they
@@ -13,11 +13,12 @@
 use std::time::{Duration, Instant};
 
 use drec_analysis::Table;
-use drec_bench::BenchArgs;
-use drec_core::serving::{simulate_queue, LatencyCurve, QueueSimConfig};
+use drec_bench::{integrated_accelerator, BenchArgs, XorShift64};
+use drec_core::fleet::{simulate_fleet, DispatchPolicy, Engine, FleetSimConfig};
+use drec_core::serving::LatencyCurve;
 use drec_models::{ModelId, ModelScale};
 use drec_ops::Value;
-use drec_sched::{DecisionSnapshot, GpuSchedConfig, ModelSlo, MultiServeRuntime, SchedConfig};
+use drec_sched::{DecisionSnapshot, ModelSlo, MultiServeRuntime, SchedConfig};
 use drec_serve::{
     EmbeddingStore, MetricsSnapshot, RowEncoding, ServeConfig, ServeRuntime, StoreConfig,
 };
@@ -47,23 +48,6 @@ fn worker_count() -> usize {
         .unwrap_or(1)
 }
 
-/// Xorshift64* uniform generator, matching the `simulate_queue` scheme.
-struct Rng(u64);
-
-impl Rng {
-    fn next_f64(&mut self) -> f64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        (self.0 >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Exponential interarrival gap for a Poisson process at `rate` qps.
-    fn exp_gap(&mut self, rate: f64) -> f64 {
-        -(1.0 - self.next_f64()).ln() / rate
-    }
-}
-
 struct LevelResult {
     offered_qps: f64,
     measured: MetricsSnapshot,
@@ -73,11 +57,12 @@ fn drive_level(cfg: &ServeConfig, samples: Vec<Vec<Value>>, target_qps: f64) -> 
     let runtime = ServeRuntime::start(cfg.clone()).expect("runtime starts");
     let handle = runtime.handle();
     let total = samples.len();
-    let mut rng = Rng(0xD5EC ^ target_qps.to_bits());
+    let mut rng = XorShift64(0xD5EC ^ target_qps.to_bits());
     let start = Instant::now();
     let mut next = 0.0f64;
     for sample in samples {
-        next += rng.exp_gap(target_qps);
+        // Exponential interarrival gap: a Poisson process at `target_qps`.
+        next += -(1.0 - rng.next_f64()).ln() / target_qps;
         loop {
             let wait = next - start.elapsed().as_secs_f64();
             if wait <= 0.0 {
@@ -293,6 +278,12 @@ fn main() {
         curve: curve.clone(),
         ..probe_cfg
     };
+    // The analytical model: one engine draining one queue.
+    let engine = [Engine {
+        name: "one worker".into(),
+        curve,
+        max_batch: MAX_BATCH,
+    }];
 
     // One seeded generator shared by every phase: phase N's queries pick
     // up exactly where phase N-1's stopped, so the full run is one
@@ -317,15 +308,15 @@ fn main() {
         };
         let level = drive_level(&cfg, samples, target_qps);
 
-        // The analytical model is one engine draining one queue, so each
-        // of the W workers is modelled as seeing 1/W of the arrivals.
-        let predicted = simulate_queue(
-            &curve,
-            QueueSimConfig {
+        // Each of the W workers is modelled as that one engine seeing 1/W
+        // of the arrivals.
+        let predicted = simulate_fleet(
+            &engine,
+            FleetSimConfig {
                 arrival_qps: level.offered_qps / workers as f64,
-                max_batch: MAX_BATCH,
                 queries: requests_per_level,
                 seed: 0xD5EC,
+                policy: DispatchPolicy::RoundRobin,
             },
         );
 
@@ -534,19 +525,7 @@ fn run_multi_model(quick: bool, workers: usize, workload_gen: &std::cell::RefCel
     // An on-package accelerator variant (negligible launch + PCIe cost):
     // at Tiny scale a discrete card never beats the CPU, which would
     // leave the backend half of the histogram empty.
-    cfg.gpu = Some(GpuSchedConfig {
-        gpu: {
-            let mut gpu = drec_hwsim::GpuModel::t4();
-            gpu.name = "T4-integrated";
-            gpu.launch_overhead_s = 0.5e-6;
-            gpu.min_kernel_s = 0.3e-6;
-            gpu.pcie_latency_s = 0.5e-6;
-            gpu.pcie_bw = 200.0e9;
-            gpu
-        },
-        pcie_extra_s: 2.0e-6,
-        backlog_capacity: 256,
-    });
+    cfg.gpu = Some(integrated_accelerator());
     // All eight models share one tiered, int8-quantized store: a DRAM
     // budget of 25% of the co-located rows (the rest modelled as SSD).
     // Residency is demand-driven here — the scheduler path has no stream
@@ -579,7 +558,7 @@ fn run_multi_model(quick: bool, workers: usize, workload_gen: &std::cell::RefCel
         .map(|rank| 1.0 / (rank as f64).powf(ZIPF_S))
         .collect();
     let total_weight: f64 = weights.iter().sum();
-    let mut picker = Rng(WORKLOAD_SEED ^ 0x5C4ED);
+    let mut picker = XorShift64(WORKLOAD_SEED ^ 0x5C4ED);
     let mut pending = Vec::with_capacity(queries);
     let mut shed = 0usize;
     for _ in 0..queries {

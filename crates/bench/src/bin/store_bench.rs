@@ -48,7 +48,7 @@
 use drec_bench::report::Limit::{AtLeast, AtMost, Equal};
 use drec_bench::report::{Gate, Json, Report, Timed};
 use drec_bench::timing::{paired, sample, time, Spread};
-use drec_bench::{output_bits, row};
+use drec_bench::{output_bits, row, XorShift64};
 use std::sync::Arc;
 
 use drec_models::{ModelId, ModelScale};
@@ -195,14 +195,9 @@ fn bench_decode_bandwidth(
     data: &[f32],
     lookups: usize,
 ) -> Vec<(Json, Timed)> {
-    let mut state = 0xDEC0_u64;
+    let mut rng = XorShift64(0xDEC0);
     let ids: Vec<u32> = (0..lookups)
-        .map(|_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state % rows as u64) as u32
-        })
+        .map(|_| (rng.next_u64() % rows as u64) as u32)
         .collect();
     let f16: Vec<u16> = data
         .iter()
@@ -412,69 +407,49 @@ fn bench_tiered(rows: usize, dim: usize, data: &[f32], warm: usize, measure: usi
         }
     };
 
+    // One leg: a fresh store, the warm-up stream, then the measured one,
+    // in windows of 64 ids. With `prefetch`, each window is prefetched
+    // ahead of its demand pass, the way the serve runtime's prefetch
+    // thread runs ahead of batch drain. Returns the store and the
+    // measured stream's stats.
+    let mut run_leg = |tier: Option<TierConfig>, prefetch: bool| {
+        let store = make_store(tier);
+        let pinned = store.pin(store.register(1, 0, rows, dim, data).expect("register"));
+        let mut run = |stream: &[u32]| {
+            for window in stream.chunks(64) {
+                if prefetch {
+                    pinned.prefetch_rows(window);
+                }
+                for &id in window {
+                    pinned.sum_row(id, &mut acc);
+                }
+            }
+        };
+        run(&ids[..warm]);
+        let base = store.stats();
+        run(&ids[warm..]);
+        let delta = store.stats().since(&base);
+        (store, delta)
+    };
+
     // Leg 1: DRAM-only baseline — every lookup costs the nominal DRAM
     // charge, nothing else.
-    {
-        let store = make_store(None);
-        let handle = store.register(1, 0, rows, dim, data).expect("register");
-        let pinned = store.pin(handle);
-        for &id in &ids[..warm] {
-            pinned.sum_row(id, &mut acc);
-        }
-        let base = store.stats();
-        for &id in &ids[warm..] {
-            pinned.sum_row(id, &mut acc);
-        }
-        let delta = store.stats().since(&base);
-        out.push(row_for("dram_only", &store, &delta, NOMINAL_DRAM_NS));
-    }
+    let (store, delta) = run_leg(None, false);
+    out.push(row_for("dram_only", &store, &delta, NOMINAL_DRAM_NS));
 
     // Leg 2: tiered, demand-only — cold misses stall the lookup. The
     // 2-touch admission filter keeps one-visit tail rows from churning
     // the hot set (plain CLOCK converges to LRU-class ~75% here).
-    {
-        let mut tier = TierConfig::new(budget);
-        tier.admit_after = 2;
-        let store = make_store(Some(tier));
-        let handle = store.register(1, 0, rows, dim, data).expect("register");
-        let pinned = store.pin(handle);
-        for &id in &ids[..warm] {
-            pinned.sum_row(id, &mut acc);
-        }
-        let base = store.stats();
-        for &id in &ids[warm..] {
-            pinned.sum_row(id, &mut acc);
-        }
-        let delta = store.stats().since(&base);
-        let mean = NOMINAL_DRAM_NS + delta.mean_demand_wait_nanos();
-        out.push(row_for("tiered", &store, &delta, mean));
-    }
+    let mut tier = TierConfig::new(budget);
+    tier.admit_after = 2;
+    let (store, delta) = run_leg(Some(tier.clone()), false);
+    let mean = NOMINAL_DRAM_NS + delta.mean_demand_wait_nanos();
+    out.push(row_for("tiered", &store, &delta, mean));
 
-    // Leg 3: tiered + stream prefetch — a 64-query window is filled
-    // ahead of its demand pass, the way the serve runtime's prefetch
-    // thread runs ahead of batch drain.
-    {
-        let mut tier = TierConfig::new(budget);
-        tier.prefetch = true;
-        tier.admit_after = 2;
-        let store = make_store(Some(tier));
-        let handle = store.register(1, 0, rows, dim, data).expect("register");
-        let pinned = store.pin(handle);
-        let run = |stream: &[u32], acc: &mut [f32]| {
-            for window in stream.chunks(64) {
-                pinned.prefetch_rows(window);
-                for &id in window {
-                    pinned.sum_row(id, acc);
-                }
-            }
-        };
-        run(&ids[..warm], &mut acc);
-        let base = store.stats();
-        run(&ids[warm..], &mut acc);
-        let delta = store.stats().since(&base);
-        let mean = NOMINAL_DRAM_NS + delta.mean_demand_wait_nanos();
-        out.push(row_for("tiered_prefetch", &store, &delta, mean));
-    }
+    // Leg 3: the same tier, its stream prefetcher driven.
+    let (store, delta) = run_leg(Some(tier), true);
+    let mean = NOMINAL_DRAM_NS + delta.mean_demand_wait_nanos();
+    out.push(row_for("tiered_prefetch", &store, &delta, mean));
     std::hint::black_box(&acc);
     out
 }

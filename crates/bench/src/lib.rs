@@ -228,6 +228,49 @@ pub fn output_bits(outputs: &[drec_ops::Value]) -> Vec<(Vec<usize>, Vec<u32>)> {
     outputs.iter().map(bits).collect()
 }
 
+/// A hypothetical *integrated* accelerator: T4-class silicon moved
+/// on-package, shedding most of the kernel-launch and host-interconnect
+/// overheads that make discrete PCIe offload a loss for small-footprint
+/// models (the paper's Fig 4 data-communication analysis). At this
+/// integration level the calibrated split genuinely divides the fleet:
+/// some models offload from batch 1, some only past a crossover batch,
+/// some never win on the accelerator at all. `sched_bench` and
+/// `serve_loadgen`'s co-located phase place batches with it.
+pub fn integrated_accelerator() -> drec_sched::GpuSchedConfig {
+    let mut gpu = drec_hwsim::GpuModel::t4();
+    gpu.name = "T4-integrated";
+    gpu.launch_overhead_s = 0.5e-6;
+    gpu.min_kernel_s = 0.3e-6;
+    gpu.pcie_latency_s = 0.5e-6;
+    gpu.pcie_bw = 200.0e9;
+    drec_sched::GpuSchedConfig {
+        gpu,
+        pcie_extra_s: 2.0e-6,
+        backlog_capacity: 256,
+    }
+}
+
+/// Marsaglia's xorshift64 (shifts 13, 7, 17): the one generator the bench
+/// binaries draw workload randomness from (request gaps, model picks,
+/// embedding ids). It has no output multiply, so it is not xorshift64*. A
+/// zero state stays zero: seed it with anything else.
+pub struct XorShift64(pub u64);
+
+impl XorShift64 {
+    /// The next state, which is also the output.
+    pub fn next_u64(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    /// Uniform in `[0, 1)`, from the top 53 bits of [`Self::next_u64`].
+    pub fn next_f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
 /// Combined throughput of two spinning threads over that of one, each
 /// counting loop iterations for 50 ms: ≈ 2 on two free cores, ≈ 1 when the
 /// second "core" is a time-share of the first (a throttled container, an
@@ -1183,5 +1226,21 @@ mod tests {
         assert!(!root.join("BENCH_history.jsonl").exists());
         let file = std::fs::read_to_string(root.join("target/bench/BENCH_unit.smoke.json"));
         assert!(file.expect("smoke file").contains("\"mode\": \"smoke\""));
+    }
+
+    /// The stream the bench binaries' inline copies drew (`kernel_bench`'s
+    /// pooled ids start from 0xBA7): the state itself, with no multiply.
+    #[test]
+    fn xorshift64_is_the_plain_13_7_17_stream() {
+        let mut rng = XorShift64(0xBA7);
+        let draws = [rng.next_u64(), rng.next_u64(), rng.next_u64()];
+        assert_eq!(
+            draws,
+            [
+                0x2ec_0596_0270,
+                0x72e9_c9fd_1cbb_b274,
+                0xc63c_baff_0e00_d810
+            ]
+        );
     }
 }

@@ -27,9 +27,9 @@ use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 /// Splitmix-initialised xorshift generator driving one test case.
 ///
-/// The same construction (`splitmix64` seeding + `xorshift64*` stream) is
-/// used by the serving queue simulator, so generated cases are stable
-/// across platforms and rustc versions.
+/// `splitmix64` seeding and an `xorshift64*` stream: integer arithmetic
+/// only, so generated cases are stable across platforms and rustc
+/// versions.
 #[derive(Debug, Clone)]
 pub struct CaseRng {
     state: u64,

@@ -94,18 +94,13 @@ impl LatencyCurve {
     ///
     /// Returns `None` if the sweep holds no cells for that pair.
     pub fn from_sweep(sweep: &SweepResult, model: ModelId, platform: &str) -> Option<Self> {
-        let mut knots: Vec<(usize, f64)> = sweep
+        let knots: Vec<(usize, f64)> = sweep
             .cells
             .iter()
             .filter(|c| c.model == model && c.platform == platform)
             .map(|c| (c.batch, c.seconds))
             .collect();
-        if knots.is_empty() {
-            return None;
-        }
-        knots.sort_by_key(|k| k.0);
-        knots.dedup_by_key(|k| k.0);
-        Some(LatencyCurve { knots })
+        (!knots.is_empty()).then(|| Self::from_points(knots))
     }
 
     /// Builds a curve directly from `(batch, seconds)` points. Duplicate
@@ -144,100 +139,6 @@ impl LatencyCurve {
         let (b1, t1) = self.knots[idx + 1];
         let frac = ((batch as f64).ln() - (b0 as f64).ln()) / ((b1 as f64).ln() - (b0 as f64).ln());
         (t0.ln() + frac * (t1.ln() - t0.ln())).exp()
-    }
-}
-
-/// Configuration for the batching-queue simulation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QueueSimConfig {
-    /// Poisson arrival rate in queries per second.
-    pub arrival_qps: f64,
-    /// Maximum batch the engine will coalesce.
-    pub max_batch: usize,
-    /// Number of queries to simulate.
-    pub queries: usize,
-    /// RNG seed for the arrival process.
-    pub seed: u64,
-}
-
-/// Tail-latency statistics from a queue simulation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QueueStats {
-    /// Mean end-to-end query latency, seconds.
-    pub(crate) mean_latency: f64,
-    /// Median latency.
-    pub p50: f64,
-    /// 95th-percentile latency.
-    pub p95: f64,
-    /// 99th-percentile latency.
-    pub p99: f64,
-    /// Average coalesced batch size.
-    pub mean_batch: f64,
-    /// Sustained throughput over the simulation, queries/second.
-    pub(crate) throughput_qps: f64,
-}
-
-/// Simulates a single engine serving Poisson arrivals with greedy
-/// batching: whenever the engine is free it takes everything queued (up
-/// to `max_batch`) and runs one inference whose duration comes from the
-/// latency curve. This is the serving loop DeepRecSys-style schedulers
-/// optimise; it turns the paper's latency-vs-batch data into tail
-/// latencies under load.
-pub fn simulate_queue(curve: &LatencyCurve, cfg: QueueSimConfig) -> QueueStats {
-    assert!(cfg.arrival_qps > 0.0, "arrival rate must be positive");
-    assert!(cfg.max_batch >= 1, "max_batch must be at least 1");
-    let n = cfg.queries.max(1);
-
-    // Poisson arrivals.
-    let mut state = cfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    let mut next_u = move || {
-        state ^= state >> 12;
-        state ^= state << 25;
-        state ^= state >> 27;
-        ((state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64)
-            .clamp(1e-12, 1.0 - 1e-12)
-    };
-    let mut arrivals = Vec::with_capacity(n);
-    let mut t = 0.0f64;
-    for _ in 0..n {
-        t += -next_u().ln() / cfg.arrival_qps;
-        arrivals.push(t);
-    }
-
-    let mut latencies = Vec::with_capacity(n);
-    let mut engine_free = 0.0f64;
-    let mut batches = 0usize;
-    let mut next_query = 0usize;
-    while next_query < n {
-        // The engine starts when it is free and at least one query waits.
-        let start = engine_free.max(arrivals[next_query]);
-        let mut batch_end = next_query;
-        while batch_end < n
-            && batch_end - next_query < cfg.max_batch
-            && arrivals[batch_end] <= start
-        {
-            batch_end += 1;
-        }
-        let batch = (batch_end - next_query).max(1);
-        let done = start + curve.eval(batch);
-        for arrival in &arrivals[next_query..next_query + batch] {
-            latencies.push(done - arrival);
-        }
-        engine_free = done;
-        batches += 1;
-        next_query += batch;
-    }
-
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let pct = |p: f64| latencies[(((latencies.len() - 1) as f64) * p) as usize];
-    let total_time = engine_free.max(arrivals[n - 1]);
-    QueueStats {
-        mean_latency: latencies.iter().sum::<f64>() / latencies.len() as f64,
-        p50: pct(0.50),
-        p95: pct(0.95),
-        p99: pct(0.99),
-        mean_batch: n as f64 / batches as f64,
-        throughput_qps: n as f64 / total_time,
     }
 }
 
@@ -333,59 +234,6 @@ mod tests {
         assert_eq!(curve.eval(100_000), 16e-3); // clamped
                                                 // Geometric midpoint: batch 16 → sqrt(1e-3 * 16e-3) = 4e-3.
         assert!((curve.eval(16) - 4e-3).abs() < 1e-5);
-    }
-
-    #[test]
-    fn light_load_has_near_service_latency() {
-        // Service takes 1 ms; arrivals every 100 ms: no queueing.
-        let curve = LatencyCurve::from_points(vec![(1, 1e-3), (64, 1e-3)]);
-        let stats = simulate_queue(
-            &curve,
-            QueueSimConfig {
-                arrival_qps: 10.0,
-                max_batch: 64,
-                queries: 2_000,
-                seed: 3,
-            },
-        );
-        assert!(stats.mean_batch < 1.2, "{stats:?}");
-        assert!(stats.p99 < 3e-3, "{stats:?}");
-    }
-
-    #[test]
-    fn heavy_load_batches_up_and_queues() {
-        // Service 1 ms regardless of batch; arrivals at 5k qps: the engine
-        // must coalesce ~5 queries per run to keep up.
-        let curve = LatencyCurve::from_points(vec![(1, 1e-3), (512, 1e-3)]);
-        let stats = simulate_queue(
-            &curve,
-            QueueSimConfig {
-                arrival_qps: 5_000.0,
-                max_batch: 512,
-                queries: 20_000,
-                seed: 3,
-            },
-        );
-        assert!(stats.mean_batch > 3.0, "{stats:?}");
-        assert!(stats.throughput_qps > 4_500.0, "{stats:?}");
-        assert!(stats.p99 > stats.p50, "{stats:?}");
-    }
-
-    #[test]
-    fn overload_explodes_tail_latency() {
-        // Service 1 ms, max batch 1, arrivals at 2k qps: unstable queue.
-        let curve = LatencyCurve::from_points(vec![(1, 1e-3)]);
-        let stats = simulate_queue(
-            &curve,
-            QueueSimConfig {
-                arrival_qps: 2_000.0,
-                max_batch: 1,
-                queries: 5_000,
-                seed: 4,
-            },
-        );
-        assert!(stats.p99 > 0.5, "queue should blow up: {stats:?}");
-        assert!(stats.throughput_qps < 1_100.0);
     }
 
     #[test]

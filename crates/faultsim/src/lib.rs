@@ -187,7 +187,7 @@ impl Periodic {
         let period = period?.max(1);
         Some(Periodic {
             period,
-            phase: splitmix(seed ^ tag) % period,
+            phase: splitmix64(seed ^ tag) % period,
             fired: AtomicU64::new(0),
         })
     }
@@ -208,19 +208,14 @@ impl Periodic {
 
 /// SplitMix64 finalizer — the deterministic seed-mixing primitive behind
 /// every schedule in this crate. Public so other simulated-fault layers
-/// (e.g. `drec-tier`'s cold-read latency jitter) derive their per-event
-/// randomness from the same well-tested mixer instead of growing their
-/// own.
+/// (`drec-tier`'s cold-read latency jitter, `drec-serve`'s rolling-update
+/// draws) derive their randomness from the same well-tested mixer instead
+/// of growing their own.
 pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Crate-internal alias kept so existing call sites read unchanged.
-fn splitmix(z: u64) -> u64 {
-    splitmix64(z)
 }
 
 #[derive(Debug)]

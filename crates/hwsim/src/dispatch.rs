@@ -9,20 +9,22 @@
 //! operator, so kernel efficiency curves, launch overheads and the PCIe
 //! input transfer are all baked into the samples), then answers
 //! arbitrary batch sizes by log-log interpolation between calibration
-//! points, the same technique `drec-core`'s `LatencyCurve` uses for
-//! measured CPU latencies.
+//! points. Inside the calibrated range that is what `drec-core`'s
+//! `LatencyCurve` does for measured CPU latencies; outside it the two
+//! differ: the oracle extends its end segments' slopes, where
+//! `LatencyCurve` clamps to its end knots.
 //!
 //! On top of the roofline the oracle charges `pcie_extra_s` per
 //! dispatch: the host-side cost of shipping a coalesced batch across the
 //! bus and getting results back that the per-inference
 //! [`GpuModel::pcie_latency_s`] does not cover (staging copies, doorbell
-//! write, completion interrupt).
-//!
-//! [`GpuModel::step`]: crate::GpuModel::step
-//! [`GpuModel::pcie_latency_s`]: crate::GpuModel::pcie_latency_s Making it explicit and configurable
+//! write, completion interrupt). Making it explicit and configurable
 //! keeps CPU/GPU crossover decisions principled rather than hardcoded:
 //! raising it pushes the crossover batch up, zeroing it recovers the raw
 //! roofline.
+//!
+//! [`GpuModel::step`]: crate::GpuModel::step
+//! [`GpuModel::pcie_latency_s`]: crate::GpuModel::pcie_latency_s
 
 /// A per-model GPU dispatch-cost curve calibrated from roofline runs.
 ///

@@ -82,14 +82,14 @@ pub(crate) fn build(
 
 /// Shared builder state: graph, simulated process, parameter RNG, input
 /// contract, and the accumulated (virtual) embedding byte budget.
-pub(crate) struct BuildCtx {
+struct BuildCtx {
     /// Graph under construction.
-    pub(crate) b: GraphBuilder,
+    b: GraphBuilder,
     /// The simulated process the model lives in (address space, trace
     /// control, code regions).
-    pub(crate) ctx: ExecContext,
+    ctx: ExecContext,
     /// Deterministic parameter initialiser.
-    pub(crate) init: ParamInit,
+    init: ParamInit,
     spec: InputSpec,
     emb_bytes: u64,
     store: StoreBinding,
@@ -109,21 +109,15 @@ impl BuildCtx {
         }
     }
 
-    /// Public constructor for out-of-module builders (`CustomDlrm`). The
-    /// scale is the caller's concern — it only picks shapes.
-    pub(crate) fn new_public(_scale: ModelScale, seed: u64) -> Self {
-        Self::new(seed, None)
-    }
-
     /// Declares a dense continuous input of `width` features per sample.
-    pub(crate) fn dense_input(&mut self, name: &str, width: usize) -> ValueId {
+    fn dense_input(&mut self, name: &str, width: usize) -> ValueId {
         self.spec.push(name, InputSlot::Dense { width });
         self.b.input(name)
     }
 
     /// Declares a sparse id-list input: `lookups` ids per sample drawn
     /// from `id_space`.
-    pub(crate) fn ids_input(&mut self, name: &str, lookups: usize, id_space: usize) -> ValueId {
+    fn ids_input(&mut self, name: &str, lookups: usize, id_space: usize) -> ValueId {
         self.spec.push(name, InputSlot::Ids { lookups, id_space });
         self.b.input(name)
     }
@@ -134,11 +128,7 @@ impl BuildCtx {
     /// ordinal N (tables are created in a deterministic order, so the
     /// ordinal identifies the same table across identically seeded
     /// builds); otherwise it owns a dense tensor.
-    pub(crate) fn table(
-        &mut self,
-        rows: usize,
-        dim: usize,
-    ) -> Result<Arc<EmbeddingTable>, GraphError> {
+    fn table(&mut self, rows: usize, dim: usize) -> Result<Arc<EmbeddingTable>, GraphError> {
         let ordinal = self.next_ordinal;
         self.next_ordinal += 1;
         let table = match &self.store {
@@ -164,7 +154,7 @@ impl BuildCtx {
 
     /// Bytes of parameters in an MLP of the given widths (weights plus
     /// biases, f32), for `top_fc_weight_fraction` bookkeeping.
-    pub(crate) fn mlp_param_bytes(in_features: usize, widths: &[usize]) -> u64 {
+    fn mlp_param_bytes(in_features: usize, widths: &[usize]) -> u64 {
         let mut total = 0u64;
         let mut prev = in_features;
         for &w in widths {
@@ -195,11 +185,6 @@ impl BuildCtx {
             plan: None,
             scratch: drec_graph::PlanScratch::new(),
         }
-    }
-
-    /// Public finaliser for out-of-module builders.
-    pub(crate) fn finish_public(self, id: ModelId, meta: ModelMeta) -> RecModel {
-        self.finish(id, meta)
     }
 }
 
@@ -279,19 +264,20 @@ fn ncf(scale: ModelScale, seed: u64, store: StoreBinding) -> Result<RecModel, Gr
 // ---------------------------------------------------------------------------
 
 /// Shape knobs for one DLRM configuration.
-struct DlrmShape {
-    dense: usize,
-    bottom: &'static [usize],
-    top: &'static [usize],
-    tables: usize,
-    rows: usize,
-    dim: usize,
-    lookups: usize,
+pub(crate) struct DlrmShape<'a> {
+    pub(crate) dense: usize,
+    pub(crate) bottom: &'a [usize],
+    pub(crate) top: &'a [usize],
+    pub(crate) tables: usize,
+    pub(crate) rows: usize,
+    pub(crate) dim: usize,
+    pub(crate) lookups: usize,
 }
 
-/// DLRM skeleton shared by RM1–RM3: dense features → bottom MLP, pooled
-/// embedding lookups, pairwise-dot feature interaction, top MLP → sigmoid.
-fn dlrm(
+/// DLRM skeleton shared by RM1–RM3 and [`crate::CustomDlrm`]: dense
+/// features → bottom MLP, pooled embedding lookups, pairwise-dot feature
+/// interaction, top MLP → sigmoid.
+pub(crate) fn dlrm(
     id: ModelId,
     shape: &DlrmShape,
     meta: ModelMeta,
@@ -299,7 +285,10 @@ fn dlrm(
     store: StoreBinding,
 ) -> Result<RecModel, GraphError> {
     let latent = *shape.bottom.last().expect("non-empty bottom MLP");
-    debug_assert_eq!(latent, shape.dim, "bottom MLP must end at the latent dim");
+    debug_assert!(
+        shape.tables == 0 || latent == shape.dim,
+        "bottom MLP must end at the latent dim"
+    );
     let mut bc = BuildCtx::new(seed, store);
 
     let dense = bc.dense_input("dense", shape.dense);

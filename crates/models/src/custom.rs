@@ -24,11 +24,10 @@
 //! # }
 //! ```
 
-use drec_graph::{GraphError, ValueId};
-use drec_ops::PairwiseDot;
+use drec_graph::GraphError;
 
-use crate::builders::{meta_template, BuildCtx};
-use crate::{ModelId, ModelMeta, ModelScale, RecModel};
+use crate::builders::{dlrm, meta_template, DlrmShape};
+use crate::{ModelId, ModelMeta, RecModel};
 
 /// Builder for a custom DLRM-style recommendation model.
 #[derive(Debug, Clone)]
@@ -114,65 +113,24 @@ impl CustomDlrm {
              embeddings, got {latent}",
             self.dim
         );
-        let mut bc = BuildCtx::new_public(ModelScale::Paper, seed);
-
-        let dense = bc.dense_input("dense", self.dense);
-        let (bottom_out, _) = bc.b.mlp(
-            &mut bc.ctx,
-            &mut bc.init,
-            "bot",
-            dense,
-            self.dense,
-            &self.bottom,
-            false,
-        )?;
-        let mut features: Vec<ValueId> = Vec::with_capacity(self.tables + 1);
-        for t in 0..self.tables {
-            let ids = bc.ids_input(&format!("ids_t{t}"), self.lookups, self.rows);
-            let table = bc.table(self.rows, self.dim)?;
-            let emb =
-                bc.b.sparse_lengths_sum(&mut bc.ctx, &format!("emb_t{t}"), table, ids)?;
-            features.push(emb);
-        }
-        features.push(bottom_out);
-        let n = features.len();
-        let pairs = n * (n - 1) / 2;
-        let interact = bc.b.add(
-            "interact",
-            Box::new(PairwiseDot::new(&mut bc.ctx)),
-            &features,
-        )?;
-        let top_in =
-            bc.b.concat(&mut bc.ctx, "top_cat", &[interact, bottom_out])?;
-        let (logit, _) = bc.b.mlp(
-            &mut bc.ctx,
-            &mut bc.init,
-            "top",
-            top_in,
-            pairs + latent,
-            &self.top,
-            true,
-        )?;
-        let prob = bc.b.sigmoid(&mut bc.ctx, "prob", logit);
-        bc.b.mark_output(prob);
-
-        let bottom_bytes = BuildCtx::mlp_param_bytes(self.dense, &self.bottom);
-        let top_bytes = BuildCtx::mlp_param_bytes(pairs + latent, &self.top);
+        let shape = DlrmShape {
+            dense: self.dense,
+            bottom: &self.bottom,
+            top: &self.top,
+            tables: self.tables,
+            rows: self.rows,
+            dim: self.dim,
+            lookups: self.lookups,
+        };
         let meta = ModelMeta {
             name: self.name,
             domain: "Custom",
             dataset: "Synthetic",
             use_case: "User-defined architecture point",
             insight: "Custom DLRM configuration",
-            num_tables: self.tables,
-            lookups_per_table: self.lookups as f64,
-            latent_dim: self.dim,
-            top_fc_weight_fraction: top_bytes as f64 / (top_bytes + bottom_bytes) as f64,
-            has_attention: false,
-            seq_len: 0,
             ..meta_template()
         };
-        Ok(bc.finish_public(ModelId::Rm1, meta))
+        dlrm(ModelId::Rm1, &shape, meta, seed, None)
     }
 }
 

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use drec_models::{ArchFeatures, InputSlot, ModelId, ModelScale, RecModel};
+use drec_models::{ArchFeatures, CustomDlrm, InputSlot, ModelId, ModelScale, RecModel};
 use drec_ops::{FcParams, IdList, Value};
 use drec_par::ParPool;
 use drec_store::{EmbeddingStore, RowEncoding, StoreConfig};
@@ -71,6 +71,33 @@ fn all_models_build_and_infer() {
             );
         }
     }
+}
+
+/// `CustomDlrm` is the published DLRM skeleton: set to RM1's Tiny shape
+/// and seed, it builds RM1 — the same outputs to the bit and the same
+/// parameter budgets.
+#[test]
+fn a_custom_dlrm_with_rm1s_tiny_shape_is_rm1() {
+    let mut rm1 = build(ModelId::Rm1, false);
+    let mut custom = CustomDlrm::new("RM1")
+        .dense_features(16)
+        .bottom_mlp(&[16, 8])
+        .top_mlp(&[16, 1])
+        .tables(3, 1_000, 8)
+        .lookups_per_table(4)
+        .build(7)
+        .unwrap();
+    for batch in [1, 5] {
+        let inputs = make_inputs(&rm1, batch, 11);
+        let expected = bits(&rm1.run(inputs.clone()).unwrap());
+        assert_eq!(
+            bits(&custom.run(inputs).unwrap()),
+            expected,
+            "batch {batch}"
+        );
+    }
+    assert_eq!(custom.meta().fc_param_bytes, rm1.meta().fc_param_bytes);
+    assert_eq!(custom.meta().emb_param_bytes, rm1.meta().emb_param_bytes);
 }
 
 #[test]

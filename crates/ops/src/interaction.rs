@@ -1,7 +1,8 @@
 use drec_tensor::Tensor;
-use drec_trace::{BranchProfile, CodeFootprint, CodeRegion, WorkVector};
+use drec_trace::CodeRegion;
 
-use crate::{kind_cost, ExecContext, OpError, OpKind, Operator, Result, Value};
+use crate::sequence::emit_batch_matmul_trace;
+use crate::{ExecContext, OpError, OpKind, Operator, Result, Value};
 
 /// DLRM-style pairwise-dot feature interaction (Caffe2 `BatchMatMul`).
 ///
@@ -76,38 +77,17 @@ impl Operator for PairwiseDot {
         let bytes = (out.numel() * 4) as u64;
         let out_addr = ctx.alloc_activation(bytes);
         if ctx.tracing_enabled() {
-            let est = inputs.iter().map(|v| v.byte_size() / 64).sum::<u64>() + bytes / 64 + 2;
-            ctx.reserve_mem_events(est);
-            for v in inputs {
-                ctx.record_read(v.addr, v.byte_size());
-            }
-            ctx.record_write(out_addr, bytes);
-            let macs = (batch * pairs * dim) as f64;
-            ctx.add_work(WorkVector {
-                fma_flops: 2.0 * macs,
-                other_flops: 0.0,
-                int_ops: macs / 16.0,
-                contig_load_elems: (batch * n * dim) as f64,
-                contig_store_elems: (batch * pairs) as f64,
-                gather_rows: 0.0,
-                gather_row_bytes: 0.0,
-                vectorizable: 0.95,
-            });
-            let cost = kind_cost(OpKind::BatchMatMul);
-            let iterations = macs / cost.elems_per_iter;
-            ctx.add_branches(BranchProfile {
-                loop_branches: iterations,
-                data_branches: 0.0,
-                data_taken_rate: 0.0,
-                indirect_branches: 4.0,
-            });
-            ctx.set_code(CodeFootprint {
-                dispatch: self.dispatch,
-                kernel: self.kernel,
-                hot_bytes: cost.hot_loop_bytes,
-                invocations: 1,
-                iterations,
-            });
+            emit_batch_matmul_trace(
+                ctx,
+                self.dispatch,
+                self.kernel,
+                inputs,
+                out_addr,
+                bytes,
+                (batch * pairs * dim) as f64,
+                (batch * n * dim) as f64,
+                (batch * pairs) as f64,
+            );
         }
         let mut v = Value::dense(out);
         v.addr = out_addr;

@@ -14,8 +14,12 @@ fn infer_seq_len(op: &'static str, seq_cols: usize, unit: usize) -> Result<usize
     Ok(seq_cols / unit)
 }
 
+/// The trace record of one `BatchMatMul`-kind operator (the two sequence
+/// ops here and [`crate::PairwiseDot`]): reads of every input, the output
+/// write, `macs` multiply-adds over `loads` / `stores` contiguous
+/// elements, and the kind's loop and code footprint.
 #[allow(clippy::too_many_arguments)]
-fn emit_seq_trace(
+pub(crate) fn emit_batch_matmul_trace(
     ctx: &mut ExecContext,
     dispatch: CodeRegion,
     kernel: CodeRegion,
@@ -112,7 +116,7 @@ impl Operator for SequenceDot {
         let out_addr = ctx.alloc_activation(out_bytes);
         if ctx.tracing_enabled() {
             let macs = (batch * seq_len * hidden) as f64;
-            emit_seq_trace(
+            emit_batch_matmul_trace(
                 ctx,
                 self.dispatch,
                 self.kernel,
@@ -182,7 +186,7 @@ impl Operator for WeightedSum {
         let out_addr = ctx.alloc_activation(out_bytes);
         if ctx.tracing_enabled() {
             let macs = (batch * seq_len * hidden) as f64;
-            emit_seq_trace(
+            emit_batch_matmul_trace(
                 ctx,
                 self.dispatch,
                 self.kernel,

@@ -187,7 +187,7 @@ mod tests {
     #[test]
     fn dispatch_signal_pulse_after_generation_read_is_never_missed() {
         // The worker protocol of `drec_serve::LanePool` is: read `seen =
-        // signal.generation()`, poll every lane, then `wait(seen, ..)`.
+        // signal.generation()`, poll every lane, then `wait_until(seen, ..)`.
         // A pulse landing anywhere between the generation read and the
         // wait must make that wait return immediately — otherwise a
         // request admitted in the window would sit until the 50ms
@@ -195,18 +195,18 @@ mod tests {
         // a second thread: with 200 iterations a lost pulse turns into
         // seconds of accumulated housekeeping stalls, so the wall-clock
         // bound below fails loudly while staying slack enough for CI.
-        use drec_serve::DispatchSignal;
+        use drec_sync::EventCount;
         use std::sync::Arc;
         use std::time::Instant;
-        let signal = Arc::new(DispatchSignal::new());
+        let signal = Arc::new(EventCount::new());
         let start = Instant::now();
         for _ in 0..200 {
             let seen = signal.generation();
             let pulser = {
                 let signal = Arc::clone(&signal);
-                std::thread::spawn(move || signal.pulse())
+                std::thread::spawn(move || signal.advance())
             };
-            let woke = signal.wait(seen, None);
+            let woke = signal.wait_until(seen, None);
             assert!(
                 woke > seen,
                 "wait returned without observing the pulse ({woke} <= {seen})"

@@ -223,11 +223,6 @@ pub struct SchedConfig {
     pub degrade: DegradeConfig,
     /// Accelerator path; `None` pins everything to the CPU pool.
     pub gpu: Option<GpuSchedConfig>,
-    /// CPU platform model the placement calibration prices CPU costs on
-    /// (a [`Platform::Cpu`]).
-    pub cpu_platform: Platform,
-    /// Batch sizes traced per model at calibration.
-    pub calibration_batches: Vec<usize>,
     /// Hill-climbing tuner; `None` leaves caps and pool tiers fixed.
     pub tuner: Option<TunerConfig>,
     /// When set, every model's embedding tables register in one shared
@@ -245,12 +240,13 @@ pub struct SchedConfig {
 impl SchedConfig {
     /// The calibration inputs start derives from this configuration:
     /// what [`ModelProfile::calibrate`] needs to reproduce a lane's
-    /// profile outside the runtime.
+    /// profile outside the runtime. Every lane is traced at batches 1 and
+    /// 8 and priced on Broadwell.
     pub fn profile_config(&self) -> ProfileConfig {
         ProfileConfig {
-            calibration_batches: self.calibration_batches.clone(),
+            calibration_batches: vec![1, 8],
             seed: self.seed ^ 0x5EED_CA11,
-            cpu: self.cpu_platform.clone(),
+            cpu: Platform::broadwell(),
             gpu: self.gpu.as_ref().map(|g| g.gpu),
             pcie_extra_s: self.gpu.as_ref().map_or(0.0, |g| g.pcie_extra_s),
             max_batch: self.max_batch,
@@ -271,8 +267,6 @@ impl SchedConfig {
             delay_budget: Duration::from_secs(60),
             degrade: DegradeConfig::default(),
             gpu: Some(GpuSchedConfig::default()),
-            cpu_platform: Platform::broadwell(),
-            calibration_batches: vec![1, 8],
             tuner: Some(TunerConfig::default()),
             store: None,
             record_batches: false,
@@ -489,8 +483,7 @@ impl MultiServeRuntime {
     ///
     /// # Panics
     ///
-    /// Panics on an empty or duplicate model list, zero workers, or a
-    /// `cpu_platform` that is not a CPU.
+    /// Panics on an empty or duplicate model list or zero workers.
     pub fn start(cfg: SchedConfig) -> Result<MultiServeRuntime> {
         assert!(!cfg.models.is_empty(), "need at least one model");
         for (i, m) in cfg.models.iter().enumerate() {

@@ -13,8 +13,8 @@
 //! request, then waits until either `max_batch` requests are queued or
 //! the oldest request has waited `max_wait`, whichever comes first. With
 //! `max_wait = 0` this degenerates to the greedy take-everything-queued
-//! policy of [`drec_core::serving::simulate_queue`], which is what the
-//! load generator uses to cross-validate the analytical model. The
+//! policy of [`drec_core::fleet::simulate_fleet`], which is what the load
+//! generator uses to cross-validate the analytical model. The
 //! effective batch cap shrinks under overload (see
 //! [`crate::OverloadLadder`]) and under an externally tuned cap (see
 //! [`SharedQueue::set_batch_cap`] — the hook `drec-sched`'s
@@ -38,13 +38,13 @@
 //!
 //! # One wake mechanism
 //!
-//! The queue parks nobody itself. Every queue owns or shares a
-//! [`DispatchSignal`]; pushes that change dispatch eligibility, requeues,
-//! released batches and closes pulse it. A worker reads the
+//! The queue parks nobody itself. Every queue owns or shares a dispatch
+//! signal, an [`EventCount`]; pushes that change dispatch eligibility,
+//! requeues, released batches and closes advance it. A worker reads the
 //! signal's generation, polls with the non-blocking
-//! [`SharedQueue::try_next_batch`], and parks on the signal when nothing
-//! is ready — the lane pool's worker loop is exactly that over all its
-//! queues. A queue serves one model; the lane pool (`crate::pool`)
+//! [`SharedQueue::try_next_batch`], and parks on the signal
+//! ([`EventCount::wait_until`]) when nothing is ready — the lane pool's
+//! worker loop is exactly that over all its queues. A queue serves one model; the lane pool (`crate::pool`)
 //! constructs one queue per model over a single shared signal, so one
 //! worker pool waits for work on all of them (each model keeps its own
 //! admission control, deadlines, and overload ladder — degradation
@@ -60,42 +60,6 @@ use drec_sync::{EventCount, Mutex, Ordering};
 use crate::degrade::OverloadLadder;
 use crate::error::ServeError;
 use crate::request::Request;
-
-/// The eventcount workers park on: owned by one [`SharedQueue`] or
-/// shared by several so one worker pool can wait for work on *any* of
-/// them. Pulses increment a generation counter and wake all waiters; a
-/// worker that polled every queue and found nothing ready sleeps until
-/// the generation moves past what it last saw (or a coalescing deadline
-/// expires).
-#[derive(Debug, Default)]
-pub struct DispatchSignal {
-    events: EventCount,
-}
-
-impl DispatchSignal {
-    /// A fresh signal.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The generation to pass to [`DispatchSignal::wait`]; any pulse
-    /// after this read will wake that wait.
-    pub fn generation(&self) -> u64 {
-        self.events.generation()
-    }
-
-    /// Wakes every waiter.
-    pub fn pulse(&self) {
-        self.events.advance();
-    }
-
-    /// Blocks until the generation moves past `seen`, `deadline` passes,
-    /// or (with no deadline) a housekeeping timeout elapses. Returns the
-    /// generation observed on wake-up.
-    pub fn wait(&self, seen: u64, deadline: Option<Instant>) -> u64 {
-        self.events.wait_until(seen, deadline)
-    }
-}
 
 /// Result of a non-blocking [`SharedQueue::try_next_batch`] poll.
 #[derive(Debug)]
@@ -198,11 +162,11 @@ pub struct SharedQueue {
     tuned_cap: AtomicUsize,
     /// Pulsed on push/requeue/release/close; the one thing workers park
     /// on (this queue's own, or one shared by a pool's queues).
-    signal: Arc<DispatchSignal>,
+    signal: Arc<EventCount>,
 }
 
 impl SharedQueue {
-    /// A standalone queue with a [`DispatchSignal`] of its own.
+    /// A standalone queue with a dispatch signal of its own.
     pub fn new(cfg: BatcherConfig, ladder: Arc<OverloadLadder>) -> Self {
         Self::with_signal(cfg, ladder, Arc::default())
     }
@@ -212,7 +176,7 @@ impl SharedQueue {
     pub fn with_signal(
         cfg: BatcherConfig,
         ladder: Arc<OverloadLadder>,
-        signal: Arc<DispatchSignal>,
+        signal: Arc<EventCount>,
     ) -> Self {
         SharedQueue {
             inner: Mutex::new(QueueInner {
@@ -266,7 +230,7 @@ impl SharedQueue {
     /// only occupant.
     fn pulse_signal_on_push(&self, before: usize, after: usize) {
         if before == 0 || after == 1 || after == self.effective_cap() {
-            self.signal.pulse();
+            self.signal.advance();
         }
     }
 
@@ -320,13 +284,13 @@ impl SharedQueue {
     pub(crate) fn requeue(&self, request: Request) {
         // Front, not back: the request has already waited its turn.
         self.inner.lock().queue.push_front(request);
-        self.signal.pulse();
+        self.signal.advance();
     }
 
     /// Non-blocking batch poll: drains and returns a batch when one is
     /// releasable (cap reached, oldest past its coalescing deadline, or
     /// the queue is closing), otherwise reports why not so the caller
-    /// can pick another queue or park on the [`DispatchSignal`].
+    /// can pick another queue or park on the dispatch signal.
     pub fn try_next_batch(&self) -> BatchPoll {
         let mut inner = self.inner.lock();
         let Some(front) = inner.queue.front() else {
@@ -351,14 +315,14 @@ impl SharedQueue {
         }
         drop(inner);
         // More work may remain for the next free worker.
-        self.signal.pulse();
+        self.signal.advance();
         BatchPoll::Ready(batch)
     }
 
     /// Stops admission; queued work remains for workers to drain.
     pub fn close(&self) {
         self.inner.lock().accepting = false;
-        self.signal.pulse();
+        self.signal.advance();
     }
 
     /// Empties the queue, returning every queued request. Used by the
@@ -404,7 +368,7 @@ mod tests {
                 BatchPoll::Coalescing(deadline) => Some(deadline),
                 BatchPoll::Idle => None,
             };
-            q.signal.wait(seen, deadline);
+            q.signal.wait_until(seen, deadline);
         }
     }
 
@@ -706,7 +670,7 @@ mod tests {
 
     #[test]
     fn shared_signal_pulses_on_push_and_close() {
-        let signal = Arc::new(DispatchSignal::new());
+        let signal = Arc::new(EventCount::new());
         let ladder = Arc::new(OverloadLadder::new(DegradeConfig::default(), 100, None));
         let q = SharedQueue::with_signal(cfg(8, 100), ladder, Arc::clone(&signal));
         let before = signal.generation();
@@ -716,7 +680,7 @@ mod tests {
         q.close();
         assert_ne!(signal.generation(), before);
         // A wait on a stale generation returns immediately.
-        let woke = signal.wait(before, Some(Instant::now() + Duration::from_secs(5)));
+        let woke = signal.wait_until(before, Some(Instant::now() + Duration::from_secs(5)));
         assert_ne!(woke, before);
     }
 

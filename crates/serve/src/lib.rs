@@ -18,7 +18,7 @@
 //! at its *modelled* per-platform time from the same
 //! [`drec_core::serving::LatencyCurve`] the analytical queue simulation
 //! uses — which is what lets `serve_loadgen` cross-validate
-//! [`drec_core::serving::simulate_queue`] against measured tails.
+//! [`drec_core::fleet::simulate_fleet`] against measured tails.
 //!
 //! # Example
 //!
@@ -51,7 +51,7 @@ mod request;
 mod runtime;
 mod update;
 
-pub use batcher::{BatchPoll, BatcherConfig, DispatchSignal, QueueKind, SharedQueue};
+pub use batcher::{BatchPoll, BatcherConfig, QueueKind, SharedQueue};
 pub use degrade::{DegradeConfig, OverloadLadder, OverloadLevel};
 pub use engine::{BatchExecution, Engine};
 pub use error::{Result, ServeError};

@@ -5,8 +5,8 @@
 //!  Arc<LaneSet> ──▶│  lane 1: SharedQueue  │◀──────────┤   expire → route → execute inline
 //!   submit(lane)   │  …                    │           │   (catch_unwind, retry once, self-supervise)
 //!      │           └─ lane L: SharedQueue ─┘           └─▶ Placement::route may take a batch elsewhere
-//!      │ Overloaded           ▲   every queue pulses
-//!      ▼                      └── one DispatchSignal
+//!      │ Overloaded           ▲   every queue advances
+//!      ▼                      └── one EventCount (the dispatch signal)
 //!  Placement::overflow (default: shed)
 //! ```
 //!
@@ -20,8 +20,8 @@
 //!
 //! There is no dispatcher thread and no supervisor thread: every worker
 //! is both (DESIGN.md §9 has the failure matrix). It holds one [`Engine`]
-//! per lane, parks on the pool's [`DispatchSignal`], polls every lane
-//! with [`SharedQueue::try_next_batch`], and executes what
+//! per lane, parks on the pool's dispatch signal (an [`EventCount`]),
+//! polls every lane with [`SharedQueue::try_next_batch`], and executes what
 //! [`Placement::route`] leaves it inline — no cross-thread hand-off on
 //! the fast path. Each batch runs under `catch_unwind`: a failing batch
 //! is re-enqueued once, then surfaced as [`ServeError::WorkerFailed`].
@@ -56,8 +56,9 @@ use drec_models::{InputSpec, ModelId, ModelScale, RecModel};
 use drec_ops::Value;
 use drec_par::ParPool;
 use drec_store::EmbeddingStore;
+use drec_sync::EventCount;
 
-use crate::batcher::{BatchPoll, BatcherConfig, DispatchSignal, SharedQueue};
+use crate::batcher::{BatchPoll, BatcherConfig, SharedQueue};
 use crate::degrade::{DegradeConfig, OverloadLadder};
 use crate::engine::{BatchExecution, Engine};
 use crate::error::{Result, ServeError};
@@ -213,7 +214,7 @@ pub struct LaneSet {
     pub metrics: MetricsRegistry,
     /// The start-up configuration (its `lanes` moved into the field above).
     cfg: PoolConfig,
-    signal: Arc<DispatchSignal>,
+    signal: Arc<EventCount>,
     next_id: AtomicU64,
     /// Restarts claimed so far against `cfg.supervisor.max_restarts`.
     restarts: AtomicU32,
@@ -535,7 +536,7 @@ impl Worker {
                 return;
             }
             if !dispatched {
-                core.signal.wait(seen, earliest);
+                core.signal.wait_until(seen, earliest);
             }
         }
     }

@@ -307,12 +307,12 @@ impl UpdaterStats {
     }
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
+/// One draw of a SplitMix64 stream: the mix of `state`, which then steps
+/// by the SplitMix increment.
+fn next_draw(state: &mut u64) -> u64 {
+    let draw = drec_faultsim::splitmix64(*state);
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    draw
 }
 
 /// Background driver streaming one rolling update through one model's
@@ -428,8 +428,8 @@ impl Updater {
                 // mailbox and baseline are one allocation again.
                 FcLayers::clone(baseline)
             } else {
-                let scale = 1.0 + (splitmix64(&mut rng) % 7 + 1) as f32 * 0.05;
-                let shift = (splitmix64(&mut rng) % 5) as f32 * 0.01 - 0.02;
+                let scale = 1.0 + (next_draw(&mut rng) % 7 + 1) as f32 * 0.05;
+                let shift = (next_draw(&mut rng) % 5) as f32 * 0.01 - 0.02;
                 let perturbed = |p: &Arc<FcParams>| {
                     Arc::new(FcParams {
                         weights: p.weights.map(|v| v * scale + shift),
@@ -472,7 +472,7 @@ impl Updater {
                 .try_pin(handle)
                 .map_err(|e| self.update_failed(0, &e))?;
             for _ in 0..self.plan.rows_per_version.min(rows) {
-                let row = (splitmix64(rng) % rows as u64) as u32;
+                let row = (next_draw(rng) % rows as u64) as u32;
                 let original = match originals.entry((ordinal, row)) {
                     std::collections::btree_map::Entry::Occupied(e) => e.get().decode(),
                     std::collections::btree_map::Entry::Vacant(slot) => {
@@ -482,7 +482,7 @@ impl Updater {
                         slot.insert(encoded).decode()
                     }
                 };
-                let scale = 1.0 + (splitmix64(rng) % 9 + 1) as f32 * 0.125;
+                let scale = 1.0 + (next_draw(rng) % 9 + 1) as f32 * 0.125;
                 deltas.push(RowDelta {
                     ordinal,
                     row,
@@ -595,7 +595,7 @@ mod tests {
         let (rows, dim) = (64usize, 16usize);
         let mut x = 0x2545_F491_4F6C_DD1Du64;
         let data: Vec<f32> = (0..rows * dim)
-            .map(|_| splitmix64(&mut x) as u32 as f32 / u32::MAX as f32 * 2.3 - 1.1)
+            .map(|_| next_draw(&mut x) as u32 as f32 / u32::MAX as f32 * 2.3 - 1.1)
             .collect();
         for encoding in [RowEncoding::F32, RowEncoding::F16, RowEncoding::Int8] {
             let ns = 0xAB;

@@ -21,11 +21,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use drec_serve::{
-    BatchPoll, BatcherConfig, DegradeConfig, DispatchSignal, OverloadLadder, OverloadLevel,
-    PrefetchWindow, Priority, Request, SharedQueue, SubmitOptions,
+    BatchPoll, BatcherConfig, DegradeConfig, OverloadLadder, OverloadLevel, PrefetchWindow,
+    Priority, Request, SharedQueue, SubmitOptions,
 };
 use drec_sync::model::model;
 use drec_sync::thread::{spawn, yield_now};
+use drec_sync::EventCount;
 
 fn cfg(max_batch: usize, capacity: usize) -> BatcherConfig {
     BatcherConfig {
@@ -37,7 +38,7 @@ fn cfg(max_batch: usize, capacity: usize) -> BatcherConfig {
     }
 }
 
-fn queue_of(c: BatcherConfig, signal: Option<Arc<DispatchSignal>>) -> SharedQueue {
+fn queue_of(c: BatcherConfig, signal: Option<Arc<EventCount>>) -> SharedQueue {
     let ladder = Arc::new(OverloadLadder::new(
         DegradeConfig::default(),
         c.queue_capacity,
@@ -186,7 +187,7 @@ fn overload_ladder_transitions_exactly_once_under_contention() {
 #[test]
 fn dispatch_signal_parking_never_strands_the_dispatcher() {
     model(|| {
-        let signal = Arc::new(DispatchSignal::new());
+        let signal = Arc::new(EventCount::new());
         let q = Arc::new(queue_of(cfg(8, 100), Some(Arc::clone(&signal))));
         let producer = {
             let q = Arc::clone(&q);
@@ -197,10 +198,10 @@ fn dispatch_signal_parking_never_strands_the_dispatcher() {
             match q.try_next_batch() {
                 BatchPoll::Ready(batch) => break batch,
                 BatchPoll::Idle => {
-                    signal.wait(seen, None);
+                    signal.wait_until(seen, None);
                 }
                 BatchPoll::Coalescing(deadline) => {
-                    signal.wait(seen, Some(deadline));
+                    signal.wait_until(seen, Some(deadline));
                 }
                 BatchPoll::Closed => panic!("queue closed while open"),
             }

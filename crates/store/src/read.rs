@@ -36,12 +36,7 @@ impl PinnedTable {
     ///
     /// [`StoreError::RowOutOfRange`] or [`StoreError::DataSizeMismatch`].
     pub fn read_row_raw(&self, row: u32, dst: &mut [f32]) -> Result<(), StoreError> {
-        if (row as usize) >= self.table.rows {
-            return Err(StoreError::RowOutOfRange {
-                row,
-                rows: self.table.rows,
-            });
-        }
+        self.table.check_row(row)?;
         if dst.len() != self.table.dim {
             return Err(StoreError::DataSizeMismatch {
                 expected: self.table.dim,
@@ -61,12 +56,7 @@ impl PinnedTable {
     ///
     /// [`StoreError::RowOutOfRange`].
     pub fn read_row_encoded(&self, row: u32) -> Result<EncodedRow, StoreError> {
-        if (row as usize) >= self.table.rows {
-            return Err(StoreError::RowOutOfRange {
-                row,
-                rows: self.table.rows,
-            });
-        }
+        self.table.check_row(row)?;
         Ok(self.table.read_encoded(row))
     }
 

@@ -233,6 +233,18 @@ impl StoredTable {
         }
     }
 
+    /// [`StoreError::RowOutOfRange`] unless `row` is a row of this table.
+    pub(crate) fn check_row(&self, row: u32) -> Result<(), StoreError> {
+        if (row as usize) < self.rows {
+            Ok(())
+        } else {
+            Err(StoreError::RowOutOfRange {
+                row,
+                rows: self.rows,
+            })
+        }
+    }
+
     /// (shard index, row offset within shard) for a validated row.
     fn locate(&self, row: u32) -> (usize, usize) {
         let row = row as usize;

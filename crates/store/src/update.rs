@@ -184,12 +184,7 @@ impl EmbeddingStore {
                     .get(&(namespace, ordinal))
                     .ok_or(StoreError::TableNotRegistered { namespace, ordinal })?;
                 let table = &tables[slot];
-                if (row as usize) >= table.rows {
-                    return Err(StoreError::RowOutOfRange {
-                        row,
-                        rows: table.rows,
-                    });
-                }
+                table.check_row(row)?;
                 let mismatch = match write {
                     RowWrite::Values(values) => {
                         (values.len() != table.dim).then_some((table.dim, values.len()))
@@ -302,12 +297,7 @@ impl PinnedTable {
     ///
     /// [`StoreError::RowOutOfRange`] or [`StoreError::DataSizeMismatch`].
     pub fn update_row(&self, row: u32, values: &[f32]) -> Result<(), StoreError> {
-        if (row as usize) >= self.table.rows {
-            return Err(StoreError::RowOutOfRange {
-                row,
-                rows: self.table.rows,
-            });
-        }
+        self.table.check_row(row)?;
         if values.len() != self.table.dim {
             return Err(StoreError::DataSizeMismatch {
                 expected: self.table.dim,
