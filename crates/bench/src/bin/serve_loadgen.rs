@@ -528,8 +528,8 @@ fn run_multi_model(quick: bool, workers: usize, workload_gen: &std::cell::RefCel
     cfg.gpu = Some(integrated_accelerator());
     // All eight models share one tiered, int8-quantized store: a DRAM
     // budget of 25% of the co-located rows (the rest modelled as SSD).
-    // Residency is demand-driven here — the scheduler path has no stream
-    // prefetcher.
+    // `TierConfig::new` turns prefetch on, so every lane runs a stream
+    // prefetcher; the eight split the tier's prefetch window evenly.
     cfg.store = Some(StoreConfig {
         encoding: RowEncoding::Int8,
         cache_capacity_rows: 1024,

@@ -17,8 +17,9 @@
 //!   (microarchitectural simulation) and a GPU dispatch oracle
 //!   (roofline + PCIe), yielding a deterministic crossover batch size:
 //!   batches at or past it offload, smaller ones stay on CPU.
-//! * `ModelTuner` hill-climbs each model's batch cap and intra-op
-//!   pool width against its p99 SLO from live windowed histograms.
+//! * `ModelTuner` hill-climbs each model's batch cap against its p99
+//!   SLO from live windowed histograms. Every lane runs on one width-1
+//!   intra-op pool: the lanes already share the CPU workers.
 //!
 //! Placement is *simulated*, execution is *real*: offloaded batches run
 //! the same kernels as CPU batches (results are bit-identical — see

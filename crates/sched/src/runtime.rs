@@ -15,7 +15,9 @@
 //! and teardown all belong to [`drec_serve::LanePool`] — the same core
 //! the single-model `ServeRuntime` runs with one lane. This module
 //! supplies the [`Placement`] hook and the two threads only co-location
-//! needs. Each released batch is routed to the backend chosen by the
+//! needs; it adds no intra-op parallelism of its own — every lane and the
+//! accelerator run on one width-1 pool, since the lanes already share the
+//! CPU workers. Each released batch is routed to the backend chosen by the
 //! model's calibrated [`ModelProfile`]: batches at or past the CPU/GPU
 //! crossover are forwarded to the simulated accelerator, the rest
 //! execute inline on the CPU worker that took them.
@@ -223,7 +225,7 @@ pub struct SchedConfig {
     pub degrade: DegradeConfig,
     /// Accelerator path; `None` pins everything to the CPU pool.
     pub gpu: Option<GpuSchedConfig>,
-    /// Hill-climbing tuner; `None` leaves caps and pool tiers fixed.
+    /// Hill-climbing tuner; `None` leaves batch caps fixed.
     pub tuner: Option<TunerConfig>,
     /// When set, every model's embedding tables register in one shared
     /// [`EmbeddingStore`] with this configuration — deduplicated
@@ -304,7 +306,6 @@ struct ColoLane {
     model: ModelId,
     profile: ModelProfile,
     decisions: DecisionStats,
-    pool_tier: AtomicUsize,
 }
 
 /// One coalesced batch bound for the accelerator.
@@ -348,12 +349,11 @@ impl Accelerator {
     }
 }
 
-/// The [`Placement`] hook: CPU/GPU routing and spill, the tuner's pool
-/// tier, modelled-latency pricing, decision counters and batch records.
+/// The [`Placement`] hook: CPU/GPU routing and spill, accelerator
+/// pricing, decision counters and batch records.
 #[derive(Debug)]
 struct Colocation {
     lanes: Vec<ColoLane>,
-    pools: Vec<Arc<ParPool>>,
     accelerator: Option<Accelerator>,
     records: Option<Mutex<Vec<BatchRecord>>>,
     /// Set at teardown; the tuner watches it.
@@ -425,19 +425,9 @@ impl Placement for Colocation {
         Some(item.requests)
     }
 
-    /// Applies the tuner's intra-op width choice for this model.
-    fn prepare(&self, lane: usize, engine: &mut Engine) {
-        let tier = self.lanes[lane]
-            .pool_tier
-            .load(Ordering::Relaxed)
-            .min(self.pools.len() - 1);
-        if !Arc::ptr_eq(engine.pool(), &self.pools[tier]) {
-            engine.set_pool(Arc::clone(&self.pools[tier]));
-        }
-    }
-
-    /// Prices the batch on the backend it ran on and, when recording,
-    /// keeps its inputs and outputs.
+    /// Prices an accelerator batch on the GPU dispatch oracle (a CPU
+    /// batch keeps the engine's price: its curve is the profile's CPU
+    /// curve) and, when recording, keeps the batch's inputs and outputs.
     fn executed(
         &self,
         worker: usize,
@@ -447,7 +437,9 @@ impl Placement for Colocation {
     ) {
         let lane = &self.lanes[lane];
         let backend = self.backend_of(worker);
-        exec.modelled_seconds = lane.profile.modelled_seconds(backend, requests.len());
+        if backend == Backend::Gpu {
+            exec.modelled_seconds = lane.profile.modelled_seconds(backend, requests.len());
+        }
         if let Some(records) = &self.records {
             records
                 .lock()
@@ -494,17 +486,6 @@ impl MultiServeRuntime {
             );
         }
 
-        let tuner_cfg = cfg.tuner.clone().unwrap_or_default();
-        let pools: Vec<Arc<ParPool>> = if tuner_cfg.pool_widths.is_empty() {
-            vec![ParPool::new(1)]
-        } else {
-            tuner_cfg
-                .pool_widths
-                .iter()
-                .map(|&w| ParPool::new(w))
-                .collect()
-        };
-
         // One parameter store shared by every lane and worker: all
         // engines of one model dedupe to a single copy, and co-located
         // models share the tier budget and its counters.
@@ -542,14 +523,12 @@ impl MultiServeRuntime {
                 model: slo.id,
                 profile,
                 decisions: DecisionStats::default(),
-                pool_tier: AtomicUsize::new(0),
             });
         }
 
         let (gpu_tx, gpu_rx) = mpsc::channel();
         let colo = Arc::new(Colocation {
             lanes,
-            pools,
             accelerator: cfg.gpu.as_ref().map(|gcfg| Accelerator {
                 tx: gpu_tx,
                 backlog: AtomicUsize::new(0),
@@ -575,7 +554,9 @@ impl MultiServeRuntime {
             delay_budget: cfg.delay_budget,
             degrade: cfg.degrade,
             store,
-            par_pool: Arc::clone(&colo.pools[0]),
+            // Width 1: co-located lanes share the CPU workers, so one
+            // batch does not fan out over them too.
+            par_pool: ParPool::new(1),
             supervisor: SupervisorConfig::default(),
             faults: FaultHook::disabled(),
             placement: Arc::clone(&colo) as Arc<dyn Placement>,
@@ -806,8 +787,7 @@ fn accelerator_loop(mut worker: Worker, rx: &mpsc::Receiver<Option<WorkItem>>, c
 }
 
 /// Tuner body: every interval, read each model's windowed p99 and walk
-/// its hill-climber one step, applying cap changes to the model's queue
-/// and width changes to its pool tier.
+/// its hill-climber one step, applying cap changes to the model's queue.
 fn tuner_loop(
     cfg: &TunerConfig,
     pool: &LaneSet,
@@ -837,12 +817,8 @@ fn tuner_loop(
                 .sum();
             let p99 = latency.quantile_seconds_since(baseline, 0.99);
             *baseline = counts;
-            match tuner.step(cfg, p99, samples) {
-                TunerStep::Hold => {}
-                TunerStep::BatchCap(cap) => lanes[i].queue.set_batch_cap(cap),
-                TunerStep::PoolTier(tier) => {
-                    colo.lanes[i].pool_tier.store(tier, Ordering::Relaxed);
-                }
+            if let TunerStep::BatchCap(cap) = tuner.step(cfg, p99, samples) {
+                lanes[i].queue.set_batch_cap(cap);
             }
         }
     }

@@ -1,5 +1,4 @@
-//! Hill-climbing per-model tuner: batch size and intra-op parallelism
-//! against an SLO.
+//! Hill-climbing per-model tuner: batch size against an SLO.
 //!
 //! Every tick the tuner reads each model's *windowed* p99 (latency
 //! observations since its previous tick, via
@@ -7,16 +6,15 @@
 //! one step:
 //!
 //! * **Over SLO** — halve the model's tuned batch cap (smaller batches
-//!   leave the queue sooner, cutting coalescing and service delay). If
-//!   the cap already sits at the floor, widen the model's intra-op pool
-//!   one tier instead, throwing parallelism at per-batch latency.
+//!   leave the queue sooner, cutting coalescing and service delay). At
+//!   the floor it holds: co-located lanes share the CPU workers on one
+//!   width-1 intra-op pool, so there is no other knob to turn.
 //! * **Comfortably under SLO** (below `recover_ratio × SLO`) — after a
-//!   cooldown, first narrow the intra-op pool back down (freeing threads
-//!   for co-located models), then double the batch cap back toward the
-//!   configured maximum (bigger batches amortize better, and make GPU
-//!   offload reachable again).
+//!   cooldown, double the batch cap back toward the configured maximum
+//!   (bigger batches amortize better, and make GPU offload reachable
+//!   again).
 //!
-//! One knob per tick, a cooldown on the growth direction, and hysteresis
+//! One step per tick, a cooldown on the growth direction, and hysteresis
 //! between the two thresholds keep the climb from oscillating — the same
 //! damping discipline as the serving runtime's overload ladder.
 
@@ -34,9 +32,6 @@ pub struct TunerConfig {
     pub(crate) cooldown_ticks: u32,
     /// Smallest tuned batch cap.
     pub(crate) min_batch: usize,
-    /// Intra-op pool widths the tuner may choose between, narrowest
-    /// first (tier 0 is the default).
-    pub(crate) pool_widths: Vec<usize>,
 }
 
 impl Default for TunerConfig {
@@ -47,22 +42,19 @@ impl Default for TunerConfig {
             recover_ratio: 0.7,
             cooldown_ticks: 3,
             min_batch: 1,
-            pool_widths: vec![1, 2, 4],
         }
     }
 }
 
 /// One step's outcome, applied by the caller to the model's queue
-/// ([`drec_serve::SharedQueue::set_batch_cap`]) and pool tier.
+/// ([`drec_serve::SharedQueue::set_batch_cap`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum TunerStep {
-    /// Nothing to do (within band, cooling down, or too few samples).
+    /// Nothing to do (within band, cooling down, at a bound, or too few
+    /// samples).
     Hold,
     /// Batch cap changed to the contained value.
     BatchCap(usize),
-    /// Intra-op pool tier changed to the contained index into
-    /// [`TunerConfig::pool_widths`].
-    PoolTier(usize),
 }
 
 /// Per-model hill-climbing state.
@@ -74,20 +66,17 @@ pub(crate) struct ModelTuner {
     max_batch: usize,
     /// Current tuned cap.
     cap: usize,
-    /// Current pool tier (index into [`TunerConfig::pool_widths`]).
-    tier: usize,
     /// Ticks remaining before the next growth step is allowed.
     cooldown: u32,
 }
 
 impl ModelTuner {
-    /// Fresh state: cap at the configured max, narrowest pool tier.
+    /// Fresh state: cap at the configured max.
     pub(crate) fn new(slo_s: f64, max_batch: usize) -> Self {
         ModelTuner {
             slo_s,
             max_batch: max_batch.max(1),
             cap: max_batch.max(1),
-            tier: 0,
             cooldown: 0,
         }
     }
@@ -112,10 +101,6 @@ impl ModelTuner {
                 self.cap = (self.cap / 2).max(floor);
                 return TunerStep::BatchCap(self.cap);
             }
-            if self.tier + 1 < cfg.pool_widths.len() {
-                self.tier += 1;
-                return TunerStep::PoolTier(self.tier);
-            }
             return TunerStep::Hold;
         }
         if window_p99_s < self.slo_s * cfg.recover_ratio.clamp(0.0, 1.0) {
@@ -124,11 +109,6 @@ impl ModelTuner {
                 return TunerStep::Hold;
             }
             self.cooldown = cfg.cooldown_ticks;
-            // Climbing back: give threads back before growing batches.
-            if self.tier > 0 {
-                self.tier -= 1;
-                return TunerStep::PoolTier(self.tier);
-            }
             if self.cap < self.max_batch {
                 self.cap = (self.cap * 2).min(self.max_batch);
                 return TunerStep::BatchCap(self.cap);
@@ -151,18 +131,18 @@ mod tests {
     }
 
     #[test]
-    fn over_slo_halves_cap_then_widens_pool() {
+    fn over_slo_halves_cap_to_the_floor_then_holds() {
         let cfg = cfg();
         let mut t = ModelTuner::new(10e-3, 16);
         assert_eq!(t.step(&cfg, 20e-3, 100), TunerStep::BatchCap(8));
         assert_eq!(t.step(&cfg, 20e-3, 100), TunerStep::BatchCap(4));
         assert_eq!(t.step(&cfg, 20e-3, 100), TunerStep::BatchCap(2));
         assert_eq!(t.step(&cfg, 20e-3, 100), TunerStep::BatchCap(1));
-        // At the batch floor the tuner reaches for parallelism.
-        assert_eq!(t.step(&cfg, 20e-3, 100), TunerStep::PoolTier(1));
-        assert_eq!(t.step(&cfg, 20e-3, 100), TunerStep::PoolTier(2));
-        // Out of knobs: hold rather than thrash.
-        assert_eq!(t.step(&cfg, 20e-3, 100), TunerStep::Hold);
+        // At the floor: hold rather than thrash.
+        for _ in 0..4 {
+            assert_eq!(t.step(&cfg, 20e-3, 100), TunerStep::Hold);
+        }
+        assert_eq!(t.cap, 1);
     }
 
     #[test]
@@ -173,34 +153,6 @@ mod tests {
         assert_eq!(t.step(&cfg, 1e-3, 100), TunerStep::Hold, "cooling down");
         assert_eq!(t.step(&cfg, 1e-3, 100), TunerStep::Hold, "cooling down");
         assert_eq!(t.step(&cfg, 1e-3, 100), TunerStep::BatchCap(16));
-    }
-
-    #[test]
-    fn recovery_narrows_pool_before_growing_batches() {
-        let cfg = cfg();
-        let mut t = ModelTuner::new(10e-3, 4);
-        // Drive to the floor and up two pool tiers.
-        for _ in 0..5 {
-            t.step(&cfg, 20e-3, 100);
-        }
-        assert_eq!((t.cap, t.tier), (1, 2));
-        // Recover: pool tiers come back first, then the cap regrows.
-        let mut steps = Vec::new();
-        for _ in 0..20 {
-            match t.step(&cfg, 1e-3, 100) {
-                TunerStep::Hold => {}
-                step => steps.push(step),
-            }
-        }
-        assert_eq!(
-            steps,
-            vec![
-                TunerStep::PoolTier(1),
-                TunerStep::PoolTier(0),
-                TunerStep::BatchCap(2),
-                TunerStep::BatchCap(4),
-            ]
-        );
     }
 
     #[test]

@@ -142,18 +142,6 @@ impl Engine {
         self.model.spec()
     }
 
-    /// The intra-op pool batches execute on.
-    pub fn pool(&self) -> &Arc<ParPool> {
-        &self.pool
-    }
-
-    /// Repoints batch execution at a different intra-op pool — the knob
-    /// a scheduler's tuner turns to adjust one model's intra-op
-    /// parallelism while traffic flows. Takes effect on the next batch.
-    pub fn set_pool(&mut self, pool: Arc<ParPool>) {
-        self.pool = pool;
-    }
-
     /// Coalesces `requests` into one batch, runs it through the model,
     /// and splits the outputs back per request.
     ///

@@ -52,7 +52,7 @@ use std::time::{Duration, Instant};
 
 use drec_core::serving::LatencyCurve;
 use drec_faultsim::FaultHook;
-use drec_models::{InputSpec, ModelId, ModelScale, RecModel};
+use drec_models::{InputSpec, ModelId, ModelScale, RecModel, StoreBinding};
 use drec_ops::Value;
 use drec_par::ParPool;
 use drec_store::EmbeddingStore;
@@ -90,8 +90,10 @@ impl Default for SupervisorConfig {
     }
 }
 
-/// Where a batch runs and what happens to an arrival its lane cannot
-/// queue. Every method defaults to the single-backend behaviour.
+/// Where a batch runs, what it is priced at, and what happens to an
+/// arrival its lane cannot queue. Every method defaults to the
+/// single-backend behaviour; no hook touches an engine, so every batch
+/// runs on the pool's [`PoolConfig::par_pool`].
 pub trait Placement: std::fmt::Debug + Send + Sync {
     /// `lane`'s queue refused `request` as `Overloaded` (`err`). `Ok`: it
     /// was taken on elsewhere and counts as accepted; `Err`: what the
@@ -110,9 +112,6 @@ pub trait Placement: std::fmt::Debug + Send + Sync {
     fn route(&self, _lane: usize, requests: Vec<Request>) -> Option<Vec<Request>> {
         Some(requests)
     }
-
-    /// Called just before `engine` runs a batch of `lane`.
-    fn prepare(&self, _lane: usize, _engine: &mut Engine) {}
 
     /// `worker` ran `requests` of `lane`; may re-price
     /// `exec.modelled_seconds` before it reaches metrics and responses.
@@ -384,7 +383,6 @@ impl Worker {
         let lane = &core.lanes[lane_idx];
         let metrics = &core.metrics;
         let engine = &mut self.engines[lane_idx];
-        core.cfg.placement.prepare(lane_idx, engine);
         if let Some(prefetcher) = &lane.prefetcher {
             // These requests read their rows now: what was filled for
             // them leaves the prefetch window, the rest is too late.
@@ -592,9 +590,18 @@ impl LanePool {
         // it as the pool-wide overload level). Co-located lanes share
         // the store, so none of their ladders may flip it for the others.
         let sole_lane = lane_cfgs.len() == 1;
+        // Stream prefetch: only when the shared store is tiered with
+        // prefetch on, and only for the lanes whose model exposes store
+        // bindings. Those lanes split the tier's budget evenly, so
+        // together they fill no further ahead than one lane alone would.
+        let prefetch_budget = set.cfg.store.as_ref().filter(|s| s.prefetch_enabled());
+        let prefetch_budget = prefetch_budget.map(|s| s.stats().tier_dram_budget_rows);
+        let lane_bindings: Vec<Vec<StoreBinding>> =
+            lane_cfgs.iter().map(|l| l.built.store_bindings()).collect();
+        let prefetching = lane_bindings.iter().filter(|b| !b.is_empty()).count() as u64;
         // Each lane's built model: worker 0's engine.
         let mut built_models = Vec::with_capacity(lane_cfgs.len());
-        for LaneSpec { built, curve } in lane_cfgs {
+        for (LaneSpec { built, curve }, bindings) in lane_cfgs.into_iter().zip(lane_bindings) {
             let model = built.id();
             let cfg = &set.cfg;
             let store = cfg.store.clone();
@@ -632,15 +639,9 @@ impl LanePool {
                 Some(ladder),
                 Some(Arc::clone(&update)),
             );
-            // Stream prefetch: only when the shared store is tiered with
-            // prefetch on and the model exposes store bindings.
-            let prefetcher = match &cfg.store {
-                Some(s) if s.prefetch_enabled() => {
-                    let bindings = built.store_bindings();
-                    let budget = s.stats().tier_dram_budget_rows;
-                    (!bindings.is_empty())
-                        .then(|| Prefetcher::start(bindings, budget))
-                        .transpose()?
+            let prefetcher = match prefetch_budget {
+                Some(budget) if !bindings.is_empty() => {
+                    Some(Prefetcher::start(bindings, budget / prefetching)?)
                 }
                 _ => None,
             };

@@ -12,7 +12,10 @@
 //! The thread runs only as far ahead of the workers as the DRAM tier can
 //! hold ([`PrefetchWindow`]): it takes the next job while the rows it has
 //! filled for requests no worker has taken yet are below
-//! `dram_budget_rows / WINDOW_DIVISOR`. A worker that takes a batch
+//! `dram_budget_rows / WINDOW_DIVISOR`, where `dram_budget_rows` is the
+//! lane's share of the tier: co-located lanes that prefetch on one store
+//! split its budget evenly, so together they hold no more rows ahead than
+//! one lane alone would. A worker that takes a batch
 //! retires every request up to the batch's highest id — filled jobs leave
 //! the window, jobs not yet filled are dropped unfilled (their request is
 //! already reading) and counted in `prefetch_rows_dropped`.
@@ -193,7 +196,8 @@ pub(crate) struct Prefetcher {
 
 impl Prefetcher {
     /// Spawns the prefetch thread over the model's store bindings, paced
-    /// against a DRAM tier of `dram_budget_rows` rows.
+    /// against `dram_budget_rows` rows of the DRAM tier (the lane's
+    /// share).
     pub(crate) fn start(bindings: Vec<StoreBinding>, dram_budget_rows: u64) -> Result<Prefetcher> {
         let bindings = Arc::new(bindings);
         let budget = usize::try_from(dram_budget_rows).unwrap_or(usize::MAX);

@@ -4,14 +4,20 @@
 //! the workers, so a prefetcher that fills everything it is handed evicts
 //! most of its own fills before their request runs; the paced one wastes
 //! next to none — and, paced or off, prefetching never changes an output
-//! bit.
+//! bit. Lanes that prefetch on one shared tier split its window: together
+//! they run no further ahead than one lane alone.
 
 use std::collections::VecDeque;
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use drec_models::ModelId;
+use drec_core::serving::LatencyCurve;
+use drec_models::{InputSlot, ModelId, ModelScale};
+use drec_ops::{IdList, Value};
 use drec_serve::{
-    MetricsSnapshot, RowEncoding, ServeConfig, ServeRuntime, StoreConfig, StoreStats,
+    DegradeConfig, EmbeddingStore, FaultHook, Inline, LanePool, LaneSpec, MetricsSnapshot,
+    PoolConfig, RowEncoding, ServeConfig, ServeRuntime, StoreConfig, StoreStats, SubmitOptions,
+    SupervisorConfig,
 };
 use drec_store::TierConfig;
 use drec_workload::QueryGen;
@@ -91,4 +97,89 @@ fn paced_prefetch_wastes_little_and_changes_no_output_bit() {
         (0, 0)
     );
     assert_eq!(with_prefetch, without, "prefetching changed an output");
+}
+
+/// Two lanes on one prefetching tier of `SHARED_BUDGET_ROWS` rows, with
+/// requests that no worker takes: each lane coalesces for a minute. RM1
+/// reads 12 distinct rows a request and RM2 24, so each lane's share of
+/// the window (`SHARED_BUDGET_ROWS / 2 / 4` = 48 rows) fills exactly.
+const SHARED_BUDGET_ROWS: usize = 384;
+
+/// Request `k`'s inputs for `spec`: dense features from `gen`, and ids
+/// `k × lookups ..` in every table, so no two requests share a row.
+fn distinct_rows(gen: &mut QueryGen, spec: &drec_models::InputSpec, k: u32) -> Vec<Value> {
+    let mut inputs = gen.batch(spec, 1);
+    for (value, (_, slot)) in inputs.iter_mut().zip(spec.slots()) {
+        if let InputSlot::Ids { lookups, .. } = *slot {
+            let lookups = lookups as u32;
+            let ids = (k * lookups..(k + 1) * lookups).collect();
+            *value = Value::ids(IdList::new(ids, vec![lookups]));
+        }
+    }
+    inputs
+}
+
+#[test]
+fn lanes_on_one_tier_split_its_prefetch_window() {
+    let mut tier = TierConfig::new(SHARED_BUDGET_ROWS);
+    tier.prefetch = true;
+    let store = Arc::new(EmbeddingStore::new(StoreConfig {
+        tier: Some(tier),
+        ..StoreConfig::default()
+    }));
+    let lane = |model: ModelId| LaneSpec {
+        built: model
+            .build_with_store(ModelScale::Tiny, 7, Arc::clone(&store))
+            .expect("model builds"),
+        curve: LatencyCurve::from_points(vec![(1, 1e-4), (1024, 1e-2)]),
+    };
+    let pool = LanePool::start(PoolConfig {
+        lanes: vec![lane(ModelId::Rm1), lane(ModelId::Rm2)],
+        scale: ModelScale::Tiny,
+        seed: 7,
+        workers: 1,
+        worker_name: "prefetch-split-worker",
+        extra_workers: 0,
+        max_batch: 64,
+        max_wait: Duration::from_secs(60),
+        queue_capacity: 1024,
+        delay_budget: Duration::from_secs(600),
+        degrade: DegradeConfig::default(),
+        store: Some(Arc::clone(&store)),
+        par_pool: drec_par::current(),
+        supervisor: SupervisorConfig::default(),
+        faults: FaultHook::disabled(),
+        placement: Arc::new(Inline),
+    })
+    .expect("pool starts");
+    let handle = pool.handle();
+    let mut gen = QueryGen::uniform(5);
+    let mut pending = Vec::new();
+    for k in 0..12 {
+        for lane in 0..2 {
+            let inputs = distinct_rows(&mut gen, &handle.lanes[lane].spec, k);
+            let submitted = handle.submit(lane, inputs, SubmitOptions::default());
+            pending.push(submitted.expect("admitted"));
+        }
+    }
+
+    // Both windows fill; then nothing more may, however long we look.
+    let limit = SHARED_BUDGET_ROWS as u64 / 4;
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while store.stats().prefetch_fills < limit {
+        assert!(Instant::now() < deadline, "the windows never filled");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    std::thread::sleep(Duration::from_millis(200));
+    let stats = store.stats();
+    assert_eq!(
+        stats.prefetch_fills, limit,
+        "two lanes held more than a quarter of the shared tier ahead: {stats:?}"
+    );
+
+    drop(pool);
+    for answer in pending {
+        let answer = answer.wait_timeout(ANSWER_BOUND).expect("request hung");
+        answer.expect("request served");
+    }
 }
