@@ -21,10 +21,11 @@
 //!   Zipf-skewed workload,
 //! * `p99_within_slo` — under seeded Zipf load with the tuner active,
 //!   every model's measured p99 stays at or under its SLO target,
-//! * `replayed_every_recorded_batch`, `recorded_batches` — every batch the
-//!   co-located runtime executed (CPU- or GPU-routed), and there is at
-//!   least one, replays bit-identically on a standalone single-model
-//!   engine,
+//! * `answered_requests_bit_identical`, `verified_on_accelerator` — every
+//!   request the full scheduler answered is bit-identical to the same
+//!   sample run alone (batch 1) on a standalone model, whichever batch it
+//!   rode in and whichever worker ran it, and at least one of them was
+//!   answered by the accelerator worker,
 //! * `calibration_mem_events`, `calibration_ops` — what cold-start
 //!   calibration hands the simulator (sampled memory events and
 //!   operators in its sixteen traces) is the count on record. Both are
@@ -58,19 +59,20 @@ use drec_bench::counters::CountingAlloc;
 use drec_bench::report::Limit::{AtLeast, AtMost, Equal};
 use drec_bench::report::{Gate, Report, Timed};
 use drec_bench::timing::{paired, sample, time};
-use drec_bench::{integrated_accelerator, row, XorShift64};
+use drec_bench::{integrated_accelerator, output_bits, row, XorShift64};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use drec_models::{ModelId, ModelScale};
 use drec_ops::Value;
 use drec_sched::{
-    replay_records, DecisionSnapshot, GpuSchedConfig, ModelProfile, ModelSlo, MultiServeHandle,
-    MultiServeRuntime, ProfileConfig, SchedConfig, SchedReport,
+    DecisionSnapshot, GpuSchedConfig, ModelProfile, ModelSlo, MultiServeRuntime, ProfileConfig,
+    SchedConfig, SchedReport,
 };
 use drec_serve::{
-    Inline, LanePool, LaneSpec, ModelChannelSnapshot, PoolConfig, ServeConfig, ServeRuntime,
+    Inline, LanePool, LaneSpec, ModelChannelSnapshot, PoolConfig, Response, ServeConfig,
+    ServeRuntime,
 };
 use drec_store::{EmbeddingStore, RowEncoding, StoreConfig, TierConfig};
 use drec_trace::RunTrace;
@@ -162,15 +164,16 @@ fn build_workload(models: &[ModelId], total: usize) -> Vec<WorkUnit> {
 }
 
 /// Drives the workload open-loop: `producers` threads submit their
-/// shard as fast as admission accepts it, then wait for every response.
-/// Wall time therefore measures how fast the serving side *drains* a
-/// deep backlog — the capacity question the co-location gate asks —
-/// rather than how fast producers can ping-pong. Returns the wall-clock
-/// seconds to answer everything.
+/// shard as fast as admission accepts it (`submit` gets each unit with its
+/// index in `workload`), then wait for every response. Wall time
+/// therefore measures how fast the serving side *drains* a deep backlog —
+/// the capacity question the co-location gate asks — rather than how fast
+/// producers can ping-pong. Returns the wall-clock seconds to answer
+/// everything.
 fn drive<W, S>(workload: &[WorkUnit], producers: usize, submit: S) -> f64
 where
     W: FnOnce() + Send,
-    S: Fn(usize, Vec<Value>) -> Option<W> + Sync,
+    S: Fn(usize, &WorkUnit) -> Option<W> + Sync,
 {
     let cursor = AtomicUsize::new(0);
     time(|| {
@@ -181,7 +184,7 @@ where
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
                         let Some(unit) = workload.get(i) else { break };
-                        if let Some(waiter) = submit(unit.model_idx, unit.inputs.clone()) {
+                        if let Some(waiter) = submit(i, unit) {
                             in_flight.push(waiter);
                         }
                     }
@@ -205,31 +208,59 @@ fn colo_config(models: &[ModelId], cpu_workers: usize, gpu: Option<GpuSchedConfi
     cfg
 }
 
-/// Runs the co-located scheduler over the workload; returns (elapsed
+/// Runs the co-located scheduler over the workload, handing `answered`
+/// each response with its unit's index in `workload`; returns (elapsed
 /// seconds, report).
 fn run_colocated(
     workload: &[WorkUnit],
     producers: usize,
     cfg: SchedConfig,
     models: &[ModelId],
+    answered: impl Fn(usize, Response) + Sync,
 ) -> (f64, SchedReport) {
     let runtime = MultiServeRuntime::start(cfg).expect("co-located runtime starts");
     let handle = runtime.handle();
-    let elapsed = drive(workload, producers, |model_idx, inputs| {
-        let pending = handle_submit(&handle, models[model_idx], inputs)?;
+    let elapsed = drive(workload, producers, |i, unit| {
+        let model = models[unit.model_idx];
+        let pending = handle.submit(model, unit.inputs.clone()).ok()?;
+        let answered = &answered;
         Some(move || {
-            let _ = pending.wait();
+            if let Ok(response) = pending.wait() {
+                answered(i, response);
+            }
         })
     });
     (elapsed, runtime.shutdown())
 }
 
-fn handle_submit(
-    handle: &MultiServeHandle,
-    model: ModelId,
-    inputs: Vec<Value>,
-) -> Option<drec_serve::PendingResponse> {
-    handle.submit(model, inputs).ok()
+/// How many `answered` responses carry exactly the bits of their sample
+/// run alone, at batch 1, on a standalone compiled model of the same
+/// scale and seed, and how many of those the accelerator worker
+/// (`accelerator`, the worker index past the CPU workers) answered.
+fn verify_answered(
+    workload: &[WorkUnit],
+    models: &[ModelId],
+    answered: &[(usize, Response)],
+    accelerator: usize,
+) -> (usize, usize) {
+    let mut standalone: Vec<_> = models
+        .iter()
+        .map(|id| {
+            let mut model = id.build(ModelScale::Tiny, SEED).expect("model builds");
+            model.compile_plan();
+            model
+        })
+        .collect();
+    let (mut identical, mut on_accelerator) = (0, 0);
+    for (i, response) in answered {
+        let unit = &workload[*i];
+        let alone = standalone[unit.model_idx].run(unit.inputs.clone());
+        if output_bits(&alone.expect("standalone run")) == output_bits(&response.outputs) {
+            identical += 1;
+            on_accelerator += usize::from(response.worker == accelerator);
+        }
+    }
+    (identical, on_accelerator)
 }
 
 /// Runs eight isolated single-worker pools (one per model) over the same
@@ -248,8 +279,8 @@ fn run_isolated(workload: &[WorkUnit], producers: usize, models: &[ModelId]) -> 
         })
         .collect();
     let handles: Vec<_> = runtimes.iter().map(|r| r.handle()).collect();
-    let elapsed = drive(workload, producers, |model_idx, inputs| {
-        let pending = handles[model_idx].submit(inputs).ok()?;
+    let elapsed = drive(workload, producers, |_, unit| {
+        let pending = handles[unit.model_idx].submit(unit.inputs.clone()).ok()?;
         Some(move || {
             let _ = pending.wait();
         })
@@ -585,7 +616,10 @@ fn main() {
     let (isolated, colocated) = paired(
         TIMING_REPS,
         || run_isolated(&workload, producers, &models),
-        || run_colocated(&workload, producers, colo_config(&models, 8, None), &models).0,
+        || {
+            let cfg = colo_config(&models, 8, None);
+            run_colocated(&workload, producers, cfg, &models, |_, _| {}).0
+        },
     );
     let (iso_elapsed, colo_elapsed) = (isolated.fastest, colocated.fastest);
     let ratio = iso_elapsed / colo_elapsed;
@@ -601,15 +635,18 @@ fn main() {
     );
     println!("  aggregate throughput ratio (co-located / isolated, fastest runs): {ratio:.2}x");
 
-    // SLO under load with the accelerator and tuner active,
-    // recording every batch for bit-identity replay.
+    // SLO under load with the accelerator and tuner active, keeping
+    // every response for the bit-identity check.
+    const CPU_WORKERS: usize = 7;
     println!(
-        "\nDriving the full scheduler (7 CPU workers + {} accelerator, tuner on, recording)...",
+        "\nDriving the full scheduler ({CPU_WORKERS} CPU workers + {} accelerator, tuner on)...",
         accelerator.gpu.name
     );
-    let mut cfg = colo_config(&models, 7, Some(accelerator));
-    cfg.record_batches = true;
-    let (slo_elapsed, run) = run_colocated(&workload, producers, cfg, &models);
+    let cfg = colo_config(&models, CPU_WORKERS, Some(accelerator));
+    let answered = Mutex::new(Vec::new());
+    let keep = |i, response| answered.lock().unwrap().push((i, response));
+    let (slo_elapsed, run) = run_colocated(&workload, producers, cfg, &models, keep);
+    let answered = answered.into_inner().unwrap();
     println!(
         "  {} queries in {slo_elapsed:.2}s ({:.0} qps)",
         total,
@@ -619,13 +656,15 @@ fn main() {
     print_decision_histogram(&run.decisions);
 
     println!(
-        "\nReplaying {} recorded batches on standalone engines...",
-        run.records.len()
+        "\nRunning the {} answered requests alone on standalone models...",
+        answered.len()
     );
-    let replayed = replay_records(ModelScale::Tiny, SEED, &run.records)
-        .expect("recorded batches must replay bit-identically");
-    let gpu_batches: u64 = run.decisions.iter().map(|d| d.gpu_batches).sum();
-    println!("  {replayed} batches bit-identical ({gpu_batches} of them accelerator-dispatched)");
+    let mut verified = (0, 0);
+    let verify_s = time(|| verified = verify_answered(&workload, &models, &answered, CPU_WORKERS));
+    let (identical, on_accelerator) = verified;
+    println!(
+        "  {identical} bit-identical ({on_accelerator} of them answered by the accelerator) in {verify_s:.2}s"
+    );
 
     report.section(
         "cold_start",
@@ -689,14 +728,19 @@ fn main() {
     );
     report.gate(
         Gate::new(
-            "replayed_every_recorded_batch",
-            replayed as f64,
-            Equal(run.records.len() as f64),
+            "answered_requests_bit_identical",
+            identical as f64,
+            Equal(answered.len() as f64),
         )
-        .at("bit-identical on single-model engines"),
+        .at("full scheduler run against batch-1 runs on standalone models"),
     );
     report.gate(
-        Gate::new("recorded_batches", replayed as f64, AtLeast(1.0)).at("full scheduler run"),
+        Gate::new(
+            "verified_on_accelerator",
+            on_accelerator as f64,
+            AtLeast(1.0),
+        )
+        .at("bit-identical requests the accelerator worker answered"),
     );
     let sixteen = "16 cold-start calibration traces";
     report.gate(

@@ -29,7 +29,8 @@
 //! workers. When a model's CPU queue is over budget, admission spills
 //! the arrival directly to the accelerator backlog instead of shedding;
 //! only when that backlog is also full does the caller see the typed
-//! [`ServeError::NoBackendAvailable`] — shed, never hung.
+//! [`ServeError::NoBackendAvailable`] — shed, never hung. Without an
+//! accelerator the arrival is shed `Overloaded`, as in `ServeRuntime`.
 //!
 //! Start builds each model once: on the calling thread, in lane order (so
 //! the shared store gives every table the slot it always had), handing
@@ -42,7 +43,7 @@
 //! included, is a view of it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -51,9 +52,9 @@ use drec_models::{InputSpec, ModelId, ModelScale};
 use drec_ops::Value;
 use drec_par::ParPool;
 use drec_serve::{
-    BatchExecution, DegradeConfig, EmbeddingStore, Engine, FaultHook, Lane, LanePool, LaneSet,
-    LaneSpec, MetricsSnapshot, ModelUpdateChannel, PendingResponse, Placement, PoolConfig, Request,
-    Result, ServeError, StoreConfig, SubmitOptions, SupervisorConfig, Worker,
+    BatchExecution, DegradeConfig, EmbeddingStore, FaultHook, Lane, LanePool, LaneSet, LaneSpec,
+    MetricsSnapshot, ModelUpdateChannel, PendingResponse, Placement, PoolConfig, Request, Result,
+    ServeError, StoreConfig, SubmitOptions, SupervisorConfig, Worker,
 };
 
 use crate::crew::crew;
@@ -68,15 +69,6 @@ pub enum Backend {
     /// The simulated accelerator: functional execution on the dedicated
     /// GPU worker, latency modelled by the roofline dispatch oracle.
     Gpu,
-}
-
-impl std::fmt::Display for Backend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Backend::Cpu => "cpu",
-            Backend::Gpu => "gpu",
-        })
-    }
 }
 
 /// Number of power-of-two batch-size buckets in decision histograms
@@ -233,10 +225,6 @@ pub struct SchedConfig {
     /// hot-row caching, and DRAM/SSD tiering. `None` keeps per-engine
     /// dense tables.
     pub store: Option<StoreConfig>,
-    /// Record every executed batch's inputs and outputs for bit-identity
-    /// replay (see [`crate::replay_records`]). Costs memory; benches and
-    /// tests only.
-    pub record_batches: bool,
 }
 
 impl SchedConfig {
@@ -271,22 +259,8 @@ impl SchedConfig {
             gpu: Some(GpuSchedConfig::default()),
             tuner: Some(TunerConfig::default()),
             store: None,
-            record_batches: false,
         }
     }
-}
-
-/// One recorded batch execution, for offline bit-identity replay.
-#[derive(Debug, Clone)]
-pub struct BatchRecord {
-    /// The model the batch belonged to.
-    pub(crate) model: ModelId,
-    /// Where it ran.
-    pub(crate) backend: Backend,
-    /// Per-request inputs, in batch order.
-    pub(crate) inputs: Vec<Vec<Value>>,
-    /// Per-request outputs the runtime returned, in batch order.
-    pub(crate) outputs: Vec<Vec<Value>>,
 }
 
 /// Everything [`MultiServeRuntime::shutdown`] returns.
@@ -296,8 +270,6 @@ pub struct SchedReport {
     pub snapshot: MetricsSnapshot,
     /// Per-model routing decisions.
     pub decisions: Vec<DecisionSnapshot>,
-    /// Recorded batches (empty unless [`SchedConfig::record_batches`]).
-    pub records: Vec<BatchRecord>,
 }
 
 /// What co-location keeps per lane beside the pool's own lane state.
@@ -350,49 +322,37 @@ impl Accelerator {
 }
 
 /// The [`Placement`] hook: CPU/GPU routing and spill, accelerator
-/// pricing, decision counters and batch records.
+/// pricing and decision counters.
 #[derive(Debug)]
 struct Colocation {
     lanes: Vec<ColoLane>,
     accelerator: Option<Accelerator>,
-    records: Option<Mutex<Vec<BatchRecord>>>,
     /// Set at teardown; the tuner watches it.
     shutting_down: AtomicBool,
 }
 
-impl Colocation {
-    fn backend_of(&self, worker: usize) -> Backend {
-        match &self.accelerator {
-            Some(acc) if acc.worker == worker => Backend::Gpu,
-            _ => Backend::Cpu,
-        }
-    }
-}
-
 impl Placement for Colocation {
-    /// CPU queue over budget: spill to the accelerator backlog when one
-    /// exists and has room.
+    /// CPU queue over budget: spill to the accelerator backlog when it
+    /// has room. Without an accelerator the queue's own error stands, as
+    /// in a single-model runtime.
     fn overflow(
         &self,
         lane_idx: usize,
         request: Request,
         err: ServeError,
     ) -> std::result::Result<(), ServeError> {
-        let ServeError::Overloaded { depth, .. } = err else {
+        let (&ServeError::Overloaded { depth, .. }, Some(acc)) = (&err, &self.accelerator) else {
             return Err(err);
         };
         let lane = &self.lanes[lane_idx];
-        let mut gpu_depth = 0;
-        if let Some(acc) = &self.accelerator {
-            gpu_depth = acc.backlog.load(Ordering::Relaxed);
-            let item = WorkItem {
-                lane: lane_idx,
-                requests: vec![request],
-            };
-            if acc.offer(item).is_ok() {
-                lane.decisions.record_spill();
-                return Ok(());
-            }
+        let gpu_depth = acc.backlog.load(Ordering::Relaxed);
+        let item = WorkItem {
+            lane: lane_idx,
+            requests: vec![request],
+        };
+        if acc.offer(item).is_ok() {
+            lane.decisions.record_spill();
+            return Ok(());
         }
         Err(ServeError::NoBackendAvailable {
             model: lane.model.name().to_string(),
@@ -425,31 +385,17 @@ impl Placement for Colocation {
         Some(item.requests)
     }
 
-    /// Prices an accelerator batch on the GPU dispatch oracle (a CPU
-    /// batch keeps the engine's price: its curve is the profile's CPU
-    /// curve) and, when recording, keeps the batch's inputs and outputs.
-    fn executed(
-        &self,
-        worker: usize,
-        lane: usize,
-        requests: &[Request],
-        exec: &mut BatchExecution,
-    ) {
-        let lane = &self.lanes[lane];
-        let backend = self.backend_of(worker);
-        if backend == Backend::Gpu {
-            exec.modelled_seconds = lane.profile.modelled_seconds(backend, requests.len());
-        }
-        if let Some(records) = &self.records {
-            records
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .push(BatchRecord {
-                    model: lane.model,
-                    backend,
-                    inputs: requests.iter().map(|r| r.inputs.clone()).collect(),
-                    outputs: exec.per_request_outputs.clone(),
-                });
+    /// Prices an accelerator batch on the GPU dispatch oracle; a CPU
+    /// batch keeps the engine's price, its curve being the profile's CPU
+    /// curve.
+    fn executed(&self, worker: usize, lane: usize, batch: usize, exec: &mut BatchExecution) {
+        if self
+            .accelerator
+            .as_ref()
+            .is_some_and(|acc| acc.worker == worker)
+        {
+            let profile = &self.lanes[lane].profile;
+            exec.modelled_seconds = profile.modelled_seconds(Backend::Gpu, batch);
         }
     }
 }
@@ -535,7 +481,6 @@ impl MultiServeRuntime {
                 backlog_capacity: gcfg.backlog_capacity,
                 worker: cfg.cpu_workers,
             }),
-            records: cfg.record_batches.then(|| Mutex::new(Vec::new())),
             shutting_down: AtomicBool::new(false),
         });
 
@@ -640,16 +585,12 @@ impl MultiServeRuntime {
 
     /// Graceful shutdown: stop admission on every lane, drain all queued
     /// work through the pool, join every thread, and report final
-    /// metrics, decisions, and (when recording) executed batches.
+    /// metrics and decisions.
     pub fn shutdown(mut self) -> SchedReport {
         self.teardown();
-        let records = self.colo.records.as_ref().map(|r| {
-            std::mem::take(&mut *r.lock().unwrap_or_else(|poisoned| poisoned.into_inner()))
-        });
         SchedReport {
             snapshot: self.snapshot(),
             decisions: self.decisions(),
-            records: records.unwrap_or_default(),
         }
     }
 
@@ -740,8 +681,10 @@ impl MultiServeHandle {
     ///
     /// * [`ServeError::InvalidInput`] — model not co-located here, or
     ///   payload mismatch,
+    /// * [`ServeError::Overloaded`] — the model's CPU queue is over
+    ///   budget and there is no accelerator,
     /// * [`ServeError::NoBackendAvailable`] — the model's CPU queue is
-    ///   over budget *and* the accelerator backlog (if any) is full,
+    ///   over budget *and* the accelerator backlog is full,
     /// * [`ServeError::ShuttingDown`] — the runtime is draining.
     pub(crate) fn submit_with(
         &self,
@@ -822,56 +765,6 @@ fn tuner_loop(
             }
         }
     }
-}
-
-/// Replays recorded batches against fresh single-model engines (same
-/// scale and seed as the runtime that produced them) and verifies every
-/// output is **bit-identical**: offload placement and co-location must
-/// never change results, only where and when they were computed.
-///
-/// Returns the number of batches verified.
-///
-/// # Errors
-///
-/// A human-readable description of the first mismatch or build failure.
-pub fn replay_records(
-    scale: ModelScale,
-    seed: u64,
-    records: &[BatchRecord],
-) -> std::result::Result<usize, String> {
-    use std::collections::HashMap;
-    let mut engines: HashMap<ModelId, Engine> = HashMap::new();
-    for (i, record) in records.iter().enumerate() {
-        let engine = match engines.entry(record.model) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(v) => {
-                let model = record
-                    .model
-                    .build(scale, seed)
-                    .map_err(|e| format!("replay build failed for {}: {e}", record.model.name()))?;
-                let curve = drec_core::serving::LatencyCurve::from_points(vec![(1, 1e-6)]);
-                v.insert(Engine::new(model, curve))
-            }
-        };
-        let requests: Vec<Request> = record
-            .inputs
-            .iter()
-            .enumerate()
-            .map(|(j, inputs)| Request::new(j as u64, inputs.clone(), SubmitOptions::default()).0)
-            .collect();
-        let exec = engine
-            .run_batch(&requests)
-            .map_err(|e| format!("replay batch {i} failed: {e}"))?;
-        if exec.per_request_outputs != record.outputs {
-            return Err(format!(
-                "batch {i} ({} on {}, {} requests): outputs differ from standalone engine",
-                record.model.name(),
-                record.backend,
-                record.inputs.len(),
-            ));
-        }
-    }
-    Ok(records.len())
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@ use std::time::Duration;
 
 use drec_models::ModelId;
 use drec_sched::{ModelSlo, MultiServeRuntime, SchedConfig};
-use drec_serve::{RowEncoding, ServeConfig, ServeRuntime, StoreConfig};
+use drec_serve::{RowEncoding, ServeConfig, ServeError, ServeRuntime, StoreConfig};
 
 fn bits(outputs: &[drec_ops::Value]) -> Vec<Vec<u32>> {
     outputs
@@ -53,4 +53,49 @@ fn one_lane_scheduler_matches_the_single_model_runtime_bit_for_bit() {
     }
     assert_eq!(single.shutdown().completed, 64);
     assert_eq!(sched.shutdown().snapshot.completed, 64);
+}
+
+/// A lane over its queue budget with nowhere to spill sheds the arrival
+/// as the queue refused it, in both runtimes.
+#[test]
+fn a_full_lane_sheds_overloaded_in_both_runtimes() {
+    // max_batch above queue_capacity and a 60 s max_wait: the queue never
+    // releases a batch, so the fifth arrival meets a full queue.
+    let mut single_cfg = ServeConfig::tiny(ModelId::Ncf);
+    single_cfg.queue_capacity = 4;
+    single_cfg.max_wait = Duration::from_secs(60);
+    single_cfg.max_batch = 64;
+    let mut sched_cfg =
+        SchedConfig::tiny(vec![ModelSlo::new(ModelId::Ncf, Duration::from_millis(50))]);
+    sched_cfg.queue_capacity = 4;
+    sched_cfg.max_wait = Duration::from_secs(60);
+    sched_cfg.max_batch = 64;
+    sched_cfg.gpu = None;
+    sched_cfg.tuner = None;
+
+    let single = ServeRuntime::start(single_cfg).unwrap();
+    let sched = MultiServeRuntime::start(sched_cfg).unwrap();
+    let (single_handle, sched_handle) = (single.handle(), sched.handle());
+    let mut gen = drec_workload::QueryGen::uniform(3);
+    let mut accepted = Vec::new();
+    for _ in 0..4 {
+        let inputs = gen.batch(single.spec(), 1);
+        accepted.push(single_handle.submit(inputs.clone()).unwrap());
+        accepted.push(sched_handle.submit(ModelId::Ncf, inputs).unwrap());
+    }
+    let inputs = gen.batch(single.spec(), 1);
+    let single_err = single_handle.submit(inputs.clone()).unwrap_err();
+    let sched_err = sched_handle.submit(ModelId::Ncf, inputs).unwrap_err();
+    for err in [single_err, sched_err] {
+        assert!(
+            matches!(err, ServeError::Overloaded { depth: 4, .. }),
+            "{err}"
+        );
+    }
+    // Shutdown drains the queues: every accepted request is answered.
+    single.shutdown();
+    sched.shutdown();
+    for pending in accepted {
+        pending.wait().unwrap();
+    }
 }

@@ -124,7 +124,7 @@ impl TakenBatch {
 }
 
 /// The name of the batcher queue. There is one queue; this is kept only
-/// for `perf_bench`'s run header until ROADMAP item 10(c).
+/// for `perf_bench`'s run header until the next `benchmark` issue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueKind {
     /// The `Mutex<VecDeque>` queue.

@@ -113,16 +113,9 @@ pub trait Placement: std::fmt::Debug + Send + Sync {
         Some(requests)
     }
 
-    /// `worker` ran `requests` of `lane`; may re-price
+    /// `worker` ran a batch of `batch` requests of `lane`; may re-price
     /// `exec.modelled_seconds` before it reaches metrics and responses.
-    fn executed(
-        &self,
-        _worker: usize,
-        _lane: usize,
-        _requests: &[Request],
-        _exec: &mut BatchExecution,
-    ) {
-    }
+    fn executed(&self, _worker: usize, _lane: usize, _batch: usize, _exec: &mut BatchExecution) {}
 }
 
 /// The trivial placement: batches run where they were taken, over-budget
@@ -397,7 +390,7 @@ impl Worker {
                 let done = Instant::now();
                 let batch = requests.len();
                 let placement = &core.cfg.placement;
-                placement.executed(self.index, lane_idx, &requests, &mut exec);
+                placement.executed(self.index, lane_idx, batch, &mut exec);
                 metrics.record_batch(self.index, busy);
                 metrics.modelled.record_seconds(exec.modelled_seconds);
                 for (request, outputs) in requests.into_iter().zip(exec.per_request_outputs) {

@@ -328,32 +328,33 @@ mod tests {
 
     #[test]
     fn coalesced_outputs_equal_individual_runs() {
-        // Batching must be semantically transparent: running 3 samples as
-        // one coalesced batch gives the same rows as 3 batch-1 runs.
-        let mut model = ModelId::Ncf.build(ModelScale::Tiny, 1).unwrap();
-        let spec = model.spec().clone();
-        let samples: Vec<Vec<Value>> = (0..3).map(|s| single_sample(s + 10, &spec)).collect();
-
-        let solo: Vec<Vec<Value>> = samples
-            .iter()
-            .map(|s| model.run(s.clone()).unwrap())
-            .collect();
-
-        let requests: Vec<Request> = samples
-            .into_iter()
-            .enumerate()
-            .map(|(i, inputs)| request(i as RequestId, inputs).0)
-            .collect();
-        let outputs = model.run(coalesce_inputs(&spec, &requests)).unwrap();
-        let split = split_outputs(&outputs, 3);
-
-        for (rows, solo_out) in split.iter().zip(&solo) {
-            for (row, solo_head) in rows.iter().zip(solo_out) {
-                let got = row.as_dense().unwrap().as_slice();
-                let expect = solo_head.as_dense().unwrap().as_slice();
-                assert_eq!(got.len(), expect.len());
-                for (g, e) in got.iter().zip(expect) {
-                    assert!((g - e).abs() < 1e-5, "{g} vs {e}");
+        // Batching must be transparent to the bit: a sample coalesced
+        // into a batch gets the rows of its batch-1 run. The batch sizes
+        // cross the GEMM's row remainders.
+        let bits = |outputs: &[Value]| -> Vec<Vec<u32>> {
+            let dense = outputs.iter().map(|v| v.as_dense().unwrap().as_slice());
+            dense
+                .map(|row| row.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        for id in ModelId::ALL {
+            let mut model = id.build(ModelScale::Tiny, 1).unwrap();
+            model.compile_plan();
+            let spec = model.spec().clone();
+            for batch in [2, 3, 4, 5, 13] {
+                let samples: Vec<Vec<Value>> = (0..batch)
+                    .map(|s| single_sample(s as u64 + 10, &spec))
+                    .collect();
+                let requests: Vec<Request> = samples
+                    .iter()
+                    .enumerate()
+                    .map(|(i, inputs)| request(i as RequestId, inputs.clone()).0)
+                    .collect();
+                let outputs = model.run(coalesce_inputs(&spec, &requests)).unwrap();
+                let split = split_outputs(&outputs, batch);
+                for (i, (rows, sample)) in split.iter().zip(samples).enumerate() {
+                    let solo = model.run(sample).unwrap();
+                    assert_eq!(bits(rows), bits(&solo), "{id}, batch {batch}, sample {i}");
                 }
             }
         }

@@ -263,8 +263,8 @@ impl StoreStats {
 
     /// Always 0: the share of lookups the table-combining cache saved,
     /// when the store had one. `perf_bench` reports it as
-    /// `tier.combined_lookup_cut`; it is here until the `benchmark` issue
-    /// of ROADMAP item 10(c) drops that row.
+    /// `tier.combined_lookup_cut`; it is here until the next `benchmark`
+    /// issue drops that row.
     pub fn combined_lookup_cut(&self) -> f64 {
         0.0
     }

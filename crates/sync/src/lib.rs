@@ -21,7 +21,7 @@
 //!    priority swap-eviction) was the batcher's lock-free queue until
 //!    PR 24 made the mutex queue the only one; it has no caller left in
 //!    the workspace, is kept only because `perf_bench` times it as
-//!    `sync.ring_push_pop_ns`, and leaves with ROADMAP item 10(c).
+//!    `sync.ring_push_pop_ns`, and leaves after the next `benchmark` issue.
 //! 3. **Cache-line padding.** [`CachePadded`] keeps hot counters that
 //!    different threads bump (a lane's `completed` and `shed`, the
 //!    registry's `accepted`) on lines of their own, so their writes do

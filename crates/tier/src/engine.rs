@@ -15,8 +15,8 @@ use crate::clock::{ResidencyClock, Touch, EPOCHS};
 use crate::latency::{ColdReadModel, Pacing};
 
 /// Placeholder for the configuration of the table-combining cache this
-/// crate used to have. Nothing reads it; it is here until the `benchmark`
-/// issue of ROADMAP item 10(c) drops the literal `perf_bench` builds.
+/// crate used to have. Nothing reads it; it is here until the next
+/// `benchmark` issue drops the literal `perf_bench` builds.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CombineConfig {}
 
@@ -47,8 +47,8 @@ pub struct TierConfig {
     /// churning. Prefetch fills always bypass this filter: an admitted
     /// query is explicit evidence the row is about to be used.
     pub admit_after: u32,
-    /// Ignored; here until the `benchmark` issue of ROADMAP item 10(c)
-    /// drops the literal `perf_bench` builds.
+    /// Ignored; here until the next `benchmark` issue drops the literal
+    /// `perf_bench` builds.
     pub combine: Option<CombineConfig>,
 }
 
