@@ -26,6 +26,11 @@
 //!   sample run alone (batch 1) on a standalone model, whichever batch it
 //!   rode in and whichever worker ran it, and at least one of them was
 //!   answered by the accelerator worker,
+//! * `accelerator_batches_below_crossover` — of the requests the
+//!   accelerator worker answered, none rode in a batch below its model's
+//!   calibrated crossover `b*`, or belonged to a model with none: the
+//!   accelerator takes only batches its profile says it wins (read off
+//!   each `Response`'s `batch` and `worker`),
 //! * `calibration_mem_events`, `calibration_ops` — what cold-start
 //!   calibration hands the simulator (sampled memory events and
 //!   operators in its sixteen traces) is the count on record. Both are
@@ -43,6 +48,9 @@
 //!   each operator as it is traced, on one simulator per calibrating
 //!   thread, so with two or more threads a held trace (DIEN's is 4.6 MB
 //!   of memory events) and a simulator per run would not fit under it.
+//!
+//! Also recorded per model, not gated: the mean requests per accelerator
+//! batch and the share of the model's submitted requests that were shed.
 //!
 //! Also recorded, not gated: **cold start** — `start_s`, the wall time of
 //! `MultiServeRuntime::start` for the eight Paper-scale models on a
@@ -457,7 +465,6 @@ fn time_start(models: &[ModelId], reps: usize) -> StartTimes {
                 seed: SEED,
                 workers: 1,
                 worker_name: "sched-bench-start",
-                extra_workers: 0,
                 max_batch: cfg.max_batch,
                 max_wait: cfg.max_wait,
                 queue_capacity: cfg.queue_capacity,
@@ -504,12 +511,11 @@ fn print_decision_histogram(decisions: &[DecisionSnapshot]) {
             }
         };
         println!(
-            "  {:<8} crossover {:>4}  cpu [{}]  gpu [{}]  spills {}",
+            "  {:<8} crossover {:>4}  cpu [{}]  gpu [{}]",
             d.model,
             d.crossover.map_or("none".into(), |b| b.to_string()),
             fmt_hist(&d.cpu_size_hist),
-            fmt_hist(&d.gpu_size_hist),
-            d.gpu_spills
+            fmt_hist(&d.gpu_size_hist)
         );
     }
 }
@@ -665,6 +671,16 @@ fn main() {
     println!(
         "  {identical} bit-identical ({on_accelerator} of them answered by the accelerator) in {verify_s:.2}s"
     );
+    // Per model: requests the accelerator answered, and how many of them
+    // rode in a batch below the model's crossover (all, without one).
+    let mut on_gpu = vec![(0usize, 0usize); models.len()];
+    for (i, response) in answered.iter().filter(|(_, r)| r.worker == CPU_WORKERS) {
+        let model = workload[*i].model_idx;
+        let crossover = run.decisions[model].crossover;
+        on_gpu[model].0 += 1;
+        on_gpu[model].1 += usize::from(crossover.is_none_or(|b| response.batch < b));
+    }
+    let below_crossover: usize = on_gpu.iter().map(|&(_, below)| below).sum();
 
     report.section(
         "cold_start",
@@ -692,20 +708,23 @@ fn main() {
     report.section("colocated_qps", colo_qps);
     report.section("isolated_qps", iso_qps);
     report.section("throughput_ratio", ratio);
-    let model_row = |m: &ModelChannelSnapshot| {
-        let d = run.decisions.iter().find(|d| d.model == m.name);
+    let model_row = |&(i, m): &(usize, &ModelChannelSnapshot)| {
+        let d = &run.decisions[i];
+        let gpu_mean_batch = (d.gpu_batches > 0).then(|| on_gpu[i].0 as f64 / d.gpu_batches as f64);
         row! {
             "model": m.name.as_str(),
             "completed": m.completed,
             "shed": m.shed,
+            "shed_share": m.shed as f64 / counts[i] as f64,
             "p99_seconds": m.p99_seconds,
             "slo_seconds": SLO.as_secs_f64(),
-            "cpu_batches": d.map_or(0, |d| d.cpu_batches),
-            "gpu_batches": d.map_or(0, |d| d.gpu_batches),
-            "gpu_spills": d.map_or(0, |d| d.gpu_spills),
+            "cpu_batches": d.cpu_batches,
+            "gpu_batches": d.gpu_batches,
+            "gpu_mean_batch": gpu_mean_batch,
         }
     };
-    report.rows("models", &run.snapshot.models, model_row);
+    let per_model: Vec<_> = run.snapshot.models.iter().enumerate().collect();
+    report.rows("models", &per_model, model_row);
 
     let at = format!("fastest runs; {colo_qps:.0} vs {iso_qps:.0} qps");
     report.gate(Gate::timed(
@@ -741,6 +760,14 @@ fn main() {
             AtLeast(1.0),
         )
         .at("bit-identical requests the accelerator worker answered"),
+    );
+    report.gate(
+        Gate::new(
+            "accelerator_batches_below_crossover",
+            below_crossover as f64,
+            Equal(0.0),
+        )
+        .at("accelerator-answered requests in a batch below their model's b* or with none"),
     );
     let sixteen = "16 cold-start calibration traces";
     report.gate(

@@ -649,12 +649,11 @@ fn run_multi_model(quick: bool, workers: usize, workload_gen: &std::cell::RefCel
     println!("Scheduler decisions (batches per power-of-two size bucket):");
     for d in &report.decisions {
         println!(
-            "  {:<8} crossover {:>4}  cpu [{}]  gpu [{}]  spills {}",
+            "  {:<8} crossover {:>4}  cpu [{}]  gpu [{}]",
             d.model,
             d.crossover.map_or("none".into(), |b| b.to_string()),
             fmt_hist(&d.cpu_size_hist),
-            fmt_hist(&d.gpu_size_hist),
-            d.gpu_spills
+            fmt_hist(&d.gpu_size_hist)
         );
     }
 }

@@ -246,7 +246,6 @@ pub fn integrated_accelerator() -> drec_sched::GpuSchedConfig {
     drec_sched::GpuSchedConfig {
         gpu,
         pcie_extra_s: 2.0e-6,
-        backlog_capacity: 256,
     }
 }
 

@@ -17,10 +17,11 @@
 //!   input PCIe transfer, and the configured extra per-dispatch PCIe cost.
 //!
 //! The *crossover batch* `b*` is the smallest batch where the GPU's
-//! amortized per-query cost undercuts the CPU's. Batches of `b*` or more
-//! offload; smaller ones stay on CPU — the paper's observation that
-//! accelerators only pay off once batching amortizes their fixed costs,
-//! derived per model from the cost models instead of hardcoded.
+//! amortized per-query cost undercuts the CPU's. The accelerator worker
+//! takes only batches of `b*` or more; smaller ones stay on CPU — the
+//! paper's observation that accelerators only pay off once batching
+//! amortizes their fixed costs, derived per model from the cost models
+//! instead of hardcoded.
 
 use drec_core::serving::LatencyCurve;
 use drec_hwsim::{CpuSim, DispatchOracle, GpuModel, GpuTally, Platform};

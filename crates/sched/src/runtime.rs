@@ -2,35 +2,37 @@
 //! serving core.
 //!
 //! ```text
-//!                      ┌─ lane NCF  ─┐   poll    ┌─ CPU worker 0..W  (drec_serve::LanePool:
-//!  MultiServeHandle ──▶│  lane RM1   │◀──────────┤   admission, worker loop, retry, recovery,
-//!   (model → lane)     │  …          │           │   teardown)
-//!        │             └─ lane DIEN ─┘           └─ Placement::route ─┐ batch ≥ crossover
-//!        │ lane over budget                                          ▼
-//!        └── Placement::overflow ── spill ──────────────▶ accelerator worker (functional
-//!            (NoBackendAvailable when the backlog is full)  execution, roofline-modelled latency)
+//!                      ┌─ lane NCF  ─┐   poll any batch   ┌─ CPU worker 0..W   (drec_serve::LanePool:
+//!  MultiServeHandle ──▶│  lane RM1   │◀───────────────────┤   admission, worker loop, retry,
+//!   (model → lane)     │  …          │◀───────────────────┤   recovery, teardown)
+//!        │             └─ lane DIEN ─┘  poll batches ≥ b* └─ accelerator worker W (functional
+//!        │ lane over budget             of lanes with a b*    execution, roofline-modelled latency)
+//!        ▼
+//!   shed Overloaded
 //! ```
 //!
 //! Lanes, admission, the worker loop, retry, self-supervised recovery
 //! and teardown all belong to [`drec_serve::LanePool`] — the same core
 //! the single-model `ServeRuntime` runs with one lane. This module
-//! supplies the [`Placement`] hook and the two threads only co-location
-//! needs; it adds no intra-op parallelism of its own — every lane and the
-//! accelerator run on one width-1 pool, since the lanes already share the
-//! CPU workers. Each released batch is routed to the backend chosen by the
-//! model's calibrated [`ModelProfile`]: batches at or past the CPU/GPU
-//! crossover are forwarded to the simulated accelerator, the rest
-//! execute inline on the CPU worker that took them.
+//! supplies the [`Placement`] hook and the tuner thread; it adds no
+//! intra-op parallelism of its own — every lane runs on one width-1
+//! pool, since the lanes already share the workers.
+//!
+//! Each lane has one queue. With an accelerator configured, the pool has
+//! one worker more than [`SchedConfig::cpu_workers`]: the accelerator,
+//! which runs the same loop as the CPU workers under one size rule from
+//! the model's calibrated [`ModelProfile`]. It takes a batch from a lane
+//! only when the batch reaches that lane's CPU/GPU crossover `b*`, and
+//! never from a lane with no crossover; CPU workers take any batch. So a
+//! deep queue makes large batches, the accelerator drains them, and an
+//! arrival past the lane's budget is shed `Overloaded`, as in
+//! `ServeRuntime`.
 //!
 //! The accelerator worker executes batches *functionally* (same kernels,
 //! same arithmetic — results stay bit-identical to a single-model
 //! engine) while its latency is *modelled* by the roofline dispatch
 //! oracle, the same two-clock discipline `drec-serve` uses for CPU
-//! workers. When a model's CPU queue is over budget, admission spills
-//! the arrival directly to the accelerator backlog instead of shedding;
-//! only when that backlog is also full does the caller see the typed
-//! [`ServeError::NoBackendAvailable`] — shed, never hung. Without an
-//! accelerator the arrival is shed `Overloaded`, as in `ServeRuntime`.
+//! workers.
 //!
 //! Start builds each model once: on the calling thread, in lane order (so
 //! the shared store gives every table the slot it always had), handing
@@ -42,8 +44,8 @@
 //! first engine serves; every other engine of the lane, the accelerator's
 //! included, is a view of it.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -53,8 +55,8 @@ use drec_ops::Value;
 use drec_par::ParPool;
 use drec_serve::{
     BatchExecution, DegradeConfig, EmbeddingStore, FaultHook, Lane, LanePool, LaneSet, LaneSpec,
-    MetricsSnapshot, ModelUpdateChannel, PendingResponse, Placement, PoolConfig, Request, Result,
-    ServeError, StoreConfig, SubmitOptions, SupervisorConfig, Worker,
+    MetricsSnapshot, ModelUpdateChannel, PendingResponse, Placement, PoolConfig, Result,
+    ServeError, StoreConfig, SubmitOptions, SupervisorConfig,
 };
 
 use crate::crew::crew;
@@ -66,8 +68,9 @@ use crate::tuner::{ModelTuner, TunerConfig, TunerStep};
 pub enum Backend {
     /// The shared CPU worker pool (real execution on this machine).
     Cpu,
-    /// The simulated accelerator: functional execution on the dedicated
-    /// GPU worker, latency modelled by the roofline dispatch oracle.
+    /// The simulated accelerator: functional execution on the
+    /// accelerator worker, latency modelled by the roofline dispatch
+    /// oracle.
     Gpu,
 }
 
@@ -75,14 +78,13 @@ pub enum Backend {
 /// (bucket `i` covers batches `[2^i, 2^(i+1))`).
 const DECISION_BUCKETS: usize = 16;
 
-/// Lock-free per-model counters of the scheduler's routing decisions.
+/// Lock-free per-model counters of the batches each backend ran.
 #[derive(Debug, Default)]
 struct DecisionStats {
     cpu_batches: AtomicU64,
     cpu_queries: AtomicU64,
     gpu_batches: AtomicU64,
     gpu_queries: AtomicU64,
-    gpu_spills: AtomicU64,
     cpu_hist: [AtomicU64; DECISION_BUCKETS],
     gpu_hist: [AtomicU64; DECISION_BUCKETS],
 }
@@ -107,15 +109,9 @@ impl DecisionStats {
             }
         }
     }
-
-    fn record_spill(&self) {
-        self.gpu_spills.fetch_add(1, Ordering::Relaxed);
-        // A spill is a batch-of-1 GPU dispatch.
-        self.record(Backend::Gpu, 1);
-    }
 }
 
-/// Point-in-time copy of one model's routing decisions.
+/// Point-in-time copy of the batches each backend ran for one model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecisionSnapshot {
     /// Model name.
@@ -123,21 +119,19 @@ pub struct DecisionSnapshot {
     /// The model's calibrated CPU/GPU crossover batch (`None`: CPU
     /// always wins, or offload disabled).
     pub crossover: Option<usize>,
-    /// Batches routed to the CPU pool.
+    /// Batches the CPU workers ran.
     pub cpu_batches: u64,
     /// Queries inside those batches.
     pub cpu_queries: u64,
-    /// Batches dispatched to the accelerator (including spills).
+    /// Batches the accelerator worker ran: each at least `crossover`
+    /// while a CPU worker is alive (the pool's last worker takes any).
     pub gpu_batches: u64,
     /// Queries inside those batches.
     pub(crate) gpu_queries: u64,
-    /// Overflow queries spilled to the accelerator at admission because
-    /// the CPU queue was over budget.
-    pub gpu_spills: u64,
-    /// Power-of-two batch-size histogram of CPU routings (bucket `i`
+    /// Power-of-two batch-size histogram of CPU batches (bucket `i`
     /// counts batches in `[2^i, 2^(i+1))`).
     pub cpu_size_hist: Vec<u64>,
-    /// Same histogram for accelerator dispatches.
+    /// Same histogram for accelerator batches.
     pub gpu_size_hist: Vec<u64>,
 }
 
@@ -177,10 +171,6 @@ pub struct GpuSchedConfig {
     /// Extra fixed per-dispatch PCIe transfer cost, seconds (see
     /// [`drec_hwsim::DispatchOracle`]).
     pub pcie_extra_s: f64,
-    /// Admission-spill backlog cap: queries the accelerator path will
-    /// hold beyond what the dispatcher routes. Past it, saturated models
-    /// shed with [`ServeError::NoBackendAvailable`].
-    pub backlog_capacity: usize,
 }
 
 impl Default for GpuSchedConfig {
@@ -188,7 +178,6 @@ impl Default for GpuSchedConfig {
         GpuSchedConfig {
             gpu: GpuModel::t4(),
             pcie_extra_s: 20e-6,
-            backlog_capacity: 256,
         }
     }
 }
@@ -203,7 +192,8 @@ pub struct SchedConfig {
     pub scale: ModelScale,
     /// Parameter seed every model is built with.
     pub seed: u64,
-    /// CPU worker threads shared by all models.
+    /// CPU worker threads shared by all models (the accelerator, when
+    /// configured, is one worker more).
     pub cpu_workers: usize,
     /// Largest coalesced batch per model.
     pub max_batch: usize,
@@ -215,7 +205,7 @@ pub struct SchedConfig {
     pub delay_budget: Duration,
     /// Per-model overload-ladder thresholds.
     pub degrade: DegradeConfig,
-    /// Accelerator path; `None` pins everything to the CPU pool.
+    /// The accelerator worker; `None` pins everything to the CPU workers.
     pub gpu: Option<GpuSchedConfig>,
     /// Hill-climbing tuner; `None` leaves batch caps fixed.
     pub tuner: Option<TunerConfig>,
@@ -268,7 +258,7 @@ impl SchedConfig {
 pub struct SchedReport {
     /// Final pool-wide and per-model metrics.
     pub snapshot: MetricsSnapshot,
-    /// Per-model routing decisions.
+    /// Per-model batches by backend.
     pub decisions: Vec<DecisionSnapshot>,
 }
 
@@ -280,122 +270,38 @@ struct ColoLane {
     decisions: DecisionStats,
 }
 
-/// One coalesced batch bound for the accelerator.
-#[derive(Debug)]
-struct WorkItem {
-    lane: usize,
-    requests: Vec<Request>,
-}
-
-/// The accelerator path: its channel (`None` is the stop message) and
-/// the gauge its backlog cap is enforced on.
-#[derive(Debug)]
-struct Accelerator {
-    tx: mpsc::Sender<Option<WorkItem>>,
-    backlog: AtomicUsize,
-    backlog_capacity: usize,
-    /// Metrics slot of the accelerator worker (past the CPU workers).
-    worker: usize,
-}
-
-impl Accelerator {
-    /// Enqueues `item`, or hands it back when the backlog is full or
-    /// the accelerator worker is gone. Producers (overflow) and CPU
-    /// workers (route) offer concurrently, so the slot is claimed in one
-    /// read-modify-write: a check then an increment lets two offers both
-    /// pass at `capacity - 1`.
-    fn offer(&self, item: WorkItem) -> std::result::Result<(), WorkItem> {
-        let cap = self.backlog_capacity;
-        let claimed = self
-            .backlog
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-                (n < cap).then_some(n + 1)
-            });
-        if claimed.is_err() {
-            return Err(item);
-        }
-        self.tx.send(Some(item)).map_err(|mpsc::SendError(item)| {
-            self.backlog.fetch_sub(1, Ordering::Relaxed);
-            item.expect("only work items are offered")
-        })
-    }
-}
-
-/// The [`Placement`] hook: CPU/GPU routing and spill, accelerator
-/// pricing and decision counters.
+/// The [`Placement`] hook: the accelerator worker's size rule, its
+/// pricing, and the per-backend batch counters.
 #[derive(Debug)]
 struct Colocation {
     lanes: Vec<ColoLane>,
-    accelerator: Option<Accelerator>,
+    /// The accelerator's worker index (past the CPU workers).
+    accelerator: Option<usize>,
     /// Set at teardown; the tuner watches it.
     shutting_down: AtomicBool,
 }
 
 impl Placement for Colocation {
-    /// CPU queue over budget: spill to the accelerator backlog when it
-    /// has room. Without an accelerator the queue's own error stands, as
-    /// in a single-model runtime.
-    fn overflow(
-        &self,
-        lane_idx: usize,
-        request: Request,
-        err: ServeError,
-    ) -> std::result::Result<(), ServeError> {
-        let (&ServeError::Overloaded { depth, .. }, Some(acc)) = (&err, &self.accelerator) else {
-            return Err(err);
-        };
-        let lane = &self.lanes[lane_idx];
-        let gpu_depth = acc.backlog.load(Ordering::Relaxed);
-        let item = WorkItem {
-            lane: lane_idx,
-            requests: vec![request],
-        };
-        if acc.offer(item).is_ok() {
-            lane.decisions.record_spill();
-            return Ok(());
+    /// CPU workers take any batch; the accelerator only batches at or
+    /// past the lane's crossover, and none from a lane without one.
+    fn min_batch(&self, worker: usize, lane: usize) -> usize {
+        if self.accelerator == Some(worker) {
+            self.lanes[lane].profile.crossover.unwrap_or(usize::MAX)
+        } else {
+            1
         }
-        Err(ServeError::NoBackendAvailable {
-            model: lane.model.name().to_string(),
-            cpu_depth: depth,
-            gpu_depth,
-        })
     }
 
-    /// Batches past the crossover go to the accelerator; the rest — and
-    /// whatever it refuses — stay with the calling CPU worker.
-    fn route(&self, lane_idx: usize, requests: Vec<Request>) -> Option<Vec<Request>> {
-        let lane = &self.lanes[lane_idx];
-        let batch = requests.len();
-        let mut item = WorkItem {
-            lane: lane_idx,
-            requests,
-        };
-        if let (Backend::Gpu, Some(acc)) = (lane.profile.backend_for(batch), &self.accelerator) {
-            // A saturated (or dead) device pushes work back onto the CPU
-            // pool rather than queueing unboundedly.
-            match acc.offer(item) {
-                Ok(()) => {
-                    lane.decisions.record(Backend::Gpu, batch);
-                    return None;
-                }
-                Err(refused) => item = refused,
-            }
-        }
-        lane.decisions.record(Backend::Cpu, batch);
-        Some(item.requests)
-    }
-
-    /// Prices an accelerator batch on the GPU dispatch oracle; a CPU
-    /// batch keeps the engine's price, its curve being the profile's CPU
-    /// curve.
+    /// Counts the batch under its backend and prices an accelerator
+    /// batch on the GPU dispatch oracle; a CPU batch keeps the engine's
+    /// price, its curve being the profile's CPU curve.
     fn executed(&self, worker: usize, lane: usize, batch: usize, exec: &mut BatchExecution) {
-        if self
-            .accelerator
-            .as_ref()
-            .is_some_and(|acc| acc.worker == worker)
-        {
-            let profile = &self.lanes[lane].profile;
-            exec.modelled_seconds = profile.modelled_seconds(Backend::Gpu, batch);
+        let lane = &self.lanes[lane];
+        if self.accelerator == Some(worker) {
+            exec.modelled_seconds = lane.profile.modelled_seconds(Backend::Gpu, batch);
+            lane.decisions.record(Backend::Gpu, batch);
+        } else {
+            lane.decisions.record(Backend::Cpu, batch);
         }
     }
 }
@@ -405,14 +311,14 @@ impl Placement for Colocation {
 pub struct MultiServeRuntime {
     pool: LanePool,
     colo: Arc<Colocation>,
-    /// The accelerator worker and the tuner.
-    threads: Vec<JoinHandle<()>>,
+    /// The tuner thread, when configured.
+    tuner: Option<JoinHandle<()>>,
 }
 
 impl MultiServeRuntime {
     /// Builds every model and calibrates its placement profile (see the
     /// module docs for the order), then starts the lane pool on those
-    /// models, the accelerator worker, and the tuner.
+    /// models (the accelerator is its last worker) and the tuner.
     ///
     /// # Errors
     ///
@@ -421,9 +327,10 @@ impl MultiServeRuntime {
     ///
     /// # Panics
     ///
-    /// Panics on an empty or duplicate model list or zero workers.
+    /// Panics on an empty or duplicate model list or zero CPU workers.
     pub fn start(cfg: SchedConfig) -> Result<MultiServeRuntime> {
         assert!(!cfg.models.is_empty(), "need at least one model");
+        assert!(cfg.cpu_workers >= 1, "need at least one CPU worker");
         for (i, m) in cfg.models.iter().enumerate() {
             assert!(
                 !cfg.models[..i].iter().any(|other| other.id == m.id),
@@ -472,27 +379,20 @@ impl MultiServeRuntime {
             });
         }
 
-        let (gpu_tx, gpu_rx) = mpsc::channel();
         let colo = Arc::new(Colocation {
             lanes,
-            accelerator: cfg.gpu.as_ref().map(|gcfg| Accelerator {
-                tx: gpu_tx,
-                backlog: AtomicUsize::new(0),
-                backlog_capacity: gcfg.backlog_capacity,
-                worker: cfg.cpu_workers,
-            }),
+            accelerator: cfg.gpu.as_ref().map(|_| cfg.cpu_workers),
             shutting_down: AtomicBool::new(false),
         });
 
-        // The CPU pool: the serving core, one lane per model, each
-        // priced by its calibrated CPU curve.
+        // The serving core: one lane per model, each priced by its
+        // calibrated CPU curve, and the accelerator as one more worker.
         let pool = LanePool::start(PoolConfig {
             lanes: specs,
             scale: cfg.scale,
             seed: cfg.seed,
-            workers: cfg.cpu_workers,
+            workers: cfg.cpu_workers + usize::from(cfg.gpu.is_some()),
             worker_name: "drec-sched-cpu",
-            extra_workers: usize::from(colo.accelerator.is_some()),
             max_batch: cfg.max_batch,
             max_wait: cfg.max_wait,
             queue_capacity: cfg.queue_capacity,
@@ -512,22 +412,19 @@ impl MultiServeRuntime {
         let mut runtime = MultiServeRuntime {
             pool,
             colo,
-            threads: Vec::new(),
+            tuner: None,
         };
-        // The accelerator: one dedicated worker draining its own channel.
-        if let Some(acc) = &runtime.colo.accelerator {
-            let worker = runtime.pool.worker(acc.worker);
-            let colo = Arc::clone(&runtime.colo);
-            let body = move || accelerator_loop(worker, &gpu_rx, &colo);
-            runtime.threads.push(spawn_thread("drec-sched-gpu", body)?);
-        }
         if let Some(tcfg) = cfg.tuner {
             let (pool, colo) = (runtime.pool.handle(), Arc::clone(&runtime.colo));
             let slos: Vec<f64> = cfg.models.iter().map(|m| m.slo.as_secs_f64()).collect();
             let body = move || tuner_loop(&tcfg, &pool, &colo, &slos, cfg.max_batch);
-            runtime
-                .threads
-                .push(spawn_thread("drec-sched-tuner", body)?);
+            let tuner = std::thread::Builder::new()
+                .name("drec-sched-tuner".to_string())
+                .spawn(body)
+                .map_err(|e| ServeError::SpawnFailed {
+                    reason: e.to_string(),
+                })?;
+            runtime.tuner = Some(tuner);
         }
         Ok(runtime)
     }
@@ -566,7 +463,7 @@ impl MultiServeRuntime {
         self.pool.metrics.snapshot()
     }
 
-    /// Point-in-time routing-decision summary, one entry per model.
+    /// Point-in-time batches by backend, one entry per model.
     pub fn decisions(&self) -> Vec<DecisionSnapshot> {
         self.colo.lanes.iter().map(snapshot_decisions).collect()
     }
@@ -594,19 +491,12 @@ impl MultiServeRuntime {
         }
     }
 
-    /// The pool's teardown with the accelerator in the middle: once the
-    /// CPU workers have left nothing routes to it any more, so the stop
-    /// message lands behind every real item; and only once it is gone
-    /// can nothing requeue, which is when the final sweep may run.
+    /// The pool's teardown, with the tuner stopped beside it.
     fn teardown(&mut self) {
         self.colo.shutting_down.store(true, Ordering::SeqCst);
         self.pool.join_workers();
-        if let Some(acc) = &self.colo.accelerator {
-            // The accelerator may already be gone (restart budget spent).
-            let _ = acc.tx.send(None);
-        }
-        for thread in self.threads.drain(..) {
-            let _ = thread.join();
+        if let Some(tuner) = self.tuner.take() {
+            let _ = tuner.join();
         }
         self.pool.drain_lanes();
     }
@@ -634,7 +524,6 @@ fn snapshot_decisions(lane: &ColoLane) -> DecisionSnapshot {
         cpu_queries: d.cpu_queries.load(Ordering::Relaxed),
         gpu_batches: d.gpu_batches.load(Ordering::Relaxed),
         gpu_queries: d.gpu_queries.load(Ordering::Relaxed),
-        gpu_spills: d.gpu_spills.load(Ordering::Relaxed),
         cpu_size_hist: d
             .cpu_hist
             .iter()
@@ -646,15 +535,6 @@ fn snapshot_decisions(lane: &ColoLane) -> DecisionSnapshot {
             .map(|b| b.load(Ordering::Relaxed))
             .collect(),
     }
-}
-
-fn spawn_thread(name: &str, body: impl FnOnce() + Send + 'static) -> Result<JoinHandle<()>> {
-    std::thread::Builder::new()
-        .name(name.to_string())
-        .spawn(body)
-        .map_err(|e| ServeError::SpawnFailed {
-            reason: e.to_string(),
-        })
 }
 
 /// Cloneable client handle: submit requests to any co-located model.
@@ -681,10 +561,7 @@ impl MultiServeHandle {
     ///
     /// * [`ServeError::InvalidInput`] — model not co-located here, or
     ///   payload mismatch,
-    /// * [`ServeError::Overloaded`] — the model's CPU queue is over
-    ///   budget and there is no accelerator,
-    /// * [`ServeError::NoBackendAvailable`] — the model's CPU queue is
-    ///   over budget *and* the accelerator backlog is full,
+    /// * [`ServeError::Overloaded`] — the model's queue is over budget,
     /// * [`ServeError::ShuttingDown`] — the runtime is draining.
     pub(crate) fn submit_with(
         &self,
@@ -706,26 +583,6 @@ impl MultiServeHandle {
     /// The input contract of `model`, when co-located here.
     pub fn spec(&self, model: ModelId) -> Option<&InputSpec> {
         lane_of(&self.pool, model).map(|(_, lane)| &lane.spec)
-    }
-}
-
-/// Accelerator worker body: drains its channel on its own engines until
-/// the stop message. If a panic finds the restart budget spent it leaves
-/// early, handing what is still queued back to the lanes; later offers
-/// then fail and the CPU workers keep those batches.
-fn accelerator_loop(mut worker: Worker, rx: &mpsc::Receiver<Option<WorkItem>>, colo: &Colocation) {
-    let backlog = &colo.accelerator.as_ref().expect("accelerator path").backlog;
-    while let Ok(Some(item)) = rx.recv() {
-        let alive = worker.execute(item.lane, item.requests);
-        backlog.fetch_sub(1, Ordering::Relaxed);
-        if !alive {
-            for item in rx.try_iter().flatten() {
-                backlog.fetch_sub(1, Ordering::Relaxed);
-                let pool = worker.pool();
-                pool.retry_or_fail(item.lane, item.requests, "accelerator worker is gone");
-            }
-            return;
-        }
     }
 }
 
@@ -763,46 +620,6 @@ fn tuner_loop(
             if let TunerStep::BatchCap(cap) = tuner.step(cfg, p99, samples) {
                 lanes[i].queue.set_batch_cap(cap);
             }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::Barrier;
-
-    #[test]
-    fn concurrent_offers_never_overfill_the_backlog() {
-        const THREADS: usize = 4;
-        for round in 0..1_000 {
-            // Nothing drains the channel: every accepted offer stays in
-            // the backlog, so a capacity of 1 admits exactly one.
-            let (tx, _rx) = mpsc::channel();
-            let acc = Accelerator {
-                tx,
-                backlog: AtomicUsize::new(0),
-                backlog_capacity: 1,
-                worker: 0,
-            };
-            let barrier = Barrier::new(THREADS);
-            let accepted: usize = std::thread::scope(|scope| {
-                let offers: Vec<_> = (0..THREADS)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            barrier.wait();
-                            let item = WorkItem {
-                                lane: 0,
-                                requests: Vec::new(),
-                            };
-                            usize::from(acc.offer(item).is_ok())
-                        })
-                    })
-                    .collect();
-                offers.into_iter().map(|t| t.join().unwrap()).sum()
-            });
-            assert_eq!(accepted, 1, "round {round}");
-            assert_eq!(acc.backlog.load(Ordering::Relaxed), 1, "round {round}");
         }
     }
 }

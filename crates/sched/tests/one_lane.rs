@@ -4,7 +4,7 @@
 use std::time::Duration;
 
 use drec_models::ModelId;
-use drec_sched::{ModelSlo, MultiServeRuntime, SchedConfig};
+use drec_sched::{GpuSchedConfig, ModelSlo, MultiServeRuntime, SchedConfig};
 use drec_serve::{RowEncoding, ServeConfig, ServeError, ServeRuntime, StoreConfig};
 
 fn bits(outputs: &[drec_ops::Value]) -> Vec<Vec<u32>> {
@@ -55,8 +55,9 @@ fn one_lane_scheduler_matches_the_single_model_runtime_bit_for_bit() {
     assert_eq!(sched.shutdown().snapshot.completed, 64);
 }
 
-/// A lane over its queue budget with nowhere to spill sheds the arrival
-/// as the queue refused it, in both runtimes.
+/// A lane over its queue budget sheds the arrival as the queue refused
+/// it, in both runtimes, with or without an accelerator: each lane has
+/// one queue and there is nowhere else for the arrival to go.
 #[test]
 fn a_full_lane_sheds_overloaded_in_both_runtimes() {
     // max_batch above queue_capacity and a 60 s max_wait: the queue never
@@ -72,21 +73,31 @@ fn a_full_lane_sheds_overloaded_in_both_runtimes() {
     sched_cfg.max_batch = 64;
     sched_cfg.gpu = None;
     sched_cfg.tuner = None;
+    let mut accelerated_cfg = sched_cfg.clone();
+    accelerated_cfg.gpu = Some(GpuSchedConfig::default());
 
     let single = ServeRuntime::start(single_cfg).unwrap();
     let sched = MultiServeRuntime::start(sched_cfg).unwrap();
-    let (single_handle, sched_handle) = (single.handle(), sched.handle());
+    let accelerated = MultiServeRuntime::start(accelerated_cfg).unwrap();
+    let single_handle = single.handle();
+    let (sched_handle, accelerated_handle) = (sched.handle(), accelerated.handle());
     let mut gen = drec_workload::QueryGen::uniform(3);
     let mut accepted = Vec::new();
     for _ in 0..4 {
         let inputs = gen.batch(single.spec(), 1);
         accepted.push(single_handle.submit(inputs.clone()).unwrap());
-        accepted.push(sched_handle.submit(ModelId::Ncf, inputs).unwrap());
+        accepted.push(sched_handle.submit(ModelId::Ncf, inputs.clone()).unwrap());
+        accepted.push(accelerated_handle.submit(ModelId::Ncf, inputs).unwrap());
     }
     let inputs = gen.batch(single.spec(), 1);
-    let single_err = single_handle.submit(inputs.clone()).unwrap_err();
-    let sched_err = sched_handle.submit(ModelId::Ncf, inputs).unwrap_err();
-    for err in [single_err, sched_err] {
+    let errs = [
+        single_handle.submit(inputs.clone()).unwrap_err(),
+        sched_handle
+            .submit(ModelId::Ncf, inputs.clone())
+            .unwrap_err(),
+        accelerated_handle.submit(ModelId::Ncf, inputs).unwrap_err(),
+    ];
+    for err in errs {
         assert!(
             matches!(err, ServeError::Overloaded { depth: 4, .. }),
             "{err}"
@@ -95,6 +106,7 @@ fn a_full_lane_sheds_overloaded_in_both_runtimes() {
     // Shutdown drains the queues: every accepted request is answered.
     single.shutdown();
     sched.shutdown();
+    accelerated.shutdown();
     for pending in accepted {
         pending.wait().unwrap();
     }

@@ -158,7 +158,6 @@ fn a_pool_started_on_handed_models_rebuilds_engines_after_panics() {
         seed: cfg.seed,
         workers: 2,
         worker_name: "start-once-worker",
-        extra_workers: 0,
         max_batch: 4,
         max_wait: Duration::ZERO,
         queue_capacity: 1024,

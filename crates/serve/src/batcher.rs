@@ -70,7 +70,8 @@ pub enum BatchPoll {
     /// before the contained deadline (the oldest request's
     /// `submitted_at + max_wait`).
     Coalescing(Instant),
-    /// The queue is empty and accepting.
+    /// Nothing for this caller: the queue is empty and accepting, or it
+    /// holds fewer requests than the caller's minimum batch.
     Idle,
     /// The queue is closed and drained; no more batches will ever come.
     Closed,
@@ -163,6 +164,9 @@ pub struct SharedQueue {
     /// Pulsed on push/requeue/release/close; the one thing workers park
     /// on (this queue's own, or one shared by a pool's queues).
     signal: Arc<EventCount>,
+    /// Depths a push also pulses at: the minimum batches of the workers
+    /// that wait for one (see [`SharedQueue::waking_at`]).
+    wake_depths: Vec<usize>,
 }
 
 impl SharedQueue {
@@ -187,7 +191,17 @@ impl SharedQueue {
             ladder,
             tuned_cap: AtomicUsize::new(usize::MAX),
             signal,
+            wake_depths: Vec::new(),
         }
+    }
+
+    /// This queue, also pulsing its signal when a push brings it to one
+    /// of `depths`: the minimum batches of workers polling with
+    /// [`SharedQueue::try_next_batch_at_least`], which would otherwise
+    /// sleep through the push that makes a batch theirs.
+    pub(crate) fn waking_at(mut self, depths: Vec<usize>) -> Self {
+        self.wake_depths = depths;
+        self
     }
 
     /// Sets the tuned batch cap (clamped to at least 1). The effective
@@ -219,8 +233,9 @@ impl SharedQueue {
 
     /// Only pushes that change dispatch eligibility pulse the signal:
     /// the queue turning non-empty (`before` is the depth the producer
-    /// admitted against, `after` the depth once its request is in), or
-    /// filling to the batch cap (a coalescing wait can release early).
+    /// admitted against, `after` the depth once its request is in),
+    /// filling to the batch cap (a coalescing wait can release early), or
+    /// reaching a waiting worker's minimum batch (`wake_depths`).
     /// A worker drains every ready batch per wake and sleeps with the
     /// coalescing deadline, so intermediate pushes need no wake — and
     /// skipping their pulses keeps a fast producer from turning the
@@ -229,7 +244,11 @@ impl SharedQueue {
     /// `after == 1`; `after == 1` alone is an arrival that evicted the
     /// only occupant.
     fn pulse_signal_on_push(&self, before: usize, after: usize) {
-        if before == 0 || after == 1 || after == self.effective_cap() {
+        if before == 0
+            || after == 1
+            || after == self.effective_cap()
+            || self.wake_depths.contains(&after)
+        {
             self.signal.advance();
         }
     }
@@ -292,6 +311,15 @@ impl SharedQueue {
     /// the queue is closing), otherwise reports why not so the caller
     /// can pick another queue or park on the dispatch signal.
     pub fn try_next_batch(&self) -> BatchPoll {
+        self.try_next_batch_at_least(1)
+    }
+
+    /// [`SharedQueue::try_next_batch`] for a caller that runs only
+    /// batches of at least `min` executable requests (`usize::MAX`: it
+    /// runs none of this queue's). A queue that would release fewer
+    /// reports [`BatchPoll::Idle`] to it and keeps its requests for the
+    /// other callers.
+    pub(crate) fn try_next_batch_at_least(&self, min: usize) -> BatchPoll {
         let mut inner = self.inner.lock();
         let Some(front) = inner.queue.front() else {
             return if inner.accepting {
@@ -302,12 +330,21 @@ impl SharedQueue {
         };
         let now = Instant::now();
         let cap = self.effective_cap();
+        let take = inner.queue.len().min(cap);
+        // Expired requests are split out at drain, so only the unexpired
+        // ones count towards `min`.
+        let unexpired = |queue: &VecDeque<Request>| {
+            let taken = queue.range(..take);
+            taken.filter(|r| !r.expired_at(now)).count()
+        };
+        if take < min || (min > 1 && unexpired(&inner.queue) < min) {
+            return BatchPoll::Idle;
+        }
         let wait_deadline = front.submitted_at + self.cfg.max_wait;
         if inner.queue.len() < cap && now < wait_deadline && inner.accepting {
             return BatchPoll::Coalescing(wait_deadline);
         }
         // Drain up to `cap` requests, splitting out the expired ones.
-        let take = inner.queue.len().min(cap);
         let mut batch = TakenBatch::default();
         batch.requests.reserve(take);
         for request in inner.queue.drain(..take) {
@@ -703,6 +740,60 @@ mod tests {
             start.elapsed() < Duration::from_secs(5),
             "must not wait out max_wait"
         );
+    }
+
+    #[test]
+    fn a_size_ruled_poll_leaves_smaller_batches_to_others() {
+        let q = queue_of(cfg(8, 100));
+        q.try_push(dummy_request(0).0).unwrap();
+        q.try_push(dummy_request(1).0).unwrap();
+        assert!(matches!(q.try_next_batch_at_least(3), BatchPoll::Idle));
+        q.try_push(dummy_request(2).0).unwrap();
+        assert!(matches!(
+            q.try_next_batch_at_least(usize::MAX),
+            BatchPoll::Idle
+        ));
+        match q.try_next_batch_at_least(3) {
+            BatchPoll::Ready(batch) => assert_eq!(batch.requests.len(), 3),
+            other => panic!("expected Ready, got {other:?}"),
+        }
+        // Closing does not lower the minimum: the last request stays for
+        // a caller without one, and only then is the queue closed.
+        q.try_push(dummy_request(3).0).unwrap();
+        q.close();
+        assert!(matches!(q.try_next_batch_at_least(3), BatchPoll::Idle));
+        assert!(matches!(q.try_next_batch(), BatchPoll::Ready(_)));
+        assert!(matches!(q.try_next_batch_at_least(3), BatchPoll::Closed));
+    }
+
+    #[test]
+    fn expired_requests_do_not_count_towards_the_minimum() {
+        let q = queue_of(cfg(8, 100));
+        let (mut late, _rx) = dummy_request(0);
+        late.deadline = Some(Instant::now() - Duration::from_millis(5));
+        q.try_push(late).unwrap();
+        q.try_push(dummy_request(1).0).unwrap();
+        assert!(matches!(q.try_next_batch_at_least(2), BatchPoll::Idle));
+        match q.try_next_batch() {
+            BatchPoll::Ready(batch) => {
+                assert_eq!((batch.requests.len(), batch.expired.len()), (1, 1));
+            }
+            other => panic!("expected Ready, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_push_reaching_a_wake_depth_pulses_the_signal() {
+        let signal = Arc::new(EventCount::new());
+        let ladder = Arc::new(OverloadLadder::new(DegradeConfig::default(), 100, None));
+        let q = SharedQueue::with_signal(cfg(8, 100), ladder, Arc::clone(&signal));
+        let q = q.waking_at(vec![3]);
+        q.try_push(dummy_request(0).0).unwrap();
+        let before = signal.generation();
+        q.try_push(dummy_request(1).0).unwrap();
+        assert_eq!(signal.generation(), before, "depth 2 wakes nobody");
+        q.try_push(dummy_request(2).0).unwrap();
+        assert_ne!(signal.generation(), before, "depth 3 is a wake depth");
     }
 
     #[test]

@@ -60,20 +60,6 @@ pub enum ServeError {
         /// The underlying store error, rendered.
         reason: String,
     },
-    /// A multi-model scheduler found every backend for this model
-    /// saturated: the CPU queue is over budget *and* the accelerator
-    /// dispatch path (when configured) cannot absorb the overflow. The
-    /// request is shed immediately rather than queued behind work that
-    /// cannot drain in time.
-    NoBackendAvailable {
-        /// The model the request targeted.
-        model: String,
-        /// CPU queue depth observed at admission time.
-        cpu_depth: usize,
-        /// Accelerator backlog (queued offload batches) at admission
-        /// time; 0 when no accelerator is configured.
-        gpu_depth: usize,
-    },
 }
 
 impl fmt::Display for ServeError {
@@ -113,15 +99,6 @@ impl fmt::Display for ServeError {
             } => write!(
                 f,
                 "live update for {channel} to v{target_version} failed: {reason}"
-            ),
-            ServeError::NoBackendAvailable {
-                model,
-                cpu_depth,
-                gpu_depth,
-            } => write!(
-                f,
-                "no backend available for {model}: CPU queue depth {cpu_depth}, \
-                 accelerator backlog {gpu_depth}"
             ),
         }
     }

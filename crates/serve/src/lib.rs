@@ -57,7 +57,7 @@ pub use engine::{BatchExecution, Engine};
 pub use error::{Result, ServeError};
 pub use metrics::{LatencyHistogram, MetricsSnapshot, ModelChannelSnapshot};
 pub use pool::{
-    Inline, Lane, LanePool, LaneSet, LaneSpec, Placement, PoolConfig, SupervisorConfig, Worker,
+    Inline, Lane, LanePool, LaneSet, LaneSpec, Placement, PoolConfig, SupervisorConfig,
 };
 pub use prefetch::PrefetchWindow;
 pub use request::{coalesce_inputs, split_outputs, Priority, Request, Response, SubmitOptions};

@@ -2,12 +2,12 @@
 //!
 //! ```text
 //!                  ┌─ lane 0: SharedQueue ─┐   poll    ┌─ worker 0..N ── one Engine per lane
-//!  Arc<LaneSet> ──▶│  lane 1: SharedQueue  │◀──────────┤   expire → route → execute inline
-//!   submit(lane)   │  …                    │           │   (catch_unwind, retry once, self-supervise)
-//!      │           └─ lane L: SharedQueue ─┘           └─▶ Placement::route may take a batch elsewhere
+//!  Arc<LaneSet> ──▶│  lane 1: SharedQueue  │◀──────────┤   take a batch ≥ Placement::min_batch
+//!   submit(lane)   │  …                    │           │   → expire → execute inline
+//!      │           └─ lane L: SharedQueue ─┘           └─  (catch_unwind, retry once, self-supervise)
 //!      │ Overloaded           ▲   every queue advances
 //!      ▼                      └── one EventCount (the dispatch signal)
-//!  Placement::overflow (default: shed)
+//!    shed
 //! ```
 //!
 //! A *lane* is one model's serving state: its [`SharedQueue`] (its own
@@ -15,15 +15,18 @@
 //! degradation composes per model), metrics channel, live-update mailbox
 //! and, when the store is tiered with prefetch on, stream prefetcher.
 //! [`crate::ServeRuntime`] is a pool with one lane; `drec-sched`'s
-//! co-location runtime is a pool with one lane per model plus a
-//! [`Placement`] that routes batches between CPU and accelerator.
+//! co-location runtime is a pool with one lane per model and one more
+//! worker, the accelerator, whose [`Placement`] lets it take only the
+//! batches large enough to pay for offload.
 //!
 //! There is no dispatcher thread and no supervisor thread: every worker
 //! is both (DESIGN.md §9 has the failure matrix). It holds one [`Engine`]
 //! per lane, parks on the pool's dispatch signal (an [`EventCount`]),
-//! polls every lane with [`SharedQueue::try_next_batch`], and executes what
-//! [`Placement::route`] leaves it inline — no cross-thread hand-off on
-//! the fast path. Each batch runs under `catch_unwind`: a failing batch
+//! polls every lane, and executes what it takes inline — no cross-thread
+//! hand-off. A worker takes from a lane only batches of at least its
+//! [`Placement::min_batch`] for that lane (1 unless the placement says
+//! otherwise), and the last worker left takes any. Each batch runs
+//! under `catch_unwind`: a failing batch
 //! is re-enqueued once, then surfaced as [`ServeError::WorkerFailed`].
 //! After a panic the engine is suspect, so the worker records the
 //! reason, claims one restart from the pool-wide [`SupervisorConfig`]
@@ -36,7 +39,7 @@
 //! it in lane order, so a table's slot in a shared store is fixed) and
 //! becomes worker 0's engine. The lane keeps a view of it
 //! ([`RecModel::view`]): every other engine — the other workers', a
-//! [`LanePool::worker`] backend's, a replacement after a panic — is a
+//! replacement after a panic — is a
 //! view of that, made without building anything, so it shares every
 //! parameter of the lane (tables, GRU and FC weights) and owns only its
 //! plan, scratch and arena. The lane's update channel holds the built model's FC
@@ -90,27 +93,15 @@ impl Default for SupervisorConfig {
     }
 }
 
-/// Where a batch runs, what it is priced at, and what happens to an
-/// arrival its lane cannot queue. Every method defaults to the
-/// single-backend behaviour; no hook touches an engine, so every batch
-/// runs on the pool's [`PoolConfig::par_pool`].
+/// Which batches a worker takes and what a batch is priced at. Every
+/// method defaults to the single-backend behaviour; no hook touches an
+/// engine, so every batch runs on the pool's [`PoolConfig::par_pool`].
 pub trait Placement: std::fmt::Debug + Send + Sync {
-    /// `lane`'s queue refused `request` as `Overloaded` (`err`). `Ok`: it
-    /// was taken on elsewhere and counts as accepted; `Err`: what the
-    /// caller sees.
-    fn overflow(
-        &self,
-        _lane: usize,
-        _request: Request,
-        err: ServeError,
-    ) -> std::result::Result<(), ServeError> {
-        Err(err)
-    }
-
-    /// A worker released `requests` from `lane`: the batch for it to
-    /// execute inline, or `None` when another backend took them.
-    fn route(&self, _lane: usize, requests: Vec<Request>) -> Option<Vec<Request>> {
-        Some(requests)
+    /// The smallest batch `worker` takes from `lane` (`usize::MAX`: none).
+    /// Asked once per worker and lane at start; the lane's queue wakes
+    /// the workers when a push brings it to that size.
+    fn min_batch(&self, _worker: usize, _lane: usize) -> usize {
+        1
     }
 
     /// `worker` ran a batch of `batch` requests of `lane`; may re-price
@@ -118,8 +109,7 @@ pub trait Placement: std::fmt::Debug + Send + Sync {
     fn executed(&self, _worker: usize, _lane: usize, _batch: usize, _exec: &mut BatchExecution) {}
 }
 
-/// The trivial placement: batches run where they were taken, over-budget
-/// arrivals are shed.
+/// The trivial placement: every worker takes every batch.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Inline;
 
@@ -150,8 +140,6 @@ pub struct PoolConfig {
     pub workers: usize,
     /// Thread-name prefix of those workers (`{worker_name}-{index}`).
     pub worker_name: &'static str,
-    /// Metrics slots past `workers`, one per [`LanePool::worker`].
-    pub extra_workers: usize,
     /// Largest coalesced batch per lane.
     pub max_batch: usize,
     /// Longest the oldest queued request waits for co-travellers.
@@ -241,8 +229,8 @@ impl LaneSet {
     ///
     /// [`ServeError::InvalidInput`] (payload doesn't match the lane's
     /// input contract; not counted as shed load),
-    /// [`ServeError::Overloaded`] or whatever [`Placement::overflow`]
-    /// makes of it, [`ServeError::ShuttingDown`] (the lane is closed).
+    /// [`ServeError::Overloaded`] (the lane is over its queue budget),
+    /// [`ServeError::ShuttingDown`] (the lane is closed).
     pub fn submit(
         &self,
         lane_idx: usize,
@@ -262,7 +250,7 @@ impl LaneSet {
             .prefetcher
             .as_ref()
             .and_then(|p| p.collect_rows(&request.inputs));
-        let admitted = match lane.queue.try_push(request) {
+        match lane.queue.try_push(request) {
             Ok(victim) => {
                 if let (Some(p), Some(rows)) = (&lane.prefetcher, prefetch_rows) {
                     self.metrics
@@ -274,16 +262,11 @@ impl LaneSet {
                     lane.channel.record_shed();
                     victim.respond(Err(err));
                 }
-                Ok(())
             }
-            Err((request, err @ ServeError::Overloaded { .. })) => {
-                self.cfg.placement.overflow(lane_idx, request, err)
+            Err((_request, err)) => {
+                lane.channel.record_shed();
+                return Err(err);
             }
-            Err((_request, err)) => Err(err),
-        };
-        if let Err(err) = admitted {
-            lane.channel.record_shed();
-            return Err(err);
         }
         self.metrics.record_accepted();
         if self.live.load(Ordering::SeqCst) == 0 {
@@ -310,7 +293,7 @@ impl LaneSet {
     /// Fans a failed batch out: first-failure requests are re-enqueued
     /// on their lane for one more attempt; repeat failures surface
     /// [`ServeError::WorkerFailed`].
-    pub fn retry_or_fail(&self, lane: usize, requests: Vec<Request>, reason: &str) {
+    fn retry_or_fail(&self, lane: usize, requests: Vec<Request>, reason: &str) {
         for mut request in requests {
             if request.attempts == 0 {
                 request.attempts = 1;
@@ -358,12 +341,15 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One worker's engines (one per lane) plus the execute-and-recover
-/// logic every batch goes through, whichever thread runs it.
+/// One worker's engines (one per lane), its size rule, and the
+/// execute-and-recover logic every batch goes through.
 #[derive(Debug)]
-pub struct Worker {
+struct Worker {
     index: usize,
     engines: Vec<Engine>,
+    /// Per lane, the smallest batch this worker takes
+    /// ([`Placement::min_batch`]).
+    min_batch: Vec<usize>,
     core: Arc<LaneSet>,
 }
 
@@ -371,7 +357,7 @@ impl Worker {
     /// Runs one batch of `lane` on this worker's engine, delivering
     /// responses, metrics and retries. Returns `false` when the engine
     /// panicked and the restart budget is spent: the worker must stop.
-    pub fn execute(&mut self, lane_idx: usize, requests: Vec<Request>) -> bool {
+    fn execute(&mut self, lane_idx: usize, requests: Vec<Request>) -> bool {
         let core: &LaneSet = &self.core;
         let lane = &core.lanes[lane_idx];
         let metrics = &core.metrics;
@@ -428,11 +414,6 @@ impl Worker {
         }
     }
 
-    /// The pool this worker belongs to.
-    pub fn pool(&self) -> &LaneSet {
-        &self.core
-    }
-
     /// Self-supervision: claims one restart from the pool-wide budget,
     /// sleeps its backoff (doubling per restart, capped), and replaces
     /// the engines of `lanes` with fresh views of their lanes' models.
@@ -475,39 +456,40 @@ impl Worker {
             // unrecoverable pool. Both ways, nothing may be left hanging.
             core.close_lanes();
             core.drain_lanes();
+        } else {
+            // A worker left alone drops its size rule: wake it to re-poll.
+            core.signal.advance();
         }
     }
 
     /// Park on the signal; on wake, poll every lane (from a per-worker
-    /// offset, so the hottest lane has no permanent priority), answer
-    /// expired requests, route each released batch and execute what
-    /// stays inline. Returns when every lane is closed and drained, or
-    /// the restart budget is spent. A failure during a worker's own
-    /// drain pass is requeued for whichever worker is still looping
-    /// (worst case, the teardown sweep answers it).
+    /// offset, so the hottest lane has no permanent priority) for
+    /// batches of at least this worker's minimum, answer expired
+    /// requests and execute each batch inline. Returns when every lane is
+    /// closed and drained, or the restart budget is spent. A failure
+    /// during a worker's own drain pass is requeued for whichever worker
+    /// is still looping (worst case, the teardown sweep answers it).
     fn serve_lanes(&mut self) {
         let core = Arc::clone(&self.core);
         let lanes = &core.lanes;
         loop {
             let seen = core.signal.generation();
+            // The last worker left takes any batch: no lane may strand.
+            let alone = core.live.load(Ordering::SeqCst) == 1;
             let mut earliest: Option<Instant> = None;
             let mut dispatched = false;
             let mut all_closed = true;
             for offset in 0..lanes.len() {
                 let idx = (self.index + offset) % lanes.len();
+                let min = if alone { 1 } else { self.min_batch[idx] };
                 loop {
-                    match lanes[idx].queue.try_next_batch() {
+                    match lanes[idx].queue.try_next_batch_at_least(min) {
                         BatchPoll::Ready(batch) => {
                             all_closed = false;
                             dispatched = true;
                             core.expire(batch.expired);
-                            if batch.requests.is_empty() {
-                                continue;
-                            }
-                            if let Some(requests) = core.cfg.placement.route(idx, batch.requests) {
-                                if !self.execute(idx, requests) {
-                                    return;
-                                }
+                            if !batch.requests.is_empty() && !self.execute(idx, batch.requests) {
+                                return;
                             }
                         }
                         BatchPoll::Coalescing(deadline) => {
@@ -569,7 +551,7 @@ impl LanePool {
             lanes: Vec::with_capacity(lane_cfgs.len()),
             signal: Arc::default(),
             metrics: MetricsRegistry::new(
-                cfg.workers + cfg.extra_workers,
+                cfg.workers,
                 Arc::clone(&cfg.par_pool),
                 cfg.store.clone(),
             ),
@@ -594,26 +576,33 @@ impl LanePool {
         let prefetching = lane_bindings.iter().filter(|b| !b.is_empty()).count() as u64;
         // Each lane's built model: worker 0's engine.
         let mut built_models = Vec::with_capacity(lane_cfgs.len());
-        for (LaneSpec { built, curve }, bindings) in lane_cfgs.into_iter().zip(lane_bindings) {
+        for (lane, (LaneSpec { built, curve }, bindings)) in
+            lane_cfgs.into_iter().zip(lane_bindings).enumerate()
+        {
             let model = built.id();
             let cfg = &set.cfg;
+            let min_batches = (0..cfg.workers).map(|w| cfg.placement.min_batch(w, lane));
             let store = cfg.store.clone();
             let ladder = Arc::new(OverloadLadder::new(
                 cfg.degrade,
                 cfg.queue_capacity,
                 store.clone().filter(|_| sole_lane),
             ));
-            let queue = Arc::new(SharedQueue::with_signal(
-                BatcherConfig {
-                    max_batch: cfg.max_batch,
-                    max_wait: cfg.max_wait,
-                    queue_capacity: cfg.queue_capacity,
-                    delay_budget: cfg.delay_budget,
-                    per_query_service_estimate: curve.eval(cfg.max_batch) / cfg.max_batch as f64,
-                },
-                Arc::clone(&ladder),
-                Arc::clone(&set.signal),
-            ));
+            let queue = Arc::new(
+                SharedQueue::with_signal(
+                    BatcherConfig {
+                        max_batch: cfg.max_batch,
+                        max_wait: cfg.max_wait,
+                        queue_capacity: cfg.queue_capacity,
+                        delay_budget: cfg.delay_budget,
+                        per_query_service_estimate: curve.eval(cfg.max_batch)
+                            / cfg.max_batch as f64,
+                    },
+                    Arc::clone(&ladder),
+                    Arc::clone(&set.signal),
+                )
+                .waking_at(min_batches.filter(|&m| m > 1).collect()),
+            );
             // One live-update channel per lane: every engine of the lane
             // registers as a weight reader and starts from the built
             // model's FC set; the updater (if the deployment runs one)
@@ -668,9 +657,13 @@ impl LanePool {
             } else {
                 pool.views(0..lanes.len())
             };
+            let placement = &pool.cfg.placement;
             let mut worker = Worker {
                 index,
                 engines,
+                min_batch: (0..lanes.len())
+                    .map(|l| placement.min_batch(index, l))
+                    .collect(),
                 core: Arc::clone(&pool.core),
             };
             let thread = std::thread::Builder::new()
@@ -682,17 +675,6 @@ impl LanePool {
             pool.threads.push(thread);
         }
         Ok(pool)
-    }
-
-    /// A [`Worker`] (one view of each lane's model) reporting under
-    /// metrics slot `index`, for a backend the [`Placement`] drives on
-    /// its own thread: it shares the restart budget but polls no lanes.
-    pub fn worker(&self, index: usize) -> Worker {
-        Worker {
-            index,
-            engines: self.views(0..self.lanes.len()),
-            core: Arc::clone(&self.core),
-        }
     }
 
     /// A cloneable submission handle.

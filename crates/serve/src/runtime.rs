@@ -133,7 +133,6 @@ impl ServeRuntime {
             seed: cfg.seed,
             workers: cfg.workers,
             worker_name: "drec-serve-worker",
-            extra_workers: 0,
             max_batch: cfg.max_batch,
             max_wait: cfg.max_wait,
             queue_capacity: cfg.queue_capacity,

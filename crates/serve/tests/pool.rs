@@ -2,8 +2,9 @@
 //! recovery design `faults.rs`/`drain.rs` exercise through the one-lane
 //! `ServeRuntime` — self-supervising workers on a shared restart budget
 //! — holds across lanes, and a spent budget closes every lane with typed
-//! errors instead of hanging anyone; and the pool-wide snapshot is the
-//! merge of its lanes' channels.
+//! errors instead of hanging anyone; the pool-wide snapshot is the
+//! merge of its lanes' channels; and a worker with a size rule takes only
+//! the batches its placement allows it.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -12,8 +13,8 @@ use drec_core::serving::LatencyCurve;
 use drec_faultsim::{FaultHook, FaultPlan};
 use drec_models::{ModelId, ModelScale};
 use drec_serve::{
-    DegradeConfig, Inline, LanePool, LaneSpec, LatencyHistogram, PendingResponse, PoolConfig,
-    ServeError, SubmitOptions, SupervisorConfig,
+    DegradeConfig, Inline, LanePool, LaneSpec, LatencyHistogram, PendingResponse, Placement,
+    PoolConfig, ServeError, SubmitOptions, SupervisorConfig,
 };
 use drec_workload::QueryGen;
 
@@ -32,7 +33,6 @@ fn two_lanes() -> PoolConfig {
         seed: 7,
         workers: 2,
         worker_name: "pool-test-worker",
-        extra_workers: 0,
         max_batch: 16,
         max_wait: Duration::ZERO,
         queue_capacity: 1024,
@@ -199,4 +199,72 @@ fn pool_wide_figures_are_the_merge_of_the_lanes() {
     assert_eq!(bits(s.p50_seconds), bits(latency.quantile_seconds(0.50)));
     assert_eq!(bits(s.p95_seconds), bits(latency.quantile_seconds(0.95)));
     assert_eq!(bits(s.p99_seconds), bits(latency.quantile_seconds(0.99)));
+}
+
+/// The worker it names takes batches of at least 4 from lane 0 and none
+/// from lane 1; every other worker takes any batch.
+#[derive(Debug)]
+struct SizeRuled(usize);
+
+impl Placement for SizeRuled {
+    fn min_batch(&self, worker: usize, lane: usize) -> usize {
+        match (worker == self.0, lane) {
+            (false, _) => 1,
+            (true, 0) => 4,
+            (true, _) => usize::MAX,
+        }
+    }
+}
+
+#[test]
+fn a_size_ruled_worker_takes_only_batches_at_its_minimum() {
+    let mut pool = LanePool::start(PoolConfig {
+        max_batch: 8,
+        placement: Arc::new(SizeRuled(1)),
+        ..two_lanes()
+    })
+    .expect("pool starts");
+    let mut pendings = Vec::new();
+    for _ in 0..10 {
+        pendings.extend(submit(&pool, 0, 8).into_iter().map(|p| (0, p)));
+        pendings.extend(submit(&pool, 1, 3).into_iter().map(|p| (1, p)));
+    }
+    for (lane, pending) in pendings {
+        let response = pending.wait_timeout(ANSWER_BOUND).expect("answered");
+        let response = response.expect("served");
+        if response.worker == 1 {
+            assert_eq!(lane, 0, "worker 1 takes nothing from lane 1");
+            assert!(
+                response.batch >= 4,
+                "worker 1 ran a batch of {}",
+                response.batch
+            );
+        }
+    }
+    pool.join_workers();
+    pool.drain_lanes();
+    assert_eq!(pool.metrics.snapshot().completed, 110);
+}
+
+#[test]
+fn a_lone_worker_drops_its_size_rule() {
+    // The only worker may take nothing from lane 1 by its rule; alone, it
+    // serves both lanes anyway.
+    let mut pool = LanePool::start(PoolConfig {
+        workers: 1,
+        placement: Arc::new(SizeRuled(0)),
+        ..two_lanes()
+    })
+    .expect("pool starts");
+    let pendings = submit(&pool, 1, 5);
+    for pending in pendings {
+        let Some(response) = pending.wait_timeout(ANSWER_BOUND) else {
+            // Its worker would never leave: leak the pool, don't join it.
+            std::mem::forget(pool);
+            panic!("a lone worker left lane 1 unserved");
+        };
+        assert_eq!(response.expect("served").worker, 0);
+    }
+    pool.join_workers();
+    pool.drain_lanes();
 }

@@ -139,7 +139,6 @@ fn lanes_on_one_tier_split_its_prefetch_window() {
         seed: 7,
         workers: 1,
         worker_name: "prefetch-split-worker",
-        extra_workers: 0,
         max_batch: 64,
         max_wait: Duration::from_secs(60),
         queue_capacity: 1024,
