@@ -237,7 +237,6 @@ fn run_rolling_update(smoke: bool) -> RollingOutcome {
     // under this workload that may be never, and the updater would ride
     // its install timeout for every version.)
     cfg.gpu = None;
-    cfg.tuner = None;
     cfg.store = Some(StoreConfig {
         cache_capacity_rows: 4096,
         ..StoreConfig::default()

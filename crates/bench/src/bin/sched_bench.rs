@@ -19,8 +19,9 @@
 //!   achieve at least the aggregate throughput of eight isolated
 //!   single-worker pools at equal total worker count, on the same seeded
 //!   Zipf-skewed workload,
-//! * `p99_within_slo` — under seeded Zipf load with the tuner active,
-//!   every model's measured p99 stays at or under its SLO target,
+//! * `p99_within_slo` — under seeded Zipf load, every model's measured
+//!   p99 stays at or under its SLO target, with the batch cap shrunk by
+//!   nothing but each lane's overload ladder,
 //! * `answered_requests_bit_identical`, `verified_on_accelerator` — every
 //!   request the full scheduler answered is bit-identical to the same
 //!   sample run alone (batch 1) on a standalone model, whichever batch it
@@ -379,7 +380,6 @@ fn time_start(models: &[ModelId], reps: usize) -> StartTimes {
     let mut cfg = colo_config(models, 1, None);
     cfg.scale = ModelScale::Paper;
     cfg.max_batch = 64;
-    cfg.tuner = None;
     cfg.store = Some(store_cfg.clone());
     let profile_cfg = cfg.profile_config();
     let simulator_bytes = {
@@ -641,11 +641,11 @@ fn main() {
     );
     println!("  aggregate throughput ratio (co-located / isolated, fastest runs): {ratio:.2}x");
 
-    // SLO under load with the accelerator and tuner active, keeping
-    // every response for the bit-identity check.
+    // SLO under load with the accelerator active, keeping every
+    // response for the bit-identity check.
     const CPU_WORKERS: usize = 7;
     println!(
-        "\nDriving the full scheduler ({CPU_WORKERS} CPU workers + {} accelerator, tuner on)...",
+        "\nDriving the full scheduler ({CPU_WORKERS} CPU workers + {} accelerator)...",
         accelerator.gpu.name
     );
     let cfg = colo_config(&models, CPU_WORKERS, Some(accelerator));

@@ -19,9 +19,11 @@
 //!   (roofline + PCIe), yielding a deterministic crossover batch size
 //!   `b*`: the accelerator takes a model's batch only at or past it,
 //!   and none of a model without one; CPU workers take any batch.
-//! * `ModelTuner` hill-climbs each model's batch cap against its p99
-//!   SLO from live windowed histograms. Every lane runs on one width-1
-//!   intra-op pool: the lanes already share the CPU workers.
+//! * Batch size has one shrinking rule, each lane's overload ladder: its
+//!   `ReducedBatch` rung halves the batch cap while the lane's queue is
+//!   deep. A model's [`ModelSlo`] is a target the caller checks, not a
+//!   knob the runtime turns. Every lane runs on one width-1 intra-op
+//!   pool: the lanes already share the CPU workers.
 //!
 //! Placement is *simulated*, execution is *real*: offloaded batches run
 //! the same kernels as CPU batches, so a response carries the bits of its
@@ -34,7 +36,6 @@
 mod crew;
 mod profile;
 mod runtime;
-mod tuner;
 
 pub use profile::{ModelProfile, ProfileConfig};
 pub use runtime::{

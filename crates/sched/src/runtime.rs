@@ -14,9 +14,10 @@
 //! Lanes, admission, the worker loop, retry, self-supervised recovery
 //! and teardown all belong to [`drec_serve::LanePool`] — the same core
 //! the single-model `ServeRuntime` runs with one lane. This module
-//! supplies the [`Placement`] hook and the tuner thread; it adds no
-//! intra-op parallelism of its own — every lane runs on one width-1
-//! pool, since the lanes already share the workers.
+//! supplies the [`Placement`] hook and owns no thread: every thread of a
+//! co-located runtime is the pool's. It adds no intra-op parallelism of
+//! its own either — every lane runs on one width-1 pool, since the lanes
+//! already share the workers.
 //!
 //! Each lane has one queue. With an accelerator configured, the pool has
 //! one worker more than [`SchedConfig::cpu_workers`]: the accelerator,
@@ -44,9 +45,9 @@
 //! first engine serves; every other engine of the lane, the accelerator's
 //! included, is a view of it.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::convert::Infallible;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use drec_hwsim::{GpuModel, Platform};
@@ -61,7 +62,6 @@ use drec_serve::{
 
 use crate::crew::crew;
 use crate::profile::{ModelProfile, ProfileConfig};
-use crate::tuner::{ModelTuner, TunerConfig, TunerStep};
 
 /// Which backend a batch executed on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -152,8 +152,11 @@ impl DecisionSnapshot {
 pub struct ModelSlo {
     /// The model.
     pub id: ModelId,
-    /// p99 end-to-end latency budget the tuner defends.
-    pub(crate) slo: Duration,
+    /// The p99 end-to-end latency target the caller holds the lane to.
+    /// The runtime does not act on it: the overload ladder's
+    /// `ReducedBatch` rung, driven by queue depth, is the one rule that
+    /// shrinks a batch.
+    pub slo: Duration,
 }
 
 impl ModelSlo {
@@ -207,8 +210,9 @@ pub struct SchedConfig {
     pub degrade: DegradeConfig,
     /// The accelerator worker; `None` pins everything to the CPU workers.
     pub gpu: Option<GpuSchedConfig>,
-    /// Hill-climbing tuner; `None` leaves batch caps fixed.
-    pub tuner: Option<TunerConfig>,
+    /// Always `None`: there is no batch-size tuner. Kept while
+    /// `perf_bench` still writes `tuner: None`.
+    pub tuner: Option<Infallible>,
     /// When set, every model's embedding tables register in one shared
     /// [`EmbeddingStore`] with this configuration — deduplicated
     /// parameters across models and workers, optional quantization,
@@ -234,7 +238,7 @@ impl SchedConfig {
     }
 
     /// A small, fast configuration for tests: tiny models, 2 CPU
-    /// workers, accelerator enabled, tuner on.
+    /// workers, accelerator enabled.
     pub fn tiny(models: Vec<ModelSlo>) -> Self {
         SchedConfig {
             models,
@@ -247,7 +251,7 @@ impl SchedConfig {
             delay_budget: Duration::from_secs(60),
             degrade: DegradeConfig::default(),
             gpu: Some(GpuSchedConfig::default()),
-            tuner: Some(TunerConfig::default()),
+            tuner: None,
             store: None,
         }
     }
@@ -277,8 +281,6 @@ struct Colocation {
     lanes: Vec<ColoLane>,
     /// The accelerator's worker index (past the CPU workers).
     accelerator: Option<usize>,
-    /// Set at teardown; the tuner watches it.
-    shutting_down: AtomicBool,
 }
 
 impl Placement for Colocation {
@@ -306,19 +308,20 @@ impl Placement for Colocation {
     }
 }
 
-/// The running co-location scheduler.
+/// The running co-location scheduler. Dropping it without calling
+/// [`MultiServeRuntime::shutdown`] still drains accepted work and joins
+/// the workers (the pool's own teardown).
 #[derive(Debug)]
 pub struct MultiServeRuntime {
     pool: LanePool,
     colo: Arc<Colocation>,
-    /// The tuner thread, when configured.
-    tuner: Option<JoinHandle<()>>,
 }
 
 impl MultiServeRuntime {
     /// Builds every model and calibrates its placement profile (see the
     /// module docs for the order), then starts the lane pool on those
-    /// models (the accelerator is its last worker) and the tuner.
+    /// models (the accelerator is its last worker). A model's
+    /// [`ModelSlo::slo`] is not read.
     ///
     /// # Errors
     ///
@@ -382,7 +385,6 @@ impl MultiServeRuntime {
         let colo = Arc::new(Colocation {
             lanes,
             accelerator: cfg.gpu.as_ref().map(|_| cfg.cpu_workers),
-            shutting_down: AtomicBool::new(false),
         });
 
         // The serving core: one lane per model, each priced by its
@@ -406,27 +408,7 @@ impl MultiServeRuntime {
             faults: FaultHook::disabled(),
             placement: Arc::clone(&colo) as Arc<dyn Placement>,
         })?;
-
-        // From here on an early return drops `runtime`, whose teardown
-        // stops and joins whatever is already running.
-        let mut runtime = MultiServeRuntime {
-            pool,
-            colo,
-            tuner: None,
-        };
-        if let Some(tcfg) = cfg.tuner {
-            let (pool, colo) = (runtime.pool.handle(), Arc::clone(&runtime.colo));
-            let slos: Vec<f64> = cfg.models.iter().map(|m| m.slo.as_secs_f64()).collect();
-            let body = move || tuner_loop(&tcfg, &pool, &colo, &slos, cfg.max_batch);
-            let tuner = std::thread::Builder::new()
-                .name("drec-sched-tuner".to_string())
-                .spawn(body)
-                .map_err(|e| ServeError::SpawnFailed {
-                    reason: e.to_string(),
-                })?;
-            runtime.tuner = Some(tuner);
-        }
-        Ok(runtime)
+        Ok(MultiServeRuntime { pool, colo })
     }
 
     /// The shared embedding store all lanes resolve lookups through,
@@ -484,28 +466,12 @@ impl MultiServeRuntime {
     /// work through the pool, join every thread, and report final
     /// metrics and decisions.
     pub fn shutdown(mut self) -> SchedReport {
-        self.teardown();
+        self.pool.join_workers();
+        self.pool.drain_lanes();
         SchedReport {
             snapshot: self.snapshot(),
             decisions: self.decisions(),
         }
-    }
-
-    /// The pool's teardown, with the tuner stopped beside it.
-    fn teardown(&mut self) {
-        self.colo.shutting_down.store(true, Ordering::SeqCst);
-        self.pool.join_workers();
-        if let Some(tuner) = self.tuner.take() {
-            let _ = tuner.join();
-        }
-        self.pool.drain_lanes();
-    }
-}
-
-impl Drop for MultiServeRuntime {
-    fn drop(&mut self) {
-        // No-op when shutdown() already ran.
-        self.teardown();
     }
 }
 
@@ -583,43 +549,5 @@ impl MultiServeHandle {
     /// The input contract of `model`, when co-located here.
     pub fn spec(&self, model: ModelId) -> Option<&InputSpec> {
         lane_of(&self.pool, model).map(|(_, lane)| &lane.spec)
-    }
-}
-
-/// Tuner body: every interval, read each model's windowed p99 and walk
-/// its hill-climber one step, applying cap changes to the model's queue.
-fn tuner_loop(
-    cfg: &TunerConfig,
-    pool: &LaneSet,
-    colo: &Colocation,
-    slos: &[f64],
-    max_batch: usize,
-) {
-    let lanes = &pool.lanes;
-    let mut tuners: Vec<ModelTuner> = slos
-        .iter()
-        .map(|&slo| ModelTuner::new(slo, max_batch))
-        .collect();
-    let mut baselines: Vec<Vec<u64>> = lanes
-        .iter()
-        .map(|lane| lane.channel.latency.bucket_counts())
-        .collect();
-    let interval = Duration::from_secs_f64(cfg.interval_s.max(1e-3));
-    while !colo.shutting_down.load(Ordering::SeqCst) {
-        std::thread::sleep(interval);
-        for (i, (tuner, baseline)) in tuners.iter_mut().zip(&mut baselines).enumerate() {
-            let latency = &lanes[i].channel.latency;
-            let counts = latency.bucket_counts();
-            let samples: u64 = counts
-                .iter()
-                .zip(baseline.iter())
-                .map(|(now, prev)| now.saturating_sub(*prev))
-                .sum();
-            let p99 = latency.quantile_seconds_since(baseline, 0.99);
-            *baseline = counts;
-            if let TunerStep::BatchCap(cap) = tuner.step(cfg, p99, samples) {
-                lanes[i].queue.set_batch_cap(cap);
-            }
-        }
     }
 }

@@ -1,5 +1,5 @@
-//! Both runtimes are the same lane pool; with one lane, no accelerator
-//! and no tuner, co-location adds nothing that may touch a result.
+//! Both runtimes are the same lane pool; with one lane and no
+//! accelerator, co-location adds nothing that may touch a result.
 
 use std::time::Duration;
 
@@ -33,7 +33,6 @@ fn one_lane_scheduler_matches_the_single_model_runtime_bit_for_bit() {
         SchedConfig::tiny(vec![ModelSlo::new(ModelId::Rm1, Duration::from_millis(50))]);
     sched_cfg.cpu_workers = 1;
     sched_cfg.gpu = None;
-    sched_cfg.tuner = None;
     sched_cfg.store = Some(store);
     assert_eq!(
         (single_cfg.scale, single_cfg.seed),
@@ -72,7 +71,6 @@ fn a_full_lane_sheds_overloaded_in_both_runtimes() {
     sched_cfg.max_wait = Duration::from_secs(60);
     sched_cfg.max_batch = 64;
     sched_cfg.gpu = None;
-    sched_cfg.tuner = None;
     let mut accelerated_cfg = sched_cfg.clone();
     accelerated_cfg.gpu = Some(GpuSchedConfig::default());
 

@@ -33,7 +33,6 @@ fn eight_models() -> SchedConfig {
     let models = ModelId::ALL.iter().map(|&id| ModelSlo::new(id, slo));
     let mut cfg = SchedConfig::tiny(models.collect());
     cfg.cpu_workers = 2;
-    cfg.tuner = None;
     cfg.store = Some(tiered_int8());
     cfg
 }

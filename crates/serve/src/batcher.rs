@@ -14,13 +14,12 @@
 //! the oldest request has waited `max_wait`, whichever comes first. With
 //! `max_wait = 0` this degenerates to the greedy take-everything-queued
 //! policy of [`drec_core::fleet::simulate_fleet`], which is what the load
-//! generator uses to cross-validate the analytical model. The
-//! effective batch cap shrinks under overload (see
-//! [`crate::OverloadLadder`]) and under an externally tuned cap (see
-//! [`SharedQueue::set_batch_cap`] — the hook `drec-sched`'s
-//! hill-climbing tuner drives), and requests whose deadline passed while
-//! queued are split out of the batch at drain time so workers never
-//! spend cycles on answers nobody is waiting for.
+//! generator uses to cross-validate the analytical model. One rule
+//! shrinks the batch cap: the overload ladder's `ReducedBatch` rung
+//! halves it while the queue is deep (see [`crate::OverloadLadder`]).
+//! Requests whose deadline passed while queued are split out of the
+//! batch at drain time so workers never spend cycles on answers nobody
+//! is waiting for.
 //!
 //! # One queue
 //!
@@ -54,8 +53,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use drec_sync::atomic::AtomicUsize;
-use drec_sync::{EventCount, Mutex, Ordering};
+use drec_sync::{EventCount, Mutex};
 
 use crate::degrade::OverloadLadder;
 use crate::error::ServeError;
@@ -157,10 +155,6 @@ pub struct SharedQueue {
     inner: Mutex<QueueInner>,
     cfg: BatcherConfig,
     ladder: Arc<OverloadLadder>,
-    /// Externally tuned batch cap (see [`SharedQueue::set_batch_cap`]);
-    /// the effective cap is `min(configured, tuned)` further shrunk by
-    /// the overload ladder.
-    tuned_cap: AtomicUsize,
     /// Pulsed on push/requeue/release/close; the one thing workers park
     /// on (this queue's own, or one shared by a pool's queues).
     signal: Arc<EventCount>,
@@ -189,7 +183,6 @@ impl SharedQueue {
             }),
             cfg,
             ladder,
-            tuned_cap: AtomicUsize::new(usize::MAX),
             signal,
             wake_depths: Vec::new(),
         }
@@ -204,25 +197,10 @@ impl SharedQueue {
         self
     }
 
-    /// Sets the tuned batch cap (clamped to at least 1). The effective
-    /// drain cap becomes `min(configured max_batch, cap)`, still subject
-    /// to halving by the overload ladder — the control knob a
-    /// batch-size tuner adjusts while traffic flows.
-    pub fn set_batch_cap(&self, cap: usize) {
-        self.tuned_cap.store(cap.max(1), Ordering::Relaxed);
-    }
-
-    /// The current tuned batch cap (`min` with the configured max_batch).
-    pub(crate) fn batch_cap(&self) -> usize {
-        self.tuned_cap
-            .load(Ordering::Relaxed)
-            .min(self.cfg.max_batch)
-    }
-
-    /// The effective drain cap right now: configured cap, tuned cap, and
-    /// overload ladder combined.
+    /// The effective drain cap right now: the configured cap, halved
+    /// while the overload ladder stands at `ReducedBatch` or above.
     fn effective_cap(&self) -> usize {
-        self.ladder.max_batch(self.batch_cap())
+        self.ladder.max_batch(self.cfg.max_batch)
     }
 
     /// Whether an arrival behind `depth` queued requests, estimated to
@@ -380,7 +358,7 @@ impl SharedQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::degrade::DegradeConfig;
+    use crate::degrade::{DegradeConfig, OverloadLevel};
     use crate::request::Priority;
     use drec_ops::Value;
     use drec_tensor::Tensor;
@@ -692,17 +670,19 @@ mod tests {
     }
 
     #[test]
-    fn tuned_cap_shrinks_drained_batches() {
-        let q = queue_of(cfg(8, 100));
-        q.set_batch_cap(2);
-        for id in 0..5 {
+    fn a_deep_queue_drains_half_batches_at_reduced_batch() {
+        // Capacity 20, default thresholds: the eleventh push meets 10
+        // queued, half the capacity, and walks the ladder to
+        // `ReducedBatch`.
+        let q = queue_of(cfg(8, 20));
+        for id in 0..11 {
             q.try_push(dummy_request(id).0).unwrap();
         }
-        assert_eq!(next_batch(&q).unwrap().requests.len(), 2);
-        // Restoring a huge cap falls back to the configured max_batch.
-        q.set_batch_cap(usize::MAX);
-        assert_eq!(q.batch_cap(), 8);
-        assert_eq!(next_batch(&q).unwrap().requests.len(), 3);
+        assert_eq!(q.ladder.level(), OverloadLevel::ReducedBatch);
+        // Eleven queued, and the next batch holds max_batch / 2.
+        let batch = next_batch(&q).unwrap();
+        let ids: Vec<u64> = batch.requests.iter().map(|r| r.id).collect();
+        assert_eq!(ids, vec![0, 1, 2, 3]);
     }
 
     #[test]

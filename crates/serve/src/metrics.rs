@@ -46,9 +46,9 @@ fn mean_of(count: u64, sum_nanos: u64) -> f64 {
 
 /// The `q`-quantile of histogram bucket counts, in seconds: the geometric
 /// midpoint of the bucket holding rank `⌈total · q⌉` (0 when empty). One
-/// histogram's counts, a window's deltas and several channels' summed
-/// counts all walk here, so a merged quantile is bit-identical to that of
-/// one histogram fed every observation.
+/// histogram's counts and several channels' summed counts both walk
+/// here, so a merged quantile is bit-identical to that of one histogram
+/// fed every observation.
 fn quantile_of(counts: &[u64], q: f64) -> f64 {
     let total: u64 = counts.iter().sum();
     if total == 0 {
@@ -125,36 +125,10 @@ impl LatencyHistogram {
     /// The `q`-quantile (`0.0..=1.0`) in seconds, from bucket midpoints.
     /// Returns 0 when empty.
     pub fn quantile_seconds(&self, q: f64) -> f64 {
-        self.quantile_seconds_since(&[], q)
-    }
-
-    /// A copy of the raw bucket counts. Keep one and pass it to
-    /// [`LatencyHistogram::quantile_seconds_since`] later to compute
-    /// quantiles over just the observations recorded in between — how
-    /// the scheduler's tuner reads a *windowed* per-model p99 from the
-    /// cumulative histogram.
-    pub fn bucket_counts(&self) -> Vec<u64> {
-        self.buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// The `q`-quantile over observations recorded since `baseline` was
-    /// captured with [`LatencyHistogram::bucket_counts`]. An empty
-    /// baseline means "since the beginning". Returns 0 when the window
-    /// holds no observations.
-    pub fn quantile_seconds_since(&self, baseline: &[u64], q: f64) -> f64 {
-        let deltas: Vec<u64> = self
-            .buckets
-            .iter()
-            .enumerate()
-            .map(|(i, b)| {
-                let prev = baseline.get(i).copied().unwrap_or(0);
-                b.load(Ordering::Relaxed).saturating_sub(prev)
-            })
-            .collect();
-        quantile_of(&deltas, q)
+        quantile_of(
+            &self.buckets.each_ref().map(|b| b.load(Ordering::Relaxed)),
+            q,
+        )
     }
 }
 
@@ -636,24 +610,6 @@ mod tests {
     }
 
     #[test]
-    fn windowed_quantile_ignores_baseline_observations() {
-        let h = LatencyHistogram::new();
-        for _ in 0..100 {
-            h.record(Duration::from_micros(10));
-        }
-        let baseline = h.bucket_counts();
-        // Cumulative p99 is dominated by the 10 µs mass…
-        assert!(h.quantile_seconds(0.99) < 20e-6);
-        for _ in 0..100 {
-            h.record(Duration::from_millis(5));
-        }
-        // …but the windowed quantile sees only the new 5 ms mass.
-        let windowed = h.quantile_seconds_since(&baseline, 0.5);
-        assert!(windowed > 4e-3 && windowed < 7e-3, "{windowed}");
-        assert_eq!(h.quantile_seconds_since(&h.bucket_counts(), 0.99), 0.0);
-    }
-
-    #[test]
     fn merged_counts_quantile_like_one_histogram_fed_both_streams() {
         let (fast, slow, both) = (
             LatencyHistogram::new(),
@@ -670,11 +626,12 @@ mod tests {
             slow.record(d);
             both.record(d);
         }
+        let count = |b: &AtomicU64| b.load(Ordering::Relaxed);
         let merged: Vec<u64> = fast
-            .bucket_counts()
+            .buckets
             .iter()
-            .zip(slow.bucket_counts())
-            .map(|(a, b)| a + b)
+            .zip(&slow.buckets)
+            .map(|(a, b)| count(a) + count(b))
             .collect();
         for q in [0.0, 0.25, 0.5, 0.7, 0.95, 0.99, 1.0] {
             let got = quantile_of(&merged, q);
