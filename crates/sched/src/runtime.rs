@@ -442,7 +442,7 @@ impl MultiServeRuntime {
 
     /// Point-in-time metrics summary.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        self.pool.metrics.snapshot()
+        self.pool.snapshot()
     }
 
     /// Point-in-time batches by backend, one entry per model.

@@ -5,7 +5,9 @@ use std::time::Duration;
 
 use drec_models::ModelId;
 use drec_sched::{GpuSchedConfig, ModelSlo, MultiServeRuntime, SchedConfig};
-use drec_serve::{RowEncoding, ServeConfig, ServeError, ServeRuntime, StoreConfig};
+use drec_serve::{
+    LatencyHistogram, RowEncoding, ServeConfig, ServeError, ServeRuntime, StoreConfig,
+};
 
 fn bits(outputs: &[drec_ops::Value]) -> Vec<Vec<u32>> {
     outputs
@@ -107,5 +109,70 @@ fn a_full_lane_sheds_overloaded_in_both_runtimes() {
     accelerated.shutdown();
     for pending in accepted {
         pending.wait().unwrap();
+    }
+}
+
+/// With one lane, every pool-wide per-request figure is that lane's, in
+/// both runtimes: the lane holds the only record of each request, and
+/// the latency it records is the one its response reports.
+#[test]
+fn a_sole_lane_figures_are_the_pool_figures_in_both_runtimes() {
+    // Four queue slots and a coalescing wait no test outlasts: four of
+    // six arrivals are admitted, two shed, and shutdown's drain answers
+    // the four.
+    let mut single_cfg = ServeConfig::tiny(ModelId::Ncf);
+    single_cfg.queue_capacity = 4;
+    single_cfg.max_wait = Duration::from_secs(60);
+    let mut sched_cfg =
+        SchedConfig::tiny(vec![ModelSlo::new(ModelId::Ncf, Duration::from_millis(50))]);
+    sched_cfg.queue_capacity = 4;
+    sched_cfg.max_wait = Duration::from_secs(60);
+    sched_cfg.gpu = None;
+
+    let single = ServeRuntime::start(single_cfg).unwrap();
+    let sched = MultiServeRuntime::start(sched_cfg).unwrap();
+    let (single_handle, sched_handle) = (single.handle(), sched.handle());
+    let mut gen = drec_workload::QueryGen::uniform(9);
+    let (mut single_pending, mut sched_pending) = (Vec::new(), Vec::new());
+    let mut shed = [0u64; 2];
+    for _ in 0..6 {
+        let inputs = gen.batch(single.spec(), 1);
+        match single_handle.submit(inputs.clone()) {
+            Ok(pending) => single_pending.push(pending),
+            Err(err) => {
+                assert!(matches!(err, ServeError::Overloaded { .. }), "{err}");
+                shed[0] += 1;
+            }
+        }
+        match sched_handle.submit(ModelId::Ncf, inputs) {
+            Ok(pending) => sched_pending.push(pending),
+            Err(err) => {
+                assert!(matches!(err, ServeError::Overloaded { .. }), "{err}");
+                shed[1] += 1;
+            }
+        }
+    }
+    let snapshots = [single.shutdown(), sched.shutdown().snapshot];
+    let latency = [LatencyHistogram::new(), LatencyHistogram::new()];
+    for (pendings, latency) in [single_pending, sched_pending].into_iter().zip(&latency) {
+        for pending in pendings {
+            latency.record_seconds(pending.wait().expect("served").wall_seconds);
+        }
+    }
+    let bits = |x: f64| x.to_bits();
+    for ((s, shed), latency) in snapshots.iter().zip(shed).zip(&latency) {
+        assert_eq!(shed, 2, "{s:?}");
+        let [lane] = s.models.as_slice() else {
+            panic!("one lane, one channel: {s:?}")
+        };
+        assert_eq!(lane.name, ModelId::Ncf.name());
+        assert_eq!((lane.completed, lane.shed), (4, shed), "{s:?}");
+        assert_eq!((s.completed, s.shed), (lane.completed, lane.shed));
+        assert_eq!(s.overload_level, lane.overload_level);
+        assert_eq!(bits(s.p50_seconds), bits(lane.p50_seconds));
+        assert_eq!(bits(s.p95_seconds), bits(lane.p95_seconds));
+        assert_eq!(bits(s.p99_seconds), bits(lane.p99_seconds));
+        assert_eq!(bits(s.p99_seconds), bits(latency.quantile_seconds(0.99)));
+        assert_eq!(bits(s.mean_latency_seconds), bits(latency.mean_seconds()));
     }
 }

@@ -189,7 +189,7 @@ fn a_pool_started_on_handed_models_rebuilds_engines_after_panics() {
     }
     pool.join_workers();
     pool.drain_lanes();
-    let stats = pool.metrics.snapshot();
+    let stats = pool.snapshot();
     assert_eq!(
         stats.worker_restarts,
         u64::from(supervisor.max_restarts),

@@ -3,19 +3,21 @@
 //! The rest of the workspace *models* serving: `drec-core::serving`
 //! interpolates latency curves and simulates a batching queue
 //! analytically. This crate closes the loop by actually running one: real
-//! requests (built from [`drec_workload::QueryGen`] samples) flow through
-//! an MPSC submission path into a dynamic batcher, get coalesced into
-//! model batches, and execute functionally on a pool of worker threads,
-//! each owning a compiled model. The paper's SLA framing (§IV: batch
+//! requests (built from [`drec_workload::QueryGen`] samples) are pushed
+//! onto their model's lane — one `Mutex<VecDeque>` queue per lane, which
+//! is also the dynamic batcher — get coalesced into model batches, and
+//! execute functionally on a pool of worker threads, each owning a
+//! compiled model per lane. The paper's SLA framing (§IV: batch
 //! sizes from tens to thousands to meet different SLA targets) becomes an
 //! operational system: admission control sheds load with a typed
-//! [`ServeError::Overloaded`] before queues blow the tail, and a
-//! lock-light metrics registry exposes p50/p95/p99, shed rate, mean
-//! coalesced batch, and per-worker utilization while traffic flows.
+//! [`ServeError::Overloaded`] before queues blow the tail, and lock-light
+//! metrics (each lane's records plus a pool-wide registry) expose
+//! p50/p95/p99, shed rate, mean coalesced batch, and per-worker
+//! utilization while traffic flows.
 //!
-//! Both clocks are recorded: the worker times each batch and each
-//! request's *real* end-to-end wall time, and the engine prices the batch
-//! at its *modelled* per-platform time from the same
+//! Both clocks are reported: each response carries its *real* end-to-end
+//! wall time (which its lane records) and the batch's *modelled*
+//! per-platform time, priced by the engine from the same
 //! [`drec_core::serving::LatencyCurve`] the analytical queue simulation
 //! uses — which is what lets `serve_loadgen` cross-validate
 //! [`drec_core::fleet::simulate_fleet`] against measured tails.

@@ -7,9 +7,12 @@
 //! ordering — monotonic but not mutually consistent, which is fine for
 //! monitoring.
 //!
-//! A per-request observation (a completion with its latency, a shed) has
-//! one home, the lane's [`ModelChannelMetrics`]; a [`MetricsSnapshot`]'s
-//! pool-wide figures are derived from the channels, never stored twice.
+//! A per-request observation has one home, its [`Lane`]: an answered
+//! request is one record in the lane's [`LatencyHistogram`] (whose count
+//! is the lane's completions), a shed one bump of the lane's shed
+//! counter. The [`MetricsRegistry`] keeps only pool-wide counters; a
+//! [`MetricsSnapshot`]'s per-request figures are read off the lanes,
+//! never stored twice.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -20,9 +23,8 @@ use drec_store::{EmbeddingStore, StoreStats};
 use drec_sync::atomic::{AtomicU64, Ordering};
 use drec_sync::{CachePadded, Mutex};
 
-use crate::batcher::SharedQueue;
-use crate::degrade::{OverloadLadder, OverloadLevel};
-use crate::update::ModelUpdateChannel;
+use crate::degrade::OverloadLevel;
+use crate::pool::Lane;
 
 /// Cap on retained worker panic reasons: a bounded ring keeping the
 /// *last* 64. A long-running deployment's early panics are in the logs
@@ -99,7 +101,7 @@ impl LatencyHistogram {
         idx.min(BUCKETS - 1)
     }
 
-    /// Records one observation.
+    /// Records one observation: three RMWs (bucket, count, sum).
     pub(crate) fn record(&self, latency: Duration) {
         let nanos = latency.as_nanos().min(u128::from(u64::MAX)) as u64;
         self.buckets[Self::index(nanos)].fetch_add(1, Ordering::Relaxed);
@@ -138,85 +140,7 @@ impl Default for LatencyHistogram {
     }
 }
 
-/// Live metrics for one lane (one model's serving channel): its latency
-/// histogram, completion/shed counters, and (optionally) the model's
-/// queue, overload ladder and update channel so snapshots can report
-/// queue depth, degradation level and the size of one FC weight set
-/// keyed by model name. The only place a per-request observation is
-/// stored; pool-wide figures are derived from the channels.
-///
-/// Channels are registered on a [`MetricsRegistry`] with
-/// [`MetricsRegistry::register_model`]; single-model runtimes register
-/// exactly one channel so the per-model table in snapshots is uniform
-/// across deployment shapes.
-#[derive(Debug)]
-pub struct ModelChannelMetrics {
-    name: String,
-    /// End-to-end wall latency for this model's requests.
-    pub latency: LatencyHistogram,
-    // Workers bump `completed`, producers bump `shed`: a cache line each,
-    // so the two sides never write one line (`queue_bench`'s
-    // `counter_false_sharing` measures what sharing costs).
-    completed: CachePadded<AtomicU64>,
-    shed: CachePadded<AtomicU64>,
-    queue: Option<Arc<SharedQueue>>,
-    ladder: Option<Arc<OverloadLadder>>,
-    update: Option<Arc<ModelUpdateChannel>>,
-}
-
-impl ModelChannelMetrics {
-    /// A fresh channel for `name`. `queue`, `ladder` and `update` are
-    /// optional observers: when present, snapshots report live queue
-    /// depth, degradation level and FC weight-set bytes for this model.
-    pub(crate) fn new(
-        name: impl Into<String>,
-        queue: Option<Arc<SharedQueue>>,
-        ladder: Option<Arc<OverloadLadder>>,
-        update: Option<Arc<ModelUpdateChannel>>,
-    ) -> Self {
-        ModelChannelMetrics {
-            name: name.into(),
-            latency: LatencyHistogram::new(),
-            completed: CachePadded::new(AtomicU64::new(0)),
-            shed: CachePadded::new(AtomicU64::new(0)),
-            queue,
-            ladder,
-            update,
-        }
-    }
-
-    /// Records one completed request with its end-to-end latency.
-    pub(crate) fn record_completed(&self, latency: Duration) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        self.latency.record(latency);
-    }
-
-    /// Counts one request shed at admission for this model.
-    pub(crate) fn record_shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Point-in-time copy of this channel.
-    pub(crate) fn snapshot(&self) -> ModelChannelSnapshot {
-        ModelChannelSnapshot {
-            name: self.name.clone(),
-            completed: self.completed.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            queue_depth: self.queue.as_ref().map_or(0, |q| q.depth()),
-            overload_level: self
-                .ladder
-                .as_ref()
-                .map_or(OverloadLevel::Normal, |l| l.level()),
-            mean_latency_seconds: self.latency.mean_seconds(),
-            p50_seconds: self.latency.quantile_seconds(0.50),
-            p95_seconds: self.latency.quantile_seconds(0.95),
-            p99_seconds: self.latency.quantile_seconds(0.99),
-            fc_param_bytes: self.update.as_ref().map_or(0, |u| u.fc_param_bytes()),
-        }
-    }
-}
-
-/// A point-in-time copy of one model's serving channel.
+/// A point-in-time copy of one lane: its model's serving channel.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelChannelSnapshot {
     /// Model name the channel is keyed by.
@@ -225,13 +149,10 @@ pub struct ModelChannelSnapshot {
     pub completed: u64,
     /// Requests shed at admission for this model.
     pub shed: u64,
-    /// Live queue depth at snapshot time (0 when no queue is attached).
+    /// Live queue depth at snapshot time.
     pub queue_depth: usize,
-    /// This model's current degradation rung (Normal when no ladder is
-    /// attached).
+    /// This model's current degradation rung.
     pub overload_level: OverloadLevel,
-    /// Mean end-to-end latency, seconds.
-    pub(crate) mean_latency_seconds: f64,
     /// Median end-to-end latency, seconds.
     pub p50_seconds: f64,
     /// 95th-percentile end-to-end latency, seconds.
@@ -239,9 +160,26 @@ pub struct ModelChannelSnapshot {
     /// 99th-percentile end-to-end latency, seconds.
     pub p99_seconds: f64,
     /// Bytes of `f32` in one FC weight set of this model: what all of the
-    /// lane's engines share at rest (0 when no update channel is
-    /// attached).
+    /// lane's engines share at rest.
     pub fc_param_bytes: usize,
+}
+
+impl ModelChannelSnapshot {
+    /// Point-in-time copy of `lane`'s records and gauges.
+    fn of(lane: &Lane) -> Self {
+        let latency = &lane.latency;
+        ModelChannelSnapshot {
+            name: lane.model.name().to_string(),
+            completed: latency.count(),
+            shed: lane.shed.load(Ordering::Relaxed),
+            queue_depth: lane.queue.depth(),
+            overload_level: lane.ladder.level(),
+            p50_seconds: latency.quantile_seconds(0.50),
+            p95_seconds: latency.quantile_seconds(0.95),
+            p99_seconds: latency.quantile_seconds(0.99),
+            fc_param_bytes: lane.update.fc_param_bytes(),
+        }
+    }
 }
 
 /// Per-worker execution accounting.
@@ -251,8 +189,9 @@ struct WorkerMetrics {
     batches: AtomicU64,
 }
 
-/// The runtime's metrics registry, shared by producers, workers, and
-/// observers.
+/// The runtime's pool-wide counters, shared by producers, workers, and
+/// observers. It holds nothing per lane: [`crate::LaneSet::snapshot`]
+/// hands it the lanes to read.
 #[derive(Debug)]
 pub struct MetricsRegistry {
     // Producers bump `accepted` on every admission; its own cache line
@@ -266,9 +205,6 @@ pub struct MetricsRegistry {
     worker_restarts: AtomicU64,
     prefetch_rows_dropped: AtomicU64,
     panic_reasons: Mutex<VecDeque<String>>,
-    models: Vec<Arc<ModelChannelMetrics>>,
-    /// Modelled per-platform batch execution time from the latency curve.
-    pub(crate) modelled: LatencyHistogram,
     workers: Vec<WorkerMetrics>,
     started_at: Instant,
     pool: Arc<ParPool>,
@@ -303,30 +239,12 @@ impl MetricsRegistry {
             worker_restarts: AtomicU64::new(0),
             prefetch_rows_dropped: AtomicU64::new(0),
             panic_reasons: Mutex::new(VecDeque::new()),
-            models: Vec::new(),
-            modelled: LatencyHistogram::new(),
             workers: (0..workers).map(|_| WorkerMetrics::default()).collect(),
             started_at: Instant::now(),
             pool,
             pool_baseline,
             store,
         }
-    }
-
-    /// Registers a per-model serving channel and returns its handle.
-    /// Called at runtime construction, before the registry is shared;
-    /// channels appear in [`MetricsSnapshot::models`] in registration
-    /// order.
-    pub(crate) fn register_model(
-        &mut self,
-        name: impl Into<String>,
-        queue: Option<Arc<SharedQueue>>,
-        ladder: Option<Arc<OverloadLadder>>,
-        update: Option<Arc<ModelUpdateChannel>>,
-    ) -> Arc<ModelChannelMetrics> {
-        let channel = Arc::new(ModelChannelMetrics::new(name, queue, ladder, update));
-        self.models.push(Arc::clone(&channel));
-        channel
     }
 
     /// Counts one admitted request.
@@ -381,8 +299,8 @@ impl MetricsRegistry {
         self.rejected_invalid.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one batch `worker` executed, busy for `busy`. Its requests
-    /// are counted on their lane's channel.
+    /// Records one batch `worker` executed, busy for `busy`: two RMWs.
+    /// Its requests are recorded on their lane.
     pub(crate) fn record_batch(&self, worker: usize, busy: Duration) {
         if let Some(w) = self.workers.get(worker) {
             let nanos = busy.as_nanos().min(u128::from(u64::MAX)) as u64;
@@ -391,22 +309,23 @@ impl MetricsRegistry {
         }
     }
 
-    /// Point-in-time summary of everything the registry tracks.
-    pub fn snapshot(&self) -> MetricsSnapshot {
+    /// Point-in-time summary of the registry's counters and `lanes`'
+    /// records.
+    pub(crate) fn snapshot(&self, lanes: &[Lane]) -> MetricsSnapshot {
         let elapsed = self.started_at.elapsed().as_secs_f64().max(1e-9);
         let batches: u64 = self
             .workers
             .iter()
             .map(|w| w.batches.load(Ordering::Relaxed))
             .sum();
-        // The per-request figures are the lanes': counters summed,
+        // The per-request figures are the lanes': counts summed,
         // histogram buckets merged.
-        let (mut completed, mut shed, mut count, mut sum_nanos) = (0, 0, 0, 0);
+        let models: Vec<_> = lanes.iter().map(ModelChannelSnapshot::of).collect();
+        let completed: u64 = models.iter().map(|m| m.completed).sum();
+        let shed: u64 = models.iter().map(|m| m.shed).sum();
+        let mut sum_nanos = 0;
         let mut buckets = [0u64; BUCKETS];
-        for lane in &self.models {
-            completed += lane.completed.load(Ordering::Relaxed);
-            shed += lane.shed.load(Ordering::Relaxed);
-            count += lane.latency.count();
+        for lane in lanes {
             sum_nanos += lane.latency.sum_nanos.load(Ordering::Relaxed);
             for (sum, bucket) in buckets.iter_mut().zip(&lane.latency.buckets) {
                 *sum += bucket.load(Ordering::Relaxed);
@@ -414,8 +333,8 @@ impl MetricsRegistry {
         }
         // A sole lane's ladder is the pool's; co-located lanes share no
         // pool-wide level.
-        let ladder = match self.models.as_slice() {
-            [sole] => sole.ladder.as_ref(),
+        let ladder = match lanes {
+            [sole] => Some(&sole.ladder),
             _ => None,
         };
         let (
@@ -452,11 +371,10 @@ impl MetricsRegistry {
             } else {
                 completed as f64 / batches as f64
             },
-            mean_latency_seconds: mean_of(count, sum_nanos),
+            mean_latency_seconds: mean_of(completed, sum_nanos),
             p50_seconds: quantile_of(&buckets, 0.50),
             p95_seconds: quantile_of(&buckets, 0.95),
             p99_seconds: quantile_of(&buckets, 0.99),
-            modelled_p99_seconds: self.modelled.quantile_seconds(0.99),
             worker_utilization: self
                 .workers
                 .iter()
@@ -469,7 +387,7 @@ impl MetricsRegistry {
                 .store
                 .as_ref()
                 .map(|(s, baseline)| s.stats().since(baseline)),
-            models: self.models.iter().map(|c| c.snapshot()).collect(),
+            models,
             kernel_backend: drec_tensor::simd::backend_label(),
             uptime_seconds: elapsed,
         }
@@ -530,8 +448,6 @@ pub struct MetricsSnapshot {
     pub p95_seconds: f64,
     /// 99th-percentile end-to-end latency, seconds.
     pub p99_seconds: f64,
-    /// 99th-percentile modelled batch execution time, seconds.
-    pub(crate) modelled_p99_seconds: f64,
     /// Busy fraction per worker since the registry was created.
     pub worker_utilization: Vec<f64>,
     /// Threads in the intra-op parallel pool the engines execute on.
@@ -545,8 +461,7 @@ pub struct MetricsSnapshot {
     /// counters are deltas since the registry was created.
     pub store: Option<StoreStats>,
     /// Per-model serving channels (latency, queue depth, degradation
-    /// level keyed by model name), in registration order. Empty when the
-    /// runtime registered no channels.
+    /// level keyed by model name), one per lane in lane order.
     pub models: Vec<ModelChannelSnapshot>,
     /// The process-wide kernel backend the engines dispatch to
     /// ([`drec_tensor::simd::backend_label`]): `"avx2-fma"` or
@@ -643,63 +558,16 @@ mod tests {
     }
 
     #[test]
-    fn model_channels_key_metrics_by_name() {
-        let mut m = registry(1);
-        let ncf = m.register_model("ncf", None, None, None);
-        let din = m.register_model("din", None, None, None);
-        ncf.record_completed(Duration::from_micros(100));
-        ncf.record_completed(Duration::from_micros(100));
-        din.record_shed();
-        let s = m.snapshot();
-        assert_eq!(s.models.len(), 2);
-        assert_eq!(s.models[0].name, "ncf");
-        assert_eq!(s.models[0].completed, 2);
-        assert_eq!(s.models[0].shed, 0);
-        assert!(s.models[0].p99_seconds > 0.0);
-        assert_eq!(s.models[1].name, "din");
-        assert_eq!(s.models[1].shed, 1);
-        assert_eq!(s.models[1].completed, 0);
-        // The pool-wide figures are the channels'.
-        assert_eq!((s.completed, s.shed), (2, 1));
-        assert_eq!(s.p99_seconds, s.models[0].p99_seconds);
-        assert_eq!(s.mean_latency_seconds, s.models[0].mean_latency_seconds);
-    }
-
-    #[test]
     fn panic_reasons_keep_the_most_recent_64() {
         let m = registry(1);
         for i in 0..100 {
             m.record_worker_panic(&format!("panic {i}"));
         }
-        let s = m.snapshot();
+        let s = m.snapshot(&[]);
         assert_eq!(s.worker_panics, 100);
         assert_eq!(s.panic_reasons.len(), 64);
         // The ring holds the LAST 64 (36..=99), oldest first.
         assert_eq!(s.panic_reasons.first().unwrap(), "panic 36");
         assert_eq!(s.panic_reasons.last().unwrap(), "panic 99");
-    }
-
-    #[test]
-    fn snapshot_aggregates_counters() {
-        let mut m = registry(2);
-        let lane = m.register_model("rm1", None, None, None);
-        m.record_accepted();
-        m.record_accepted();
-        lane.record_shed();
-        m.record_batch(0, Duration::from_millis(1));
-        lane.record_completed(Duration::from_millis(2));
-        lane.record_completed(Duration::from_millis(2));
-        let s = m.snapshot();
-        assert_eq!(s.accepted, 2);
-        assert_eq!(s.shed, 1);
-        assert_eq!(s.completed, 2);
-        assert_eq!(s.batches, 1);
-        assert!((s.mean_batch - 2.0).abs() < 1e-9);
-        assert!((s.shed_rate() - 1.0 / 3.0).abs() < 1e-9);
-        assert!((s.mean_latency_seconds - 2e-3).abs() < 1e-9);
-        assert_eq!(s.worker_utilization.len(), 2);
-        assert!(s.worker_utilization[1] == 0.0);
-        // No ladder on the sole channel: the pool reports Normal.
-        assert_eq!(s.overload_level, OverloadLevel::Normal);
     }
 }

@@ -12,8 +12,10 @@
 //!
 //! A *lane* is one model's serving state: its [`SharedQueue`] (its own
 //! admission control, deadlines, priorities and overload ladder, so
-//! degradation composes per model), metrics channel, live-update mailbox
-//! and, when the store is tiered with prefetch on, stream prefetcher.
+//! degradation composes per model), its per-request records (a latency
+//! histogram and a shed counter: the only place a request is counted),
+//! live-update mailbox and, when the store is tiered with prefetch on,
+//! stream prefetcher.
 //! [`crate::ServeRuntime`] is a pool with one lane; `drec-sched`'s
 //! co-location runtime is a pool with one lane per model and one more
 //! worker, the accelerator, whose [`Placement`] lets it take only the
@@ -59,13 +61,13 @@ use drec_models::{InputSpec, ModelId, ModelScale, RecModel, StoreBinding};
 use drec_ops::Value;
 use drec_par::ParPool;
 use drec_store::EmbeddingStore;
-use drec_sync::EventCount;
+use drec_sync::{CachePadded, EventCount};
 
 use crate::batcher::{BatchPoll, BatcherConfig, SharedQueue};
 use crate::degrade::{DegradeConfig, OverloadLadder};
 use crate::engine::{BatchExecution, Engine};
 use crate::error::{Result, ServeError};
-use crate::metrics::{MetricsRegistry, ModelChannelMetrics};
+use crate::metrics::{LatencyHistogram, MetricsRegistry, MetricsSnapshot};
 use crate::prefetch::Prefetcher;
 use crate::request::{validate_single, Request, Response, SubmitOptions};
 use crate::runtime::PendingResponse;
@@ -105,7 +107,7 @@ pub trait Placement: std::fmt::Debug + Send + Sync {
     }
 
     /// `worker` ran a batch of `batch` requests of `lane`; may re-price
-    /// `exec.modelled_seconds` before it reaches metrics and responses.
+    /// `exec.modelled_seconds` before it reaches the responses.
     fn executed(&self, _worker: usize, _lane: usize, _batch: usize, _exec: &mut BatchExecution) {}
 }
 
@@ -162,7 +164,10 @@ pub struct PoolConfig {
     pub placement: Arc<dyn Placement>,
 }
 
-/// One model's serving state inside a pool (shared, so read-only).
+/// One model's serving state inside a pool (shared, so read-only but
+/// for atomics), and the one home of its requests' records: an answered
+/// request is one [`LatencyHistogram`] record (3 RMWs; the histogram's
+/// count is the lane's completions), a shed one counter bump.
 #[derive(Debug)]
 pub struct Lane {
     /// The model this lane serves.
@@ -170,13 +175,20 @@ pub struct Lane {
     /// The model's input contract.
     pub spec: InputSpec,
     /// The lane's admission queue.
-    pub queue: Arc<SharedQueue>,
-    /// The lane's per-model metrics channel.
-    pub channel: Arc<ModelChannelMetrics>,
+    pub queue: SharedQueue,
     /// The lane's live-update mailbox: rolling weight swaps post here,
     /// every engine of the lane polls it between batches, and update
     /// throttling rides the lane's own overload ladder.
     pub update: Arc<ModelUpdateChannel>,
+    // Workers write `latency`, producers `shed`: a cache line each, so
+    // the two sides never write one line (`queue_bench`'s
+    // `counter_false_sharing` measures what sharing costs).
+    /// End-to-end wall latency of the lane's answered requests.
+    pub(crate) latency: CachePadded<LatencyHistogram>,
+    /// Requests shed at admission (refused or evicted).
+    pub(crate) shed: CachePadded<AtomicU64>,
+    /// The ladder the queue and the update channel share.
+    pub(crate) ladder: Arc<OverloadLadder>,
     /// A view of the model worker 0 serves: what every other engine of
     /// the lane is a view of.
     source: RecModel,
@@ -190,7 +202,7 @@ pub struct Lane {
 pub struct LaneSet {
     /// The lanes, in configuration order.
     pub lanes: Vec<Lane>,
-    /// The live metrics registry (per-model channels included).
+    /// The pool-wide counters; the per-request records are the lanes'.
     pub metrics: MetricsRegistry,
     /// The start-up configuration (its `lanes` moved into the field above).
     cfg: PoolConfig,
@@ -212,6 +224,12 @@ impl LaneSet {
         engine.set_fault_hook(cfg.faults.clone());
         engine.set_update_channel(Arc::clone(&lane.update));
         engine
+    }
+
+    /// Point-in-time metrics: the registry's counters, every lane's
+    /// records, and their merge into the pool-wide figures.
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        self.metrics.snapshot(&self.lanes)
     }
 
     /// New engines for `lanes`, each a view of its lane's model.
@@ -259,12 +277,12 @@ impl LaneSet {
                 if let Some((victim, err)) = victim {
                     // The evicted lower-priority request is shed on its
                     // own reply channel; its waiter sees Overloaded.
-                    lane.channel.record_shed();
+                    lane.shed.fetch_add(1, Ordering::Relaxed);
                     victim.respond(Err(err));
                 }
             }
             Err((_request, err)) => {
-                lane.channel.record_shed();
+                lane.shed.fetch_add(1, Ordering::Relaxed);
                 return Err(err);
             }
         }
@@ -372,19 +390,18 @@ impl Worker {
         let started = Instant::now();
         match catch_unwind(AssertUnwindSafe(|| engine.run_batch(&requests))) {
             Ok(Ok(mut exec)) => {
-                let busy = started.elapsed();
+                // The batch's second and last clock read.
                 let done = Instant::now();
                 let batch = requests.len();
                 let placement = &core.cfg.placement;
                 placement.executed(self.index, lane_idx, batch, &mut exec);
-                metrics.record_batch(self.index, busy);
-                metrics.modelled.record_seconds(exec.modelled_seconds);
+                metrics.record_batch(self.index, done - started);
                 for (request, outputs) in requests.into_iter().zip(exec.per_request_outputs) {
                     let wall = (done - request.submitted_at).as_secs_f64();
-                    // The request's one record: the snapshot's pool-wide
-                    // count and quantiles are derived from the lanes'.
-                    lane.channel
-                        .record_completed(Duration::from_secs_f64(wall.max(0.0)));
+                    // The request's one record, of the figure its
+                    // response reports: the snapshot's pool-wide count
+                    // and quantiles are derived from the lanes'.
+                    lane.latency.record_seconds(wall);
                     request.respond(Ok(Response {
                         id: request.id,
                         outputs,
@@ -588,21 +605,18 @@ impl LanePool {
                 cfg.queue_capacity,
                 store.clone().filter(|_| sole_lane),
             ));
-            let queue = Arc::new(
-                SharedQueue::with_signal(
-                    BatcherConfig {
-                        max_batch: cfg.max_batch,
-                        max_wait: cfg.max_wait,
-                        queue_capacity: cfg.queue_capacity,
-                        delay_budget: cfg.delay_budget,
-                        per_query_service_estimate: curve.eval(cfg.max_batch)
-                            / cfg.max_batch as f64,
-                    },
-                    Arc::clone(&ladder),
-                    Arc::clone(&set.signal),
-                )
-                .waking_at(min_batches.filter(|&m| m > 1).collect()),
-            );
+            let queue = SharedQueue::with_signal(
+                BatcherConfig {
+                    max_batch: cfg.max_batch,
+                    max_wait: cfg.max_wait,
+                    queue_capacity: cfg.queue_capacity,
+                    delay_budget: cfg.delay_budget,
+                    per_query_service_estimate: curve.eval(cfg.max_batch) / cfg.max_batch as f64,
+                },
+                Arc::clone(&ladder),
+                Arc::clone(&set.signal),
+            )
+            .waking_at(min_batches.filter(|&m| m > 1).collect());
             // One live-update channel per lane: every engine of the lane
             // registers as a weight reader and starts from the built
             // model's FC set; the updater (if the deployment runs one)
@@ -615,12 +629,6 @@ impl LanePool {
                 built.fc_params(),
                 Some(Arc::clone(&ladder)),
             ));
-            let channel = set.metrics.register_model(
-                model.name(),
-                Some(Arc::clone(&queue)),
-                Some(ladder),
-                Some(Arc::clone(&update)),
-            );
             let prefetcher = match prefetch_budget {
                 Some(budget) if !bindings.is_empty() => {
                     Some(Prefetcher::start(bindings, budget / prefetching)?)
@@ -631,8 +639,10 @@ impl LanePool {
                 model,
                 spec: built.spec().clone(),
                 queue,
-                channel,
                 update,
+                latency: CachePadded::new(LatencyHistogram::new()),
+                shed: CachePadded::new(AtomicU64::new(0)),
+                ladder,
                 source: built.view(),
                 curve,
                 prefetcher,

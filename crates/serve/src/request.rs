@@ -47,7 +47,8 @@ impl std::fmt::Display for Priority {
 pub struct SubmitOptions {
     /// Time budget from submission; once it elapses the batcher drops
     /// the request with [`crate::ServeError::DeadlineExceeded`] instead
-    /// of executing it. `None` means no deadline.
+    /// of executing it. `None` means no deadline, and so does a budget
+    /// that reaches past what [`std::time::Instant`] can represent.
     pub deadline: Option<std::time::Duration>,
     /// Priority class for shed-lowest-first admission.
     pub priority: Priority,
@@ -89,7 +90,10 @@ impl Request {
                 id,
                 inputs,
                 submitted_at,
-                deadline: opts.deadline.map(|budget| submitted_at + budget),
+                // A deadline `Instant` cannot hold can never pass.
+                deadline: opts
+                    .deadline
+                    .and_then(|budget| submitted_at.checked_add(budget)),
                 priority: opts.priority,
                 attempts: 0,
                 reply: tx,

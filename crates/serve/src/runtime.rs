@@ -166,7 +166,7 @@ impl ServeRuntime {
 
     /// Point-in-time metrics summary.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        self.pool.metrics.snapshot()
+        self.pool.snapshot()
     }
 
     /// The served model's input contract.
@@ -186,7 +186,7 @@ impl ServeRuntime {
     pub fn shutdown(mut self) -> MetricsSnapshot {
         self.pool.join_workers();
         self.pool.drain_lanes();
-        self.pool.metrics.snapshot()
+        self.pool.snapshot()
     }
 }
 
@@ -227,7 +227,7 @@ impl ServeHandle {
 
     /// Live metrics snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        self.pool.metrics.snapshot()
+        self.pool.snapshot()
     }
 }
 

@@ -84,6 +84,27 @@ fn expired_requests_get_deadline_exceeded_without_executing() {
 }
 
 #[test]
+fn a_deadline_past_what_an_instant_holds_is_no_deadline() {
+    let runtime = ServeRuntime::start(ServeConfig::tiny(ModelId::Ncf)).unwrap();
+    let handle = runtime.handle();
+    let mut gen = QueryGen::uniform(6);
+    let pending = handle
+        .submit_with(
+            gen.batch(handle.spec(), 1),
+            SubmitOptions {
+                deadline: Some(Duration::MAX),
+                priority: Priority::Normal,
+            },
+        )
+        .expect("admitted, not a panic in the caller's thread");
+    pending
+        .wait()
+        .expect("a deadline that can never pass is answered");
+    let stats = runtime.shutdown();
+    assert_eq!((stats.completed, stats.deadline_exceeded), (1, 0));
+}
+
+#[test]
 fn high_priority_arrivals_evict_low_priority_queued_work() {
     let mut cfg = ServeConfig::tiny(ModelId::Ncf);
     cfg.workers = 1;

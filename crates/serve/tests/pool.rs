@@ -2,9 +2,9 @@
 //! recovery design `faults.rs`/`drain.rs` exercise through the one-lane
 //! `ServeRuntime` — self-supervising workers on a shared restart budget
 //! — holds across lanes, and a spent budget closes every lane with typed
-//! errors instead of hanging anyone; the pool-wide snapshot is the
-//! merge of its lanes' channels; and a worker with a size rule takes only
-//! the batches its placement allows it.
+//! errors instead of hanging anyone; each lane keeps its own requests'
+//! records and the pool-wide snapshot is their merge; and a worker with
+//! a size rule takes only the batches its placement allows it.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -13,8 +13,8 @@ use drec_core::serving::LatencyCurve;
 use drec_faultsim::{FaultHook, FaultPlan};
 use drec_models::{ModelId, ModelScale};
 use drec_serve::{
-    DegradeConfig, Inline, LanePool, LaneSpec, LatencyHistogram, PendingResponse, Placement,
-    PoolConfig, ServeError, SubmitOptions, SupervisorConfig,
+    DegradeConfig, Inline, LanePool, LaneSpec, LatencyHistogram, OverloadLevel, PendingResponse,
+    Placement, PoolConfig, ServeError, SubmitOptions, SupervisorConfig,
 };
 use drec_workload::QueryGen;
 
@@ -91,7 +91,7 @@ fn injected_panics_on_two_lanes_are_survived_and_engines_restart() {
     }
     pool.join_workers();
     pool.drain_lanes();
-    let stats = pool.metrics.snapshot();
+    let stats = pool.snapshot();
     assert_eq!(stats.accepted, 80);
     assert!(stats.worker_panics > 0, "schedule must fire: {stats:?}");
     assert!(
@@ -142,7 +142,7 @@ fn spent_restart_budget_closes_every_lane_with_typed_errors() {
             "lane {lane}: {err}"
         );
     }
-    let stats = pool.metrics.snapshot();
+    let stats = pool.snapshot();
     assert_eq!(stats.worker_restarts, 0);
     assert!(stats.worker_panics >= 1, "{stats:?}");
     assert_eq!(stats.completed, 0);
@@ -184,7 +184,7 @@ fn pool_wide_figures_are_the_merge_of_the_lanes() {
     }
     pool.join_workers();
     pool.drain_lanes();
-    let s = pool.metrics.snapshot();
+    let s = pool.snapshot();
     assert!(shed > 0, "the bursts must overflow four slots: {s:?}");
     assert_eq!(s.shed, shed);
     assert_eq!(s.completed, answered);
@@ -199,6 +199,57 @@ fn pool_wide_figures_are_the_merge_of_the_lanes() {
     assert_eq!(bits(s.p50_seconds), bits(latency.quantile_seconds(0.50)));
     assert_eq!(bits(s.p95_seconds), bits(latency.quantile_seconds(0.95)));
     assert_eq!(bits(s.p99_seconds), bits(latency.quantile_seconds(0.99)));
+}
+
+#[test]
+fn each_lane_keeps_its_records_and_the_registry_its_counters() {
+    // Four slots per lane and a coalescing wait no test outlasts: the
+    // queues release nothing until teardown drains them. Lane 0 gets six
+    // arrivals and sheds two; lane 1 gets three and sheds none.
+    let mut pool = LanePool::start(PoolConfig {
+        queue_capacity: 4,
+        max_wait: Duration::from_secs(60),
+        ..two_lanes()
+    })
+    .expect("pool starts");
+    let handle = pool.handle();
+    let mut gen = QueryGen::uniform(13);
+    let (mut pendings, mut shed) = (Vec::new(), [0u64; 2]);
+    for (lane, arrivals) in [(0, 6), (1, 3)] {
+        for _ in 0..arrivals {
+            let inputs = gen.batch(&handle.lanes[lane].spec, 1);
+            match handle.submit(lane, inputs, SubmitOptions::default()) {
+                Ok(pending) => pendings.push(pending),
+                Err(ServeError::Overloaded { .. }) => shed[lane] += 1,
+                Err(other) => panic!("unexpected admission error {other}"),
+            }
+        }
+    }
+    // A malformed payload is the registry's to count, and no lane's.
+    let err = handle.submit(0, Vec::new(), SubmitOptions::default());
+    assert!(matches!(err, Err(ServeError::InvalidInput { .. })));
+    pool.join_workers();
+    pool.drain_lanes();
+    for pending in pendings {
+        let response = pending.wait_timeout(ANSWER_BOUND).expect("answered");
+        response.expect("served by the draining workers");
+    }
+    let s = pool.snapshot();
+    assert_eq!(shed, [2, 0]);
+    let names: Vec<&str> = s.models.iter().map(|m| m.name.as_str()).collect();
+    assert_eq!(names, MODELS.map(|m| m.name()), "lanes in lane order");
+    let per_lane: Vec<(u64, u64)> = s.models.iter().map(|m| (m.completed, m.shed)).collect();
+    assert_eq!(per_lane, [(4, 2), (3, 0)]);
+    assert_eq!((s.completed, s.shed), (7, 2));
+    // The registry's own counters.
+    assert_eq!((s.accepted, s.rejected_invalid), (7, 1));
+    assert!((s.shed_rate() - 2.0 / 9.0).abs() < 1e-12);
+    assert!(s.batches >= 2, "one batch per lane at least: {s:?}");
+    assert_eq!(s.mean_batch, s.completed as f64 / s.batches as f64);
+    assert_eq!(s.worker_utilization.len(), 2);
+    assert!(s.worker_utilization.iter().any(|&u| u > 0.0), "{s:?}");
+    // Co-located lanes have no pool-wide ladder: the pool reports Normal.
+    assert_eq!(s.overload_level, OverloadLevel::Normal);
 }
 
 /// The worker it names takes batches of at least 4 from lane 0 and none
@@ -243,7 +294,7 @@ fn a_size_ruled_worker_takes_only_batches_at_its_minimum() {
     }
     pool.join_workers();
     pool.drain_lanes();
-    assert_eq!(pool.metrics.snapshot().completed, 110);
+    assert_eq!(pool.snapshot().completed, 110);
 }
 
 #[test]

@@ -7,7 +7,8 @@
 //! Starts a two-worker `drec-serve` runtime for RM1, submits a burst of
 //! requests from four producer threads, and prints the live metrics the
 //! runtime collected — coalesced batch sizes, end-to-end tails, and
-//! per-worker utilization.
+//! per-worker utilization. It asserts that every request was admitted,
+//! answered and counted once.
 
 use std::time::Duration;
 
@@ -56,6 +57,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let served: u32 = producers.into_iter().map(|p| p.join().unwrap()).sum();
 
     let stats = runtime.shutdown();
+    // Every request was admitted and answered, and counted once: on the
+    // runtime's one lane, whose figures are the pool's.
+    let served = u64::from(served);
+    assert_eq!((stats.accepted, stats.completed), (served, served));
+    let [lane] = stats.models.as_slice() else {
+        panic!("a one-model runtime has one lane: {stats:?}");
+    };
+    assert_eq!(lane.completed, stats.completed);
     println!("served {served} requests; runtime metrics:");
     println!("  accepted {}, shed {}", stats.accepted, stats.shed);
     println!(
