@@ -1,7 +1,7 @@
 use std::sync::Arc;
 
 use drec_store::{EmbeddingStore, PinnedTable};
-use drec_tensor::{ParamInit, Tensor};
+use drec_tensor::{Divisor, ParamInit, Tensor};
 use drec_trace::{BranchProfile, CodeFootprint, CodeRegion, WorkVector};
 
 use crate::op::check_arity;
@@ -82,6 +82,8 @@ enum Backing {
 pub struct EmbeddingTable {
     backing: Backing,
     physical_rows: usize,
+    /// `physical_rows`, as the divisor an id wraps by.
+    wrap: Divisor,
     virtual_rows: usize,
     dim: usize,
     base: u64,
@@ -122,6 +124,7 @@ impl EmbeddingTable {
         Ok(Arc::new(EmbeddingTable {
             backing: Backing::Dense(data),
             physical_rows,
+            wrap: Divisor::from(physical_rows),
             virtual_rows,
             dim,
             base,
@@ -176,6 +179,7 @@ impl EmbeddingTable {
         Ok(Arc::new(EmbeddingTable {
             backing: Backing::Store(store.pin(handle)),
             physical_rows,
+            wrap: Divisor::from(physical_rows),
             virtual_rows,
             dim,
             base,
@@ -207,7 +211,7 @@ impl EmbeddingTable {
 
     /// The physical row a virtual `id` resolves to.
     pub(crate) fn physical_row(&self, id: u32) -> u32 {
-        ((id as usize) % self.physical_rows) as u32
+        id % self.wrap
     }
 
     /// Bytes of parameters at the *virtual* size (what a production
@@ -223,7 +227,7 @@ impl EmbeddingTable {
     /// by contract, so the store's `f32` encoding matches the dense path
     /// bit for bit on every backend and thread count.
     pub(crate) fn sum_row(&self, id: u32, acc: &mut [f32]) {
-        let phys = (id as usize) % self.physical_rows;
+        let phys = self.physical_row(id) as usize;
         match &self.backing {
             Backing::Dense(data) => {
                 let row = &data.as_slice()[phys * self.dim..(phys + 1) * self.dim];
@@ -265,7 +269,7 @@ impl EmbeddingTable {
 
     /// Copies row `id`'s contents into `dst` (length `dim`).
     fn copy_row(&self, id: u32, dst: &mut [f32]) {
-        let phys = (id as usize) % self.physical_rows;
+        let phys = self.physical_row(id) as usize;
         match &self.backing {
             Backing::Dense(data) => {
                 dst.copy_from_slice(&data.as_slice()[phys * self.dim..(phys + 1) * self.dim]);
@@ -278,7 +282,7 @@ impl EmbeddingTable {
     /// Dense-backed tables only; tests use it for expected values.
     #[cfg(test)]
     fn row(&self, id: u32) -> &[f32] {
-        let phys = (id as usize) % self.physical_rows;
+        let phys = self.physical_row(id) as usize;
         match &self.backing {
             Backing::Dense(data) => &data.as_slice()[phys * self.dim..(phys + 1) * self.dim],
             Backing::Store(_) => panic!("row() is for dense-backed tables"),

@@ -2,8 +2,8 @@
 //! admission/eviction/drain, the overload ladder's
 //! stepwise transitions, the dispatch-signal parking protocol, the
 //! prefetch window's wake-up protocol, and the sparse read path's locks
-//! (tier session vs. row update vs. prefetch fill, hot-key probe vs.
-//! insert).
+//! (tier session vs. row update vs. prefetch fill, two bags' shard
+//! guards vs. row updates, hot-key probe vs. insert).
 //!
 //! Compiled out of plain builds (`#![cfg(loom)]`): without `--cfg loom`
 //! the drec-sync primitives carry no schedule points, so the explorer
@@ -482,6 +482,54 @@ fn two_phase_bag_reads_whole_rows_beside_update_row_and_prefetch_rows() {
         assert_eq!(stats.decode_vector + stats.decode_scalar, 3);
         assert_eq!(stats.tier_dram_hits + stats.tier_cold_demand_reads, 3);
         assert!(stats.prefetch_fills + stats.prefetch_aborted_stale <= 1);
+    });
+}
+
+/// A bag holds one read guard per shard it decodes from, to its end, so
+/// on a table of two shards two bags that cross both in opposite orders,
+/// beside an `update_row` waiting on each shard, are the reader → writer
+/// → reader cycle a writer-preferring lock can close. The guards are
+/// taken in ascending shard order, whatever order a bag's rows come in,
+/// so no interleaving deadlocks; each bag reads each row whole, and once
+/// everything is done a read sees both updates.
+#[test]
+fn bags_crossing_two_shards_in_opposite_orders_beside_updates_never_deadlock() {
+    use drec_store::{EmbeddingStore, PinnedTable, StoreConfig};
+    model(|| {
+        let store = Arc::new(EmbeddingStore::new(StoreConfig {
+            shards_per_table: 2,
+            ..StoreConfig::default()
+        }));
+        let handle = store.register(1, 0, 2, 1, &[1.0, 2.0]).unwrap();
+        let pin = store.pin(handle);
+
+        let bag = |pin: &PinnedTable, rows: [u32; 2]| {
+            let mut acc = [0.0f32];
+            pin.sum_rows(rows, &mut acc);
+            acc[0]
+        };
+        let update = |row: u32, value: f32| {
+            let pin = pin.clone();
+            spawn(move || pin.update_row(row, &[value]).unwrap())
+        };
+        let (first, second) = (update(0, 16.0), update(1, 32.0));
+        let down = {
+            let pin = pin.clone();
+            spawn(move || bag(&pin, [1, 0]))
+        };
+        let up = bag(&pin, [0, 1]);
+        for sum in [up, down.join().unwrap()] {
+            assert!(
+                [3.0, 18.0, 33.0, 48.0].contains(&sum),
+                "bag read a row value nobody wrote: {sum}"
+            );
+        }
+        first.join().unwrap();
+        second.join().unwrap();
+        let mut acc = [0.0f32];
+        pin.sum_rows([0, 1], &mut acc);
+        assert_eq!(acc[0], 48.0, "a read after the updates saw an old row");
+        assert_eq!(store.stats().lookups, 6);
     });
 }
 

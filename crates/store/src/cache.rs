@@ -32,6 +32,7 @@
 
 use drec_sync::atomic::{AtomicU64, Ordering};
 use drec_sync::Mutex;
+use drec_tensor::Divisor;
 
 /// Sentinel for a vacant slot. Row keys are `(table << 32) | row`, and a
 /// table id of `u32::MAX` would need 4 billion embedding tables, so the
@@ -63,6 +64,9 @@ pub struct HotRowCache {
     shards: Vec<Shard>,
     sets: usize,
     ways: usize,
+    /// `shards.len()` and `sets` (at least 1), as divisors.
+    shard_of: Divisor,
+    set_of: Divisor,
     clock: AtomicU64,
     evictions: AtomicU64,
     resident: AtomicU64,
@@ -94,6 +98,8 @@ impl HotRowCache {
                 .collect(),
             sets,
             ways,
+            shard_of: Divisor::from(shard_count),
+            set_of: Divisor::from(sets.max(1)),
             clock: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             resident: AtomicU64::new(0),
@@ -111,8 +117,8 @@ impl HotRowCache {
     /// dimensions independently.
     fn place(&self, key: u64) -> (&Shard, std::ops::Range<usize>) {
         let mixed = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let shard = &self.shards[((mixed >> 32) as usize) % self.shards.len()];
-        let base = (mixed as u32 as usize) % self.sets * self.ways;
+        let shard = &self.shards[((mixed >> 32) as u32 % self.shard_of) as usize];
+        let base = (mixed as u32 % self.set_of) as usize * self.ways;
         (shard, base..base + self.ways)
     }
 

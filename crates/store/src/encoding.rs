@@ -185,6 +185,19 @@ impl RowData {
         }
     }
 
+    /// Hints row `r`'s bytes (and int8 scale and bias) on their way.
+    pub(crate) fn prefetch(&self, r: usize, dim: usize) {
+        match self {
+            RowData::F32(data) => simd::prefetch(&data[r * dim..(r + 1) * dim]),
+            RowData::F16(data) => simd::prefetch(&data[r * dim..(r + 1) * dim]),
+            RowData::Int8 { q, scale, bias } => {
+                simd::prefetch(&q[r * dim..(r + 1) * dim]);
+                simd::prefetch(&scale[r]);
+                simd::prefetch(&bias[r]);
+            }
+        }
+    }
+
     /// Re-encodes row `r` in place from `values` (length `dim`).
     pub(crate) fn write_row(&mut self, r: usize, dim: usize, values: &[f32]) {
         match self {

@@ -1,17 +1,17 @@
 //! The read path: [`PinnedTable`] and the one row-read routine,
 //! `read_bag` — a residency phase (on a tiered store under one tier
-//! session), then a decode phase with no tier lock held — with its
-//! per-bag counter tally, plus the prefetch fills.
+//! session), then a decode phase under one guard per shard and no tier
+//! lock — with its per-bag counter tally, plus the prefetch fills.
 
 use std::sync::Arc;
 
 use drec_faultsim::ReadFault;
 use drec_sync::atomic::Ordering;
-use drec_tensor::simd::KernelPath;
+use drec_tensor::simd::{self, KernelPath};
 use drec_tier::TierSession;
 
-use crate::encoding::EncodedRow;
-use crate::registry::{EmbeddingStore, StoreError, StoredTable, TableHandle};
+use crate::encoding::{EncodedRow, RowData};
+use crate::registry::{EmbeddingStore, StoreError, StoredTable, TableHandle, MAX_SHARDS};
 
 /// A pinned reference to one table in a store — the hot-path lookup API.
 #[derive(Debug, Clone)]
@@ -43,7 +43,9 @@ impl PinnedTable {
                 actual: dst.len(),
             });
         }
-        self.table.read_into(row, dst);
+        let (s, r) = self.table.locate(row);
+        let shard = self.table.shards[s].read();
+        shard.decode_into(r, self.table.dim, dst);
         Ok(())
     }
 
@@ -80,15 +82,20 @@ impl PinnedTable {
     /// and released when the phase ends, or before an injected delay
     /// sleeps.
     ///
-    /// Then the *decodes*, hot or not, each from its shard, with no
-    /// tier lock held (DESIGN.md §12 has the lock order). The iterator
-    /// is walked once per phase, and the only thing the second walk
-    /// needs from the first is which positions cache-only mode skipped
-    /// — none outside that mode, so no bag allocates for it. Residency
+    /// Then the *decodes*, hot or not, with no tier lock held, under one
+    /// read guard per shard the rows live in, taken in ascending order and
+    /// held to the bag's end (DESIGN.md §12 has the lock order). The iterator
+    /// is walked once per phase; the second walk needs from the first
+    /// only those shards and the positions cache-only mode skipped —
+    /// none outside that mode, so no bag allocates. Residency
     /// never depends on a row's bytes and a decode never touches
     /// residency, so values and every `StoreStats` counter come out as
     /// from that many one-row calls; `lookups`, the hit / miss and the
     /// decode tallies are bumped once per bag.
+    ///
+    /// At row `i` each phase hints row `i + PREFETCH_AHEAD` on its way
+    /// (its tier record once the session is open, then its encoded
+    /// bytes): a hint changes no value and no counter.
     ///
     /// `op` says where a row goes: summed into the whole of `out`, or
     /// copied to the row's own `dim`-wide cell of `out`.
@@ -98,10 +105,17 @@ impl PinnedTable {
         let dim = table.dim;
         let mut tally = BagTally::new(store);
         let mut skipped: Vec<usize> = Vec::new();
+        // Bit `s`: shard `s` holds a row of the bag.
+        let mut touched = 0u64;
         {
             let mut tier: Option<TierSession<'_>> = None;
+            let mut ahead = rows.clone().skip(PREFETCH_AHEAD).map(|row| self.key(row));
             for (i, row) in rows.clone().enumerate() {
                 debug_assert!((row as usize) < table.rows);
+                touched |= 1 << table.locate(row).0;
+                if let Some(record) = ahead.next().and_then(|key| tier.as_ref()?.record(key)) {
+                    simd::prefetch(record);
+                }
                 tally.lookups += 1;
                 let key = self.key(row);
                 // A hot row is DRAM by definition: the tier is not consulted.
@@ -133,9 +147,22 @@ impl PinnedTable {
                 store.cache.insert(key);
             }
         }
+        let mut shards = HeldShards {
+            held: 0,
+            guards: [const { std::mem::MaybeUninit::uninit() }; MAX_SHARDS],
+        };
+        while shards.held != touched {
+            let s = (touched & !shards.held).trailing_zeros() as usize;
+            shards.guards[s].write(table.shards[s].read());
+            shards.held |= 1 << s;
+        }
+        let mut ahead = rows.clone().skip(PREFETCH_AHEAD);
         let mut skipped = skipped.into_iter();
         let mut next_skip = skipped.next();
         for (i, row) in rows.enumerate() {
+            if let Some((data, r)) = ahead.next().and_then(|next| shards.row(table.locate(next))) {
+                data.prefetch(r, dim);
+            }
             let cell = i * dim..(i + 1) * dim;
             if next_skip == Some(i) {
                 next_skip = skipped.next();
@@ -144,9 +171,10 @@ impl PinnedTable {
                 }
                 continue;
             }
+            let (data, r) = shards.row(table.locate(row)).expect("its shard is held");
             tally.decoded(match op {
-                BagOp::Sum => table.sum_into(row, out),
-                BagOp::Copy => table.read_into(row, &mut out[cell]),
+                BagOp::Sum => data.sum_into(r, dim, out),
+                BagOp::Copy => data.decode_into(r, dim, &mut out[cell]),
             });
         }
     }
@@ -238,6 +266,36 @@ impl PinnedTable {
         match &self.store.tier {
             Some(tier) => tier.is_resident(self.key(row)),
             None => true,
+        }
+    }
+}
+
+/// How far ahead of its row each phase of [`PinnedTable::read_bag`] hints.
+const PREFETCH_AHEAD: usize = 8;
+
+/// A bag's shard read guards, on its stack: `guards[s]` is live while
+/// bit `s` of `held` is set.
+struct HeldShards<G> {
+    held: u64,
+    guards: [std::mem::MaybeUninit<G>; MAX_SHARDS],
+}
+
+impl<G: std::ops::Deref<Target = RowData>> HeldShards<G> {
+    /// Shard `s`'s rows and `r`, if its guard is held.
+    fn row(&self, (s, r): (usize, usize)) -> Option<(&RowData, usize)> {
+        // SAFETY: a set bit marks a guard written and not yet dropped.
+        (s < MAX_SHARDS && self.held >> s & 1 == 1)
+            .then(|| (&**unsafe { self.guards[s].assume_init_ref() }, r))
+    }
+}
+
+impl<G> Drop for HeldShards<G> {
+    fn drop(&mut self) {
+        while self.held != 0 {
+            let s = self.held.trailing_zeros() as usize;
+            self.held &= self.held - 1;
+            // SAFETY: as in `row`; the bit is cleared first.
+            unsafe { self.guards[s].assume_init_drop() };
         }
     }
 }

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use drec_faultsim::FaultHook;
 use drec_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use drec_sync::{CachePadded, EpochGc, EpochGuard, Mutex, RwLock};
-use drec_tensor::simd::KernelPath;
+use drec_tensor::Divisor;
 use drec_tier::{TierConfig, TierEngine};
 
 use crate::cache::HotRowCache;
@@ -21,7 +21,8 @@ use crate::update::RowWrite;
 pub struct StoreConfig {
     /// How rows are stored resident.
     pub encoding: RowEncoding,
-    /// Row-range shards per table (each behind its own lock).
+    /// Row-range shards per table (each behind its own lock), at most
+    /// 64: a larger count is clamped to it.
     pub shards_per_table: usize,
     /// Hot-row key set capacity in rows (0 disables it).
     pub cache_capacity_rows: usize,
@@ -45,6 +46,9 @@ impl Default for StoreConfig {
 
 /// Lock shards inside the hot-row key set.
 const CACHE_SHARDS: usize = 16;
+
+/// Most shards a table is cut into: a bag's shards are one `u64` of bits.
+pub(crate) const MAX_SHARDS: usize = 64;
 
 /// Errors from store registration and row access.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -188,7 +192,8 @@ pub struct TableHandle(pub usize);
 pub(crate) struct StoredTable {
     pub(crate) rows: usize,
     pub(crate) dim: usize,
-    pub(crate) rows_per_shard: usize,
+    /// Rows per shard, the divisor of [`StoredTable::locate`].
+    rows_per_shard: Divisor,
     pub(crate) shards: Vec<RwLock<RowData>>,
     /// Snapshot version last published for this table (batches advance
     /// it; a freshly registered table is v0).
@@ -208,25 +213,18 @@ impl StoredTable {
         data: &[f32],
         shard_count: usize,
     ) -> Self {
-        let shard_count = shard_count.max(1).min(rows);
+        let shard_count = shard_count.clamp(1, MAX_SHARDS).min(rows);
         let rows_per_shard = rows.div_ceil(shard_count);
-        // div_ceil can leave trailing shards empty; drop them.
-        let shard_count = rows.div_ceil(rows_per_shard);
-        let shards = (0..shard_count)
-            .map(|s| {
-                let start = s * rows_per_shard;
-                let end = ((s + 1) * rows_per_shard).min(rows);
-                RwLock::new(RowData::encode(
-                    encoding,
-                    &data[start * dim..end * dim],
-                    dim,
-                ))
-            })
+        // Whole shards of `rows_per_shard` rows and a shorter last one:
+        // `div_ceil` can leave fewer shards than asked for.
+        let shards = data
+            .chunks(rows_per_shard * dim)
+            .map(|rows| RwLock::new(RowData::encode(encoding, rows, dim)))
             .collect();
         StoredTable {
             rows,
             dim,
-            rows_per_shard,
+            rows_per_shard: Divisor::from(rows_per_shard),
             shards,
             version: AtomicU64::new(0),
             write_stamp: AtomicU64::new(0),
@@ -246,19 +244,9 @@ impl StoredTable {
     }
 
     /// (shard index, row offset within shard) for a validated row.
-    fn locate(&self, row: u32) -> (usize, usize) {
-        let row = row as usize;
-        (row / self.rows_per_shard, row % self.rows_per_shard)
-    }
-
-    pub(crate) fn sum_into(&self, row: u32, acc: &mut [f32]) -> KernelPath {
-        let (s, r) = self.locate(row);
-        self.shards[s].read().sum_into(r, self.dim, acc)
-    }
-
-    pub(crate) fn read_into(&self, row: u32, dst: &mut [f32]) -> KernelPath {
-        let (s, r) = self.locate(row);
-        self.shards[s].read().decode_into(r, self.dim, dst)
+    pub(crate) fn locate(&self, row: u32) -> (usize, usize) {
+        let d = self.rows_per_shard;
+        ((row / d) as usize, (row % d) as usize)
     }
 
     /// Rewrites `row` per `write` under the shard's write lock, then

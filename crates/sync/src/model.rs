@@ -677,6 +677,26 @@ mod tests {
         });
     }
 
+    /// A reader that reads again while a writer waits deadlocks, as on
+    /// std's writer-preferring lock: the second read queues behind the
+    /// writer, which waits for the first.
+    #[cfg(loom)]
+    #[test]
+    #[should_panic(expected = "model check failed")]
+    fn model_blocks_a_new_reader_while_a_writer_waits() {
+        model(|| {
+            let lock = Arc::new(crate::RwLock::new(0));
+            let writer = {
+                let lock = Arc::clone(&lock);
+                spawn(move || *lock.write() += 1)
+            };
+            let first = lock.read();
+            let second = lock.read();
+            drop((first, second));
+            let _ = writer.join();
+        });
+    }
+
     #[cfg(loom)]
     #[test]
     fn model_finds_missed_wakeup_bugs() {

@@ -518,11 +518,14 @@ mod imp {
         }
     }
 
-    /// Reader-writer lock, instrumented for the model checker.
+    /// Reader-writer lock, instrumented for the model checker. A new
+    /// reader waits while a writer waits, as std's allows and does on Linux.
     #[derive(Debug, Default)]
     pub struct RwLock<T> {
         inner: std::sync::RwLock<T>,
         res: std::sync::OnceLock<ResourceId>,
+        /// Model threads blocked in `write`.
+        writers_waiting: std::sync::atomic::AtomicUsize,
     }
 
     impl<T> RwLock<T> {
@@ -531,6 +534,7 @@ mod imp {
             RwLock {
                 inner: std::sync::RwLock::new(value),
                 res: std::sync::OnceLock::new(),
+                writers_waiting: std::sync::atomic::AtomicUsize::new(0),
             }
         }
 
@@ -549,6 +553,10 @@ mod imp {
                 },
                 Some((exec, me)) => loop {
                     exec.schedule_point(me);
+                    if self.writers_waiting.load(super::Ordering::Relaxed) > 0 {
+                        exec.block_on(me, self.res(), false);
+                        continue;
+                    }
                     match self.inner.try_read() {
                         Ok(guard) => {
                             return RwLockReadGuard {
@@ -595,7 +603,9 @@ mod imp {
                             }
                         }
                         Err(std::sync::TryLockError::WouldBlock) => {
+                            self.writers_waiting.fetch_add(1, super::Ordering::Relaxed);
                             exec.block_on(me, self.res(), false);
+                            self.writers_waiting.fetch_sub(1, super::Ordering::Relaxed);
                         }
                     }
                 },

@@ -161,6 +161,24 @@ pub fn backend_label() -> &'static str {
     active_backend().name()
 }
 
+/// Starts fetching the cache lines that hold `data` (one `prefetcht0`
+/// a line), so a read a few steps later finds them on their way. A hint
+/// cannot fault and changes no value; a no-op off x86_64.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+pub fn prefetch<T: ?Sized>(data: &T) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let start = std::ptr::from_ref(data).cast::<i8>();
+        // The offset from `start` of the line that holds the last byte.
+        let last = (start as usize % 64 + std::mem::size_of_val(data).max(1) - 1) & !63;
+        for offset in (0..=last).step_by(64) {
+            // SAFETY: SSE is baseline on x86_64; a prefetch reads nothing.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(start.wrapping_add(offset)) };
+        }
+    }
+}
+
 /// `dst.copy_from_slice(row)`, reporting the path that matches the
 /// active backend. An f32 "decode" is a straight copy on every backend
 /// (memcpy is as vectorized as the hardware allows either way); this

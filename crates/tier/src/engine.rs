@@ -360,6 +360,13 @@ impl TierSession<'_> {
         st.stats.prefetch_wasted += u64::from(inserted.evicted_prefetched_unused);
     }
 
+    /// `key`'s record, opaque, for a caller to prefetch a few accesses
+    /// ahead of [`TierSession::demand_access`] (`None`: no record yet).
+    #[inline]
+    pub fn record(&self, key: u64) -> Option<&impl Sized> {
+        self.state.as_ref()?.clock.rows.get(key)
+    }
+
     /// One demand access to `key` (the store calls this for every row
     /// that missed the hot-row cache). Resident rows are free; cold rows
     /// charge the latency model and get promoted.

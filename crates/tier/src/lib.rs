@@ -46,10 +46,11 @@
 //!   fills, hit/wasted tracking, [`TierStats`]; all of it under one lock
 //!   that a [`TierSession`] holds across the residency phase of a whole
 //!   bag of accesses (the bag's rows are decoded after the session
-//!   ends). A fill is one call, [`TierSession::prefetch_fill_if`]: the
-//!   caller captures its table's write stamp, the fill pays the cold
-//!   read, and the stamp is verified under the tier lock before the row
-//!   is parked.
+//!   ends), and [`TierSession::record`] hands it a row's record to
+//!   prefetch. A fill is one call, [`TierSession::prefetch_fill_if`]:
+//!   the caller captures its table's write stamp, the fill pays the
+//!   cold read, and the stamp is verified under the tier lock before
+//!   the row is parked.
 
 #![warn(missing_docs)]
 
