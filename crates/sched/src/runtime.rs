@@ -78,15 +78,13 @@ pub enum Backend {
 /// (bucket `i` covers batches `[2^i, 2^(i+1))`).
 const DECISION_BUCKETS: usize = 16;
 
-/// Lock-free per-model counters of the batches each backend ran.
+/// Lock-free per-model counters of the batches each backend ran,
+/// indexed by `Backend as usize`: a batch is one query-count add and one
+/// size-bucket bump, and a backend's batch count is its histogram's total.
 #[derive(Debug, Default)]
 struct DecisionStats {
-    cpu_batches: AtomicU64,
-    cpu_queries: AtomicU64,
-    gpu_batches: AtomicU64,
-    gpu_queries: AtomicU64,
-    cpu_hist: [AtomicU64; DECISION_BUCKETS],
-    gpu_hist: [AtomicU64; DECISION_BUCKETS],
+    queries: [AtomicU64; 2],
+    hist: [[AtomicU64; DECISION_BUCKETS]; 2],
 }
 
 fn size_bucket(batch: usize) -> usize {
@@ -95,19 +93,9 @@ fn size_bucket(batch: usize) -> usize {
 
 impl DecisionStats {
     fn record(&self, backend: Backend, batch: usize) {
-        let bucket = size_bucket(batch);
-        match backend {
-            Backend::Cpu => {
-                self.cpu_batches.fetch_add(1, Ordering::Relaxed);
-                self.cpu_queries.fetch_add(batch as u64, Ordering::Relaxed);
-                self.cpu_hist[bucket].fetch_add(1, Ordering::Relaxed);
-            }
-            Backend::Gpu => {
-                self.gpu_batches.fetch_add(1, Ordering::Relaxed);
-                self.gpu_queries.fetch_add(batch as u64, Ordering::Relaxed);
-                self.gpu_hist[bucket].fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        let b = backend as usize;
+        self.queries[b].fetch_add(batch as u64, Ordering::Relaxed);
+        self.hist[b][size_bucket(batch)].fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -483,23 +471,21 @@ fn lane_of(pool: &LaneSet, model: ModelId) -> Option<(usize, &Lane)> {
 
 fn snapshot_decisions(lane: &ColoLane) -> DecisionSnapshot {
     let d = &lane.decisions;
+    let queries = |b: Backend| d.queries[b as usize].load(Ordering::Relaxed);
+    let hist = |b: Backend| -> Vec<u64> {
+        let buckets = &d.hist[b as usize];
+        buckets.iter().map(|n| n.load(Ordering::Relaxed)).collect()
+    };
+    let (cpu_size_hist, gpu_size_hist) = (hist(Backend::Cpu), hist(Backend::Gpu));
     DecisionSnapshot {
         model: lane.model.name().to_string(),
         crossover: lane.profile.crossover,
-        cpu_batches: d.cpu_batches.load(Ordering::Relaxed),
-        cpu_queries: d.cpu_queries.load(Ordering::Relaxed),
-        gpu_batches: d.gpu_batches.load(Ordering::Relaxed),
-        gpu_queries: d.gpu_queries.load(Ordering::Relaxed),
-        cpu_size_hist: d
-            .cpu_hist
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect(),
-        gpu_size_hist: d
-            .gpu_hist
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect(),
+        cpu_batches: cpu_size_hist.iter().sum(),
+        cpu_queries: queries(Backend::Cpu),
+        gpu_batches: gpu_size_hist.iter().sum(),
+        gpu_queries: queries(Backend::Gpu),
+        cpu_size_hist,
+        gpu_size_hist,
     }
 }
 

@@ -8,11 +8,11 @@
 //! monitoring.
 //!
 //! A per-request observation has one home, its [`Lane`]: an answered
-//! request is one record in the lane's [`LatencyHistogram`] (whose count
-//! is the lane's completions), a shed one bump of the lane's shed
-//! counter. The [`MetricsRegistry`] keeps only pool-wide counters; a
-//! [`MetricsSnapshot`]'s per-request figures are read off the lanes,
-//! never stored twice.
+//! request is one record in the lane's [`LatencyHistogram`] (whose
+//! bucket total is the lane's completions), a shed one bump of the
+//! lane's shed counter. The [`MetricsRegistry`] keeps only pool-wide
+//! counters; a [`MetricsSnapshot`]'s per-request figures are read off
+//! the lanes, never stored twice.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -75,11 +75,11 @@ fn quantile_of(counts: &[u64], q: f64) -> f64 {
 /// Bucket `i` covers `[1µs · 2^(i/4), 1µs · 2^((i+1)/4))`; quantile
 /// queries return the geometric midpoint of the bucket holding the
 /// requested rank, so reported quantiles carry at most ~9% relative
-/// bucketing error.
+/// bucketing error. It keeps no count: the number of observations is
+/// the sum of the buckets.
 #[derive(Debug)]
 pub struct LatencyHistogram {
     buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
     sum_nanos: AtomicU64,
 }
 
@@ -88,7 +88,6 @@ impl LatencyHistogram {
     pub fn new() -> Self {
         LatencyHistogram {
             buckets: [(); BUCKETS].map(|()| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum_nanos: AtomicU64::new(0),
         }
     }
@@ -101,11 +100,10 @@ impl LatencyHistogram {
         idx.min(BUCKETS - 1)
     }
 
-    /// Records one observation: three RMWs (bucket, count, sum).
+    /// Records one observation: two RMWs (bucket, sum).
     pub(crate) fn record(&self, latency: Duration) {
         let nanos = latency.as_nanos().min(u128::from(u64::MAX)) as u64;
         self.buckets[Self::index(nanos)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_nanos.fetch_add(nanos, Ordering::Relaxed);
     }
 
@@ -114,9 +112,14 @@ impl LatencyHistogram {
         self.record(Duration::from_secs_f64(seconds.max(0.0)));
     }
 
-    /// Number of recorded observations.
+    /// Each bucket's count, loaded once.
+    fn counts(&self) -> [u64; BUCKETS] {
+        self.buckets.each_ref().map(|b| b.load(Ordering::Relaxed))
+    }
+
+    /// Number of recorded observations: the buckets' total.
     pub(crate) fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.counts().iter().sum()
     }
 
     /// Mean latency in seconds (0 when empty).
@@ -127,10 +130,7 @@ impl LatencyHistogram {
     /// The `q`-quantile (`0.0..=1.0`) in seconds, from bucket midpoints.
     /// Returns 0 when empty.
     pub fn quantile_seconds(&self, q: f64) -> f64 {
-        quantile_of(
-            &self.buckets.each_ref().map(|b| b.load(Ordering::Relaxed)),
-            q,
-        )
+        quantile_of(&self.counts(), q)
     }
 }
 
@@ -165,18 +165,18 @@ pub struct ModelChannelSnapshot {
 }
 
 impl ModelChannelSnapshot {
-    /// Point-in-time copy of `lane`'s records and gauges.
-    fn of(lane: &Lane) -> Self {
-        let latency = &lane.latency;
+    /// Point-in-time copy of `lane`'s records and gauges, `counts` being
+    /// its latency buckets as loaded once for the snapshot.
+    fn of(lane: &Lane, counts: &[u64]) -> Self {
         ModelChannelSnapshot {
             name: lane.model.name().to_string(),
-            completed: latency.count(),
+            completed: counts.iter().sum(),
             shed: lane.shed.load(Ordering::Relaxed),
             queue_depth: lane.queue.depth(),
             overload_level: lane.ladder.level(),
-            p50_seconds: latency.quantile_seconds(0.50),
-            p95_seconds: latency.quantile_seconds(0.95),
-            p99_seconds: latency.quantile_seconds(0.99),
+            p50_seconds: quantile_of(counts, 0.50),
+            p95_seconds: quantile_of(counts, 0.95),
+            p99_seconds: quantile_of(counts, 0.99),
             fc_param_bytes: lane.update.fc_param_bytes(),
         }
     }
@@ -318,19 +318,23 @@ impl MetricsRegistry {
             .iter()
             .map(|w| w.batches.load(Ordering::Relaxed))
             .sum();
-        // The per-request figures are the lanes': counts summed,
-        // histogram buckets merged.
-        let models: Vec<_> = lanes.iter().map(ModelChannelSnapshot::of).collect();
-        let completed: u64 = models.iter().map(|m| m.completed).sum();
-        let shed: u64 = models.iter().map(|m| m.shed).sum();
+        // The per-request figures are the lanes': each lane's buckets
+        // loaded once, then merged, and counts summed.
         let mut sum_nanos = 0;
         let mut buckets = [0u64; BUCKETS];
-        for lane in lanes {
-            sum_nanos += lane.latency.sum_nanos.load(Ordering::Relaxed);
-            for (sum, bucket) in buckets.iter_mut().zip(&lane.latency.buckets) {
-                *sum += bucket.load(Ordering::Relaxed);
-            }
-        }
+        let models: Vec<_> = lanes
+            .iter()
+            .map(|lane| {
+                let counts = lane.latency.counts();
+                sum_nanos += lane.latency.sum_nanos.load(Ordering::Relaxed);
+                for (sum, count) in buckets.iter_mut().zip(counts) {
+                    *sum += count;
+                }
+                ModelChannelSnapshot::of(lane, &counts)
+            })
+            .collect();
+        let completed: u64 = models.iter().map(|m| m.completed).sum();
+        let shed: u64 = models.iter().map(|m| m.shed).sum();
         // A sole lane's ladder is the pool's; co-located lanes share no
         // pool-wide level.
         let ladder = match lanes {

@@ -166,8 +166,8 @@ pub struct PoolConfig {
 
 /// One model's serving state inside a pool (shared, so read-only but
 /// for atomics), and the one home of its requests' records: an answered
-/// request is one [`LatencyHistogram`] record (3 RMWs; the histogram's
-/// count is the lane's completions), a shed one counter bump.
+/// request is one [`LatencyHistogram`] record (2 RMWs; the histogram's
+/// bucket total is the lane's completions), a shed one counter bump.
 #[derive(Debug)]
 pub struct Lane {
     /// The model this lane serves.

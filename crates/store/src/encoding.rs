@@ -16,9 +16,9 @@
 //! Decode, pooled-sum and int8 encode run through the runtime-dispatched
 //! kernels in [`drec_tensor::simd`] — AVX2/FMA on capable x86_64 hosts, the portable
 //! scalar oracles otherwise (or under `DREC_FORCE_SCALAR=1`). Both paths
-//! are bit-identical by contract (see that module's docs), and every call
-//! reports which path ran ([`drec_tensor::simd::KernelPath`]) so the
-//! store can count vectorized vs scalar decodes.
+//! are bit-identical by contract (see that module's docs). Which path a
+//! call takes is the process's backend, so the store counts decodes once
+//! and attributes them to [`drec_tensor::simd::active_backend`].
 
 use drec_tensor::simd;
 
@@ -154,11 +154,10 @@ impl RowData {
         }
     }
 
-    /// Decodes row `r` into `dst` (length `dim`), reporting which kernel
-    /// path ran so callers can maintain vector/scalar decode counters.
-    pub(crate) fn decode_into(&self, r: usize, dim: usize, dst: &mut [f32]) -> simd::KernelPath {
+    /// Decodes row `r` into `dst` (length `dim`).
+    pub(crate) fn decode_into(&self, r: usize, dim: usize, dst: &mut [f32]) {
         match self {
-            RowData::F32(data) => simd::copy_f32_into(&data[r * dim..(r + 1) * dim], dst),
+            RowData::F32(data) => dst.copy_from_slice(&data[r * dim..(r + 1) * dim]),
             RowData::F16(data) => simd::decode_f16_into(&data[r * dim..(r + 1) * dim], dst),
             RowData::Int8 { q, scale, bias } => {
                 simd::decode_i8_into(&q[r * dim..(r + 1) * dim], scale[r], bias[r], dst)
@@ -175,7 +174,7 @@ impl RowData {
     /// applied with one fused multiply-add per element (the seed decoded
     /// through a per-element f64 round-trip); see
     /// [`drec_tensor::simd`] for the full contract.
-    pub(crate) fn sum_into(&self, r: usize, dim: usize, acc: &mut [f32]) -> simd::KernelPath {
+    pub(crate) fn sum_into(&self, r: usize, dim: usize, acc: &mut [f32]) {
         match self {
             RowData::F32(data) => simd::sum_f32_into(&data[r * dim..(r + 1) * dim], acc),
             RowData::F16(data) => simd::sum_f16_into(&data[r * dim..(r + 1) * dim], acc),
@@ -311,12 +310,12 @@ impl EncodedRow {
     pub fn decode(&self) -> Vec<f32> {
         let mut values = vec![0.0f32; self.dim()];
         match &self.0 {
-            Captured::F32(row) => simd::copy_f32_into(row, &mut values),
+            Captured::F32(row) => values.copy_from_slice(row),
             Captured::F16(row) => simd::decode_f16_into(row, &mut values),
             Captured::Int8 { q, scale, bias } => {
                 simd::decode_i8_into(q, *scale, *bias, &mut values)
             }
-        };
+        }
         values
     }
 }

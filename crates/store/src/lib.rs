@@ -38,7 +38,7 @@
 //!   batches of row deltas ([`UpdateBatch`]) apply atomically and
 //!   publish a per-table snapshot version; readers pin an epoch
 //!   ([`EmbeddingStore::pin_epoch`]) per coalesced batch and the writer
-//!   waits them out before retiring superseded rows, so the read hot
+//!   waits out those pinned before its publish, so the read hot
 //!   path stays lock-free while updates stay crash-atomic (DESIGN.md
 //!   §14).
 //!

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use drec_faultsim::ReadFault;
 use drec_sync::atomic::Ordering;
-use drec_tensor::simd::{self, KernelPath};
+use drec_tensor::simd;
 use drec_tier::TierSession;
 
 use crate::encoding::{EncodedRow, RowData};
@@ -90,8 +90,8 @@ impl PinnedTable {
     /// none outside that mode, so no bag allocates. Residency
     /// never depends on a row's bytes and a decode never touches
     /// residency, so values and every `StoreStats` counter come out as
-    /// from that many one-row calls; `lookups`, the hit / miss and the
-    /// decode tallies are bumped once per bag.
+    /// from that many one-row calls; `lookups`, the hit and the decode
+    /// tallies are bumped once per bag.
     ///
     /// At row `i` each phase hints row `i + PREFETCH_AHEAD` on its way
     /// (its tier record once the session is open, then its encoded
@@ -172,10 +172,11 @@ impl PinnedTable {
                 continue;
             }
             let (data, r) = shards.row(table.locate(row)).expect("its shard is held");
-            tally.decoded(match op {
+            match op {
                 BagOp::Sum => data.sum_into(r, dim, out),
                 BagOp::Copy => data.decode_into(r, dim, &mut out[cell]),
-            });
+            }
+            tally.decodes += 1;
         }
     }
 
@@ -225,7 +226,7 @@ impl PinnedTable {
     /// cold-read latency *off* the request critical path and promotes
     /// its row into the DRAM tier. A fill moves only the
     /// prefetch counters — it is not a demand decode
-    /// (`decode_vector`/`decode_scalar` stay put, the hot-row key set is
+    /// (`decodes` stays put, the hot-row key set is
     /// untouched) because a tier promotion moves encoded bytes and
     /// decodes nothing. Rows out of range or already resident are
     /// skipped — so is a row named twice, by the first fill's insert;
@@ -311,13 +312,14 @@ enum BagOp {
 
 /// A bag's counter deltas, added to the store's shared (cache-line
 /// padded, contended) atomics once when the bag ends — also when it
-/// ends by unwinding out of an injected poisoned read.
+/// ends by unwinding out of an injected poisoned read, having counted
+/// the lookup and decoded nothing. Misses and the decodes' backend are
+/// worked out when a snapshot is taken ([`EmbeddingStore::stats`]).
 struct BagTally<'a> {
     store: &'a EmbeddingStore,
     lookups: u64,
     cache_hits: u64,
-    decode_vector: u64,
-    decode_scalar: u64,
+    decodes: u64,
     cache_only_skips: u64,
 }
 
@@ -327,36 +329,18 @@ impl<'a> BagTally<'a> {
             store,
             lookups: 0,
             cache_hits: 0,
-            decode_vector: 0,
-            decode_scalar: 0,
+            decodes: 0,
             cache_only_skips: 0,
-        }
-    }
-
-    /// Tallies one shard decode into the vector/scalar pair.
-    #[inline]
-    fn decoded(&mut self, path: KernelPath) {
-        match path {
-            KernelPath::Vector => self.decode_vector += 1,
-            KernelPath::Scalar => self.decode_scalar += 1,
         }
     }
 }
 
 impl Drop for BagTally<'_> {
     fn drop(&mut self) {
-        // With a key set, every lookup that was not a hit was a miss.
-        let cache_misses = if self.store.cache.enabled() {
-            self.lookups - self.cache_hits
-        } else {
-            0
-        };
         for (counter, delta) in [
             (&*self.store.lookups, self.lookups),
             (&*self.store.cache_hits, self.cache_hits),
-            (&*self.store.cache_misses, cache_misses),
-            (&*self.store.decode_vector, self.decode_vector),
-            (&*self.store.decode_scalar, self.decode_scalar),
+            (&*self.store.decodes, self.decodes),
             (&self.store.cache_only_skips, self.cache_only_skips),
         ] {
             if delta > 0 {
@@ -496,7 +480,12 @@ mod tests {
         let msg = *res.unwrap_err().downcast::<String>().unwrap();
         assert!(msg.contains("faultsim: poisoned read"), "{msg}");
         // The panic fired before any lock was taken: stats still work.
-        assert_eq!(s.stats().tables, 1);
+        let stats = s.stats();
+        assert_eq!(stats.tables, 1);
+        // The bag unwound after its lookup and before any decode: the
+        // two counts differ, so neither is worked out from the other.
+        assert_eq!(stats.lookups, 1);
+        assert_eq!(stats.decode_vector + stats.decode_scalar, 0);
     }
 
     #[test]

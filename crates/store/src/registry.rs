@@ -302,15 +302,14 @@ pub struct EmbeddingStore {
     /// `lookups` on every embedding access, and unpadded neighbors would
     /// bounce a shared line between cores (see `drec_sync::CachePadded`).
     pub(crate) lookups: CachePadded<AtomicU64>,
-    /// Lookups that found their row in the hot-row key set, and those
-    /// that did not (none of either when the set is disabled).
+    /// Lookups that found their row in the hot-row key set (none when
+    /// the set is disabled); every other lookup with the set on was a
+    /// miss, so misses are worked out when a snapshot is taken.
     pub(crate) cache_hits: CachePadded<AtomicU64>,
-    pub(crate) cache_misses: CachePadded<AtomicU64>,
-    /// Shard decodes served by the vector (AVX2/FMA) kernels. Every row
-    /// read is one decode, hot or not: the shard holds the only copy.
-    pub(crate) decode_vector: CachePadded<AtomicU64>,
-    /// Shard decodes served by the portable scalar kernels.
-    pub(crate) decode_scalar: CachePadded<AtomicU64>,
+    /// Shard decodes. Every row read that is not skipped is one decode,
+    /// hot or not: the shard holds the only copy. A snapshot attributes
+    /// them to the process's kernel backend.
+    pub(crate) decodes: CachePadded<AtomicU64>,
     pub(crate) faults: FaultHook,
     /// Degraded mode: serve only hot rows, skipping every other read
     /// (see [`EmbeddingStore::set_cache_only`]).
@@ -320,15 +319,13 @@ pub struct EmbeddingStore {
     pub(crate) tier: Option<TierEngine>,
     /// Epoch cell the live-update protocol pins readers with. Readers
     /// pin once per coalesced batch; `apply_update` synchronizes against
-    /// it before retiring superseded rows (DESIGN.md §14).
+    /// it before it reports the batch applied, so every reader that began
+    /// before the publish has ended (DESIGN.md §14).
     pub(crate) epoch: EpochGc,
     /// Update batches applied and published.
     pub(crate) update_batches_applied: AtomicU64,
     /// Rows rewritten by applied update batches.
     pub(crate) update_rows_applied: AtomicU64,
-    /// Superseded rows retired: rewritten by a batch whose pre-publish
-    /// readers the post-publish synchronize has waited out.
-    pub(crate) update_rows_retired: AtomicU64,
     /// Update batches rolled back whole after an injected crash.
     pub(crate) update_rollbacks: AtomicU64,
     /// Duplicate (already-published) update batches rejected.
@@ -359,9 +356,7 @@ impl EmbeddingStore {
             cache,
             lookups: CachePadded::new(AtomicU64::new(0)),
             cache_hits: CachePadded::new(AtomicU64::new(0)),
-            cache_misses: CachePadded::new(AtomicU64::new(0)),
-            decode_vector: CachePadded::new(AtomicU64::new(0)),
-            decode_scalar: CachePadded::new(AtomicU64::new(0)),
+            decodes: CachePadded::new(AtomicU64::new(0)),
             faults,
             cache_only: AtomicBool::new(false),
             cache_only_skips: AtomicU64::new(0),
@@ -369,7 +364,6 @@ impl EmbeddingStore {
             epoch: EpochGc::new(),
             update_batches_applied: AtomicU64::new(0),
             update_rows_applied: AtomicU64::new(0),
-            update_rows_retired: AtomicU64::new(0),
             update_rollbacks: AtomicU64::new(0),
             update_duplicates_rejected: AtomicU64::new(0),
             update_publish_delays: AtomicU64::new(0),
@@ -542,11 +536,11 @@ impl EmbeddingStore {
 
     /// Pins the calling thread into the current update epoch. Readers
     /// (the serving engines) hold the guard across one coalesced batch;
-    /// [`EmbeddingStore::apply_update`] waits out every pinned reader
-    /// before retiring superseded rows. Never blocks.
+    /// [`EmbeddingStore::apply_update`] waits out every reader pinned
+    /// before its publish. Never blocks.
     ///
     /// A thread must **not** call `apply_update` while holding its own
-    /// epoch guard — the retire step would wait for the caller itself.
+    /// epoch guard — the wait would be for the caller itself.
     pub fn pin_epoch(&self) -> EpochGuard<'_> {
         self.epoch.pin()
     }

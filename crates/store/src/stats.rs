@@ -2,6 +2,7 @@
 //! [`EmbeddingStore`], and the ratios derived from it.
 
 use drec_sync::atomic::Ordering;
+use drec_tensor::simd::{active_backend, KernelBackend};
 
 use crate::registry::EmbeddingStore;
 
@@ -18,20 +19,37 @@ impl EmbeddingStore {
             f32_bytes += (t.rows * t.dim * 4) as u64;
         }
         let tier = self.tier.as_ref().map(|t| t.stats()).unwrap_or_default();
+        let lookups = self.lookups.load(Ordering::Relaxed);
+        let cache_hits = self.cache_hits.load(Ordering::Relaxed);
+        // With a key set, every lookup that was not a hit was a miss. The
+        // two loads are not one read: a bag that commits between them
+        // can leave the snapshot more hits than lookups.
+        let cache_misses = if self.cache.enabled() {
+            lookups.saturating_sub(cache_hits)
+        } else {
+            0
+        };
+        // Every decode ran on the process's one backend.
+        let decodes = self.decodes.load(Ordering::Relaxed);
+        let (decode_vector, decode_scalar) = match active_backend() {
+            KernelBackend::Avx2Fma => (decodes, 0),
+            KernelBackend::Scalar => (0, decodes),
+        };
+        let update_rows_applied = self.update_rows_applied.load(Ordering::Relaxed);
         StoreStats {
             tables: tables.len(),
             rows,
             resident_bytes,
             f32_bytes,
-            lookups: self.lookups.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
+            lookups,
+            cache_hits,
+            cache_misses,
             cache_evictions: self.cache.evictions(),
             cache_resident_rows: self.cache.resident_rows(),
             cache_capacity_rows: self.cache.capacity_rows() as u64,
             cache_only_skips: self.cache_only_skips.load(Ordering::Relaxed),
-            decode_vector: self.decode_vector.load(Ordering::Relaxed),
-            decode_scalar: self.decode_scalar.load(Ordering::Relaxed),
+            decode_vector,
+            decode_scalar,
             tier_dram_budget_rows: tier.dram_budget_rows,
             tier_dram_resident_rows: tier.dram_resident_rows,
             tier_dram_hits: tier.dram_hits,
@@ -47,8 +65,8 @@ impl EmbeddingStore {
             prefetch_aborted_stale: tier.prefetch_aborted_stale,
             tier_invalidations: tier.invalidations,
             update_batches_applied: self.update_batches_applied.load(Ordering::Relaxed),
-            update_rows_applied: self.update_rows_applied.load(Ordering::Relaxed),
-            update_rows_retired: self.update_rows_retired.load(Ordering::Relaxed),
+            update_rows_applied,
+            update_rows_retired: update_rows_applied,
             update_rollbacks: self.update_rollbacks.load(Ordering::Relaxed),
             update_duplicates_rejected: self.update_duplicates_rejected.load(Ordering::Relaxed),
             update_publish_delays: self.update_publish_delays.load(Ordering::Relaxed),
@@ -73,7 +91,8 @@ pub struct StoreStats {
     pub lookups: u64,
     /// Lookups that found their row in the hot-row key set.
     pub cache_hits: u64,
-    /// Lookups that did not.
+    /// Lookups that did not, while the key set is enabled (0 when it is
+    /// disabled): `lookups − cache_hits`, worked out at the snapshot.
     pub cache_misses: u64,
     /// Keys evicted from the hot-row key set.
     pub cache_evictions: u64,
@@ -87,7 +106,9 @@ pub struct StoreStats {
     /// zero-filled a copy).
     pub cache_only_skips: u64,
     /// Row decodes served by the vector (AVX2/FMA) kernels. Every row
-    /// read that is not skipped is one decode, hot or not.
+    /// read that is not skipped is one decode, hot or not. The store
+    /// counts decodes once; all of them land here when the process's
+    /// [`active_backend`] is `Avx2Fma`, and in `decode_scalar` otherwise.
     pub decode_vector: u64,
     /// Row decodes served by the portable scalar kernels.
     pub decode_scalar: u64,
@@ -131,7 +152,8 @@ pub struct StoreStats {
     pub update_batches_applied: u64,
     /// Rows rewritten by applied update batches.
     pub update_rows_applied: u64,
-    /// Superseded rows retired after the post-publish synchronize.
+    /// Equal to `update_rows_applied`: kept under its old name. Rows
+    /// are rewritten in place, and no copy of one is retired later.
     pub update_rows_retired: u64,
     /// Update batches rolled back whole (injected crash mid-batch).
     pub update_rollbacks: u64,
@@ -139,7 +161,7 @@ pub struct StoreStats {
     pub update_duplicates_rejected: u64,
     /// Injected publish delays honored mid-update.
     pub update_publish_delays: u64,
-    /// Epoch synchronizations completed by the retire step.
+    /// Epoch synchronizations completed by the wait-out step.
     pub update_synchronizations: u64,
     /// Readers currently pinned into the update epoch (gauge; racy).
     pub pinned_readers: u64,

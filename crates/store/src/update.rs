@@ -1,5 +1,5 @@
 //! Row writes: versioned update and restore batches (validate, apply
-//! under an undo log, publish, retire), the single-row rewrite, and
+//! under an undo log, publish, wait out readers), the single-row rewrite, and
 //! the invalidation every write ends with.
 
 use std::sync::Arc;
@@ -275,8 +275,6 @@ impl EmbeddingStore {
 
         // Step 4: wait out pre-publish readers.
         self.epoch.synchronize();
-        self.update_rows_retired
-            .fetch_add(undo.len() as u64, Ordering::Relaxed);
         self.update_batches_applied.fetch_add(1, Ordering::Relaxed);
         self.update_rows_applied
             .fetch_add(undo.len() as u64, Ordering::Relaxed);

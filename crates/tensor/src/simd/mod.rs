@@ -19,6 +19,12 @@
 //! | x86_64 with AVX2 **and** FMA                | `Avx2Fma`      |
 //! | anything else                               | `Scalar`       |
 //!
+//! So the path a kernel call takes is the process's backend: every
+//! dispatched kernel runs its vector form exactly when the backend is
+//! `Avx2Fma`, and none reports which ran. A caller that splits work
+//! into vector and scalar counts one total and attributes it to
+//! [`active_backend`] (as the store's decode counters do).
+//!
 //! The quantized row kernels are bit-identical to their scalar oracles
 //! by construction; the FMA GEMM (see [`gemm_fma_enabled`]) contracts
 //! multiplies into fused multiply-adds and widens the reduction to 8
@@ -105,17 +111,6 @@ impl std::fmt::Display for KernelBackend {
     }
 }
 
-/// Which path a dispatched kernel call actually took — surfaced so the
-/// store can count vectorized vs scalar decodes per run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelPath {
-    /// The AVX2/FMA vector kernel ran (tails inside it are still part of
-    /// the vector path — the dispatch decision is per call, not per lane).
-    Vector,
-    /// The portable scalar kernel ran.
-    Scalar,
-}
-
 /// Pure dispatch decision, separated from environment/CPU probing so the
 /// table in the module docs is unit-testable.
 pub(crate) fn resolve_backend(force_scalar: bool, have_avx2_fma: bool) -> KernelBackend {
@@ -179,40 +174,21 @@ pub fn prefetch<T: ?Sized>(data: &T) {
     }
 }
 
-/// `dst.copy_from_slice(row)`, reporting the path that matches the
-/// active backend. An f32 "decode" is a straight copy on every backend
-/// (memcpy is as vectorized as the hardware allows either way); this
-/// wrapper exists so the store's vector/scalar decode counters reflect
-/// the process backend uniformly across encodings.
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-#[inline]
-pub fn copy_f32_into(row: &[f32], dst: &mut [f32]) -> KernelPath {
-    dst.copy_from_slice(row);
-    match active_backend() {
-        KernelBackend::Avx2Fma => KernelPath::Vector,
-        KernelBackend::Scalar => KernelPath::Scalar,
-    }
-}
-
 /// `acc[i] += row[i]` element-wise; bit-identical on every backend.
 ///
 /// # Panics
 ///
 /// Panics if the slice lengths differ.
 #[inline]
-pub fn sum_f32_into(row: &[f32], acc: &mut [f32]) -> KernelPath {
+pub fn sum_f32_into(row: &[f32], acc: &mut [f32]) {
     assert_eq!(row.len(), acc.len(), "sum_f32_into length mismatch");
     #[cfg(target_arch = "x86_64")]
     if active_backend() == KernelBackend::Avx2Fma {
         // SAFETY: AVX2 presence was verified by the dispatch probe.
         unsafe { x86::sum_f32_into(row, acc) };
-        return KernelPath::Vector;
+        return;
     }
     scalar::sum_f32_into(row, acc);
-    KernelPath::Scalar
 }
 
 /// Decodes binary16 bits into `dst` (exact conversion; bit-identical on
@@ -222,16 +198,15 @@ pub fn sum_f32_into(row: &[f32], acc: &mut [f32]) -> KernelPath {
 ///
 /// Panics if the slice lengths differ.
 #[inline]
-pub fn decode_f16_into(bits: &[u16], dst: &mut [f32]) -> KernelPath {
+pub fn decode_f16_into(bits: &[u16], dst: &mut [f32]) {
     assert_eq!(bits.len(), dst.len(), "decode_f16_into length mismatch");
     #[cfg(target_arch = "x86_64")]
     if active_backend() == KernelBackend::Avx2Fma {
         // SAFETY: AVX2 presence was verified by the dispatch probe.
         unsafe { x86::decode_f16_into(bits, dst) };
-        return KernelPath::Vector;
+        return;
     }
     scalar::decode_f16_into(bits, dst);
-    KernelPath::Scalar
 }
 
 /// `acc[i] += decode(bits[i])` element-wise (bit-identical on every
@@ -241,16 +216,15 @@ pub fn decode_f16_into(bits: &[u16], dst: &mut [f32]) -> KernelPath {
 ///
 /// Panics if the slice lengths differ.
 #[inline]
-pub fn sum_f16_into(bits: &[u16], acc: &mut [f32]) -> KernelPath {
+pub fn sum_f16_into(bits: &[u16], acc: &mut [f32]) {
     assert_eq!(bits.len(), acc.len(), "sum_f16_into length mismatch");
     #[cfg(target_arch = "x86_64")]
     if active_backend() == KernelBackend::Avx2Fma {
         // SAFETY: AVX2 presence was verified by the dispatch probe.
         unsafe { x86::sum_f16_into(bits, acc) };
-        return KernelPath::Vector;
+        return;
     }
     scalar::sum_f16_into(bits, acc);
-    KernelPath::Scalar
 }
 
 /// Dequantizes one int8 row into `dst`:
@@ -261,16 +235,15 @@ pub fn sum_f16_into(bits: &[u16], acc: &mut [f32]) -> KernelPath {
 ///
 /// Panics if the slice lengths differ.
 #[inline]
-pub fn decode_i8_into(q: &[u8], scale: f32, bias: f32, dst: &mut [f32]) -> KernelPath {
+pub fn decode_i8_into(q: &[u8], scale: f32, bias: f32, dst: &mut [f32]) {
     assert_eq!(q.len(), dst.len(), "decode_i8_into length mismatch");
     #[cfg(target_arch = "x86_64")]
     if active_backend() == KernelBackend::Avx2Fma {
         // SAFETY: AVX2+FMA presence was verified by the dispatch probe.
         unsafe { x86::decode_i8_into(q, scale, bias, dst) };
-        return KernelPath::Vector;
+        return;
     }
     scalar::decode_i8_into(q, scale, bias, dst);
-    KernelPath::Scalar
 }
 
 /// `acc[i] += scale.mul_add(q[i] as f32, bias)` element-wise
@@ -280,16 +253,15 @@ pub fn decode_i8_into(q: &[u8], scale: f32, bias: f32, dst: &mut [f32]) -> Kerne
 ///
 /// Panics if the slice lengths differ.
 #[inline]
-pub fn sum_i8_into(q: &[u8], scale: f32, bias: f32, acc: &mut [f32]) -> KernelPath {
+pub fn sum_i8_into(q: &[u8], scale: f32, bias: f32, acc: &mut [f32]) {
     assert_eq!(q.len(), acc.len(), "sum_i8_into length mismatch");
     #[cfg(target_arch = "x86_64")]
     if active_backend() == KernelBackend::Avx2Fma {
         // SAFETY: AVX2+FMA presence was verified by the dispatch probe.
         unsafe { x86::sum_i8_into(q, scale, bias, acc) };
-        return KernelPath::Vector;
+        return;
     }
     scalar::sum_i8_into(q, scale, bias, acc);
-    KernelPath::Scalar
 }
 
 /// Quantizes one row to int8 — `q[i] = round((row[i] - bias) / scale)`

@@ -182,7 +182,7 @@ pub(crate) enum Touch {
     Absent,
 }
 
-/// What an insertion displaced.
+/// What an insertion that made its key resident displaced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Inserted {
     /// An eviction happened and the victim's `prefetched_unused` flag
@@ -324,10 +324,12 @@ impl ResidencyClock {
         true
     }
 
-    /// Inserts `key` (no-op if already resident), evicting the CLOCK
-    /// victim when the budget is full. `prefetched` seeds the
-    /// prefetched-unused flag on a fresh insert.
-    pub(crate) fn insert(&mut self, key: u64, prefetched: bool) -> Inserted {
+    /// Inserts `key`, evicting the CLOCK victim when the budget is full,
+    /// and says what that displaced. `prefetched` seeds the
+    /// prefetched-unused flag on a fresh insert. A key already resident
+    /// (a racing promote won) is only touched, and the answer is `None`:
+    /// nothing was inserted, so the caller counts no promotion.
+    pub(crate) fn insert(&mut self, key: u64, prefetched: bool) -> Option<Inserted> {
         let mut inserted = Inserted {
             evicted: false,
             evicted_prefetched_unused: false,
@@ -336,12 +338,11 @@ impl ResidencyClock {
         // — before anything is evicted, so a key past a registered
         // table's end panics with the clock intact.
         if let Some(i) = self.rows.entry(key).slot() {
-            // Already resident (a racing promote won): treat as a touch.
             self.slots[i].0 |= REFERENCED;
             if !prefetched {
                 self.slots[i].take(PREFETCHED_UNUSED);
             }
-            return inserted;
+            return None;
         }
         let fresh = Slot(key | REFERENCED | if prefetched { PREFETCHED_UNUSED } else { 0 });
         let slot = match self.victim_key() {
@@ -363,7 +364,7 @@ impl ResidencyClock {
             }
         };
         self.set_slot(key, slot as u32);
-        inserted
+        Some(inserted)
     }
 }
 
@@ -386,7 +387,7 @@ mod tests {
         assert_eq!(c.resident(), 2);
         assert!(c.contains(1) && c.contains(2));
         // Both referenced; inserting 3 clears both then evicts slot 0.
-        let ins = c.insert(3, false);
+        let ins = c.insert(3, false).expect("a fresh insert");
         assert!(ins.evicted);
         assert_eq!(c.evictions(), 1);
         assert!(!c.contains(1), "slot 0 (key 1) is the CLOCK victim");
@@ -401,7 +402,7 @@ mod tests {
         c.insert(3, false); // the sweep clears both bits, evicts 1
                             // Key 2's bit was cleared by that sweep; key 3 was inserted
                             // referenced. The next insert takes the unreferenced 2.
-        let ins = c.insert(4, false);
+        let ins = c.insert(4, false).expect("a fresh insert");
         assert!(ins.evicted);
         assert!(c.contains(3), "freshly referenced key evicted");
         assert!(c.contains(4));
@@ -428,7 +429,7 @@ mod tests {
         // A prefetched row evicted before any demand touch is wasted.
         c.insert(11, true);
         c.slots_clear_referenced_for_test();
-        let ins = c.insert(12, false);
+        let ins = c.insert(12, false).expect("a fresh insert");
         assert!(ins.evicted && ins.evicted_prefetched_unused);
     }
 
@@ -453,9 +454,18 @@ mod tests {
         // The backfilled slot (key 4 moved into 2's place) still resolves.
         assert!(c.contains(4) && c.contains(1) && c.contains(3));
         // Room freed: the next insert must not evict.
-        let ins = c.insert(5, false);
+        let ins = c.insert(5, false).expect("a fresh insert");
         assert!(!ins.evicted);
         assert_eq!(c.resident(), 4);
+    }
+
+    #[test]
+    fn inserting_a_resident_key_inserts_nothing() {
+        let mut c = ResidencyClock::new(2);
+        assert!(c.insert(1, false).is_some());
+        assert_eq!(c.insert(1, true), None, "1 was resident already");
+        assert_eq!(c.resident(), 1);
+        assert_eq!(c.evictions(), 0);
     }
 
     #[test]

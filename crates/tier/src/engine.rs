@@ -355,9 +355,12 @@ impl TierSession<'_> {
                 }
             }
         }
-        let inserted = st.clock.insert(key, false);
-        st.stats.promotions += 1;
-        st.stats.prefetch_wasted += u64::from(inserted.evicted_prefetched_unused);
+        // Under `Pacing::Sleep` another access may have made the row
+        // resident while this one slept: then nothing is promoted.
+        if let Some(inserted) = st.clock.insert(key, false) {
+            st.stats.promotions += 1;
+            st.stats.prefetch_wasted += u64::from(inserted.evicted_prefetched_unused);
+        }
     }
 
     /// `key`'s record, opaque, for a caller to prefetch a few accesses
@@ -394,7 +397,9 @@ impl TierSession<'_> {
     /// One prefetch fill: pays the cold latency off the critical path and
     /// promotes the row flagged prefetched-unused. No-op when the row is
     /// already resident (a demand read, or an earlier fill, got there
-    /// first).
+    /// first); under [`Pacing::Sleep`] it also fills nothing if the row
+    /// became resident while the fill slept, though the read was issued
+    /// and charged.
     ///
     /// `verify` is the staleness re-check: it runs *under the tier lock*
     /// immediately before the insert, and a `false` abandons the fill
@@ -420,7 +425,11 @@ impl TierSession<'_> {
             st.stats.prefetch_aborted_stale += 1;
             return false;
         }
-        let inserted = st.clock.insert(key, true);
+        // As in `promote_demand`: a row made resident while this fill
+        // slept is not filled again.
+        let Some(inserted) = st.clock.insert(key, true) else {
+            return false;
+        };
         st.stats.promotions += 1;
         st.stats.prefetch_fills += 1;
         st.stats.prefetch_wasted += u64::from(inserted.evicted_prefetched_unused);
@@ -490,6 +499,65 @@ mod tests {
         assert_eq!(s.cold_demand_reads, 1);
         assert_eq!((s.prefetch_issued, s.prefetch_fills), (0, 0));
         assert_eq!(s.prefetch_wait_nanos, 0);
+    }
+
+    /// An engine whose cold reads sleep with the tier lock released:
+    /// 100 ms, and 100 ms more for each read already in service.
+    fn sleeping(budget: usize) -> TierEngine {
+        TierEngine::new(&TierConfig {
+            dram_budget_rows: budget,
+            cold_read: ColdReadModel {
+                base: Duration::from_millis(100),
+                jitter: Duration::ZERO,
+                per_inflight: Duration::from_millis(100),
+                seed: 3,
+                pacing: Pacing::Sleep,
+            },
+            prefetch: true,
+            admit_after: 1,
+            combine: None,
+        })
+    }
+
+    /// Returns once a demand read is asleep: its cold read is counted
+    /// under the lock it drops to sleep. A second read started now is
+    /// charged 200 ms, so it wakes after the first has promoted its row.
+    fn once_asleep(t: &TierEngine) {
+        while t.stats().cold_demand_reads == 0 {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn two_demands_that_overlap_a_sleep_promote_the_row_once() {
+        let t = sleeping(4);
+        std::thread::scope(|s| {
+            s.spawn(|| t.demand_access(7));
+            once_asleep(&t);
+            // 7 is not resident yet: this read is cold too, and wakes
+            // after the first has promoted the row.
+            assert!(matches!(t.demand_access(7), TierAccess::ColdMiss { .. }));
+        });
+        let s = t.stats();
+        assert_eq!(s.cold_demand_reads, 2, "the two reads did not overlap");
+        assert_eq!((s.promotions, s.dram_resident_rows), (1, 1), "{s:?}");
+    }
+
+    #[test]
+    fn a_fill_that_overlaps_a_demand_sleep_fills_nothing() {
+        let t = sleeping(4);
+        std::thread::scope(|s| {
+            s.spawn(|| t.demand_access(7));
+            once_asleep(&t);
+            assert!(
+                !t.session().prefetch_fill_if(7, || true),
+                "the demand read made 7 resident while the fill slept"
+            );
+        });
+        let s = t.stats();
+        assert_eq!(s.prefetch_issued, 1, "the fill did not overlap");
+        assert_eq!((s.promotions, s.prefetch_fills), (1, 0), "{s:?}");
+        assert_eq!(s.dram_resident_rows, 1);
     }
 
     #[test]

@@ -24,8 +24,9 @@
 //!   seed and the global read index — no wall clock, no OS randomness.
 //! * **Separate accounting.** Cold-tier reads and prefetch fills each
 //!   move their own counters; they never touch the store's demand
-//!   `decode_vector`/`decode_scalar` pair, keeping the kernel-mix metric
-//!   honest.
+//!   `decodes` count, so decodes stay kernel work. A promotion or a fill
+//!   is counted only when its insert made the row resident: under
+//!   [`Pacing::Sleep`] another access may have done so while it slept.
 //!
 //! The pieces:
 //!
