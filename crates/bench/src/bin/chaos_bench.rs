@@ -307,7 +307,8 @@ fn run_rolling_update(smoke: bool) -> RollingOutcome {
         update_duplicate_every_n_batches: Some(5),
         ..FaultPlan::quiet(0xD1CE)
     });
-    let channels = runtime.update_channels();
+    let channel = |&id| Arc::clone(runtime.update_channel(id).expect("co-located"));
+    let channels: Vec<_> = models.iter().map(channel).collect();
     let updater_thread = {
         let hook = hook.clone();
         std::thread::spawn(move || {

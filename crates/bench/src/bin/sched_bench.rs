@@ -80,8 +80,7 @@ use drec_sched::{
     SchedConfig, SchedReport,
 };
 use drec_serve::{
-    Inline, LanePool, LaneSpec, ModelChannelSnapshot, PoolConfig, Response, ServeConfig,
-    ServeRuntime,
+    Inline, LaneSpec, ModelChannelSnapshot, PoolConfig, Response, ServeConfig, ServeRuntime,
 };
 use drec_store::{EmbeddingStore, RowEncoding, StoreConfig, TierConfig};
 use drec_trace::RunTrace;
@@ -398,8 +397,8 @@ fn time_start(models: &[ModelId], reps: usize) -> StartTimes {
         heap_live = HEAP.live_bytes() - heap_before;
         heap_peak = HEAP.peak_bytes() - heap_before;
         let runtime = runtime.expect("timed").expect("runtime starts");
-        let channels = runtime.update_channels();
-        fc_param_bytes = channels.iter().map(|c| c.fc_param_bytes()).sum();
+        let models = runtime.snapshot().models;
+        fc_param_bytes = models.iter().map(|m| m.fc_param_bytes).sum();
         seconds
     });
 
@@ -459,7 +458,7 @@ fn time_start(models: &[ModelId], reps: usize) -> StartTimes {
         });
         let lanes = lanes.collect();
         time(|| {
-            LanePool::start(PoolConfig {
+            ServeRuntime::start_pool(PoolConfig {
                 lanes,
                 scale: ModelScale::Paper,
                 seed: SEED,

@@ -110,9 +110,13 @@ impl LatencyCurve {
     ///
     /// # Panics
     ///
-    /// Panics if `knots` is empty.
+    /// Panics if `knots` is empty, or if a knot's seconds is not finite
+    /// and positive: [`LatencyCurve::eval`] interpolates in log space, so
+    /// such a knot would price batches at `NaN`.
     pub fn from_points(mut knots: Vec<(usize, f64)>) -> Self {
         assert!(!knots.is_empty(), "latency curve needs at least one point");
+        let positive = knots.iter().all(|&(_, s)| s.is_finite() && s > 0.0);
+        assert!(positive, "knots need finite, positive seconds: {knots:?}");
         knots.sort_by_key(|k| k.0);
         knots.dedup_by_key(|k| k.0);
         LatencyCurve { knots }
@@ -160,6 +164,13 @@ mod tests {
                 })
                 .collect(),
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "finite, positive")]
+    fn a_zero_knot_is_refused() {
+        // Log-log interpolation from 0 s reads NaN at batch 8.
+        LatencyCurve::from_points(vec![(1, 0.0), (64, 1e-2)]);
     }
 
     #[test]

@@ -1,37 +1,31 @@
-//! `drec-sched` — multi-model co-location scheduler with per-query
-//! batching and CPU/GPU query splitting.
+//! `drec-sched` — co-location as a placement on the one serving
+//! runtime, with CPU/GPU batch splitting.
 //!
-//! `drec-serve`'s `ServeRuntime` runs *one* model on a lane pool of its
-//! own. Production recommendation fleets don't get that luxury: the
-//! paper's eight model classes share machines, and DeepRecSys-style
+//! The paper's eight model classes share machines, and DeepRecSys-style
 //! schedulers answer two questions per query — *how large a batch should
 //! it ride in*, and *should that batch run on the CPU or an
-//! accelerator?* This crate operationalizes both on the same lane pool,
-//! one lane per model, through its placement hook:
+//! accelerator?* This crate answers both with a [`Colocation`]: a
+//! placement and a pool configuration for `drec-serve`'s one runtime
+//! type, `ServeRuntime::start_pool`, with one lane per model.
 //!
-//! * [`MultiServeRuntime`] co-locates any subset of the workspace's
-//!   models on one shared CPU worker pool plus an optional simulated
-//!   accelerator, behind one admission queue per model (each with its
-//!   own deadlines, priorities, and overload ladder). The accelerator is
-//!   one more worker of the pool, polling the same queues.
-//! * [`ModelProfile`] calibrates, per model, a CPU cost curve
-//!   (microarchitectural simulation) and a GPU dispatch oracle
-//!   (roofline + PCIe), yielding a deterministic crossover batch size
-//!   `b*`: the accelerator takes a model's batch only at or past it,
-//!   and none of a model without one; CPU workers take any batch.
-//! * Batch size has one shrinking rule, each lane's overload ladder: its
-//!   `ReducedBatch` rung halves the batch cap while the lane's queue is
-//!   deep. A model's [`ModelSlo`] is a target the caller checks, not a
-//!   knob the runtime turns. Every lane runs on one width-1 intra-op
-//!   pool: the lanes already share the CPU workers.
+//! * [`Colocation::calibrate`] builds every model and calibrates its
+//!   [`ModelProfile`]: a CPU cost curve (microarchitectural simulation)
+//!   and a GPU dispatch oracle (roofline + PCIe), yielding a
+//!   deterministic crossover batch size `b*`. The accelerator, one more
+//!   worker of the pool, takes a model's batch only at or past it, and
+//!   none of a model without one; CPU workers take any batch.
+//! * Batch size has one shrinking rule, each lane's overload ladder. A
+//!   model's [`ModelSlo`] is a target the caller checks, not a knob the
+//!   runtime turns.
+//! * [`MultiServeRuntime`] and [`MultiServeHandle`] address that runtime
+//!   and its lanes by model.
 //!
 //! Placement is *simulated*, execution is *real*: offloaded batches run
 //! the same kernels as CPU batches, so a response carries the bits of its
 //! sample run alone on a standalone model, whichever batch it rode in and
 //! whichever backend ran it, while its latency is priced by the roofline
-//! model. That keeps every scheduling decision reproducible for a fixed
-//! seed, which `sched_bench` turns into acceptance gates; it also checks
-//! every answered request's bits.
+//! model. `sched_bench` turns the decisions into gates and checks every
+//! answered request's bits.
 
 mod crew;
 mod profile;
@@ -39,8 +33,8 @@ mod runtime;
 
 pub use profile::{ModelProfile, ProfileConfig};
 pub use runtime::{
-    DecisionSnapshot, GpuSchedConfig, ModelSlo, MultiServeHandle, MultiServeRuntime, SchedConfig,
-    SchedReport,
+    Colocation, DecisionSnapshot, GpuSchedConfig, ModelSlo, MultiServeHandle, MultiServeRuntime,
+    SchedConfig, SchedReport,
 };
 
 #[cfg(test)]
@@ -145,7 +139,7 @@ mod tests {
 
     #[test]
     fn dispatch_signal_pulse_after_generation_read_is_never_missed() {
-        // The worker protocol of `drec_serve::LanePool` is: read `seen =
+        // The worker protocol of `drec_serve::ServeRuntime` is: read `seen =
         // signal.generation()`, poll every lane, then `wait_until(seen, ..)`.
         // A pulse landing anywhere between the generation read and the
         // wait must make that wait return immediately — otherwise a

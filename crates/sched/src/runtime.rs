@@ -1,49 +1,38 @@
-//! The multi-model co-location runtime: what co-location adds to the
-//! serving core.
+//! Co-location as a placement: [`Colocation::calibrate`] builds and
+//! calibrates every model and returns the [`Placement`] and the
+//! [`PoolConfig`] that [`ServeRuntime::start_pool`] serves them with.
 //!
 //! ```text
-//!                      ┌─ lane NCF  ─┐   poll any batch   ┌─ CPU worker 0..W   (drec_serve::LanePool:
-//!  MultiServeHandle ──▶│  lane RM1   │◀───────────────────┤   admission, worker loop, retry,
-//!   (model → lane)     │  …          │◀───────────────────┤   recovery, teardown)
-//!        │             └─ lane DIEN ─┘  poll batches ≥ b* └─ accelerator worker W (functional
-//!        │ lane over budget             of lanes with a b*    execution, roofline-modelled latency)
-//!        ▼
-//!   shed Overloaded
+//!                      ┌─ lane NCF  ─┐   poll any batch   ┌─ CPU worker 0..W
+//!  ServeHandle ───────▶│  lane RM1   │◀───────────────────┤
+//!   (one per lane)     │  …          │◀───────────────────┤
+//!                      └─ lane DIEN ─┘  poll batches ≥ b* └─ accelerator worker W
 //! ```
 //!
-//! Lanes, admission, the worker loop, retry, self-supervised recovery
-//! and teardown all belong to [`drec_serve::LanePool`] — the same core
-//! the single-model `ServeRuntime` runs with one lane. This module
-//! supplies the [`Placement`] hook and owns no thread: every thread of a
-//! co-located runtime is the pool's. It adds no intra-op parallelism of
-//! its own either — every lane runs on one width-1 pool, since the lanes
-//! already share the workers.
+//! Lanes, admission, the worker loop, retry, recovery and teardown
+//! belong to [`ServeRuntime`]; this module owns no thread. Every lane
+//! runs on one width-1 intra-op pool, since the lanes already share the
+//! workers. The returned [`PoolConfig`] has the default supervisor and
+//! no faults; a caller that wants others sets them before starting it.
 //!
-//! Each lane has one queue. With an accelerator configured, the pool has
-//! one worker more than [`SchedConfig::cpu_workers`]: the accelerator,
-//! which runs the same loop as the CPU workers under one size rule from
-//! the model's calibrated [`ModelProfile`]. It takes a batch from a lane
-//! only when the batch reaches that lane's CPU/GPU crossover `b*`, and
-//! never from a lane with no crossover; CPU workers take any batch. So a
-//! deep queue makes large batches, the accelerator drains them, and an
-//! arrival past the lane's budget is shed `Overloaded`, as in
-//! `ServeRuntime`.
+//! With an accelerator configured, the pool has one worker more than
+//! [`SchedConfig::cpu_workers`]: the accelerator. It takes a batch from a
+//! lane only at or past that lane's CPU/GPU crossover `b*` (from the
+//! model's calibrated [`ModelProfile`]), and never from a lane with no
+//! crossover; CPU workers take any batch. It executes batches
+//! *functionally* (same kernels, so results stay bit-identical) while
+//! their latency is *modelled* by the roofline dispatch oracle.
 //!
-//! The accelerator worker executes batches *functionally* (same kernels,
-//! same arithmetic — results stay bit-identical to a single-model
-//! engine) while its latency is *modelled* by the roofline dispatch
-//! oracle, the same two-clock discipline `drec-serve` uses for CPU
-//! workers.
+//! Calibration builds each model once, on the calling thread in lane
+//! order (so the shared store gives every table the slot it always had),
+//! and hands each to the start crew, which calibrates the profiles on one
+//! simulator per thread — a profile depends only on the model's
+//! parameters and the calibration seed, so this is the serial result.
+//! The calibrated model travels to the pool in its [`LaneSpec`]; every
+//! other engine of the lane, the accelerator's included, is a view of it.
 //!
-//! Start builds each model once: on the calling thread, in lane order (so
-//! the shared store gives every table the slot it always had), handing
-//! each to the start crew, which calibrates the [`ModelProfile`]s
-//! concurrently on one simulator per calibrating thread — a profile
-//! depends only on the model's parameters and the calibration seed, so
-//! this is the serial result. The calibrated
-//! model travels to the pool in its [`LaneSpec`] and is the one the lane's
-//! first engine serves; every other engine of the lane, the accelerator's
-//! included, is a view of it.
+//! [`MultiServeRuntime`] and [`MultiServeHandle`] are that runtime and
+//! its handles addressed by model.
 
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -55,9 +44,9 @@ use drec_models::{InputSpec, ModelId, ModelScale};
 use drec_ops::Value;
 use drec_par::ParPool;
 use drec_serve::{
-    BatchExecution, DegradeConfig, EmbeddingStore, FaultHook, Lane, LanePool, LaneSet, LaneSpec,
-    MetricsSnapshot, ModelUpdateChannel, PendingResponse, Placement, PoolConfig, Result,
-    ServeError, StoreConfig, SubmitOptions, SupervisorConfig,
+    BatchExecution, DegradeConfig, EmbeddingStore, FaultHook, LaneSpec, MetricsSnapshot,
+    ModelUpdateChannel, PendingResponse, Placement, PoolConfig, Result, ServeError, ServeHandle,
+    ServeRuntime, StoreConfig, SupervisorConfig,
 };
 
 use crate::crew::crew;
@@ -173,7 +162,7 @@ impl Default for GpuSchedConfig {
     }
 }
 
-/// Configuration for [`MultiServeRuntime::start`].
+/// Configuration for [`Colocation::calibrate`] and [`MultiServeRuntime::start`].
 #[derive(Debug, Clone)]
 pub struct SchedConfig {
     /// The co-located models and their SLOs. Must be non-empty with
@@ -262,10 +251,10 @@ struct ColoLane {
     decisions: DecisionStats,
 }
 
-/// The [`Placement`] hook: the accelerator worker's size rule, its
-/// pricing, and the per-backend batch counters.
+/// The [`Placement`] hook of co-located lanes: the accelerator worker's
+/// size rule, its pricing, and the per-backend batch counters.
 #[derive(Debug)]
-struct Colocation {
+pub struct Colocation {
     lanes: Vec<ColoLane>,
     /// The accelerator's worker index (past the CPU workers).
     accelerator: Option<usize>,
@@ -296,30 +285,23 @@ impl Placement for Colocation {
     }
 }
 
-/// The running co-location scheduler. Dropping it without calling
-/// [`MultiServeRuntime::shutdown`] still drains accepted work and joins
-/// the workers (the pool's own teardown).
-#[derive(Debug)]
-pub struct MultiServeRuntime {
-    pool: LanePool,
-    colo: Arc<Colocation>,
-}
-
-impl MultiServeRuntime {
-    /// Builds every model and calibrates its placement profile (see the
-    /// module docs for the order), then starts the lane pool on those
-    /// models (the accelerator is its last worker). A model's
-    /// [`ModelSlo::slo`] is not read.
+impl Colocation {
+    /// Builds every model of `cfg` and calibrates its placement profile
+    /// (see the module docs for the order). Returns the placement and the
+    /// pool to start on it: one lane per model in `cfg` order, each
+    /// priced by its calibrated CPU curve, `cfg.cpu_workers` CPU workers
+    /// and the accelerator, when configured, as the last worker, one
+    /// width-1 intra-op pool, the default supervisor and no faults. A
+    /// model's [`ModelSlo::slo`] is not read.
     ///
     /// # Errors
     ///
-    /// [`ServeError::WorkerFailed`] when a model fails to build,
-    /// [`ServeError::SpawnFailed`] when a thread cannot be spawned.
+    /// [`ServeError::WorkerFailed`] when a model fails to build.
     ///
     /// # Panics
     ///
     /// Panics on an empty or duplicate model list or zero CPU workers.
-    pub fn start(cfg: SchedConfig) -> Result<MultiServeRuntime> {
+    pub fn calibrate(cfg: &SchedConfig) -> Result<(Arc<Colocation>, PoolConfig)> {
         assert!(!cfg.models.is_empty(), "need at least one model");
         assert!(cfg.cpu_workers >= 1, "need at least one CPU worker");
         for (i, m) in cfg.models.iter().enumerate() {
@@ -374,10 +356,7 @@ impl MultiServeRuntime {
             lanes,
             accelerator: cfg.gpu.as_ref().map(|_| cfg.cpu_workers),
         });
-
-        // The serving core: one lane per model, each priced by its
-        // calibrated CPU curve, and the accelerator as one more worker.
-        let pool = LanePool::start(PoolConfig {
+        let pool = PoolConfig {
             lanes: specs,
             scale: cfg.scale,
             seed: cfg.seed,
@@ -395,104 +374,124 @@ impl MultiServeRuntime {
             supervisor: SupervisorConfig::default(),
             faults: FaultHook::disabled(),
             placement: Arc::clone(&colo) as Arc<dyn Placement>,
-        })?;
-        Ok(MultiServeRuntime { pool, colo })
+        };
+        Ok((colo, pool))
+    }
+
+    /// Point-in-time batches by backend, one entry per model.
+    pub fn decisions(&self) -> Vec<DecisionSnapshot> {
+        self.lanes.iter().map(ColoLane::decisions).collect()
+    }
+
+    /// The placement profile `model` was calibrated to, when co-located.
+    pub fn profile(&self, model: ModelId) -> Option<&ModelProfile> {
+        let lane = self.lanes.iter().find(|lane| lane.model == model);
+        lane.map(|lane| &lane.profile)
+    }
+}
+
+impl ColoLane {
+    fn decisions(&self) -> DecisionSnapshot {
+        let d = &self.decisions;
+        let queries = |b: Backend| d.queries[b as usize].load(Ordering::Relaxed);
+        let hist = |b: Backend| -> Vec<u64> {
+            let buckets = &d.hist[b as usize];
+            buckets.iter().map(|n| n.load(Ordering::Relaxed)).collect()
+        };
+        let (cpu_size_hist, gpu_size_hist) = (hist(Backend::Cpu), hist(Backend::Gpu));
+        DecisionSnapshot {
+            model: self.model.name().to_string(),
+            crossover: self.profile.crossover,
+            cpu_batches: cpu_size_hist.iter().sum(),
+            cpu_queries: queries(Backend::Cpu),
+            gpu_batches: gpu_size_hist.iter().sum(),
+            gpu_queries: queries(Backend::Gpu),
+            cpu_size_hist,
+            gpu_size_hist,
+        }
+    }
+}
+
+/// The lane of `model` among `handles`, when one serves it.
+fn by_model(handles: &[ServeHandle], model: ModelId) -> Option<&ServeHandle> {
+    handles.iter().find(|h| h.model() == model)
+}
+
+/// The running co-location scheduler: the one runtime on a
+/// [`Colocation`] placement, addressed by model. Dropping it tears the
+/// runtime down as [`MultiServeRuntime::shutdown`] does.
+#[derive(Debug)]
+pub struct MultiServeRuntime {
+    runtime: ServeRuntime,
+    colo: Arc<Colocation>,
+}
+
+impl MultiServeRuntime {
+    /// [`Colocation::calibrate`], then [`ServeRuntime::start_pool`] on
+    /// the pool it returns: errors and panics are theirs.
+    ///
+    /// # Errors
+    ///
+    /// As [`Colocation::calibrate`] and [`ServeRuntime::start_pool`].
+    pub fn start(cfg: SchedConfig) -> Result<MultiServeRuntime> {
+        let (colo, pool) = Colocation::calibrate(&cfg)?;
+        let runtime = ServeRuntime::start_pool(pool)?;
+        Ok(MultiServeRuntime { runtime, colo })
     }
 
     /// The shared embedding store all lanes resolve lookups through,
-    /// when [`SchedConfig::store`] was set. Reporting code combines this
-    /// with [`drec_models::store_namespace`] for per-model tier
-    /// residency.
+    /// when [`SchedConfig::store`] was set.
     pub fn store(&self) -> Option<&Arc<EmbeddingStore>> {
-        self.pool.lanes[0].update.store()
+        self.runtime.update_channel().store()
     }
 
-    /// The live-update mailbox of `model`, when co-located here. A
-    /// rolling updater posts weight sets and embedding deltas through
-    /// it; every engine replica of the lane polls it between batches.
+    /// The live-update mailbox of `model`, when co-located here.
     pub fn update_channel(&self, model: ModelId) -> Option<&Arc<ModelUpdateChannel>> {
-        lane_of(&self.pool, model).map(|(_, lane)| &lane.update)
-    }
-
-    /// Every lane's live-update mailbox, in co-location order — the
-    /// rolling-update chaos gate walks these one model at a time.
-    pub fn update_channels(&self) -> Vec<Arc<ModelUpdateChannel>> {
-        let lanes = self.pool.lanes.iter();
-        lanes.map(|l| Arc::clone(&l.update)).collect()
+        by_model(self.runtime.handles(), model).map(ServeHandle::update_channel)
     }
 
     /// A cloneable submission handle.
     pub fn handle(&self) -> MultiServeHandle {
         MultiServeHandle {
-            pool: self.pool.handle(),
+            lanes: self.runtime.handles().to_vec(),
         }
     }
 
     /// Point-in-time metrics summary.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        self.pool.snapshot()
+        self.runtime.snapshot()
     }
 
     /// Point-in-time batches by backend, one entry per model.
     pub fn decisions(&self) -> Vec<DecisionSnapshot> {
-        self.colo.lanes.iter().map(snapshot_decisions).collect()
+        self.colo.decisions()
     }
 
     /// The input contract of `model`, when co-located here.
     pub fn spec(&self, model: ModelId) -> Option<&InputSpec> {
-        lane_of(&self.pool, model).map(|(_, lane)| &lane.spec)
+        by_model(self.runtime.handles(), model).map(ServeHandle::spec)
     }
 
     /// The placement profile `model` was calibrated to at start, when
     /// co-located here.
     pub fn profile(&self, model: ModelId) -> Option<&ModelProfile> {
-        let lane = self.colo.lanes.iter().find(|lane| lane.model == model);
-        lane.map(|lane| &lane.profile)
+        self.colo.profile(model)
     }
 
-    /// Graceful shutdown: stop admission on every lane, drain all queued
-    /// work through the pool, join every thread, and report final
-    /// metrics and decisions.
-    pub fn shutdown(mut self) -> SchedReport {
-        self.pool.join_workers();
-        self.pool.drain_lanes();
+    /// Graceful shutdown: the runtime's, then the final decisions.
+    pub fn shutdown(self) -> SchedReport {
         SchedReport {
-            snapshot: self.snapshot(),
-            decisions: self.decisions(),
+            snapshot: self.runtime.shutdown(),
+            decisions: self.colo.decisions(),
         }
-    }
-}
-
-/// `model`'s lane index and lane, when co-located in `pool`.
-fn lane_of(pool: &LaneSet, model: ModelId) -> Option<(usize, &Lane)> {
-    let mut lanes = pool.lanes.iter().enumerate();
-    lanes.find(|(_, lane)| lane.model == model)
-}
-
-fn snapshot_decisions(lane: &ColoLane) -> DecisionSnapshot {
-    let d = &lane.decisions;
-    let queries = |b: Backend| d.queries[b as usize].load(Ordering::Relaxed);
-    let hist = |b: Backend| -> Vec<u64> {
-        let buckets = &d.hist[b as usize];
-        buckets.iter().map(|n| n.load(Ordering::Relaxed)).collect()
-    };
-    let (cpu_size_hist, gpu_size_hist) = (hist(Backend::Cpu), hist(Backend::Gpu));
-    DecisionSnapshot {
-        model: lane.model.name().to_string(),
-        crossover: lane.profile.crossover,
-        cpu_batches: cpu_size_hist.iter().sum(),
-        cpu_queries: queries(Backend::Cpu),
-        gpu_batches: gpu_size_hist.iter().sum(),
-        gpu_queries: queries(Backend::Gpu),
-        cpu_size_hist,
-        gpu_size_hist,
     }
 }
 
 /// Cloneable client handle: submit requests to any co-located model.
 #[derive(Debug, Clone)]
 pub struct MultiServeHandle {
-    pool: Arc<LaneSet>,
+    /// One per lane, in lane order.
+    lanes: Vec<ServeHandle>,
 }
 
 impl MultiServeHandle {
@@ -501,39 +500,19 @@ impl MultiServeHandle {
     ///
     /// # Errors
     ///
-    /// See `MultiServeHandle::submit_with`.
-    pub fn submit(&self, model: ModelId, inputs: Vec<Value>) -> Result<PendingResponse> {
-        self.submit_with(model, inputs, SubmitOptions::default())
-    }
-
-    /// Validates and submits one sample for `model` with an explicit
-    /// deadline budget and priority class.
-    ///
-    /// # Errors
-    ///
     /// * [`ServeError::InvalidInput`] — model not co-located here, or
     ///   payload mismatch,
     /// * [`ServeError::Overloaded`] — the model's queue is over budget,
     /// * [`ServeError::ShuttingDown`] — the runtime is draining.
-    pub(crate) fn submit_with(
-        &self,
-        model: ModelId,
-        inputs: Vec<Value>,
-        opts: SubmitOptions,
-    ) -> Result<PendingResponse> {
-        let Some((lane, _)) = lane_of(&self.pool, model) else {
-            self.pool.metrics.record_invalid();
-            return Err(ServeError::InvalidInput {
-                slot: usize::MAX,
-                expected: "a co-located model".to_string(),
-                got: model.name().to_string(),
-            });
-        };
-        self.pool.submit(lane, inputs, opts)
+    pub fn submit(&self, model: ModelId, inputs: Vec<Value>) -> Result<PendingResponse> {
+        match by_model(&self.lanes, model) {
+            Some(lane) => lane.submit(inputs),
+            None => Err(self.lanes[0].reject_unknown(model)),
+        }
     }
 
     /// The input contract of `model`, when co-located here.
     pub fn spec(&self, model: ModelId) -> Option<&InputSpec> {
-        lane_of(&self.pool, model).map(|(_, lane)| &lane.spec)
+        by_model(&self.lanes, model).map(ServeHandle::spec)
     }
 }

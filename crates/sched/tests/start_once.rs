@@ -10,8 +10,8 @@ use std::time::Duration;
 use drec_models::{store_namespace, ModelId, RecModel};
 use drec_sched::{ModelProfile, ModelSlo, MultiServeRuntime, SchedConfig};
 use drec_serve::{
-    DegradeConfig, EmbeddingStore, FaultHook, FaultPlan, Inline, LanePool, LaneSpec, PoolConfig,
-    RowEncoding, ServeConfig, ServeRuntime, StoreConfig, SubmitOptions, SupervisorConfig,
+    DegradeConfig, EmbeddingStore, FaultHook, FaultPlan, Inline, LaneSpec, PoolConfig, RowEncoding,
+    ServeConfig, ServeRuntime, StoreConfig, SubmitOptions, SupervisorConfig,
 };
 use drec_store::TierConfig;
 use drec_workload::QueryGen;
@@ -151,7 +151,7 @@ fn a_pool_started_on_handed_models_rebuilds_engines_after_panics() {
         backoff: Duration::from_millis(1),
         ..SupervisorConfig::default()
     };
-    let mut pool = LanePool::start(PoolConfig {
+    let pool = ServeRuntime::start_pool(PoolConfig {
         lanes,
         scale: cfg.scale,
         seed: cfg.seed,
@@ -173,23 +173,21 @@ fn a_pool_started_on_handed_models_rebuilds_engines_after_panics() {
     })
     .expect("pool starts");
     let tables = store.stats().tables;
-    let handle = pool.handle();
+    let handles = pool.handles();
     // One request at a time until the budget is spent and the last worker
     // closes the lanes; whatever was admitted must be answered.
     'drive: for round in 0..12 {
-        for lane in 0..cfg.models.len() {
+        for (lane, handle) in handles.iter().enumerate() {
             let mut gen = QueryGen::uniform(round * 8 + lane as u64);
-            let inputs = gen.batch(&handle.lanes[lane].spec, 1);
-            let Ok(pending) = handle.submit(lane, inputs, SubmitOptions::default()) else {
+            let inputs = gen.batch(handle.spec(), 1);
+            let Ok(pending) = handle.submit_with(inputs, SubmitOptions::default()) else {
                 break 'drive;
             };
             let answer = pending.wait_timeout(Duration::from_secs(30));
             assert!(answer.is_some(), "request hung across an injected panic");
         }
     }
-    pool.join_workers();
-    pool.drain_lanes();
-    let stats = pool.snapshot();
+    let stats = pool.shutdown();
     assert_eq!(
         stats.worker_restarts,
         u64::from(supervisor.max_restarts),

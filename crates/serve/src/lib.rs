@@ -2,12 +2,12 @@
 //!
 //! The rest of the workspace *models* serving: `drec-core::serving`
 //! interpolates latency curves and simulates a batching queue
-//! analytically. This crate closes the loop by actually running one: real
-//! requests (built from [`drec_workload::QueryGen`] samples) are pushed
-//! onto their model's lane — one `Mutex<VecDeque>` queue per lane, which
-//! is also the dynamic batcher — get coalesced into model batches, and
-//! execute functionally on a pool of worker threads, each owning a
-//! compiled model per lane. The paper's SLA framing (§IV: batch
+//! analytically. This crate closes the loop with one runtime type,
+//! [`ServeRuntime`]: real requests (built from [`drec_workload::QueryGen`]
+//! samples) go through a lane's [`ServeHandle`] onto its queue — one
+//! `Mutex<VecDeque>` per lane, which is also the dynamic batcher — get
+//! coalesced into model batches, and execute on the runtime's workers,
+//! each owning a compiled model per lane. The paper's SLA framing (§IV: batch
 //! sizes from tens to thousands to meet different SLA targets) becomes an
 //! operational system: admission control sheds load with a typed
 //! [`ServeError::Overloaded`] before queues blow the tail, and lock-light
@@ -58,9 +58,7 @@ pub use degrade::{DegradeConfig, OverloadLadder, OverloadLevel};
 pub use engine::{BatchExecution, Engine};
 pub use error::{Result, ServeError};
 pub use metrics::{LatencyHistogram, MetricsSnapshot, ModelChannelSnapshot};
-pub use pool::{
-    Inline, Lane, LanePool, LaneSet, LaneSpec, Placement, PoolConfig, SupervisorConfig,
-};
+pub use pool::{Inline, LaneSpec, Placement, PoolConfig, SupervisorConfig};
 pub use prefetch::PrefetchWindow;
 pub use request::{coalesce_inputs, split_outputs, Priority, Request, Response, SubmitOptions};
 pub use runtime::{PendingResponse, ServeConfig, ServeHandle, ServeRuntime};

@@ -169,7 +169,7 @@ impl ModelChannelSnapshot {
     /// its latency buckets as loaded once for the snapshot.
     fn of(lane: &Lane, counts: &[u64]) -> Self {
         ModelChannelSnapshot {
-            name: lane.model.name().to_string(),
+            name: lane.source.id().name().to_string(),
             completed: counts.iter().sum(),
             shed: lane.shed.load(Ordering::Relaxed),
             queue_depth: lane.queue.depth(),
@@ -190,7 +190,7 @@ struct WorkerMetrics {
 }
 
 /// The runtime's pool-wide counters, shared by producers, workers, and
-/// observers. It holds nothing per lane: [`crate::LaneSet::snapshot`]
+/// observers. It holds nothing per lane: [`crate::ServeHandle::snapshot`]
 /// hands it the lanes to read.
 #[derive(Debug)]
 pub struct MetricsRegistry {

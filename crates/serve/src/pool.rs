@@ -1,9 +1,9 @@
-//! The lane pool: the one serving-runtime core.
+//! The lanes and workers of the one serving runtime, [`crate::ServeRuntime`].
 //!
 //! ```text
 //!                  ┌─ lane 0: SharedQueue ─┐   poll    ┌─ worker 0..N ── one Engine per lane
-//!  Arc<LaneSet> ──▶│  lane 1: SharedQueue  │◀──────────┤   take a batch ≥ Placement::min_batch
-//!   submit(lane)   │  …                    │           │   → expire → execute inline
+//!  ServeHandle ───▶│  lane 1: SharedQueue  │◀──────────┤   take a batch ≥ Placement::min_batch
+//!  (one per lane)  │  …                    │           │   → expire → execute inline
 //!      │           └─ lane L: SharedQueue ─┘           └─  (catch_unwind, retry once, self-supervise)
 //!      │ Overloaded           ▲   every queue advances
 //!      ▼                      └── one EventCount (the dispatch signal)
@@ -15,11 +15,11 @@
 //! degradation composes per model), its per-request records (a latency
 //! histogram and a shed counter: the only place a request is counted),
 //! live-update mailbox and, when the store is tiered with prefetch on,
-//! stream prefetcher.
-//! [`crate::ServeRuntime`] is a pool with one lane; `drec-sched`'s
-//! co-location runtime is a pool with one lane per model and one more
-//! worker, the accelerator, whose [`Placement`] lets it take only the
-//! batches large enough to pay for offload.
+//! stream prefetcher. A [`crate::ServeHandle`] is bound to one lane.
+//! [`crate::ServeRuntime::start`] serves one model on one lane; `drec-sched`
+//! builds a [`PoolConfig`] with one lane per model and one more worker,
+//! the accelerator, whose [`Placement`] lets it take only the batches
+//! large enough to pay for offload.
 //!
 //! There is no dispatcher thread and no supervisor thread: every worker
 //! is both (DESIGN.md §9 has the failure matrix). It holds one [`Engine`]
@@ -57,7 +57,7 @@ use std::time::{Duration, Instant};
 
 use drec_core::serving::LatencyCurve;
 use drec_faultsim::FaultHook;
-use drec_models::{InputSpec, ModelId, ModelScale, RecModel, StoreBinding};
+use drec_models::{ModelScale, RecModel, StoreBinding};
 use drec_ops::Value;
 use drec_par::ParPool;
 use drec_store::EmbeddingStore;
@@ -67,7 +67,7 @@ use crate::batcher::{BatchPoll, BatcherConfig, SharedQueue};
 use crate::degrade::{DegradeConfig, OverloadLadder};
 use crate::engine::{BatchExecution, Engine};
 use crate::error::{Result, ServeError};
-use crate::metrics::{LatencyHistogram, MetricsRegistry, MetricsSnapshot};
+use crate::metrics::{LatencyHistogram, MetricsRegistry};
 use crate::prefetch::Prefetcher;
 use crate::request::{validate_single, Request, Response, SubmitOptions};
 use crate::runtime::PendingResponse;
@@ -129,7 +129,7 @@ pub struct LaneSpec {
     pub curve: LatencyCurve,
 }
 
-/// Configuration for [`LanePool::start`].
+/// Configuration for [`crate::ServeRuntime::start_pool`].
 #[derive(Debug)]
 pub struct PoolConfig {
     /// The lanes, one model each. Non-empty.
@@ -169,17 +169,13 @@ pub struct PoolConfig {
 /// request is one [`LatencyHistogram`] record (2 RMWs; the histogram's
 /// bucket total is the lane's completions), a shed one counter bump.
 #[derive(Debug)]
-pub struct Lane {
-    /// The model this lane serves.
-    pub model: ModelId,
-    /// The model's input contract.
-    pub spec: InputSpec,
+pub(crate) struct Lane {
     /// The lane's admission queue.
-    pub queue: SharedQueue,
+    pub(crate) queue: SharedQueue,
     /// The lane's live-update mailbox: rolling weight swaps post here,
     /// every engine of the lane polls it between batches, and update
     /// throttling rides the lane's own overload ladder.
-    pub update: Arc<ModelUpdateChannel>,
+    pub(crate) update: Arc<ModelUpdateChannel>,
     // Workers write `latency`, producers `shed`: a cache line each, so
     // the two sides never write one line (`queue_bench`'s
     // `counter_false_sharing` measures what sharing costs).
@@ -190,20 +186,20 @@ pub struct Lane {
     /// The ladder the queue and the update channel share.
     pub(crate) ladder: Arc<OverloadLadder>,
     /// A view of the model worker 0 serves: what every other engine of
-    /// the lane is a view of.
-    source: RecModel,
+    /// the lane is a view of, and the lane's model and input contract.
+    pub(crate) source: RecModel,
     curve: LatencyCurve,
     prefetcher: Option<Prefetcher>,
 }
 
-/// A pool's shared state. An `Arc<LaneSet>` *is* the cloneable client
-/// handle; workers and the owning [`LanePool`] hold the same thing.
+/// A pool's shared state: every [`crate::ServeHandle`] and worker holds
+/// it, and its runtime tears it down.
 #[derive(Debug)]
-pub struct LaneSet {
+pub(crate) struct LaneSet {
     /// The lanes, in configuration order.
-    pub lanes: Vec<Lane>,
+    pub(crate) lanes: Vec<Lane>,
     /// The pool-wide counters; the per-request records are the lanes'.
-    pub metrics: MetricsRegistry,
+    pub(crate) metrics: MetricsRegistry,
     /// The start-up configuration (its `lanes` moved into the field above).
     cfg: PoolConfig,
     signal: Arc<EventCount>,
@@ -215,6 +211,155 @@ pub struct LaneSet {
 }
 
 impl LaneSet {
+    /// Makes the lanes, each with its queue, ladder, update channel and
+    /// prefetcher (see the module docs), and returns them with the lanes'
+    /// built models, in lane order: worker 0's engines.
+    pub(crate) fn new(mut cfg: PoolConfig) -> Result<(Arc<LaneSet>, Vec<RecModel>)> {
+        assert!(!cfg.lanes.is_empty(), "need at least one lane");
+        assert!(cfg.workers >= 1, "need at least one worker");
+        assert!(cfg.max_batch >= 1, "max_batch must be at least 1");
+        let lane_cfgs = std::mem::take(&mut cfg.lanes);
+        let mut set = LaneSet {
+            lanes: Vec::with_capacity(lane_cfgs.len()),
+            signal: Arc::default(),
+            metrics: MetricsRegistry::new(
+                cfg.workers,
+                Arc::clone(&cfg.par_pool),
+                cfg.store.clone(),
+            ),
+            next_id: AtomicU64::new(0),
+            restarts: AtomicU32::new(0),
+            live: AtomicUsize::new(cfg.workers),
+            cfg,
+        };
+        // A pool serving one model owns its store: that lane's ladder
+        // drives the store's cache-only rung (and the snapshot reports
+        // it as the pool-wide overload level). Co-located lanes share
+        // the store, so none of their ladders may flip it for the others.
+        let sole_lane = lane_cfgs.len() == 1;
+        // Stream prefetch: only when the shared store is tiered with
+        // prefetch on, and only for the lanes whose model exposes store
+        // bindings. Those lanes split the tier's budget evenly, so
+        // together they fill no further ahead than one lane alone would.
+        let prefetch_budget = set.cfg.store.as_ref().filter(|s| s.prefetch_enabled());
+        let prefetch_budget = prefetch_budget.map(|s| s.stats().tier_dram_budget_rows);
+        let lane_bindings: Vec<Vec<StoreBinding>> =
+            lane_cfgs.iter().map(|l| l.built.store_bindings()).collect();
+        let prefetching = lane_bindings.iter().filter(|b| !b.is_empty()).count() as u64;
+        // Each lane's built model: worker 0's engine.
+        let mut built_models = Vec::with_capacity(lane_cfgs.len());
+        for (lane, (LaneSpec { built, curve }, bindings)) in
+            lane_cfgs.into_iter().zip(lane_bindings).enumerate()
+        {
+            let model = built.id();
+            let cfg = &set.cfg;
+            let min_batches = (0..cfg.workers).map(|w| cfg.placement.min_batch(w, lane));
+            let store = cfg.store.clone();
+            let ladder = Arc::new(OverloadLadder::new(
+                cfg.degrade,
+                cfg.queue_capacity,
+                store.clone().filter(|_| sole_lane),
+            ));
+            let queue = SharedQueue::with_signal(
+                BatcherConfig {
+                    max_batch: cfg.max_batch,
+                    max_wait: cfg.max_wait,
+                    queue_capacity: cfg.queue_capacity,
+                    delay_budget: cfg.delay_budget,
+                    per_query_service_estimate: curve.eval(cfg.max_batch) / cfg.max_batch as f64,
+                },
+                Arc::clone(&ladder),
+                Arc::clone(&set.signal),
+            )
+            .waking_at(min_batches.filter(|&m| m > 1).collect());
+            // One live-update channel per lane: every engine of the lane
+            // registers as a weight reader and starts from the built
+            // model's FC set; the updater (if the deployment runs one)
+            // respects the lane ladder's backpressure rung.
+            let namespace = drec_models::store_namespace(model, cfg.scale, cfg.seed);
+            let update = Arc::new(ModelUpdateChannel::new(
+                model.name(),
+                namespace,
+                store,
+                built.fc_params(),
+                Some(Arc::clone(&ladder)),
+            ));
+            let prefetcher = match prefetch_budget {
+                Some(budget) if !bindings.is_empty() => {
+                    Some(Prefetcher::start(bindings, budget / prefetching)?)
+                }
+                _ => None,
+            };
+            set.lanes.push(Lane {
+                queue,
+                update,
+                latency: CachePadded::new(LatencyHistogram::new()),
+                shed: CachePadded::new(AtomicU64::new(0)),
+                ladder,
+                source: built.view(),
+                curve,
+                prefetcher,
+            });
+            built_models.push(built);
+        }
+        Ok((Arc::new(set), built_models))
+    }
+
+    /// Starts the workers: worker 0 on the lanes' `built` models, every
+    /// other on views of them. Each thread lands in `threads` as it
+    /// starts, so that on an error the caller's teardown joins those
+    /// already running.
+    pub(crate) fn start_workers(
+        self: &Arc<Self>,
+        built: Vec<RecModel>,
+        threads: &mut Vec<JoinHandle<()>>,
+    ) -> Result<()> {
+        let mut built = Some(built);
+        for index in 0..self.cfg.workers {
+            let engines = match built.take() {
+                Some(models) => {
+                    let lanes = self.lanes.iter().zip(models);
+                    lanes.map(|(l, m)| self.engine(l, m)).collect()
+                }
+                None => self.views(0..self.lanes.len()),
+            };
+            let placement = &self.cfg.placement;
+            let mut worker = Worker {
+                index,
+                engines,
+                min_batch: (0..self.lanes.len())
+                    .map(|l| placement.min_batch(index, l))
+                    .collect(),
+                core: Arc::clone(self),
+            };
+            let thread = std::thread::Builder::new()
+                .name(format!("{}-{index}", self.cfg.worker_name))
+                .spawn(move || worker.run())
+                .map_err(|e| ServeError::SpawnFailed {
+                    reason: e.to_string(),
+                })?;
+            threads.push(thread);
+        }
+        Ok(())
+    }
+
+    /// The one teardown: stop admission on every lane, let the workers
+    /// drain all queued work, join them and the prefetch threads, then
+    /// answer whatever is left (nothing can requeue any more) with a
+    /// typed error. Idempotent.
+    pub(crate) fn tear_down(&self, threads: Vec<JoinHandle<()>>) {
+        self.close_lanes();
+        for thread in threads {
+            let _ = thread.join();
+        }
+        for lane in &self.lanes {
+            if let Some(prefetcher) = &lane.prefetcher {
+                prefetcher.shutdown();
+            }
+        }
+        self.drain_lanes();
+    }
+
     /// The one engine maker: `model` is the lane's built model (worker 0
     /// at start) or a view of it.
     fn engine(&self, lane: &Lane, model: RecModel) -> Engine {
@@ -226,12 +371,6 @@ impl LaneSet {
         engine
     }
 
-    /// Point-in-time metrics: the registry's counters, every lane's
-    /// records, and their merge into the pool-wide figures.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        self.metrics.snapshot(&self.lanes)
-    }
-
     /// New engines for `lanes`, each a view of its lane's model.
     fn views(&self, lanes: Range<usize>) -> Vec<Engine> {
         let lanes = self.lanes[lanes].iter();
@@ -240,8 +379,8 @@ impl LaneSet {
 
     /// The one admission path: validates one sample (batch-dimension-1
     /// inputs in graph input order), builds the request, pushes it on
-    /// lane `lane_idx` (out of range panics), books accepted / shed /
-    /// evicted victim, and queues its rows for the prefetcher.
+    /// lane `lane_idx`, books accepted / shed / evicted victim, and
+    /// queues its rows for the prefetcher.
     ///
     /// # Errors
     ///
@@ -249,14 +388,14 @@ impl LaneSet {
     /// input contract; not counted as shed load),
     /// [`ServeError::Overloaded`] (the lane is over its queue budget),
     /// [`ServeError::ShuttingDown`] (the lane is closed).
-    pub fn submit(
+    pub(crate) fn submit(
         &self,
         lane_idx: usize,
         inputs: Vec<Value>,
         opts: SubmitOptions,
     ) -> Result<PendingResponse> {
         let lane = &self.lanes[lane_idx];
-        if let Err(e) = validate_single(&lane.spec, &inputs) {
+        if let Err(e) = validate_single(lane.source.spec(), &inputs) {
             self.metrics.record_invalid();
             return Err(e);
         }
@@ -335,7 +474,7 @@ impl LaneSet {
     /// Answers whatever is still queued with a typed error: no worker is
     /// left to run it. The last step of teardown, once nothing can
     /// requeue any more; idempotent.
-    pub fn drain_lanes(&self) {
+    fn drain_lanes(&self) {
         for lane in &self.lanes {
             for request in lane.queue.drain_all() {
                 self.metrics.record_failed();
@@ -529,189 +668,5 @@ impl Worker {
                 core.signal.wait_until(seen, earliest);
             }
         }
-    }
-}
-
-/// A running lane pool: the shared [`LaneSet`] (which it derefs to) plus
-/// the worker threads. Dropping it tears the pool down.
-#[derive(Debug)]
-pub struct LanePool {
-    core: Arc<LaneSet>,
-    threads: Vec<JoinHandle<()>>,
-}
-
-impl std::ops::Deref for LanePool {
-    type Target = LaneSet;
-
-    fn deref(&self) -> &LaneSet {
-        &self.core
-    }
-}
-
-impl LanePool {
-    /// Makes the lanes and one engine per lane and worker (see the
-    /// module docs), and starts the workers.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::SpawnFailed`] when a thread cannot be spawned.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty lane list, zero workers or a zero `max_batch`.
-    pub fn start(mut cfg: PoolConfig) -> Result<LanePool> {
-        assert!(!cfg.lanes.is_empty(), "need at least one lane");
-        assert!(cfg.workers >= 1, "need at least one worker");
-        assert!(cfg.max_batch >= 1, "max_batch must be at least 1");
-        let lane_cfgs = std::mem::take(&mut cfg.lanes);
-        let mut set = LaneSet {
-            lanes: Vec::with_capacity(lane_cfgs.len()),
-            signal: Arc::default(),
-            metrics: MetricsRegistry::new(
-                cfg.workers,
-                Arc::clone(&cfg.par_pool),
-                cfg.store.clone(),
-            ),
-            next_id: AtomicU64::new(0),
-            restarts: AtomicU32::new(0),
-            live: AtomicUsize::new(cfg.workers),
-            cfg,
-        };
-        // A pool serving one model owns its store: that lane's ladder
-        // drives the store's cache-only rung (and the snapshot reports
-        // it as the pool-wide overload level). Co-located lanes share
-        // the store, so none of their ladders may flip it for the others.
-        let sole_lane = lane_cfgs.len() == 1;
-        // Stream prefetch: only when the shared store is tiered with
-        // prefetch on, and only for the lanes whose model exposes store
-        // bindings. Those lanes split the tier's budget evenly, so
-        // together they fill no further ahead than one lane alone would.
-        let prefetch_budget = set.cfg.store.as_ref().filter(|s| s.prefetch_enabled());
-        let prefetch_budget = prefetch_budget.map(|s| s.stats().tier_dram_budget_rows);
-        let lane_bindings: Vec<Vec<StoreBinding>> =
-            lane_cfgs.iter().map(|l| l.built.store_bindings()).collect();
-        let prefetching = lane_bindings.iter().filter(|b| !b.is_empty()).count() as u64;
-        // Each lane's built model: worker 0's engine.
-        let mut built_models = Vec::with_capacity(lane_cfgs.len());
-        for (lane, (LaneSpec { built, curve }, bindings)) in
-            lane_cfgs.into_iter().zip(lane_bindings).enumerate()
-        {
-            let model = built.id();
-            let cfg = &set.cfg;
-            let min_batches = (0..cfg.workers).map(|w| cfg.placement.min_batch(w, lane));
-            let store = cfg.store.clone();
-            let ladder = Arc::new(OverloadLadder::new(
-                cfg.degrade,
-                cfg.queue_capacity,
-                store.clone().filter(|_| sole_lane),
-            ));
-            let queue = SharedQueue::with_signal(
-                BatcherConfig {
-                    max_batch: cfg.max_batch,
-                    max_wait: cfg.max_wait,
-                    queue_capacity: cfg.queue_capacity,
-                    delay_budget: cfg.delay_budget,
-                    per_query_service_estimate: curve.eval(cfg.max_batch) / cfg.max_batch as f64,
-                },
-                Arc::clone(&ladder),
-                Arc::clone(&set.signal),
-            )
-            .waking_at(min_batches.filter(|&m| m > 1).collect());
-            // One live-update channel per lane: every engine of the lane
-            // registers as a weight reader and starts from the built
-            // model's FC set; the updater (if the deployment runs one)
-            // respects the lane ladder's backpressure rung.
-            let namespace = drec_models::store_namespace(model, cfg.scale, cfg.seed);
-            let update = Arc::new(ModelUpdateChannel::new(
-                model.name(),
-                namespace,
-                store,
-                built.fc_params(),
-                Some(Arc::clone(&ladder)),
-            ));
-            let prefetcher = match prefetch_budget {
-                Some(budget) if !bindings.is_empty() => {
-                    Some(Prefetcher::start(bindings, budget / prefetching)?)
-                }
-                _ => None,
-            };
-            set.lanes.push(Lane {
-                model,
-                spec: built.spec().clone(),
-                queue,
-                update,
-                latency: CachePadded::new(LatencyHistogram::new()),
-                shed: CachePadded::new(AtomicU64::new(0)),
-                ladder,
-                source: built.view(),
-                curve,
-                prefetcher,
-            });
-            built_models.push(built);
-        }
-        // From here on an early return drops `pool`, which closes the
-        // lanes and joins the workers already running.
-        let mut pool = LanePool {
-            core: Arc::new(set),
-            threads: Vec::new(),
-        };
-        let lanes = &pool.core.lanes;
-        for index in 0..pool.cfg.workers {
-            let engines = if index == 0 {
-                let built = std::mem::take(&mut built_models).into_iter();
-                lanes
-                    .iter()
-                    .zip(built)
-                    .map(|(l, m)| pool.engine(l, m))
-                    .collect()
-            } else {
-                pool.views(0..lanes.len())
-            };
-            let placement = &pool.cfg.placement;
-            let mut worker = Worker {
-                index,
-                engines,
-                min_batch: (0..lanes.len())
-                    .map(|l| placement.min_batch(index, l))
-                    .collect(),
-                core: Arc::clone(&pool.core),
-            };
-            let thread = std::thread::Builder::new()
-                .name(format!("{}-{index}", pool.cfg.worker_name))
-                .spawn(move || worker.run())
-                .map_err(|e| ServeError::SpawnFailed {
-                    reason: e.to_string(),
-                })?;
-            pool.threads.push(thread);
-        }
-        Ok(pool)
-    }
-
-    /// A cloneable submission handle.
-    pub fn handle(&self) -> Arc<LaneSet> {
-        Arc::clone(&self.core)
-    }
-
-    /// Teardown up to its last step: stop admission on every lane, let
-    /// the workers drain all queued work, and join them. Finish with
-    /// [`LaneSet::drain_lanes`] once nothing can requeue. Idempotent.
-    pub fn join_workers(&mut self) {
-        self.core.close_lanes();
-        for thread in self.threads.drain(..) {
-            let _ = thread.join();
-        }
-        for lane in &self.core.lanes {
-            if let Some(prefetcher) = &lane.prefetcher {
-                prefetcher.shutdown();
-            }
-        }
-    }
-}
-
-impl Drop for LanePool {
-    fn drop(&mut self) {
-        // No-op when the owner already tore the pool down.
-        self.join_workers();
-        self.drain_lanes();
     }
 }

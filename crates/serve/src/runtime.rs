@@ -1,24 +1,22 @@
-//! The single-model serving runtime: a [`LanePool`] with one lane.
+//! The one serving runtime: [`ServeRuntime`] owns a pool's lanes and
+//! workers (the `pool` module has the worker loop, admission, retry and
+//! supervision), and a [`ServeHandle`] submits to one of its lanes.
 //!
 //! ```text
 //! ServeHandle::submit ──try_push──▶ SharedQueue ──try_next_batch──▶ worker 0..N
-//!        │ (shed: Overloaded)          │  (the pool's one lane)     │ catch_unwind
+//!        │ (shed: Overloaded)          │  (the handle's lane)       │ catch_unwind
 //!        ▼                             ▼                            ▼
 //!   PendingResponse ◀──per-request mpsc reply── Engine::run_batch
-//!                                                                   │ panic
-//!                                                                   ▼
-//!                              same worker: backoff, fresh Engine, keep serving
 //! ```
 //!
-//! Every worker owns a full [`crate::Engine`]: worker 0 the model built
-//! here, the others views of it, so all of them share one parameter set;
-//! requests are delivered back on per-request channels, which keeps the
-//! runtime lock-free outside the single batcher queue. Worker loop, admission, retry, supervision
-//! and teardown are the pool's (see [`LanePool`]); this module only
-//! maps [`ServeConfig`] onto a one-lane [`PoolConfig`] with the trivial
-//! [`Inline`] placement.
+//! [`ServeRuntime::start_pool`] serves any number of lanes under any
+//! [`crate::Placement`]; [`ServeRuntime::start`] serves one model on one
+//! lane with the trivial [`Inline`] placement. Teardown is written once,
+//! in `Drop`, and [`ServeRuntime::shutdown`] is that plus the final
+//! metrics.
 
 use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use drec_core::serving::LatencyCurve;
@@ -30,7 +28,7 @@ use drec_store::{EmbeddingStore, StoreConfig};
 use crate::degrade::DegradeConfig;
 use crate::error::{Result, ServeError};
 use crate::metrics::MetricsSnapshot;
-use crate::pool::{Inline, LanePool, LaneSet, LaneSpec, PoolConfig, SupervisorConfig};
+use crate::pool::{Inline, Lane, LaneSet, LaneSpec, PoolConfig, SupervisorConfig};
 use crate::request::{RequestId, Response, SubmitOptions};
 use crate::update::ModelUpdateChannel;
 
@@ -91,27 +89,28 @@ impl ServeConfig {
     }
 }
 
-/// A running serving runtime. Dropping it without calling
+/// A running serving runtime: its lanes, one [`ServeHandle`] each, and
+/// the worker threads. Dropping it without calling
 /// [`ServeRuntime::shutdown`] still drains accepted work and joins the
 /// workers.
 #[derive(Debug)]
 pub struct ServeRuntime {
-    pool: LanePool,
+    /// One per lane, in lane order.
+    handles: Vec<ServeHandle>,
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl ServeRuntime {
-    /// Builds the model, makes `cfg.workers` engines over it and starts
-    /// the worker pool.
+    /// Builds the model and starts a one-lane pool of `cfg.workers`
+    /// engines over it.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::WorkerFailed`] if model construction fails,
     /// or [`ServeError::SpawnFailed`] if a thread cannot be spawned.
     pub fn start(cfg: ServeConfig) -> Result<ServeRuntime> {
-        let faults = match &cfg.faults {
-            Some(plan) => FaultHook::from_plan(plan),
-            None => FaultHook::disabled(),
-        };
+        let faults = cfg.faults.as_ref();
+        let faults = faults.map_or_else(FaultHook::disabled, FaultHook::from_plan);
         let store = cfg
             .store
             .map(|sc| Arc::new(EmbeddingStore::with_faults(sc, faults.clone())));
@@ -124,7 +123,7 @@ impl ServeRuntime {
         .map_err(|e| ServeError::WorkerFailed {
             reason: format!("model build failed: {e}"),
         })?;
-        let pool = LanePool::start(PoolConfig {
+        ServeRuntime::start_pool(PoolConfig {
             lanes: vec![LaneSpec {
                 built,
                 curve: cfg.curve,
@@ -146,57 +145,97 @@ impl ServeRuntime {
             supervisor: cfg.supervisor,
             faults,
             placement: Arc::new(Inline),
-        })?;
-        Ok(ServeRuntime { pool })
+        })
     }
 
-    /// The model's live-update channel — hand it to an
+    /// Makes the lanes and one engine per lane and worker, and starts the
+    /// workers (see the `pool` module docs).
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::SpawnFailed`] when a thread cannot be spawned.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty lane list, zero workers or a zero `max_batch`.
+    pub fn start_pool(cfg: PoolConfig) -> Result<ServeRuntime> {
+        let (core, built) = LaneSet::new(cfg)?;
+        let handles = (0..core.lanes.len()).map(|lane| ServeHandle {
+            core: Arc::clone(&core),
+            lane,
+        });
+        // From here on an early return drops the runtime, whose teardown
+        // joins the workers already running.
+        let mut runtime = ServeRuntime {
+            handles: handles.collect(),
+            threads: Vec::new(),
+        };
+        core.start_workers(built, &mut runtime.threads)?;
+        Ok(runtime)
+    }
+
+    /// The first lane's live-update channel — hand it to an
     /// [`crate::Updater`] (on its own thread) to stream versioned
     /// parameter updates through the running workers.
     pub fn update_channel(&self) -> &Arc<ModelUpdateChannel> {
-        &self.pool.lanes[0].update
+        self.handles[0].update_channel()
     }
 
-    /// A cloneable submission handle.
+    /// A cloneable submission handle to the first lane.
     pub fn handle(&self) -> ServeHandle {
-        ServeHandle {
-            pool: self.pool.handle(),
-        }
+        self.handles[0].clone()
+    }
+
+    /// One submission handle per lane, in lane order.
+    pub fn handles(&self) -> &[ServeHandle] {
+        &self.handles
     }
 
     /// Point-in-time metrics summary.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        self.pool.snapshot()
+        self.handles[0].snapshot()
     }
 
-    /// The served model's input contract.
+    /// The first lane's input contract.
     pub fn spec(&self) -> &InputSpec {
-        &self.pool.lanes[0].spec
+        self.handles[0].spec()
     }
 
-    /// Current queue depth (racy; for observation only).
+    /// The first lane's queue depth (racy; for observation only).
     pub fn queue_depth(&self) -> usize {
-        self.pool.lanes[0].queue.depth()
+        self.handles[0].lane().queue.depth()
     }
 
     /// Graceful shutdown: stop admission, let workers drain every
-    /// accepted request, join the pool, and return the final metrics —
+    /// accepted request, join them, and return the final metrics —
     /// including any worker panic reasons caught along the way (see
     /// [`MetricsSnapshot::panic_reasons`]).
-    pub fn shutdown(mut self) -> MetricsSnapshot {
-        self.pool.join_workers();
-        self.pool.drain_lanes();
-        self.pool.snapshot()
+    pub fn shutdown(self) -> MetricsSnapshot {
+        let handle = self.handle();
+        drop(self);
+        handle.snapshot()
     }
 }
 
-/// Cloneable client handle for submitting requests.
+impl Drop for ServeRuntime {
+    fn drop(&mut self) {
+        let threads = std::mem::take(&mut self.threads);
+        self.handles[0].core.tear_down(threads);
+    }
+}
+
+/// Cloneable client handle bound to one lane of a runtime.
 #[derive(Debug, Clone)]
 pub struct ServeHandle {
-    pool: Arc<LaneSet>,
+    core: Arc<LaneSet>,
+    lane: usize,
 }
 
 impl ServeHandle {
+    fn lane(&self) -> &Lane {
+        &self.core.lanes[self.lane]
+    }
+
     /// Validates and submits one sample (batch-dimension-1 inputs in
     /// graph input order) at normal priority with no deadline. Returns a
     /// [`PendingResponse`] to wait on.
@@ -217,17 +256,41 @@ impl ServeHandle {
     /// executing; under queue pressure higher-priority arrivals evict
     /// queued lower-priority requests before being shed themselves.
     pub fn submit_with(&self, inputs: Vec<Value>, opts: SubmitOptions) -> Result<PendingResponse> {
-        self.pool.submit(0, inputs, opts)
+        self.core.submit(self.lane, inputs, opts)
     }
 
-    /// The served model's input contract.
+    /// Counts a submission for `model`, which no lane of this runtime
+    /// serves, as invalid input and returns its error: what a caller
+    /// routing by model over [`ServeRuntime::handles`] answers when none
+    /// matches.
+    pub fn reject_unknown(&self, model: ModelId) -> ServeError {
+        self.core.metrics.record_invalid();
+        ServeError::InvalidInput {
+            slot: usize::MAX,
+            expected: "a served model".to_string(),
+            got: model.name().to_string(),
+        }
+    }
+
+    /// The lane's model.
+    pub fn model(&self) -> ModelId {
+        self.lane().source.id()
+    }
+
+    /// The lane's input contract.
     pub fn spec(&self) -> &InputSpec {
-        &self.pool.lanes[0].spec
+        self.lane().source.spec()
     }
 
-    /// Live metrics snapshot.
+    /// The lane's live-update channel.
+    pub fn update_channel(&self) -> &Arc<ModelUpdateChannel> {
+        &self.lane().update
+    }
+
+    /// Live metrics snapshot of the whole runtime: the registry's
+    /// counters, every lane's records, and their pool-wide merge.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        self.pool.snapshot()
+        self.core.metrics.snapshot(&self.core.lanes)
     }
 }
 

@@ -13,8 +13,8 @@ use drec_core::serving::LatencyCurve;
 use drec_faultsim::{FaultHook, FaultPlan};
 use drec_models::{ModelId, ModelScale};
 use drec_serve::{
-    DegradeConfig, Inline, LanePool, LaneSpec, LatencyHistogram, OverloadLevel, PendingResponse,
-    Placement, PoolConfig, ServeError, SubmitOptions, SupervisorConfig,
+    DegradeConfig, Inline, LaneSpec, LatencyHistogram, OverloadLevel, PendingResponse, Placement,
+    PoolConfig, ServeError, ServeRuntime, SubmitOptions, SupervisorConfig,
 };
 use drec_workload::QueryGen;
 
@@ -51,8 +51,8 @@ fn two_lane_pool(
     supervisor: SupervisorConfig,
     max_batch: usize,
     max_wait: Duration,
-) -> LanePool {
-    LanePool::start(PoolConfig {
+) -> ServeRuntime {
+    ServeRuntime::start_pool(PoolConfig {
         max_batch,
         max_wait,
         supervisor,
@@ -66,13 +66,13 @@ fn two_lane_pool(
 }
 
 /// Submits `count` requests to `lane`.
-fn submit(pool: &LanePool, lane: usize, count: usize) -> Vec<PendingResponse> {
-    let handle = pool.handle();
+fn submit(pool: &ServeRuntime, lane: usize, count: usize) -> Vec<PendingResponse> {
+    let handles = pool.handles();
     let mut gen = QueryGen::uniform(3 + lane as u64);
     (0..count)
         .map(|_| {
-            let inputs = gen.batch(&handle.lanes[lane].spec, 1);
-            let pending = handle.submit(lane, inputs, SubmitOptions::default());
+            let inputs = gen.batch(handles[lane].spec(), 1);
+            let pending = handles[lane].submit_with(inputs, SubmitOptions::default());
             pending.expect("admitted")
         })
         .collect()
@@ -80,7 +80,7 @@ fn submit(pool: &LanePool, lane: usize, count: usize) -> Vec<PendingResponse> {
 
 #[test]
 fn injected_panics_on_two_lanes_are_survived_and_engines_restart() {
-    let mut pool = two_lane_pool(4, SupervisorConfig::default(), 4, Duration::ZERO);
+    let pool = two_lane_pool(4, SupervisorConfig::default(), 4, Duration::ZERO);
     let mut pendings = submit(&pool, 0, 40);
     pendings.extend(submit(&pool, 1, 40));
     for pending in pendings {
@@ -89,9 +89,7 @@ fn injected_panics_on_two_lanes_are_survived_and_engines_restart() {
             .expect("request hung across an injected panic")
             .ok();
     }
-    pool.join_workers();
-    pool.drain_lanes();
-    let stats = pool.snapshot();
+    let stats = pool.shutdown();
     assert_eq!(stats.accepted, 80);
     assert!(stats.worker_panics > 0, "schedule must fire: {stats:?}");
     assert!(
@@ -130,12 +128,12 @@ fn spent_restart_budget_closes_every_lane_with_typed_errors() {
     }
     // The sweep that answered the queued requests ran after the lanes
     // closed, so by now admission is shut on both.
-    let handle = pool.handle();
+    let handles = pool.handles();
     let mut gen = QueryGen::uniform(5);
-    for lane in 0..MODELS.len() {
-        let inputs = gen.batch(&handle.lanes[lane].spec, 1);
+    for (lane, handle) in handles.iter().enumerate() {
+        let inputs = gen.batch(handle.spec(), 1);
         let err = handle
-            .submit(lane, inputs, SubmitOptions::default())
+            .submit_with(inputs, SubmitOptions::default())
             .unwrap_err();
         assert!(
             matches!(err, ServeError::ShuttingDown),
@@ -155,13 +153,13 @@ fn pool_wide_figures_are_the_merge_of_the_lanes() {
     // Four queue slots per lane and a coalescing wait far longer than a
     // burst of submits: each burst of eight per lane fills both queues
     // and the rest of it is shed.
-    let mut pool = LanePool::start(PoolConfig {
+    let pool = ServeRuntime::start_pool(PoolConfig {
         queue_capacity: 4,
         max_wait: Duration::from_millis(200),
         ..two_lanes()
     })
     .expect("pool starts");
-    let handle = pool.handle();
+    let handles = pool.handles();
     let mut gens = [QueryGen::uniform(11), QueryGen::uniform(12)];
     let latency = LatencyHistogram::new();
     let (mut answered, mut shed) = (0, 0);
@@ -169,8 +167,8 @@ fn pool_wide_figures_are_the_merge_of_the_lanes() {
         let mut burst = Vec::new();
         for i in 0..16 {
             let lane = i % 2;
-            let inputs = gens[lane].batch(&handle.lanes[lane].spec, 1);
-            match handle.submit(lane, inputs, SubmitOptions::default()) {
+            let inputs = gens[lane].batch(handles[lane].spec(), 1);
+            match handles[lane].submit_with(inputs, SubmitOptions::default()) {
                 Ok(pending) => burst.push(pending),
                 Err(ServeError::Overloaded { .. }) => shed += 1,
                 Err(other) => panic!("unexpected admission error {other}"),
@@ -182,9 +180,7 @@ fn pool_wide_figures_are_the_merge_of_the_lanes() {
             answered += 1;
         }
     }
-    pool.join_workers();
-    pool.drain_lanes();
-    let s = pool.snapshot();
+    let s = pool.shutdown();
     assert!(shed > 0, "the bursts must overflow four slots: {s:?}");
     assert_eq!(s.shed, shed);
     assert_eq!(s.completed, answered);
@@ -206,19 +202,19 @@ fn each_lane_keeps_its_records_and_the_registry_its_counters() {
     // Four slots per lane and a coalescing wait no test outlasts: the
     // queues release nothing until teardown drains them. Lane 0 gets six
     // arrivals and sheds two; lane 1 gets three and sheds none.
-    let mut pool = LanePool::start(PoolConfig {
+    let pool = ServeRuntime::start_pool(PoolConfig {
         queue_capacity: 4,
         max_wait: Duration::from_secs(60),
         ..two_lanes()
     })
     .expect("pool starts");
-    let handle = pool.handle();
+    let handles = pool.handles();
     let mut gen = QueryGen::uniform(13);
     let (mut pendings, mut shed) = (Vec::new(), [0u64; 2]);
     for (lane, arrivals) in [(0, 6), (1, 3)] {
         for _ in 0..arrivals {
-            let inputs = gen.batch(&handle.lanes[lane].spec, 1);
-            match handle.submit(lane, inputs, SubmitOptions::default()) {
+            let inputs = gen.batch(handles[lane].spec(), 1);
+            match handles[lane].submit_with(inputs, SubmitOptions::default()) {
                 Ok(pending) => pendings.push(pending),
                 Err(ServeError::Overloaded { .. }) => shed[lane] += 1,
                 Err(other) => panic!("unexpected admission error {other}"),
@@ -226,15 +222,13 @@ fn each_lane_keeps_its_records_and_the_registry_its_counters() {
         }
     }
     // A malformed payload is the registry's to count, and no lane's.
-    let err = handle.submit(0, Vec::new(), SubmitOptions::default());
+    let err = handles[0].submit_with(Vec::new(), SubmitOptions::default());
     assert!(matches!(err, Err(ServeError::InvalidInput { .. })));
-    pool.join_workers();
-    pool.drain_lanes();
+    let s = pool.shutdown();
     for pending in pendings {
         let response = pending.wait_timeout(ANSWER_BOUND).expect("answered");
         response.expect("served by the draining workers");
     }
-    let s = pool.snapshot();
     assert_eq!(shed, [2, 0]);
     let names: Vec<&str> = s.models.iter().map(|m| m.name.as_str()).collect();
     assert_eq!(names, MODELS.map(|m| m.name()), "lanes in lane order");
@@ -269,7 +263,7 @@ impl Placement for SizeRuled {
 
 #[test]
 fn a_size_ruled_worker_takes_only_batches_at_its_minimum() {
-    let mut pool = LanePool::start(PoolConfig {
+    let pool = ServeRuntime::start_pool(PoolConfig {
         max_batch: 8,
         placement: Arc::new(SizeRuled(1)),
         ..two_lanes()
@@ -292,16 +286,14 @@ fn a_size_ruled_worker_takes_only_batches_at_its_minimum() {
             );
         }
     }
-    pool.join_workers();
-    pool.drain_lanes();
-    assert_eq!(pool.snapshot().completed, 110);
+    assert_eq!(pool.shutdown().completed, 110);
 }
 
 #[test]
 fn a_lone_worker_drops_its_size_rule() {
     // The only worker may take nothing from lane 1 by its rule; alone, it
     // serves both lanes anyway.
-    let mut pool = LanePool::start(PoolConfig {
+    let pool = ServeRuntime::start_pool(PoolConfig {
         workers: 1,
         placement: Arc::new(SizeRuled(0)),
         ..two_lanes()
@@ -316,6 +308,5 @@ fn a_lone_worker_drops_its_size_rule() {
         };
         assert_eq!(response.expect("served").worker, 0);
     }
-    pool.join_workers();
-    pool.drain_lanes();
+    pool.shutdown();
 }

@@ -15,8 +15,8 @@ use drec_core::serving::LatencyCurve;
 use drec_models::{InputSlot, ModelId, ModelScale};
 use drec_ops::{IdList, Value};
 use drec_serve::{
-    DegradeConfig, EmbeddingStore, FaultHook, Inline, LanePool, LaneSpec, MetricsSnapshot,
-    PoolConfig, RowEncoding, ServeConfig, ServeRuntime, StoreConfig, StoreStats, SubmitOptions,
+    DegradeConfig, EmbeddingStore, FaultHook, Inline, LaneSpec, MetricsSnapshot, PoolConfig,
+    RowEncoding, ServeConfig, ServeRuntime, StoreConfig, StoreStats, SubmitOptions,
     SupervisorConfig,
 };
 use drec_store::TierConfig;
@@ -133,7 +133,7 @@ fn lanes_on_one_tier_split_its_prefetch_window() {
             .expect("model builds"),
         curve: LatencyCurve::from_points(vec![(1, 1e-4), (1024, 1e-2)]),
     };
-    let pool = LanePool::start(PoolConfig {
+    let pool = ServeRuntime::start_pool(PoolConfig {
         lanes: vec![lane(ModelId::Rm1), lane(ModelId::Rm2)],
         scale: ModelScale::Tiny,
         seed: 7,
@@ -151,13 +151,13 @@ fn lanes_on_one_tier_split_its_prefetch_window() {
         placement: Arc::new(Inline),
     })
     .expect("pool starts");
-    let handle = pool.handle();
+    let handles = pool.handles();
     let mut gen = QueryGen::uniform(5);
     let mut pending = Vec::new();
     for k in 0..12 {
-        for lane in 0..2 {
-            let inputs = distinct_rows(&mut gen, &handle.lanes[lane].spec, k);
-            let submitted = handle.submit(lane, inputs, SubmitOptions::default());
+        for handle in handles {
+            let inputs = distinct_rows(&mut gen, handle.spec(), k);
+            let submitted = handle.submit_with(inputs, SubmitOptions::default());
             pending.push(submitted.expect("admitted"));
         }
     }

@@ -142,9 +142,10 @@ pub struct StoreStats {
     pub prefetch_hits: u64,
     /// Prefetched rows evicted before any demand use.
     pub prefetch_wasted: u64,
-    /// Prefetch fills aborted because the row was rewritten between the
-    /// fill's start and its residency insert — each abort is a stale
-    /// parking the update/prefetch race would otherwise have caused.
+    /// Prefetch fills that parked nothing because, while the read was
+    /// under way, the row was rewritten (each such abort is a stale
+    /// parking the update/prefetch race would otherwise have caused) or
+    /// became resident. Every issued fill is a fill or one of these.
     pub prefetch_aborted_stale: u64,
     /// Tier residency invalidations from row updates.
     pub tier_invalidations: u64,

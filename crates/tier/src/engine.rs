@@ -109,9 +109,10 @@ pub struct TierStats {
     pub prefetch_hits: u64,
     /// Prefetched rows evicted before any demand access used them.
     pub prefetch_wasted: u64,
-    /// Prefetch fills aborted because the row was rewritten between the
-    /// fill's start and its residency insert — parking the pre-update
-    /// bytes as resident would have served a retired row for free.
+    /// Prefetch fills that parked nothing because, while the read was
+    /// under way, the row was rewritten (parking the pre-update bytes
+    /// would have served a retired row for free) or became resident.
+    /// Every issued fill is a fill or one of these.
     pub prefetch_aborted_stale: u64,
     /// Row-update invalidations that dropped a resident row.
     pub invalidations: u64,
@@ -399,7 +400,8 @@ impl TierSession<'_> {
     /// already resident (a demand read, or an earlier fill, got there
     /// first); under [`Pacing::Sleep`] it also fills nothing if the row
     /// became resident while the fill slept, though the read was issued
-    /// and charged.
+    /// and charged (counted `prefetch_aborted_stale`, so every issued
+    /// fill is either a fill or an abort).
     ///
     /// `verify` is the staleness re-check: it runs *under the tier lock*
     /// immediately before the insert, and a `false` abandons the fill
@@ -426,8 +428,10 @@ impl TierSession<'_> {
             return false;
         }
         // As in `promote_demand`: a row made resident while this fill
-        // slept is not filled again.
+        // slept is not filled again. The fill parked nothing after its
+        // read, as a stale one does, and is counted with those.
         let Some(inserted) = st.clock.insert(key, true) else {
+            st.stats.prefetch_aborted_stale += 1;
             return false;
         };
         st.stats.promotions += 1;
@@ -558,6 +562,11 @@ mod tests {
         assert_eq!(s.prefetch_issued, 1, "the fill did not overlap");
         assert_eq!((s.promotions, s.prefetch_fills), (1, 0), "{s:?}");
         assert_eq!(s.dram_resident_rows, 1);
+        assert_eq!(
+            s.prefetch_issued,
+            s.prefetch_fills + s.prefetch_aborted_stale,
+            "an issued fill that parked nothing is an abort: {s:?}"
+        );
     }
 
     #[test]
