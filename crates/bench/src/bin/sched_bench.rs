@@ -460,8 +460,6 @@ fn time_start(models: &[ModelId], reps: usize) -> StartTimes {
         time(|| {
             ServeRuntime::start_pool(PoolConfig {
                 lanes,
-                scale: ModelScale::Paper,
-                seed: SEED,
                 workers: 1,
                 worker_name: "sched-bench-start",
                 max_batch: cfg.max_batch,
@@ -469,7 +467,6 @@ fn time_start(models: &[ModelId], reps: usize) -> StartTimes {
                 queue_capacity: cfg.queue_capacity,
                 delay_budget: cfg.delay_budget,
                 degrade: cfg.degrade,
-                store: Some(Arc::clone(&store)),
                 par_pool: drec_par::current(),
                 supervisor: Default::default(),
                 faults: drec_faultsim::FaultHook::disabled(),

@@ -347,6 +347,16 @@ impl FaultHook {
         UpdateFault::None
     }
 
+    /// Whether every store read fault this hook schedules fires through
+    /// `store`, the hook a store was built with (`None`: no store): true
+    /// when it schedules none, or when `store` is a clone of this hook.
+    pub fn reads_reach(&self, store: Option<&FaultHook>) -> bool {
+        let reads = self.state.as_ref();
+        let reads = reads.filter(|s| s.poison.is_some() || s.delay.is_some());
+        let store = store.and_then(|h| h.state.as_ref());
+        reads.is_none_or(|r| store.is_some_and(|s| Arc::ptr_eq(s, r)))
+    }
+
     /// Events observed and faults injected so far (all zero for a
     /// disabled hook).
     pub fn counts(&self) -> FaultCounts {
@@ -405,6 +415,32 @@ mod tests {
         drain_batches(&hook, 50);
         assert_eq!(hook.counts().panics, 10);
         assert_eq!(hook.counts().batches, 50);
+    }
+
+    #[test]
+    fn read_faults_reach_only_a_store_built_with_the_hook() {
+        let reads = FaultHook::from_plan(&FaultPlan {
+            poison_every_n_reads: Some(3),
+            ..FaultPlan::quiet(1)
+        });
+        let batches = FaultHook::from_plan(&FaultPlan {
+            panic_every_n_batches: Some(3),
+            ..FaultPlan::quiet(1)
+        });
+        let disabled = FaultHook::disabled();
+        assert!(reads.reads_reach(Some(&reads.clone())));
+        for store in [None, Some(&disabled), Some(&batches)] {
+            assert!(!reads.reads_reach(store));
+            assert!(batches.reads_reach(store) && disabled.reads_reach(store));
+        }
+        let twin = FaultHook::from_plan(&FaultPlan {
+            poison_every_n_reads: Some(3),
+            ..FaultPlan::quiet(1)
+        });
+        assert!(
+            !reads.reads_reach(Some(&twin)),
+            "a twin keeps its own counters"
+        );
     }
 
     #[test]

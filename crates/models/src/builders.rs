@@ -29,36 +29,15 @@ use drec_tensor::ParamInit;
 
 use crate::{InputSlot, InputSpec, ModelId, ModelMeta, ModelScale, RecModel};
 
-/// Optional shared parameter store + registration namespace. `None` builds
-/// tables as dense tensors (the original path); `Some` registers them in
-/// the store, deduplicated across identically seeded builds.
-pub(crate) type StoreBinding = Option<(Arc<EmbeddingStore>, u64)>;
+/// The build's registration namespace (dense builds have one too) and
+/// its optional shared store: `None` builds dense tables, `Some` registers
+/// them in the store under the namespace. The model records both.
+pub(crate) type StoreBinding = (u64, Option<Arc<EmbeddingStore>>);
 
 /// Physical row cap for embedding tables (DESIGN.md §5): lookups address
 /// the virtual row space for trace realism but share this many physical
 /// rows of storage.
 const PHYSICAL_ROW_CAP: usize = 4096;
-
-/// A [`ModelMeta`] with every field zeroed/empty, for `..` struct update.
-/// `fc_param_bytes` and `emb_param_bytes` are overwritten by
-/// [`BuildCtx::finish`] regardless of what a builder supplies.
-pub(crate) fn meta_template() -> ModelMeta {
-    ModelMeta {
-        name: "",
-        domain: "",
-        dataset: "",
-        use_case: "",
-        insight: "",
-        num_tables: 0,
-        lookups_per_table: 0.0,
-        latent_dim: 0,
-        fc_param_bytes: 0,
-        emb_param_bytes: 0,
-        top_fc_weight_fraction: 0.0,
-        has_attention: false,
-        seq_len: 0,
-    }
-}
 
 /// Entry point used by [`ModelId::build`] and
 /// [`ModelId::build_with_store`].
@@ -66,8 +45,9 @@ pub(crate) fn build(
     id: ModelId,
     scale: ModelScale,
     seed: u64,
-    store: StoreBinding,
+    store: Option<Arc<EmbeddingStore>>,
 ) -> Result<RecModel, GraphError> {
+    let store = (crate::store_namespace(id, scale, seed), store);
     match id {
         ModelId::Ncf => ncf(scale, seed, store),
         ModelId::Rm1 => rm1(scale, seed, store),
@@ -131,8 +111,9 @@ impl BuildCtx {
     fn table(&mut self, rows: usize, dim: usize) -> Result<Arc<EmbeddingTable>, GraphError> {
         let ordinal = self.next_ordinal;
         self.next_ordinal += 1;
-        let table = match &self.store {
-            Some((store, namespace)) => EmbeddingTable::new_in_store(
+        let (namespace, store) = &self.store;
+        let table = match store {
+            Some(store) => EmbeddingTable::new_in_store(
                 rows,
                 dim,
                 PHYSICAL_ROW_CAP,
@@ -174,6 +155,8 @@ impl BuildCtx {
             + graph.param_bytes_of_kind(OpKind::RecurrentNetwork);
         RecModel {
             id,
+            namespace: self.store.0,
+            store: self.store.1,
             graph,
             ctx: self.ctx,
             spec: self.spec,
@@ -254,7 +237,7 @@ fn ncf(scale: ModelScale, seed: u64, store: StoreBinding) -> Result<RecModel, Gr
         top_fc_weight_fraction: 1.0,
         has_attention: false,
         seq_len: 0,
-        ..meta_template()
+        ..ModelMeta::default()
     };
     Ok(bc.finish(ModelId::Ncf, meta))
 }
@@ -379,7 +362,7 @@ fn rm1(scale: ModelScale, seed: u64, store: StoreBinding) -> Result<RecModel, Gr
         dataset: "Facebook",
         use_case: "Lightweight content-feed filtering",
         insight: "Small model with medium amount (80) of lookups per embedding table",
-        ..meta_template()
+        ..ModelMeta::default()
     };
     dlrm(ModelId::Rm1, &shape, meta, seed, store)
 }
@@ -413,7 +396,7 @@ fn rm2(scale: ModelScale, seed: u64, store: StoreBinding) -> Result<RecModel, Gr
         dataset: "Facebook",
         use_case: "Heavyweight content-feed ranking",
         insight: "Large model with large amount (120) of lookups per embedding table",
-        ..meta_template()
+        ..ModelMeta::default()
     };
     dlrm(ModelId::Rm2, &shape, meta, seed, store)
 }
@@ -447,7 +430,7 @@ fn rm3(scale: ModelScale, seed: u64, store: StoreBinding) -> Result<RecModel, Gr
         dataset: "Facebook",
         use_case: "Ranking with rich continuous features",
         insight: "Large model with large FC stacks and immediate continuous input processing",
-        ..meta_template()
+        ..ModelMeta::default()
     };
     dlrm(ModelId::Rm3, &shape, meta, seed, store)
 }
@@ -551,7 +534,7 @@ fn wnd(scale: ModelScale, seed: u64, store: StoreBinding) -> Result<RecModel, Gr
         top_fc_weight_fraction: 1.0,
         has_attention: false,
         seq_len: 0,
-        ..meta_template()
+        ..ModelMeta::default()
     };
     Ok(bc.finish(ModelId::Wnd, meta))
 }
@@ -611,7 +594,7 @@ fn mt_wnd(scale: ModelScale, seed: u64, store: StoreBinding) -> Result<RecModel,
         top_fc_weight_fraction: 1.0,
         has_attention: false,
         seq_len: 0,
-        ..meta_template()
+        ..ModelMeta::default()
     };
     Ok(bc.finish(ModelId::MtWnd, meta))
 }
@@ -747,7 +730,7 @@ fn din(scale: ModelScale, seed: u64, store: StoreBinding) -> Result<RecModel, Gr
         top_fc_weight_fraction: top_bytes as f64 / (top_bytes + unit_bytes) as f64,
         has_attention: true,
         seq_len,
-        ..meta_template()
+        ..ModelMeta::default()
     };
     Ok(bc.finish(ModelId::Din, meta))
 }
@@ -859,7 +842,7 @@ fn dien(scale: ModelScale, seed: u64, store: StoreBinding) -> Result<RecModel, G
         top_fc_weight_fraction: top_bytes as f64 / (top_bytes + gru_bytes) as f64,
         has_attention: true,
         seq_len,
-        ..meta_template()
+        ..ModelMeta::default()
     };
     Ok(bc.finish(ModelId::Dien, meta))
 }

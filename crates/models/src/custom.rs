@@ -26,8 +26,8 @@
 
 use drec_graph::GraphError;
 
-use crate::builders::{dlrm, meta_template, DlrmShape};
-use crate::{ModelId, ModelMeta, RecModel};
+use crate::builders::{dlrm, DlrmShape};
+use crate::{store_namespace, ModelId, ModelMeta, ModelScale, RecModel};
 
 /// Builder for a custom DLRM-style recommendation model.
 #[derive(Debug, Clone)]
@@ -128,9 +128,11 @@ impl CustomDlrm {
             dataset: "Synthetic",
             use_case: "User-defined architecture point",
             insight: "Custom DLRM configuration",
-            ..meta_template()
+            ..ModelMeta::default()
         };
-        dlrm(ModelId::Rm1, &shape, meta, seed, None)
+        // A custom shape has no scale: it takes Tiny RM1's namespace.
+        let namespace = store_namespace(ModelId::Rm1, ModelScale::Tiny, seed);
+        dlrm(ModelId::Rm1, &shape, meta, seed, (namespace, None))
     }
 }
 

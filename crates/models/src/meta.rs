@@ -1,6 +1,6 @@
 /// Model-architecture metadata: the Table I row for a model plus the
 /// quantitative features the Fig 16 regression consumes.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ModelMeta {
     /// Short model name (e.g. `"RM2"`).
     pub name: &'static str,

@@ -86,33 +86,24 @@ impl ModelId {
         seed: u64,
         store: Arc<drec_store::EmbeddingStore>,
     ) -> Result<RecModel, GraphError> {
-        let namespace = store_namespace(self, scale, seed);
-        builders::build(self, scale, seed, Some((store, namespace)))
+        builders::build(self, scale, seed, Some(store))
     }
 }
 
 /// FNV-1a over the build identity (model name, scale discriminant, seed):
 /// one registration namespace per distinct build configuration. This is
-/// the namespace [`ModelId::build_with_store`] registers tables under, so
-/// reporting code can ask the store per-model questions (e.g.
+/// the namespace [`ModelId::build_with_store`] registers tables under and
+/// every build records ([`RecModel::namespace`]), so reporting code can
+/// ask the store per-model questions (e.g.
 /// `EmbeddingStore::namespace_residency`) for any build it can name.
 pub fn store_namespace(id: ModelId, scale: ModelScale, seed: u64) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |byte: u8| {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for b in id.name().bytes() {
-        eat(b);
-    }
-    eat(match scale {
+    let scale = match scale {
         ModelScale::Tiny => 1,
         ModelScale::Paper => 2,
-    });
-    for b in seed.to_le_bytes() {
-        eat(b);
-    }
-    h
+    };
+    let bytes = id.name().bytes().chain([scale]).chain(seed.to_le_bytes());
+    let eat = |h: u64, byte: u8| (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+    bytes.fold(0xcbf2_9ce4_8422_2325, eat)
 }
 
 impl std::fmt::Display for ModelId {
@@ -151,6 +142,8 @@ pub struct StoreBinding {
 #[derive(Debug)]
 pub struct RecModel {
     pub(crate) id: ModelId,
+    pub(crate) namespace: u64,
+    pub(crate) store: Option<Arc<drec_store::EmbeddingStore>>,
     pub(crate) graph: Graph,
     pub(crate) ctx: ExecContext,
     pub(crate) spec: InputSpec,
@@ -163,6 +156,17 @@ impl RecModel {
     /// The model identifier.
     pub fn id(&self) -> ModelId {
         self.id
+    }
+
+    /// The build's registration namespace, [`store_namespace`] of its
+    /// model, scale and seed (dense builds and views included).
+    pub fn namespace(&self) -> u64 {
+        self.namespace
+    }
+
+    /// The store the build's tables registered in; `None` when dense.
+    pub fn store(&self) -> Option<&Arc<drec_store::EmbeddingStore>> {
+        self.store.as_ref()
     }
 
     /// The operator graph.
@@ -254,6 +258,8 @@ impl RecModel {
     pub fn view(&self) -> RecModel {
         RecModel {
             id: self.id,
+            namespace: self.namespace,
+            store: self.store.clone(),
             graph: self.graph.clone(),
             ctx: self.ctx.fork(),
             spec: self.spec.clone(),
@@ -417,5 +423,38 @@ impl RecModel {
         let result = execute_traced(&self.graph, &mut self.ctx, inputs, batch);
         self.ctx.set_tracing(false);
         result
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every build records `store_namespace` of its identity, the one an
+    /// updater's draws are seeded from (`plan.seed ^ namespace`): a dense
+    /// build, a store build and a view of each.
+    #[test]
+    fn a_build_and_its_views_record_the_namespace_of_its_identity() {
+        let store = Arc::new(drec_store::EmbeddingStore::new(Default::default()));
+        for (id, scale, seed) in [
+            (ModelId::Rm1, ModelScale::Tiny, 7),
+            (ModelId::Din, ModelScale::Tiny, 11),
+            (ModelId::Ncf, ModelScale::Paper, 3),
+        ] {
+            let expected = store_namespace(id, scale, seed);
+            let dense = id.build(scale, seed).unwrap();
+            let stored = id.build_with_store(scale, seed, Arc::clone(&store));
+            let stored = stored.unwrap();
+            for model in [&dense, &dense.view(), &stored, &stored.view()] {
+                assert_eq!(model.namespace(), expected, "{id} {scale:?} {seed}");
+            }
+            assert!(dense.store().is_none() && dense.view().store().is_none());
+            for model in [&stored, &stored.view()] {
+                assert!(Arc::ptr_eq(model.store().unwrap(), &store), "{id}");
+            }
+        }
+        // The value `store_namespace` gave before builds recorded it.
+        let rm1 = store_namespace(ModelId::Rm1, ModelScale::Tiny, 7);
+        assert_eq!(rm1, 0x048f_5668_6434_6b29);
     }
 }

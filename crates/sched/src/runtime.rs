@@ -14,6 +14,8 @@
 //! runs on one width-1 intra-op pool, since the lanes already share the
 //! workers. The returned [`PoolConfig`] has the default supervisor and
 //! no faults; a caller that wants others sets them before starting it.
+//! The shared store has no fault hook (calibration reads through it):
+//! [`ServeRuntime::start_pool`] refuses a plan with store read faults.
 //!
 //! With an accelerator configured, the pool has one worker more than
 //! [`SchedConfig::cpu_workers`]: the accelerator. It takes a batch from a
@@ -358,8 +360,6 @@ impl Colocation {
         });
         let pool = PoolConfig {
             lanes: specs,
-            scale: cfg.scale,
-            seed: cfg.seed,
             workers: cfg.cpu_workers + usize::from(cfg.gpu.is_some()),
             worker_name: "drec-sched-cpu",
             max_batch: cfg.max_batch,
@@ -367,7 +367,6 @@ impl Colocation {
             queue_capacity: cfg.queue_capacity,
             delay_budget: cfg.delay_budget,
             degrade: cfg.degrade,
-            store,
             // Width 1: co-located lanes share the CPU workers, so one
             // batch does not fan out over them too.
             par_pool: ParPool::new(1),

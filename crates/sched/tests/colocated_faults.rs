@@ -5,14 +5,16 @@
 //! answered or fails typed within a bound, every panic within the budget
 //! is one restart, the accelerator worker answers some requests, and
 //! every answer carries the bits of its sample run alone. When the CPU
-//! worker dies, the accelerator, left alone, serves every lane.
+//! worker dies, the accelerator, left alone, serves every lane. A plan
+//! that schedules store read faults is refused: the shared store is
+//! built without a fault hook, so they would never fire.
 
 use std::time::Duration;
 
 use drec_hwsim::GpuModel;
 use drec_models::ModelId;
 use drec_sched::{Colocation, GpuSchedConfig, ModelSlo, SchedConfig};
-use drec_serve::{FaultHook, FaultPlan, ServeError, ServeRuntime, SupervisorConfig};
+use drec_serve::{FaultHook, FaultPlan, ServeError, ServeRuntime, StoreConfig, SupervisorConfig};
 use drec_workload::QueryGen;
 
 const MODELS: [ModelId; 3] = [ModelId::Ncf, ModelId::Rm1, ModelId::Wnd];
@@ -189,4 +191,21 @@ fn the_accelerator_left_alone_serves_every_lane() {
     let stats = runtime.shutdown();
     assert_eq!((stats.worker_panics, stats.worker_restarts), (1, 0));
     assert_eq!((stats.retried, stats.failed), (1, 0), "{stats:?}");
+}
+
+/// Calibration reads through the shared store, so it is built with no
+/// fault hook, and a co-located pool cannot carry a read fault: a plan
+/// scheduling one is refused at start instead of injecting nothing.
+#[test]
+#[should_panic(expected = "store read faults")]
+fn a_read_fault_plan_on_a_colocated_store_is_refused() {
+    let slos = MODELS.map(|id| ModelSlo::new(id, Duration::from_millis(50)));
+    let mut cfg = SchedConfig::tiny(slos.into());
+    cfg.store = Some(StoreConfig::default());
+    let (_, mut pool) = Colocation::calibrate(&cfg).expect("models build");
+    pool.faults = FaultHook::from_plan(&FaultPlan {
+        poison_every_n_reads: Some(1),
+        ..FaultPlan::quiet(0x5EAD)
+    });
+    let _ = ServeRuntime::start_pool(pool);
 }

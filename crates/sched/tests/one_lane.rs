@@ -153,7 +153,7 @@ fn a_sole_lane_figures_are_the_pool_figures_in_both_runtimes() {
         }
     }
     let snapshots = [single.shutdown(), sched.shutdown().snapshot];
-    let latency = [LatencyHistogram::new(), LatencyHistogram::new()];
+    let latency = [LatencyHistogram::default(), LatencyHistogram::default()];
     for (pendings, latency) in [single_pending, sched_pending].into_iter().zip(&latency) {
         for pending in pendings {
             latency.record_seconds(pending.wait().expect("served").wall_seconds);

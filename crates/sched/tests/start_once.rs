@@ -153,8 +153,6 @@ fn a_pool_started_on_handed_models_rebuilds_engines_after_panics() {
     };
     let pool = ServeRuntime::start_pool(PoolConfig {
         lanes,
-        scale: cfg.scale,
-        seed: cfg.seed,
         workers: 2,
         worker_name: "start-once-worker",
         max_batch: 4,
@@ -162,7 +160,6 @@ fn a_pool_started_on_handed_models_rebuilds_engines_after_panics() {
         queue_capacity: 1024,
         delay_budget: Duration::from_secs(60),
         degrade: DegradeConfig::default(),
-        store: Some(Arc::clone(&store)),
         par_pool: drec_par::current(),
         supervisor,
         faults: FaultHook::from_plan(&FaultPlan {

@@ -63,18 +63,11 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Wraps a built model and its platform latency curve. Batches run on
-    /// the [`drec_par::current`] pool at construction time (the process
-    /// pool unless the caller has an override installed).
-    pub fn new(model: RecModel, curve: LatencyCurve) -> Self {
-        Self::with_store(model, curve, drec_par::current(), None)
-    }
-
-    /// Like [`Engine::new`] but pinning batch execution to an explicit
-    /// pool — how the serving runtime shares one intra-op pool across all
-    /// worker engines — and holding the shared [`EmbeddingStore`] the
-    /// model was built against (if any), whose reclamation epoch every
-    /// batch pins.
+    /// Wraps a built model and its platform latency curve, pinning batch
+    /// execution to `pool` — how the serving runtime shares one intra-op
+    /// pool across all worker engines — and holding the shared
+    /// [`EmbeddingStore`] the model was built against (if any), whose
+    /// reclamation epoch every batch pins.
     ///
     /// Construction compiles the model's execution plan (operator
     /// fusion and wave scheduling) once; every batch then reuses the
@@ -213,7 +206,7 @@ mod tests {
     fn engine() -> Engine {
         let model = ModelId::Ncf.build(ModelScale::Tiny, 1).unwrap();
         let curve = LatencyCurve::from_points(vec![(1, 1e-3), (64, 8e-3)]);
-        Engine::new(model, curve)
+        Engine::with_store(model, curve, drec_par::current(), None)
     }
 
     fn requests(n: usize, spec: &InputSpec) -> Vec<Request> {
@@ -287,7 +280,8 @@ mod tests {
         let baseline = first.model.fc_params();
         let channel = ModelUpdateChannel::new("ncf", 1, None, baseline.clone(), None);
         let channel = Arc::new(channel);
-        let mut replica = Engine::new(first.model.view(), first.curve.clone());
+        let view = first.model.view();
+        let mut replica = Engine::with_store(view, first.curve.clone(), drec_par::current(), None);
         first.set_update_channel(Arc::clone(&channel));
         replica.set_update_channel(Arc::clone(&channel));
         assert!(holds(&first, &baseline) && holds(&replica, &baseline));

@@ -84,14 +84,6 @@ pub struct LatencyHistogram {
 }
 
 impl LatencyHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        LatencyHistogram {
-            buckets: [(); BUCKETS].map(|()| AtomicU64::new(0)),
-            sum_nanos: AtomicU64::new(0),
-        }
-    }
-
     fn index(nanos: u64) -> usize {
         if (nanos as f64) < BASE_NANOS {
             return 0;
@@ -135,8 +127,12 @@ impl LatencyHistogram {
 }
 
 impl Default for LatencyHistogram {
+    /// An empty histogram.
     fn default() -> Self {
-        Self::new()
+        LatencyHistogram {
+            buckets: [(); BUCKETS].map(|()| AtomicU64::new(0)),
+            sum_nanos: AtomicU64::new(0),
+        }
     }
 }
 
@@ -193,7 +189,7 @@ struct WorkerMetrics {
 /// observers. It holds nothing per lane: [`crate::ServeHandle::snapshot`]
 /// hands it the lanes to read.
 #[derive(Debug)]
-pub struct MetricsRegistry {
+pub(crate) struct MetricsRegistry {
     // Producers bump `accepted` on every admission; its own cache line
     // keeps those writes off the lines workers write.
     accepted: CachePadded<AtomicU64>,
@@ -295,7 +291,7 @@ impl MetricsRegistry {
     }
 
     /// Counts one request rejected for a malformed payload.
-    pub fn record_invalid(&self) {
+    pub(crate) fn record_invalid(&self) {
         self.rejected_invalid.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -497,7 +493,7 @@ mod tests {
 
     #[test]
     fn histogram_quantiles_bracket_observations() {
-        let h = LatencyHistogram::new();
+        let h = LatencyHistogram::default();
         for _ in 0..1000 {
             h.record(Duration::from_micros(100));
         }
@@ -510,7 +506,7 @@ mod tests {
 
     #[test]
     fn histogram_orders_quantiles() {
-        let h = LatencyHistogram::new();
+        let h = LatencyHistogram::default();
         for i in 1..=1000u64 {
             h.record(Duration::from_micros(i));
         }
@@ -523,7 +519,7 @@ mod tests {
 
     #[test]
     fn empty_histogram_reports_zero() {
-        let h = LatencyHistogram::new();
+        let h = LatencyHistogram::default();
         assert_eq!(h.quantile_seconds(0.99), 0.0);
         assert_eq!(h.mean_seconds(), 0.0);
     }
@@ -531,9 +527,9 @@ mod tests {
     #[test]
     fn merged_counts_quantile_like_one_histogram_fed_both_streams() {
         let (fast, slow, both) = (
-            LatencyHistogram::new(),
-            LatencyHistogram::new(),
-            LatencyHistogram::new(),
+            LatencyHistogram::default(),
+            LatencyHistogram::default(),
+            LatencyHistogram::default(),
         );
         for i in 1..=700u64 {
             let d = Duration::from_micros(3 * i);

@@ -39,14 +39,14 @@
 //!
 //! Each lane's model arrives built in its [`LaneSpec`] (the caller built
 //! it in lane order, so a table's slot in a shared store is fixed) and
-//! becomes worker 0's engine. The lane keeps a view of it
+//! becomes worker 0's engine; the pool reads its store and each lane's
+//! update namespace off the lanes' models. The lane keeps a view of it
 //! ([`RecModel::view`]): every other engine — the other workers', a
-//! replacement after a panic — is a
-//! view of that, made without building anything, so it shares every
-//! parameter of the lane (tables, GRU and FC weights) and owns only its
-//! plan, scratch and arena. The lane's update channel holds the built model's FC
-//! handles as its baseline. A lane holds one parameter set however many
-//! engines it has.
+//! replacement after a panic — is a view of that, made without building
+//! anything, so it shares every parameter of the lane (tables, GRU and FC
+//! weights) and owns only its plan, scratch and arena. The lane's update
+//! channel holds the built model's FC handles as its baseline. A lane
+//! holds one parameter set however many engines it has.
 
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -57,7 +57,7 @@ use std::time::{Duration, Instant};
 
 use drec_core::serving::LatencyCurve;
 use drec_faultsim::FaultHook;
-use drec_models::{ModelScale, RecModel, StoreBinding};
+use drec_models::{RecModel, StoreBinding};
 use drec_ops::Value;
 use drec_par::ParPool;
 use drec_store::EmbeddingStore;
@@ -120,9 +120,9 @@ impl Placement for Inline {}
 /// One lane of a [`PoolConfig`].
 #[derive(Debug)]
 pub struct LaneSpec {
-    /// The model the lane serves, built at the pool's scale and seed
-    /// against its store. It becomes worker 0's engine, and every other
-    /// engine of the lane is a view of it.
+    /// The model the lane serves: worker 0's engine, and what every other
+    /// engine of the lane is a view of. The pool reads its store and
+    /// namespace off it; every lane is built on one store, or none is.
     pub built: RecModel,
     /// The latency curve that prices its modelled batch timings and
     /// admission-delay estimate.
@@ -134,10 +134,6 @@ pub struct LaneSpec {
 pub struct PoolConfig {
     /// The lanes, one model each. Non-empty.
     pub lanes: Vec<LaneSpec>,
-    /// Scale every model was built at.
-    pub scale: ModelScale,
-    /// Parameter seed every model was built with.
-    pub seed: u64,
     /// Worker threads polling the lanes.
     pub workers: usize,
     /// Thread-name prefix of those workers (`{worker_name}-{index}`).
@@ -152,13 +148,12 @@ pub struct PoolConfig {
     pub delay_budget: Duration,
     /// Per-lane overload-ladder thresholds.
     pub degrade: DegradeConfig,
-    /// The shared parameter store; `None` keeps per-engine dense tables.
-    pub store: Option<Arc<EmbeddingStore>>,
     /// The intra-op pool engines are built on.
     pub par_pool: Arc<ParPool>,
     /// Restart budget and backoff.
     pub supervisor: SupervisorConfig,
-    /// Fault-injection hook installed on every engine.
+    /// Fault-injection hook installed on every engine; one that schedules
+    /// store read faults must be the hook the lanes' store was built with.
     pub faults: FaultHook,
     /// Batch placement; [`Inline`] for a single backend.
     pub placement: Arc<dyn Placement>,
@@ -219,14 +214,24 @@ impl LaneSet {
         assert!(cfg.workers >= 1, "need at least one worker");
         assert!(cfg.max_batch >= 1, "max_batch must be at least 1");
         let lane_cfgs = std::mem::take(&mut cfg.lanes);
+        // The pool's store is its lanes': the one they were built against.
+        let store = lane_cfgs[0].built.store().cloned();
+        let ptr = |s: Option<&Arc<EmbeddingStore>>| s.map(Arc::as_ptr);
+        assert!(
+            lane_cfgs
+                .iter()
+                .all(|l| ptr(l.built.store()) == ptr(store.as_ref())),
+            "every lane's model must be built against one store, or every one dense"
+        );
+        let store_faults = store.as_deref().map(EmbeddingStore::faults);
+        assert!(
+            cfg.faults.reads_reach(store_faults),
+            "the fault plan schedules store read faults the lanes' store was not built with"
+        );
         let mut set = LaneSet {
             lanes: Vec::with_capacity(lane_cfgs.len()),
             signal: Arc::default(),
-            metrics: MetricsRegistry::new(
-                cfg.workers,
-                Arc::clone(&cfg.par_pool),
-                cfg.store.clone(),
-            ),
+            metrics: MetricsRegistry::new(cfg.workers, Arc::clone(&cfg.par_pool), store.clone()),
             next_id: AtomicU64::new(0),
             restarts: AtomicU32::new(0),
             live: AtomicUsize::new(cfg.workers),
@@ -241,7 +246,7 @@ impl LaneSet {
         // prefetch on, and only for the lanes whose model exposes store
         // bindings. Those lanes split the tier's budget evenly, so
         // together they fill no further ahead than one lane alone would.
-        let prefetch_budget = set.cfg.store.as_ref().filter(|s| s.prefetch_enabled());
+        let prefetch_budget = store.as_ref().filter(|s| s.prefetch_enabled());
         let prefetch_budget = prefetch_budget.map(|s| s.stats().tier_dram_budget_rows);
         let lane_bindings: Vec<Vec<StoreBinding>> =
             lane_cfgs.iter().map(|l| l.built.store_bindings()).collect();
@@ -251,10 +256,8 @@ impl LaneSet {
         for (lane, (LaneSpec { built, curve }, bindings)) in
             lane_cfgs.into_iter().zip(lane_bindings).enumerate()
         {
-            let model = built.id();
             let cfg = &set.cfg;
             let min_batches = (0..cfg.workers).map(|w| cfg.placement.min_batch(w, lane));
-            let store = cfg.store.clone();
             let ladder = Arc::new(OverloadLadder::new(
                 cfg.degrade,
                 cfg.queue_capacity,
@@ -276,11 +279,10 @@ impl LaneSet {
             // registers as a weight reader and starts from the built
             // model's FC set; the updater (if the deployment runs one)
             // respects the lane ladder's backpressure rung.
-            let namespace = drec_models::store_namespace(model, cfg.scale, cfg.seed);
             let update = Arc::new(ModelUpdateChannel::new(
-                model.name(),
-                namespace,
-                store,
+                built.id().name(),
+                built.namespace(),
+                store.clone(),
                 built.fc_params(),
                 Some(Arc::clone(&ladder)),
             ));
@@ -293,7 +295,7 @@ impl LaneSet {
             set.lanes.push(Lane {
                 queue,
                 update,
-                latency: CachePadded::new(LatencyHistogram::new()),
+                latency: CachePadded::new(LatencyHistogram::default()),
                 shed: CachePadded::new(AtomicU64::new(0)),
                 ladder,
                 source: built.view(),
@@ -365,7 +367,8 @@ impl LaneSet {
     fn engine(&self, lane: &Lane, model: RecModel) -> Engine {
         let cfg = &self.cfg;
         let pool = Arc::clone(&cfg.par_pool);
-        let mut engine = Engine::with_store(model, lane.curve.clone(), pool, cfg.store.clone());
+        let store = model.store().cloned();
+        let mut engine = Engine::with_store(model, lane.curve.clone(), pool, store);
         engine.set_fault_hook(cfg.faults.clone());
         engine.set_update_channel(Arc::clone(&lane.update));
         engine

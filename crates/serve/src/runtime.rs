@@ -11,8 +11,10 @@
 //!
 //! [`ServeRuntime::start_pool`] serves any number of lanes under any
 //! [`crate::Placement`]; [`ServeRuntime::start`] serves one model on one
-//! lane with the trivial [`Inline`] placement. Teardown is written once,
-//! in `Drop`, and [`ServeRuntime::shutdown`] is that plus the final
+//! lane with the trivial [`Inline`] placement. A pool's store is the one
+//! its lanes' models were built against, and a fault plan with store read
+//! faults that store was not built with is refused. Teardown is written
+//! once, in `Drop`, and [`ServeRuntime::shutdown`] is that plus the final
 //! metrics.
 
 use std::sync::{mpsc, Arc};
@@ -108,17 +110,20 @@ impl ServeRuntime {
     ///
     /// Returns [`ServeError::WorkerFailed`] if model construction fails,
     /// or [`ServeError::SpawnFailed`] if a thread cannot be spawned.
-    pub fn start(cfg: ServeConfig) -> Result<ServeRuntime> {
-        let faults = cfg.faults.as_ref();
+    ///
+    /// # Panics
+    ///
+    /// As [`ServeRuntime::start_pool`]: store read faults with no `store`.
+    pub fn start(config: ServeConfig) -> Result<ServeRuntime> {
+        let faults = config.faults.as_ref();
         let faults = faults.map_or_else(FaultHook::disabled, FaultHook::from_plan);
-        let store = cfg
-            .store
-            .map(|sc| Arc::new(EmbeddingStore::with_faults(sc, faults.clone())));
-        let built = match &store {
-            Some(s) => cfg
-                .model
-                .build_with_store(cfg.scale, cfg.seed, Arc::clone(s)),
-            None => cfg.model.build(cfg.scale, cfg.seed),
+        let (model, scale, seed) = (config.model, config.scale, config.seed);
+        let built = match config.store {
+            Some(sc) => {
+                let store = Arc::new(EmbeddingStore::with_faults(sc, faults.clone()));
+                model.build_with_store(scale, seed, store)
+            }
+            None => model.build(scale, seed),
         }
         .map_err(|e| ServeError::WorkerFailed {
             reason: format!("model build failed: {e}"),
@@ -126,23 +131,20 @@ impl ServeRuntime {
         ServeRuntime::start_pool(PoolConfig {
             lanes: vec![LaneSpec {
                 built,
-                curve: cfg.curve,
+                curve: config.curve,
             }],
-            scale: cfg.scale,
-            seed: cfg.seed,
-            workers: cfg.workers,
+            workers: config.workers,
             worker_name: "drec-serve-worker",
-            max_batch: cfg.max_batch,
-            max_wait: cfg.max_wait,
-            queue_capacity: cfg.queue_capacity,
-            delay_budget: cfg.delay_budget,
-            degrade: cfg.degrade,
-            store,
+            max_batch: config.max_batch,
+            max_wait: config.max_wait,
+            queue_capacity: config.queue_capacity,
+            delay_budget: config.delay_budget,
+            degrade: config.degrade,
             // One intra-op pool shared by every worker engine; snapshots
             // report its task counts and utilization alongside the
             // worker metrics.
             par_pool: drec_par::current(),
-            supervisor: cfg.supervisor,
+            supervisor: config.supervisor,
             faults,
             placement: Arc::new(Inline),
         })
@@ -157,7 +159,10 @@ impl ServeRuntime {
     ///
     /// # Panics
     ///
-    /// Panics on an empty lane list, zero workers or a zero `max_batch`.
+    /// Panics on an empty lane list, zero workers or a zero `max_batch`;
+    /// on lanes built against different stores (or some dense); and on
+    /// `faults` that schedule store read faults (`poison_every_n_reads`,
+    /// `delay_every_n_reads`) the lanes' store was not built with.
     pub fn start_pool(cfg: PoolConfig) -> Result<ServeRuntime> {
         let (core, built) = LaneSet::new(cfg)?;
         let handles = (0..core.lanes.len()).map(|lane| ServeHandle {

@@ -3,8 +3,10 @@
 //! `ServeRuntime` — self-supervising workers on a shared restart budget
 //! — holds across lanes, and a spent budget closes every lane with typed
 //! errors instead of hanging anyone; each lane keeps its own requests'
-//! records and the pool-wide snapshot is their merge; and a worker with
-//! a size rule takes only the batches its placement allows it.
+//! records and the pool-wide snapshot is their merge; a worker with a
+//! size rule takes only the batches its placement allows it; and a
+//! pool's store is its lanes', so lanes built against two stores, or a
+//! store-backed lane beside a dense one, are refused.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -13,8 +15,9 @@ use drec_core::serving::LatencyCurve;
 use drec_faultsim::{FaultHook, FaultPlan};
 use drec_models::{ModelId, ModelScale};
 use drec_serve::{
-    DegradeConfig, Inline, LaneSpec, LatencyHistogram, OverloadLevel, PendingResponse, Placement,
-    PoolConfig, ServeError, ServeRuntime, SubmitOptions, SupervisorConfig,
+    DegradeConfig, EmbeddingStore, Inline, LaneSpec, LatencyHistogram, OverloadLevel,
+    PendingResponse, Placement, PoolConfig, ServeError, ServeRuntime, StoreConfig, SubmitOptions,
+    SupervisorConfig,
 };
 use drec_workload::QueryGen;
 
@@ -29,8 +32,6 @@ fn two_lanes() -> PoolConfig {
     };
     PoolConfig {
         lanes: MODELS.map(lane).into(),
-        scale: ModelScale::Tiny,
-        seed: 7,
         workers: 2,
         worker_name: "pool-test-worker",
         max_batch: 16,
@@ -38,7 +39,6 @@ fn two_lanes() -> PoolConfig {
         queue_capacity: 1024,
         delay_budget: Duration::from_secs(60),
         degrade: DegradeConfig::default(),
-        store: None,
         par_pool: drec_par::current(),
         supervisor: SupervisorConfig::default(),
         faults: FaultHook::disabled(),
@@ -161,7 +161,7 @@ fn pool_wide_figures_are_the_merge_of_the_lanes() {
     .expect("pool starts");
     let handles = pool.handles();
     let mut gens = [QueryGen::uniform(11), QueryGen::uniform(12)];
-    let latency = LatencyHistogram::new();
+    let latency = LatencyHistogram::default();
     let (mut answered, mut shed) = (0, 0);
     for _ in 0..3 {
         let mut burst = Vec::new();
@@ -309,4 +309,50 @@ fn a_lone_worker_drops_its_size_rule() {
         assert_eq!(response.expect("served").worker, 0);
     }
     pool.shutdown();
+}
+
+/// `two_lanes` with each listed lane rebuilt against its store.
+fn on_store(lanes: &[(usize, &Arc<EmbeddingStore>)]) -> PoolConfig {
+    let mut cfg = two_lanes();
+    for &(lane, store) in lanes {
+        let built = MODELS[lane].build_with_store(ModelScale::Tiny, 7, Arc::clone(store));
+        cfg.lanes[lane].built = built.expect("model builds");
+    }
+    cfg
+}
+
+#[test]
+#[should_panic(expected = "built against one store")]
+fn lanes_built_against_two_stores_are_refused() {
+    let stores = [(); 2].map(|()| Arc::new(EmbeddingStore::new(StoreConfig::default())));
+    let _ = ServeRuntime::start_pool(on_store(&[(0, &stores[0]), (1, &stores[1])]));
+}
+
+#[test]
+#[should_panic(expected = "built against one store")]
+fn a_store_backed_lane_beside_a_dense_one_is_refused() {
+    let store = Arc::new(EmbeddingStore::new(StoreConfig::default()));
+    let _ = ServeRuntime::start_pool(on_store(&[(1, &store)]));
+}
+
+#[test]
+fn lanes_on_one_store_serve_through_it() {
+    let store = Arc::new(EmbeddingStore::new(StoreConfig::default()));
+    let pool = ServeRuntime::start_pool(on_store(&[(0, &store), (1, &store)]));
+    let pool = pool.expect("pool starts");
+    for handle in pool.handles() {
+        let channel_store = handle.update_channel().store();
+        assert!(channel_store.is_some_and(|s| Arc::ptr_eq(s, &store)));
+    }
+    let answered = submit(&pool, 0, 2).into_iter().chain(submit(&pool, 1, 2));
+    for pending in answered {
+        let response = pending.wait_timeout(ANSWER_BOUND).expect("answered");
+        response.expect("served");
+    }
+    let stats = pool.shutdown();
+    let store_stats = stats
+        .store
+        .as_ref()
+        .expect("the snapshot reports the store");
+    assert!(store_stats.lookups > 0, "{stats:?}");
 }

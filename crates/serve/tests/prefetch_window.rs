@@ -135,8 +135,6 @@ fn lanes_on_one_tier_split_its_prefetch_window() {
     };
     let pool = ServeRuntime::start_pool(PoolConfig {
         lanes: vec![lane(ModelId::Rm1), lane(ModelId::Rm2)],
-        scale: ModelScale::Tiny,
-        seed: 7,
         workers: 1,
         worker_name: "prefetch-split-worker",
         max_batch: 64,
@@ -144,7 +142,6 @@ fn lanes_on_one_tier_split_its_prefetch_window() {
         queue_capacity: 1024,
         delay_budget: Duration::from_secs(600),
         degrade: DegradeConfig::default(),
-        store: Some(Arc::clone(&store)),
         par_pool: drec_par::current(),
         supervisor: SupervisorConfig::default(),
         faults: FaultHook::disabled(),

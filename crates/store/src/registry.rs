@@ -370,6 +370,11 @@ impl EmbeddingStore {
         }
     }
 
+    /// The fault hook the store was built with.
+    pub fn faults(&self) -> &FaultHook {
+        &self.faults
+    }
+
     /// Enters or leaves cache-only degraded mode. While degraded, lookups
     /// of rows that are not in the hot-row key set are *skipped*: pooled
     /// sums simply omit the row's contribution and copies return zeros.
