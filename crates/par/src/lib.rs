@@ -5,8 +5,8 @@
 //! supplies the small slice of it the kernels actually need (in the same
 //! spirit as `drec-check` standing in for `proptest`):
 //!
-//! * [`ParPool`] — a fixed-size pool of parked worker threads sharing one
-//!   task queue,
+//! * [`ParPool`] — a fixed-size pool of worker threads sharing one task
+//!   queue, which spin for [`SPIN`] after their last task and then park,
 //! * [`ParPool::scope`] — structured spawning of closures that borrow the
 //!   caller's stack (the scope does not return until every spawned task
 //!   finished; panics propagate to the caller),
@@ -33,7 +33,8 @@
 //!
 //! The thread that opens a scope *helps*: after the scope body returns, it
 //! drains tasks from the shared queue itself until its own scope has no
-//! pending work, and only then parks on a completion condvar. A scope's
+//! pending work, and only then (after [`SPIN`] of watching) parks on a
+//! completion condvar. A scope's
 //! tasks are thus always executed by somebody — there is no configuration
 //! in which all threads wait while runnable work sits queued.
 //!
@@ -57,7 +58,7 @@ use std::marker::PhantomData;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -69,6 +70,19 @@ use drec_sync::CachePadded;
 /// worker threads at all; unset or invalid values fall back to
 /// `std::thread::available_parallelism()`.
 pub const THREADS_ENV: &str = "DREC_THREADS";
+
+/// How long a thread with nothing to run watches for work before it
+/// parks: a worker watches the queue's task count, a scope owner whose
+/// last tasks run elsewhere watches its scope's pending count.
+///
+/// A wake and a join cost a parked fan-out 17–27 µs on the 2-core x86_64
+/// benchmark host, a spinning one about 2 µs, so the consecutive products
+/// of one batch (an FC stack's layers, a plan's waves, a GRU's steps)
+/// should find the helper awake. At 200 µs, `perf_bench`'s
+/// `dense_small_batch` (RM3 at batch 2–4 on a 2-thread pool) read
+/// `setup_s` 0.57 s against 0.77 s parked at once (medians of ten 20 s
+/// pairs) at the same CPU per request; 20, 50 and 100 µs bought less.
+pub const SPIN: Duration = Duration::from_micros(200);
 
 type Task = Box<dyn FnOnce() + Send + 'static>;
 
@@ -124,6 +138,8 @@ impl PoolStats {
 struct QueueState {
     tasks: VecDeque<Task>,
     shutdown: bool,
+    /// Workers parked on `work_cv`; a push notifies only when one is.
+    parked: usize,
 }
 
 impl std::fmt::Debug for ParPool {
@@ -136,6 +152,13 @@ impl std::fmt::Debug for ParPool {
 
 struct Shared {
     queue: Mutex<QueueState>,
+    /// `queue.tasks.len()`, stored under the lock: what a spinning
+    /// worker watches without taking it.
+    queued: CachePadded<AtomicUsize>,
+    /// Whether idle threads spin before parking: only when the pool has
+    /// no more threads than the host has cores, so a spinner never holds
+    /// a core another of its threads is waiting for.
+    spins: bool,
     work_cv: Condvar,
     // Every executing thread bumps all three counters per task; padding
     // keeps a worker's increment from bouncing its neighbors' lines.
@@ -162,12 +185,32 @@ impl Shared {
         );
     }
 
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.queue.lock().expect("pool queue poisoned")
+    }
+
+    fn pop(&self, queue: &mut QueueState) -> Option<Task> {
+        let task = queue.tasks.pop_front();
+        self.queued.store(queue.tasks.len(), Ordering::Relaxed);
+        task
+    }
+
     fn try_pop(&self) -> Option<Task> {
-        self.queue
-            .lock()
-            .expect("pool queue poisoned")
-            .tasks
-            .pop_front()
+        self.pop(&mut self.lock())
+    }
+
+    /// Polls `done` until it holds or [`SPIN`] has passed; returns at
+    /// once in a pool that does not spin.
+    fn spin_until(&self, done: impl Fn() -> bool) {
+        let start = Instant::now();
+        while self.spins && start.elapsed() < SPIN {
+            for _ in 0..64 {
+                if done() {
+                    return;
+                }
+                std::hint::spin_loop();
+            }
+        }
     }
 }
 
@@ -191,7 +234,11 @@ impl ParPool {
             queue: Mutex::new(QueueState {
                 tasks: VecDeque::new(),
                 shutdown: false,
+                parked: 0,
             }),
+            queued: CachePadded::new(AtomicUsize::new(0)),
+            spins: threads > 1
+                && std::thread::available_parallelism().is_ok_and(|n| threads <= n.get()),
             work_cv: Condvar::new(),
             tasks: CachePadded::new(AtomicU64::new(0)),
             chunks: CachePadded::new(AtomicU64::new(0)),
@@ -385,28 +432,45 @@ impl ParPool {
     }
 
     fn push(&self, task: Task) {
-        let mut queue = self.shared.queue.lock().expect("pool queue poisoned");
+        let mut queue = self.shared.lock();
         queue.tasks.push_back(task);
+        self.shared
+            .queued
+            .store(queue.tasks.len(), Ordering::Relaxed);
+        let parked = queue.parked > 0;
         drop(queue);
-        self.shared.work_cv.notify_one();
+        if parked {
+            self.shared.work_cv.notify_one();
+        }
     }
 
     /// Executes queued tasks on the calling thread until `state` has no
-    /// pending work; parks on the completion condvar only when the queue
-    /// is empty (meaning this scope's remaining tasks are already running
-    /// on other threads).
+    /// pending work. When the queue is empty (this scope's remaining
+    /// tasks are already running on other threads) it watches `pending`
+    /// for [`SPIN`], then parks on the completion condvar.
     fn run_until_complete(&self, state: &ScopeState) {
+        let mut spun = false;
         while state.pending.load(Ordering::Acquire) > 0 {
             match self.shared.try_pop() {
                 Some(task) => self.shared.run_task(task),
+                None if !spun => {
+                    self.shared
+                        .spin_until(|| state.pending.load(Ordering::Acquire) == 0);
+                    spun = true;
+                }
                 None => {
-                    let guard = state.done_mx.lock().expect("scope lock poisoned");
+                    let mut parked = state.done_mx.lock().expect("scope lock poisoned");
                     if state.pending.load(Ordering::Acquire) == 0 {
                         break;
                     }
+                    *parked = true;
                     // Completion is signalled under `done_mx`, so this wait
                     // cannot miss it; the timeout is pure defence in depth.
-                    let _ = state.done_cv.wait_timeout(guard, Duration::from_millis(10));
+                    let (mut parked, _) = state
+                        .done_cv
+                        .wait_timeout(parked, Duration::from_millis(10))
+                        .expect("scope lock poisoned");
+                    *parked = false;
                 }
             }
         }
@@ -416,7 +480,7 @@ impl ParPool {
 impl Drop for ParPool {
     fn drop(&mut self) {
         {
-            let mut queue = self.shared.queue.lock().expect("pool queue poisoned");
+            let mut queue = self.shared.lock();
             queue.shutdown = true;
         }
         self.shared.work_cv.notify_all();
@@ -426,18 +490,32 @@ impl Drop for ParPool {
     }
 }
 
+/// Runs queued tasks until shutdown. A worker that finds the queue empty
+/// watches `queued` for [`SPIN`] off the lock, then looks once more under
+/// it before parking: a push stores `queued` and notifies under the same
+/// lock, so the park cannot miss it.
 fn worker_loop(shared: &Shared) {
     loop {
         let task = {
-            let mut queue = shared.queue.lock().expect("pool queue poisoned");
+            let mut queue = shared.lock();
+            let mut spun = false;
             loop {
-                if let Some(task) = queue.tasks.pop_front() {
+                if let Some(task) = shared.pop(&mut queue) {
                     break task;
                 }
                 if queue.shutdown {
                     return;
                 }
-                queue = shared.work_cv.wait(queue).expect("pool queue poisoned");
+                if spun {
+                    queue.parked += 1;
+                    queue = shared.work_cv.wait(queue).expect("pool queue poisoned");
+                    queue.parked -= 1;
+                } else {
+                    drop(queue);
+                    shared.spin_until(|| shared.queued.load(Ordering::Relaxed) > 0);
+                    spun = true;
+                    queue = shared.lock();
+                }
             }
         };
         shared.run_task(task);
@@ -448,7 +526,8 @@ fn worker_loop(shared: &Shared) {
 struct ScopeState {
     pending: AtomicUsize,
     panic: Mutex<Option<Box<dyn Any + Send>>>,
-    done_mx: Mutex<()>,
+    /// Whether the owner is parked on `done_cv`.
+    done_mx: Mutex<bool>,
     done_cv: Condvar,
 }
 
@@ -456,9 +535,11 @@ impl ScopeState {
     fn complete(&self) {
         // Decrement under the lock so a waiter that saw `pending > 0`
         // while holding it is guaranteed to receive the notification.
-        let _guard = self.done_mx.lock().expect("scope lock poisoned");
+        let parked = self.done_mx.lock().expect("scope lock poisoned");
         self.pending.fetch_sub(1, Ordering::Release);
-        self.done_cv.notify_all();
+        if *parked {
+            self.done_cv.notify_all();
+        }
     }
 
     fn record_panic(&self, payload: Box<dyn Any + Send>) {

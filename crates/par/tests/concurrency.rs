@@ -1,13 +1,15 @@
 //! Concurrency invariants of the `drec-par` pool: exactly-once chunk and
 //! column-tile coverage under contention, panic propagation without
-//! deadlock, and determinism of chunk boundaries across pool sizes.
+//! deadlock, determinism of chunk boundaries across pool sizes, and
+//! hand-offs to spinning and to parked workers.
 
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
+use std::time::{Duration, Instant};
 
-use drec_par::ParPool;
+use drec_par::{ParPool, SPIN};
 
 #[test]
 fn for_each_chunk_touches_every_index_exactly_once_under_8_threads() {
@@ -171,4 +173,40 @@ fn column_tiles_run_inline_in_order_on_one_thread() {
         order.lock().unwrap().push((col0, rows[1].len()));
     });
     assert_eq!(*order.lock().unwrap(), vec![(0, 4), (4, 4), (8, 1)]);
+}
+
+#[test]
+fn handoffs_to_spinning_and_to_parked_workers_run_every_task_once() {
+    // A pool as wide as the host spins before it parks; one wider than
+    // the host (8 threads on the 2-core runner) parks at once. Gaps
+    // shorter than the spin budget hand work to workers still spinning,
+    // longer ones to workers that have parked.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let gaps = [Duration::ZERO, SPIN / 4, SPIN * 5];
+    for threads in [cores.max(2), 8] {
+        let pool = ParPool::new(threads);
+        for round in 0..300 {
+            std::thread::sleep(gaps[round % gaps.len()]);
+            let ran: Vec<AtomicU32> = (0..16).map(|_| AtomicU32::new(0)).collect();
+            pool.scope(|s| {
+                for count in &ran {
+                    s.spawn(move || {
+                        count.fetch_add(1, Ordering::Relaxed);
+                    });
+                }
+            });
+            for (task, count) in ran.iter().enumerate() {
+                let runs = count.load(Ordering::Relaxed);
+                assert_eq!(runs, 1, "{threads} threads, round {round}, task {task}");
+            }
+        }
+        // Dropped right after a scope, while its workers spin.
+        let started = Instant::now();
+        drop(pool);
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "a {threads}-thread pool took {:?} to join",
+            started.elapsed()
+        );
+    }
 }

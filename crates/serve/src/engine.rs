@@ -73,12 +73,22 @@ impl Engine {
     /// fusion and wave scheduling) once; every batch then reuses the
     /// plan and its scratch buffers instead of re-running liveness
     /// analysis per request.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `store` is not the store the model was built against
+    /// ([`RecModel::store`]; both `None` for a dense build): an engine
+    /// pinning another store's epoch leaves its own rows unprotected.
     pub fn with_store(
         mut model: RecModel,
         curve: LatencyCurve,
         pool: Arc<ParPool>,
         store: Option<Arc<EmbeddingStore>>,
     ) -> Self {
+        assert!(
+            model.store().map(Arc::as_ptr) == store.as_ref().map(Arc::as_ptr),
+            "an engine's store must be its model's"
+        );
         model.compile_plan();
         Engine {
             model,
@@ -224,6 +234,17 @@ mod tests {
                 }
             })
             .collect()
+    }
+
+    #[test]
+    #[should_panic(expected = "must be its model's")]
+    fn an_engine_refuses_a_store_its_model_was_not_built_against() {
+        let store = || Arc::new(EmbeddingStore::new(drec_store::StoreConfig::default()));
+        let model = ModelId::Ncf
+            .build_with_store(ModelScale::Tiny, 1, store())
+            .unwrap();
+        let curve = LatencyCurve::from_points(vec![(1, 1e-3)]);
+        Engine::with_store(model, curve, drec_par::current(), Some(store()));
     }
 
     #[test]

@@ -68,10 +68,13 @@ const KU: usize = 4;
 /// Fewest multiply-adds a pool task must carry for a fan-out to pay,
 /// counting every register block as a full one (see [`partition`]).
 ///
-/// Handing work to a parked worker costs a queue push, a futex wake and a
-/// join: about 20 µs on the benchmark host, most of it the wake. The FMA
-/// kernel retires about 25 multiply-adds per nanosecond at best, so a task
-/// of 2²⁰ is 40 µs or more of arithmetic, twice what it costs to call.
+/// Handing work to a worker still spinning after its last task (within
+/// `drec_par::SPIN`) costs about 2 µs on the benchmark host: two 26 µs
+/// tasks on a 2-thread pool take 28 µs, against 52 µs inline. A worker
+/// that has parked costs a futex wake and a join, 17–27 µs, and the first
+/// product after an idle gap still meets one. The FMA kernel retires
+/// about 25 multiply-adds per nanosecond at best, so a task of 2²⁰ is
+/// 40 µs or more of arithmetic, above even the parked cost.
 const MIN_TASK_MACS: usize = 1 << 20;
 /// Target row chunks per pool thread (slack for load balancing).
 const CHUNKS_PER_THREAD: usize = 4;
