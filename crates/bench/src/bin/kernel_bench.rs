@@ -34,11 +34,7 @@
 //! t(4·⌈m/4⌉)` on one thread (a batch of 3 may not cost more than a batch
 //! of 4 by more than noise), and `gemm_skinny_two_threads_never_lose`,
 //! `t(2 threads) ≤ 1.05 × t(1)` at every shape (skipped on a host whose
-//! second core is a time-share of the first). Beside it, reported and not
-//! gated, one thread streams each layer's weights through the same 8-lane
-//! loads (`simd::sum_f32_into`, row by row into one L1-resident row),
-//! beside the weight bytes per second of the one-thread products at
-//! m = 1 and 2.
+//! second core is a time-share of the first).
 
 use drec_bench::report::Limit::{AtLeast, AtMost};
 use drec_bench::report::{Gate, Json, Report, Timed};
@@ -438,44 +434,6 @@ fn bench_gemm_skinny(repeats: usize) -> Vec<SkinnyRow> {
     rows
 }
 
-/// Per [`SKINNY_LAYERS`] layer: its weight bytes read by one thread
-/// through `simd::sum_f32_into`, in GB/s, beside the one-thread skinny
-/// products at m = 1 and 2 as weight GB/s.
-fn bench_streamed_read(repeats: usize, skinny: &[SkinnyRow]) -> Vec<Json> {
-    let mut rows = Vec::new();
-    for &(layer, k, n) in &SKINNY_LAYERS {
-        let w = ParamInit::new(0x5C1 + k as u64).uniform(&[n, k], -1.0, 1.0);
-        let mut acc = vec![0.0f32; k];
-        let iters = (20_000_000 / (k * n)).max(1);
-        let seconds = sample(repeats, || {
-            let reads = || {
-                for _ in 0..iters {
-                    for row in w.as_slice().chunks_exact(k) {
-                        simd::sum_f32_into(row, &mut acc);
-                    }
-                    std::hint::black_box(&mut acc);
-                }
-            };
-            time(reads) / iters as f64
-        });
-        let gb_s = |secs: f64| (4 * k * n) as f64 / secs / 1e9;
-        let product = |m: usize| {
-            let r = skinny.iter().find(|r| r.layer == layer && r.m == m);
-            gb_s(r.expect("the sweep holds m = 1 and 2").one_thread.fastest)
-        };
-        let (read, m1, m2) = (gb_s(seconds.fastest), product(1), product(2));
-        println!("  {layer:<14} streamed read {read:.1} GB/s; one-thread product m=1 {m1:.1}, m=2 {m2:.1} GB/s of weights");
-        rows.push(row! {
-            "layer": layer,
-            "weight_bytes": 4 * k * n,
-            "read_gb_per_s": read,
-            "gemm_m1_gb_per_s": m1,
-            "gemm_m2_gb_per_s": m2,
-        });
-    }
-    rows
-}
-
 /// Checks the dispatched GEMM against the scalar blocked kernel on
 /// register-block edge shapes: bit-identical when FMA is disabled
 /// (forced scalar / no AVX2), otherwise within the
@@ -731,8 +689,6 @@ fn main() {
         )
         .skip_if(no_second_core),
     );
-    println!("Weight bytes streamed by one thread (8-lane loads; reported, not gated):");
-    let streamed = bench_streamed_read(skinny_repeats, &skinny);
 
     let gemm_sizes: &[usize] = if smoke { &[48] } else { &[128, 512] };
     let gemm_repeats = if fast { 2 } else { 5 };
@@ -806,7 +762,6 @@ fn main() {
     report.section("quantize_i8", quantize);
     report.section("gemm_fma", gemm_fma);
     report.rows("gemm_skinny", &skinny, SkinnyRow::json);
-    report.section("streamed_read", streamed);
     report.section("gemm_single_thread", gemm);
     report.rows("gemm_thread_sweep", &threads_sweep, |(threads, seconds)| {
         row! {"threads": *threads, "seconds": seconds.fastest}

@@ -52,7 +52,7 @@
 //! ```
 
 use std::any::Any;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::ops::Range;
@@ -73,7 +73,15 @@ pub const THREADS_ENV: &str = "DREC_THREADS";
 
 /// How long a thread with nothing to run watches for work before it
 /// parks: a worker watches the queue's task count, a scope owner whose
-/// last tasks run elsewhere watches its scope's pending count.
+/// last tasks run elsewhere watches its scope's pending count and the
+/// queue (and runs what appears there).
+///
+/// A thread spins only while the pool's workers plus the threads inside
+/// its scopes (at least one) are no more than the host's cores, so a
+/// spinner never holds a core that a working thread waits for: a pool
+/// wider than the host never spins, and a pool as wide as the host stops
+/// spinning while a second thread, such as another serving worker, has
+/// a scope open on it.
 ///
 /// A wake and a join cost a parked fan-out 17–27 µs on the 2-core x86_64
 /// benchmark host, a spinning one about 2 µs, so the consecutive products
@@ -82,6 +90,9 @@ pub const THREADS_ENV: &str = "DREC_THREADS";
 /// `dense_small_batch` (RM3 at batch 2–4 on a 2-thread pool) read
 /// `setup_s` 0.57 s against 0.77 s parked at once (medians of ten 20 s
 /// pairs) at the same CPU per request; 20, 50 and 100 µs bought less.
+/// With the owner count it read 0.51 against 0.71 s, again at the same
+/// CPU; in the host's slow spells, when its second core comes and goes,
+/// 0.62 against 0.93 s and 1.03 against 1.23 s, at 2–5 % more CPU.
 pub const SPIN: Duration = Duration::from_micros(200);
 
 type Task = Box<dyn FnOnce() + Send + 'static>;
@@ -155,10 +166,13 @@ struct Shared {
     /// `queue.tasks.len()`, stored under the lock: what a spinning
     /// worker watches without taking it.
     queued: CachePadded<AtomicUsize>,
-    /// Whether idle threads spin before parking: only when the pool has
-    /// no more threads than the host has cores, so a spinner never holds
-    /// a core another of its threads is waiting for.
-    spins: bool,
+    /// Threads inside one of the pool's scopes, counted once per thread
+    /// (not for a nested scope, nor for the pool's own workers).
+    owners: CachePadded<AtomicUsize>,
+    /// The most `owners` at which idle threads still spin: the host's
+    /// cores (read once, at creation) less the workers; 0 when the pool
+    /// has no workers or more threads than cores, so it never spins.
+    spin_owners: usize,
     work_cv: Condvar,
     // Every executing thread bumps all three counters per task; padding
     // keeps a worker's increment from bouncing its neighbors' lines.
@@ -199,11 +213,13 @@ impl Shared {
         self.pop(&mut self.lock())
     }
 
-    /// Polls `done` until it holds or [`SPIN`] has passed; returns at
-    /// once in a pool that does not spin.
+    /// Polls `done` until it holds, [`SPIN`] has passed or more threads
+    /// than `spin_owners` have a scope open.
     fn spin_until(&self, done: impl Fn() -> bool) {
         let start = Instant::now();
-        while self.spins && start.elapsed() < SPIN {
+        while self.owners.load(Ordering::Relaxed).max(1) <= self.spin_owners
+            && start.elapsed() < SPIN
+        {
             for _ in 0..64 {
                 if done() {
                     return;
@@ -237,8 +253,11 @@ impl ParPool {
                 parked: 0,
             }),
             queued: CachePadded::new(AtomicUsize::new(0)),
-            spins: threads > 1
-                && std::thread::available_parallelism().is_ok_and(|n| threads <= n.get()),
+            owners: CachePadded::new(AtomicUsize::new(0)),
+            spin_owners: match std::thread::available_parallelism() {
+                Ok(cores) if threads > 1 => (cores.get() + 1).saturating_sub(threads),
+                _ => 0,
+            },
             work_cv: Condvar::new(),
             tasks: CachePadded::new(AtomicU64::new(0)),
             chunks: CachePadded::new(AtomicU64::new(0)),
@@ -285,6 +304,11 @@ impl ParPool {
     /// by a still-running task). A panic in `f` itself propagates the same
     /// way.
     pub fn scope<'env, R>(&self, f: impl FnOnce(&Scope<'_, 'env>) -> R) -> R {
+        let pool = Arc::as_ptr(&self.shared) as usize;
+        let outer = WORKS_FOR.replace(pool);
+        if outer != pool {
+            self.shared.owners.fetch_add(1, Ordering::Relaxed);
+        }
         let state = Arc::new(ScopeState::default());
         let scope = Scope {
             pool: self,
@@ -293,6 +317,10 @@ impl ParPool {
         };
         let result = catch_unwind(AssertUnwindSafe(|| f(&scope)));
         self.run_until_complete(&state);
+        WORKS_FOR.set(outer);
+        if outer != pool {
+            self.shared.owners.fetch_sub(1, Ordering::Relaxed);
+        }
         if let Some(payload) = state.take_panic() {
             resume_unwind(payload);
         }
@@ -447,15 +475,21 @@ impl ParPool {
     /// Executes queued tasks on the calling thread until `state` has no
     /// pending work. When the queue is empty (this scope's remaining
     /// tasks are already running on other threads) it watches `pending`
-    /// for [`SPIN`], then parks on the completion condvar.
+    /// and the queue for [`SPIN`], runs a task that appears there (a
+    /// nested scope's, say), and otherwise parks on the completion condvar.
     fn run_until_complete(&self, state: &ScopeState) {
         let mut spun = false;
         while state.pending.load(Ordering::Acquire) > 0 {
             match self.shared.try_pop() {
-                Some(task) => self.shared.run_task(task),
+                Some(task) => {
+                    self.shared.run_task(task);
+                    spun = false;
+                }
                 None if !spun => {
-                    self.shared
-                        .spin_until(|| state.pending.load(Ordering::Acquire) == 0);
+                    self.shared.spin_until(|| {
+                        state.pending.load(Ordering::Acquire) == 0
+                            || self.shared.queued.load(Ordering::Relaxed) > 0
+                    });
                     spun = true;
                 }
                 None => {
@@ -495,6 +529,7 @@ impl Drop for ParPool {
 /// it before parking: a push stores `queued` and notifies under the same
 /// lock, so the park cannot miss it.
 fn worker_loop(shared: &Shared) {
+    WORKS_FOR.set(shared as *const Shared as usize);
     loop {
         let task = {
             let mut queue = shared.lock();
@@ -594,6 +629,9 @@ impl<'env> Scope<'_, 'env> {
 static GLOBAL: OnceLock<Arc<ParPool>> = OnceLock::new();
 
 thread_local! {
+    /// The pool (its `Shared`'s address) this thread works for: the one
+    /// it is a worker of, or the one whose scope it has open; 0 for none.
+    static WORKS_FOR: Cell<usize> = const { Cell::new(0) };
     static POOL_OVERRIDE: RefCell<Vec<Arc<ParPool>>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -680,6 +718,38 @@ mod tests {
         for (i, v) in data.iter().enumerate() {
             assert_eq!(*v, i);
         }
+    }
+
+    #[test]
+    fn a_thread_counts_once_as_an_owner_and_a_worker_never() {
+        let pool = ParPool::new(2);
+        let owners = || pool.shared.owners.load(Ordering::Relaxed);
+        let seen = Mutex::new(Vec::new());
+        pool.scope(|s| {
+            seen.lock().unwrap().push(owners());
+            pool.scope(|_| seen.lock().unwrap().push(owners()));
+            for _ in 0..8 {
+                // On the worker or on this thread, a nested scope.
+                s.spawn(|| pool.scope(|_| seen.lock().unwrap().push(owners())));
+            }
+        });
+        assert!(seen.lock().unwrap().iter().all(|&n| n == 1));
+        assert_eq!(owners(), 0);
+        // Two threads with scopes open at once are two owners.
+        let both_open = std::sync::Barrier::new(2);
+        std::thread::scope(|t| {
+            for _ in 0..2 {
+                t.spawn(|| {
+                    pool.scope(|_| {
+                        both_open.wait();
+                        seen.lock().unwrap().push(owners());
+                        both_open.wait();
+                    })
+                });
+            }
+        });
+        assert_eq!(seen.lock().unwrap()[10..], [2, 2]);
+        assert_eq!(owners(), 0);
     }
 
     #[test]
