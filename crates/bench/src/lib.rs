@@ -291,7 +291,14 @@ pub(crate) fn second_core_throughput() -> f64 {
         let other = s.spawn(spin);
         (spin(), other.join().expect("spin thread"))
     });
-    (a + b) as f64 / alone as f64
+    second_core_ratio(alone, a, b)
+}
+
+/// The pair's count over the fastest single-thread count of the three,
+/// so a stall in `alone` cannot lift it above 2 (over `alone` only, it
+/// read up to 5.9), and an unstalled `alone` stays the divisor.
+fn second_core_ratio(alone: u64, a: u64, b: u64) -> f64 {
+    (a + b) as f64 / alone.max(a).max(b) as f64
 }
 
 /// One harness for the six subsystem benches: flags, the host block, row
@@ -1225,6 +1232,18 @@ mod tests {
         assert!(!root.join("BENCH_history.jsonl").exists());
         let file = std::fs::read_to_string(root.join("target/bench/BENCH_unit.smoke.json"));
         assert!(file.expect("smoke file").contains("\"mode\": \"smoke\""));
+    }
+
+    #[test]
+    fn a_stalled_alone_sample_cannot_lift_the_second_core_above_2() {
+        // `alone` stalled for most of its window: 5.9 over it alone.
+        let stalled = second_core_ratio(1_000, 2_900, 3_000);
+        assert!(stalled <= 2.0, "{stalled}");
+        assert_eq!(stalled, 5_900.0 / 3_000.0);
+        // Unstalled, `alone` stays the divisor: two free cores and one
+        // shared core read as they did.
+        assert_eq!(second_core_ratio(3_000, 2_900, 2_950), 5_850.0 / 3_000.0);
+        assert_eq!(second_core_ratio(3_000, 1_500, 1_600), 3_100.0 / 3_000.0);
     }
 
     /// The stream the bench binaries' inline copies drew (`kernel_bench`'s

@@ -1,7 +1,8 @@
 //! Concurrency invariants of the `drec-par` pool: exactly-once chunk and
 //! column-tile coverage under contention, panic propagation without
-//! deadlock, determinism of chunk boundaries across pool sizes, and
-//! hand-offs to spinning and to parked workers.
+//! deadlock, determinism of chunk boundaries across pool sizes,
+//! hand-offs to spinning and to parked workers, and how soon a parked
+//! worker or scope owner wakes.
 
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -209,4 +210,62 @@ fn handoffs_to_spinning_and_to_parked_workers_run_every_task_once() {
             started.elapsed()
         );
     }
+}
+
+#[test]
+fn a_parked_worker_and_a_parked_owner_wake_within_5_ms() {
+    // A two-party barrier puts one task on each thread of a 2-thread pool,
+    // so every round needs the other thread awake. A lost wake would wait
+    // out the 50 ms housekeeping interval instead, ten times the limit.
+    let pool = ParPool::new(2);
+    let barrier = Barrier::new(2);
+    let median = |mut delays: Vec<Duration>| {
+        delays.sort_unstable();
+        delays[delays.len() / 2]
+    };
+    // (a) The worker has parked: how long a new scope takes to reach the
+    // barrier.
+    let mut to_barrier = Vec::new();
+    for _ in 0..20 {
+        std::thread::sleep(SPIN * 5);
+        let met = Mutex::new(None);
+        let opened = Instant::now();
+        pool.scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    barrier.wait();
+                    met.lock().unwrap().get_or_insert_with(Instant::now);
+                });
+            }
+        });
+        to_barrier.push(met.into_inner().unwrap().expect("barrier met") - opened);
+    }
+    // (b) The owner has parked behind a 2 ms task on the worker: how long
+    // after that task ends the scope returns.
+    let owner = std::thread::current().id();
+    let mut to_return = Vec::new();
+    for _ in 0..20 {
+        let ended = Mutex::new(None);
+        pool.scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    barrier.wait();
+                    if std::thread::current().id() != owner {
+                        std::thread::sleep(Duration::from_millis(2));
+                        *ended.lock().unwrap() = Some(Instant::now());
+                    }
+                });
+            }
+        });
+        to_return.push(ended.into_inner().unwrap().expect("worker task").elapsed());
+    }
+    let (a, b) = (median(to_barrier), median(to_return));
+    assert!(
+        a < Duration::from_millis(5),
+        "a parked worker took {a:?} to wake"
+    );
+    assert!(
+        b < Duration::from_millis(5),
+        "a parked owner took {b:?} to wake"
+    );
 }

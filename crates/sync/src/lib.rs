@@ -15,9 +15,9 @@
 //!    depth-first under a preemption bound.
 //! 2. **Lock-free building blocks.** [`EventCount`] (pulse-gated parking
 //!    that replaces condvar broadcast) is what the batcher's workers
-//!    park on; [`EpochGc`] is the epoch-based-reclamation cell the
-//!    parameter store's live-update protocol pins readers with (no locks
-//!    on the read hot path). [`EvictRing`] (a bounded MPMC ring with
+//!    and `drec-par`'s workers and scope owners park on; [`EpochGc`] is
+//!    the epoch-based-reclamation cell the parameter store's live-update
+//!    protocol pins readers with (no locks on the read hot path). [`EvictRing`] (a bounded MPMC ring with
 //!    priority swap-eviction) was the batcher's lock-free queue until
 //!    PR 24 made the mutex queue the only one; it has no caller left in
 //!    the workspace, is kept only because `perf_bench` times it as
