@@ -230,13 +230,6 @@ fn run_rolling_update(smoke: bool) -> RollingOutcome {
     cfg.max_batch = 8;
     cfg.queue_capacity = 4096;
     cfg.delay_budget = Duration::from_secs(3600);
-    // CPU-only: every registered weight reader sits on the traffic path,
-    // so the updater's install pacing resolves in milliseconds. (The
-    // accelerator worker's engines poll only when it takes a batch, and
-    // it takes a lane's batch only at or past the model's crossover —
-    // under this workload that may be never, and the updater would ride
-    // its install timeout for every version.)
-    cfg.gpu = None;
     cfg.store = Some(StoreConfig {
         cache_capacity_rows: 4096,
         ..StoreConfig::default()

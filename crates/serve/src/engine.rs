@@ -8,7 +8,7 @@
 //! a replacement after a panic), so all of a lane's engines compute from
 //! one set of parameters. A weight install swaps FC nodes in this
 //! engine's model only and recompiles its plan; the other engines install
-//! the same handles when they next poll.
+//! the same handles at the start of their next batch.
 
 use std::sync::Arc;
 
@@ -22,23 +22,6 @@ use drec_store::EmbeddingStore;
 use crate::error::{Result, ServeError};
 use crate::request::{coalesce_inputs, split_outputs, Request};
 use crate::update::ModelUpdateChannel;
-
-/// Per-engine live-update state: the channel, this engine's reader slot
-/// in it, and the weight version currently installed in the model.
-#[derive(Debug)]
-struct UpdateState {
-    channel: Arc<ModelUpdateChannel>,
-    reader: usize,
-    weight_version: u64,
-}
-
-impl Drop for UpdateState {
-    fn drop(&mut self) {
-        // A dying engine (worker panic → supervisor replacement) must
-        // not pin the channel's min-installed version forever.
-        self.channel.retire_reader(self.reader);
-    }
-}
 
 /// Outputs and modelled time of one executed batch.
 #[derive(Debug)]
@@ -59,7 +42,11 @@ pub struct Engine {
     pool: Arc<ParPool>,
     store: Option<Arc<EmbeddingStore>>,
     faults: FaultHook,
-    update: Option<UpdateState>,
+    /// The lane's live-update channel, once subscribed: its epoch is the
+    /// one every batch pins, and its mailbox is polled inside that pin.
+    update: Option<Arc<ModelUpdateChannel>>,
+    /// The weight version installed in the model (0: the baseline).
+    weight_version: u64,
 }
 
 impl Engine {
@@ -97,41 +84,27 @@ impl Engine {
             store,
             faults: FaultHook::disabled(),
             update: None,
+            weight_version: 0,
         }
     }
 
-    /// Subscribes this engine to a live-update channel: it registers as
-    /// a weight reader and from the next batch on polls the mailbox at
-    /// batch boundaries (so weight swaps land between batches, never
+    /// Subscribes this engine to a live-update channel: from the next
+    /// batch on it pins the channel's epoch, polls the mailbox inside that
+    /// pin (so weight swaps land before a batch runs, never
     /// mid-inference) and reports per-batch staleness. The engine's model
     /// must hold the channel's baseline, as the lane's model and its views
     /// do.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the channel's store is not the engine's: the one pin a
+    /// batch takes must cover its rows.
     pub(crate) fn set_update_channel(&mut self, channel: Arc<ModelUpdateChannel>) {
-        let reader = channel.register_reader();
-        self.update = Some(UpdateState {
-            channel,
-            reader,
-            weight_version: 0,
-        });
-    }
-
-    /// Polls the update mailbox and installs a newer weight set if one
-    /// is posted. Runs at batch boundaries.
-    fn poll_updates(&mut self) -> Result<()> {
-        let state = match &mut self.update {
-            Some(s) => s,
-            None => return Ok(()),
-        };
-        if let Some(ws) = state.channel.poll_weights(state.weight_version) {
-            self.model
-                .install_fc_params(&ws.layers)
-                .map_err(|e| ServeError::WorkerFailed {
-                    reason: format!("weight-set install for v{}: {e}", ws.version),
-                })?;
-            state.weight_version = ws.version;
-            state.channel.note_install(state.reader, ws.version);
-        }
-        Ok(())
+        assert!(
+            channel.store().map(Arc::as_ptr) == self.store.as_ref().map(Arc::as_ptr),
+            "an update channel's store must be its engine's"
+        );
+        self.update = Some(channel);
     }
 
     /// Installs a fault-injection hook on this engine's batch path.
@@ -161,17 +134,34 @@ impl Engine {
     /// recovery path.
     pub fn run_batch(&mut self, requests: &[Request]) -> Result<BatchExecution> {
         let batch = requests.len();
-        self.poll_updates()?;
-        // Pin the store's reclamation epoch for the whole batch: one
-        // fetch_add per batch (not per row) keeps the read-path overhead
-        // inside the perf gate, and guarantees no row this batch reads
-        // is retired out from under it by a concurrent update publish.
-        let _epoch = self.store.as_ref().map(|s| s.pin_epoch());
+        // One epoch pin for the whole batch, taken before anything else:
+        // one fetch_add per batch (not per row) keeps the read-path
+        // overhead inside the perf gate. No row this batch reads is
+        // retired under it, and an updater that posts a weight set and
+        // synchronizes waits until this batch ends or has polled after
+        // the post.
+        let _epoch = match (&self.update, &self.store) {
+            (Some(channel), _) => Some(channel.epoch().pin()),
+            (None, Some(store)) => Some(store.pin_epoch()),
+            (None, None) => None,
+        };
+        let newer = self
+            .update
+            .as_ref()
+            .and_then(|c| c.poll_weights(self.weight_version));
+        if let Some(ws) = newer {
+            self.model
+                .install_fc_params(&ws.layers)
+                .map_err(|e| ServeError::WorkerFailed {
+                    reason: format!("weight-set install for v{}: {e}", ws.version),
+                })?;
+            self.weight_version = ws.version;
+        }
         // The embedding snapshot this batch serves from: captured before
         // execution so a publish landing mid-batch counts as staleness 1
         // (the allowed bound), never more.
         let embed_version = match (&self.update, &self.store) {
-            (Some(state), Some(store)) => Some(store.namespace_version(state.channel.namespace())),
+            (Some(channel), Some(store)) => Some(store.namespace_version(channel.namespace())),
             _ => None,
         };
         let mut inputs = coalesce_inputs(self.model.spec(), requests);
@@ -193,10 +183,10 @@ impl Engine {
                 reason: e.to_string(),
             }
         })?;
-        if let Some(state) = &self.update {
-            let weights = state.weight_version;
+        if let Some(channel) = &self.update {
+            let weights = self.weight_version;
             let served = embed_version.map_or(weights, |rows| rows.min(weights));
-            state.channel.record_staleness(served);
+            channel.record_staleness(served);
         }
         Ok(BatchExecution {
             per_request_outputs: split_outputs(&outputs, batch),
@@ -306,7 +296,7 @@ mod tests {
         first.set_update_channel(Arc::clone(&channel));
         replica.set_update_channel(Arc::clone(&channel));
         assert!(holds(&first, &baseline) && holds(&replica, &baseline));
-        // Output bits straight from the model: `run_batch` would poll
+        // Output bits straight from the model: `run_batch` installs
         // first.
         let reqs = requests(3, &first.spec().clone());
         let outputs = |e: &mut Engine| -> Vec<Vec<u32>> {
@@ -334,16 +324,15 @@ mod tests {
         };
         let perturbed: FcLayers = baseline.iter().map(scaled).collect();
         post(1, perturbed.clone());
-        first.poll_updates().unwrap();
+        first.run_batch(&reqs).unwrap();
         assert!(holds(&first, &perturbed) && holds(&replica, &baseline));
         // An install in one engine is not seen by the engine it shares
         // the rest of its model with.
         assert_ne!(outputs(&mut first), served);
         assert_eq!(outputs(&mut replica), served);
-        replica.poll_updates().unwrap();
+        replica.run_batch(&reqs).unwrap();
         assert!(holds(&replica, &perturbed));
         assert_eq!(outputs(&mut replica), outputs(&mut first));
-        assert_eq!(channel.min_installed(), 1);
 
         // One layer of the wrong shape: refused whole, by both.
         let mut misfit = baseline.clone();
@@ -352,15 +341,37 @@ mod tests {
             bias: Tensor::zeros(&[1]),
         });
         post(2, misfit);
-        assert!(first.poll_updates().is_err() && replica.poll_updates().is_err());
+        assert!(first.run_batch(&reqs).is_err() && replica.run_batch(&reqs).is_err());
         assert!(holds(&first, &perturbed) && holds(&replica, &perturbed));
-        assert_eq!(channel.min_installed(), 1);
 
         post(3, baseline.clone());
-        first.poll_updates().unwrap();
-        replica.poll_updates().unwrap();
+        first.run_batch(&reqs).unwrap();
+        replica.run_batch(&reqs).unwrap();
         assert!(holds(&first, &baseline) && holds(&replica, &baseline));
         assert_eq!(outputs(&mut first), served);
-        assert_eq!(channel.min_installed(), 3);
+    }
+
+    #[test]
+    fn every_plan_on_a_channel_installs_its_weight_sets() {
+        use crate::update::{UpdatePlan, Updater};
+        let mut engine = engine();
+        let baseline = engine.model.fc_params();
+        let channel = Arc::new(ModelUpdateChannel::new("ncf", 1, None, baseline, None));
+        engine.set_update_channel(Arc::clone(&channel));
+        let reqs = requests(1, &engine.spec().clone());
+        let mut installed = Vec::new();
+        for versions in [3, 2] {
+            let plan = UpdatePlan {
+                versions,
+                ..UpdatePlan::default()
+            };
+            Updater::new(Arc::clone(&channel), plan).run().unwrap();
+            engine.run_batch(&reqs).unwrap();
+            installed.push(engine.weight_version);
+        }
+        // The second plan numbers on from the first: its sets are newer
+        // than the one the engine holds.
+        assert_eq!(installed, [3, 5]);
+        assert_eq!(channel.current_version(), 5);
     }
 }

@@ -276,9 +276,9 @@ impl LaneSet {
             )
             .waking_at(min_batches.filter(|&m| m > 1).collect());
             // One live-update channel per lane: every engine of the lane
-            // registers as a weight reader and starts from the built
-            // model's FC set; the updater (if the deployment runs one)
-            // respects the lane ladder's backpressure rung.
+            // pins its epoch per batch and starts from the built model's
+            // FC set; the updater (if the deployment runs one) respects
+            // the lane ladder's backpressure rung.
             let update = Arc::new(ModelUpdateChannel::new(
                 built.id().name(),
                 built.namespace(),

@@ -7,10 +7,10 @@
 //! module is the serving side of that pipeline:
 //!
 //! * [`ModelUpdateChannel`] — one per served model: a single-slot weight
-//!   mailbox engines poll between batches, per-reader install tracking
-//!   so the updater can pace itself on the slowest worker, and a
-//!   max-staleness gauge proving the bound the chaos gate asserts
-//!   (every batch serves version ≥ N−1 once N is published).
+//!   mailbox each engine polls inside its batch's epoch pin, the epoch
+//!   itself (the store's for a store-backed model, the channel's own for
+//!   a dense one), and a max-staleness gauge proving the bound the chaos
+//!   gate asserts (every batch serves version ≥ N−1 once N is published).
 //! * [`Updater`] — a background driver that streams seeded delta batches
 //!   through [`drec_store::EmbeddingStore::apply_update`] and rotates
 //!   MLP weight sets, one version at a time. The **final** version of
@@ -37,13 +37,21 @@
 //! restoring version posts the baseline's own handles, after which
 //! engines, mailbox and baseline are one allocation again. Nothing ever
 //! writes through a handle: a set is immutable, and an engine installs
-//! one between batches by swapping its model's FC nodes for layers over
-//! the new handles ([`drec_models::RecModel::install_fc_params`]).
+//! one at the start of a batch, before it runs anything, by swapping its
+//! model's FC nodes for layers over the new handles
+//! ([`drec_models::RecModel::install_fc_params`]).
 //!
-//! Deadlock rule: the updater must run on its own thread. Publishing a
-//! version calls `EpochGc::synchronize`, which waits for every pinned
-//! reader — a worker that applied updates inline while pinned would
-//! wait on itself.
+//! Rows and weight sets share one version protocol: publish, then
+//! synchronize the epoch. The updater posts a set, publishes its version
+//! and calls [`EpochGc::synchronize`]; when that returns, every batch that
+//! pinned before the post has ended, and every later one polls inside its
+//! pin and so installs that set or a newer one.
+//!
+//! Deadlock rule: the updater must run on its own thread. The
+//! synchronize waits for every pinned reader — a worker that applied
+//! updates inline while pinned would wait on itself — and it has no
+//! timeout: a batch that never ends holds the updater, as it holds
+//! [`EmbeddingStore::apply_update`].
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -55,7 +63,7 @@ use drec_store::{
     UpdateReport,
 };
 use drec_sync::atomic::{AtomicU64, Ordering};
-use drec_sync::Mutex;
+use drec_sync::{EpochGc, Mutex};
 
 use crate::degrade::OverloadLadder;
 use crate::error::{Result, ServeError};
@@ -77,8 +85,8 @@ pub struct WeightSet {
 /// payload of a [`WeightSet`] without its version.
 pub(crate) type FcLayers = Vec<Arc<FcParams>>;
 
-/// The update-side handle for one served model: weight mailbox, install
-/// tracking, and the staleness gauge. Shared between the worker engines
+/// The update-side handle for one served model: weight mailbox, version
+/// epoch, and the staleness gauge. Shared between the worker engines
 /// (readers) and the [`Updater`] (writer).
 #[derive(Debug)]
 pub struct ModelUpdateChannel {
@@ -87,15 +95,15 @@ pub struct ModelUpdateChannel {
     store: Option<Arc<EmbeddingStore>>,
     ladder: Option<Arc<OverloadLadder>>,
     /// Single-slot mailbox: the newest posted weight set wins. Engines
-    /// poll it at batch boundaries, so a mid-rolling-update worker is at
-    /// most one version behind — exactly the staleness bound.
+    /// poll it inside their batch's epoch pin, so a mid-rolling-update
+    /// worker is at most one version behind — exactly the staleness bound.
     mailbox: Mutex<Option<Arc<WeightSet>>>,
     /// Highest version fully published (embeddings applied + weights
     /// posted).
     posted_version: AtomicU64,
-    /// Per-reader installed weight version, indexed by the id from
-    /// [`register_reader`](ModelUpdateChannel::register_reader).
-    installed: Mutex<Vec<u64>>,
+    /// The epoch a dense model's batches pin; a store-backed model's pin
+    /// the store's (see [`epoch`](ModelUpdateChannel::epoch)).
+    epoch: EpochGc,
     /// Baseline weight set: the handles the lane's model was built with,
     /// which every engine of the lane starts from and the final version of
     /// a plan restores.
@@ -126,7 +134,7 @@ impl ModelUpdateChannel {
             ladder,
             mailbox: Mutex::new(None),
             posted_version: AtomicU64::new(0),
-            installed: Mutex::new(Vec::new()),
+            epoch: EpochGc::new(),
             baseline,
             max_staleness: AtomicU64::new(0),
             staleness_samples: AtomicU64::new(0),
@@ -148,13 +156,14 @@ impl ModelUpdateChannel {
         self.store.as_ref()
     }
 
-    /// Registers a weight reader (one per engine) and returns its id.
-    /// A fresh reader starts at version 0 — it installs the current
-    /// mailbox contents on its first poll.
-    pub fn register_reader(&self) -> usize {
-        let mut installed = self.installed.lock();
-        installed.push(0);
-        installed.len() - 1
+    /// The epoch every batch on this channel pins once and the updater
+    /// synchronizes after each version: the store's when the model is
+    /// store-backed, so one pin covers rows and weights, else the
+    /// channel's own.
+    pub fn epoch(&self) -> &EpochGc {
+        self.store
+            .as_ref()
+            .map_or(&self.epoch, |store| store.epoch())
     }
 
     /// The baseline weight set: the handles the lane's model was built
@@ -182,33 +191,6 @@ impl ModelUpdateChannel {
             Some(ws) if ws.version > installed => Some(Arc::clone(ws)),
             _ => None,
         }
-    }
-
-    /// Marks reader `reader` as having installed `version`.
-    pub fn note_install(&self, reader: usize, version: u64) {
-        let mut installed = self.installed.lock();
-        if let Some(slot) = installed.get_mut(reader) {
-            *slot = version;
-        }
-    }
-
-    /// Retires a reader (its engine died or was replaced): the slot is
-    /// parked at `u64::MAX` so a dead worker never drags
-    /// [`min_installed`](ModelUpdateChannel::min_installed) — and with
-    /// it the updater's pacing — behind forever.
-    pub(crate) fn retire_reader(&self, reader: usize) {
-        self.note_install(reader, u64::MAX);
-    }
-
-    /// The slowest reader's installed weight version (`u64::MAX` with no
-    /// readers, so an updater never waits on an empty fleet).
-    pub fn min_installed(&self) -> u64 {
-        self.installed
-            .lock()
-            .iter()
-            .copied()
-            .min()
-            .unwrap_or(u64::MAX)
     }
 
     /// Highest fully-published snapshot version.
@@ -324,10 +306,6 @@ pub struct Updater {
     channel: Arc<ModelUpdateChannel>,
     plan: UpdatePlan,
     hook: FaultHook,
-    /// How long to wait for the slowest reader to install a posted
-    /// weight set before moving on (a hung worker must not hang the
-    /// updater — the mailbox keeps only the newest set anyway).
-    install_wait: Duration,
     /// Cap on total backpressure wait per version, so a saturated
     /// ladder degrades update freshness instead of wedging the run.
     throttle_cap: Duration,
@@ -340,7 +318,6 @@ impl Updater {
             channel,
             plan,
             hook: FaultHook::disabled(),
-            install_wait: Duration::from_secs(5),
             throttle_cap: Duration::from_millis(250),
         }
     }
@@ -352,9 +329,10 @@ impl Updater {
         self.hook = hook;
     }
 
-    /// Streams the plan: versions `1..K` perturb seeded rows and weight
-    /// sets, version `K` restores every captured original. Blocks until
-    /// the plan completes; returns the run's counters.
+    /// Streams the plan: the first `K − 1` versions after the channel's
+    /// current one perturb seeded rows and weight sets, the `K`-th
+    /// restores every captured original. Blocks until the plan completes;
+    /// returns the run's counters.
     ///
     /// # Errors
     ///
@@ -379,9 +357,13 @@ impl Updater {
             .map(|s| s.namespace_tables(self.channel.namespace()))
             .unwrap_or_default();
 
-        for k in 1..=self.plan.versions {
+        // Numbered on from the channel's version: an engine installs only
+        // a set newer than the one it holds.
+        let first = self.channel.current_version() + 1;
+        let last = first + self.plan.versions - 1;
+        for version in first..=last {
             self.wait_for_green_light(&mut stats);
-            let restore = k == self.plan.versions;
+            let restore = version == last;
 
             // Embedding rows first, then the weight set, then the
             // version publish: an engine that sees version N posted can
@@ -439,10 +421,12 @@ impl Updater {
                 baseline.iter().map(perturbed).collect()
             };
             self.channel
-                .post_weights(Arc::new(WeightSet { version: k, layers }));
+                .post_weights(Arc::new(WeightSet { version, layers }));
             stats.weight_sets_posted += 1;
-            self.channel.publish_version(k);
-            self.wait_for_installs(k);
+            self.channel.publish_version(version);
+            // When this returns, no batch that began before the post is
+            // running, so none serves older than `version - 1`.
+            self.channel.epoch().synchronize();
             if !self.plan.pace.is_zero() {
                 std::thread::sleep(self.plan.pace);
             }
@@ -540,14 +524,6 @@ impl Updater {
         }
         if waited {
             stats.throttle_waits += 1;
-        }
-    }
-
-    fn wait_for_installs(&self, version: u64) {
-        let start = Instant::now();
-        while self.channel.min_installed() < version && start.elapsed() < self.install_wait {
-            std::thread::yield_now();
-            std::thread::sleep(Duration::from_micros(200));
         }
     }
 
@@ -724,11 +700,8 @@ mod tests {
     }
 
     #[test]
-    fn mailbox_keeps_newest_and_tracks_min_install() {
+    fn mailbox_keeps_newest() {
         let channel = ModelUpdateChannel::new("m", 1, None, Vec::new(), None);
-        let r0 = channel.register_reader();
-        let r1 = channel.register_reader();
-        assert_eq!(channel.min_installed(), 0);
         channel.post_weights(Arc::new(WeightSet {
             version: 1,
             layers: Vec::new(),
@@ -739,10 +712,6 @@ mod tests {
         }));
         let ws = channel.poll_weights(0).expect("newer set available");
         assert_eq!(ws.version, 2, "mailbox keeps only the newest");
-        channel.note_install(r0, 2);
-        assert_eq!(channel.min_installed(), 0, "slowest reader rules");
-        channel.note_install(r1, 2);
-        assert_eq!(channel.min_installed(), 2);
         assert!(channel.poll_weights(2).is_none(), "nothing newer");
     }
 
@@ -772,9 +741,10 @@ mod tests {
         let shares = |a: &FcLayers, b: &FcLayers| a.iter().zip(b).all(|(a, b)| Arc::ptr_eq(a, b));
         // A one-version plan is its own restore.
         assert!(shares(&posted(1).layers, &baseline));
-        // So is the last of several, whatever the ones before it posted.
+        // So is the last of several, whatever the ones before it posted;
+        // it numbers on from the one-version plan's version 1.
         let restored = posted(3);
-        assert_eq!(restored.version, 3);
+        assert_eq!(restored.version, 4);
         assert!(shares(&restored.layers, &baseline));
     }
 

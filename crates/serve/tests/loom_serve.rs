@@ -557,17 +557,19 @@ fn hot_key_probe_never_reports_a_key_that_was_never_inserted() {
     });
 }
 
-/// Weight mailbox under contention: a poster publishing versions 1 and
-/// 2 races two polling readers. Newest-wins must hold (no reader
-/// installs an older set after a newer one), and once both readers have
-/// drained the mailbox the channel's min-installed version is exactly
-/// the newest posted.
+/// The weight protocol under contention: a poster posts, publishes and
+/// synchronizes versions 1 and 2 while two readers each run one batch —
+/// pin the channel's epoch, poll the mailbox, record what they served
+/// against what is published, unpin. Every batch must serve version ≥
+/// published − 1 (the synchronize after a post waits out every batch
+/// pinned before it), and a fresh pin after quiescence must install
+/// version 2, the newest posted. A second batch per reader puts the
+/// model past its iteration cap.
 #[test]
 fn update_mailbox_is_newest_wins_under_contention() {
     use drec_serve::{ModelUpdateChannel, WeightSet};
     model(|| {
         let channel = Arc::new(ModelUpdateChannel::new("m", 1, None, Vec::new(), None));
-        let readers: Vec<usize> = (0..2).map(|_| channel.register_reader()).collect();
         let poster = {
             let channel = Arc::clone(&channel);
             spawn(move || {
@@ -577,38 +579,32 @@ fn update_mailbox_is_newest_wins_under_contention() {
                         layers: Vec::new(),
                     }));
                     channel.publish_version(version);
+                    channel.epoch().synchronize();
                 }
             })
         };
-        let pollers: Vec<_> = readers
-            .iter()
-            .map(|&reader| {
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
                 let channel = Arc::clone(&channel);
                 spawn(move || {
-                    let mut installed = 0;
-                    for _ in 0..2 {
-                        if let Some(ws) = channel.poll_weights(installed) {
-                            assert!(ws.version > installed, "mailbox went backwards");
-                            installed = ws.version;
-                            channel.note_install(reader, installed);
-                        }
-                        yield_now();
-                    }
+                    let _pin = channel.epoch().pin();
+                    let served = channel.poll_weights(0).map_or(0, |ws| ws.version);
+                    let published = channel.current_version();
+                    assert!(
+                        served + 1 >= published,
+                        "a batch served v{served} with v{published} published"
+                    );
+                    served
                 })
             })
             .collect();
         poster.join().unwrap();
-        for p in pollers {
-            p.join().unwrap();
-        }
-        // Quiesce: one final poll per reader drains whatever the races
-        // left behind.
-        for &reader in &readers {
-            if let Some(ws) = channel.poll_weights(0) {
-                channel.note_install(reader, ws.version);
-            }
+        for reader in readers {
+            assert!(reader.join().unwrap() <= 2);
         }
         assert_eq!(channel.current_version(), 2);
-        assert_eq!(channel.min_installed(), 2);
+        let _pin = channel.epoch().pin();
+        let fresh = channel.poll_weights(0).expect("a set is posted");
+        assert_eq!(fresh.version, 2, "the newest posted set wins");
     });
 }

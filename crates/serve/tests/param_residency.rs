@@ -148,8 +148,10 @@ fn a_lane_holds_one_parameter_set_at_rest_and_again_after_a_restore() {
     // The scratch those first batches sized stays; measure rest from here.
     let at_rest = HEAP.live_bytes() - heap_before;
 
-    // Perturb, then restore. Engines install at batch boundaries, so keep
-    // both workers in batches until each has installed the restore.
+    // Perturb, then restore. An engine installs at the start of a batch,
+    // so keep both workers in batches until the updater is done and the
+    // perturbed set has left the heap: every engine has installed the
+    // restore.
     let plan = UpdatePlan {
         versions: 2,
         ..UpdatePlan::default()
@@ -159,7 +161,8 @@ fn a_lane_holds_one_parameter_set_at_rest_and_again_after_a_restore() {
         std::thread::spawn(move || Updater::new(channel, plan).run())
     };
     let clock = std::time::Instant::now();
-    while !updater.is_finished() || channel.min_installed() < plan.versions {
+    let settled = || (HEAP.live_bytes() - heap_before).abs_diff(at_rest) <= at_rest / 100;
+    while !updater.is_finished() || !settled() {
         assert!(clock.elapsed() < Duration::from_secs(60), "plan stalled");
         round(&handle, &oracle.queries);
     }

@@ -550,6 +550,13 @@ impl EmbeddingStore {
         self.epoch.pin()
     }
 
+    /// The update epoch itself: what a serving lane's updater
+    /// synchronizes after it posts a weight set, so rows and weights are
+    /// waited out on one epoch.
+    pub fn epoch(&self) -> &EpochGc {
+        &self.epoch
+    }
+
     /// The snapshot version currently published for `namespace`: the
     /// minimum across its tables (batches publish all of them together,
     /// so the minimum only lags mid-publish). 0 for an unknown or empty

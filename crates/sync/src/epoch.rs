@@ -34,7 +34,9 @@
 //! instrumented atomics and the in-tree model checker can enumerate
 //! pin/synchronize interleavings (see `crates/sync/tests/loom_sync.rs`).
 
-use crate::atomic::{AtomicU64, AtomicUsize, Ordering};
+#[cfg(not(loom))]
+use crate::atomic::AtomicUsize;
+use crate::atomic::{AtomicU64, Ordering};
 use crate::{spin_loop, CachePadded};
 
 /// Number of sharded reader counters per bank. Eight covers the repo's
@@ -44,6 +46,7 @@ const SHARDS: usize = 8;
 
 /// Hands out reader shard indices round-robin, cached per thread so a
 /// pin is shard-stable and cheap after the first call on a thread.
+#[cfg(not(loom))]
 static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
 
 #[cfg(not(loom))]
@@ -59,9 +62,12 @@ fn reader_shard() -> usize {
     }
     #[cfg(loom)]
     {
-        // Model runs serialize threads; a fresh shard per pin keeps the
-        // explored state space honest without thread-local machinery.
-        NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % SHARDS
+        // The model thread's index: stable per thread, as the
+        // thread-local is, and the same on every replay of a schedule. A
+        // process-wide counter would not be: where a reader's shard sits
+        // against the writer's scan decides whether `synchronize` spins
+        // again, so a replay could take another schedule.
+        crate::model::current().map_or(0, |(_, me)| me % SHARDS)
     }
 }
 
