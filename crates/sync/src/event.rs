@@ -29,8 +29,7 @@ use crate::atomic::{AtomicU64, AtomicUsize, Ordering};
 use crate::{Condvar, Mutex};
 
 /// Bounded park when the caller passes no deadline, so shutdown is
-/// never missed by a lost wake-up race (same housekeeping interval the
-/// condvar-based dispatch signal used).
+/// never missed by a lost wake-up race.
 const HOUSEKEEPING: Duration = Duration::from_millis(50);
 
 /// A generation counter consumers can park on (see module docs).

@@ -6,13 +6,13 @@
 //! primitives on the request path get their own crate with three jobs:
 //!
 //! 1. **One cfg switch for model checking.** [`Mutex`], [`RwLock`],
-//!    [`Condvar`] and the [`atomic`] types compile to transparent `std`
-//!    wrappers normally, and to instrumented versions under
-//!    `--cfg loom`, following the tokio-rs/loom idiom. Because the real
-//!    loom crate cannot be vendored into this offline build, the checker
-//!    itself is in-tree ([`model::model`], `src/model.rs`): a schedule explorer
-//!    that serializes real threads and enumerates interleavings
-//!    depth-first under a preemption bound.
+//!    [`Condvar`] and the [`atomic`] types have one definition each, a
+//!    wrapper over `std` instrumented under `--cfg loom` (the
+//!    tokio-rs/loom idiom), so the models check the code that ships.
+//!    Because the real loom crate cannot be vendored into this offline
+//!    build, the checker itself is in-tree ([`model::model`],
+//!    `src/model.rs`): a schedule explorer that serializes real threads
+//!    and enumerates interleavings depth-first under a preemption bound.
 //! 2. **Lock-free building blocks.** [`EventCount`] (pulse-gated parking
 //!    that replaces condvar broadcast) is what the batcher's workers
 //!    and `drec-par`'s workers and scope owners park on; [`EpochGc`] is
@@ -23,9 +23,9 @@
 //!    the workspace, is kept only because `perf_bench` times it as
 //!    `sync.ring_push_pop_ns`, and leaves after the next `benchmark` issue.
 //! 3. **Cache-line padding.** [`CachePadded`] keeps hot counters that
-//!    different threads bump (a lane's `completed` and `shed`, the
-//!    registry's `accepted`) on lines of their own, so their writes do
-//!    not ping-pong one shared line between cores.
+//!    different threads bump (a lane's latency histogram and `shed`
+//!    counter, the registry's `accepted`) on lines of their own, so
+//!    their writes do not ping-pong one shared line between cores.
 
 #![warn(missing_docs)]
 
