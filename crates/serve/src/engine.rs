@@ -40,7 +40,6 @@ pub struct Engine {
     model: RecModel,
     curve: LatencyCurve,
     pool: Arc<ParPool>,
-    store: Option<Arc<EmbeddingStore>>,
     faults: FaultHook,
     /// The lane's live-update channel, once subscribed: its epoch is the
     /// one every batch pins, and its mailbox is polled inside that pin.
@@ -52,9 +51,10 @@ pub struct Engine {
 impl Engine {
     /// Wraps a built model and its platform latency curve, pinning batch
     /// execution to `pool` — how the serving runtime shares one intra-op
-    /// pool across all worker engines — and holding the shared
+    /// pool across all worker engines. `store` names the shared
     /// [`EmbeddingStore`] the model was built against (if any), whose
-    /// reclamation epoch every batch pins.
+    /// reclamation epoch every batch pins; the engine reads it off the
+    /// model.
     ///
     /// Construction compiles the model's execution plan (operator
     /// fusion and wave scheduling) once; every batch then reuses the
@@ -81,7 +81,6 @@ impl Engine {
             model,
             curve,
             pool,
-            store,
             faults: FaultHook::disabled(),
             update: None,
             weight_version: 0,
@@ -101,7 +100,7 @@ impl Engine {
     /// batch takes must cover its rows.
     pub(crate) fn set_update_channel(&mut self, channel: Arc<ModelUpdateChannel>) {
         assert!(
-            channel.store().map(Arc::as_ptr) == self.store.as_ref().map(Arc::as_ptr),
+            channel.store().map(Arc::as_ptr) == self.model.store().map(Arc::as_ptr),
             "an update channel's store must be its engine's"
         );
         self.update = Some(channel);
@@ -139,11 +138,17 @@ impl Engine {
         // overhead inside the perf gate. No row this batch reads is
         // retired under it, and an updater that posts a weight set and
         // synchronizes waits until this batch ends or has polled after
-        // the post.
-        let _epoch = match (&self.update, &self.store) {
-            (Some(channel), _) => Some(channel.epoch().pin()),
-            (None, Some(store)) => Some(store.pin_epoch()),
-            (None, None) => None,
+        // the post. Without a channel a store-backed batch pins its
+        // store's epoch, through a handle of its own: the model is
+        // written below.
+        let store = self
+            .model
+            .store()
+            .filter(|_| self.update.is_none())
+            .cloned();
+        let _epoch = match &self.update {
+            Some(channel) => Some(channel.epoch().pin()),
+            None => store.as_ref().map(|store| store.pin_epoch()),
         };
         let newer = self
             .update
@@ -160,7 +165,7 @@ impl Engine {
         // The embedding snapshot this batch serves from: captured before
         // execution so a publish landing mid-batch counts as staleness 1
         // (the allowed bound), never more.
-        let embed_version = match (&self.update, &self.store) {
+        let embed_version = match (&self.update, self.model.store()) {
             (Some(channel), Some(store)) => Some(store.namespace_version(channel.namespace())),
             _ => None,
         };

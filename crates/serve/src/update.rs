@@ -358,7 +358,9 @@ impl Updater {
             .unwrap_or_default();
 
         // Numbered on from the channel's version: an engine installs only
-        // a set newer than the one it holds.
+        // a set newer than the one it holds. The row batch of a version
+        // carries the same number, so the channel must be its namespace's
+        // only writer.
         let first = self.channel.current_version() + 1;
         let last = first + self.plan.versions - 1;
         for version in first..=last {
@@ -370,11 +372,10 @@ impl Updater {
             // already read N's rows.
             if let Some(store) = self.channel.store() {
                 let namespace = self.channel.namespace();
-                let target_version = store.namespace_version(namespace) + 1;
                 let report = if restore {
                     let batch = RestoreBatch {
                         namespace,
-                        target_version,
+                        target_version: version,
                         rows: std::mem::take(&mut originals)
                             .into_iter()
                             .map(|((ordinal, row), encoded)| RowRestore {
@@ -385,18 +386,18 @@ impl Updater {
                             .collect(),
                     };
                     self.apply_with_faults(
-                        target_version,
+                        version,
                         |fault| store.apply_restore(&batch, fault),
                         &mut stats,
                     )?
                 } else {
                     let batch = UpdateBatch {
                         namespace,
-                        target_version,
+                        target_version: version,
                         deltas: self.perturb_deltas(&tables, &mut originals, &mut rng)?,
                     };
                     self.apply_with_faults(
-                        target_version,
+                        version,
                         |fault| store.apply_update(&batch, fault),
                         &mut stats,
                     )?
@@ -617,6 +618,8 @@ mod tests {
                 );
                 let stats = up.run().unwrap();
                 assert_eq!(stats.batches_applied, 3);
+                // Rows and weights carry one number.
+                assert_eq!(store.namespace_version(ns), channel.current_version());
                 rows_applied += stats.rows_applied;
                 assert_eq!(
                     snapshot(&store),

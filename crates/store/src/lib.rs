@@ -9,7 +9,9 @@
 //!
 //! * **Handle-based registry** ([`EmbeddingStore::register`]) — tables
 //!   are keyed by `(namespace, ordinal)` and deduplicated, so N serving
-//!   workers built from one seed share a single parameter copy.
+//!   workers built from one seed share a single parameter copy. One
+//!   lock guards the table list and one record per namespace (its
+//!   ordinals and its snapshot version); only a registration writes it.
 //! * **Row-range shards** with per-shard interior locks — readers on
 //!   different shards never contend, and [`PinnedTable::update_row`] can
 //!   rewrite one row without stalling the rest of the table.
@@ -36,11 +38,12 @@
 //!   stream rows into DRAM ahead of batch drain.
 //! * **Versioned live updates** ([`EmbeddingStore::apply_update`]) —
 //!   batches of row deltas ([`UpdateBatch`]) apply atomically and
-//!   publish a per-table snapshot version; readers pin an epoch
-//!   ([`EmbeddingStore::pin_epoch`]) per coalesced batch and the writer
-//!   waits out those pinned before its publish, so the read hot
-//!   path stays lock-free while updates stay crash-atomic (DESIGN.md
-//!   §14).
+//!   publish their namespace's one snapshot version with one store
+//!   ([`EmbeddingStore::namespace_version`] reads it back); readers pin
+//!   an epoch ([`EmbeddingStore::pin_epoch`]) per coalesced batch and
+//!   the writer waits out those pinned before its publish, so the read
+//!   hot path stays lock-free while updates stay crash-atomic
+//!   (DESIGN.md §14).
 //!
 //! Determinism guarantees: decoding is a pure function of the stored
 //! bytes, and the shard holds the only copy of them — so the hot set

@@ -1,13 +1,14 @@
 //! The table registry: store configuration and errors, the row-range
 //! shards of one table, and the handle-based `(namespace, ordinal)`
-//! registry with its pin, lookup and namespace queries.
+//! registry — every table and one record per namespace, behind one lock —
+//! with its pin, lookup and namespace queries.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use drec_faultsim::FaultHook;
 use drec_sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use drec_sync::{CachePadded, EpochGc, EpochGuard, Mutex, RwLock};
+use drec_sync::{CachePadded, EpochGc, EpochGuard, RwLock};
 use drec_tensor::Divisor;
 use drec_tier::{TierConfig, TierEngine};
 
@@ -195,9 +196,6 @@ pub(crate) struct StoredTable {
     /// Rows per shard, the divisor of [`StoredTable::locate`].
     rows_per_shard: Divisor,
     pub(crate) shards: Vec<RwLock<RowData>>,
-    /// Snapshot version last published for this table (batches advance
-    /// it; a freshly registered table is v0).
-    pub(crate) version: AtomicU64,
     /// Bumped on every row write, *before* the shard lock is taken. The
     /// prefetcher captures it when a fill starts and re-verifies under
     /// the residency lock, so a fill racing an update can never park
@@ -226,7 +224,6 @@ impl StoredTable {
             dim,
             rows_per_shard: Divisor::from(rows_per_shard),
             shards,
-            version: AtomicU64::new(0),
             write_stamp: AtomicU64::new(0),
         }
     }
@@ -288,6 +285,60 @@ impl StoredTable {
     }
 }
 
+/// What the registry lock guards: every table, indexed by handle, and
+/// one record per namespace.
+#[derive(Debug, Default)]
+pub(crate) struct Registry {
+    pub(crate) tables: Vec<Arc<StoredTable>>,
+    pub(crate) namespaces: HashMap<u64, Namespace>,
+}
+
+/// One namespace: its tables and the one snapshot version they are all
+/// published at. A batch publishes a whole namespace, so the version
+/// lives here, once.
+#[derive(Debug, Default)]
+pub(crate) struct Namespace {
+    /// Table ordinal → handle slot, in ordinal order.
+    pub(crate) ordinals: BTreeMap<u32, usize>,
+    /// The published snapshot version (0 until the first batch; a table
+    /// registered later joins at the current one). Stored by a publish
+    /// under a read guard, so it is an atomic.
+    pub(crate) version: AtomicU64,
+}
+
+impl Registry {
+    /// The table registered under `(namespace, ordinal)`, as its slot.
+    fn slot(&self, namespace: u64, ordinal: u32) -> Option<usize> {
+        let ns = self.namespaces.get(&namespace)?;
+        ns.ordinals.get(&ordinal).copied()
+    }
+
+    /// The dedup check: the handle `(namespace, ordinal)` is registered
+    /// under, `None` when it is not, a [`StoreError::ShapeMismatch`] when
+    /// it is with another shape than `rows × dim`.
+    fn existing(
+        &self,
+        namespace: u64,
+        ordinal: u32,
+        rows: usize,
+        dim: usize,
+    ) -> Result<Option<TableHandle>, StoreError> {
+        let Some(slot) = self.slot(namespace, ordinal) else {
+            return Ok(None);
+        };
+        let existing = &self.tables[slot];
+        if existing.rows != rows || existing.dim != dim {
+            return Err(StoreError::ShapeMismatch {
+                namespace,
+                ordinal,
+                existing: (existing.rows, existing.dim),
+                requested: (rows, dim),
+            });
+        }
+        Ok(Some(TableHandle(slot)))
+    }
+}
+
 /// The embedding parameter store. One instance is shared by every serving
 /// worker; tables are registered once per `(namespace, ordinal)` and
 /// deduplicated across workers, so N replicas of a model hold one copy of
@@ -295,8 +346,9 @@ impl StoredTable {
 #[derive(Debug)]
 pub struct EmbeddingStore {
     pub(crate) cfg: StoreConfig,
-    pub(crate) tables: RwLock<Vec<Arc<StoredTable>>>,
-    pub(crate) index: Mutex<HashMap<(u64, u32), usize>>,
+    /// The registry: taken for reading by every query, pin and update
+    /// batch, for writing only by a registration.
+    pub(crate) registry: RwLock<Registry>,
     pub(crate) cache: HotRowCache,
     /// Hot counters live on their own cache lines: every worker bumps
     /// `lookups` on every embedding access, and unpadded neighbors would
@@ -351,8 +403,7 @@ impl EmbeddingStore {
         let tier = cfg.tier.as_ref().map(TierEngine::new);
         EmbeddingStore {
             cfg,
-            tables: RwLock::new(Vec::new()),
-            index: Mutex::new(HashMap::new()),
+            registry: RwLock::new(Registry::default()),
             cache,
             lookups: CachePadded::new(AtomicU64::new(0)),
             cache_hits: CachePadded::new(AtomicU64::new(0)),
@@ -422,12 +473,12 @@ impl EmbeddingStore {
                 actual: data.len(),
             });
         }
-        // Hold the index lock across check-and-insert so two workers
+        // Hold the write guard across check-and-insert so two workers
         // registering the same table race to one winner. Poisoned locks
         // are recovered (not propagated): registration must keep working
         // after a worker panic so the supervisor can rebuild engines.
-        let mut index = self.index.lock();
-        if let Some(handle) = self.existing(&index, namespace, ordinal, rows, dim)? {
+        let mut registry = self.registry.write();
+        if let Some(handle) = registry.existing(namespace, ordinal, rows, dim)? {
             return Ok(handle);
         }
         let table = Arc::new(StoredTable::new(
@@ -437,44 +488,17 @@ impl EmbeddingStore {
             data,
             self.cfg.shards_per_table,
         ));
-        let mut tables = self.tables.write();
-        let slot = tables.len();
-        tables.push(table);
-        index.insert((namespace, ordinal), slot);
+        let slot = registry.tables.len();
+        registry.tables.push(table);
+        let ns = registry.namespaces.entry(namespace).or_default();
+        ns.ordinals.insert(ordinal, slot);
         // The tier keeps one record per row; size them with the registry
-        // locks released (the tier lock nests inside nothing).
-        drop(tables);
-        drop(index);
+        // released, so a registration holds it only for the insert.
+        drop(registry);
         if let Some(tier) = &self.tier {
             tier.register_table(slot, rows);
         }
         Ok(TableHandle(slot))
-    }
-
-    /// The dedup check: the handle `(namespace, ordinal)` is registered
-    /// under, `None` when it is not, a [`StoreError::ShapeMismatch`] when
-    /// it is with another shape than `rows × dim`.
-    fn existing(
-        &self,
-        index: &HashMap<(u64, u32), usize>,
-        namespace: u64,
-        ordinal: u32,
-        rows: usize,
-        dim: usize,
-    ) -> Result<Option<TableHandle>, StoreError> {
-        let Some(&slot) = index.get(&(namespace, ordinal)) else {
-            return Ok(None);
-        };
-        let existing = &self.tables.read()[slot];
-        if existing.rows != rows || existing.dim != dim {
-            return Err(StoreError::ShapeMismatch {
-                namespace,
-                ordinal,
-                existing: (existing.rows, existing.dim),
-                requested: (rows, dim),
-            });
-        }
-        Ok(Some(TableHandle(slot)))
     }
 
     /// What [`EmbeddingStore::register`] would answer on a dedup hit,
@@ -494,7 +518,7 @@ impl EmbeddingStore {
         rows: usize,
         dim: usize,
     ) -> Result<Option<TableHandle>, StoreError> {
-        self.existing(&self.index.lock(), namespace, ordinal, rows, dim)
+        self.registry.read().existing(namespace, ordinal, rows, dim)
     }
 
     /// A cheap, cloneable accessor pinning `handle`'s table so lookups
@@ -513,15 +537,16 @@ impl EmbeddingStore {
     /// [`StoreError::UnknownTable`] instead of a panic when `handle`
     /// does not name a registered table.
     pub fn try_pin(self: &Arc<Self>, handle: TableHandle) -> Result<PinnedTable, StoreError> {
-        let tables = self.tables.read();
-        let table = tables
+        let registry = self.registry.read();
+        let table = registry
+            .tables
             .get(handle.0)
             .cloned()
             .ok_or(StoreError::UnknownTable {
                 handle: handle.0,
-                tables: tables.len(),
+                tables: registry.tables.len(),
             })?;
-        drop(tables);
+        drop(registry);
         Ok(PinnedTable {
             store: Arc::clone(self),
             table,
@@ -532,10 +557,10 @@ impl EmbeddingStore {
     /// Resolves a `(namespace, ordinal)` pair to its handle, or a typed
     /// [`StoreError::TableNotRegistered`].
     pub fn lookup(&self, namespace: u64, ordinal: u32) -> Result<TableHandle, StoreError> {
-        self.index
-            .lock()
-            .get(&(namespace, ordinal))
-            .map(|&slot| TableHandle(slot))
+        self.registry
+            .read()
+            .slot(namespace, ordinal)
+            .map(TableHandle)
             .ok_or(StoreError::TableNotRegistered { namespace, ordinal })
     }
 
@@ -557,25 +582,16 @@ impl EmbeddingStore {
         &self.epoch
     }
 
-    /// The snapshot version currently published for `namespace`: the
-    /// minimum across its tables (batches publish all of them together,
-    /// so the minimum only lags mid-publish). 0 for an unknown or empty
-    /// namespace — freshly registered tables start at v0.
+    /// The snapshot version currently published for `namespace`: every
+    /// table of a namespace is at its version, which a batch publishes
+    /// with one store. 0 for an unknown namespace — and for a registered
+    /// one until its first batch.
     pub fn namespace_version(&self, namespace: u64) -> u64 {
-        let slots: Vec<usize> = {
-            let index = self.index.lock();
-            index
-                .iter()
-                .filter(|((ns, _), _)| *ns == namespace)
-                .map(|(_, &slot)| slot)
-                .collect()
-        };
-        let tables = self.tables.read();
-        slots
-            .iter()
-            .map(|&s| tables[s].version.load(Ordering::Acquire))
-            .min()
-            .unwrap_or(0)
+        self.registry
+            .read()
+            .namespaces
+            .get(&namespace)
+            .map_or(0, |ns| ns.version.load(Ordering::Acquire))
     }
 
     /// Enumerates the tables registered under `namespace` as
@@ -583,21 +599,17 @@ impl EmbeddingStore {
     /// updater discovers what it can rewrite without holding a model's
     /// binding list.
     pub fn namespace_tables(&self, namespace: u64) -> Vec<(u32, usize, usize)> {
-        let slots: Vec<(u32, usize)> = {
-            let index = self.index.lock();
-            index
-                .iter()
-                .filter(|((ns, _), _)| *ns == namespace)
-                .map(|((_, ordinal), &slot)| (*ordinal, slot))
-                .collect()
+        let registry = self.registry.read();
+        let Some(ns) = registry.namespaces.get(&namespace) else {
+            return Vec::new();
         };
-        let tables = self.tables.read();
-        let mut out: Vec<(u32, usize, usize)> = slots
-            .into_iter()
-            .map(|(ordinal, slot)| (ordinal, tables[slot].rows, tables[slot].dim))
-            .collect();
-        out.sort_unstable_by_key(|&(ordinal, _, _)| ordinal);
-        out
+        ns.ordinals
+            .iter()
+            .map(|(&ordinal, &slot)| {
+                let table = &registry.tables[slot];
+                (ordinal, table.rows, table.dim)
+            })
+            .collect()
     }
 
     /// Whether the serving runtime should stream-prefetch for this store
@@ -617,25 +629,19 @@ impl EmbeddingStore {
     /// tables all share its namespace). Without tiering everything is
     /// resident. O(resident set) per call; reporting path only.
     pub fn namespace_residency(&self, namespace: u64) -> (u64, u64) {
-        let handles: Vec<u64> = {
-            let index = self.index.lock();
-            index
-                .iter()
-                .filter(|((ns, _), _)| *ns == namespace)
-                .map(|(_, &slot)| slot as u64)
-                .collect()
+        let registry = self.registry.read();
+        let Some(ns) = registry.namespaces.get(&namespace) else {
+            return (0, 0);
         };
-        let total: u64 = {
-            let tables = self.tables.read();
-            handles
-                .iter()
-                .map(|&h| tables[h as usize].rows as u64)
-                .sum()
-        };
+        let slots = ns.ordinals.values();
+        let total: u64 = slots
+            .clone()
+            .map(|&slot| registry.tables[slot].rows as u64)
+            .sum();
         match &self.tier {
             Some(tier) => {
-                let resident = tier.count_resident(|key| handles.contains(&(key >> 32))) as u64;
-                (resident, total)
+                let mine = |key: u64| slots.clone().any(|&slot| slot as u64 == key >> 32);
+                (tier.count_resident(mine) as u64, total)
             }
             None => (total, total),
         }

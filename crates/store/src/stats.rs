@@ -9,11 +9,11 @@ use crate::registry::EmbeddingStore;
 impl EmbeddingStore {
     /// Point-in-time counters and gauges.
     pub fn stats(&self) -> StoreStats {
-        let tables = self.tables.read();
+        let registry = self.registry.read();
         let mut rows = 0u64;
         let mut resident_bytes = 0u64;
         let mut f32_bytes = 0u64;
-        for t in tables.iter() {
+        for t in &registry.tables {
             rows += t.rows as u64;
             resident_bytes += t.resident_bytes();
             f32_bytes += (t.rows * t.dim * 4) as u64;
@@ -37,7 +37,7 @@ impl EmbeddingStore {
         };
         let update_rows_applied = self.update_rows_applied.load(Ordering::Relaxed);
         StoreStats {
-            tables: tables.len(),
+            tables: registry.tables.len(),
             rows,
             resident_bytes,
             f32_bytes,

@@ -2,8 +2,6 @@
 //! under an undo log, publish, wait out readers), the single-row rewrite, and
 //! the invalidation every write ends with.
 
-use std::sync::Arc;
-
 use drec_faultsim::UpdateFault;
 use drec_sync::atomic::Ordering;
 
@@ -108,10 +106,10 @@ impl EmbeddingStore {
     ///    every applied row back (restoring and re-invalidating), then
     ///    returns [`StoreError::UpdateAborted`] — the failed batch is
     ///    invisible and the version unchanged.
-    /// 3. **Publish** — every table in the namespace advances to
-    ///    `target_version` (an injected [`UpdateFault::DelayPublish`]
-    ///    stalls just before this step; readers keep serving the prior
-    ///    version meanwhile).
+    /// 3. **Publish** — the namespace's one version advances to
+    ///    `target_version`, one store (an injected
+    ///    [`UpdateFault::DelayPublish`] stalls just before this step;
+    ///    readers keep serving the prior version meanwhile).
     /// 4. **Wait out pre-publish readers** — one epoch `synchronize`
     ///    returns once every reader pinned before the publish has
     ///    unpinned, so when this call returns no running batch is more
@@ -174,54 +172,47 @@ impl EmbeddingStore {
         writes: Vec<(u32, u32, RowWrite<'_>)>,
         fault: UpdateFault,
     ) -> Result<UpdateReport, StoreError> {
+        // One read guard from validation through the publish: the
+        // namespace record and its tables are borrowed, not cloned. It is
+        // let go before step 4, which waits on pinned readers — and a
+        // reader's version read would queue behind a registration queued
+        // behind this guard.
+        let registry = self.registry.read();
+        let ns = registry.namespaces.get(&namespace);
         // Step 1: resolve and validate every row before touching any.
-        let (resolved, ns_tables) = {
-            let index = self.index.lock();
-            let tables = self.tables.read();
-            let mut resolved = Vec::with_capacity(writes.len());
-            for (ordinal, row, write) in writes {
-                let &slot = index
-                    .get(&(namespace, ordinal))
-                    .ok_or(StoreError::TableNotRegistered { namespace, ordinal })?;
-                let table = &tables[slot];
-                table.check_row(row)?;
-                let mismatch = match write {
-                    RowWrite::Values(values) => {
-                        (values.len() != table.dim).then_some((table.dim, values.len()))
-                    }
-                    RowWrite::Encoded(e) => {
-                        let encoding = e.encoding();
-                        (e.dim() != table.dim || encoding != self.cfg.encoding).then(|| {
-                            (
-                                self.cfg.encoding.bytes_per_row(table.dim),
-                                encoding.bytes_per_row(e.dim()),
-                            )
-                        })
-                    }
-                };
-                if let Some((expected, actual)) = mismatch {
-                    return Err(StoreError::DataSizeMismatch { expected, actual });
+        let mut resolved = Vec::with_capacity(writes.len());
+        for (ordinal, row, write) in writes {
+            let slot = ns
+                .and_then(|ns| ns.ordinals.get(&ordinal).copied())
+                .ok_or(StoreError::TableNotRegistered { namespace, ordinal })?;
+            let table = &*registry.tables[slot];
+            table.check_row(row)?;
+            let mismatch = match write {
+                RowWrite::Values(values) => {
+                    (values.len() != table.dim).then_some((table.dim, values.len()))
                 }
-                resolved.push((slot, Arc::clone(table), row, write));
+                RowWrite::Encoded(e) => {
+                    let encoding = e.encoding();
+                    (e.dim() != table.dim || encoding != self.cfg.encoding).then(|| {
+                        (
+                            self.cfg.encoding.bytes_per_row(table.dim),
+                            encoding.bytes_per_row(e.dim()),
+                        )
+                    })
+                }
+            };
+            if let Some((expected, actual)) = mismatch {
+                return Err(StoreError::DataSizeMismatch { expected, actual });
             }
-            let ns_tables: Vec<Arc<StoredTable>> = index
-                .iter()
-                .filter(|((ns, _), _)| *ns == namespace)
-                .map(|(_, &slot)| Arc::clone(&tables[slot]))
-                .collect();
-            (resolved, ns_tables)
-        };
-        if ns_tables.is_empty() {
+            resolved.push((slot, table, row, write));
+        }
+        let Some(ns) = ns else {
             return Err(StoreError::TableNotRegistered {
                 namespace,
                 ordinal: 0,
             });
-        }
-        let current = ns_tables
-            .iter()
-            .map(|t| t.version.load(Ordering::Acquire))
-            .min()
-            .unwrap_or(0);
+        };
+        let current = ns.version.load(Ordering::Acquire);
         if target_version != current + 1 {
             if target_version <= current {
                 self.update_duplicates_rejected
@@ -241,9 +232,9 @@ impl EmbeddingStore {
             UpdateFault::CrashMidBatch { .. } => Some(resolved.len() / 2),
             _ => None,
         };
-        let mut undo: Vec<(Arc<StoredTable>, u32, EncodedRow, u64)> =
+        let mut undo: Vec<(&StoredTable, u32, EncodedRow, u64)> =
             Vec::with_capacity(resolved.len());
-        for (i, (slot, table, row, write)) in resolved.iter().enumerate() {
+        for (i, &(slot, table, row, write)) in resolved.iter().enumerate() {
             if crash_at == Some(i) {
                 for (table, row, old, key) in undo.drain(..).rev() {
                     table.write_row(row, RowWrite::Encoded(&old));
@@ -256,11 +247,11 @@ impl EmbeddingStore {
                     rows_rolled_back: i,
                 });
             }
-            let old = table.read_encoded(*row);
-            let key = ((*slot as u64) << 32) | u64::from(*row);
-            table.write_row(*row, *write);
+            let old = table.read_encoded(row);
+            let key = ((slot as u64) << 32) | u64::from(row);
+            table.write_row(row, write);
             self.invalidate_row(key);
-            undo.push((Arc::clone(table), *row, old, key));
+            undo.push((table, row, old, key));
         }
 
         // Step 3: publish (optionally after an injected delay, during
@@ -269,17 +260,17 @@ impl EmbeddingStore {
             self.update_publish_delays.fetch_add(1, Ordering::Relaxed);
             std::thread::sleep(delay);
         }
-        for table in &ns_tables {
-            table.version.store(target_version, Ordering::Release);
-        }
+        ns.version.store(target_version, Ordering::Release);
+        let rows_applied = undo.len();
+        drop(registry);
 
         // Step 4: wait out pre-publish readers.
         self.epoch.synchronize();
         self.update_batches_applied.fetch_add(1, Ordering::Relaxed);
         self.update_rows_applied
-            .fetch_add(undo.len() as u64, Ordering::Relaxed);
+            .fetch_add(rows_applied as u64, Ordering::Relaxed);
         Ok(UpdateReport {
-            rows_applied: undo.len(),
+            rows_applied,
             published_version: target_version,
         })
     }
@@ -310,6 +301,8 @@ impl PinnedTable {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::test_support::{filled, store, tiered_cfg};
     use crate::{RowEncoding, StoreConfig};
@@ -414,7 +407,6 @@ mod tests {
         let mut out = vec![0.0f32; 2];
         p0.read_row(3, &mut out); // warm the cache with the pre-update row
         assert_eq!(s.namespace_version(7), 0);
-        assert_eq!(table_version(&p0), 0);
 
         let report = s
             .apply_update(
@@ -434,7 +426,6 @@ mod tests {
             }
         );
         assert_eq!(s.namespace_version(7), 1);
-        assert_eq!((table_version(&p0), table_version(&p1)), (1, 1));
         p0.read_row(3, &mut out);
         assert_eq!(out, [1.0, 2.0], "cached pre-update row survived");
         p1.read_row(5, &mut out);
@@ -445,6 +436,22 @@ mod tests {
         assert_eq!(stats.update_rows_retired, 2);
         assert_eq!(stats.update_synchronizations, 1);
         assert_eq!(stats.update_rollbacks, 0);
+    }
+
+    #[test]
+    fn a_table_registered_after_a_publish_joins_its_namespace_version() {
+        let s = store(StoreConfig::default());
+        s.register(7, 0, 4, 2, &filled(4, 2)).unwrap();
+        let batch = |target_version| UpdateBatch {
+            namespace: 7,
+            target_version,
+            deltas: vec![delta(0, 1, &[9.0, 9.0])],
+        };
+        s.apply_update(&batch(1), UpdateFault::None).unwrap();
+        s.register(7, 1, 4, 2, &filled(4, 2)).unwrap();
+        assert_eq!(s.namespace_version(7), 1);
+        s.apply_update(&batch(2), UpdateFault::None).unwrap();
+        assert_eq!(s.namespace_version(7), 2);
     }
 
     #[test]
@@ -533,11 +540,6 @@ mod tests {
                 (x >> 40) as f32 / (1u64 << 24) as f32 * 2.3 - 1.1
             })
             .collect()
-    }
-
-    /// The snapshot version currently published for the pinned table.
-    fn table_version(pin: &PinnedTable) -> u64 {
-        pin.table.version.load(Ordering::Acquire)
     }
 
     fn decoded_bits(pin: &PinnedTable) -> Vec<u32> {

@@ -2,7 +2,9 @@
 //! layer on — the hot-row key set, a tier with its admission filter, a
 //! table cut into three shards — one `sum_rows` and one `read_rows` of
 //! 120 rows each leave the heap's live figure and its high-water mark
-//! where they were. The shard guards a bag holds sit on its stack.
+//! where they were. The shard guards a bag holds sit on its stack. Nor
+//! does the version read a store-backed batch makes before it runs: on a
+//! store of two namespaces, `namespace_version` is a lookup and a load.
 //!
 //! A test binary of its own: the counting `#[global_allocator]` must see
 //! this test's heap and no other's.
@@ -36,6 +38,7 @@ fn a_warmed_bag_allocates_nothing() {
     }));
     let data: Vec<f32> = (0..ROWS * DIM).map(|i| (i % 97) as f32 / 97.0).collect();
     let pin = store.pin(store.register(1, 0, ROWS, DIM, &data).unwrap());
+    store.register(2, 0, ROWS, DIM, &data).unwrap();
     // A skewed bag: three rows in four from a hot head of 32, the rest
     // from the whole table.
     let mut x = 12_345u32;
@@ -71,4 +74,15 @@ fn a_warmed_bag_allocates_nothing() {
     let stats = store.stats();
     assert_eq!(stats.lookups, 8 * BAG as u64);
     assert!(stats.cache_hits > 0 && stats.tier_dram_hits > 0 && stats.tier_cold_demand_reads > 0);
+
+    let versions = || [1, 2].map(|ns| store.namespace_version(ns));
+    assert_eq!(versions(), [0, 0]);
+    let live = HEAP.live_bytes();
+    HEAP.reset_peak();
+    assert_eq!(versions(), [0, 0]);
+    assert_eq!(
+        (HEAP.live_bytes(), HEAP.peak_bytes()),
+        (live, live),
+        "(live, peak) heap bytes after reading two namespaces' versions"
+    );
 }

@@ -11,9 +11,8 @@
 //! * Readers [`EpochGc::pin`] once per *batch* (not per lookup — the
 //!   per-lookup hot path stays untouched, which is what keeps the
 //!   measured pin overhead under the 3% gate in `chaos_bench`). A pin is
-//!   one sharded `fetch_add` on the current epoch's reader bank plus an
-//!   epoch re-check; unpin is the matching `fetch_sub`. No locks, no
-//!   syscalls.
+//!   one `fetch_add` on the current epoch's reader counter plus an epoch
+//!   re-check; unpin is the matching `fetch_sub`. No locks, no syscalls.
 //! * Writers call [`EpochGc::synchronize`]: flip the epoch parity, then
 //!   spin-wait until the *previous* bank's reader count drains to zero.
 //!   When it returns, every reader that pinned before the flip has
@@ -26,68 +25,22 @@
 //! reader performs all of its reads after the flip — and therefore after
 //! the writer's row rewrites — so the writer does not need to wait for
 //! it. A reader that incremented before the flip stays in the old bank
-//! and is waited out. Reader banks are sharded over cache-padded
-//! counters (thread-indexed round-robin) so concurrent pins on different
-//! cores do not bounce one line.
+//! and is waited out.
+//!
+//! A bank is one cache-padded counter and keeps no per-thread state.
+//! Readers pin once per batch, so its line is contended at batch rate,
+//! not row rate. On one thread a pin/unpin pair costs what it did on the
+//! eight-shard bank this replaced (25.5 against 26.8 ns). Back-to-back
+//! pins from 2 and 4 threads cost 99 and 204 ns against 28 and 51, but
+//! with 7.5 µs of work between pins, less than any served batch takes,
+//! the two read alike (a 2-core host; DESIGN.md §13 has the table).
 //!
 //! Compiled against `drec_sync::atomic`, so `--cfg loom` builds get
 //! instrumented atomics and the in-tree model checker can enumerate
 //! pin/synchronize interleavings (see `crates/sync/tests/loom_sync.rs`).
 
-#[cfg(not(loom))]
-use crate::atomic::AtomicUsize;
 use crate::atomic::{AtomicU64, Ordering};
 use crate::{spin_loop, CachePadded};
-
-/// Number of sharded reader counters per bank. Eight covers the repo's
-/// worker counts without measurable contention; correctness does not
-/// depend on the value.
-const SHARDS: usize = 8;
-
-/// Hands out reader shard indices round-robin, cached per thread so a
-/// pin is shard-stable and cheap after the first call on a thread.
-#[cfg(not(loom))]
-static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
-
-#[cfg(not(loom))]
-thread_local! {
-    static MY_SHARD: usize =
-        NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % SHARDS;
-}
-
-fn reader_shard() -> usize {
-    #[cfg(not(loom))]
-    {
-        MY_SHARD.with(|s| *s)
-    }
-    #[cfg(loom)]
-    {
-        // The model thread's index: stable per thread, as the
-        // thread-local is, and the same on every replay of a schedule. A
-        // process-wide counter would not be: where a reader's shard sits
-        // against the writer's scan decides whether `synchronize` spins
-        // again, so a replay could take another schedule.
-        crate::model::current().map_or(0, |(_, me)| me % SHARDS)
-    }
-}
-
-/// One bank of sharded reader counters.
-#[derive(Debug)]
-struct Bank {
-    shards: [CachePadded<AtomicU64>; SHARDS],
-}
-
-impl Bank {
-    fn new() -> Bank {
-        Bank {
-            shards: std::array::from_fn(|_| CachePadded::new(AtomicU64::new(0))),
-        }
-    }
-
-    fn readers(&self) -> u64 {
-        self.shards.iter().map(|s| s.load(Ordering::Acquire)).sum()
-    }
-}
 
 /// Two-bank epoch-based reclamation cell (see the module docs for the
 /// protocol and its correctness argument).
@@ -95,7 +48,8 @@ impl Bank {
 pub struct EpochGc {
     /// Monotonic epoch; parity selects the active reader bank.
     epoch: CachePadded<AtomicU64>,
-    banks: [Bank; 2],
+    /// Readers pinned in each bank.
+    banks: [CachePadded<AtomicU64>; 2],
     /// Completed `synchronize` calls, for stats.
     syncs: AtomicU64,
 }
@@ -111,7 +65,10 @@ impl EpochGc {
     pub fn new() -> EpochGc {
         EpochGc {
             epoch: CachePadded::new(AtomicU64::new(0)),
-            banks: [Bank::new(), Bank::new()],
+            banks: [
+                CachePadded::new(AtomicU64::new(0)),
+                CachePadded::new(AtomicU64::new(0)),
+            ],
             syncs: AtomicU64::new(0),
         }
     }
@@ -120,23 +77,18 @@ impl EpochGc {
     /// guard for the duration of one coalesced batch; dropping it
     /// unpins. Never blocks.
     pub fn pin(&self) -> EpochGuard<'_> {
-        let shard = reader_shard();
         loop {
             let epoch = self.epoch.load(Ordering::Acquire);
             let bank = (epoch & 1) as usize;
-            self.banks[bank].shards[shard].fetch_add(1, Ordering::AcqRel);
+            self.banks[bank].fetch_add(1, Ordering::AcqRel);
             // Re-check: if a writer flipped the epoch between the load
             // and the increment, migrate — all of this reader's accesses
             // happen after the flip (and so after the writer's row
             // rewrites), so the writer need not wait for it.
             if self.epoch.load(Ordering::Acquire) == epoch {
-                return EpochGuard {
-                    gc: self,
-                    bank,
-                    shard,
-                };
+                return EpochGuard { gc: self, bank };
             }
-            self.banks[bank].shards[shard].fetch_sub(1, Ordering::AcqRel);
+            self.banks[bank].fetch_sub(1, Ordering::AcqRel);
         }
     }
 
@@ -147,7 +99,7 @@ impl EpochGc {
     pub fn synchronize(&self) {
         let old = self.epoch.fetch_add(1, Ordering::AcqRel);
         let old_bank = &self.banks[(old & 1) as usize];
-        while old_bank.readers() != 0 {
+        while old_bank.load(Ordering::Acquire) != 0 {
             spin_loop();
         }
         self.syncs.fetch_add(1, Ordering::Relaxed);
@@ -156,7 +108,10 @@ impl EpochGc {
     /// Readers currently pinned (across both banks). Racy by nature;
     /// stats only.
     pub fn pinned_readers(&self) -> u64 {
-        self.banks[0].readers() + self.banks[1].readers()
+        self.banks
+            .iter()
+            .map(|bank| bank.load(Ordering::Acquire))
+            .sum()
     }
 
     /// Completed [`EpochGc::synchronize`] calls.
@@ -170,12 +125,11 @@ impl EpochGc {
 pub struct EpochGuard<'a> {
     gc: &'a EpochGc,
     bank: usize,
-    shard: usize,
 }
 
 impl Drop for EpochGuard<'_> {
     fn drop(&mut self) {
-        self.gc.banks[self.bank].shards[self.shard].fetch_sub(1, Ordering::AcqRel);
+        self.gc.banks[self.bank].fetch_sub(1, Ordering::AcqRel);
     }
 }
 
