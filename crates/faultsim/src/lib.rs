@@ -61,7 +61,8 @@ pub struct FaultPlan {
     /// Duration of an injected read stall.
     pub read_delay: Duration,
     /// Crash every nth update delta batch mid-application (exercises the
-    /// store's atomic rollback to the prior version).
+    /// store's abort: the batch is refused before any row moves, and the
+    /// prior version stays published).
     pub update_crash_every_n_batches: Option<u64>,
     /// Delay every nth update batch's version publish by
     /// [`FaultPlan::update_publish_delay`] (widens the window in which
@@ -131,9 +132,9 @@ pub enum ReadFault {
 pub enum UpdateFault {
     /// Apply normally.
     None,
-    /// The store crashes mid-application: half the deltas land, then the
-    /// batch rolls back atomically to the prior version and the caller
-    /// sees a typed abort.
+    /// The store crashes mid-application: the caller sees a typed abort
+    /// that counts half the deltas, and no row of the batch is ever
+    /// visible — the prior version stays published.
     CrashMidBatch {
         /// Global update-batch index the crash was scheduled at.
         batch: u64,
@@ -167,7 +168,7 @@ pub struct FaultCounts {
     pub(crate) delays: u64,
     /// Update delta batches observed by the hook.
     pub update_batches: u64,
-    /// Injected mid-batch update crashes (each rolls back atomically).
+    /// Injected mid-batch update crashes (each aborts its batch whole).
     pub update_crashes: u64,
     /// Injected publish delays on update batches.
     pub update_publish_delays: u64,

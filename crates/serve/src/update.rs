@@ -23,8 +23,8 @@
 //! off while the ladder stands at `UpdateBackpressure` or higher —
 //! updates are throttled, reads never are. Injected faults
 //! ([`drec_faultsim::UpdateFault`]) exercise the recovery matrix:
-//! a crash mid-batch rolls back atomically and is retried once; a
-//! duplicate delta is rejected by the store's version check; a delayed
+//! a crash mid-batch aborts it before any row moves and is retried once;
+//! a duplicate delta is rejected by the store's version check; a delayed
 //! publish only widens the staleness window, never the error surface.
 //!
 //! A weight set is a vector of shared [`FcParams`] handles wherever it
@@ -262,7 +262,7 @@ pub struct UpdaterStats {
     pub batches_applied: u64,
     /// Embedding rows rewritten across all batches.
     pub rows_applied: u64,
-    /// Batches rolled back atomically after an injected mid-batch crash.
+    /// Batches aborted whole by an injected mid-batch crash.
     pub rolled_back: u64,
     /// Rolled-back batches that succeeded on retry.
     pub recovered: u64,
@@ -494,7 +494,7 @@ impl Updater {
         let first = match (fault, apply(fault)) {
             (UpdateFault::CrashMidBatch { .. }, Err(StoreError::UpdateAborted { .. })) => {
                 stats.rolled_back += 1;
-                // Atomic rollback verified by the store; retry clean.
+                // The store aborted before any row moved; retry clean.
                 let report = apply(UpdateFault::None).map_err(failed)?;
                 stats.recovered += 1;
                 return Ok(report);

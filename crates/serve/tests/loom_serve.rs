@@ -3,7 +3,8 @@
 //! stepwise transitions, the dispatch-signal parking protocol, the
 //! prefetch window's wake-up protocol, and the sparse read path's locks
 //! (tier session vs. row update vs. prefetch fill, two bags' shard
-//! guards vs. row updates, hot-key probe vs. insert).
+//! guards vs. row updates, bags vs. an update batch's shard guards,
+//! hot-key probe vs. insert).
 //!
 //! Compiled out of plain builds (`#![cfg(loom)]`): without `--cfg loom`
 //! the drec-sync primitives carry no schedule points, so the explorer
@@ -530,6 +531,116 @@ fn bags_crossing_two_shards_in_opposite_orders_beside_updates_never_deadlock() {
         pin.sum_rows([0, 1], &mut acc);
         assert_eq!(acc[0], 48.0, "a read after the updates saw an old row");
         assert_eq!(store.stats().lookups, 6);
+    });
+}
+
+/// One row rewrite of an update batch, for the models below.
+fn delta(ordinal: u32, row: u32, value: f32) -> drec_store::RowDelta {
+    drec_store::RowDelta {
+        ordinal,
+        row,
+        values: vec![value],
+    }
+}
+
+/// An update batch writes its rows and publishes its version under the
+/// write guards of every shard it touches, and a bag holds the read
+/// guards of every shard it reads at once. So on a table of two rows in
+/// two shards a bag of both rows beside a batch rewriting both reads all
+/// old rows (1 + 2) or all new ones (16 + 32), never one of each, and a
+/// bag that read the new rows finds their version published after it.
+/// Writing the rows one shard lock at a time ahead of the publish fails
+/// this model: "bag read rows of two versions: 33".
+#[test]
+fn a_bag_beside_an_update_batch_reads_one_version() {
+    use drec_faultsim::UpdateFault;
+    use drec_store::{EmbeddingStore, StoreConfig, UpdateBatch};
+    model(|| {
+        let store = Arc::new(EmbeddingStore::new(StoreConfig {
+            shards_per_table: 2,
+            ..StoreConfig::default()
+        }));
+        let handle = store.register(1, 0, 2, 1, &[1.0, 2.0]).unwrap();
+        let pin = store.pin(handle);
+        let writer = {
+            let store = Arc::clone(&store);
+            spawn(move || {
+                let batch = UpdateBatch {
+                    namespace: 1,
+                    target_version: 1,
+                    deltas: vec![delta(0, 1, 32.0), delta(0, 0, 16.0)],
+                };
+                store.apply_update(&batch, UpdateFault::None).unwrap();
+            })
+        };
+        let mut acc = [0.0f32];
+        pin.sum_rows([0, 1], &mut acc);
+        let version = store.namespace_version(1);
+        assert!(
+            acc[0] == 3.0 || acc[0] == 48.0,
+            "bag read rows of two versions: {}",
+            acc[0]
+        );
+        assert!(acc[0] == 3.0 || version == 1, "read v1 rows at version 0");
+        writer.join().unwrap();
+        assert_eq!(store.namespace_version(1), 1);
+    });
+}
+
+/// A batch over two tables holds write guards on shards of both, taken
+/// in (table slot, shard) order whatever order its rows come in; a bag
+/// holds one table's shards, in ascending order. With a bag on each
+/// table, the two tables' shards crossed in the batch's row order, no
+/// interleaving deadlocks, and each bag reads its table all old or all
+/// new.
+#[test]
+fn an_update_batch_over_two_tables_beside_a_bag_on_each_never_deadlocks() {
+    use drec_faultsim::UpdateFault;
+    use drec_store::{EmbeddingStore, PinnedTable, StoreConfig, UpdateBatch};
+    model(|| {
+        let store = Arc::new(EmbeddingStore::new(StoreConfig {
+            shards_per_table: 2,
+            ..StoreConfig::default()
+        }));
+        let first = store.pin(store.register(1, 0, 2, 1, &[1.0, 2.0]).unwrap());
+        let second = store.pin(store.register(1, 1, 2, 1, &[4.0, 8.0]).unwrap());
+        let bag = |pin: &PinnedTable| {
+            let mut acc = [0.0f32];
+            pin.sum_rows([1, 0], &mut acc);
+            acc[0]
+        };
+        let writer = {
+            let store = Arc::clone(&store);
+            spawn(move || {
+                let batch = UpdateBatch {
+                    namespace: 1,
+                    target_version: 1,
+                    deltas: vec![
+                        delta(1, 1, 128.0),
+                        delta(0, 0, 16.0),
+                        delta(1, 0, 64.0),
+                        delta(0, 1, 32.0),
+                    ],
+                };
+                store.apply_update(&batch, UpdateFault::None).unwrap();
+            })
+        };
+        let other = {
+            let second = second.clone();
+            spawn(move || bag(&second))
+        };
+        let sum = bag(&first);
+        assert!(
+            sum == 3.0 || sum == 48.0,
+            "table 0 read two versions: {sum}"
+        );
+        let sum = other.join().unwrap();
+        assert!(
+            sum == 12.0 || sum == 192.0,
+            "table 1 read two versions: {sum}"
+        );
+        writer.join().unwrap();
+        assert_eq!((bag(&first), bag(&second)), (48.0, 192.0));
     });
 }
 

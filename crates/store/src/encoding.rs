@@ -107,6 +107,15 @@ pub use drec_tensor::simd::f32_to_f16_bits;
 /// quantized buffers without going through a store.
 pub use drec_tensor::simd::quantize_i8_row as quantize_row;
 
+/// What one row write puts in its shard.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum RowWrite<'a> {
+    /// Values, re-encoded into the store's encoding.
+    Values(&'a [f32]),
+    /// Captured bytes, copied back as they are.
+    Encoded(&'a EncodedRow),
+}
+
 /// The resident storage for one shard's rows in a chosen encoding.
 ///
 /// Rows are dense within the shard: row `r` of a `dim`-wide shard lives at
@@ -197,23 +206,6 @@ impl RowData {
         }
     }
 
-    /// Re-encodes row `r` in place from `values` (length `dim`).
-    pub(crate) fn write_row(&mut self, r: usize, dim: usize, values: &[f32]) {
-        match self {
-            RowData::F32(data) => data[r * dim..(r + 1) * dim].copy_from_slice(values),
-            RowData::F16(data) => {
-                for (h, &v) in data[r * dim..(r + 1) * dim].iter_mut().zip(values) {
-                    *h = f32_to_f16_bits(v);
-                }
-            }
-            RowData::Int8 { q, scale, bias } => {
-                let (s, b) = quantize_row(values, &mut q[r * dim..(r + 1) * dim]);
-                scale[r] = s;
-                bias[r] = b;
-            }
-        }
-    }
-
     /// Captures row `r`'s resident bytes.
     pub(crate) fn copy_row(&self, r: usize, dim: usize) -> EncodedRow {
         EncodedRow(match self {
@@ -227,33 +219,45 @@ impl RowData {
         })
     }
 
-    /// Overwrites row `r` with a captured row, byte for byte — no
-    /// re-encode, so the row is exactly what it was when captured.
-    /// Returns `false`, touching nothing, when `src` has another encoding
-    /// or row width.
-    pub(crate) fn restore_row(&mut self, r: usize, dim: usize, src: &EncodedRow) -> bool {
-        match (self, &src.0) {
-            (RowData::F32(data), Captured::F32(row)) if row.len() == dim => {
-                data[r * dim..(r + 1) * dim].copy_from_slice(row);
+    /// Rewrites row `r` (of a `dim`-wide shard) per `write`: values are
+    /// re-encoded, captured bytes copied back unchanged — no re-encode, so
+    /// a restored row is exactly what it was when captured.
+    ///
+    /// # Panics
+    ///
+    /// On a captured row of another encoding or width, which every writer
+    /// rejects before it takes a shard lock.
+    pub(crate) fn write(&mut self, r: usize, dim: usize, write: RowWrite<'_>) {
+        let cells = r * dim..(r + 1) * dim;
+        match (self, write) {
+            (RowData::F32(data), RowWrite::Values(values)) => data[cells].copy_from_slice(values),
+            (RowData::F16(data), RowWrite::Values(values)) => {
+                for (h, &v) in data[cells].iter_mut().zip(values) {
+                    *h = f32_to_f16_bits(v);
+                }
             }
-            (RowData::F16(data), Captured::F16(row)) if row.len() == dim => {
-                data[r * dim..(r + 1) * dim].copy_from_slice(row);
+            (RowData::Int8 { q, scale, bias }, RowWrite::Values(values)) => {
+                (scale[r], bias[r]) = quantize_row(values, &mut q[cells]);
+            }
+            (RowData::F32(data), RowWrite::Encoded(EncodedRow(Captured::F32(row)))) => {
+                data[cells].copy_from_slice(row)
+            }
+            (RowData::F16(data), RowWrite::Encoded(EncodedRow(Captured::F16(row)))) => {
+                data[cells].copy_from_slice(row)
             }
             (
                 RowData::Int8 { q, scale, bias },
-                Captured::Int8 {
+                RowWrite::Encoded(EncodedRow(Captured::Int8 {
                     q: row,
                     scale: s,
                     bias: b,
-                },
-            ) if row.len() == dim => {
-                q[r * dim..(r + 1) * dim].copy_from_slice(row);
-                scale[r] = *s;
-                bias[r] = *b;
+                })),
+            ) => {
+                q[cells].copy_from_slice(row);
+                (scale[r], bias[r]) = (*s, *b);
             }
-            _ => return false,
+            _ => panic!("a captured row of another encoding than its shard's"),
         }
-        true
     }
 
     /// Bytes this shard's rows occupy resident (payload only; allocator
@@ -437,7 +441,7 @@ mod tests {
             let dim = 8;
             let mut enc = RowData::encode(encoding, &vec![0.25f32; 3 * dim], dim);
             let new_row = vec![0.5f32; dim];
-            enc.write_row(1, dim, &new_row);
+            enc.write(1, dim, RowWrite::Values(&new_row));
             let mut out = vec![0.0f32; dim];
             enc.decode_into(1, dim, &mut out);
             // 0.5 is exactly representable in every encoding (for int8 the

@@ -37,12 +37,14 @@
 //!   promoted. [`PinnedTable::prefetch_rows`] lets the serving runtime
 //!   stream rows into DRAM ahead of batch drain.
 //! * **Versioned live updates** ([`EmbeddingStore::apply_update`]) —
-//!   batches of row deltas ([`UpdateBatch`]) apply atomically and
-//!   publish their namespace's one snapshot version with one store
-//!   ([`EmbeddingStore::namespace_version`] reads it back); readers pin
-//!   an epoch ([`EmbeddingStore::pin_epoch`]) per coalesced batch and
-//!   the writer waits out those pinned before its publish, so the read
-//!   hot path stays lock-free while updates stay crash-atomic
+//!   a batch of row deltas ([`UpdateBatch`]) writes its rows and
+//!   publishes its namespace's one snapshot version with one store
+//!   ([`EmbeddingStore::namespace_version`] reads it back) under the
+//!   write guards of every shard it touches, so a bag reads all of its
+//!   rows, published, or none, and an injected crash aborts it before
+//!   any row moves. Readers take shard read guards, as for any read,
+//!   and pin an epoch ([`EmbeddingStore::pin_epoch`]) per coalesced
+//!   batch; the writer waits out those pinned before its publish
 //!   (DESIGN.md §14).
 //!
 //! Determinism guarantees: decoding is a pure function of the stored

@@ -59,7 +59,8 @@ impl PinnedTable {
     /// [`StoreError::RowOutOfRange`].
     pub fn read_row_encoded(&self, row: u32) -> Result<EncodedRow, StoreError> {
         self.table.check_row(row)?;
-        Ok(self.table.read_encoded(row))
+        let (s, r) = self.table.locate(row);
+        Ok(self.table.shards[s].read().copy_row(r, self.table.dim))
     }
 
     /// Cache key for a row of this table.

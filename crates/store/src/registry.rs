@@ -13,9 +13,8 @@ use drec_tensor::Divisor;
 use drec_tier::{TierConfig, TierEngine};
 
 use crate::cache::HotRowCache;
-use crate::encoding::{EncodedRow, RowData, RowEncoding};
+use crate::encoding::{RowData, RowEncoding};
 use crate::read::PinnedTable;
-use crate::update::RowWrite;
 
 /// Configuration for an [`EmbeddingStore`].
 #[derive(Debug, Clone)]
@@ -115,16 +114,16 @@ pub enum StoreError {
         /// Version the rejected batch targeted.
         target: u64,
     },
-    /// An injected crash fired mid-batch: every row the batch had
-    /// already rewritten was rolled back to its pre-batch value and the
-    /// namespace version was left unchanged — the failed update is
-    /// invisible.
+    /// An injected crash aborted the batch. The store checks for it
+    /// before any row moves, so no row was written and the namespace
+    /// version is unchanged — no reader ever saw the failed update.
     UpdateAborted {
         /// Update namespace.
         namespace: u64,
         /// Version the aborted batch targeted.
         target: u64,
-        /// Rows that had been applied and were rolled back.
+        /// Where in the batch the injected crash fell: half its rows.
+        /// None of them was written.
         rows_rolled_back: usize,
     },
 }
@@ -174,8 +173,8 @@ impl std::fmt::Display for StoreError {
                 rows_rolled_back,
             } => write!(
                 f,
-                "update to v{target} for namespace {namespace:#x} aborted; \
-                 {rows_rolled_back} rows rolled back"
+                "update to v{target} for namespace {namespace:#x} aborted at \
+                 row {rows_rolled_back}; no row was written"
             ),
         }
     }
@@ -196,10 +195,11 @@ pub(crate) struct StoredTable {
     /// Rows per shard, the divisor of [`StoredTable::locate`].
     rows_per_shard: Divisor,
     pub(crate) shards: Vec<RwLock<RowData>>,
-    /// Bumped on every row write, *before* the shard lock is taken. The
-    /// prefetcher captures it when a fill starts and re-verifies under
-    /// the residency lock, so a fill racing an update can never park
-    /// pre-update state as resident (see `PinnedTable::prefetch_row`).
+    /// Bumped once per row write, *after* the write and its shard guard
+    /// are done with and before the row is invalidated. The prefetcher
+    /// captures it when a fill starts and re-verifies under the
+    /// residency lock, so a fill racing an update can never park
+    /// pre-update state as resident (see `PinnedTable::prefetch_rows`).
     pub(crate) write_stamp: AtomicU64,
 }
 
@@ -244,40 +244,6 @@ impl StoredTable {
     pub(crate) fn locate(&self, row: u32) -> (usize, usize) {
         let d = self.rows_per_shard;
         ((row / d) as usize, (row % d) as usize)
-    }
-
-    /// Rewrites `row` per `write` under the shard's write lock, then
-    /// bumps the write stamp.
-    pub(crate) fn write_row(&self, row: u32, write: RowWrite<'_>) {
-        // Write first, stamp after. The order matters: a prefetch fill
-        // captures the stamp, reads the row, and re-verifies the stamp
-        // under the residency lock. Bumping *before* the write would let
-        // a fill capture the post-bump stamp, read the pre-update bytes,
-        // and pass its verify — parking stale state that the caller's
-        // subsequent invalidation cannot reach if it runs before the
-        // fill's insert (an interleaving the loom model
-        // `prefetch_fill_verify_never_parks_stale_bytes` exhibits).
-        // Write-then-bump closes it: a fill that read stale bytes either
-        // sees the bump at verify time and aborts, or verified before
-        // the bump — in which case the caller's invalidation (ordered
-        // after this bump, under the same residency lock) removes it.
-        let (s, r) = self.locate(row);
-        {
-            let mut shard = self.shards[s].write();
-            match write {
-                RowWrite::Values(values) => shard.write_row(r, self.dim, values),
-                RowWrite::Encoded(encoded) => {
-                    let restored = shard.restore_row(r, self.dim, encoded);
-                    debug_assert!(restored, "encoding and width are validated by the caller");
-                }
-            }
-        }
-        self.write_stamp.fetch_add(1, Ordering::Release);
-    }
-
-    pub(crate) fn read_encoded(&self, row: u32) -> EncodedRow {
-        let (s, r) = self.locate(row);
-        self.shards[s].read().copy_row(r, self.dim)
     }
 
     pub(crate) fn resident_bytes(&self) -> u64 {
@@ -378,7 +344,7 @@ pub struct EmbeddingStore {
     pub(crate) update_batches_applied: AtomicU64,
     /// Rows rewritten by applied update batches.
     pub(crate) update_rows_applied: AtomicU64,
-    /// Update batches rolled back whole after an injected crash.
+    /// Update batches aborted whole by an injected crash.
     pub(crate) update_rollbacks: AtomicU64,
     /// Duplicate (already-published) update batches rejected.
     pub(crate) update_duplicates_rejected: AtomicU64,

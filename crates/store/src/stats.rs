@@ -156,7 +156,8 @@ pub struct StoreStats {
     /// Equal to `update_rows_applied`: kept under its old name. Rows
     /// are rewritten in place, and no copy of one is retired later.
     pub update_rows_retired: u64,
-    /// Update batches rolled back whole (injected crash mid-batch).
+    /// Update batches aborted whole, before any row moved (injected
+    /// crash mid-batch).
     pub update_rollbacks: u64,
     /// Duplicate (already-published) update batches rejected.
     pub update_duplicates_rejected: u64,

@@ -1,11 +1,12 @@
-//! Row writes: versioned update and restore batches (validate, apply
-//! under an undo log, publish, wait out readers), the single-row rewrite, and
-//! the invalidation every write ends with.
+//! Row writes: versioned update and restore batches (validate, honor
+//! the injected fault, write and publish under the touched shards'
+//! guards, wait out readers), the single-row rewrite, and the one write
+//! routine both go through.
 
 use drec_faultsim::UpdateFault;
 use drec_sync::atomic::Ordering;
 
-use crate::encoding::EncodedRow;
+use crate::encoding::{EncodedRow, RowWrite};
 use crate::read::PinnedTable;
 use crate::registry::{EmbeddingStore, StoreError, StoredTable};
 
@@ -60,36 +61,14 @@ pub struct RestoreBatch {
     pub rows: Vec<RowRestore>,
 }
 
-/// What one row of an update batch writes.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum RowWrite<'a> {
-    /// Values, re-encoded into the store's encoding.
-    Values(&'a [f32]),
-    /// Captured bytes, copied back as they are.
-    Encoded(&'a EncodedRow),
-}
-
 /// What [`EmbeddingStore::apply_update`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UpdateReport {
     /// Rows rewritten by the batch.
     pub rows_applied: usize,
-    /// The version now published for the namespace.
-    pub(crate) published_version: u64,
 }
 
 impl EmbeddingStore {
-    /// Drops every trace of `key` outside its shard — the hot-row key
-    /// and the DRAM tier residency — so the rewritten row re-earns both.
-    /// The one call every row write ends with: `update_row`, a batch's
-    /// apply, and its rollback.
-    pub(crate) fn invalidate_row(&self, key: u64) {
-        self.cache.invalidate(key);
-        if let Some(tier) = &self.tier {
-            tier.invalidate(key);
-        }
-    }
-
     /// Applies one versioned [`UpdateBatch`] atomically and publishes
     /// its version (DESIGN.md §14). The protocol, in order:
     ///
@@ -98,25 +77,27 @@ impl EmbeddingStore {
     ///    past [`EmbeddingStore::namespace_version`]) are all checked
     ///    before any row is touched, so a malformed batch is rejected
     ///    with a typed error and zero visible effect.
-    /// 2. **Apply with an undo log** — each delta re-encodes its row
-    ///    under the shard write lock and invalidates the row's hot key
-    ///    and residency; the pre-update row is kept for rollback. An
-    ///    injected
-    ///    [`UpdateFault::CrashMidBatch`] fires halfway through and rolls
-    ///    every applied row back (restoring and re-invalidating), then
-    ///    returns [`StoreError::UpdateAborted`] — the failed batch is
-    ///    invisible and the version unchanged.
-    /// 3. **Publish** — the namespace's one version advances to
-    ///    `target_version`, one store (an injected
-    ///    [`UpdateFault::DelayPublish`] stalls just before this step;
-    ///    readers keep serving the prior version meanwhile).
+    /// 2. **Honor the injected fault before any row moves** — an
+    ///    [`UpdateFault::CrashMidBatch`] returns
+    ///    [`StoreError::UpdateAborted`] having written nothing, so the
+    ///    failed batch is invisible and the version unchanged; an
+    ///    [`UpdateFault::DelayPublish`] sleeps while readers keep serving
+    ///    the prior version.
+    /// 3. **Write and publish under the touched shards' guards** — the
+    ///    batch takes the write guard of every shard it touches, in
+    ///    (table slot, shard) order, rewrites its rows there and advances
+    ///    the namespace's one version to `target_version`, one store,
+    ///    before it lets the guards go; then each row's write stamp is
+    ///    bumped and its hot key and residency invalidated. A bag holds
+    ///    the guards of every shard it reads at once, so it reads all of
+    ///    the batch's rows, with the new version published, or none.
     /// 4. **Wait out pre-publish readers** — one epoch `synchronize`
     ///    returns once every reader pinned before the publish has
     ///    unpinned, so when this call returns no running batch is more
     ///    than one version behind (the N−1 staleness window). Nothing is
     ///    invalidated again: no decoded row lives outside the shards —
     ///    the hot-row key set and the tier hold keys, not values — so
-    ///    step 2's one invalidation per row is the only one.
+    ///    step 3's one invalidation per row is the only one.
     ///
     /// `fault` is the injected update fault to honor (the updater
     /// threads its [`drec_faultsim::FaultHook::on_update`] decision
@@ -127,7 +108,7 @@ impl EmbeddingStore {
     /// [`StoreError::TableNotRegistered`], [`StoreError::RowOutOfRange`],
     /// [`StoreError::DataSizeMismatch`] (validation),
     /// [`StoreError::VersionConflict`] (duplicate or gapped version), or
-    /// [`StoreError::UpdateAborted`] (injected crash, rolled back).
+    /// [`StoreError::UpdateAborted`] (injected crash, nothing written).
     pub fn apply_update(
         &self,
         batch: &UpdateBatch,
@@ -225,43 +206,28 @@ impl EmbeddingStore {
             });
         }
 
-        // Step 2: apply under an undo log, crashing halfway if injected.
-        // The log keeps each pre-update row *encoded*, so a rollback puts
-        // back the exact bytes rather than a re-quantization of them.
-        let crash_at = match fault {
-            UpdateFault::CrashMidBatch { .. } => Some(resolved.len() / 2),
-            _ => None,
-        };
-        let mut undo: Vec<(&StoredTable, u32, EncodedRow, u64)> =
-            Vec::with_capacity(resolved.len());
-        for (i, &(slot, table, row, write)) in resolved.iter().enumerate() {
-            if crash_at == Some(i) {
-                for (table, row, old, key) in undo.drain(..).rev() {
-                    table.write_row(row, RowWrite::Encoded(&old));
-                    self.invalidate_row(key);
-                }
+        // Step 2: the injected fault, before any row moves.
+        match fault {
+            UpdateFault::CrashMidBatch { .. } => {
                 self.update_rollbacks.fetch_add(1, Ordering::Relaxed);
                 return Err(StoreError::UpdateAborted {
                     namespace,
                     target: target_version,
-                    rows_rolled_back: i,
+                    rows_rolled_back: resolved.len() / 2,
                 });
             }
-            let old = table.read_encoded(row);
-            let key = ((slot as u64) << 32) | u64::from(row);
-            table.write_row(row, write);
-            self.invalidate_row(key);
-            undo.push((table, row, old, key));
+            UpdateFault::DelayPublish(delay) => {
+                self.update_publish_delays.fetch_add(1, Ordering::Relaxed);
+                std::thread::sleep(delay);
+            }
+            UpdateFault::None | UpdateFault::DuplicateDelta { .. } => {}
         }
 
-        // Step 3: publish (optionally after an injected delay, during
-        // which readers keep serving the still-current prior version).
-        if let UpdateFault::DelayPublish(delay) = fault {
-            self.update_publish_delays.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(delay);
-        }
-        ns.version.store(target_version, Ordering::Release);
-        let rows_applied = undo.len();
+        // Step 3: write and publish under the touched shards' guards.
+        self.write_rows(&mut resolved, || {
+            ns.version.store(target_version, Ordering::Release)
+        });
+        let rows_applied = resolved.len();
         drop(registry);
 
         // Step 4: wait out pre-publish readers.
@@ -269,18 +235,67 @@ impl EmbeddingStore {
         self.update_batches_applied.fetch_add(1, Ordering::Relaxed);
         self.update_rows_applied
             .fetch_add(rows_applied as u64, Ordering::Relaxed);
-        Ok(UpdateReport {
-            rows_applied,
-            published_version: target_version,
-        })
+        Ok(UpdateReport { rows_applied })
+    }
+
+    /// The one row-write routine, behind a batch's apply and
+    /// [`PinnedTable::update_row`]. `rows` is `(table slot, table, row,
+    /// what to write)`, every row validated. It takes the write guard of
+    /// every shard the rows touch, in (table slot, shard) order — the
+    /// lock order of DESIGN.md §12 — writes the rows there, and runs
+    /// `publish` before it lets the guards go. A bag holds the guards of
+    /// every shard it reads at once, so it reads all of `rows` as
+    /// written, with `publish` done, or none of them.
+    ///
+    /// Then each row's table write stamp is bumped and every trace of the
+    /// row outside its shard dropped — its hot key and its DRAM tier
+    /// residency — so the rewritten row re-earns both. Write, then stamp,
+    /// then invalidate: a prefetch fill captures the stamp, reads the row
+    /// and re-verifies the stamp under the residency lock. A fill that
+    /// read pre-update bytes either sees the bump at its verify and
+    /// aborts, or verified before it, and the invalidation, under that
+    /// same lock, removes what it parked. A bump before the write would
+    /// let a fill capture the bumped stamp, read the old bytes and pass
+    /// its verify after the invalidation ran — the interleaving the loom
+    /// model `prefetch_fill_verify_never_parks_stale_bytes` exhibits.
+    fn write_rows(
+        &self,
+        rows: &mut [(usize, &StoredTable, u32, RowWrite<'_>)],
+        publish: impl FnOnce(),
+    ) {
+        // A stable sort: a row named twice keeps its batch order, and its
+        // last write wins.
+        rows.sort_by_key(|&(slot, table, row, _)| (slot, table.locate(row).0));
+        let mut guards = Vec::new();
+        let mut held = None;
+        for &(slot, table, row, write) in rows.iter() {
+            let (s, r) = table.locate(row);
+            if held != Some((slot, s)) {
+                guards.push(table.shards[s].write());
+                held = Some((slot, s));
+            }
+            let shard = guards.last_mut().expect("its shard's guard is held");
+            shard.write(r, table.dim, write);
+        }
+        publish();
+        drop(guards);
+        for &(slot, table, row, _) in rows.iter() {
+            table.write_stamp.fetch_add(1, Ordering::Release);
+            let key = ((slot as u64) << 32) | u64::from(row);
+            self.cache.invalidate(key);
+            if let Some(tier) = &self.tier {
+                tier.invalidate(key);
+            }
+        }
     }
 }
 
 impl PinnedTable {
-    /// Re-encodes one row from `values` under the owning shard's write
-    /// lock and invalidates every trace of it outside the shard
-    /// (hot-row key and tier residency), so subsequent lookups see the
-    /// new value and re-earn residency from it.
+    /// Re-encodes one row from `values` through the store's one write
+    /// routine, with no version to publish, and invalidates every trace
+    /// of it outside the shard (hot-row key and tier residency), so
+    /// subsequent lookups see the new value and re-earn residency from
+    /// it.
     ///
     /// # Errors
     ///
@@ -293,8 +308,8 @@ impl PinnedTable {
                 actual: values.len(),
             });
         }
-        self.table.write_row(row, RowWrite::Values(values));
-        self.store.invalidate_row(self.key(row));
+        let write = (self.handle.0, &*self.table, row, RowWrite::Values(values));
+        self.store.write_rows(&mut [write], || {});
         Ok(())
     }
 }
@@ -418,13 +433,7 @@ mod tests {
                 UpdateFault::None,
             )
             .unwrap();
-        assert_eq!(
-            report,
-            UpdateReport {
-                rows_applied: 2,
-                published_version: 1
-            }
-        );
+        assert_eq!(report, UpdateReport { rows_applied: 2 });
         assert_eq!(s.namespace_version(7), 1);
         p0.read_row(3, &mut out);
         assert_eq!(out, [1.0, 2.0], "cached pre-update row survived");
@@ -650,18 +659,55 @@ mod tests {
     fn delayed_publish_still_lands() {
         let s = store(StoreConfig::default());
         s.register(7, 0, 4, 2, &filled(4, 2)).unwrap();
-        let report = s
-            .apply_update(
-                &UpdateBatch {
+        s.apply_update(
+            &UpdateBatch {
+                namespace: 7,
+                target_version: 1,
+                deltas: vec![delta(0, 0, &[1.0, 1.0])],
+            },
+            UpdateFault::DelayPublish(std::time::Duration::from_millis(2)),
+        )
+        .unwrap();
+        assert_eq!(s.namespace_version(7), 1);
+        assert_eq!(s.stats().update_publish_delays, 1);
+    }
+
+    /// A delayed publish holds the whole batch back, its rows with its
+    /// version: the store counts the delay as it starts to sleep, and a
+    /// read from then on, with the version still 0, gets the pre-batch
+    /// bytes. Writing the rows before the delay served the new ones.
+    #[test]
+    fn rows_stay_unpublished_through_a_delayed_publish() {
+        let s = store(StoreConfig::default());
+        let data = filled(4, 2);
+        let pin = s.pin(s.register(7, 0, 4, 2, &data).unwrap());
+        let writer = {
+            let s = Arc::clone(&s);
+            std::thread::spawn(move || {
+                let batch = UpdateBatch {
                     namespace: 7,
                     target_version: 1,
-                    deltas: vec![delta(0, 0, &[1.0, 1.0])],
-                },
-                UpdateFault::DelayPublish(std::time::Duration::from_millis(2)),
-            )
-            .unwrap();
-        assert_eq!(report.published_version, 1);
-        assert_eq!(s.stats().update_publish_delays, 1);
+                    deltas: vec![delta(0, 1, &[9.0, 9.0]), delta(0, 3, &[9.0, 9.0])],
+                };
+                let delay = std::time::Duration::from_millis(200);
+                s.apply_update(&batch, UpdateFault::DelayPublish(delay))
+            })
+        };
+        while s.stats().update_publish_delays == 0 {
+            std::thread::yield_now();
+        }
+        let mut out = vec![0.0f32; 2];
+        pin.read_row(1, &mut out);
+        assert_eq!(
+            s.namespace_version(7),
+            0,
+            "the read outlasted the 200 ms delay"
+        );
+        assert_eq!(out, &data[2..4], "a row of the unpublished batch was read");
+        writer.join().unwrap().unwrap();
+        assert_eq!(s.namespace_version(7), 1);
+        pin.read_row(1, &mut out);
+        assert_eq!(out, [9.0, 9.0]);
     }
 
     #[test]
