@@ -289,9 +289,9 @@ fn run_rolling_update(smoke: bool) -> RollingOutcome {
         })
         .collect();
 
-    // The rolling update itself, on its own thread (the publish path
-    // synchronizes the reclamation epoch — an inline run on a worker
-    // would deadlock on its own pin). One shared fault hook aggregates
+    // The rolling update itself, on its own thread (the updater
+    // synchronizes the update epoch once per version — an inline run on
+    // a worker would deadlock on its own pin). One shared fault hook aggregates
     // the injected update faults across all per-model runs.
     let hook = FaultHook::from_plan(&FaultPlan {
         update_crash_every_n_batches: Some(3),

@@ -52,9 +52,8 @@ impl Engine {
     /// Wraps a built model and its platform latency curve, pinning batch
     /// execution to `pool` — how the serving runtime shares one intra-op
     /// pool across all worker engines. `store` names the shared
-    /// [`EmbeddingStore`] the model was built against (if any), whose
-    /// reclamation epoch every batch pins; the engine reads it off the
-    /// model.
+    /// [`EmbeddingStore`] the model was built against (if any); the
+    /// engine reads it off the model.
     ///
     /// Construction compiles the model's execution plan (operator
     /// fusion and wave scheduling) once; every batch then reuses the
@@ -64,8 +63,7 @@ impl Engine {
     /// # Panics
     ///
     /// Panics if `store` is not the store the model was built against
-    /// ([`RecModel::store`]; both `None` for a dense build): an engine
-    /// pinning another store's epoch leaves its own rows unprotected.
+    /// ([`RecModel::store`]; both `None` for a dense build).
     pub fn with_store(
         mut model: RecModel,
         curve: LatencyCurve,
@@ -135,21 +133,10 @@ impl Engine {
         let batch = requests.len();
         // One epoch pin for the whole batch, taken before anything else:
         // one fetch_add per batch (not per row) keeps the read-path
-        // overhead inside the perf gate. No row this batch reads is
-        // retired under it, and an updater that posts a weight set and
-        // synchronizes waits until this batch ends or has polled after
-        // the post. Without a channel a store-backed batch pins its
-        // store's epoch, through a handle of its own: the model is
-        // written below.
-        let store = self
-            .model
-            .store()
-            .filter(|_| self.update.is_none())
-            .cloned();
-        let _epoch = match &self.update {
-            Some(channel) => Some(channel.epoch().pin()),
-            None => store.as_ref().map(|store| store.pin_epoch()),
-        };
+        // overhead inside the perf gate. An updater that posts a weight
+        // set and synchronizes waits until this batch ends or has polled
+        // after the post.
+        let _epoch = self.update.as_ref().map(|channel| channel.epoch().pin());
         let newer = self
             .update
             .as_ref()
@@ -162,13 +149,6 @@ impl Engine {
                 })?;
             self.weight_version = ws.version;
         }
-        // The embedding snapshot this batch serves from: captured before
-        // execution so a publish landing mid-batch counts as staleness 1
-        // (the allowed bound), never more.
-        let embed_version = match (&self.update, self.model.store()) {
-            (Some(channel), Some(store)) => Some(store.namespace_version(channel.namespace())),
-            _ => None,
-        };
         let mut inputs = coalesce_inputs(self.model.spec(), requests);
         match self.faults.on_batch() {
             BatchFault::None => {}
@@ -189,9 +169,11 @@ impl Engine {
             }
         })?;
         if let Some(channel) = &self.update {
-            let weights = self.weight_version;
-            let served = embed_version.map_or(weights, |rows| rows.min(weights));
-            channel.record_staleness(served);
+            // The batch serves the version of the set it installed: the
+            // updater publishes a version's rows before it posts its set
+            // and is its namespace's only writer, so no row read here is
+            // older than that set.
+            channel.record_staleness(self.weight_version);
         }
         Ok(BatchExecution {
             per_request_outputs: split_outputs(&outputs, batch),

@@ -41,17 +41,18 @@
 //! model's FC nodes for layers over the new handles
 //! ([`drec_models::RecModel::install_fc_params`]).
 //!
-//! Rows and weight sets share one version protocol: publish, then
-//! synchronize the epoch. The updater posts a set, publishes its version
-//! and calls [`EpochGc::synchronize`]; when that returns, every batch that
-//! pinned before the post has ended, and every later one polls inside its
-//! pin and so installs that set or a newer one.
+//! Rows and weight sets share one version protocol and one wait-out.
+//! The updater applies a version's row batch, which publishes the rows
+//! and returns without waiting for readers, then posts the version's
+//! set, publishes the version and calls [`EpochGc::synchronize`], once.
+//! When that returns, every batch that pinned before the post has ended,
+//! and every later one polls inside its pin and so installs that set or a
+//! newer one, whose rows were published before it was posted.
 //!
 //! Deadlock rule: the updater must run on its own thread. The
-//! synchronize waits for every pinned reader — a worker that applied
-//! updates inline while pinned would wait on itself — and it has no
-//! timeout: a batch that never ends holds the updater, as it holds
-//! [`EmbeddingStore::apply_update`].
+//! synchronize waits for every pinned reader — a worker that ran the
+//! updater inline while pinned would wait on itself — and it has no
+//! timeout: a batch that never ends holds the updater.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -425,7 +426,8 @@ impl Updater {
                 .post_weights(Arc::new(WeightSet { version, layers }));
             stats.weight_sets_posted += 1;
             self.channel.publish_version(version);
-            // When this returns, no batch that began before the post is
+            // The version's one wait-out, for its rows and its set alike:
+            // when this returns, no batch that began before the post is
             // running, so none serves older than `version - 1`.
             self.channel.epoch().synchronize();
             if !self.plan.pace.is_zero() {
@@ -700,6 +702,42 @@ mod tests {
             4,
             "duplicates must not advance"
         );
+    }
+
+    /// The wait-out lives in the updater: a run does not return while a
+    /// reader that pinned before its posts still holds the channel's
+    /// epoch, and it synchronizes once per version, the store not at all.
+    #[test]
+    fn a_run_waits_out_a_reader_pinned_before_its_post() {
+        use drec_sync::atomic::AtomicBool;
+        let ns = 0x21;
+        let store = store_with_table(ns);
+        let channel = ModelUpdateChannel::new("m", ns, Some(Arc::clone(&store)), Vec::new(), None);
+        let channel = Arc::new(channel);
+        let released = Arc::new(AtomicBool::new(false));
+        let (pinned_tx, pinned_rx) = std::sync::mpsc::channel();
+        let reader = {
+            let (channel, released) = (Arc::clone(&channel), Arc::clone(&released));
+            std::thread::spawn(move || {
+                let guard = channel.epoch().pin();
+                pinned_tx.send(()).unwrap();
+                std::thread::sleep(Duration::from_millis(50));
+                released.store(true, Ordering::SeqCst);
+                drop(guard);
+            })
+        };
+        pinned_rx.recv().unwrap();
+        let plan = UpdatePlan {
+            versions: 2,
+            ..UpdatePlan::default()
+        };
+        Updater::new(Arc::clone(&channel), plan).run().unwrap();
+        assert!(
+            released.load(Ordering::SeqCst),
+            "the run returned while a reader pinned before its post held the epoch"
+        );
+        assert_eq!(store.stats().update_synchronizations, 2);
+        reader.join().unwrap();
     }
 
     #[test]

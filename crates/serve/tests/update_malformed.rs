@@ -159,9 +159,9 @@ fn rolling_update_is_invisible_at_quiescence_and_bounded_in_flight() {
     let channel = runtime.update_channel().clone();
     let oracle = probe_bits(&runtime, 23);
 
-    // Stream the rolling update from its own thread (the publish path
-    // synchronizes the reclamation epoch — see the update module docs)
-    // while this thread keeps traffic flowing.
+    // Stream the rolling update from its own thread (the updater
+    // synchronizes the update epoch once per version — see the update
+    // module docs) while this thread keeps traffic flowing.
     let updater_thread = {
         let channel = std::sync::Arc::clone(&channel);
         std::thread::spawn(move || {

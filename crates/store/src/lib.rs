@@ -44,8 +44,9 @@
 //!   rows, published, or none, and an injected crash aborts it before
 //!   any row moves. Readers take shard read guards, as for any read,
 //!   and pin an epoch ([`EmbeddingStore::pin_epoch`]) per coalesced
-//!   batch; the writer waits out those pinned before its publish
-//!   (DESIGN.md §14).
+//!   batch. The write path never waits on them: a serving lane's
+//!   updater waits them out once per version, after it posts the
+//!   version's weight set (DESIGN.md §14).
 //!
 //! Determinism guarantees: decoding is a pure function of the stored
 //! bytes, and the shard holds the only copy of them — so the hot set

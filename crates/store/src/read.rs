@@ -11,7 +11,7 @@ use drec_tensor::simd;
 use drec_tier::TierSession;
 
 use crate::encoding::{EncodedRow, RowData};
-use crate::registry::{EmbeddingStore, StoreError, StoredTable, TableHandle, MAX_SHARDS};
+use crate::registry::{row_key, EmbeddingStore, StoreError, StoredTable, TableHandle, MAX_SHARDS};
 
 /// A pinned reference to one table in a store — the hot-path lookup API.
 #[derive(Debug, Clone)]
@@ -65,7 +65,7 @@ impl PinnedTable {
 
     /// Cache key for a row of this table.
     pub(crate) fn key(&self, row: u32) -> u64 {
-        ((self.handle.0 as u64) << 32) | u64::from(row)
+        row_key(self.handle.0, row)
     }
 
     /// The one row-read routine: reads `rows` in order as a single

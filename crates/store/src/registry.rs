@@ -251,6 +251,12 @@ impl StoredTable {
     }
 }
 
+/// The key a row goes by outside its shard, in the hot-row key set and
+/// the tier: its table's slot in the high 32 bits, the row in the low.
+pub(crate) fn row_key(slot: usize, row: u32) -> u64 {
+    ((slot as u64) << 32) | u64::from(row)
+}
+
 /// What the registry lock guards: every table, indexed by handle, and
 /// one record per namespace.
 #[derive(Debug, Default)]
@@ -336,9 +342,9 @@ pub struct EmbeddingStore {
     /// DRAM/SSD residency model (`StoreConfig::tier`).
     pub(crate) tier: Option<TierEngine>,
     /// Epoch cell the live-update protocol pins readers with. Readers
-    /// pin once per coalesced batch; `apply_update` synchronizes against
-    /// it before it reports the batch applied, so every reader that began
-    /// before the publish has ended (DESIGN.md §14).
+    /// pin once per coalesced batch; a serving lane's updater
+    /// synchronizes it once per version, after it posts the version's
+    /// weight set (DESIGN.md §14). The store itself never waits on it.
     pub(crate) epoch: EpochGc,
     /// Update batches applied and published.
     pub(crate) update_batches_applied: AtomicU64,
@@ -532,11 +538,8 @@ impl EmbeddingStore {
 
     /// Pins the calling thread into the current update epoch. Readers
     /// (the serving engines) hold the guard across one coalesced batch;
-    /// [`EmbeddingStore::apply_update`] waits out every reader pinned
-    /// before its publish. Never blocks.
-    ///
-    /// A thread must **not** call `apply_update` while holding its own
-    /// epoch guard — the wait would be for the caller itself.
+    /// a synchronize of [`EmbeddingStore::epoch`] waits out every reader
+    /// pinned before it. Never blocks.
     pub fn pin_epoch(&self) -> EpochGuard<'_> {
         self.epoch.pin()
     }

@@ -163,8 +163,8 @@ pub struct StoreStats {
     pub update_duplicates_rejected: u64,
     /// Injected publish delays honored mid-update.
     pub update_publish_delays: u64,
-    /// Epoch synchronizations completed: the wait-out step's, and a
-    /// serving updater's one per version posted.
+    /// Epoch synchronizations completed: a serving updater's, one per
+    /// version posted. The store's own write path makes none.
     pub update_synchronizations: u64,
     /// Readers currently pinned into the update epoch (gauge; racy).
     pub pinned_readers: u64,

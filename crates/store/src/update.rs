@@ -1,14 +1,14 @@
 //! Row writes: versioned update and restore batches (validate, honor
 //! the injected fault, write and publish under the touched shards'
-//! guards, wait out readers), the single-row rewrite, and the one write
-//! routine both go through.
+//! guards), the single-row rewrite, and the one write routine both go
+//! through.
 
 use drec_faultsim::UpdateFault;
 use drec_sync::atomic::Ordering;
 
 use crate::encoding::{EncodedRow, RowWrite};
 use crate::read::PinnedTable;
-use crate::registry::{EmbeddingStore, StoreError, StoredTable};
+use crate::registry::{row_key, EmbeddingStore, StoreError, StoredTable};
 
 /// One row rewrite inside an [`UpdateBatch`].
 #[derive(Debug, Clone, PartialEq)]
@@ -82,7 +82,9 @@ impl EmbeddingStore {
     ///    [`StoreError::UpdateAborted`] having written nothing, so the
     ///    failed batch is invisible and the version unchanged; an
     ///    [`UpdateFault::DelayPublish`] sleeps while readers keep serving
-    ///    the prior version.
+    ///    the prior version, before the batch takes the registry guard
+    ///    at all (ahead of step 1): a sleep under that guard would hold
+    ///    every registry read queued behind a waiting registration.
     /// 3. **Write and publish under the touched shards' guards** — the
     ///    batch takes the write guard of every shard it touches, in
     ///    (table slot, shard) order, rewrites its rows there and advances
@@ -91,13 +93,13 @@ impl EmbeddingStore {
     ///    bumped and its hot key and residency invalidated. A bag holds
     ///    the guards of every shard it reads at once, so it reads all of
     ///    the batch's rows, with the new version published, or none.
-    /// 4. **Wait out pre-publish readers** — one epoch `synchronize`
-    ///    returns once every reader pinned before the publish has
-    ///    unpinned, so when this call returns no running batch is more
-    ///    than one version behind (the N−1 staleness window). Nothing is
-    ///    invalidated again: no decoded row lives outside the shards —
-    ///    the hot-row key set and the tier hold keys, not values — so
-    ///    step 3's one invalidation per row is the only one.
+    ///
+    /// It returns without waiting for readers: rows are rewritten in
+    /// place and no decoded row lives outside the shards — the hot-row
+    /// key set and the tier hold keys, not values — so nothing is left
+    /// to retire once step 3 is done. A serving lane's updater waits out
+    /// its readers once per version, on this store's epoch, after it
+    /// posts the version's weight set (DESIGN.md §14).
     ///
     /// `fault` is the injected update fault to honor (the updater
     /// threads its [`drec_faultsim::FaultHook::on_update`] decision
@@ -123,7 +125,7 @@ impl EmbeddingStore {
     }
 
     /// [`EmbeddingStore::apply_update`] for rows captured with
-    /// [`PinnedTable::read_row_encoded`]: the same four steps and the
+    /// [`PinnedTable::read_row_encoded`]: the same three steps and the
     /// same errors, but each row is copied back byte for byte instead of
     /// being re-encoded — a restore leaves the store bit-identical to
     /// what it was when the rows were captured, in every encoding. A
@@ -153,11 +155,15 @@ impl EmbeddingStore {
         writes: Vec<(u32, u32, RowWrite<'_>)>,
         fault: UpdateFault,
     ) -> Result<UpdateReport, StoreError> {
+        // Step 2's delay, before the registry guard: a registration
+        // queued behind a sleeping guard would hold every later read of
+        // the registry behind the sleep.
+        if let UpdateFault::DelayPublish(delay) = fault {
+            self.update_publish_delays.fetch_add(1, Ordering::Relaxed);
+            std::thread::sleep(delay);
+        }
         // One read guard from validation through the publish: the
-        // namespace record and its tables are borrowed, not cloned. It is
-        // let go before step 4, which waits on pinned readers — and a
-        // reader's version read would queue behind a registration queued
-        // behind this guard.
+        // namespace record and its tables are borrowed, not cloned.
         let registry = self.registry.read();
         let ns = registry.namespaces.get(&namespace);
         // Step 1: resolve and validate every row before touching any.
@@ -206,21 +212,15 @@ impl EmbeddingStore {
             });
         }
 
-        // Step 2: the injected fault, before any row moves.
-        match fault {
-            UpdateFault::CrashMidBatch { .. } => {
-                self.update_rollbacks.fetch_add(1, Ordering::Relaxed);
-                return Err(StoreError::UpdateAborted {
-                    namespace,
-                    target: target_version,
-                    rows_rolled_back: resolved.len() / 2,
-                });
-            }
-            UpdateFault::DelayPublish(delay) => {
-                self.update_publish_delays.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(delay);
-            }
-            UpdateFault::None | UpdateFault::DuplicateDelta { .. } => {}
+        // Step 2: an injected crash, after validation and before any
+        // row moves.
+        if let UpdateFault::CrashMidBatch { .. } = fault {
+            self.update_rollbacks.fetch_add(1, Ordering::Relaxed);
+            return Err(StoreError::UpdateAborted {
+                namespace,
+                target: target_version,
+                rows_rolled_back: resolved.len() / 2,
+            });
         }
 
         // Step 3: write and publish under the touched shards' guards.
@@ -228,10 +228,6 @@ impl EmbeddingStore {
             ns.version.store(target_version, Ordering::Release)
         });
         let rows_applied = resolved.len();
-        drop(registry);
-
-        // Step 4: wait out pre-publish readers.
-        self.epoch.synchronize();
         self.update_batches_applied.fetch_add(1, Ordering::Relaxed);
         self.update_rows_applied
             .fetch_add(rows_applied as u64, Ordering::Relaxed);
@@ -281,7 +277,7 @@ impl EmbeddingStore {
         drop(guards);
         for &(slot, table, row, _) in rows.iter() {
             table.write_stamp.fetch_add(1, Ordering::Release);
-            let key = ((slot as u64) << 32) | u64::from(row);
+            let key = row_key(slot, row);
             self.cache.invalidate(key);
             if let Some(tier) = &self.tier {
                 tier.invalidate(key);
@@ -316,7 +312,8 @@ impl PinnedTable {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
+    use std::sync::{mpsc, Arc};
+    use std::time::{Duration, Instant};
 
     use super::*;
     use crate::test_support::{filled, store, tiered_cfg};
@@ -443,7 +440,7 @@ mod tests {
         assert_eq!(stats.update_batches_applied, 1);
         assert_eq!(stats.update_rows_applied, 2);
         assert_eq!(stats.update_rows_retired, 2);
-        assert_eq!(stats.update_synchronizations, 1);
+        assert_eq!(stats.update_synchronizations, 0);
         assert_eq!(stats.update_rollbacks, 0);
     }
 
@@ -591,8 +588,8 @@ mod tests {
                     })
                     .collect(),
             };
-            // A crash halfway rolls 32 perturbed rows back from the
-            // encoded undo log: nothing may have moved by a bit.
+            // A crash aborts the batch before any of its perturbed rows
+            // is written: nothing may have moved by a bit.
             assert!(matches!(
                 s.apply_update(&perturb, UpdateFault::CrashMidBatch { batch: 0 }),
                 Err(StoreError::UpdateAborted {
@@ -665,7 +662,7 @@ mod tests {
                 target_version: 1,
                 deltas: vec![delta(0, 0, &[1.0, 1.0])],
             },
-            UpdateFault::DelayPublish(std::time::Duration::from_millis(2)),
+            UpdateFault::DelayPublish(Duration::from_millis(2)),
         )
         .unwrap();
         assert_eq!(s.namespace_version(7), 1);
@@ -689,7 +686,7 @@ mod tests {
                     target_version: 1,
                     deltas: vec![delta(0, 1, &[9.0, 9.0]), delta(0, 3, &[9.0, 9.0])],
                 };
-                let delay = std::time::Duration::from_millis(200);
+                let delay = Duration::from_millis(200);
                 s.apply_update(&batch, UpdateFault::DelayPublish(delay))
             })
         };
@@ -824,21 +821,27 @@ mod tests {
         assert_eq!(s.stats().tier_invalidations, 1);
     }
 
+    /// The store's write path never waits on a reader: a batch lands
+    /// and returns while another thread holds the epoch pinned. The
+    /// reader gives its pin up after 2 s at the latest, so a call that
+    /// waited for it fails here instead of hanging.
     #[test]
-    fn pinned_reader_blocks_retirement_until_unpinned() {
+    fn apply_update_returns_while_a_reader_is_pinned() {
         let s = store(StoreConfig::default());
         s.register(7, 0, 4, 2, &filled(4, 2)).unwrap();
-        let released = Arc::new(drec_sync::atomic::AtomicBool::new(false));
+        let (pinned_tx, pinned_rx) = mpsc::channel();
+        let (returned_tx, returned_rx) = mpsc::channel::<()>();
         let reader = {
-            let (s, released) = (Arc::clone(&s), Arc::clone(&released));
+            let s = Arc::clone(&s);
             std::thread::spawn(move || {
                 let guard = s.pin_epoch();
-                std::thread::sleep(std::time::Duration::from_millis(15));
-                released.store(true, Ordering::SeqCst);
+                pinned_tx.send(()).unwrap();
+                let returned = returned_rx.recv_timeout(Duration::from_secs(2)).is_ok();
                 drop(guard);
+                returned
             })
         };
-        std::thread::sleep(std::time::Duration::from_millis(3));
+        pinned_rx.recv().unwrap();
         assert_eq!(s.stats().pinned_readers, 1);
         s.apply_update(
             &UpdateBatch {
@@ -849,10 +852,53 @@ mod tests {
             UpdateFault::None,
         )
         .unwrap();
+        // The reader may have given up already; it reports that below.
+        let _ = returned_tx.send(());
         assert!(
-            released.load(Ordering::SeqCst),
-            "apply_update retired rows while a pre-publish reader was pinned"
+            reader.join().unwrap(),
+            "apply_update waited for a reader that pinned before its publish"
         );
-        reader.join().unwrap();
+        assert_eq!(s.namespace_version(7), 1);
+    }
+
+    /// A delayed publish sleeps before it takes the registry guard: under
+    /// it, a registration would queue behind the sleep, and every registry
+    /// read behind the registration.
+    #[test]
+    fn a_delayed_publish_holds_no_registry_read_behind_a_registration() {
+        let s = store(StoreConfig::default());
+        s.register(7, 0, 4, 2, &filled(4, 2)).unwrap();
+        s.register(8, 0, 4, 2, &filled(4, 2)).unwrap();
+        let writer = {
+            let s = Arc::clone(&s);
+            std::thread::spawn(move || {
+                let batch = UpdateBatch {
+                    namespace: 7,
+                    target_version: 1,
+                    deltas: vec![delta(0, 1, &[9.0, 9.0])],
+                };
+                let delay = Duration::from_millis(300);
+                s.apply_update(&batch, UpdateFault::DelayPublish(delay))
+            })
+        };
+        while s.stats().update_publish_delays == 0 {
+            std::thread::yield_now();
+        }
+        let registration = {
+            let s = Arc::clone(&s);
+            std::thread::spawn(move || s.register(9, 0, 4, 2, &filled(4, 2)))
+        };
+        // Let the registration reach the registry lock.
+        std::thread::sleep(Duration::from_millis(20));
+        let start = Instant::now();
+        assert_eq!(s.namespace_version(8), 0);
+        let waited = start.elapsed();
+        assert!(
+            waited < Duration::from_millis(50),
+            "a version read waited {waited:?} beside a delayed publish"
+        );
+        registration.join().unwrap().unwrap();
+        writer.join().unwrap().unwrap();
+        assert_eq!(s.namespace_version(7), 1);
     }
 }

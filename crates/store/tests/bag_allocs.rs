@@ -3,8 +3,8 @@
 //! table cut into three shards — one `sum_rows` and one `read_rows` of
 //! 120 rows each leave the heap's live figure and its high-water mark
 //! where they were. The shard guards a bag holds sit on its stack. Nor
-//! does the version read a store-backed batch makes before it runs: on a
-//! store of two namespaces, `namespace_version` is a lookup and a load.
+//! does a read of a namespace's published version: on a store of two
+//! namespaces, `namespace_version` is a lookup and a load.
 //!
 //! A test binary of its own: the counting `#[global_allocator]` must see
 //! this test's heap and no other's.

@@ -260,8 +260,8 @@ fn epoch_synchronize_orders_reader_side_effects_before_retirement() {
             })
         };
         // Writer: publish version 2, wait out pre-flip readers, then
-        // invalidate the cache (the second-pass invalidate in
-        // EmbeddingStore::apply_update).
+        // invalidate the cache (a writer that retires what its readers
+        // may have cached).
         value.store(2, Ordering::SeqCst);
         gc.synchronize();
         cache.store(0, Ordering::SeqCst);
