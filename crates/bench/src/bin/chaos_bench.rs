@@ -44,8 +44,8 @@ use drec_faultsim::{FaultCounts, FaultHook, FaultPlan};
 use drec_models::{ModelId, ModelScale};
 use drec_sched::{ModelSlo, MultiServeHandle, MultiServeRuntime, SchedConfig};
 use drec_serve::{
-    EmbeddingStore, ServeConfig, ServeError, ServeRuntime, StoreConfig, SupervisorConfig,
-    UpdatePlan, Updater, UpdaterStats,
+    EmbeddingStore, ModelUpdateChannel, ServeConfig, ServeError, ServeRuntime, StoreConfig,
+    SupervisorConfig, UpdatePlan, Updater, UpdaterStats,
 };
 use drec_workload::QueryGen;
 
@@ -289,10 +289,11 @@ fn run_rolling_update(smoke: bool) -> RollingOutcome {
         })
         .collect();
 
-    // The rolling update itself, on its own thread (the updater
-    // synchronizes the update epoch once per version — an inline run on
-    // a worker would deadlock on its own pin). One shared fault hook aggregates
-    // the injected update faults across all per-model runs.
+    // The rolling update itself, on its own thread (each model's run
+    // synchronizes its lane's channel epoch once per version — an inline
+    // run on one of that lane's workers would deadlock on its own pin).
+    // One shared fault hook aggregates the injected update faults across
+    // all per-model runs.
     let hook = FaultHook::from_plan(&FaultPlan {
         update_crash_every_n_batches: Some(3),
         update_delay_every_n_batches: Some(4),
@@ -361,9 +362,9 @@ fn run_rolling_update(smoke: bool) -> RollingOutcome {
     }
 }
 
-/// Part 5: the read-path cost of version pinning. Engines pin the
-/// reclamation epoch once per batch; on the warm cached-row floor that
-/// must stay within [`PIN_OVERHEAD_GATE`] of the unpinned read loop.
+/// Part 5: the read-path cost of version pinning. Engines pin their
+/// update channel's epoch once per batch; on the warm cached-row floor
+/// that must stay within [`PIN_OVERHEAD_GATE`] of the unpinned read loop.
 /// Seconds per row, unpinned and pinned, in alternating passes.
 fn measure_pin_overhead(smoke: bool) -> (Spread, Spread) {
     const ROWS: u32 = 1024;
@@ -380,6 +381,7 @@ fn measure_pin_overhead(smoke: bool) -> (Spread, Spread) {
     let pin = store
         .try_pin(store.lookup(1, 0).expect("table exists"))
         .expect("pin");
+    let channel = ModelUpdateChannel::new("pin", 1, Some(Arc::clone(&store)), Vec::new(), None);
     let (mut buf, mut pinned_buf) = (vec![0.0f32; DIM], vec![0.0f32; DIM]);
     for row in 0..ROWS {
         pin.read_row_raw(row, &mut buf).expect("warm read");
@@ -396,7 +398,7 @@ fn measure_pin_overhead(smoke: bool) -> (Spread, Spread) {
         || {
             let pinned = || {
                 for batch in (0..reads_per_trial).step_by(BATCH) {
-                    let _epoch = store.pin_epoch();
+                    let _epoch = channel.epoch().pin();
                     (batch..batch + BATCH as u32).for_each(|i| read(i, &mut pinned_buf));
                 }
             };

@@ -86,21 +86,12 @@ impl Engine {
     }
 
     /// Subscribes this engine to a live-update channel: from the next
-    /// batch on it pins the channel's epoch, polls the mailbox inside that
-    /// pin (so weight swaps land before a batch runs, never
+    /// batch on it pins the channel's own epoch, polls the mailbox inside
+    /// that pin (so weight swaps land before a batch runs, never
     /// mid-inference) and reports per-batch staleness. The engine's model
     /// must hold the channel's baseline, as the lane's model and its views
     /// do.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the channel's store is not the engine's: the one pin a
-    /// batch takes must cover its rows.
     pub(crate) fn set_update_channel(&mut self, channel: Arc<ModelUpdateChannel>) {
-        assert!(
-            channel.store().map(Arc::as_ptr) == self.model.store().map(Arc::as_ptr),
-            "an update channel's store must be its engine's"
-        );
         self.update = Some(channel);
     }
 

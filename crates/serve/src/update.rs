@@ -8,9 +8,10 @@
 //!
 //! * [`ModelUpdateChannel`] — one per served model: a single-slot weight
 //!   mailbox each engine polls inside its batch's epoch pin, the epoch
-//!   itself (the store's for a store-backed model, the channel's own for
-//!   a dense one), and a max-staleness gauge proving the bound the chaos
-//!   gate asserts (every batch serves version ≥ N−1 once N is published).
+//!   itself, which the channel owns, dense or store-backed, so a lane's
+//!   updater waits out that lane's batches and no other's, and a
+//!   max-staleness gauge proving the bound the chaos gate asserts (every
+//!   batch serves version ≥ N−1 once N is published).
 //! * [`Updater`] — a background driver that streams seeded delta batches
 //!   through [`drec_store::EmbeddingStore::apply_update`] and rotates
 //!   MLP weight sets, one version at a time. The **final** version of
@@ -44,7 +45,8 @@
 //! Rows and weight sets share one version protocol and one wait-out.
 //! The updater applies a version's row batch, which publishes the rows
 //! and returns without waiting for readers, then posts the version's
-//! set, publishes the version and calls [`EpochGc::synchronize`], once.
+//! set, which publishes its version, and calls [`EpochGc::synchronize`]
+//! on the channel's epoch, once.
 //! When that returns, every batch that pinned before the post has ended,
 //! and every later one polls inside its pin and so installs that set or a
 //! newer one, whose rows were published before it was posted.
@@ -102,8 +104,7 @@ pub struct ModelUpdateChannel {
     /// Highest version fully published (embeddings applied + weights
     /// posted).
     posted_version: AtomicU64,
-    /// The epoch a dense model's batches pin; a store-backed model's pin
-    /// the store's (see [`epoch`](ModelUpdateChannel::epoch)).
+    /// The epoch this lane's batches pin and its updater synchronizes.
     epoch: EpochGc,
     /// Baseline weight set: the handles the lane's model was built with,
     /// which every engine of the lane starts from and the final version of
@@ -158,13 +159,12 @@ impl ModelUpdateChannel {
     }
 
     /// The epoch every batch on this channel pins once and the updater
-    /// synchronizes after each version: the store's when the model is
-    /// store-backed, so one pin covers rows and weights, else the
-    /// channel's own.
+    /// synchronizes after each version. It is the channel's own, so a
+    /// lane's wait-out covers its own batches only. The store's rows
+    /// need no pin: a version's rows are published, under their shards'
+    /// guards, before its weight set is posted.
     pub fn epoch(&self) -> &EpochGc {
-        self.store
-            .as_ref()
-            .map_or(&self.epoch, |store| store.epoch())
+        &self.epoch
     }
 
     /// The baseline weight set: the handles the lane's model was built
@@ -180,9 +180,14 @@ impl ModelUpdateChannel {
         self.baseline.iter().map(floats).sum::<usize>() * std::mem::size_of::<f32>()
     }
 
-    /// Posts a weight set to the mailbox (newest wins).
+    /// Posts a weight set to the mailbox (newest wins) and publishes its
+    /// version as current. The version is raised after the mailbox lock
+    /// is let go, so a batch that sees the version can already poll the
+    /// set.
     pub fn post_weights(&self, weights: Arc<WeightSet>) {
+        let version = weights.version;
         *self.mailbox.lock() = Some(weights);
+        self.posted_version.fetch_max(version, Ordering::AcqRel);
     }
 
     /// Returns the mailbox weight set when it is newer than `installed`.
@@ -197,12 +202,6 @@ impl ModelUpdateChannel {
     /// Highest fully-published snapshot version.
     pub fn current_version(&self) -> u64 {
         self.posted_version.load(Ordering::Acquire)
-    }
-
-    /// Publishes `version` as current (the updater calls this after the
-    /// embedding batch lands and the weight set is posted).
-    pub fn publish_version(&self, version: u64) {
-        self.posted_version.fetch_max(version, Ordering::AcqRel);
     }
 
     /// Records the snapshot version one batch was served from; the gap
@@ -368,8 +367,8 @@ impl Updater {
             self.wait_for_green_light(&mut stats);
             let restore = version == last;
 
-            // Embedding rows first, then the weight set, then the
-            // version publish: an engine that sees version N posted can
+            // Embedding rows first, then the weight set, which publishes
+            // the version: an engine that sees version N posted can
             // already read N's rows.
             if let Some(store) = self.channel.store() {
                 let namespace = self.channel.namespace();
@@ -425,7 +424,6 @@ impl Updater {
             self.channel
                 .post_weights(Arc::new(WeightSet { version, layers }));
             stats.weight_sets_posted += 1;
-            self.channel.publish_version(version);
             // The version's one wait-out, for its rows and its set alike:
             // when this returns, no batch that began before the post is
             // running, so none serves older than `version - 1`.
@@ -706,7 +704,7 @@ mod tests {
 
     /// The wait-out lives in the updater: a run does not return while a
     /// reader that pinned before its posts still holds the channel's
-    /// epoch, and it synchronizes once per version, the store not at all.
+    /// epoch, and it synchronizes that epoch once per version.
     #[test]
     fn a_run_waits_out_a_reader_pinned_before_its_post() {
         use drec_sync::atomic::AtomicBool;
@@ -736,8 +734,48 @@ mod tests {
             released.load(Ordering::SeqCst),
             "the run returned while a reader pinned before its post held the epoch"
         );
-        assert_eq!(store.stats().update_synchronizations, 2);
+        assert_eq!(channel.epoch().synchronizations(), 2);
         reader.join().unwrap();
+    }
+
+    /// Co-located lanes share a store but not a wait-out: a run on one
+    /// lane's channel returns while a batch of another lane over the
+    /// same store is pinned. The reader gives its pin up after 2 s at
+    /// the latest, so a run that waited for it fails here instead of
+    /// hanging.
+    #[test]
+    fn a_lanes_wait_out_ignores_another_lanes_batch() {
+        let store = store_with_table(0x31);
+        let data: Vec<f32> = (0..64 * 4).map(|i| i as f32 * 0.5).collect();
+        store.register(0x32, 0, 64, 4, &data).unwrap();
+        let channel = |ns| {
+            let store = Some(Arc::clone(&store));
+            Arc::new(ModelUpdateChannel::new("m", ns, store, Vec::new(), None))
+        };
+        let (updated, other) = (channel(0x31), channel(0x32));
+        let (pinned_tx, pinned_rx) = std::sync::mpsc::channel();
+        let (returned_tx, returned_rx) = std::sync::mpsc::channel::<()>();
+        let reader = std::thread::spawn(move || {
+            let guard = other.epoch().pin();
+            pinned_tx.send(()).unwrap();
+            let returned = returned_rx.recv_timeout(Duration::from_secs(2)).is_ok();
+            drop(guard);
+            returned
+        });
+        pinned_rx.recv().unwrap();
+        let plan = UpdatePlan {
+            versions: 2,
+            ..UpdatePlan::default()
+        };
+        Updater::new(Arc::clone(&updated), plan).run().unwrap();
+        // The send fails only if the reader already gave up; its join
+        // says which.
+        let _ = returned_tx.send(());
+        assert!(
+            reader.join().unwrap(),
+            "the run waited for another lane's pinned batch"
+        );
+        assert_eq!(updated.epoch().synchronizations(), 2);
     }
 
     #[test]
@@ -792,7 +830,10 @@ mod tests {
     #[test]
     fn staleness_gauge_records_worst_gap() {
         let channel = ModelUpdateChannel::new("m", 1, None, Vec::new(), None);
-        channel.publish_version(3);
+        channel.post_weights(Arc::new(WeightSet {
+            version: 3,
+            layers: Vec::new(),
+        }));
         channel.record_staleness(3);
         assert_eq!(channel.max_staleness(), 0);
         channel.record_staleness(2);

@@ -668,14 +668,14 @@ fn hot_key_probe_never_reports_a_key_that_was_never_inserted() {
     });
 }
 
-/// The weight protocol under contention: a poster posts, publishes and
-/// synchronizes versions 1 and 2 while two readers each run one batch —
-/// pin the channel's epoch, poll the mailbox, record what they served
-/// against what is published, unpin. Every batch must serve version ≥
-/// published − 1 (the synchronize after a post waits out every batch
-/// pinned before it), and a fresh pin after quiescence must install
-/// version 2, the newest posted. A second batch per reader puts the
-/// model past its iteration cap.
+/// The weight protocol under contention: a poster posts (which
+/// publishes) and synchronizes versions 1 and 2 while two readers each
+/// run one batch — pin the channel's epoch, poll the mailbox, record
+/// what they served against what is published, unpin. Every batch must
+/// serve version ≥ published − 1 (the synchronize after a post waits out
+/// every batch pinned before it), and a fresh pin after quiescence must
+/// install version 2, the newest posted. A second batch per reader puts
+/// the model past its iteration cap.
 #[test]
 fn update_mailbox_is_newest_wins_under_contention() {
     use drec_serve::{ModelUpdateChannel, WeightSet};
@@ -689,7 +689,6 @@ fn update_mailbox_is_newest_wins_under_contention() {
                         version,
                         layers: Vec::new(),
                     }));
-                    channel.publish_version(version);
                     channel.epoch().synchronize();
                 }
             })

@@ -43,9 +43,9 @@
 //!   write guards of every shard it touches, so a bag reads all of its
 //!   rows, published, or none, and an injected crash aborts it before
 //!   any row moves. Readers take shard read guards, as for any read,
-//!   and pin an epoch ([`EmbeddingStore::pin_epoch`]) per coalesced
-//!   batch. The write path never waits on them: a serving lane's
-//!   updater waits them out once per version, after it posts the
+//!   and the write path never waits on them: the store keeps no reader
+//!   protocol. A serving lane's updater waits out its own batches once
+//!   per version, on its update channel's epoch, after it posts the
 //!   version's weight set (DESIGN.md §14).
 //!
 //! Determinism guarantees: decoding is a pure function of the stored

@@ -29,8 +29,9 @@ impl PinnedTable {
 
     /// Copies row `row` straight from its shard into `dst`, bypassing
     /// the hot-row key set, the tier model, fault injection, and every
-    /// counter — the quiet path the updater uses to capture pre-update
-    /// rows for its quiescence oracle.
+    /// counter — the quiet path checks and benches read with, such as a
+    /// restore's drift check. The updater captures pre-update rows
+    /// encoded instead, with [`read_row_encoded`](PinnedTable::read_row_encoded).
     ///
     /// # Errors
     ///

@@ -341,10 +341,10 @@ pub struct EmbeddingStore {
     pub(crate) cache_only_skips: AtomicU64,
     /// DRAM/SSD residency model (`StoreConfig::tier`).
     pub(crate) tier: Option<TierEngine>,
-    /// Epoch cell the live-update protocol pins readers with. Readers
-    /// pin once per coalesced batch; a serving lane's updater
-    /// synchronizes it once per version, after it posts the version's
-    /// weight set (DESIGN.md §14). The store itself never waits on it.
+    /// An epoch cell a caller may pin ([`EmbeddingStore::pin_epoch`]).
+    /// Nothing waits on it: the store's write path never does, and a
+    /// serving lane waits out its batches on its update channel's own
+    /// epoch (DESIGN.md §14).
     pub(crate) epoch: EpochGc,
     /// Update batches applied and published.
     pub(crate) update_batches_applied: AtomicU64,
@@ -536,19 +536,13 @@ impl EmbeddingStore {
             .ok_or(StoreError::TableNotRegistered { namespace, ordinal })
     }
 
-    /// Pins the calling thread into the current update epoch. Readers
-    /// (the serving engines) hold the guard across one coalesced batch;
-    /// a synchronize of [`EmbeddingStore::epoch`] waits out every reader
-    /// pinned before it. Never blocks.
+    /// Pins the calling thread into the store's epoch. Never blocks,
+    /// and nothing waits on the pin: the write path publishes without
+    /// waiting for readers, and a serving lane pins its update
+    /// channel's epoch instead, an `EpochGc` like this one, so a pin
+    /// here costs what a batch's pin costs.
     pub fn pin_epoch(&self) -> EpochGuard<'_> {
         self.epoch.pin()
-    }
-
-    /// The update epoch itself: what a serving lane's updater
-    /// synchronizes after it posts a weight set, so rows and weights are
-    /// waited out on one epoch.
-    pub fn epoch(&self) -> &EpochGc {
-        &self.epoch
     }
 
     /// The snapshot version currently published for `namespace`: every

@@ -70,8 +70,6 @@ impl EmbeddingStore {
             update_rollbacks: self.update_rollbacks.load(Ordering::Relaxed),
             update_duplicates_rejected: self.update_duplicates_rejected.load(Ordering::Relaxed),
             update_publish_delays: self.update_publish_delays.load(Ordering::Relaxed),
-            update_synchronizations: self.epoch.synchronizations(),
-            pinned_readers: self.epoch.pinned_readers(),
         }
     }
 }
@@ -163,11 +161,6 @@ pub struct StoreStats {
     pub update_duplicates_rejected: u64,
     /// Injected publish delays honored mid-update.
     pub update_publish_delays: u64,
-    /// Epoch synchronizations completed: a serving updater's, one per
-    /// version posted. The store's own write path makes none.
-    pub update_synchronizations: u64,
-    /// Readers currently pinned into the update epoch (gauge; racy).
-    pub pinned_readers: u64,
 }
 
 impl StoreStats {
@@ -220,9 +213,6 @@ impl StoreStats {
             update_publish_delays: self
                 .update_publish_delays
                 .saturating_sub(base.update_publish_delays),
-            update_synchronizations: self
-                .update_synchronizations
-                .saturating_sub(base.update_synchronizations),
             ..self.clone()
         }
     }

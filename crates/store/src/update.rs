@@ -98,8 +98,8 @@ impl EmbeddingStore {
     /// place and no decoded row lives outside the shards — the hot-row
     /// key set and the tier hold keys, not values — so nothing is left
     /// to retire once step 3 is done. A serving lane's updater waits out
-    /// its readers once per version, on this store's epoch, after it
-    /// posts the version's weight set (DESIGN.md §14).
+    /// its own batches once per version, on its update channel's epoch,
+    /// after it posts the version's weight set (DESIGN.md §14).
     ///
     /// `fault` is the injected update fault to honor (the updater
     /// threads its [`drec_faultsim::FaultHook::on_update`] decision
@@ -440,7 +440,6 @@ mod tests {
         assert_eq!(stats.update_batches_applied, 1);
         assert_eq!(stats.update_rows_applied, 2);
         assert_eq!(stats.update_rows_retired, 2);
-        assert_eq!(stats.update_synchronizations, 0);
         assert_eq!(stats.update_rollbacks, 0);
     }
 
@@ -842,7 +841,6 @@ mod tests {
             })
         };
         pinned_rx.recv().unwrap();
-        assert_eq!(s.stats().pinned_readers, 1);
         s.apply_update(
             &UpdateBatch {
                 namespace: 7,

@@ -185,8 +185,6 @@ fn parent_stats(resident_bytes: u64, tiered: bool) -> StoreStats {
         update_rollbacks: 0,
         update_duplicates_rejected: 0,
         update_publish_delays: 0,
-        update_synchronizations: 0,
-        pinned_readers: 0,
     }
 }
 

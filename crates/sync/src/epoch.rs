@@ -1,12 +1,12 @@
-//! Epoch-based reclamation for the parameter store's read path.
+//! Epoch-based wait-out for the live-update protocol's readers.
 //!
 //! The live-update protocol (DESIGN.md §14) needs one guarantee from the
-//! read side: after a writer has rewritten rows and published a new
-//! version, it must be able to *wait out* every reader that might still
-//! be working from the pre-update view (and might still re-insert stale
-//! decoded bytes into a cache) before retiring the superseded state. The
-//! classical answer is epoch-based reclamation, and this module is the
-//! minimal two-bank variant of it:
+//! read side: after a writer has posted a new version, it must be able
+//! to *wait out* every reader that might still be working from the view
+//! before the post, so that once it returns no reader runs older than
+//! that view. Each served model's update channel owns one of these
+//! cells; the classical answer is epoch-based reclamation, and this
+//! module is the minimal two-bank variant of its wait:
 //!
 //! * Readers [`EpochGc::pin`] once per *batch* (not per lookup — the
 //!   per-lookup hot path stays untouched, which is what keeps the
@@ -16,16 +16,15 @@
 //! * Writers call [`EpochGc::synchronize`]: flip the epoch parity, then
 //!   spin-wait until the *previous* bank's reader count drains to zero.
 //!   When it returns, every reader that pinned before the flip has
-//!   unpinned — so everything those readers could observe (or re-cache)
-//!   is quiescent and safe to retire.
+//!   unpinned, and every reader still pinned began after the flip.
 //!
 //! The pin protocol closes the classic flip race by re-checking the
 //! epoch after incrementing: a reader that incremented the old bank
 //! *after* the flip migrates to the new bank before returning. Such a
 //! reader performs all of its reads after the flip — and therefore after
-//! the writer's row rewrites — so the writer does not need to wait for
-//! it. A reader that incremented before the flip stays in the old bank
-//! and is waited out.
+//! the writer's post — so the writer does not need to wait for it. A
+//! reader that incremented before the flip stays in the old bank and is
+//! waited out.
 //!
 //! A bank is one cache-padded counter and keeps no per-thread state.
 //! Readers pin once per batch, so its line is contended at batch rate,
@@ -42,7 +41,7 @@
 use crate::atomic::{AtomicU64, Ordering};
 use crate::{spin_loop, CachePadded};
 
-/// Two-bank epoch-based reclamation cell (see the module docs for the
+/// Two-bank epoch wait-out cell (see the module docs for the
 /// protocol and its correctness argument).
 #[derive(Debug)]
 pub struct EpochGc {

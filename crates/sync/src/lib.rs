@@ -16,12 +16,13 @@
 //! 2. **Lock-free building blocks.** [`EventCount`] (pulse-gated parking
 //!    that replaces condvar broadcast) is what the batcher's workers
 //!    and `drec-par`'s workers and scope owners park on; [`EpochGc`] is
-//!    the epoch-based-reclamation cell the parameter store's live-update
-//!    protocol pins readers with (no locks on the read hot path). [`EvictRing`] (a bounded MPMC ring with
-//!    priority swap-eviction) was the batcher's lock-free queue until
-//!    PR 24 made the mutex queue the only one; it has no caller left in
-//!    the workspace, is kept only because `perf_bench` times it as
-//!    `sync.ring_push_pop_ns`, and leaves after the next `benchmark` issue.
+//!    the epoch cell each served model's update channel pins its batches
+//!    with and its updater waits out (no locks on the read hot path).
+//!    [`EvictRing`] (a bounded MPMC ring with priority swap-eviction)
+//!    was the batcher's lock-free queue until PR 24 made the mutex queue
+//!    the only one; it has no caller left in the workspace, is kept only
+//!    because `perf_bench` times it as `sync.ring_push_pop_ns`, and
+//!    leaves after the next `benchmark` issue.
 //! 3. **Cache-line padding.** [`CachePadded`] keeps hot counters that
 //!    different threads bump (a lane's latency histogram and `shed`
 //!    counter, the registry's `accepted`) on lines of their own, so

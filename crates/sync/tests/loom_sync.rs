@@ -232,11 +232,11 @@ fn epoch_pin_racing_synchronize_never_wedges_or_leaks() {
     });
 }
 
-/// The retirement guarantee the store's update path leans on: a writer
+/// The retirement guarantee epoch-based reclamation leans on: a writer
 /// that rewrites a value and then `synchronize`s must observe every
 /// pre-flip reader's side effects before retiring. The reader here
 /// copies the shared value into a "cache" slot while pinned (modelling
-/// a stale hot-row-cache insert); after synchronize the writer clears
+/// a stale cache insert); after synchronize the writer clears
 /// the slot — and in no interleaving can the stale copy survive, because
 /// any pinned reader's insert happens-before its unpin, which
 /// happens-before synchronize returns.
